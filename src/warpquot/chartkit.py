@@ -11,10 +11,34 @@ Index conventions
 * ``riemann_numeric(g, x)[l, i, j, k]`` is the ``l`` component of
   ``R(e_i, e_j) e_k`` with ``R(X, Y)Z = [nabla_X, nabla_Y] Z - nabla_[X,Y] Z``.
   The sign is pinned by the acceptance test "unit round sphere has K = +1".
+
+Batches and the callback contract
+---------------------------------
+``MetricField.mat/inv`` and ``ScalarField.value/grad_coords/hess_coords``
+take one point, shape ``(dim,)``, or a batch of points, shape ``(P, dim)``
+with one point per row, and return one value or a stack of ``P`` values.
+Every check (finite coordinates and outputs, output shape, symmetry,
+``|det g| >= DET_TOL``) runs on every point of a batch, vectorised once.
+
+Callbacks (``eval``, ``analytic_grad``, ``analytic_hess``, and the field
+callbacks of ``exterior_derivative_numeric`` and ``covariant_derivative``)
+receive points *coordinate-major*: ``x[k]`` is coordinate ``k``, a float for
+one point or an array of ``P`` values for a batch, so formulas such as
+``lambda x: np.sin(x[0]) * x[1]`` serve both.  The output carries the
+value's own axes first and the point axis last: ``(P,)`` for a scalar,
+``(n, P)`` for a vector, ``(n, n, P)`` for a matrix.  A constant entry must
+still be broadcast to the point axis (``np.zeros((2, 2) + np.shape(x)[1:])``
+gives a correctly shaped container).  An output of the wrong shape raises
+``NumericsError``; a per-point-only formula that calls ``float(...)`` or
+``math.*`` on a coordinate raises ``TypeError`` (or, where numpy still
+converts a one-element array, its scalar output fails the shape check).
+Neither gives a silently wrong result.  ``MetricField.analytic_d1`` and
+``analytic_d2`` are called one point at a time.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -45,6 +69,33 @@ def _as_array(values, n: Optional[int] = None) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NumericsError(f"non-finite entries in {arr}")
     return arr
+
+
+def _points(x, n: Optional[int] = None) -> np.ndarray:
+    """One point ``(n,)`` or a batch ``(P, n)``, checked finite."""
+    if isinstance(x, CoordPoint):
+        return x.coords
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim not in (1, 2) or (n is not None and arr.shape[-1] != n):
+        raise ValueError(f"expected a point ({n},) or a batch (P, {n}), got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise NumericsError(f"non-finite coordinates in {_first(arr, ~np.isfinite(arr).all(-1))}")
+    return arr
+
+
+def _first(pts: np.ndarray, bad) -> np.ndarray:
+    """The first point flagged by ``bad`` (a bool per point), or the single point."""
+    return pts if pts.ndim == 1 else pts[int(np.argmax(bad))]
+
+
+def _call_batch(fn: Callable, pts: np.ndarray, shape: tuple, what: str) -> np.ndarray:
+    """``fn`` on the rows of ``pts`` (P, n), passed coordinate-major; returns (P, *shape)."""
+    out = np.asarray(fn(np.ascontiguousarray(pts.T)), dtype=float)
+    want = shape + pts.shape[:1]
+    if out.shape != want:
+        raise NumericsError(f"{what} returned shape {out.shape} for {pts.shape[0]} points, "
+                            f"expected {want} (point axis last)")
+    return out.transpose((out.ndim - 1, *range(out.ndim - 1)))  # point axis first
 
 
 @dataclass(frozen=True)
@@ -134,9 +185,13 @@ class OneForm:
 class MetricField:
     """Symmetric-matrix-valued field with signature metadata.
 
-    ``eval`` maps a coordinate array (length ``dim``) to an (n, n) matrix.
+    ``eval`` maps coordinates to the metric matrix under the module's
+    coordinate-major contract: ``x`` of shape ``(dim,)`` gives ``(dim, dim)``
+    and ``x`` of shape ``(dim, P)`` gives ``(dim, dim, P)``.  ``mat`` and
+    ``inv`` accept one point or a ``(P, dim)`` batch.
     ``analytic_d1(x)[k] = d_k g`` and ``analytic_d2(x)[k, l] = d_k d_l g``
-    are optional exact-derivative callbacks.
+    are optional exact-derivative callbacks; they stay single-point (``x`` of
+    shape ``(dim,)``), since no caller evaluates them in batches.
     """
 
     dim: int
@@ -157,38 +212,52 @@ class MetricField:
             self.domain_box = box
 
     def mat(self, x) -> np.ndarray:
-        coords = x.coords if isinstance(x, CoordPoint) else _as_array(x, self.dim)
-        g = np.asarray(self.eval(coords), dtype=float)
-        if g.shape != (self.dim, self.dim):
-            raise NumericsError(f"metric eval returned shape {g.shape}, expected ({self.dim}, {self.dim})")
-        if not np.all(np.isfinite(g)):
-            raise NumericsError(f"non-finite metric entries at {coords}")
-        scale = max(1.0, float(np.max(np.abs(g))))
-        if np.max(np.abs(g - g.T)) > SYMMETRY_TOL * scale:
-            raise NumericsError(f"metric not symmetric at {coords}")
+        """g at one point, (dim, dim), or at each row of a batch, (P, dim, dim)."""
+        pts = _points(x, self.dim)
+        if pts.ndim == 1:
+            g = np.asarray(self.eval(pts), dtype=float)
+            if g.shape != (self.dim, self.dim):
+                raise NumericsError(
+                    f"metric eval returned shape {g.shape}, expected ({self.dim}, {self.dim})")
+        else:
+            g = _call_batch(self.eval, pts, (self.dim, self.dim), "metric eval")
+        biggest = np.abs(g).max(axis=(-2, -1))  # nan or inf exactly when an entry is
+        bad = ~np.isfinite(biggest)
+        if bad.any():
+            raise NumericsError(f"non-finite metric entries at {_first(pts, bad)}")
+        asym = np.abs(g - g.swapaxes(-2, -1)).max(axis=(-2, -1))
+        bad = asym > SYMMETRY_TOL * np.maximum(1.0, biggest)  # relative to each point's scale
+        if bad.any():
+            raise NumericsError(f"metric not symmetric at {_first(pts, bad)}")
         return g
 
     def inv(self, x) -> np.ndarray:
+        return self.mat_and_inv(x)[1]
+
+    def mat_and_inv(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(g, g^-1) from one evaluation; DegenerateMetric where |det g| < DET_TOL."""
         g = self.mat(x)
-        det = np.linalg.det(g)
-        if abs(det) < DET_TOL:
-            raise DegenerateMetric(f"|det g| = {abs(det):.3e} at {x}")
-        return np.linalg.inv(g)
+        det = np.abs(np.linalg.det(g))
+        bad = det < DET_TOL
+        if bad.any():
+            raise DegenerateMetric(f"|det g| = {float(det.flat[np.argmax(bad)]):.3e} "
+                                   f"at {_first(_points(x, self.dim), bad)}")
+        return g, np.linalg.inv(g)
 
     def d1(self, x) -> np.ndarray:
-        """d1[k, i, j] = d_k g_ij, analytic when available else central FD."""
-        coords = x.coords if isinstance(x, CoordPoint) else _as_array(x, self.dim)
-        if self.analytic_d1 is not None:
-            out = np.asarray(self.analytic_d1(coords), dtype=float)
-            if out.shape != (self.dim,) * 3:
-                raise NumericsError(f"analytic_d1 returned shape {out.shape}")
-            return out
-        out = np.empty((self.dim, self.dim, self.dim))
-        for k in range(self.dim):
-            h = fd_step(coords[k], FD_STEP_1)
-            e = np.zeros(self.dim)
-            e[k] = h
-            out[k] = (self.mat(coords + e) - self.mat(coords - e)) / (2.0 * h)
+        """d1[k, i, j] = d_k g_ij, analytic when available else central FD.
+
+        A batch ``(P, dim)`` gives ``(P, dim, dim, dim)``; the analytic
+        callback is then called once per point.
+        """
+        pts = _points(x, self.dim)
+        if self.analytic_d1 is None:
+            return central_diff(self.mat, pts, fd_step(pts, FD_STEP_1))
+        if pts.ndim == 2:
+            return np.stack([self.d1(p) for p in pts])
+        out = np.asarray(self.analytic_d1(pts), dtype=float)
+        if out.shape != (self.dim,) * 3:
+            raise NumericsError(f"analytic_d1 returned shape {out.shape}")
         return out
 
     def d2(self, x) -> Optional[np.ndarray]:
@@ -202,17 +271,21 @@ class MetricField:
         return out
 
     def check_at(self, x) -> None:
-        """Nondegeneracy check: eigenvalue sign pattern must match the signature."""
-        g = self.mat(x)
-        eigs = np.linalg.eigvalsh(g)
-        neg = int(np.sum(eigs < -DET_TOL))
-        zero = int(np.sum(np.abs(eigs) <= DET_TOL))
-        if zero:
-            raise DegenerateMetric(f"near-zero eigenvalue at {x}: {eigs}")
-        if neg != self.signature.index:
-            raise NumericsError(
-                f"eigenvalue signs at {x} ({neg} negative) do not match signature index "
-                f"{self.signature.index}")
+        """Nondegeneracy check at one point or at each row of a batch: the
+        eigenvalue sign pattern must match the signature."""
+        pts = _points(x, self.dim)
+        eigs = np.linalg.eigvalsh(self.mat(pts)).reshape(-1, self.dim)
+        rows = pts.reshape(-1, self.dim)
+        zero = (np.abs(eigs) <= DET_TOL).any(axis=1)
+        if zero.any():
+            k = int(np.argmax(zero))
+            raise DegenerateMetric(f"near-zero eigenvalue at {rows[k]}: {eigs[k]}")
+        neg = (eigs < -DET_TOL).sum(axis=1)
+        bad = neg != self.signature.index
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise NumericsError(f"eigenvalue signs at {rows[k]} ({neg[k]} negative) do not "
+                                f"match signature index {self.signature.index}")
 
     @staticmethod
     def constant(matrix, domain_box=None, name="") -> "MetricField":
@@ -224,7 +297,8 @@ class MetricField:
         zero2 = np.zeros((n, n, n, n))
         return MetricField(
             dim=n,
-            eval=lambda x, _m=m: _m.copy(),
+            eval=lambda x, _m=m: (_m.copy() if np.ndim(x) == 1
+                                  else np.repeat(_m[..., None], np.shape(x)[1], axis=-1)),
             signature=Signature(np.sort(signs)),
             analytic_d1=lambda x, _z=zero: _z,
             analytic_d2=lambda x, _z=zero2: _z,
@@ -239,72 +313,115 @@ class MetricField:
 
 @dataclass
 class ScalarField:
-    """Scalar function of chart coordinates with optional exact derivatives."""
+    """Scalar function of chart coordinates with optional exact derivatives.
+
+    ``eval``, ``analytic_grad`` and ``analytic_hess`` follow the module's
+    coordinate-major contract: for ``x`` of shape ``(n,)`` they return a
+    scalar, ``(n,)`` and ``(n, n)``; for ``x`` of shape ``(n, P)`` they
+    return ``(P,)``, ``(n, P)`` and ``(n, n, P)``.  ``value``,
+    ``grad_coords`` and ``hess_coords`` accept one point or a ``(P, n)``
+    batch.
+    """
 
     eval: Callable[[np.ndarray], float]
     analytic_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     analytic_hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
 
-    def value(self, x) -> float:
-        coords = x.coords if isinstance(x, CoordPoint) else np.asarray(x, dtype=float)
-        v = float(self.eval(coords))
-        if not np.isfinite(v):
-            raise NumericsError(f"scalar field {self.name!r} non-finite at {coords}")
-        return v
+    def value(self, x):
+        """f at one point (a float) or at each row of a batch, (P,)."""
+        pts = x.coords if isinstance(x, CoordPoint) else np.asarray(x, dtype=float)
+        if pts.ndim == 1:
+            v = float(self.eval(pts))
+            if not np.isfinite(v):
+                raise NumericsError(f"scalar field {self.name!r} non-finite at {pts}")
+            return v
+        vals = _call_batch(self.eval, pts, (), f"scalar field {self.name!r}")
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            raise NumericsError(f"scalar field {self.name!r} non-finite at {_first(pts, bad)}")
+        return vals
+
+    def _derivative(self, x, n, callback, order: int) -> np.ndarray:
+        pts = x.coords if isinstance(x, CoordPoint) else np.asarray(x, dtype=float)
+        if callback is not None and pts.ndim == 1:
+            return np.asarray(callback(pts), dtype=float)
+        if n is not None and n != pts.shape[-1]:
+            raise ValueError(f"expected {n} coordinates, got {pts.shape[-1]}")
+        if callback is not None:
+            return _call_batch(callback, pts, (pts.shape[-1],) * order,
+                               f"derivative of {self.name!r}")
+        return central_diff(self.value, pts, fd_step(pts, (FD_STEP_1, FD_STEP_2)[order - 1]),
+                            order=order)
 
     def grad_coords(self, x, n: Optional[int] = None) -> np.ndarray:
-        """Coordinate partials (d_i f), analytic when available."""
-        coords = x.coords if isinstance(x, CoordPoint) else np.asarray(x, dtype=float)
-        if self.analytic_grad is not None:
-            return np.asarray(self.analytic_grad(coords), dtype=float)
-        n = coords.shape[0] if n is None else n
-        out = np.empty(n)
-        for i in range(n):
-            h = fd_step(coords[i], FD_STEP_1)
-            e = np.zeros(n)
-            e[i] = h
-            out[i] = (self.value(coords + e) - self.value(coords - e)) / (2.0 * h)
-        return out
+        """Coordinate partials (d_i f), analytic when available; (P, n) for a batch."""
+        return self._derivative(x, n, self.analytic_grad, 1)
 
     def hess_coords(self, x, n: Optional[int] = None) -> np.ndarray:
-        """Coordinate second partials (d_i d_j f), analytic when available."""
-        coords = x.coords if isinstance(x, CoordPoint) else np.asarray(x, dtype=float)
-        if self.analytic_hess is not None:
-            return np.asarray(self.analytic_hess(coords), dtype=float)
-        n = coords.shape[0] if n is None else n
-        out = np.empty((n, n))
-        f0 = self.value(coords)
-        steps = [fd_step(coords[i], FD_STEP_2) for i in range(n)]
-        for i in range(n):
-            hi = steps[i]
-            ei = np.zeros(n)
-            ei[i] = hi
-            out[i, i] = (self.value(coords + ei) - 2.0 * f0 + self.value(coords - ei)) / hi**2
-            for j in range(i + 1, n):
-                hj = steps[j]
-                ej = np.zeros(n)
-                ej[j] = hj
-                out[i, j] = (
-                    self.value(coords + ei + ej) - self.value(coords + ei - ej)
-                    - self.value(coords - ei + ej) + self.value(coords - ei - ej)
-                ) / (4.0 * hi * hj)
-                out[j, i] = out[i, j]
-        return out
+        """Coordinate second partials (d_i d_j f), analytic when available; (P, n, n) for a batch."""
+        return self._derivative(x, n, self.analytic_hess, 2)
 
     @staticmethod
     def constant(c: float, name="") -> "ScalarField":
         return ScalarField(
-            eval=lambda x, _c=float(c): _c,
-            analytic_grad=lambda x: np.zeros(len(x)),
-            analytic_hess=lambda x: np.zeros((len(x), len(x))),
+            eval=lambda x, _c=float(c): _c if np.ndim(x) == 1 else np.full(np.shape(x)[1:], _c),
+            analytic_grad=lambda x: np.zeros(np.shape(x)),
+            analytic_hess=lambda x: np.zeros(np.shape(x)[:1] + np.shape(x)),
             name=name or f"const({c})",
         )
 
 
-def fd_step(xi: float, base: float = FD_STEP_1) -> float:
-    """Central-difference step: max(base, base * |x_i|)."""
-    return max(base, base * abs(xi))
+def fd_step(xi, base: float = FD_STEP_1):
+    """Central-difference step: max(base, base * |x_i|), elementwise."""
+    return np.maximum(base, base * np.abs(xi))
+
+
+@functools.lru_cache(maxsize=None)
+def _stencil(n: int, order: int) -> np.ndarray:
+    """Unit stencil offsets: +e_k then -e_k (order 1); the centre, +e_i, -e_i,
+    then the (++, +-, -+, --) corners of every pair i < j (order 2)."""
+    eye = np.eye(n)
+    if order == 1:
+        return np.concatenate([eye, -eye])
+    iu, ju = np.triu_indices(n, 1)
+    corners = [eye[iu] * si + eye[ju] * sj for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    return np.concatenate([np.zeros((1, n)), eye, -eye, *corners])
+
+
+def central_diff(f: Callable[[np.ndarray], np.ndarray], x, steps, order: int = 1) -> np.ndarray:
+    """Central differences of ``f`` along every coordinate, from one call of ``f``.
+
+    ``x`` is one point ``(n,)`` or a batch ``(P, n)``, and ``steps`` holds the
+    per-coordinate steps in the same shape.  ``f`` maps a ``(Q, n)`` array of
+    points to ``(Q, ...)`` values; all stencil points of all of ``x`` go to it
+    at once.  ``order=1`` gives
+    ``d[..., k, ...] = (f(x + h_k e_k) - f(x - h_k e_k)) / 2h_k``; ``order=2``
+    gives second partials, ``(f(x + h_i e_i) - 2 f(x) + f(x - h_i e_i)) / h_i^2``
+    on the diagonal and ``(f(++) - f(+-) - f(-+) + f(--)) / 4 h_i h_j`` off it.
+    The result has shape ``x.shape[:-1] + (n,) * order + value shape``.
+    """
+    x = np.asarray(x, dtype=float)
+    lead, n = x.shape[:-1], x.shape[-1]
+    offsets = _stencil(n, order)
+    stencil = x[..., None, :] + offsets * steps[..., None, :]
+    vals = np.asarray(f(stencil.reshape(-1, n)), dtype=float)
+    vals = vals.reshape(lead + (len(offsets),) + vals.shape[1:])
+    h = steps.reshape(lead + (n,) + (1,) * (vals.ndim - len(lead) - 1))
+    at = (slice(None),) * len(lead)  # index the stencil axis, after the batch axis
+
+    def part(start, count=n):
+        return vals[at + (slice(start, start + count),)]
+
+    if order == 1:
+        return (part(0) - part(n)) / (2.0 * h)
+    iu, ju = np.triu_indices(n, 1)
+    m = len(iu)
+    out = np.empty(lead + (n, n) + vals.shape[len(lead) + 1:])
+    out[at + (np.arange(n), np.arange(n))] = (part(1) - 2.0 * part(0, 1) + part(n + 1)) / h**2
+    pp, pm, mp, mm = (part(2 * n + 1 + k * m, m) for k in range(4))
+    out[at + (iu, ju)] = out[at + (ju, iu)] = (pp - pm - mp + mm) / (4.0 * h[at + (iu,)] * h[at + (ju,)])
+    return out
 
 
 def _coords(x, n: Optional[int] = None) -> np.ndarray:
@@ -337,34 +454,29 @@ def christoffel_numeric(g: MetricField, x, step: Optional[float] = None) -> np.n
 
     Uses analytic first derivatives when the field carries them; otherwise
     central differences (uniform ``step`` if given, the per-coordinate
-    default rule if not).
+    default rule if not).  A batch ``(P, n)`` gives ``(P, n, n, n)``.
     """
     if step is not None and step <= 0:
         raise ValueError("step must be positive")
-    coords = _coords(x, g.dim)
-    ginv = g.inv(coords)
+    pts = _points(x, g.dim)
+    ginv = g.inv(pts)
     if step is None or g.analytic_d1 is not None:
-        dg = g.d1(coords)
+        dg = g.d1(pts)
     else:
-        n = g.dim
-        dg = np.empty((n, n, n))
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = step
-            dg[k] = (g.mat(coords + e) - g.mat(coords - e)) / (2.0 * step)
+        dg = central_diff(g.mat, pts, np.full(pts.shape, step))
     # bracket[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-    bracket = (np.einsum("ijl->lij", dg) + np.einsum("jil->lij", dg) - dg)
-    return 0.5 * np.einsum("kl,lij->kij", ginv, bracket)
+    bracket = np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
+    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, bracket)
 
 
 def christoffel_d1(g: MetricField, x) -> np.ndarray:
     """dGamma[m, k, i, j] = d_m Gamma^k_ij.
 
     Exact when the metric has analytic first and second derivatives, else
-    nested central differences with the second-derivative step.
+    central differences of ``christoffel_numeric`` with the second-derivative
+    step, all stencil points in one batch.
     """
     coords = _coords(x, g.dim)
-    n = g.dim
     d2 = g.d2(coords)
     if d2 is not None and g.analytic_d1 is not None:
         dg = g.d1(coords)
@@ -374,13 +486,8 @@ def christoffel_d1(g: MetricField, x) -> np.ndarray:
         dbracket = np.einsum("mijl->mlij", d2) + np.einsum("mjil->mlij", d2) - d2
         return 0.5 * (np.einsum("mkl,lij->mkij", dginv, bracket)
                       + np.einsum("kl,mlij->mkij", ginv, dbracket))
-    out = np.empty((n, n, n, n))
-    for m in range(n):
-        h = fd_step(coords[m], FD_STEP_2)
-        e = np.zeros(n)
-        e[m] = h
-        out[m] = (christoffel_numeric(g, coords + e) - christoffel_numeric(g, coords - e)) / (2.0 * h)
-    return out
+    return central_diff(lambda pts: christoffel_numeric(g, pts), coords,
+                        fd_step(coords, FD_STEP_2))
 
 
 def riemann_numeric(g: MetricField, x) -> np.ndarray:
@@ -444,46 +551,47 @@ def hessian_endomorphism(f: ScalarField, g: MetricField, x, v: TangentVector) ->
     return TangentVector(CoordPoint(coords), endo @ v.components)
 
 
+def _component_field(field: Callable, n: int, what: str) -> Callable:
+    """Batch form of a coordinate-major ``(n,)``-valued callback, checked finite."""
+
+    def comps(pts):
+        w = _call_batch(field, pts, (n,), what)
+        bad = ~np.isfinite(w).all(axis=-1)
+        if bad.any():
+            raise NumericsError(f"non-finite {what} sample at {_first(pts, bad)}")
+        return w
+
+    return comps
+
+
 def exterior_derivative_numeric(omega_field: Callable[[np.ndarray], np.ndarray], x,
                                 n: Optional[int] = None,
                                 step: Optional[float] = None) -> np.ndarray:
     """(d omega)_ij = d_i omega_j - d_j omega_i by central differences.
 
-    ``omega_field`` maps a coordinate array to one-form components (an
-    ``OneForm`` return value is also accepted).  Pass a larger ``step`` when
-    the one-form samples are themselves finite-difference results.
+    ``omega_field`` maps coordinates to one-form components under the
+    coordinate-major contract (``(n, Q)`` points give ``(n, Q)``
+    components); all 2n stencil points go to it in one call.  Pass a larger
+    ``step`` when the one-form samples are themselves finite-difference
+    results.
     """
     coords = _coords(x, n)
     n = coords.shape[0]
-
-    def comps(c):
-        w = omega_field(c)
-        w = w.components if isinstance(w, OneForm) else np.asarray(w, dtype=float)
-        if not np.all(np.isfinite(w)):
-            raise NumericsError(f"non-finite one-form sample at {c}")
-        return w
-
-    domega = np.empty((n, n))
-    for i in range(n):
-        h = fd_step(coords[i], FD_STEP_1 if step is None else step)
-        e = np.zeros(n)
-        e[i] = h
-        domega[i] = (comps(coords + e) - comps(coords - e)) / (2.0 * h)
+    comps = _component_field(omega_field, n, "one-form")
+    domega = central_diff(comps, coords, fd_step(coords, FD_STEP_1 if step is None else step))
     return domega - domega.T
 
 
 def covariant_derivative(g: MetricField, x, direction: TangentVector,
                          vec_field: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """(nabla_X V)^k = X^i d_i V^k + Gamma^k_ij X^i V^j for a component field V."""
+    """(nabla_X V)^k = X^i d_i V^k + Gamma^k_ij X^i V^j for a component field V.
+
+    ``vec_field`` follows the coordinate-major contract; the 2n stencil
+    points go to it in one call.
+    """
     coords = _coords(x, g.dim)
-    n = g.dim
-    dV = np.empty((n, n))
-    for i in range(n):
-        h = fd_step(coords[i], FD_STEP_1)
-        e = np.zeros(n)
-        e[i] = h
-        dV[i] = (np.asarray(vec_field(coords + e), dtype=float)
-                 - np.asarray(vec_field(coords - e), dtype=float)) / (2.0 * h)
+    comps = _component_field(vec_field, g.dim, "vector field")
+    dV = central_diff(comps, coords, fd_step(coords, FD_STEP_1))
     gamma = christoffel_numeric(g, coords)
     X = direction.components
     V = np.asarray(vec_field(coords), dtype=float)

@@ -194,13 +194,8 @@ def cmd_curvature(ctx, args, rng):
     for _ in range(args.samples):
         x = _rand_point(rng, dtp.domain_box)
         for case in ("HH", "VV", "HV"):
-            need = 2 if case != "HV" else 1
-            if (dtp.n1 < need and case == "HH") or (dtp.n2 < need and case == "VV"):
-                continue
-            if case == "HH" and dtp.n1 < 2:
-                continue
-            if case == "VV" and dtp.n2 < 2:
-                continue
+            if (case == "HH" and dtp.n1 < 2) or (case == "VV" and dtp.n2 < 2):
+                continue  # a factor plane needs a factor of dimension 2 or more
             plane = _sample_plane(dtp, rng, x, case)
             if plane is None:
                 continue
@@ -336,8 +331,7 @@ def cmd_verify_all(ctx, args, rng):
     details: dict = {}
 
     # metric sanity: signature at sampled points
-    for p in pg.grid_points(dtp.domain_box, 3):
-        dtp.assembled.check_at(p)
+    dtp.assembled.check_at(pg.grid_points(dtp.domain_box, 3))
     checks.append(Check("signature-sanity", 0.0, 1.0, ok=True))
 
     # christoffel symmetry / compatibility

@@ -1,38 +1,64 @@
 """Restricted arithmetic expression grammar for scenario files.
 
 Supports numbers, declared variable names, + - * / ** and unary minus, and a
-fixed function table (trig, hyperbolics, exp/log, sqrt, abs, min/max,
+fixed function table (trig, hyperbolics, exp/log, sqrt, abs, min/max, pow,
 smoothstep).  Expressions are parsed with the ast module, validated against a
-whitelist and compiled to nested closures; no general-purpose interpreter is
-invoked on scenario content.
+whitelist and compiled to nested closures over numpy functions; no
+general-purpose interpreter is invoked on scenario content.
+
+Compiled expressions follow the coordinate-major contract of ``chartkit``:
+``v[i]`` is variable i, a float for one point or an array for a batch, and
+the result has the shape of one variable (a constant expression is
+broadcast).  One point is evaluated on Python floats, a batch on numpy
+arrays; the function table and ``**`` are numpy ufuncs in both cases, so
+both round alike.  A domain error (``log`` of a negative number) gives nan,
+which the finiteness checks of the fields that evaluate the expression
+report; a division by zero raises ZeroDivisionError for one point and gives
+inf (reported the same way) for a batch.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import math
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import ScenarioError
 
 
-def smoothstep(t: float) -> float:
-    """0 for t <= 0, 1 for t >= 1, cubic 3t^2 - 2t^3 between."""
-    if t <= 0.0:
-        return 0.0
-    if t >= 1.0:
-        return 1.0
+def smoothstep(t):
+    """0 for t <= 0, 1 for t >= 1, cubic 3t^2 - 2t^3 between; elementwise."""
+    t = np.clip(t, 0.0, 1.0)
     return t * t * (3.0 - 2.0 * t)
 
 
 _FUNCTIONS: dict[str, Callable] = {
-    "sin": math.sin, "cos": math.cos, "tan": math.tan,
-    "asin": math.asin, "acos": math.acos, "atan": math.atan, "atan2": math.atan2,
-    "sinh": math.sinh, "cosh": math.cosh, "tanh": math.tanh,
-    "exp": math.exp, "log": math.log, "sqrt": math.sqrt,
-    "abs": abs, "min": min, "max": max, "pow": pow,
+    "sin": np.sin, "cos": np.cos, "tan": np.tan,
+    "asin": np.arcsin, "acos": np.arccos, "atan": np.arctan, "atan2": np.arctan2,
+    "sinh": np.sinh, "cosh": np.cosh, "tanh": np.tanh,
+    "exp": np.exp, "log": np.log, "sqrt": np.sqrt,
+    "abs": np.abs, "pow": np.power,
+    "min": lambda *a: functools.reduce(np.minimum, a),
+    "max": lambda *a: functools.reduce(np.maximum, a),
     "smoothstep": smoothstep,
 }
+
+
+def _varying_power(a, b):
+    """a ** b for an exponent that depends on the coordinates.
+
+    numpy's power takes fast paths (x * x, sqrt, 1 / x) for an exponent that is
+    one broadcast value, and these round differently from its general loop.  A
+    one-point exponent therefore goes in as a one-element array, so that one
+    point takes the same loop as a batch of points.
+    """
+    if np.ndim(b) == 0:
+        return np.power(a, np.reshape(b, 1))[0]
+    return np.power(a, b)
+
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
@@ -41,20 +67,23 @@ _BINOPS = {
     ast.Sub: lambda a, b: a - b,
     ast.Mult: lambda a, b: a * b,
     ast.Div: lambda a, b: a / b,
-    ast.Pow: lambda a, b: a ** b,
+    ast.Pow: np.power,  # the ufunc: Python's float ** rounds like libm instead
 }
 
 
 def compile_expr(src: str, variables: Sequence[str]) -> Callable:
-    """Compile ``src`` to a function of a coordinate vector (ordered as
-    ``variables``).  Raises ScenarioError with position info on anything
-    outside the grammar."""
+    """Compile ``src`` to a function of coordinates ordered as ``variables``:
+    one point ``(n,)`` or a coordinate-major batch ``(n, P)``.  Raises
+    ScenarioError with position info on anything outside the grammar."""
     names = {name: i for i, name in enumerate(variables)}
     try:
         tree = ast.parse(src, mode="eval")
     except SyntaxError as exc:
         raise ScenarioError(
             f"expression {src!r}: syntax error at line {exc.lineno}, column {exc.offset}") from exc
+
+    def varies(node) -> bool:
+        return any(isinstance(n, ast.Name) and n.id in names for n in ast.walk(node))
 
     def bad(node, what):
         return ScenarioError(
@@ -71,7 +100,7 @@ def compile_expr(src: str, variables: Sequence[str]) -> Callable:
         if isinstance(node, ast.Name):
             if node.id in names:
                 i = names[node.id]
-                return lambda v, _i=i: float(v[_i])
+                return lambda v, _i=i: v[_i]
             if node.id in _CONSTANTS:
                 c = _CONSTANTS[node.id]
                 return lambda v, _c=c: _c
@@ -80,6 +109,8 @@ def compile_expr(src: str, variables: Sequence[str]) -> Callable:
             op = _BINOPS.get(type(node.op))
             if op is None:
                 raise bad(node, f"operator {type(node.op).__name__} not allowed")
+            if isinstance(node.op, ast.Pow) and varies(node.right):
+                op = _varying_power
             left, right = build(node.left), build(node.right)
             return lambda v, _l=left, _r=right, _op=op: _op(_l(v), _r(v))
         if isinstance(node, ast.UnaryOp):
@@ -95,8 +126,20 @@ def compile_expr(src: str, variables: Sequence[str]) -> Callable:
             if node.keywords:
                 raise bad(node, "keyword arguments not allowed")
             fn = _FUNCTIONS[node.func.id]
+            if node.func.id == "pow" and len(node.args) == 2 and varies(node.args[1]):
+                fn = _varying_power
             args = [build(a) for a in node.args]
-            return lambda v, _fn=fn, _a=args: float(_fn(*[f(v) for f in _a]))
+            return lambda v, _fn=fn, _a=args: _fn(*[f(v) for f in _a])
         raise bad(node, f"construct {type(node).__name__} not allowed")
 
-    return build(tree)
+    body = build(tree)
+
+    def compiled(v):
+        if not isinstance(v, np.ndarray):
+            return body(v)
+        if v.ndim == 1:
+            return body(v.tolist())  # Python-float arithmetic rounds like numpy's, faster
+        out = body(v)
+        return out if np.shape(out) == v.shape[1:] else np.broadcast_to(out, v.shape[1:])
+
+    return compiled

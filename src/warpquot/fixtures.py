@@ -17,33 +17,37 @@ from .chartkit import MetricField, ScalarField, Signature
 
 # ---------------------------------------------------------------------------
 # scalar-field builders with exact derivatives
+#
+# All callbacks follow the coordinate-major batch contract of ``chartkit``:
+# ``x[k]`` is coordinate k for one point or for a batch, and outputs carry the
+# point axis last.
 
 def coordinate_warp(index: int, n: int, name: str = "") -> ScalarField:
     """lam(x) = x[index] (positive on the relevant boxes)."""
 
     def grad(x):
-        out = np.zeros(n)
+        out = np.zeros(np.shape(x))
         out[index] = 1.0
         return out
 
-    return ScalarField(lambda x: float(x[index]), grad,
-                       lambda x: np.zeros((n, n)), name=name or f"coord{index}")
+    return ScalarField(lambda x: x[index], grad,
+                       lambda x: np.zeros((n,) + np.shape(x)), name=name or f"coord{index}")
 
 
 def function_of_coordinate_warp(index: int, n: int, f, df, ddf, name: str = "") -> ScalarField:
-    """lam(x) = f(x[index]) with exact first/second derivatives."""
+    """lam(x) = f(x[index]) with exact first/second derivatives (f, df, ddf elementwise)."""
 
     def grad(x):
-        out = np.zeros(n)
-        out[index] = df(float(x[index]))
+        out = np.zeros(np.shape(x))
+        out[index] = df(x[index])
         return out
 
     def hess(x):
-        out = np.zeros((n, n))
-        out[index, index] = ddf(float(x[index]))
+        out = np.zeros((n,) + np.shape(x))
+        out[index, index] = ddf(x[index])
         return out
 
-    return ScalarField(lambda x: float(f(float(x[index]))), grad, hess, name=name)
+    return ScalarField(lambda x: f(x[index]), grad, hess, name=name)
 
 
 def trig_warp(n: int, amps, freqs, phases, name: str = "trig-warp") -> ScalarField:
@@ -52,28 +56,35 @@ def trig_warp(n: int, amps, freqs, phases, name: str = "trig-warp") -> ScalarFie
     freqs = np.asarray(freqs, dtype=float)
     phases = np.asarray(phases, dtype=float)
 
-    def s(x):
-        return float(amps @ np.sin(freqs @ x + phases))
+    def arg(x):
+        return freqs @ x + phases.reshape((-1,) + (1,) * (np.ndim(x) - 1))
 
-    def ds(x):
-        return (amps * np.cos(freqs @ x + phases)) @ freqs
+    def s(a):
+        return amps @ np.sin(a)
 
-    def dds(x):
-        return -np.einsum("j,j,ja,jb->ab", amps, np.sin(freqs @ x + phases), freqs, freqs)
+    def ds(a):
+        return ((np.cos(a).T * amps) @ freqs).T
 
     def grad(x):
-        return np.exp(s(x)) * ds(x)
+        a = arg(x)
+        return np.exp(s(a)) * ds(a)
 
     def hess(x):
-        d = ds(x)
-        return np.exp(s(x)) * (np.outer(d, d) + dds(x))
+        a = arg(x)
+        d = ds(a)
+        dds = -np.einsum("j,j...,ja,jb->ab...", amps, np.sin(a), freqs, freqs)
+        return np.exp(s(a)) * (d[:, None] * d[None] + dds)
 
-    return ScalarField(lambda x: float(np.exp(s(x))), grad, hess, name=name)
+    return ScalarField(lambda x: np.exp(s(arg(x))), grad, hess, name=name)
 
 
 def conformal_flat_metric(dim: int, amp: float, freq, phase: float, box,
                           signs=None, name: str = "conformal") -> MetricField:
-    """g = exp(2 phi) * diag(signs), phi = amp sin(freq . x + phase)."""
+    """g = exp(2 phi) * diag(signs), phi = amp sin(freq . x + phase).
+
+    ``eval`` is batch-capable; ``d1``/``d2`` are single-point, as
+    ``MetricField`` calls them.
+    """
     freq = np.asarray(freq, dtype=float)
     diag = np.diag(np.ones(dim) if signs is None else np.asarray(signs, dtype=float))
 
@@ -87,7 +98,7 @@ def conformal_flat_metric(dim: int, amp: float, freq, phase: float, box,
         return -amp * np.sin(freq @ x + phase) * np.outer(freq, freq)
 
     def ev(x):
-        return np.exp(2 * phi(x)) * diag
+        return np.multiply.outer(diag, np.exp(2 * phi(x)))
 
     def d1(x):
         e = np.exp(2 * phi(x))
@@ -325,19 +336,4 @@ HOLONOMY_LOOPS = {
     "mobius": {1: [(("a", 1),)], 2: []},
     "flat-torus": {1: [(("a", 1),)], 2: [(("b", 1),)]},
     "skewed-torus": {1: [(("a", 1),)], 2: [(("a", -1), ("b", 1), ("b", 1))]},
-}
-
-PRODUCT_FIXTURES = {
-    "flat-direct": flat_direct_product,
-    "polar-plane": polar_plane,
-    "sphere-polar": sphere_polar,
-    "hyperbolic-polar": hyperbolic_polar,
-    "lorentz-direct": lorentz_direct,
-}
-
-QUOTIENT_FIXTURES = {
-    "mobius": mobius_model,
-    "flat-torus": flat_torus_model,
-    "skewed-torus": skewed_torus_model,
-    "example1-twisted": example1_model,
 }

@@ -31,7 +31,7 @@ from .chartkit import (
     Signature,
     TangentVector,
 )
-from .errors import CaseMismatch, InvalidWarp, NormalizationError, InvalidFrame
+from .errors import CaseMismatch, InvalidFrame, InvalidWarp, NormalizationError, NumericsError
 
 UNIT_TOL = 1e-9       # |g(u,u)| must equal 1 this tightly for closed forms
 SLOT_TOL = 1e-12      # components outside a vector's declared slot
@@ -188,20 +188,18 @@ class DoublyTwistedProduct:
     def grad_log_warp(self, i: int, x) -> TangentVector:
         return ck.gradient(self.log_warp(i), self.assembled, x)
 
-    def sample_grid(self, per_axis: int = 4, inset: float = 0.05) -> list[np.ndarray]:
-        return grid_points(self.domain_box, per_axis, inset)
 
-
-def grid_points(box: np.ndarray, per_axis: int, inset: float = 0.05) -> list[np.ndarray]:
+def grid_points(box: np.ndarray, per_axis: int, inset: float = 0.05) -> np.ndarray:
+    """Lattice over the box as a (per_axis ** dim, dim) point array, last axis fastest."""
     box = np.asarray(box, dtype=float)
     axes = []
     for lo, hi in box:
         pad = inset * (hi - lo)
         axes.append(np.linspace(lo + pad, hi - pad, per_axis))
-    return [np.array(p) for p in itertools.product(*axes)]
+    return np.array(list(itertools.product(*axes)))
 
 
-def offset_grid_points(box: np.ndarray, per_axis: int, inset: float = 0.05) -> list[np.ndarray]:
+def offset_grid_points(box: np.ndarray, per_axis: int, inset: float = 0.05) -> np.ndarray:
     """Shifted-lattice sample grid, never symmetric about the box center.
 
     Evidence sampling (classification) uses this to avoid the measure-zero
@@ -213,33 +211,39 @@ def offset_grid_points(box: np.ndarray, per_axis: int, inset: float = 0.05) -> l
     for lo, hi in box:
         pad = inset * (hi - lo)
         axes.append(lo + pad + frac * (hi - lo - 2 * pad))
-    return [np.array(p) for p in itertools.product(*axes)]
+    return np.array(list(itertools.product(*axes)))
 
 
 def assemble(f1: FactorManifold, f2: FactorManifold, lam1: WarpFn, lam2: WarpFn,
              positivity_samples: int = 4) -> DoublyTwistedProduct:
     """Build the block product metric lam1^2 g1 (+) lam2^2 g2.
 
-    Warp positivity is sampled on a grid over the joint domain box; analytic
-    metric derivatives are assembled whenever both the factor metrics and the
-    warps carry exact derivative callbacks.
+    Warp positivity is sampled on a grid over the joint domain box, one batch
+    per warp; analytic metric derivatives are assembled whenever both the
+    factor metrics and the warps carry exact derivative callbacks.  The
+    assembled ``eval`` follows the coordinate-major batch contract of
+    ``chartkit`` and evaluates the factor metrics and warps in batches.
     """
     n1, n2 = f1.dim, f2.dim
     n = n1 + n2
     box = np.vstack([f1.domain_box, f2.domain_box])
-    for p in grid_points(box, positivity_samples, inset=0.0):
-        for i, lam in ((1, lam1), (2, lam2)):
-            v = lam.field.value(p)
-            if not (v > 0.0):
-                raise InvalidWarp(f"lam{i} = {v} <= 0 at {p}")
+    pts = grid_points(box, positivity_samples, inset=0.0)
+    vals = np.stack([lam1.field.value(pts), lam2.field.value(pts)], axis=1)
+    bad = ~(vals > 0.0)
+    if bad.any():
+        p, i = divmod(int(np.argmax(bad)), 2)  # first failure, point by point
+        raise InvalidWarp(f"lam{i + 1} = {vals[p, i]} <= 0 at {pts[p]}")
 
     s1, s2 = slice(0, n1), slice(n1, n)
 
     def ev(x):
-        x1, x2 = x[s1], x[s2]
-        out = np.zeros((n, n))
-        out[s1, s1] = lam1.field.value(x) ** 2 * f1.metric.mat(x1)
-        out[s2, s2] = lam2.field.value(x) ** 2 * f2.metric.mat(x2)
+        pts = x.T
+        out = np.zeros((n, n) + x.shape[1:])
+        for lam, fac, sl in ((lam1, f1, s1), (lam2, f2, s2)):
+            gf = fac.metric.mat(pts[..., sl])
+            if x.ndim == 2:
+                gf = gf.transpose(1, 2, 0)  # point axis last
+            out[sl, sl] = np.square(lam.field.value(pts)) * gf
         return out
 
     have_d1 = (f1.metric.analytic_d1 is not None and f2.metric.analytic_d1 is not None
@@ -370,19 +374,32 @@ def connection_numeric(dtp: DoublyTwistedProduct, x, a: TangentVector,
 # ---------------------------------------------------------------------------
 # mean curvature data and classification
 
-def mean_curvature_vector(dtp: DoublyTwistedProduct, x, i: int) -> TangentVector:
-    """N_1 = P_2(-grad ln lam1), N_2 = P_1(-grad ln lam2) (product gradient)."""
+def _mean_curvature(dtp: DoublyTwistedProduct, x, i: int, ginv: np.ndarray) -> np.ndarray:
+    """N_i components at one point (n,) or at each row of a batch (P, n), given g^-1 there."""
     if i not in (1, 2):
         raise ValueError("foliation index must be 1 or 2")
-    coords = x.coords if isinstance(x, CoordPoint) else np.asarray(x, dtype=float)
-    grad = dtp.grad_log_warp(i, coords)
-    return TangentVector(CoordPoint(coords), dtp.project(3 - i, -grad.components))
+    w = dtp.warp(i).field
+    dlog = w.grad_coords(x) / np.asarray(w.value(x))[..., None]
+    out = -(ginv @ dlog if dlog.ndim == 1 else (ginv @ dlog[..., None])[..., 0])
+    out[..., dtp.slot(i)] = 0.0
+    return out
+
+
+def _max_abs(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a), initial=0.0))
+
+
+def mean_curvature_vector(dtp: DoublyTwistedProduct, x, i: int) -> TangentVector:
+    """N_1 = P_2(-grad ln lam1), N_2 = P_1(-grad ln lam2) (product gradient)."""
+    pt = x if isinstance(x, CoordPoint) else CoordPoint(x)
+    return TangentVector(pt, _mean_curvature(dtp, pt.coords, i, dtp.assembled.inv(pt)))
 
 
 def mean_curvature_form(dtp: DoublyTwistedProduct, x, i: int) -> OneForm:
     """omega_i: metric dual of N_i."""
-    n = mean_curvature_vector(dtp, x, i)
-    return OneForm(n.base, dtp.assembled.mat(n.base) @ n.components)
+    pt = x if isinstance(x, CoordPoint) else CoordPoint(x)
+    g, ginv = dtp.assembled.mat_and_inv(pt)
+    return OneForm(pt, g @ _mean_curvature(dtp, pt.coords, i, ginv))
 
 
 def classify(dtp: DoublyTwistedProduct, grid: Optional[Sequence] = None,
@@ -393,31 +410,34 @@ def classify(dtp: DoublyTwistedProduct, grid: Optional[Sequence] = None,
     DirectProduct: both N_i vanish.  Warped: exactly one vanishes and the
     other's dual form is closed; Twisted if it is not closed.  With both
     nonzero: DoublyWarped when both duals are closed, DoublyTwisted else.
+
+    N_1 and N_2 come from one batched evaluation over the grid, and the
+    d(omega_i) from one batched evaluation over every central-difference
+    stencil point of the grid; both foliations share g and g^-1.
     """
-    if grid is not None:
-        pts = list(grid)
-    else:
-        pts = offset_grid_points(dtp.domain_box, per_axis)
-    max_n = [0.0, 0.0]
+    pts = (offset_grid_points(dtp.domain_box, per_axis) if grid is None
+           else np.asarray(list(grid), dtype=float).reshape(-1, dtp.n))
+    g = dtp.assembled
+    ginv = g.inv(pts)
+    max_n = [_max_abs(_mean_curvature(dtp, pts, i, ginv)) for i in (1, 2)]
+    # skip the d(omega) sweep when N_i already vanishes identically
+    open_ = [i for i in (1, 2) if max_n[i - 1] >= vanish_tol]
     max_dw = [0.0, 0.0]
+    if open_:
+        def forms(y):
+            gy, gyinv = g.mat_and_inv(y)
+            w = np.stack([np.matmul(gy, _mean_curvature(dtp, y, i, gyinv)[..., None])[..., 0]
+                          for i in open_], axis=1)
+            bad = ~np.isfinite(w).all(axis=(1, 2))
+            if bad.any():
+                raise NumericsError(f"non-finite one-form sample at {y[np.argmax(bad)]}")
+            return w
 
-    def omega_field(i):
-        def f(c):
-            return mean_curvature_form(dtp, c, i).components
-        return f
-
-    for i in (1, 2):
-        for p in pts:
-            ni = mean_curvature_vector(dtp, p, i)
-            max_n[i - 1] = max(max_n[i - 1], float(np.max(np.abs(ni.components))))
-    for i in (1, 2):
-        # skip the d(omega) sweep when N_i already vanishes identically
-        if max_n[i - 1] < vanish_tol:
-            continue
-        f = omega_field(i)
-        for p in pts:
-            dw = ck.exterior_derivative_numeric(f, p, step=ck.FD_STEP_2)
-            max_dw[i - 1] = max(max_dw[i - 1], float(np.max(np.abs(dw))))
+        # dw[p, k, a, j] = d_k omega_(open_[a]) j at grid point p
+        dw = ck.central_diff(forms, pts, ck.fd_step(pts, ck.FD_STEP_2))
+        for a, i in enumerate(open_):
+            d = dw[:, :, a, :]
+            max_dw[i - 1] = _max_abs(d - np.swapaxes(d, 1, 2))
 
     v1, v2 = max_n[0] < vanish_tol, max_n[1] < vanish_tol
     c1, c2 = max_dw[0] < closed_tol, max_dw[1] < closed_tol
@@ -543,17 +563,20 @@ def lightlike_sectional_curvature(g: MetricField, xi: TangentVector,
 # ---------------------------------------------------------------------------
 # O'Neill T tensor of the factor-1 projection (fibers = factor-2 slices)
 
+def _oneill_T(dtp: DoublyTwistedProduct, x, e: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """T components at one point (n,) or each row of a batch (P, n) for fixed components e, f."""
+    g, ginv = dtp.assembled.mat_and_inv(x)
+    N = _mean_curvature(dtp, x, 2, ginv)
+    ev, fv = dtp.project(2, e), dtp.project(2, f)
+    g_ef = np.asarray(ev @ g @ fv)
+    g_nf = np.asarray(np.matmul(N[..., None, :], g)[..., 0, :] @ f)
+    return g_ef[..., None] * N - g_nf[..., None] * ev
+
+
 def oneill_T(dtp: DoublyTwistedProduct, x, E: TangentVector, F: TangentVector) -> TangentVector:
     """T(E, F) = g(E^v, F^v) N - g(N, F) E^v with N the fiber mean curvature."""
-    coords = x.coords if isinstance(x, CoordPoint) else np.asarray(x, dtype=float)
-    pt = CoordPoint(coords)
-    g = dtp.assembled
-    N = mean_curvature_vector(dtp, coords, 2)
-    Ev = TangentVector(pt, dtp.project(2, E.components))
-    Fv = TangentVector(pt, dtp.project(2, F.components))
-    out = (ck.inner_product(g, Ev, Fv) * N.components
-           - ck.inner_product(g, N, F) * Ev.components)
-    return TangentVector(pt, out)
+    pt = x if isinstance(x, CoordPoint) else CoordPoint(x)
+    return TangentVector(pt, _oneill_T(dtp, pt.coords, E.components, F.components))
 
 
 def oneill_T_definitional(dtp: DoublyTwistedProduct, x, E: TangentVector,
@@ -580,9 +603,7 @@ def oneill_nabla_T(dtp: DoublyTwistedProduct, x, X: TangentVector,
     g = dtp.assembled
 
     def t_field(c):
-        p = CoordPoint(c)
-        return oneill_T(dtp, c, TangentVector(p, E.components),
-                        TangentVector(p, F.components)).components
+        return _oneill_T(dtp, c.T, E.components, F.components).T
 
     full = ck.covariant_derivative(g, coords, X, t_field)
     gamma = ck.christoffel_numeric(g, coords)
@@ -599,7 +620,7 @@ def fiber_mean_curvature_derivative(dtp: DoublyTwistedProduct, x, X: TangentVect
     coords = x.coords if isinstance(x, CoordPoint) else np.asarray(x, dtype=float)
 
     def n_field(c):
-        return mean_curvature_vector(dtp, c, 2).components
+        return _mean_curvature(dtp, c.T, 2, dtp.assembled.inv(c.T)).T
 
     return ck.covariant_derivative(dtp.assembled, coords, X, n_field)
 

@@ -25,6 +25,7 @@ from . import productgeo as pg
 from . import transport as tp
 from .chartkit import CoordPoint, ScalarField, TangentVector
 from .errors import (
+    GeometryError,
     InvalidAction,
     InvalidH,
     NotALoop,
@@ -737,8 +738,7 @@ def build_example1(epsilon: float = 0.25, gluing: Optional[TwistedGluing] = None
     def sigma(x: float) -> float:
         return _smooth01((x - epsilon) / (1.0 - 2.0 * epsilon))
 
-    def lam(c) -> float:
-        x, y = float(c[0]), float(c[1])
+    def lam_at(x: float, y: float) -> float:
         k = math.floor(x)
         chain = 1.0
         y_cur = y
@@ -751,6 +751,12 @@ def build_example1(epsilon: float = 0.25, gluing: Optional[TwistedGluing] = None
                 y_cur = glue.h_inverse(y_cur)
                 chain /= glue.h_prime(y_cur)
         return glue.h_prime(y_cur) ** sigma(x - k) * chain
+
+    def lam(c):
+        # piecewise in x (the gluing chain), so a batch is evaluated point by point
+        if np.ndim(c) == 1:
+            return lam_at(float(c[0]), float(c[1]))
+        return np.array([lam_at(x, y) for x, y in zip(c[0].tolist(), c[1].tolist())])
 
     lam_field = ScalarField(lam, name="twisted-lam")
     f1 = pg.FactorManifold("line-x", 1, ck.MetricField.euclidean(1), [[0.0, 1.0]])
@@ -830,7 +836,7 @@ def teodg_diagnostic(dtp: pg.DoublyTwistedProduct, n_samples: int = 60,
                 TangentVector(pt, dtp.embed(1, rng.normal(size=dtp.n1))),
                 TangentVector(pt, dtp.embed(2, rng.normal(size=dtp.n2))),
             ])
-        except Exception:
+        except GeometryError:
             continue  # degenerate sample; resample implicitly
         k = pg.sectional_curvature_closed_form(dtp, (u, v))
         if k < -zero_band:

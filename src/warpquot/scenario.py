@@ -99,6 +99,8 @@ def _build_factor(spec: dict, path: str) -> tuple[pg.FactorManifold, list]:
             raise ScenarioError(f"{path}: formula metrics need an explicit signature")
 
         def ev(x, _e=entries, _n=dim):
+            # each compiled entry has the shape of one coordinate, so this is
+            # (dim, dim) for a point and (dim, dim, P) for a batch
             return np.array([[_e[i][j](x) for j in range(_n)] for i in range(_n)])
 
         metric = MetricField(dim, ev, Signature(sig), domain_box=box, name=name)
@@ -106,9 +108,7 @@ def _build_factor(spec: dict, path: str) -> tuple[pg.FactorManifold, list]:
 
 
 def _build_warp(formula: str, coords: list, dependency: pg.Dependency, path: str) -> pg.WarpFn:
-    fn = compile_expr(formula, coords)
-    return pg.WarpFn(ScalarField(lambda c, _f=fn: float(_f(c)), name=formula),
-                     dependency)
+    return pg.WarpFn(ScalarField(compile_expr(formula, coords), name=formula), dependency)
 
 
 def _build_factor_map(fwd: list, inv: list, coords: list, path: str) -> qt.FactorMap:

@@ -185,10 +185,6 @@ class TransportResult:
     def end(self) -> TangentVector:
         return self.samples[-1][1]
 
-    def at(self, t: float) -> TangentVector:
-        best = min(self.samples, key=lambda s: abs(s[0] - t))
-        return best[1]
-
 
 @dataclass
 class HolonomyMap:

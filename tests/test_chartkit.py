@@ -16,8 +16,11 @@ from warpquot.errors import (
 # local 2d surfaces-of-revolution metrics diag(1, w(r)^2) with exact derivatives
 
 def _surface_metric(w, dw, ddw, box, name):
-    def ev(x):
-        return np.diag([1.0, w(x[0]) ** 2])
+    def ev(x):  # coordinate-major: x[0] is one r or a batch of them
+        out = np.zeros((2, 2) + np.shape(x)[1:])
+        out[0, 0] = 1.0
+        out[1, 1] = w(x[0]) ** 2
+        return out
 
     def d1(x):
         out = np.zeros((2, 2, 2))
@@ -287,13 +290,8 @@ def test_hessian_bilinear_form_symmetry(make):
 def test_exterior_derivative_of_gradient_vanishes():
     f = ck.ScalarField(lambda x: np.sin(x[0]) * np.exp(0.2 * x[1]))
 
-    def omega(c):
-        h0 = ck.fd_step(c[0])
-        h1 = ck.fd_step(c[1])
-        return np.array([
-            (f.value(c + [h0, 0]) - f.value(c - [h0, 0])) / (2 * h0),
-            (f.value(c + [0, h1]) - f.value(c - [0, h1])) / (2 * h1),
-        ])
+    def omega(c):  # FD gradient components, coordinate-major in and out
+        return f.grad_coords(c.T).T
 
     dw = ck.exterior_derivative_numeric(omega, [0.4, 0.9])
     assert np.max(np.abs(dw)) < 1e-6
@@ -301,7 +299,7 @@ def test_exterior_derivative_of_gradient_vanishes():
 
 def test_exterior_derivative_x2_dx1():
     # omega = x^2 dx^1: (d omega)_21 = d_2 omega_1 = 1
-    dw = ck.exterior_derivative_numeric(lambda c: np.array([c[1], 0.0]), [0.3, 0.8])
+    dw = ck.exterior_derivative_numeric(lambda c: np.array([c[1], 0.0 * c[0]]), [0.3, 0.8])
     assert dw[1, 0] == pytest.approx(1.0, abs=1e-9)
     assert dw[0, 1] == pytest.approx(-1.0, abs=1e-9)
     assert np.allclose(dw, -dw.T)
@@ -309,7 +307,7 @@ def test_exterior_derivative_x2_dx1():
 
 def test_exterior_derivative_nonfinite_rejected():
     with pytest.raises(NumericsError):
-        ck.exterior_derivative_numeric(lambda c: np.array([np.nan, 0.0]), [0.0, 0.0])
+        ck.exterior_derivative_numeric(lambda c: np.array([np.nan * c[0], c[1]]), [0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ def test_assemble_signature_concatenation():
 def test_assemble_rejects_nonpositive_warp():
     f1 = pg.FactorManifold("a", 1, ck.MetricField.euclidean(1), [[-1, 1]])
     f2 = pg.FactorManifold("b", 1, ck.MetricField.euclidean(1), [[-1, 1]])
-    bad = pg.WarpFn(ScalarField(lambda x: float(x[0]), name="x"))
+    bad = pg.WarpFn(ScalarField(lambda x: x[0], name="x"))
     with pytest.raises(InvalidWarp):
         pg.assemble(f1, f2, pg.WarpFn(ScalarField.constant(1.0)), bad)
 
@@ -499,8 +499,8 @@ def test_mean_curvature_form_of_twisted_warp_not_closed():
     # omega_2 of the twisted construction has a nonzero exterior derivative
     dtp = fx.example1_model().dtp
 
-    def omega2(c):
-        return pg.mean_curvature_form(dtp, c, 2).components
+    def omega2(c):  # coordinate-major batch, evaluated point by point
+        return np.stack([pg.mean_curvature_form(dtp, p, 2).components for p in c.T], axis=1)
 
     dw = ck.exterior_derivative_numeric(omega2, [0.5, 0.8], step=1e-4)
     assert abs(dw[0, 1]) > 1e-3

@@ -7,7 +7,7 @@ from warpquot import fixtures as fx
 from warpquot import productgeo as pg
 from warpquot import quotient as qt
 from warpquot import transport as tp
-from warpquot.chartkit import CoordPoint, TangentVector
+from warpquot.chartkit import CoordPoint, MetricField, ScalarField, Signature, TangentVector
 from warpquot.errors import InvalidAction, InvalidH, NotALoop, WordBoundExceeded
 
 
@@ -347,6 +347,23 @@ def test_teodg_sphere_positive_curvature_witness():
     assert not report.hypotheses_hold
     assert report.histogram["positive"] > 0
     assert report.witness is not None
+
+
+def test_teodg_propagates_non_geometry_errors():
+    # a callback bug (here: a factor metric that fails on single points, which
+    # classification never makes) must surface, not read as degenerate samples
+    def broken(x):
+        if np.ndim(x) == 1:
+            raise RuntimeError("broken metric callback")
+        return np.ones((1, 1) + np.shape(x)[1:])
+
+    f1 = pg.FactorManifold("r", 1, MetricField(1, broken, Signature.riemannian(1)), [[0.5, 3.0]])
+    f2 = pg.FactorManifold("th", 1, MetricField.euclidean(1), [[0.0, 6.2]])
+    dtp = pg.assemble(f1, f2, pg.WarpFn(ScalarField.constant(1.0)),
+                      pg.WarpFn(fx.coordinate_warp(0, 2)))
+    assert pg.classify(dtp).tag is pg.StructureTag.WARPED
+    with pytest.raises(RuntimeError, match="broken metric callback"):
+        qt.teodg_diagnostic(dtp, n_samples=5)
 
 
 def test_teodg_rejects_twisted_structures():
