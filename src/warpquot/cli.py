@@ -453,6 +453,8 @@ def cmd_verify_all(ctx, args, rng):
     if ctx.model is not None:
         report = qt.validate(ctx.model)
         checks.append(Check("quotient-validation", report.worst(), qt.ACTION_TOL))
+        details["quotient_validation"] = {"words_checked": report.words_checked,
+                                          "words_truncated": report.words_truncated}
         if ctx.holonomy_loops:
             _, hol_ok, _ = _run_holonomy(ctx, 1e-6)
             checks.append(Check("holonomy-expected", 0.0, 1.0, ok=hol_ok))

@@ -9,6 +9,20 @@ twisted construction whose quotient is not globally a product, and the
 curvature-sign/critical-point diagnostic.
 
 Group words are tuples of (generator_name, +1 | -1), applied left to right.
+
+Batches and the factor-map contract
+-----------------------------------
+``FactorMap.__call__/jac`` and ``QuotientModel.in_box/apply_gen/apply_word/
+gen_jacobian/word_jacobian`` take one point ``(n,)`` or a batch ``(P, n)``
+with one point per row.  ``FactorMap`` callbacks follow the coordinate-major
+contract of ``chartkit.MetricField``: ``x[k]`` is coordinate ``k``, a float
+for one point or an array of ``P`` values for a batch, and the output puts
+the point axis last: ``(m,)`` or ``(m, P)`` from ``apply``/``inverse``,
+``(m, m)`` or ``(m, m, P)`` from ``jacobian``.  A map that is piecewise or
+needs a per-point solve loops over the batch itself (``build_example1``).
+Orbit searches apply each generator to a whole search level at once.  With
+elementwise callbacks a row of a batch sees the same arithmetic as the
+point alone, so batched and one-point results agree bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +51,9 @@ Word = tuple  # of (name, +1 | -1)
 ACTION_TOL = 1e-7       # deck-generator invariant residual budget
 DEFAULT_IDENT_TOL = 1e-7
 DEFAULT_WORD_BOUND = 8
+VALIDATE_WORD_CAP = 20_000  # words validate applies to the interior grid at most
 _ROUND = 1e-9           # dedup grid for BFS visited sets
+_TRACE_CHUNK = 64       # steps leaf_trace takes ahead in one batch
 
 
 def word_inverse(word: Word) -> Word:
@@ -48,7 +64,8 @@ def word_inverse(word: Word) -> Word:
 class FactorMap:
     """Diffeomorphism of one factor with a declared inverse.
 
-    ``jacobian`` is optional; central differences are used when absent.
+    Callbacks are coordinate-major (see the module notes).  ``jacobian`` is
+    optional; central differences are used when absent.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
@@ -56,35 +73,41 @@ class FactorMap:
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, x, sign: int = 1) -> np.ndarray:
+        """The map (sign > 0) or its inverse at one point, (m,), or at each
+        row of a batch, (P, m)."""
         fn = self.apply if sign > 0 else self.inverse
-        return np.atleast_1d(np.asarray(fn(np.asarray(x, dtype=float)), dtype=float))
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            return ck._call_batch(fn, x, x.shape[1:], "factor map")
+        return np.atleast_1d(np.asarray(fn(x), dtype=float))
 
     def jac(self, x, sign: int = 1) -> np.ndarray:
+        """Differential at one point, (m, m), or at each row of a batch, (P, m, m)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.jacobian is not None and sign > 0:
-            return np.atleast_2d(np.asarray(self.jacobian(x), dtype=float))
-        if self.jacobian is not None and sign < 0:
+        if self.jacobian is None:
+            steps = 1e-6 * np.maximum(1.0, np.abs(x))
+            cols = ck.central_diff(lambda pts: self(pts, sign), x, steps)
+            return np.swapaxes(cols, -1, -2)
+        if sign < 0:
             # d(f^-1)(x) = [df(f^-1 x)]^-1
             return np.linalg.inv(self.jac(self(x, -1), 1))
-        fn = self.apply if sign > 0 else self.inverse
-        m = x.shape[0]
-        cols = []
-        for j in range(m):
-            h = 1e-6 * max(1.0, abs(x[j]))
-            e = np.zeros(m)
-            e[j] = h
-            cols.append((np.atleast_1d(fn(x + e)) - np.atleast_1d(fn(x - e))) / (2 * h))
-        return np.stack(cols, axis=1)
+        if x.ndim == 2:
+            return ck._call_batch(self.jacobian, x, x.shape[1:] * 2, "factor map jacobian")
+        return np.atleast_2d(np.asarray(self.jacobian(x), dtype=float))
 
     @staticmethod
     def affine(A, b) -> "FactorMap":
         A = np.atleast_2d(np.asarray(A, dtype=float))
         b = np.atleast_1d(np.asarray(b, dtype=float))
         Ainv = np.linalg.inv(A)
+
+        def on_points(v, x):  # v with a point axis for a coordinate-major batch
+            return v if np.ndim(x) == 1 else v.reshape(v.shape + (1,))
+
         return FactorMap(
-            apply=lambda x: A @ np.atleast_1d(x) + b,
-            inverse=lambda x: Ainv @ (np.atleast_1d(x) - b),
-            jacobian=lambda x: A,
+            apply=lambda x: A @ x + on_points(b, x),
+            inverse=lambda x: Ainv @ (x - on_points(b, x)),
+            jacobian=lambda x: A if np.ndim(x) == 1 else np.repeat(A[..., None], np.shape(x)[1], -1),
         )
 
     @staticmethod
@@ -111,6 +134,13 @@ class DeckGenerator:
     homothety: bool = True
 
 
+def _round_keys(x) -> list:
+    """Dedup keys of the rows of x (..., n) on the _ROUND grid, one tuple per row."""
+    x = np.asarray(x, dtype=float)
+    grid = np.round(x.reshape(-1, x.shape[-1]) / _ROUND).astype(np.int64)
+    return [tuple(row) for row in grid.tolist()]
+
+
 class QuotientModel:
     def __init__(self, dtp: pg.DoublyTwistedProduct, generators: Sequence[DeckGenerator],
                  fundamental_box, ident_tol: float = DEFAULT_IDENT_TOL,
@@ -127,17 +157,19 @@ class QuotientModel:
         self.word_bound = int(word_bound)
 
     # -- group action --------------------------------------------------------
-    def in_box(self, x) -> bool:
+    def in_box(self, x):
         """Half-open box membership, band-shifted by ident_tol so that points a
-        roundoff below the lower edge still reduce canonically."""
+        roundoff below the lower edge still reduce canonically.  A bool for
+        one point, a bool array over the leading axes of a batch."""
         x = np.asarray(x, dtype=float)
         lo, hi = self.fundamental_box[:, 0], self.fundamental_box[:, 1]
-        return bool(np.all(x >= lo - self.ident_tol) and np.all(x < hi - self.ident_tol))
+        inside = np.all((x >= lo - self.ident_tol) & (x < hi - self.ident_tol), axis=-1)
+        return bool(inside) if x.ndim == 1 else inside
 
     def apply_gen(self, gen: DeckGenerator, sign: int, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        a, b = self.dtp.split(x)
-        return np.concatenate([gen.phi(a, sign), gen.psi(b, sign)])
+        s1, s2 = self.dtp.slot1, self.dtp.slot2
+        return np.concatenate([gen.phi(x[..., s1], sign), gen.psi(x[..., s2], sign)], axis=-1)
 
     def apply_word(self, word: Word, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -146,10 +178,11 @@ class QuotientModel:
         return x
 
     def gen_jacobian(self, gen: DeckGenerator, sign: int, x) -> np.ndarray:
-        a, b = self.dtp.split(np.asarray(x, dtype=float))
-        J = np.zeros((self.dtp.n, self.dtp.n))
-        J[self.dtp.slot1, self.dtp.slot1] = gen.phi.jac(a, sign)
-        J[self.dtp.slot2, self.dtp.slot2] = gen.psi.jac(b, sign)
+        x = np.asarray(x, dtype=float)
+        s1, s2 = self.dtp.slot1, self.dtp.slot2
+        J = np.zeros(x.shape[:-1] + (self.dtp.n, self.dtp.n))
+        J[..., s1, s1] = gen.phi.jac(x[..., s1], sign)
+        J[..., s2, s2] = gen.psi.jac(x[..., s2], sign)
         return J
 
     def word_jacobian(self, word: Word, x) -> np.ndarray:
@@ -162,34 +195,106 @@ class QuotientModel:
             x = self.apply_gen(gen, sign, x)
         return J
 
-    def _round_key(self, x) -> tuple:
-        return tuple(np.round(np.asarray(x, dtype=float) / _ROUND).astype(np.int64))
+    def _moves(self) -> list:
+        """(generator, sign) in search order; the inverse of move m is m ^ 1."""
+        return [(gen, sign) for gen in self.generators for sign in (1, -1)]
+
+    def _apply_words(self, words: Sequence[Word], x) -> np.ndarray:
+        """x[r] moved by words[r] for every r; x is (R, n) or (R, P, n).
+
+        One apply_gen call per letter position and (generator, sign) on all
+        the rows whose word has that letter there, so every row goes through
+        the maps of apply_word in the same order.
+        """
+        x = np.array(x, dtype=float)
+        moves = self._moves()
+        code = {(gen.name, sign): m for m, (gen, sign) in enumerate(moves)}
+        longest = max(map(len, words), default=0)
+        letters = np.full((len(words), longest), -1)
+        for r, w in enumerate(words):
+            letters[r, :len(w)] = [code[name, sign] for name, sign in w]
+        n = x.shape[-1]
+        for pos in range(longest):
+            for m, (gen, sign) in enumerate(moves):
+                rows = np.flatnonzero(letters[:, pos] == m)
+                if rows.size:
+                    sub = x[rows]
+                    x[rows] = self.apply_gen(gen, sign, sub.reshape(-1, n)).reshape(sub.shape)
+        return x
+
+    def _level(self, frontier: np.ndarray, last: np.ndarray) -> list:
+        """Children of one search level, one apply_gen call per move.
+
+        ``frontier`` is (K, r, n): r points carried along per node, and
+        ``last[k]`` the move that ended node k's word (-1 for the empty
+        word).  Returns (ok, images, keys) per move, where ``ok`` marks the
+        nodes whose word stays reduced and ``keys[k]`` dedups node k's child.
+        """
+        K, r, n = frontier.shape
+        out = []
+        for m, (gen, sign) in enumerate(self._moves()):
+            ok = last != (m ^ 1)
+            img = np.zeros_like(frontier)
+            if ok.any():
+                img[ok] = self.apply_gen(gen, sign, frontier[ok].reshape(-1, n)).reshape(-1, r, n)
+            out.append((ok, img, _round_keys(img.reshape(K, r * n))))
+        return out
 
     def _bfs(self, start, accept, max_len: int):
-        """Breadth-first word search from ``start``; returns (point, word) on accept."""
-        start = np.asarray(start, dtype=float)
-        if accept(start):
-            return start, ()
-        frontier = [(start, ())]
-        seen = {self._round_key(start)}
+        """Breadth-first word search from ``start``; returns (point, word) on accept.
+
+        ``accept`` maps a batch (P, n) to one bool per row.
+        """
+        return self._searches(np.asarray(start, dtype=float)[None], accept, max_len)[0]
+
+    def _searches(self, starts, accept, max_len: int) -> list:
+        """One breadth-first word search from each row of ``starts`` (S, n),
+        all expanded together; per start, (point, word) on accept or None.
+
+        Each level of all searches is expanded by ``_level``.  Each search
+        then visits its children in the order of a node-by-node search (node
+        by node, generators in order, +1 before -1) with its own dedup set,
+        so its first accepted (point, word) is that search's.
+        """
+        starts = np.asarray(starts, dtype=float)
+        found: list = [None] * len(starts)
+        for s in np.flatnonzero(accept(starts)).tolist():
+            found[s] = (starts[s], ())
+        owner = [s for s, hit in enumerate(found) if hit is None]
+        seen = {s: {key} for s, key in zip(owner, _round_keys(starts[owner]))}
+        letters = [(gen.name, sign) for gen, sign in self._moves()]
+        frontier, words, last = starts[owner][:, None], [()] * len(owner), np.full(len(owner), -1)
         for _ in range(max_len):
-            nxt = []
-            for p, w in frontier:
-                for gen in self.generators:
-                    for sign in (1, -1):
-                        if w and w[-1] == (gen.name, -sign):
-                            continue
-                        q = self.apply_gen(gen, sign, p)
-                        key = self._round_key(q)
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        w2 = w + ((gen.name, sign),)
-                        if accept(q):
-                            return q, w2
-                        nxt.append((q, w2))
-            frontier = nxt
-        return None
+            if not owner:
+                break
+            level = []
+            for ok, img, keys in self._level(frontier, last):
+                hit = np.zeros(len(ok), dtype=bool)
+                hit[ok] = accept(img[ok, 0])
+                level.append((ok.tolist(), hit.tolist(), img, keys))
+            nxt, nowner, nwords, nlast = [], [], [], []
+            for k, (s, w) in enumerate(zip(owner, words)):
+                if found[s] is not None:
+                    continue  # accepted earlier in this level
+                visited = seen[s]
+                for m, (ok, hit, img, keys) in enumerate(level):
+                    if not ok[k] or keys[k] in visited:
+                        continue
+                    visited.add(keys[k])
+                    w2 = w + (letters[m],)
+                    if hit[k]:
+                        found[s] = (img[k, 0].copy(), w2)
+                        break
+                    nxt.append(img[k])
+                    nowner.append(s)
+                    nwords.append(w2)
+                    nlast.append(m)
+            keep = [i for i, s in enumerate(nowner) if found[s] is None]
+            owner = [nowner[i] for i in keep]
+            if owner:
+                frontier = np.stack([nxt[i] for i in keep])
+                words, last = [nwords[i] for i in keep], np.array([nlast[i] for i in keep])
+        return found
 
     def canonical_rep(self, x) -> tuple[np.ndarray, Word]:
         """Orbit representative inside the fundamental box, with the word used.
@@ -210,7 +315,7 @@ class QuotientModel:
         tol = self.ident_tol
 
         def accept(q):
-            return bool(np.max(np.abs(q - start)) <= tol)
+            return np.max(np.abs(q - start), axis=-1) <= tol
 
         hit = self._bfs(end, accept, max_len or self.word_bound)
         if hit is None:
@@ -218,32 +323,34 @@ class QuotientModel:
         return hit[1]
 
     def enumerate_words(self, max_len: int, probe=None) -> list[Word]:
-        """Reduced words up to max_len, deduplicated by their action."""
+        """Reduced words up to max_len, deduplicated by their action on two
+        probe points; levels expand as in ``_bfs``."""
         if probe is None:
             probe = 0.5 * (self.fundamental_box[:, 0]
                            + np.minimum(self.fundamental_box[:, 1],
                                         self.fundamental_box[:, 0] + 10.0))
+        probe = np.asarray(probe, dtype=float)
         probe2 = probe + 0.1 * np.arange(1, self.dtp.n + 1)
+        letters = [(gen.name, sign) for gen, sign in self._moves()]
         words = [()]
-        frontier = [((), probe, probe2)]
-        seen = {(self._round_key(probe), self._round_key(probe2))}
+        frontier, fwords, last = np.stack([probe, probe2])[None], [()], np.array([-1])
+        seen = set(_round_keys(frontier.reshape(1, -1)))
         for _ in range(max_len):
-            nxt = []
-            for w, p, q in frontier:
-                for gen in self.generators:
-                    for sign in (1, -1):
-                        if w and w[-1] == (gen.name, -sign):
-                            continue
-                        p2 = self.apply_gen(gen, sign, p)
-                        q2 = self.apply_gen(gen, sign, q)
-                        key = (self._round_key(p2), self._round_key(q2))
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        w2 = w + ((gen.name, sign),)
-                        words.append(w2)
-                        nxt.append((w2, p2, q2))
-            frontier = nxt
+            level = [(ok.tolist(), img, keys) for ok, img, keys in self._level(frontier, last)]
+            nxt, nwords, nlast = [], [], []
+            for k, w in enumerate(fwords):
+                for m, (ok, img, keys) in enumerate(level):
+                    if not ok[k] or keys[k] in seen:
+                        continue
+                    seen.add(keys[k])
+                    w2 = w + (letters[m],)
+                    words.append(w2)
+                    nxt.append(img[k])
+                    nwords.append(w2)
+                    nlast.append(m)
+            if not nxt:
+                break
+            frontier, fwords, last = np.stack(nxt), nwords, np.array(nlast)
         return words
 
 
@@ -257,9 +364,16 @@ class ValidationReport:
     ok: bool = True
     note: str = ("sampled necessary check only (grid residuals and orbit separation "
                  "at the word bound), not a proof of proper discontinuity")
+    words_checked: int = 0       # non-empty words applied to the interior grid
+    words_truncated: int = 0     # enumerated words left out by VALIDATE_WORD_CAP
 
     def worst(self) -> float:
         return max(self.residuals.values(), default=0.0)
+
+
+def _row_max(diff: np.ndarray) -> np.ndarray:
+    """max |entry| per point of a (P, ...) stack."""
+    return np.abs(diff).reshape(len(diff), -1).max(axis=1)
 
 
 def validate(model: QuotientModel, per_axis: int = 4, tol: float = ACTION_TOL) -> ValidationReport:
@@ -269,104 +383,89 @@ def validate(model: QuotientModel, per_axis: int = 4, tol: float = ACTION_TOL) -
     satisfy the warp compatibility lam1 o psi = lam1 / c1, lam2 o phi =
     lam2 / c2.  Every generator (homothety or not) must be a sampled isometry
     of the assembled metric, act freely on the padded box, and words up to
-    length min(word_bound, 4) must move interior points out of the box or to
-    identification-distinct points.  The check is a sampled necessary
-    condition, never a proof.
+    the word bound (at most VALIDATE_WORD_CAP of them) must move interior
+    points out of the box or to identification-distinct points.  Each check
+    runs on its whole grid at once; a failure names the first failing grid
+    point.  The check is a sampled necessary condition, never a proof.
     """
     dtp = model.dtp
     res: dict[str, float] = {}
     pts1 = pg.grid_points(dtp.f1.domain_box, per_axis)
     pts2 = pg.grid_points(dtp.f2.domain_box, per_axis)
     pts = pg.grid_points(dtp.domain_box, per_axis)
+    a, b = pts[:, dtp.slot1], pts[:, dtp.slot2]
 
     def fail(msg, sample):
         raise InvalidAction(f"{msg} at sample {np.asarray(sample)}")
 
+    def fail_first(resid, samples, msg):
+        bad = resid > tol
+        if bad.any():
+            fail(msg, samples[int(np.argmax(bad))])
+
+    def pullback(J, metric, image):
+        return np.swapaxes(J, -1, -2) @ metric.mat(image) @ J
+
     for gen in model.generators:
         # declared inverses must invert
-        worst_inv = 0.0
-        for a in pts1:
-            worst_inv = max(worst_inv, float(np.max(np.abs(gen.phi(gen.phi(a, 1), -1) - a))))
-        for b in pts2:
-            worst_inv = max(worst_inv, float(np.max(np.abs(gen.psi(gen.psi(b, 1), -1) - b))))
-        res[f"{gen.name}:inverse"] = worst_inv
-        if worst_inv > tol:
-            fail(f"generator {gen.name}: declared inverse fails", worst_inv)
+        inv1 = _row_max(gen.phi(gen.phi(pts1, 1), -1) - pts1)
+        inv2 = _row_max(gen.psi(gen.psi(pts2, 1), -1) - pts2)
+        res[f"{gen.name}:inverse"] = float(max(inv1.max(), inv2.max()))
+        fail_first(inv1, pts1, f"generator {gen.name}: declared inverse of phi fails")
+        fail_first(inv2, pts2, f"generator {gen.name}: declared inverse of psi fails")
 
         if gen.homothety:
-            worst = 0.0
-            for a in pts1:
-                J = gen.phi.jac(a)
-                pull = J.T @ dtp.f1.metric.mat(gen.phi(a)) @ J
-                worst = max(worst, float(np.max(np.abs(pull - gen.c1**2 * dtp.f1.metric.mat(a)))))
-            res[f"{gen.name}:pullback-g1"] = worst
-            if worst > tol:
-                fail(f"generator {gen.name}: phi is not a homothety of factor 1", worst)
-            worst = 0.0
-            for b in pts2:
-                J = gen.psi.jac(b)
-                pull = J.T @ dtp.f2.metric.mat(gen.psi(b)) @ J
-                worst = max(worst, float(np.max(np.abs(pull - gen.c2**2 * dtp.f2.metric.mat(b)))))
-            res[f"{gen.name}:pullback-g2"] = worst
-            if worst > tol:
-                fail(f"generator {gen.name}: psi is not a homothety of factor 2", worst)
-            worst1 = worst2 = 0.0
-            bad = None
-            for p in pts:
-                a, b = dtp.split(p)
-                lam1_psi = dtp.lam1.field.value(np.concatenate([a, gen.psi(b)]))
-                lam2_phi = dtp.lam2.field.value(np.concatenate([gen.phi(a), b]))
-                r1 = abs(lam1_psi - dtp.lam1.field.value(p) / gen.c1)
-                r2 = abs(lam2_phi - dtp.lam2.field.value(p) / gen.c2)
-                if r1 > worst1:
-                    worst1, bad = r1, p
-                worst2 = max(worst2, r2)
-            res[f"{gen.name}:warp1-compat"] = worst1
-            res[f"{gen.name}:warp2-compat"] = worst2
-            if worst1 > tol:
-                fail(f"generator {gen.name}: lam1 o psi != lam1 / c1", bad)
-            if worst2 > tol:
-                fail(f"generator {gen.name}: lam2 o phi != lam2 / c2", worst2)
+            f1, f2 = dtp.f1.metric, dtp.f2.metric
+            pull1 = _row_max(pullback(gen.phi.jac(pts1), f1, gen.phi(pts1))
+                             - gen.c1**2 * f1.mat(pts1))
+            res[f"{gen.name}:pullback-g1"] = float(pull1.max())
+            fail_first(pull1, pts1, f"generator {gen.name}: phi is not a homothety of factor 1")
+            pull2 = _row_max(pullback(gen.psi.jac(pts2), f2, gen.psi(pts2))
+                             - gen.c2**2 * f2.mat(pts2))
+            res[f"{gen.name}:pullback-g2"] = float(pull2.max())
+            fail_first(pull2, pts2, f"generator {gen.name}: psi is not a homothety of factor 2")
+            lam1, lam2 = dtp.lam1.field, dtp.lam2.field
+            r1 = np.abs(lam1.value(np.concatenate([a, gen.psi(b)], axis=1))
+                        - lam1.value(pts) / gen.c1)
+            r2 = np.abs(lam2.value(np.concatenate([gen.phi(a), b], axis=1))
+                        - lam2.value(pts) / gen.c2)
+            res[f"{gen.name}:warp1-compat"] = float(r1.max())
+            res[f"{gen.name}:warp2-compat"] = float(r2.max())
+            fail_first(r1, pts, f"generator {gen.name}: lam1 o psi != lam1 / c1")
+            fail_first(r2, pts, f"generator {gen.name}: lam2 o phi != lam2 / c2")
 
         # assembled-metric isometry (the condition that lets the metric descend)
-        worst = 0.0
-        bad = None
         g = dtp.assembled
-        for p in pts:
-            J = model.gen_jacobian(gen, 1, p)
-            pull = J.T @ g.mat(model.apply_gen(gen, 1, p)) @ J
-            r = float(np.max(np.abs(pull - g.mat(p))))
-            if r > worst:
-                worst, bad = r, p
-        res[f"{gen.name}:isometry"] = worst
-        if worst > tol:
-            fail(f"generator {gen.name}: not an isometry of the product metric", bad)
+        iso = _row_max(pullback(model.gen_jacobian(gen, 1, pts), g, model.apply_gen(gen, 1, pts))
+                       - g.mat(pts))
+        res[f"{gen.name}:isometry"] = float(iso.max())
+        fail_first(iso, pts, f"generator {gen.name}: not an isometry of the product metric")
 
-        # free action on the padded fundamental box
+        # free action on the padded fundamental box (point by point, +1 before -1)
         pad = model.ident_tol
         boxpts = pg.grid_points(model.fundamental_box + np.array([-pad, pad]), per_axis, inset=0.0)
-        for p in boxpts:
-            for sign in (1, -1):
-                moved = float(np.max(np.abs(model.apply_gen(gen, sign, p) - p)))
-                if moved <= model.ident_tol:
-                    fail(f"generator {gen.name}^{sign} has a sampled fixed point", p)
+        moved = np.stack([_row_max(model.apply_gen(gen, sign, boxpts) - boxpts)
+                          for sign in (1, -1)], axis=1)
+        fixed = moved <= model.ident_tol
+        if fixed.any():
+            p, s = divmod(int(np.argmax(fixed.ravel())), 2)
+            fail(f"generator {gen.name}^{(1, -1)[s]} has a sampled fixed point", boxpts[p])
 
     # words up to the bound separate orbits inside the box (action-deduplicated
     # enumeration keeps this polynomial for the lattice-like groups in scope;
-    # a hard cap guards pathological generator sets)
+    # the cap guards pathological generator sets and is reported)
     wb = model.word_bound
-    words = model.enumerate_words(wb)
-    if len(words) > 20_000:
-        words = words[:20_000]
+    enumerated = model.enumerate_words(wb)
+    words = [w for w in enumerated[:VALIDATE_WORD_CAP] if w]
     interior = pg.grid_points(model.fundamental_box, per_axis, inset=0.1)
-    for w in words:
-        if not w:
-            continue
-        for p in interior:
-            q = model.apply_word(w, p)
-            if model.in_box(q) and float(np.max(np.abs(q - p))) <= model.ident_tol:
-                fail(f"word {w} returns an interior point to itself", p)
-    return ValidationReport(residuals=res, word_bound_checked=wb)
+    if words:
+        moved = model._apply_words(words, np.broadcast_to(interior, (len(words),) + interior.shape))
+        back = model.in_box(moved) & (np.max(np.abs(moved - interior), axis=-1) <= model.ident_tol)
+        if back.any():
+            w, p = divmod(int(np.argmax(back.ravel())), len(interior))
+            fail(f"word {words[w]} returns an interior point to itself", interior[p])
+    return ValidationReport(residuals=res, word_bound_checked=wb, words_checked=len(words),
+                            words_truncated=max(0, len(enumerated) - VALIDATE_WORD_CAP))
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +485,10 @@ class LeafTrace:
         return self.status == "closed"
 
 
-def _leaf_speed(dtp: pg.DoublyTwistedProduct, x, direction) -> float:
-    v = TangentVector(CoordPoint(x), direction)
-    return ck.norm(dtp.assembled, v)
+def _leaf_speeds(dtp: pg.DoublyTwistedProduct, xs: np.ndarray, direction) -> np.ndarray:
+    """|direction| in the assembled metric at each row of xs."""
+    quad = (direction @ dtp.assembled.mat(xs)) @ direction
+    return np.sqrt(np.abs(quad))
 
 
 def leaf_trace(model: QuotientModel, x0, foliation: int, arc_budget: float = 8.0,
@@ -400,6 +500,13 @@ def leaf_trace(model: QuotientModel, x0, foliation: int, arc_budget: float = 8.0
     start within ident_tol (the closure parameter is refined below step
     resolution), or "open-within-budget" when the metric arc budget runs out.
     Requires the traced factor to be one-dimensional.
+
+    Steps are taken _TRACE_CHUNK at a time: a running sum of step*direction
+    (the same additions as one step after another) up to the first point
+    outside the box, with the speeds of the in-box points from one metric
+    evaluation.  Only a point outside the box is reduced, and the chunk
+    restarts from its representative.  Closure and budget are decided step
+    by step, so a chunk may evaluate the metric a little past the end.
     """
     dtp = model.dtp
     if dtp.factor(foliation).dim != 1:
@@ -418,23 +525,29 @@ def leaf_trace(model: QuotientModel, x0, foliation: int, arc_budget: float = 8.0
         rep, _ = model.canonical_rep(base + delta * dirvec)
         return rep
 
-    while arc < arc_budget:
-        speed = _leaf_speed(dtp, cur, direction)
-        nxt_up = cur + step * direction
-        rep, word = model.canonical_rep(nxt_up)
-        if word:
-            direction = model.word_jacobian(word, nxt_up) @ direction
-        arc += step * speed
-        pts.append((arc, rep))
-        cur = rep
-        gap = float(np.max(np.abs(rep - x0)))
-        proximity = 2.0 * step * max(1.0, speed)
-        if not left_start:
-            # closure checks arm only once the trace has left the basepoint
-            if gap > 1.5 * proximity:
-                left_start = True
-        else:
-            if gap <= proximity:
+    while True:
+        ahead = np.cumsum(np.vstack([cur, np.tile(step * direction, (_TRACE_CHUNK, 1))]), axis=0)
+        inside = model.in_box(ahead[1:])
+        n_in = int(np.argmin(inside)) if not inside.all() else _TRACE_CHUNK
+        speeds = _leaf_speeds(dtp, ahead[:min(n_in + 1, _TRACE_CHUNK)], direction).tolist()
+        for k, speed in enumerate(speeds):
+            if arc >= arc_budget:
+                return LeafTrace(foliation, x0, "open-within-budget", arc, pts, step)
+            rep = ahead[k + 1]
+            if k == n_in:  # left the box: reduce, then restart the chunk from rep
+                rep, word = model.canonical_rep(rep)
+                if word:
+                    direction = model.word_jacobian(word, ahead[k + 1]) @ direction
+            arc += step * speed
+            pts.append((arc, rep))
+            cur = rep
+            gap = float(np.max(np.abs(rep - x0)))
+            proximity = 2.0 * step * max(1.0, speed)
+            if not left_start:
+                # closure checks arm only once the trace has left the basepoint
+                if gap > 1.5 * proximity:
+                    left_start = True
+            elif gap <= proximity:
                 # refine the closure parameter on the smooth branch
                 def dist2(delta, base=cur, dirvec=direction):
                     r = reduced_at(base, dirvec, delta)
@@ -446,26 +559,26 @@ def leaf_trace(model: QuotientModel, x0, foliation: int, arc_budget: float = 8.0
                 if np.sqrt(opt.fun) <= model.ident_tol:
                     close_arc = arc + float(opt.x) * speed
                     return LeafTrace(foliation, x0, "closed", close_arc, pts, step)
-    return LeafTrace(foliation, x0, "open-within-budget", arc, pts, step)
 
 
-def _on_trace(trace: LeafTrace, point, tol: float) -> bool:
-    """Distance from point to the traced polyline (skipping seam jumps)."""
-    pts = [p for _, p in trace.points]
-    point = np.asarray(point, dtype=float)
-    best = min(float(np.linalg.norm(point - p)) for p in pts)
-    if best <= tol:
-        return True
-    for a, b in zip(pts, pts[1:]):
-        seg = b - a
-        L2 = float(seg @ seg)
-        if L2 == 0.0 or np.sqrt(L2) > 10 * trace.step:  # seam jump
-            continue
-        t = np.clip(float((point - a) @ seg) / L2, 0.0, 1.0)
-        d = float(np.linalg.norm(point - (a + t * seg)))
-        if d <= tol:
+class _Polyline:
+    """A leaf trace as points and the segments between them, seam jumps dropped."""
+
+    def __init__(self, trace: LeafTrace):
+        self.points = np.array([p for _, p in trace.points])
+        start, seg = self.points[:-1], np.diff(self.points, axis=0)
+        L2 = np.einsum("ij,ij->i", seg, seg)
+        keep = (L2 != 0.0) & (np.sqrt(L2) <= 10 * trace.step)
+        self.start, self.seg, self.L2 = start[keep], seg[keep], L2[keep]
+
+    def near(self, point, tol: float) -> bool:
+        """Whether point lies within tol of a trace point or a segment."""
+        point = np.asarray(point, dtype=float)
+        if np.min(np.linalg.norm(point - self.points, axis=1)) <= tol:
             return True
-    return False
+        t = np.clip(np.einsum("ij,ij->i", point - self.start, self.seg) / self.L2, 0.0, 1.0)
+        foot = self.start + t[:, None] * self.seg
+        return bool(np.any(np.linalg.norm(point - foot, axis=1) <= tol))
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +592,31 @@ class IntersectionReport:
     lower_bound_only: bool = False
 
 
+def _merge_witnesses(model: QuotientModel, witnesses: list, word_bound: int) -> list:
+    """Witnesses with one kept per point downstairs, in their order.
+
+    A witness whose representative lies within ident_tol of a kept one (the
+    empty word identifies them) is the same intersection and is dropped; one
+    that a non-empty word of length <= word_bound identifies with a kept one
+    raises InvalidAction, since canonical representatives must differ.
+    """
+    kept, kept_reps = [], []
+    for j, wit in enumerate(witnesses):
+        rep, _ = model.canonical_rep(wit[0].coords)
+        for i, earlier in kept_reps:
+            hit = model._bfs(earlier, lambda q, t=rep: np.max(np.abs(q - t), axis=-1)
+                             <= model.ident_tol, word_bound)
+            if hit is None:
+                continue
+            if hit[1]:
+                raise InvalidAction(f"witnesses {i} and {j} are identified by word {hit[1]}")
+            break
+        else:
+            kept_reps.append((j, rep))
+            kept.append(wit)
+    return kept
+
+
 def leaf_intersection_count(model: QuotientModel, x0, word_bound: Optional[int] = None,
                             arc_budget: float = 8.0,
                             verify_distinct: bool = True) -> IntersectionReport:
@@ -486,50 +624,43 @@ def leaf_intersection_count(model: QuotientModel, x0, word_bound: Optional[int] 
 
     Every group word w yields the intersection candidate p(phi_w^{-1}(a0), b0);
     candidates are reduced, matched against both traced leaves, and counted up
-    to identification.  Results from truncated (non-closed) leaf traces carry
-    the lower-bound flag.
+    to identification.  With ``verify_distinct``, a witness whose
+    representative lies within ident_tol of an earlier one is the same point
+    and is merged into it, and one that a non-empty word identifies with an
+    earlier one raises InvalidAction.  Results from truncated (non-closed)
+    leaf traces carry the lower-bound flag.
     """
     wb = word_bound if word_bound is not None else model.word_bound
     rep0, _ = model.canonical_rep(x0)
     t1 = leaf_trace(model, rep0, 1, arc_budget)
     t2 = leaf_trace(model, rep0, 2, arc_budget)
     lower_bound_only = not (t1.closed and t2.closed)
+    leaf1, leaf2 = _Polyline(t1), _Polyline(t2)
 
-    a0, b0 = model.dtp.split(rep0)
+    dtp = model.dtp
+    words = model.enumerate_words(wb)
+    orbit = np.broadcast_to(rep0, (len(words), dtp.n))
+    cands = model._apply_words([word_inverse(w) for w in words], orbit)
+    cands[:, dtp.slot2] = rep0[dtp.slot2]                # on the leaf M1 x {b0}
+    cands2 = model._apply_words(words, orbit)
+    cands2[:, dtp.slot1] = rep0[dtp.slot1]               # on {a0} x M2
     seen: dict[tuple, tuple] = {}
     match_tol = max(model.ident_tol, 2.0 * max(t1.step, t2.step))
-    for w in model.enumerate_words(wb):
-        winv = word_inverse(w)
-        q_full = model.apply_word(winv, rep0)
-        qa, _ = model.dtp.split(q_full)
-        cand = np.concatenate([qa, b0])                      # on the leaf M1 x {b0}
-        other = model.apply_word(w, rep0)
-        cand2 = np.concatenate([a0, model.dtp.split(other)[1]])  # on {a0} x M2
-        try:
-            rep, _ = model.canonical_rep(cand)
-        except WordBoundExceeded:
+    reduced = model._searches(cands, model.in_box, model.word_bound)
+    for cand, cand2, hit in zip(cands, cands2, reduced):
+        if hit is None:  # no word within the bound reaches the box
             continue
-        key = model._round_key(np.round(rep / (10 * model.ident_tol)) * (10 * model.ident_tol))
+        rep = hit[0]
+        key = _round_keys(np.round(rep / (10 * model.ident_tol)) * (10 * model.ident_tol))[0]
         if key in seen:
             continue
-        if not (_on_trace(t1, rep, match_tol) and _on_trace(t2, rep, match_tol)):
+        if not (leaf1.near(rep, match_tol) and leaf2.near(rep, match_tol)):
             continue
-        seen[key] = (CoordPoint(cand), CoordPoint(cand2))
+        seen[key] = (CoordPoint(cand.copy()), CoordPoint(cand2.copy()))
 
     witnesses = list(seen.values())
     if verify_distinct and len(witnesses) > 1:
-        reps = []
-        for wit, _ in witnesses:
-            rep, _ = model.canonical_rep(wit.coords)
-            reps.append(rep)
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                hit = model._bfs(reps[i],
-                                 lambda q, t=reps[j]: bool(np.max(np.abs(q - t)) <= model.ident_tol),
-                                 wb)
-                if hit is not None and hit[1]:
-                    raise InvalidAction(
-                        f"witnesses {i} and {j} are identified by word {hit[1]}")
+        witnesses = _merge_witnesses(model, witnesses, wb)
     return IntersectionReport(len(witnesses), witnesses, wb, lower_bound_only)
 
 
@@ -765,14 +896,22 @@ def build_example1(epsilon: float = 0.25, gluing: Optional[TwistedGluing] = None
                       pg.WarpFn(ScalarField.constant(1.0), pg.Dependency.CONSTANT),
                       pg.WarpFn(lam_field, pg.Dependency.ON_PRODUCT))
 
+    def per_point(fn):
+        # h^{-1} is a Newton solve, so a batch is mapped point by point
+        def mapped(y):
+            if np.ndim(y) == 1:
+                return np.array([fn(float(y[0]))])
+            return np.array([[fn(v) for v in y[0].tolist()]])
+        return mapped
+
+    def psi_jacobian(y):
+        return per_point(lambda v: 1.0 / glue.h_prime(glue.h_inverse(v)))(y)[None]
+
     gen = DeckGenerator(
         name="a",
         phi=FactorMap.translation([1.0]),
-        psi=FactorMap(
-            apply=lambda y: np.array([glue.h_inverse(float(y[0]))]),
-            inverse=lambda y: np.array([glue.h(float(y[0]))]),
-            jacobian=lambda y: np.array([[1.0 / glue.h_prime(glue.h_inverse(float(y[0])))]]),
-        ),
+        psi=FactorMap(apply=per_point(glue.h_inverse), inverse=per_point(glue.h),
+                      jacobian=psi_jacobian),
         homothety=False,
     )
     big = 1e9

@@ -1,0 +1,558 @@
+"""Batched quotient machinery against one-point references.
+
+``FactorMap``, ``QuotientModel.apply_gen/apply_word/in_box`` take a
+``(P, n)`` batch; the orbit searches expand a whole level with one call per
+(generator, sign), ``leaf_trace`` steps ahead in chunks and ``validate``
+checks whole grids.  Every batched result must equal the one-point result
+exactly: the maps here are elementwise, so a row of a batch sees the same
+arithmetic as the point alone.  The references below (node-by-node search,
+step-by-step trace, the hand-rolled difference quotient, the segment loop)
+are the one-point algorithms, kept here as oracles.
+"""
+
+import json
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from warpquot import cli
+from warpquot import chartkit as ck
+from warpquot import fixtures as fx
+from warpquot import productgeo as pg
+from warpquot import quotient as qt
+from warpquot import scenario
+from warpquot.chartkit import CoordPoint, MetricField, ScalarField, TangentVector
+from warpquot.errors import InvalidAction
+
+
+# ---------------------------------------------------------------------------
+# models: the quotient fixtures and scenario files with formula generators
+
+def _line(name, coord, box):
+    return {"name": name, "dim": 1, "coords": [coord], "metric": "euclidean", "box": [box]}
+
+
+def _gen(name, phi, phi_inv, psi, psi_inv):
+    return {"name": name, "phi": [phi], "phi_inv": [phi_inv], "psi": [psi], "psi_inv": [psi_inv]}
+
+
+SCENARIO_FILES = {
+    "file-skewed-q3": {
+        "factors": [_line("line-x", "x", [0.0, 1.0]), _line("line-y", "y", [0.0, 1.0])],
+        "warps": {"lam1": "1", "lam2": "1"},
+        "generators": [_gen("a", "x + 1", "x - 1", "y", "y"),
+                       _gen("b", "x + 1/3", "x - 1/3", "y + 1", "y - 1")],
+        "fundamental_box": [[0.0, 1.0], [0.0, 1.0]],
+    },
+    "file-mobius": {
+        "factors": [_line("line-x", "x", [0.0, 1.0]), _line("line-y", "y", [-1.0, 1.0])],
+        "warps": {"lam1": "1", "lam2": "1"},
+        "generators": [_gen("a", "x + 1", "x - 1", "-y", "-y")],
+        "fundamental_box": [[0.0, 1.0], [-1e9, 1e9]],
+    },
+    "file-warped-torus": {
+        "factors": [_line("line-x", "x", [0.0, 1.0]), _line("line-y", "y", [0.0, 1.0])],
+        "warps": {"lam1": "1", "lam2": "1 + 0.3*sin(2*pi*x)"},
+        "generators": [_gen("a", "x + 1", "x - 1", "y", "y"),
+                       _gen("b", "x", "x", "y + 1", "y - 1")],
+        "fundamental_box": [[0.0, 1.0], [0.0, 1.0]],
+    },
+    # warps varying along their own leaves, so trace speeds vary step by step
+    "file-twisted-torus": {
+        "factors": [_line("line-x", "x", [0.0, 1.0]), _line("line-y", "y", [0.0, 1.0])],
+        "warps": {"lam1": "1 + 0.3*sin(2*pi*x)", "lam2": "1 + 0.2*cos(2*pi*y) + 0.1*sin(2*pi*x)"},
+        "generators": [_gen("a", "x + 1", "x - 1", "y", "y"),
+                       _gen("b", "x", "x", "y + 1", "y - 1")],
+        "fundamental_box": [[0.0, 1.0], [0.0, 1.0]],
+    },
+}
+
+MAKERS = {
+    "mobius": fx.mobius_model,
+    "flat-torus": fx.flat_torus_model,
+    "skewed-torus": fx.skewed_torus_model,
+    "example1": fx.example1_model,
+    **{name: (lambda data=data: scenario.parse_scenario(dict(data)).model)
+       for name, data in SCENARIO_FILES.items()},
+}
+MODELS = {name: make() for name, make in MAKERS.items()}
+
+
+def _points(model, count=25, seed=0, spread=2.5):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-spread, spread, size=(count, model.dtp.n))
+
+
+def _words(model):
+    names = [g.name for g in model.generators]
+    words = [(), ((names[0], 1),), ((names[0], -1), (names[-1], -1)),
+             tuple((names[k % len(names)], (-1) ** k) for k in range(4))]
+    return words + [qt.word_inverse(w) for w in words]
+
+
+# ---------------------------------------------------------------------------
+# one-point references
+
+def ref_key(x):
+    return tuple(np.round(np.asarray(x, dtype=float) / qt._ROUND).astype(np.int64))
+
+
+def ref_in_box(model, x):
+    lo, hi = model.fundamental_box[:, 0], model.fundamental_box[:, 1]
+    return bool(np.all(x >= lo - model.ident_tol) and np.all(x < hi - model.ident_tol))
+
+
+def ref_bfs(model, start, accept, max_len):
+    """Node-by-node breadth-first search with one apply_gen per child."""
+    start = np.asarray(start, dtype=float)
+    if accept(start):
+        return start, ()
+    frontier = [(start, ())]
+    seen = {ref_key(start)}
+    for _ in range(max_len):
+        nxt = []
+        for p, w in frontier:
+            for gen in model.generators:
+                for sign in (1, -1):
+                    if w and w[-1] == (gen.name, -sign):
+                        continue
+                    q = model.apply_gen(gen, sign, p)
+                    key = ref_key(q)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    w2 = w + ((gen.name, sign),)
+                    if accept(q):
+                        return q, w2
+                    nxt.append((q, w2))
+        frontier = nxt
+    return None
+
+
+def ref_canonical_rep(model, x):
+    return ref_bfs(model, x, lambda q: ref_in_box(model, q), model.word_bound)
+
+
+def ref_enumerate_words(model, max_len):
+    box = model.fundamental_box
+    probe = 0.5 * (box[:, 0] + np.minimum(box[:, 1], box[:, 0] + 10.0))
+    probe2 = probe + 0.1 * np.arange(1, model.dtp.n + 1)
+    words = [()]
+    frontier = [((), probe, probe2)]
+    seen = {(ref_key(probe), ref_key(probe2))}
+    for _ in range(max_len):
+        nxt = []
+        for w, p, q in frontier:
+            for gen in model.generators:
+                for sign in (1, -1):
+                    if w and w[-1] == (gen.name, -sign):
+                        continue
+                    p2, q2 = model.apply_gen(gen, sign, p), model.apply_gen(gen, sign, q)
+                    key = (ref_key(p2), ref_key(q2))
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    words.append(w + ((gen.name, sign),))
+                    nxt.append((w + ((gen.name, sign),), p2, q2))
+        frontier = nxt
+    return words
+
+
+def ref_leaf_trace(model, x0, foliation, arc_budget=8.0, step=0.01):
+    """One step per iteration: one-point speed, every step reduced by search."""
+    from scipy import optimize
+
+    dtp = model.dtp
+    x0 = np.asarray(x0, dtype=float)
+    direction = dtp.embed(foliation, np.ones(1))
+    cur, arc, pts, left_start = x0.copy(), 0.0, [(0.0, x0.copy())], False
+    while arc < arc_budget:
+        speed = ck.norm(dtp.assembled, TangentVector(CoordPoint(cur), direction))
+        nxt_up = cur + step * direction
+        rep, word = ref_canonical_rep(model, nxt_up)
+        if word:
+            direction = model.word_jacobian(word, nxt_up) @ direction
+        arc += step * speed
+        pts.append((arc, rep))
+        cur = rep
+        gap = float(np.max(np.abs(rep - x0)))
+        proximity = 2.0 * step * max(1.0, speed)
+        if not left_start:
+            left_start = gap > 1.5 * proximity
+        elif gap <= proximity:
+            def dist2(delta, base=cur, dirvec=direction):
+                r = ref_canonical_rep(model, base + delta * dirvec)[0]
+                return float(np.sum((r - x0) ** 2))
+
+            opt = optimize.minimize_scalar(dist2, bounds=(-2 * step, 2 * step),
+                                           method="bounded", options={"xatol": 1e-13})
+            if np.sqrt(opt.fun) <= model.ident_tol:
+                return "closed", arc + float(opt.x) * speed, pts
+    return "open-within-budget", arc, pts
+
+
+def ref_fd_jacobian(fn, x):
+    """The hand-rolled central difference FactorMap.jac used to run."""
+    m = x.shape[0]
+    cols = []
+    for j in range(m):
+        h = 1e-6 * max(1.0, abs(x[j]))
+        e = np.zeros(m)
+        e[j] = h
+        cols.append((np.atleast_1d(fn(x + e)) - np.atleast_1d(fn(x - e))) / (2 * h))
+    return np.stack(cols, axis=1)
+
+
+def ref_on_trace(trace, point, tol):
+    pts = [p for _, p in trace.points]
+    if min(float(np.linalg.norm(point - p)) for p in pts) <= tol:
+        return True
+    for a, b in zip(pts, pts[1:]):
+        seg = b - a
+        L2 = float(seg @ seg)
+        if L2 == 0.0 or np.sqrt(L2) > 10 * trace.step:
+            continue
+        t = np.clip(float((point - a) @ seg) / L2, 0.0, 1.0)
+        if float(np.linalg.norm(point - (a + t * seg))) <= tol:
+            return True
+    return False
+
+
+# ---------------------------------------------------------------------------
+# batch == per row: group action
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_factor_maps_batch_equals_rows(name):
+    model = MODELS[name]
+    X = _points(model)
+    for gen in model.generators:
+        for fm, cols in ((gen.phi, model.dtp.slot1), (gen.psi, model.dtp.slot2)):
+            pts = np.ascontiguousarray(X[:, cols])
+            for sign in (1, -1):
+                batch = fm(pts, sign)
+                assert batch.shape == pts.shape
+                assert np.array_equal(batch, np.stack([fm(p, sign) for p in pts]))
+                jac = fm.jac(pts, sign)
+                assert np.array_equal(jac, np.stack([fm.jac(p, sign) for p in pts]))
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_group_action_batch_equals_rows(name):
+    model = MODELS[name]
+    X = _points(model, seed=1)
+    for gen in model.generators:
+        for sign in (1, -1):
+            assert np.array_equal(model.apply_gen(gen, sign, X),
+                                  np.stack([model.apply_gen(gen, sign, p) for p in X]))
+            assert np.array_equal(model.gen_jacobian(gen, sign, X),
+                                  np.stack([model.gen_jacobian(gen, sign, p) for p in X]))
+    words = _words(model)
+    for w in words:
+        assert np.array_equal(model.apply_word(w, X), np.stack([model.apply_word(w, p) for p in X]))
+    # many words at once, one per row, and each word on a whole grid
+    rows = [words[k % len(words)] for k in range(len(X))]
+    assert np.array_equal(model._apply_words(rows, X),
+                          np.stack([model.apply_word(w, p) for w, p in zip(rows, X)]))
+    grid = np.broadcast_to(X[:4], (len(words), 4, model.dtp.n))
+    assert np.array_equal(model._apply_words(words, grid),
+                          np.stack([model.apply_word(w, X[:4]) for w in words]))
+    inside = model.in_box(X)
+    assert inside.dtype == bool and inside.shape == (len(X),)
+    assert inside.tolist() == [ref_in_box(model, p) for p in X]
+    assert model.in_box(X[0]) is ref_in_box(model, X[0])
+
+
+def test_affine_broadcasts_offset_over_batch():
+    fm = qt.FactorMap.affine([[2.0, 0.0], [0.0, -1.0]], [0.5, 3.0])
+    X = np.random.default_rng(7).uniform(-2.0, 2.0, size=(6, 2))
+    assert np.array_equal(fm(X), X * [2.0, -1.0] + [0.5, 3.0])
+    assert np.array_equal(fm.jac(X), np.broadcast_to([[2.0, 0.0], [0.0, -1.0]], (6, 2, 2)))
+
+
+# ---------------------------------------------------------------------------
+# FactorMap.jac: central_diff keeps the old difference quotient bit for bit
+
+def _nonlinear_map():
+    return scenario._build_factor_map(["u + 0.1*sin(v)", "v*exp(0.05*u)"],
+                                      ["u - 0.1*sin(v*exp(-0.05*u))", "v*exp(-0.05*u)"],
+                                      ["u", "v"], "test")
+
+
+@pytest.mark.parametrize("name", ["file-skewed-q3", "file-mobius", "file-warped-torus"])
+def test_fd_jacobian_bit_identical_to_loop(name):
+    model = MODELS[name]
+    X = _points(model, 9, seed=2)
+    for gen in model.generators:
+        for fm, cols in ((gen.phi, model.dtp.slot1), (gen.psi, model.dtp.slot2)):
+            assert fm.jacobian is None
+            for p in X[:, cols]:
+                for sign, fn in ((1, fm.apply), (-1, fm.inverse)):
+                    assert np.array_equal(fm.jac(p, sign), ref_fd_jacobian(fn, p))
+
+
+def test_fd_jacobian_bit_identical_two_dimensional():
+    fm = _nonlinear_map()
+    X = np.random.default_rng(5).uniform(-3.0, 3.0, size=(11, 2))
+    for sign, fn in ((1, fm.apply), (-1, fm.inverse)):
+        ref = np.stack([ref_fd_jacobian(fn, p) for p in X])
+        assert np.array_equal(np.stack([fm.jac(p, sign) for p in X]), ref)
+        assert np.array_equal(fm.jac(X, sign), ref)
+        assert np.array_equal(fm(X, sign), np.stack([fm(p, sign) for p in X]))
+    # the difference quotient is a Jacobian: d/du (u + 0.1 sin v) = 1
+    assert np.allclose(fm.jac(X)[:, 0, 0], 1.0, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# orbit searches == the node-by-node search
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_canonical_rep_matches_node_by_node_search(name):
+    model = MODELS[name]
+    X = _points(model, 30, seed=3, spread=3.0)
+    for p in X:
+        rep, word = model.canonical_rep(p)
+        ref_rep, ref_word = ref_canonical_rep(model, p)
+        assert word == ref_word and np.array_equal(rep, ref_rep)
+    found = model._searches(X, model.in_box, model.word_bound)
+    for p, (rep, word) in zip(X, found):
+        ref_rep, ref_word = ref_canonical_rep(model, p)
+        assert word == ref_word and np.array_equal(rep, ref_rep)
+
+
+def test_searches_report_misses_per_start():
+    model = fx.flat_torus_model(word_bound=2)
+    found = model._searches(np.array([[7.5, 0.2], [1.5, 0.2], [0.3, 0.3]]), model.in_box, 2)
+    assert found[0] is None and ref_canonical_rep(model, [7.5, 0.2]) is None
+    assert found[1][1] == (("a", -1),)
+    assert found[2][1] == ()
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_find_closing_word_matches_node_by_node_search(name):
+    model = MODELS[name]
+    X = _points(model, 6, seed=4, spread=0.9)
+    for p in X:
+        for w in _words(model)[1:]:
+            end = model.apply_word(w, p)
+            want = ref_bfs(model, end, lambda q: bool(np.max(np.abs(q - p)) <= model.ident_tol),
+                           model.word_bound)
+            assert model.find_closing_word(end, p) == want[1]
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_enumerate_words_matches_node_by_node_search(name):
+    model = MODELS[name]
+    for max_len in (1, 4, 8):
+        assert model.enumerate_words(max_len) == ref_enumerate_words(model, max_len)
+
+
+# ---------------------------------------------------------------------------
+# chunked leaf_trace == the step-by-step trace
+
+TRACES = [
+    ("skewed-torus", [0.0, 0.0], 1, 8.0), ("skewed-torus", [0.0, 0.0], 2, 8.0),
+    ("skewed-torus", [0.3, 0.7], 2, 8.0), ("flat-torus", [5e-7, 0.3], 1, 8.0),
+    ("mobius", [0.0, 0.0], 1, 8.0), ("mobius", [0.2, 0.5], 1, 8.0),
+    ("mobius", [0.4, 0.5], 2, 8.0),        # the upper half: traced upwards only
+    ("mobius", [0.4, -0.5], 2, 8.0),
+    ("example1", [0.0, 0.0], 1, 8.0), ("example1", [0.0, 1.0], 1, 6.0),
+    ("file-skewed-q3", [0.1, 0.2], 2, 8.0), ("file-mobius", [0.7, -0.3], 1, 8.0),
+    ("file-warped-torus", [0.37, 0.21], 1, 8.0), ("file-warped-torus", [0.37, 0.21], 2, 8.0),
+    ("file-twisted-torus", [0.37, 0.21], 1, 8.0), ("file-twisted-torus", [0.81, 0.64], 2, 8.0),
+]
+
+
+@pytest.mark.parametrize("name,x0,foliation,budget", TRACES)
+def test_leaf_trace_bit_identical_to_step_loop(name, x0, foliation, budget):
+    model = MODELS[name]
+    trace = qt.leaf_trace(model, x0, foliation, arc_budget=budget)
+    status, length, pts = ref_leaf_trace(model, x0, foliation, arc_budget=budget)
+    assert trace.status == status
+    assert trace.length == length
+    assert len(trace.points) == len(pts)
+    for (arc, p), (ref_arc, ref_p) in zip(trace.points, pts):
+        assert arc == ref_arc and np.array_equal(p, ref_p)
+
+
+def test_vectorised_trace_matching_equals_segment_loop():
+    model = fx.mobius_model()
+    trace = qt.leaf_trace(model, [0.2, 0.5], 1)
+    line = qt._Polyline(trace)
+    rng = np.random.default_rng(6)
+    base = np.array([p for _, p in trace.points])[rng.integers(0, len(trace.points), 60)]
+    probes = base + rng.normal(scale=0.03, size=base.shape)
+    answers = [line.near(p, 0.02) for p in probes]
+    assert answers == [ref_on_trace(trace, p, 0.02) for p in probes]
+    assert any(answers) and not all(answers)
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+WORD_MODELS = ["skewed-torus", "mobius", "example1", "file-skewed-q3", "file-twisted-torus"]
+coords = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(MODELS)),
+       pts=st.lists(st.tuples(coords, coords), min_size=1, max_size=6))
+def test_canonical_rep_idempotent_on_batches(name, pts):
+    model = MODELS[name]
+    X = np.array(pts, dtype=float)
+    found = model._searches(X, model.in_box, model.word_bound)
+    for p, hit in zip(X, found):
+        assert hit is not None
+        rep, word = model.canonical_rep(p)
+        assert np.array_equal(hit[0], rep) and hit[1] == word
+    reps = np.stack([hit[0] for hit in found])
+    assert model.in_box(reps).all()
+    again = model._searches(reps, model.in_box, model.word_bound)
+    for rep, (rep2, word2) in zip(reps, again):
+        assert word2 == () and np.array_equal(rep2, rep)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(WORD_MODELS),
+       letters=st.lists(st.tuples(st.integers(0, 1), st.sampled_from([1, -1])), max_size=6),
+       pts=st.lists(st.tuples(coords, coords), min_size=1, max_size=6))
+def test_word_then_inverse_is_identity(name, letters, pts):
+    model = MODELS[name]
+    names = [g.name for g in model.generators]
+    word = tuple((names[k % len(names)], s) for k, s in letters)
+    X = np.array(pts, dtype=float)
+    back = model.apply_word(qt.word_inverse(word), model.apply_word(word, X))
+    assert back.shape == X.shape
+    assert np.max(np.abs(back - X)) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# witnesses identified by the empty word are one intersection
+
+@pytest.mark.parametrize("x0", [5e-7, 1.5e-6])
+def test_bucket_edge_basepoints_count_once(x0):
+    flat = fx.flat_torus_model()
+    assert qt.leaf_intersection_count(flat, [x0, 0.3]).count == 1
+    verdict = qt.decomposition_check(flat, [x0, 0.3], fx.HOLONOMY_LOOPS["flat-torus"])
+    assert verdict.is_global_product and verdict.reason.kind == "none"
+    skewed = qt.leaf_intersection_count(fx.skewed_torus_model(), [x0, 0.3])
+    assert skewed.count == 2
+    reps = sorted(float(fx.skewed_torus_model().canonical_rep(w.coords)[0][0])
+                  for w, _ in skewed.witnesses)
+    assert reps == pytest.approx([x0, x0 + 0.5], abs=1e-9)
+    assert qt.leaf_intersection_count(fx.mobius_model(), [x0, 0.0]).count == 1
+
+
+def test_merge_keeps_a_raise_for_a_non_empty_word():
+    # a box twice the fundamental domain holds two representatives of one
+    # point: they are identified by the word a, which must still raise
+    flat = fx.flat_torus_model()
+    wide = qt.QuotientModel(flat.dtp, flat.generators, [[0.0, 2.0], [0.0, 1.0]])
+    pair = [(CoordPoint([0.3, 0.2]), CoordPoint([0.3, 0.2])),
+            (CoordPoint([1.3, 0.2]), CoordPoint([0.3, 0.2]))]
+    with pytest.raises(InvalidAction, match=r"witnesses 0 and 1 are identified by word \(\('a', 1\),\)"):
+        qt._merge_witnesses(wide, pair, 4)
+    # within ident_tol of each other: the same point, merged into the first
+    twins = [pair[0], (CoordPoint([0.3 + 5e-8, 0.2]), pair[0][1]), pair[0]]
+    assert qt._merge_witnesses(wide, twins, 4) == [pair[0]]
+
+
+# ---------------------------------------------------------------------------
+# validate: whole grids, first failing point named, the word cap reported
+
+def _flat_dtp(lam1=None, lam2=None):
+    f1 = pg.FactorManifold("line-x", 1, MetricField.euclidean(1), [[0.0, 1.0]])
+    f2 = pg.FactorManifold("line-y", 1, MetricField.euclidean(1), [[0.0, 1.0]])
+    one = ScalarField.constant(1.0)
+    return pg.assemble(f1, f2, pg.WarpFn(lam1 or one), pg.WarpFn(lam2 or one))
+
+
+def _bump_at(p):
+    """1 + a narrow bump at the grid point p: 1.5 there, 1 to rounding at the others."""
+    return ScalarField(lambda x: 1.0 + 0.5 * np.exp(-((x[0] - p[0]) ** 2 + (x[1] - p[1]) ** 2) / 1e-4))
+
+
+def _model(gen, dtp=None):
+    return qt.QuotientModel(dtp or _flat_dtp(), [gen], [[0.0, 1.0], [0.0, 1.0]], word_bound=4)
+
+
+GRID1 = pg.grid_points([[0.0, 1.0]], 4)
+GRID = pg.grid_points([[0.0, 1.0], [0.0, 1.0]], 4)
+PAD = qt.DEFAULT_IDENT_TOL
+BOX_GRID = pg.grid_points([[-PAD, 1.0 + PAD], [-PAD, 1.0 + PAD]], 4, inset=0.0)
+INTERIOR = pg.grid_points([[0.0, 1.0], [0.0, 1.0]], 4, inset=0.1)
+SHIFT = qt.FactorMap.translation([5.0])
+STAY = qt.FactorMap.translation([0.0])
+
+
+def _fails_at(model, what, sample):
+    with pytest.raises(InvalidAction, match=re.escape(what)) as info:
+        qt.validate(model)
+    assert str(info.value).endswith(f"at sample {np.asarray(sample)}")
+
+
+def test_validate_control_broken_inverse():
+    bad = GRID1[1, 0]
+    phi = qt.FactorMap(apply=lambda x: x + 1.0,
+                       inverse=lambda x: x - 1.0 + np.where(np.abs(x - 1.0 - bad) < 1e-9, 1e-3, 0.0))
+    _fails_at(_model(qt.DeckGenerator("a", phi, STAY)), "declared inverse of phi fails", GRID1[1])
+
+
+def test_validate_control_not_a_homothety():
+    bad = GRID1[2, 0]
+    phi = qt.FactorMap(apply=lambda x: x + 1.0, inverse=lambda x: x - 1.0,
+                       jacobian=lambda x: (1.0 + np.where(np.abs(x - bad) < 1e-9, 0.1, 0.0))[None])
+    _fails_at(_model(qt.DeckGenerator("a", phi, STAY)), "phi is not a homothety of factor 1",
+              GRID1[2])
+
+
+def test_validate_control_warp1_compat():
+    dtp = _flat_dtp(lam1=_bump_at(GRID[6]))
+    _fails_at(_model(qt.DeckGenerator("a", STAY, SHIFT), dtp), "lam1 o psi != lam1 / c1", GRID[6])
+
+
+def test_validate_control_warp2_compat():
+    dtp = _flat_dtp(lam2=_bump_at(GRID[9]))
+    _fails_at(_model(qt.DeckGenerator("a", SHIFT, STAY), dtp), "lam2 o phi != lam2 / c2", GRID[9])
+
+
+def test_validate_control_not_an_isometry():
+    dtp = _flat_dtp(lam2=_bump_at(GRID[9]))
+    gen = qt.DeckGenerator("a", SHIFT, STAY, homothety=False)
+    _fails_at(_model(gen, dtp), "not an isometry of the product metric", GRID[9])
+
+
+def test_validate_control_sampled_fixed_point():
+    q = BOX_GRID[6]  # point reflection through one sample of the padded box
+    gen = qt.DeckGenerator("a", qt.FactorMap.affine([[-1.0]], [2 * q[0]]),
+                           qt.FactorMap.affine([[-1.0]], [2 * q[1]]))
+    _fails_at(_model(gen), "generator a^1 has a sampled fixed point", q)
+
+
+def test_validate_control_word_returns_interior_point():
+    r = INTERIOR[6]  # point reflection through an interior sample, no box sample
+    assert not any(np.array_equal(r, p) for p in BOX_GRID)
+    gen = qt.DeckGenerator("a", qt.FactorMap.affine([[-1.0]], [2 * r[0]]),
+                           qt.FactorMap.affine([[-1.0]], [2 * r[1]]))
+    _fails_at(_model(gen), "word (('a', 1),) returns an interior point to itself", r)
+
+
+def test_validate_clean_model_counts_words():
+    report = qt.validate(fx.flat_torus_model())
+    # reduced words of length <= 8 on Z^2, deduplicated by action: 2*8^2 + 2*8 + 1
+    assert report.words_checked == 144 and report.words_truncated == 0
+
+
+def test_validate_word_cap_is_reported(monkeypatch):
+    monkeypatch.setattr(qt, "VALIDATE_WORD_CAP", 10)
+    report = qt.validate(fx.flat_torus_model())
+    assert report.words_checked == 9          # the empty word is not applied
+    assert report.words_truncated == 145 - 10
+
+
+def test_verify_all_reports_validation_counters(tmp_path):
+    out = tmp_path / "report.json"
+    assert cli.main(["run", "flat-torus", "verify-all", "--out", str(out)]) == 0
+    counters = json.loads(out.read_text())["results"]["quotient_validation"]
+    assert counters == {"words_checked": 144, "words_truncated": 0}
