@@ -111,9 +111,6 @@ class CoordPoint:
     def n(self) -> int:
         return self.coords.shape[0]
 
-    def shifted(self, delta) -> "CoordPoint":
-        return CoordPoint(self.coords + np.asarray(delta, dtype=float))
-
     def __repr__(self):
         return f"CoordPoint({np.array2string(self.coords, precision=6)})"
 
@@ -141,12 +138,6 @@ class Signature:
     @staticmethod
     def riemannian(n: int) -> "Signature":
         return Signature(np.ones(n, dtype=int))
-
-    @staticmethod
-    def lorentzian(n: int) -> "Signature":
-        signs = np.ones(n, dtype=int)
-        signs[0] = -1
-        return Signature(signs)
 
 
 @dataclass(frozen=True)

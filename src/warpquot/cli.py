@@ -139,6 +139,62 @@ def _horizontal_curve(ctx: ScenarioContext):
     return tp.PiecewiseCurve.line(start, end)
 
 
+def _christoffel_residuals(dtp, rng, samples):
+    """Worst lower-index asymmetry and metric-compatibility residual of the
+    Christoffel symbols at ``samples`` random points."""
+    sym = compat = 0.0
+    for _ in range(samples):
+        x = _rand_point(rng, dtp.domain_box)
+        gm = ck.christoffel_numeric(dtp.assembled, x)
+        sym = max(sym, float(np.max(np.abs(gm - np.swapaxes(gm, 1, 2)))))
+        g = dtp.assembled.mat(x)
+        dg = dtp.assembled.d1(x)
+        resid = dg - np.einsum("lki,lj->kij", gm, g) - np.einsum("lkj,il->kij", gm, g)
+        compat = max(compat, float(np.max(np.abs(resid))))
+    return sym, compat
+
+
+def _sectional_residuals(dtp, rng, samples):
+    """Worst |closed form - oracle| sectional curvature per plane case over
+    ``samples`` random points (cases in sorted order), and the closed-form
+    values on the mixed (HV) planes."""
+    worst = {}
+    k_values = []
+    for _ in range(samples):
+        x = _rand_point(rng, dtp.domain_box)
+        for case in ("HH", "VV", "HV"):
+            if (case == "HH" and dtp.n1 < 2) or (case == "VV" and dtp.n2 < 2):
+                continue  # a factor plane needs a factor of dimension 2 or more
+            plane = _sample_plane(dtp, rng, x, case)
+            if plane is None:
+                continue
+            u, v = plane
+            kc = pg.sectional_curvature_closed_form(dtp, (u, v))
+            kn = ck.sectional_curvature_numeric(dtp.assembled, x, u, v)
+            worst[case] = max(worst.get(case, 0.0), abs(kc - kn))
+            if case == "HV":
+                k_values.append(kc)
+    return dict(sorted(worst.items())), k_values
+
+
+def _adapted_constancy(dtp, curve, tol):
+    """Adapted translation of the all-ones factor-2 vector along a curve in
+    an F1 leaf, and the worst drift of its factor-2 components from 1."""
+    vb = np.ones(dtp.n2)
+    v0 = TangentVector(CoordPoint(curve.point(0.0)), dtp.embed(2, vb))
+    res = tp.adapted_translation(dtp, curve, v0, tol=tol)
+    const_resid = max(float(np.max(np.abs(vec.components[dtp.slot2] - vb)))
+                      for _, vec in res.samples)
+    return res, const_resid
+
+
+def _verdict_expected(expect, verdict) -> bool:
+    """The verdict tag, and its reason when one is declared, are the expected ones."""
+    if verdict.tag != expect["verdict"]:
+        return False
+    return "verdict_reason" not in expect or verdict.reason.kind == expect["verdict_reason"]
+
+
 class Check:
     """One named assertion with a measured value and a budget."""
 
@@ -170,16 +226,7 @@ def cmd_christoffel(ctx, args, rng):
     dtp = ctx.dtp
     base = ctx.base()
     gamma = ck.christoffel_numeric(dtp.assembled, base)
-    sym = 0.0
-    compat = 0.0
-    for _ in range(args.samples):
-        x = _rand_point(rng, dtp.domain_box)
-        gm = ck.christoffel_numeric(dtp.assembled, x)
-        sym = max(sym, float(np.max(np.abs(gm - np.swapaxes(gm, 1, 2)))))
-        g = dtp.assembled.mat(x)
-        dg = dtp.assembled.d1(x)
-        resid = (dg - np.einsum("lki,lj->kij", gm, g) - np.einsum("lkj,il->kij", gm, g))
-        compat = max(compat, float(np.max(np.abs(resid))))
+    sym, compat = _christoffel_residuals(dtp, rng, args.samples)
     checks = [Check("lower-index-symmetry", sym, 1e-9),
               Check("metric-compatibility", compat, 1e-5)]
     return {"basepoint": base, "christoffel": gamma,
@@ -187,26 +234,10 @@ def cmd_christoffel(ctx, args, rng):
 
 
 def cmd_curvature(ctx, args, rng):
-    dtp = ctx.dtp
     tol = args.tol if args.tol is not None else 1e-5
-    worst = {}
-    k_values = []
-    for _ in range(args.samples):
-        x = _rand_point(rng, dtp.domain_box)
-        for case in ("HH", "VV", "HV"):
-            if (case == "HH" and dtp.n1 < 2) or (case == "VV" and dtp.n2 < 2):
-                continue  # a factor plane needs a factor of dimension 2 or more
-            plane = _sample_plane(dtp, rng, x, case)
-            if plane is None:
-                continue
-            u, v = plane
-            kc = pg.sectional_curvature_closed_form(dtp, (u, v))
-            kn = ck.sectional_curvature_numeric(dtp.assembled, x, u, v)
-            worst[case] = max(worst.get(case, 0.0), abs(kc - kn))
-            if case == "HV":
-                k_values.append(kc)
-    checks = [Check(f"closed-vs-oracle-{case}", val, tol) for case, val in sorted(worst.items())]
-    results = {"residuals": {k: v for k, v in sorted(worst.items())},
+    worst, k_values = _sectional_residuals(ctx.dtp, rng, args.samples)
+    checks = [Check(f"closed-vs-oracle-{case}", val, tol) for case, val in worst.items()]
+    results = {"residuals": worst,
                "mixed_K_samples": k_values[:10],
                "checks": [c.row() for c in checks]}
     ok = all(c.ok for c in checks) and bool(worst)
@@ -222,18 +253,12 @@ def cmd_curvature(ctx, args, rng):
 
 
 def cmd_transport(ctx, args, rng):
-    dtp = ctx.dtp
     tol = args.tol if args.tol is not None else 1e-6
     curves = dict(ctx.curves) or {"default-horizontal": _horizontal_curve(ctx)}
     out = {}
     ok = True
     for name, curve in sorted(curves.items()):
-        start = curve.point(0.0)
-        vb = np.ones(dtp.n2)
-        v0 = TangentVector(CoordPoint(start), dtp.embed(2, vb))
-        res = tp.adapted_translation(dtp, curve, v0, tol=tol)
-        const_resid = max(float(np.max(np.abs(vec.components[dtp.slot2] - vb)))
-                          for _, vec in res.samples)
+        res, const_resid = _adapted_constancy(ctx.dtp, curve, tol)
         checks = [Check("norm-law", res.tol_achieved, tol),
                   Check("factor2-components-constant", const_resid, tol)]
         out[name] = {"integral_omega": res.integral_omega,
@@ -253,10 +278,7 @@ def _run_holonomy(ctx, tol):
     ok = True
     for i in (1, 2):
         for j, word in enumerate(ctx.holonomy_loops.get(i, [])):
-            curve = qt.leaf_loop_curve(model, rep0, i, word)
-            frame = tp.normal_frame(model.dtp, rep0, foliation=i)
-            hol = tp.holonomy_map(model, curve, frame, foliation=i,
-                                  closing_word=qt.word_inverse(word))
+            hol = qt.loop_holonomy(model, rep0, i, word)
             entry = {"foliation": i, "word": [list(w) for w in word],
                      "matrix": hol.matrix}
             want = expected.get(str(i))
@@ -298,11 +320,7 @@ def cmd_decompose(ctx, args, rng):
     tol = args.tol if args.tol is not None else 1e-6
     verdict = qt.decomposition_check(model, ctx.base(), ctx.holonomy_loops,
                                      hol_tol=tol, word_bound=wb)
-    ok = True
-    if "verdict" in ctx.expect:
-        ok = verdict.tag == ctx.expect["verdict"]
-        if ok and "verdict_reason" in ctx.expect:
-            ok = verdict.reason.kind == ctx.expect["verdict_reason"]
+    ok = _verdict_expected(ctx.expect, verdict) if "verdict" in ctx.expect else True
     return {"tag": verdict.tag,
             "reason": {"kind": verdict.reason.kind,
                        "foliation": verdict.reason.foliation,
@@ -335,15 +353,7 @@ def cmd_verify_all(ctx, args, rng):
     checks.append(Check("signature-sanity", 0.0, 1.0, ok=True))
 
     # christoffel symmetry / compatibility
-    sym = compat = 0.0
-    for _ in range(8):
-        x = _rand_point(rng, dtp.domain_box)
-        gm = ck.christoffel_numeric(dtp.assembled, x)
-        sym = max(sym, float(np.max(np.abs(gm - np.swapaxes(gm, 1, 2)))))
-        g = dtp.assembled.mat(x)
-        dg = dtp.assembled.d1(x)
-        resid = dg - np.einsum("lki,lj->kij", gm, g) - np.einsum("lkj,il->kij", gm, g)
-        compat = max(compat, float(np.max(np.abs(resid))))
+    sym, compat = _christoffel_residuals(dtp, rng, 8)
     checks.append(Check("christoffel-symmetry", sym, 1e-9))
     checks.append(Check("metric-compatibility", compat, 1e-5))
 
@@ -375,22 +385,8 @@ def cmd_verify_all(ctx, args, rng):
     checks.append(Check("mixed-connection-identity", worst, 1e-5))
 
     # closed-form sectional curvature vs oracle on available plane types
-    worst_k = {}
-    for _ in range(6):
-        x = _rand_point(rng, dtp.domain_box)
-        for case in ("HH", "VV", "HV"):
-            if case == "HH" and dtp.n1 < 2:
-                continue
-            if case == "VV" and dtp.n2 < 2:
-                continue
-            plane = _sample_plane(dtp, rng, x, case)
-            if plane is None:
-                continue
-            u, v = plane
-            kc = pg.sectional_curvature_closed_form(dtp, (u, v))
-            kn = ck.sectional_curvature_numeric(dtp.assembled, x, u, v)
-            worst_k[case] = max(worst_k.get(case, 0.0), abs(kc - kn))
-    for case, val in sorted(worst_k.items()):
+    worst_k, _ = _sectional_residuals(dtp, rng, 6)
+    for case, val in worst_k.items():
         checks.append(Check(f"sectional-closed-form-{case}", val, 1e-5))
 
     # O'Neill T: closed form vs connection-based definition
@@ -413,18 +409,14 @@ def cmd_verify_all(ctx, args, rng):
 
     # adapted translation: component constancy + norm law
     curve = _horizontal_curve(ctx)
-    vb = np.ones(dtp.n2)
-    v0 = TangentVector(CoordPoint(curve.point(0.0)), dtp.embed(2, vb))
-    res = tp.adapted_translation(dtp, curve, v0, tol=1e-6)
-    const_resid = max(float(np.max(np.abs(vec.components[dtp.slot2] - vb)))
-                      for _, vec in res.samples)
+    res, const_resid = _adapted_constancy(dtp, curve, 1e-6)
     checks.append(Check("adapted-translation-norm-law", res.tol_achieved, 1e-6))
     checks.append(Check("adapted-translation-constancy", const_resid, 1e-6))
 
     # parallel transport conserves the metric square
     pres = tp.parallel_transport(dtp.assembled, curve,
                                  TangentVector(CoordPoint(curve.point(0.0)),
-                                               rng.normal(size=dtp.n)), tol=1e-7)
+                                               rng.normal(size=dtp.n)), tol=1e-6)
     checks.append(Check("parallel-transport-conservation", pres.tol_achieved, 1e-6))
 
     # expected constant mixed curvature
@@ -466,10 +458,8 @@ def cmd_verify_all(ctx, args, rng):
         if "verdict" in ctx.expect:
             verdict = qt.decomposition_check(ctx.model, ctx.base(), ctx.holonomy_loops,
                                              word_bound=min(ctx.model.word_bound, 4))
-            ok = verdict.tag == ctx.expect["verdict"]
-            if ok and "verdict_reason" in ctx.expect:
-                ok = verdict.reason.kind == ctx.expect["verdict_reason"]
-            checks.append(Check("decomposition-verdict", 0.0, 1.0, ok=ok))
+            checks.append(Check("decomposition-verdict", 0.0, 1.0,
+                                ok=_verdict_expected(ctx.expect, verdict)))
             details["verdict"] = verdict.tag
         if "seam_residual_max" in ctx.expect:
             resid = qt.example1_seam_residual(ctx.model)

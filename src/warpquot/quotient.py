@@ -671,13 +671,6 @@ class VerdictReason:
     word: Optional[Word] = None
     count: Optional[int] = None
 
-    def describe(self) -> str:
-        if self.kind == "nontrivial-holonomy":
-            return f"nontrivial holonomy on foliation {self.foliation} loop {self.word}"
-        if self.kind == "multiple-intersections":
-            return f"leaves intersect {self.count} times"
-        return "none"
-
 
 @dataclass
 class DecompositionVerdict:
@@ -705,6 +698,15 @@ def leaf_loop_curve(model: QuotientModel, rep0, foliation: int, word: Word) -> t
     return tp.PiecewiseCurve.line(rep0, end)
 
 
+def loop_holonomy(model: QuotientModel, rep0, foliation: int, word: Word) -> tp.HolonomyMap:
+    """Holonomy of the F_foliation leaf loop at rep0 that ``word`` closes
+    (``leaf_loop_curve``), in the g-orthonormal normal frame at rep0."""
+    curve = leaf_loop_curve(model, rep0, foliation, word)
+    frame = tp.normal_frame(model.dtp, rep0, foliation=foliation)
+    return tp.holonomy_map(model, curve, frame, foliation=foliation,
+                           closing_word=word_inverse(word))
+
+
 def decomposition_check(model: QuotientModel, x0, loops: dict,
                         hol_tol: float = 1e-6,
                         word_bound: Optional[int] = None) -> DecompositionVerdict:
@@ -718,10 +720,7 @@ def decomposition_check(model: QuotientModel, x0, loops: dict,
     hol_maps = []
     for i in (1, 2):
         for word in loops.get(i, []):
-            curve = leaf_loop_curve(model, rep0, i, tuple(word))
-            frame = tp.normal_frame(model.dtp, rep0, foliation=i)
-            hol = tp.holonomy_map(model, curve, frame, foliation=i,
-                                  closing_word=word_inverse(tuple(word)))
+            hol = loop_holonomy(model, rep0, i, tuple(word))
             hol_maps.append((i, tuple(word), hol))
             if not hol.is_identity(hol_tol):
                 return DecompositionVerdict(

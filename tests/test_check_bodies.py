@@ -1,0 +1,109 @@
+"""The check bodies shared by the commands and verify-all.
+
+Each command and verify-all run the same helper for a check, so a broken
+closed form or a wrong expectation must fail both; verify-all's transport
+step must report its residual against the check's own budget.
+"""
+
+import json
+
+import pytest
+
+from warpquot import cli
+from warpquot import productgeo as pg
+from warpquot.chartkit import TangentVector
+
+
+def run(tmp_path, *argv):
+    out = tmp_path / "report.json"
+    code = cli.main(["run", *argv, "--out", str(out)])
+    report = json.loads(out.read_text()) if out.exists() else None
+    return code, report
+
+
+def checks_of(report):
+    return {c["check"]: c for c in report["results"]["checks"]}
+
+
+# residuals of verify-all's parallel-transport step that lie between the
+# old raise threshold (1e-7) and the check's budget (1e-6)
+@pytest.mark.parametrize("scenario, seed, residual", [
+    ("sphere-polar", 6, 1.62e-7),
+    ("sphere-polar", 10, 7.37e-7),
+    ("polar-plane", 10, 4.22e-7),
+    ("random-dtp", 6, 3.83e-7),
+    ("example1-twisted", 10, 1.16e-7),
+])
+def test_verify_all_transport_reports_against_its_budget(tmp_path, scenario, seed, residual):
+    code, report = run(tmp_path, scenario, "verify-all", "--seed", str(seed), "--samples", "8")
+    assert code == 0
+    check = checks_of(report)["parallel-transport-conservation"]
+    assert check["value"] == pytest.approx(residual, rel=5e-3)
+    assert check["budget"] == 1e-6
+    assert check["pass"] is True
+
+
+def test_sectional_closed_form_error_fails_curvature_and_verify_all(tmp_path, monkeypatch):
+    exact = pg.sectional_curvature_closed_form
+    monkeypatch.setattr(pg, "sectional_curvature_closed_form",
+                        lambda *a, **kw: exact(*a, **kw) + 1e-3)
+    code, report = run(tmp_path, "sphere-polar", "curvature", "--samples", "8")
+    assert code == 1
+    assert checks_of(report)["closed-vs-oracle-HV"]["pass"] is False
+    code, report = run(tmp_path, "sphere-polar", "verify-all", "--samples", "8")
+    assert code == 1
+    assert checks_of(report)["sectional-closed-form-HV"]["pass"] is False
+
+
+def test_sign_flipped_connection_fails_verify_all(tmp_path, monkeypatch):
+    exact = pg.connection_closed_form
+
+    def flipped(*a, **kw):
+        v = exact(*a, **kw)
+        return TangentVector(v.base, -v.components)
+
+    monkeypatch.setattr(pg, "connection_closed_form", flipped)
+    code, report = run(tmp_path, "sphere-polar", "verify-all", "--samples", "8")
+    assert code == 1
+    checks = checks_of(report)
+    assert checks["connection-closed-form"]["pass"] is False
+    assert checks["christoffel-symmetry"]["pass"] is True
+
+
+def flat_torus_file(tmp_path, reason):
+    data = {
+        "name": "file-flat-torus",
+        "factors": [
+            {"name": "x-line", "dim": 1, "coords": ["x"], "metric": "euclidean",
+             "box": [[0.0, 1.0]]},
+            {"name": "y-line", "dim": 1, "coords": ["y"], "metric": "euclidean",
+             "box": [[0.0, 1.0]]},
+        ],
+        "warps": {"lam1": "1", "lam2": "1"},
+        "generators": [
+            {"name": "a", "phi": ["x + 1"], "phi_inv": ["x - 1"], "psi": ["y"], "psi_inv": ["y"]},
+            {"name": "b", "phi": ["x"], "phi_inv": ["x"], "psi": ["y + 1"], "psi_inv": ["y - 1"]},
+        ],
+        "fundamental_box": [[0.0, 1.0], [0.0, 1.0]],
+        "holonomy_loops": {"1": [[["a", 1]]], "2": [[["b", 1]]]},
+        "basepoint": [0.0, 0.0],
+        "expect": {"verdict": "global-doubly-warped-product", "verdict_reason": reason},
+    }
+    path = tmp_path / f"torus-{reason}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("reason, passed", [
+    ("none", True),
+    ("multiple-intersections", False),
+])
+def test_verdict_reason_expectation_decides_decompose_and_verify_all(tmp_path, reason, passed):
+    path = flat_torus_file(tmp_path, reason)
+    code, report = run(tmp_path, path, "decompose", "--samples", "8")
+    assert report["results"]["tag"] == "global-doubly-warped-product"
+    assert report["results"]["reason"]["kind"] == "none"
+    assert (code, report["pass"]) == ((0, True) if passed else (1, False))
+    code, report = run(tmp_path, path, "verify-all", "--samples", "8")
+    assert code == (0 if passed else 1)
+    assert checks_of(report)["decomposition-verdict"]["pass"] is passed

@@ -175,6 +175,21 @@ def test_mobius_central_leaf_holonomy_is_minus_one():
     assert np.allclose(hol.matrix, [[-1.0]], atol=1e-9)
 
 
+def test_loop_holonomy_matches_the_explicit_loop():
+    model = fx.mobius_model()
+    rep0 = np.array([0.0, 0.0])
+    word = (("a", 1),)
+    hol = qt.loop_holonomy(model, rep0, 1, word)
+    curve = qt.leaf_loop_curve(model, rep0, 1, word)
+    frame = tp.normal_frame(model.dtp, rep0, foliation=1)
+    ref = tp.holonomy_map(model, curve, frame, foliation=1,
+                          closing_word=qt.word_inverse(word))
+    assert np.array_equal(hol.matrix, ref.matrix)
+    assert np.allclose(hol.matrix, [[-1.0]], atol=1e-9)
+    with pytest.raises(NotALoop):
+        qt.loop_holonomy(model, np.array([0.0, 0.3]), 1, word)
+
+
 def test_torus_loops_have_identity_holonomy():
     model = fx.skewed_torus_model()
     rep0 = np.array([0.0, 0.0])

@@ -162,6 +162,17 @@ def test_adapted_translation_direct_product_constant():
     assert res.integral_omega == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("make, start, end, off", [
+    (fx.flat_direct_product, [0.0, 0.3], [1.0, 0.3], [0.6, 0.3]),
+    (fx.polar_plane, [1.0, 0.5], [2.0, 0.5], [1.6, 0.5]),
+])
+def test_adapted_translation_base_mismatch(make, start, end, off):
+    # a vector based off curve(0) is an input error, whatever the geometry
+    curve = tp.PiecewiseCurve.line(start, end)
+    with pytest.raises(BaseMismatch):
+        tp.adapted_translation(make(), curve, tv(off, [0.0, 0.8]))
+
+
 def test_adapted_translation_polar_lemma_values():
     # components constant, integral of omega_2 = -ln 2, norm law |A| = 2
     dtp = fx.polar_plane()
