@@ -24,13 +24,11 @@ from .chartkit import (  # noqa: F401
     TangentVector,
 )
 from .productgeo import (  # noqa: F401
-    Dependency,
     DoublyTwistedProduct,
     FactorManifold,
     MixedPlane,
     StructureClass,
     StructureTag,
-    WarpFn,
     assemble,
     classify,
 )

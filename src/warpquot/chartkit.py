@@ -440,21 +440,16 @@ def causal_sign(g: MetricField, v: TangentVector, tol: float = 1e-9) -> int:
     return 1 if q > 0 else -1
 
 
-def christoffel_numeric(g: MetricField, x, step: Optional[float] = None) -> np.ndarray:
+def christoffel_numeric(g: MetricField, x) -> np.ndarray:
     """Gamma[k, i, j] = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij).
 
-    Uses analytic first derivatives when the field carries them; otherwise
-    central differences (uniform ``step`` if given, the per-coordinate
-    default rule if not).  A batch ``(P, n)`` gives ``(P, n, n, n)``.
+    Uses analytic first derivatives when the field carries them, else
+    central differences (``MetricField.d1``).  A batch ``(P, n)`` gives
+    ``(P, n, n, n)``.
     """
-    if step is not None and step <= 0:
-        raise ValueError("step must be positive")
     pts = _points(x, g.dim)
     ginv = g.inv(pts)
-    if step is None or g.analytic_d1 is not None:
-        dg = g.d1(pts)
-    else:
-        dg = central_diff(g.mat, pts, np.full(pts.shape, step))
+    dg = g.d1(pts)
     # bracket[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
     bracket = np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
     return 0.5 * np.einsum("...kl,...lij->...kij", ginv, bracket)

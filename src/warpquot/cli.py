@@ -99,15 +99,17 @@ def dumps_csv(report: dict) -> str:
 # ---------------------------------------------------------------------------
 # sampling helpers
 
-def _rand_point(rng, box, shrink=0.95):
+def _rand_point(rng, box):
+    """Uniform point in the middle 95% of the box along each axis."""
     box = np.asarray(box, dtype=float)
     mid = 0.5 * (box[:, 0] + box[:, 1])
-    half = 0.5 * (box[:, 1] - box[:, 0]) * shrink
+    half = 0.5 * (box[:, 1] - box[:, 0]) * 0.95
     return mid + (2.0 * rng.random(box.shape[0]) - 1.0) * half
 
 
-def _sample_plane(dtp, rng, x, case, tries=60):
-    for _ in range(tries):
+def _sample_plane(dtp, rng, x, case):
+    """A random orthonormal plane of the slot case at x, or None after 60 tries."""
+    for _ in range(60):
         pt = CoordPoint(x)
         if case == "HH":
             raw = [TangentVector(pt, dtp.embed(1, rng.normal(size=dtp.n1))) for _ in range(2)]
@@ -188,6 +190,16 @@ def _adapted_constancy(dtp, curve, tol):
     return res, const_resid
 
 
+def _mixed_k_check(expect, k_values):
+    """Worst |K - expected| over the mixed-plane values, when the scenario
+    expects a constant mixed curvature and there are values; else None."""
+    if "mixed_K" not in expect or not k_values:
+        return None
+    want = float(expect["mixed_K"])
+    return Check("mixed-K-expected", max(abs(k - want) for k in k_values),
+                 float(expect.get("K_tol", 1e-6)))
+
+
 def _verdict_expected(expect, verdict) -> bool:
     """The verdict tag, and its reason when one is declared, are the expected ones."""
     if verdict.tag != expect["verdict"]:
@@ -241,12 +253,9 @@ def cmd_curvature(ctx, args, rng):
                "mixed_K_samples": k_values[:10],
                "checks": [c.row() for c in checks]}
     ok = all(c.ok for c in checks) and bool(worst)
-    if "mixed_K" in ctx.expect and k_values:
-        want = float(ctx.expect["mixed_K"])
-        k_tol = float(ctx.expect.get("K_tol", 1e-6))
-        kerr = max(abs(k - want) for k in k_values)
-        results["mixed_K_error"] = kerr
-        c = Check("mixed-K-expected", kerr, k_tol)
+    c = _mixed_k_check(ctx.expect, k_values)
+    if c is not None:
+        results["mixed_K_error"] = c.value
         results["checks"].append(c.row())
         ok = ok and c.ok
     return results, ok
@@ -385,7 +394,7 @@ def cmd_verify_all(ctx, args, rng):
     checks.append(Check("mixed-connection-identity", worst, 1e-5))
 
     # closed-form sectional curvature vs oracle on available plane types
-    worst_k, _ = _sectional_residuals(dtp, rng, 6)
+    worst_k, k_values = _sectional_residuals(dtp, rng, 6)
     for case, val in worst_k.items():
         checks.append(Check(f"sectional-closed-form-{case}", val, 1e-5))
 
@@ -419,18 +428,10 @@ def cmd_verify_all(ctx, args, rng):
                                                rng.normal(size=dtp.n)), tol=1e-6)
     checks.append(Check("parallel-transport-conservation", pres.tol_achieved, 1e-6))
 
-    # expected constant mixed curvature
-    if "mixed_K" in ctx.expect:
-        want = float(ctx.expect["mixed_K"])
-        k_tol = float(ctx.expect.get("K_tol", 1e-6))
-        worst = 0.0
-        for _ in range(6):
-            x = _rand_point(rng, dtp.domain_box)
-            plane = _sample_plane(dtp, rng, x, "HV")
-            if plane is None:
-                continue
-            worst = max(worst, abs(pg.sectional_curvature_closed_form(dtp, plane) - want))
-        checks.append(Check("mixed-K-expected", worst, k_tol))
+    # expected constant mixed curvature, on the sectional sweep's mixed planes
+    c = _mixed_k_check(ctx.expect, k_values)
+    if c is not None:
+        checks.append(c)
 
     # flat Lorentzian: lightlike curvature vanishes
     if ctx.expect.get("lightlike_zero"):

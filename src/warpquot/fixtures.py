@@ -79,14 +79,14 @@ def trig_warp(n: int, amps, freqs, phases, name: str = "trig-warp") -> ScalarFie
 
 
 def conformal_flat_metric(dim: int, amp: float, freq, phase: float, box,
-                          signs=None, name: str = "conformal") -> MetricField:
-    """g = exp(2 phi) * diag(signs), phi = amp sin(freq . x + phase).
+                          name: str = "conformal") -> MetricField:
+    """g = exp(2 phi) * I, phi = amp sin(freq . x + phase).
 
     ``eval`` is batch-capable; ``d1``/``d2`` are single-point, as
     ``MetricField`` calls them.
     """
     freq = np.asarray(freq, dtype=float)
-    diag = np.diag(np.ones(dim) if signs is None else np.asarray(signs, dtype=float))
+    eye = np.eye(dim)
 
     def phi(x):
         return amp * np.sin(freq @ x + phase)
@@ -98,12 +98,12 @@ def conformal_flat_metric(dim: int, amp: float, freq, phase: float, box,
         return -amp * np.sin(freq @ x + phase) * np.outer(freq, freq)
 
     def ev(x):
-        return np.multiply.outer(diag, np.exp(2 * phi(x)))
+        return np.multiply.outer(eye, np.exp(2 * phi(x)))
 
     def d1(x):
         e = np.exp(2 * phi(x))
         dp = dphi(x)
-        return np.array([2 * dp[k] * e * diag for k in range(dim)])
+        return np.array([2 * dp[k] * e * eye for k in range(dim)])
 
     def d2(x):
         e = np.exp(2 * phi(x))
@@ -112,11 +112,11 @@ def conformal_flat_metric(dim: int, amp: float, freq, phase: float, box,
         out = np.zeros((dim, dim, dim, dim))
         for k in range(dim):
             for l in range(dim):
-                out[k, l] = (4 * dp[k] * dp[l] + 2 * ddp[k, l]) * e * diag
+                out[k, l] = (4 * dp[k] * dp[l] + 2 * ddp[k, l]) * e * eye
         return out
 
-    sig = Signature(np.sort(np.sign(np.diag(diag)).astype(int)))
-    return MetricField(dim, ev, sig, d1, d2, domain_box=np.asarray(box, dtype=float), name=name)
+    return MetricField(dim, ev, Signature.riemannian(dim), d1, d2,
+                       domain_box=np.asarray(box, dtype=float), name=name)
 
 
 def strip_analytic(dtp: pg.DoublyTwistedProduct) -> pg.DoublyTwistedProduct:
@@ -131,9 +131,7 @@ def strip_analytic(dtp: pg.DoublyTwistedProduct) -> pg.DoublyTwistedProduct:
 
     f1 = pg.FactorManifold(dtp.f1.name, dtp.f1.dim, bare_metric(dtp.f1.metric), dtp.f1.domain_box)
     f2 = pg.FactorManifold(dtp.f2.name, dtp.f2.dim, bare_metric(dtp.f2.metric), dtp.f2.domain_box)
-    return pg.assemble(f1, f2,
-                       pg.WarpFn(bare_scalar(dtp.lam1.field), dtp.lam1.dependency),
-                       pg.WarpFn(bare_scalar(dtp.lam2.field), dtp.lam2.dependency))
+    return pg.assemble(f1, f2, bare_scalar(dtp.lam1), bare_scalar(dtp.lam2))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +141,7 @@ def flat_direct_product() -> pg.DoublyTwistedProduct:
     """Euclidean R x R as a direct product."""
     f1 = pg.FactorManifold("line-x", 1, MetricField.euclidean(1), [[-2.0, 2.0]])
     f2 = pg.FactorManifold("line-y", 1, MetricField.euclidean(1), [[-2.0, 2.0]])
-    one = pg.WarpFn(ScalarField.constant(1.0), pg.Dependency.CONSTANT)
+    one = ScalarField.constant(1.0)
     return pg.assemble(f1, f2, one, one)
 
 
@@ -152,9 +150,7 @@ def polar_plane() -> pg.DoublyTwistedProduct:
     f1 = pg.FactorManifold("halfline-r", 1, MetricField.euclidean(1), [[0.5, 3.0]])
     f2 = pg.FactorManifold("circle", 1, MetricField.euclidean(1), [[0.0, 6.2]])
     lam2 = coordinate_warp(0, 2, name="r")
-    return pg.assemble(f1, f2,
-                       pg.WarpFn(ScalarField.constant(1.0), pg.Dependency.CONSTANT),
-                       pg.WarpFn(lam2, pg.Dependency.ON_FACTOR1_ONLY))
+    return pg.assemble(f1, f2, ScalarField.constant(1.0), lam2)
 
 
 def sphere_polar() -> pg.DoublyTwistedProduct:
@@ -162,9 +158,7 @@ def sphere_polar() -> pg.DoublyTwistedProduct:
     f1 = pg.FactorManifold("arc-r", 1, MetricField.euclidean(1), [[0.3, 2.8]])
     f2 = pg.FactorManifold("circle", 1, MetricField.euclidean(1), [[0.0, 6.2]])
     lam2 = function_of_coordinate_warp(0, 2, np.sin, np.cos, lambda r: -np.sin(r), name="sin r")
-    return pg.assemble(f1, f2,
-                       pg.WarpFn(ScalarField.constant(1.0), pg.Dependency.CONSTANT),
-                       pg.WarpFn(lam2, pg.Dependency.ON_FACTOR1_ONLY))
+    return pg.assemble(f1, f2, ScalarField.constant(1.0), lam2)
 
 
 def hyperbolic_polar() -> pg.DoublyTwistedProduct:
@@ -172,9 +166,7 @@ def hyperbolic_polar() -> pg.DoublyTwistedProduct:
     f1 = pg.FactorManifold("ray-r", 1, MetricField.euclidean(1), [[0.3, 2.5]])
     f2 = pg.FactorManifold("circle", 1, MetricField.euclidean(1), [[0.0, 6.2]])
     lam2 = function_of_coordinate_warp(0, 2, np.sinh, np.cosh, np.sinh, name="sinh r")
-    return pg.assemble(f1, f2,
-                       pg.WarpFn(ScalarField.constant(1.0), pg.Dependency.CONSTANT),
-                       pg.WarpFn(lam2, pg.Dependency.ON_FACTOR1_ONLY))
+    return pg.assemble(f1, f2, ScalarField.constant(1.0), lam2)
 
 
 def lorentz_direct() -> pg.DoublyTwistedProduct:
@@ -182,7 +174,7 @@ def lorentz_direct() -> pg.DoublyTwistedProduct:
     mink = MetricField.constant(np.diag([-1.0, 1.0]), name="minkowski2")
     f1 = pg.FactorManifold("minkowski", 2, mink, [[-2.0, 2.0], [-2.0, 2.0]])
     f2 = pg.FactorManifold("line", 1, MetricField.euclidean(1), [[-2.0, 2.0]])
-    one = pg.WarpFn(ScalarField.constant(1.0), pg.Dependency.CONSTANT)
+    one = ScalarField.constant(1.0)
     return pg.assemble(f1, f2, one, one)
 
 
@@ -197,9 +189,7 @@ def lorentz_warped_fiber() -> pg.DoublyTwistedProduct:
     mink = MetricField.constant(np.diag([-1.0, 1.0]), name="minkowski2")
     f2 = pg.FactorManifold("fiber", 2, mink, [[-1.0, 1.0], [-1.0, 1.0]])
     lam2 = function_of_coordinate_warp(0, 3, np.cosh, np.sinh, np.cosh, name="cosh x")
-    return pg.assemble(f1, f2,
-                       pg.WarpFn(ScalarField.constant(1.0), pg.Dependency.CONSTANT),
-                       pg.WarpFn(lam2, pg.Dependency.ON_FACTOR1_ONLY))
+    return pg.assemble(f1, f2, ScalarField.constant(1.0), lam2)
 
 
 def expanding_spacetime() -> pg.DoublyTwistedProduct:
@@ -212,9 +202,7 @@ def expanding_spacetime() -> pg.DoublyTwistedProduct:
     f1 = pg.FactorManifold("time", 1, time, [[-1.0, 1.0]])
     f2 = pg.FactorManifold("plane", 2, MetricField.euclidean(2), [[-1.0, 1.0], [-1.0, 1.0]])
     lam2 = function_of_coordinate_warp(0, 3, np.cosh, np.sinh, np.cosh, name="cosh t")
-    return pg.assemble(f1, f2,
-                       pg.WarpFn(ScalarField.constant(1.0), pg.Dependency.CONSTANT),
-                       pg.WarpFn(lam2, pg.Dependency.ON_FACTOR1_ONLY))
+    return pg.assemble(f1, f2, ScalarField.constant(1.0), lam2)
 
 
 def bowl_warped() -> pg.DoublyTwistedProduct:
@@ -223,24 +211,22 @@ def bowl_warped() -> pg.DoublyTwistedProduct:
     f2 = pg.FactorManifold("line-y", 1, MetricField.euclidean(1), [[-1.0, 1.0]])
     lam2 = function_of_coordinate_warp(0, 2, lambda x: 1 + x * x, lambda x: 2 * x,
                                        lambda x: 2.0, name="1+x^2")
-    return pg.assemble(f1, f2,
-                       pg.WarpFn(ScalarField.constant(1.0), pg.Dependency.CONSTANT),
-                       pg.WarpFn(lam2, pg.Dependency.ON_FACTOR1_ONLY))
+    return pg.assemble(f1, f2, ScalarField.constant(1.0), lam2)
 
 
-def random_doubly_twisted(seed: int, n1: int = 2, n2: int = 2,
-                          curved_factors: bool = True) -> pg.DoublyTwistedProduct:
-    """Randomized doubly twisted product (both warps depend on both slots)."""
+def random_doubly_twisted(seed: int, n1: int = 2, n2: int = 2) -> pg.DoublyTwistedProduct:
+    """Randomized doubly twisted product (both warps depend on both slots);
+    factors of dimension 2 or more are conformally flat and curved."""
     rng = np.random.default_rng(seed)
     n = n1 + n2
     box1 = [[-1.0, 1.0]] * n1
     box2 = [[-1.0, 1.0]] * n2
-    if curved_factors and n1 > 1:
+    if n1 > 1:
         g1 = conformal_flat_metric(n1, 0.2 + 0.1 * rng.random(), rng.uniform(0.3, 1.2, n1),
                                    rng.uniform(0, 2), box1, name="f1")
     else:
         g1 = MetricField.euclidean(n1, domain_box=np.asarray(box1, dtype=float))
-    if curved_factors and n2 > 1:
+    if n2 > 1:
         g2 = conformal_flat_metric(n2, 0.2 + 0.1 * rng.random(), rng.uniform(0.3, 1.2, n2),
                                    rng.uniform(0, 2), box2, name="f2")
     else:
@@ -253,9 +239,7 @@ def random_doubly_twisted(seed: int, n1: int = 2, n2: int = 2,
         return trig_warp(n, rng.uniform(0.1, 0.3, m), rng.uniform(0.2, 1.2, (m, n)),
                          rng.uniform(0, 2, m), name=f"warp-{tag}")
 
-    return pg.assemble(f1, f2,
-                       pg.WarpFn(rand_warp("1"), pg.Dependency.ON_PRODUCT),
-                       pg.WarpFn(rand_warp("2"), pg.Dependency.ON_PRODUCT))
+    return pg.assemble(f1, f2, rand_warp("1"), rand_warp("2"))
 
 
 def random_doubly_warped(seed: int) -> pg.DoublyTwistedProduct:
@@ -267,9 +251,7 @@ def random_doubly_warped(seed: int) -> pg.DoublyTwistedProduct:
     a2, b2, c2 = rng.uniform(0.1, 0.3), rng.uniform(0.3, 1.2), rng.uniform(0, 2)
     lam1 = trig_warp(2, [a1], [[0.0, b1]], [c1], name="lam1(y)")
     lam2 = trig_warp(2, [a2], [[b2, 0.0]], [c2], name="lam2(x)")
-    return pg.assemble(f1, f2,
-                       pg.WarpFn(lam1, pg.Dependency.ON_FACTOR2_ONLY),
-                       pg.WarpFn(lam2, pg.Dependency.ON_FACTOR1_ONLY))
+    return pg.assemble(f1, f2, lam1, lam2)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +265,7 @@ def mobius_model(word_bound: int = 8) -> qt.QuotientModel:
     """
     f1 = pg.FactorManifold("line-x", 1, MetricField.euclidean(1), [[0.0, 1.0]])
     f2 = pg.FactorManifold("line-y", 1, MetricField.euclidean(1), [[-1.0, 1.0]])
-    one = pg.WarpFn(ScalarField.constant(1.0), pg.Dependency.CONSTANT)
+    one = ScalarField.constant(1.0)
     dtp = pg.assemble(f1, f2, one, one)
     gen = qt.DeckGenerator("a", qt.FactorMap.translation([1.0]),
                            qt.FactorMap.affine([[-1.0]], [0.0]))
@@ -297,7 +279,7 @@ def flat_torus_model(word_bound: int = 8) -> qt.QuotientModel:
     """Axis-aligned flat torus: R^2 / <(x+1, y), (x, y+1)>; splits globally."""
     f1 = pg.FactorManifold("line-x", 1, MetricField.euclidean(1), [[0.0, 1.0]])
     f2 = pg.FactorManifold("line-y", 1, MetricField.euclidean(1), [[0.0, 1.0]])
-    one = pg.WarpFn(ScalarField.constant(1.0), pg.Dependency.CONSTANT)
+    one = ScalarField.constant(1.0)
     dtp = pg.assemble(f1, f2, one, one)
     gens = [
         qt.DeckGenerator("a", qt.FactorMap.translation([1.0]), qt.FactorMap.translation([0.0])),
@@ -316,7 +298,7 @@ def skewed_torus_model(word_bound: int = 8) -> qt.QuotientModel:
     """
     f1 = pg.FactorManifold("line-x", 1, MetricField.euclidean(1), [[0.0, 1.0]])
     f2 = pg.FactorManifold("line-y", 1, MetricField.euclidean(1), [[0.0, 1.0]])
-    one = pg.WarpFn(ScalarField.constant(1.0), pg.Dependency.CONSTANT)
+    one = ScalarField.constant(1.0)
     dtp = pg.assemble(f1, f2, one, one)
     gens = [
         qt.DeckGenerator("a", qt.FactorMap.translation([1.0]), qt.FactorMap.translation([0.0])),

@@ -39,13 +39,6 @@ VANISH_TOL = 1e-7     # classification: "N_i vanishes"
 CLOSED_TOL = 1e-6     # classification: "d omega vanishes"
 
 
-class Dependency(Enum):
-    ON_PRODUCT = "on-product"
-    ON_FACTOR1_ONLY = "on-factor1-only"
-    ON_FACTOR2_ONLY = "on-factor2-only"
-    CONSTANT = "constant"
-
-
 class StructureTag(Enum):
     DOUBLY_TWISTED = "doubly-twisted"
     TWISTED = "twisted"
@@ -67,14 +60,6 @@ class FactorManifold:
         self.domain_box = np.asarray(self.domain_box, dtype=float)
         if self.domain_box.shape != (self.dim, 2):
             raise ValueError(f"factor {self.name!r}: bad domain box shape {self.domain_box.shape}")
-
-
-@dataclass
-class WarpFn:
-    """Positive scalar on product coordinates; dependency records which slots matter."""
-
-    field: ScalarField
-    dependency: Dependency = Dependency.ON_PRODUCT
 
 
 @dataclass
@@ -108,7 +93,7 @@ class DoublyTwistedProduct:
     """Two factor manifolds plus two positive warps; owns the assembled metric."""
 
     def __init__(self, f1: FactorManifold, f2: FactorManifold,
-                 lam1: WarpFn, lam2: WarpFn, assembled: MetricField):
+                 lam1: ScalarField, lam2: ScalarField, assembled: MetricField):
         self.f1 = f1
         self.f2 = f2
         self.lam1 = lam1
@@ -125,7 +110,7 @@ class DoublyTwistedProduct:
     def factor(self, i: int) -> FactorManifold:
         return self.f1 if i == 1 else self.f2
 
-    def warp(self, i: int) -> WarpFn:
+    def warp(self, i: int) -> ScalarField:
         return self.lam1 if i == 1 else self.lam2
 
     def slot(self, i: int) -> slice:
@@ -162,10 +147,10 @@ class DoublyTwistedProduct:
 
     # -- warp fields -------------------------------------------------------
     def warp_value(self, i: int, x) -> float:
-        return self.warp(i).field.value(x)
+        return self.warp(i).value(x)
 
     def log_warp(self, i: int) -> ScalarField:
-        w = self.warp(i).field
+        w = self.warp(i)
 
         def ev(c, _w=w):
             return float(np.log(_w.value(c)))
@@ -183,7 +168,7 @@ class DoublyTwistedProduct:
 
     def grad_warp(self, i: int, x) -> TangentVector:
         """Product-metric gradient of lam_i."""
-        return ck.gradient(self.warp(i).field, self.assembled, x)
+        return ck.gradient(self.warp(i), self.assembled, x)
 
     def grad_log_warp(self, i: int, x) -> TangentVector:
         return ck.gradient(self.log_warp(i), self.assembled, x)
@@ -214,21 +199,22 @@ def offset_grid_points(box: np.ndarray, per_axis: int, inset: float = 0.05) -> n
     return np.array(list(itertools.product(*axes)))
 
 
-def assemble(f1: FactorManifold, f2: FactorManifold, lam1: WarpFn, lam2: WarpFn,
-             positivity_samples: int = 4) -> DoublyTwistedProduct:
+def assemble(f1: FactorManifold, f2: FactorManifold, lam1: ScalarField,
+             lam2: ScalarField) -> DoublyTwistedProduct:
     """Build the block product metric lam1^2 g1 (+) lam2^2 g2.
 
-    Warp positivity is sampled on a grid over the joint domain box, one batch
-    per warp; analytic metric derivatives are assembled whenever both the
-    factor metrics and the warps carry exact derivative callbacks.  The
-    assembled ``eval`` follows the coordinate-major batch contract of
-    ``chartkit`` and evaluates the factor metrics and warps in batches.
+    Warp positivity is sampled on a grid of 4 points per axis over the joint
+    domain box, one batch per warp; analytic metric derivatives are
+    assembled whenever both the factor metrics and the warps carry exact
+    derivative callbacks.  The assembled ``eval`` follows the
+    coordinate-major batch contract of ``chartkit`` and evaluates the factor
+    metrics and warps in batches.
     """
     n1, n2 = f1.dim, f2.dim
     n = n1 + n2
     box = np.vstack([f1.domain_box, f2.domain_box])
-    pts = grid_points(box, positivity_samples, inset=0.0)
-    vals = np.stack([lam1.field.value(pts), lam2.field.value(pts)], axis=1)
+    pts = grid_points(box, 4, inset=0.0)
+    vals = np.stack([lam1.value(pts), lam2.value(pts)], axis=1)
     bad = ~(vals > 0.0)
     if bad.any():
         p, i = divmod(int(np.argmax(bad)), 2)  # first failure, point by point
@@ -243,22 +229,22 @@ def assemble(f1: FactorManifold, f2: FactorManifold, lam1: WarpFn, lam2: WarpFn,
             gf = fac.metric.mat(pts[..., sl])
             if x.ndim == 2:
                 gf = gf.transpose(1, 2, 0)  # point axis last
-            out[sl, sl] = np.square(lam.field.value(pts)) * gf
+            out[sl, sl] = np.square(lam.value(pts)) * gf
         return out
 
     have_d1 = (f1.metric.analytic_d1 is not None and f2.metric.analytic_d1 is not None
-               and lam1.field.analytic_grad is not None and lam2.field.analytic_grad is not None)
+               and lam1.analytic_grad is not None and lam2.analytic_grad is not None)
     have_d2 = have_d1 and (f1.metric.analytic_d2 is not None and f2.metric.analytic_d2 is not None
-                           and lam1.field.analytic_hess is not None
-                           and lam2.field.analytic_hess is not None)
+                           and lam1.analytic_hess is not None
+                           and lam2.analytic_hess is not None)
 
     def block_d1(x):
         out = np.zeros((n, n, n))
         for lam, fac, sl in ((lam1, f1, s1), (lam2, f2, s2)):
             xf = x[sl]
             gm = fac.metric.mat(xf)
-            lv = lam.field.value(x)
-            dl = lam.field.grad_coords(x)
+            lv = lam.value(x)
+            dl = lam.grad_coords(x)
             dgf = fac.metric.d1(xf)
             for k in range(n):
                 out[k][sl, sl] += 2.0 * lv * dl[k] * gm
@@ -272,9 +258,9 @@ def assemble(f1: FactorManifold, f2: FactorManifold, lam1: WarpFn, lam2: WarpFn,
         for lam, fac, sl in ((lam1, f1, s1), (lam2, f2, s2)):
             xf = x[sl]
             gm = fac.metric.mat(xf)
-            lv = lam.field.value(x)
-            dl = lam.field.grad_coords(x)
-            hl = lam.field.hess_coords(x)
+            lv = lam.value(x)
+            dl = lam.grad_coords(x)
+            hl = lam.hess_coords(x)
             dgf = fac.metric.d1(xf)
             ddgf = fac.metric.d2(xf)
             off = sl.start
@@ -378,7 +364,7 @@ def _mean_curvature(dtp: DoublyTwistedProduct, x, i: int, ginv: np.ndarray) -> n
     """N_i components at one point (n,) or at each row of a batch (P, n), given g^-1 there."""
     if i not in (1, 2):
         raise ValueError("foliation index must be 1 or 2")
-    w = dtp.warp(i).field
+    w = dtp.warp(i)
     dlog = w.grad_coords(x) / np.asarray(w.value(x))[..., None]
     out = -(ginv @ dlog if dlog.ndim == 1 else (ginv @ dlog[..., None])[..., 0])
     out[..., dtp.slot(i)] = 0.0
@@ -403,44 +389,39 @@ def mean_curvature_form(dtp: DoublyTwistedProduct, x, i: int) -> OneForm:
 
 
 def classify(dtp: DoublyTwistedProduct, grid: Optional[Sequence] = None,
-             per_axis: int = 4, vanish_tol: float = VANISH_TOL,
-             closed_tol: float = CLOSED_TOL) -> StructureClass:
+             per_axis: int = 4) -> StructureClass:
     """Structure tag from sampled mean-curvature evidence.
 
     DirectProduct: both N_i vanish.  Warped: exactly one vanishes and the
     other's dual form is closed; Twisted if it is not closed.  With both
     nonzero: DoublyWarped when both duals are closed, DoublyTwisted else.
 
-    N_1 and N_2 come from one batched evaluation over the grid, and the
-    d(omega_i) from one batched evaluation over every central-difference
-    stencil point of the grid; both foliations share g and g^-1.
+    g is block diagonal, so omega_i = -d ln lam_i on the other factor's
+    slots and 0 on its own, and d(omega_i) is (up to sign) the mixed
+    factor-1 x factor-2 block of the coordinate hessian of ln lam_i.  N_1,
+    N_2 and the warp derivatives come from one batched evaluation each over
+    the grid.
     """
     pts = (offset_grid_points(dtp.domain_box, per_axis) if grid is None
            else np.asarray(list(grid), dtype=float).reshape(-1, dtp.n))
-    g = dtp.assembled
-    ginv = g.inv(pts)
+    ginv = dtp.assembled.inv(pts)
     max_n = [_max_abs(_mean_curvature(dtp, pts, i, ginv)) for i in (1, 2)]
-    # skip the d(omega) sweep when N_i already vanishes identically
-    open_ = [i for i in (1, 2) if max_n[i - 1] >= vanish_tol]
     max_dw = [0.0, 0.0]
-    if open_:
-        def forms(y):
-            gy, gyinv = g.mat_and_inv(y)
-            w = np.stack([np.matmul(gy, _mean_curvature(dtp, y, i, gyinv)[..., None])[..., 0]
-                          for i in open_], axis=1)
-            bad = ~np.isfinite(w).all(axis=(1, 2))
-            if bad.any():
-                raise NumericsError(f"non-finite one-form sample at {y[np.argmax(bad)]}")
-            return w
+    for i in (1, 2):
+        if max_n[i - 1] < VANISH_TOL:
+            continue  # omega_i vanishes with N_i
+        w = dtp.warp(i)
+        val = w.value(pts)[:, None, None]
+        grad = w.grad_coords(pts)
+        hess_log = w.hess_coords(pts) / val - grad[:, :, None] * grad[:, None, :] / val**2
+        mixed = hess_log[:, dtp.slot1, dtp.slot2]
+        bad = ~np.isfinite(mixed).all(axis=(1, 2))
+        if bad.any():
+            raise NumericsError(f"non-finite d(omega_{i}) sample at {pts[np.argmax(bad)]}")
+        max_dw[i - 1] = _max_abs(mixed)
 
-        # dw[p, k, a, j] = d_k omega_(open_[a]) j at grid point p
-        dw = ck.central_diff(forms, pts, ck.fd_step(pts, ck.FD_STEP_2))
-        for a, i in enumerate(open_):
-            d = dw[:, :, a, :]
-            max_dw[i - 1] = _max_abs(d - np.swapaxes(d, 1, 2))
-
-    v1, v2 = max_n[0] < vanish_tol, max_n[1] < vanish_tol
-    c1, c2 = max_dw[0] < closed_tol, max_dw[1] < closed_tol
+    v1, v2 = max_n[0] < VANISH_TOL, max_n[1] < VANISH_TOL
+    c1, c2 = max_dw[0] < CLOSED_TOL, max_dw[1] < CLOSED_TOL
     if v1 and v2:
         tag = StructureTag.DIRECT_PRODUCT
     elif v1 or v2:
@@ -506,7 +487,7 @@ def sectional_curvature_closed_form(dtp: DoublyTwistedProduct, plane: PlaneInput
         vf = TangentVector(CoordPoint(xf), v.components[sl])
         k_factor = ck.sectional_curvature_numeric(fac.metric, xf, uf, vf)
         lam = dtp.warp_value(i, coords)
-        warp = dtp.warp(i).field
+        warp = dtp.warp(i)
         grad = dtp.grad_warp(i, coords)
         gg = ck.inner_product(g, grad, grad)
         hu = ck.hessian_endomorphism(warp, g, coords, u)
@@ -519,8 +500,8 @@ def sectional_curvature_closed_form(dtp: DoublyTwistedProduct, plane: PlaneInput
         u, v, eps_u, eps_v = v, u, eps_v, eps_u
     lam1 = dtp.warp_value(1, coords)
     lam2 = dtp.warp_value(2, coords)
-    h1v = ck.hessian_endomorphism(dtp.lam1.field, g, coords, v)
-    h2u = ck.hessian_endomorphism(dtp.lam2.field, g, coords, u)
+    h1v = ck.hessian_endomorphism(dtp.lam1, g, coords, v)
+    h2u = ck.hessian_endomorphism(dtp.lam2, g, coords, u)
     grad1 = dtp.grad_warp(1, coords)
     grad2 = dtp.grad_warp(2, coords)
     return (-(eps_v / lam1) * ck.inner_product(g, h1v, v)
@@ -627,5 +608,5 @@ def fiber_mean_curvature_derivative(dtp: DoublyTwistedProduct, x, X: TangentVect
 
 def hessian_form_predicate(dtp: DoublyTwistedProduct, i: int, x, v: TangentVector) -> float:
     """g(h_{lam_i}(v), v): samplable hypothesis of the constancy heuristic."""
-    h = ck.hessian_endomorphism(dtp.warp(i).field, dtp.assembled, x, v)
+    h = ck.hessian_endomorphism(dtp.warp(i), dtp.assembled, x, v)
     return ck.inner_product(dtp.assembled, h, v)

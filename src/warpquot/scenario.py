@@ -107,8 +107,24 @@ def _build_factor(spec: dict, path: str) -> tuple[pg.FactorManifold, list]:
     return pg.FactorManifold(name, dim, metric, box), coords
 
 
-def _build_warp(formula: str, coords: list, dependency: pg.Dependency, path: str) -> pg.WarpFn:
-    return pg.WarpFn(ScalarField(compile_expr(formula, coords), name=formula), dependency)
+def _check_dependency(dtp: pg.DoublyTwistedProduct, i: int, dependency: str, coords: list):
+    """The declared dependency of lam_i, checked on a 3-per-axis grid over the
+    domain box: each partial along an excluded factor's slots must stay
+    within VANISH_TOL * max(1, |lam_i|)."""
+    excluded = _DEPENDENCIES[dependency]
+    if not excluded:
+        return
+    pts = pg.grid_points(dtp.domain_box, 3)
+    lam = dtp.warp(i)
+    scale = pg.VANISH_TOL * np.maximum(1.0, np.abs(lam.value(pts)))
+    slots = np.concatenate([np.arange(dtp.n)[dtp.slot(f)] for f in excluded])
+    partials = lam.grad_coords(pts)[:, slots]
+    bad = np.abs(partials) > scale[:, None]
+    if bad.any():
+        p, k = divmod(int(np.argmax(bad)), len(slots))
+        raise ScenarioError(
+            f"warps.lam{i}_dependency: declared {dependency!r}, but d lam{i}/d "
+            f"{coords[slots[k]]} = {partials[p, k]:.3e} at {pts[p]}")
 
 
 def _build_factor_map(fwd: list, inv: list, coords: list, path: str) -> qt.FactorMap:
@@ -139,7 +155,9 @@ def _build_curve(spec: dict, n: int, path: str) -> tp.PiecewiseCurve:
     raise ScenarioError(f"{path}: curve needs 'formula' or 'polyline'")
 
 
-_DEPENDENCIES = {d.value: d for d in pg.Dependency}
+# factors whose slots a warp declared with each dependency must not vary along
+_DEPENDENCIES = {"on-product": (), "on-factor1-only": (2,), "on-factor2-only": (1,),
+                 "constant": (1, 2)}
 
 _TOP_KEYS = {"name", "factors", "warps", "generators", "fundamental_box", "ident_tol",
              "word_bound", "curves", "holonomy_loops", "basepoint", "expect"}
@@ -163,13 +181,13 @@ def parse_scenario(data: dict, name_hint: str = "") -> ScenarioContext:
 
     warps = _require(data, "warps", "scenario")
     _check_keys(warps, _WARP_KEYS, "warps")
-    dep1 = _DEPENDENCIES.get(warps.get("lam1_dependency", "on-product"))
-    dep2 = _DEPENDENCIES.get(warps.get("lam2_dependency", "on-product"))
-    if dep1 is None or dep2 is None:
+    deps = [warps.get(f"lam{i}_dependency", "on-product") for i in (1, 2)]
+    if any(dep not in _DEPENDENCIES for dep in deps):
         raise ScenarioError(f"warps: dependency must be one of {sorted(_DEPENDENCIES)}")
-    lam1 = _build_warp(str(_require(warps, "lam1", "warps")), coords, dep1, "warps.lam1")
-    lam2 = _build_warp(str(_require(warps, "lam2", "warps")), coords, dep2, "warps.lam2")
-    dtp = pg.assemble(f1, f2, lam1, lam2)
+    formulas = [str(_require(warps, f"lam{i}", "warps")) for i in (1, 2)]
+    dtp = pg.assemble(f1, f2, *(ScalarField(compile_expr(f, coords), name=f) for f in formulas))
+    for i, dep in zip((1, 2), deps):
+        _check_dependency(dtp, i, dep, coords)
 
     model = None
     if data.get("generators"):

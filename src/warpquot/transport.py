@@ -385,20 +385,21 @@ def normal_frame(dtp: pg.DoublyTwistedProduct, x, foliation: int = 1) -> list[Ta
 
 
 def holonomy_map(model, loop: PiecewiseCurve, frame: Sequence[TangentVector],
-                 foliation: int = 1, closing_word=None,
-                 tol: float = LOOP_CLOSURE_TOL) -> HolonomyMap:
+                 foliation: int = 1, closing_word=None) -> HolonomyMap:
     """Adapted translation of each frame vector around the loop, in that frame.
 
     ``model`` is a plain product (loop must close in chart coordinates) or a
     quotient model exposing ``dtp``, ``find_closing_word`` and
     ``word_jacobian``: the loop then closes after a deck word, whose inverse
-    differential pushes the transported vectors back to the basepoint.
+    differential pushes the transported vectors back to the basepoint.  The
+    loop closes in chart coordinates when its endpoints agree within
+    LOOP_CLOSURE_TOL.
     """
     dtp = model.dtp if hasattr(model, "dtp") else model
     base = loop.point(0.0)
     end = loop.point(1.0)
     jac = np.eye(dtp.n)
-    if np.max(np.abs(end - base)) > tol:
+    if np.max(np.abs(end - base)) > LOOP_CLOSURE_TOL:
         if not hasattr(model, "find_closing_word"):
             raise NotALoop(f"loop endpoints differ by {np.max(np.abs(end - base)):.3e}")
         word = closing_word if closing_word is not None else model.find_closing_word(end, base)

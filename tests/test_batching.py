@@ -59,7 +59,7 @@ def field_results(dtp, pts):
     out = {"mat": (g.mat(pts), np.stack([g.mat(p) for p in pts])),
            "inv": (g.inv(pts), np.stack([g.inv(p) for p in pts]))}
     for i in (1, 2):
-        w = dtp.warp(i).field
+        w = dtp.warp(i)
         out[f"lam{i}"] = (w.value(pts), np.array([w.value(p) for p in pts]))
         out[f"grad{i}"] = (w.grad_coords(pts), np.stack([w.grad_coords(p) for p in pts]))
         out[f"hess{i}"] = (w.hess_coords(pts), np.stack([w.hess_coords(p) for p in pts]))
@@ -106,7 +106,7 @@ def test_builtin_scenario_fields_batch(name):
 def test_single_point_shapes_unchanged():
     dtp = fx.random_doubly_twisted(2)
     x = batch_points(dtp, 1)[0]
-    w = dtp.lam1.field
+    w = dtp.lam1
     assert dtp.assembled.mat(x).shape == (4, 4)
     assert dtp.assembled.inv(x).shape == (4, 4)
     assert isinstance(w.value(x), float)
@@ -219,8 +219,8 @@ def test_per_point_only_callbacks_fail_loudly():
 
 
 def classify_pointwise(dtp, per_axis):
-    """The per-point algorithm: one N evaluation per grid point, one
-    exterior derivative (2n one-form samples) per grid point."""
+    """The per-point algorithm: one N evaluation per grid point, and d(omega_i)
+    from the warp's value, gradient and hessian at each grid point."""
     pts = pg.offset_grid_points(dtp.domain_box, per_axis)
     max_n = [max(float(np.max(np.abs(pg.mean_curvature_vector(dtp, p, i).components)))
                  for p in pts) for i in (1, 2)]
@@ -228,13 +228,29 @@ def classify_pointwise(dtp, per_axis):
     for i in (1, 2):
         if max_n[i - 1] < pg.VANISH_TOL:
             continue
+        w = dtp.warp(i)
 
+        def d_omega(p):  # mixed block of the hessian of ln lam_i
+            val, grad = w.value(p), w.grad_coords(p)
+            hess_log = w.hess_coords(p) / val - np.outer(grad, grad) / val**2
+            return hess_log[dtp.slot1, dtp.slot2]
+
+        max_dw[i - 1] = max(float(np.max(np.abs(d_omega(p)))) for p in pts)
+    return max_n + max_dw
+
+
+def exterior_derivative_oracle(dtp, per_axis):
+    """max |d omega_i| over the grid by central differences (step FD_STEP_2)
+    of the mean curvature forms, which are themselves built from differences."""
+    pts = pg.offset_grid_points(dtp.domain_box, per_axis)
+    out = []
+    for i in (1, 2):
         def omega(c, i=i):
             return np.stack([pg.mean_curvature_form(dtp, q, i).components for q in c.T], axis=1)
 
-        max_dw[i - 1] = max(float(np.max(np.abs(
-            ck.exterior_derivative_numeric(omega, p, step=ck.FD_STEP_2)))) for p in pts)
-    return max_n + max_dw
+        out.append(max(float(np.max(np.abs(
+            ck.exterior_derivative_numeric(omega, p, step=ck.FD_STEP_2)))) for p in pts))
+    return out
 
 
 def assert_classify_matches(dtp, per_axis, rel=1e-10):
@@ -265,6 +281,22 @@ def test_classify_random_twisted_matches_pointwise(seed):
 def test_classify_random_warped_matches_pointwise(seed):
     cls = assert_classify_matches(fx.random_doubly_warped(seed), 4)
     assert cls.tag is pg.StructureTag.DOUBLY_WARPED
+
+
+ORACLE_PRODUCTS = {**{f"builtin-{n}": (lambda n=n: scenario.resolve_scenario(n).dtp)
+                      for n in BUILTINS},
+                   "random-dw-8-fd": lambda: fx.strip_analytic(fx.random_doubly_warped(8)),
+                   "random-dtp-5-fd": lambda: fx.strip_analytic(fx.random_doubly_twisted(5))}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PRODUCTS))
+def test_classify_closedness_matches_exterior_derivative_oracle(name):
+    dtp = ORACLE_PRODUCTS[name]()
+    cls = pg.classify(dtp, per_axis=3)
+    oracle = exterior_derivative_oracle(dtp, 3)
+    got = [cls.max_domega1, cls.max_domega2]
+    for a, b in zip(got, oracle):
+        assert abs(a - b) <= pg.CLOSED_TOL, (name, got, oracle)
 
 
 FORMULA_SCENARIO = {
@@ -348,9 +380,9 @@ def test_nonfinite_warp_value_in_a_batch():
 def test_positivity_sweep_rejects_one_bad_point():
     f1 = pg.FactorManifold("a", 1, MetricField.euclidean(1), [[0.0, 1.0]])
     f2 = pg.FactorManifold("b", 1, MetricField.euclidean(1), [[0.0, 1.0]])
-    one = pg.WarpFn(ScalarField.constant(1.0))
+    one = ScalarField.constant(1.0)
     # positive everywhere on the 4 x 4 sweep grid except at its corner (1, 1)
-    dip = pg.WarpFn(ScalarField(lambda x: 1.0 - np.isclose(x[0] * x[1], 1.0) * 1.5))
+    dip = ScalarField(lambda x: 1.0 - np.isclose(x[0] * x[1], 1.0) * 1.5)
     with pytest.raises(InvalidWarp, match=r"lam2 = -0\.5"):
         pg.assemble(f1, f2, one, dip)
     with pytest.raises(InvalidWarp, match="lam1"):
@@ -361,9 +393,16 @@ def test_positivity_sweep_rejects_one_bad_point():
 def test_classify_rejects_nonfinite_one_form_sample():
     f1 = pg.FactorManifold("a", 1, MetricField.euclidean(1), [[0.0, 1.0]])
     f2 = pg.FactorManifold("b", 1, MetricField.euclidean(1), [[0.0, 1.0]])
-    one = pg.WarpFn(ScalarField.constant(1.0))
-    # finite on the assembly grid, blows up near x = 0.5 + 1e-4 (a stencil point)
-    lam = ScalarField(lambda x: 1.0 + x[1] / np.where(np.abs(x[0] - 0.5) < 1e-3, 0.0, 1.0))
-    dtp = pg.assemble(f1, f2, one, pg.WarpFn(lam))
-    with pytest.raises(NumericsError):
-        pg.classify(dtp, grid=[[0.5, 0.3], [0.2, 0.3]])
+    one = ScalarField.constant(1.0)
+
+    def hess(x):  # exact except at x = 0.5, where the mixed entry is not finite
+        mixed = np.where(np.abs(x[0] - 0.5) < 1e-3, np.inf, 0.1)
+        return np.array([[0.0 * x[0], mixed], [mixed, 0.0 * x[0]]])
+
+    lam = ScalarField(lambda x: 1.0 + 0.1 * x[0] * x[1],
+                      analytic_grad=lambda x: 0.1 * np.array([x[1], x[0]]),
+                      analytic_hess=hess)
+    dtp = pg.assemble(f1, f2, one, lam)
+    with pytest.raises(NumericsError, match=r"omega_2.*\[0\.5 0\.3\]"):
+        pg.classify(dtp, grid=[[0.2, 0.3], [0.5, 0.3]])
+    assert pg.classify(dtp, grid=[[0.2, 0.3], [0.4, 0.3]]).max_domega2 > 0.0

@@ -77,9 +77,9 @@ def test_assemble_signature_concatenation():
 def test_assemble_rejects_nonpositive_warp():
     f1 = pg.FactorManifold("a", 1, ck.MetricField.euclidean(1), [[-1, 1]])
     f2 = pg.FactorManifold("b", 1, ck.MetricField.euclidean(1), [[-1, 1]])
-    bad = pg.WarpFn(ScalarField(lambda x: x[0], name="x"))
+    bad = ScalarField(lambda x: x[0], name="x")
     with pytest.raises(InvalidWarp):
-        pg.assemble(f1, f2, pg.WarpFn(ScalarField.constant(1.0)), bad)
+        pg.assemble(f1, f2, ScalarField.constant(1.0), bad)
 
 
 def test_assembled_analytic_derivatives_match_fd():
@@ -246,13 +246,7 @@ def _swap_product(dtp):
 
     f1 = pg.FactorManifold(dtp.f2.name, dtp.f2.dim, dtp.f2.metric, dtp.f2.domain_box)
     f2 = pg.FactorManifold(dtp.f1.name, dtp.f1.dim, dtp.f1.metric, dtp.f1.domain_box)
-    swap_dep = {pg.Dependency.ON_FACTOR1_ONLY: pg.Dependency.ON_FACTOR2_ONLY,
-                pg.Dependency.ON_FACTOR2_ONLY: pg.Dependency.ON_FACTOR1_ONLY}
-    return pg.assemble(f1, f2,
-                       pg.WarpFn(permute_scalar(dtp.lam2.field),
-                                 swap_dep.get(dtp.lam2.dependency, dtp.lam2.dependency)),
-                       pg.WarpFn(permute_scalar(dtp.lam1.field),
-                                 swap_dep.get(dtp.lam1.dependency, dtp.lam1.dependency)))
+    return pg.assemble(f1, f2, permute_scalar(dtp.lam2), permute_scalar(dtp.lam1))
 
 
 def test_classify_invariant_under_factor_swap():

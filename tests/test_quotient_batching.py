@@ -15,7 +15,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from warpquot import cli
 from warpquot import chartkit as ck
@@ -160,13 +160,23 @@ def ref_enumerate_words(model, max_len):
     return words
 
 
-def ref_leaf_trace(model, x0, foliation, arc_budget=8.0, step=0.01):
+def ref_leaf_trace(model, x0, foliation, arc_budget=8.0):
+    """The trace along +e, then, for an open leaf, the reversed trace along -e
+    with negated arc lengths in front (status and length stay the forward ones)."""
+    x0 = np.asarray(x0, dtype=float)
+    direction = model.dtp.embed(foliation, np.ones(1))
+    status, length, pts = ref_walk(model, x0, direction, arc_budget)
+    if status != "closed":
+        back = ref_walk(model, x0, -direction, arc_budget)[2]
+        pts = [(-arc, p) for arc, p in reversed(back[1:])] + pts
+    return status, length, pts
+
+
+def ref_walk(model, x0, direction, arc_budget, step=0.01):
     """One step per iteration: one-point speed, every step reduced by search."""
     from scipy import optimize
 
     dtp = model.dtp
-    x0 = np.asarray(x0, dtype=float)
-    direction = dtp.embed(foliation, np.ones(1))
     cur, arc, pts, left_start = x0.copy(), 0.0, [(0.0, x0.copy())], False
     while arc < arc_budget:
         speed = ck.norm(dtp.assembled, TangentVector(CoordPoint(cur), direction))
@@ -212,7 +222,7 @@ def ref_on_trace(trace, point, tol):
     for a, b in zip(pts, pts[1:]):
         seg = b - a
         L2 = float(seg @ seg)
-        if L2 == 0.0 or np.sqrt(L2) > 10 * trace.step:
+        if L2 == 0.0 or np.sqrt(L2) > 10 * qt._TRACE_STEP:
             continue
         t = np.clip(float((point - a) @ seg) / L2, 0.0, 1.0)
         if float(np.linalg.norm(point - (a + t * seg))) <= tol:
@@ -355,7 +365,7 @@ TRACES = [
     ("skewed-torus", [0.0, 0.0], 1, 8.0), ("skewed-torus", [0.0, 0.0], 2, 8.0),
     ("skewed-torus", [0.3, 0.7], 2, 8.0), ("flat-torus", [5e-7, 0.3], 1, 8.0),
     ("mobius", [0.0, 0.0], 1, 8.0), ("mobius", [0.2, 0.5], 1, 8.0),
-    ("mobius", [0.4, 0.5], 2, 8.0),        # the upper half: traced upwards only
+    ("mobius", [0.4, 0.5], 2, 8.0),        # open leaves: traced forward, then backward
     ("mobius", [0.4, -0.5], 2, 8.0),
     ("example1", [0.0, 0.0], 1, 8.0), ("example1", [0.0, 1.0], 1, 6.0),
     ("file-skewed-q3", [0.1, 0.2], 2, 8.0), ("file-mobius", [0.7, -0.3], 1, 8.0),
@@ -427,6 +437,37 @@ def test_word_then_inverse_is_identity(name, letters, pts):
     assert np.max(np.abs(back - X)) <= 1e-9
 
 
+# intersection counts at word bound 4, from any basepoint of the orbit: drawn
+# uniformly in the box or within 1e-6 of its edges, then moved by a deck word
+INVARIANT_COUNTS = {
+    "flat-torus": (fx.flat_torus_model(word_bound=4), 1),
+    "skewed-torus": (fx.skewed_torus_model(word_bound=4), 2),
+    "mobius-central": (fx.mobius_model(word_bound=4), 1),       # y0 = 0
+    "mobius-off-central": (fx.mobius_model(word_bound=4), 2),   # |y0| in [0.1, 0.9]
+}
+unit = st.one_of(st.floats(0.0, 1.0), st.floats(-1e-6, 1e-6), st.floats(1.0 - 1e-6, 1.0 + 1e-6))
+
+
+@pytest.mark.parametrize("case", sorted(INVARIANT_COUNTS))
+@settings(max_examples=200, deadline=None)
+@given(u=unit, v=st.floats(0.0, 1.0) | unit, side=st.sampled_from([1, -1]),
+       letters=st.lists(st.tuples(st.integers(0, 1), st.sampled_from([1, -1])), max_size=2))
+@example(u=0.99999995, v=0.7, side=-1, letters=[])   # reduces to x = -5e-8, y > 0
+@example(u=0.9999998, v=0.7, side=-1, letters=[])
+def test_intersection_count_does_not_depend_on_the_basepoint(case, u, v, side, letters):
+    model, want = INVARIANT_COUNTS[case]
+    if case == "mobius-central":
+        x0 = [u, 0.0]
+    elif case == "mobius-off-central":
+        x0 = [u, side * (0.1 + 0.8 * min(max(v, 0.0), 1.0))]
+    else:
+        x0 = [u, v]
+    names = [g.name for g in model.generators]
+    word = tuple((names[k % len(names)], sign) for k, sign in letters)
+    x0 = model.apply_word(word, np.array(x0))
+    assert qt.leaf_intersection_count(model, x0).count == want, (case, x0)
+
+
 # ---------------------------------------------------------------------------
 # witnesses identified by the empty word are one intersection
 
@@ -444,18 +485,30 @@ def test_bucket_edge_basepoints_count_once(x0):
     assert qt.leaf_intersection_count(fx.mobius_model(), [x0, 0.0]).count == 1
 
 
+def test_mobius_verdict_does_not_depend_on_the_box_edge():
+    # x0 just below 1 reduces to x = -5e-8 with y = +0.66: the open vertical
+    # leaf must still reach the second intersection at y = -0.66
+    model = fx.mobius_model(word_bound=4)
+    for x0 in ([0.99999995, -0.66], [0.9999998, -0.66]):
+        verdict = qt.decomposition_check(model, x0, {1: [(("a", 1), ("a", 1))]})
+        assert verdict.tag == "obstructed"
+        assert (verdict.reason.kind, verdict.reason.count) == ("multiple-intersections", 2)
+        assert verdict.intersections.lower_bound_only
+
+
 def test_merge_keeps_a_raise_for_a_non_empty_word():
     # a box twice the fundamental domain holds two representatives of one
     # point: they are identified by the word a, which must still raise
     flat = fx.flat_torus_model()
     wide = qt.QuotientModel(flat.dtp, flat.generators, [[0.0, 2.0], [0.0, 1.0]])
-    pair = [(CoordPoint([0.3, 0.2]), CoordPoint([0.3, 0.2])),
-            (CoordPoint([1.3, 0.2]), CoordPoint([0.3, 0.2]))]
     with pytest.raises(InvalidAction, match=r"witnesses 0 and 1 are identified by word \(\('a', 1\),\)"):
-        qt._merge_witnesses(wide, pair, 4)
-    # within ident_tol of each other: the same point, merged into the first
-    twins = [pair[0], (CoordPoint([0.3 + 5e-8, 0.2]), pair[0][1]), pair[0]]
-    assert qt._merge_witnesses(wide, twins, 4) == [pair[0]]
+        qt._check_distinct(wide, [np.array([0.3, 0.2]), np.array([1.3, 0.2])], 4)
+    qt._check_distinct(wide, [np.array([0.3, 0.2]), np.array([0.8, 0.2])], 4)
+    # within ident_tol of each other: the same point, one pair or a batch
+    assert wide.same_point([0.3, 0.2], [0.3 + 5e-8, 0.2]) is True
+    assert wide.same_point([0.3, 0.2], [0.3 + 5e-7, 0.2]) is False
+    near = wide.same_point(np.array([[0.3, 0.2], [0.3 + 5e-8, 0.2], [1.3, 0.2]]), [0.3, 0.2])
+    assert near.tolist() == [True, True, False]
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +518,7 @@ def _flat_dtp(lam1=None, lam2=None):
     f1 = pg.FactorManifold("line-x", 1, MetricField.euclidean(1), [[0.0, 1.0]])
     f2 = pg.FactorManifold("line-y", 1, MetricField.euclidean(1), [[0.0, 1.0]])
     one = ScalarField.constant(1.0)
-    return pg.assemble(f1, f2, pg.WarpFn(lam1 or one), pg.WarpFn(lam2 or one))
+    return pg.assemble(f1, f2, lam1 or one, lam2 or one)
 
 
 def _bump_at(p):

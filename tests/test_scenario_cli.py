@@ -129,6 +129,37 @@ def test_parse_rejects_wrong_shapes():
         sc.parse_scenario(data)
 
 
+@pytest.mark.parametrize("key,dep,formula,coord", [
+    ("lam2", "on-factor1-only", "r*(1.5 + sin(th))", "th"),
+    ("lam1", "on-factor2-only", "1 + 0.1*r", "r"),
+    ("lam1", "constant", "1 + 0.1*th", "th"),
+])
+def test_parse_checks_declared_warp_dependency(key, dep, formula, coord):
+    data = polar_scenario_dict()
+    data["warps"][key] = formula
+    data["warps"][f"{key}_dependency"] = dep
+    with pytest.raises(ScenarioError, match=rf"warps\.{key}_dependency: declared '{dep}', "
+                                            rf"but d {key}/d {coord} = .* at \["):
+        sc.parse_scenario(data)
+    data["warps"][f"{key}_dependency"] = "on-product"
+    sc.parse_scenario(data)
+
+
+def test_parse_accepts_declared_dependencies_that_hold(capsys, tmp_path):
+    data = polar_scenario_dict()
+    data["warps"].update({"lam1": "1 + 0*r", "lam1_dependency": "constant"})
+    sc.parse_scenario(data)
+    data["warps"]["lam1_dependency"] = "sideways"
+    with pytest.raises(ScenarioError, match="dependency must be one of"):
+        sc.parse_scenario(data)
+    data = polar_scenario_dict()
+    data["warps"]["lam2"] = "r*(1.5 + sin(th))"
+    path = tmp_path / "mislabelled.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["run", str(path), "classify"]) == 2
+    assert "lam2_dependency" in capsys.readouterr().err
+
+
 def test_parse_formula_metric_and_curves():
     data = polar_scenario_dict()
     data["factors"][1]["metric"] = [["1 + 0 * th"]]
