@@ -88,6 +88,16 @@ def _first(pts: np.ndarray, bad) -> np.ndarray:
     return pts if pts.ndim == 1 else pts[int(np.argmax(bad))]
 
 
+def _checked_inv(g: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """g^-1 of one metric matrix or a stack; DegenerateMetric where |det g| < DET_TOL."""
+    det = np.abs(np.linalg.det(g))
+    bad = det < DET_TOL
+    if bad.any():
+        raise DegenerateMetric(f"|det g| = {float(det.flat[np.argmax(bad)]):.3e} "
+                               f"at {_first(pts, bad)}")
+    return np.linalg.inv(g)
+
+
 def _call_batch(fn: Callable, pts: np.ndarray, shape: tuple, what: str) -> np.ndarray:
     """``fn`` on the rows of ``pts`` (P, n), passed coordinate-major; returns (P, *shape)."""
     out = np.asarray(fn(np.ascontiguousarray(pts.T)), dtype=float)
@@ -227,13 +237,9 @@ class MetricField:
 
     def mat_and_inv(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(g, g^-1) from one evaluation; DegenerateMetric where |det g| < DET_TOL."""
-        g = self.mat(x)
-        det = np.abs(np.linalg.det(g))
-        bad = det < DET_TOL
-        if bad.any():
-            raise DegenerateMetric(f"|det g| = {float(det.flat[np.argmax(bad)]):.3e} "
-                                   f"at {_first(_points(x, self.dim), bad)}")
-        return g, np.linalg.inv(g)
+        pts = _points(x, self.dim)
+        g = self.mat(pts)
+        return g, _checked_inv(g, pts)
 
     def d1(self, x) -> np.ndarray:
         """d1[k, i, j] = d_k g_ij, analytic when available else central FD.
@@ -369,18 +375,20 @@ def fd_step(xi, base: float = FD_STEP_1):
 
 
 @functools.lru_cache(maxsize=None)
-def _stencil(n: int, order: int) -> np.ndarray:
-    """Unit stencil offsets: +e_k then -e_k (order 1); the centre, +e_i, -e_i,
-    then the (++, +-, -+, --) corners of every pair i < j (order 2)."""
+def _stencil(n: int, order: int, centre: bool) -> np.ndarray:
+    """Unit stencil offsets: the centre (always for order 2), +e_k, -e_k, then
+    for order 2 the (++, +-, -+, --) corners of every pair i < j."""
     eye = np.eye(n)
-    if order == 1:
-        return np.concatenate([eye, -eye])
-    iu, ju = np.triu_indices(n, 1)
-    corners = [eye[iu] * si + eye[ju] * sj for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
-    return np.concatenate([np.zeros((1, n)), eye, -eye, *corners])
+    rows = [np.zeros((1, n))] if centre or order == 2 else []
+    rows += [eye, -eye]
+    if order == 2:
+        iu, ju = np.triu_indices(n, 1)
+        rows += [eye[iu] * si + eye[ju] * sj for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    return np.concatenate(rows)
 
 
-def central_diff(f: Callable[[np.ndarray], np.ndarray], x, steps, order: int = 1) -> np.ndarray:
+def central_diff(f: Callable[[np.ndarray], np.ndarray], x, steps, order: int = 1,
+                 centre: bool = False):
     """Central differences of ``f`` along every coordinate, from one call of ``f``.
 
     ``x`` is one point ``(n,)`` or a batch ``(P, n)``, and ``steps`` holds the
@@ -390,41 +398,52 @@ def central_diff(f: Callable[[np.ndarray], np.ndarray], x, steps, order: int = 1
     ``d[..., k, ...] = (f(x + h_k e_k) - f(x - h_k e_k)) / 2h_k``; ``order=2``
     gives second partials, ``(f(x + h_i e_i) - 2 f(x) + f(x - h_i e_i)) / h_i^2``
     on the diagonal and ``(f(++) - f(+-) - f(-+) + f(--)) / 4 h_i h_j`` off it.
-    The result has shape ``x.shape[:-1] + (n,) * order + value shape``.
+    The result has shape ``x.shape[:-1] + (n,) * order + value shape``.  With
+    ``centre`` the pair ``(result, f(x))`` is returned, f(x) read from the
+    same call of ``f``.
     """
     x = np.asarray(x, dtype=float)
     lead, n = x.shape[:-1], x.shape[-1]
-    offsets = _stencil(n, order)
+    offsets = _stencil(n, order, centre)
     stencil = x[..., None, :] + offsets * steps[..., None, :]
     vals = np.asarray(f(stencil.reshape(-1, n)), dtype=float)
     vals = vals.reshape(lead + (len(offsets),) + vals.shape[1:])
     h = steps.reshape(lead + (n,) + (1,) * (vals.ndim - len(lead) - 1))
     at = (slice(None),) * len(lead)  # index the stencil axis, after the batch axis
+    c = int(centre or order == 2)    # rows before +e_1
 
     def part(start, count=n):
         return vals[at + (slice(start, start + count),)]
 
     if order == 1:
-        return (part(0) - part(n)) / (2.0 * h)
-    iu, ju = np.triu_indices(n, 1)
-    m = len(iu)
-    out = np.empty(lead + (n, n) + vals.shape[len(lead) + 1:])
-    out[at + (np.arange(n), np.arange(n))] = (part(1) - 2.0 * part(0, 1) + part(n + 1)) / h**2
-    pp, pm, mp, mm = (part(2 * n + 1 + k * m, m) for k in range(4))
-    out[at + (iu, ju)] = out[at + (ju, iu)] = (pp - pm - mp + mm) / (4.0 * h[at + (iu,)] * h[at + (ju,)])
-    return out
+        out = (part(c) - part(c + n)) / (2.0 * h)
+    else:
+        iu, ju = np.triu_indices(n, 1)
+        m = len(iu)
+        out = np.empty(lead + (n, n) + vals.shape[len(lead) + 1:])
+        out[at + (np.arange(n), np.arange(n))] = (part(1) - 2.0 * part(0, 1) + part(n + 1)) / h**2
+        pp, pm, mp, mm = (part(2 * n + 1 + k * m, m) for k in range(4))
+        out[at + (iu, ju)] = out[at + (ju, iu)] = (pp - pm - mp + mm) / (4.0 * h[at + (iu,)] * h[at + (ju,)])
+    return (out, vals[at + (0,)]) if centre else out
 
 
 def _coords(x, n: Optional[int] = None) -> np.ndarray:
     return x.coords if isinstance(x, CoordPoint) else _as_array(x, n)
 
 
+def _bilinear(u: np.ndarray, gm: np.ndarray, v: np.ndarray) -> float:
+    """u^T gm v on C-contiguous operands: BLAS picks its kernel by memory
+    layout, so a strided view and a copy of the same values could otherwise
+    round differently."""
+    return float(np.ascontiguousarray(u) @ np.ascontiguousarray(gm) @ np.ascontiguousarray(v))
+
+
 def inner_product(g: MetricField, u: TangentVector, v: TangentVector) -> float:
-    """g(u, v) at the common base point."""
+    """g(u, v) at the common base point; depends on the component values only,
+    not on their memory layout."""
     if not np.array_equal(u.base.coords, v.base.coords):
         raise BaseMismatch(f"bases differ: {u.base} vs {v.base}")
-    gm = g.mat(u.base)
-    return float(u.components @ gm @ v.components)
+    return _bilinear(u.components, g.mat(u.base), v.components)
 
 
 def norm(g: MetricField, v: TangentVector) -> float:
@@ -444,12 +463,16 @@ def christoffel_numeric(g: MetricField, x) -> np.ndarray:
     """Gamma[k, i, j] = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij).
 
     Uses analytic first derivatives when the field carries them, else
-    central differences (``MetricField.d1``).  A batch ``(P, n)`` gives
-    ``(P, n, n, n)``.
+    central differences (the stencil of ``MetricField.d1``), with g at the
+    centre read from the same batched ``MetricField.mat`` call.  A batch
+    ``(P, n)`` gives ``(P, n, n, n)``.
     """
     pts = _points(x, g.dim)
-    ginv = g.inv(pts)
-    dg = g.d1(pts)
+    if g.analytic_d1 is None:
+        dg, gm = central_diff(g.mat, pts, fd_step(pts, FD_STEP_1), centre=True)
+    else:
+        gm, dg = g.mat(pts), g.d1(pts)
+    ginv = _checked_inv(gm, pts)
     # bracket[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
     bracket = np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
     return 0.5 * np.einsum("...kl,...lij->...kij", ginv, bracket)
@@ -598,9 +621,9 @@ def gram_schmidt(g: MetricField, x, vectors: Sequence[TangentVector],
     for v in vectors:
         w = v.components.astype(float).copy()
         for e in out:
-            q = float(e.components @ gm @ e.components)  # +/-1 after normalization
-            w -= (float(e.components @ gm @ w) / q) * e.components
-        nrm2 = float(w @ gm @ w)
+            q = _bilinear(e.components, gm, e.components)  # +/-1 after normalization
+            w -= (_bilinear(e.components, gm, w) / q) * e.components
+        nrm2 = _bilinear(w, gm, w)
         if abs(nrm2) < tol:
             raise DegeneratePlane("lightlike direction encountered in Gram-Schmidt")
         out.append(TangentVector(pt, w / np.sqrt(abs(nrm2))))

@@ -278,30 +278,46 @@ def cmd_transport(ctx, args, rng):
 
 
 def _run_holonomy(ctx, tol):
+    """Closed-form holonomy of every declared loop at the basepoint's
+    representative, compared with the expected matrices; also returns the
+    (foliation, word, HolonomyMap) triples."""
     model = ctx.model
     if model is None or not ctx.holonomy_loops:
         raise ScenarioError("scenario declares no quotient generators / holonomy loops")
     rep0, _ = model.canonical_rep(ctx.base())
-    out = []
+    out, maps = [], []
     expected = ctx.expect.get("holonomy", {})
     ok = True
     for i in (1, 2):
         for j, word in enumerate(ctx.holonomy_loops.get(i, [])):
             hol = qt.loop_holonomy(model, rep0, i, word)
+            maps.append((i, word, hol))
             entry = {"foliation": i, "word": [list(w) for w in word],
                      "matrix": hol.matrix}
             want = expected.get(str(i))
-            if want is not None and j < len(want):
+            if want is not None:  # one matrix per declared loop (ScenarioContext)
                 err = float(np.max(np.abs(hol.matrix - np.asarray(want[j], dtype=float))))
                 entry["expected_error"] = err
                 ok = ok and err <= tol
             out.append(entry)
-    return out, ok, rep0
+    return out, ok, rep0, maps
+
+
+def _holonomy_oracle_residual(model, rep0, maps) -> float:
+    """Worst |closed form - RK45 adapted translation (``holonomy_map``)|
+    over the loops of ``maps``."""
+    worst = 0.0
+    for i, word, hol in maps:
+        curve = qt.leaf_loop_curve(model, rep0, i, word)
+        ref = tp.holonomy_map(model, curve, hol.frame, foliation=i,
+                              closing_word=qt.word_inverse(word))
+        worst = max(worst, float(np.max(np.abs(hol.matrix - ref.matrix))))
+    return worst
 
 
 def cmd_holonomy(ctx, args, rng):
     tol = args.tol if args.tol is not None else 1e-6
-    out, ok, rep0 = _run_holonomy(ctx, tol)
+    out, ok, rep0, _ = _run_holonomy(ctx, tol)
     return {"basepoint": rep0, "loops": out}, ok
 
 
@@ -449,8 +465,10 @@ def cmd_verify_all(ctx, args, rng):
         details["quotient_validation"] = {"words_checked": report.words_checked,
                                           "words_truncated": report.words_truncated}
         if ctx.holonomy_loops:
-            _, hol_ok, _ = _run_holonomy(ctx, 1e-6)
+            _, hol_ok, rep0, maps = _run_holonomy(ctx, 1e-6)
             checks.append(Check("holonomy-expected", 0.0, 1.0, ok=hol_ok))
+            checks.append(Check("holonomy-closed-form",
+                                _holonomy_oracle_residual(ctx.model, rep0, maps), 1e-6))
         if "intersections" in ctx.expect:
             rep = qt.leaf_intersection_count(ctx.model, ctx.base(),
                                              word_bound=min(ctx.model.word_bound, 4))

@@ -309,6 +309,26 @@ def skewed_torus_model(word_bound: int = 8) -> qt.QuotientModel:
                             word_bound=word_bound)
 
 
+def klein_bottle_model(word_bound: int = 6) -> qt.QuotientModel:
+    """Flat Klein bottle: R^2 / <a: (x + 1/2, -y), b: (x, y + 1)>.
+
+    The F1 leaves y = 0 and y = 1/2 close after a and a b^-1 with holonomy
+    -1 on their normal line; every other F1 leaf closes after a^2 with
+    trivial holonomy and meets its F2 leaf twice.
+    """
+    f1 = pg.FactorManifold("line-x", 1, MetricField.euclidean(1), [[0.0, 0.5]])
+    f2 = pg.FactorManifold("line-y", 1, MetricField.euclidean(1), [[-0.5, 0.5]])
+    one = ScalarField.constant(1.0)
+    dtp = pg.assemble(f1, f2, one, one)
+    gens = [
+        qt.DeckGenerator("a", qt.FactorMap.translation([0.5]), qt.FactorMap.affine([[-1.0]], [0.0])),
+        qt.DeckGenerator("b", qt.FactorMap.translation([0.0]), qt.FactorMap.translation([1.0])),
+    ]
+    return qt.QuotientModel(dtp, gens,
+                            fundamental_box=[[0.0, 0.5], [-0.5, 0.5]],
+                            word_bound=word_bound)
+
+
 def example1_model(word_bound: int = 8) -> qt.QuotientModel:
     return qt.build_example1(word_bound=word_bound)
 

@@ -382,10 +382,18 @@ def mean_curvature_vector(dtp: DoublyTwistedProduct, x, i: int) -> TangentVector
 
 
 def mean_curvature_form(dtp: DoublyTwistedProduct, x, i: int) -> OneForm:
-    """omega_i: metric dual of N_i."""
+    """omega_i: metric dual of N_i.
+
+    g is block diagonal, so omega_i = -d ln lam_i on the other factor's slots
+    and 0 on its own (as ``classify`` reads it); no metric evaluation.
+    """
+    if i not in (1, 2):
+        raise ValueError("foliation index must be 1 or 2")
     pt = x if isinstance(x, CoordPoint) else CoordPoint(x)
-    g, ginv = dtp.assembled.mat_and_inv(pt)
-    return OneForm(pt, g @ _mean_curvature(dtp, pt.coords, i, ginv))
+    w = dtp.warp(i)
+    out = -(w.grad_coords(pt.coords) / w.value(pt.coords))
+    out[dtp.slot(i)] = 0.0
+    return OneForm(pt, out)
 
 
 def classify(dtp: DoublyTwistedProduct, grid: Optional[Sequence] = None,

@@ -45,6 +45,18 @@ class ScenarioContext:
     expect: dict = field(default_factory=dict)
     coords: tuple = ()
 
+    def __post_init__(self):
+        # an expectation is checked loop by loop, so a missing matrix would
+        # leave a declared loop unchecked
+        for key, mats in self.expect.get("holonomy", {}).items():
+            if str(key) not in ("1", "2"):
+                raise ScenarioError("expect.holonomy: keys must be foliation indices 1 or 2")
+            declared = len(self.holonomy_loops.get(int(key), []))
+            if len(mats) != declared:
+                raise ScenarioError(
+                    f"expect.holonomy.{key}: {len(mats)} matrices for {declared} "
+                    f"declared foliation-{key} loops")
+
     def base(self) -> np.ndarray:
         if self.basepoint is not None:
             return self.basepoint

@@ -6,7 +6,10 @@ adaptive Runge-Kutta 4(5) pair (RK45) at rtol 1e-9 / atol 1e-11.  The integral
 of the mean curvature form rides along as an augmented state on the same
 adaptive grid, never as a separate quadrature.  The error is not far below the
 callers' 1e-6 budgets: the worst measured is 7.4e-7 (verify-all's
-parallel-transport conservation residual, sphere-polar at seed 10).
+parallel-transport conservation residual, sphere-polar at seed 10).  Leaf
+holonomy in quotients is computed in closed form (``quotient.loop_holonomy``);
+``holonomy_map`` integrates it and is the oracle tests and verify-all
+compare the closed form against.
 """
 
 from __future__ import annotations
@@ -386,7 +389,8 @@ def normal_frame(dtp: pg.DoublyTwistedProduct, x, foliation: int = 1) -> list[Ta
 
 def holonomy_map(model, loop: PiecewiseCurve, frame: Sequence[TangentVector],
                  foliation: int = 1, closing_word=None) -> HolonomyMap:
-    """Adapted translation of each frame vector around the loop, in that frame.
+    """Adapted translation of each frame vector around the loop, in that frame
+    (RK45; the oracle of the closed-form ``quotient.loop_holonomy``).
 
     ``model`` is a plain product (loop must close in chart coordinates) or a
     quotient model exposing ``dtp``, ``find_closing_word`` and

@@ -148,7 +148,7 @@ def test_metric_compatibility(make):
 
 
 def test_christoffel_degenerate_metric():
-    g = ck.MetricField(2, lambda x: np.zeros((2, 2)), ck.Signature.riemannian(2))
+    g = ck.MetricField(2, lambda x: np.zeros((2, 2) + x.shape[1:]), ck.Signature.riemannian(2))
     with pytest.raises(DegenerateMetric):
         ck.christoffel_numeric(g, [0.0, 0.0])
 

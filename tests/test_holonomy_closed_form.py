@@ -1,0 +1,296 @@
+"""Leaf holonomy in closed form, leaf loops derived from the deck group, and
+the metric evaluations one transport step makes.
+
+The closed form (``quotient.loop_holonomy``) rests on adapted translation
+keeping the normal components constant in product coordinates; the RK45
+``transport.holonomy_map`` and ``transport.adapted_translation`` stay as its
+oracles here and in verify-all.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from warpquot import chartkit as ck
+from warpquot import cli
+from warpquot import fixtures as fx
+from warpquot import productgeo as pg
+from warpquot import quotient as qt
+from warpquot import transport as tp
+from warpquot.chartkit import CoordPoint, TangentVector
+from warpquot.errors import NotALoop
+from warpquot.scenario import load_scenario_file
+
+
+def warped_torus_dict(eps=0.25, basepoint=(0.3, 0.6)):
+    """Axis torus with lam2 = 1 + eps sin(2 pi x): trivial holonomy, one intersection."""
+    line = {"dim": 1, "metric": "euclidean", "box": [[0.0, 1.0]]}
+    return {
+        "name": "warped-torus",
+        "factors": [{"name": "line-x", "coords": ["x"], **line},
+                    {"name": "line-y", "coords": ["y"], **line}],
+        "warps": {"lam1": "1", "lam2": f"1 + {eps}*sin(2*pi*x)",
+                  "lam2_dependency": "on-factor1-only"},
+        "generators": [
+            {"name": "a", "phi": ["x + 1"], "phi_inv": ["x - 1"], "psi": ["y"], "psi_inv": ["y"]},
+            {"name": "b", "phi": ["x"], "phi_inv": ["x"], "psi": ["y + 1"], "psi_inv": ["y - 1"]},
+        ],
+        "fundamental_box": [[0.0, 1.0], [0.0, 1.0]],
+        "holonomy_loops": {"1": [[["a", 1]]], "2": [[["b", 1]]]},
+        "basepoint": list(basepoint),
+        "expect": {"holonomy": {"1": [[[1.0]]], "2": [[[1.0]]]},
+                   "verdict": "global-doubly-warped-product"},
+    }
+
+
+def warped_torus_file(tmp_path):
+    path = tmp_path / "warped-torus.json"
+    path.write_text(json.dumps(warped_torus_dict()))
+    return str(path)
+
+
+def run(tmp_path, *argv):
+    out = tmp_path / "report.json"
+    out.unlink(missing_ok=True)
+    code = cli.main(["run", *argv, "--out", str(out)])
+    return code, (json.loads(out.read_text()) if out.exists() else None)
+
+
+# ---------------------------------------------------------------------------
+# the Klein bottle: loops found from the group, none supplied
+
+@pytest.mark.parametrize("y0, kind, word, count", [
+    (0.0, "nontrivial-holonomy", (("a", 1),), None),
+    (-0.5, "nontrivial-holonomy", (("a", 1), ("b", -1)), None),
+    (0.2, "multiple-intersections", None, 2),
+])
+def test_klein_bottle_obstructed_without_supplied_loops(y0, kind, word, count):
+    model = fx.klein_bottle_model()
+    verdict = qt.decomposition_check(model, [0.1, y0], {})
+    assert verdict.tag == "obstructed"
+    assert (verdict.reason.kind, verdict.reason.word, verdict.reason.count) == (kind, word, count)
+    if word is not None:
+        assert verdict.reason.foliation == 1
+        assert np.array_equal(verdict.holonomy_maps[-1][2].matrix, [[-1.0]])
+
+
+def test_klein_bottle_declared_trivial_loops_do_not_hide_the_obstruction():
+    # a a closes the central leaf with trivial holonomy; a itself is derived
+    model = fx.klein_bottle_model()
+    verdict = qt.decomposition_check(model, [0.1, 0.0], {1: [(("a", 1), ("a", 1))],
+                                                        2: [(("b", 1),)]})
+    assert verdict.reason.kind == "nontrivial-holonomy"
+    assert verdict.reason.word == (("a", 1),)
+    assert [w for _, w, _ in verdict.holonomy_maps][:2] == [(("a", 1), ("a", 1)), (("b", 1),)]
+
+
+def test_klein_bottle_passes_validation():
+    assert qt.validate(fx.klein_bottle_model()).worst() < qt.ACTION_TOL
+
+
+@pytest.mark.parametrize("name, make", [
+    ("mobius", fx.mobius_model),
+    ("flat-torus", fx.flat_torus_model),
+    ("skewed-torus", fx.skewed_torus_model),
+])
+def test_derived_loops_include_the_documented_ones(name, make):
+    model = make()
+    loops = qt.leaf_loops(model, np.zeros(2))
+    for i, words in fx.HOLONOMY_LOOPS[name].items():
+        for word in words:
+            assert word in loops[i]
+    # every derived word closes its leaf (leaf_loop_curve would raise otherwise)
+    for i, words in loops.items():
+        for word in words:
+            qt.leaf_loop_curve(model, np.zeros(2), i, word)
+
+
+def test_leaf_loops_respect_the_word_bound():
+    model = fx.flat_torus_model()
+    loops = qt.leaf_loops(model, np.zeros(2), max_len=2)
+    assert loops == {1: [(("a", 1),), (("a", -1),), (("a", 1), ("a", 1)), (("a", -1), ("a", -1))],
+                     2: [(("b", 1),), (("b", -1),), (("b", 1), ("b", 1)), (("b", -1), ("b", -1))]}
+
+
+# ---------------------------------------------------------------------------
+# closed form against the RK45 oracle
+
+def _quotients(tmp_path):
+    yield "flat-torus", fx.flat_torus_model(), np.zeros(2), fx.HOLONOMY_LOOPS["flat-torus"]
+    yield "skewed-torus", fx.skewed_torus_model(), np.zeros(2), fx.HOLONOMY_LOOPS["skewed-torus"]
+    yield "mobius", fx.mobius_model(), np.zeros(2), fx.HOLONOMY_LOOPS["mobius"]
+    yield "klein-bottle", fx.klein_bottle_model(), np.array([0.1, -0.5]), {1: [(("a", 1), ("b", -1))]}
+    ctx = load_scenario_file(warped_torus_file(tmp_path))
+    rep0, _ = ctx.model.canonical_rep(ctx.base())
+    yield "warped-torus", ctx.model, rep0, ctx.holonomy_loops
+
+
+def test_closed_form_matches_rk45_holonomy(tmp_path):
+    for name, model, rep0, loops in _quotients(tmp_path):
+        for i, words in loops.items():
+            for word in words:
+                hol = qt.loop_holonomy(model, rep0, i, word)
+                curve = qt.leaf_loop_curve(model, rep0, i, word)
+                ref = tp.holonomy_map(model, curve, hol.frame, foliation=i,
+                                      closing_word=qt.word_inverse(word))
+                assert np.max(np.abs(hol.matrix - ref.matrix)) < 1e-9, (name, i, word)
+
+
+def test_loop_holonomy_rejects_a_word_that_opens_the_leaf():
+    with pytest.raises(NotALoop):
+        qt.loop_holonomy(fx.klein_bottle_model(), np.array([0.1, 0.2]), 1, (("a", 1),))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_rk45_adapted_translation_keeps_normal_components(seed):
+    # the exact solution keeps them constant; RK45 at rtol 1e-9 holds them to
+    # its own global error, which reaches 5.3e-9 on this curve (seed 11), so
+    # the bound is ten times the integrator's rtol
+    dtp = fx.random_doubly_twisted(seed)
+    box = dtp.domain_box
+    start = 0.7 * box[:, 0] + 0.3 * box[:, 1]
+    end = start.copy()
+    end[dtp.slot1] = (0.25 * box[:, 0] + 0.75 * box[:, 1])[dtp.slot1]
+    curve = tp.PiecewiseCurve.line(start, end)
+    normal = np.random.default_rng(seed).normal(size=dtp.n2)
+    res = tp.adapted_translation(dtp, curve, TangentVector(CoordPoint(start), dtp.embed(2, normal)))
+    drift = max(float(np.max(np.abs(vec.components - dtp.embed(2, normal))))
+                for _, vec in res.samples)
+    assert drift < 10 * tp.RTOL * np.max(np.abs(normal))
+
+
+def test_sign_flipped_normal_block_fails_verify_all(tmp_path, monkeypatch):
+    exact = qt.QuotientModel._word_jacobians
+    monkeypatch.setattr(qt.QuotientModel, "_word_jacobians",
+                        lambda self, *a: -exact(self, *a))
+    code, report = run(tmp_path, "flat-torus", "verify-all", "--samples", "8")
+    assert code == 1
+    checks = {c["check"]: c for c in report["results"]["checks"]}
+    assert checks["holonomy-closed-form"]["value"] == pytest.approx(2.0)
+    assert checks["holonomy-closed-form"]["pass"] is False
+    assert checks["holonomy-expected"]["pass"] is False
+
+
+def test_downstairs_translation_matches_seam_jacobians():
+    # Moebius: the normal component flips at every seam and stays put between
+    model = fx.mobius_model()
+    v0 = TangentVector(CoordPoint([0.2, 0.3]), [0.0, 2.0])
+    end, vec = qt.adapted_translation_downstairs(model, np.array([0.2, 0.3]), 1, 2.5, v0)
+    assert np.allclose(end, [0.7, 0.3], atol=1e-12)
+    assert np.array_equal(vec, [0.0, 2.0])
+    end, vec = qt.adapted_translation_downstairs(model, np.array([0.2, 0.3]), 1, 1.5, v0)
+    assert np.allclose(end, [0.7, -0.3], atol=1e-12)
+    assert np.array_equal(vec, [0.0, -2.0])
+    with pytest.raises(ValueError):
+        qt.adapted_translation_downstairs(model, np.array([0.2, 0.3]), 1, 1.0,
+                                          TangentVector(CoordPoint([0.2, 0.3]), [1.0, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# guards for the hot path: no ODE, one metric evaluation per step
+
+def _no_ode(*args, **kwargs):
+    raise AssertionError("solve_ivp called on the closed-form path")
+
+
+@pytest.mark.parametrize("ref, codes", [
+    ("mobius", (0, 0)),
+    ("flat-torus", (0, 0)),
+    ("skewed-torus", (0, 0)),
+    ("example1-twisted", (2, 2)),  # no loops declared; the count is only a lower bound
+    ("warped-torus", (0, 0)),
+])
+def test_holonomy_and_decompose_make_no_ode_call(tmp_path, monkeypatch, ref, codes):
+    scenario = warped_torus_file(tmp_path) if ref == "warped-torus" else ref
+    monkeypatch.setattr(tp, "solve_ivp", _no_ode)
+    for command, code in zip(("holonomy", "decompose"), codes):
+        assert run(tmp_path, scenario, command)[0] == code
+
+
+def test_downstairs_translation_makes_no_ode_call(monkeypatch):
+    monkeypatch.setattr(tp, "solve_ivp", _no_ode)
+    model = fx.example1_model()
+    v0 = TangentVector(CoordPoint([0.0, 0.5]), [0.0, 1.0])
+    qt.adapted_translation_downstairs(model, np.array([0.0, 0.5]), 1, 1.7, v0)
+
+
+def _count_top_level_mat(monkeypatch):
+    """Patch MetricField.mat to count calls not nested in another mat call."""
+    exact = ck.MetricField.mat
+    state = {"depth": 0, "top": 0}
+
+    def counted(self, x):
+        state["top"] += state["depth"] == 0
+        state["depth"] += 1
+        try:
+            return exact(self, x)
+        finally:
+            state["depth"] -= 1
+
+    monkeypatch.setattr(ck.MetricField, "mat", counted)
+    return state
+
+
+def test_one_metric_evaluation_per_christoffel_and_none_per_omega(monkeypatch):
+    dtp = fx.strip_analytic(fx.random_doubly_twisted(4))
+    x = 0.5 * (dtp.domain_box[:, 0] + dtp.domain_box[:, 1])
+    ref = ck.christoffel_numeric(dtp.assembled, x)
+    state = _count_top_level_mat(monkeypatch)
+    gamma = ck.christoffel_numeric(dtp.assembled, x)
+    assert state["top"] == 1
+    assert np.array_equal(gamma, ref)
+    state["top"] = 0
+    for i in (1, 2):
+        pg.mean_curvature_form(dtp, x, i)
+    assert state["top"] == 0
+
+
+def test_fd_christoffel_reads_the_centre_from_the_stencil(tmp_path):
+    # with elementwise callbacks (scenario formulas) the centre row changes no
+    # stencil value; g at the centre equals g.mat at the point to rounding of
+    # numpy's functions on a batch against one point
+    g = load_scenario_file(warped_torus_file(tmp_path)).dtp.assembled
+    assert g.analytic_d1 is None
+    x = np.array([0.3, 0.6])
+    dg, gm = ck.central_diff(g.mat, x, ck.fd_step(x, ck.FD_STEP_1), centre=True)
+    assert np.array_equal(dg, g.d1(x))
+    assert np.allclose(gm, g.mat(x), rtol=1e-15, atol=0.0)
+    gamma = ck.christoffel_numeric(g, x)
+    assert np.allclose(gamma, 0.5 * np.einsum("kl,lij->kij", np.linalg.inv(g.mat(x)),
+                                              np.einsum("ijl->lij", dg) + np.einsum("jil->lij", dg) - dg),
+                       rtol=1e-14, atol=1e-15)
+
+
+def test_mean_curvature_form_is_the_dual_of_the_mean_curvature_vector():
+    for dtp in (fx.random_doubly_twisted(5), fx.sphere_polar(), fx.strip_analytic(fx.random_doubly_warped(8))):
+        x = 0.45 * dtp.domain_box[:, 0] + 0.55 * dtp.domain_box[:, 1]
+        for i in (1, 2):
+            dual = dtp.assembled.mat(x) @ pg.mean_curvature_vector(dtp, x, i).components
+            assert np.allclose(pg.mean_curvature_form(dtp, x, i).components, dual,
+                               rtol=1e-12, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# layout-independent inner product
+
+def test_inner_product_ignores_memory_layout():
+    # the same values as strided views and an F-ordered metric, or as
+    # contiguous copies and a C-ordered metric, give bit-identical results
+    rng = np.random.default_rng(9)
+    base = CoordPoint(np.zeros(4))
+    sig = ck.Signature.riemannian(4)
+    for _ in range(500):
+        a = rng.normal(size=(4, 4))
+        m = a + a.T + 8.0 * np.eye(4)
+        g_f = ck.MetricField(4, lambda x, _m=m: _m.T, sig)
+        g_c = ck.MetricField(4, lambda x, _m=m: _m.copy(), sig)
+        assert not g_f.mat(base).flags.c_contiguous
+        cols = rng.normal(size=(4, 3))
+        u, v = TangentVector(base, cols[:, 0]), TangentVector(base, cols[:, 1])
+        assert not u.components.flags.c_contiguous
+        uc, vc = TangentVector(base, cols[:, 0].copy()), TangentVector(base, cols[:, 1].copy())
+        assert ck.inner_product(g_f, u, v) == ck.inner_product(g_c, uc, vc)
+        e_view = ck.gram_schmidt(g_f, base, [u, v])
+        e_copy = ck.gram_schmidt(g_c, base, [uc, vc])
+        assert all(np.array_equal(p.components, q.components) for p, q in zip(e_view, e_copy))

@@ -313,6 +313,36 @@ def test_cli_file_scenario_holonomy(capsys, tmp_path):
     assert np.allclose(report["results"]["loops"][0]["matrix"], [[-1.0]], atol=1e-8)
 
 
+def _mobius_three_loops(matrices):
+    data = mobius_scenario_dict()
+    data["holonomy_loops"] = {"1": [[["a", 1]] * k for k in (1, 2, 3)]}
+    data["expect"] = {"holonomy": {"1": matrices}}
+    return data
+
+
+def test_holonomy_expectation_must_cover_every_declared_loop(capsys, tmp_path):
+    # one matrix for three loops used to check only the first one and pass
+    path = tmp_path / "mobius.json"
+    path.write_text(json.dumps(_mobius_three_loops([[[-1.0]]])))
+    with pytest.raises(ScenarioError, match="1 matrices for 3 declared"):
+        sc.load_scenario_file(path)
+    code, _ = run_cli(capsys, "run", str(path), "holonomy")
+    assert code == 2
+    with pytest.raises(ScenarioError, match="foliation indices"):
+        sc.parse_scenario({**mobius_scenario_dict(), "expect": {"holonomy": {"3": []}}})
+
+
+@pytest.mark.parametrize("third, code", [(-1.0, 0), (1.0, 1)])
+def test_holonomy_expectation_checks_the_last_loop(capsys, tmp_path, third, code):
+    # a a a has holonomy -1 on the central Moebius leaf; a wrong third matrix fails
+    path = tmp_path / "mobius.json"
+    path.write_text(json.dumps(_mobius_three_loops([[[-1.0]], [[1.0]], [[third]]])))
+    got, out = run_cli(capsys, "run", str(path), "holonomy")
+    assert got == code
+    loops = json.loads(out)["results"]["loops"]
+    assert [lp["expected_error"] for lp in loops] == [0.0, 0.0, abs(third + 1.0)]
+
+
 def test_cli_transport_command(capsys):
     code, out = run_cli(capsys, "run", "polar-plane", "transport")
     assert code == 0
