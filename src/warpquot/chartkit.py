@@ -459,6 +459,13 @@ def causal_sign(g: MetricField, v: TangentVector, tol: float = 1e-9) -> int:
     return 1 if q > 0 else -1
 
 
+def _christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Gamma[..., k, i, j] = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij) from g^-1 and dg."""
+    # bracket[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
+    bracket = np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
+    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, bracket)
+
+
 def christoffel_numeric(g: MetricField, x) -> np.ndarray:
     """Gamma[k, i, j] = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij).
 
@@ -472,10 +479,30 @@ def christoffel_numeric(g: MetricField, x) -> np.ndarray:
         dg, gm = central_diff(g.mat, pts, fd_step(pts, FD_STEP_1), centre=True)
     else:
         gm, dg = g.mat(pts), g.d1(pts)
-    ginv = _checked_inv(gm, pts)
-    # bracket[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-    bracket = np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
-    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, bracket)
+    return _christoffel(_checked_inv(gm, pts), dg)
+
+
+def _christoffel_and_d1(g: MetricField, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Gamma, dGamma) at one point from one ``MetricField.mat`` call.
+
+    Exact when the metric has analytic first and second derivatives (g, g^-1
+    and dg shared by both); else central differences of
+    ``christoffel_numeric`` with the second-derivative step, all stencil
+    points in one batch, Gamma at the point read from its centre row.
+    """
+    d2 = g.d2(coords)
+    if d2 is not None and g.analytic_d1 is not None:
+        gm, dg = g.mat(coords), g.d1(coords)
+        ginv = _checked_inv(gm, coords)
+        dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
+        bracket = np.einsum("ijl->lij", dg) + np.einsum("jil->lij", dg) - dg
+        dbracket = np.einsum("mijl->mlij", d2) + np.einsum("mjil->mlij", d2) - d2
+        return (_christoffel(ginv, dg),
+                0.5 * (np.einsum("mkl,lij->mkij", dginv, bracket)
+                       + np.einsum("kl,mlij->mkij", ginv, dbracket)))
+    dgamma, gamma = central_diff(lambda pts: christoffel_numeric(g, pts), coords,
+                                 fd_step(coords, FD_STEP_2), centre=True)
+    return gamma, dgamma
 
 
 def christoffel_d1(g: MetricField, x) -> np.ndarray:
@@ -485,29 +512,17 @@ def christoffel_d1(g: MetricField, x) -> np.ndarray:
     central differences of ``christoffel_numeric`` with the second-derivative
     step, all stencil points in one batch.
     """
-    coords = _coords(x, g.dim)
-    d2 = g.d2(coords)
-    if d2 is not None and g.analytic_d1 is not None:
-        dg = g.d1(coords)
-        ginv = g.inv(coords)
-        dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
-        bracket = np.einsum("ijl->lij", dg) + np.einsum("jil->lij", dg) - dg
-        dbracket = np.einsum("mijl->mlij", d2) + np.einsum("mjil->mlij", d2) - d2
-        return 0.5 * (np.einsum("mkl,lij->mkij", dginv, bracket)
-                      + np.einsum("kl,mlij->mkij", ginv, dbracket))
-    return central_diff(lambda pts: christoffel_numeric(g, pts), coords,
-                        fd_step(coords, FD_STEP_2))
+    return _christoffel_and_d1(g, _coords(x, g.dim))[1]
 
 
 def riemann_numeric(g: MetricField, x) -> np.ndarray:
     """riem[l, i, j, k]: the l component of R(e_i, e_j) e_k.
 
     R^l_(k;ij) = d_i Gamma^l_jk - d_j Gamma^l_ik
-                 + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik.
+                 + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik,
+    with Gamma and dGamma from one metric evaluation.
     """
-    coords = _coords(x, g.dim)
-    gamma = christoffel_numeric(g, coords)
-    dgamma = christoffel_d1(g, coords)
+    gamma, dgamma = _christoffel_and_d1(g, _coords(x, g.dim))
     term = np.einsum("iljk->lijk", dgamma) + np.einsum("lim,mjk->lijk", gamma, gamma)
     return term - np.einsum("lijk->ljik", term)
 
@@ -518,21 +533,28 @@ def riemann_lowered(g: MetricField, x) -> np.ndarray:
     return np.einsum("lm,mijk->lijk", g.mat(coords), riemann_numeric(g, coords))
 
 
+def _gram_det(gm: np.ndarray, u: TangentVector, v: TangentVector) -> float:
+    """g(u,u) g(v,v) - g(u,v)^2 with the metric matrix gm at their common base."""
+    if not np.array_equal(u.base.coords, v.base.coords):
+        raise BaseMismatch(f"bases differ: {u.base} vs {v.base}")
+    a, b = u.components, v.components
+    return _bilinear(a, gm, a) * _bilinear(b, gm, b) - _bilinear(a, gm, b) ** 2
+
+
 def plane_gram_det(g: MetricField, u: TangentVector, v: TangentVector) -> float:
     """g(u,u) g(v,v) - g(u,v)^2; degenerate plane when ~0."""
-    return (inner_product(g, u, u) * inner_product(g, v, v)
-            - inner_product(g, u, v) ** 2)
+    return _gram_det(g.mat(u.base), u, v)
 
 
 def sectional_curvature_numeric(g: MetricField, x, u: TangentVector, v: TangentVector) -> float:
     """K(span(u, v)) = g(R(u, v) v, u) / (g(u,u) g(v,v) - g(u,v)^2)."""
     coords = _coords(x, g.dim)
-    q = plane_gram_det(g, u, v)
+    gm = g.mat(coords)
+    q = _gram_det(gm, u, v)
     if abs(q) < PLANE_TOL:
         raise DegeneratePlane(f"plane Gram determinant {q:.3e} at {coords}")
     riem = riemann_numeric(g, coords)
     ruvv = np.einsum("lijk,i,j,k->l", riem, u.components, v.components, v.components)
-    gm = g.mat(coords)
     return float(u.components @ gm @ ruvv) / q
 
 

@@ -10,7 +10,9 @@ curvature of factor and mixed planes, mean curvature vectors, the T tensor
 of the factor-1 projection) are each backed by a finite-difference oracle
 test; the curvature formulas take the warp gradients and hessians with
 respect to the full product metric, which is the reading that survives the
-oracle equivalence checks.
+oracle equivalence checks.  The connection and curvature closed forms read
+one ``point_geometry`` record, built from factor data and one evaluation of
+the assembled metric.
 """
 
 from __future__ import annotations
@@ -290,12 +292,82 @@ def assemble(f1: FactorManifold, f2: FactorManifold, lam1: ScalarField,
 
 
 # ---------------------------------------------------------------------------
-# connection (closed form)
+# per-point geometry record and the closed-form connection
+
+@dataclass(frozen=True)
+class PointGeometry:
+    """Metric data of a product at one point (n,) or at each row of a batch (P, n).
+
+    ``g`` and ``ginv`` come from one ``MetricField.mat`` call on the
+    assembled metric (with its finite, symmetric and nondegeneracy checks);
+    ``lam[..., i - 1]``, ``dlam[..., i - 1, :]`` and ``hess_lam[..., i - 1, :, :]``
+    are lam_i with its coordinate gradient and hessian; ``gamma[..., k, i, j]``
+    is the closed-form Gamma^k_ij of ``christoffel_closed_form``.
+    """
+
+    g: np.ndarray
+    ginv: np.ndarray
+    lam: np.ndarray
+    dlam: np.ndarray
+    hess_lam: np.ndarray
+    gamma: np.ndarray
+
+    def warp_hessian(self, i: int) -> np.ndarray:
+        """Covariant hessian of lam_i: Hess_ab = d_a d_b lam_i - Gamma^k_ab d_k lam_i."""
+        return (self.hess_lam[..., i - 1, :, :]
+                - np.einsum("...kab,...k->...ab", self.gamma, self.dlam[..., i - 1, :]))
+
+
+def point_geometry(dtp: DoublyTwistedProduct, x) -> PointGeometry:
+    """The ``PointGeometry`` of dtp at one point (n,) or a batch (P, n).
+
+    Gamma is built from factor data only: the factor Christoffel symbols
+    Gamma^A (``christoffel_numeric`` on each factor metric, dimension n_A)
+    and phi_A = ln lam_A.  With A the block of i and B the block of j:
+
+        A = B:   Gamma^k_ij = Gamma^A,k_ij [k in A] - g_ij (g^-1 d phi_A)^k
+                              + delta^k_i d_j phi_A + delta^k_j d_i phi_A
+        A != B:  Gamma^k_ij = delta^k_i d_j phi_A + delta^k_j d_i phi_B
+
+    (O'Neill, Semi-Riemannian Geometry, 1983, ch. 7, for warped products;
+    the same computation holds for twisted warps).  No product-level
+    derivative of g is taken, so the finite-difference oracle
+    (``christoffel_numeric`` on the assembled metric) shares no code with it
+    below ``MetricField.mat``.
+    """
+    pts = x.coords if isinstance(x, CoordPoint) else np.asarray(x, dtype=float)
+    g, ginv = dtp.assembled.mat_and_inv(pts)
+    warps = (dtp.lam1, dtp.lam2)
+    lam = np.stack([np.asarray(w.value(pts)) for w in warps], axis=-1)
+    dlam = np.stack([w.grad_coords(pts) for w in warps], axis=-2)
+    hess_lam = np.stack([w.hess_coords(pts) for w in warps], axis=-3)
+    n = dtp.n
+    # dphi[..., a, m] = d_m phi_{block of a}
+    dphi = (dlam / lam[..., None])[..., np.repeat([0, 1], [dtp.n1, dtp.n2]), :]
+    gamma = np.zeros(pts.shape[:-1] + (n, n, n))
+    for fac, sl in ((dtp.f1, dtp.slot1), (dtp.f2, dtp.slot2)):
+        gamma[..., sl, sl, sl] = ck.christoffel_numeric(fac.metric, pts[..., sl])
+    eye = np.eye(n)
+    gamma += eye[:, :, None] * dphi[..., None, :, :]                   # delta^k_i d_j phi
+    gamma += eye[:, None, :] * dphi.swapaxes(-1, -2)[..., None, :, :]  # delta^k_j d_i phi
+    grad_phi = dphi @ ginv                        # grad_phi[..., a, k] = (g^-1 d phi_a)^k
+    gamma -= g[..., None, :, :] * grad_phi.swapaxes(-1, -2)[..., :, :, None]
+    return PointGeometry(g, ginv, lam, dlam, hess_lam, gamma)
+
+
+def christoffel_closed_form(dtp: DoublyTwistedProduct, x) -> np.ndarray:
+    """Closed-form Gamma[k, i, j] of the product (``point_geometry``): (n, n, n)
+    at one point, (P, n, n, n) for a batch (P, n)."""
+    return point_geometry(dtp, x).gamma
+
 
 def _require_slot(dtp: DoublyTwistedProduct, v: TangentVector, slot: int, label: str):
     got = dtp.slot_of(v)
     if got not in (slot, 0):
         raise CaseMismatch(f"{label} must be a factor-{slot} vector, got slots {got}")
+
+
+_CASE_SLOTS = {"HH": (1, 1), "VV": (2, 2), "HV": (1, 2)}
 
 
 def connection_closed_form(dtp: DoublyTwistedProduct, x, a: TangentVector,
@@ -308,44 +380,20 @@ def connection_closed_form(dtp: DoublyTwistedProduct, x, a: TangentVector,
     HV: nabla_a b = g(grad ln lam1, b) a + g(grad ln lam2, a) b
                     (a factor-1, b factor-2)
 
-    The factor term contracts the factor Christoffel symbols with constant
-    component extensions, matching the product-level oracle convention.
+    Computed as Gamma^k_ij a^i b^j with the closed-form Gamma of
+    ``point_geometry``, whose blocks are these formulas; the factor term
+    contracts the factor Christoffel symbols with constant component
+    extensions, matching the product-level oracle convention.
     """
     coords = x.coords if isinstance(x, CoordPoint) else np.asarray(x, dtype=float)
-    pt = CoordPoint(coords)
-    g = dtp.assembled
-    if case not in ("HH", "VV", "HV"):
+    if case not in _CASE_SLOTS:
         raise ValueError(f"case must be HH, VV or HV, got {case!r}")
-    if case == "HH":
-        _require_slot(dtp, a, 1, "a")
-        _require_slot(dtp, b, 1, "b")
-        i = 1
-    elif case == "VV":
-        _require_slot(dtp, a, 2, "a")
-        _require_slot(dtp, b, 2, "b")
-        i = 2
-    else:
-        _require_slot(dtp, a, 1, "a")
-        _require_slot(dtp, b, 2, "b")
-        grad1 = dtp.grad_log_warp(1, coords)
-        grad2 = dtp.grad_log_warp(2, coords)
-        out = (ck.inner_product(g, grad1, b) * a.components
-               + ck.inner_product(g, grad2, a) * b.components)
-        return TangentVector(pt, out)
-
-    fac = dtp.factor(i)
-    sl = dtp.slot(i)
-    xf = coords[sl]
-    gamma_f = ck.christoffel_numeric(fac.metric, xf)
-    factor_term = dtp.embed(i, np.einsum("kij,i,j->k", gamma_f,
-                                         a.components[sl], b.components[sl]))
-    grad = dtp.grad_log_warp(i, coords)
-    gab = ck.inner_product(g, a, b)
-    out = (factor_term
-           - gab * grad.components
-           + ck.inner_product(g, a, grad) * b.components
-           + ck.inner_product(g, b, grad) * a.components)
-    return TangentVector(pt, out)
+    slot_a, slot_b = _CASE_SLOTS[case]
+    _require_slot(dtp, a, slot_a, "a")
+    _require_slot(dtp, b, slot_b, "b")
+    gamma = point_geometry(dtp, coords).gamma
+    return TangentVector(CoordPoint(coords),
+                         np.einsum("kij,i,j->k", gamma, a.components, b.components))
 
 
 def connection_numeric(dtp: DoublyTwistedProduct, x, a: TangentVector,
@@ -446,8 +494,8 @@ def classify(dtp: DoublyTwistedProduct, grid: Optional[Sequence] = None,
 PlaneInput = Union[MixedPlane, tuple]
 
 
-def _unit_sign(dtp: DoublyTwistedProduct, v: TangentVector, label: str) -> int:
-    q = ck.inner_product(dtp.assembled, v, v)
+def _unit_sign(gm: np.ndarray, v: TangentVector, label: str) -> int:
+    q = ck._bilinear(v.components, gm, v.components)
     if abs(abs(q) - 1.0) > UNIT_TOL:
         raise NormalizationError(f"{label} is not unitary: g({label},{label}) = {q!r}")
     return 1 if q > 0 else -1
@@ -460,15 +508,17 @@ def sectional_curvature_closed_form(dtp: DoublyTwistedProduct, plane: PlaneInput
     silently).  Factor planes:
 
         K = (K_i + g(grad lam_i, grad lam_i)) / lam_i^2
-            - (eps_u g(h_i(u), u) + eps_v g(h_i(v), v)) / lam_i
+            - (eps_u Hess lam_i(u, u) + eps_v Hess lam_i(v, v)) / lam_i
 
     mixed planes (u factor-1, v factor-2):
 
-        K = -(eps_v / lam1) g(h_1(v), v) - (eps_u / lam2) g(h_2(u), u)
+        K = -(eps_v / lam1) Hess lam1(v, v) - (eps_u / lam2) Hess lam2(u, u)
             + g(grad lam1, grad lam2) / (lam1 lam2)
 
-    with K_i the factor sectional curvature and h_i, grad the hessian
-    endomorphism and gradient of lam_i in the full product metric.
+    with K_i the factor sectional curvature (``sectional_curvature_numeric``
+    on the factor metric), g(grad lam_i, grad lam_j) = d lam_i^T g^-1 d lam_j
+    and Hess lam_i the covariant hessian in the full product metric, all
+    read from one ``point_geometry`` record.
     """
     if isinstance(plane, MixedPlane):
         u, v = plane.horiz, plane.vert
@@ -477,14 +527,20 @@ def sectional_curvature_closed_form(dtp: DoublyTwistedProduct, plane: PlaneInput
     if not np.array_equal(u.base.coords, v.base.coords):
         raise CaseMismatch("plane vectors must share a base point")
     coords = u.base.coords
-    g = dtp.assembled
     su, sv = dtp.slot_of(u), dtp.slot_of(v)
     if su is None or sv is None or 0 in (su, sv):
         raise CaseMismatch("plane vectors must be pure factor-slot vectors")
-    eps_u = _unit_sign(dtp, u, "u")
-    eps_v = _unit_sign(dtp, v, "v")
-    if abs(ck.inner_product(g, u, v)) > UNIT_TOL:
+    geo = point_geometry(dtp, coords)
+    eps_u = _unit_sign(geo.g, u, "u")
+    eps_v = _unit_sign(geo.g, v, "v")
+    if abs(ck._bilinear(u.components, geo.g, v.components)) > UNIT_TOL:
         raise NormalizationError("plane vectors are not orthogonal")
+
+    def hess(i, w):
+        return ck._bilinear(w.components, geo.warp_hessian(i), w.components)
+
+    def grad_dot(i, j):
+        return ck._bilinear(geo.dlam[i - 1], geo.ginv, geo.dlam[j - 1])
 
     if su == sv:
         i = su
@@ -494,27 +550,16 @@ def sectional_curvature_closed_form(dtp: DoublyTwistedProduct, plane: PlaneInput
         uf = TangentVector(CoordPoint(xf), u.components[sl])
         vf = TangentVector(CoordPoint(xf), v.components[sl])
         k_factor = ck.sectional_curvature_numeric(fac.metric, xf, uf, vf)
-        lam = dtp.warp_value(i, coords)
-        warp = dtp.warp(i)
-        grad = dtp.grad_warp(i, coords)
-        gg = ck.inner_product(g, grad, grad)
-        hu = ck.hessian_endomorphism(warp, g, coords, u)
-        hv = ck.hessian_endomorphism(warp, g, coords, v)
-        return ((k_factor + gg) / lam**2
-                - (eps_u * ck.inner_product(g, hu, u)
-                   + eps_v * ck.inner_product(g, hv, v)) / lam)
+        lam = float(geo.lam[i - 1])
+        return ((k_factor + grad_dot(i, i)) / lam**2
+                - (eps_u * hess(i, u) + eps_v * hess(i, v)) / lam)
 
     if su == 2:  # normalize order: u horizontal, v vertical
         u, v, eps_u, eps_v = v, u, eps_v, eps_u
-    lam1 = dtp.warp_value(1, coords)
-    lam2 = dtp.warp_value(2, coords)
-    h1v = ck.hessian_endomorphism(dtp.lam1, g, coords, v)
-    h2u = ck.hessian_endomorphism(dtp.lam2, g, coords, u)
-    grad1 = dtp.grad_warp(1, coords)
-    grad2 = dtp.grad_warp(2, coords)
-    return (-(eps_v / lam1) * ck.inner_product(g, h1v, v)
-            - (eps_u / lam2) * ck.inner_product(g, h2u, u)
-            + ck.inner_product(g, grad1, grad2) / (lam1 * lam2))
+    lam1, lam2 = geo.lam.tolist()
+    return (-(eps_v / lam1) * hess(1, v)
+            - (eps_u / lam2) * hess(2, u)
+            + grad_dot(1, 2) / (lam1 * lam2))
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +660,5 @@ def fiber_mean_curvature_derivative(dtp: DoublyTwistedProduct, x, X: TangentVect
 
 
 def hessian_form_predicate(dtp: DoublyTwistedProduct, i: int, x, v: TangentVector) -> float:
-    """g(h_{lam_i}(v), v): samplable hypothesis of the constancy heuristic."""
-    h = ck.hessian_endomorphism(dtp.warp(i), dtp.assembled, x, v)
-    return ck.inner_product(dtp.assembled, h, v)
+    """Hess lam_i(v, v) = g(h_{lam_i}(v), v): samplable hypothesis of the constancy heuristic."""
+    return ck._bilinear(v.components, point_geometry(dtp, x).warp_hessian(i), v.components)

@@ -162,6 +162,7 @@ class QuotientModel:
             raise ValueError("fundamental box must be (n, 2)")
         self.ident_tol = float(ident_tol)
         self.word_bound = int(word_bound)
+        self._word_memo: dict[int, list[Word]] = {}
 
     def same_point(self, p, q):
         """Whether p and q are one point: max |p - q| <= ident_tol.  A bool
@@ -374,6 +375,13 @@ class QuotientModel:
             frontier, fwords, last = np.stack(nxt), nwords, np.array(nlast)
         return words
 
+    def _words(self, max_len: int) -> list[Word]:
+        """``enumerate_words(max_len)``, enumerated once per model and bound;
+        callers must not modify the list."""
+        if max_len not in self._word_memo:
+            self._word_memo[max_len] = self.enumerate_words(max_len)
+        return self._word_memo[max_len]
+
 
 # ---------------------------------------------------------------------------
 # validation
@@ -476,7 +484,7 @@ def validate(model: QuotientModel, per_axis: int = 4, tol: float = ACTION_TOL) -
     # enumeration keeps this polynomial for the lattice-like groups in scope;
     # the cap guards pathological generator sets and is reported)
     wb = model.word_bound
-    enumerated = model.enumerate_words(wb)
+    enumerated = model._words(wb)
     words = [w for w in enumerated[:VALIDATE_WORD_CAP] if w]
     interior = pg.grid_points(model.fundamental_box, per_axis, inset=0.1)
     if words:
@@ -653,7 +661,7 @@ def leaf_intersection_count(model: QuotientModel, x0,
     leaf1, leaf2 = _Polyline(t1), _Polyline(t2)
 
     dtp = model.dtp
-    words = model.enumerate_words(wb)
+    words = model._words(wb)
     orbit = np.broadcast_to(rep0, (len(words), dtp.n))
     cands = model._apply_words([word_inverse(w) for w in words], orbit)
     cands[:, dtp.slot2] = rep0[dtp.slot2]                # on the leaf M1 x {b0}
@@ -748,7 +756,7 @@ def leaf_loops(model: QuotientModel, rep0, max_len: Optional[int] = None) -> dic
     {1: words w with psi_w(b0) = b0, 2: words with phi_w(a0) = a0}, in
     ``enumerate_words`` order, decided by ``same_point``."""
     rep0 = np.asarray(rep0, dtype=float)
-    words = model.enumerate_words(model.word_bound if max_len is None else max_len)[1:]
+    words = model._words(model.word_bound if max_len is None else max_len)[1:]
     moved = model._apply_words(words, np.broadcast_to(rep0, (len(words), rep0.size)))
     loops = {}
     for i in (1, 2):

@@ -1,0 +1,265 @@
+"""The closed-form product connection and the per-point geometry record.
+
+``productgeo.point_geometry`` builds Gamma of the product from the factor
+Christoffel symbols and d ln lam_i alone; the closed-form connection, warp
+hessians and sectional curvature read that record.  These tests compare it
+with the product-level oracle (``christoffel_numeric`` on the assembled
+metric), show that a broken term fails the checks that should catch it, and
+guard that the closed forms stay independent of the oracle and make one
+evaluation of the assembled metric per call.
+"""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+
+from warpquot import chartkit as ck
+from warpquot import cli
+from warpquot import fixtures as fx
+from warpquot import productgeo as pg
+from warpquot import quotient as qt
+from warpquot import scenario as sc
+from warpquot.chartkit import CoordPoint, TangentVector
+
+BUILTINS = sc.list_scenarios()
+RANDOM_SEEDS = (0, 3, 11)
+
+
+def products():
+    """(label, product) for the built-ins and three random doubly twisted products."""
+    out = [(name, sc.resolve_scenario(name, seed=0).dtp) for name in BUILTINS]
+    return out + [(f"random-dtp-{s}", fx.random_doubly_twisted(s)) for s in RANDOM_SEEDS]
+
+
+def sample_points(dtp, count, seed=0):
+    rng = np.random.default_rng(seed)
+    box = dtp.domain_box
+    return box[:, 0] + (0.05 + 0.9 * rng.random((count, dtp.n))) * (box[:, 1] - box[:, 0])
+
+
+def run(tmp_path, *argv):
+    out = tmp_path / "report.json"
+    code = cli.main(["run", *argv, "--out", str(out)])
+    return code, json.loads(out.read_text())
+
+
+def checks_of(report):
+    return {c["check"]: c for c in report["results"]["checks"]}
+
+
+# ---------------------------------------------------------------------------
+# closed form against the oracle
+
+@pytest.mark.parametrize("label, dtp", products(), ids=lambda v: v if isinstance(v, str) else "")
+def test_closed_form_christoffel_matches_the_oracle(label, dtp):
+    # analytic route: both sides exact up to rounding; example1's warp has no
+    # exact derivatives, so its assembled metric takes the FD route
+    pts = sample_points(dtp, 6)
+    tol = 1e-9 if dtp.assembled.analytic_d1 is not None else 1e-5
+    gap = np.max(np.abs(pg.christoffel_closed_form(dtp, pts)
+                        - ck.christoffel_numeric(dtp.assembled, pts)))
+    assert gap < tol, f"{label}: {gap:.2e}"
+
+
+@pytest.mark.parametrize("label, dtp", products(), ids=lambda v: v if isinstance(v, str) else "")
+def test_closed_form_christoffel_matches_the_oracle_on_the_fd_route(label, dtp):
+    bare = fx.strip_analytic(dtp)
+    pts = sample_points(bare, 6, seed=1)
+    gap = np.max(np.abs(pg.christoffel_closed_form(bare, pts)
+                        - ck.christoffel_numeric(bare.assembled, pts)))
+    assert gap < 1e-5, f"{label}: {gap:.2e}"
+
+
+@pytest.mark.parametrize("strip", [False, True])
+def test_batched_closed_form_equals_the_single_point_one(strip):
+    # rows of a batch see numpy's array kernels, one point its scalar path:
+    # exact derivatives agree to rounding, central differences to rounding / step
+    for label, dtp in products():
+        dtp = fx.strip_analytic(dtp) if strip else dtp
+        pts = sample_points(dtp, 5, seed=2)
+        batch = pg.christoffel_closed_form(dtp, pts)
+        assert batch.shape == (5,) + (dtp.n,) * 3
+        single = np.stack([pg.christoffel_closed_form(dtp, p) for p in pts])
+        assert single.shape == batch.shape
+        assert np.allclose(batch, single, rtol=0.0, atol=1e-9 if strip else 1e-13), label
+
+
+def test_warp_hessian_of_the_record_matches_the_oracle():
+    for dtp in (fx.random_doubly_twisted(3), fx.sphere_polar(), fx.strip_analytic(fx.random_doubly_warped(8))):
+        x = sample_points(dtp, 1, seed=4)[0]
+        v = TangentVector(CoordPoint(x), np.linspace(0.3, 1.1, dtp.n))
+        for i in (1, 2):
+            h = ck.hessian_endomorphism(dtp.warp(i), dtp.assembled, x, v)
+            assert pg.hessian_form_predicate(dtp, i, x, v) == pytest.approx(
+                ck.inner_product(dtp.assembled, h, v), rel=1e-6, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# negative controls: a broken term fails the check that covers it
+
+def _patch_gamma(monkeypatch, change):
+    exact = pg.point_geometry
+
+    def broken(dtp, x):
+        geo = exact(dtp, x)
+        return dataclasses.replace(geo, gamma=change(dtp, geo))
+
+    monkeypatch.setattr(pg, "point_geometry", broken)
+
+
+def _flip_mixed(dtp, geo):
+    # i in one block, j in the other: delta^k_i d_j phi_A + delta^k_j d_i phi_B
+    gamma = geo.gamma.copy()
+    s1, s2 = dtp.slot1, dtp.slot2
+    gamma[..., :, s1, s2] *= -1.0
+    gamma[..., :, s2, s1] *= -1.0
+    return gamma
+
+
+def _flip_metric_term(dtp, geo):
+    # - g_ij (g^-1 d phi_A)^k for i, j in block A
+    dphi = (geo.dlam / geo.lam[..., None])[..., np.repeat([0, 1], [dtp.n1, dtp.n2]), :]
+    term = geo.g[..., None, :, :] * (dphi @ geo.ginv).swapaxes(-1, -2)[..., :, :, None]
+    return geo.gamma + 2.0 * term
+
+
+def test_sign_flipped_mixed_term_fails_the_connection_row(tmp_path, monkeypatch):
+    code, report = run(tmp_path, "random-dtp", "verify-all", "--samples", "8")
+    assert code == 0 and checks_of(report)["connection-closed-form"]["pass"] is True
+    _patch_gamma(monkeypatch, _flip_mixed)
+    code, report = run(tmp_path, "random-dtp", "verify-all", "--samples", "8")
+    assert code == 1
+    checks = checks_of(report)
+    assert checks["connection-closed-form"]["pass"] is False
+    assert checks["christoffel-symmetry"]["pass"] is True  # the oracle is untouched
+
+
+def test_sign_flipped_metric_term_fails_the_mixed_curvature_row(tmp_path, monkeypatch):
+    code, report = run(tmp_path, "random-dtp", "curvature", "--samples", "8")
+    assert code == 0 and checks_of(report)["closed-vs-oracle-HV"]["pass"] is True
+    _patch_gamma(monkeypatch, _flip_metric_term)
+    code, report = run(tmp_path, "random-dtp", "curvature", "--samples", "8")
+    assert code == 1
+    assert checks_of(report)["closed-vs-oracle-HV"]["pass"] is False
+
+
+# ---------------------------------------------------------------------------
+# independence from the oracle and one metric evaluation per call
+
+def _count_calls_on(monkeypatch, g):
+    """Count top-level ``MetricField.mat`` calls on g and the oracle-side
+    chartkit calls that take g."""
+    state = {"depth": 0, "mat": 0, "oracle": []}
+    exact_mat = ck.MetricField.mat
+
+    def mat(self, x):
+        state["mat"] += state["depth"] == 0 and self is g
+        state["depth"] += 1
+        try:
+            return exact_mat(self, x)
+        finally:
+            state["depth"] -= 1
+
+    monkeypatch.setattr(ck.MetricField, "mat", mat)
+    for name, arg in (("christoffel_numeric", 0), ("inner_product", 0), ("gradient", 1),
+                      ("hessian_matrix", 1), ("hessian_endomorphism", 1)):
+        exact = getattr(ck, name)
+
+        def counted(*args, _exact=exact, _name=name, _arg=arg):
+            if args[_arg] is g:
+                state["oracle"].append(_name)
+            return _exact(*args)
+
+        monkeypatch.setattr(ck, name, counted)
+    return state
+
+
+@pytest.mark.parametrize("strip", [False, True])
+def test_closed_forms_evaluate_the_product_metric_once(monkeypatch, strip):
+    dtp = fx.random_doubly_twisted(4)
+    dtp = fx.strip_analytic(dtp) if strip else dtp
+    x = sample_points(dtp, 1, seed=5)[0]
+    pt = CoordPoint(x)
+    planes = [ck.gram_schmidt(dtp.assembled, x, [TangentVector(pt, dtp.embed(i, [1.0, 0.3])),
+                                                 TangentVector(pt, dtp.embed(j, [-0.2, 1.0]))])
+              for i, j in ((1, 1), (2, 2), (1, 2))]
+    a, b = TangentVector(pt, dtp.embed(1, [0.5, 1.0])), TangentVector(pt, dtp.embed(2, [1.0, -0.4]))
+    state = _count_calls_on(monkeypatch, dtp.assembled)
+    for plane in planes:
+        state["mat"] = 0
+        pg.sectional_curvature_closed_form(dtp, plane)
+        assert state["mat"] <= 1
+    for case, (u, v) in (("HH", (a, a)), ("VV", (b, b)), ("HV", (a, b))):
+        state["mat"] = 0
+        pg.connection_closed_form(dtp, x, u, v, case)
+        assert state["mat"] <= 1
+    state["mat"] = 0
+    pg.hessian_form_predicate(dtp, 1, x, a)
+    assert state["mat"] <= 1
+    assert state["oracle"] == []
+
+
+def test_fd_riemann_evaluates_the_metric_once(monkeypatch):
+    g = fx.strip_analytic(fx.random_doubly_twisted(4)).assembled
+    assert g.analytic_d1 is None
+    x = 0.5 * (g.domain_box[:, 0] + g.domain_box[:, 1])
+    state = _count_calls_on(monkeypatch, g)
+    ck.riemann_numeric(g, x)
+    assert state["mat"] == 1
+
+
+def test_analytic_riemann_evaluates_the_metric_once(monkeypatch):
+    g = fx.random_doubly_twisted(4).assembled
+    assert g.analytic_d2 is not None
+    x = 0.5 * (g.domain_box[:, 0] + g.domain_box[:, 1])
+    calls = {"d1": 0}
+    exact_d1 = ck.MetricField.d1
+
+    def d1(self, x):
+        calls["d1"] += self is g
+        return exact_d1(self, x)
+
+    state = _count_calls_on(monkeypatch, g)
+    monkeypatch.setattr(ck.MetricField, "d1", d1)
+    ck.riemann_numeric(g, x)
+    assert (state["mat"], calls["d1"]) == (1, 1)
+
+
+def test_plane_gram_det_and_sectional_oracle_read_the_metric_once(monkeypatch):
+    g = fx.random_doubly_twisted(4).assembled
+    x = 0.5 * (g.domain_box[:, 0] + g.domain_box[:, 1])
+    u, v = ck.gram_schmidt(g, x, [TangentVector(CoordPoint(x), [1.0, 0.2, 0.0, 0.3]),
+                                  TangentVector(CoordPoint(x), [0.0, 1.0, 0.5, 0.0])])
+    want = (ck.inner_product(g, u, u) * ck.inner_product(g, v, v)
+            - ck.inner_product(g, u, v) ** 2)
+    state = _count_calls_on(monkeypatch, g)
+    assert ck.plane_gram_det(g, u, v) == want  # the same products, bit for bit
+    assert state["mat"] == 1
+    state["mat"] = 0
+    ck.sectional_curvature_numeric(g, x, u, v)
+    assert state["mat"] == 2  # the plane's products, and the Riemann tensor's own
+
+
+# ---------------------------------------------------------------------------
+# one word enumeration per model and bound
+
+def test_decomposition_check_enumerates_the_words_once(monkeypatch):
+    calls = []
+    exact = qt.QuotientModel.enumerate_words
+
+    def counted(self, max_len):
+        calls.append(max_len)
+        return exact(self, max_len)
+
+    model = fx.klein_bottle_model()
+    want = qt.decomposition_check(model, [0.1, 0.2], {})
+    monkeypatch.setattr(qt.QuotientModel, "enumerate_words", counted)
+    model = fx.klein_bottle_model()
+    got = qt.decomposition_check(model, [0.1, 0.2], {})
+    assert (got.tag, got.reason) == (want.tag, want.reason)
+    assert got.intersections.count == want.intersections.count == 2
+    assert calls == [model.word_bound]
+    assert qt.leaf_loops(model, np.zeros(2)) == qt.leaf_loops(fx.klein_bottle_model(), np.zeros(2))
+    assert calls == [model.word_bound] * 2  # the fresh model enumerates once more
