@@ -3,9 +3,10 @@
 A quotient model is a doubly twisted product together with generators acting
 as factor-split maps phi x psi, a fundamental box, an identification
 tolerance and a word bound.  Operations: sampled validation of the group
-action, leaf tracing with closure detection, intersection counting by orbit
-enumeration, leaf loops from the deck group with their holonomy in closed
-form, holonomy-based global-decomposition verdicts, the explicit
+action, leaf loops from the deck group with their holonomy in closed form,
+intersection counts from the deck group alone, holonomy-based
+global-decomposition verdicts, leaf tracing with closure detection (the
+oracle for "a leaf closes iff it has a closing word"), the explicit
 twisted construction whose quotient is not globally a product, and the
 curvature-sign/critical-point diagnostic.
 
@@ -529,7 +530,9 @@ def leaf_trace(model: QuotientModel, x0, foliation: int, arc_budget: float = 8.0
     An open leaf is then traced backward from x0 with the same budget, and
     those points, reversed and with negative arc lengths, come first; the
     status and length stay the forward trace's.  Requires the traced factor
-    to be one-dimensional.
+    to be one-dimensional.  No count or verdict calls it: it is the oracle
+    for "a leaf closes iff ``leaf_loops`` finds a closing word", for
+    verify-all's leaf rows and the tests.
     """
     dtp = model.dtp
     if dtp.factor(foliation).dim != 1:
@@ -600,26 +603,6 @@ def _trace(model: QuotientModel, x0: np.ndarray, direction: np.ndarray, arc_budg
                     return "closed", arc + float(opt.x) * speed, pts
 
 
-class _Polyline:
-    """A leaf trace as points and the segments between them, seam jumps dropped."""
-
-    def __init__(self, trace: LeafTrace):
-        self.points = np.array([p for _, p in trace.points])
-        start, seg = self.points[:-1], np.diff(self.points, axis=0)
-        L2 = np.einsum("ij,ij->i", seg, seg)
-        keep = (L2 != 0.0) & (np.sqrt(L2) <= 10 * _TRACE_STEP)
-        self.start, self.seg, self.L2 = start[keep], seg[keep], L2[keep]
-
-    def near(self, point, tol: float) -> bool:
-        """Whether point lies within tol of a trace point or a segment."""
-        point = np.asarray(point, dtype=float)
-        if np.min(np.linalg.norm(point - self.points, axis=1)) <= tol:
-            return True
-        t = np.clip(np.einsum("ij,ij->i", point - self.start, self.seg) / self.L2, 0.0, 1.0)
-        foot = self.start + t[:, None] * self.seg
-        return bool(np.any(np.linalg.norm(point - foot, axis=1) <= tol))
-
-
 # ---------------------------------------------------------------------------
 # intersections and decomposition verdicts
 
@@ -628,6 +611,8 @@ class IntersectionReport:
     count: int
     witnesses: list              # ((a, b0) rep on leaf 1, (a0, b') rep on leaf 2) pairs
     word_bound_used: int
+    # True when a foliation has no closing word within the bound (an open
+    # leaf, or one closing only beyond it): the count is then a lower bound
     lower_bound_only: bool = False
 
 
@@ -644,30 +629,33 @@ def _check_distinct(model: QuotientModel, reps: list, word_bound: int) -> None:
 
 def leaf_intersection_count(model: QuotientModel, x0,
                             word_bound: Optional[int] = None) -> IntersectionReport:
-    """card(F1(x0) ^ F2(x0)) by orbit enumeration at the word bound.
+    """card(F1(x0) ^ F2(x0)) from the deck group alone, at the word bound.
 
-    Every group word w yields the intersection candidate p(phi_w^{-1}(a0), b0);
-    candidates are reduced, matched against both traced leaves, and counted up
-    to identification: a candidate whose representative is the same point as
-    a kept one is that intersection.  Two kept representatives that a word of
-    length <= the bound identifies raise InvalidAction.  Results from
-    truncated (non-closed) leaf traces carry the lower-bound flag.
+    Every group word w yields the candidate p(phi_w^{-1}(a0), b0), which lies
+    on both leaves: on M1 x {b0}, and w maps it to (a0, psi_w(b0)) on
+    {a0} x M2.  Candidates are reduced and counted up to identification: a
+    candidate whose representative is the same point as a kept one is that
+    intersection.  Two kept representatives that a word of length <= the
+    bound identifies raise InvalidAction.  The count is exact only when both
+    leaves close, that is when each foliation has a closing word within the
+    bound (``leaf_loops``); otherwise it carries the lower-bound flag.  Both
+    factors must be one-dimensional (InvalidAction otherwise): there a
+    non-trivial stabilizer of a free action is exactly a closed leaf.
     """
+    dtp = model.dtp
+    if dtp.n1 != 1 or dtp.n2 != 1:
+        raise InvalidAction("intersection counting requires one-dimensional factors")
     wb = word_bound if word_bound is not None else model.word_bound
     rep0, _ = model.canonical_rep(x0)
-    t1 = leaf_trace(model, rep0, 1)
-    t2 = leaf_trace(model, rep0, 2)
-    lower_bound_only = not (t1.closed and t2.closed)
-    leaf1, leaf2 = _Polyline(t1), _Polyline(t2)
+    loops = leaf_loops(model, rep0, wb)
+    lower_bound_only = not (loops[1] and loops[2])
 
-    dtp = model.dtp
     words = model._words(wb)
     orbit = np.broadcast_to(rep0, (len(words), dtp.n))
     cands = model._apply_words([word_inverse(w) for w in words], orbit)
     cands[:, dtp.slot2] = rep0[dtp.slot2]                # on the leaf M1 x {b0}
     cands2 = model._apply_words(words, orbit)
     cands2[:, dtp.slot1] = rep0[dtp.slot1]               # on {a0} x M2
-    match_tol = max(model.ident_tol, 2.0 * _TRACE_STEP)
     witnesses, reps = [], []
     reduced = model._searches(cands, model.in_box, model.word_bound)
     for cand, cand2, hit in zip(cands, cands2, reduced):
@@ -675,8 +663,6 @@ def leaf_intersection_count(model: QuotientModel, x0,
             continue
         rep = hit[0]
         if reps and model.same_point(np.array(reps), rep).any():
-            continue
-        if not (leaf1.near(rep, match_tol) and leaf2.near(rep, match_tol)):
             continue
         reps.append(rep)
         witnesses.append((CoordPoint(cand.copy()), CoordPoint(cand2.copy())))
@@ -776,7 +762,10 @@ def decomposition_check(model: QuotientModel, x0, loops: dict,
     loop of at most word_bound letters (``leaf_loops``) is tested, so the
     verdict does not hang on which loops were supplied.  Verdict is the
     global product iff every holonomy map is the identity within hol_tol and
-    the leaves meet exactly once.
+    the leaves meet exactly once (``leaf_intersection_count``, from the deck
+    group alone).  A count of 1 with a leaf that has no closing word within
+    word_bound is only a lower bound, and the verdict is refused with
+    InvalidAction.
     """
     wb = word_bound if word_bound is not None else model.word_bound
     rep0, _ = model.canonical_rep(x0)
@@ -806,11 +795,11 @@ def decomposition_check(model: QuotientModel, x0, loops: dict,
             "obstructed", VerdictReason("multiple-intersections", count=report.count),
             holonomy_maps=hol_maps, intersections=report)
     if report.lower_bound_only:
-        # a truncated trace makes "count == 1" a lower bound only; refusing is
-        # the only sound answer since neither verdict is certified
+        # a leaf without a closing word makes "count == 1" a lower bound only;
+        # refusing is the only sound answer since neither verdict is certified
         raise InvalidAction(
-            "intersection count 1 is only a lower bound (a leaf trace did not close "
-            "within budget); cannot certify a global product")
+            "intersection count 1 is only a lower bound (a leaf has no closing word "
+            "within the word bound); cannot certify a global product")
     return DecompositionVerdict("global-doubly-warped-product", VerdictReason("none"),
                                 holonomy_maps=hol_maps, intersections=report)
 

@@ -1,10 +1,11 @@
-"""Leaf holonomy in closed form, leaf loops derived from the deck group, and
-the metric evaluations one transport step makes.
+"""Leaf holonomy in closed form, leaf loops and intersection counts derived
+from the deck group, and the metric evaluations one transport step makes.
 
 The closed form (``quotient.loop_holonomy``) rests on adapted translation
 keeping the normal components constant in product coordinates; the RK45
 ``transport.holonomy_map`` and ``transport.adapted_translation`` stay as its
-oracles here and in verify-all.
+oracles here and in verify-all.  ``quotient.leaf_trace`` stays as the oracle
+for "a leaf closes iff ``leaf_loops`` finds a closing word".
 """
 
 import json
@@ -19,7 +20,7 @@ from warpquot import productgeo as pg
 from warpquot import quotient as qt
 from warpquot import transport as tp
 from warpquot.chartkit import CoordPoint, TangentVector
-from warpquot.errors import NotALoop
+from warpquot.errors import InvalidAction, NotALoop
 from warpquot.scenario import load_scenario_file
 
 
@@ -213,6 +214,63 @@ def test_downstairs_translation_makes_no_ode_call(monkeypatch):
     model = fx.example1_model()
     v0 = TangentVector(CoordPoint([0.0, 0.5]), [0.0, 1.0])
     qt.adapted_translation_downstairs(model, np.array([0.0, 0.5]), 1, 1.7, v0)
+
+
+# ---------------------------------------------------------------------------
+# intersection counts from the deck group: leaf_trace is only the oracle
+
+def _no_trace(*args, **kwargs):
+    raise AssertionError("leaf_trace called on the intersection path")
+
+
+@pytest.mark.parametrize("ref, codes", [
+    ("mobius", (0, 0)),
+    ("flat-torus", (0, 0)),
+    ("skewed-torus", (0, 0)),
+    ("example1-twisted", (0, 2)),  # its F2 leaf never closes: count 1 is a lower bound
+    ("warped-torus", (0, 0)),
+])
+def test_intersections_and_decompose_trace_no_leaf(tmp_path, monkeypatch, ref, codes):
+    scenario = warped_torus_file(tmp_path) if ref == "warped-torus" else ref
+    monkeypatch.setattr(qt, "leaf_trace", _no_trace)
+    for command, code in zip(("intersections", "decompose"), codes):
+        assert run(tmp_path, scenario, command)[0] == code
+
+
+ORACLE_MODELS = {
+    "flat-torus": fx.flat_torus_model,
+    "skewed-torus": fx.skewed_torus_model,
+    "mobius": fx.mobius_model,
+    "klein-bottle": fx.klein_bottle_model,
+    "example1": fx.example1_model,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+def test_leaf_trace_closes_iff_a_closing_word_exists(name):
+    # one-dimensional factors and a free action: a non-trivial stabilizer
+    # is exactly a closed leaf; example1's draws fall in its drift region too
+    model = ORACLE_MODELS[name]()
+    box = model.dtp.domain_box
+    rng = np.random.default_rng(8)
+    starts = [np.zeros(2)] + [box[:, 0] + rng.random(2) * (box[:, 1] - box[:, 0]) for _ in range(4)]
+    for x in starts:
+        rep, _ = model.canonical_rep(x)
+        loops = qt.leaf_loops(model, rep)
+        for i in (1, 2):
+            assert qt.leaf_trace(model, rep, i).closed == bool(loops[i]), (rep, i)
+
+
+def test_intersection_count_requires_one_dimensional_factors():
+    plane = pg.FactorManifold("plane", 2, ck.MetricField.euclidean(2), [[0.0, 1.0], [0.0, 1.0]])
+    line = pg.FactorManifold("line", 1, ck.MetricField.euclidean(1), [[0.0, 1.0]])
+    one = ck.ScalarField.constant(1.0)
+    gen = qt.DeckGenerator("a", qt.FactorMap.translation([1.0, 0.0]),
+                           qt.FactorMap.translation([0.0]))
+    model = qt.QuotientModel(pg.assemble(plane, line, one, one), [gen],
+                             [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(InvalidAction, match="one-dimensional factors"):
+        qt.leaf_intersection_count(model, [0.5, 0.5, 0.5])
 
 
 def _count_top_level_mat(monkeypatch):

@@ -384,7 +384,7 @@ def test_teodg_rejects_twisted_structures():
 
 
 def test_decomposition_refuses_uncertified_global_claim():
-    # no holonomy loops and an open leaf trace: "count 1" is a lower bound,
+    # no holonomy loops and an F2 leaf with no closing word: "count 1" is a lower bound,
     # so a global-product certificate must be refused, not granted
     model = fx.example1_model()
     with pytest.raises(InvalidAction, match="lower bound"):
