@@ -1,15 +1,21 @@
 """Transport along curves: parallel, normal, adapted; holonomy; broken geodesics.
 
-Every transport, and the velocity profile, integrates Ydot = -Gamma(gamma') Y
-in one place (``_integrate_transport``), segment by segment, on scipy's
-adaptive Runge-Kutta 4(5) pair (RK45) at rtol 1e-9 / atol 1e-11.  The integral
-of the mean curvature form rides along as an augmented state on the same
-adaptive grid, never as a separate quadrature.  The error is not far below the
-callers' 1e-6 budgets: the worst measured is 7.4e-7 (verify-all's
-parallel-transport conservation residual, sphere-polar at seed 10).  Leaf
-holonomy in quotients is computed in closed form (``quotient.loop_holonomy``);
-``holonomy_map`` integrates it and is the oracle tests and verify-all
-compare the closed form against.
+Adapted translation along a leaf has a closed form
+(``adapted_translation_closed_form``): a normal vector keeps its
+product-coordinate components.  The ``transport`` command runs it; the RK45
+``adapted_translation`` is the oracle tests and verify-all compare it
+against.  Leaf holonomy in quotients is likewise computed in closed form
+(``quotient.loop_holonomy``), with ``holonomy_map`` as its RK45 oracle.
+
+Every other transport, and the velocity profile, integrates
+Ydot = -Gamma(gamma') Y in one place (``_integrate_transport``), segment by
+segment, on scipy's adaptive Runge-Kutta 4(5) pair (RK45) at rtol 1e-9 /
+atol 1e-11.  The integral of the mean curvature form rides along as an
+augmented state on the same adaptive grid, never as a separate quadrature.
+The error is not far below the callers' 1e-6 budgets: the worst measured is
+7.4e-7 (verify-all's parallel-transport conservation residual, sphere-polar
+at seed 10).  Both adapted-translation routes pass the same input guards and
+sample the same times (``_transport_grid``).
 """
 
 from __future__ import annotations
@@ -167,6 +173,7 @@ class TransportResult:
     samples: list  # (t, TangentVector) pairs along the curve
     integral_omega: float
     tol_achieved: float
+    integrals: Optional[np.ndarray] = None  # adapted translation: I(t) at each sample
 
     @property
     def end(self) -> TangentVector:
@@ -275,6 +282,31 @@ def _integrate_transport(g: MetricField, curve: PiecewiseCurve, y0: np.ndarray,
     return Ys, Is
 
 
+def _transport_grid(curve: PiecewiseCurve, v0: TangentVector, samples_per_segment: int,
+                    leaf=None) -> np.ndarray:
+    """Sample times of a transport of v0 along the curve, after its input guards.
+
+    ``leaf`` = (dtp, foliation): the curve velocity must have no normal
+    (factor 3 - foliation) components at 33 sample times (``NotInLeaf``)
+    and v0 must be normal (``ValueError``).  v0 must be based at curve(0)
+    (``BaseMismatch``).  The times are ``samples_per_segment`` per segment,
+    breaks shared.
+    """
+    if leaf is not None:
+        dtp, foliation = leaf
+        normal_slot = dtp.slot(3 - foliation)
+        for t in np.linspace(0.0, 1.0, 33):
+            if np.max(np.abs(curve.velocity(t)[normal_slot])) > LEAF_VELOCITY_TOL:
+                raise NotInLeaf(
+                    f"curve velocity has factor-{3 - foliation} components at t = {t}")
+        if np.max(np.abs(v0.components[dtp.slot(foliation)])) > 1e-12:
+            raise ValueError("v0 must lie in the normal (other-factor) slots")
+    if np.max(np.abs(v0.base.coords - curve.point(0.0))) > 1e-9:
+        raise BaseMismatch("v0 must be based at curve(0)")
+    return np.unique(np.concatenate([np.linspace(seg.t0, seg.t1, samples_per_segment)
+                                     for seg in curve.segments]))
+
+
 def _transport(g: MetricField, curve: PiecewiseCurve, v0: TangentVector,
                samples_per_segment: int, leaf=None, omega=None):
     """Samples (t, A(t)) of v0 carried along the curve, and I(t) at the same t.
@@ -285,25 +317,16 @@ def _transport(g: MetricField, curve: PiecewiseCurve, v0: TangentVector,
     With the one-form ``omega``, A(t) = exp(-I(t)) W(t) for
     I(t) = integral of omega(gamma'); without it I = 0 and A = W.
     """
+    ts = _transport_grid(curve, v0, samples_per_segment, leaf)
     project = None
     if leaf is not None:
         dtp, foliation = leaf
         normal_slot = dtp.slot(3 - foliation)
-        for t in np.linspace(0.0, 1.0, 33):
-            if np.max(np.abs(curve.velocity(t)[normal_slot])) > LEAF_VELOCITY_TOL:
-                raise NotInLeaf(
-                    f"curve velocity has factor-{3 - foliation} components at t = {t}")
-        if np.max(np.abs(v0.components[dtp.slot(foliation)])) > 1e-12:
-            raise ValueError("v0 must lie in the normal (other-factor) slots")
 
         def project(dY):
             out = np.zeros_like(dY)
             out[normal_slot] = dY[normal_slot]
             return out
-    if np.max(np.abs(v0.base.coords - curve.point(0.0))) > 1e-9:
-        raise BaseMismatch("v0 must be based at curve(0)")
-    ts = np.unique(np.concatenate([np.linspace(seg.t0, seg.t1, samples_per_segment)
-                                   for seg in curve.segments]))
     ys, Is = _integrate_transport(g, curve, v0.components.reshape(-1, 1), ts,
                                   omega=omega, project=project)
     samples = [(t, TangentVector(CoordPoint(curve.point(t)),
@@ -349,7 +372,8 @@ def adapted_translation(dtp: pg.DoublyTwistedProduct, curve: PiecewiseCurve,
                         v0: TangentVector, tol: float = 1e-6,
                         foliation: int = 1,
                         samples_per_segment: int = 17) -> TransportResult:
-    """A(t) = exp(-int omega) W(t), W the normal parallel translation of v0.
+    """A(t) = exp(-int omega) W(t), W the normal parallel translation of v0
+    (RK45; the oracle of ``adapted_translation_closed_form``).
 
     For a curve in a leaf of F_1 the form is omega_2 (mean curvature form of
     the second foliation), and symmetrically for F_2.  The norm law
@@ -368,7 +392,75 @@ def adapted_translation(dtp: pg.DoublyTwistedProduct, curve: PiecewiseCurve,
                 for (_, vec), integ in zip(samples, Is))
     if worst > tol:
         raise IntegrationError(f"adapted-translation norm law residual {worst:.3e} > tol {tol:.3e}")
-    return TransportResult(samples, Is[-1], worst)
+    return TransportResult(samples, Is[-1], worst, np.asarray(Is))
+
+
+def adapted_translation_closed_form(dtp: pg.DoublyTwistedProduct, curve: PiecewiseCurve,
+                                    v0: TangentVector, tol: float = 1e-6,
+                                    foliation: int = 1,
+                                    samples_per_segment: int = 17) -> TransportResult:
+    """``adapted_translation`` without integration: A(t) = v0 in product coordinates.
+
+    Take a curve in a leaf of F_1 and write lam for lam2.  For i in slot 1
+    and j, k in slot 2 the product connection has
+    Gamma^k_ij = delta^k_j d_i ln lam (``productgeo.point_geometry``; g2 does
+    not depend on slot-1 coordinates, so twisted warps are covered too).
+    The normal transport equation is then dW/dt = -(d/dt ln lam(gamma)) W:
+
+        W(t) = lam(gamma(0)) / lam(gamma(t)) v0,
+        I(t) = int omega_2(gamma') = ln lam(gamma(0)) - ln lam(gamma(t)),
+        A(t) = exp(-I(t)) W(t) = v0          (Ponge & Reckziegel 1993).
+
+    F_2 is the mirror case with lam1.  Same input guards and sample times as
+    the RK45 route; lam and g are each evaluated once, on the batch of
+    sample points.  The norm law |A(t)| = |v0| exp(-I(t)) is checked
+    against tol and its residual returned as ``tol_achieved``.
+    """
+    ts = _transport_grid(curve, v0, samples_per_segment, leaf=(dtp, foliation))
+    pts = np.stack([curve.point(t) for t in ts])
+    Is = _leaf_integral(dtp, foliation, pts[0], pts)
+    # g at v0's base and at every sample: |v0| there, |A(t)| = |v0|_g(t) here
+    gm = dtp.assembled.mat(np.vstack([v0.base.coords, pts]))
+    v = v0.components
+    norms = np.sqrt(np.abs(np.einsum("i,pij,j->p", v, gm, v)))
+    worst = float(np.max(np.abs(norms[1:] - norms[0] * np.exp(-Is))))
+    if worst > tol:
+        raise IntegrationError(f"adapted-translation norm law residual {worst:.3e} > tol {tol:.3e}")
+    samples = [(t, TangentVector(CoordPoint(p), v.copy())) for t, p in zip(ts, pts)]
+    return TransportResult(samples, float(Is[-1]), worst, Is)
+
+
+def _leaf_integral(dtp: pg.DoublyTwistedProduct, foliation: int, start: np.ndarray,
+                   pts: np.ndarray) -> np.ndarray:
+    """The closed-form I = ln lam(start) - ln lam(x) at each row x of ``pts``,
+    lam the warp of the normal factor (one batched evaluation)."""
+    log_lam = np.log(np.asarray(dtp.warp(3 - foliation).value(np.vstack([start, pts]))))
+    return log_lam[0] - log_lam[1:]
+
+
+def transport_equation_residual(dtp: pg.DoublyTwistedProduct, curve: PiecewiseCurve,
+                                res: TransportResult, foliation: int = 1) -> float:
+    """Worst normal component of dW/dt + Gamma(gamma', W) over the samples of
+    ``adapted_translation_closed_form``, W = exp(I) A its normal translation.
+
+    dW/dt = (grad exp(I) . gamma') v0 differentiates the closed form afresh
+    (central differences of ``_leaf_integral`` at the sample points), so a
+    wrong sample A(t) or I(t) shows as well as a wrong formula; Gamma comes
+    from one batched ``christoffel_numeric`` on the assembled metric, which
+    shares no code with the closed form.
+    """
+    ts = [t for t, _ in res.samples]
+    pts = np.stack([vec.base.coords for _, vec in res.samples])
+    A = np.stack([vec.components for _, vec in res.samples])
+    start = curve.point(0.0)
+    grad_scale = ck.central_diff(lambda x: np.exp(_leaf_integral(dtp, foliation, start, x)),
+                                 pts, ck.fd_step(pts))
+    vel = np.stack([curve.velocity(t) for t in ts])
+    dW = np.outer(np.einsum("pi,pi->p", grad_scale, vel), A[0])
+    W = np.exp(res.integrals)[:, None] * A
+    gamma = ck.christoffel_numeric(dtp.assembled, pts)
+    resid = dW + np.einsum("pkij,pi,pj->pk", gamma, vel, W)
+    return float(np.max(np.abs(resid[:, dtp.slot(3 - foliation)])))
 
 
 # ---------------------------------------------------------------------------

@@ -360,11 +360,22 @@ def test_cli_teodg_command(capsys):
     assert results["histogram"]["positive"] > 0
 
 
-def test_report_matches_versioned_schema(capsys):
+def test_report_matches_versioned_schema(capsys, tmp_path):
     jsonschema = pytest.importorskip("jsonschema")
     from pathlib import Path
     schema = json.loads((Path(__file__).resolve().parents[1]
                          / "schemas" / "report-v1.schema.json").read_text())
-    for scenario_name, command in (("mobius", "decompose"), ("sphere-polar", "verify-all")):
+    data = polar_scenario_dict()
+    data["curves"] = {"arc": {"formula": ["1 + t", "0.5"]},
+                      "poly": {"polyline": [[1.0, 0.5], [1.5, 0.5], [2.5, 0.5]]}}
+    path = tmp_path / "polar-curves.json"
+    path.write_text(json.dumps(data))
+    for scenario_name, command in (("mobius", "decompose"), ("sphere-polar", "verify-all"),
+                                   ("polar-plane", "transport"), (str(path), "transport"),
+                                   (str(path), "verify-all")):
         code, out = run_cli(capsys, "run", scenario_name, command)
-        jsonschema.validate(json.loads(out), schema)
+        assert code == 0, (scenario_name, command)
+        report = json.loads(out)
+        jsonschema.validate(report, schema)
+        if command == "transport" and scenario_name == str(path):
+            assert sorted(report["results"]["curves"]) == ["arc", "poly"]

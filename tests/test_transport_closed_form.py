@@ -1,0 +1,256 @@
+"""Adapted translation in closed form, with RK45 as its oracle.
+
+Along a leaf of F_1 a normal vector keeps its product-coordinate components
+(Ponge & Reckziegel 1993): ``transport.adapted_translation_closed_form``
+returns A(t) = v0 and I(t) = ln lam2(gamma(0)) - ln lam2(gamma(t)) without
+integrating.  The CLI ``transport`` command runs it; the RK45
+``transport.adapted_translation`` is the oracle here and in verify-all's
+``adapted-translation-closed-form`` row.  Both routes share one input guard.
+"""
+
+import copy
+import importlib.util
+import json
+import random
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.integrate import quad
+
+from warpquot import chartkit as ck
+from warpquot import cli
+from warpquot import fixtures as fx
+from warpquot import productgeo as pg
+from warpquot import transport as tp
+from warpquot.chartkit import CoordPoint, TangentVector
+from warpquot.errors import BaseMismatch, NotInLeaf
+from warpquot.scenario import list_scenarios, load_scenario_file, resolve_scenario
+
+BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
+
+
+def bench_inputs():
+    spec = importlib.util.spec_from_file_location("bench_inputs", BENCH_INPUTS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def generated_files(tmp_path):
+    """A doubly warped and a doubly twisted product file with four curves
+    each, and the warped torus with its ``leaf-half-period`` curve, as the
+    benchmark generates them."""
+    inputs = bench_inputs()
+    rng = random.Random("transport-closed-form")
+    made = [inputs.product_file(rng, "product-warped", True)[0],
+            inputs.product_file(rng, "product-twisted", False)[0],
+            inputs.warped_torus(rng)[0]]
+    paths = []
+    for data in made:
+        path = tmp_path / f"{data['name']}.json"
+        path.write_text(json.dumps(data))
+        paths.append(str(path))
+    return paths
+
+
+def run(tmp_path, *argv):
+    out = tmp_path / "report.json"
+    out.unlink(missing_ok=True)
+    code = cli.main(["run", *argv, "--out", str(out)])
+    return code, (json.loads(out.read_text()) if out.exists() else None)
+
+
+def leaf_line(dtp, foliation=1):
+    """Straight curve in the leaf of F_foliation through an inner point of the box."""
+    box = dtp.domain_box
+    start = 0.7 * box[:, 0] + 0.3 * box[:, 1]
+    end = start.copy()
+    sl = dtp.slot(foliation)
+    end[sl] = (0.25 * box[:, 0] + 0.75 * box[:, 1])[sl]
+    return tp.PiecewiseCurve.line(start, end)
+
+
+def normal_vector(dtp, curve, seed, foliation=1):
+    comps = np.random.default_rng(seed).normal(size=dtp.factor(3 - foliation).dim)
+    return TangentVector(CoordPoint(curve.point(0.0)), dtp.embed(3 - foliation, comps))
+
+
+# ---------------------------------------------------------------------------
+# the transport command makes no ODE call
+
+def _no_ode(*args, **kwargs):
+    raise AssertionError("solve_ivp called on the closed-form path")
+
+
+def test_transport_command_makes_no_ode_call(tmp_path, monkeypatch):
+    scenarios = list_scenarios() + generated_files(tmp_path)
+    assert len(scenarios) == 12
+    monkeypatch.setattr(tp, "solve_ivp", _no_ode)
+    for ref in scenarios:
+        code, report = run(tmp_path, ref, "transport")
+        assert code == 0, ref
+        for payload in report["results"]["curves"].values():
+            assert [c["check"] for c in payload["checks"]] == ["norm-law", "transport-equation"]
+
+
+# ---------------------------------------------------------------------------
+# RK45 is the oracle
+
+PRODUCTS = {
+    "flat-direct": fx.flat_direct_product,
+    "polar-plane": fx.polar_plane,
+    "sphere-polar": fx.sphere_polar,
+    "hyperbolic-polar": fx.hyperbolic_polar,
+    "lorentz-direct": fx.lorentz_direct,
+    "lorentz-warped-fiber": fx.lorentz_warped_fiber,
+    "expanding-spacetime": fx.expanding_spacetime,
+    "bowl-warped": fx.bowl_warped,
+    "random-dtp-3": lambda: fx.random_doubly_twisted(3),
+    "random-dw-8": lambda: fx.random_doubly_warped(8),
+}
+
+
+def oracle_cases(tmp_path):
+    """(label, dtp, curve, v0, foliation): the nine built-ins on their
+    default curve, random doubly twisted products, every product fixture on
+    the FD route, the F_2 mirror, and the first Catmull-Rom curve of each
+    generated scenario file."""
+    for name in list_scenarios():
+        ctx = resolve_scenario(name)
+        curve = cli._horizontal_curve(ctx)
+        yield name, ctx.dtp, curve, normal_vector(ctx.dtp, curve, 1), 1
+    for seed in (0, 11, 50):
+        dtp = fx.random_doubly_twisted(seed)
+        curve = leaf_line(dtp)
+        yield f"random-dtp-{seed}", dtp, curve, normal_vector(dtp, curve, seed), 1
+    for name, make in PRODUCTS.items():
+        dtp = fx.strip_analytic(make())
+        curve = leaf_line(dtp)
+        yield f"{name}-fd", dtp, curve, normal_vector(dtp, curve, 2), 1
+    for dtp in (fx.random_doubly_twisted(71), fx.strip_analytic(fx.random_doubly_twisted(71))):
+        curve = leaf_line(dtp, foliation=2)
+        yield "random-dtp-71-mirror", dtp, curve, normal_vector(dtp, curve, 71, 2), 2
+    for path in generated_files(tmp_path):
+        ctx = load_scenario_file(path)
+        name, curve = min(ctx.curves.items())
+        yield f"{ctx.name}/{name}", ctx.dtp, curve, normal_vector(ctx.dtp, curve, 5), 1
+
+
+def test_closed_form_matches_rk45(tmp_path):
+    # A(t) and the reported integral to the bounds asked of the closed form;
+    # I(t) between the ends to 10 x RTOL, the RK45 oracle's own error there
+    # (up to 3.2e-9 on these cases, while an adaptive quadrature of omega
+    # agrees with the closed form to 1e-9: see the next test)
+    for label, dtp, curve, v0, foliation in oracle_cases(tmp_path):
+        closed = tp.adapted_translation_closed_form(dtp, curve, v0, foliation=foliation)
+        ref = tp.adapted_translation(dtp, curve, v0, foliation=foliation)
+        assert [t for t, _ in closed.samples] == [t for t, _ in ref.samples], label
+        worst_a = 0.0
+        for (_, a), (_, b) in zip(closed.samples, ref.samples):
+            assert np.array_equal(a.components, v0.components), label
+            assert np.array_equal(a.base.coords, b.base.coords), label
+            worst_a = max(worst_a, float(np.max(np.abs(a.components - b.components))))
+        assert worst_a < 1e-8, (label, worst_a)
+        assert closed.integral_omega == closed.integrals[-1]
+        assert abs(closed.integral_omega - ref.integral_omega) < 1e-9, label
+        assert np.max(np.abs(closed.integrals - ref.integrals)) < 10 * tp.RTOL, label
+        assert tp.transport_equation_residual(dtp, curve, closed, foliation) < 1e-8, label
+
+
+@pytest.mark.parametrize("name", ["example1-twisted", "sphere-polar", "random-dtp"])
+def test_closed_form_integral_matches_quadrature(name):
+    # I(t) = int_0^t omega_2(gamma') at every sample, omega_2 from
+    # mean_curvature_form (FD warp gradient for example1-twisted)
+    ctx = resolve_scenario(name)
+    curve = cli._horizontal_curve(ctx)
+    res = tp.adapted_translation_closed_form(ctx.dtp, curve, cli._ones_normal(ctx.dtp, curve))
+
+    def rate(t):
+        form = pg.mean_curvature_form(ctx.dtp, curve.point(t), 2)
+        return float(form.components @ curve.velocity(t))
+
+    for (t, _), integ in zip(res.samples, res.integrals):
+        ref, _ = quad(rate, 0.0, t, epsabs=1e-13, epsrel=1e-12, limit=200)
+        assert abs(integ - ref) < 1e-9, (name, t)
+
+
+def test_closed_form_polar_lemma_values():
+    # components constant, integral of omega_2 = -ln 2, norm law |A| = 2
+    dtp = fx.polar_plane()
+    curve = tp.PiecewiseCurve.line([1.0, 0.5], [2.0, 0.5])
+    res = tp.adapted_translation_closed_form(dtp, curve, TangentVector(CoordPoint([1.0, 0.5]),
+                                                                       [0.0, 1.0]))
+    assert np.array_equal(res.end.components, [0.0, 1.0])
+    assert res.integral_omega == pytest.approx(-np.log(2.0), abs=1e-12)
+    assert ck.norm(dtp.assembled, res.end) == pytest.approx(2.0, abs=1e-12)
+    assert res.tol_achieved < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# negative controls
+
+@pytest.mark.parametrize("ref", ["polar-plane", "sphere-polar", "hyperbolic-polar",
+                                 "random-dtp", "twisted-file"])
+def test_swapped_warps_fail_both_transport_rows(tmp_path, monkeypatch, ref):
+    scenario = generated_files(tmp_path)[1] if ref == "twisted-file" else ref
+    exact = pg.DoublyTwistedProduct.warp
+    monkeypatch.setattr(pg.DoublyTwistedProduct, "warp", lambda self, i: exact(self, 3 - i))
+    code, report = run(tmp_path, scenario, "transport")
+    assert code == 1
+    for payload in report["results"]["curves"].values():
+        rows = {c["check"]: c for c in payload["checks"]}
+        for name in ("norm-law", "transport-equation"):
+            assert rows[name]["pass"] is False, (ref, name)
+            assert rows[name]["value"] > 10 * rows[name]["budget"], (ref, name)
+
+
+def test_transport_equation_sees_wrong_samples():
+    # the row differentiates the closed form afresh, so samples that drift
+    # from it fail even where the formula itself is right
+    dtp = fx.random_doubly_twisted(3)
+    curve = leaf_line(dtp)
+    res = tp.adapted_translation_closed_form(dtp, curve, normal_vector(dtp, curve, 3))
+    assert tp.transport_equation_residual(dtp, curve, res) < 1e-8
+    ts = np.array([t for t, _ in res.samples])
+    drifted = tp.TransportResult(res.samples, res.integral_omega, res.tol_achieved,
+                                 res.integrals + 1e-3 * ts)
+    assert tp.transport_equation_residual(dtp, curve, drifted) > 1e-5
+    turn = [(t, TangentVector(vec.base, vec.components + 1e-3 * t * dtp.embed(2, [1.0, -1.0])))
+            for t, vec in res.samples]
+    rotated = tp.TransportResult(turn, res.integral_omega, res.tol_achieved, res.integrals)
+    assert tp.transport_equation_residual(dtp, curve, rotated) > 1e-5
+
+
+def test_swapped_warp_closed_form_fails_verify_all(tmp_path, monkeypatch):
+    exact = tp.adapted_translation_closed_form
+
+    def swapped(dtp, *args, **kwargs):
+        mirror = copy.copy(dtp)
+        mirror.lam1, mirror.lam2 = dtp.lam2, dtp.lam1
+        return exact(mirror, *args, **kwargs)
+
+    monkeypatch.setattr(tp, "adapted_translation_closed_form", swapped)
+    code, report = run(tmp_path, "polar-plane", "verify-all", "--samples", "8")
+    assert code == 1
+    rows = {c["check"]: c for c in report["results"]["checks"]}
+    assert rows["adapted-translation-closed-form"]["pass"] is False
+    assert rows["adapted-translation-closed-form"]["value"] > 1e-2
+    assert rows["adapted-translation-norm-law"]["pass"] is True
+
+
+ROUTES = {"closed-form": tp.adapted_translation_closed_form, "rk45": tp.adapted_translation}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_both_routes_refuse_the_same_inputs(route):
+    translate = ROUTES[route]
+    dtp = fx.polar_plane()
+    base = TangentVector(CoordPoint([1.0, 0.5]), [0.0, 1.0])
+    with pytest.raises(NotInLeaf):
+        translate(dtp, tp.PiecewiseCurve.line([1.0, 0.5], [2.0, 0.7]), base)
+    line = tp.PiecewiseCurve.line([1.0, 0.5], [2.0, 0.5])
+    with pytest.raises(ValueError, match="normal"):
+        translate(dtp, line, TangentVector(CoordPoint([1.0, 0.5]), [1.0, 1.0]))
+    with pytest.raises(BaseMismatch):
+        translate(dtp, line, TangentVector(CoordPoint([1.6, 0.5]), [0.0, 1.0]))
