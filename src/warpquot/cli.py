@@ -196,8 +196,7 @@ def _adapted_constancy(dtp, curve, tol):
 def _closed_form_transport_residual(dtp, curve, ref):
     """Worst |closed form - RK45| adapted translation over the samples of
     A(t) and I(t); ``ref`` is the RK45 result of ``_adapted_constancy``."""
-    closed = tp.adapted_translation_closed_form(dtp, curve, _ones_normal(dtp, curve),
-                                                tol=np.inf)
+    closed = tp.adapted_translation_closed_form(dtp, curve, _ones_normal(dtp, curve))
     worst = float(np.max(np.abs(closed.integrals - ref.integrals)))
     for (_, a), (_, b) in zip(closed.samples, ref.samples):
         worst = max(worst, float(np.max(np.abs(a.components - b.components))))
@@ -281,9 +280,7 @@ def cmd_transport(ctx, args, rng):
     out = {}
     ok = True
     for name, curve in sorted(curves.items()):
-        # tol=inf: a norm-law residual over budget fails its row instead of raising
-        res = tp.adapted_translation_closed_form(ctx.dtp, curve, _ones_normal(ctx.dtp, curve),
-                                                 tol=np.inf)
+        res = tp.adapted_translation_closed_form(ctx.dtp, curve, _ones_normal(ctx.dtp, curve))
         checks = [Check("norm-law", res.tol_achieved, tol),
                   Check("transport-equation",
                         tp.transport_equation_residual(ctx.dtp, curve, res), tol)]

@@ -396,8 +396,7 @@ def adapted_translation(dtp: pg.DoublyTwistedProduct, curve: PiecewiseCurve,
 
 
 def adapted_translation_closed_form(dtp: pg.DoublyTwistedProduct, curve: PiecewiseCurve,
-                                    v0: TangentVector, tol: float = 1e-6,
-                                    foliation: int = 1,
+                                    v0: TangentVector, foliation: int = 1,
                                     samples_per_segment: int = 17) -> TransportResult:
     """``adapted_translation`` without integration: A(t) = v0 in product coordinates.
 
@@ -413,8 +412,8 @@ def adapted_translation_closed_form(dtp: pg.DoublyTwistedProduct, curve: Piecewi
 
     F_2 is the mirror case with lam1.  Same input guards and sample times as
     the RK45 route; lam and g are each evaluated once, on the batch of
-    sample points.  The norm law |A(t)| = |v0| exp(-I(t)) is checked
-    against tol and its residual returned as ``tol_achieved``.
+    sample points.  The norm-law residual
+    max_t | |A(t)| - |v0| exp(-I(t)) | is returned as ``tol_achieved``.
     """
     ts = _transport_grid(curve, v0, samples_per_segment, leaf=(dtp, foliation))
     pts = np.stack([curve.point(t) for t in ts])
@@ -424,8 +423,6 @@ def adapted_translation_closed_form(dtp: pg.DoublyTwistedProduct, curve: Piecewi
     v = v0.components
     norms = np.sqrt(np.abs(np.einsum("i,pij,j->p", v, gm, v)))
     worst = float(np.max(np.abs(norms[1:] - norms[0] * np.exp(-Is))))
-    if worst > tol:
-        raise IntegrationError(f"adapted-translation norm law residual {worst:.3e} > tol {tol:.3e}")
     samples = [(t, TangentVector(CoordPoint(p), v.copy())) for t, p in zip(ts, pts)]
     return TransportResult(samples, float(Is[-1]), worst, Is)
 
