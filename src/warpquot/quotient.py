@@ -34,7 +34,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from . import chartkit as ck
 from . import productgeo as pg
@@ -558,6 +557,8 @@ def _trace(model: QuotientModel, x0: np.ndarray, direction: np.ndarray, arc_budg
     restarts from its representative.  Closure and budget are decided step
     by step, so a chunk may evaluate the metric a little past the end.
     """
+    from scipy import optimize
+
     step = _TRACE_STEP
     cur = x0.copy()
     arc = 0.0
@@ -642,14 +643,23 @@ def leaf_intersection_count(model: QuotientModel, x0,
     factors must be one-dimensional (InvalidAction otherwise): there a
     non-trivial stabilizer of a free action is exactly a closed leaf.
     """
-    dtp = model.dtp
-    if dtp.n1 != 1 or dtp.n2 != 1:
-        raise InvalidAction("intersection counting requires one-dimensional factors")
+    _require_line_factors(model.dtp)
     wb = word_bound if word_bound is not None else model.word_bound
     rep0, _ = model.canonical_rep(x0)
-    loops = leaf_loops(model, rep0, wb)
-    lower_bound_only = not (loops[1] and loops[2])
+    return _intersections(model, rep0, leaf_loops(model, rep0, wb), wb)
 
+
+def _require_line_factors(dtp: pg.DoublyTwistedProduct) -> None:
+    if dtp.n1 != 1 or dtp.n2 != 1:
+        raise InvalidAction("intersection counting requires one-dimensional factors")
+
+
+def _intersections(model: QuotientModel, rep0: np.ndarray, loops: dict,
+                   wb: int) -> IntersectionReport:
+    """``leaf_intersection_count`` at a reduced basepoint rep0 whose
+    ``leaf_loops`` at the word bound wb are ``loops``."""
+    dtp = model.dtp
+    lower_bound_only = not (loops[1] and loops[2])
     words = model._words(wb)
     orbit = np.broadcast_to(rep0, (len(words), dtp.n))
     cands = model._apply_words([word_inverse(w) for w in words], orbit)
@@ -770,11 +780,12 @@ def decomposition_check(model: QuotientModel, x0, loops: dict,
     wb = word_bound if word_bound is not None else model.word_bound
     rep0, _ = model.canonical_rep(x0)
     declared = [(i, tuple(word)) for i in (1, 2) for word in loops.get(i, [])]
+    derived = {}  # leaf_loops(model, rep0, wb), once every declared loop passed
 
     def tested():
         for i, word in declared:
             yield i, word, loop_holonomy(model, rep0, i, word)
-        derived = leaf_loops(model, rep0, wb)
+        derived.update(leaf_loops(model, rep0, wb))
         for i in (1, 2):
             words = [w for w in derived[i] if (i, w) not in declared]
             if words:
@@ -789,7 +800,8 @@ def decomposition_check(model: QuotientModel, x0, loops: dict,
                 "obstructed",
                 VerdictReason("nontrivial-holonomy", foliation=i, word=word),
                 holonomy_maps=hol_maps)
-    report = leaf_intersection_count(model, rep0, word_bound)
+    _require_line_factors(model.dtp)
+    report = _intersections(model, rep0, derived, wb)
     if report.count != 1:
         return DecompositionVerdict(
             "obstructed", VerdictReason("multiple-intersections", count=report.count),
@@ -1020,6 +1032,8 @@ def teodg_diagnostic(dtp: pg.DoublyTwistedProduct, n_samples: int = 60,
     warped structures) has a critical point inside the factor-1 box, sought
     by descent from the best 5 points of a 9-per-axis grid.
     """
+    from scipy import optimize
+
     cls = pg.classify(dtp)
     if cls.tag in (pg.StructureTag.TWISTED, pg.StructureTag.DOUBLY_TWISTED):
         raise InvalidAction(f"diagnostic requires a (doubly) warped structure, got {cls.tag.value}")

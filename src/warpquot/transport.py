@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import chartkit as ck
 from . import productgeo as pg
@@ -43,6 +42,17 @@ LOOP_CLOSURE_TOL = 1e-7
 LEAF_VELOCITY_TOL = 1e-8
 _VELOCITY_CHECK_TOL = 1e-4
 _CONTINUITY_TOL = 1e-9
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first call.
+
+    No closed-form command integrates, so one that runs no RK45 oracle
+    never loads scipy.  Callers in this module look the name up at call
+    time, which lets tests and tracers replace ``transport.solve_ivp``.
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -379,3 +379,8 @@ def test_report_matches_versioned_schema(capsys, tmp_path):
         jsonschema.validate(report, schema)
         if command == "transport" and scenario_name == str(path):
             assert sorted(report["results"]["curves"]) == ["arc", "poly"]
+    # negative control: each check row is validated, so a string value fails
+    broken = json.loads(json.dumps(report))
+    broken["results"]["checks"][0]["value"] = "0.0"
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(broken, schema)
