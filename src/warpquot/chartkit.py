@@ -505,16 +505,6 @@ def _christoffel_and_d1(g: MetricField, coords: np.ndarray) -> tuple[np.ndarray,
     return gamma, dgamma
 
 
-def christoffel_d1(g: MetricField, x) -> np.ndarray:
-    """dGamma[m, k, i, j] = d_m Gamma^k_ij.
-
-    Exact when the metric has analytic first and second derivatives, else
-    central differences of ``christoffel_numeric`` with the second-derivative
-    step, all stencil points in one batch.
-    """
-    return _christoffel_and_d1(g, _coords(x, g.dim))[1]
-
-
 def riemann_numeric(g: MetricField, x) -> np.ndarray:
     """riem[l, i, j, k]: the l component of R(e_i, e_j) e_k.
 

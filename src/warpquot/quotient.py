@@ -22,8 +22,11 @@ for one point or an array of ``P`` values for a batch, and the output puts
 the point axis last: ``(m,)`` or ``(m, P)`` from ``apply``/``inverse``,
 ``(m, m)`` or ``(m, m, P)`` from ``jacobian``.  A map that is piecewise or
 needs a per-point solve loops over the batch itself (``build_example1``).
-Orbit searches apply each generator to a whole search level at once.  With
-elementwise callbacks a row of a batch sees the same arithmetic as the
+The group is searched once per model and word bound (``enumerate_words``,
+one apply_gen call per generator and sign on a whole level); every orbit
+lookup (``canonical_rep``, ``find_closing_word``, loops, intersections)
+moves its points by the enumerated words in ``_apply_words`` batches.
+With elementwise callbacks a row of a batch sees the same arithmetic as the
 point alone, so batched and one-point results agree bit for bit.
 """
 
@@ -53,12 +56,15 @@ ACTION_TOL = 1e-7       # deck-generator invariant residual budget
 DEFAULT_IDENT_TOL = 1e-7
 DEFAULT_WORD_BOUND = 8
 VALIDATE_WORD_CAP = 20_000  # words validate applies to the interior grid at most
-# Visited-set grid of the orbit searches (_searches, enumerate_words).  It only
-# prunes work: a child whose image rounds to a visited key lies within 1e-9 of
-# a point reached earlier in search order, whose subtree is searched first, so
-# no accepted (point, word) hangs on it.  Whether two points are the same
-# point is decided by QuotientModel.same_point alone.
+# Visited-set grid of enumerate_words.  A word whose probe images round to a
+# visited key moves both probes within 1e-9 of an earlier word; the action is
+# free, so it is that word's group element and moves every point where the
+# earlier word does.  Whether two points are the same point is decided by
+# QuotientModel.same_point alone.
 _ROUND = 1e-9
+# Points one _searches batch moves at most: words x starts grows as the square
+# of the group's size, and a later batch runs only for the starts still unmatched.
+_SEARCH_POINTS = 1 << 16
 _TRACE_STEP = 0.01      # leaf_trace step in the traced factor coordinate
 _TRACE_CHUNK = 64       # steps leaf_trace takes ahead in one batch
 
@@ -252,78 +258,33 @@ class QuotientModel:
             x[rows] = self.apply_gen(gen, sign, x[rows])
         return J
 
-    def _level(self, frontier: np.ndarray, last: np.ndarray) -> list:
-        """Children of one search level, one apply_gen call per move.
-
-        ``frontier`` is (K, r, n): r points carried along per node, and
-        ``last[k]`` the move that ended node k's word (-1 for the empty
-        word).  Returns (ok, images, keys) per move, where ``ok`` marks the
-        nodes whose word stays reduced and ``keys[k]`` dedups node k's child.
-        """
-        K, r, n = frontier.shape
-        out = []
-        for m, (gen, sign) in enumerate(self._moves()):
-            ok = last != (m ^ 1)
-            img = np.zeros_like(frontier)
-            if ok.any():
-                img[ok] = self.apply_gen(gen, sign, frontier[ok].reshape(-1, n)).reshape(-1, r, n)
-            out.append((ok, img, _round_keys(img.reshape(K, r * n))))
-        return out
-
-    def _bfs(self, start, accept, max_len: int):
-        """Breadth-first word search from ``start``; returns (point, word) on accept.
-
-        ``accept`` maps a batch (P, n) to one bool per row.
-        """
-        return self._searches(np.asarray(start, dtype=float)[None], accept, max_len)[0]
-
     def _searches(self, starts, accept, max_len: int) -> list:
-        """One breadth-first word search from each row of ``starts`` (S, n),
-        all expanded together; per start, (point, word) on accept or None.
+        """Per row of ``starts`` (S, n), the first (point, word) of
+        ``enumerate_words(max_len)`` whose image ``accept`` takes, or None.
 
-        Each level of all searches is expanded by ``_level``.  Each search
-        then visits its children in the order of a node-by-node search (node
-        by node, generators in order, +1 before -1) with its own dedup set,
-        so its first accepted (point, word) is that search's.
+        ``accept`` maps a batch (..., n) to one bool per point.  A start it
+        takes as it is gets the empty word; the others are moved by the
+        enumerated words in ``_apply_words`` batches of at most
+        _SEARCH_POINTS points.  The action is free, so a word the enumeration
+        drops moves every point where an earlier word does: the first hit is
+        the one of a breadth-first search from that start.
         """
         starts = np.asarray(starts, dtype=float)
-        found: list = [None] * len(starts)
-        for s in np.flatnonzero(accept(starts)).tolist():
-            found[s] = (starts[s], ())
-        owner = [s for s, hit in enumerate(found) if hit is None]
-        seen = {s: {key} for s, key in zip(owner, _round_keys(starts[owner]))}
-        letters = [(gen.name, sign) for gen, sign in self._moves()]
-        frontier, words, last = starts[owner][:, None], [()] * len(owner), np.full(len(owner), -1)
-        for _ in range(max_len):
-            if not owner:
-                break
-            level = []
-            for ok, img, keys in self._level(frontier, last):
-                hit = np.zeros(len(ok), dtype=bool)
-                hit[ok] = accept(img[ok, 0])
-                level.append((ok.tolist(), hit.tolist(), img, keys))
-            nxt, nowner, nwords, nlast = [], [], [], []
-            for k, (s, w) in enumerate(zip(owner, words)):
-                if found[s] is not None:
-                    continue  # accepted earlier in this level
-                visited = seen[s]
-                for m, (ok, hit, img, keys) in enumerate(level):
-                    if not ok[k] or keys[k] in visited:
-                        continue
-                    visited.add(keys[k])
-                    w2 = w + (letters[m],)
-                    if hit[k]:
-                        found[s] = (img[k, 0].copy(), w2)
-                        break
-                    nxt.append(img[k])
-                    nowner.append(s)
-                    nwords.append(w2)
-                    nlast.append(m)
-            keep = [i for i, s in enumerate(nowner) if found[s] is None]
-            owner = [nowner[i] for i in keep]
-            if owner:
-                frontier = np.stack([nxt[i] for i in keep])
-                words, last = [nwords[i] for i in keep], np.array([nlast[i] for i in keep])
+        taken = accept(starts)
+        found: list = [(p, ()) if hit else None for p, hit in zip(starts, taken.tolist())]
+        rest = np.flatnonzero(~taken)
+        words = self._words(max_len)[1:] if rest.size else []
+        lo = 0
+        while rest.size and lo < len(words):
+            chunk = words[lo:lo + max(1, _SEARCH_POINTS // rest.size)]
+            lo += len(chunk)
+            pts = starts[rest]
+            moved = self._apply_words(chunk, np.broadcast_to(pts, (len(chunk),) + pts.shape))
+            hits = accept(moved)
+            first, hit = hits.argmax(axis=0), hits.any(axis=0)
+            for r in np.flatnonzero(hit).tolist():
+                found[rest[r]] = (moved[first[r], r].copy(), chunk[first[r]])
+            rest = rest[~hit]
         return found
 
     def canonical_rep(self, x) -> tuple[np.ndarray, Word]:
@@ -333,7 +294,7 @@ class QuotientModel:
         word.  Raises WordBoundExceeded when no word of length <= word_bound
         reaches the box.
         """
-        hit = self._bfs(x, self.in_box, self.word_bound)
+        hit = self._searches(np.asarray(x, dtype=float)[None], self.in_box, self.word_bound)[0]
         if hit is None:
             raise WordBoundExceeded(
                 f"{np.asarray(x)} not reducible to the fundamental box by words of length "
@@ -342,23 +303,38 @@ class QuotientModel:
 
     def find_closing_word(self, end, start) -> Word:
         """Shortest word (at most word_bound letters) taking end to start."""
-        hit = self._bfs(end, lambda q: self.same_point(q, start), self.word_bound)
+        hit = self._searches(np.asarray(end, dtype=float)[None],
+                             lambda q: self.same_point(q, start), self.word_bound)[0]
         if hit is None:
             raise NotALoop(f"no word of length <= {self.word_bound} closes the loop")
         return hit[1]
 
     def enumerate_words(self, max_len: int) -> list[Word]:
-        """Reduced words up to max_len, deduplicated by their action on two
-        probe points near the middle of the box; levels expand as in ``_bfs``."""
+        """Reduced words up to max_len in breadth-first order (level by level,
+        generators in order, +1 before -1), deduplicated by their action on
+        two probe points near the middle of the box.
+
+        The only search of the group: every orbit lookup reads this list
+        through ``_words``.  Each level applies each (generator, sign) once
+        to all its nodes.
+        """
         box = self.fundamental_box
         probe = 0.5 * (box[:, 0] + np.minimum(box[:, 1], box[:, 0] + 10.0))
         probe2 = probe + 0.1 * np.arange(1, self.dtp.n + 1)
-        letters = [(gen.name, sign) for gen, sign in self._moves()]
+        moves = self._moves()
+        letters = [(gen.name, sign) for gen, sign in moves]
         words = [()]
         frontier, fwords, last = np.stack([probe, probe2])[None], [()], np.array([-1])
         seen = set(_round_keys(frontier.reshape(1, -1)))
         for _ in range(max_len):
-            level = [(ok.tolist(), img, keys) for ok, img, keys in self._level(frontier, last)]
+            K, r, n = frontier.shape
+            level = []
+            for m, (gen, sign) in enumerate(moves):
+                ok = last != (m ^ 1)  # keep the word reduced
+                img = np.zeros_like(frontier)
+                if ok.any():
+                    img[ok] = self.apply_gen(gen, sign, frontier[ok].reshape(-1, n)).reshape(-1, r, n)
+                level.append((ok.tolist(), img, _round_keys(img.reshape(K, r * n))))
             nxt, nwords, nlast = [], [], []
             for k, w in enumerate(fwords):
                 for m, (ok, img, keys) in enumerate(level):
@@ -619,13 +595,20 @@ class IntersectionReport:
 
 def _check_distinct(model: QuotientModel, reps: list, word_bound: int) -> None:
     """Raise InvalidAction when a word of length <= word_bound identifies two
-    of the representatives, which as canonical representatives must differ."""
-    for j in range(1, len(reps)):
-        hits = model._searches(np.array(reps[:j]),
-                               lambda q, t=reps[j]: model.same_point(q, t), word_bound)
-        for i, hit in enumerate(hits):
-            if hit is not None:
-                raise InvalidAction(f"witnesses {i} and {j} are identified by word {hit[1]}")
+    of the representatives, which as canonical representatives must differ.
+
+    Every enumerated word moves every representative in one batch; the pair
+    named is the first by j, then i < j, then the word in enumeration order.
+    """
+    if len(reps) < 2:
+        return
+    reps = np.array(reps)
+    words = model._words(word_bound)
+    moved = model._apply_words(words, np.broadcast_to(reps, (len(words),) + reps.shape))
+    hits = model.same_point(moved[:, :, None], reps) & np.triu(np.ones((len(reps),) * 2, bool), 1)
+    if hits.any():
+        j, i, w = np.unravel_index(np.argmax(hits.transpose(2, 1, 0)), hits.shape[::-1])
+        raise InvalidAction(f"witnesses {i} and {j} are identified by word {words[w]}")
 
 
 def leaf_intersection_count(model: QuotientModel, x0,
@@ -707,24 +690,29 @@ def leaf_loop_curve(model: QuotientModel, rep0, foliation: int, word: Word) -> t
     loop of F_foliation downstairs); otherwise NotALoop.
     """
     rep0 = np.asarray(rep0, dtype=float)
-    end = model.apply_word(word, rep0)
+    return tp.PiecewiseCurve.line(rep0, _loop_ends(model, rep0, foliation, [word])[0])
+
+
+def _loop_ends(model: QuotientModel, rep0: np.ndarray, foliation: int,
+               words: Sequence[Word]) -> np.ndarray:
+    """word(rep0) for every word, in one ``_apply_words`` batch; NotALoop
+    names the first word that does not close a foliation loop at rep0."""
+    ends = model._apply_words(words, np.broadcast_to(rep0, (len(words), model.dtp.n)))
     other = model.dtp.slot(3 - foliation)
-    if not model.same_point(end[other], rep0[other]):
+    opens = ~model.same_point(ends[:, other], rep0[other])
+    if opens.any():
+        word = words[int(np.argmax(opens))]
         raise NotALoop(f"word {word} does not close a foliation-{foliation} loop at {rep0}")
-    return tp.PiecewiseCurve.line(rep0, end)
+    return ends
 
 
 def _loop_holonomies(model: QuotientModel, rep0: np.ndarray, foliation: int,
                      words: Sequence[Word]) -> list:
     """``loop_holonomy`` of every word, the words moved and differentiated in
-    one batch (``_apply_words``, ``_word_jacobians``)."""
+    one batch (``_loop_ends``, ``_word_jacobians``)."""
     dtp = model.dtp
-    ends = model._apply_words(words, np.broadcast_to(rep0, (len(words), dtp.n)))
+    ends = _loop_ends(model, rep0, foliation, words)
     other = dtp.slot(3 - foliation)
-    opens = ~model.same_point(ends[:, other], rep0[other])
-    if opens.any():
-        word = words[int(np.argmax(opens))]
-        raise NotALoop(f"word {word} does not close a foliation-{foliation} loop at {rep0}")
     frame = tp.normal_frame(dtp, rep0, foliation=foliation)
     fmat = np.stack([f.components[other] for f in frame], axis=1)
     jac = model._word_jacobians([word_inverse(w) for w in words], ends)[:, other, other]

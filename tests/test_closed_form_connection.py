@@ -263,3 +263,15 @@ def test_decomposition_check_enumerates_the_words_once(monkeypatch):
     assert calls == [model.word_bound]
     assert qt.leaf_loops(model, np.zeros(2)) == qt.leaf_loops(fx.klein_bottle_model(), np.zeros(2))
     assert calls == [model.word_bound] * 2  # the fresh model enumerates once more
+    # every orbit lookup at the model's bound reads the same enumeration: a
+    # fresh model enumerates on its first reduction, and never again
+    far = model.apply_word((("a", 1), ("a", 1), ("b", -1)), np.array([0.3, 0.4]))
+    for fresh in (False, True):
+        model = fx.klein_bottle_model() if fresh else model
+        rep, word = model.canonical_rep(far)
+        assert word and model.in_box(rep)
+        assert calls == [model.word_bound] * (3 if fresh else 2)
+        assert model.find_closing_word(far, rep) == word
+        assert qt.leaf_intersection_count(model, far).count == 2
+        assert qt.decomposition_check(model, far, {}).intersections.count == 2
+        assert calls == [model.word_bound] * (3 if fresh else 2)

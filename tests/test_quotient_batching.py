@@ -1,8 +1,9 @@
 """Batched quotient machinery against one-point references.
 
 ``FactorMap``, ``QuotientModel.apply_gen/apply_word/in_box`` take a
-``(P, n)`` batch; the orbit searches expand a whole level with one call per
-(generator, sign), ``leaf_trace`` steps ahead in chunks and ``validate``
+``(P, n)`` batch; the word enumeration expands a whole level with one call
+per (generator, sign), the orbit lookups move their points by the enumerated
+words in batches, ``leaf_trace`` steps ahead in chunks and ``validate``
 checks whole grids.  Every batched result must equal the one-point result
 exactly: the maps here are elementwise, so a row of a batch sees the same
 arithmetic as the point alone.  The references below (node-by-node search,
@@ -324,6 +325,22 @@ def test_searches_report_misses_per_start():
     assert found[2][1] == ()
 
 
+@pytest.mark.parametrize("points", [1, 7, 40])
+def test_searches_in_bounded_batches_match_node_by_node_search(monkeypatch, points):
+    # at most `points` moved points per batch: the words are taken a few at a
+    # time, and the starts found in one batch leave the next
+    monkeypatch.setattr(qt, "_SEARCH_POINTS", points)
+    model = MODELS["skewed-torus"]
+    X = np.vstack([_points(model, 12, seed=6, spread=4.0), [[40.0, 0.3]]])
+    found = model._searches(X, model.in_box, model.word_bound)
+    for p, hit in zip(X, found):
+        want = ref_canonical_rep(model, p)
+        assert (hit is None) == (want is None)
+        if want is not None:
+            assert hit[1] == want[1] and np.array_equal(hit[0], want[0])
+    assert found[-1] is None
+
+
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_find_closing_word_matches_node_by_node_search(name):
     model = MODELS[name]
@@ -334,6 +351,40 @@ def test_find_closing_word_matches_node_by_node_search(name):
             want = ref_bfs(model, end, lambda q: bool(np.max(np.abs(q - p)) <= model.ident_tol),
                            model.word_bound)
             assert model.find_closing_word(end, p) == want[1]
+
+
+def ref_check_distinct(model, reps, word_bound):
+    """The InvalidAction text for the first pair (by j, then i < j) that a
+    node-by-node search from reps[i] identifies with reps[j], or None."""
+    for j in range(1, len(reps)):
+        for i in range(j):
+            hit = ref_bfs(model, reps[i],
+                          lambda q, t=reps[j]: bool(np.max(np.abs(q - t)) <= model.ident_tol),
+                          word_bound)
+            if hit is not None:
+                return f"witnesses {i} and {j} are identified by word {hit[1]}"
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_check_distinct_matches_node_by_node_search(name):
+    model = MODELS[name]
+    p, q = _points(model, 2, seed=5, spread=0.9)
+    words = _words(model)
+    cases = [[p, q], [p, p], [q, model.apply_word(words[2], q)],
+             [p, q, model.apply_word(words[3], q), model.apply_word(words[1], p)],
+             [p, q] + [model.apply_word(w, np.array([9.0, 9.0])) for w in words[1:3]]]
+    raised = 0
+    for reps in cases:
+        want = ref_check_distinct(model, reps, model.word_bound)
+        if want is None:
+            qt._check_distinct(model, reps, model.word_bound)
+            continue
+        raised += 1
+        with pytest.raises(InvalidAction) as info:
+            qt._check_distinct(model, reps, model.word_bound)
+        assert str(info.value) == want
+    assert raised >= 3
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))

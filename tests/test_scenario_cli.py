@@ -371,14 +371,22 @@ def test_report_matches_versioned_schema(capsys, tmp_path):
     path = tmp_path / "polar-curves.json"
     path.write_text(json.dumps(data))
     for scenario_name, command in (("mobius", "decompose"), ("sphere-polar", "verify-all"),
-                                   ("polar-plane", "transport"), (str(path), "transport"),
-                                   (str(path), "verify-all")):
+                                   ("polar-plane", "transport"), ("sphere-polar", "transport"),
+                                   (str(path), "transport"), (str(path), "verify-all")):
         code, out = run_cli(capsys, "run", scenario_name, command)
         assert code == 0, (scenario_name, command)
         report = json.loads(out)
         jsonschema.validate(report, schema)
         if command == "transport" and scenario_name == str(path):
             assert sorted(report["results"]["curves"]) == ["arc", "poly"]
+        if (scenario_name, command) == ("sphere-polar", "transport"):
+            transport = report
+    # negative controls: the rows of each transport curve are validated too
+    for key, bad in (("value", "oops"), ("pass", "maybe")):
+        broken = json.loads(json.dumps(transport))
+        broken["results"]["curves"]["default-horizontal"]["checks"][0][key] = bad
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(broken, schema)
     # negative control: each check row is validated, so a string value fails
     broken = json.loads(json.dumps(report))
     broken["results"]["checks"][0]["value"] = "0.0"
