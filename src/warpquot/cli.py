@@ -185,7 +185,7 @@ def _ones_normal(dtp, curve):
 
 
 def _adapted_constancy(dtp, curve, tol):
-    """RK45 adapted translation of the all-ones factor-2 vector along a curve
+    """Integrated adapted translation of the all-ones factor-2 vector along a curve
     in an F1 leaf, and the worst drift of its factor-2 components from 1."""
     res = tp.adapted_translation(dtp, curve, _ones_normal(dtp, curve), tol=tol)
     const_resid = max(float(np.max(np.abs(vec.components[dtp.slot2] - 1.0)))
@@ -194,8 +194,8 @@ def _adapted_constancy(dtp, curve, tol):
 
 
 def _closed_form_transport_residual(dtp, curve, ref):
-    """Worst |closed form - RK45| adapted translation over the samples of
-    A(t) and I(t); ``ref`` is the RK45 result of ``_adapted_constancy``."""
+    """Worst |closed form - integrated| adapted translation over the samples
+    of A(t) and I(t); ``ref`` is the result of ``_adapted_constancy``."""
     closed = tp.adapted_translation_closed_form(dtp, curve, _ones_normal(dtp, curve))
     worst = float(np.max(np.abs(closed.integrals - ref.integrals)))
     for (_, a), (_, b) in zip(closed.samples, ref.samples):
@@ -318,7 +318,7 @@ def _run_holonomy(ctx, tol):
 
 
 def _holonomy_oracle_residual(model, rep0, maps) -> float:
-    """Worst |closed form - RK45 adapted translation (``holonomy_map``)|
+    """Worst |closed form - integrated adapted translation (``holonomy_map``)|
     over the loops of ``maps``."""
     worst = 0.0
     for i, word, hol in maps:

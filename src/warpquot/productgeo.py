@@ -429,19 +429,20 @@ def mean_curvature_vector(dtp: DoublyTwistedProduct, x, i: int) -> TangentVector
     return TangentVector(pt, _mean_curvature(dtp, pt.coords, i, dtp.assembled.inv(pt)))
 
 
-def mean_curvature_form(dtp: DoublyTwistedProduct, x, i: int) -> OneForm:
-    """omega_i: metric dual of N_i.
+def mean_curvature_form(dtp: DoublyTwistedProduct, x, i: int):
+    """omega_i: metric dual of N_i, a OneForm at one point, or its
+    components ``(P, n)`` at each row of a batch (one warp evaluation each).
 
     g is block diagonal, so omega_i = -d ln lam_i on the other factor's slots
     and 0 on its own (as ``classify`` reads it); no metric evaluation.
     """
     if i not in (1, 2):
         raise ValueError("foliation index must be 1 or 2")
-    pt = x if isinstance(x, CoordPoint) else CoordPoint(x)
+    pts = x.coords if isinstance(x, CoordPoint) else np.asarray(x, dtype=float)
     w = dtp.warp(i)
-    out = -(w.grad_coords(pt.coords) / w.value(pt.coords))
-    out[dtp.slot(i)] = 0.0
-    return OneForm(pt, out)
+    out = -(w.grad_coords(pts) / np.asarray(w.value(pts))[..., None])
+    out[..., dtp.slot(i)] = 0.0
+    return OneForm(CoordPoint(pts), out) if pts.ndim == 1 else out
 
 
 def classify(dtp: DoublyTwistedProduct, grid: Optional[Sequence] = None,

@@ -388,9 +388,9 @@ def validate(model: QuotientModel, per_axis: int = 4, tol: float = ACTION_TOL) -
     Homothety generators must pull each factor metric back to c_i^2 g_i and
     satisfy the warp compatibility lam1 o psi = lam1 / c1, lam2 o phi =
     lam2 / c2.  Every generator (homothety or not) must be a sampled isometry
-    of the assembled metric, act freely on the padded box, and words up to
-    the word bound (at most VALIDATE_WORD_CAP of them) must move interior
-    points out of the box or to identification-distinct points.  Each check
+    of the assembled metric, act freely on the padded box, and no word up to
+    the word bound (at most VALIDATE_WORD_CAP of them) may move an interior
+    grid point into the box, which is a fundamental domain.  Each check
     runs on its whole grid at once; a failure names the first failing grid
     point.  The check is a sampled necessary condition, never a proof.
     """
@@ -456,7 +456,7 @@ def validate(model: QuotientModel, per_axis: int = 4, tol: float = ACTION_TOL) -
             p, s = divmod(int(np.argmax(fixed.ravel())), 2)
             fail(f"generator {gen.name}^{(1, -1)[s]} has a sampled fixed point", boxpts[p])
 
-    # words up to the bound separate orbits inside the box (action-deduplicated
+    # no non-empty word moves an interior point into the box (action-deduplicated
     # enumeration keeps this polynomial for the lattice-like groups in scope;
     # the cap guards pathological generator sets and is reported)
     wb = model.word_bound
@@ -465,10 +465,11 @@ def validate(model: QuotientModel, per_axis: int = 4, tol: float = ACTION_TOL) -
     interior = pg.grid_points(model.fundamental_box, per_axis, inset=0.1)
     if words:
         moved = model._apply_words(words, np.broadcast_to(interior, (len(words),) + interior.shape))
-        back = model.in_box(moved) & model.same_point(moved, interior)
+        back = model.in_box(moved)
         if back.any():
             w, p = divmod(int(np.argmax(back.ravel())), len(interior))
-            fail(f"word {words[w]} returns an interior point to itself", interior[p])
+            fail(f"word {words[w]} moves an interior point into the fundamental box",
+                 interior[p])
     return ValidationReport(residuals=res, word_bound_checked=wb, words_checked=len(words),
                             words_truncated=max(0, len(enumerated) - VALIDATE_WORD_CAP))
 
@@ -729,7 +730,7 @@ def loop_holonomy(model: QuotientModel, rep0, foliation: int, word: Word) -> tp.
     product coordinates (Ponge & Reckziegel, Geom. Dedicata 48, 1993), so the
     frame comes back as F and the matrix is F^-1 J_nn F, with J_nn the normal
     block of the differential of word^-1 at word(rep0).  ``holonomy_map`` on
-    ``leaf_loop_curve`` computes the same matrix by RK45 and is its oracle.
+    ``leaf_loop_curve`` computes the same matrix by collocation and is its oracle.
     """
     return _loop_holonomies(model, np.asarray(rep0, dtype=float), foliation, [tuple(word)])[0]
 

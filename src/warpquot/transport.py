@@ -2,20 +2,28 @@
 
 Adapted translation along a leaf has a closed form
 (``adapted_translation_closed_form``): a normal vector keeps its
-product-coordinate components.  The ``transport`` command runs it; the RK45
-``adapted_translation`` is the oracle tests and verify-all compare it
-against.  Leaf holonomy in quotients is likewise computed in closed form
-(``quotient.loop_holonomy``), with ``holonomy_map`` as its RK45 oracle.
+product-coordinate components.  The ``transport`` command runs it; the
+integrating ``adapted_translation`` is the oracle tests and verify-all
+compare it against.  Leaf holonomy in quotients is likewise computed in
+closed form (``quotient.loop_holonomy``), with ``holonomy_map`` as its
+integrating oracle.
 
-Every other transport, and the velocity profile, integrates
-Ydot = -Gamma(gamma') Y in one place (``_integrate_transport``), segment by
-segment, on scipy's adaptive Runge-Kutta 4(5) pair (RK45) at rtol 1e-9 /
-atol 1e-11.  The integral of the mean curvature form rides along as an
-augmented state on the same adaptive grid, never as a separate quadrature.
-The error is not far below the callers' 1e-6 budgets: the worst measured is
-7.4e-7 (verify-all's parallel-transport conservation residual, sphere-polar
-at seed 10).  Both adapted-translation routes pass the same input guards and
-sample the same times (``_transport_grid``).
+Every other transport, and the velocity profile, integrates the linear
+equation Ydot = -Gamma(gamma') Y along a known curve in one place
+(``_integrate_transport``): composite 3-stage Gauss-Legendre collocation,
+order 6 (Butcher, Math. Comp. 18, 1964; Hairer, Norsett & Wanner, Solving
+ODEs I, II.7), on a grid that holds every sample time and every break.
+Each pass evaluates Gamma at all its nodes in one batched
+``christoffel_numeric`` call on the metric (the oracle route, sharing
+nothing with ``productgeo.point_geometry`` below ``MetricField.mat``); the
+integral of the mean curvature form is a Gauss quadrature on the same
+nodes.  Step doubling runs until two passes agree within RTOL / ATOL; the
+conservation and norm-law residuals the callers check are then about 1e-15
+on the smooth analytic built-ins, and up to 4e-10 where Gamma comes from
+finite differences (scenario files) or the warp is piecewise (example1).  Both
+adapted-translation routes pass the same input guards and sample the same
+times (``_transport_grid``).  ``broken_geodesic``, whose curve is the
+unknown, integrates with scipy's RK45.
 """
 
 from __future__ import annotations
@@ -47,9 +55,10 @@ _CONTINUITY_TOL = 1e-9
 def solve_ivp(*args, **kwargs):
     """``scipy.integrate.solve_ivp``, imported on the first call.
 
-    No closed-form command integrates, so one that runs no RK45 oracle
-    never loads scipy.  Callers in this module look the name up at call
-    time, which lets tests and tracers replace ``transport.solve_ivp``.
+    Only ``broken_geodesic`` calls it, so a command that builds no broken
+    geodesic never loads scipy here.  Callers in this module look the name
+    up at call time, which lets tests and tracers replace
+    ``transport.solve_ivp``.
     """
     from scipy.integrate import solve_ivp as scipy_solve_ivp
     return scipy_solve_ivp(*args, **kwargs)
@@ -235,72 +244,109 @@ class BrokenGeodesicSpec:
 
 
 # ---------------------------------------------------------------------------
-# core transport integration
+# core transport integration: composite Gauss-Legendre collocation
+
+_SQRT15 = np.sqrt(15.0)
+# 3-stage Gauss-Legendre (order 6): nodes c, weights b, coefficients a
+_GL_C = np.array([0.5 - _SQRT15 / 10, 0.5, 0.5 + _SQRT15 / 10])
+_GL_B = np.array([5 / 18, 4 / 9, 5 / 18])
+_GL_A = np.array([[5 / 36, 2 / 9 - _SQRT15 / 15, 5 / 36 - _SQRT15 / 30],
+                 [5 / 36 + _SQRT15 / 24, 2 / 9, 5 / 36 - _SQRT15 / 24],
+                 [5 / 36 + _SQRT15 / 30, 2 / 9 + _SQRT15 / 15, 5 / 36]])
+MAX_DOUBLINGS = 7  # at most 2**7 steps per grid interval
+
+
+def collocation_pass(g: MetricField, curve: PiecewiseCurve, grid: np.ndarray, steps: int,
+                     omega: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+                     rows: Optional[slice] = None) -> tuple[np.ndarray, np.ndarray]:
+    """One pass of composite 3-stage Gauss-Legendre collocation of
+    Ydot = A(t) Y, A = -Gamma(gamma'), with ``steps`` equal steps in every
+    interval of ``grid``.
+
+    Gamma comes from one batched ``christoffel_numeric`` over all
+    3 * steps * intervals nodes, and omega (a batched one-form field) from
+    one call.  ``rows`` keeps only those rows of A (normal transport).  The
+    equation is linear, so each step solves its stage system
+    (I - h a_ij A_i) K_j = A_i once for the stage matrices, all steps in one
+    stacked solve, and M = I + h sum_i b_i K_i carries Y across the step.
+    Returns the transfer matrix across each grid interval, (intervals, n, n),
+    and the increment of I = integral of omega(gamma') over each (0 without
+    omega), from the same nodes and weights.
+    """
+    n = g.dim
+    intervals = len(grid) - 1
+    h = np.repeat(np.diff(grid) / steps, steps)
+    starts = np.repeat(grid[:-1], steps) + h * np.tile(np.arange(steps), intervals)
+    nodes = (starts[:, None] + h[:, None] * _GL_C).reshape(-1)
+    pos = np.stack([curve.point(t) for t in nodes])
+    vel = np.stack([curve.velocity(t) for t in nodes])
+    A = -np.einsum("pkij,pi->pkj", ck.christoffel_numeric(g, pos), vel)
+    if rows is not None:
+        keep = np.zeros(n, dtype=bool)
+        keep[rows] = True
+        A[:, ~keep] = 0.0
+    A = A.reshape(-1, 3, n, n)
+    # block (i, j) of the stage matrix: delta_ij I - h a_ij A_i
+    coupling = h[:, None, None, None, None] * _GL_A[:, None, :, None] * A[:, :, :, None, :]
+    stage = np.eye(3 * n) - coupling.reshape(-1, 3 * n, 3 * n)
+    K = np.linalg.solve(stage, A.reshape(-1, 3 * n, n)).reshape(-1, 3, n, n)
+    M = (np.eye(n) + h[:, None, None] * np.einsum("i,sikc->skc", _GL_B, K)).reshape(
+        intervals, steps, n, n)
+    transfer = M[:, 0]
+    for j in range(1, steps):
+        transfer = M[:, j] @ transfer
+    if omega is None:
+        return transfer, np.zeros(intervals)
+    rate = np.einsum("pi,pi->p", omega(pos), vel).reshape(-1, 3)
+    return transfer, (h * (rate @ _GL_B)).reshape(intervals, steps).sum(axis=1)
+
 
 def _integrate_transport(g: MetricField, curve: PiecewiseCurve, y0: np.ndarray,
                          ts: np.ndarray,
                          omega: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                         project: Optional[Callable[[np.ndarray], np.ndarray]] = None):
+                         rows: Optional[slice] = None) -> tuple[np.ndarray, np.ndarray]:
     """Integrate Ydot = -Gamma(gamma') Y (columnwise) along the curve.
 
-    Y is (n, k); an optional one-form field omega augments the state with
-    I(t) = integral of omega(gamma') dt.  ``project`` post-filters the
-    component derivative (used for normal transport).  ``ts`` are sorted,
-    distinct times in [0, 1].  The solve restarts at every break of the
-    curve and stops after the segment holding the last time.  Returns
-    (Ys, Is) at ``ts``; a time on a break reads the end of the earlier
-    segment.
+    Y is (n, k); the batched one-form field omega adds I(t) = integral of
+    omega(gamma') dt, and ``rows`` keeps only those components of Ydot
+    (normal transport).  ``ts`` are sorted, distinct times in [0, 1].  The
+    grid is 0, ``ts`` and the curve's breaks before the last time, so no step
+    straddles a break.  Step doubling: passes of ``collocation_pass`` with
+    1, 2, 4, ... steps per grid interval run until two successive passes
+    agree within ATOL + RTOL |value| on Y and I at every time; the finer is
+    returned as (Ys (len(ts), n, k), Is (len(ts),)).  IntegrationError when
+    MAX_DOUBLINGS doublings do not settle.
     """
-    n, k = y0.shape
-
-    def rhs(t, state):
-        pos = curve.point(t)
-        vel = curve.velocity(t)
-        Y = state[:n * k].reshape(n, k)
-        gamma = ck.christoffel_numeric(g, pos)
-        dY = -np.einsum("kij,i,jc->kc", gamma, vel, Y)
-        if project is not None:
-            dY = project(dY)
-        dI = float(omega(pos) @ vel) if omega is not None else 0.0
-        return np.concatenate([dY.reshape(-1), [dI]])
-
-    Ys: list[np.ndarray] = []
-    Is: list[float] = []
-    state = np.concatenate([y0.reshape(-1), [0.0]])
-    done = 0
-    last = len(curve.segments) - 1
-    for j, seg in enumerate(curve.segments):
-        if done == len(ts):
-            break
-        # a time on the break that opens this segment was returned by the
-        # previous one; it stays in t_eval so each segment keeps its whole grid
-        lo = int(np.searchsorted(ts, seg.t0)) if done else 0
-        hi = len(ts) if j == last else int(np.searchsorted(ts, seg.t1, side="right"))
-        t_eval = ts[lo:hi]
-        if hi == lo or t_eval[-1] < seg.t1:
-            t_eval = np.append(t_eval, seg.t1)
-        sol = solve_ivp(rhs, (seg.t0, seg.t1), state, method="RK45",
-                        rtol=RTOL, atol=ATOL, t_eval=t_eval, dense_output=False)
-        if not sol.success:
-            raise IntegrationError(f"transport integration failed: {sol.message}")
-        for col in range(done - lo, hi - lo):
-            s = sol.y[:, col]
-            Ys.append(s[:n * k].reshape(n, k))
-            Is.append(float(s[-1]))
-        done = hi
-        state = sol.y[:, -1]
-    return Ys, Is
+    grid = np.union1d([0.0, *(b for b in curve.breaks if b < ts[-1])], ts)
+    at = np.searchsorted(grid, ts)
+    if len(grid) == 1:
+        return np.repeat(y0[None], len(ts), axis=0), np.zeros(len(ts))
+    prev = None
+    for doubling in range(MAX_DOUBLINGS + 1):
+        transfer, dI = collocation_pass(g, curve, grid, 2 ** doubling, omega, rows)
+        Y = [y0]
+        for M in transfer:
+            Y.append(M @ Y[-1])
+        cur = (np.stack(Y)[at], np.concatenate([[0.0], np.cumsum(dI)])[at])
+        if prev is not None and all(np.all(np.abs(a - b) <= ATOL + RTOL * np.abs(a))
+                                    for a, b in zip(cur, prev)):
+            return cur
+        prev = cur
+    raise IntegrationError(
+        f"transport collocation did not settle within MAX_DOUBLINGS = {MAX_DOUBLINGS} "
+        f"step doublings ({2 ** MAX_DOUBLINGS} steps per grid interval)")
 
 
-def _transport_grid(curve: PiecewiseCurve, v0: TangentVector, samples_per_segment: int,
-                    leaf=None) -> np.ndarray:
-    """Sample times of a transport of v0 along the curve, after its input guards.
+def _transport_grid(curve: PiecewiseCurve, frame: Sequence[TangentVector],
+                    samples_per_segment: int, leaf=None) -> np.ndarray:
+    """Sample times of a transport of the frame's vectors along the curve,
+    after its input guards.
 
     ``leaf`` = (dtp, foliation): the curve velocity must have no normal
     (factor 3 - foliation) components at 33 sample times (``NotInLeaf``)
-    and v0 must be normal (``ValueError``).  v0 must be based at curve(0)
-    (``BaseMismatch``).  The times are ``samples_per_segment`` per segment,
-    breaks shared.
+    and every vector must be normal (``ValueError``).  Every vector must be
+    based at curve(0) (``BaseMismatch``).  The times are
+    ``samples_per_segment`` per segment, breaks shared.
     """
     if leaf is not None:
         dtp, foliation = leaf
@@ -309,40 +355,49 @@ def _transport_grid(curve: PiecewiseCurve, v0: TangentVector, samples_per_segmen
             if np.max(np.abs(curve.velocity(t)[normal_slot])) > LEAF_VELOCITY_TOL:
                 raise NotInLeaf(
                     f"curve velocity has factor-{3 - foliation} components at t = {t}")
-        if np.max(np.abs(v0.components[dtp.slot(foliation)])) > 1e-12:
+        if any(np.max(np.abs(v.components[dtp.slot(foliation)])) > 1e-12 for v in frame):
             raise ValueError("v0 must lie in the normal (other-factor) slots")
-    if np.max(np.abs(v0.base.coords - curve.point(0.0))) > 1e-9:
+    start = curve.point(0.0)
+    if any(np.max(np.abs(v.base.coords - start)) > 1e-9 for v in frame):
         raise BaseMismatch("v0 must be based at curve(0)")
     return np.unique(np.concatenate([np.linspace(seg.t0, seg.t1, samples_per_segment)
                                      for seg in curve.segments]))
 
 
-def _transport(g: MetricField, curve: PiecewiseCurve, v0: TangentVector,
+def _transport(g: MetricField, curve: PiecewiseCurve, frame: Sequence[TangentVector],
                samples_per_segment: int, leaf=None, omega=None):
-    """Samples (t, A(t)) of v0 carried along the curve, and I(t) at the same t.
+    """The frame's vectors carried along the curve, as one (n, k) solve.
 
     ``leaf`` = (dtp, foliation) keeps the transport in the normal bundle of
-    a leaf of F_foliation: the curve must stay in the leaf, v0 must be
-    normal, and only the normal projection of DW/dt is driven to zero.
-    With the one-form ``omega``, A(t) = exp(-I(t)) W(t) for
+    a leaf of F_foliation: the curve must stay in the leaf, the vectors must
+    be normal, and only the normal projection of DW/dt is driven to zero.
+    With the one-form ``omega`` (batched), A(t) = exp(-I(t)) W(t) for
     I(t) = integral of omega(gamma'); without it I = 0 and A = W.
-    """
-    ts = _transport_grid(curve, v0, samples_per_segment, leaf)
-    project = None
-    if leaf is not None:
-        dtp, foliation = leaf
-        normal_slot = dtp.slot(3 - foliation)
 
-        def project(dY):
-            out = np.zeros_like(dY)
-            out[normal_slot] = dY[normal_slot]
-            return out
-    ys, Is = _integrate_transport(g, curve, v0.components.reshape(-1, 1), ts,
-                                  omega=omega, project=project)
-    samples = [(t, TangentVector(CoordPoint(curve.point(t)),
-                                 y[:, 0] if omega is None else np.exp(-integ) * y[:, 0]))
-               for t, y, integ in zip(ts, ys, Is)]
-    return samples, Is
+    Returns the sample times, the sample points (S, n), A (S, n, k), I (S,)
+    and the worst residual of the law the transport keeps, from one batched
+    ``g.mat`` over v0's base and the samples: |g(W, W) - g(v0, v0)| without
+    omega, | |A| - |v0| exp(-I) | with it.
+    """
+    ts = _transport_grid(curve, frame, samples_per_segment, leaf)
+    rows = leaf[0].slot(3 - leaf[1]) if leaf is not None else None
+    y0 = np.stack([v.components for v in frame], axis=1)
+    Ys, Is = _integrate_transport(g, curve, y0, ts, omega=omega, rows=rows)
+    if omega is not None:
+        Ys = np.exp(-Is)[:, None, None] * Ys
+    pts = np.stack([curve.point(t) for t in ts])
+    gm = g.mat(np.vstack([frame[0].base.coords, pts]))
+    q0 = np.einsum("ic,ij,jc->c", y0, gm[0], y0)
+    q = np.einsum("sic,sij,sjc->sc", Ys, gm[1:], Ys)
+    if omega is None:
+        worst = np.abs(q - q0)
+    else:
+        worst = np.abs(np.sqrt(np.abs(q)) - np.sqrt(np.abs(q0)) * np.exp(-Is)[:, None])
+    return ts, pts, Ys, Is, float(np.max(worst))
+
+
+def _samples(ts, pts, comps) -> list:
+    return [(t, TangentVector(CoordPoint(p), c)) for t, p, c in zip(ts, pts, comps)]
 
 
 def parallel_transport(g: MetricField, curve: PiecewiseCurve, v0: TangentVector,
@@ -351,12 +406,10 @@ def parallel_transport(g: MetricField, curve: PiecewiseCurve, v0: TangentVector,
 
     Raises IntegrationError when the conservation residual exceeds tol.
     """
-    samples, _ = _transport(g, curve, v0, samples_per_segment)
-    q0 = ck.inner_product(g, v0, v0)
-    worst = max(abs(ck.inner_product(g, vec, vec) - q0) for _, vec in samples)
+    ts, pts, Ys, _, worst = _transport(g, curve, [v0], samples_per_segment)
     if worst > tol:
         raise IntegrationError(f"metric compatibility residual {worst:.3e} > tol {tol:.3e}")
-    return TransportResult(samples, 0.0, worst)
+    return TransportResult(_samples(ts, pts, Ys[:, :, 0]), 0.0, worst)
 
 
 def normal_parallel_transport(dtp: pg.DoublyTwistedProduct, curve: PiecewiseCurve,
@@ -369,13 +422,26 @@ def normal_parallel_transport(dtp: pg.DoublyTwistedProduct, curve: PiecewiseCurv
     slots) and v0 must be normal; the normal projection of DW/dt is driven
     to zero, so W stays normal and |W| is conserved.
     """
-    g = dtp.assembled
-    samples, _ = _transport(g, curve, v0, samples_per_segment, leaf=(dtp, foliation))
-    q0 = ck.inner_product(g, v0, v0)
-    worst = max(abs(ck.inner_product(g, vec, vec) - q0) for _, vec in samples)
+    ts, pts, Ys, _, worst = _transport(dtp.assembled, curve, [v0], samples_per_segment,
+                                       leaf=(dtp, foliation))
     if worst > tol:
         raise IntegrationError(f"normal transport norm residual {worst:.3e} > tol {tol:.3e}")
-    return TransportResult(samples, 0.0, worst)
+    return TransportResult(_samples(ts, pts, Ys[:, :, 0]), 0.0, worst)
+
+
+def _adapted(dtp: pg.DoublyTwistedProduct, curve: PiecewiseCurve,
+             frame: Sequence[TangentVector], tol: float, foliation: int,
+             samples_per_segment: int):
+    """``_transport`` of the frame with omega_{3 - foliation}; IntegrationError
+    when the norm law misses tol."""
+    form_index = 3 - foliation
+    out = _transport(dtp.assembled, curve, frame, samples_per_segment,
+                     leaf=(dtp, foliation),
+                     omega=lambda pts: pg.mean_curvature_form(dtp, pts, form_index))
+    worst = out[-1]
+    if worst > tol:
+        raise IntegrationError(f"adapted-translation norm law residual {worst:.3e} > tol {tol:.3e}")
+    return out
 
 
 def adapted_translation(dtp: pg.DoublyTwistedProduct, curve: PiecewiseCurve,
@@ -383,26 +449,14 @@ def adapted_translation(dtp: pg.DoublyTwistedProduct, curve: PiecewiseCurve,
                         foliation: int = 1,
                         samples_per_segment: int = 17) -> TransportResult:
     """A(t) = exp(-int omega) W(t), W the normal parallel translation of v0
-    (RK45; the oracle of ``adapted_translation_closed_form``).
+    (collocation; the oracle of ``adapted_translation_closed_form``).
 
     For a curve in a leaf of F_1 the form is omega_2 (mean curvature form of
     the second foliation), and symmetrically for F_2.  The norm law
     |A(t)| = |v0| exp(-int omega) is checked against tol.
     """
-    form_index = 3 - foliation
-
-    def omega(c):
-        return pg.mean_curvature_form(dtp, c, form_index).components
-
-    g = dtp.assembled
-    samples, Is = _transport(g, curve, v0, samples_per_segment,
-                             leaf=(dtp, foliation), omega=omega)
-    norm0 = ck.norm(g, v0)
-    worst = max(abs(ck.norm(g, vec) - norm0 * np.exp(-integ))
-                for (_, vec), integ in zip(samples, Is))
-    if worst > tol:
-        raise IntegrationError(f"adapted-translation norm law residual {worst:.3e} > tol {tol:.3e}")
-    return TransportResult(samples, Is[-1], worst, np.asarray(Is))
+    ts, pts, Ys, Is, worst = _adapted(dtp, curve, [v0], tol, foliation, samples_per_segment)
+    return TransportResult(_samples(ts, pts, Ys[:, :, 0]), float(Is[-1]), worst, Is)
 
 
 def adapted_translation_closed_form(dtp: pg.DoublyTwistedProduct, curve: PiecewiseCurve,
@@ -421,11 +475,11 @@ def adapted_translation_closed_form(dtp: pg.DoublyTwistedProduct, curve: Piecewi
         A(t) = exp(-I(t)) W(t) = v0          (Ponge & Reckziegel 1993).
 
     F_2 is the mirror case with lam1.  Same input guards and sample times as
-    the RK45 route; lam and g are each evaluated once, on the batch of
+    the integrating route; lam and g are each evaluated once, on the batch of
     sample points.  The norm-law residual
     max_t | |A(t)| - |v0| exp(-I(t)) | is returned as ``tol_achieved``.
     """
-    ts = _transport_grid(curve, v0, samples_per_segment, leaf=(dtp, foliation))
+    ts = _transport_grid(curve, [v0], samples_per_segment, leaf=(dtp, foliation))
     pts = np.stack([curve.point(t) for t in ts])
     Is = _leaf_integral(dtp, foliation, pts[0], pts)
     # g at v0's base and at every sample: |v0| there, |A(t)| = |v0|_g(t) here
@@ -488,8 +542,9 @@ def normal_frame(dtp: pg.DoublyTwistedProduct, x, foliation: int = 1) -> list[Ta
 
 def holonomy_map(model, loop: PiecewiseCurve, frame: Sequence[TangentVector],
                  foliation: int = 1, closing_word=None) -> HolonomyMap:
-    """Adapted translation of each frame vector around the loop, in that frame
-    (RK45; the oracle of the closed-form ``quotient.loop_holonomy``).
+    """Adapted translation of the frame around the loop, in that frame
+    (collocation, the whole frame in one solve; the oracle of the
+    closed-form ``quotient.loop_holonomy``).
 
     ``model`` is a plain product (loop must close in chart coordinates) or a
     quotient model exposing ``dtp``, ``find_closing_word`` and
@@ -513,12 +568,9 @@ def holonomy_map(model, loop: PiecewiseCurve, frame: Sequence[TangentVector],
     normal_slot = dtp.slot(3 - foliation)
     frame = list(frame)
     fmat = np.stack([f.components[normal_slot] for f in frame], axis=1)
-    cols = []
-    for f in frame:
-        res = adapted_translation(dtp, loop, f, foliation=foliation)
-        pushed = jac @ res.end.components
-        cols.append(np.linalg.solve(fmat, pushed[normal_slot]))
-    return HolonomyMap(CoordPoint(base), np.stack(cols, axis=1), frame)
+    _, _, Ys, _, _ = _adapted(dtp, loop, frame, 1e-6, foliation, 17)
+    return HolonomyMap(CoordPoint(base), np.linalg.solve(fmat, (jac @ Ys[-1])[normal_slot]),
+                       frame)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ step must report its residual against the check's own budget.
 
 import json
 
+import numpy as np
 import pytest
 
 from warpquot import cli
 from warpquot import productgeo as pg
+from warpquot import transport as tp
 from warpquot.chartkit import TangentVector
 
 
@@ -26,7 +28,9 @@ def checks_of(report):
 
 
 # residuals of verify-all's parallel-transport step that lie between the
-# old raise threshold (1e-7) and the check's budget (1e-6)
+# old raise threshold (1e-7) and the check's budget (1e-6); the collocation
+# conserves g(v, v) to about 1e-14, so the residual is injected by scaling
+# the last transported sample
 @pytest.mark.parametrize("scenario, seed, residual", [
     ("sphere-polar", 6, 1.62e-7),
     ("sphere-polar", 10, 7.37e-7),
@@ -34,7 +38,20 @@ def checks_of(report):
     ("random-dtp", 6, 3.83e-7),
     ("example1-twisted", 10, 1.16e-7),
 ])
-def test_verify_all_transport_reports_against_its_budget(tmp_path, scenario, seed, residual):
+def test_verify_all_transport_reports_against_its_budget(tmp_path, monkeypatch, scenario, seed,
+                                                          residual):
+    integrate = tp._integrate_transport
+
+    def drifted(g, curve, y0, ts, omega=None, rows=None):
+        Ys, Is = integrate(g, curve, y0, ts, omega=omega, rows=rows)
+        if omega is None and rows is None:  # the parallel transport
+            end = Ys[-1][:, 0]
+            q = end @ g.mat(curve.point(ts[-1])) @ end
+            Ys = Ys.copy()
+            Ys[-1] *= np.sqrt(1.0 + residual / q)
+        return Ys, Is
+
+    monkeypatch.setattr(tp, "_integrate_transport", drifted)
     code, report = run(tmp_path, scenario, "verify-all", "--seed", str(seed), "--samples", "8")
     assert code == 0
     check = checks_of(report)["parallel-transport-conservation"]

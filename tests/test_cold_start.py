@@ -1,8 +1,11 @@
-"""Cold start loads no scipy: only the RK45 and optimizer oracles need it.
+"""Cold start loads no scipy: only the ODE and optimizer oracles of the
+quotient code and broken geodesics need it.
 
-``transport.solve_ivp`` and the ``scipy.optimize`` calls of ``leaf_trace``
-and ``teodg_diagnostic`` import scipy on first use, so importing the CLI,
-resolving a scenario and running the closed-form commands load numpy alone.
+``transport.solve_ivp`` (``broken_geodesic``) and the ``scipy.optimize``
+calls of ``leaf_trace`` and ``teodg_diagnostic`` import scipy on first use,
+so importing the CLI, resolving a scenario, running the closed-form commands
+and verify-all's transport rows (Gauss-Legendre collocation in numpy) load
+numpy alone.
 """
 
 from __future__ import annotations
@@ -38,8 +41,14 @@ WARPED_TORUS = {
 }
 
 COLD_RUN = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 from warpquot import cli
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
 for name in cli.list_scenarios():
     cli.resolve_scenario(name)
 codes = {}
@@ -49,23 +58,35 @@ for ref in ("flat-torus", "mobius", "sphere-polar", sys.argv[1]):
         with contextlib.redirect_stdout(io.StringIO()), \\
                 contextlib.redirect_stderr(io.StringIO()):
             codes[f"{ref} {cmd}"] = cli.main(["run", ref, cmd])
-print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules
-                                                  if m.split(".")[0] == "scipy")}))
+before = scipy_modules()
+verify_all = cli.main(["run", "sphere-polar", "verify-all", "--out", os.devnull])
+print(json.dumps({"codes": codes, "scipy": before, "verify_all": verify_all,
+                  "scipy_after_verify_all": scipy_modules()}))
 """
 
 
-def test_cold_start_and_closed_form_commands_load_no_scipy(tmp_path):
-    path = tmp_path / "warped-torus.json"
+@pytest.fixture(scope="module")
+def cold_run(tmp_path_factory):
+    """One fresh interpreter: the closed-form commands, then sphere-polar verify-all."""
+    path = tmp_path_factory.mktemp("cold") / "warped-torus.json"
     path.write_text(json.dumps(WARPED_TORUS))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run([sys.executable, "-c", COLD_RUN, str(path)], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert out["scipy"] == []
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_cold_start_and_closed_form_commands_load_no_scipy(cold_run):
+    assert cold_run["scipy"] == []
     # every command ran to a verdict; sphere-polar has no quotient to decompose
     no_quotient = {f"sphere-polar {cmd}" for cmd in ("holonomy", "intersections", "decompose")}
-    assert out["codes"] == {key: 2 if key in no_quotient else 0 for key in out["codes"]}
+    assert cold_run["codes"] == {key: 2 if key in no_quotient else 0 for key in cold_run["codes"]}
+
+
+def test_verify_all_transport_rows_load_no_scipy(cold_run):
+    assert cold_run["verify_all"] == 0
+    assert cold_run["scipy_after_verify_all"] == []
 
 
 class _Oracle(Exception):
@@ -73,9 +94,10 @@ class _Oracle(Exception):
 
 
 def test_verify_all_integrates_through_the_patchable_name(monkeypatch):
+    # the transport rows run the collocation oracle, looked up at call time
     def refuse(*args, **kwargs):
         raise _Oracle
 
-    monkeypatch.setattr(tp, "solve_ivp", refuse)
+    monkeypatch.setattr(tp, "collocation_pass", refuse)
     with pytest.raises(_Oracle):
         cli.main(["run", "sphere-polar", "verify-all", "--out", os.devnull])

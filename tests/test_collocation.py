@@ -1,0 +1,173 @@
+"""The transport oracle: composite Gauss-Legendre collocation with step doubling.
+
+``transport._integrate_transport`` solves Ydot = -Gamma(gamma') Y along a
+known curve by 3-stage Gauss-Legendre collocation (order 6; Butcher 1964,
+Hairer-Norsett-Wanner I, II.7), with Gamma from one batched
+``christoffel_numeric`` per pass.  Here it is held against scipy's RK45 at
+rtol 1e-12 (the oracle of the oracle), its call pattern is counted, and the
+doubling cap must raise.
+"""
+
+import numpy as np
+import pytest
+from scipy.integrate import solve_ivp
+
+from warpquot import chartkit as ck
+from warpquot import cli
+from warpquot import fixtures as fx
+from warpquot import productgeo as pg
+from warpquot import transport as tp
+from warpquot.chartkit import CoordPoint, TangentVector
+from warpquot.errors import IntegrationError
+from warpquot.scenario import list_scenarios, resolve_scenario
+
+AGREE = 1e-9  # collocation against the tight RK45 reference
+
+
+def rk45(g, curve, y0, ts, omega=None, keep=None):
+    """Reference Y (len(ts), n, k) and I (len(ts),): scipy's RK45 at rtol
+    1e-12 / atol 1e-12 (within 2e-11 of the collocation on every case here),
+    restarted at every break, one single-point Gamma per call.
+    ``keep`` (n, k) masks the entries of Ydot (normal transport columns)."""
+    n, k = y0.shape
+
+    def rhs(t, state):
+        pos, vel = curve.point(t), curve.velocity(t)
+        dY = -np.einsum("kij,i,jc->kc", ck.christoffel_numeric(g, pos), vel,
+                        state[:-1].reshape(n, k))
+        if keep is not None:
+            dY[~keep] = 0.0
+        dI = float(omega(pos[None])[0] @ vel) if omega is not None else 0.0
+        return np.concatenate([dY.reshape(-1), [dI]])
+
+    state = np.concatenate([y0.reshape(-1), [0.0]])
+    at = {}
+    for seg in curve.segments:
+        t_eval = np.append(ts[(ts >= seg.t0) & (ts < seg.t1)], seg.t1)
+        sol = solve_ivp(rhs, (seg.t0, seg.t1), state, method="RK45", rtol=1e-12,
+                        atol=1e-12, t_eval=t_eval)
+        assert sol.success
+        at.update(zip(t_eval, sol.y.T))
+        state = sol.y[:, -1]
+    out = np.stack([at[t] for t in ts])
+    return out[:, :-1].reshape(len(ts), n, k), out[:, -1]
+
+
+def leaf_line(dtp):
+    box = dtp.domain_box
+    start = 0.7 * box[:, 0] + 0.3 * box[:, 1]
+    end = start.copy()
+    end[dtp.slot1] = (0.25 * box[:, 0] + 0.75 * box[:, 1])[dtp.slot1]
+    return tp.PiecewiseCurve.line(start, end)
+
+
+def leaf_spline(dtp):
+    """Two-segment Catmull-Rom curve in an F_1 leaf: its break at t = 1/2
+    joins two cubics with different second derivatives."""
+    lo, hi = dtp.domain_box[:, 0], dtp.domain_box[:, 1]
+    pts = [lo + f * (hi - lo) for f in (0.3, 0.5, 0.7)]
+    for p in pts:
+        p[dtp.slot2] = pts[0][dtp.slot2]
+    pts[1][dtp.slot1.start] += 0.15 * (hi - lo)[dtp.slot1.start]
+    return tp.PiecewiseCurve.catmull_rom(pts)
+
+
+def cases():
+    """(label, dtp, curve): the nine built-ins on verify-all's curve, random
+    doubly twisted products and a curve across a break."""
+    for name in list_scenarios():
+        ctx = resolve_scenario(name)
+        yield name, ctx.dtp, cli._horizontal_curve(ctx)
+    for seed in (0, 3, 11):
+        dtp = fx.random_doubly_twisted(seed)
+        yield f"random-dtp-{seed}", dtp, leaf_line(dtp)
+    dtp = fx.random_doubly_twisted(3)
+    yield "random-dtp-3-catmull-rom", dtp, leaf_spline(dtp)
+
+
+CASES = list(cases())
+
+
+@pytest.mark.parametrize("label, dtp, curve", CASES, ids=[c[0] for c in CASES])
+def test_collocation_matches_tight_rk45(label, dtp, curve):
+    rng = np.random.default_rng(7)
+    start = CoordPoint(curve.point(0.0))
+    g = dtp.assembled
+    v0 = TangentVector(start, rng.normal(size=dtp.n))
+    n0 = TangentVector(start, dtp.embed(2, rng.normal(size=dtp.n2)))
+    parallel = tp.parallel_transport(g, curve, v0, tol=1e-6)
+    normal = tp.normal_parallel_transport(dtp, curve, n0, tol=1e-6)
+    adapted = tp.adapted_translation(dtp, curve, n0)
+    ts = np.array([t for t, _ in parallel.samples])
+
+    # one reference solve: column 0 parallel, column 1 normal transport W,
+    # whose adapted translation is A = exp(-I) W
+    keep = np.ones((dtp.n, 2), dtype=bool)
+    keep[:, 1] = False
+    keep[dtp.slot2, 1] = True
+    ref, ref_I = rk45(g, curve, np.stack([v0.components, n0.components], axis=1), ts,
+                      omega=lambda pts: pg.mean_curvature_form(dtp, pts, 2), keep=keep)
+    for res, want in ((parallel, ref[:, :, 0]), (normal, ref[:, :, 1]),
+                      (adapted, np.exp(-ref_I)[:, None] * ref[:, :, 1])):
+        assert [t for t, _ in res.samples] == list(ts), label
+        got = np.stack([vec.components for _, vec in res.samples])
+        assert np.max(np.abs(got - want)) < AGREE, label
+    assert np.max(np.abs(adapted.integrals - ref_I)) < AGREE, label
+
+
+def test_velocity_profile_reads_the_frame_between_samples():
+    # arbitrary times (not from a sample grid, no t = 0) on a curve with a break
+    dtp = fx.polar_plane()
+    lo, hi = dtp.domain_box[:, 0], dtp.domain_box[:, 1]
+    curve = tp.PiecewiseCurve.catmull_rom([lo + f * (hi - lo) for f in ((0.3, 0.2), (0.4, 0.3),
+                                                                        (0.5, 0.25))])
+    times = np.array([0.1, 0.5, 0.8])
+    ref, _ = rk45(dtp.assembled, curve, np.eye(dtp.n), times)
+    prof = tp.velocity_profile(dtp.assembled, curve, ts=times)
+    for t, frame, v in zip(times, ref, prof):
+        assert np.max(np.abs(frame @ v.components - curve.velocity(t))) < AGREE
+    # at t = 0 alone there is nothing to integrate
+    start = tp.velocity_profile(dtp.assembled, curve, ts=[0.0])
+    assert np.array_equal(start[0].components, curve.velocity(0.0))
+
+
+# ---------------------------------------------------------------------------
+# call pattern and the doubling cap
+
+def test_one_batched_christoffel_call_per_doubling_pass(monkeypatch):
+    christoffel, collocate = ck.christoffel_numeric, tp.collocation_pass
+    batches, passes = [], []
+
+    def counted_christoffel(g, x):
+        batches.append(np.shape(x))
+        return christoffel(g, x)
+
+    def counted_pass(g, curve, grid, steps, *args, **kwargs):
+        passes.append((steps, 3 * steps * (len(grid) - 1)))
+        return collocate(g, curve, grid, steps, *args, **kwargs)
+
+    monkeypatch.setattr(ck, "christoffel_numeric", counted_christoffel)
+    monkeypatch.setattr(tp, "collocation_pass", counted_pass)
+    finest = {}
+    for name in ("sphere-polar", "example1-twisted"):
+        ctx = resolve_scenario(name)
+        curve = cli._horizontal_curve(ctx)
+        batches.clear()
+        passes.clear()
+        tp.adapted_translation(ctx.dtp, curve, cli._ones_normal(ctx.dtp, curve))
+        assert len(passes) >= 2, name  # step doubling compares two passes at least
+        assert batches == [(nodes, ctx.dtp.n) for _, nodes in passes], name
+        finest[name] = passes[-1][0]
+    # the smooth warp settles at the first comparison, example1's piecewise one later
+    assert finest["sphere-polar"] == 2
+    assert finest["example1-twisted"] > 2
+
+
+def test_doubling_cap_raises_integration_error(monkeypatch):
+    ctx = resolve_scenario("example1-twisted")
+    curve = cli._horizontal_curve(ctx)
+    v0 = cli._ones_normal(ctx.dtp, curve)
+    tp.adapted_translation(ctx.dtp, curve, v0)  # settles under the default cap
+    monkeypatch.setattr(tp, "MAX_DOUBLINGS", 1)
+    with pytest.raises(IntegrationError, match="MAX_DOUBLINGS = 1"):
+        tp.adapted_translation(ctx.dtp, curve, v0)

@@ -2,9 +2,10 @@
 from the deck group, and the metric evaluations one transport step makes.
 
 The closed form (``quotient.loop_holonomy``) rests on adapted translation
-keeping the normal components constant in product coordinates; the RK45
-``transport.holonomy_map`` and ``transport.adapted_translation`` stay as its
-oracles here and in verify-all.  ``quotient.leaf_trace`` stays as the oracle
+keeping the normal components constant in product coordinates;
+``transport.holonomy_map`` and ``transport.adapted_translation`` (Gauss-Legendre
+collocation; RK45 in the names of older tests) stay as its oracles here and
+in verify-all.  ``quotient.leaf_trace`` stays as the oracle
 for "a leaf closes iff ``leaf_loops`` finds a closing word".
 """
 
@@ -115,7 +116,7 @@ def test_leaf_loops_respect_the_word_bound():
 
 
 # ---------------------------------------------------------------------------
-# closed form against the RK45 oracle
+# closed form against the integrating oracle
 
 def _quotients(tmp_path):
     yield "flat-torus", fx.flat_torus_model(), np.zeros(2), fx.HOLONOMY_LOOPS["flat-torus"]
@@ -145,9 +146,9 @@ def test_loop_holonomy_rejects_a_word_that_opens_the_leaf():
 
 @pytest.mark.parametrize("seed", [0, 3, 11])
 def test_rk45_adapted_translation_keeps_normal_components(seed):
-    # the exact solution keeps them constant; RK45 at rtol 1e-9 holds them to
-    # its own global error, which reaches 5.3e-9 on this curve (seed 11), so
-    # the bound is ten times the integrator's rtol
+    # the exact solution keeps them constant; the integrator holds them to its
+    # own global error (RK45 at rtol 1e-9 reached 5.3e-9 on this curve at seed
+    # 11; the collocation stays near 1e-15), so the bound is ten times RTOL
     dtp = fx.random_doubly_twisted(seed)
     box = dtp.domain_box
     start = 0.7 * box[:, 0] + 0.3 * box[:, 1]
@@ -192,7 +193,13 @@ def test_downstairs_translation_matches_seam_jacobians():
 # guards for the hot path: no ODE, one metric evaluation per step
 
 def _no_ode(*args, **kwargs):
-    raise AssertionError("solve_ivp called on the closed-form path")
+    raise AssertionError("ODE oracle called on the closed-form path")
+
+
+def _refuse_ode(monkeypatch):
+    """Make both integrators raise: the collocation oracle and scipy's RK45."""
+    monkeypatch.setattr(tp, "collocation_pass", _no_ode)
+    monkeypatch.setattr(tp, "solve_ivp", _no_ode)
 
 
 @pytest.mark.parametrize("ref, codes", [
@@ -204,13 +211,13 @@ def _no_ode(*args, **kwargs):
 ])
 def test_holonomy_and_decompose_make_no_ode_call(tmp_path, monkeypatch, ref, codes):
     scenario = warped_torus_file(tmp_path) if ref == "warped-torus" else ref
-    monkeypatch.setattr(tp, "solve_ivp", _no_ode)
+    _refuse_ode(monkeypatch)
     for command, code in zip(("holonomy", "decompose"), codes):
         assert run(tmp_path, scenario, command)[0] == code
 
 
 def test_downstairs_translation_makes_no_ode_call(monkeypatch):
-    monkeypatch.setattr(tp, "solve_ivp", _no_ode)
+    _refuse_ode(monkeypatch)
     model = fx.example1_model()
     v0 = TangentVector(CoordPoint([0.0, 0.5]), [0.0, 1.0])
     qt.adapted_translation_downstairs(model, np.array([0.0, 0.5]), 1, 1.7, v0)

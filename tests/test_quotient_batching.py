@@ -613,7 +613,29 @@ def test_validate_control_word_returns_interior_point():
     assert not any(np.array_equal(r, p) for p in BOX_GRID)
     gen = qt.DeckGenerator("a", qt.FactorMap.affine([[-1.0]], [2 * r[0]]),
                            qt.FactorMap.affine([[-1.0]], [2 * r[1]]))
-    _fails_at(_model(gen), "word (('a', 1),) returns an interior point to itself", r)
+    # r returns to itself; the first interior sample the reflection moves into
+    # the box comes before it and is named
+    into = [p for p in INTERIOR if np.all((2 * r - p >= -PAD) & (2 * r - p < 1.0 - PAD))]
+    assert any(np.array_equal(r, p) for p in into)
+    _fails_at(_model(gen), "word (('a', 1),) moves an interior point into the fundamental box",
+              into[0])
+
+
+def test_validate_control_group_without_a_fundamental_box():
+    # x + 1, x + sqrt2, y + 1, y + sqrt3 generate a dense subgroup of the
+    # translations: no word returns a sample to itself, but a^1 b^-1 (x shift
+    # 1 - sqrt2) moves x = 0.63 to 0.22, inside the box
+    shift = qt.FactorMap.translation
+    gens = [qt.DeckGenerator("a", shift([1.0]), STAY),
+            qt.DeckGenerator("b", shift([np.sqrt(2.0)]), STAY),
+            qt.DeckGenerator("c", STAY, shift([1.0])),
+            qt.DeckGenerator("d", STAY, shift([np.sqrt(3.0)]))]
+    box = [[0.0, 1.0], [0.0, 1.0]]
+    qt.validate(qt.QuotientModel(_flat_dtp(), gens, box, word_bound=1))  # one letter moves out
+    model = qt.QuotientModel(_flat_dtp(), gens, box, word_bound=2)
+    first = next(p for p in INTERIOR if p[0] + 1.0 - np.sqrt(2.0) >= 0.0)
+    _fails_at(model, "word (('a', 1), ('b', -1)) moves an interior point into the fundamental box",
+              first)
 
 
 def test_validate_clean_model_counts_words():

@@ -1,10 +1,11 @@
-"""Adapted translation in closed form, with RK45 as its oracle.
+"""Adapted translation in closed form, with an integrating oracle.
 
 Along a leaf of F_1 a normal vector keeps its product-coordinate components
 (Ponge & Reckziegel 1993): ``transport.adapted_translation_closed_form``
 returns A(t) = v0 and I(t) = ln lam2(gamma(0)) - ln lam2(gamma(t)) without
-integrating.  The CLI ``transport`` command runs it; the RK45
-``transport.adapted_translation`` is the oracle here and in verify-all's
+integrating.  The CLI ``transport`` command runs it; the Gauss-Legendre
+collocation ``transport.adapted_translation`` (RK45 in the names of older
+tests) is the oracle here and in verify-all's
 ``adapted-translation-closed-form`` row.  Both routes share one input guard.
 """
 
@@ -80,13 +81,19 @@ def normal_vector(dtp, curve, seed, foliation=1):
 # the transport command makes no ODE call
 
 def _no_ode(*args, **kwargs):
-    raise AssertionError("solve_ivp called on the closed-form path")
+    raise AssertionError("ODE oracle called on the closed-form path")
+
+
+def _refuse_ode(monkeypatch):
+    """Make both integrators raise: the collocation oracle and scipy's RK45."""
+    monkeypatch.setattr(tp, "collocation_pass", _no_ode)
+    monkeypatch.setattr(tp, "solve_ivp", _no_ode)
 
 
 def test_transport_command_makes_no_ode_call(tmp_path, monkeypatch):
     scenarios = list_scenarios() + generated_files(tmp_path)
     assert len(scenarios) == 12
-    monkeypatch.setattr(tp, "solve_ivp", _no_ode)
+    _refuse_ode(monkeypatch)
     for ref in scenarios:
         code, report = run(tmp_path, ref, "transport")
         assert code == 0, ref
@@ -95,7 +102,7 @@ def test_transport_command_makes_no_ode_call(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# RK45 is the oracle
+# the integrating adapted translation is the oracle
 
 PRODUCTS = {
     "flat-direct": fx.flat_direct_product,
@@ -139,9 +146,9 @@ def oracle_cases(tmp_path):
 
 def test_closed_form_matches_rk45(tmp_path):
     # A(t) and the reported integral to the bounds asked of the closed form;
-    # I(t) between the ends to 10 x RTOL, the RK45 oracle's own error there
-    # (up to 3.2e-9 on these cases, while an adaptive quadrature of omega
-    # agrees with the closed form to 1e-9: see the next test)
+    # I(t) between the ends to 10 x RTOL, the bound that the former RK45
+    # oracle's own error (up to 3.2e-9 on these cases) needed; an adaptive
+    # quadrature of omega agrees with the closed form to 1e-9: see the next test
     for label, dtp, curve, v0, foliation in oracle_cases(tmp_path):
         closed = tp.adapted_translation_closed_form(dtp, curve, v0, foliation=foliation)
         ref = tp.adapted_translation(dtp, curve, v0, foliation=foliation)
