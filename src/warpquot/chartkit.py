@@ -20,20 +20,20 @@ with one point per row, and return one value or a stack of ``P`` values.
 Every check (finite coordinates and outputs, output shape, symmetry,
 ``|det g| >= DET_TOL``) runs on every point of a batch, vectorised once.
 
-Callbacks (``eval``, ``analytic_grad``, ``analytic_hess``, and the field
-callbacks of ``exterior_derivative_numeric`` and ``covariant_derivative``)
-receive points *coordinate-major*: ``x[k]`` is coordinate ``k``, a float for
-one point or an array of ``P`` values for a batch, so formulas such as
-``lambda x: np.sin(x[0]) * x[1]`` serve both.  The output carries the
-value's own axes first and the point axis last: ``(P,)`` for a scalar,
-``(n, P)`` for a vector, ``(n, n, P)`` for a matrix.  A constant entry must
-still be broadcast to the point axis (``np.zeros((2, 2) + np.shape(x)[1:])``
-gives a correctly shaped container).  An output of the wrong shape raises
+Callbacks (``eval``, ``analytic_grad``, ``analytic_hess``, ``analytic_d1``,
+``analytic_d2``, and the field callbacks of ``exterior_derivative_numeric``
+and ``covariant_derivative``) receive points *coordinate-major*: ``x[k]`` is
+coordinate ``k``, a float for one point or an array of ``P`` values for a
+batch, so formulas such as ``lambda x: np.sin(x[0]) * x[1]`` serve both.
+The output carries the value's own axes first and the point axis last:
+``(P,)`` for a scalar, ``(n, P)`` for a vector, ``(n, n, P)`` for a matrix,
+``(n, n, n, P)`` for ``d_k g_ij``.  A constant entry must still be
+broadcast to the point axis (``np.zeros((2, 2) + np.shape(x)[1:])`` gives a
+correctly shaped container).  An output of the wrong shape raises
 ``NumericsError``; a per-point-only formula that calls ``float(...)`` or
 ``math.*`` on a coordinate raises ``TypeError`` (or, where numpy still
 converts a one-element array, its scalar output fails the shape check).
-Neither gives a silently wrong result.  ``MetricField.analytic_d1`` and
-``analytic_d2`` are called one point at a time.
+Neither gives a silently wrong result.
 """
 
 from __future__ import annotations
@@ -99,7 +99,13 @@ def _checked_inv(g: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 
 def _call_batch(fn: Callable, pts: np.ndarray, shape: tuple, what: str) -> np.ndarray:
-    """``fn`` on the rows of ``pts`` (P, n), passed coordinate-major; returns (P, *shape)."""
+    """``fn`` at one point ``pts`` (n,), returning ``shape``, or on the rows of
+    a batch ``pts`` (P, n), passed coordinate-major, returning (P, *shape)."""
+    if pts.ndim == 1:
+        out = np.asarray(fn(pts), dtype=float)
+        if out.shape != shape:
+            raise NumericsError(f"{what} returned shape {out.shape}, expected {shape}")
+        return out
     out = np.asarray(fn(np.ascontiguousarray(pts.T)), dtype=float)
     want = shape + pts.shape[:1]
     if out.shape != want:
@@ -186,13 +192,13 @@ class OneForm:
 class MetricField:
     """Symmetric-matrix-valued field with signature metadata.
 
-    ``eval`` maps coordinates to the metric matrix under the module's
-    coordinate-major contract: ``x`` of shape ``(dim,)`` gives ``(dim, dim)``
-    and ``x`` of shape ``(dim, P)`` gives ``(dim, dim, P)``.  ``mat`` and
-    ``inv`` accept one point or a ``(P, dim)`` batch.
-    ``analytic_d1(x)[k] = d_k g`` and ``analytic_d2(x)[k, l] = d_k d_l g``
-    are optional exact-derivative callbacks; they stay single-point (``x`` of
-    shape ``(dim,)``), since no caller evaluates them in batches.
+    ``eval`` maps coordinates to the metric matrix, and the optional
+    exact-derivative callbacks give ``analytic_d1(x)[k] = d_k g`` and
+    ``analytic_d2(x)[k, l] = d_k d_l g``, all under the module's
+    coordinate-major contract: ``x`` of shape ``(dim,)`` gives ``(dim, dim)``,
+    ``(dim,) * 3`` and ``(dim,) * 4``, and ``x`` of shape ``(dim, P)`` gives
+    the same with a trailing point axis.  ``mat``, ``inv``, ``d1`` and ``d2``
+    accept one point or a ``(P, dim)`` batch.
     """
 
     dim: int
@@ -215,13 +221,7 @@ class MetricField:
     def mat(self, x) -> np.ndarray:
         """g at one point, (dim, dim), or at each row of a batch, (P, dim, dim)."""
         pts = _points(x, self.dim)
-        if pts.ndim == 1:
-            g = np.asarray(self.eval(pts), dtype=float)
-            if g.shape != (self.dim, self.dim):
-                raise NumericsError(
-                    f"metric eval returned shape {g.shape}, expected ({self.dim}, {self.dim})")
-        else:
-            g = _call_batch(self.eval, pts, (self.dim, self.dim), "metric eval")
+        g = _call_batch(self.eval, pts, (self.dim, self.dim), "metric eval")
         biggest = np.abs(g).max(axis=(-2, -1))  # nan or inf exactly when an entry is
         bad = ~np.isfinite(biggest)
         if bad.any():
@@ -242,30 +242,16 @@ class MetricField:
         return g, _checked_inv(g, pts)
 
     def d1(self, x) -> np.ndarray:
-        """d1[k, i, j] = d_k g_ij, analytic when available else central FD.
-
-        A batch ``(P, dim)`` gives ``(P, dim, dim, dim)``; the analytic
-        callback is then called once per point.
-        """
-        pts = _points(x, self.dim)
-        if self.analytic_d1 is None:
-            return central_diff(self.mat, pts, fd_step(pts, FD_STEP_1))
-        if pts.ndim == 2:
-            return np.stack([self.d1(p) for p in pts])
-        out = np.asarray(self.analytic_d1(pts), dtype=float)
-        if out.shape != (self.dim,) * 3:
-            raise NumericsError(f"analytic_d1 returned shape {out.shape}")
-        return out
+        """d1[..., k, i, j] = d_k g_ij, analytic when available else central FD."""
+        return _partials(self.mat, self.analytic_d1, _points(x, self.dim), 1,
+                         (self.dim, self.dim), "analytic_d1")
 
     def d2(self, x) -> Optional[np.ndarray]:
-        """d2[k, l, i, j] = d_k d_l g_ij when analytic_d2 is supplied, else None."""
+        """d2[..., k, l, i, j] = d_k d_l g_ij when analytic_d2 is supplied, else None."""
         if self.analytic_d2 is None:
             return None
-        coords = x.coords if isinstance(x, CoordPoint) else _as_array(x, self.dim)
-        out = np.asarray(self.analytic_d2(coords), dtype=float)
-        if out.shape != (self.dim,) * 4:
-            raise NumericsError(f"analytic_d2 returned shape {out.shape}")
-        return out
+        return _partials(self.mat, self.analytic_d2, _points(x, self.dim), 2,
+                         (self.dim, self.dim), "analytic_d2")
 
     def check_at(self, x) -> None:
         """Nondegeneracy check at one point or at each row of a batch: the
@@ -290,15 +276,13 @@ class MetricField:
         n = m.shape[0]
         eigs = np.linalg.eigvalsh(m)
         signs = np.where(np.sort(eigs) < 0, -1, 1)
-        zero = np.zeros((n, n, n))
-        zero2 = np.zeros((n, n, n, n))
         return MetricField(
             dim=n,
             eval=lambda x, _m=m: (_m.copy() if np.ndim(x) == 1
                                   else np.repeat(_m[..., None], np.shape(x)[1], axis=-1)),
             signature=Signature(np.sort(signs)),
-            analytic_d1=lambda x, _z=zero: _z,
-            analytic_d2=lambda x, _z=zero2: _z,
+            analytic_d1=lambda x: np.zeros((n,) * 3 + np.shape(x)[1:]),
+            analytic_d2=lambda x: np.zeros((n,) * 4 + np.shape(x)[1:]),
             domain_box=domain_box,
             name=name,
         )
@@ -341,15 +325,9 @@ class ScalarField:
 
     def _derivative(self, x, n, callback, order: int) -> np.ndarray:
         pts = x.coords if isinstance(x, CoordPoint) else np.asarray(x, dtype=float)
-        if callback is not None and pts.ndim == 1:
-            return np.asarray(callback(pts), dtype=float)
         if n is not None and n != pts.shape[-1]:
             raise ValueError(f"expected {n} coordinates, got {pts.shape[-1]}")
-        if callback is not None:
-            return _call_batch(callback, pts, (pts.shape[-1],) * order,
-                               f"derivative of {self.name!r}")
-        return central_diff(self.value, pts, fd_step(pts, (FD_STEP_1, FD_STEP_2)[order - 1]),
-                            order=order)
+        return _partials(self.value, callback, pts, order, (), f"derivative of {self.name!r}")
 
     def grad_coords(self, x, n: Optional[int] = None) -> np.ndarray:
         """Coordinate partials (d_i f), analytic when available; (P, n) for a batch."""
@@ -367,6 +345,19 @@ class ScalarField:
             analytic_hess=lambda x: np.zeros(np.shape(x)[:1] + np.shape(x)),
             name=name or f"const({c})",
         )
+
+
+def _partials(value: Callable, callback: Optional[Callable], pts: np.ndarray, order: int,
+              shape: tuple, what: str) -> np.ndarray:
+    """Partial derivatives of order 1 or 2 of a ``shape``-valued field at one
+    point (n,) or a batch (P, n): from the exact ``callback`` under the
+    coordinate-major contract when there is one, else central differences of
+    ``value`` with step ``FD_STEP_1`` or ``FD_STEP_2``.  Shape
+    ``pts.shape[:-1] + (n,) * order + shape``."""
+    if callback is None:
+        return central_diff(value, pts, fd_step(pts, (FD_STEP_1, FD_STEP_2)[order - 1]),
+                            order=order)
+    return _call_batch(callback, pts, (pts.shape[-1],) * order + shape, what)
 
 
 def fd_step(xi, base: float = FD_STEP_1):

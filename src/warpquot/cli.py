@@ -143,17 +143,14 @@ def _horizontal_curve(ctx: ScenarioContext):
 
 def _christoffel_residuals(dtp, rng, samples):
     """Worst lower-index asymmetry and metric-compatibility residual of the
-    Christoffel symbols at ``samples`` random points."""
-    sym = compat = 0.0
-    for _ in range(samples):
-        x = _rand_point(rng, dtp.domain_box)
-        gm = ck.christoffel_numeric(dtp.assembled, x)
-        sym = max(sym, float(np.max(np.abs(gm - np.swapaxes(gm, 1, 2)))))
-        g = dtp.assembled.mat(x)
-        dg = dtp.assembled.d1(x)
-        resid = dg - np.einsum("lki,lj->kij", gm, g) - np.einsum("lkj,il->kij", gm, g)
-        compat = max(compat, float(np.max(np.abs(resid))))
-    return sym, compat
+    Christoffel symbols at ``samples`` random points, evaluated as one batch."""
+    x = np.array([_rand_point(rng, dtp.domain_box) for _ in range(samples)]).reshape(-1, dtp.n)
+    gm = ck.christoffel_numeric(dtp.assembled, x)
+    g = dtp.assembled.mat(x)
+    dg = dtp.assembled.d1(x)
+    resid = dg - np.einsum("plki,plj->pkij", gm, g) - np.einsum("plkj,pil->pkij", gm, g)
+    return (float(np.max(np.abs(gm - np.swapaxes(gm, -1, -2)), initial=0.0)),
+            float(np.max(np.abs(resid), initial=0.0)))
 
 
 def _sectional_residuals(dtp, rng, samples):

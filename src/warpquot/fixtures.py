@@ -80,40 +80,32 @@ def trig_warp(n: int, amps, freqs, phases, name: str = "trig-warp") -> ScalarFie
 
 def conformal_flat_metric(dim: int, amp: float, freq, phase: float, box,
                           name: str = "conformal") -> MetricField:
-    """g = exp(2 phi) * I, phi = amp sin(freq . x + phase).
-
-    ``eval`` is batch-capable; ``d1``/``d2`` are single-point, as
-    ``MetricField`` calls them.
-    """
+    """g = exp(2 phi) * I, phi = amp sin(freq . x + phase)."""
     freq = np.asarray(freq, dtype=float)
     eye = np.eye(dim)
+
+    def col(a, x):  # a constant array broadcast along the point axis of x
+        return a.reshape(a.shape + (1,) * (np.ndim(x) - 1))
 
     def phi(x):
         return amp * np.sin(freq @ x + phase)
 
     def dphi(x):
-        return amp * np.cos(freq @ x + phase) * freq
+        return amp * np.cos(freq @ x + phase) * col(freq, x)
 
     def ddphi(x):
-        return -amp * np.sin(freq @ x + phase) * np.outer(freq, freq)
+        return -amp * np.sin(freq @ x + phase) * col(np.outer(freq, freq), x)
 
     def ev(x):
         return np.multiply.outer(eye, np.exp(2 * phi(x)))
 
     def d1(x):
-        e = np.exp(2 * phi(x))
-        dp = dphi(x)
-        return np.array([2 * dp[k] * e * eye for k in range(dim)])
+        return 2 * dphi(x)[:, None, None] * np.exp(2 * phi(x)) * col(eye, x)
 
     def d2(x):
-        e = np.exp(2 * phi(x))
         dp = dphi(x)
-        ddp = ddphi(x)
-        out = np.zeros((dim, dim, dim, dim))
-        for k in range(dim):
-            for l in range(dim):
-                out[k, l] = (4 * dp[k] * dp[l] + 2 * ddp[k, l]) * e * eye
-        return out
+        scale = 4 * dp[:, None] * dp[None] + 2 * ddphi(x)
+        return scale[:, :, None, None] * np.exp(2 * phi(x)) * col(eye, x)
 
     return MetricField(dim, ev, Signature.riemannian(dim), d1, d2,
                        domain_box=np.asarray(box, dtype=float), name=name)

@@ -155,15 +155,15 @@ class DoublyTwistedProduct:
         w = self.warp(i)
 
         def ev(c, _w=w):
-            return float(np.log(_w.value(c)))
+            return np.log(_at(_w.value, c))
 
         def grad(c, _w=w):
-            return _w.grad_coords(c) / _w.value(c)
+            return _at(_w.grad_coords, c) / _at(_w.value, c)
 
         def hess(c, _w=w):
-            val = _w.value(c)
-            gr = _w.grad_coords(c)
-            return _w.hess_coords(c) / val - np.outer(gr, gr) / val**2
+            val = _at(_w.value, c)
+            gr = _at(_w.grad_coords, c)
+            return _at(_w.hess_coords, c) / val - gr[:, None] * gr[None] / val**2
 
         return ScalarField(ev, analytic_grad=grad, analytic_hess=hess,
                            name=f"ln lam{i}")
@@ -174,6 +174,13 @@ class DoublyTwistedProduct:
 
     def grad_log_warp(self, i: int, x) -> TangentVector:
         return ck.gradient(self.log_warp(i), self.assembled, x)
+
+
+def _at(method, x):
+    """A field's ``method`` (one point or a ``(P, n)`` batch) called from a
+    callback at coordinate-major ``x``: the result with the point axis last."""
+    out = method(x.T)
+    return out.transpose((*range(1, out.ndim), 0)) if x.ndim == 2 else out
 
 
 def grid_points(box: np.ndarray, per_axis: int, inset: float = 0.05) -> np.ndarray:
@@ -208,9 +215,10 @@ def assemble(f1: FactorManifold, f2: FactorManifold, lam1: ScalarField,
     Warp positivity is sampled on a grid of 4 points per axis over the joint
     domain box, one batch per warp; analytic metric derivatives are
     assembled whenever both the factor metrics and the warps carry exact
-    derivative callbacks.  The assembled ``eval`` follows the
-    coordinate-major batch contract of ``chartkit`` and evaluates the factor
-    metrics and warps in batches.
+    derivative callbacks.  The assembled ``eval``, ``analytic_d1`` and
+    ``analytic_d2`` follow the coordinate-major batch contract of
+    ``chartkit``: each call evaluates the factor metrics and warps once, on
+    one point or on a whole batch.
     """
     n1, n2 = f1.dim, f2.dim
     n = n1 + n2
@@ -224,14 +232,21 @@ def assemble(f1: FactorManifold, f2: FactorManifold, lam1: ScalarField,
 
     s1, s2 = slice(0, n1), slice(n1, n)
 
+    def factors(x, order):
+        """Per factor at coordinate-major x, point axis last: the slot, lam,
+        g_A, then up to ``order`` their first and second derivatives."""
+        for lam, m, sl in ((lam1, f1.metric, s1), (lam2, f2.metric, s2)):
+            vals = (_at(lam.value, x), _at(m.mat, x[sl]))
+            if order > 0:
+                vals += (_at(lam.grad_coords, x), _at(m.d1, x[sl]))
+            if order > 1:
+                vals += (_at(lam.hess_coords, x), _at(m.d2, x[sl]))
+            yield (sl, *vals)
+
     def ev(x):
-        pts = x.T
         out = np.zeros((n, n) + x.shape[1:])
-        for lam, fac, sl in ((lam1, f1, s1), (lam2, f2, s2)):
-            gf = fac.metric.mat(pts[..., sl])
-            if x.ndim == 2:
-                gf = gf.transpose(1, 2, 0)  # point axis last
-            out[sl, sl] = np.square(lam.value(pts)) * gf
+        for sl, lv, gm in factors(x, 0):
+            out[sl, sl] = np.square(lv) * gm
         return out
 
     have_d1 = (f1.metric.analytic_d1 is not None and f2.metric.analytic_d1 is not None
@@ -241,41 +256,20 @@ def assemble(f1: FactorManifold, f2: FactorManifold, lam1: ScalarField,
                            and lam2.analytic_hess is not None)
 
     def block_d1(x):
-        out = np.zeros((n, n, n))
-        for lam, fac, sl in ((lam1, f1, s1), (lam2, f2, s2)):
-            xf = x[sl]
-            gm = fac.metric.mat(xf)
-            lv = lam.value(x)
-            dl = lam.grad_coords(x)
-            dgf = fac.metric.d1(xf)
-            for k in range(n):
-                out[k][sl, sl] += 2.0 * lv * dl[k] * gm
-            off = sl.start
-            for kf in range(fac.dim):
-                out[off + kf][sl, sl] += lv**2 * dgf[kf]
+        out = np.zeros((n, n, n) + x.shape[1:])
+        for sl, lv, gm, dl, dgf in factors(x, 1):
+            out[:, sl, sl] += 2.0 * lv * dl[:, None, None] * gm
+            out[sl, sl, sl] += lv**2 * dgf
         return out
 
     def block_d2(x):
-        out = np.zeros((n, n, n, n))
-        for lam, fac, sl in ((lam1, f1, s1), (lam2, f2, s2)):
-            xf = x[sl]
-            gm = fac.metric.mat(xf)
-            lv = lam.value(x)
-            dl = lam.grad_coords(x)
-            hl = lam.hess_coords(x)
-            dgf = fac.metric.d1(xf)
-            ddgf = fac.metric.d2(xf)
-            off = sl.start
-            for k in range(n):
-                for l in range(n):
-                    blk = 2.0 * (dl[k] * dl[l] + lv * hl[k, l]) * gm
-                    if sl.start <= l < sl.stop:
-                        blk += 2.0 * lv * dl[k] * dgf[l - off]
-                    if sl.start <= k < sl.stop:
-                        blk += 2.0 * lv * dl[l] * dgf[k - off]
-                    if sl.start <= k < sl.stop and sl.start <= l < sl.stop:
-                        blk += lv**2 * ddgf[k - off, l - off]
-                    out[k, l][sl, sl] += blk
+        out = np.zeros((n, n, n, n) + x.shape[1:])
+        for sl, lv, gm, dl, dgf, hl, ddgf in factors(x, 2):
+            out[:, :, sl, sl] += 2.0 * (dl[:, None] * dl[None] + lv * hl)[:, :, None, None] * gm
+            cross = 2.0 * lv * dl[:, None, None, None] * dgf  # [k, l in sl]: 2 lam d_k lam d_l g_A
+            out[:, sl, sl, sl] += cross
+            out[sl, :, sl, sl] += cross.swapaxes(0, 1)
+            out[sl, sl, sl, sl] += lv**2 * ddgf
         return out
 
     assembled = MetricField(

@@ -1,6 +1,6 @@
 """Batch forms against per-point calls.
 
-``MetricField.mat/inv`` and ``ScalarField.value/grad_coords/hess_coords``
+``MetricField.mat/inv/d1/d2`` and ``ScalarField.value/grad_coords/hess_coords``
 accept a ``(P, n)`` batch; every result must match a loop of per-point calls,
 every per-point check must fire inside a batch with the same error class, and
 ``classify`` (one batched sweep) must match a per-point reference.
@@ -13,6 +13,7 @@ different orders; there the bound is rounding, amplified by 1/h per
 finite-difference order on the FD route.
 """
 
+import dataclasses
 import json
 import math
 
@@ -44,6 +45,7 @@ BLAS_PRODUCTS = {
     "random-dtp-4": lambda: fx.random_doubly_twisted(4),
     "random-dtp-11": lambda: fx.random_doubly_twisted(11),
     "random-dw-2": lambda: fx.random_doubly_warped(2),
+    "random-dtp-5-3-3": lambda: fx.random_doubly_twisted(5, 3, 3),
 }
 
 
@@ -57,7 +59,10 @@ def field_results(dtp, pts):
     """Every batch-capable quantity, batched and as a loop of per-point calls."""
     g = dtp.assembled
     out = {"mat": (g.mat(pts), np.stack([g.mat(p) for p in pts])),
-           "inv": (g.inv(pts), np.stack([g.inv(p) for p in pts]))}
+           "inv": (g.inv(pts), np.stack([g.inv(p) for p in pts])),
+           "dg": (g.d1(pts), np.stack([g.d1(p) for p in pts]))}
+    if g.analytic_d2 is not None:
+        out["ddg"] = (g.d2(pts), np.stack([g.d2(p) for p in pts]))
     for i in (1, 2):
         w = dtp.warp(i)
         out[f"lam{i}"] = (w.value(pts), np.array([w.value(p) for p in pts]))
@@ -86,7 +91,7 @@ def test_batch_matches_pointwise_to_rounding(name, route):
     eps = 4 * np.finfo(float).eps
     # FD derivatives divide rounding differences by the step (1e-5 for first,
     # 1e-8 = (1e-4)^2 for second derivatives)
-    amplify = {"grad": 1e5, "hess": 1e8} if route == "fd" else {}
+    amplify = {"grad": 1e5, "hess": 1e8, "dg": 1e5} if route == "fd" else {}
     for key, (batched, looped) in field_results(dtp, batch_points(dtp)).items():
         assert batched.shape == looped.shape, key
         scale = amplify.get(key.rstrip("12"), 1.0) * max(1.0, float(np.max(np.abs(looped))))
@@ -212,6 +217,46 @@ def test_per_point_only_callbacks_fail_loudly():
     reduce_all = ScalarField(lambda x: np.sum(x ** 2))  # sums over the points too
     with pytest.raises(NumericsError):
         reduce_all.value(np.array([[0.1, 0.2], [0.3, 0.4]]))
+    flat = MetricField(1, lambda x: np.ones((1, 1) + np.shape(x)[1:]), Signature.riemannian(1),
+                       analytic_d1=lambda x: np.zeros((1, 1, 1)))  # no point axis
+    assert flat.d1([2.0]).shape == (1, 1, 1)
+    with pytest.raises(NumericsError):
+        flat.d1(np.array([[1.0], [2.0]]))
+
+
+def test_exact_christoffel_calls_d1_once_per_batch():
+    dtp = fx.random_doubly_twisted(4)
+    g = dtp.assembled
+    calls = []
+
+    def d1(x):
+        calls.append(np.shape(x))
+        return g.analytic_d1(x)
+
+    pts = batch_points(dtp)
+    gamma = ck.christoffel_numeric(dataclasses.replace(g, analytic_d1=d1), pts)
+    assert calls == [(dtp.n, len(pts))]
+    np.testing.assert_array_equal(gamma, ck.christoffel_numeric(g, pts))
+
+
+@pytest.mark.parametrize("route", ["analytic", "fd"])
+def test_log_warp_batch_matches_pointwise(route):
+    # P == n: a slip between point-major and coordinate-major input keeps
+    # every shape right and shows only in the values
+    dtp = fx.random_doubly_twisted(3)
+    if route == "fd":
+        dtp = fx.strip_analytic(dtp)
+    pts = batch_points(dtp, count=dtp.n)
+    for i in (1, 2):
+        lw = dtp.log_warp(i)
+        np.testing.assert_allclose(lw.value(pts), np.log(dtp.warp(i).value(pts)),
+                                   rtol=0, atol=4 * np.finfo(float).eps)
+        for method in (lw.value, lw.grad_coords, lw.hess_coords):
+            looped = np.stack([method(p) for p in pts])
+            scale = max(1.0, float(np.max(np.abs(looped))))
+            np.testing.assert_allclose(method(pts), looped, rtol=0,
+                                       atol=4 * np.finfo(float).eps * scale,
+                                       err_msg=f"lam{i} {method.__name__}")
 
 
 # ---------------------------------------------------------------------------

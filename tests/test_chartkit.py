@@ -23,12 +23,12 @@ def _surface_metric(w, dw, ddw, box, name):
         return out
 
     def d1(x):
-        out = np.zeros((2, 2, 2))
+        out = np.zeros((2, 2, 2) + np.shape(x)[1:])
         out[0, 1, 1] = 2.0 * w(x[0]) * dw(x[0])
         return out
 
     def d2(x):
-        out = np.zeros((2, 2, 2, 2))
+        out = np.zeros((2, 2, 2, 2) + np.shape(x)[1:])
         out[0, 0, 1, 1] = 2.0 * (dw(x[0]) ** 2 + w(x[0]) * ddw(x[0]))
         return out
 
