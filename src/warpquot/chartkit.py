@@ -473,26 +473,29 @@ def christoffel_numeric(g: MetricField, x) -> np.ndarray:
     return _christoffel(_checked_inv(gm, pts), dg)
 
 
-def _christoffel_and_d1(g: MetricField, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Gamma, dGamma) at one point from one ``MetricField.mat`` call.
+def _christoffel_and_d1(g: MetricField, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Gamma, dGamma) at one point (n,) or each row of a batch (P, n) from one
+    ``MetricField.mat`` call.
 
     Exact when the metric has analytic first and second derivatives (g, g^-1
     and dg shared by both); else central differences of
     ``christoffel_numeric`` with the second-derivative step, all stencil
-    points in one batch, Gamma at the point read from its centre row.
+    points of all rows in one batch, Gamma at the points read from the
+    centre rows.
     """
-    d2 = g.d2(coords)
+    d2 = g.d2(pts)
     if d2 is not None and g.analytic_d1 is not None:
-        gm, dg = g.mat(coords), g.d1(coords)
-        ginv = _checked_inv(gm, coords)
-        dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
-        bracket = np.einsum("ijl->lij", dg) + np.einsum("jil->lij", dg) - dg
-        dbracket = np.einsum("mijl->mlij", d2) + np.einsum("mjil->mlij", d2) - d2
+        gm, dg = g.mat(pts), g.d1(pts)
+        ginv = _checked_inv(gm, pts)
+        dginv = -np.einsum("...ka,...mab,...bl->...mkl", ginv, dg, ginv)
+        bracket = np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
+        dbracket = (np.einsum("...mijl->...mlij", d2) + np.einsum("...mjil->...mlij", d2)
+                    - d2)
         return (_christoffel(ginv, dg),
-                0.5 * (np.einsum("mkl,lij->mkij", dginv, bracket)
-                       + np.einsum("kl,mlij->mkij", ginv, dbracket)))
-    dgamma, gamma = central_diff(lambda pts: christoffel_numeric(g, pts), coords,
-                                 fd_step(coords, FD_STEP_2), centre=True)
+                0.5 * (np.einsum("...mkl,...lij->...mkij", dginv, bracket)
+                       + np.einsum("...kl,...mlij->...mkij", ginv, dbracket)))
+    dgamma, gamma = central_diff(lambda stencil: christoffel_numeric(g, stencil), pts,
+                                 fd_step(pts, FD_STEP_2), centre=True)
     return gamma, dgamma
 
 
@@ -501,11 +504,13 @@ def riemann_numeric(g: MetricField, x) -> np.ndarray:
 
     R^l_(k;ij) = d_i Gamma^l_jk - d_j Gamma^l_ik
                  + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik,
-    with Gamma and dGamma from one metric evaluation.
+    with Gamma and dGamma from one metric evaluation.  A batch ``(P, n)``
+    gives ``(P, n, n, n, n)``, still from one evaluation.
     """
-    gamma, dgamma = _christoffel_and_d1(g, _coords(x, g.dim))
-    term = np.einsum("iljk->lijk", dgamma) + np.einsum("lim,mjk->lijk", gamma, gamma)
-    return term - np.einsum("lijk->ljik", term)
+    gamma, dgamma = _christoffel_and_d1(g, _points(x, g.dim))
+    term = (np.einsum("...iljk->...lijk", dgamma)
+            + np.einsum("...lim,...mjk->...lijk", gamma, gamma))
+    return term - np.einsum("...lijk->...ljik", term)
 
 
 def riemann_lowered(g: MetricField, x) -> np.ndarray:
@@ -514,29 +519,38 @@ def riemann_lowered(g: MetricField, x) -> np.ndarray:
     return np.einsum("lm,mijk->lijk", g.mat(coords), riemann_numeric(g, coords))
 
 
-def _gram_det(gm: np.ndarray, u: TangentVector, v: TangentVector) -> float:
-    """g(u,u) g(v,v) - g(u,v)^2 with the metric matrix gm at their common base."""
+def plane_gram_det(g: MetricField, u: TangentVector, v: TangentVector) -> float:
+    """g(u,u) g(v,v) - g(u,v)^2; degenerate plane when ~0."""
     if not np.array_equal(u.base.coords, v.base.coords):
         raise BaseMismatch(f"bases differ: {u.base} vs {v.base}")
+    gm = g.mat(u.base)
     a, b = u.components, v.components
     return _bilinear(a, gm, a) * _bilinear(b, gm, b) - _bilinear(a, gm, b) ** 2
 
 
-def plane_gram_det(g: MetricField, u: TangentVector, v: TangentVector) -> float:
-    """g(u,u) g(v,v) - g(u,v)^2; degenerate plane when ~0."""
-    return _gram_det(g.mat(u.base), u, v)
+def _sectional_curvature(gm: np.ndarray, riem: np.ndarray, U: np.ndarray, V: np.ndarray,
+                         pts: np.ndarray) -> np.ndarray:
+    """K(span(U[p], V[p])) = g(R(u, v) v, u) / (g(u,u) g(v,v) - g(u,v)^2) for
+    each row p, from g (P, n, n) and ``riemann_numeric`` (P, n, n, n, n) at
+    the points pts (P, n); DegeneratePlane where |Gram det| < PLANE_TOL."""
+    gu, gv = np.einsum("pij,pj->pi", gm, U), np.einsum("pij,pj->pi", gm, V)
+    q = (np.einsum("pi,pi->p", U, gu) * np.einsum("pi,pi->p", V, gv)
+         - np.einsum("pi,pi->p", U, gv) ** 2)
+    bad = np.abs(q) < PLANE_TOL
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise DegeneratePlane(f"plane Gram determinant {q[k]:.3e} at {pts[k]}")
+    ruvv = np.einsum("plijk,pi,pj,pk->pl", riem, U, V, V)
+    return np.einsum("pl,pl->p", gu, ruvv) / q
 
 
 def sectional_curvature_numeric(g: MetricField, x, u: TangentVector, v: TangentVector) -> float:
     """K(span(u, v)) = g(R(u, v) v, u) / (g(u,u) g(v,v) - g(u,v)^2)."""
-    coords = _coords(x, g.dim)
-    gm = g.mat(coords)
-    q = _gram_det(gm, u, v)
-    if abs(q) < PLANE_TOL:
-        raise DegeneratePlane(f"plane Gram determinant {q:.3e} at {coords}")
-    riem = riemann_numeric(g, coords)
-    ruvv = np.einsum("lijk,i,j,k->l", riem, u.components, v.components, v.components)
-    return float(u.components @ gm @ ruvv) / q
+    if not np.array_equal(u.base.coords, v.base.coords):
+        raise BaseMismatch(f"bases differ: {u.base} vs {v.base}")
+    pts = _coords(x, g.dim)[None]
+    return float(_sectional_curvature(g.mat(pts), riemann_numeric(g, pts),
+                                      u.components[None], v.components[None], pts)[0])
 
 
 def gradient(f: ScalarField, g: MetricField, x) -> TangentVector:

@@ -9,6 +9,7 @@ significant digits.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Optional
 
@@ -99,32 +100,50 @@ def dumps_csv(report: dict) -> str:
 # ---------------------------------------------------------------------------
 # sampling helpers
 
-def _rand_point(rng, box):
-    """Uniform point in the middle 95% of the box along each axis."""
+def _rand_points(rng, box, count):
+    """``count`` uniform points (count, n) in the middle 95% of the box along each axis."""
     box = np.asarray(box, dtype=float)
     mid = 0.5 * (box[:, 0] + box[:, 1])
     half = 0.5 * (box[:, 1] - box[:, 0]) * 0.95
-    return mid + (2.0 * rng.random(box.shape[0]) - 1.0) * half
+    return mid + (2.0 * rng.random((max(count, 0), box.shape[0])) - 1.0) * half
 
 
-def _sample_plane(dtp, rng, x, case):
-    """A random orthonormal plane of the slot case at x, or None after 60 tries."""
+def _pseudo_orthonormal(gm, a, b):
+    """Gram-Schmidt of each row pair (a[p], b[p]) in the metric gm[p], as
+    ``ck.gram_schmidt`` does it, and which rows span a plane: both
+    |g(w, w)| >= 1e-10 on the way and |plane Gram det| > 1e-6."""
+    def dot(p, q):
+        return np.einsum("pi,pij,pj->p", p, gm, q)
+
+    with np.errstate(divide="ignore", invalid="ignore"):  # failed rows are dropped
+        qa = dot(a, a)
+        u = a / np.sqrt(np.abs(qa))[:, None]
+        w = b - (dot(u, b) / dot(u, u))[:, None] * u
+        qw = dot(w, w)
+        v = w / np.sqrt(np.abs(qw))[:, None]
+        det = dot(u, u) * dot(v, v) - dot(u, v) ** 2
+    return u, v, (np.abs(qa) >= 1e-10) & (np.abs(qw) >= 1e-10) & (np.abs(det) > 1e-6)
+
+
+def _sample_planes(dtp, rng, gm, slots):
+    """A random pseudo-orthonormal plane (u in factor slots[0], v in factor
+    slots[1]) at each point whose metric matrix is a row of gm (P, n, n): the
+    rows that fail are re-drawn, each up to 60 tries.  Returns U, V (P, n) and
+    which rows got a plane."""
+    U, V = np.zeros((2, len(gm), dtp.n))
+    todo = np.arange(len(gm))
     for _ in range(60):
-        pt = CoordPoint(x)
-        if case == "HH":
-            raw = [TangentVector(pt, dtp.embed(1, rng.normal(size=dtp.n1))) for _ in range(2)]
-        elif case == "VV":
-            raw = [TangentVector(pt, dtp.embed(2, rng.normal(size=dtp.n2))) for _ in range(2)]
-        else:
-            raw = [TangentVector(pt, dtp.embed(1, rng.normal(size=dtp.n1))),
-                   TangentVector(pt, dtp.embed(2, rng.normal(size=dtp.n2)))]
-        try:
-            u, v = ck.gram_schmidt(dtp.assembled, x, raw)
-        except GeometryError:
-            continue
-        if abs(ck.plane_gram_det(dtp.assembled, u, v)) > 1e-6:
-            return u, v
-    return None
+        if not todo.size:
+            break
+        a, b = np.zeros((2, todo.size, dtp.n))
+        for raw, i in ((a, slots[0]), (b, slots[1])):
+            raw[:, dtp.slot(i)] = rng.normal(size=(todo.size, dtp.factor(i).dim))
+        u, v, good = _pseudo_orthonormal(gm[todo], a, b)
+        U[todo[good]], V[todo[good]] = u[good], v[good]
+        todo = todo[~good]
+    found = np.ones(len(gm), dtype=bool)
+    found[todo] = False
+    return U, V, found
 
 
 def _horizontal_curve(ctx: ScenarioContext):
@@ -146,7 +165,7 @@ def _christoffel_residuals(dtp, rng, samples):
     ``christoffel_numeric``), its worst lower-index asymmetry, and its worst
     metric-compatibility residual against central differences of g; the
     latter checks the exact derivative callbacks, if any, against ``mat``."""
-    x = np.array([_rand_point(rng, dtp.domain_box) for _ in range(samples)]).reshape(-1, dtp.n)
+    x = _rand_points(rng, dtp.domain_box, samples)
     gm = ck.christoffel_numeric(dtp.assembled, x)
     dg, g = ck.central_diff(dtp.assembled.mat, x, ck.fd_step(x), centre=True)
     resid = dg - np.einsum("plki,plj->pkij", gm, g) - np.einsum("plkj,pil->pkij", gm, g)
@@ -157,23 +176,27 @@ def _christoffel_residuals(dtp, rng, samples):
 def _sectional_residuals(dtp, rng, samples):
     """Worst |closed form - oracle| sectional curvature per plane case over
     ``samples`` random points (cases in sorted order), and the closed-form
-    values on the mixed (HV) planes."""
+    values on the mixed (HV) planes.  The points share one ``point_geometry``
+    and one ``riemann_numeric`` batch; each case draws one plane per point and
+    evaluates both sides on all its planes at once."""
+    x = _rand_points(rng, dtp.domain_box, samples)
+    geo = pg.point_geometry(dtp, x)
+    riem = ck.riemann_numeric(dtp.assembled, x)
     worst = {}
     k_values = []
-    for _ in range(samples):
-        x = _rand_point(rng, dtp.domain_box)
-        for case in ("HH", "VV", "HV"):
-            if (case == "HH" and dtp.n1 < 2) or (case == "VV" and dtp.n2 < 2):
-                continue  # a factor plane needs a factor of dimension 2 or more
-            plane = _sample_plane(dtp, rng, x, case)
-            if plane is None:
-                continue
-            u, v = plane
-            kc = pg.sectional_curvature_closed_form(dtp, (u, v))
-            kn = ck.sectional_curvature_numeric(dtp.assembled, x, u, v)
-            worst[case] = max(worst.get(case, 0.0), abs(kc - kn))
-            if case == "HV":
-                k_values.append(kc)
+    for case, slots in pg._CASE_SLOTS.items():
+        if slots[0] == slots[1] and dtp.factor(slots[0]).dim < 2:
+            continue  # a factor plane needs a factor of dimension 2 or more
+        U, V, found = _sample_planes(dtp, rng, geo.g, slots)
+        if not found.any():
+            continue
+        U, V = U[found], V[found]
+        rows = pg.PointGeometry(*(getattr(geo, f.name)[found] for f in dataclasses.fields(geo)))
+        kc = pg._sectional_closed_form(dtp, rows, x[found], U, V)
+        kn = ck._sectional_curvature(rows.g, riem[found], U, V, x[found])
+        worst[case] = float(np.max(np.abs(kc - kn)))
+        if case == "HV":
+            k_values = kc.tolist()
     return dict(sorted(worst.items())), k_values
 
 
@@ -411,16 +434,13 @@ def cmd_verify_all(ctx, args, rng):
     for case, val in worst_k.items():
         checks.append(Check(f"sectional-closed-form-{case}", val, 1e-5))
 
-    # O'Neill T: closed form vs connection-based definition
-    worst = 0.0
-    for _ in range(5):
-        x = _rand_point(rng, dtp.domain_box)
-        E = TangentVector(CoordPoint(x), rng.normal(size=dtp.n))
-        F = TangentVector(CoordPoint(x), rng.normal(size=dtp.n))
-        closed = pg.oneill_T(dtp, x, E, F).components
-        defin = pg.oneill_T_definitional(dtp, x, E, F).components
-        worst = max(worst, float(np.max(np.abs(closed - defin))))
-    checks.append(Check("oneill-T-definitional", worst, 1e-5))
+    # O'Neill T: closed form vs connection-based definition, on one batch
+    x = _rand_points(rng, dtp.domain_box, 5)
+    E, F = rng.normal(size=(2,) + x.shape)
+    checks.append(Check("oneill-T-definitional",
+                        float(np.max(np.abs(pg._oneill_T(dtp, x, E, F)
+                                            - pg._oneill_T_definitional(dtp, x, E, F)))),
+                        1e-5))
 
     # classification
     cls = pg.classify(dtp, per_axis=4)

@@ -118,34 +118,29 @@ class DoublyTwistedProduct:
     def slot(self, i: int) -> slice:
         return self.slot1 if i == 1 else self.slot2
 
-    def split(self, values) -> tuple[np.ndarray, np.ndarray]:
-        arr = np.asarray(values, dtype=float)
-        return arr[self.slot1], arr[self.slot2]
-
     def embed(self, i: int, factor_components) -> np.ndarray:
         out = np.zeros(self.n)
         out[self.slot(i)] = np.asarray(factor_components, dtype=float)
         return out
 
     def project(self, i: int, values) -> np.ndarray:
-        """P_i as a full-length vector: zero out the other factor's slots."""
+        """P_i as a full-length vector (or each row of a batch): zero out the
+        other factor's slots."""
         out = np.asarray(values, dtype=float).copy()
-        out[self.slot(3 - i)] = 0.0
+        out[..., self.slot(3 - i)] = 0.0
         return out
 
     def slot_of(self, v: TangentVector) -> Optional[int]:
-        """1 or 2 for a pure slot vector, None for mixed."""
-        a, b = self.split(v.components)
-        scale = max(1.0, float(np.max(np.abs(v.components))))
-        in1 = np.max(np.abs(b)) <= SLOT_TOL * scale
-        in2 = np.max(np.abs(a)) <= SLOT_TOL * scale
-        if in1 and not in2:
-            return 1
-        if in2 and not in1:
-            return 2
-        if in1 and in2:
-            return 0  # zero vector
-        return None
+        """1 or 2 for a pure slot vector, 0 for the zero vector, None for mixed."""
+        got = int(self._slots(v.components[None])[0])
+        return None if got < 0 else got
+
+    def _slots(self, W: np.ndarray) -> np.ndarray:
+        """``slot_of`` for each row of W (P, n), with -1 for mixed."""
+        scale = SLOT_TOL * np.maximum(1.0, np.abs(W).max(axis=-1))
+        in1 = np.abs(W[:, self.slot2]).max(axis=-1, initial=0.0) <= scale
+        in2 = np.abs(W[:, self.slot1]).max(axis=-1, initial=0.0) <= scale
+        return np.where(in1 & in2, 0, np.where(in1, 1, np.where(in2, 2, -1)))
 
     # -- warp fields -------------------------------------------------------
     def warp_value(self, i: int, x) -> float:
@@ -489,13 +484,6 @@ def classify(dtp: DoublyTwistedProduct, grid: Optional[Sequence] = None,
 PlaneInput = Union[MixedPlane, tuple]
 
 
-def _unit_sign(gm: np.ndarray, v: TangentVector, label: str) -> int:
-    q = ck._bilinear(v.components, gm, v.components)
-    if abs(abs(q) - 1.0) > UNIT_TOL:
-        raise NormalizationError(f"{label} is not unitary: g({label},{label}) = {q!r}")
-    return 1 if q > 0 else -1
-
-
 def sectional_curvature_closed_form(dtp: DoublyTwistedProduct, plane: PlaneInput) -> float:
     """Closed-form sectional curvature for factor-1, factor-2 or mixed planes.
 
@@ -510,10 +498,11 @@ def sectional_curvature_closed_form(dtp: DoublyTwistedProduct, plane: PlaneInput
         K = -(eps_v / lam1) Hess lam1(v, v) - (eps_u / lam2) Hess lam2(u, u)
             + g(grad lam1, grad lam2) / (lam1 lam2)
 
-    with K_i the factor sectional curvature (``sectional_curvature_numeric``
-    on the factor metric), g(grad lam_i, grad lam_j) = d lam_i^T g^-1 d lam_j
-    and Hess lam_i the covariant hessian in the full product metric, all
-    read from one ``point_geometry`` record.
+    with K_i the factor sectional curvature (``riemann_numeric`` on the
+    factor metric), g(grad lam_i, grad lam_j) = d lam_i^T g^-1 d lam_j and
+    Hess lam_i the covariant hessian in the full product metric, all read
+    from one ``point_geometry`` record.  This is the one-plane call of
+    ``_sectional_closed_form``.
     """
     if isinstance(plane, MixedPlane):
         u, v = plane.horiz, plane.vert
@@ -521,40 +510,58 @@ def sectional_curvature_closed_form(dtp: DoublyTwistedProduct, plane: PlaneInput
         u, v = plane
     if not np.array_equal(u.base.coords, v.base.coords):
         raise CaseMismatch("plane vectors must share a base point")
-    coords = u.base.coords
-    su, sv = dtp.slot_of(u), dtp.slot_of(v)
-    if su is None or sv is None or 0 in (su, sv):
+    x = u.base.coords[None]
+    return float(_sectional_closed_form(dtp, point_geometry(dtp, x), x,
+                                        u.components[None], v.components[None])[0])
+
+
+def _sectional_closed_form(dtp: DoublyTwistedProduct, geo: PointGeometry, x: np.ndarray,
+                           U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Closed-form K of span(U[p], V[p]) at each row p of x (P, n), read from
+    the ``point_geometry`` batch geo at x (the formulas of
+    ``sectional_curvature_closed_form``).  Every row must be a unitary,
+    orthogonal pair of pure factor-slot vectors; the factor curvatures K_i
+    come from one ``riemann_numeric`` batch per factor that has planes."""
+    su, sv = dtp._slots(U), dtp._slots(V)
+    if ((su <= 0) | (sv <= 0)).any():
         raise CaseMismatch("plane vectors must be pure factor-slot vectors")
-    geo = point_geometry(dtp, coords)
-    eps_u = _unit_sign(geo.g, u, "u")
-    eps_v = _unit_sign(geo.g, v, "v")
-    if abs(ck._bilinear(u.components, geo.g, v.components)) > UNIT_TOL:
+
+    def quad(a, m, b):
+        return np.einsum("pa,pab,pb->p", a, m, b)
+
+    q_u, q_v = quad(U, geo.g, U), quad(V, geo.g, V)
+    for label, q in (("u", q_u), ("v", q_v)):
+        bad = np.abs(np.abs(q) - 1.0) > UNIT_TOL
+        if bad.any():
+            raise NormalizationError(f"{label} is not unitary: "
+                                     f"g({label},{label}) = {float(q[np.argmax(bad)])!r}")
+    if (np.abs(quad(U, geo.g, V)) > UNIT_TOL).any():
         raise NormalizationError("plane vectors are not orthogonal")
+    eps_u, eps_v = np.sign(q_u), np.sign(q_v)
+    swap = su > sv  # mixed planes in the order (factor-1, factor-2)
+    U, V = np.where(swap[:, None], V, U), np.where(swap[:, None], U, V)
+    eps_u, eps_v = np.where(swap, eps_v, eps_u), np.where(swap, eps_u, eps_v)
 
-    def hess(i, w):
-        return ck._bilinear(w.components, geo.warp_hessian(i), w.components)
-
-    def grad_dot(i, j):
-        return ck._bilinear(geo.dlam[i - 1], geo.ginv, geo.dlam[j - 1])
-
-    if su == sv:
-        i = su
-        fac = dtp.factor(i)
-        sl = dtp.slot(i)
-        xf = coords[sl]
-        uf = TangentVector(CoordPoint(xf), u.components[sl])
-        vf = TangentVector(CoordPoint(xf), v.components[sl])
-        k_factor = ck.sectional_curvature_numeric(fac.metric, xf, uf, vf)
-        lam = float(geo.lam[i - 1])
-        return ((k_factor + grad_dot(i, i)) / lam**2
-                - (eps_u * hess(i, u) + eps_v * hess(i, v)) / lam)
-
-    if su == 2:  # normalize order: u horizontal, v vertical
-        u, v, eps_u, eps_v = v, u, eps_v, eps_u
-    lam1, lam2 = geo.lam.tolist()
-    return (-(eps_v / lam1) * hess(1, v)
-            - (eps_u / lam2) * hess(2, u)
-            + grad_dot(1, 2) / (lam1 * lam2))
+    hess = [geo.warp_hessian(i) for i in (1, 2)]
+    hu = np.stack([quad(U, h, U) for h in hess], axis=-1)  # hu[p, i - 1] = Hess lam_i(u, u)
+    hv = np.stack([quad(V, h, V) for h in hess], axis=-1)
+    # dots[p, i - 1, j - 1] = g(grad lam_i, grad lam_j)
+    dots = np.einsum("pia,pab,pjb->pij", geo.dlam, geo.ginv, geo.dlam)
+    lam1, lam2 = geo.lam[:, 0], geo.lam[:, 1]
+    k = (-(eps_v / lam1) * hv[:, 0] - (eps_u / lam2) * hu[:, 1]
+         + dots[:, 0, 1] / (lam1 * lam2))
+    for i in (1, 2):
+        rows = (su == i) & (sv == i)
+        if not rows.any():
+            continue
+        sl, metric = dtp.slot(i), dtp.factor(i).metric
+        xf = x[rows][:, sl]
+        k_factor = ck._sectional_curvature(metric.mat(xf), ck.riemann_numeric(metric, xf),
+                                           U[rows][:, sl], V[rows][:, sl], xf)
+        lam = geo.lam[rows, i - 1]
+        k[rows] = ((k_factor + dots[rows, i - 1, i - 1]) / lam**2
+                   - (eps_u[rows] * hu[rows, i - 1] + eps_v[rows] * hv[rows, i - 1]) / lam)
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -593,12 +600,13 @@ def lightlike_sectional_curvature(g: MetricField, xi: TangentVector,
 # O'Neill T tensor of the factor-1 projection (fibers = factor-2 slices)
 
 def _oneill_T(dtp: DoublyTwistedProduct, x, e: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """T components at one point (n,) or each row of a batch (P, n) for fixed components e, f."""
+    """T components at one point (n,) or each row of a batch (P, n), for
+    components e, f fixed (n,) or given per row (P, n)."""
     g, ginv = dtp.assembled.mat_and_inv(x)
     N = _mean_curvature(dtp, x, 2, ginv)
     ev, fv = dtp.project(2, e), dtp.project(2, f)
-    g_ef = np.asarray(ev @ g @ fv)
-    g_nf = np.asarray(np.matmul(N[..., None, :], g)[..., 0, :] @ f)
+    g_ef = np.einsum("...i,...ij,...j->...", ev, g, fv)
+    g_nf = np.einsum("...i,...ij,...j->...", N, g, f)
     return g_ef[..., None] * N - g_nf[..., None] * ev
 
 
@@ -608,18 +616,23 @@ def oneill_T(dtp: DoublyTwistedProduct, x, E: TangentVector, F: TangentVector) -
     return TangentVector(pt, _oneill_T(dtp, pt.coords, E.components, F.components))
 
 
+def _oneill_T_definitional(dtp: DoublyTwistedProduct, x, e: np.ndarray,
+                           f: np.ndarray) -> np.ndarray:
+    """``oneill_T_definitional`` components at one point (n,) or each row of a
+    batch (P, n), from one batched oracle ``christoffel_numeric``."""
+    gamma = ck.christoffel_numeric(dtp.assembled, x)
+    ev, fv, fh = dtp.project(2, e), dtp.project(2, f), dtp.project(1, f)
+    d_vv = np.einsum("...kij,...i,...j->...k", gamma, ev, fv)
+    d_vh = np.einsum("...kij,...i,...j->...k", gamma, ev, fh)
+    return dtp.project(1, d_vv) + dtp.project(2, d_vh)
+
+
 def oneill_T_definitional(dtp: DoublyTwistedProduct, x, E: TangentVector,
                           F: TangentVector) -> TangentVector:
     """T(E, F) = h nabla_{E^v} F^v + v nabla_{E^v} F^h from the connection."""
     coords = x.coords if isinstance(x, CoordPoint) else np.asarray(x, dtype=float)
-    gamma = ck.christoffel_numeric(dtp.assembled, coords)
-    Ev = dtp.project(2, E.components)
-    Fv = dtp.project(2, F.components)
-    Fh = dtp.project(1, F.components)
-    d_vv = np.einsum("kij,i,j->k", gamma, Ev, Fv)
-    d_vh = np.einsum("kij,i,j->k", gamma, Ev, Fh)
     return TangentVector(CoordPoint(coords),
-                         dtp.project(1, d_vv) + dtp.project(2, d_vh))
+                         _oneill_T_definitional(dtp, coords, E.components, F.components))
 
 
 def oneill_nabla_T(dtp: DoublyTwistedProduct, x, X: TangentVector,

@@ -62,16 +62,30 @@ def test_verify_all_transport_reports_against_its_budget(tmp_path, monkeypatch, 
     assert check["pass"] is True
 
 
+# every sectional row of both commands, on the analytic route (sphere-polar,
+# random-dtp) and the FD route (example1-twisted)
+SECTIONAL_ROWS = (("sphere-polar", ("HV",)), ("random-dtp", ("HH", "HV", "VV")),
+                  ("example1-twisted", ("HV",)))
+
+
 def test_sectional_closed_form_error_fails_curvature_and_verify_all(tmp_path, monkeypatch):
-    exact = pg.sectional_curvature_closed_form
-    monkeypatch.setattr(pg, "sectional_curvature_closed_form",
-                        lambda *a, **kw: exact(*a, **kw) + 1e-3)
-    code, report = run(tmp_path, "sphere-polar", "curvature", "--samples", "8")
-    assert code == 1
-    assert checks_of(report)["closed-vs-oracle-HV"]["pass"] is False
-    code, report = run(tmp_path, "sphere-polar", "verify-all", "--samples", "8")
-    assert code == 1
-    assert checks_of(report)["sectional-closed-form-HV"]["pass"] is False
+    # an error in the closed form on the planes of one case fails that case's
+    # row, and only it, in both commands
+    exact = pg._sectional_closed_form
+    for scenario, cases in SECTIONAL_ROWS:
+        for case in cases:
+            def broken(dtp, geo, x, U, V, _slots=pg._CASE_SLOTS[case]):
+                hit = (dtp._slots(U) == _slots[0]) & (dtp._slots(V) == _slots[1])
+                return exact(dtp, geo, x, U, V) + 1e-3 * hit
+
+            monkeypatch.setattr(pg, "_sectional_closed_form", broken)
+            for command, prefix in (("curvature", "closed-vs-oracle-"),
+                                    ("verify-all", "sectional-closed-form-")):
+                code, report = run(tmp_path, scenario, command, "--samples", "8")
+                assert code == 1, (scenario, case, command)
+                rows = {name[len(prefix):]: c["pass"] for name, c in checks_of(report).items()
+                        if name.startswith(prefix)}
+                assert rows == {c: c != case for c in cases}, (scenario, case, command)
 
 
 def test_sign_flipped_connection_fails_verify_all(tmp_path, monkeypatch):
@@ -135,6 +149,62 @@ def test_verify_all_christoffel_rows_read_one_oracle_batch(tmp_path, monkeypatch
     assert code == 0
     assert calls == {"connection_closed_form": 0, "connection_numeric": 0}
     assert before_sectional == [1]
+
+
+def _count_geometry_batches(monkeypatch):
+    """Record the dim of every ``riemann_numeric`` metric and count the
+    ``point_geometry`` calls."""
+    calls = {"riemann": [], "point_geometry": 0}
+    riemann, geometry = ck.riemann_numeric, pg.point_geometry
+
+    def counted_riemann(g, x):
+        calls["riemann"].append(g.dim)
+        return riemann(g, x)
+
+    def counted_geometry(dtp, x):
+        calls["point_geometry"] += 1
+        return geometry(dtp, x)
+
+    monkeypatch.setattr(ck, "riemann_numeric", counted_riemann)
+    monkeypatch.setattr(pg, "point_geometry", counted_geometry)
+    return calls
+
+
+@pytest.mark.parametrize("samples", ["8", "16"])
+def test_sectional_sweep_reads_one_geometry_batch(tmp_path, monkeypatch, samples):
+    # one product-level Riemann batch and one point_geometry batch per sweep,
+    # whatever the sample count; the factor metrics (smaller dim) take one
+    # Riemann batch per factor-plane case
+    dtp = fx.random_doubly_twisted(0)
+    calls = _count_geometry_batches(monkeypatch)
+    code, report = run(tmp_path, "random-dtp", "curvature", "--samples", samples)
+    assert code == 0
+    assert calls["riemann"].count(dtp.n) == 1 and calls["point_geometry"] == 1
+    assert sorted(d for d in calls["riemann"] if d != dtp.n) == [dtp.n1, dtp.n2]
+
+    in_sweep = []
+    sectional = cli._sectional_residuals
+
+    def marked(*a, **kw):
+        calls["riemann"].clear()
+        calls["point_geometry"] = 0
+        out = sectional(*a, **kw)
+        in_sweep.append((calls["riemann"].count(dtp.n), calls["point_geometry"]))
+        return out
+
+    monkeypatch.setattr(cli, "_sectional_residuals", marked)
+    code, report = run(tmp_path, "random-dtp", "verify-all", "--samples", samples)
+    assert code == 0
+    assert in_sweep == [(1, 1)]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_example1_curvature_passes_at_every_cli_seed(tmp_path, seed):
+    # the FD-route input closest to its budget (worst residual about 6e-6
+    # against 1e-5 over seeds 0-59)
+    code, report = run(tmp_path, "example1-twisted", "curvature", "--samples", "8",
+                       "--seed", str(seed))
+    assert code == 0
 
 
 # sphere-polar with lam2 = sin r but derivative callbacks of 2 sin r: the

@@ -202,16 +202,20 @@ def test_closed_forms_evaluate_the_product_metric_once(monkeypatch, strip):
 
 
 def test_fd_riemann_evaluates_the_metric_once(monkeypatch):
-    g = fx.strip_analytic(fx.random_doubly_twisted(4)).assembled
+    dtp = fx.strip_analytic(fx.random_doubly_twisted(4))
+    g = dtp.assembled
     assert g.analytic_d1 is None
     x = 0.5 * (g.domain_box[:, 0] + g.domain_box[:, 1])
     state = _count_calls_on(monkeypatch, g)
-    ck.riemann_numeric(g, x)
-    assert state["mat"] == 1
+    for pts in (x, sample_points(dtp, 5)):
+        state["mat"] = 0
+        ck.riemann_numeric(g, pts)
+        assert state["mat"] == 1
 
 
 def test_analytic_riemann_evaluates_the_metric_once(monkeypatch):
-    g = fx.random_doubly_twisted(4).assembled
+    dtp = fx.random_doubly_twisted(4)
+    g = dtp.assembled
     assert g.analytic_d2 is not None
     x = 0.5 * (g.domain_box[:, 0] + g.domain_box[:, 1])
     calls = {"d1": 0}
@@ -223,8 +227,114 @@ def test_analytic_riemann_evaluates_the_metric_once(monkeypatch):
 
     state = _count_calls_on(monkeypatch, g)
     monkeypatch.setattr(ck.MetricField, "d1", d1)
-    ck.riemann_numeric(g, x)
-    assert (state["mat"], calls["d1"]) == (1, 1)
+    for pts in (x, sample_points(dtp, 5)):
+        state["mat"] = calls["d1"] = 0
+        ck.riemann_numeric(g, pts)
+        assert (state["mat"], calls["d1"]) == (1, 1)
+
+
+def _pointwise_eval(g):
+    """g with a metric callback that evaluates a batch one point at a time,
+    so a point's matrix does not depend on the batch it comes in."""
+    def ev(x, _ev=g.eval):
+        if np.ndim(x) == 1:
+            return _ev(x)
+        return np.stack([_ev(np.ascontiguousarray(col)) for col in x.T], axis=-1)
+
+    return dataclasses.replace(g, eval=ev)
+
+
+@pytest.mark.parametrize("strip", [False, True], ids=["analytic", "fd"])
+def test_batched_riemann_equals_the_per_point_tensors(strip):
+    dtp = fx.random_doubly_twisted(4)
+    dtp = fx.strip_analytic(dtp) if strip else dtp
+    pts = sample_points(dtp, 6, seed=2)
+    # with the fixture's own batched evaluation, ``freqs @ x`` rounds by batch
+    # size, and on the FD route the nested steps (1e-5, 1e-4) amplify one ulp
+    # of g by about 1e9
+    for g, tol in ((_pointwise_eval(dtp.assembled), 1e-12),
+                   (dtp.assembled, 1e-6 if strip else 1e-12)):
+        batch = ck.riemann_numeric(g, pts)
+        single = np.stack([ck.riemann_numeric(g, x) for x in pts])
+        assert batch.shape == (6,) + (dtp.n,) * 4
+        assert np.max(np.abs(batch - single)) <= tol
+
+
+def test_batched_sectional_kernels_equal_the_per_plane_calls():
+    # one case per batch, the mixed planes in both orders, and a batch that
+    # mixes the cases row by row
+    dtp = fx.random_doubly_twisted(4)
+    pts = sample_points(dtp, 5, seed=3)
+    gm = dtp.assembled.mat(pts)
+    rng = np.random.default_rng(3)
+    planes = {}
+    for case, slots in (("HH", (1, 1)), ("VV", (2, 2)), ("HV", (1, 2))):
+        U, V, found = cli._sample_planes(dtp, rng, gm, slots)
+        assert found.all()
+        planes[case] = (U, V)
+    cases = ("HH", "VV", "HV")
+    batches = list(planes.values()) + [planes["HV"][::-1]]
+    batches.append(tuple(np.array([planes[cases[p % 3]][k][p] for p in range(len(pts))])
+                         for k in (0, 1)))
+    geo = pg.point_geometry(dtp, pts)
+    riem = ck.riemann_numeric(dtp.assembled, pts)
+    for U, V in batches:
+        kc = pg._sectional_closed_form(dtp, geo, pts, U, V)
+        kn = ck._sectional_curvature(gm, riem, U, V, pts)
+        assert np.max(np.abs(kc - kn)) < 1e-12
+        for p, x in enumerate(pts):
+            u, v = TangentVector(CoordPoint(x), U[p]), TangentVector(CoordPoint(x), V[p])
+            assert kc[p] == pytest.approx(pg.sectional_curvature_closed_form(dtp, (u, v)),
+                                          abs=1e-12)
+            assert kn[p] == pytest.approx(ck.sectional_curvature_numeric(dtp.assembled, x, u, v),
+                                          abs=1e-12)
+
+
+class _ScriptedNormals:
+    """A generator whose ``normal`` draws pass through ``script(call, draw)``;
+    records the shape of each draw."""
+
+    def __init__(self, seed, script):
+        self._gen = np.random.default_rng(seed)
+        self._script = script
+        self.shapes = []
+
+    def random(self, size=None):
+        return self._gen.random(size)
+
+    def normal(self, size=None):
+        draw = self._gen.normal(size=size)
+        self.shapes.append(draw.shape)
+        return self._script(len(self.shapes) - 1, draw)
+
+
+def test_plane_sampling_redraws_only_the_failed_rows():
+    dtp = fx.random_doubly_twisted(4)
+    pts = sample_points(dtp, 5, seed=6)
+    gm = dtp.assembled.mat(pts)
+
+    def parallel_first(call, draw):
+        if call < 2:  # u and v parallel at rows 0 and 2: Gram-Schmidt fails there
+            draw[[0, 2]] = 1.0
+        return draw
+
+    rng = _ScriptedNormals(6, parallel_first)
+    U, V, found = cli._sample_planes(dtp, rng, gm, (1, 1))
+    assert found.all()
+    assert rng.shapes == [(5, dtp.n1)] * 2 + [(2, dtp.n1)] * 2
+    for W, Z in ((U, U), (V, V), (U, V)):
+        q = np.einsum("pi,pij,pj->p", W, gm, Z)
+        assert np.allclose(np.abs(q), 0.0 if W is not Z else 1.0, atol=1e-12)
+
+
+def test_a_case_without_a_plane_gives_no_row_after_60_tries():
+    # every draw is the all-ones vector: a factor plane never has two
+    # independent directions, a mixed plane always does
+    dtp = fx.random_doubly_twisted(4)
+    rng = _ScriptedNormals(7, lambda call, draw: np.ones_like(draw))
+    worst, k_values = cli._sectional_residuals(dtp, rng, 4)
+    assert list(worst) == ["HV"] and len(k_values) == 4
+    assert rng.shapes == [(4, dtp.n1)] * 120 + [(4, dtp.n2)] * 120 + [(4, dtp.n1), (4, dtp.n2)]
 
 
 def test_plane_gram_det_and_sectional_oracle_read_the_metric_once(monkeypatch):

@@ -439,6 +439,7 @@ def test_oneill_t_horizontal_argument_vanishes():
 def test_oneill_t_closed_form_equals_definitional(make):
     dtp = make()
     rng = np.random.default_rng(43)
+    rows = []
     for _ in range(8):
         x = rand_point(rng, dtp.domain_box) * 0.9
         E = tv(x, rng.normal(size=dtp.n))
@@ -446,6 +447,11 @@ def test_oneill_t_closed_form_equals_definitional(make):
         closed = pg.oneill_T(dtp, x, E, F).components
         defin = pg.oneill_T_definitional(dtp, x, E, F).components
         assert np.max(np.abs(closed - defin)) < 1e-5
+        rows.append((x, E.components, F.components, closed, defin))
+    # the batched kernels (verify-all's row) give the same rows
+    x, E, F, closed, defin = (np.array(a) for a in zip(*rows))
+    assert np.allclose(pg._oneill_T(dtp, x, E, F), closed, rtol=0.0, atol=1e-12)
+    assert np.allclose(pg._oneill_T_definitional(dtp, x, E, F), defin, rtol=0.0, atol=1e-12)
 
 
 def test_oneill_t_vertical_bilinearity():
