@@ -3,10 +3,10 @@
 Modules
 -------
 chartkit    coordinate-chart tensor kernel (metrics, FD Christoffel/Riemann
-            oracles, gradients, hessian endomorphisms, exterior derivatives)
+            oracles, gradients, covariant hessians, exterior derivatives)
 productgeo  doubly twisted products: assembly, closed-form connection and
             curvature, mean curvature data, structure classification
-transport   parallel / normal / adapted translation, holonomy maps, broken
+transport   parallel and adapted translation, holonomy maps, broken
             geodesics and velocity profiles
 quotient    quotient models: deck groups, leaf tracing, intersection counts,
             decomposition verdicts, the explicit twisted construction

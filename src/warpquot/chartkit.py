@@ -1,7 +1,7 @@
 """Coordinate-chart tensor kernel.
 
 Metric evaluation, finite-difference Christoffel/Riemann oracles, gradients,
-hessian endomorphisms and exterior derivatives.  Everything here is a pure
+covariant hessians and exterior derivatives.  Everything here is a pure
 function of its inputs; analytic derivative callbacks, when a field carries
 them, always win over finite differences.
 
@@ -21,10 +21,10 @@ Every check (finite coordinates and outputs, output shape, symmetry,
 ``|det g| >= DET_TOL``) runs on every point of a batch, vectorised once.
 
 Callbacks (``eval``, ``analytic_grad``, ``analytic_hess``, ``analytic_d1``,
-``analytic_d2``, and the field callbacks of ``exterior_derivative_numeric``
-and ``covariant_derivative``) receive points *coordinate-major*: ``x[k]`` is
-coordinate ``k``, a float for one point or an array of ``P`` values for a
-batch, so formulas such as ``lambda x: np.sin(x[0]) * x[1]`` serve both.
+``analytic_d2``, and the one-form callback of ``exterior_derivative_numeric``)
+receive points *coordinate-major*: ``x[k]`` is coordinate ``k``, a float for
+one point or an array of ``P`` values for a batch, so formulas such as
+``lambda x: np.sin(x[0]) * x[1]`` serve both.
 The output carries the value's own axes first and the point axis last:
 ``(P,)`` for a scalar, ``(n, P)`` for a vector, ``(n, n, P)`` for a matrix,
 ``(n, n, n, P)`` for ``d_k g_ij``.  A constant entry must still be
@@ -442,14 +442,6 @@ def norm(g: MetricField, v: TangentVector) -> float:
     return float(np.sqrt(abs(inner_product(g, v, v))))
 
 
-def causal_sign(g: MetricField, v: TangentVector, tol: float = 1e-9) -> int:
-    """Sign of g(v, v): -1, 0 or +1 with a lightlike band of width tol."""
-    q = inner_product(g, v, v)
-    if abs(q) <= tol:
-        return 0
-    return 1 if q > 0 else -1
-
-
 def _christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """Gamma[..., k, i, j] = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij) from g^-1 and dg."""
     # bracket[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
@@ -513,21 +505,6 @@ def riemann_numeric(g: MetricField, x) -> np.ndarray:
     return term - np.einsum("...lijk->...ljik", term)
 
 
-def riemann_lowered(g: MetricField, x) -> np.ndarray:
-    """low[l, i, j, k] = g(R(e_i, e_j) e_k, e_l)."""
-    coords = _coords(x, g.dim)
-    return np.einsum("lm,mijk->lijk", g.mat(coords), riemann_numeric(g, coords))
-
-
-def plane_gram_det(g: MetricField, u: TangentVector, v: TangentVector) -> float:
-    """g(u,u) g(v,v) - g(u,v)^2; degenerate plane when ~0."""
-    if not np.array_equal(u.base.coords, v.base.coords):
-        raise BaseMismatch(f"bases differ: {u.base} vs {v.base}")
-    gm = g.mat(u.base)
-    a, b = u.components, v.components
-    return _bilinear(a, gm, a) * _bilinear(b, gm, b) - _bilinear(a, gm, b) ** 2
-
-
 def _sectional_curvature(gm: np.ndarray, riem: np.ndarray, U: np.ndarray, V: np.ndarray,
                          pts: np.ndarray) -> np.ndarray:
     """K(span(U[p], V[p])) = g(R(u, v) v, u) / (g(u,u) g(v,v) - g(u,v)^2) for
@@ -569,14 +546,6 @@ def hessian_matrix(f: ScalarField, g: MetricField, x) -> np.ndarray:
     return ddf - np.einsum("kij,k->ij", gamma, df)
 
 
-def hessian_endomorphism(f: ScalarField, g: MetricField, x, v: TangentVector) -> TangentVector:
-    """h_f(v) = nabla_v grad f; the bilinear form g(h_f(u), v) is symmetric."""
-    coords = _coords(x, g.dim)
-    hess = hessian_matrix(f, g, coords)
-    endo = g.inv(coords) @ hess
-    return TangentVector(CoordPoint(coords), endo @ v.components)
-
-
 def _component_field(field: Callable, n: int, what: str) -> Callable:
     """Batch form of a coordinate-major ``(n,)``-valued callback, checked finite."""
 
@@ -606,22 +575,6 @@ def exterior_derivative_numeric(omega_field: Callable[[np.ndarray], np.ndarray],
     comps = _component_field(omega_field, n, "one-form")
     domega = central_diff(comps, coords, fd_step(coords, FD_STEP_1 if step is None else step))
     return domega - domega.T
-
-
-def covariant_derivative(g: MetricField, x, direction: TangentVector,
-                         vec_field: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """(nabla_X V)^k = X^i d_i V^k + Gamma^k_ij X^i V^j for a component field V.
-
-    ``vec_field`` follows the coordinate-major contract; the 2n stencil
-    points go to it in one call.
-    """
-    coords = _coords(x, g.dim)
-    comps = _component_field(vec_field, g.dim, "vector field")
-    dV = central_diff(comps, coords, fd_step(coords, FD_STEP_1))
-    gamma = christoffel_numeric(g, coords)
-    X = direction.components
-    V = np.asarray(vec_field(coords), dtype=float)
-    return np.einsum("i,ik->k", X, dV) + np.einsum("kij,i,j->k", gamma, X, V)
 
 
 def gram_schmidt(g: MetricField, x, vectors: Sequence[TangentVector],

@@ -438,8 +438,8 @@ def cmd_verify_all(ctx, args, rng):
     x = _rand_points(rng, dtp.domain_box, 5)
     E, F = rng.normal(size=(2,) + x.shape)
     checks.append(Check("oneill-T-definitional",
-                        float(np.max(np.abs(pg._oneill_T(dtp, x, E, F)
-                                            - pg._oneill_T_definitional(dtp, x, E, F)))),
+                        float(np.max(np.abs(pg.oneill_T(dtp, x, E, F)
+                                            - pg.oneill_T_definitional(dtp, x, E, F)))),
                         1e-5))
 
     # classification

@@ -5,12 +5,12 @@ A doubly twisted product carries the block metric
     g = lam1(x)^2 g1  (+)  lam2(x)^2 g2
 
 on M1 x M2, with both warps positive functions of the full product point.
-The closed forms implemented here (connection cases HH/VV/HV, sectional
-curvature of factor and mixed planes, mean curvature vectors, the T tensor
-of the factor-1 projection) are each backed by a finite-difference oracle
-test; the curvature formulas take the warp gradients and hessians with
-respect to the full product metric, which is the reading that survives the
-oracle equivalence checks.  The connection and curvature closed forms read
+The closed forms implemented here (the connection, sectional curvature of
+factor and mixed planes, mean curvature forms, the T tensor of the factor-1
+projection) are each backed by a finite-difference oracle test; the
+curvature formulas take the warp gradients and hessians with respect to the
+full product metric, which is the reading that survives the oracle
+equivalence checks.  The connection and curvature closed forms read
 one ``point_geometry`` record, built from factor data and one evaluation of
 the assembled metric.
 """
@@ -130,13 +130,9 @@ class DoublyTwistedProduct:
         out[..., self.slot(3 - i)] = 0.0
         return out
 
-    def slot_of(self, v: TangentVector) -> Optional[int]:
-        """1 or 2 for a pure slot vector, 0 for the zero vector, None for mixed."""
-        got = int(self._slots(v.components[None])[0])
-        return None if got < 0 else got
-
     def _slots(self, W: np.ndarray) -> np.ndarray:
-        """``slot_of`` for each row of W (P, n), with -1 for mixed."""
+        """Slot of each row of W (P, n): 1 or 2 for a pure slot vector, 0 for
+        the zero vector, -1 for mixed."""
         scale = SLOT_TOL * np.maximum(1.0, np.abs(W).max(axis=-1))
         in1 = np.abs(W[:, self.slot2]).max(axis=-1, initial=0.0) <= scale
         in2 = np.abs(W[:, self.slot1]).max(axis=-1, initial=0.0) <= scale
@@ -350,48 +346,7 @@ def christoffel_closed_form(dtp: DoublyTwistedProduct, x) -> np.ndarray:
     return point_geometry(dtp, x).gamma
 
 
-def _require_slot(dtp: DoublyTwistedProduct, v: TangentVector, slot: int, label: str):
-    got = dtp.slot_of(v)
-    if got not in (slot, 0):
-        raise CaseMismatch(f"{label} must be a factor-{slot} vector, got slots {got}")
-
-
-_CASE_SLOTS = {"HH": (1, 1), "VV": (2, 2), "HV": (1, 2)}
-
-
-def connection_closed_form(dtp: DoublyTwistedProduct, x, a: TangentVector,
-                           b: TangentVector, case: str) -> TangentVector:
-    """Levi-Civita connection of the product metric, by slot case.
-
-    HH: nabla_a b = nabla^1_a b - g(a,b) grad(ln lam1) + g(a, grad ln lam1) b
-                    + g(b, grad ln lam1) a          (a, b factor-1)
-    VV: same with factor 2 and lam2.
-    HV: nabla_a b = g(grad ln lam1, b) a + g(grad ln lam2, a) b
-                    (a factor-1, b factor-2)
-
-    Computed as Gamma^k_ij a^i b^j with the closed-form Gamma of
-    ``point_geometry``, whose blocks are these formulas; the factor term
-    contracts the factor Christoffel symbols with constant component
-    extensions, matching the product-level oracle convention.
-    """
-    coords = x.coords if isinstance(x, CoordPoint) else np.asarray(x, dtype=float)
-    if case not in _CASE_SLOTS:
-        raise ValueError(f"case must be HH, VV or HV, got {case!r}")
-    slot_a, slot_b = _CASE_SLOTS[case]
-    _require_slot(dtp, a, slot_a, "a")
-    _require_slot(dtp, b, slot_b, "b")
-    gamma = point_geometry(dtp, coords).gamma
-    return TangentVector(CoordPoint(coords),
-                         np.einsum("kij,i,j->k", gamma, a.components, b.components))
-
-
-def connection_numeric(dtp: DoublyTwistedProduct, x, a: TangentVector,
-                       b: TangentVector) -> TangentVector:
-    """Oracle side: product-level Christoffel contraction Gamma^k_ij a^i b^j."""
-    coords = x.coords if isinstance(x, CoordPoint) else np.asarray(x, dtype=float)
-    gamma = ck.christoffel_numeric(dtp.assembled, coords)
-    return TangentVector(CoordPoint(coords),
-                         np.einsum("kij,i,j->k", gamma, a.components, b.components))
+_CASE_SLOTS = {"HH": (1, 1), "VV": (2, 2), "HV": (1, 2)}  # factor slots of a plane (u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +365,6 @@ def _mean_curvature(dtp: DoublyTwistedProduct, x, i: int, ginv: np.ndarray) -> n
 
 def _max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a), initial=0.0))
-
-
-def mean_curvature_vector(dtp: DoublyTwistedProduct, x, i: int) -> TangentVector:
-    """N_1 = P_2(-grad ln lam1), N_2 = P_1(-grad ln lam2) (product gradient)."""
-    pt = x if isinstance(x, CoordPoint) else CoordPoint(x)
-    return TangentVector(pt, _mean_curvature(dtp, pt.coords, i, dtp.assembled.inv(pt)))
 
 
 def mean_curvature_form(dtp: DoublyTwistedProduct, x, i: int):
@@ -599,8 +548,9 @@ def lightlike_sectional_curvature(g: MetricField, xi: TangentVector,
 # ---------------------------------------------------------------------------
 # O'Neill T tensor of the factor-1 projection (fibers = factor-2 slices)
 
-def _oneill_T(dtp: DoublyTwistedProduct, x, e: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """T components at one point (n,) or each row of a batch (P, n), for
+def oneill_T(dtp: DoublyTwistedProduct, x, e: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """T(E, F) = g(E^v, F^v) N - g(N, F) E^v with N the fiber mean curvature,
+    in components: at one point (n,) or each row of a batch (P, n), for
     components e, f fixed (n,) or given per row (P, n)."""
     g, ginv = dtp.assembled.mat_and_inv(x)
     N = _mean_curvature(dtp, x, 2, ginv)
@@ -610,63 +560,12 @@ def _oneill_T(dtp: DoublyTwistedProduct, x, e: np.ndarray, f: np.ndarray) -> np.
     return g_ef[..., None] * N - g_nf[..., None] * ev
 
 
-def oneill_T(dtp: DoublyTwistedProduct, x, E: TangentVector, F: TangentVector) -> TangentVector:
-    """T(E, F) = g(E^v, F^v) N - g(N, F) E^v with N the fiber mean curvature."""
-    pt = x if isinstance(x, CoordPoint) else CoordPoint(x)
-    return TangentVector(pt, _oneill_T(dtp, pt.coords, E.components, F.components))
-
-
-def _oneill_T_definitional(dtp: DoublyTwistedProduct, x, e: np.ndarray,
-                           f: np.ndarray) -> np.ndarray:
-    """``oneill_T_definitional`` components at one point (n,) or each row of a
-    batch (P, n), from one batched oracle ``christoffel_numeric``."""
+def oneill_T_definitional(dtp: DoublyTwistedProduct, x, e: np.ndarray,
+                          f: np.ndarray) -> np.ndarray:
+    """T(E, F) = h nabla_{E^v} F^v + v nabla_{E^v} F^h from the connection, in
+    the shapes of ``oneill_T``, from one batched oracle ``christoffel_numeric``."""
     gamma = ck.christoffel_numeric(dtp.assembled, x)
     ev, fv, fh = dtp.project(2, e), dtp.project(2, f), dtp.project(1, f)
     d_vv = np.einsum("...kij,...i,...j->...k", gamma, ev, fv)
     d_vh = np.einsum("...kij,...i,...j->...k", gamma, ev, fh)
     return dtp.project(1, d_vv) + dtp.project(2, d_vh)
-
-
-def oneill_T_definitional(dtp: DoublyTwistedProduct, x, E: TangentVector,
-                          F: TangentVector) -> TangentVector:
-    """T(E, F) = h nabla_{E^v} F^v + v nabla_{E^v} F^h from the connection."""
-    coords = x.coords if isinstance(x, CoordPoint) else np.asarray(x, dtype=float)
-    return TangentVector(CoordPoint(coords),
-                         _oneill_T_definitional(dtp, coords, E.components, F.components))
-
-
-def oneill_nabla_T(dtp: DoublyTwistedProduct, x, X: TangentVector,
-                   E: TangentVector, F: TangentVector) -> np.ndarray:
-    """(nabla_X T)(E, F) by finite differences of the closed-form T field.
-
-    Uses constant-component extensions of E and F; X should be horizontal.
-    """
-    coords = x.coords if isinstance(x, CoordPoint) else np.asarray(x, dtype=float)
-    g = dtp.assembled
-
-    def t_field(c):
-        return _oneill_T(dtp, c.T, E.components, F.components).T
-
-    full = ck.covariant_derivative(g, coords, X, t_field)
-    gamma = ck.christoffel_numeric(g, coords)
-    dxE = np.einsum("kij,i,j->k", gamma, X.components, E.components)
-    dxF = np.einsum("kij,i,j->k", gamma, X.components, F.components)
-    pt = CoordPoint(coords)
-    t1 = oneill_T(dtp, coords, TangentVector(pt, dxE), F).components
-    t2 = oneill_T(dtp, coords, E, TangentVector(pt, dxF)).components
-    return full - t1 - t2
-
-
-def fiber_mean_curvature_derivative(dtp: DoublyTwistedProduct, x, X: TangentVector) -> np.ndarray:
-    """nabla_X N for the fiber mean curvature field N = N_2."""
-    coords = x.coords if isinstance(x, CoordPoint) else np.asarray(x, dtype=float)
-
-    def n_field(c):
-        return _mean_curvature(dtp, c.T, 2, dtp.assembled.inv(c.T)).T
-
-    return ck.covariant_derivative(dtp.assembled, coords, X, n_field)
-
-
-def hessian_form_predicate(dtp: DoublyTwistedProduct, i: int, x, v: TangentVector) -> float:
-    """Hess lam_i(v, v) = g(h_{lam_i}(v), v): samplable hypothesis of the constancy heuristic."""
-    return ck._bilinear(v.components, point_geometry(dtp, x).warp_hessian(i), v.components)

@@ -802,54 +802,6 @@ def decomposition_check(model: QuotientModel, x0, loops: dict,
 
 
 # ---------------------------------------------------------------------------
-# transport downstairs (piecewise-reduced), for local-isometry equivariance
-
-def adapted_translation_downstairs(model: QuotientModel, rep0, foliation: int,
-                                   coord_length: float, v0: TangentVector):
-    """Adapted translation along a leaf line computed in the quotient chart.
-
-    The straight upstairs leaf line through rep0 is split at fundamental-box
-    exits.  Adapted translation keeps the normal components constant along
-    each piece (see ``loop_holonomy``), and at each seam the reducing word's
-    differential is applied to the vector.  v0 must be normal to the leaf.
-    Returns (endpoint_rep, end_vector_components).
-    """
-    dtp = model.dtp
-    if dtp.factor(foliation).dim != 1:
-        raise InvalidAction("requires a one-dimensional traced factor")
-    if np.max(np.abs(v0.components[dtp.slot(foliation)])) > 1e-12:
-        raise ValueError("v0 must lie in the normal (other-factor) slots")
-    rep0 = np.asarray(rep0, dtype=float)
-    axis = dtp.slot(foliation).start
-    cur = rep0.copy()
-    vec = v0.components.copy()
-    direction = dtp.embed(foliation, np.ones(1))
-    remaining = float(coord_length)
-    guard = 0
-    while remaining > 1e-14:
-        guard += 1
-        if guard > 10_000:
-            raise InvalidAction("seam splitting did not terminate")
-        sgn = 1.0 if direction[axis] > 0 else -1.0
-        edge = model.fundamental_box[axis, 1] if sgn > 0 else model.fundamental_box[axis, 0]
-        to_edge = (edge - cur[axis]) / direction[axis]
-        piece = min(remaining, to_edge)
-        if piece > 1e-14:
-            cur = cur + piece * direction
-            remaining -= piece
-        if remaining > 1e-14:
-            probe = cur + min(remaining, 1e-6) * direction
-            rep, word = model.canonical_rep(probe)
-            if not word:
-                raise InvalidAction("expected a seam reduction at the box edge")
-            J = model.word_jacobian(word, cur)
-            vec = J @ vec
-            direction = J @ direction
-            cur = model.apply_word(word, cur)
-    return cur, vec
-
-
-# ---------------------------------------------------------------------------
 # explicit twisted construction (quotient that is not globally a product)
 
 def _bump(u: float) -> float:

@@ -1,4 +1,4 @@
-"""Transport along curves: parallel, normal, adapted; holonomy; broken geodesics.
+"""Transport along curves: parallel and adapted translation; holonomy; broken geodesics.
 
 Adapted translation along a leaf has a closed form
 (``adapted_translation_closed_form``): a normal vector keeps its
@@ -365,31 +365,37 @@ def _transport_grid(curve: PiecewiseCurve, frame: Sequence[TangentVector],
 
 
 def _transport(g: MetricField, curve: PiecewiseCurve, frame: Sequence[TangentVector],
-               samples_per_segment: int, leaf=None, omega=None):
+               samples_per_segment: int, leaf=None):
     """The frame's vectors carried along the curve, as one (n, k) solve.
 
-    ``leaf`` = (dtp, foliation) keeps the transport in the normal bundle of
-    a leaf of F_foliation: the curve must stay in the leaf, the vectors must
-    be normal, and only the normal projection of DW/dt is driven to zero.
-    With the one-form ``omega`` (batched), A(t) = exp(-I(t)) W(t) for
-    I(t) = integral of omega(gamma'); without it I = 0 and A = W.
+    Without ``leaf`` this is parallel transport W, with I = 0 and A = W.
+    ``leaf`` = (dtp, foliation) makes it adapted translation in a leaf of
+    F_foliation: the curve must stay in the leaf, the vectors must be
+    normal, only the normal projection of DW/dt is driven to zero, and
+    A(t) = exp(-I(t)) W(t) for I(t) = integral of omega_{3 - foliation}(gamma').
 
     Returns the sample times, the sample points (S, n), A (S, n, k), I (S,)
     and the worst residual of the law the transport keeps, from one batched
     ``g.mat`` over v0's base and the samples: |g(W, W) - g(v0, v0)| without
-    omega, | |A| - |v0| exp(-I) | with it.
+    leaf, | |A| - |v0| exp(-I) | with it.
     """
     ts = _transport_grid(curve, frame, samples_per_segment, leaf)
-    rows = leaf[0].slot(3 - leaf[1]) if leaf is not None else None
+    omega = rows = None
+    if leaf is not None:
+        dtp, foliation = leaf
+        rows = dtp.slot(3 - foliation)
+
+        def omega(pts):
+            return pg.mean_curvature_form(dtp, pts, 3 - foliation)
     y0 = np.stack([v.components for v in frame], axis=1)
     Ys, Is = _integrate_transport(g, curve, y0, ts, omega=omega, rows=rows)
-    if omega is not None:
+    if leaf is not None:
         Ys = np.exp(-Is)[:, None, None] * Ys
     pts = np.stack([curve.point(t) for t in ts])
     gm = g.mat(np.vstack([frame[0].base.coords, pts]))
     q0 = np.einsum("ic,ij,jc->c", y0, gm[0], y0)
     q = np.einsum("sic,sij,sjc->sc", Ys, gm[1:], Ys)
-    if omega is None:
+    if leaf is None:
         worst = np.abs(q - q0)
     else:
         worst = np.abs(np.sqrt(np.abs(q)) - np.sqrt(np.abs(q0)) * np.exp(-Is)[:, None])
@@ -412,32 +418,12 @@ def parallel_transport(g: MetricField, curve: PiecewiseCurve, v0: TangentVector,
     return TransportResult(_samples(ts, pts, Ys[:, :, 0]), 0.0, worst)
 
 
-def normal_parallel_transport(dtp: pg.DoublyTwistedProduct, curve: PiecewiseCurve,
-                              v0: TangentVector, tol: float = 1e-7,
-                              foliation: int = 1,
-                              samples_per_segment: int = 17) -> TransportResult:
-    """Parallel translation in the normal bundle of a leaf of F_foliation.
-
-    The curve must stay in the leaf (velocity tangent to the foliation's
-    slots) and v0 must be normal; the normal projection of DW/dt is driven
-    to zero, so W stays normal and |W| is conserved.
-    """
-    ts, pts, Ys, _, worst = _transport(dtp.assembled, curve, [v0], samples_per_segment,
-                                       leaf=(dtp, foliation))
-    if worst > tol:
-        raise IntegrationError(f"normal transport norm residual {worst:.3e} > tol {tol:.3e}")
-    return TransportResult(_samples(ts, pts, Ys[:, :, 0]), 0.0, worst)
-
-
 def _adapted(dtp: pg.DoublyTwistedProduct, curve: PiecewiseCurve,
              frame: Sequence[TangentVector], tol: float, foliation: int,
              samples_per_segment: int):
-    """``_transport`` of the frame with omega_{3 - foliation}; IntegrationError
+    """``_transport`` of the frame in a leaf of F_foliation; IntegrationError
     when the norm law misses tol."""
-    form_index = 3 - foliation
-    out = _transport(dtp.assembled, curve, frame, samples_per_segment,
-                     leaf=(dtp, foliation),
-                     omega=lambda pts: pg.mean_curvature_form(dtp, pts, form_index))
+    out = _transport(dtp.assembled, curve, frame, samples_per_segment, leaf=(dtp, foliation))
     worst = out[-1]
     if worst > tol:
         raise IntegrationError(f"adapted-translation norm law residual {worst:.3e} > tol {tol:.3e}")

@@ -16,7 +16,9 @@ from warpquot import quotient as qt
 from warpquot import scenario as sc
 from warpquot import transport as tp
 from warpquot.chartkit import CoordPoint, TangentVector
-from warpquot.errors import GeometryError
+
+# the sign-flipped closed forms of the connection-row negative controls
+from test_closed_form_connection import _flip_metric_term, _flip_mixed, _patch_gamma
 
 
 def tv(x, comps):
@@ -26,13 +28,6 @@ def tv(x, comps):
 def _report(num, title, detail, ok):
     print(f"ACCEPTANCE {num} {title}: {detail} -- {'PASS' if ok else 'FAIL'}")
     assert ok, f"criterion {num} failed: {detail}"
-
-
-def _rand_point(rng, box, shrink=0.95):
-    box = np.asarray(box, dtype=float)
-    mid = 0.5 * (box[:, 0] + box[:, 1])
-    half = 0.5 * (box[:, 1] - box[:, 0]) * shrink
-    return mid + (2.0 * rng.random(box.shape[0]) - 1.0) * half
 
 
 @pytest.fixture(scope="module")
@@ -54,83 +49,62 @@ def roster():
     return named + random
 
 
-def test_criterion_1_connection_closed_form(roster):
-    rng = np.random.default_rng(1)
-    t0 = time.perf_counter()
+def _christoffel_gap(roster, rng):
+    """Worst |closed form - FD oracle| over the whole Christoffel tensors at 50
+    random points per fixture, one batch of each side per fixture."""
     worst = 0.0
     for name, dtp in roster:
-        for _ in range(50):
-            x = _rand_point(rng, dtp.domain_box)
-            for case in ("HH", "VV", "HV"):
-                a_slot = 1 if case != "VV" else 2
-                b_slot = 2 if case != "HH" else 1
-                a = tv(x, dtp.embed(a_slot, rng.normal(size=dtp.factor(a_slot).dim)))
-                b = tv(x, dtp.embed(b_slot, rng.normal(size=dtp.factor(b_slot).dim)))
-                cf = pg.connection_closed_form(dtp, x, a, b, case).components
-                oracle = pg.connection_numeric(dtp, x, a, b).components
-                worst = max(worst, float(np.max(np.abs(cf - oracle))))
+        x = cli._rand_points(rng, dtp.domain_box, 50)
+        gap = pg.christoffel_closed_form(dtp, x) - ck.christoffel_numeric(dtp.assembled, x)
+        worst = max(worst, float(np.max(np.abs(gap))))
+    return worst
+
+
+def _sectional_gap(roster, rng):
+    """Worst |closed form - Riemann oracle| sectional curvature over the HH, VV
+    and HV planes at 50 random points per fixture, drawn and evaluated as
+    verify-all's sweep does it: one ``point_geometry`` and one
+    ``riemann_numeric`` batch per fixture, one plane per point and case."""
+    worst = 0.0
+    for name, dtp in roster:
+        per_case, _ = cli._sectional_residuals(dtp, rng, 50)
+        worst = max([worst, *per_case.values()])
+    return worst
+
+
+def test_criterion_1_connection_closed_form(roster):
+    t0 = time.perf_counter()
+    worst = _christoffel_gap(roster, np.random.default_rng(1))
     dt = time.perf_counter() - t0
-    _report(1, "connection closed form vs FD-Christoffel contraction",
+    _report(1, "closed-form Christoffel tensor vs FD oracle",
             f"worst residual {worst:.2e} (tol 1e-05) over 28 fixtures x 50 points, {dt:.1f}s (< 10s)",
             worst < 1e-5 and dt < 10.0)
 
 
-def _sectional_from_riemann(g, x, riem, u, v):
-    q = ck.plane_gram_det(g, u, v)
-    ruvv = np.einsum("lijk,i,j,k->l", riem, u.components, v.components, v.components)
-    return float(u.components @ g.mat(x) @ ruvv) / q
+def test_criterion_1_fails_on_a_sign_flipped_mixed_term(roster, monkeypatch):
+    _patch_gamma(monkeypatch, _flip_mixed)
+    assert _christoffel_gap(roster, np.random.default_rng(1)) > 1e-5
 
 
 def test_criterion_2_sectional_closed_form(roster):
     rng = np.random.default_rng(2)
-    worst = 0.0
-    for name, dtp in roster:
-        g = dtp.assembled
-        for _ in range(50):
-            x = _rand_point(rng, dtp.domain_box)
-            riem = None
-            for case in ("HH", "VV", "HV"):
-                if case == "HH" and dtp.n1 < 2:
-                    continue
-                if case == "VV" and dtp.n2 < 2:
-                    continue
-                plane = None
-                for _ in range(20):
-                    pt = CoordPoint(x)
-                    if case == "HH":
-                        raw = [tv(x, dtp.embed(1, rng.normal(size=dtp.n1))) for _ in range(2)]
-                    elif case == "VV":
-                        raw = [tv(x, dtp.embed(2, rng.normal(size=dtp.n2))) for _ in range(2)]
-                    else:
-                        raw = [tv(x, dtp.embed(1, rng.normal(size=dtp.n1))),
-                               tv(x, dtp.embed(2, rng.normal(size=dtp.n2)))]
-                    try:
-                        u, v = ck.gram_schmidt(g, x, raw)
-                    except GeometryError:
-                        continue
-                    if abs(ck.plane_gram_det(g, u, v)) > 1e-6:
-                        plane = (u, v)
-                        break
-                if plane is None:
-                    continue
-                if riem is None:
-                    riem = ck.riemann_numeric(g, x)
-                u, v = plane
-                kc = pg.sectional_curvature_closed_form(dtp, (u, v))
-                kn = _sectional_from_riemann(g, x, riem, u, v)
-                worst = max(worst, abs(kc - kn))
+    worst = _sectional_gap(roster, rng)
     # constant-curvature checks on the polar models
     k_off = 0.0
     for dtp, want in ((fx.sphere_polar(), 1.0), (fx.hyperbolic_polar(), -1.0)):
-        for _ in range(10):
-            x = _rand_point(rng, dtp.domain_box)
-            lam = dtp.warp_value(2, x)
-            u = tv(x, [1.0, 0.0])
-            v = tv(x, [0.0, 1.0 / lam])
-            k_off = max(k_off, abs(pg.sectional_curvature_closed_form(dtp, (u, v)) - want))
+        x = cli._rand_points(rng, dtp.domain_box, 10)
+        U = np.tile([1.0, 0.0], (10, 1))
+        V = np.stack([np.zeros(10), 1.0 / dtp.warp_value(2, x)], axis=1)
+        k = pg._sectional_closed_form(dtp, pg.point_geometry(dtp, x), x, U, V)
+        k_off = max(k_off, float(np.max(np.abs(k - want))))
     _report(2, "sectional curvature closed form vs Riemann oracle",
             f"worst residual {worst:.2e} (tol 1e-05); constant-curvature error {k_off:.2e} (tol 1e-06)",
             worst < 1e-5 and k_off < 1e-6)
+
+
+def test_criterion_2_fails_on_a_sign_flipped_metric_term(roster, monkeypatch):
+    _patch_gamma(monkeypatch, _flip_metric_term)
+    assert _sectional_gap(roster, np.random.default_rng(2)) > 1e-5
 
 
 def test_criterion_3_classification(roster):
@@ -291,13 +265,10 @@ def test_criterion_10_submersion_formulas(roster):
     rng = np.random.default_rng(10)
     worst_t = 0.0
     for name, dtp in roster:
-        for _ in range(5):
-            x = _rand_point(rng, dtp.domain_box)
-            E = tv(x, rng.normal(size=dtp.n))
-            F = tv(x, rng.normal(size=dtp.n))
-            closed = pg.oneill_T(dtp, x, E, F).components
-            defin = pg.oneill_T_definitional(dtp, x, E, F).components
-            worst_t = max(worst_t, float(np.max(np.abs(closed - defin))))
+        x = cli._rand_points(rng, dtp.domain_box, 5)
+        E, F = rng.normal(size=(2,) + x.shape)
+        gap = pg.oneill_T(dtp, x, E, F) - pg.oneill_T_definitional(dtp, x, E, F)
+        worst_t = max(worst_t, float(np.max(np.abs(gap))))
 
     flat_vals = []
     for g in (ck.MetricField.constant(np.diag([-1.0, 1.0, 1.0])),

@@ -267,7 +267,7 @@ def classify_pointwise(dtp, per_axis):
     """The per-point algorithm: one N evaluation per grid point, and d(omega_i)
     from the warp's value, gradient and hessian at each grid point."""
     pts = pg.offset_grid_points(dtp.domain_box, per_axis)
-    max_n = [max(float(np.max(np.abs(pg.mean_curvature_vector(dtp, p, i).components)))
+    max_n = [max(float(np.max(np.abs(pg._mean_curvature(dtp, p, i, dtp.assembled.inv(p)))))
                  for p in pts) for i in (1, 2)]
     max_dw = [0.0, 0.0]
     for i in (1, 2):

@@ -89,11 +89,10 @@ def test_batched_closed_form_equals_the_single_point_one(strip):
 def test_warp_hessian_of_the_record_matches_the_oracle():
     for dtp in (fx.random_doubly_twisted(3), fx.sphere_polar(), fx.strip_analytic(fx.random_doubly_warped(8))):
         x = sample_points(dtp, 1, seed=4)[0]
-        v = TangentVector(CoordPoint(x), np.linspace(0.3, 1.1, dtp.n))
         for i in (1, 2):
-            h = ck.hessian_endomorphism(dtp.warp(i), dtp.assembled, x, v)
-            assert pg.hessian_form_predicate(dtp, i, x, v) == pytest.approx(
-                ck.inner_product(dtp.assembled, h, v), rel=1e-6, abs=1e-6)
+            want = ck.hessian_matrix(dtp.warp(i), dtp.assembled, x)
+            got = pg.point_geometry(dtp, x).warp_hessian(i)
+            assert np.allclose(got, want, rtol=1e-6, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +163,7 @@ def _count_calls_on(monkeypatch, g):
 
     monkeypatch.setattr(ck.MetricField, "mat", mat)
     for name, arg in (("christoffel_numeric", 0), ("inner_product", 0), ("gradient", 1),
-                      ("hessian_matrix", 1), ("hessian_endomorphism", 1)):
+                      ("hessian_matrix", 1)):
         exact = getattr(ck, name)
 
         def counted(*args, _exact=exact, _name=name, _arg=arg):
@@ -185,19 +184,15 @@ def test_closed_forms_evaluate_the_product_metric_once(monkeypatch, strip):
     planes = [ck.gram_schmidt(dtp.assembled, x, [TangentVector(pt, dtp.embed(i, [1.0, 0.3])),
                                                  TangentVector(pt, dtp.embed(j, [-0.2, 1.0]))])
               for i, j in ((1, 1), (2, 2), (1, 2))]
-    a, b = TangentVector(pt, dtp.embed(1, [0.5, 1.0])), TangentVector(pt, dtp.embed(2, [1.0, -0.4]))
     state = _count_calls_on(monkeypatch, dtp.assembled)
     for plane in planes:
         state["mat"] = 0
         pg.sectional_curvature_closed_form(dtp, plane)
         assert state["mat"] <= 1
-    for case, (u, v) in (("HH", (a, a)), ("VV", (b, b)), ("HV", (a, b))):
+    for pts in (x, sample_points(dtp, 5, seed=5)):  # one point_geometry, one or many points
         state["mat"] = 0
-        pg.connection_closed_form(dtp, x, u, v, case)
-        assert state["mat"] <= 1
-    state["mat"] = 0
-    pg.hessian_form_predicate(dtp, 1, x, a)
-    assert state["mat"] <= 1
+        pg.point_geometry(dtp, pts)
+        assert state["mat"] == 1
     assert state["oracle"] == []
 
 
@@ -337,17 +332,12 @@ def test_a_case_without_a_plane_gives_no_row_after_60_tries():
     assert rng.shapes == [(4, dtp.n1)] * 120 + [(4, dtp.n2)] * 120 + [(4, dtp.n1), (4, dtp.n2)]
 
 
-def test_plane_gram_det_and_sectional_oracle_read_the_metric_once(monkeypatch):
+def test_sectional_oracle_reads_the_metric_twice(monkeypatch):
     g = fx.random_doubly_twisted(4).assembled
     x = 0.5 * (g.domain_box[:, 0] + g.domain_box[:, 1])
     u, v = ck.gram_schmidt(g, x, [TangentVector(CoordPoint(x), [1.0, 0.2, 0.0, 0.3]),
                                   TangentVector(CoordPoint(x), [0.0, 1.0, 0.5, 0.0])])
-    want = (ck.inner_product(g, u, u) * ck.inner_product(g, v, v)
-            - ck.inner_product(g, u, v) ** 2)
     state = _count_calls_on(monkeypatch, g)
-    assert ck.plane_gram_det(g, u, v) == want  # the same products, bit for bit
-    assert state["mat"] == 1
-    state["mat"] = 0
     ck.sectional_curvature_numeric(g, x, u, v)
     assert state["mat"] == 2  # the plane's products, and the Riemann tensor's own
 

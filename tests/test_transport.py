@@ -109,30 +109,38 @@ def test_parallel_transport_norm_conservation(make):
 # ---------------------------------------------------------------------------
 # normal and adapted transport
 
+def normal_translation(dtp, curve, v0, **kwargs):
+    """W(t) = exp(I(t)) A(t), the normal parallel translation of v0, from the
+    integrated adapted translation A; returns the result and W (S, n)."""
+    res = tp.adapted_translation(dtp, curve, v0, **kwargs)
+    A = np.stack([vec.components for _, vec in res.samples])
+    return res, np.exp(res.integrals)[:, None] * A
+
+
 def test_normal_transport_direct_product_constant():
     dtp = fx.flat_direct_product()
     curve = tp.PiecewiseCurve.line([0.0, 0.3], [1.0, 0.3])
-    res = tp.normal_parallel_transport(dtp, curve, tv([0.0, 0.3], [0.0, 0.8]))
-    assert np.allclose(res.end.components, [0.0, 0.8], atol=1e-10)
+    _, W = normal_translation(dtp, curve, tv([0.0, 0.3], [0.0, 0.8]))
+    assert np.allclose(W[-1], [0.0, 0.8], atol=1e-10)
 
 
 def test_normal_transport_polar_scales_inversely():
     # W stays proportional to d_theta with conserved norm: W^theta = r0 / r
     dtp = fx.polar_plane()
     curve = tp.PiecewiseCurve.line([1.0, 0.5], [2.0, 0.5])
-    res = tp.normal_parallel_transport(dtp, curve, tv([1.0, 0.5], [0.0, 1.0]))
-    assert np.allclose(res.end.components, [0.0, 0.5], atol=1e-8)
-    for t, vec in res.samples:
+    res, W = normal_translation(dtp, curve, tv([1.0, 0.5], [0.0, 1.0]))
+    assert np.allclose(W[-1], [0.0, 0.5], atol=1e-8)
+    for (t, vec), w in zip(res.samples, W):
         r = vec.base.coords[0]
-        assert vec.components[1] == pytest.approx(1.0 / r, abs=1e-8)
-        assert ck.norm(dtp.assembled, vec) == pytest.approx(1.0, abs=1e-7)
+        assert w[1] == pytest.approx(1.0 / r, abs=1e-8)
+        assert ck.norm(dtp.assembled, tv(vec.base.coords, w)) == pytest.approx(1.0, abs=1e-7)
 
 
 def test_normal_transport_rejects_leaving_leaf():
     dtp = fx.polar_plane()
     curve = tp.PiecewiseCurve.line([1.0, 0.5], [2.0, 0.7])  # theta drifts
     with pytest.raises(NotInLeaf):
-        tp.normal_parallel_transport(dtp, curve, tv([1.0, 0.5], [0.0, 1.0]))
+        tp.adapted_translation(dtp, curve, tv([1.0, 0.5], [0.0, 1.0]))
 
 
 def test_normal_transport_covariant_derivative_stays_tangent():
@@ -140,10 +148,9 @@ def test_normal_transport_covariant_derivative_stays_tangent():
     dtp = fx.polar_plane()
     g = dtp.assembled
     curve = tp.PiecewiseCurve.line([1.0, 0.5], [2.0, 0.5])
-    res = tp.normal_parallel_transport(dtp, curve, tv([1.0, 0.5], [0.0, 1.0]),
-                                       samples_per_segment=201)
+    res, comps = normal_translation(dtp, curve, tv([1.0, 0.5], [0.0, 1.0]),
+                                    samples_per_segment=201)
     ts = [s[0] for s in res.samples]
-    comps = np.array([s[1].components for s in res.samples])
     for k in range(1, len(ts) - 1):
         dt = ts[k + 1] - ts[k - 1]
         dW = (comps[k + 1] - comps[k - 1]) / dt
