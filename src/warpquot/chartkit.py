@@ -437,11 +437,6 @@ def inner_product(g: MetricField, u: TangentVector, v: TangentVector) -> float:
     return _bilinear(u.components, g.mat(u.base), v.components)
 
 
-def norm(g: MetricField, v: TangentVector) -> float:
-    """|v| = sqrt(|g(v, v)|)."""
-    return float(np.sqrt(abs(inner_product(g, v, v))))
-
-
 def _christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """Gamma[..., k, i, j] = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij) from g^-1 and dg."""
     # bracket[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij

@@ -9,7 +9,6 @@ significant digits.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from typing import Optional
 
@@ -108,44 +107,6 @@ def _rand_points(rng, box, count):
     return mid + (2.0 * rng.random((max(count, 0), box.shape[0])) - 1.0) * half
 
 
-def _pseudo_orthonormal(gm, a, b):
-    """Gram-Schmidt of each row pair (a[p], b[p]) in the metric gm[p], as
-    ``ck.gram_schmidt`` does it, and which rows span a plane: both
-    |g(w, w)| >= 1e-10 on the way and |plane Gram det| > 1e-6."""
-    def dot(p, q):
-        return np.einsum("pi,pij,pj->p", p, gm, q)
-
-    with np.errstate(divide="ignore", invalid="ignore"):  # failed rows are dropped
-        qa = dot(a, a)
-        u = a / np.sqrt(np.abs(qa))[:, None]
-        w = b - (dot(u, b) / dot(u, u))[:, None] * u
-        qw = dot(w, w)
-        v = w / np.sqrt(np.abs(qw))[:, None]
-        det = dot(u, u) * dot(v, v) - dot(u, v) ** 2
-    return u, v, (np.abs(qa) >= 1e-10) & (np.abs(qw) >= 1e-10) & (np.abs(det) > 1e-6)
-
-
-def _sample_planes(dtp, rng, gm, slots):
-    """A random pseudo-orthonormal plane (u in factor slots[0], v in factor
-    slots[1]) at each point whose metric matrix is a row of gm (P, n, n): the
-    rows that fail are re-drawn, each up to 60 tries.  Returns U, V (P, n) and
-    which rows got a plane."""
-    U, V = np.zeros((2, len(gm), dtp.n))
-    todo = np.arange(len(gm))
-    for _ in range(60):
-        if not todo.size:
-            break
-        a, b = np.zeros((2, todo.size, dtp.n))
-        for raw, i in ((a, slots[0]), (b, slots[1])):
-            raw[:, dtp.slot(i)] = rng.normal(size=(todo.size, dtp.factor(i).dim))
-        u, v, good = _pseudo_orthonormal(gm[todo], a, b)
-        U[todo[good]], V[todo[good]] = u[good], v[good]
-        todo = todo[~good]
-    found = np.ones(len(gm), dtype=bool)
-    found[todo] = False
-    return U, V, found
-
-
 def _horizontal_curve(ctx: ScenarioContext):
     """Default transport curve: a leaf line through the basepoint."""
     dtp = ctx.dtp
@@ -187,11 +148,11 @@ def _sectional_residuals(dtp, rng, samples):
     for case, slots in pg._CASE_SLOTS.items():
         if slots[0] == slots[1] and dtp.factor(slots[0]).dim < 2:
             continue  # a factor plane needs a factor of dimension 2 or more
-        U, V, found = _sample_planes(dtp, rng, geo.g, slots)
+        U, V, found = pg._sample_planes(dtp, rng, geo.g, slots)
         if not found.any():
             continue
         U, V = U[found], V[found]
-        rows = pg.PointGeometry(*(getattr(geo, f.name)[found] for f in dataclasses.fields(geo)))
+        rows = geo.rows(found)
         kc = pg._sectional_closed_form(dtp, rows, x[found], U, V)
         kn = ck._sectional_curvature(rows.g, riem[found], U, V, x[found])
         worst[case] = float(np.max(np.abs(kc - kn)))
@@ -398,6 +359,7 @@ def cmd_teodg(ctx, args, rng):
     return {"structure": report.tag.value,
             "histogram": report.histogram,
             "critical_points": report.critical_points,
+            "critical_everywhere": report.critical_everywhere,
             "hypotheses_hold": report.hypotheses_hold,
             "verdict": report.verdict,
             "witness": report.witness}, ok

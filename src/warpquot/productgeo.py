@@ -18,7 +18,7 @@ the assembled metric.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Optional, Sequence, Union
 
@@ -297,6 +297,10 @@ class PointGeometry:
     hess_lam: np.ndarray
     gamma: np.ndarray
 
+    def rows(self, keep) -> "PointGeometry":
+        """The record of a batch restricted to the rows ``keep`` (a mask or indices)."""
+        return PointGeometry(*(getattr(self, f.name)[keep] for f in fields(self)))
+
     def warp_hessian(self, i: int) -> np.ndarray:
         """Covariant hessian of lam_i: Hess_ab = d_a d_b lam_i - Gamma^k_ab d_k lam_i."""
         return (self.hess_lam[..., i - 1, :, :]
@@ -511,6 +515,46 @@ def _sectional_closed_form(dtp: DoublyTwistedProduct, geo: PointGeometry, x: np.
         k[rows] = ((k_factor + dots[rows, i - 1, i - 1]) / lam**2
                    - (eps_u[rows] * hu[rows, i - 1] + eps_v[rows] * hv[rows, i - 1]) / lam)
     return k
+
+
+def _pseudo_orthonormal(gm, a, b):
+    """Gram-Schmidt of each row pair (a[p], b[p]) in the metric gm[p]: the
+    two-vector ``ck.gram_schmidt`` on a batch, with its lightlike threshold
+    (|g(w, w)| >= 1e-10 on the way) and also |plane Gram det| > 1e-6.
+    Returns u, v (P, n) and which rows span a plane; the other rows may hold
+    inf or nan and are to be dropped."""
+    def dot(p, q):
+        return np.einsum("pi,pij,pj->p", p, gm, q)
+
+    with np.errstate(divide="ignore", invalid="ignore"):  # failed rows are dropped
+        qa = dot(a, a)
+        u = a / np.sqrt(np.abs(qa))[:, None]
+        w = b - (dot(u, b) / dot(u, u))[:, None] * u
+        qw = dot(w, w)
+        v = w / np.sqrt(np.abs(qw))[:, None]
+        det = dot(u, u) * dot(v, v) - dot(u, v) ** 2
+    return u, v, (np.abs(qa) >= 1e-10) & (np.abs(qw) >= 1e-10) & (np.abs(det) > 1e-6)
+
+
+def _sample_planes(dtp: DoublyTwistedProduct, rng, gm: np.ndarray, slots) -> tuple:
+    """A random pseudo-orthonormal plane (u in factor slots[0], v in factor
+    slots[1]) at each point whose metric matrix is a row of gm (P, n, n): the
+    rows that fail are re-drawn, each up to 60 tries.  Returns U, V (P, n) and
+    which rows got a plane."""
+    U, V = np.zeros((2, len(gm), dtp.n))
+    todo = np.arange(len(gm))
+    for _ in range(60):
+        if not todo.size:
+            break
+        a, b = np.zeros((2, todo.size, dtp.n))
+        for raw, i in ((a, slots[0]), (b, slots[1])):
+            raw[:, dtp.slot(i)] = rng.normal(size=(todo.size, dtp.factor(i).dim))
+        u, v, good = _pseudo_orthonormal(gm[todo], a, b)
+        U[todo[good]], V[todo[good]] = u[good], v[good]
+        todo = todo[~good]
+    found = np.ones(len(gm), dtype=bool)
+    found[todo] = False
+    return U, V, found
 
 
 # ---------------------------------------------------------------------------

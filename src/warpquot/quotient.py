@@ -41,9 +41,8 @@ import numpy as np
 from . import chartkit as ck
 from . import productgeo as pg
 from . import transport as tp
-from .chartkit import CoordPoint, ScalarField, TangentVector
+from .chartkit import CoordPoint, ScalarField
 from .errors import (
-    GeometryError,
     InvalidAction,
     InvalidH,
     NotALoop,
@@ -67,6 +66,7 @@ _ROUND = 1e-9
 _SEARCH_POINTS = 1 << 16
 _TRACE_STEP = 0.01      # leaf_trace step in the traced factor coordinate
 _TRACE_CHUNK = 64       # steps leaf_trace takes ahead in one batch
+_NEWTON_STEPS = 30      # cap on teodg's Newton steps toward a critical point of lam2
 
 
 def word_inverse(word: Word) -> Word:
@@ -497,8 +497,9 @@ def leaf_trace(model: QuotientModel, x0, foliation: int, arc_budget: float = 8.0
     coordinates and reducing into the fundamental box.
 
     Terminates with status "closed" when the reduced point returns to the
-    start within ident_tol (the closure parameter is refined below step
-    resolution), or "open-within-budget" when the metric arc budget runs out.
+    start within ident_tol (the closure parameter below step resolution is
+    the projection of x0 onto the leaf's coordinate line), or
+    "open-within-budget" when the metric arc budget runs out.
     An open leaf is then traced backward from x0 with the same budget, and
     those points, reversed and with negative arc lengths, come first; the
     status and length stay the forward trace's.  Requires the traced factor
@@ -528,19 +529,17 @@ def _trace(model: QuotientModel, x0: np.ndarray, direction: np.ndarray, arc_budg
     outside the box, with the speeds of the in-box points from one metric
     evaluation.  Only a point outside the box is reduced, and the chunk
     restarts from its representative.  Closure and budget are decided step
-    by step, so a chunk may evaluate the metric a little past the end.
+    by step, so a chunk may evaluate the metric a little past the end.  Near
+    x0 the closure is projected, not refined: delta = (x0 - cur).d / (d.d),
+    clipped to +/-2 steps, is exact because a leaf is a coordinate line in
+    product coordinates, and the trace closes when the representative of
+    cur + delta d is within ident_tol of x0.
     """
-    from scipy import optimize
-
     step = _TRACE_STEP
     cur = x0.copy()
     arc = 0.0
     pts = [(0.0, x0.copy())]
     left_start = False
-
-    def reduced_at(base, dirvec, delta):
-        rep, _ = model.canonical_rep(base + delta * dirvec)
-        return rep
 
     while True:
         ahead = np.cumsum(np.vstack([cur, np.tile(step * direction, (_TRACE_CHUNK, 1))]), axis=0)
@@ -565,16 +564,11 @@ def _trace(model: QuotientModel, x0: np.ndarray, direction: np.ndarray, arc_budg
                 if gap > 1.5 * proximity:
                     left_start = True
             elif gap <= proximity:
-                # refine the closure parameter on the smooth branch
-                def dist2(delta, base=cur, dirvec=direction):
-                    r = reduced_at(base, dirvec, delta)
-                    return float(np.sum((r - x0) ** 2))
-
-                opt = optimize.minimize_scalar(dist2, bounds=(-2 * step, 2 * step),
-                                               method="bounded",
-                                               options={"xatol": 1e-13})
-                if np.sqrt(opt.fun) <= model.ident_tol:
-                    return "closed", arc + float(opt.x) * speed, pts
+                delta = float(np.clip((x0 - cur) @ direction / (direction @ direction),
+                                      -2 * step, 2 * step))
+                closure, _ = model.canonical_rep(cur + delta * direction)
+                if np.sqrt(np.sum((closure - x0) ** 2)) <= model.ident_tol:
+                    return "closed", arc + delta * speed, pts
 
 
 # ---------------------------------------------------------------------------
@@ -954,6 +948,7 @@ class TeodgReport:
     tag: pg.StructureTag
     histogram: dict              # {"negative": int, "zero": int, "positive": int}
     critical_points: list        # factor-1 coordinate arrays
+    critical_everywhere: bool    # |grad lam2| < 1e-6 on the whole grid: every point is critical
     hypotheses_hold: bool
     verdict: str
     witness: Optional[dict] = None
@@ -966,68 +961,80 @@ def teodg_diagnostic(dtp: pg.DoublyTwistedProduct, n_samples: int = 60,
     The diagnostic reports whether the sampled hypotheses of the global
     decomposition criterion hold: K < 0 on all sampled mixed nondegenerate
     planes (|K| <= 1e-9 counts as zero), and lam2 (a factor-1 function for
-    warped structures) has a critical point inside the factor-1 box, sought
-    by descent from the best 5 points of a 9-per-axis grid.
-    """
-    from scipy import optimize
+    warped structures) has a critical point inside the factor-1 box.
 
+    The samples are one batch: n_samples uniform points of the domain box,
+    then one mixed plane at each (``pg._sample_planes`` on one
+    ``point_geometry`` batch; a degenerate draw is re-drawn, up to 60 times,
+    and a point without a plane is dropped), and K from one
+    ``pg._sectional_closed_form`` call.
+
+    Critical points are sought on factor 1 with the factor-2 coordinates at
+    the middle of their box.  When |grad lam2| < 1e-6 at every point of a
+    9-per-axis grid, the warp is critical everywhere: ``critical_everywhere``
+    is set and no points are listed.  Otherwise batched Newton steps
+    a <- a - H^+ grad lam2(a) (H the factor-1 block of lam2's coordinate
+    hessian, pseudo-inverted where singular), projected onto the factor-1
+    box, run from the 5 grid points of least |grad| for at most
+    _NEWTON_STEPS steps; an end point with |grad| < 1e-6 is critical, and
+    one within 1e-4 of a kept point is that point.
+    """
     cls = pg.classify(dtp)
     if cls.tag in (pg.StructureTag.TWISTED, pg.StructureTag.DOUBLY_TWISTED):
         raise InvalidAction(f"diagnostic requires a (doubly) warped structure, got {cls.tag.value}")
     rng = np.random.default_rng(seed)
     box = dtp.domain_box
+    x = box[:, 0] + rng.random((max(n_samples, 0), dtp.n)) * (box[:, 1] - box[:, 0])
+    geo = pg.point_geometry(dtp, x)
+    U, V, found = pg._sample_planes(dtp, rng, geo.g, (1, 2))
+    ks = pg._sectional_closed_form(dtp, geo.rows(found), x[found], U[found], V[found])
     hist = {"negative": 0, "zero": 0, "positive": 0}
     witness = None
-    for _ in range(n_samples):
-        x = box[:, 0] + rng.random(dtp.n) * (box[:, 1] - box[:, 0])
-        pt = CoordPoint(x)
-        try:
-            u, v = ck.gram_schmidt(dtp.assembled, x, [
-                TangentVector(pt, dtp.embed(1, rng.normal(size=dtp.n1))),
-                TangentVector(pt, dtp.embed(2, rng.normal(size=dtp.n2))),
-            ])
-        except GeometryError:
-            continue  # degenerate sample; resample implicitly
-        k = pg.sectional_curvature_closed_form(dtp, (u, v))
+    for point, k in zip(x[found].tolist(), ks.tolist()):
         if k < -1e-9:
             hist["negative"] += 1
-        elif k > 1e-9:
-            hist["positive"] += 1
-            if witness is None:
-                witness = {"point": x.tolist(), "K": k}
-        else:
-            hist["zero"] += 1
-            if witness is None:
-                witness = {"point": x.tolist(), "K": k}
+            continue
+        hist["positive" if k > 1e-9 else "zero"] += 1
+        if witness is None:
+            witness = {"point": point, "K": k}
 
-    # grid-plus-descent search for critical points of lam2 on factor 1
-    lam2 = dtp.lam2
+    lam2, slot1 = dtp.lam2, dtp.slot1
     mid2 = 0.5 * (dtp.f2.domain_box[:, 0] + dtp.f2.domain_box[:, 1])
 
-    def grad_norm2(a):
-        full = np.concatenate([np.atleast_1d(a), mid2])
-        grad = lam2.grad_coords(full)[dtp.slot1]
-        return float(grad @ grad)
+    def full(a):
+        return np.hstack([a, np.broadcast_to(mid2, (len(a), dtp.n2))])
 
-    found = []
-    starts = sorted(pg.grid_points(dtp.f1.domain_box, 9), key=grad_norm2)
-    for a0 in starts[:5]:
-        res = optimize.minimize(grad_norm2, np.atleast_1d(a0), method="L-BFGS-B",
-                                bounds=[tuple(row) for row in dtp.f1.domain_box])
-        if res.fun < (1e-6) ** 2:
-            a = np.atleast_1d(res.x)
-            if not any(np.max(np.abs(a - b)) < 1e-4 for b in found):
-                found.append(a)
+    def grad(a):
+        return lam2.grad_coords(full(a))[:, slot1]
+
+    grid = pg.grid_points(dtp.f1.domain_box, 9)
+    grid_norm2 = np.sum(grad(grid) ** 2, axis=1)
+    everywhere = bool(np.all(grid_norm2 < (1e-6) ** 2))
+    found_pts = []
+    if not everywhere:
+        lo, hi = dtp.f1.domain_box[:, 0], dtp.f1.domain_box[:, 1]
+        a = grid[np.argsort(grid_norm2, kind="stable")[:5]]
+        for _ in range(_NEWTON_STEPS):
+            hess = lam2.hess_coords(full(a))[:, slot1, slot1]
+            nxt = np.clip(a - np.einsum("pij,pj->pi", np.linalg.pinv(hess), grad(a)), lo, hi)
+            if np.array_equal(nxt, a):
+                break
+            a = nxt
+        for p in a[np.sum(grad(a) ** 2, axis=1) < (1e-6) ** 2]:
+            if not any(np.max(np.abs(p - b)) < 1e-4 for b in found_pts):
+                found_pts.append(p)
 
     all_negative = hist["positive"] == 0 and hist["zero"] == 0 and hist["negative"] > 0
-    holds = all_negative and bool(found)
+    critical = bool(found_pts) or everywhere
+    holds = all_negative and critical
     if holds:
         verdict = "hypotheses hold on samples: K < 0 on mixed planes and lam2 has a critical point"
     else:
         parts = []
         if not all_negative:
             parts.append(f"mixed-plane K sign violated at witness {witness}")
-        if not found:
+        if not critical:
             parts.append("no critical point of lam2 found in the factor-1 box")
         verdict = "violated: " + "; ".join(parts)
-    return TeodgReport(cls.tag, hist, [a.tolist() for a in found], holds, verdict, witness)
+    return TeodgReport(cls.tag, hist, [p.tolist() for p in found_pts], everywhere, holds,
+                       verdict, witness)

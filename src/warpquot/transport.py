@@ -22,8 +22,14 @@ conservation and norm-law residuals the callers check are then about 1e-15
 on the smooth analytic built-ins, and up to 4e-10 where Gamma comes from
 finite differences (scenario files) or the warp is piecewise (example1).  Both
 adapted-translation routes pass the same input guards and sample the same
-times (``_transport_grid``).  ``broken_geodesic``, whose curve is the
-unknown, integrates with scipy's RK45.
+times (``_transport_grid``).
+
+``broken_geodesic``, whose curve is the unknown, integrates the nonlinear
+geodesic-and-frame equations with the same tableau, step doubling and
+RTOL / ATOL: its stage equations are solved by fixed-point iteration
+(``_geodesic_pass``), and each segment is the quintic Hermite interpolant
+of x, v and the acceleration at the step ends.  The module needs numpy
+alone; scipy's RK45 is the tests' oracle of both integrators.
 """
 
 from __future__ import annotations
@@ -50,18 +56,6 @@ LOOP_CLOSURE_TOL = 1e-7
 LEAF_VELOCITY_TOL = 1e-8
 _VELOCITY_CHECK_TOL = 1e-4
 _CONTINUITY_TOL = 1e-9
-
-
-def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on the first call.
-
-    Only ``broken_geodesic`` calls it, so a command that builds no broken
-    geodesic never loads scipy here.  Callers in this module look the name
-    up at call time, which lets tests and tracers replace
-    ``transport.solve_ivp``.
-    """
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-    return scipy_solve_ivp(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -556,16 +550,98 @@ def holonomy_map(model, loop: PiecewiseCurve, frame: Sequence[TangentVector],
 # ---------------------------------------------------------------------------
 # broken geodesics (velocity resets by parallel transport) and profiles
 
-def _geodesic_frame_rhs(g: MetricField):
-    def rhs(t, state, n):
-        x = state[:n]
-        v = state[n:2 * n]
-        E = state[2 * n:].reshape(n, n)
-        gamma = ck.christoffel_numeric(g, x)
-        acc = -np.einsum("kij,i,j->k", gamma, v, v)
-        dE = -np.einsum("kij,i,jc->kc", gamma, v, E)
-        return np.concatenate([v, acc, dE.reshape(-1)])
-    return rhs
+def _geodesic_field(g: MetricField, Y: np.ndarray) -> np.ndarray:
+    """The right-hand side at each row of Y (P, 2n + n^2), a state
+    (x, v, E) of the geodesic with velocity v and the frame E parallel along
+    it: (v, -Gamma(v, v), -Gamma(v, E)), from one batched
+    ``christoffel_numeric``."""
+    n = g.dim
+    x, v, E = Y[:, :n], Y[:, n:2 * n], Y[:, 2 * n:].reshape(-1, n, n)
+    gamma = ck.christoffel_numeric(g, x)
+    acc = -np.einsum("pkij,pi,pj->pk", gamma, v, v)
+    dE = -np.einsum("pkij,pi,pjc->pkc", gamma, v, E)
+    return np.hstack([v, acc, dE.reshape(len(Y), -1)])
+
+
+_GL_D = np.linalg.solve(_GL_A.T, _GL_B)  # y1 = y0 + _GL_D @ Z, Z the stage increments
+_STAGE_ITERS = 50  # fixed-point sweeps of one step's stage equations at most
+_STAGE_TOL = 1e-2  # sweeps end once one moves Z by at most this share of ATOL + RTOL |Y|
+
+
+def _geodesic_pass(g: MetricField, y0: np.ndarray, t0: float, t1: float,
+                   steps: int) -> Optional[np.ndarray]:
+    """One pass of 3-stage Gauss-Legendre collocation of the geodesic-and-frame
+    system over [t0, t1] in ``steps`` equal steps: the states (steps + 1, N)
+    at the step ends, or None when a step's stage equations do not converge.
+
+    The stage increments Z_i = Y_i - y solve Z = h A F(y + Z); fixed-point
+    sweeps from Z = 0 (the first sweep is the explicit Euler predictor) need
+    no Jacobian of Gamma and contract once h L < 1, which step doubling
+    reaches.  The sweeps end when one moves Z by at most _STAGE_TOL of the
+    ATOL + RTOL |Y| scale of the stage values Y = y + Z, so their error stays
+    well below what step doubling compares; a sweep that moves Z no less
+    than the one before, or _STAGE_ITERS sweeps, leave the step unconverged.
+    """
+    h = (t1 - t0) / steps
+    ys = [y0]
+    for _ in range(steps):
+        y = ys[-1]
+        Z = np.zeros((3, len(y)))
+        last = np.inf
+        for _ in range(_STAGE_ITERS):
+            new = h * (_GL_A @ _geodesic_field(g, y + Z))
+            change = float(np.max(np.abs(new - Z) / (ATOL + RTOL * np.abs(y + new))))
+            Z = new
+            if change <= _STAGE_TOL:
+                break
+            if change >= last:
+                return None
+            last = change
+        else:
+            return None
+        ys.append(y + _GL_D @ Z)
+    return np.stack(ys)
+
+
+# Quintic Hermite basis on [0, 1]: row p holds the s**p coefficients of the
+# weights of x0, h v0, h^2 a0, x1, h v1, h^2 a1.
+_QUINTIC = np.array([
+    [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.5, 0.0, 0.0, 0.0],
+    [-10.0, -6.0, -1.5, 10.0, -4.0, 0.5],
+    [15.0, 8.0, 1.5, -15.0, 7.0, -1.0],
+    [-6.0, -3.0, -0.5, 6.0, -3.0, 0.5],
+])
+
+
+def _hermite_segment(g: MetricField, t0: float, t1: float, states: np.ndarray) -> CurveSegment:
+    """The segment through the step-end states (S, N) of a pass over
+    [t0, t1]: on each step the quintic Hermite interpolant of x from x, v and
+    the acceleration -Gamma(v, v) at both ends (one ``_geodesic_field``
+    batch), and its derivative as the velocity."""
+    n = g.dim
+    x, v = states[:, :n], states[:, n:2 * n]
+    acc = _geodesic_field(g, states)[:, n:2 * n]
+    ts = np.linspace(t0, t1, len(states))
+    h = ts[1] - ts[0]
+
+    def locate(t):
+        k = int(np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2))
+        s = (t - ts[k]) / h
+        data = np.stack([x[k], h * v[k], h * h * acc[k], x[k + 1], h * v[k + 1],
+                         h * h * acc[k + 1]])
+        return s, data
+
+    def point(t):
+        s, data = locate(t)
+        return (s ** np.arange(6) @ _QUINTIC) @ data
+
+    def velocity(t):
+        s, data = locate(t)
+        return (np.arange(1, 6) * s ** np.arange(5) @ _QUINTIC[1:]) @ data / h
+
+    return CurveSegment(t0, t1, point, velocity)
 
 
 def _check_domain(g: MetricField, positions: np.ndarray):
@@ -580,34 +656,42 @@ def _check_domain(g: MetricField, positions: np.ndarray):
 
 def broken_geodesic(g: MetricField, spec: BrokenGeodesicSpec) -> PiecewiseCurve:
     """Geodesic segments whose break velocities are parallel transports of the
-    spec velocities, so that the velocity profile is the given list."""
+    spec velocities, so that the velocity profile is the given list.
+
+    Each segment integrates the geodesic with a parallel frame E
+    (``_geodesic_pass``), the velocity at a break being E times the spec
+    velocity.  Step doubling: passes with 1, 2, 4, ... steps run until two
+    successive passes agree within ATOL + RTOL |value| on every state at
+    the coarser pass's step ends, and the finer is kept; a pass whose stage
+    equations do not converge is unsettled.  IntegrationError when
+    MAX_DOUBLINGS doublings do not settle, or when a step end leaves the
+    metric's domain box (padded by 10%).  The segment's curve is the quintic
+    Hermite interpolant of the kept pass (``_hermite_segment``).
+    """
     n = spec.basepoint.n
-    rhs = _geodesic_frame_rhs(g)
     ts = [0.0, *spec.breaks, 1.0]
     state = np.concatenate([spec.basepoint.coords,
                             spec.velocities[0].components,
                             np.eye(n).reshape(-1)])
-    sols = []
+    segs = []
     for j, (t0, t1) in enumerate(zip(ts, ts[1:])):
         if j > 0:
-            E = state[2 * n:].reshape(n, n)
             state = state.copy()
-            state[n:2 * n] = E @ spec.velocities[j].components
-        sol = solve_ivp(rhs, (t0, t1), state, args=(n,), method="RK45",
-                        rtol=RTOL, atol=ATOL, dense_output=True)
-        if not sol.success:
-            raise IntegrationError(f"geodesic integration failed: {sol.message}")
-        _check_domain(g, sol.y[:n].T)
-        sols.append((t0, t1, sol))
-        state = sol.y[:, -1]
-
-    segs = []
-    for t0, t1, sol in sols:
-        segs.append(CurveSegment(
-            t0, t1,
-            lambda t, s=sol: s.sol(t)[:n],
-            lambda t, s=sol: s.sol(t)[n:2 * n],
-        ))
+            state[n:2 * n] = state[2 * n:].reshape(n, n) @ spec.velocities[j].components
+        prev = None
+        for doubling in range(MAX_DOUBLINGS + 1):
+            cur = _geodesic_pass(g, state, t0, t1, 2 ** doubling)
+            if (cur is not None and prev is not None
+                    and np.all(np.abs(cur[::2] - prev) <= ATOL + RTOL * np.abs(cur[::2]))):
+                break
+            prev = cur
+        else:
+            raise IntegrationError(
+                f"geodesic collocation did not settle within MAX_DOUBLINGS = {MAX_DOUBLINGS} "
+                f"step doublings ({2 ** MAX_DOUBLINGS} steps per segment)")
+        _check_domain(g, cur[:, :n])
+        segs.append(_hermite_segment(g, t0, t1, cur))
+        state = cur[-1]
     return PiecewiseCurve(segs)
 
 

@@ -264,7 +264,7 @@ def test_batched_sectional_kernels_equal_the_per_plane_calls():
     rng = np.random.default_rng(3)
     planes = {}
     for case, slots in (("HH", (1, 1)), ("VV", (2, 2)), ("HV", (1, 2))):
-        U, V, found = cli._sample_planes(dtp, rng, gm, slots)
+        U, V, found = pg._sample_planes(dtp, rng, gm, slots)
         assert found.all()
         planes[case] = (U, V)
     cases = ("HH", "VV", "HV")
@@ -314,7 +314,7 @@ def test_plane_sampling_redraws_only_the_failed_rows():
         return draw
 
     rng = _ScriptedNormals(6, parallel_first)
-    U, V, found = cli._sample_planes(dtp, rng, gm, (1, 1))
+    U, V, found = pg._sample_planes(dtp, rng, gm, (1, 1))
     assert found.all()
     assert rng.shapes == [(5, dtp.n1)] * 2 + [(2, dtp.n1)] * 2
     for W, Z in ((U, U), (V, V), (U, V)):

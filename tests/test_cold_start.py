@@ -1,15 +1,17 @@
-"""Cold start loads no scipy: only the ODE and optimizer oracles of the
-quotient code and broken geodesics need it.
+"""The runtime is numpy alone: no command loads scipy.
 
-``transport.solve_ivp`` (``broken_geodesic``) and the ``scipy.optimize``
-calls of ``leaf_trace`` and ``teodg_diagnostic`` import scipy on first use,
-so importing the CLI, resolving a scenario, running the closed-form commands
-and verify-all's transport rows (Gauss-Legendre collocation in numpy) load
-numpy alone.
+Leaf closure is a projection (``quotient._trace``), teodg's critical points
+come from Newton steps on lam2's exact derivatives, and broken geodesics and
+every transport integrate by Gauss-Legendre collocation in numpy.  One fresh
+interpreter runs every built-in and a generated warped-torus file with
+every command, ``teodg`` and ``verify-all`` included, and must end with no
+``scipy`` module loaded; no module of ``src/warpquot`` may import scipy.
+scipy stays a test dependency, as the oracle of the numerics.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -41,52 +43,65 @@ WARPED_TORUS = {
 }
 
 COLD_RUN = """
-import contextlib, io, json, os, sys
+import contextlib, io, json, sys
 from warpquot import cli
 
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
-
-for name in cli.list_scenarios():
-    cli.resolve_scenario(name)
 codes = {}
-for ref in ("flat-torus", "mobius", "sphere-polar", sys.argv[1]):
-    for cmd in ("classify", "curvature", "transport", "holonomy", "intersections",
-                "decompose"):
+for ref in cli.list_scenarios() + [sys.argv[1]]:
+    for cmd in cli.COMMANDS:
         with contextlib.redirect_stdout(io.StringIO()), \\
                 contextlib.redirect_stderr(io.StringIO()):
             codes[f"{ref} {cmd}"] = cli.main(["run", ref, cmd])
-before = scipy_modules()
-verify_all = cli.main(["run", "sphere-polar", "verify-all", "--out", os.devnull])
-print(json.dumps({"codes": codes, "scipy": before, "verify_all": verify_all,
-                  "scipy_after_verify_all": scipy_modules()}))
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
+
+NO_QUOTIENT = ("hyperbolic-polar", "lorentz-direct", "polar-plane", "random-dtp", "sphere-polar")
+REFUSED = {
+    *(f"{ref} {cmd}" for ref in NO_QUOTIENT for cmd in ("holonomy", "intersections", "decompose")),
+    # teodg needs a (doubly) warped structure
+    "example1-twisted teodg", "random-dtp teodg",
+    # example1 declares no holonomy loops, and its F2 leaf has no closing word
+    "example1-twisted holonomy", "example1-twisted decompose",
+}
 
 
 @pytest.fixture(scope="module")
 def cold_run(tmp_path_factory):
-    """One fresh interpreter: the closed-form commands, then sphere-polar verify-all."""
+    """One fresh interpreter: every scenario with every command."""
     path = tmp_path_factory.mktemp("cold") / "warped-torus.json"
     path.write_text(json.dumps(WARPED_TORUS))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run([sys.executable, "-c", COLD_RUN, str(path)], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+                          capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1]), path
 
 
-def test_cold_start_and_closed_form_commands_load_no_scipy(cold_run):
-    assert cold_run["scipy"] == []
-    # every command ran to a verdict; sphere-polar has no quotient to decompose
-    no_quotient = {f"sphere-polar {cmd}" for cmd in ("holonomy", "intersections", "decompose")}
-    assert cold_run["codes"] == {key: 2 if key in no_quotient else 0 for key in cold_run["codes"]}
+def test_every_command_runs_without_scipy(cold_run):
+    run, path = cold_run
+    assert run["scipy"] == []
+    refs = cli.list_scenarios() + [str(path)]
+    assert len(refs) == 10
+    assert run["codes"] == {f"{ref} {cmd}": 2 if f"{ref} {cmd}" in REFUSED else 0
+                            for ref in refs for cmd in cli.COMMANDS}
 
 
-def test_verify_all_transport_rows_load_no_scipy(cold_run):
-    assert cold_run["verify_all"] == 0
-    assert cold_run["scipy_after_verify_all"] == []
+def _scipy_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names if a.name.split(".")[0] == "scipy")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+            yield node.module
+
+
+def test_no_src_module_imports_scipy():
+    found = {path.name: list(_scipy_imports(ast.parse(path.read_text())))
+             for path in sorted((SRC / "warpquot").glob("*.py"))}
+    assert len(found) >= 10
+    assert {name: mods for name, mods in found.items() if mods} == {}
+    # negative control: the scan sees an import inside a function body
+    assert list(_scipy_imports(ast.parse("def f():\n    from scipy import optimize\n"))) == ["scipy"]
 
 
 class _Oracle(Exception):

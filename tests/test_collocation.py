@@ -5,7 +5,9 @@ known curve by 3-stage Gauss-Legendre collocation (order 6; Butcher 1964,
 Hairer-Norsett-Wanner I, II.7), with Gamma from one batched
 ``christoffel_numeric`` per pass.  Here it is held against scipy's RK45 at
 rtol 1e-12 (the oracle of the oracle), its call pattern is counted, and the
-doubling cap must raise.
+doubling cap must raise.  ``broken_geodesic`` runs the same tableau on the
+nonlinear geodesic equation; it is held against RK45 too, and must raise
+when a geodesic leaves its domain box or its stage equations do not converge.
 """
 
 import numpy as np
@@ -170,3 +172,83 @@ def test_doubling_cap_raises_integration_error(monkeypatch):
     monkeypatch.setattr(tp, "MAX_DOUBLINGS", 1)
     with pytest.raises(IntegrationError, match="MAX_DOUBLINGS = 1"):
         tp.adapted_translation(ctx.dtp, curve, v0)
+
+
+# ---------------------------------------------------------------------------
+# broken geodesics: the same tableau on the nonlinear geodesic equation
+
+def rk45_broken_geodesic(g, spec):
+    """scipy's RK45 (rtol 1e-12, atol 1e-14) on each segment of the geodesic
+    with a parallel frame, the break velocities reset as the spec says:
+    one dense solution per segment."""
+    n = spec.basepoint.n
+
+    def rhs(t, state):
+        gamma = ck.christoffel_numeric(g, state[:n])
+        v, E = state[n:2 * n], state[2 * n:].reshape(n, n)
+        return np.concatenate([v, -np.einsum("kij,i,j->k", gamma, v, v),
+                               -np.einsum("kij,i,jc->kc", gamma, v, E).reshape(-1)])
+
+    ts = [0.0, *spec.breaks, 1.0]
+    state = np.concatenate([spec.basepoint.coords, spec.velocities[0].components,
+                            np.eye(n).reshape(-1)])
+    sols = []
+    for j, (t0, t1) in enumerate(zip(ts, ts[1:])):
+        if j > 0:
+            state = state.copy()
+            state[n:2 * n] = state[2 * n:].reshape(n, n) @ spec.velocities[j].components
+        sol = solve_ivp(rhs, (t0, t1), state, method="RK45", rtol=1e-12, atol=1e-14,
+                        dense_output=True)
+        assert sol.success
+        sols.append(sol.sol)
+        state = sol.y[:, -1]
+    return sols
+
+
+@pytest.mark.parametrize("name, base", [("sphere-polar", [1.4, 2.0]),
+                                        ("polar-plane", [1.5, 2.0])])
+def test_broken_geodesic_matches_rk45(name, base):
+    g = resolve_scenario(name).dtp.assembled
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        breaks = tuple(sorted(rng.uniform(0.2, 0.8, size=2)))
+        spec = tp.BrokenGeodesicSpec(CoordPoint(base), breaks,
+                                     [0.5 * rng.normal(size=2) for _ in range(3)])
+        curve = tp.broken_geodesic(g, spec)
+        for seg, ref in zip(curve.segments, rk45_broken_geodesic(g, spec)):
+            for t, tol in [(seg.t0, 1e-8), (seg.t1, 1e-8),
+                           *((t, 1e-7) for t in np.linspace(seg.t0, seg.t1, 35)[1:-1])]:
+                want = ref(t)
+                assert np.max(np.abs(seg.point(t) - want[:2])) < tol, (name, t)
+                assert np.max(np.abs(seg.velocity(t) - want[2:4])) < tol, (name, t)
+
+
+def test_broken_geodesic_leaving_the_domain_box_raises():
+    # a radial line of the polar plane from r = 2.5 at speed 3 ends at r = 5.5,
+    # past the padded box r <= 3.25
+    g = resolve_scenario("polar-plane").dtp.assembled
+    inside = tp.BrokenGeodesicSpec(CoordPoint([2.5, 1.0]), (), [[0.5, 0.0]])
+    assert tp.broken_geodesic(g, inside).point(1.0) == pytest.approx([3.0, 1.0], abs=1e-9)
+    with pytest.raises(IntegrationError, match="domain box"):
+        tp.broken_geodesic(g, tp.BrokenGeodesicSpec(CoordPoint([2.5, 1.0]), (), [[3.0, 0.0]]))
+
+
+def test_unconverged_stage_equations_raise_at_the_doubling_cap(monkeypatch):
+    g = resolve_scenario("sphere-polar").dtp.assembled
+    spec = tp.BrokenGeodesicSpec(CoordPoint([1.4, 2.0]), (), [[0.3, 0.2]])
+    geodesic_pass = tp._geodesic_pass
+    passes = []
+
+    def counted(g, y0, t0, t1, steps):
+        out = geodesic_pass(g, y0, t0, t1, steps)
+        passes.append((steps, out is None))
+        return out
+
+    monkeypatch.setattr(tp, "_geodesic_pass", counted)
+    tp.broken_geodesic(g, spec)
+    assert passes and not passes[-1][1]  # settles under the default sweep cap
+    passes.clear()
+    monkeypatch.setattr(tp, "_STAGE_ITERS", 1)  # one sweep never shows convergence
+    with pytest.raises(IntegrationError, match=f"MAX_DOUBLINGS = {tp.MAX_DOUBLINGS}"):
+        tp.broken_geodesic(g, spec)
+    assert passes == [(2 ** d, True) for d in range(tp.MAX_DOUBLINGS + 1)]

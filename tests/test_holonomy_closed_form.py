@@ -194,9 +194,8 @@ def _no_ode(*args, **kwargs):
 
 
 def _refuse_ode(monkeypatch):
-    """Make both integrators raise: the collocation oracle and scipy's RK45."""
+    """Make the integrator raise: the collocation oracle."""
     monkeypatch.setattr(tp, "collocation_pass", _no_ode)
-    monkeypatch.setattr(tp, "solve_ivp", _no_ode)
 
 
 @pytest.mark.parametrize("ref, codes", [

@@ -2,14 +2,20 @@
 
 The test AST-scans each module except ``fixtures.py`` (which holds the
 fixtures the tests and the built-in scenarios share).  A top-level function
-or a public method passes when one of these holds:
+passes when one of these holds, outside its own ``def``:
 
-* its name is referenced in ``src/warpquot`` outside its own ``def``;
+* ``src/warpquot`` names it: by bare name in its own module, as
+  ``alias.name`` where ``alias`` is an imported warpquot module, in a
+  from-import of its module, or as a string (a ``getattr`` target);
 * its name is read in a file under ``bench/`` (as an identifier or a
   string, such as the tracer's method table);
-* it is exported from ``warpquot/__init__.py``, or is a method of a class
-  that is;
+* it is exported from ``warpquot/__init__.py``;
 * it is on ``ALLOWED`` below, with the reason it stays.
+
+A public method passes when its name is read anywhere in ``src/warpquot``
+(an identifier, an attribute or a string), read under ``bench/``, or its
+class is exported.  An attribute of another object, such as
+``np.linalg.norm``, keeps no top-level function alive.
 
 A function that only tests call is a second way to compute what the
 library already computes on its command path; delete it, or move its test
@@ -74,6 +80,33 @@ def _references(tree) -> Counter:
     return out
 
 
+def _function_references(tree, own: str, modules) -> Counter:
+    """(module, name) pairs that can name a top-level function in tree, whose
+    module is ``own``; strings count under the module ``"*"``.  The package
+    imports itself relatively: ``from . import chartkit as ck`` binds a module
+    alias, ``from .chartkit import name`` imports a name."""
+    aliases = {a.asname or a.name: a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level and node.module is None
+               for a in node.names if a.name in modules}
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[own, node.id] += 1
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            out[aliases[node.value.id], node.attr] += 1
+        elif isinstance(node, ast.ImportFrom) and node.level and node.module in modules:
+            for alias in node.names:
+                out[node.module, alias.name] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out["*", node.value] += 1
+    return out
+
+
+def _function_called(refs: Counter, module: str, name: str) -> int:
+    return refs[module, name] + refs["*", name]
+
+
 def _exported(tree):
     return {alias.asname or alias.name for node in tree.body
             if isinstance(node, ast.ImportFrom) for alias in node.names}
@@ -81,8 +114,11 @@ def _exported(tree):
 
 def _test_only():
     trees = _src_trees()
+    modules = {path.stem for path in trees}
     exported = _exported(trees[SRC / "__init__.py"])
     src_refs = sum((_references(t) for t in trees.values()), Counter())
+    fn_refs = sum((_function_references(t, path.stem, modules) for path, t in trees.items()),
+                  Counter())
     bench_refs = sum((_references(t) for t in _parse(BENCH.rglob("*.py")).values()), Counter())
     unused = []
     for path, tree in trees.items():
@@ -93,7 +129,13 @@ def _test_only():
             if (name in ALLOWED or name in exported or (cls is not None and cls.name in exported)
                     or bench_refs[name]):
                 continue
-            if src_refs[name] - _references(node)[name] <= 0:
+            if cls is None:
+                own = _function_references(node, path.stem, modules)
+                used = (_function_called(fn_refs, path.stem, name)
+                        - _function_called(own, path.stem, name))
+            else:
+                used = src_refs[name] - _references(node)[name]
+            if used <= 0:
                 unused.append(f"{path.stem}.{qualname}")
     return unused
 
@@ -107,3 +149,20 @@ def test_the_allowlist_names_live_functions():
     defined = {node.name for tree in _src_trees().values()
                for _, node, _ in _definitions(tree)}
     assert set(ALLOWED) <= defined
+
+
+def test_an_attribute_of_another_object_names_no_function():
+    tree = ast.parse("import numpy as np\n"
+                     "from . import chartkit as ck\n"
+                     "from .transport import solve\n"
+                     "np.linalg.norm(x)\n"
+                     "ck.gram_schmidt(g)\n"
+                     "helper(x)\n"
+                     "getattr(module, 'named')\n")
+    refs = _function_references(tree, "quotient", {"chartkit", "quotient", "transport"})
+    assert _function_called(refs, "chartkit", "norm") == 0
+    assert _function_called(refs, "chartkit", "gram_schmidt") == 1
+    assert _function_called(refs, "transport", "solve") == 1
+    assert _function_called(refs, "quotient", "helper") == 1
+    assert _function_called(refs, "chartkit", "helper") == 0
+    assert _function_called(refs, "productgeo", "named") == 1

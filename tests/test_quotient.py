@@ -9,6 +9,7 @@ from warpquot import quotient as qt
 from warpquot import transport as tp
 from warpquot.chartkit import CoordPoint, MetricField, ScalarField, Signature, TangentVector
 from warpquot.errors import InvalidAction, InvalidH, NotALoop, WordBoundExceeded
+from warpquot.scenario import resolve_scenario
 
 
 def tv(x, comps):
@@ -367,10 +368,11 @@ def test_teodg_sphere_positive_curvature_witness():
 
 
 def test_teodg_propagates_non_geometry_errors():
-    # a callback bug (here: a factor metric that fails on single points, which
-    # classification never makes) must surface, not read as degenerate samples
+    # a callback bug (here: a factor metric that fails on batches of 5 points,
+    # the size of teodg's sample batch, which classification never makes) must
+    # surface, not read as degenerate samples
     def broken(x):
-        if np.ndim(x) == 1:
+        if np.ndim(x) == 2 and np.shape(x)[1] == 5:
             raise RuntimeError("broken metric callback")
         return np.ones((1, 1) + np.shape(x)[1:])
 
@@ -380,6 +382,46 @@ def test_teodg_propagates_non_geometry_errors():
     assert pg.classify(dtp).tag is pg.StructureTag.WARPED
     with pytest.raises(RuntimeError, match="broken metric callback"):
         qt.teodg_diagnostic(dtp, n_samples=5)
+
+
+def test_teodg_critical_points_from_the_constructions():
+    # lam2 = sin r on [0.3, 2.8] has its one critical point at pi/2; sinh r and
+    # r have none in their boxes; 1 + x^2 has its minimum at 0
+    sphere = qt.teodg_diagnostic(fx.sphere_polar(), n_samples=10)
+    assert len(sphere.critical_points) == 1 and not sphere.critical_everywhere
+    assert abs(sphere.critical_points[0][0] - np.pi / 2) < 1e-12
+    bowl = qt.teodg_diagnostic(fx.bowl_warped(), n_samples=10)
+    assert len(bowl.critical_points) == 1 and abs(bowl.critical_points[0][0]) < 1e-12
+    for make in (fx.hyperbolic_polar, fx.polar_plane):
+        report = qt.teodg_diagnostic(make(), n_samples=10)
+        assert report.critical_points == [] and not report.critical_everywhere
+        assert "no critical point" in report.verdict
+
+
+@pytest.mark.parametrize("name, everywhere", [
+    ("flat-torus", True), ("mobius", True), ("skewed-torus", True), ("lorentz-direct", True),
+    ("sphere-polar", False),
+])
+def test_teodg_reports_a_constant_warp_as_critical_everywhere(name, everywhere):
+    report = qt.teodg_diagnostic(resolve_scenario(name).dtp, n_samples=10)
+    assert report.critical_everywhere is everywhere
+    if everywhere:  # every point is critical: no grid start is listed as one
+        assert report.critical_points == []
+        assert "no critical point" not in report.verdict
+
+
+def test_teodg_constant_warp_satisfies_the_critical_point_hypothesis():
+    # lam1 = 1 + y^2, lam2 = 2: a mixed plane has K = -2 v_y^2 / lam1 < 0, and
+    # every point is critical for the constant lam2, so the hypotheses hold
+    f1 = pg.FactorManifold("line-x", 1, MetricField.euclidean(1), [[-1.0, 1.0]])
+    f2 = pg.FactorManifold("line-y", 1, MetricField.euclidean(1), [[-1.0, 1.0]])
+    lam1 = fx.function_of_coordinate_warp(1, 2, lambda y: 1 + y * y, lambda y: 2 * y,
+                                          lambda y: 2.0, name="1+y^2")
+    report = qt.teodg_diagnostic(pg.assemble(f1, f2, lam1, ScalarField.constant(2.0)),
+                                 n_samples=10)
+    assert report.histogram == {"negative": 10, "zero": 0, "positive": 0}
+    assert report.critical_everywhere and report.critical_points == []
+    assert report.hypotheses_hold
 
 
 def test_teodg_rejects_twisted_structures():

@@ -174,13 +174,13 @@ def ref_leaf_trace(model, x0, foliation, arc_budget=8.0):
 
 
 def ref_walk(model, x0, direction, arc_budget, step=0.01):
-    """One step per iteration: one-point speed, every step reduced by search."""
-    from scipy import optimize
-
-    dtp = model.dtp
+    """One step per iteration: one-point speed, every step reduced by search,
+    and the closure projected onto the leaf's coordinate line."""
+    g = model.dtp.assembled
     cur, arc, pts, left_start = x0.copy(), 0.0, [(0.0, x0.copy())], False
     while arc < arc_budget:
-        speed = ck.norm(dtp.assembled, TangentVector(CoordPoint(cur), direction))
+        v = TangentVector(CoordPoint(cur), direction)
+        speed = float(np.sqrt(abs(ck.inner_product(g, v, v))))
         nxt_up = cur + step * direction
         rep, word = ref_canonical_rep(model, nxt_up)
         if word:
@@ -193,14 +193,10 @@ def ref_walk(model, x0, direction, arc_budget, step=0.01):
         if not left_start:
             left_start = gap > 1.5 * proximity
         elif gap <= proximity:
-            def dist2(delta, base=cur, dirvec=direction):
-                r = ref_canonical_rep(model, base + delta * dirvec)[0]
-                return float(np.sum((r - x0) ** 2))
-
-            opt = optimize.minimize_scalar(dist2, bounds=(-2 * step, 2 * step),
-                                           method="bounded", options={"xatol": 1e-13})
-            if np.sqrt(opt.fun) <= model.ident_tol:
-                return "closed", arc + float(opt.x) * speed, pts
+            delta = min(max((x0 - cur) @ direction / (direction @ direction), -2 * step), 2 * step)
+            closure = ref_canonical_rep(model, cur + delta * direction)[0]
+            if np.sqrt(np.sum((closure - x0) ** 2)) <= model.ident_tol:
+                return "closed", arc + delta * speed, pts
     return "open-within-budget", arc, pts
 
 
