@@ -4,8 +4,9 @@ Leaf closure is a projection (``quotient._trace``), teodg's critical points
 come from Newton steps on lam2's exact derivatives, and broken geodesics and
 every transport integrate by Gauss-Legendre collocation in numpy.  One fresh
 interpreter runs every built-in and a generated warped-torus file with
-every command, ``teodg`` and ``verify-all`` included, and must end with no
-``scipy`` module loaded; no module of ``src/warpquot`` may import scipy.
+every command, ``teodg`` and ``verify-all`` included: no ``scipy`` module
+may be loaded after the closed-form commands, after sphere-polar's
+verify-all, or at the end; no module of ``src/warpquot`` may import scipy.
 scipy stays a test dependency, as the oracle of the numerics.
 """
 
@@ -46,14 +47,34 @@ COLD_RUN = """
 import contextlib, io, json, sys
 from warpquot import cli
 
-codes = {}
-for ref in cli.list_scenarios() + [sys.argv[1]]:
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
+codes, scipy = {}, {}
+
+
+def run(ref, cmd):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        codes[f"{ref} {cmd}"] = cli.main(["run", ref, cmd])
+
+
+refs = cli.list_scenarios() + [sys.argv[1]]
+closed_form = [cmd for cmd in cli.COMMANDS if cmd not in ("teodg", "verify-all")]
+for ref in refs:
+    for cmd in closed_form:
+        run(ref, cmd)
+scipy["closed_form"] = scipy_modules()
+run("sphere-polar", "verify-all")
+scipy["verify_all"] = scipy_modules()
+for ref in refs:
     for cmd in cli.COMMANDS:
-        with contextlib.redirect_stdout(io.StringIO()), \\
-                contextlib.redirect_stderr(io.StringIO()):
-            codes[f"{ref} {cmd}"] = cli.main(["run", ref, cmd])
-print(json.dumps({"codes": codes,
-                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+        if f"{ref} {cmd}" not in codes:
+            run(ref, cmd)
+scipy["all"] = scipy_modules()
+print(json.dumps({"codes": codes, "scipy": scipy}))
 """
 
 NO_QUOTIENT = ("hyperbolic-polar", "lorentz-direct", "polar-plane", "random-dtp", "sphere-polar")
@@ -78,13 +99,33 @@ def cold_run(tmp_path_factory):
     return json.loads(proc.stdout.strip().splitlines()[-1]), path
 
 
+def _expected(refs, commands):
+    return {f"{ref} {cmd}": 2 if f"{ref} {cmd}" in REFUSED else 0
+            for ref in refs for cmd in commands}
+
+
+def test_cold_start_and_closed_form_commands_load_no_scipy(cold_run):
+    run, path = cold_run
+    assert run["scipy"]["closed_form"] == []
+    closed_form = [cmd for cmd in cli.COMMANDS if cmd not in ("teodg", "verify-all")]
+    assert len(closed_form) == 7
+    refs = cli.list_scenarios() + [str(path)]
+    expected = _expected(refs, closed_form)
+    assert {key: run["codes"][key] for key in expected} == expected
+
+
+def test_verify_all_transport_rows_load_no_scipy(cold_run):
+    run, _ = cold_run
+    assert run["codes"]["sphere-polar verify-all"] == 0
+    assert run["scipy"]["verify_all"] == []
+
+
 def test_every_command_runs_without_scipy(cold_run):
     run, path = cold_run
-    assert run["scipy"] == []
+    assert run["scipy"]["all"] == []
     refs = cli.list_scenarios() + [str(path)]
     assert len(refs) == 10
-    assert run["codes"] == {f"{ref} {cmd}": 2 if f"{ref} {cmd}" in REFUSED else 0
-                            for ref in refs for cmd in cli.COMMANDS}
+    assert run["codes"] == _expected(refs, cli.COMMANDS)
 
 
 def _scipy_imports(tree):
