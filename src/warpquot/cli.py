@@ -171,19 +171,15 @@ def _adapted_constancy(dtp, curve):
     in an F1 leaf (its norm-law residual reported, not raised), and the worst
     drift of its factor-2 components from 1."""
     res = tp.adapted_translation(dtp, curve, _ones_normal(dtp, curve), tol=np.inf)
-    const_resid = max(float(np.max(np.abs(vec.components[dtp.slot2] - 1.0)))
-                      for _, vec in res.samples)
-    return res, const_resid
+    return res, float(np.max(np.abs(res.components[:, dtp.slot2] - 1.0)))
 
 
 def _closed_form_transport_residual(dtp, curve, ref):
     """Worst |closed form - integrated| adapted translation over the samples
     of A(t) and I(t); ``ref`` is the result of ``_adapted_constancy``."""
     closed = tp.adapted_translation_closed_form(dtp, curve, _ones_normal(dtp, curve))
-    worst = float(np.max(np.abs(closed.integrals - ref.integrals)))
-    for (_, a), (_, b) in zip(closed.samples, ref.samples):
-        worst = max(worst, float(np.max(np.abs(a.components - b.components))))
-    return worst
+    return max(float(np.max(np.abs(closed.integrals - ref.integrals))),
+               float(np.max(np.abs(closed.components - ref.components))))
 
 
 def _mixed_k_check(expect, k_values):

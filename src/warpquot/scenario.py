@@ -157,7 +157,7 @@ def _build_curve(spec: dict, n: int, path: str) -> tp.PiecewiseCurve:
         if len(comps) != n:
             raise ScenarioError(f"{path}: curve formula needs {n} components")
         return tp.PiecewiseCurve.from_function(
-            lambda t, _c=comps: np.array([f([t]) for f in _c]),
+            lambda t, _c=comps: np.stack([f(t[None]) for f in _c], axis=1),
             breaks=spec.get("breaks", ()))
     if "polyline" in spec:
         pts = [np.asarray(p, dtype=float) for p in spec["polyline"]]

@@ -13,7 +13,8 @@ equation Ydot = -Gamma(gamma') Y along a known curve in one place
 (``_integrate_transport``): composite 3-stage Gauss-Legendre collocation,
 order 6 (Butcher, Math. Comp. 18, 1964; Hairer, Norsett & Wanner, Solving
 ODEs I, II.7), on a grid that holds every sample time and every break.
-Each pass evaluates Gamma at all its nodes in one batched
+Each pass evaluates the curve once (one ``point`` and one ``velocity``
+batch over all its nodes) and Gamma there in one batched
 ``christoffel_numeric`` call on the metric (the oracle route, sharing
 nothing with ``productgeo.point_geometry`` below ``MetricField.mat``); the
 integral of the mean curvature form is a Gauss quadrature on the same
@@ -63,17 +64,23 @@ _CONTINUITY_TOL = 1e-9
 
 @dataclass
 class CurveSegment:
+    """One smooth piece on [t0, t1]; ``point``/``velocity`` map times (T,) to (T, n)."""
+
     t0: float
     t1: float
-    point: Callable[[float], np.ndarray]
-    velocity: Callable[[float], np.ndarray]
+    point: Callable[[np.ndarray], np.ndarray]
+    velocity: Callable[[np.ndarray], np.ndarray]
 
 
 class PiecewiseCurve:
     """Piecewise-smooth curve on [0, 1] with velocities attached per segment.
 
-    Construction checks continuity at the breaks and (by finite differences)
-    that each segment's velocity really is the derivative of its point map.
+    ``point(t)`` and ``velocity(t)`` take one time and return (n,), or an
+    array of times (T,) and return (T, n).  A time belongs to the first
+    segment that ends no more than 1e-12 before it, and each segment is
+    called once, on all its times.  Construction checks continuity at the
+    breaks and (by finite differences) that each segment's velocity really
+    is the derivative of its point map.
     """
 
     def __init__(self, segments: Sequence[CurveSegment], check: bool = True):
@@ -85,66 +92,74 @@ class PiecewiseCurve:
         for a, b in zip(self.segments, self.segments[1:]):
             if abs(a.t1 - b.t0) > 1e-12:
                 raise ValueError("curve segments must be contiguous")
+        self._ends = np.array([seg.t1 for seg in self.segments]) + 1e-12
         if check:
             self._check()
 
     def _check(self):
-        for a, b in zip(self.segments, self.segments[1:]):
-            gap = np.max(np.abs(np.asarray(a.point(a.t1)) - np.asarray(b.point(b.t0))))
+        t0, t1 = np.array([[seg.t0, seg.t1] for seg in self.segments]).T
+        k = np.arange(len(t0))
+        tm, dt = 0.5 * (t0 + t1), np.minimum(1e-6, 0.25 * (t1 - t0))
+        pts = self._at("point", np.concatenate([t1, t0, tm + dt, tm - dt]), np.tile(k, 4))
+        ends, starts, ahead, behind = pts.reshape(4, len(k), -1)
+        for t, gap in zip(t1, np.max(np.abs(ends[:-1] - starts[1:]), axis=1, initial=0.0)):
             if gap > _CONTINUITY_TOL:
-                raise NumericsError(f"curve discontinuous at t = {a.t1}: gap {gap:.2e}")
-        for seg in self.segments:
-            tm = 0.5 * (seg.t0 + seg.t1)
-            dt = min(1e-6, 0.25 * (seg.t1 - seg.t0))
-            fd = (np.asarray(seg.point(tm + dt)) - np.asarray(seg.point(tm - dt))) / (2 * dt)
-            v = np.asarray(seg.velocity(tm))
-            if np.max(np.abs(fd - v)) > _VELOCITY_CHECK_TOL * (1.0 + np.max(np.abs(v))):
-                raise NumericsError("segment velocity is not the derivative of its point map")
+                raise NumericsError(f"curve discontinuous at t = {t}: gap {gap:.2e}")
+        fd = (ahead - behind) / (2 * dt[:, None])
+        v = self._at("velocity", tm, k)
+        if np.any(np.max(np.abs(fd - v), axis=1)
+                  > _VELOCITY_CHECK_TOL * (1.0 + np.max(np.abs(v), axis=1))):
+            raise NumericsError("segment velocity is not the derivative of its point map")
 
     @property
     def breaks(self) -> list[float]:
         return [seg.t1 for seg in self.segments[:-1]]
 
-    def _segment_at(self, t: float) -> CurveSegment:
-        for seg in self.segments:
-            if t <= seg.t1 + 1e-12:
-                return seg
-        return self.segments[-1]
+    def _at(self, attr: str, t, seg: Optional[np.ndarray] = None) -> np.ndarray:
+        """The segments' ``attr`` callable at the times t, each time in
+        segment ``seg`` (by default the one the class docstring names)."""
+        ts = np.asarray(t, dtype=float)
+        flat = ts.reshape(-1)
+        if seg is None:
+            seg = np.minimum(np.searchsorted(self._ends, flat), len(self.segments) - 1)
+        out = None
+        for k in np.unique(seg):
+            val = getattr(self.segments[k], attr)(flat[seg == k])
+            out = np.empty((len(flat), np.shape(val)[-1])) if out is None else out
+            out[seg == k] = val
+        return out.reshape(ts.shape + out.shape[-1:])
 
-    def point(self, t: float) -> np.ndarray:
-        return np.asarray(self._segment_at(t).point(t), dtype=float)
+    def point(self, t) -> np.ndarray:
+        return self._at("point", t)
 
-    def velocity(self, t: float) -> np.ndarray:
-        return np.asarray(self._segment_at(t).velocity(t), dtype=float)
+    def velocity(self, t) -> np.ndarray:
+        return self._at("velocity", t)
 
     # -- constructors -------------------------------------------------------
     @staticmethod
-    def from_function(point_fn: Callable[[float], np.ndarray],
-                      velocity_fn: Optional[Callable[[float], np.ndarray]] = None,
+    def from_function(point_fn: Callable[[np.ndarray], np.ndarray],
+                      velocity_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                       breaks: Sequence[float] = ()) -> "PiecewiseCurve":
+        """Both callables map times (T,) to (T, n); without ``velocity_fn`` the
+        velocity is a finite difference, one ``point_fn`` call on all its stencils."""
         if velocity_fn is None:
-            def velocity_fn(t, _p=point_fn):
-                dt = 1e-6
-                if t < dt:  # second-order one-sided stencils at the ends
-                    return (-3 * np.asarray(_p(t)) + 4 * np.asarray(_p(t + dt))
-                            - np.asarray(_p(t + 2 * dt))) / (2 * dt)
-                if t > 1.0 - dt:
-                    return (3 * np.asarray(_p(t)) - 4 * np.asarray(_p(t - dt))
-                            + np.asarray(_p(t - 2 * dt))) / (2 * dt)
-                return (np.asarray(_p(t + dt)) - np.asarray(_p(t - dt))) / (2 * dt)
+            def velocity_fn(t, _p=point_fn, dt=1e-6):
+                # second-order one-sided stencils at the ends
+                lo, hi = (t < dt)[:, None], (t > 1.0 - dt)[:, None]
+                steps = np.where(lo, [0.0, dt, 2 * dt],
+                                 np.where(hi, [0.0, -dt, -2 * dt], [dt, -dt, 0.0]))
+                p0, p1, p2 = np.reshape(_p((t[:, None] + steps).T.reshape(-1)), (3, len(t), -1))
+                return np.where(lo, -3 * p0 + 4 * p1 - p2,
+                                np.where(hi, 3 * p0 - 4 * p1 + p2, p0 - p1)) / (2 * dt)
         ts = [0.0, *sorted(breaks), 1.0]
         segs = [CurveSegment(a, b, point_fn, velocity_fn) for a, b in zip(ts, ts[1:])]
         return PiecewiseCurve(segs)
 
     @staticmethod
     def line(p0, p1) -> "PiecewiseCurve":
-        p0 = np.asarray(p0, dtype=float)
-        p1 = np.asarray(p1, dtype=float)
-        return PiecewiseCurve([CurveSegment(
-            0.0, 1.0,
-            lambda t, a=p0, b=p1: a + t * (b - a),
-            lambda t, a=p0, b=p1: b - a,
-        )], check=False)
+        a, b = np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)
+        return PiecewiseCurve([CurveSegment(0.0, 1.0, lambda t: a + t[:, None] * (b - a),
+                                            lambda t: np.tile(b - a, (len(t), 1)))], check=False)
 
     @staticmethod
     def catmull_rom(points: Sequence[np.ndarray]) -> "PiecewiseCurve":
@@ -169,13 +184,10 @@ class PiecewiseCurve:
                               + 2 * (2 * p0 - 5 * p1 + 4 * p2 - p3) * s
                               + 3 * (-p0 + 3 * p1 - 3 * p2 + p3) * s * s)
 
-            return (lambda t: local(t * m - k)), (lambda t: dlocal(t * m - k) * m)
+            return ((lambda t: local((t * m - k)[:, None])),
+                    (lambda t: dlocal((t * m - k)[:, None]) * m))
 
-        segs = []
-        for k in range(m):
-            pf, vf = make(k)
-            segs.append(CurveSegment(k / m, (k + 1) / m, pf, vf))
-        return PiecewiseCurve(segs)
+        return PiecewiseCurve([CurveSegment(k / m, (k + 1) / m, *make(k)) for k in range(m)])
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +195,21 @@ class PiecewiseCurve:
 
 @dataclass
 class TransportResult:
-    samples: list  # (t, TangentVector) pairs along the curve
+    ts: np.ndarray  # (S,) sample times
+    points: np.ndarray  # (S, n) the curve at the samples
+    components: np.ndarray  # (S, n) the transported vector at the samples
     integral_omega: float
     tol_achieved: float
     integrals: Optional[np.ndarray] = None  # adapted translation: I(t) at each sample
 
     @property
+    def samples(self) -> list:  # (t, TangentVector) pairs, built on demand
+        return [(t, TangentVector(CoordPoint(p), c))
+                for t, p, c in zip(self.ts, self.points, self.components)]
+
+    @property
     def end(self) -> TangentVector:
-        return self.samples[-1][1]
+        return TangentVector(CoordPoint(self.points[-1]), self.components[-1])
 
 
 @dataclass
@@ -272,8 +291,7 @@ def collocation_pass(g: MetricField, curve: PiecewiseCurve, grid: np.ndarray, st
     h = np.repeat(np.diff(grid) / steps, steps)
     starts = np.repeat(grid[:-1], steps) + h * np.tile(np.arange(steps), intervals)
     nodes = (starts[:, None] + h[:, None] * _GL_C).reshape(-1)
-    pos = np.stack([curve.point(t) for t in nodes])
-    vel = np.stack([curve.velocity(t) for t in nodes])
+    pos, vel = curve.point(nodes), curve.velocity(nodes)
     A = -np.einsum("pkij,pi->pkj", ck.christoffel_numeric(g, pos), vel)
     if rows is not None:
         keep = np.zeros(n, dtype=bool)
@@ -332,9 +350,9 @@ def _integrate_transport(g: MetricField, curve: PiecewiseCurve, y0: np.ndarray,
 
 
 def _transport_grid(curve: PiecewiseCurve, frame: Sequence[TangentVector],
-                    samples_per_segment: int, leaf=None) -> np.ndarray:
-    """Sample times of a transport of the frame's vectors along the curve,
-    after its input guards.
+                    samples_per_segment: int, leaf=None) -> tuple[np.ndarray, np.ndarray]:
+    """Sample times of a transport of the frame's vectors along the curve and
+    the curve there, after its input guards.
 
     ``leaf`` = (dtp, foliation): the curve velocity must have no normal
     (factor 3 - foliation) components at 33 sample times (``NotInLeaf``)
@@ -344,18 +362,19 @@ def _transport_grid(curve: PiecewiseCurve, frame: Sequence[TangentVector],
     """
     if leaf is not None:
         dtp, foliation = leaf
-        normal_slot = dtp.slot(3 - foliation)
-        for t in np.linspace(0.0, 1.0, 33):
-            if np.max(np.abs(curve.velocity(t)[normal_slot])) > LEAF_VELOCITY_TOL:
-                raise NotInLeaf(
-                    f"curve velocity has factor-{3 - foliation} components at t = {t}")
+        probe = np.linspace(0.0, 1.0, 33)
+        drift = np.max(np.abs(curve.velocity(probe)[:, dtp.slot(3 - foliation)]), axis=1)
+        if np.any(drift > LEAF_VELOCITY_TOL):
+            raise NotInLeaf(f"curve velocity has factor-{3 - foliation} components "
+                            f"at t = {probe[np.argmax(drift > LEAF_VELOCITY_TOL)]}")
         if any(np.max(np.abs(v.components[dtp.slot(foliation)])) > 1e-12 for v in frame):
             raise ValueError("v0 must lie in the normal (other-factor) slots")
-    start = curve.point(0.0)
-    if any(np.max(np.abs(v.base.coords - start)) > 1e-9 for v in frame):
+    ts = np.unique(np.concatenate([np.linspace(seg.t0, seg.t1, samples_per_segment)
+                                   for seg in curve.segments]))
+    pts = curve.point(ts)
+    if any(np.max(np.abs(v.base.coords - pts[0])) > 1e-9 for v in frame):
         raise BaseMismatch("v0 must be based at curve(0)")
-    return np.unique(np.concatenate([np.linspace(seg.t0, seg.t1, samples_per_segment)
-                                     for seg in curve.segments]))
+    return ts, pts
 
 
 def _transport(g: MetricField, curve: PiecewiseCurve, frame: Sequence[TangentVector],
@@ -373,7 +392,7 @@ def _transport(g: MetricField, curve: PiecewiseCurve, frame: Sequence[TangentVec
     ``g.mat`` over v0's base and the samples: |g(W, W) - g(v0, v0)| without
     leaf, | |A| - |v0| exp(-I) | with it.
     """
-    ts = _transport_grid(curve, frame, samples_per_segment, leaf)
+    ts, pts = _transport_grid(curve, frame, samples_per_segment, leaf)
     omega = rows = None
     if leaf is not None:
         dtp, foliation = leaf
@@ -385,7 +404,6 @@ def _transport(g: MetricField, curve: PiecewiseCurve, frame: Sequence[TangentVec
     Ys, Is = _integrate_transport(g, curve, y0, ts, omega=omega, rows=rows)
     if leaf is not None:
         Ys = np.exp(-Is)[:, None, None] * Ys
-    pts = np.stack([curve.point(t) for t in ts])
     gm = g.mat(np.vstack([frame[0].base.coords, pts]))
     q0 = np.einsum("ic,ij,jc->c", y0, gm[0], y0)
     q = np.einsum("sic,sij,sjc->sc", Ys, gm[1:], Ys)
@@ -394,10 +412,6 @@ def _transport(g: MetricField, curve: PiecewiseCurve, frame: Sequence[TangentVec
     else:
         worst = np.abs(np.sqrt(np.abs(q)) - np.sqrt(np.abs(q0)) * np.exp(-Is)[:, None])
     return ts, pts, Ys, Is, float(np.max(worst))
-
-
-def _samples(ts, pts, comps) -> list:
-    return [(t, TangentVector(CoordPoint(p), c)) for t, p, c in zip(ts, pts, comps)]
 
 
 def parallel_transport(g: MetricField, curve: PiecewiseCurve, v0: TangentVector,
@@ -409,7 +423,7 @@ def parallel_transport(g: MetricField, curve: PiecewiseCurve, v0: TangentVector,
     ts, pts, Ys, _, worst = _transport(g, curve, [v0], samples_per_segment)
     if worst > tol:
         raise IntegrationError(f"metric compatibility residual {worst:.3e} > tol {tol:.3e}")
-    return TransportResult(_samples(ts, pts, Ys[:, :, 0]), 0.0, worst)
+    return TransportResult(ts, pts, Ys[:, :, 0], 0.0, worst)
 
 
 def _adapted(dtp: pg.DoublyTwistedProduct, curve: PiecewiseCurve,
@@ -418,9 +432,9 @@ def _adapted(dtp: pg.DoublyTwistedProduct, curve: PiecewiseCurve,
     """``_transport`` of the frame in a leaf of F_foliation; IntegrationError
     when the norm law misses tol."""
     out = _transport(dtp.assembled, curve, frame, samples_per_segment, leaf=(dtp, foliation))
-    worst = out[-1]
-    if worst > tol:
-        raise IntegrationError(f"adapted-translation norm law residual {worst:.3e} > tol {tol:.3e}")
+    if out[-1] > tol:
+        raise IntegrationError(
+            f"adapted-translation norm law residual {out[-1]:.3e} > tol {tol:.3e}")
     return out
 
 
@@ -436,7 +450,7 @@ def adapted_translation(dtp: pg.DoublyTwistedProduct, curve: PiecewiseCurve,
     |A(t)| = |v0| exp(-int omega) is checked against tol.
     """
     ts, pts, Ys, Is, worst = _adapted(dtp, curve, [v0], tol, foliation, samples_per_segment)
-    return TransportResult(_samples(ts, pts, Ys[:, :, 0]), float(Is[-1]), worst, Is)
+    return TransportResult(ts, pts, Ys[:, :, 0], float(Is[-1]), worst, Is)
 
 
 def adapted_translation_closed_form(dtp: pg.DoublyTwistedProduct, curve: PiecewiseCurve,
@@ -458,11 +472,9 @@ def adapted_translation_closed_form(dtp: pg.DoublyTwistedProduct, curve: Piecewi
     the integrating route; lam is evaluated once, on the batch of sample
     points.  Nothing is integrated, so ``tol_achieved`` is 0.
     """
-    ts = _transport_grid(curve, [v0], samples_per_segment, leaf=(dtp, foliation))
-    pts = np.stack([curve.point(t) for t in ts])
+    ts, pts = _transport_grid(curve, [v0], samples_per_segment, leaf=(dtp, foliation))
     Is = _leaf_integral(dtp, foliation, pts[0], pts)
-    samples = [(t, TangentVector(CoordPoint(p), v0.components.copy())) for t, p in zip(ts, pts)]
-    return TransportResult(samples, float(Is[-1]), 0.0, Is)
+    return TransportResult(ts, pts, np.tile(v0.components, (len(ts), 1)), float(Is[-1]), 0.0, Is)
 
 
 def _leaf_integral(dtp: pg.DoublyTwistedProduct, foliation: int, start: np.ndarray,
@@ -484,13 +496,11 @@ def transport_equation_residual(dtp: pg.DoublyTwistedProduct, curve: PiecewiseCu
     from one batched ``christoffel_numeric`` on the assembled metric, which
     shares no code with the closed form.
     """
-    ts = [t for t, _ in res.samples]
-    pts = np.stack([vec.base.coords for _, vec in res.samples])
-    A = np.stack([vec.components for _, vec in res.samples])
+    pts, A = res.points, res.components
     start = curve.point(0.0)
     grad_scale = ck.central_diff(lambda x: np.exp(_leaf_integral(dtp, foliation, start, x)),
                                  pts, ck.fd_step(pts))
-    vel = np.stack([curve.velocity(t) for t in ts])
+    vel = curve.velocity(res.ts)
     dW = np.outer(np.einsum("pi,pi->p", grad_scale, vel), A[0])
     W = np.exp(res.integrals)[:, None] * A
     gamma = ck.christoffel_numeric(dtp.assembled, pts)
@@ -528,8 +538,7 @@ def holonomy_map(model, loop: PiecewiseCurve, frame: Sequence[TangentVector],
     LOOP_CLOSURE_TOL.
     """
     dtp = model.dtp if hasattr(model, "dtp") else model
-    base = loop.point(0.0)
-    end = loop.point(1.0)
+    base, end = loop.point(np.array([0.0, 1.0]))
     jac = np.eye(dtp.n)
     if np.max(np.abs(end - base)) > LOOP_CLOSURE_TOL:
         if not hasattr(model, "find_closing_word"):
@@ -613,35 +622,30 @@ _QUINTIC = np.array([
     [15.0, 8.0, 1.5, -15.0, 7.0, -1.0],
     [-6.0, -3.0, -0.5, 6.0, -3.0, 0.5],
 ])
+_QUINTIC_D = np.arange(1, 6)[:, None] * _QUINTIC[1:]  # the same for the derivative in s
 
 
 def _hermite_segment(g: MetricField, t0: float, t1: float, states: np.ndarray) -> CurveSegment:
     """The segment through the step-end states (S, N) of a pass over
     [t0, t1]: on each step the quintic Hermite interpolant of x from x, v and
     the acceleration -Gamma(v, v) at both ends (one ``_geodesic_field``
-    batch), and its derivative as the velocity."""
+    batch), and its derivative as the velocity.  Both are sums in a fixed
+    order, so a time's value does not depend on the batch it comes in."""
     n = g.dim
     x, v = states[:, :n], states[:, n:2 * n]
     acc = _geodesic_field(g, states)[:, n:2 * n]
     ts = np.linspace(t0, t1, len(states))
     h = ts[1] - ts[0]
 
-    def locate(t):
-        k = int(np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2))
-        s = (t - ts[k]) / h
-        data = np.stack([x[k], h * v[k], h * h * acc[k], x[k + 1], h * v[k + 1],
-                         h * h * acc[k + 1]])
-        return s, data
+    def interpolate(t, basis, scale):
+        k = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
+        s = ((t - ts[k]) / h)[:, None]
+        w = sum(s ** p * row for p, row in enumerate(basis))
+        data = (x[k], h * v[k], h * h * acc[k], x[k + 1], h * v[k + 1], h * h * acc[k + 1])
+        return sum(w[:, j, None] * d for j, d in enumerate(data)) / scale
 
-    def point(t):
-        s, data = locate(t)
-        return (s ** np.arange(6) @ _QUINTIC) @ data
-
-    def velocity(t):
-        s, data = locate(t)
-        return (np.arange(1, 6) * s ** np.arange(5) @ _QUINTIC[1:]) @ data / h
-
-    return CurveSegment(t0, t1, point, velocity)
+    return CurveSegment(t0, t1, lambda t: interpolate(t, _QUINTIC, 1.0),
+                        lambda t: interpolate(t, _QUINTIC_D, h))
 
 
 def _check_domain(g: MetricField, positions: np.ndarray):
@@ -708,8 +712,8 @@ def velocity_profile(g: MetricField, curve: PiecewiseCurve,
     # transport the full coordinate frame and invert at the requested times
     times, at = np.unique(np.asarray(ts, dtype=float), return_inverse=True)
     frames, _ = _integrate_transport(g, curve, np.eye(base.n), times)
-    return [TangentVector(base, np.linalg.solve(frames[i], curve.velocity(t)))
-            for t, i in zip(ts, at)]
+    vel = np.linalg.solve(frames[at], curve.velocity(np.asarray(ts, dtype=float))[:, :, None])
+    return [TangentVector(base, v[:, 0]) for v in vel]
 
 
 def broken_length(g: MetricField, basis: Optional[np.ndarray],

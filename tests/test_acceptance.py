@@ -179,7 +179,7 @@ def test_criterion_5_holonomy():
                                     closing_word=qt.word_inverse(word))
                 torus_err = max(torus_err, float(np.max(np.abs(h.matrix - np.eye(1)))))
 
-    double = tp.PiecewiseCurve.from_function(lambda t: np.array([2.0 * t, 0.0]))
+    double = tp.PiecewiseCurve.from_function(lambda t: np.stack([2.0 * t, 0.0 * t], axis=1))
     h2 = tp.holonomy_map(mob, double, frame, foliation=1)
     comp_err = float(np.max(np.abs(h2.matrix - h1.matrix @ h1.matrix)))
     _report(5, "leaf holonomy via adapted translation",

@@ -206,7 +206,7 @@ def test_holonomy_composition_law():
     loop = qt.leaf_loop_curve(model, rep0, 1, (("a", 1),))
     frame = tp.normal_frame(model.dtp, rep0, foliation=1)
     h1 = tp.holonomy_map(model, loop, frame, foliation=1)
-    double = tp.PiecewiseCurve.from_function(lambda t: np.array([2.0 * t, 0.0]))
+    double = tp.PiecewiseCurve.from_function(lambda t: np.stack([2.0 * t, 0.0 * t], axis=1))
     h2 = tp.holonomy_map(model, double, frame, foliation=1)
     assert np.allclose(h2.matrix, h1.after(h1).matrix, atol=1e-9)
     assert h2.is_identity(1e-9)

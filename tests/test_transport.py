@@ -22,8 +22,8 @@ def circle_curve(r0, turns=1.0):
     """theta sweep at fixed first coordinate, for 2d (r, theta) charts."""
     w = 2 * np.pi * turns
     return tp.PiecewiseCurve.from_function(
-        lambda t: np.array([r0, w * t]),
-        lambda t: np.array([0.0, w]),
+        lambda t: np.stack([np.full_like(t, r0), w * t], axis=1),
+        lambda t: np.tile([0.0, w], (len(t), 1)),
     )
 
 
@@ -32,14 +32,16 @@ def circle_curve(r0, turns=1.0):
 
 def test_curve_velocity_check_rejects_mismatch():
     with pytest.raises(NumericsError):
-        tp.PiecewiseCurve.from_function(lambda t: np.array([t, 0.0]),
-                                        lambda t: np.array([5.0, 0.0]))
+        tp.PiecewiseCurve.from_function(lambda t: np.stack([t, 0.0 * t], axis=1),
+                                        lambda t: np.tile([5.0, 0.0], (len(t), 1)))
 
 
 def test_curve_continuity_check():
-    seg1 = tp.CurveSegment(0.0, 0.5, lambda t: np.array([t, 0.0]), lambda t: np.array([1.0, 0.0]))
-    seg2 = tp.CurveSegment(0.5, 1.0, lambda t: np.array([t + 1.0, 0.0]),
-                           lambda t: np.array([1.0, 0.0]))
+    def unit(t):
+        return np.tile([1.0, 0.0], (len(t), 1))
+
+    seg1 = tp.CurveSegment(0.0, 0.5, lambda t: np.stack([t, 0.0 * t], axis=1), unit)
+    seg2 = tp.CurveSegment(0.5, 1.0, lambda t: np.stack([t + 1.0, 0.0 * t], axis=1), unit)
     with pytest.raises(NumericsError):
         tp.PiecewiseCurve([seg1, seg2])
 
@@ -58,7 +60,7 @@ def test_catmull_rom_interpolates_controls():
 def test_parallel_transport_flat_constant():
     g = ck.MetricField.euclidean(2)
     curve = tp.PiecewiseCurve.from_function(
-        lambda t: np.array([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)]))
+        lambda t: np.stack([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)], axis=1))
     v0 = tv(curve.point(0.0), [0.3, -0.7])
     res = tp.parallel_transport(g, curve, v0)
     assert np.allclose(res.end.components, v0.components, atol=1e-9)
@@ -103,7 +105,7 @@ def test_parallel_transport_norm_conservation(make):
     mid = 0.6 * box[:, 0] + 0.4 * box[:, 1]
     span = 0.2 * (box[:, 1] - box[:, 0])
     curve = tp.PiecewiseCurve.from_function(
-        lambda t: mid + span * np.sin(np.pi * t * np.arange(1, dtp.n + 1)))
+        lambda t: mid + span * np.sin(np.pi * t[:, None] * np.arange(1, dtp.n + 1)))
     v0 = tv(curve.point(0.0), rng.normal(size=dtp.n))
     tol = 1e-7
     res = tp.parallel_transport(g, curve, v0, tol=tol)
@@ -241,8 +243,8 @@ def test_adapted_translation_foliation2_mirror():
 def test_holonomy_contractible_loop_identity():
     dtp = fx.flat_direct_product()
     loop = tp.PiecewiseCurve.from_function(
-        lambda t: np.array([0.2 * np.sin(2 * np.pi * t), 0.0]),
-        lambda t: np.array([0.4 * np.pi * np.cos(2 * np.pi * t), 0.0]))
+        lambda t: np.stack([0.2 * np.sin(2 * np.pi * t), 0.0 * t], axis=1),
+        lambda t: np.stack([0.4 * np.pi * np.cos(2 * np.pi * t), 0.0 * t], axis=1))
     frame = tp.normal_frame(dtp, loop.point(0.0), foliation=1)
     hol = tp.holonomy_map(dtp, loop, frame, foliation=1)
     assert hol.is_identity(1e-9)
@@ -308,7 +310,7 @@ def test_velocity_profile_circle_rotates():
     # flat transport is trivial, so the profile equals gamma'(t): non-constant
     g = ck.MetricField.euclidean(2)
     curve = tp.PiecewiseCurve.from_function(
-        lambda t: np.array([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)]))
+        lambda t: np.stack([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)], axis=1))
     prof = tp.velocity_profile(g, curve, ts=[0.0, 0.25, 0.5])
     assert np.allclose(prof[0].components, [0.0, 2 * np.pi], atol=1e-6)
     assert np.allclose(prof[1].components, [-2 * np.pi, 0.0], atol=1e-6)
@@ -346,7 +348,7 @@ def test_velocity_profile_piecewise_constant_iff_broken_geodesic():
             got = tp.velocity_profile(g, curve, ts=[t])[0]
             assert np.allclose(got.components, want.components, atol=1e-6)
     circle = tp.PiecewiseCurve.from_function(
-        lambda t: np.array([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)]))
+        lambda t: np.stack([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)], axis=1))
     prof = tp.velocity_profile(g, circle, ts=[0.0, 0.25])
     assert np.max(np.abs(prof[0].components - prof[1].components)) > 1.0
 

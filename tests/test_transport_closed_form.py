@@ -10,6 +10,7 @@ tests) is the oracle here and in verify-all's
 """
 
 import copy
+import dataclasses
 import importlib.util
 import json
 import random
@@ -221,13 +222,10 @@ def test_transport_equation_sees_wrong_samples():
     curve = leaf_line(dtp)
     res = tp.adapted_translation_closed_form(dtp, curve, normal_vector(dtp, curve, 3))
     assert tp.transport_equation_residual(dtp, curve, res) < 1e-8
-    ts = np.array([t for t, _ in res.samples])
-    drifted = tp.TransportResult(res.samples, res.integral_omega, res.tol_achieved,
-                                 res.integrals + 1e-3 * ts)
+    drifted = dataclasses.replace(res, integrals=res.integrals + 1e-3 * res.ts)
     assert tp.transport_equation_residual(dtp, curve, drifted) > 1e-5
-    turn = [(t, TangentVector(vec.base, vec.components + 1e-3 * t * dtp.embed(2, [1.0, -1.0])))
-            for t, vec in res.samples]
-    rotated = tp.TransportResult(turn, res.integral_omega, res.tol_achieved, res.integrals)
+    turn = res.components + 1e-3 * res.ts[:, None] * dtp.embed(2, [1.0, -1.0])
+    rotated = dataclasses.replace(res, components=turn)
     assert tp.transport_equation_residual(dtp, curve, rotated) > 1e-5
 
 
