@@ -8,6 +8,8 @@ honestly independent.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import productgeo as pg
@@ -50,20 +52,35 @@ def function_of_coordinate_warp(index: int, n: int, f, df, ddf, name: str = "") 
     return ScalarField(lambda x: f(x[index]), grad, hess, name=name)
 
 
+def _col(a, x):
+    """A constant array broadcast along the point axis of x (or of any array
+    with one leading axis)."""
+    return a.reshape(a.shape + (1,) * (np.ndim(x) - 1))
+
+
+def _fold(terms, *start):
+    """[start +] terms[0] + terms[1] + ..., left to right along the first axis.
+    Unlike a BLAS product or ``np.sum``, the order does not depend on the batch
+    size, so a point rounds alike on its own and in any batch."""
+    return functools.reduce(np.add, terms, *start)
+
+
 def trig_warp(n: int, amps, freqs, phases, name: str = "trig-warp") -> ScalarField:
-    """lam(x) = exp(sum_j a_j sin(b_j . x + c_j)): positive, fully analytic."""
+    """lam(x) = exp(sum_j a_j sin(b_j . x + c_j)): positive, fully analytic;
+    every sum is a ``_fold``."""
     amps = np.asarray(amps, dtype=float)
     freqs = np.asarray(freqs, dtype=float)
     phases = np.asarray(phases, dtype=float)
+    pairs = freqs[:, :, None] * freqs[:, None]  # b_j b_j^T
 
     def arg(x):
-        return freqs @ x + phases.reshape((-1,) + (1,) * (np.ndim(x) - 1))
+        return _fold(_col(freqs.T, x) * np.asarray(x)[:, None], _col(phases, x))
 
     def s(a):
-        return amps @ np.sin(a)
+        return _fold(_col(amps, a) * np.sin(a))
 
     def ds(a):
-        return ((np.cos(a).T * amps) @ freqs).T
+        return _fold(_col(freqs, a) * (_col(amps, a) * np.cos(a))[:, None])
 
     def grad(x):
         a = arg(x)
@@ -72,7 +89,7 @@ def trig_warp(n: int, amps, freqs, phases, name: str = "trig-warp") -> ScalarFie
     def hess(x):
         a = arg(x)
         d = ds(a)
-        dds = -np.einsum("j,j...,ja,jb->ab...", amps, np.sin(a), freqs, freqs)
+        dds = -_fold(_col(pairs, a) * (_col(amps, a) * np.sin(a))[:, None, None])
         return np.exp(s(a)) * (d[:, None] * d[None] + dds)
 
     return ScalarField(lambda x: np.exp(s(arg(x))), grad, hess, name=name)
@@ -80,32 +97,32 @@ def trig_warp(n: int, amps, freqs, phases, name: str = "trig-warp") -> ScalarFie
 
 def conformal_flat_metric(dim: int, amp: float, freq, phase: float, box,
                           name: str = "conformal") -> MetricField:
-    """g = exp(2 phi) * I, phi = amp sin(freq . x + phase)."""
+    """g = exp(2 phi) * I, phi = amp sin(freq . x + phase), freq . x a ``_fold``."""
     freq = np.asarray(freq, dtype=float)
     eye = np.eye(dim)
 
-    def col(a, x):  # a constant array broadcast along the point axis of x
-        return a.reshape(a.shape + (1,) * (np.ndim(x) - 1))
+    def arg(x):
+        return _fold(_col(freq, x) * x, phase)
 
     def phi(x):
-        return amp * np.sin(freq @ x + phase)
+        return amp * np.sin(arg(x))
 
     def dphi(x):
-        return amp * np.cos(freq @ x + phase) * col(freq, x)
+        return amp * np.cos(arg(x)) * _col(freq, x)
 
     def ddphi(x):
-        return -amp * np.sin(freq @ x + phase) * col(np.outer(freq, freq), x)
+        return -amp * np.sin(arg(x)) * _col(np.outer(freq, freq), x)
 
     def ev(x):
         return np.multiply.outer(eye, np.exp(2 * phi(x)))
 
     def d1(x):
-        return 2 * dphi(x)[:, None, None] * np.exp(2 * phi(x)) * col(eye, x)
+        return 2 * dphi(x)[:, None, None] * np.exp(2 * phi(x)) * _col(eye, x)
 
     def d2(x):
         dp = dphi(x)
         scale = 4 * dp[:, None] * dp[None] + 2 * ddphi(x)
-        return scale[:, :, None, None] * np.exp(2 * phi(x)) * col(eye, x)
+        return scale[:, :, None, None] * np.exp(2 * phi(x)) * _col(eye, x)
 
     return MetricField(dim, ev, Signature.riemannian(dim), d1, d2,
                        domain_box=np.asarray(box, dtype=float), name=name)

@@ -7,10 +7,10 @@ every per-point check must fire inside a batch with the same error class, and
 
 Exact equality is asserted where the callbacks use only elementwise numpy
 functions, which round one point and a batch alike.  The trigonometric warps
-and conformal metrics of the random products contract with BLAS
-(``freqs @ x``), whose matrix-vector and matrix-matrix kernels may sum in
-different orders; there the bound is rounding, amplified by 1/h per
-finite-difference order on the FD route.
+and conformal metrics of the random products sum term by term in a fixed
+order instead of contracting with BLAS (``freqs @ x``), whose kernels sum in
+an order that depends on the batch size; so they batch exactly too, on both
+routes, down to the nested finite differences of ``riemann_numeric``.
 """
 
 import dataclasses
@@ -41,7 +41,7 @@ EXACT_PRODUCTS = {  # elementwise callbacks only
     "bowl-warped": fx.bowl_warped,
     "example1": lambda: fx.example1_model().dtp,
 }
-BLAS_PRODUCTS = {
+RANDOM_PRODUCTS = {
     "random-dtp-4": lambda: fx.random_doubly_twisted(4),
     "random-dtp-11": lambda: fx.random_doubly_twisted(11),
     "random-dw-2": lambda: fx.random_doubly_warped(2),
@@ -82,21 +82,28 @@ def test_batch_equals_pointwise_exactly(name, route):
         np.testing.assert_array_equal(batched, looped, err_msg=f"{name} {route} {key}")
 
 
-@pytest.mark.parametrize("name", sorted(BLAS_PRODUCTS))
+@pytest.mark.parametrize("name", sorted(RANDOM_PRODUCTS))
 @pytest.mark.parametrize("route", ["analytic", "fd"])
 def test_batch_matches_pointwise_to_rounding(name, route):
-    dtp = BLAS_PRODUCTS[name]()
+    # named for the rounding bound it held while the random fixtures
+    # contracted with BLAS; they sum term by term now, and the bound is 0
+    dtp = RANDOM_PRODUCTS[name]()
     if route == "fd":
         dtp = fx.strip_analytic(dtp)
-    eps = 4 * np.finfo(float).eps
-    # FD derivatives divide rounding differences by the step (1e-5 for first,
-    # 1e-8 = (1e-4)^2 for second derivatives)
-    amplify = {"grad": 1e5, "hess": 1e8, "dg": 1e5} if route == "fd" else {}
     for key, (batched, looped) in field_results(dtp, batch_points(dtp)).items():
         assert batched.shape == looped.shape, key
-        scale = amplify.get(key.rstrip("12"), 1.0) * max(1.0, float(np.max(np.abs(looped))))
-        np.testing.assert_allclose(batched, looped, rtol=0, atol=eps * scale,
-                                   err_msg=f"{name} {route} {key}")
+        np.testing.assert_array_equal(batched, looped, err_msg=f"{name} {route} {key}")
+
+
+@pytest.mark.parametrize("name", ["random-dtp", "random-dtp-4-fd"])
+def test_random_product_oracles_batch_bit_for_bit(name):
+    dtp = (scenario.resolve_scenario("random-dtp").dtp if name == "random-dtp"
+           else fx.strip_analytic(fx.random_doubly_twisted(4)))
+    g = dtp.assembled
+    pts = batch_points(dtp, 7, seed=5)
+    for key, fn in (("mat", g.mat), ("christoffel", lambda x: ck.christoffel_numeric(g, x)),
+                    ("riemann", lambda x: ck.riemann_numeric(g, x))):
+        np.testing.assert_array_equal(fn(pts), np.stack([fn(x) for x in pts]), err_msg=key)
 
 
 @pytest.mark.parametrize("name", BUILTINS)
