@@ -746,6 +746,9 @@ def decomposition_check(model: QuotientModel, x0, loops: dict,
                         word_bound: Optional[int] = None) -> DecompositionVerdict:
     """Global-product verdict at x0: trivial leaf holonomy + one intersection.
 
+    The criterion is the paper's for quotients of doubly warped products:
+    unless ``pg.classify`` tags the product direct-product, warped or
+    doubly-warped, the verdict is refused with InvalidAction naming the tag.
     ``loops`` maps foliation index (1, 2) to generator words closing leaf
     loops at x0; they are tested first, in order.  Then every other leaf
     loop of at most word_bound letters (``leaf_loops``) is tested, so the
@@ -756,6 +759,11 @@ def decomposition_check(model: QuotientModel, x0, loops: dict,
     word_bound is only a lower bound, and the verdict is refused with
     InvalidAction.
     """
+    tag = pg.classify(model.dtp).tag
+    if tag not in (pg.StructureTag.DIRECT_PRODUCT, pg.StructureTag.WARPED,
+                   pg.StructureTag.DOUBLY_WARPED):
+        raise InvalidAction(f"decomposition verdicts need a doubly warped product "
+                            f"(direct-product, warped or doubly-warped), got {tag.value}")
     wb = word_bound if word_bound is not None else model.word_bound
     rep0, _ = model.canonical_rep(x0)
     declared = [(i, tuple(word)) for i in (1, 2) for word in loops.get(i, [])]

@@ -82,7 +82,7 @@ REFUSED = {
     *(f"{ref} {cmd}" for ref in NO_QUOTIENT for cmd in ("holonomy", "intersections", "decompose")),
     # teodg needs a (doubly) warped structure
     "example1-twisted teodg", "random-dtp teodg",
-    # example1 declares no holonomy loops, and its F2 leaf has no closing word
+    # example1 declares no holonomy loops, and decompose refuses a twisted product
     "example1-twisted holonomy", "example1-twisted decompose",
 }
 

@@ -87,6 +87,35 @@ def test_klein_bottle_declared_trivial_loops_do_not_hide_the_obstruction():
     assert [w for _, w, _ in verdict.holonomy_maps][:2] == [(("a", 1), ("a", 1)), (("b", 1),)]
 
 
+# ---------------------------------------------------------------------------
+# the scope guard: decomposition verdicts only for (doubly) warped products
+
+@pytest.mark.parametrize("y0", [0.0, 2.0])
+def test_decomposition_refuses_example1_as_twisted(y0):
+    # h is the identity for y <= 0 and y >= 2, so example1's closing word a
+    # has trivial holonomy there: only the structure tag can refuse a verdict
+    model = fx.example1_model()
+    assert pg.classify(model.dtp).tag is pg.StructureTag.TWISTED
+    with pytest.raises(InvalidAction, match="got twisted"):
+        qt.decomposition_check(model, [0.0, y0], {})
+
+
+def test_decomposition_guard_keeps_the_warped_verdicts(tmp_path):
+    warped = load_scenario_file(warped_torus_file(tmp_path))
+    cases = [(fx.flat_torus_model(), fx.HOLONOMY_LOOPS["flat-torus"], [0.0, 0.0],
+              "global-doubly-warped-product", "none"),
+             (fx.mobius_model(), fx.HOLONOMY_LOOPS["mobius"], [0.0, 0.0],
+              "obstructed", "nontrivial-holonomy"),
+             (fx.skewed_torus_model(), fx.HOLONOMY_LOOPS["skewed-torus"], [0.0, 0.0],
+              "obstructed", "multiple-intersections"),
+             (warped.model, warped.holonomy_loops, warped.base(),
+              "global-doubly-warped-product", "none")]
+    for model, loops, x0, tag, kind in cases:
+        verdict = qt.decomposition_check(model, x0, loops)
+        assert (verdict.tag, verdict.reason.kind) == (tag, kind)
+    assert pg.classify(warped.dtp).tag is pg.StructureTag.WARPED
+
+
 def test_klein_bottle_passes_validation():
     assert qt.validate(fx.klein_bottle_model()).worst() < qt.ACTION_TOL
 
@@ -202,7 +231,7 @@ def _refuse_ode(monkeypatch):
     ("mobius", (0, 0)),
     ("flat-torus", (0, 0)),
     ("skewed-torus", (0, 0)),
-    ("example1-twisted", (2, 2)),  # no loops declared; the count is only a lower bound
+    ("example1-twisted", (2, 2)),  # no loops declared; decompose refuses a twisted product
     ("warped-torus", (0, 0)),
 ])
 def test_holonomy_and_decompose_make_no_ode_call(tmp_path, monkeypatch, ref, codes):
@@ -230,7 +259,7 @@ def _no_trace(*args, **kwargs):
     ("mobius", (0, 0)),
     ("flat-torus", (0, 0)),
     ("skewed-torus", (0, 0)),
-    ("example1-twisted", (0, 2)),  # its F2 leaf never closes: count 1 is a lower bound
+    ("example1-twisted", (0, 2)),  # decompose refuses a twisted product
     ("warped-torus", (0, 0)),
 ])
 def test_intersections_and_decompose_trace_no_leaf(tmp_path, monkeypatch, ref, codes):

@@ -430,8 +430,12 @@ def test_teodg_rejects_twisted_structures():
 
 
 def test_decomposition_refuses_uncertified_global_claim():
-    # no holonomy loops and an F2 leaf with no closing word: "count 1" is a lower bound,
-    # so a global-product certificate must be refused, not granted
-    model = fx.example1_model()
+    # the flat cylinder R^2 / <(x + 1, y)>: trivial holonomy, but an F2 leaf with
+    # no closing word, so "count 1" is a lower bound and a global-product
+    # certificate must be refused, not granted (example1, twisted, is refused
+    # before it gets here)
+    flat = fx.flat_torus_model()
+    model = qt.QuotientModel(flat.dtp, flat.generators[:1],
+                             fundamental_box=[[0.0, 1.0], [-1e9, 1e9]], word_bound=8)
     with pytest.raises(InvalidAction, match="lower bound"):
         qt.decomposition_check(model, [0.0, 0.0], {})
