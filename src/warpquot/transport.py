@@ -123,10 +123,14 @@ class PiecewiseCurve:
         if seg is None:
             seg = np.minimum(np.searchsorted(self._ends, flat), len(self.segments) - 1)
         out = None
-        for k in np.unique(seg):
-            val = getattr(self.segments[k], attr)(flat[seg == k])
-            out = np.empty((len(flat), np.shape(val)[-1])) if out is None else out
-            out[seg == k] = val
+        for k, segment in enumerate(self.segments):
+            rows = seg == k
+            if rows.all():
+                out = np.asarray(getattr(segment, attr)(flat), dtype=float)
+            elif rows.any():
+                val = getattr(segment, attr)(flat[rows])
+                out = np.empty((len(flat), np.shape(val)[-1])) if out is None else out
+                out[rows] = val
         return out.reshape(ts.shape + out.shape[-1:])
 
     def point(self, t) -> np.ndarray:
@@ -172,17 +176,15 @@ class PiecewiseCurve:
 
         def make(k):
             p0, p1, p2, p3 = ext[k], ext[k + 1], ext[k + 2], ext[k + 3]
+            # the cubic's coefficients in s, once per segment
+            a, b = 2 * p1, -p0 + p2
+            c, d = 2 * p0 - 5 * p1 + 4 * p2 - p3, -p0 + 3 * p1 - 3 * p2 + p3
 
             def local(s):
-                s2, s3 = s * s, s * s * s
-                return 0.5 * ((2 * p1) + (-p0 + p2) * s
-                              + (2 * p0 - 5 * p1 + 4 * p2 - p3) * s2
-                              + (-p0 + 3 * p1 - 3 * p2 + p3) * s3)
+                return 0.5 * (a + b * s + c * (s * s) + d * (s * s * s))
 
             def dlocal(s):
-                return 0.5 * ((-p0 + p2)
-                              + 2 * (2 * p0 - 5 * p1 + 4 * p2 - p3) * s
-                              + 3 * (-p0 + 3 * p1 - 3 * p2 + p3) * s * s)
+                return 0.5 * (b + 2 * c * s + 3 * d * s * s)
 
             return ((lambda t: local((t * m - k)[:, None])),
                     (lambda t: dlocal((t * m - k)[:, None]) * m))

@@ -65,15 +65,6 @@ def test_batch_equals_stacked_one_time_calls(name, data):
         np.testing.assert_array_equal(batch, by_rule)
 
 
-def test_a_break_belongs_to_the_segment_it_ends():
-    curve = _curves()["catmull-rom"]
-    b = curve.breaks[0]
-    first, second = curve.segments[:2]
-    at = curve.point(np.array([b, b + 1e-12, np.nextafter(b + 1e-12, 2.0)]))
-    np.testing.assert_array_equal(at[:2], first.point(np.array([b, b + 1e-12])))
-    np.testing.assert_array_equal(at[2], second.point(np.array([np.nextafter(b + 1e-12, 2.0)]))[0])
-
-
 def _counting(curve):
     """Record the time arrays of every ``point`` and ``velocity`` call."""
     calls = {"point": [], "velocity": []}
