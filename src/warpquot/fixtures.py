@@ -8,8 +8,6 @@ honestly independent.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from . import productgeo as pg
@@ -58,11 +56,11 @@ def _col(a, x):
     return a.reshape(a.shape + (1,) * (np.ndim(x) - 1))
 
 
-def _fold(terms, *start):
-    """[start +] terms[0] + terms[1] + ..., left to right along the first axis.
-    Unlike a BLAS product or ``np.sum``, the order does not depend on the batch
-    size, so a point rounds alike on its own and in any batch."""
-    return functools.reduce(np.add, terms, *start)
+def _fold(terms):
+    """terms[0] + terms[1] + ... along the first axis, left to right (a running
+    sum).  Unlike a BLAS product or ``np.sum``, the order does not depend on the
+    batch size, so a point rounds alike on its own and in any batch."""
+    return np.add.accumulate(terms)[-1]
 
 
 def trig_warp(n: int, amps, freqs, phases, name: str = "trig-warp") -> ScalarField:
@@ -74,7 +72,7 @@ def trig_warp(n: int, amps, freqs, phases, name: str = "trig-warp") -> ScalarFie
     pairs = freqs[:, :, None] * freqs[:, None]  # b_j b_j^T
 
     def arg(x):
-        return _fold(_col(freqs.T, x) * np.asarray(x)[:, None], _col(phases, x))
+        return _fold(_col(freqs.T, x) * np.asarray(x)[:, None]) + _col(phases, x)
 
     def s(a):
         return _fold(_col(amps, a) * np.sin(a))
@@ -102,7 +100,7 @@ def conformal_flat_metric(dim: int, amp: float, freq, phase: float, box,
     eye = np.eye(dim)
 
     def arg(x):
-        return _fold(_col(freq, x) * x, phase)
+        return _fold(_col(freq, x) * x) + phase
 
     def phi(x):
         return amp * np.sin(arg(x))
