@@ -499,8 +499,7 @@ def transport_equation_residual(dtp: pg.DoublyTwistedProduct, curve: PiecewiseCu
     shares no code with the closed form.
     """
     pts, A = res.points, res.components
-    start = curve.point(0.0)
-    grad_scale = ck.central_diff(lambda x: np.exp(_leaf_integral(dtp, foliation, start, x)),
+    grad_scale = ck.central_diff(lambda x: np.exp(_leaf_integral(dtp, foliation, pts[0], x)),
                                  pts, ck.fd_step(pts))
     vel = curve.velocity(res.ts)
     dW = np.outer(np.einsum("pi,pi->p", grad_scale, vel), A[0])
