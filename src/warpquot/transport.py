@@ -147,8 +147,10 @@ class PiecewiseCurve:
         """Both callables map times (T,) to (T, n); without ``velocity_fn`` the
         velocity is a finite difference, one ``point_fn`` call on all its stencils."""
         if velocity_fn is None:
-            def velocity_fn(t, _p=point_fn, dt=1e-6):
-                # second-order one-sided stencils at the ends
+            def velocity_fn(t, _p=point_fn):
+                # central differences; second-order one-sided stencils at the ends (the
+                # third stencil time of a central one is t itself, unused)
+                dt = 1e-6
                 lo, hi = (t < dt)[:, None], (t > 1.0 - dt)[:, None]
                 steps = np.where(lo, [0.0, dt, 2 * dt],
                                  np.where(hi, [0.0, -dt, -2 * dt], [dt, -dt, 0.0]))
