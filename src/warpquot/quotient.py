@@ -23,9 +23,13 @@ the point axis last: ``(m,)`` or ``(m, P)`` from ``apply``/``inverse``,
 ``(m, m)`` or ``(m, m, P)`` from ``jacobian``.  A map that is piecewise or
 needs a per-point solve loops over the batch itself (``build_example1``).
 The group is searched once per model and word bound (``enumerate_words``,
-one apply_gen call per generator and sign on a whole level); every orbit
-lookup (``canonical_rep``, ``find_closing_word``, loops, intersections)
-moves its points by the enumerated words in ``_apply_words`` batches.
+one apply_gen call per generator and sign on a whole level) and kept as a
+word tree (``_tree``), each word its parent followed by one letter.  Orbit
+lookups read the tree: ``_orbit`` (loops, intersections, ``validate``) and
+``_searches`` (``canonical_rep``, ``find_closing_word``; level by level,
+each start until a level accepts it) compute each image from its parent's,
+one apply_gen call per level and move, through the maps of ``apply_word``
+in the same order.  ``_apply_words`` moves points by explicit word lists.
 With elementwise callbacks a row of a batch sees the same arithmetic as the
 point alone, so batched and one-point results agree bit for bit.
 """
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -164,7 +168,7 @@ class QuotientModel:
             raise ValueError("fundamental box must be (n, 2)")
         self.ident_tol = float(ident_tol)
         self.word_bound = int(word_bound)
-        self._word_memo: dict[int, list[Word]] = {}
+        self._word_memo: dict[int, _WordTree] = {}
 
     def same_point(self, p, q):
         """Whether p and q are one point: max |p - q| <= ident_tol.  A bool
@@ -254,33 +258,69 @@ class QuotientModel:
             x[rows] = self.apply_gen(gen, sign, x[rows])
         return J
 
+    def _level(self, steps: list, prev: np.ndarray, size: int) -> np.ndarray:
+        """Images of the first ``size`` words of a tree level with ``steps``
+        from ``prev`` (K, ..., n), the images of the level before: each is
+        its parent's image moved by its last letter, one apply_gen per move."""
+        out = np.empty((size,) + prev.shape[1:])
+        n = prev.shape[-1]
+        for rows, parents, gen, sign in steps:
+            rows, parents = rows[rows < size], parents[rows < size]
+            if rows.size:
+                sub = prev[parents]
+                out[rows] = self.apply_gen(gen, sign, sub.reshape(-1, n)).reshape(sub.shape)
+        return out
+
+    def _orbit(self, max_len: int, x, count: Optional[int] = None) -> np.ndarray:
+        """x, (n,) or (S, n), moved by each of the first ``count`` words of
+        ``enumerate_words(max_len)`` (all by default), level by level down
+        the word tree: (count,) + x.shape.  A prefix of the list holds every
+        parent of its words."""
+        tree = self._tree(max_len)
+        count = len(tree.words) if count is None else min(count, len(tree.words))
+        parts = [np.asarray(x, dtype=float)[None]]
+        done = 1
+        for size, steps in tree.levels:
+            if done >= count:
+                break
+            parts.append(self._level(steps, parts[-1], min(size, count - done)))
+            done += len(parts[-1])
+        return np.concatenate(parts)
+
     def _searches(self, starts, accept, max_len: int) -> list:
         """Per row of ``starts`` (S, n), the first (point, word) of
         ``enumerate_words(max_len)`` whose image ``accept`` takes, or None.
 
         ``accept`` maps a batch (..., n) to one bool per point.  A start it
-        takes as it is gets the empty word; the others are moved by the
-        enumerated words in ``_apply_words`` batches of at most
-        _SEARCH_POINTS points.  The action is free, so a word the enumeration
-        drops moves every point where an earlier word does: the first hit is
-        the one of a breadth-first search from that start.
+        takes as it is gets the empty word; the others walk the word tree
+        level by level, in groups of at most _SEARCH_POINTS points per level,
+        and a start leaves at the first level with an accepted image, taking
+        that level's first such word: the list is breadth-first, so that is
+        the first accepted word of the list.  The action is free, so a word
+        the enumeration drops moves every point where an earlier word does:
+        the first hit is the one of a breadth-first search from that start.
         """
         starts = np.asarray(starts, dtype=float)
         taken = accept(starts)
         found: list = [(p, ()) if hit else None for p, hit in zip(starts, taken.tolist())]
         rest = np.flatnonzero(~taken)
-        words = self._words(max_len)[1:] if rest.size else []
-        lo = 0
-        while rest.size and lo < len(words):
-            chunk = words[lo:lo + max(1, _SEARCH_POINTS // rest.size)]
-            lo += len(chunk)
-            pts = starts[rest]
-            moved = self._apply_words(chunk, np.broadcast_to(pts, (len(chunk),) + pts.shape))
-            hits = accept(moved)
-            first, hit = hits.argmax(axis=0), hits.any(axis=0)
-            for r in np.flatnonzero(hit).tolist():
-                found[rest[r]] = (moved[first[r], r].copy(), chunk[first[r]])
-            rest = rest[~hit]
+        if not rest.size:
+            return found
+        tree = self._tree(max_len)
+        group = max(1, _SEARCH_POINTS // max((size for size, _ in tree.levels), default=1))
+        for lo in range(0, rest.size, group):
+            todo = rest[lo:lo + group]
+            images, first_word = starts[todo][None], 1
+            for size, steps in tree.levels:
+                if not todo.size:
+                    break
+                images = self._level(steps, images, size)
+                hits = accept(images)
+                first, hit = hits.argmax(axis=0), hits.any(axis=0)
+                for r in np.flatnonzero(hit).tolist():
+                    found[todo[r]] = (images[first[r], r].copy(),
+                                      tree.words[first_word + first[r]])
+                images, todo, first_word = images[:, ~hit], todo[~hit], first_word + size
         return found
 
     def canonical_rep(self, x) -> tuple[np.ndarray, Word]:
@@ -310,9 +350,10 @@ class QuotientModel:
         generators in order, +1 before -1), deduplicated by their action on
         two probe points near the middle of the box.
 
-        The only search of the group: every orbit lookup reads this list
-        through ``_words``.  Each level applies each (generator, sign) once
-        to all its nodes.
+        The only search of the group, and a tree: each word is a kept word of
+        the level before followed by one letter, so every prefix of a word is
+        listed before it.  Each level applies each (generator, sign) once to
+        all its nodes.  Every orbit lookup reads the tree through ``_tree``.
         """
         box = self.fundamental_box
         probe = 0.5 * (box[:, 0] + np.minimum(box[:, 1], box[:, 0] + 10.0))
@@ -347,12 +388,35 @@ class QuotientModel:
             frontier, fwords, last = np.stack(nxt), nwords, np.array(nlast)
         return words
 
-    def _words(self, max_len: int) -> list[Word]:
-        """``enumerate_words(max_len)``, enumerated once per model and bound;
-        callers must not modify the list."""
+    def _tree(self, max_len: int) -> "_WordTree":
+        """``enumerate_words(max_len)`` as a word tree, built once per model
+        and bound; callers must not modify it."""
         if max_len not in self._word_memo:
-            self._word_memo[max_len] = self.enumerate_words(max_len)
+            words = self.enumerate_words(max_len)
+            index = {w: i for i, w in enumerate(words)}
+            moves = self._moves()
+            code = {(gen.name, sign): m for m, (gen, sign) in enumerate(moves)}
+            starts = np.cumsum([0] + np.bincount([len(w) for w in words]).tolist()).tolist()
+            levels = []
+            for k in range(1, len(starts) - 1):
+                level = words[starts[k]:starts[k + 1]]
+                parent = np.array([index[w[:-1]] for w in level]) - starts[k - 1]
+                move = np.array([code[w[-1]] for w in level])
+                levels.append((len(level), [(rows, parent[rows], gen, sign)
+                                            for m, (gen, sign) in enumerate(moves)
+                                            if (rows := np.flatnonzero(move == m)).size]))
+            self._word_memo[max_len] = _WordTree(words, levels)
         return self._word_memo[max_len]
+
+
+class _WordTree(NamedTuple):
+    """A breadth-first word list and, per level 1, 2, ... (the words of that
+    length), its size and one (rows, parents, generator, sign) step per
+    move: the level's rows whose last letter it is and their parents' rows
+    in the level before."""
+
+    words: list
+    levels: list
 
 
 # ---------------------------------------------------------------------------
@@ -456,11 +520,11 @@ def validate(model: QuotientModel, per_axis: int = 4, tol: float = ACTION_TOL) -
     # enumeration keeps this polynomial for the lattice-like groups in scope;
     # the cap guards pathological generator sets and is reported)
     wb = model.word_bound
-    enumerated = model._words(wb)
-    words = [w for w in enumerated[:VALIDATE_WORD_CAP] if w]
+    enumerated = model._tree(wb).words
+    words = enumerated[1:VALIDATE_WORD_CAP]
     interior = pg.grid_points(model.fundamental_box, per_axis, inset=0.1)
     if words:
-        moved = model._apply_words(words, np.broadcast_to(interior, (len(words),) + interior.shape))
+        moved = model._orbit(wb, interior, VALIDATE_WORD_CAP)[1:]
         back = model.in_box(moved)
         if back.any():
             w, p = divmod(int(np.argmax(back.ravel())), len(interior))
@@ -594,8 +658,8 @@ def _check_distinct(model: QuotientModel, reps: list, word_bound: int) -> None:
     if len(reps) < 2:
         return
     reps = np.array(reps)
-    words = model._words(word_bound)
-    moved = model._apply_words(words, np.broadcast_to(reps, (len(words),) + reps.shape))
+    words = model._tree(word_bound).words
+    moved = model._orbit(word_bound, reps)
     hits = model.same_point(moved[:, :, None], reps) & np.triu(np.ones((len(reps),) * 2, bool), 1)
     if hits.any():
         j, i, w = np.unravel_index(np.argmax(hits.transpose(2, 1, 0)), hits.shape[::-1])
@@ -634,11 +698,11 @@ def _intersections(model: QuotientModel, rep0: np.ndarray, loops: dict,
     ``leaf_loops`` at the word bound wb are ``loops``."""
     dtp = model.dtp
     lower_bound_only = not (loops[1] and loops[2])
-    words = model._words(wb)
-    orbit = np.broadcast_to(rep0, (len(words), dtp.n))
-    cands = model._apply_words([word_inverse(w) for w in words], orbit)
+    words = model._tree(wb).words
+    cands = model._apply_words([word_inverse(w) for w in words],
+                               np.broadcast_to(rep0, (len(words), dtp.n)))
     cands[:, dtp.slot2] = rep0[dtp.slot2]                # on the leaf M1 x {b0}
-    cands2 = model._apply_words(words, orbit)
+    cands2 = model._orbit(wb, rep0)
     cands2[:, dtp.slot1] = rep0[dtp.slot1]               # on {a0} x M2
     witnesses, reps = [], []
     reduced = model._searches(cands, model.in_box, model.word_bound)
@@ -731,8 +795,9 @@ def leaf_loops(model: QuotientModel, rep0, max_len: Optional[int] = None) -> dic
     {1: words w with psi_w(b0) = b0, 2: words with phi_w(a0) = a0}, in
     ``enumerate_words`` order, decided by ``same_point``."""
     rep0 = np.asarray(rep0, dtype=float)
-    words = model._words(model.word_bound if max_len is None else max_len)[1:]
-    moved = model._apply_words(words, np.broadcast_to(rep0, (len(words), rep0.size)))
+    wb = model.word_bound if max_len is None else max_len
+    words = model._tree(wb).words[1:]
+    moved = model._orbit(wb, rep0)[1:]
     loops = {}
     for i in (1, 2):
         other = model.dtp.slot(3 - i)
@@ -743,12 +808,15 @@ def leaf_loops(model: QuotientModel, rep0, max_len: Optional[int] = None) -> dic
 
 def decomposition_check(model: QuotientModel, x0, loops: dict,
                         hol_tol: float = 1e-6,
-                        word_bound: Optional[int] = None) -> DecompositionVerdict:
+                        word_bound: Optional[int] = None,
+                        structure: Optional[pg.StructureClass] = None) -> DecompositionVerdict:
     """Global-product verdict at x0: trivial leaf holonomy + one intersection.
 
     The criterion is the paper's for quotients of doubly warped products:
     unless ``pg.classify`` tags the product direct-product, warped or
-    doubly-warped, the verdict is refused with InvalidAction naming the tag.
+    doubly-warped, the verdict is refused with InvalidAction naming the tag
+    (``structure``, when given, is that classification of ``model.dtp`` at
+    the default grid, and the check does not classify again).
     ``loops`` maps foliation index (1, 2) to generator words closing leaf
     loops at x0; they are tested first, in order.  Then every other leaf
     loop of at most word_bound letters (``leaf_loops``) is tested, so the
@@ -759,7 +827,7 @@ def decomposition_check(model: QuotientModel, x0, loops: dict,
     word_bound is only a lower bound, and the verdict is refused with
     InvalidAction.
     """
-    tag = pg.classify(model.dtp).tag
+    tag = (structure or pg.classify(model.dtp)).tag
     if tag not in (pg.StructureTag.DIRECT_PRODUCT, pg.StructureTag.WARPED,
                    pg.StructureTag.DOUBLY_WARPED):
         raise InvalidAction(f"decomposition verdicts need a doubly warped product "
