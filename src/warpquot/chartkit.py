@@ -22,18 +22,19 @@ Every check (finite coordinates and outputs, output shape, symmetry,
 
 Callbacks (``eval``, ``analytic_grad``, ``analytic_hess``, ``analytic_d1``,
 ``analytic_d2``, and the one-form callback of ``exterior_derivative_numeric``)
-receive points *coordinate-major*: ``x[k]`` is coordinate ``k``, a float for
-one point or an array of ``P`` values for a batch, so formulas such as
-``lambda x: np.sin(x[0]) * x[1]`` serve both.
-The output carries the value's own axes first and the point axis last:
-``(P,)`` for a scalar, ``(n, P)`` for a vector, ``(n, n, P)`` for a matrix,
-``(n, n, n, P)`` for ``d_k g_ij``.  A constant entry must still be
-broadcast to the point axis (``np.zeros((2, 2) + np.shape(x)[1:])`` gives a
-correctly shaped container).  An output of the wrong shape raises
-``NumericsError``; a per-point-only formula that calls ``float(...)`` or
-``math.*`` on a coordinate raises ``TypeError`` (or, where numpy still
-converts a one-element array, its scalar output fails the shape check).
-Neither gives a silently wrong result.
+receive one shape only, a *coordinate-major* batch ``x`` of shape ``(n, P)``:
+``x[k]`` holds coordinate ``k`` of every point.  One point goes in as a batch
+of one, ``(n, 1)``, and ``_call_batch``, the one place that converts, drops
+the point axis again; so a point alone gets the same bits as in any batch of
+elementwise arithmetic.  The output carries the value's own axes first and
+the point axis last: ``(P,)`` for a scalar, ``(n, P)`` for a vector,
+``(n, n, P)`` for a matrix, ``(n, n, n, P)`` for ``d_k g_ij``.  A constant
+entry must still be broadcast to the point axis (``np.zeros((2, 2) +
+np.shape(x)[1:])`` gives a correctly shaped container).  An output of the
+wrong shape raises ``NumericsError``; a per-point-only formula that calls
+``float(...)`` or ``math.*`` on a coordinate raises ``TypeError`` (or, where
+numpy still converts a one-element array, its scalar output fails the shape
+check), at one point as on a batch.  Neither gives a silently wrong result.
 """
 
 from __future__ import annotations
@@ -99,19 +100,25 @@ def _checked_inv(g: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 
 def _call_batch(fn: Callable, pts: np.ndarray, shape: tuple, what: str) -> np.ndarray:
-    """``fn`` at one point ``pts`` (n,), returning ``shape``, or on the rows of
-    a batch ``pts`` (P, n), passed coordinate-major, returning (P, *shape)."""
-    if pts.ndim == 1:
-        out = np.asarray(fn(pts), dtype=float)
-        if out.shape != shape:
-            raise NumericsError(f"{what} returned shape {out.shape}, expected {shape}")
-        return out
-    out = np.asarray(fn(np.ascontiguousarray(pts.T)), dtype=float)
-    want = shape + pts.shape[:1]
+    """``fn`` on the rows of a batch ``pts`` (P, n), passed coordinate-major
+    (n, P), returning (P, *shape); one point (n,) goes in as a batch of one,
+    (n, 1), and returns ``shape``.  The one place a point becomes a batch."""
+    cols = pts[:, None] if pts.ndim == 1 else np.ascontiguousarray(pts.T)
+    out = np.asarray(fn(cols), dtype=float)
+    want = shape + cols.shape[1:]
     if out.shape != want:
-        raise NumericsError(f"{what} returned shape {out.shape} for {pts.shape[0]} points, "
+        raise NumericsError(f"{what} returned shape {out.shape} for {cols.shape[1]} points, "
                             f"expected {want} (point axis last)")
+    if pts.ndim == 1:
+        return out[..., 0]
     return out.transpose((out.ndim - 1, *range(out.ndim - 1)))  # point axis first
+
+
+def _fold(terms: np.ndarray) -> np.ndarray:
+    """terms[0] + terms[1] + ... along the first axis, left to right (a running
+    sum).  Unlike a BLAS product or ``np.sum``, the order does not depend on the
+    batch size, so a point rounds alike on its own and in any batch."""
+    return np.add.accumulate(terms)[-1]
 
 
 @dataclass(frozen=True)
@@ -195,10 +202,10 @@ class MetricField:
     ``eval`` maps coordinates to the metric matrix, and the optional
     exact-derivative callbacks give ``analytic_d1(x)[k] = d_k g`` and
     ``analytic_d2(x)[k, l] = d_k d_l g``, all under the module's
-    coordinate-major contract: ``x`` of shape ``(dim,)`` gives ``(dim, dim)``,
-    ``(dim,) * 3`` and ``(dim,) * 4``, and ``x`` of shape ``(dim, P)`` gives
-    the same with a trailing point axis.  ``mat``, ``inv``, ``d1`` and ``d2``
-    accept one point or a ``(P, dim)`` batch.
+    coordinate-major contract: ``x`` of shape ``(dim, P)`` gives
+    ``(dim, dim, P)``, ``(dim,) * 3 + (P,)`` and ``(dim,) * 4 + (P,)``.
+    ``mat``, ``inv``, ``d1`` and ``d2`` accept one point or a ``(P, dim)``
+    batch.
     """
 
     dim: int
@@ -278,8 +285,7 @@ class MetricField:
         signs = np.where(np.sort(eigs) < 0, -1, 1)
         return MetricField(
             dim=n,
-            eval=lambda x, _m=m: (_m.copy() if np.ndim(x) == 1
-                                  else np.repeat(_m[..., None], np.shape(x)[1], axis=-1)),
+            eval=lambda x, _m=m[..., None]: np.repeat(_m, np.shape(x)[1], axis=-1),
             signature=Signature(np.sort(signs)),
             analytic_d1=lambda x: np.zeros((n,) * 3 + np.shape(x)[1:]),
             analytic_d2=lambda x: np.zeros((n,) * 4 + np.shape(x)[1:]),
@@ -297,11 +303,9 @@ class ScalarField:
     """Scalar function of chart coordinates with optional exact derivatives.
 
     ``eval``, ``analytic_grad`` and ``analytic_hess`` follow the module's
-    coordinate-major contract: for ``x`` of shape ``(n,)`` they return a
-    scalar, ``(n,)`` and ``(n, n)``; for ``x`` of shape ``(n, P)`` they
-    return ``(P,)``, ``(n, P)`` and ``(n, n, P)``.  ``value``,
-    ``grad_coords`` and ``hess_coords`` accept one point or a ``(P, n)``
-    batch.
+    coordinate-major contract: for ``x`` of shape ``(n, P)`` they return
+    ``(P,)``, ``(n, P)`` and ``(n, n, P)``.  ``value``, ``grad_coords`` and
+    ``hess_coords`` accept one point or a ``(P, n)`` batch.
     """
 
     eval: Callable[[np.ndarray], float]
@@ -312,16 +316,11 @@ class ScalarField:
     def value(self, x):
         """f at one point (a float) or at each row of a batch, (P,)."""
         pts = x.coords if isinstance(x, CoordPoint) else np.asarray(x, dtype=float)
-        if pts.ndim == 1:
-            v = float(self.eval(pts))
-            if not np.isfinite(v):
-                raise NumericsError(f"scalar field {self.name!r} non-finite at {pts}")
-            return v
         vals = _call_batch(self.eval, pts, (), f"scalar field {self.name!r}")
         bad = ~np.isfinite(vals)
         if bad.any():
             raise NumericsError(f"scalar field {self.name!r} non-finite at {_first(pts, bad)}")
-        return vals
+        return float(vals) if pts.ndim == 1 else vals
 
     def _derivative(self, x, n, callback, order: int) -> np.ndarray:
         pts = x.coords if isinstance(x, CoordPoint) else np.asarray(x, dtype=float)
@@ -340,7 +339,7 @@ class ScalarField:
     @staticmethod
     def constant(c: float, name="") -> "ScalarField":
         return ScalarField(
-            eval=lambda x, _c=float(c): _c if np.ndim(x) == 1 else np.full(np.shape(x)[1:], _c),
+            eval=lambda x, _c=float(c): np.full(np.shape(x)[1:], _c),
             analytic_grad=lambda x: np.zeros(np.shape(x)),
             analytic_hess=lambda x: np.zeros(np.shape(x)[:1] + np.shape(x)),
             name=name or f"const({c})",

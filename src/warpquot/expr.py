@@ -7,14 +7,12 @@ whitelist and compiled to nested closures over numpy functions; no
 general-purpose interpreter is invoked on scenario content.
 
 Compiled expressions follow the coordinate-major contract of ``chartkit``:
-``v[i]`` is variable i, a float for one point or an array for a batch, and
-the result has the shape of one variable (a constant expression is
-broadcast).  One point is evaluated on Python floats, a batch on numpy
-arrays; the function table and ``**`` are numpy ufuncs in both cases, so
-both round alike.  A domain error (``log`` of a negative number) gives nan,
-which the finiteness checks of the fields that evaluate the expression
-report; a division by zero raises ZeroDivisionError for one point and gives
-inf (reported the same way) for a batch.
+``v`` is a batch ``(n, P)`` (one point is a batch of one), ``v[i]`` is
+variable i, and the result has the shape of one variable (a constant
+expression is broadcast).  Every operation is a numpy ufunc applied
+elementwise, so a point rounds alike alone and in any batch.  A domain error
+(``log`` of a negative number) gives nan and a division by zero inf, which
+the finiteness checks of the fields that evaluate the expression report.
 """
 
 from __future__ import annotations
@@ -47,19 +45,6 @@ _FUNCTIONS: dict[str, Callable] = {
 }
 
 
-def _varying_power(a, b):
-    """a ** b for an exponent that depends on the coordinates.
-
-    numpy's power takes fast paths (x * x, sqrt, 1 / x) for an exponent that is
-    one broadcast value, and these round differently from its general loop.  A
-    one-point exponent therefore goes in as a one-element array, so that one
-    point takes the same loop as a batch of points.
-    """
-    if np.ndim(b) == 0:
-        return np.power(a, np.reshape(b, 1))[0]
-    return np.power(a, b)
-
-
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 _BINOPS = {
@@ -72,18 +57,15 @@ _BINOPS = {
 
 
 def compile_expr(src: str, variables: Sequence[str]) -> Callable:
-    """Compile ``src`` to a function of coordinates ordered as ``variables``:
-    one point ``(n,)`` or a coordinate-major batch ``(n, P)``.  Raises
-    ScenarioError with position info on anything outside the grammar."""
+    """Compile ``src`` to a function of a coordinate-major batch ``(n, P)``
+    ordered as ``variables``.  Raises ScenarioError with position info on
+    anything outside the grammar."""
     names = {name: i for i, name in enumerate(variables)}
     try:
         tree = ast.parse(src, mode="eval")
     except SyntaxError as exc:
         raise ScenarioError(
             f"expression {src!r}: syntax error at line {exc.lineno}, column {exc.offset}") from exc
-
-    def varies(node) -> bool:
-        return any(isinstance(n, ast.Name) and n.id in names for n in ast.walk(node))
 
     def bad(node, what):
         return ScenarioError(
@@ -109,8 +91,6 @@ def compile_expr(src: str, variables: Sequence[str]) -> Callable:
             op = _BINOPS.get(type(node.op))
             if op is None:
                 raise bad(node, f"operator {type(node.op).__name__} not allowed")
-            if isinstance(node.op, ast.Pow) and varies(node.right):
-                op = _varying_power
             left, right = build(node.left), build(node.right)
             return lambda v, _l=left, _r=right, _op=op: _op(_l(v), _r(v))
         if isinstance(node, ast.UnaryOp):
@@ -126,8 +106,6 @@ def compile_expr(src: str, variables: Sequence[str]) -> Callable:
             if node.keywords:
                 raise bad(node, "keyword arguments not allowed")
             fn = _FUNCTIONS[node.func.id]
-            if node.func.id == "pow" and len(node.args) == 2 and varies(node.args[1]):
-                fn = _varying_power
             args = [build(a) for a in node.args]
             return lambda v, _fn=fn, _a=args: _fn(*[f(v) for f in _a])
         raise bad(node, f"construct {type(node).__name__} not allowed")
@@ -135,10 +113,7 @@ def compile_expr(src: str, variables: Sequence[str]) -> Callable:
     body = build(tree)
 
     def compiled(v):
-        if not isinstance(v, np.ndarray):
-            return body(v)
-        if v.ndim == 1:
-            return body(v.tolist())  # Python-float arithmetic rounds like numpy's, faster
+        v = np.asarray(v, dtype=float)
         out = body(v)
         return out if np.shape(out) == v.shape[1:] else np.broadcast_to(out, v.shape[1:])
 

@@ -12,15 +12,15 @@ import numpy as np
 
 from . import productgeo as pg
 from . import quotient as qt
-from .chartkit import MetricField, ScalarField, Signature
+from .chartkit import MetricField, ScalarField, Signature, _fold
 
 
 # ---------------------------------------------------------------------------
 # scalar-field builders with exact derivatives
 #
 # All callbacks follow the coordinate-major batch contract of ``chartkit``:
-# ``x[k]`` is coordinate k for one point or for a batch, and outputs carry the
-# point axis last.
+# ``x`` is a batch (n, P), ``x[k]`` holds coordinate k of every point, and
+# outputs carry the point axis last.
 
 def coordinate_warp(index: int, n: int, name: str = "") -> ScalarField:
     """lam(x) = x[index] (positive on the relevant boxes)."""
@@ -50,35 +50,23 @@ def function_of_coordinate_warp(index: int, n: int, f, df, ddf, name: str = "") 
     return ScalarField(lambda x: f(x[index]), grad, hess, name=name)
 
 
-def _col(a, x):
-    """A constant array broadcast along the point axis of x (or of any array
-    with one leading axis)."""
-    return a.reshape(a.shape + (1,) * (np.ndim(x) - 1))
-
-
-def _fold(terms):
-    """terms[0] + terms[1] + ... along the first axis, left to right (a running
-    sum).  Unlike a BLAS product or ``np.sum``, the order does not depend on the
-    batch size, so a point rounds alike on its own and in any batch."""
-    return np.add.accumulate(terms)[-1]
-
-
 def trig_warp(n: int, amps, freqs, phases, name: str = "trig-warp") -> ScalarField:
     """lam(x) = exp(sum_j a_j sin(b_j . x + c_j)): positive, fully analytic;
     every sum is a ``_fold``."""
-    amps = np.asarray(amps, dtype=float)
-    freqs = np.asarray(freqs, dtype=float)
-    phases = np.asarray(phases, dtype=float)
-    pairs = freqs[:, :, None] * freqs[:, None]  # b_j b_j^T
+    amps = np.asarray(amps, dtype=float)[:, None]       # constants get the point axis
+    freqs = np.asarray(freqs, dtype=float)[..., None]   # [j, k]: b_jk
+    phases = np.asarray(phases, dtype=float)[:, None]
+    pairs = freqs[:, :, None] * freqs[:, None]          # b_j b_j^T
+    by_coord = freqs.swapaxes(0, 1)                     # [k, j]: b_jk
 
     def arg(x):
-        return _fold(_col(freqs.T, x) * np.asarray(x)[:, None]) + _col(phases, x)
+        return _fold(by_coord * x[:, None]) + phases
 
     def s(a):
-        return _fold(_col(amps, a) * np.sin(a))
+        return _fold(amps * np.sin(a))
 
     def ds(a):
-        return _fold(_col(freqs, a) * (_col(amps, a) * np.cos(a))[:, None])
+        return _fold(freqs * (amps * np.cos(a))[:, None])
 
     def grad(x):
         a = arg(x)
@@ -87,7 +75,7 @@ def trig_warp(n: int, amps, freqs, phases, name: str = "trig-warp") -> ScalarFie
     def hess(x):
         a = arg(x)
         d = ds(a)
-        dds = -_fold(_col(pairs, a) * (_col(amps, a) * np.sin(a))[:, None, None])
+        dds = -_fold(pairs * (amps * np.sin(a))[:, None, None])
         return np.exp(s(a)) * (d[:, None] * d[None] + dds)
 
     return ScalarField(lambda x: np.exp(s(arg(x))), grad, hess, name=name)
@@ -96,31 +84,32 @@ def trig_warp(n: int, amps, freqs, phases, name: str = "trig-warp") -> ScalarFie
 def conformal_flat_metric(dim: int, amp: float, freq, phase: float, box,
                           name: str = "conformal") -> MetricField:
     """g = exp(2 phi) * I, phi = amp sin(freq . x + phase), freq . x a ``_fold``."""
-    freq = np.asarray(freq, dtype=float)
-    eye = np.eye(dim)
+    freq = np.asarray(freq, dtype=float)[:, None]  # constants get the point axis
+    pairs = freq[:, None] * freq[None]
+    eye = np.eye(dim)[..., None]
 
     def arg(x):
-        return _fold(_col(freq, x) * x) + phase
+        return _fold(freq * x) + phase
 
     def phi(x):
         return amp * np.sin(arg(x))
 
     def dphi(x):
-        return amp * np.cos(arg(x)) * _col(freq, x)
+        return amp * np.cos(arg(x)) * freq
 
     def ddphi(x):
-        return -amp * np.sin(arg(x)) * _col(np.outer(freq, freq), x)
+        return -amp * np.sin(arg(x)) * pairs
 
     def ev(x):
-        return np.multiply.outer(eye, np.exp(2 * phi(x)))
+        return eye * np.exp(2 * phi(x))
 
     def d1(x):
-        return 2 * dphi(x)[:, None, None] * np.exp(2 * phi(x)) * _col(eye, x)
+        return 2 * dphi(x)[:, None, None] * np.exp(2 * phi(x)) * eye
 
     def d2(x):
         dp = dphi(x)
         scale = 4 * dp[:, None] * dp[None] + 2 * ddphi(x)
-        return scale[:, :, None, None] * np.exp(2 * phi(x)) * _col(eye, x)
+        return scale[:, :, None, None] * np.exp(2 * phi(x)) * eye
 
     return MetricField(dim, ev, Signature.riemannian(dim), d1, d2,
                        domain_box=np.asarray(box, dtype=float), name=name)

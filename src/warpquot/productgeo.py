@@ -168,10 +168,10 @@ class DoublyTwistedProduct:
 
 
 def _at(method, x):
-    """A field's ``method`` (one point or a ``(P, n)`` batch) called from a
-    callback at coordinate-major ``x``: the result with the point axis last."""
+    """A field's batch ``method`` called from a callback at coordinate-major
+    ``x`` (n, P): the result with the point axis last."""
     out = method(x.T)
-    return out.transpose((*range(1, out.ndim), 0)) if x.ndim == 2 else out
+    return out.transpose((*range(1, out.ndim), 0))
 
 
 def grid_points(box: np.ndarray, per_axis: int, inset: float = 0.05) -> np.ndarray:
@@ -209,7 +209,7 @@ def assemble(f1: FactorManifold, f2: FactorManifold, lam1: ScalarField,
     derivative callbacks.  The assembled ``eval``, ``analytic_d1`` and
     ``analytic_d2`` follow the coordinate-major batch contract of
     ``chartkit``: each call evaluates the factor metrics and warps once, on
-    one point or on a whole batch.
+    the whole batch.
     """
     n1, n2 = f1.dim, f2.dim
     n = n1 + n2
@@ -357,14 +357,11 @@ _CASE_SLOTS = {"HH": (1, 1), "VV": (2, 2), "HV": (1, 2)}  # factor slots of a pl
 # mean curvature data and classification
 
 def _mean_curvature(dtp: DoublyTwistedProduct, x, i: int, ginv: np.ndarray) -> np.ndarray:
-    """N_i components at one point (n,) or at each row of a batch (P, n), given g^-1 there."""
-    if i not in (1, 2):
-        raise ValueError("foliation index must be 1 or 2")
-    w = dtp.warp(i)
-    dlog = w.grad_coords(x) / np.asarray(w.value(x))[..., None]
-    out = -(ginv @ dlog if dlog.ndim == 1 else (ginv @ dlog[..., None])[..., 0])
-    out[..., dtp.slot(i)] = 0.0
-    return out
+    """N_i = g^-1 omega_i (``mean_curvature_form``) at one point (n,) or at
+    each row of a batch (P, n), given g^-1 there."""
+    pts = np.asarray(x, dtype=float)
+    omega = mean_curvature_form(dtp, pts.reshape(-1, dtp.n), i).reshape(pts.shape)
+    return (ginv @ omega[..., None])[..., 0]
 
 
 def _max_abs(a: np.ndarray) -> float:

@@ -17,11 +17,11 @@ Batches and the factor-map contract
 ``FactorMap.__call__/jac`` and ``QuotientModel.in_box/apply_gen/apply_word/
 gen_jacobian/word_jacobian`` take one point ``(n,)`` or a batch ``(P, n)``
 with one point per row.  ``FactorMap`` callbacks follow the coordinate-major
-contract of ``chartkit.MetricField``: ``x[k]`` is coordinate ``k``, a float
-for one point or an array of ``P`` values for a batch, and the output puts
-the point axis last: ``(m,)`` or ``(m, P)`` from ``apply``/``inverse``,
-``(m, m)`` or ``(m, m, P)`` from ``jacobian``.  A map that is piecewise or
-needs a per-point solve loops over the batch itself (``build_example1``).
+contract of ``chartkit``: they receive a batch ``x`` of shape ``(m, P)``, one
+point as a batch of one, and put the point axis last: ``(m, P)`` from
+``apply``/``inverse``, ``(m, m, P)`` from ``jacobian``.  A map that is
+piecewise or needs a per-point solve loops over the batch itself
+(``build_example1``).
 The group is searched once per model and word bound (``enumerate_words``,
 one apply_gen call per generator and sign on a whole level) and kept as a
 word tree (``_tree``), each word its parent followed by one letter.  Orbit
@@ -31,7 +31,8 @@ each start until a level accepts it) compute each image from its parent's,
 one apply_gen call per level and move, through the maps of ``apply_word``
 in the same order.  ``_apply_words`` moves points by explicit word lists.
 With elementwise callbacks a row of a batch sees the same arithmetic as the
-point alone, so batched and one-point results agree bit for bit.
+point alone, so batched and one-point results agree bit for bit;
+``FactorMap.affine`` sums its products in a fixed order for the same reason.
 """
 
 from __future__ import annotations
@@ -110,17 +111,15 @@ class FactorMap:
 
     @staticmethod
     def affine(A, b) -> "FactorMap":
+        """x -> A x + b; each product with A is a fixed-order sum
+        (``chartkit._fold``), so a point maps alike alone and in any batch."""
         A = np.atleast_2d(np.asarray(A, dtype=float))
-        b = np.atleast_1d(np.asarray(b, dtype=float))
-        Ainv = np.linalg.inv(A)
-
-        def on_points(v, x):  # v with a point axis for a coordinate-major batch
-            return v if np.ndim(x) == 1 else v.reshape(v.shape + (1,))
-
+        b = np.atleast_1d(np.asarray(b, dtype=float))[:, None]
+        cols, inv_cols = A.T[..., None], np.linalg.inv(A).T[..., None]  # [j, i]: A_ij
         return FactorMap(
-            apply=lambda x: A @ x + on_points(b, x),
-            inverse=lambda x: Ainv @ (x - on_points(b, x)),
-            jacobian=lambda x: A if np.ndim(x) == 1 else np.repeat(A[..., None], np.shape(x)[1], -1),
+            apply=lambda x: ck._fold(cols * x[:, None]) + b,
+            inverse=lambda x: ck._fold(inv_cols * (x - b)[:, None]),
+            jacobian=lambda x: np.repeat(A[..., None], np.shape(x)[1], -1),
         )
 
     @staticmethod
@@ -966,8 +965,6 @@ def build_example1(epsilon: float = 0.25, gluing: Optional[TwistedGluing] = None
 
     def lam(c):
         # piecewise in x (the gluing chain), so a batch is evaluated point by point
-        if np.ndim(c) == 1:
-            return lam_at(float(c[0]), float(c[1]))
         return np.array([lam_at(x, y) for x, y in zip(c[0].tolist(), c[1].tolist())])
 
     lam_field = ScalarField(lam, name="twisted-lam")
@@ -978,8 +975,6 @@ def build_example1(epsilon: float = 0.25, gluing: Optional[TwistedGluing] = None
     def per_point(fn):
         # h^{-1} is a Newton solve, so a batch is mapped point by point
         def mapped(y):
-            if np.ndim(y) == 1:
-                return np.array([fn(float(y[0]))])
             return np.array([[fn(v) for v in y[0].tolist()]])
         return mapped
 

@@ -110,9 +110,7 @@ def test_random_product_oracles_batch_bit_for_bit(name):
 def test_builtin_scenario_fields_batch(name):
     dtp = scenario.resolve_scenario(name).dtp
     for key, (batched, looped) in field_results(dtp, batch_points(dtp, seed=3)).items():
-        scale = max(1.0, float(np.max(np.abs(looped))))
-        np.testing.assert_allclose(batched, looped, rtol=0, atol=4 * np.finfo(float).eps * scale,
-                                   err_msg=key)
+        np.testing.assert_array_equal(batched, looped, err_msg=key)
 
 
 def test_single_point_shapes_unchanged():
@@ -166,9 +164,10 @@ def test_central_diff_makes_one_call():
 
 
 def _scalar_and_batch(src, names, cols):
+    # a field passes one point as a batch of one, (n, 1)
     f = expr.compile_expr(src, names)
     batch = np.asarray(f(np.array(cols)))
-    single = np.array([f(np.array(c)) for c in zip(*cols)])
+    single = np.array([f(np.array(c)[:, None])[0] for c in zip(*cols)])
     return batch, single
 
 
@@ -211,24 +210,36 @@ def test_expr_batch_property(xs, ys):
 
 
 def test_per_point_only_callbacks_fail_loudly():
+    # one point reaches a callback as a batch of one, (n, 1), so a formula
+    # written for one point fails at one point as well as on a batch
     g = MetricField(1, lambda x: np.array([[float(x[0]) ** 2 + 1.0]]), Signature.riemannian(1))
-    assert g.mat([2.0])[0, 0] == 5.0
-    for batch in ([[1.0], [2.0]], [[1.0]]):
+    f = ScalarField(lambda x: math.sin(x[0]))
+    for pts in ([2.0], [[1.0], [2.0]], [[1.0]]):
         # numpy refuses float() of an array (older numpy converts a one-element
         # array, and the scalar output then fails the shape check)
         with pytest.raises((TypeError, NumericsError)):
-            g.mat(np.array(batch))
-    f = ScalarField(lambda x: math.sin(x[0]))
-    with pytest.raises(TypeError):
-        f.value(np.array([[0.1], [0.2]]))
+            g.mat(np.array(pts))
+        with pytest.raises((TypeError, NumericsError)):
+            f.value(np.array(pts))
     reduce_all = ScalarField(lambda x: np.sum(x ** 2))  # sums over the points too
-    with pytest.raises(NumericsError):
-        reduce_all.value(np.array([[0.1, 0.2], [0.3, 0.4]]))
+    for pts in ([0.1, 0.2], [[0.1, 0.2], [0.3, 0.4]]):
+        with pytest.raises(NumericsError):
+            reduce_all.value(np.array(pts))
     flat = MetricField(1, lambda x: np.ones((1, 1) + np.shape(x)[1:]), Signature.riemannian(1),
                        analytic_d1=lambda x: np.zeros((1, 1, 1)))  # no point axis
-    assert flat.d1([2.0]).shape == (1, 1, 1)
-    with pytest.raises(NumericsError):
-        flat.d1(np.array([[1.0], [2.0]]))
+    assert flat.mat([2.0]).shape == (1, 1)
+    for pts in ([2.0], [[1.0], [2.0]]):
+        with pytest.raises(NumericsError):
+            flat.d1(np.array(pts))
+
+
+def test_one_point_division_by_zero_is_a_numerics_error():
+    # numpy arithmetic on the batch of one gives inf, which the finiteness
+    # check reports; Python-float arithmetic would raise ZeroDivisionError
+    lam = ScalarField(expr.compile_expr("1 / x", ["x", "y"]), name="1/x")
+    with np.errstate(divide="ignore"), pytest.raises(NumericsError, match="non-finite"):
+        lam.value(np.array([0.0, 0.5]))
+    assert lam.value(np.array([2.0, 0.5])) == 0.5
 
 
 def test_exact_christoffel_calls_d1_once_per_batch():

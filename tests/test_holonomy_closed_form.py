@@ -374,8 +374,8 @@ def test_inner_product_ignores_memory_layout():
     for _ in range(500):
         a = rng.normal(size=(4, 4))
         m = a + a.T + 8.0 * np.eye(4)
-        g_f = ck.MetricField(4, lambda x, _m=m: _m.T, sig)
-        g_c = ck.MetricField(4, lambda x, _m=m: _m.copy(), sig)
+        g_f = ck.MetricField(4, lambda x, _m=m: _m.T[..., None], sig)
+        g_c = ck.MetricField(4, lambda x, _m=m: _m[..., None].copy(), sig)
         assert not g_f.mat(base).flags.c_contiguous
         cols = rng.normal(size=(4, 3))
         u, v = TangentVector(base, cols[:, 0]), TangentVector(base, cols[:, 1])

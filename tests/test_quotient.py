@@ -372,7 +372,7 @@ def test_teodg_propagates_non_geometry_errors():
     # the size of teodg's sample batch, which classification never makes) must
     # surface, not read as degenerate samples
     def broken(x):
-        if np.ndim(x) == 2 and np.shape(x)[1] == 5:
+        if np.shape(x)[1] == 5:
             raise RuntimeError("broken metric callback")
         return np.ones((1, 1) + np.shape(x)[1:])
 

@@ -201,14 +201,15 @@ def ref_walk(model, x0, direction, arc_budget, step=0.01):
 
 
 def ref_fd_jacobian(fn, x):
-    """The hand-rolled central difference FactorMap.jac used to run."""
+    """The hand-rolled central difference FactorMap.jac used to run, with
+    each stencil point passed to the callback as a batch of one."""
     m = x.shape[0]
     cols = []
     for j in range(m):
         h = 1e-6 * max(1.0, abs(x[j]))
         e = np.zeros(m)
         e[j] = h
-        cols.append((np.atleast_1d(fn(x + e)) - np.atleast_1d(fn(x - e))) / (2 * h))
+        cols.append((fn((x + e)[:, None])[:, 0] - fn((x - e)[:, None])[:, 0]) / (2 * h))
     return np.stack(cols, axis=1)
 
 
@@ -261,6 +262,23 @@ def test_affine_broadcasts_offset_over_batch():
     X = np.random.default_rng(7).uniform(-2.0, 2.0, size=(6, 2))
     assert np.array_equal(fm(X), X * [2.0, -1.0] + [0.5, 3.0])
     assert np.array_equal(fm.jac(X), np.broadcast_to([[2.0, 0.0], [0.0, -1.0]], (6, 2, 2)))
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_affine_batch_equals_rows_bit_for_bit(m):
+    # A x is summed in a fixed order: a BLAS product sums in an order that
+    # depends on the batch size, so a point alone would round differently
+    rng = np.random.default_rng(m)
+    for _ in range(20):
+        A = rng.normal(size=(m, m)) + m * np.eye(m)
+        b = rng.normal(size=m)
+        fm = qt.FactorMap.affine(A, b)
+        X = rng.uniform(-3.0, 3.0, size=(33, m))
+        for sign in (1, -1):
+            batch = fm(X, sign)
+            assert np.array_equal(batch, np.stack([fm(p, sign) for p in X]))
+        assert np.allclose(fm(X), X @ A.T + b, rtol=1e-14, atol=1e-14)
+        assert np.allclose(fm(X, -1), np.linalg.solve(A, (X - b).T).T, rtol=1e-12, atol=1e-12)
 
 
 def test_factor_map_checks_its_shape_at_one_point():
