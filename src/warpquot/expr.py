@@ -13,6 +13,10 @@ expression is broadcast).  Every operation is a numpy ufunc applied
 elementwise, so a point rounds alike alone and in any batch.  A domain error
 (``log`` of a negative number) gives nan and a division by zero inf, which
 the finiteness checks of the fields that evaluate the expression report.
+
+``affine_form`` reads the same AST as ``c . v + k`` when the expression is
+affine in its variables, which gives a deck map in a scenario file its
+closed-form affine record (``quotient.FactorMap.record``).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import ast
 import functools
 import math
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -56,16 +60,20 @@ _BINOPS = {
 }
 
 
+def _parse(src: str) -> ast.Expression:
+    try:
+        return ast.parse(src, mode="eval")
+    except SyntaxError as exc:
+        raise ScenarioError(
+            f"expression {src!r}: syntax error at line {exc.lineno}, column {exc.offset}") from exc
+
+
 def compile_expr(src: str, variables: Sequence[str]) -> Callable:
     """Compile ``src`` to a function of a coordinate-major batch ``(n, P)``
     ordered as ``variables``.  Raises ScenarioError with position info on
     anything outside the grammar."""
     names = {name: i for i, name in enumerate(variables)}
-    try:
-        tree = ast.parse(src, mode="eval")
-    except SyntaxError as exc:
-        raise ScenarioError(
-            f"expression {src!r}: syntax error at line {exc.lineno}, column {exc.offset}") from exc
+    tree = _parse(src)
 
     def bad(node, what):
         return ScenarioError(
@@ -118,3 +126,58 @@ def compile_expr(src: str, variables: Sequence[str]) -> Callable:
         return out if np.shape(out) == v.shape[1:] else np.broadcast_to(out, v.shape[1:])
 
     return compiled
+
+
+def affine_form(src: str, variables: Sequence[str]) -> Optional[tuple[np.ndarray, float]]:
+    """``src`` as ``c . v + k``: the coefficients c, one per variable, and the
+    constant k, when the expression is affine in ``variables``; None otherwise.
+
+    Affine means built from numbers, the variables, ``pi`` and ``e`` by + and
+    -, unary minus, products with one constant side and division by a
+    constant (a side is constant when its coefficients are all zero).  Calls,
+    powers and anything else give None, as do non-finite coefficients.  c
+    and k take the expression's own operations, so ``x + 1/3`` gives k =
+    1/3 as the expression rounds it; a variable alone has k = -0.0, which
+    adds to any number without changing it.
+    """
+    names = {name: i for i, name in enumerate(variables)}
+    zero = [0.0] * len(names)
+
+    def form(node):
+        if isinstance(node, ast.BinOp):
+            left, right = form(node.left), form(node.right)
+            if left is None or right is None:
+                return None
+            (cl, kl), (cr, kr), op = left, right, type(node.op)
+            if op is ast.Add:
+                return [a + b for a, b in zip(cl, cr)], kl + kr
+            if op is ast.Sub:
+                return [a - b for a, b in zip(cl, cr)], kl - kr
+            if op is ast.Mult and not any(cl):
+                return [kl * c for c in cr], kl * kr
+            if op is ast.Mult and not any(cr):
+                return [c * kr for c in cl], kl * kr
+            if op is ast.Div and not any(cr) and kr:
+                return [c / kr for c in cl], kl / kr
+            return None
+        if isinstance(node, ast.Name):
+            if node.id in names:
+                c = zero.copy()
+                c[names[node.id]] = 1.0
+                return c, -0.0
+            return (zero, _CONSTANTS[node.id]) if node.id in _CONSTANTS else None
+        if isinstance(node, ast.Constant):
+            if isinstance(node.value, (int, float)) and not isinstance(node.value, bool):
+                return zero, float(node.value)
+            return None
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            inner = form(node.operand)
+            if inner is None or isinstance(node.op, ast.UAdd):
+                return inner
+            return [-c for c in inner[0]], -inner[1]
+        return None
+
+    out = form(_parse(src).body)
+    if out is None or not all(map(math.isfinite, out[0] + [out[1]])):
+        return None
+    return np.array(out[0]), out[1]

@@ -22,21 +22,37 @@ point as a batch of one, and put the point axis last: ``(m, P)`` from
 ``apply``/``inverse``, ``(m, m, P)`` from ``jacobian``.  A map that is
 piecewise or needs a per-point solve loops over the batch itself
 (``build_example1``).
-The group is searched once per model and word bound (``enumerate_words``,
-one apply_gen call per generator and sign on a whole level) and kept as a
-word tree (``_tree``), each word its parent followed by one letter.  Orbit
-lookups read the tree: ``_orbit`` (loops, intersections, ``validate``) and
-``_searches`` (``canonical_rep``, ``find_closing_word``; level by level,
-each start until a level accepts it) compute each image from its parent's,
-one apply_gen call per level and move, through the maps of ``apply_word``
-in the same order.  ``_apply_words`` moves points by explicit word lists.
-With elementwise callbacks a row of a batch sees the same arithmetic as the
-point alone, so batched and one-point results agree bit for bit;
-``FactorMap.affine`` sums its products in a fixed order for the same reason.
+The group is searched once per model (``enumerate_words``) and kept as a
+word tree (``_tree``), each word its parent followed by one letter; a
+smaller word bound reads the first levels of the largest tree searched.
+Orbit lookups read the tree: ``_orbit`` (loops, intersections,
+``validate``) and ``_searches`` (``canonical_rep``, ``find_closing_word``;
+level by level, each start until a level accepts it).  ``_apply_words``
+moves points by explicit word lists.  With elementwise callbacks a row of a
+batch sees the same arithmetic as the point alone, so batched and one-point
+results agree bit for bit.
+
+Affine records
+--------------
+A model is affine when every phi and psi carries an affine record
+(``FactorMap.record``: ``FactorMap.affine``/``translation``, and scenario
+maps whose formulas are all affine).  Each word w then has the record
+(A_w, b_w) of its map x -> A_w x + b_w, its letters' records composed onto
+(I, 0) left to right: a tree word's once, when the enumeration finds it,
+from its parent's, and any other word's from its prefix's.  Every product
+with a matrix sums in a fixed order (``_matmul``, the order of
+``chartkit._fold``), so a record and an image have the same bits in any
+batch: the tree's images are one product per level or per orbit,
+``apply_gen``/``apply_word`` move a point by the same records, and the
+Jacobians are the records' A, exactly.  Any other model takes the level
+path: each image is its parent's moved by one apply_gen call per level and
+move, through the maps of ``apply_word`` in the same order, and Jacobians
+come from the maps (central differences when a map has no ``jacobian``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -78,17 +94,50 @@ def word_inverse(word: Word) -> Word:
     return tuple((name, -sign) for name, sign in reversed(word))
 
 
+def _matmul(A, B) -> np.ndarray:
+    """A @ B over the broadcast leading axes, each entry a running sum over
+    the inner index, left to right: unlike a BLAS product the order does not
+    depend on the batch, so a point rounds alike alone and in any batch."""
+    out = A[..., :, :1] * B[..., :1, :]
+    for j in range(1, A.shape[-1]):
+        out = out + A[..., :, j:j + 1] * B[..., j:j + 1, :]
+    return out
+
+
+def _affine_map(A, b, x) -> np.ndarray:
+    """A x + b for points x (..., n), with A (..., n, n) and b (..., n)
+    broadcast over the leading axes."""
+    return _matmul(A, x[..., None])[..., 0] + b
+
+
+def _compose(A_m, b_m, A_p, b_p):
+    """The affine record of p followed by m: (A_m A_p, A_m b_p + b_m)."""
+    return _matmul(A_m, A_p), _affine_map(A_m, b_m, b_p)
+
+
+def _apply_records(A, b, x) -> np.ndarray:
+    """Row w of x, (W, ..., n), moved by the record (A[w], b[w]), or every
+    row by every record when x has one row, (1, ..., n): (W, ..., n)."""
+    lead = (len(A),) + (1,) * (x.ndim - 2)
+    return _affine_map(A.reshape(lead + A.shape[1:]), b.reshape(lead + b.shape[1:]), x)
+
+
 @dataclass
 class FactorMap:
     """Diffeomorphism of one factor with a declared inverse.
 
     Callbacks are coordinate-major (see the module notes).  ``jacobian`` is
-    optional; central differences are used when absent.
+    optional; central differences are used when absent.  ``record`` is the
+    map's affine record when it has one, ((A, b), (A_inv, b_inv)): x -> A x
+    + b and the declared inverse x -> A_inv x + b_inv.  ``jac`` then reads
+    A or A_inv exactly, and a model whose maps all carry one moves points
+    by records (see the module notes).
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
     inverse: Callable[[np.ndarray], np.ndarray]
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    record: Optional[tuple] = None
 
     def __call__(self, x, sign: int = 1) -> np.ndarray:
         """The map (sign > 0) or its inverse at one point, (m,), or at each
@@ -100,6 +149,9 @@ class FactorMap:
     def jac(self, x, sign: int = 1) -> np.ndarray:
         """Differential at one point, (m, m), or at each row of a batch, (P, m, m)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        if self.record is not None:
+            A = self.record[0 if sign > 0 else 1][0]
+            return np.broadcast_to(A, x.shape[:-1] + A.shape).copy()
         if self.jacobian is None:
             steps = 1e-6 * np.maximum(1.0, np.abs(x))
             cols = ck.central_diff(lambda pts: self(pts, sign), x, steps)
@@ -110,17 +162,22 @@ class FactorMap:
         return ck._call_batch(self.jacobian, x, x.shape[-1:] * 2, "factor map jacobian")
 
     @staticmethod
+    def from_record(record) -> "FactorMap":
+        """The affine map and declared inverse of ``record``, ((A, b),
+        (A_inv, b_inv)); each product with a matrix is a fixed-order sum
+        (``_matmul``), so a point maps alike alone and in any batch."""
+        (A, b), (A_inv, b_inv) = record
+        return FactorMap(apply=lambda x: _matmul(A, x) + b[:, None],
+                         inverse=lambda x: _matmul(A_inv, x) + b_inv[:, None],
+                         record=record)
+
+    @staticmethod
     def affine(A, b) -> "FactorMap":
-        """x -> A x + b; each product with A is a fixed-order sum
-        (``chartkit._fold``), so a point maps alike alone and in any batch."""
+        """x -> A x + b, with the inverse x -> A^-1 x - A^-1 b."""
         A = np.atleast_2d(np.asarray(A, dtype=float))
-        b = np.atleast_1d(np.asarray(b, dtype=float))[:, None]
-        cols, inv_cols = A.T[..., None], np.linalg.inv(A).T[..., None]  # [j, i]: A_ij
-        return FactorMap(
-            apply=lambda x: ck._fold(cols * x[:, None]) + b,
-            inverse=lambda x: ck._fold(inv_cols * (x - b)[:, None]),
-            jacobian=lambda x: np.repeat(A[..., None], np.shape(x)[1], -1),
-        )
+        b = np.atleast_1d(np.asarray(b, dtype=float))
+        A_inv = np.linalg.inv(A)
+        return FactorMap.from_record(((A, b), (A_inv, -_matmul(A_inv, b[:, None])[:, 0])))
 
     @staticmethod
     def translation(shift) -> "FactorMap":
@@ -168,6 +225,24 @@ class QuotientModel:
         self.ident_tol = float(ident_tol)
         self.word_bound = int(word_bound)
         self._word_memo: dict[int, _WordTree] = {}
+        self._code = {(gen.name, sign): m for m, (gen, sign) in enumerate(self._moves())}
+
+    @functools.cached_property
+    def _letters(self):
+        """(A, b) of each move's letter, (M, n, n) and (M, n) in move order,
+        block-diagonal from the records of phi and psi (the declared
+        inverses' for sign -1); None unless every factor map has a record,
+        and then the model takes the level path."""
+        maps = [fm for gen in self.generators for fm in (gen.phi, gen.psi)]
+        if any(fm.record is None for fm in maps):
+            return None
+        moves = self._moves()
+        A = np.zeros((len(moves), self.dtp.n, self.dtp.n))
+        b = np.zeros((len(moves), self.dtp.n))
+        for m, (gen, sign) in enumerate(moves):
+            for fm, s in ((gen.phi, self.dtp.slot1), (gen.psi, self.dtp.slot2)):
+                A[m, s, s], b[m, s] = fm.record[0 if sign > 0 else 1]
+        return A, b
 
     def same_point(self, p, q):
         """Whether p and q are one point: max |p - q| <= ident_tol.  A bool
@@ -187,17 +262,23 @@ class QuotientModel:
 
     def apply_gen(self, gen: DeckGenerator, sign: int, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
+        if self._letters is not None:
+            return self.apply_word(((gen.name, 1 if sign > 0 else -1),), x)
         s1, s2 = self.dtp.slot1, self.dtp.slot2
         return np.concatenate([gen.phi(x[..., s1], sign), gen.psi(x[..., s2], sign)], axis=-1)
 
     def apply_word(self, word: Word, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
+        if self._letters is not None:
+            return _affine_map(*self._word_record(word), x)
         for name, sign in word:
             x = self.apply_gen(self.by_name[name], sign, x)
         return x
 
     def gen_jacobian(self, gen: DeckGenerator, sign: int, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
+        if self._letters is not None:
+            return self.word_jacobian(((gen.name, 1 if sign > 0 else -1),), x)
         s1, s2 = self.dtp.slot1, self.dtp.slot2
         J = np.zeros(x.shape[:-1] + (self.dtp.n, self.dtp.n))
         J[..., s1, s1] = gen.phi.jac(x[..., s1], sign)
@@ -205,8 +286,12 @@ class QuotientModel:
         return J
 
     def word_jacobian(self, word: Word, x) -> np.ndarray:
-        """Differential of the word map at x (chain rule along the application)."""
+        """Differential of the word map at x (chain rule along the application;
+        the word's A exactly on an affine model)."""
         x = np.asarray(x, dtype=float)
+        if self._letters is not None:
+            A = self._word_record(word)[0]
+            return np.broadcast_to(A, x.shape[:-1] + A.shape).copy()
         J = np.eye(self.dtp.n)
         for name, sign in word:
             gen = self.by_name[name]
@@ -222,25 +307,50 @@ class QuotientModel:
         """(rows, generator, sign) per letter position and (generator, sign),
         in application order: the rows of ``words`` with that letter there."""
         moves = self._moves()
-        code = {(gen.name, sign): m for m, (gen, sign) in enumerate(moves)}
         longest = max(map(len, words), default=0)
         letters = np.full((len(words), longest), -1)
         for r, w in enumerate(words):
-            letters[r, :len(w)] = [code[name, sign] for name, sign in w]
+            letters[r, :len(w)] = [self._code[letter] for letter in w]
         for pos in range(longest):
             for m, (gen, sign) in enumerate(moves):
                 rows = np.flatnonzero(letters[:, pos] == m)
                 if rows.size:
                     yield rows, gen, sign
 
+    def _word_record(self, word: Word):
+        """(A, b) of a word of an affine model: its letters' records composed
+        onto the empty word's (I, 0), left to right.  A word of the largest
+        tree searched so far reads its row there, composed by the same
+        operations bit for bit; any other word composes its last letter onto
+        its prefix's record."""
+        if self._word_memo:
+            tree = self._word_memo[max(self._word_memo)]
+            row = tree.rows.get(word)
+            if row is not None:
+                return tree.records[0][row], tree.records[1][row]
+        if not word:
+            return np.eye(self.dtp.n), np.zeros(self.dtp.n)
+        A, b = self._word_record(word[:-1])
+        m = self._code[word[-1]]
+        return _compose(self._letters[0][m], self._letters[1][m], A, b)
+
+    def _word_records(self, words: Sequence[Word]):
+        """``_word_record`` of every word, stacked: (R, n, n) and (R, n)."""
+        records = [self._word_record(w) for w in words]
+        return (np.array([A for A, _ in records]).reshape(-1, self.dtp.n, self.dtp.n),
+                np.array([b for _, b in records]).reshape(-1, self.dtp.n))
+
     def _apply_words(self, words: Sequence[Word], x) -> np.ndarray:
         """x[r] moved by words[r] for every r; x is (R, n) or (R, P, n).
 
-        One apply_gen call per letter position and (generator, sign) on all
-        the rows whose word has that letter there, so every row goes through
-        the maps of apply_word in the same order.
+        On an affine model, by each word's record (``_word_record``).
+        Otherwise one apply_gen call per letter position and (generator,
+        sign) on all the rows whose word has that letter there, so every
+        row goes through the maps of apply_word in the same order.
         """
         x = np.array(x, dtype=float)
+        if self._letters is not None:
+            return _apply_records(*self._word_records(words), x)
         n = x.shape[-1]
         for rows, gen, sign in self._letter_steps(words):
             sub = x[rows]
@@ -250,6 +360,8 @@ class QuotientModel:
     def _word_jacobians(self, words: Sequence[Word], x) -> np.ndarray:
         """word_jacobian(words[r], x[r]) for every row of x (R, n), as (R, n, n),
         batched like ``_apply_words``."""
+        if self._letters is not None:
+            return self._word_records(words)[0]
         x = np.array(x, dtype=float)
         J = np.tile(np.eye(self.dtp.n), (len(words), 1, 1))
         for rows, gen, sign in self._letter_steps(words):
@@ -272,12 +384,17 @@ class QuotientModel:
 
     def _orbit(self, max_len: int, x, count: Optional[int] = None) -> np.ndarray:
         """x, (n,) or (S, n), moved by each of the first ``count`` words of
-        ``enumerate_words(max_len)`` (all by default), level by level down
-        the word tree: (count,) + x.shape.  A prefix of the list holds every
-        parent of its words."""
+        ``enumerate_words(max_len)`` (all by default): (count,) + x.shape.
+        On an affine model one product with the words' records; otherwise
+        level by level down the word tree, a prefix of the list holding
+        every parent of its words."""
         tree = self._tree(max_len)
         count = len(tree.words) if count is None else min(count, len(tree.words))
-        parts = [np.asarray(x, dtype=float)[None]]
+        x = np.asarray(x, dtype=float)
+        if tree.records is not None:
+            A, b = tree.records
+            return _apply_records(A[:count], b[:count], x[None])
+        parts = [x[None]]
         done = 1
         for size, steps in tree.levels:
             if done >= count:
@@ -285,6 +402,20 @@ class QuotientModel:
             parts.append(self._level(steps, parts[-1], min(size, count - done)))
             done += len(parts[-1])
         return np.concatenate(parts)
+
+    def _inverse_orbit(self, max_len: int, x) -> np.ndarray:
+        """x (n,) moved by the inverse of each word of ``enumerate_words(max_len)``:
+        A_w^-1 (x - b_w) from one batched inverse of the records on an
+        affine model, the inverse words letter by letter otherwise."""
+        tree = self._tree(max_len)
+        if tree.records is not None:
+            A, b = tree.records
+            try:
+                return _matmul(np.linalg.inv(A), (x - b)[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                raise InvalidAction("a deck word's affine map is not invertible") from None
+        return self._apply_words([word_inverse(w) for w in tree.words],
+                                 np.broadcast_to(x, (len(tree.words), len(x))))
 
     def _searches(self, starts, accept, max_len: int) -> list:
         """Per row of ``starts`` (S, n), the first (point, word) of
@@ -295,9 +426,12 @@ class QuotientModel:
         level by level, in groups of at most _SEARCH_POINTS points per level,
         and a start leaves at the first level with an accepted image, taking
         that level's first such word: the list is breadth-first, so that is
-        the first accepted word of the list.  The action is free, so a word
-        the enumeration drops moves every point where an earlier word does:
-        the first hit is the one of a breadth-first search from that start.
+        the first accepted word of the list.  A level's images are one
+        product with its records on an affine model, its parents' images
+        moved by their last letters otherwise.  The action is free, so a
+        word the enumeration drops moves every point where an earlier word
+        does: the first hit is the one of a breadth-first search from that
+        start.
         """
         starts = np.asarray(starts, dtype=float)
         taken = accept(starts)
@@ -313,7 +447,12 @@ class QuotientModel:
             for size, steps in tree.levels:
                 if not todo.size:
                     break
-                images = self._level(steps, images, size)
+                if tree.records is None:
+                    images = self._level(steps, images, size)
+                else:
+                    rows = slice(first_word, first_word + size)
+                    images = _apply_records(tree.records[0][rows], tree.records[1][rows],
+                                            starts[todo][None])
                 hits = accept(images)
                 first, hit = hits.argmax(axis=0), hits.any(axis=0)
                 for r in np.flatnonzero(hit).tolist():
@@ -349,73 +488,98 @@ class QuotientModel:
         generators in order, +1 before -1), deduplicated by their action on
         two probe points near the middle of the box.
 
-        The only search of the group, and a tree: each word is a kept word of
-        the level before followed by one letter, so every prefix of a word is
-        listed before it.  Each level applies each (generator, sign) once to
-        all its nodes.  Every orbit lookup reads the tree through ``_tree``.
+        The only search of the group.  It builds a word tree, kept for the
+        orbit lookups (``_tree``): each word is a kept word of the level
+        before followed by one letter, so every prefix of a word is listed
+        before it.  Each level moves the probes by every candidate child at
+        once: by the children's records, each its parent's composed with its
+        last letter's, on an affine model; otherwise by one apply_gen call
+        per (generator, sign) on the parents' probe images.
         """
         box = self.fundamental_box
         probe = 0.5 * (box[:, 0] + np.minimum(box[:, 1], box[:, 0] + 10.0))
-        probe2 = probe + 0.1 * np.arange(1, self.dtp.n + 1)
+        probes = np.stack([probe, probe + 0.1 * np.arange(1, self.dtp.n + 1)])
         moves = self._moves()
         letters = [(gen.name, sign) for gen, sign in moves]
+        M, n = len(moves), self.dtp.n
         words = [()]
-        frontier, fwords, last = np.stack([probe, probe2])[None], [()], np.array([-1])
-        seen = set(_round_keys(frontier.reshape(1, -1)))
+        images, last = probes[None], np.array([-1])  # the last level's probe images, moves
+        recs = [(np.eye(n)[None], np.zeros((1, n)))] if self._letters is not None else None
+        seen = set(_round_keys(probes.reshape(1, -1)))
+        levels = []
         for _ in range(max_len):
-            K, r, n = frontier.shape
-            level = []
-            for m, (gen, sign) in enumerate(moves):
-                ok = last != (m ^ 1)  # keep the word reduced
-                img = np.zeros_like(frontier)
-                if ok.any():
-                    img[ok] = self.apply_gen(gen, sign, frontier[ok].reshape(-1, n)).reshape(-1, r, n)
-                level.append((ok.tolist(), img, _round_keys(img.reshape(K, r * n))))
-            nxt, nwords, nlast = [], [], []
-            for k, w in enumerate(fwords):
-                for m, (ok, img, keys) in enumerate(level):
-                    if not ok[k] or keys[k] in seen:
-                        continue
-                    seen.add(keys[k])
-                    w2 = w + (letters[m],)
-                    words.append(w2)
-                    nxt.append(img[k])
-                    nwords.append(w2)
-                    nlast.append(m)
-            if not nxt:
+            K = len(last)
+            ok = (last[:, None] != np.arange(M) ^ 1).ravel().tolist()  # keep the word reduced
+            if recs is not None:
+                cand = _compose(self._letters[0][None], self._letters[1][None],
+                                recs[-1][0][:, None], recs[-1][1][:, None])
+                cand = (cand[0].reshape(K * M, n, n), cand[1].reshape(K * M, n))
+                img = _apply_records(*cand, probes[None])
+            else:
+                img = np.zeros((K, M) + probes.shape)
+                for m, (gen, sign) in enumerate(moves):
+                    rows = np.flatnonzero(ok[m::M])
+                    if rows.size:
+                        img[rows, m] = self.apply_gen(gen, sign, images[rows].reshape(-1, n)
+                                                      ).reshape(-1, *probes.shape)
+                img = img.reshape(K * M, *probes.shape)
+            keys = _round_keys(img.reshape(K * M, -1))
+            kept = []
+            for c in range(K * M):  # parents in order, then moves in order
+                if ok[c] and keys[c] not in seen:
+                    seen.add(keys[c])
+                    kept.append(c)
+            if not kept:
                 break
-            frontier, fwords, last = np.stack(nxt), nwords, np.array(nlast)
-        return words
+            parent, last = np.divmod(np.array(kept), M)
+            start = len(words) - K
+            words += [words[start + k] + (letters[m],) for k, m in zip(parent.tolist(), last.tolist())]
+            if recs is None:
+                images = img[kept]
+                levels.append((len(kept), [(rows, parent[rows], gen, sign)
+                                           for m, (gen, sign) in enumerate(moves)
+                                           if (rows := np.flatnonzero(last == m)).size]))
+            else:
+                recs.append((cand[0][kept], cand[1][kept]))
+                levels.append((len(kept), []))
+        records = None if recs is None else tuple(np.concatenate(r) for r in zip(*recs))
+        rows = {w: r for r, w in enumerate(words)}
+        self._word_memo[max_len] = _WordTree(words, levels, records, rows)
+        return list(words)
 
     def _tree(self, max_len: int) -> "_WordTree":
-        """``enumerate_words(max_len)`` as a word tree, built once per model
-        and bound; callers must not modify it."""
+        """``enumerate_words(max_len)`` as a word tree; callers must not modify
+        it.  The group is searched once per model: a bound below the largest
+        searched so far reads that tree's first levels, which are this
+        bound's tree."""
         if max_len not in self._word_memo:
-            words = self.enumerate_words(max_len)
-            index = {w: i for i, w in enumerate(words)}
-            moves = self._moves()
-            code = {(gen.name, sign): m for m, (gen, sign) in enumerate(moves)}
-            starts = np.cumsum([0] + np.bincount([len(w) for w in words]).tolist()).tolist()
-            levels = []
-            for k in range(1, len(starts) - 1):
-                level = words[starts[k]:starts[k + 1]]
-                parent = np.array([index[w[:-1]] for w in level]) - starts[k - 1]
-                move = np.array([code[w[-1]] for w in level])
-                levels.append((len(level), [(rows, parent[rows], gen, sign)
-                                            for m, (gen, sign) in enumerate(moves)
-                                            if (rows := np.flatnonzero(move == m)).size]))
-            self._word_memo[max_len] = _WordTree(words, levels)
+            larger = [bound for bound in self._word_memo if bound > max_len]
+            if larger:
+                self._word_memo[max_len] = self._word_memo[min(larger)].prefix(max_len)
+            else:
+                self.enumerate_words(max_len)
         return self._word_memo[max_len]
 
 
 class _WordTree(NamedTuple):
-    """A breadth-first word list and, per level 1, 2, ... (the words of that
-    length), its size and one (rows, parents, generator, sign) step per
-    move: the level's rows whose last letter it is and their parents' rows
-    in the level before."""
+    """A breadth-first word list; per level 1, 2, ... (the words of that
+    length), its size and, for the level path, one (rows, parents,
+    generator, sign) step per move: the level's rows whose last letter it
+    is and their parents' rows in the level before; and on an affine model
+    each word's record (A, b), (W, n, n) and (W, n), which replaces the
+    steps (the levels then hold none), else None; and the row of each word
+    (a prefix shares its tree's)."""
 
     words: list
     levels: list
+    records: Optional[tuple]
+    rows: dict
+
+    def prefix(self, max_len: int) -> "_WordTree":
+        """The tree of the words of at most max_len letters."""
+        size = 1 + sum(size for size, _ in self.levels[:max_len])
+        records = None if self.records is None else tuple(r[:size] for r in self.records)
+        return _WordTree(self.words[:size], self.levels[:max_len], records, self.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -697,23 +861,23 @@ def _intersections(model: QuotientModel, rep0: np.ndarray, loops: dict,
     ``leaf_loops`` at the word bound wb are ``loops``."""
     dtp = model.dtp
     lower_bound_only = not (loops[1] and loops[2])
-    words = model._tree(wb).words
-    cands = model._apply_words([word_inverse(w) for w in words],
-                               np.broadcast_to(rep0, (len(words), dtp.n)))
+    cands = model._inverse_orbit(wb, rep0)
     cands[:, dtp.slot2] = rep0[dtp.slot2]                # on the leaf M1 x {b0}
     cands2 = model._orbit(wb, rep0)
     cands2[:, dtp.slot1] = rep0[dtp.slot1]               # on {a0} x M2
-    witnesses, reps = [], []
     reduced = model._searches(cands, model.in_box, model.word_bound)
-    for cand, cand2, hit in zip(cands, cands2, reduced):
-        if hit is None:  # no word within the bound reaches the box
-            continue
-        rep = hit[0]
-        if reps and model.same_point(np.array(reps), rep).any():
-            continue
-        reps.append(rep)
-        witnesses.append((CoordPoint(cand.copy()), CoordPoint(cand2.copy())))
-    _check_distinct(model, reps, wb)
+    # candidates that reach the box, in order; a candidate whose representative
+    # is the same point as an earlier kept one is that intersection: the first
+    # one left is kept, and every one left that is the same point goes
+    rows = [k for k, hit in enumerate(reduced) if hit is not None]
+    pool = np.array([reduced[k][0] for k in rows]).reshape(-1, dtp.n)
+    kept, left = [], np.arange(len(rows))
+    while left.size:
+        kept.append(int(left[0]))
+        left = left[~model.same_point(pool[left], pool[left[0]])]
+    witnesses = [(CoordPoint(cands[rows[i]].copy()), CoordPoint(cands2[rows[i]].copy()))
+                 for i in kept]
+    _check_distinct(model, [pool[i] for i in kept], wb)
     return IntersectionReport(len(witnesses), witnesses, wb, lower_bound_only)
 
 

@@ -23,7 +23,7 @@ from . import quotient as qt
 from . import transport as tp
 from .chartkit import MetricField, ScalarField, Signature
 from .errors import ScenarioError
-from .expr import compile_expr
+from .expr import affine_form, compile_expr
 
 _PRESET_METRICS = {
     "euclidean": lambda dim, box: MetricField.euclidean(dim, domain_box=box),
@@ -139,9 +139,25 @@ def _check_dependency(dtp: pg.DoublyTwistedProduct, i: int, dependency: str, coo
             f"{coords[slots[k]]} = {partials[p, k]:.3e} at {pts[p]}")
 
 
+def _affine_record(formulas: list, coords: list) -> Optional[tuple]:
+    """(A, b) of a map whose every coordinate formula is affine (``affine_form``), else None."""
+    forms = [affine_form(str(s), coords) for s in formulas]
+    if any(form is None for form in forms):
+        return None
+    return np.array([c for c, _ in forms]), np.array([k for _, k in forms])
+
+
 def _build_factor_map(fwd: list, inv: list, coords: list, path: str) -> qt.FactorMap:
+    """The map and its declared inverse from their formulas.  When every
+    formula of both is affine, the map is their records, each read from its
+    own formulas, so ``validate`` still checks that the declared inverse
+    inverts; otherwise every formula compiles to a closure."""
     if len(fwd) != len(coords) or len(inv) != len(coords):
         raise ScenarioError(f"{path}: map formulas must have one entry per coordinate")
+    record = _affine_record(fwd, coords)
+    inv_record = _affine_record(inv, coords) if record is not None else None
+    if inv_record is not None:
+        return qt.FactorMap.from_record((record, inv_record))
     fs = [compile_expr(str(s), coords) for s in fwd]
     gs = [compile_expr(str(s), coords) for s in inv]
     return qt.FactorMap(

@@ -267,14 +267,11 @@ def test_log_warp_batch_matches_pointwise(route):
     pts = batch_points(dtp, count=dtp.n)
     for i in (1, 2):
         lw = dtp.log_warp(i)
-        np.testing.assert_allclose(lw.value(pts), np.log(dtp.warp(i).value(pts)),
-                                   rtol=0, atol=4 * np.finfo(float).eps)
+        np.testing.assert_array_equal(lw.value(pts), np.log(dtp.warp(i).value(pts)))
         for method in (lw.value, lw.grad_coords, lw.hess_coords):
             looped = np.stack([method(p) for p in pts])
-            scale = max(1.0, float(np.max(np.abs(looped))))
-            np.testing.assert_allclose(method(pts), looped, rtol=0,
-                                       atol=4 * np.finfo(float).eps * scale,
-                                       err_msg=f"lam{i} {method.__name__}")
+            np.testing.assert_array_equal(method(pts), looped,
+                                          err_msg=f"lam{i} {method.__name__}")
 
 
 # ---------------------------------------------------------------------------

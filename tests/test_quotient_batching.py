@@ -11,7 +11,9 @@ step-by-step trace, the hand-rolled difference quotient)
 are the one-point algorithms, kept here as oracles.
 """
 
+import functools
 import json
+import operator
 import re
 
 import numpy as np
@@ -70,6 +72,24 @@ SCENARIO_FILES = {
     },
 }
 
+
+
+def _level_twin(data):
+    """The same group with ``0*sin(...)`` added to every map formula: no map
+    is affine to the recognizer, so the model takes the level path and FD
+    Jacobians."""
+    twin = json.loads(json.dumps(data))
+    coords = [f["coords"][0] for f in twin["factors"]]
+    for gen in twin["generators"]:
+        for key, coord in (("phi", coords[0]), ("phi_inv", coords[0]),
+                           ("psi", coords[1]), ("psi_inv", coords[1])):
+            gen[key] = [f"{e} + 0*sin({coord})" for e in gen[key]]
+    return twin
+
+
+SCENARIO_FILES.update({f"{name}-level": _level_twin(SCENARIO_FILES[name])
+                       for name in ("file-skewed-q3", "file-mobius", "file-warped-torus")})
+
 MAKERS = {
     "mobius": fx.mobius_model,
     "flat-torus": fx.flat_torus_model,
@@ -106,30 +126,59 @@ def ref_in_box(model, x):
 
 
 def ref_bfs(model, start, accept, max_len):
-    """Node-by-node breadth-first search with one apply_gen per child."""
+    """Node-by-node breadth-first search, each child the start moved by its
+    word (``apply_word``): by the word's affine record on an affine model,
+    letter by letter otherwise."""
     start = np.asarray(start, dtype=float)
     if accept(start):
         return start, ()
-    frontier = [(start, ())]
+    frontier = [()]
     seen = {ref_key(start)}
     for _ in range(max_len):
         nxt = []
-        for p, w in frontier:
+        for w in frontier:
             for gen in model.generators:
                 for sign in (1, -1):
                     if w and w[-1] == (gen.name, -sign):
                         continue
-                    q = model.apply_gen(gen, sign, p)
+                    w2 = w + ((gen.name, sign),)
+                    q = model.apply_word(w2, start)
                     key = ref_key(q)
                     if key in seen:
                         continue
                     seen.add(key)
-                    w2 = w + ((gen.name, sign),)
                     if accept(q):
                         return q, w2
-                    nxt.append((q, w2))
+                    nxt.append(w2)
         frontier = nxt
     return None
+
+
+def ref_record(model, word):
+    """The affine record (A, b) of a word: the block-diagonal records of its
+    letters composed onto (I, 0) left to right, every sum a Python loop in
+    index order."""
+    n = model.dtp.n
+    A = np.eye(n).tolist()
+    b = [0.0] * n
+    for name, sign in word:
+        gen = model.by_name[name]
+        Am, bm = np.zeros((n, n)), np.zeros(n)
+        for fm, s in ((gen.phi, model.dtp.slot1), (gen.psi, model.dtp.slot2)):
+            Am[s, s], bm[s] = fm.record[0 if sign > 0 else 1]
+        Am, bm = Am.tolist(), bm.tolist()
+        A = [[functools.reduce(operator.add, [Am[i][j] * A[j][k] for j in range(n)])
+              for k in range(n)] for i in range(n)]
+        b = [functools.reduce(operator.add, [Am[i][j] * b[j] for j in range(n)]) + bm[i]
+             for i in range(n)]
+    return np.array(A), np.array(b)
+
+
+def ref_record_image(A, b, x):
+    """A x + b for one point, each sum a Python loop in index order."""
+    n = len(b)
+    return np.array([functools.reduce(operator.add, [A[i, j] * x[j] for j in range(n)]) + b[i]
+                     for i in range(n)])
 
 
 def ref_canonical_rep(model, x):
@@ -251,6 +300,14 @@ def test_group_action_batch_equals_rows(name):
     grid = np.broadcast_to(X[:4], (len(words), 4, model.dtp.n))
     assert np.array_equal(model._apply_words(words, grid),
                           np.stack([model.apply_word(w, X[:4]) for w in words]))
+    if model._letters is not None:
+        # an affine model moves a point by the word's record, as composed
+        # letter by letter in the reference
+        for w in words:
+            A, b = ref_record(model, w)
+            assert np.array_equal(model.word_jacobian(w, X), np.broadcast_to(A, (len(X),) + A.shape))
+            assert np.array_equal(model.apply_word(w, X),
+                                  np.stack([ref_record_image(A, b, p) for p in X]))
     inside = model.in_box(X)
     assert inside.dtype == bool and inside.shape == (len(X),)
     assert inside.tolist() == [ref_in_box(model, p) for p in X]
@@ -308,13 +365,14 @@ def _nonlinear_map():
                                       ["u", "v"], "test")
 
 
-@pytest.mark.parametrize("name", ["file-skewed-q3", "file-mobius", "file-warped-torus"])
+@pytest.mark.parametrize("name", ["file-skewed-q3-level", "file-mobius-level",
+                                  "file-warped-torus-level"])
 def test_fd_jacobian_bit_identical_to_loop(name):
     model = MODELS[name]
     X = _points(model, 9, seed=2)
     for gen in model.generators:
         for fm, cols in ((gen.phi, model.dtp.slot1), (gen.psi, model.dtp.slot2)):
-            assert fm.jacobian is None
+            assert fm.jacobian is None and fm.record is None
             for p in X[:, cols]:
                 for sign, fn in ((1, fm.apply), (-1, fm.inverse)):
                     assert np.array_equal(fm.jac(p, sign), ref_fd_jacobian(fn, p))

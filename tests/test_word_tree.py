@@ -66,16 +66,17 @@ WARPED_TORUS = {
     "fundamental_box": [[0.0, 1.0], [0.0, 1.0]],
 }
 
-MODELS = {
-    "flat-torus": fx.flat_torus_model(),
-    "mobius": fx.mobius_model(),
-    "klein-bottle": fx.klein_bottle_model(),
-    "skewed-q1": _skewed(1),
-    "skewed-q2": fx.skewed_torus_model(),
-    "skewed-q3": scenario.parse_scenario(_skewed_file(3)).model,
-    "warped-torus": scenario.parse_scenario(dict(WARPED_TORUS)).model,
-    "example1": fx.example1_model(),
+MAKERS = {
+    "flat-torus": fx.flat_torus_model,
+    "mobius": fx.mobius_model,
+    "klein-bottle": fx.klein_bottle_model,
+    "skewed-q1": lambda: _skewed(1),
+    "skewed-q2": fx.skewed_torus_model,
+    "skewed-q3": lambda: scenario.parse_scenario(_skewed_file(3)).model,
+    "warped-torus": lambda: scenario.parse_scenario(dict(WARPED_TORUS)).model,
+    "example1": fx.example1_model,
 }
+MODELS = {name: make() for name, make in MAKERS.items()}
 
 coords = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
 starts = st.lists(st.tuples(coords, coords), min_size=1, max_size=5)
@@ -86,26 +87,28 @@ def ref_key(x):
 
 
 def ref_bfs(model, start, accept, max_len):
-    """Node-by-node breadth-first search from one start, one apply_gen per child."""
+    """Node-by-node breadth-first search from one start, each child the start
+    moved by its word (``apply_word``: by the word's affine record on an
+    affine model, letter by letter otherwise)."""
     start = np.asarray(start, dtype=float)
     if accept(start):
         return start, ()
-    frontier, seen = [(start, ())], {ref_key(start)}
+    frontier, seen = [()], {ref_key(start)}
     for _ in range(max_len):
         nxt = []
-        for p, w in frontier:
+        for w in frontier:
             for gen in model.generators:
                 for sign in (1, -1):
                     if w and w[-1] == (gen.name, -sign):
                         continue
-                    q = model.apply_gen(gen, sign, p)
+                    w2 = w + ((gen.name, sign),)
+                    q = model.apply_word(w2, start)
                     if ref_key(q) in seen:
                         continue
                     seen.add(ref_key(q))
-                    w2 = w + ((gen.name, sign),)
                     if accept(q):
                         return q, w2
-                    nxt.append((q, w2))
+                    nxt.append(w2)
         frontier = nxt
     return None
 
@@ -170,6 +173,33 @@ def test_searches_under_a_small_point_cap_give_the_same_hits(name, pts, cap):
         _same_hits(g, w)
 
 
+def _level_view(levels):
+    return [(size, [(rows.tolist(), parents.tolist(), gen.name, sign)
+                    for rows, parents, gen, sign in steps]) for size, steps in levels]
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_smaller_bound_reads_the_prefix_of_the_larger_tree(monkeypatch, name):
+    searched = MAKERS[name]()._tree(4)
+    model = MAKERS[name]()
+    calls = []
+    enumerate_words = qt.QuotientModel.enumerate_words
+
+    def counted(self, max_len):
+        calls.append(max_len)
+        return enumerate_words(self, max_len)
+
+    monkeypatch.setattr(qt.QuotientModel, "enumerate_words", counted)
+    big, cut = model._tree(8), model._tree(4)
+    assert calls == [8]
+    assert cut.words == searched.words == big.words[:len(searched.words)]
+    assert _level_view(cut.levels) == _level_view(searched.levels) == _level_view(big.levels[:4])
+    assert (cut.records is None) == (searched.records is None) == (model._letters is None)
+    if cut.records is not None:
+        for got, want in zip(cut.records, searched.records):
+            assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # call-count guards
 
@@ -216,6 +246,23 @@ def test_verify_all_computes_the_orbit_quantities_once(monkeypatch, tmp_path):
     rows = {r["check"]: r["pass"] for r in json.loads(out.read_text())["results"]["checks"]}
     assert rows["intersections-expected"] and rows["decomposition-verdict"]
     assert calls == {"intersections": 1, "classify": 1}
+
+
+def test_verify_all_searches_the_group_once(monkeypatch, tmp_path):
+    # validate builds the tree at the word bound, and the verdict's smaller
+    # bound reads its first levels
+    path = tmp_path / "skewed-q3.json"
+    path.write_text(json.dumps(_skewed_file(3)))
+    calls = []
+    enumerate_words = qt.QuotientModel.enumerate_words
+
+    def counted(self, max_len):
+        calls.append(max_len)
+        return enumerate_words(self, max_len)
+
+    monkeypatch.setattr(qt.QuotientModel, "enumerate_words", counted)
+    assert cli.main(["run", str(path), "verify-all", "--out", str(tmp_path / "r.json")]) == 0
+    assert calls == [8]
 
 
 def test_verify_all_surfaces_the_count_error_before_the_verdict_error(monkeypatch, tmp_path,
