@@ -102,8 +102,11 @@ def _checked_inv(g: np.ndarray, pts: np.ndarray) -> np.ndarray:
 def _call_batch(fn: Callable, pts: np.ndarray, shape: tuple, what: str) -> np.ndarray:
     """``fn`` on the rows of a batch ``pts`` (P, n), passed coordinate-major
     (n, P), returning (P, *shape); one point (n,) goes in as a batch of one,
-    (n, 1), and returns ``shape``.  The one place a point becomes a batch."""
-    cols = pts[:, None] if pts.ndim == 1 else np.ascontiguousarray(pts.T)
+    (n, 1), and returns ``shape``.  The one place a point becomes a batch.
+    The column is a reshape, not ``pts[:, None]``: that view has stride 0
+    along the point axis, numpy's loops read a stride-0 operand as a scalar,
+    and ``np.power`` squares a scalar exponent 2.0 where a batch calls pow."""
+    cols = pts.reshape(-1, 1) if pts.ndim == 1 else np.ascontiguousarray(pts.T)
     out = np.asarray(fn(cols), dtype=float)
     want = shape + cols.shape[1:]
     if out.shape != want:

@@ -122,6 +122,11 @@ def compile_expr(src: str, variables: Sequence[str]) -> Callable:
 
     def compiled(v):
         v = np.asarray(v, dtype=float)
+        if 0 in v.strides:
+            # a broadcast (stride-0) axis reads as a scalar operand to numpy's
+            # loops, which round differently (pow squares an exponent of 2.0);
+            # the copy lays the points out as any batch is
+            v = v.copy()
         out = body(v)
         return out if np.shape(out) == v.shape[1:] else np.broadcast_to(out, v.shape[1:])
 

@@ -20,8 +20,8 @@ with one point per row.  ``FactorMap`` callbacks follow the coordinate-major
 contract of ``chartkit``: they receive a batch ``x`` of shape ``(m, P)``, one
 point as a batch of one, and put the point axis last: ``(m, P)`` from
 ``apply``/``inverse``, ``(m, m, P)`` from ``jacobian``.  A map that is
-piecewise or needs a per-point solve loops over the batch itself
-(``build_example1``).
+piecewise or needs a per-point solve stays elementwise: ``build_example1``'s
+h^-1 runs Newton on the whole batch, each element frozen at its own stop.
 The group is searched once per model (``enumerate_words``) and kept as a
 word tree (``_tree``), each word its parent followed by one letter; a
 smaller word bound reads the first levels of the largest tree searched.
@@ -53,7 +53,6 @@ come from the maps (central differences when a map has no ``jacobian``).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -293,10 +292,11 @@ class QuotientModel:
             A = self._word_record(word)[0]
             return np.broadcast_to(A, x.shape[:-1] + A.shape).copy()
         J = np.eye(self.dtp.n)
-        for name, sign in word:
+        for i, (name, sign) in enumerate(word):
             gen = self.by_name[name]
             J = self.gen_jacobian(gen, sign, x) @ J
-            x = self.apply_gen(gen, sign, x)
+            if i + 1 < len(word):  # the point where the next letter's differential is taken
+                x = self.apply_gen(gen, sign, x)
         return J
 
     def _moves(self) -> list:
@@ -754,48 +754,71 @@ def _trace(model: QuotientModel, x0: np.ndarray, direction: np.ndarray, arc_budg
     Steps are taken _TRACE_CHUNK at a time: a running sum of step*direction
     (the same additions as one step after another) up to the first point
     outside the box, with the speeds of the in-box points from one metric
-    evaluation.  Only a point outside the box is reduced, and the chunk
-    restarts from its representative.  Closure and budget are decided step
-    by step, so a chunk may evaluate the metric a little past the end.  Near
-    x0 the closure is projected, not refined: delta = (x0 - cur).d / (d.d),
-    clipped to +/-2 steps, is exact because a leaf is a coordinate line in
-    product coordinates, and the trace closes when the representative of
-    cur + delta d is within ident_tol of x0.
+    evaluation and the arc lengths from one running sum seeded with the arc
+    so far.  The chunk stops at the first step that starts at or past the
+    budget, so it may evaluate the metric a little past the end.  Its steps
+    inside the box are checked for closure (``_closing_step``) before the
+    step that leaves the box is reduced, which is then checked on its own,
+    and the next chunk starts from its representative.
     """
     step = _TRACE_STEP
     cur = x0.copy()
     arc = 0.0
     pts = [(0.0, x0.copy())]
-    left_start = False
+    armed = False  # closure checks arm only once the trace has left the basepoint
 
-    while True:
+    while arc < arc_budget:
         ahead = np.cumsum(np.vstack([cur, np.tile(step * direction, (_TRACE_CHUNK, 1))]), axis=0)
         inside = model.in_box(ahead[1:])
         n_in = int(np.argmin(inside)) if not inside.all() else _TRACE_CHUNK
-        speeds = _leaf_speeds(model.dtp, ahead[:min(n_in + 1, _TRACE_CHUNK)], direction).tolist()
-        for k, speed in enumerate(speeds):
-            if arc >= arc_budget:
-                return "open-within-budget", arc, pts
-            rep = ahead[k + 1]
-            if k == n_in:  # left the box: reduce, then restart the chunk from rep
-                rep, word = model.canonical_rep(rep)
-                if word:
-                    direction = model.word_jacobian(word, ahead[k + 1]) @ direction
-            arc += step * speed
-            pts.append((arc, rep))
-            cur = rep
-            gap = float(np.max(np.abs(rep - x0)))
-            proximity = 2.0 * step * max(1.0, speed)
-            if not left_start:
-                # closure checks arm only once the trace has left the basepoint
-                if gap > 1.5 * proximity:
-                    left_start = True
-            elif gap <= proximity:
-                delta = float(np.clip((x0 - cur) @ direction / (direction @ direction),
-                                      -2 * step, 2 * step))
-                closure, _ = model.canonical_rep(cur + delta * direction)
-                if np.sqrt(np.sum((closure - x0) ** 2)) <= model.ident_tol:
-                    return "closed", arc + delta * speed, pts
+        speeds = _leaf_speeds(model.dtp, ahead[:min(n_in + 1, _TRACE_CHUNK)], direction)
+        arcs = np.cumsum(np.concatenate([[arc], step * speeds]))  # arcs[k + 1]: after step k
+        over = np.flatnonzero(arcs[:-1] >= arc_budget)
+        n = int(over[0]) if over.size else len(speeds)  # the steps this chunk takes
+        reps = ahead[1:n + 1].copy()
+        stays = min(n, n_in)  # the steps that stay in the box; step n_in leaves it
+        armed, hit = _closing_step(model, x0, reps[:stays], speeds, arcs, direction, armed)
+        if hit is None and stays < n:  # reduce the step that left the box, then check it
+            reps[-1], word = model.canonical_rep(ahead[n])
+            if word:
+                direction = model.word_jacobian(word, ahead[n]) @ direction
+            armed, hit = _closing_step(model, x0, reps, speeds, arcs, direction, armed, stays)
+        if hit is not None:
+            k, length = hit
+            pts += zip(arcs[1:k + 2].tolist(), reps[:k + 1])
+            return "closed", length, pts
+        pts += zip(arcs[1:n + 1].tolist(), reps)
+        arc, cur = float(arcs[n]), reps[-1]
+    return "open-within-budget", arc, pts
+
+
+def _closing_step(model: QuotientModel, x0, reps, speeds, arcs, direction, armed: bool,
+                  start: int = 0):
+    """(armed, hit) after the steps start.. that reached the rows of reps
+    along direction, each with its speed and the arc after it (speeds[k],
+    arcs[k + 1]): the checks arm at the first step whose gap from x0 exceeds
+    1.5 proximities, and every later step within a proximity is tried for
+    closure, in order; hit is (step, length) of the first that closes, or
+    None.  Near x0 the closure is projected, not refined: delta =
+    (x0 - rep).d / (d.d), clipped to +/-2 steps, is exact because a leaf is a
+    coordinate line in product coordinates, and the trace closes when the
+    representative of rep + delta d is within ident_tol of x0.
+    """
+    step = _TRACE_STEP
+    gaps = np.max(np.abs(reps[start:] - x0), axis=1)
+    proximity = 2.0 * step * np.maximum(1.0, speeds[start:len(reps)])
+    first = 0
+    if not armed:
+        left = np.flatnonzero(gaps > 1.5 * proximity)
+        armed = bool(left.size)
+        first = int(left[0]) + 1 if armed else len(gaps)
+    for k in start + first + np.flatnonzero(gaps[first:] <= proximity[first:]):
+        delta = float(np.clip((x0 - reps[k]) @ direction / (direction @ direction),
+                              -2 * step, 2 * step))
+        closure, _ = model.canonical_rep(reps[k] + delta * direction)
+        if np.sqrt(np.sum((closure - x0) ** 2)) <= model.ident_tol:
+            return armed, (int(k), float(arcs[k + 1]) + delta * float(speeds[k]))
+    return armed, None
 
 
 # ---------------------------------------------------------------------------
@@ -1037,56 +1060,68 @@ def decomposition_check(model: QuotientModel, x0, loops: dict,
 # ---------------------------------------------------------------------------
 # explicit twisted construction (quotient that is not globally a product)
 
-def _bump(u: float) -> float:
-    if abs(u) >= 1.0:
-        return 0.0
-    return math.exp(-1.0 / (1.0 - u * u))
-
-
-def _bump_d1(u: float) -> float:
-    if abs(u) >= 1.0:
-        return 0.0
+def _bump_and_d1(u):
+    """(b, b') elementwise (a number or an array) for the bump
+    b(u) = exp(-1 / (1 - u^2)) on |u| < 1, 0 elsewhere."""
+    u = np.asarray(u, dtype=float)
     w = 1.0 - u * u
-    return _bump(u) * (-2.0 * u / w**2)
+    inside = w > 0.0  # |u| < 1: u * u rounds to 1 or more exactly when |u| >= 1
+    w = np.where(inside, w, 1.0)  # 1 outside, so the masked branch stays finite
+    b = np.exp(-1.0 / w) * inside
+    return b[()], (b * (-2.0 * u / w**2))[()]
 
 
-def _smooth01(t: float) -> float:
-    """C-infinity step: exactly 0 for t <= 0 and 1 for t >= 1."""
-    if t <= 0.0:
-        return 0.0
-    if t >= 1.0:
-        return 1.0
-    a = math.exp(-1.0 / t)
-    b = math.exp(-1.0 / (1.0 - t))
-    return a / (a + b)
+def _smooth01(t):
+    """C-infinity step, elementwise: exactly 0 for t <= 0 and 1 for t >= 1."""
+    t = np.asarray(t, dtype=float)
+    mid = (t > 0.0) & (t < 1.0)
+    tm = np.where(mid, t, 0.5)  # keeps both exponents finite off the transition
+    a = np.exp(-1.0 / tm)
+    b = np.exp(-1.0 / (1.0 - tm))
+    return np.where(mid, a / (a + b), t >= 1.0)[()]  # off it: 1.0 above, 0.0 below
 
 
 @dataclass
 class TwistedGluing:
-    """Gluing data: h = id near 0, h' > 0, with bump amplitude and inverse."""
+    """Gluing data: h = id near 0, h' > 0, with bump amplitude and inverse.
+    Every method is elementwise: it takes a number or an array."""
 
     amplitude: float = 0.3
     center: float = 1.0
 
-    def h(self, y: float) -> float:
-        return y + self.amplitude * _bump(y - self.center)
+    def h(self, y):
+        return self._h_and_prime(y)[0]
 
-    def h_prime(self, y: float) -> float:
-        return 1.0 + self.amplitude * _bump_d1(y - self.center)
+    def h_prime(self, y):
+        return self._h_and_prime(y)[1]
 
-    def h_inverse(self, z: float) -> float:
-        y = z
+    def _h_and_prime(self, y):
+        b, d1 = _bump_and_d1(y - self.center)
+        return y + self.amplitude * b, 1.0 + self.amplitude * d1
+
+    def h_inverse(self, z):
+        """Newton's method for h(y) = z from y = z, per element: an element
+        stops once its step is below 1e-15, and none takes over 100 steps."""
+        z = np.asarray(z, dtype=float)
+        y = z.flatten()
+        todo, yt, zt = np.arange(y.size), y.copy(), y.copy()  # the elements still moving
         for _ in range(100):
-            step = (self.h(y) - z) / self.h_prime(y)
-            y -= step
-            if abs(step) < 1e-15:
+            if not todo.size:
                 break
-        return y
+            h, h_prime = self._h_and_prime(yt)
+            step = (h - zt) / h_prime
+            yt = yt - step
+            stop = np.abs(step) < 1e-15
+            if np.count_nonzero(stop):
+                y[todo[stop]] = yt[stop]
+                todo, yt, zt = todo[~stop], yt[~stop], zt[~stop]
+        y[todo] = yt
+        return y.reshape(z.shape)[()]
 
     def check_monotone(self):
         """min h' on 401 points across the bump; raises InvalidH unless positive."""
         grid = np.linspace(self.center - 1.5, self.center + 1.5, 401)
-        worst = min(self.h_prime(float(y)) for y in grid)
+        worst = float(np.min(self.h_prime(grid)))
         if worst <= 0.0:
             raise InvalidH(f"h' reaches {worst} <= 0; reduce the bump amplitude")
         return worst
@@ -1110,46 +1145,33 @@ def build_example1(epsilon: float = 0.25, gluing: Optional[TwistedGluing] = None
     glue = gluing if gluing is not None else TwistedGluing()
     glue.check_monotone()
 
-    def sigma(x: float) -> float:
-        return _smooth01((x - epsilon) / (1.0 - 2.0 * epsilon))
-
-    def lam_at(x: float, y: float) -> float:
-        k = math.floor(x)
-        chain = 1.0
-        y_cur = y
-        if k > 0:
-            for _ in range(k):
-                chain *= glue.h_prime(y_cur)
-                y_cur = glue.h(y_cur)
-        elif k < 0:
-            for _ in range(-k):
-                y_cur = glue.h_inverse(y_cur)
-                chain /= glue.h_prime(y_cur)
-        return glue.h_prime(y_cur) ** sigma(x - k) * chain
-
     def lam(c):
-        # piecewise in x (the gluing chain), so a batch is evaluated point by point
-        return np.array([lam_at(x, y) for x, y in zip(c[0].tolist(), c[1].tolist())])
+        # the gluing chain, one level of floor(x) at a time: the points with
+        # k = floor(x) >= j take the j-th factor h'(y) and move y to h(y),
+        # those with k <= -j move y to h^-1(y) and divide by h' there
+        x, y = c[0], c[1].copy()
+        k = np.floor(x)
+        chain = np.ones_like(y)
+        for j in range(1, int(k.max(initial=0.0)) + 1):
+            m = k >= j
+            y[m], h_prime = glue._h_and_prime(y[m])
+            chain[m] *= h_prime
+        for j in range(1, int(-k.min(initial=0.0)) + 1):
+            m = k <= -j
+            y[m] = glue.h_inverse(y[m])
+            chain[m] /= glue.h_prime(y[m])
+        return glue.h_prime(y) ** _smooth01((x - k - epsilon) / (1.0 - 2.0 * epsilon)) * chain
 
     lam_field = ScalarField(lam, name="twisted-lam")
     f1 = pg.FactorManifold("line-x", 1, ck.MetricField.euclidean(1), [[0.0, 1.0]])
     f2 = pg.FactorManifold("line-y", 1, ck.MetricField.euclidean(1), [[-1.0, 3.0]])
     dtp = pg.assemble(f1, f2, ScalarField.constant(1.0), lam_field)
 
-    def per_point(fn):
-        # h^{-1} is a Newton solve, so a batch is mapped point by point
-        def mapped(y):
-            return np.array([[fn(v) for v in y[0].tolist()]])
-        return mapped
-
-    def psi_jacobian(y):
-        return per_point(lambda v: 1.0 / glue.h_prime(glue.h_inverse(v)))(y)[None]
-
     gen = DeckGenerator(
         name="a",
         phi=FactorMap.translation([1.0]),
-        psi=FactorMap(apply=per_point(glue.h_inverse), inverse=per_point(glue.h),
-                      jacobian=psi_jacobian),
+        psi=FactorMap(apply=glue.h_inverse, inverse=glue.h,
+                      jacobian=lambda y: (1.0 / glue.h_prime(glue.h_inverse(y)))[None]),
         homothety=False,
     )
     big = 1e9
@@ -1163,16 +1185,14 @@ def build_example1(epsilon: float = 0.25, gluing: Optional[TwistedGluing] = None
 def example1_seam_residual(model: QuotientModel, n_samples: int = 25) -> float:
     """max |lam(x, y) - lam(x - 1, h(y)) h'(y)| across the x = 1 seam."""
     glue = model.gluing
-    lam = model.dtp.lam2
-    worst = 0.0
     rng = np.random.default_rng(2024)
-    for _ in range(n_samples):
-        x = 1.0 + rng.uniform(-0.2, 0.2)
-        y = rng.uniform(-0.5, 2.5)
-        lhs = lam.value([x, y])
-        rhs = lam.value([x - 1.0, glue.h(y)]) * glue.h_prime(y)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    # the draws alternate x, y per sample
+    x, y = rng.uniform([-0.2, -0.5], [0.2, 2.5], (n_samples, 2)).T
+    x = 1.0 + x
+    h, h_prime = glue._h_and_prime(y)
+    lhs = model.dtp.lam2.value(np.stack([x, y], axis=1))
+    rhs = model.dtp.lam2.value(np.stack([x - 1.0, h], axis=1)) * h_prime
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
 # ---------------------------------------------------------------------------

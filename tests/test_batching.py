@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from warpquot import chartkit as ck
 from warpquot import expr
@@ -164,7 +164,8 @@ def test_central_diff_makes_one_call():
 
 
 def _scalar_and_batch(src, names, cols):
-    # a field passes one point as a batch of one, (n, 1)
+    # one point as a batch of one, (n, 1), here a stride-0 view: a compiled
+    # expression takes any layout (a field passes a reshaped column)
     f = expr.compile_expr(src, names)
     batch = np.asarray(f(np.array(cols)))
     single = np.array([f(np.array(c)[:, None])[0] for c in zip(*cols)])
@@ -200,6 +201,8 @@ def test_expr_min_max_many_arguments():
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=9),
        st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=9))
+# a stride-0 exponent of exactly 2.0 made np.power square (1 ulp off pow)
+@example([0.0, 2.0], [0.0, 1.695216789258359])
 def test_expr_batch_property(xs, ys):
     k = min(len(xs), len(ys))
     batch, single = _scalar_and_batch(
@@ -207,6 +210,19 @@ def test_expr_batch_property(xs, ys):
         " + (abs(x) + 0.5) ** (y - x)",
         ["x", "y"], [xs[:k], ys[:k]])
     np.testing.assert_array_equal(batch, single)
+
+
+@pytest.mark.parametrize("fn", [expr.compile_expr("pow(abs(y) + 1, x)", ["x", "y"]),
+                                lambda c: np.power(np.abs(c[1]) + 1.0, c[0])],
+                         ids=["expr", "numpy"])
+def test_one_point_value_equals_its_batch_row(fn):
+    # a one-point column laid out with stride 0 reads as a scalar exponent to
+    # np.power, which squares 2.0 exactly where a batch calls pow: 1 ulp apart
+    f = ScalarField(fn)
+    pts = np.array([[2.0, 1.695216789258359], [0.5, -0.25], [2.0, 3.0], [1.0, 0.7]])
+    batch = f.value(pts)
+    np.testing.assert_array_equal([f.value(p) for p in pts], batch)
+    assert f.value(pts[0]) == 7.264193541100137
 
 
 def test_per_point_only_callbacks_fail_loudly():

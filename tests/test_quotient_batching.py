@@ -210,27 +210,34 @@ def ref_enumerate_words(model, max_len):
     return words
 
 
-def ref_leaf_trace(model, x0, foliation, arc_budget=8.0):
+def ref_leaf_trace(model, x0, foliation, arc_budget=8.0, logs=None):
     """The trace along +e, then, for an open leaf, the reversed trace along -e
-    with negated arc lengths in front (status and length stay the forward ones)."""
+    with negated arc lengths in front (status and length stay the forward ones).
+    ``logs``, when given, receives each walk's step log (see ``ref_walk``)."""
     x0 = np.asarray(x0, dtype=float)
     direction = model.dtp.embed(foliation, np.ones(1))
-    status, length, pts = ref_walk(model, x0, direction, arc_budget)
+    walks = [] if logs is None else logs
+    walks.append([])
+    status, length, pts = ref_walk(model, x0, direction, arc_budget, log=walks[-1])
     if status != "closed":
-        back = ref_walk(model, x0, -direction, arc_budget)[2]
+        walks.append([])
+        back = ref_walk(model, x0, -direction, arc_budget, log=walks[-1])[2]
         pts = [(-arc, p) for arc, p in reversed(back[1:])] + pts
     return status, length, pts
 
 
-def ref_walk(model, x0, direction, arc_budget, step=0.01):
+def ref_walk(model, x0, direction, arc_budget, step=0.01, log=None):
     """One step per iteration: one-point speed, every step reduced by search,
-    and the closure projected onto the leaf's coordinate line."""
+    and the closure projected onto the leaf's coordinate line.  ``log``, when
+    given, receives (left the box, closure tried) for every step."""
     g = model.dtp.assembled
     cur, arc, pts, left_start = x0.copy(), 0.0, [(0.0, x0.copy())], False
+    log = [] if log is None else log
     while arc < arc_budget:
         v = TangentVector(CoordPoint(cur), direction)
         speed = float(np.sqrt(abs(ck.inner_product(g, v, v))))
         nxt_up = cur + step * direction
+        log.append((not ref_in_box(model, nxt_up), False))
         rep, word = ref_canonical_rep(model, nxt_up)
         if word:
             direction = model.word_jacobian(word, nxt_up) @ direction
@@ -242,11 +249,24 @@ def ref_walk(model, x0, direction, arc_budget, step=0.01):
         if not left_start:
             left_start = gap > 1.5 * proximity
         elif gap <= proximity:
+            log[-1] = (log[-1][0], True)
             delta = min(max((x0 - cur) @ direction / (direction @ direction), -2 * step), 2 * step)
             closure = ref_canonical_rep(model, cur + delta * direction)[0]
             if np.sqrt(np.sum((closure - x0) ** 2)) <= model.ident_tol:
                 return "closed", arc + delta * speed, pts
     return "open-within-budget", arc, pts
+
+
+def ref_chunks(log):
+    """The steps taken in each chunk of a walk with this step log: a chunk
+    ends after a step that leaves the box or after _TRACE_CHUNK steps, and
+    the next one starts only when the walk goes on."""
+    sizes = [0]
+    for i, (exited, _) in enumerate(log):
+        sizes[-1] += 1
+        if (exited or sizes[-1] == qt._TRACE_CHUNK) and i < len(log) - 1:
+            sizes.append(0)
+    return sizes
 
 
 def ref_fd_jacobian(fn, x):
@@ -498,6 +518,22 @@ TRACES = [
     ("file-warped-torus", [0.37, 0.21], 1, 8.0), ("file-warped-torus", [0.37, 0.21], 2, 8.0),
     ("file-twisted-torus", [0.37, 0.21], 1, 8.0), ("file-twisted-torus", [0.81, 0.64], 2, 8.0),
 ]
+# edge cases, each with the property of its walks it must show (see
+# test_trace_edge_cases_show_their_edge)
+EDGE_TRACES = {
+    # budgets that run out inside a chunk, at constant and varying speeds
+    ("mobius", (0.4, 0.5), 2, 0.305): "budget-mid-chunk",
+    ("example1", (0.0, 1.0), 1, 1.237): "budget-mid-chunk",
+    ("file-twisted-torus", (0.37, 0.21), 1, 0.305): "budget-mid-chunk",
+    # the step that leaves the box is a closure candidate, and closes
+    ("flat-torus", (0.0, 0.3), 1, 8.0): "closure-on-exit",
+    # basepoints on the edges of the box's ident_tol band
+    ("flat-torus", (-1e-7, 0.3), 1, 8.0): "lower-edge",
+    ("example1", (1 - 2e-7, 0.0), 1, 8.0): "upper-edge",
+    ("mobius", (1 - 2e-7, 0.5), 1, 8.0): "upper-edge",
+}
+TRACES += [(name, list(x0), foliation, budget)
+           for name, x0, foliation, budget in EDGE_TRACES]
 
 
 @pytest.mark.parametrize("name,x0,foliation,budget", TRACES)
@@ -510,6 +546,44 @@ def test_leaf_trace_bit_identical_to_step_loop(name, x0, foliation, budget):
     assert len(trace.points) == len(pts)
     for (arc, p), (ref_arc, ref_p) in zip(trace.points, pts):
         assert arc == ref_arc and np.array_equal(p, ref_p)
+
+
+@pytest.mark.parametrize("name,x0,foliation,budget", TRACES)
+def test_leaf_trace_calls_per_chunk(name, x0, foliation, budget, monkeypatch):
+    # one metric evaluation per chunk, and a reduction only at a box exit or
+    # a closure candidate, counted on the step-by-step walk's log
+    model = MODELS[name]
+    logs = []
+    ref_leaf_trace(model, x0, foliation, arc_budget=budget, logs=logs)
+    speeds, reps = [], []
+    leaf_speeds, canonical_rep = qt._leaf_speeds, qt.QuotientModel.canonical_rep
+    monkeypatch.setattr(qt, "_leaf_speeds",
+                        lambda dtp, xs, d: speeds.append(len(xs)) or leaf_speeds(dtp, xs, d))
+    monkeypatch.setattr(qt.QuotientModel, "canonical_rep",
+                        lambda self, x: reps.append(x) or canonical_rep(self, x))
+    qt.leaf_trace(model, x0, foliation, arc_budget=budget)
+    assert len(speeds) == sum(len(ref_chunks(log)) for log in logs)
+    assert max(speeds) <= qt._TRACE_CHUNK
+    assert len(reps) == sum(exited + tried for log in logs for exited, tried in log)
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_TRACES), ids=str)
+def test_trace_edge_cases_show_their_edge(case):
+    name, x0, foliation, budget = case
+    model = MODELS[name]
+    logs = []
+    status = ref_leaf_trace(model, x0, foliation, arc_budget=budget, logs=logs)[0]
+    edge = EDGE_TRACES[case]
+    if edge == "budget-mid-chunk":  # the last chunk stops short, inside the box
+        assert status == "open-within-budget"
+        assert all(ref_chunks(log)[-1] < qt._TRACE_CHUNK and not log[-1][0] for log in logs)
+    elif edge == "closure-on-exit":
+        assert status == "closed" and logs[0][-1] == (True, True)
+    elif edge == "lower-edge":  # the band's lowest x
+        assert x0[0] == model.fundamental_box[0, 0] - model.ident_tol
+        assert model.in_box(np.array(x0))
+    else:  # in the box, and the first step leaves it
+        assert model.in_box(np.array(x0)) and logs[0][0][0]
 
 
 # ---------------------------------------------------------------------------
