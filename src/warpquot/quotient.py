@@ -27,10 +27,11 @@ word tree (``_tree``), each word its parent followed by one letter; a
 smaller word bound reads the first levels of the largest tree searched.
 Orbit lookups read the tree: ``_orbit`` (loops, intersections,
 ``validate``) and ``_searches`` (``canonical_rep``, ``find_closing_word``;
-level by level, each start until a level accepts it).  ``_apply_words``
-moves points by explicit word lists.  With elementwise callbacks a row of a
-batch sees the same arithmetic as the point alone, so batched and one-point
-results agree bit for bit.
+level by level, each start until a level accepts it).  A batch of words
+moves points only through the tree; a single word moves a point by
+``apply_word`` and differentiates by ``word_jacobian``.  With elementwise
+callbacks a row of a batch sees the same arithmetic as the point alone, so
+batched and one-point results agree bit for bit.
 
 Affine records
 --------------
@@ -115,8 +116,7 @@ def _compose(A_m, b_m, A_p, b_p):
 
 
 def _apply_records(A, b, x) -> np.ndarray:
-    """Row w of x, (W, ..., n), moved by the record (A[w], b[w]), or every
-    row by every record when x has one row, (1, ..., n): (W, ..., n)."""
+    """x, (1, ..., n), moved by every record (A[w], b[w]): (W, ..., n)."""
     lead = (len(A),) + (1,) * (x.ndim - 2)
     return _affine_map(A.reshape(lead + A.shape[1:]), b.reshape(lead + b.shape[1:]), x)
 
@@ -231,7 +231,8 @@ class QuotientModel:
         """(A, b) of each move's letter, (M, n, n) and (M, n) in move order,
         block-diagonal from the records of phi and psi (the declared
         inverses' for sign -1); None unless every factor map has a record,
-        and then the model takes the level path."""
+        and then the model takes the level path.  A singular record is an
+        input error (InvalidAction): a deck map must be invertible."""
         maps = [fm for gen in self.generators for fm in (gen.phi, gen.psi)]
         if any(fm.record is None for fm in maps):
             return None
@@ -241,6 +242,8 @@ class QuotientModel:
         for m, (gen, sign) in enumerate(moves):
             for fm, s in ((gen.phi, self.dtp.slot1), (gen.psi, self.dtp.slot2)):
                 A[m, s, s], b[m, s] = fm.record[0 if sign > 0 else 1]
+        if not np.all(np.linalg.det(A)):
+            raise InvalidAction("a deck generator's affine map is not invertible")
         return A, b
 
     def same_point(self, p, q):
@@ -303,20 +306,6 @@ class QuotientModel:
         """(generator, sign) in search order; the inverse of move m is m ^ 1."""
         return [(gen, sign) for gen in self.generators for sign in (1, -1)]
 
-    def _letter_steps(self, words: Sequence[Word]):
-        """(rows, generator, sign) per letter position and (generator, sign),
-        in application order: the rows of ``words`` with that letter there."""
-        moves = self._moves()
-        longest = max(map(len, words), default=0)
-        letters = np.full((len(words), longest), -1)
-        for r, w in enumerate(words):
-            letters[r, :len(w)] = [self._code[letter] for letter in w]
-        for pos in range(longest):
-            for m, (gen, sign) in enumerate(moves):
-                rows = np.flatnonzero(letters[:, pos] == m)
-                if rows.size:
-                    yield rows, gen, sign
-
     def _word_record(self, word: Word):
         """(A, b) of a word of an affine model: its letters' records composed
         onto the empty word's (I, 0), left to right.  A word of the largest
@@ -333,41 +322,6 @@ class QuotientModel:
         A, b = self._word_record(word[:-1])
         m = self._code[word[-1]]
         return _compose(self._letters[0][m], self._letters[1][m], A, b)
-
-    def _word_records(self, words: Sequence[Word]):
-        """``_word_record`` of every word, stacked: (R, n, n) and (R, n)."""
-        records = [self._word_record(w) for w in words]
-        return (np.array([A for A, _ in records]).reshape(-1, self.dtp.n, self.dtp.n),
-                np.array([b for _, b in records]).reshape(-1, self.dtp.n))
-
-    def _apply_words(self, words: Sequence[Word], x) -> np.ndarray:
-        """x[r] moved by words[r] for every r; x is (R, n) or (R, P, n).
-
-        On an affine model, by each word's record (``_word_record``).
-        Otherwise one apply_gen call per letter position and (generator,
-        sign) on all the rows whose word has that letter there, so every
-        row goes through the maps of apply_word in the same order.
-        """
-        x = np.array(x, dtype=float)
-        if self._letters is not None:
-            return _apply_records(*self._word_records(words), x)
-        n = x.shape[-1]
-        for rows, gen, sign in self._letter_steps(words):
-            sub = x[rows]
-            x[rows] = self.apply_gen(gen, sign, sub.reshape(-1, n)).reshape(sub.shape)
-        return x
-
-    def _word_jacobians(self, words: Sequence[Word], x) -> np.ndarray:
-        """word_jacobian(words[r], x[r]) for every row of x (R, n), as (R, n, n),
-        batched like ``_apply_words``."""
-        if self._letters is not None:
-            return self._word_records(words)[0]
-        x = np.array(x, dtype=float)
-        J = np.tile(np.eye(self.dtp.n), (len(words), 1, 1))
-        for rows, gen, sign in self._letter_steps(words):
-            J[rows] = self.gen_jacobian(gen, sign, x[rows]) @ J[rows]
-            x[rows] = self.apply_gen(gen, sign, x[rows])
-        return J
 
     def _level(self, steps: list, prev: np.ndarray, size: int) -> np.ndarray:
         """Images of the first ``size`` words of a tree level with ``steps``
@@ -402,20 +356,6 @@ class QuotientModel:
             parts.append(self._level(steps, parts[-1], min(size, count - done)))
             done += len(parts[-1])
         return np.concatenate(parts)
-
-    def _inverse_orbit(self, max_len: int, x) -> np.ndarray:
-        """x (n,) moved by the inverse of each word of ``enumerate_words(max_len)``:
-        A_w^-1 (x - b_w) from one batched inverse of the records on an
-        affine model, the inverse words letter by letter otherwise."""
-        tree = self._tree(max_len)
-        if tree.records is not None:
-            A, b = tree.records
-            try:
-                return _matmul(np.linalg.inv(A), (x - b)[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                raise InvalidAction("a deck word's affine map is not invertible") from None
-        return self._apply_words([word_inverse(w) for w in tree.words],
-                                 np.broadcast_to(x, (len(tree.words), len(x))))
 
     def _searches(self, starts, accept, max_len: int) -> list:
         """Per row of ``starts`` (S, n), the first (point, word) of
@@ -486,7 +426,10 @@ class QuotientModel:
     def enumerate_words(self, max_len: int) -> list[Word]:
         """Reduced words up to max_len in breadth-first order (level by level,
         generators in order, +1 before -1), deduplicated by their action on
-        two probe points near the middle of the box.
+        two probe points: the middle of the box clipped to [c - 5, c + 5] per
+        axis, c the point of the box nearest the origin, and that point moved
+        by 0.1, 0.2, ...  Near the origin the doubles are dense enough for
+        the _ROUND grid on any box.
 
         The only search of the group.  It builds a word tree, kept for the
         orbit lookups (``_tree``): each word is a kept word of the level
@@ -496,8 +439,9 @@ class QuotientModel:
         last letter's, on an affine model; otherwise by one apply_gen call
         per (generator, sign) on the parents' probe images.
         """
-        box = self.fundamental_box
-        probe = 0.5 * (box[:, 0] + np.minimum(box[:, 1], box[:, 0] + 10.0))
+        lo, hi = self.fundamental_box[:, 0], self.fundamental_box[:, 1]
+        near = np.clip(0.0, lo, hi)
+        probe = 0.5 * (np.maximum(lo, near - 5.0) + np.minimum(hi, near + 5.0))
         probes = np.stack([probe, probe + 0.1 * np.arange(1, self.dtp.n + 1)])
         moves = self._moves()
         letters = [(gen.name, sign) for gen, sign in moves]
@@ -856,14 +800,16 @@ def leaf_intersection_count(model: QuotientModel, x0,
                             word_bound: Optional[int] = None) -> IntersectionReport:
     """card(F1(x0) ^ F2(x0)) from the deck group alone, at the word bound.
 
-    Every group word w yields the candidate p(phi_w^{-1}(a0), b0), which lies
-    on both leaves: on M1 x {b0}, and w maps it to (a0, psi_w(b0)) on
-    {a0} x M2.  Candidates are reduced and counted up to identification: a
-    candidate whose representative is the same point as a kept one is that
-    intersection.  Two kept representatives that a word of length <= the
-    bound identifies raise InvalidAction.  The count is exact only when both
-    leaves close, that is when each foliation has a closing word within the
-    bound (``leaf_loops``); otherwise it carries the lower-bound flag.  Both
+    Every group word w yields the candidate p(a0, psi_w(b0)), which lies on
+    both leaves: on {a0} x M2, and w^-1 maps it to (phi_w^{-1}(a0), b0) on
+    M1 x {b0}.  The candidates are the orbit of (a0, b0) with a0 put back,
+    reduced and counted up to identification: a candidate whose
+    representative is the same point as a kept one is that intersection.
+    Each witness is the kept pair ((phi_w^{-1}(a0), b0), (a0, psi_w(b0))).
+    Two kept representatives that a word of length <= the bound identifies
+    raise InvalidAction.  The count is exact only when both leaves close,
+    that is when each foliation has a closing word within the bound
+    (``leaf_loops``); otherwise it carries the lower-bound flag.  Both
     factors must be one-dimensional (InvalidAction otherwise): there a
     non-trivial stabilizer of a free action is exactly a closed leaf.
     """
@@ -884,10 +830,9 @@ def _intersections(model: QuotientModel, rep0: np.ndarray, loops: dict,
     ``leaf_loops`` at the word bound wb are ``loops``."""
     dtp = model.dtp
     lower_bound_only = not (loops[1] and loops[2])
-    cands = model._inverse_orbit(wb, rep0)
-    cands[:, dtp.slot2] = rep0[dtp.slot2]                # on the leaf M1 x {b0}
-    cands2 = model._orbit(wb, rep0)
-    cands2[:, dtp.slot1] = rep0[dtp.slot1]               # on {a0} x M2
+    words = model._tree(wb).words
+    cands = model._orbit(wb, rep0)
+    cands[:, dtp.slot1] = rep0[dtp.slot1]                # on {a0} x M2
     reduced = model._searches(cands, model.in_box, model.word_bound)
     # candidates that reach the box, in order; a candidate whose representative
     # is the same point as an earlier kept one is that intersection: the first
@@ -898,8 +843,11 @@ def _intersections(model: QuotientModel, rep0: np.ndarray, loops: dict,
     while left.size:
         kept.append(int(left[0]))
         left = left[~model.same_point(pool[left], pool[left[0]])]
-    witnesses = [(CoordPoint(cands[rows[i]].copy()), CoordPoint(cands2[rows[i]].copy()))
-                 for i in kept]
+    witnesses = []
+    for k in (rows[i] for i in kept):
+        on_leaf1 = model.apply_word(word_inverse(words[k]), rep0)
+        on_leaf1[dtp.slot2] = rep0[dtp.slot2]            # on M1 x {b0}
+        witnesses.append((CoordPoint(on_leaf1), CoordPoint(cands[k].copy())))
     _check_distinct(model, [pool[i] for i in kept], wb)
     return IntersectionReport(len(witnesses), witnesses, wb, lower_bound_only)
 
@@ -936,9 +884,9 @@ def leaf_loop_curve(model: QuotientModel, rep0, foliation: int, word: Word) -> t
 
 def _loop_ends(model: QuotientModel, rep0: np.ndarray, foliation: int,
                words: Sequence[Word]) -> np.ndarray:
-    """word(rep0) for every word, in one ``_apply_words`` batch; NotALoop
-    names the first word that does not close a foliation loop at rep0."""
-    ends = model._apply_words(words, np.broadcast_to(rep0, (len(words), model.dtp.n)))
+    """word(rep0) for every word (``apply_word``); NotALoop names the first
+    word that does not close a foliation loop at rep0."""
+    ends = np.stack([model.apply_word(w, rep0) for w in words])
     other = model.dtp.slot(3 - foliation)
     opens = ~model.same_point(ends[:, other], rep0[other])
     if opens.any():
@@ -949,14 +897,15 @@ def _loop_ends(model: QuotientModel, rep0: np.ndarray, foliation: int,
 
 def _loop_holonomies(model: QuotientModel, rep0: np.ndarray, foliation: int,
                      words: Sequence[Word]) -> list:
-    """``loop_holonomy`` of every word, the words moved and differentiated in
-    one batch (``_loop_ends``, ``_word_jacobians``)."""
+    """``loop_holonomy`` of every word: its end (``_loop_ends``) and the
+    differential of its inverse there (``word_jacobian``)."""
     dtp = model.dtp
     ends = _loop_ends(model, rep0, foliation, words)
     other = dtp.slot(3 - foliation)
     frame = tp.normal_frame(dtp, rep0, foliation=foliation)
     fmat = np.stack([f.components[other] for f in frame], axis=1)
-    jac = model._word_jacobians([word_inverse(w) for w in words], ends)[:, other, other]
+    jac = np.stack([model.word_jacobian(word_inverse(w), end)
+                    for w, end in zip(words, ends)])[:, other, other]
     return [tp.HolonomyMap(CoordPoint(rep0), m, frame)
             for m in np.linalg.solve(fmat, jac @ fmat)]
 

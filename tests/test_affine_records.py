@@ -113,18 +113,39 @@ def test_tree_records_equal_the_letters_composed_one_at_a_time(name):
                                                         ref_record(model, word)))
 
 
+def _without_records(model):
+    """The same group with every map's record dropped: the level path."""
+    def strip(fm):
+        return qt.FactorMap(apply=fm.apply, inverse=fm.inverse)
+    gens = [qt.DeckGenerator(g.name, strip(g.phi), strip(g.psi), g.c1, g.c2, g.homothety)
+            for g in model.generators]
+    return qt.QuotientModel(model.dtp, gens, model.fundamental_box, model.ident_tol,
+                            model.word_bound)
+
+
 @pytest.mark.parametrize("name", sorted(AFFINE_MODELS))
-def test_inverse_orbit_inverts_every_tree_word(name):
-    # candidates from one batched inverse of the records: each is taken back
-    # to the start by its word, and equals the inverse word's image to rounding
-    model = AFFINE_MODELS[name]()
-    x = np.array([0.31, 0.27])
-    words = model._tree(model.word_bound).words
-    back = model._inverse_orbit(model.word_bound, x)
-    moved = np.stack([model.apply_word(w, p) for w, p in zip(words, back)])
-    np.testing.assert_allclose(moved, np.broadcast_to(x, moved.shape), rtol=0, atol=1e-14)
-    want = np.stack([model.apply_word(qt.word_inverse(w), x) for w in words])
-    np.testing.assert_allclose(back, want, rtol=0, atol=1e-14)
+def test_each_witness_pair_is_identified_by_a_tree_word(name):
+    # a witness is the leaf-1 point (phi_w^-1(a0), b0) and the leaf-2 point
+    # (a0, psi_w(b0)) of one word w: on the record path and on the level
+    # path, some tree word takes the first to the second, and both paths
+    # count alike
+    affine = AFFINE_MODELS[name]()
+    level = _without_records(affine)
+    assert affine._letters is not None and level._letters is None
+    for x0 in ([0.31, 0.27], [0.83, 0.61]):
+        reports = []
+        for model in (affine, level):
+            words = model._tree(model.word_bound).words
+            report = qt.leaf_intersection_count(model, x0)
+            assert report.count >= 1
+            for p1, p2 in report.witnesses:
+                assert any(model.same_point(model.apply_word(w, p1.coords), p2.coords)
+                           for w in words)
+            reports.append(report)
+        assert reports[0].count == reports[1].count
+        for pair, level_pair in zip(reports[0].witnesses, reports[1].witnesses):
+            for p, q in zip(pair, level_pair):
+                np.testing.assert_allclose(p.coords, q.coords, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -192,9 +192,11 @@ def test_rk45_adapted_translation_keeps_normal_components(seed):
 
 
 def test_sign_flipped_normal_block_fails_verify_all(tmp_path, monkeypatch):
-    exact = qt.QuotientModel._word_jacobians
-    monkeypatch.setattr(qt.QuotientModel, "_word_jacobians",
-                        lambda self, *a: -exact(self, *a))
+    # flip only what the closed form reads: the oracle (``tp.holonomy_map``)
+    # also calls ``word_jacobian``, so flipping that would flip both sides
+    exact = qt._loop_holonomies
+    monkeypatch.setattr(qt, "_loop_holonomies", lambda *a: [
+        tp.HolonomyMap(h.basepoint, -h.matrix, h.frame) for h in exact(*a)])
     code, report = run(tmp_path, "flat-torus", "verify-all", "--samples", "8")
     assert code == 1
     checks = {c["check"]: c for c in report["results"]["checks"]}

@@ -14,8 +14,10 @@ passes when one of these holds, outside its own ``def``:
 
 A public method passes when its name is read anywhere in ``src/warpquot``
 (an identifier, an attribute or a string), read under ``bench/``, or its
-class is exported.  An attribute of another object, such as
-``np.linalg.norm``, keeps no top-level function alive.
+class is exported.  A private method (``_name``, not a dunder) passes only
+when its name is read in ``src/warpquot`` outside its own ``def``.  An
+attribute of another object, such as ``np.linalg.norm``, keeps no top-level
+function alive.
 
 A function that only tests call is a second way to compute what the
 library already computes on its command path; delete it, or move its test
@@ -53,14 +55,14 @@ def _src_trees():
 
 def _definitions(tree):
     """(qualified name, def node, class node or None) for each top-level
-    function and each public method."""
+    function and each method other than a dunder."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node.name, node, None
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and not item.name.startswith("_")):
+                        and not item.name.startswith("__")):
                     yield f"{node.name}.{item.name}", item, node
 
 
@@ -126,8 +128,9 @@ def _test_only():
             continue
         for qualname, node, cls in _definitions(tree):
             name = node.name
-            if (name in ALLOWED or name in exported or (cls is not None and cls.name in exported)
-                    or bench_refs[name]):
+            private_method = cls is not None and name.startswith("_")
+            if not private_method and (name in ALLOWED or name in exported or bench_refs[name]
+                                       or (cls is not None and cls.name in exported)):
                 continue
             if cls is None:
                 own = _function_references(node, path.stem, modules)

@@ -186,8 +186,9 @@ def ref_canonical_rep(model, x):
 
 
 def ref_enumerate_words(model, max_len):
-    box = model.fundamental_box
-    probe = 0.5 * (box[:, 0] + np.minimum(box[:, 1], box[:, 0] + 10.0))
+    lo, hi = model.fundamental_box.T
+    near = np.clip(0.0, lo, hi)
+    probe = 0.5 * (np.maximum(lo, near - 5.0) + np.minimum(hi, near + 5.0))
     probe2 = probe + 0.1 * np.arange(1, model.dtp.n + 1)
     words = [()]
     frontier = [((), probe, probe2)]
@@ -313,13 +314,6 @@ def test_group_action_batch_equals_rows(name):
     words = _words(model)
     for w in words:
         assert np.array_equal(model.apply_word(w, X), np.stack([model.apply_word(w, p) for p in X]))
-    # many words at once, one per row, and each word on a whole grid
-    rows = [words[k % len(words)] for k in range(len(X))]
-    assert np.array_equal(model._apply_words(rows, X),
-                          np.stack([model.apply_word(w, p) for w, p in zip(rows, X)]))
-    grid = np.broadcast_to(X[:4], (len(words), 4, model.dtp.n))
-    assert np.array_equal(model._apply_words(words, grid),
-                          np.stack([model.apply_word(w, X[:4]) for w in words]))
     if model._letters is not None:
         # an affine model moves a point by the word's record, as composed
         # letter by letter in the reference
@@ -654,6 +648,46 @@ def test_intersection_count_does_not_depend_on_the_basepoint(case, u, v, side, l
     word = tuple((names[k % len(names)], sign) for k, sign in letters)
     x0 = model.apply_word(word, np.array(x0))
     assert qt.leaf_intersection_count(model, x0).count == want, (case, x0)
+
+
+def ref_intersections(model, x0, word_bound):
+    """The count from the leaf-1 side, one word at a time: every tree word's
+    inverse gives (phi_w^-1(a0), b0), reduced by a node-by-node search; a
+    candidate that is the same point as a kept one is skipped, and a kept
+    one is paired with (a0, psi_w(b0)).  (count, lower_bound_only,
+    witnesses)."""
+    rep0 = model.canonical_rep(x0)[0]
+    s1, s2 = model.dtp.slot1, model.dtp.slot2
+    words = model.enumerate_words(word_bound)
+    closes = {i: any(model.same_point(model.apply_word(w, rep0)[model.dtp.slot(3 - i)],
+                                      rep0[model.dtp.slot(3 - i)]) for w in words[1:])
+              for i in (1, 2)}
+    kept, witnesses = [], []
+    for w in words:
+        on_leaf1 = model.apply_word(qt.word_inverse(w), rep0)
+        on_leaf1[s2] = rep0[s2]
+        hit = ref_canonical_rep(model, on_leaf1)
+        if hit is None or any(model.same_point(hit[0], q) for q in kept):
+            continue
+        kept.append(hit[0])
+        on_leaf2 = model.apply_word(w, rep0)
+        on_leaf2[s1] = rep0[s1]
+        witnesses.append((on_leaf1, on_leaf2))
+    return len(witnesses), not (closes[1] and closes[2]), witnesses
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_intersections_match_the_leaf1_side(name):
+    # the count reduces the leaf-2 candidates (a0, psi_w(b0)); each is one
+    # point of M with the leaf-1 candidate of its word, so the kept words,
+    # the count and the witnesses are the reference's, bit for bit
+    model = MODELS[name]
+    for x0 in ([0.31, 0.27], [0.83, 0.61], [0.05, 0.95], [1.7, -0.4]):
+        report = qt.leaf_intersection_count(model, x0, word_bound=4)
+        count, lower_bound_only, witnesses = ref_intersections(model, x0, 4)
+        assert (report.count, report.lower_bound_only) == (count, lower_bound_only)
+        for (p1, p2), (q1, q2) in zip(report.witnesses, witnesses, strict=True):
+            assert np.array_equal(p1.coords, q1) and np.array_equal(p2.coords, q2)
 
 
 # ---------------------------------------------------------------------------

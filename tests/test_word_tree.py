@@ -10,6 +10,7 @@ verify-all computes the decomposition's orbit quantities once.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,30 @@ def test_smaller_bound_reads_the_prefix_of_the_larger_tree(monkeypatch, name):
     if cut.records is not None:
         for got, want in zip(cut.records, searched.records):
             assert np.array_equal(got, want)
+
+
+def _boost_model(box):
+    """R^{1,1} x R / <(boost 1/2, z), (id, z + 1)>, a Z^2 group."""
+    c, s = np.cosh(0.5), np.sinh(0.5)
+    f1 = pg.FactorManifold("minkowski", 2, MetricField.constant(np.diag([-1.0, 1.0])),
+                           [[0.0, 1.0]] * 2)
+    f2 = pg.FactorManifold("line-z", 1, MetricField.euclidean(1), [[0.0, 1.0]])
+    one = ScalarField.constant(1.0)
+    shift = qt.FactorMap.translation
+    gens = [qt.DeckGenerator("a", qt.FactorMap.affine([[c, s], [s, c]], [0.0, 0.0]), shift([0.0])),
+            qt.DeckGenerator("b", shift([0.0, 0.0]), shift([1.0]))]
+    return qt.QuotientModel(pg.assemble(f1, f2, one, one), gens, box)
+
+
+@pytest.mark.parametrize("box", [[[0.0, 1.0]] * 3, [[-1e9, 1e9]] * 3], ids=["unit", "1e9"])
+def test_word_count_does_not_depend_on_the_box_size(box):
+    # the probes stay near the origin, where the _ROUND grid resolves the
+    # boost's images: at lo + 5 on the +/-1e9 box, doubles are 1.2e-7 apart,
+    # and the dedup kept 620 words and overflowed the int64 keys
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        words = _boost_model(box).enumerate_words(8)
+    assert len(words) == 2 * 8 * 9 + 1  # |i| + |j| <= 8 in Z^2
 
 
 # ---------------------------------------------------------------------------
