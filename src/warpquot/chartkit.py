@@ -20,6 +20,13 @@ with one point per row, and return one value or a stack of ``P`` values.
 Every check (finite coordinates and outputs, output shape, symmetry,
 ``|det g| >= DET_TOL``) runs on every point of a batch, vectorised once.
 
+Coordinates are checked once per public call, by ``_points``, and handed
+read-only to the field's kernel (``MetricField._mat``, ``ScalarField._value``
+and their ``_d``: the callback and its output checks); internal evaluations
+(factor fields, FD stencils, Christoffel symbols) call kernels directly.  Each
+output check screens the batch with one test (all entries finite; g bit-equal
+to g^T, skipped at dim 1) and runs its per-point rule only if that trips.
+
 Callbacks (``eval``, ``analytic_grad``, ``analytic_hess``, ``analytic_d1``,
 ``analytic_d2``, and the one-form callback of ``exterior_derivative_numeric``)
 receive one shape only, a *coordinate-major* batch ``x`` of shape ``(n, P)``:
@@ -80,13 +87,14 @@ def _points(x, n: Optional[int] = None) -> np.ndarray:
     if arr.ndim not in (1, 2) or (n is not None and arr.shape[-1] != n):
         raise ValueError(f"expected a point ({n},) or a batch (P, {n}), got shape {arr.shape}")
     if not np.isfinite(arr).all():
-        raise NumericsError(f"non-finite coordinates in {_first(arr, ~np.isfinite(arr).all(-1))}")
+        _fail_at(arr, ~np.isfinite(arr).all(-1), "non-finite coordinates in")
     return arr
 
 
-def _first(pts: np.ndarray, bad) -> np.ndarray:
-    """The first point flagged by ``bad`` (a bool per point), or the single point."""
-    return pts if pts.ndim == 1 else pts[int(np.argmax(bad))]
+def _fail_at(pts: np.ndarray, bad, msg: str) -> None:
+    """NumericsError naming the point (n,), or the first row of (P, n) flagged by ``bad``."""
+    if np.any(bad):
+        raise NumericsError(f"{msg} {pts if pts.ndim == 1 else pts[int(np.argmax(bad))]}")
 
 
 def _checked_inv(g: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -95,26 +103,33 @@ def _checked_inv(g: np.ndarray, pts: np.ndarray) -> np.ndarray:
     bad = det < DET_TOL
     if bad.any():
         raise DegenerateMetric(f"|det g| = {float(det.flat[np.argmax(bad)]):.3e} "
-                               f"at {_first(pts, bad)}")
+                               f"at {pts if pts.ndim == 1 else pts[int(np.argmax(bad))]}")
     return np.linalg.inv(g)
 
 
-def _call_batch(fn: Callable, pts: np.ndarray, shape: tuple, what: str) -> np.ndarray:
-    """``fn`` on the rows of a batch ``pts`` (P, n), passed coordinate-major
-    (n, P), returning (P, *shape); one point (n,) goes in as a batch of one,
-    (n, 1), and returns ``shape``.  The one place a point becomes a batch.
-    The column is a reshape, not ``pts[:, None]``: that view has stride 0
-    along the point axis, numpy's loops read a stride-0 operand as a scalar,
-    and ``np.power`` squares a scalar exponent 2.0 where a batch calls pow."""
+def _call_batch(kernel: Callable, pts: np.ndarray, *args) -> np.ndarray:
+    """``kernel(cols, *args)`` at a point (n,) or each row of a batch (P, n),
+    as the read-only batch cols (n, 1) or (n, P) that every callback shares;
+    point axis dropped or first.  The column is a reshape, not ``pts[:, None]``:
+    that view has stride 0 along the point axis, numpy's loops read a stride-0
+    operand as a scalar, and ``np.power`` squares a scalar exponent 2.0 where
+    a batch calls pow."""
     cols = pts.reshape(-1, 1) if pts.ndim == 1 else np.ascontiguousarray(pts.T)
+    cols.flags.writeable = False
+    out = kernel(cols, *args)
+    if pts.ndim == 1:
+        return out[..., 0]
+    return out.transpose((out.ndim - 1, *range(out.ndim - 1)))  # point axis first
+
+
+def _call(cols: np.ndarray, fn: Callable, shape: tuple, what: str) -> np.ndarray:
+    """The callback ``fn`` at the batch cols (n, P), checked to give (*shape, P)."""
     out = np.asarray(fn(cols), dtype=float)
     want = shape + cols.shape[1:]
     if out.shape != want:
         raise NumericsError(f"{what} returned shape {out.shape} for {cols.shape[1]} points, "
                             f"expected {want} (point axis last)")
-    if pts.ndim == 1:
-        return out[..., 0]
-    return out.transpose((out.ndim - 1, *range(out.ndim - 1)))  # point axis first
+    return out
 
 
 def _fold(terms: np.ndarray) -> np.ndarray:
@@ -228,19 +243,25 @@ class MetricField:
                 raise ValueError(f"domain_box must be ({self.dim}, 2), got {box.shape}")
             self.domain_box = box
 
+    def _mat(self, cols: np.ndarray) -> np.ndarray:
+        """The kernel: g (dim, dim, P) at checked cols (dim, P), finite and symmetric."""
+        g = _call(cols, self.eval, (self.dim, self.dim), "metric eval")
+        if not np.isfinite(g).all():  # a screen of the whole batch, then the per-point rule
+            _fail_at(cols.T, ~np.isfinite(g).all(axis=(0, 1)), "non-finite metric entries at")
+        if self.dim > 1 and g.tobytes() != g.swapaxes(0, 1).tobytes():  # screen: exactly g = g^T
+            scale = np.maximum(1.0, np.abs(g).max(axis=(0, 1)))  # relative to each point's scale
+            _fail_at(cols.T, np.abs(g - g.swapaxes(0, 1)).max(axis=(0, 1)) > SYMMETRY_TOL * scale,
+                     "metric not symmetric at")
+        return g
+
+    def _d(self, cols: np.ndarray, order: int) -> np.ndarray:
+        """The kernel of d1 (order 1) or d2 (order 2) at checked cols, point axis last."""
+        return _derivs(self._mat, (self.analytic_d1, self.analytic_d2)[order - 1], cols, order,
+                       (self.dim, self.dim), f"analytic_d{order}")
+
     def mat(self, x) -> np.ndarray:
         """g at one point, (dim, dim), or at each row of a batch, (P, dim, dim)."""
-        pts = _points(x, self.dim)
-        g = _call_batch(self.eval, pts, (self.dim, self.dim), "metric eval")
-        biggest = np.abs(g).max(axis=(-2, -1))  # nan or inf exactly when an entry is
-        bad = ~np.isfinite(biggest)
-        if bad.any():
-            raise NumericsError(f"non-finite metric entries at {_first(pts, bad)}")
-        asym = np.abs(g - g.swapaxes(-2, -1)).max(axis=(-2, -1))
-        bad = asym > SYMMETRY_TOL * np.maximum(1.0, biggest)  # relative to each point's scale
-        if bad.any():
-            raise NumericsError(f"metric not symmetric at {_first(pts, bad)}")
-        return g
+        return _call_batch(self._mat, _points(x, self.dim))
 
     def inv(self, x) -> np.ndarray:
         return self.mat_and_inv(x)[1]
@@ -248,26 +269,24 @@ class MetricField:
     def mat_and_inv(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(g, g^-1) from one evaluation; DegenerateMetric where |det g| < DET_TOL."""
         pts = _points(x, self.dim)
-        g = self.mat(pts)
+        g = _call_batch(self._mat, pts)
         return g, _checked_inv(g, pts)
 
     def d1(self, x) -> np.ndarray:
         """d1[..., k, i, j] = d_k g_ij, analytic when available else central FD."""
-        return _partials(self.mat, self.analytic_d1, _points(x, self.dim), 1,
-                         (self.dim, self.dim), "analytic_d1")
+        return _call_batch(self._d, _points(x, self.dim), 1)
 
     def d2(self, x) -> Optional[np.ndarray]:
         """d2[..., k, l, i, j] = d_k d_l g_ij when analytic_d2 is supplied, else None."""
         if self.analytic_d2 is None:
             return None
-        return _partials(self.mat, self.analytic_d2, _points(x, self.dim), 2,
-                         (self.dim, self.dim), "analytic_d2")
+        return _call_batch(self._d, _points(x, self.dim), 2)
 
     def check_at(self, x) -> None:
         """Nondegeneracy check at one point or at each row of a batch: the
         eigenvalue sign pattern must match the signature."""
         pts = _points(x, self.dim)
-        eigs = np.linalg.eigvalsh(self.mat(pts)).reshape(-1, self.dim)
+        eigs = np.linalg.eigvalsh(_call_batch(self._mat, pts)).reshape(-1, self.dim)
         rows = pts.reshape(-1, self.dim)
         zero = (np.abs(eigs) <= DET_TOL).any(axis=1)
         if zero.any():
@@ -316,28 +335,37 @@ class ScalarField:
     analytic_hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
 
+    def _value(self, cols: np.ndarray) -> np.ndarray:
+        """The kernel: f at the coordinate-major batch cols (n, P), (P,), checked finite."""
+        vals = _call(cols, self.eval, (), f"scalar field {self.name!r}")
+        if not np.isfinite(vals).all():
+            _fail_at(cols.T, ~np.isfinite(vals), f"scalar field {self.name!r} non-finite at")
+        return vals
+
+    def _d(self, cols: np.ndarray, order: int) -> np.ndarray:
+        """The kernel of the gradient (order 1) or hessian (order 2) at cols, point axis last."""
+        return _derivs(self._value, (self.analytic_grad, self.analytic_hess)[order - 1], cols,
+                       order, (), f"derivative of {self.name!r}")
+
     def value(self, x):
         """f at one point (a float) or at each row of a batch, (P,)."""
         pts = x.coords if isinstance(x, CoordPoint) else np.asarray(x, dtype=float)
-        vals = _call_batch(self.eval, pts, (), f"scalar field {self.name!r}")
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            raise NumericsError(f"scalar field {self.name!r} non-finite at {_first(pts, bad)}")
+        vals = _call_batch(self._value, pts)
         return float(vals) if pts.ndim == 1 else vals
 
-    def _derivative(self, x, n, callback, order: int) -> np.ndarray:
+    def _derivative(self, x, n, order: int) -> np.ndarray:
         pts = x.coords if isinstance(x, CoordPoint) else np.asarray(x, dtype=float)
         if n is not None and n != pts.shape[-1]:
             raise ValueError(f"expected {n} coordinates, got {pts.shape[-1]}")
-        return _partials(self.value, callback, pts, order, (), f"derivative of {self.name!r}")
+        return _call_batch(self._d, pts, order)
 
     def grad_coords(self, x, n: Optional[int] = None) -> np.ndarray:
         """Coordinate partials (d_i f), analytic when available; (P, n) for a batch."""
-        return self._derivative(x, n, self.analytic_grad, 1)
+        return self._derivative(x, n, 1)
 
     def hess_coords(self, x, n: Optional[int] = None) -> np.ndarray:
         """Coordinate second partials (d_i d_j f), analytic when available; (P, n, n) for a batch."""
-        return self._derivative(x, n, self.analytic_hess, 2)
+        return self._derivative(x, n, 2)
 
     @staticmethod
     def constant(c: float, name="") -> "ScalarField":
@@ -349,17 +377,17 @@ class ScalarField:
         )
 
 
-def _partials(value: Callable, callback: Optional[Callable], pts: np.ndarray, order: int,
-              shape: tuple, what: str) -> np.ndarray:
-    """Partial derivatives of order 1 or 2 of a ``shape``-valued field at one
-    point (n,) or a batch (P, n): from the exact ``callback`` under the
-    coordinate-major contract when there is one, else central differences of
-    ``value`` with step ``FD_STEP_1`` or ``FD_STEP_2``.  Shape
-    ``pts.shape[:-1] + (n,) * order + shape``."""
-    if callback is None:
-        return central_diff(value, pts, fd_step(pts, (FD_STEP_1, FD_STEP_2)[order - 1]),
-                            order=order)
-    return _call_batch(callback, pts, (pts.shape[-1],) * order + shape, what)
+def _derivs(kernel: Callable, callback: Optional[Callable], cols: np.ndarray, order: int,
+            shape: tuple, what: str) -> np.ndarray:
+    """Partials of order 1 or 2, ``(n,) * order + shape + (P,)``, of a ``shape``-valued
+    kernel at checked cols (n, P): the exact ``callback`` when there is one, else
+    central differences of ``kernel`` in one call (step ``FD_STEP_1`` or ``FD_STEP_2``)."""
+    if callback is not None:
+        return _call(cols, callback, (len(cols),) * order + shape, what)
+    pts = np.ascontiguousarray(cols.T)  # C order: the stencil reshapes without a copy
+    d = central_diff(functools.partial(_call_batch, kernel), pts,
+                     fd_step(pts, (FD_STEP_1, FD_STEP_2)[order - 1]), order=order)
+    return np.moveaxis(d, 0, -1)
 
 
 def fd_step(xi, base: float = FD_STEP_1):
@@ -451,20 +479,25 @@ def christoffel_numeric(g: MetricField, x) -> np.ndarray:
 
     Uses analytic first derivatives when the field carries them, else
     central differences (the stencil of ``MetricField.d1``), with g at the
-    centre read from the same batched ``MetricField.mat`` call.  A batch
+    centre read from the same batched metric evaluation.  A batch
     ``(P, n)`` gives ``(P, n, n, n)``.
     """
-    pts = _points(x, g.dim)
+    return _christoffel_at(g, _points(x, g.dim))
+
+
+def _christoffel_at(g: MetricField, pts: np.ndarray) -> np.ndarray:
+    """``christoffel_numeric`` at checked points pts, (n,) or (P, n)."""
     if g.analytic_d1 is None:
-        dg, gm = central_diff(g.mat, pts, fd_step(pts, FD_STEP_1), centre=True)
+        dg, gm = central_diff(functools.partial(_call_batch, g._mat), pts, fd_step(pts),
+                              centre=True)
     else:
-        gm, dg = g.mat(pts), g.d1(pts)
+        gm, dg = _call_batch(g._mat, pts), _call_batch(g._d, pts, 1)
     return _christoffel(_checked_inv(gm, pts), dg)
 
 
 def _christoffel_and_d1(g: MetricField, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Gamma, dGamma) at one point (n,) or each row of a batch (P, n) from one
-    ``MetricField.mat`` call.
+    """(Gamma, dGamma) at checked points, one point (n,) or each row of a
+    batch (P, n), from one metric evaluation.
 
     Exact when the metric has analytic first and second derivatives (g, g^-1
     and dg shared by both); else central differences of
@@ -472,9 +505,9 @@ def _christoffel_and_d1(g: MetricField, pts: np.ndarray) -> tuple[np.ndarray, np
     points of all rows in one batch, Gamma at the points read from the
     centre rows.
     """
-    d2 = g.d2(pts)
+    d2 = None if g.analytic_d2 is None else _call_batch(g._d, pts, 2)
     if d2 is not None and g.analytic_d1 is not None:
-        gm, dg = g.mat(pts), g.d1(pts)
+        gm, dg = _call_batch(g._mat, pts), _call_batch(g._d, pts, 1)
         ginv = _checked_inv(gm, pts)
         dginv = -np.einsum("...ka,...mab,...bl->...mkl", ginv, dg, ginv)
         bracket = np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
@@ -483,7 +516,7 @@ def _christoffel_and_d1(g: MetricField, pts: np.ndarray) -> tuple[np.ndarray, np
         return (_christoffel(ginv, dg),
                 0.5 * (np.einsum("...mkl,...lij->...mkij", dginv, bracket)
                        + np.einsum("...kl,...mlij->...mkij", ginv, dbracket)))
-    dgamma, gamma = central_diff(lambda stencil: christoffel_numeric(g, stencil), pts,
+    dgamma, gamma = central_diff(functools.partial(_christoffel_at, g), pts,
                                  fd_step(pts, FD_STEP_2), centre=True)
     return gamma, dgamma
 
@@ -523,23 +556,22 @@ def sectional_curvature_numeric(g: MetricField, x, u: TangentVector, v: TangentV
     if not np.array_equal(u.base.coords, v.base.coords):
         raise BaseMismatch(f"bases differ: {u.base} vs {v.base}")
     pts = _coords(x, g.dim)[None]
-    return float(_sectional_curvature(g.mat(pts), riemann_numeric(g, pts),
+    return float(_sectional_curvature(_call_batch(g._mat, pts), riemann_numeric(g, pts),
                                       u.components[None], v.components[None], pts)[0])
 
 
 def gradient(f: ScalarField, g: MetricField, x) -> TangentVector:
     """Metric gradient: components g^{-1} df."""
     coords = _coords(x, g.dim)
-    df = f.grad_coords(coords, g.dim)
-    return TangentVector(CoordPoint(coords), g.inv(coords) @ df)
+    df = _call_batch(f._d, coords, 1)
+    return TangentVector(CoordPoint(coords), _checked_inv(_call_batch(g._mat, coords), coords) @ df)
 
 
 def hessian_matrix(f: ScalarField, g: MetricField, x) -> np.ndarray:
     """Covariant hessian Hess_ij = d_i d_j f - Gamma^k_ij d_k f."""
     coords = _coords(x, g.dim)
-    ddf = f.hess_coords(coords, g.dim)
-    df = f.grad_coords(coords, g.dim)
-    gamma = christoffel_numeric(g, coords)
+    ddf, df = _call_batch(f._d, coords, 2), _call_batch(f._d, coords, 1)
+    gamma = _christoffel_at(g, coords)
     return ddf - np.einsum("kij,k->ij", gamma, df)
 
 
@@ -547,10 +579,8 @@ def _component_field(field: Callable, n: int, what: str) -> Callable:
     """Batch form of a coordinate-major ``(n,)``-valued callback, checked finite."""
 
     def comps(pts):
-        w = _call_batch(field, pts, (n,), what)
-        bad = ~np.isfinite(w).all(axis=-1)
-        if bad.any():
-            raise NumericsError(f"non-finite {what} sample at {_first(pts, bad)}")
+        w = _call_batch(_call, pts, field, (n,), what)
+        _fail_at(pts, ~np.isfinite(w).all(axis=-1), f"non-finite {what} sample at")
         return w
 
     return comps
@@ -583,7 +613,7 @@ def gram_schmidt(g: MetricField, x, vectors: Sequence[TangentVector],
     """
     coords = _coords(x, g.dim)
     pt = CoordPoint(coords)
-    gm = g.mat(coords)
+    gm = _call_batch(g._mat, coords)
     out: list[TangentVector] = []
     for v in vectors:
         w = v.components.astype(float).copy()

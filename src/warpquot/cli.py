@@ -123,13 +123,14 @@ def _horizontal_curve(ctx: ScenarioContext):
 
 
 def _christoffel_residuals(dtp, rng, samples):
-    """``samples`` random points x (P, n), the oracle Gamma there (one batched
-    ``christoffel_numeric``), its worst lower-index asymmetry, and its worst
-    metric-compatibility residual against central differences of g; the
-    latter checks the exact derivative callbacks, if any, against ``mat``."""
+    """``samples`` random points x (P, n), the oracle Gamma there, its worst
+    lower-index asymmetry, and its worst metric-compatibility residual against
+    central differences of g, which check the exact derivative callbacks, if
+    any, against ``mat``; without them Gamma comes from that same stencil."""
     x = _rand_points(rng, dtp.domain_box, samples)
-    gm = ck.christoffel_numeric(dtp.assembled, x)
     dg, g = ck.central_diff(dtp.assembled.mat, x, ck.fd_step(x), centre=True)
+    gm = (ck._christoffel(ck._checked_inv(g, x), dg) if dtp.assembled.analytic_d1 is None
+          else ck.christoffel_numeric(dtp.assembled, x))
     resid = dg - np.einsum("plki,plj->pkij", gm, g) - np.einsum("plkj,pil->pkij", gm, g)
     return (x, gm, float(np.max(np.abs(gm - np.swapaxes(gm, -1, -2)), initial=0.0)),
             float(np.max(np.abs(resid), initial=0.0)))

@@ -146,15 +146,14 @@ class DoublyTwistedProduct:
         w = self.warp(i)
 
         def ev(c, _w=w):
-            return np.log(_at(_w.value, c))
+            return np.log(_w._value(c))
 
         def grad(c, _w=w):
-            return _at(_w.grad_coords, c) / _at(_w.value, c)
+            return _w._d(c, 1) / _w._value(c)
 
         def hess(c, _w=w):
-            val = _at(_w.value, c)
-            gr = _at(_w.grad_coords, c)
-            return _at(_w.hess_coords, c) / val - gr[:, None] * gr[None] / val**2
+            val, gr = _w._value(c), _w._d(c, 1)
+            return _w._d(c, 2) / val - gr[:, None] * gr[None] / val**2
 
         return ScalarField(ev, analytic_grad=grad, analytic_hess=hess,
                            name=f"ln lam{i}")
@@ -165,13 +164,6 @@ class DoublyTwistedProduct:
 
     def grad_log_warp(self, i: int, x) -> TangentVector:
         return ck.gradient(self.log_warp(i), self.assembled, x)
-
-
-def _at(method, x):
-    """A field's batch ``method`` called from a callback at coordinate-major
-    ``x`` (n, P): the result with the point axis last."""
-    out = method(x.T)
-    return out.transpose((*range(1, out.ndim), 0))
 
 
 def grid_points(box: np.ndarray, per_axis: int, inset: float = 0.05) -> np.ndarray:
@@ -227,11 +219,9 @@ def assemble(f1: FactorManifold, f2: FactorManifold, lam1: ScalarField,
         """Per factor at coordinate-major x, point axis last: the slot, lam,
         g_A, then up to ``order`` their first and second derivatives."""
         for lam, m, sl in ((lam1, f1.metric, s1), (lam2, f2.metric, s2)):
-            vals = (_at(lam.value, x), _at(m.mat, x[sl]))
-            if order > 0:
-                vals += (_at(lam.grad_coords, x), _at(m.d1, x[sl]))
-            if order > 1:
-                vals += (_at(lam.hess_coords, x), _at(m.d2, x[sl]))
+            vals = (lam._value(x), m._mat(x[sl]))
+            for k in range(1, order + 1):
+                vals += (lam._d(x, k), m._d(x[sl], k))
             yield (sl, *vals)
 
     def ev(x):

@@ -143,7 +143,7 @@ class FactorMap:
         row of a batch, (P, m)."""
         fn = self.apply if sign > 0 else self.inverse
         x = np.asarray(x, dtype=float)
-        return ck._call_batch(fn, x, x.shape[-1:], "factor map")
+        return ck._call_batch(ck._call, x, fn, x.shape[-1:], "factor map")
 
     def jac(self, x, sign: int = 1) -> np.ndarray:
         """Differential at one point, (m, m), or at each row of a batch, (P, m, m)."""
@@ -158,7 +158,7 @@ class FactorMap:
         if sign < 0:
             # d(f^-1)(x) = [df(f^-1 x)]^-1
             return np.linalg.inv(self.jac(self(x, -1), 1))
-        return ck._call_batch(self.jacobian, x, x.shape[-1:] * 2, "factor map jacobian")
+        return ck._call_batch(ck._call, x, self.jacobian, x.shape[-1:] * 2, "factor map jacobian")
 
     @staticmethod
     def from_record(record) -> "FactorMap":
@@ -224,6 +224,7 @@ class QuotientModel:
         self.ident_tol = float(ident_tol)
         self.word_bound = int(word_bound)
         self._word_memo: dict[int, _WordTree] = {}
+        self._inverse_memo: dict[int, list] = {}  # _check_inverses residuals per grid
         self._code = {(gen.name, sign): m for m, (gen, sign) in enumerate(self._moves())}
 
     @functools.cached_property
@@ -552,17 +553,17 @@ def _row_max(diff: np.ndarray) -> np.ndarray:
 def validate(model: QuotientModel, per_axis: int = 4, tol: float = ACTION_TOL) -> ValidationReport:
     """Sampled check of the quotient conditions; raises InvalidAction on failure.
 
-    Homothety generators must pull each factor metric back to c_i^2 g_i and
-    satisfy the warp compatibility lam1 o psi = lam1 / c1, lam2 o phi =
-    lam2 / c2.  Every generator (homothety or not) must be a sampled isometry
-    of the assembled metric, act freely on the padded box, and no word up to
-    the word bound (at most VALIDATE_WORD_CAP of them) may move an interior
-    grid point into the box, which is a fundamental domain.  Each check
-    runs on its whole grid at once; a failure names the first failing grid
-    point.  The check is a sampled necessary condition, never a proof.
+    Declared inverses must undo their maps (``_check_inverses``).  Homothety
+    generators must pull each factor metric back to c_i^2 g_i and satisfy the
+    warp compatibility lam1 o psi = lam1 / c1, lam2 o phi = lam2 / c2.  Every
+    generator must be a sampled isometry of the assembled metric, act freely
+    on the padded box, and no word up to the word bound (at most
+    VALIDATE_WORD_CAP of them) may move an interior grid point into the box, a
+    fundamental domain.  Each check runs on its whole grid at once; a failure
+    names the first failing grid point.  A sampled necessary condition only.
     """
     dtp = model.dtp
-    res: dict[str, float] = {}
+    res: dict[str, float] = _check_inverses(model, per_axis, tol)
     pts1 = pg.grid_points(dtp.f1.domain_box, per_axis)
     pts2 = pg.grid_points(dtp.f2.domain_box, per_axis)
     pts = pg.grid_points(dtp.domain_box, per_axis)
@@ -580,13 +581,6 @@ def validate(model: QuotientModel, per_axis: int = 4, tol: float = ACTION_TOL) -
         return np.swapaxes(J, -1, -2) @ metric.mat(image) @ J
 
     for gen in model.generators:
-        # declared inverses must invert
-        inv1 = _row_max(gen.phi(gen.phi(pts1, 1), -1) - pts1)
-        inv2 = _row_max(gen.psi(gen.psi(pts2, 1), -1) - pts2)
-        res[f"{gen.name}:inverse"] = float(max(inv1.max(), inv2.max()))
-        fail_first(inv1, pts1, f"generator {gen.name}: declared inverse of phi fails")
-        fail_first(inv2, pts2, f"generator {gen.name}: declared inverse of psi fails")
-
         if gen.homothety:
             f1, f2 = dtp.f1.metric, dtp.f2.metric
             pull1 = _row_max(pullback(gen.phi.jac(pts1), f1, gen.phi(pts1))
@@ -639,6 +633,28 @@ def validate(model: QuotientModel, per_axis: int = 4, tol: float = ACTION_TOL) -
                  interior[p])
     return ValidationReport(residuals=res, word_bound_checked=wb, words_checked=len(words),
                             words_truncated=max(0, len(enumerated) - VALIDATE_WORD_CAP))
+
+
+def _check_inverses(model: QuotientModel, per_axis: int = 4, tol: float = ACTION_TOL) -> dict:
+    """``validate``'s first check, run first by every count, verdict and holonomy:
+    after the singular-record check (``_letters``), each declared inverse must undo
+    its map within tol on the factor grid.  Residuals are computed once per model."""
+    model._letters  # a singular affine record is refused first
+    if per_axis not in model._inverse_memo:
+        grids = [pg.grid_points(f.domain_box, per_axis) for f in (model.dtp.f1, model.dtp.f2)]
+        model._inverse_memo[per_axis] = [
+            [(name, x, _row_max(fm(fm(x, 1), -1) - x))
+             for name, fm, x in (("phi", gen.phi, grids[0]), ("psi", gen.psi, grids[1]))]
+            for gen in model.generators]
+    res = {}
+    for gen, rows in zip(model.generators, model._inverse_memo[per_axis]):
+        res[f"{gen.name}:inverse"] = float(max(resid.max() for _, _, resid in rows))
+        for name, x, resid in rows:
+            bad = resid > tol
+            if bad.any():
+                raise InvalidAction(f"generator {gen.name}: declared inverse of {name} fails "
+                                    f"at sample {x[int(np.argmax(bad))]}")
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -813,6 +829,7 @@ def leaf_intersection_count(model: QuotientModel, x0,
     factors must be one-dimensional (InvalidAction otherwise): there a
     non-trivial stabilizer of a free action is exactly a closed leaf.
     """
+    _check_inverses(model)
     _require_line_factors(model.dtp)
     wb = word_bound if word_bound is not None else model.word_bound
     rep0, _ = model.canonical_rep(x0)
@@ -921,6 +938,7 @@ def loop_holonomy(model: QuotientModel, rep0, foliation: int, word: Word) -> tp.
     block of the differential of word^-1 at word(rep0).  ``holonomy_map`` on
     ``leaf_loop_curve`` computes the same matrix by collocation and is its oracle.
     """
+    _check_inverses(model)
     return _loop_holonomies(model, np.asarray(rep0, dtype=float), foliation, [tuple(word)])[0]
 
 
@@ -962,6 +980,7 @@ def decomposition_check(model: QuotientModel, x0, loops: dict,
     word_bound is only a lower bound, and the verdict is refused with
     InvalidAction.
     """
+    _check_inverses(model)
     tag = (structure or pg.classify(model.dtp)).tag
     if tag not in (pg.StructureTag.DIRECT_PRODUCT, pg.StructureTag.WARPED,
                    pg.StructureTag.DOUBLY_WARPED):

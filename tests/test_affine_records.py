@@ -183,11 +183,50 @@ def test_one_non_affine_generator_takes_the_level_path():
 
 
 def test_singular_affine_map_is_an_input_error(tmp_path, capsys):
-    # 0*x is affine but not invertible: the batched inverse of the records
-    # refuses the count instead of failing inside the linear algebra
+    # 0*x is affine but not invertible: the model refuses the record where it
+    # builds its letters (QuotientModel._letters), before the declared-inverse
+    # check, instead of failing inside the linear algebra
     data = warped_torus_dict()
     data["generators"][0]["phi"] = ["0*x"]
     path = tmp_path / "singular.json"
     path.write_text(json.dumps(data))
     assert cli.main(["run", str(path), "intersections"]) == 2
     assert "not invertible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("generator", [
+    {"phi": ["0*x + 0*sin(x)"]},   # not invertible, and not affine: the level path
+    {"phi_inv": ["x - 2"]},        # affine, with a wrong declared inverse
+], ids=["non-affine", "affine"])
+@pytest.mark.parametrize("command", ["intersections", "decompose", "holonomy"])
+def test_a_wrong_declared_inverse_refuses_counts_verdicts_and_holonomy(tmp_path, capsys,
+                                                                        generator, command):
+    # the count, the verdict and the holonomy read the deck maps through their
+    # declared inverses, so each runs validate's declared-inverse check first
+    data = warped_torus_dict()
+    data["generators"][0].update(generator)
+    path = tmp_path / "wrong-inverse.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["run", str(path), command]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "input error: generator a: declared inverse of phi fails at sample [0.05]")
+
+
+def test_the_declared_inverse_check_runs_once_per_model(monkeypatch):
+    model = scenario.parse_scenario(warped_torus_dict()).model
+    calls = []
+    exact = qt.FactorMap.__call__
+
+    def counted(self, x, sign=1):
+        calls.append(sign)
+        return exact(self, x, sign)
+
+    monkeypatch.setattr(qt.FactorMap, "__call__", counted)
+    qt.validate(model)
+    assert calls.count(-1) > 0
+    calls.clear()
+    qt.validate(model)
+    assert calls.count(-1) == 0  # only the declared inverses' check applies them
+    qt.leaf_intersection_count(model, [0.3, 0.6])
+    qt.loop_holonomy(model, np.array([0.3, 0.6]), 1, (("a", 1),))
+    assert calls.count(-1) == 0

@@ -148,20 +148,22 @@ def test_sign_flipped_metric_term_fails_the_mixed_curvature_row(tmp_path, monkey
 # independence from the oracle and one metric evaluation per call
 
 def _count_calls_on(monkeypatch, g):
-    """Count top-level ``MetricField.mat`` calls on g and the oracle-side
-    chartkit calls that take g."""
+    """Count evaluations of g, top-level calls of its kernel
+    ``MetricField._mat`` (which every public metric method and every
+    internal evaluation goes through), and the oracle-side chartkit calls
+    that take g."""
     state = {"depth": 0, "mat": 0, "oracle": []}
-    exact_mat = ck.MetricField.mat
+    exact_mat = ck.MetricField._mat
 
-    def mat(self, x):
+    def mat(self, cols):
         state["mat"] += state["depth"] == 0 and self is g
         state["depth"] += 1
         try:
-            return exact_mat(self, x)
+            return exact_mat(self, cols)
         finally:
             state["depth"] -= 1
 
-    monkeypatch.setattr(ck.MetricField, "mat", mat)
+    monkeypatch.setattr(ck.MetricField, "_mat", mat)
     for name, arg in (("christoffel_numeric", 0), ("inner_product", 0), ("gradient", 1),
                       ("hessian_matrix", 1)):
         exact = getattr(ck, name)
@@ -208,20 +210,36 @@ def test_fd_riemann_evaluates_the_metric_once(monkeypatch):
         assert state["mat"] == 1
 
 
+@pytest.mark.parametrize("strip", [False, True], ids=["analytic", "fd"])
+def test_christoffel_rows_evaluate_one_stencil(monkeypatch, strip):
+    # the compatibility stencil is the FD oracle's own: without exact
+    # derivatives Gamma comes from it, bit for bit christoffel_numeric's
+    dtp = fx.random_doubly_twisted(4)
+    dtp = fx.strip_analytic(dtp) if strip else dtp
+    g = dtp.assembled
+    want_x = cli._rand_points(np.random.default_rng(4), dtp.domain_box, 5)
+    state = _count_calls_on(monkeypatch, g)
+    x, gamma, _, _ = cli._christoffel_residuals(dtp, np.random.default_rng(4), 5)
+    assert np.array_equal(x, want_x)
+    assert state["mat"] == (1 if strip else 2)
+    assert state["oracle"] == ([] if strip else ["christoffel_numeric"])
+    assert np.array_equal(gamma, ck.christoffel_numeric(g, x))
+
+
 def test_analytic_riemann_evaluates_the_metric_once(monkeypatch):
     dtp = fx.random_doubly_twisted(4)
     g = dtp.assembled
     assert g.analytic_d2 is not None
     x = 0.5 * (g.domain_box[:, 0] + g.domain_box[:, 1])
     calls = {"d1": 0}
-    exact_d1 = ck.MetricField.d1
+    exact_d = ck.MetricField._d
 
-    def d1(self, x):
-        calls["d1"] += self is g
-        return exact_d1(self, x)
+    def d(self, cols, order):
+        calls["d1"] += self is g and order == 1
+        return exact_d(self, cols, order)
 
     state = _count_calls_on(monkeypatch, g)
-    monkeypatch.setattr(ck.MetricField, "d1", d1)
+    monkeypatch.setattr(ck.MetricField, "_d", d)
     for pts in (x, sample_points(dtp, 5)):
         state["mat"] = calls["d1"] = 0
         ck.riemann_numeric(g, pts)

@@ -308,19 +308,20 @@ def test_intersection_count_requires_one_dimensional_factors():
 
 
 def _count_top_level_mat(monkeypatch):
-    """Patch MetricField.mat to count calls not nested in another mat call."""
-    exact = ck.MetricField.mat
+    """Patch the metric kernel MetricField._mat, which every metric
+    evaluation goes through, to count calls not nested in another one."""
+    exact = ck.MetricField._mat
     state = {"depth": 0, "top": 0}
 
-    def counted(self, x):
+    def counted(self, cols):
         state["top"] += state["depth"] == 0
         state["depth"] += 1
         try:
-            return exact(self, x)
+            return exact(self, cols)
         finally:
             state["depth"] -= 1
 
-    monkeypatch.setattr(ck.MetricField, "mat", counted)
+    monkeypatch.setattr(ck.MetricField, "_mat", counted)
     return state
 
 
