@@ -66,6 +66,7 @@ PLANE_TOL = 1e-12
 FD_STEP_1 = 1e-5   # first derivatives, scaled per coordinate
 FD_STEP_2 = 1e-4   # nested second derivatives
 SYMMETRY_TOL = 1e-12
+LIGHTLIKE_TOL = 1e-10  # |g(w, w)| below this: a lightlike direction, no unit vector
 
 
 def _as_array(values, n: Optional[int] = None) -> np.ndarray:
@@ -316,8 +317,8 @@ class MetricField:
         )
 
     @staticmethod
-    def euclidean(n: int, domain_box=None, name="euclidean") -> "MetricField":
-        return MetricField.constant(np.eye(n), domain_box=domain_box, name=name)
+    def euclidean(n: int, domain_box=None) -> "MetricField":
+        return MetricField.constant(np.eye(n), domain_box=domain_box, name="euclidean")
 
 
 @dataclass
@@ -353,27 +354,25 @@ class ScalarField:
         vals = _call_batch(self._value, pts)
         return float(vals) if pts.ndim == 1 else vals
 
-    def _derivative(self, x, n, order: int) -> np.ndarray:
+    def _derivative(self, x, order: int) -> np.ndarray:
         pts = x.coords if isinstance(x, CoordPoint) else np.asarray(x, dtype=float)
-        if n is not None and n != pts.shape[-1]:
-            raise ValueError(f"expected {n} coordinates, got {pts.shape[-1]}")
         return _call_batch(self._d, pts, order)
 
-    def grad_coords(self, x, n: Optional[int] = None) -> np.ndarray:
+    def grad_coords(self, x) -> np.ndarray:
         """Coordinate partials (d_i f), analytic when available; (P, n) for a batch."""
-        return self._derivative(x, n, 1)
+        return self._derivative(x, 1)
 
-    def hess_coords(self, x, n: Optional[int] = None) -> np.ndarray:
+    def hess_coords(self, x) -> np.ndarray:
         """Coordinate second partials (d_i d_j f), analytic when available; (P, n, n) for a batch."""
-        return self._derivative(x, n, 2)
+        return self._derivative(x, 2)
 
     @staticmethod
-    def constant(c: float, name="") -> "ScalarField":
+    def constant(c: float) -> "ScalarField":
         return ScalarField(
             eval=lambda x, _c=float(c): np.full(np.shape(x)[1:], _c),
             analytic_grad=lambda x: np.zeros(np.shape(x)),
             analytic_hess=lambda x: np.zeros(np.shape(x)[:1] + np.shape(x)),
-            name=name or f"const({c})",
+            name=f"const({c})",
         )
 
 
@@ -604,12 +603,12 @@ def exterior_derivative_numeric(omega_field: Callable[[np.ndarray], np.ndarray],
     return domega - domega.T
 
 
-def gram_schmidt(g: MetricField, x, vectors: Sequence[TangentVector],
-                 tol: float = 1e-10) -> list[TangentVector]:
+def gram_schmidt(g: MetricField, x, vectors: Sequence[TangentVector]) -> list[TangentVector]:
     """Orthonormalize w.r.t. g (signs allowed): g(e_i, e_j) = +/- delta_ij.
 
     Raises DegeneratePlane when an intermediate vector is (numerically)
-    lightlike, since the span then has no pseudo-orthonormal basis.
+    lightlike, |g(w, w)| < LIGHTLIKE_TOL, since the span then has no
+    pseudo-orthonormal basis.
     """
     coords = _coords(x, g.dim)
     pt = CoordPoint(coords)
@@ -621,7 +620,7 @@ def gram_schmidt(g: MetricField, x, vectors: Sequence[TangentVector],
             q = _bilinear(e.components, gm, e.components)  # +/-1 after normalization
             w -= (_bilinear(e.components, gm, w) / q) * e.components
         nrm2 = _bilinear(w, gm, w)
-        if abs(nrm2) < tol:
+        if abs(nrm2) < LIGHTLIKE_TOL:
             raise DegeneratePlane("lightlike direction encountered in Gram-Schmidt")
         out.append(TangentVector(pt, w / np.sqrt(abs(nrm2))))
     return out

@@ -210,29 +210,22 @@ def bowl_warped() -> pg.DoublyTwistedProduct:
     return pg.assemble(f1, f2, ScalarField.constant(1.0), lam2)
 
 
-def random_doubly_twisted(seed: int, n1: int = 2, n2: int = 2) -> pg.DoublyTwistedProduct:
-    """Randomized doubly twisted product (both warps depend on both slots);
-    factors of dimension 2 or more are conformally flat and curved."""
+def random_doubly_twisted(seed: int) -> pg.DoublyTwistedProduct:
+    """Randomized doubly twisted product of two conformally flat, curved
+    2-dimensional factors (both warps depend on both slots)."""
     rng = np.random.default_rng(seed)
-    n = n1 + n2
-    box1 = [[-1.0, 1.0]] * n1
-    box2 = [[-1.0, 1.0]] * n2
-    if n1 > 1:
-        g1 = conformal_flat_metric(n1, 0.2 + 0.1 * rng.random(), rng.uniform(0.3, 1.2, n1),
-                                   rng.uniform(0, 2), box1, name="f1")
-    else:
-        g1 = MetricField.euclidean(n1, domain_box=np.asarray(box1, dtype=float))
-    if n2 > 1:
-        g2 = conformal_flat_metric(n2, 0.2 + 0.1 * rng.random(), rng.uniform(0.3, 1.2, n2),
-                                   rng.uniform(0, 2), box2, name="f2")
-    else:
-        g2 = MetricField.euclidean(n2, domain_box=np.asarray(box2, dtype=float))
-    f1 = pg.FactorManifold("f1", n1, g1, box1)
-    f2 = pg.FactorManifold("f2", n2, g2, box2)
+    box = [[-1.0, 1.0]] * 2
+
+    def factor(name):
+        g = conformal_flat_metric(2, 0.2 + 0.1 * rng.random(), rng.uniform(0.3, 1.2, 2),
+                                  rng.uniform(0, 2), box, name=name)
+        return pg.FactorManifold(name, 2, g, box)
+
+    f1, f2 = factor("f1"), factor("f2")
 
     def rand_warp(tag):
         m = 2
-        return trig_warp(n, rng.uniform(0.1, 0.3, m), rng.uniform(0.2, 1.2, (m, n)),
+        return trig_warp(4, rng.uniform(0.1, 0.3, m), rng.uniform(0.2, 1.2, (m, 4)),
                          rng.uniform(0, 2, m), name=f"warp-{tag}")
 
     return pg.assemble(f1, f2, rand_warp("1"), rand_warp("2"))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -39,6 +39,7 @@ UNIT_TOL = 1e-9       # |g(u,u)| must equal 1 this tightly for closed forms
 SLOT_TOL = 1e-12      # components outside a vector's declared slot
 VANISH_TOL = 1e-7     # classification: "N_i vanishes"
 CLOSED_TOL = 1e-6     # classification: "d omega vanishes"
+GRID_INSET = 0.05     # sample grids keep this fraction of each side clear of the box edge
 
 
 class StructureTag(Enum):
@@ -166,7 +167,7 @@ class DoublyTwistedProduct:
         return ck.gradient(self.log_warp(i), self.assembled, x)
 
 
-def grid_points(box: np.ndarray, per_axis: int, inset: float = 0.05) -> np.ndarray:
+def grid_points(box: np.ndarray, per_axis: int, inset: float = GRID_INSET) -> np.ndarray:
     """Lattice over the box as a (per_axis ** dim, dim) point array, last axis fastest."""
     box = np.asarray(box, dtype=float)
     axes = []
@@ -176,7 +177,7 @@ def grid_points(box: np.ndarray, per_axis: int, inset: float = 0.05) -> np.ndarr
     return np.array(list(itertools.product(*axes)))
 
 
-def offset_grid_points(box: np.ndarray, per_axis: int, inset: float = 0.05) -> np.ndarray:
+def offset_grid_points(box: np.ndarray, per_axis: int) -> np.ndarray:
     """Shifted-lattice sample grid, never symmetric about the box center.
 
     Evidence sampling (classification) uses this to avoid the measure-zero
@@ -186,7 +187,7 @@ def offset_grid_points(box: np.ndarray, per_axis: int, inset: float = 0.05) -> n
     frac = (np.arange(per_axis) + 0.381966) / per_axis
     axes = []
     for lo, hi in box:
-        pad = inset * (hi - lo)
+        pad = GRID_INSET * (hi - lo)
         axes.append(lo + pad + frac * (hi - lo - 2 * pad))
     return np.array(list(itertools.product(*axes)))
 
@@ -314,18 +315,19 @@ def point_geometry(dtp: DoublyTwistedProduct, x) -> PointGeometry:
     (``christoffel_numeric`` on the assembled metric) shares no code with it
     below ``MetricField.mat``.
     """
-    pts = x.coords if isinstance(x, CoordPoint) else np.asarray(x, dtype=float)
-    g, ginv = dtp.assembled.mat_and_inv(pts)
+    pts = ck._points(x, dtp.n)  # the one coordinate check; kernels from here on
+    g = ck._call_batch(dtp.assembled._mat, pts)
+    ginv = ck._checked_inv(g, pts)
     warps = (dtp.lam1, dtp.lam2)
-    lam = np.stack([np.asarray(w.value(pts)) for w in warps], axis=-1)
-    dlam = np.stack([w.grad_coords(pts) for w in warps], axis=-2)
-    hess_lam = np.stack([w.hess_coords(pts) for w in warps], axis=-3)
+    lam = np.stack([ck._call_batch(w._value, pts) for w in warps], axis=-1)
+    dlam = np.stack([ck._call_batch(w._d, pts, 1) for w in warps], axis=-2)
+    hess_lam = np.stack([ck._call_batch(w._d, pts, 2) for w in warps], axis=-3)
     n = dtp.n
     # dphi[..., a, m] = d_m phi_{block of a}
     dphi = (dlam / lam[..., None])[..., np.repeat([0, 1], [dtp.n1, dtp.n2]), :]
     gamma = np.zeros(pts.shape[:-1] + (n, n, n))
     for fac, sl in ((dtp.f1, dtp.slot1), (dtp.f2, dtp.slot2)):
-        gamma[..., sl, sl, sl] = ck.christoffel_numeric(fac.metric, pts[..., sl])
+        gamma[..., sl, sl, sl] = ck._christoffel_at(fac.metric, pts[..., sl])
     eye = np.eye(n)
     gamma += eye[:, :, None] * dphi[..., None, :, :]                   # delta^k_i d_j phi
     gamma += eye[:, None, :] * dphi.swapaxes(-1, -2)[..., None, :, :]  # delta^k_j d_i phi
@@ -369,13 +371,18 @@ def mean_curvature_form(dtp: DoublyTwistedProduct, x, i: int):
         raise ValueError("foliation index must be 1 or 2")
     pts = x.coords if isinstance(x, CoordPoint) else np.asarray(x, dtype=float)
     w = dtp.warp(i)
-    out = -(w.grad_coords(pts) / np.asarray(w.value(pts))[..., None])
-    out[..., dtp.slot(i)] = 0.0
+    out = _omega(dtp, i, w.grad_coords(pts), np.asarray(w.value(pts)))
     return OneForm(CoordPoint(pts), out) if pts.ndim == 1 else out
 
 
-def classify(dtp: DoublyTwistedProduct, grid: Optional[Sequence] = None,
-             per_axis: int = 4) -> StructureClass:
+def _omega(dtp: DoublyTwistedProduct, i: int, grad: np.ndarray, val: np.ndarray) -> np.ndarray:
+    """omega_i = -d ln lam_i off factor i's slots, 0 on them, from lam_i's gradient and value."""
+    out = -(grad / val[..., None])
+    out[..., dtp.slot(i)] = 0.0
+    return out
+
+
+def classify(dtp: DoublyTwistedProduct, per_axis: int = 4) -> StructureClass:
     """Structure tag from sampled mean-curvature evidence.
 
     DirectProduct: both N_i vanish.  Warped: exactly one vanishes and the
@@ -384,21 +391,20 @@ def classify(dtp: DoublyTwistedProduct, grid: Optional[Sequence] = None,
 
     g is block diagonal, so omega_i = -d ln lam_i on the other factor's
     slots and 0 on its own, and d(omega_i) is (up to sign) the mixed
-    factor-1 x factor-2 block of the coordinate hessian of ln lam_i.  N_1,
-    N_2 and the warp derivatives come from one batched evaluation each over
-    the grid.
+    factor-1 x factor-2 block of the coordinate hessian of ln lam_i.  On the
+    ``offset_grid_points`` of the box, g^-1 and each warp's gradient and value
+    are read once, for N_i and d(omega_i) alike; a hessian only if N_i != 0.
     """
-    pts = (offset_grid_points(dtp.domain_box, per_axis) if grid is None
-           else np.asarray(list(grid), dtype=float).reshape(-1, dtp.n))
+    pts = offset_grid_points(dtp.domain_box, per_axis)
     ginv = dtp.assembled.inv(pts)
-    max_n = [_max_abs(_mean_curvature(dtp, pts, i, ginv)) for i in (1, 2)]
+    warps = [(w, w.grad_coords(pts), w.value(pts)) for w in (dtp.lam1, dtp.lam2)]
+    max_n = [_max_abs((ginv @ _omega(dtp, i, grad, val)[..., None])[..., 0])
+             for i, (_, grad, val) in enumerate(warps, 1)]
     max_dw = [0.0, 0.0]
-    for i in (1, 2):
+    for i, (w, grad, val) in enumerate(warps, 1):
         if max_n[i - 1] < VANISH_TOL:
             continue  # omega_i vanishes with N_i
-        w = dtp.warp(i)
-        val = w.value(pts)[:, None, None]
-        grad = w.grad_coords(pts)
+        val = val[:, None, None]
         hess_log = w.hess_coords(pts) / val - grad[:, :, None] * grad[:, None, :] / val**2
         mixed = hess_log[:, dtp.slot1, dtp.slot2]
         bad = ~np.isfinite(mixed).all(axis=(1, 2))
@@ -507,7 +513,7 @@ def _sectional_closed_form(dtp: DoublyTwistedProduct, geo: PointGeometry, x: np.
 def _pseudo_orthonormal(gm, a, b):
     """Gram-Schmidt of each row pair (a[p], b[p]) in the metric gm[p]: the
     two-vector ``ck.gram_schmidt`` on a batch, with its lightlike threshold
-    (|g(w, w)| >= 1e-10 on the way) and also |plane Gram det| > 1e-6.
+    (|g(w, w)| >= ``ck.LIGHTLIKE_TOL`` on the way) and also |plane Gram det| > 1e-6.
     Returns u, v (P, n) and which rows span a plane; the other rows may hold
     inf or nan and are to be dropped."""
     def dot(p, q):
@@ -520,7 +526,7 @@ def _pseudo_orthonormal(gm, a, b):
         qw = dot(w, w)
         v = w / np.sqrt(np.abs(qw))[:, None]
         det = dot(u, u) * dot(v, v) - dot(u, v) ** 2
-    return u, v, (np.abs(qa) >= 1e-10) & (np.abs(qw) >= 1e-10) & (np.abs(det) > 1e-6)
+    return u, v, (np.minimum(np.abs(qa), np.abs(qw)) >= ck.LIGHTLIKE_TOL) & (np.abs(det) > 1e-6)
 
 
 def _sample_planes(dtp: DoublyTwistedProduct, rng, gm: np.ndarray, slots) -> tuple:
@@ -548,26 +554,25 @@ def _sample_planes(dtp: DoublyTwistedProduct, rng, gm: np.ndarray, slots) -> tup
 # lightlike sectional curvature
 
 def lightlike_sectional_curvature(g: MetricField, xi: TangentVector,
-                                  u: TangentVector, v: TangentVector,
-                                  tol: float = 1e-9) -> float:
+                                  u: TangentVector, v: TangentVector) -> float:
     """K_xi(span(u, v)) = g(R(v, u) u, v) / g(v, v) for a degenerate plane.
 
     Requires g Lorentzian, g(xi,xi) = -1, g(u,u) = 0, g(u,xi) = 1 and
-    g(v,v) != 0; the value is invariant under rescaling v.
+    g(v,v) != 0, each within UNIT_TOL; the value is invariant under rescaling v.
     """
     if g.signature.index != 1:
         raise InvalidFrame(f"metric index {g.signature.index} is not Lorentzian")
     q_xi = ck.inner_product(g, xi, xi)
     q_u = ck.inner_product(g, u, u)
     q_uxi = ck.inner_product(g, u, xi)
-    if abs(q_xi + 1.0) > tol:
+    if abs(q_xi + 1.0) > UNIT_TOL:
         raise InvalidFrame(f"g(xi, xi) = {q_xi!r}, expected -1")
-    if abs(q_u) > tol:
+    if abs(q_u) > UNIT_TOL:
         raise InvalidFrame(f"g(u, u) = {q_u!r}, expected 0")
-    if abs(q_uxi - 1.0) > tol:
+    if abs(q_uxi - 1.0) > UNIT_TOL:
         raise InvalidFrame(f"g(u, xi) = {q_uxi!r}, expected 1")
     q_v = ck.inner_product(g, v, v)
-    if abs(q_v) <= tol:
+    if abs(q_v) <= UNIT_TOL:
         raise InvalidFrame("g(v, v) must be nonzero")
     coords = u.base.coords
     riem = ck.riemann_numeric(g, coords)

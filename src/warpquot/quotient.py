@@ -76,6 +76,7 @@ ACTION_TOL = 1e-7       # deck-generator invariant residual budget
 DEFAULT_IDENT_TOL = 1e-7
 DEFAULT_WORD_BOUND = 8
 VALIDATE_WORD_CAP = 20_000  # words validate applies to the interior grid at most
+VALIDATE_PER_AXIS = 4   # grid points per axis of validate's samples
 # Visited-set grid of enumerate_words.  A word whose probe images round to a
 # visited key moves both probes within 1e-9 of an earlier word; the action is
 # free, so it is that word's group element and moves every point where the
@@ -224,7 +225,7 @@ class QuotientModel:
         self.ident_tol = float(ident_tol)
         self.word_bound = int(word_bound)
         self._word_memo: dict[int, _WordTree] = {}
-        self._inverse_memo: dict[int, list] = {}  # _check_inverses residuals per grid
+        self._inverse_memo: Optional[list] = None  # _check_inverses residuals, once computed
         self._code = {(gen.name, sign): m for m, (gen, sign) in enumerate(self._moves())}
 
     @functools.cached_property
@@ -550,8 +551,9 @@ def _row_max(diff: np.ndarray) -> np.ndarray:
     return np.abs(diff).reshape(len(diff), -1).max(axis=1)
 
 
-def validate(model: QuotientModel, per_axis: int = 4, tol: float = ACTION_TOL) -> ValidationReport:
-    """Sampled check of the quotient conditions; raises InvalidAction on failure.
+def validate(model: QuotientModel) -> ValidationReport:
+    """Sampled check of the quotient conditions, each within ACTION_TOL on grids
+    of VALIDATE_PER_AXIS points per axis; raises InvalidAction on failure.
 
     Declared inverses must undo their maps (``_check_inverses``).  Homothety
     generators must pull each factor metric back to c_i^2 g_i and satisfy the
@@ -563,17 +565,17 @@ def validate(model: QuotientModel, per_axis: int = 4, tol: float = ACTION_TOL) -
     names the first failing grid point.  A sampled necessary condition only.
     """
     dtp = model.dtp
-    res: dict[str, float] = _check_inverses(model, per_axis, tol)
-    pts1 = pg.grid_points(dtp.f1.domain_box, per_axis)
-    pts2 = pg.grid_points(dtp.f2.domain_box, per_axis)
-    pts = pg.grid_points(dtp.domain_box, per_axis)
+    res: dict[str, float] = _check_inverses(model)
+    pts1 = pg.grid_points(dtp.f1.domain_box, VALIDATE_PER_AXIS)
+    pts2 = pg.grid_points(dtp.f2.domain_box, VALIDATE_PER_AXIS)
+    pts = pg.grid_points(dtp.domain_box, VALIDATE_PER_AXIS)
     a, b = pts[:, dtp.slot1], pts[:, dtp.slot2]
 
     def fail(msg, sample):
         raise InvalidAction(f"{msg} at sample {np.asarray(sample)}")
 
     def fail_first(resid, samples, msg):
-        bad = resid > tol
+        bad = resid > ACTION_TOL
         if bad.any():
             fail(msg, samples[int(np.argmax(bad))])
 
@@ -609,8 +611,8 @@ def validate(model: QuotientModel, per_axis: int = 4, tol: float = ACTION_TOL) -
         fail_first(iso, pts, f"generator {gen.name}: not an isometry of the product metric")
 
         # free action on the padded fundamental box (point by point, +1 before -1)
-        pad = model.ident_tol
-        boxpts = pg.grid_points(model.fundamental_box + np.array([-pad, pad]), per_axis, inset=0.0)
+        padded = model.fundamental_box + model.ident_tol * np.array([-1.0, 1.0])
+        boxpts = pg.grid_points(padded, VALIDATE_PER_AXIS, inset=0.0)
         fixed = np.stack([model.same_point(model.apply_gen(gen, sign, boxpts), boxpts)
                           for sign in (1, -1)], axis=1)
         if fixed.any():
@@ -623,7 +625,7 @@ def validate(model: QuotientModel, per_axis: int = 4, tol: float = ACTION_TOL) -
     wb = model.word_bound
     enumerated = model._tree(wb).words
     words = enumerated[1:VALIDATE_WORD_CAP]
-    interior = pg.grid_points(model.fundamental_box, per_axis, inset=0.1)
+    interior = pg.grid_points(model.fundamental_box, VALIDATE_PER_AXIS, inset=0.1)
     if words:
         moved = model._orbit(wb, interior, VALIDATE_WORD_CAP)[1:]
         back = model.in_box(moved)
@@ -635,22 +637,23 @@ def validate(model: QuotientModel, per_axis: int = 4, tol: float = ACTION_TOL) -
                             words_truncated=max(0, len(enumerated) - VALIDATE_WORD_CAP))
 
 
-def _check_inverses(model: QuotientModel, per_axis: int = 4, tol: float = ACTION_TOL) -> dict:
+def _check_inverses(model: QuotientModel) -> dict:
     """``validate``'s first check, run first by every count, verdict and holonomy:
     after the singular-record check (``_letters``), each declared inverse must undo
-    its map within tol on the factor grid.  Residuals are computed once per model."""
+    its map within ACTION_TOL on validate's factor grid (residuals computed once per model)."""
     model._letters  # a singular affine record is refused first
-    if per_axis not in model._inverse_memo:
-        grids = [pg.grid_points(f.domain_box, per_axis) for f in (model.dtp.f1, model.dtp.f2)]
-        model._inverse_memo[per_axis] = [
+    if model._inverse_memo is None:
+        grids = [pg.grid_points(f.domain_box, VALIDATE_PER_AXIS)
+                 for f in (model.dtp.f1, model.dtp.f2)]
+        model._inverse_memo = [
             [(name, x, _row_max(fm(fm(x, 1), -1) - x))
              for name, fm, x in (("phi", gen.phi, grids[0]), ("psi", gen.psi, grids[1]))]
             for gen in model.generators]
     res = {}
-    for gen, rows in zip(model.generators, model._inverse_memo[per_axis]):
+    for gen, rows in zip(model.generators, model._inverse_memo):
         res[f"{gen.name}:inverse"] = float(max(resid.max() for _, _, resid in rows))
         for name, x, resid in rows:
-            bad = resid > tol
+            bad = resid > ACTION_TOL
             if bad.any():
                 raise InvalidAction(f"generator {gen.name}: declared inverse of {name} fails "
                                     f"at sample {x[int(np.argmax(bad))]}")
@@ -1150,12 +1153,12 @@ def build_example1(epsilon: float = 0.25, gluing: Optional[TwistedGluing] = None
     return model
 
 
-def example1_seam_residual(model: QuotientModel, n_samples: int = 25) -> float:
-    """max |lam(x, y) - lam(x - 1, h(y)) h'(y)| across the x = 1 seam."""
+def example1_seam_residual(model: QuotientModel) -> float:
+    """max |lam(x, y) - lam(x - 1, h(y)) h'(y)| across the x = 1 seam at 25 samples."""
     glue = model.gluing
     rng = np.random.default_rng(2024)
     # the draws alternate x, y per sample
-    x, y = rng.uniform([-0.2, -0.5], [0.2, 2.5], (n_samples, 2)).T
+    x, y = rng.uniform([-0.2, -0.5], [0.2, 2.5], (25, 2)).T
     x = 1.0 + x
     h, h_prime = glue._h_and_prime(y)
     lhs = model.dtp.lam2.value(np.stack([x, y], axis=1))

@@ -57,6 +57,7 @@ LOOP_CLOSURE_TOL = 1e-7
 LEAF_VELOCITY_TOL = 1e-8
 _VELOCITY_CHECK_TOL = 1e-4
 _CONTINUITY_TOL = 1e-9
+SAMPLES_PER_SEGMENT = 17  # transport sample times per curve segment, breaks shared
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +355,7 @@ def _integrate_transport(g: MetricField, curve: PiecewiseCurve, y0: np.ndarray,
 
 
 def _transport_grid(curve: PiecewiseCurve, frame: Sequence[TangentVector],
-                    samples_per_segment: int, leaf=None) -> tuple[np.ndarray, np.ndarray]:
+                    leaf=None) -> tuple[np.ndarray, np.ndarray]:
     """Sample times of a transport of the frame's vectors along the curve and
     the curve there, after its input guards.
 
@@ -362,7 +363,7 @@ def _transport_grid(curve: PiecewiseCurve, frame: Sequence[TangentVector],
     (factor 3 - foliation) components at 33 sample times (``NotInLeaf``)
     and every vector must be normal (``ValueError``).  Every vector must be
     based at curve(0) (``BaseMismatch``).  The times are
-    ``samples_per_segment`` per segment, breaks shared.
+    SAMPLES_PER_SEGMENT per segment, breaks shared.
     """
     if leaf is not None:
         dtp, foliation = leaf
@@ -373,7 +374,7 @@ def _transport_grid(curve: PiecewiseCurve, frame: Sequence[TangentVector],
                             f"at t = {probe[np.argmax(drift > LEAF_VELOCITY_TOL)]}")
         if any(np.max(np.abs(v.components[dtp.slot(foliation)])) > 1e-12 for v in frame):
             raise ValueError("v0 must lie in the normal (other-factor) slots")
-    ts = np.unique(np.concatenate([np.linspace(seg.t0, seg.t1, samples_per_segment)
+    ts = np.unique(np.concatenate([np.linspace(seg.t0, seg.t1, SAMPLES_PER_SEGMENT)
                                    for seg in curve.segments]))
     pts = curve.point(ts)
     if any(np.max(np.abs(v.base.coords - pts[0])) > 1e-9 for v in frame):
@@ -382,7 +383,7 @@ def _transport_grid(curve: PiecewiseCurve, frame: Sequence[TangentVector],
 
 
 def _transport(g: MetricField, curve: PiecewiseCurve, frame: Sequence[TangentVector],
-               samples_per_segment: int, leaf=None):
+               leaf=None):
     """The frame's vectors carried along the curve, as one (n, k) solve.
 
     Without ``leaf`` this is parallel transport W, with I = 0 and A = W.
@@ -396,7 +397,7 @@ def _transport(g: MetricField, curve: PiecewiseCurve, frame: Sequence[TangentVec
     ``g.mat`` over v0's base and the samples: |g(W, W) - g(v0, v0)| without
     leaf, | |A| - |v0| exp(-I) | with it.
     """
-    ts, pts = _transport_grid(curve, frame, samples_per_segment, leaf)
+    ts, pts = _transport_grid(curve, frame, leaf)
     omega = rows = None
     if leaf is not None:
         dtp, foliation = leaf
@@ -419,23 +420,22 @@ def _transport(g: MetricField, curve: PiecewiseCurve, frame: Sequence[TangentVec
 
 
 def parallel_transport(g: MetricField, curve: PiecewiseCurve, v0: TangentVector,
-                       tol: float = 1e-7, samples_per_segment: int = 17) -> TransportResult:
+                       tol: float = 1e-7) -> TransportResult:
     """Solve v'^k + Gamma^k_ij gamma'^i v^j = 0; g(v, v) is conserved.
 
     Raises IntegrationError when the conservation residual exceeds tol.
     """
-    ts, pts, Ys, _, worst = _transport(g, curve, [v0], samples_per_segment)
+    ts, pts, Ys, _, worst = _transport(g, curve, [v0])
     if worst > tol:
         raise IntegrationError(f"metric compatibility residual {worst:.3e} > tol {tol:.3e}")
     return TransportResult(ts, pts, Ys[:, :, 0], 0.0, worst)
 
 
 def _adapted(dtp: pg.DoublyTwistedProduct, curve: PiecewiseCurve,
-             frame: Sequence[TangentVector], tol: float, foliation: int,
-             samples_per_segment: int):
+             frame: Sequence[TangentVector], tol: float, foliation: int):
     """``_transport`` of the frame in a leaf of F_foliation; IntegrationError
     when the norm law misses tol."""
-    out = _transport(dtp.assembled, curve, frame, samples_per_segment, leaf=(dtp, foliation))
+    out = _transport(dtp.assembled, curve, frame, leaf=(dtp, foliation))
     if out[-1] > tol:
         raise IntegrationError(
             f"adapted-translation norm law residual {out[-1]:.3e} > tol {tol:.3e}")
@@ -444,8 +444,7 @@ def _adapted(dtp: pg.DoublyTwistedProduct, curve: PiecewiseCurve,
 
 def adapted_translation(dtp: pg.DoublyTwistedProduct, curve: PiecewiseCurve,
                         v0: TangentVector, tol: float = 1e-6,
-                        foliation: int = 1,
-                        samples_per_segment: int = 17) -> TransportResult:
+                        foliation: int = 1) -> TransportResult:
     """A(t) = exp(-int omega) W(t), W the normal parallel translation of v0
     (collocation; the oracle of ``adapted_translation_closed_form``).
 
@@ -453,13 +452,12 @@ def adapted_translation(dtp: pg.DoublyTwistedProduct, curve: PiecewiseCurve,
     the second foliation), and symmetrically for F_2.  The norm law
     |A(t)| = |v0| exp(-int omega) is checked against tol.
     """
-    ts, pts, Ys, Is, worst = _adapted(dtp, curve, [v0], tol, foliation, samples_per_segment)
+    ts, pts, Ys, Is, worst = _adapted(dtp, curve, [v0], tol, foliation)
     return TransportResult(ts, pts, Ys[:, :, 0], float(Is[-1]), worst, Is)
 
 
 def adapted_translation_closed_form(dtp: pg.DoublyTwistedProduct, curve: PiecewiseCurve,
-                                    v0: TangentVector, foliation: int = 1,
-                                    samples_per_segment: int = 17) -> TransportResult:
+                                    v0: TangentVector, foliation: int = 1) -> TransportResult:
     """``adapted_translation`` without integration: A(t) = v0 in product coordinates.
 
     Take a curve in a leaf of F_1 and write lam for lam2.  For i in slot 1
@@ -476,7 +474,7 @@ def adapted_translation_closed_form(dtp: pg.DoublyTwistedProduct, curve: Piecewi
     the integrating route; lam is evaluated once, on the batch of sample
     points.  Nothing is integrated, so ``tol_achieved`` is 0.
     """
-    ts, pts = _transport_grid(curve, [v0], samples_per_segment, leaf=(dtp, foliation))
+    ts, pts = _transport_grid(curve, [v0], leaf=(dtp, foliation))
     Is = _leaf_integral(dtp, foliation, pts[0], pts)
     return TransportResult(ts, pts, np.tile(v0.components, (len(ts), 1)), float(Is[-1]), 0.0, Is)
 
@@ -554,7 +552,7 @@ def holonomy_map(model, loop: PiecewiseCurve, frame: Sequence[TangentVector],
     normal_slot = dtp.slot(3 - foliation)
     frame = list(frame)
     fmat = np.stack([f.components[normal_slot] for f in frame], axis=1)
-    _, _, Ys, _, _ = _adapted(dtp, loop, frame, 1e-6, foliation, 17)
+    _, _, Ys, _, _ = _adapted(dtp, loop, frame, 1e-6, foliation)
     return HolonomyMap(CoordPoint(base), np.linalg.solve(fmat, (jac @ Ys[-1])[normal_slot]),
                        frame)
 

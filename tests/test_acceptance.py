@@ -17,6 +17,7 @@ from warpquot import scenario as sc
 from warpquot import transport as tp
 from warpquot.chartkit import CoordPoint, TangentVector
 
+from random_products import random_twisted
 # the sign-flipped closed forms of the connection-row negative controls
 from test_closed_form_connection import _flip_metric_term, _flip_mixed, _patch_gamma
 
@@ -44,9 +45,16 @@ def roster():
         ("fix-h-lorentz", fx.lorentz_direct()),
     ]
     dims = [(1, 1), (2, 1), (1, 2), (2, 2)]
-    random = [(f"random-{seed}", fx.random_doubly_twisted(seed, *dims[k % 4]))
+    random = [(f"random-{seed}", random_twisted(seed, *dims[k % 4]))
               for k, seed in enumerate(range(100, 120))]
     return named + random
+
+
+def test_the_roster_builder_at_2_2_is_the_fixture():
+    x = np.random.default_rng(0).uniform(-0.9, 0.9, (5, 4))
+    built, fixture = random_twisted(7, 2, 2), fx.random_doubly_twisted(7)
+    assert np.array_equal(built.assembled.d2(x), fixture.assembled.d2(x))
+    assert np.array_equal(built.lam2.hess_coords(x), fixture.lam2.hess_coords(x))
 
 
 def _christoffel_gap(roster, rng):

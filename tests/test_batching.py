@@ -16,6 +16,7 @@ routes, down to the nested finite differences of ``riemann_numeric``.
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from warpquot import productgeo as pg
 from warpquot import scenario
 from warpquot.chartkit import MetricField, ScalarField, Signature
 from warpquot.errors import DegenerateMetric, InvalidWarp, NumericsError
+
+from random_products import random_twisted
 
 BUILTINS = scenario.list_scenarios()
 EXACT_PRODUCTS = {  # elementwise callbacks only
@@ -45,7 +48,7 @@ RANDOM_PRODUCTS = {
     "random-dtp-4": lambda: fx.random_doubly_twisted(4),
     "random-dtp-11": lambda: fx.random_doubly_twisted(11),
     "random-dw-2": lambda: fx.random_doubly_warped(2),
-    "random-dtp-5-3-3": lambda: fx.random_doubly_twisted(5, 3, 3),
+    "random-dtp-5-3-3": lambda: random_twisted(5, 3, 3),
 }
 
 
@@ -471,14 +474,18 @@ def test_classify_rejects_nonfinite_one_form_sample():
     f2 = pg.FactorManifold("b", 1, MetricField.euclidean(1), [[0.0, 1.0]])
     one = ScalarField.constant(1.0)
 
-    def hess(x):  # exact except at x = 0.5, where the mixed entry is not finite
-        mixed = np.where(np.abs(x[0] - 0.5) < 1e-3, np.inf, 0.1)
-        return np.array([[0.0 * x[0], mixed], [mixed, 0.0 * x[0]]])
+    def product(band):
+        def hess(x):  # exact except at x = band, where the mixed entry is not finite
+            mixed = np.where(np.abs(x[0] - band) < 1e-3, np.inf, 0.1)
+            return np.array([[0.0 * x[0], mixed], [mixed, 0.0 * x[0]]])
 
-    lam = ScalarField(lambda x: 1.0 + 0.1 * x[0] * x[1],
-                      analytic_grad=lambda x: 0.1 * np.array([x[1], x[0]]),
-                      analytic_hess=hess)
-    dtp = pg.assemble(f1, f2, one, lam)
-    with pytest.raises(NumericsError, match=r"omega_2.*\[0\.5 0\.3\]"):
-        pg.classify(dtp, grid=[[0.2, 0.3], [0.5, 0.3]])
-    assert pg.classify(dtp, grid=[[0.2, 0.3], [0.4, 0.3]]).max_domega2 > 0.0
+        lam = ScalarField(lambda x: 1.0 + 0.1 * x[0] * x[1],
+                          analytic_grad=lambda x: 0.1 * np.array([x[1], x[0]]),
+                          analytic_hess=hess)
+        return pg.assemble(f1, f2, one, lam)
+
+    # classify's samples; row 8 is the first with its x coordinate
+    bad = pg.offset_grid_points(np.array([[0.0, 1.0], [0.0, 1.0]]), 4)[8]
+    with pytest.raises(NumericsError, match=r"omega_2.*" + re.escape(str(bad))):
+        pg.classify(product(bad[0]))
+    assert pg.classify(product(0.5)).max_domega2 > 0.0  # no sample has x = 0.5

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from warpquot import chartkit as ck
+from warpquot import fixtures as fx
 from warpquot import productgeo as pg
 from warpquot.chartkit import MetricField, ScalarField, Signature
 from warpquot.errors import NumericsError
@@ -50,8 +51,8 @@ def _plane_metric(kind):
 def _product(g2=None, lam2=None, g1=None, lam1=None):
     line = pg.FactorManifold("line", 1, g1 or MetricField.euclidean(1), [[0.0, 1.0]])
     plane = pg.FactorManifold("plane", 2, g2 or MetricField.euclidean(2), [[0.0, 1.0]] * 2)
-    return pg.assemble(line, plane, lam1 or ScalarField.constant(1.0, name="lam1"),
-                       lam2 or ScalarField.constant(1.0, name="lam2"))
+    return pg.assemble(line, plane, lam1 or ScalarField.constant(1.0),
+                       lam2 or ScalarField.constant(1.0))
 
 
 def _nan_warp():
@@ -83,7 +84,7 @@ CASES = [
      "derivative of 'lam2' returned shape (3,) for 3 points, expected (3, 3) (point axis last)"),
     # 1e-9 in g2 is 1e-15 in lam2^2 g2: only the factor's own check sees it
     ("g2-asymmetry-under-small-lam2",
-     lambda: _product(_plane_metric("asymmetric"), ScalarField.constant(1e-3, name="lam2")),
+     lambda: _product(_plane_metric("asymmetric"), ScalarField.constant(1e-3)),
      "mat", "metric not symmetric at [0.3 0.4]", "metric not symmetric at [0.3 0.4]"),
 ]
 
@@ -103,7 +104,7 @@ def test_a_broken_factor_field_fails_through_the_product(case, build, method, on
 
 
 def test_christoffel_runs_the_factor_checks():
-    g = _product(_plane_metric("asymmetric"), ScalarField.constant(1e-3, name="lam2")).assembled
+    g = _product(_plane_metric("asymmetric"), ScalarField.constant(1e-3)).assembled
     for x in (POINTS[1], POINTS):
         with pytest.raises(NumericsError, match=r"^metric not symmetric at \[0\.3 0\.4\]$"):
             ck.christoffel_numeric(g, x)
@@ -129,6 +130,38 @@ def test_one_public_mat_checks_the_coordinates_once(monkeypatch):
         calls.clear()
         dtp.assembled.mat(x)
         assert calls == {"_points": 1, "g1": 1, "g2": 1, "lam1": 1, "lam2": 1}
+
+
+def _counted(monkeypatch, name) -> Counter:
+    """Count the calls of ``chartkit.<name>`` from here on."""
+    calls = Counter()
+    exact = getattr(ck, name)
+
+    def wrapped(*args):
+        calls[name] += 1
+        return exact(*args)
+
+    monkeypatch.setattr(ck, name, wrapped)
+    return calls
+
+
+def test_classify_reads_each_warp_once(monkeypatch):
+    # g^-1, each warp's gradient and value (read once for N_i and d(omega_i)),
+    # each warp's hessian: 7 batch evaluations
+    dtp = fx.random_doubly_twisted(0)
+    calls = _counted(monkeypatch, "_call_batch")
+    pg.classify(dtp)
+    assert calls["_call_batch"] == 7
+
+
+def test_point_geometry_checks_the_coordinates_once(monkeypatch):
+    dtp = fx.random_doubly_twisted(0)
+    x = np.random.default_rng(0).uniform(-0.9, 0.9, (5, dtp.n))
+    calls = _counted(monkeypatch, "_points")
+    for pts in (x[0], x):
+        calls.clear()
+        pg.point_geometry(dtp, pts)
+        assert calls["_points"] == 1
 
 
 def _writes_to_its_input(x):

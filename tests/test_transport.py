@@ -115,10 +115,10 @@ def test_parallel_transport_norm_conservation(make):
 # ---------------------------------------------------------------------------
 # normal and adapted transport
 
-def normal_translation(dtp, curve, v0, **kwargs):
+def normal_translation(dtp, curve, v0):
     """W(t) = exp(I(t)) A(t), the normal parallel translation of v0, from the
     integrated adapted translation A; returns the result and W (S, n)."""
-    res = tp.adapted_translation(dtp, curve, v0, **kwargs)
+    res = tp.adapted_translation(dtp, curve, v0)
     A = np.stack([vec.components for _, vec in res.samples])
     return res, np.exp(res.integrals)[:, None] * A
 
@@ -153,9 +153,12 @@ def test_normal_transport_covariant_derivative_stays_tangent():
     # FD check: D W / dt has no normal component along the curve
     dtp = fx.polar_plane()
     g = dtp.assembled
-    curve = tp.PiecewiseCurve.line([1.0, 0.5], [2.0, 0.5])
-    res, comps = normal_translation(dtp, curve, tv([1.0, 0.5], [0.0, 1.0]),
-                                    samples_per_segment=201)
+    # 12 segments of SAMPLES_PER_SEGMENT times each: 193 samples for the FD check
+    curve = tp.PiecewiseCurve.from_function(lambda t: np.stack([1.0 + t, 0.5 + 0.0 * t], axis=1),
+                                            lambda t: np.tile([1.0, 0.0], (len(t), 1)),
+                                            breaks=np.arange(1, 12) / 12)
+    res, comps = normal_translation(dtp, curve, tv([1.0, 0.5], [0.0, 1.0]))
+    assert len(res.ts) == 12 * (tp.SAMPLES_PER_SEGMENT - 1) + 1
     ts = [s[0] for s in res.samples]
     for k in range(1, len(ts) - 1):
         dt = ts[k + 1] - ts[k - 1]
