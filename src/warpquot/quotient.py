@@ -54,6 +54,7 @@ come from the maps (central differences when a map has no ``jacobian``).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -221,9 +222,13 @@ class QuotientModel:
             raise ValueError("generator names must be unique")
         self.fundamental_box = np.asarray(fundamental_box, dtype=float)
         if self.fundamental_box.shape != (dtp.n, 2):
-            raise ValueError("fundamental box must be (n, 2)")
+            raise ValueError(f"fundamental_box must be {dtp.n} [lo, hi] pairs")
         self.ident_tol = float(ident_tol)
+        if not 0.0 < self.ident_tol < math.inf:  # a point that is not itself never dedups
+            raise ValueError(f"ident_tol must be finite and > 0, got {ident_tol}")
         self.word_bound = int(word_bound)
+        if self.word_bound < 0:
+            raise ValueError(f"word_bound must be >= 0, got {word_bound}")
         self._word_memo: dict[int, _WordTree] = {}
         self._inverse_memo: Optional[list] = None  # _check_inverses residuals, once computed
         self._code = {(gen.name, sign): m for m, (gen, sign) in enumerate(self._moves())}

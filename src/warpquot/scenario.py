@@ -56,6 +56,9 @@ class ScenarioContext:
                 raise ScenarioError(
                     f"expect.holonomy.{key}: {len(mats)} matrices for {declared} "
                     f"declared foliation-{key} loops")
+            d = self.dtp.factor(3 - int(key)).dim  # the leaves' normal space is the other factor
+            if any(np.shape(m) != (d, d) for m in mats):
+                raise ScenarioError(f"expect.holonomy.{key}: each matrix must be {d}x{d}")
 
     def base(self) -> np.ndarray:
         if self.basepoint is not None:
@@ -69,16 +72,53 @@ class ScenarioContext:
 # ---------------------------------------------------------------------------
 # strict-keys helpers
 
-def _check_keys(obj: dict, allowed: set, path: str):
+_MISSING = object()
+
+
+def _check_keys(obj, allowed: set, path: str):
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{path}: expected an object, got {type(obj).__name__}")
     unknown = set(obj) - allowed
     if unknown:
         raise ScenarioError(f"{path}: unknown keys {sorted(unknown)} (allowed: {sorted(allowed)})")
 
 
-def _require(obj: dict, key: str, path: str):
-    if key not in obj:
+def _require(obj: dict, key: str, path: str, convert=None, default=_MISSING):
+    """``obj[key]`` through ``convert``, or ``default`` as it is when the key
+    is absent or null and a default is given.  A missing required key, or a
+    value that ``convert`` refuses (ValueError, TypeError, OverflowError), is
+    a ScenarioError that names the key's path."""
+    value = obj.get(key)
+    if value is None and default is _MISSING:
         raise ScenarioError(f"{path}: missing required key {key!r}")
-    return obj[key]
+    if value is None:
+        return default
+    try:
+        return value if convert is None else convert(value)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ScenarioError(f"{path}.{key}: {exc}") from exc
+
+
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
+def _texts(value) -> list:
+    """A list of formulas or coordinate names, as strings."""
+    return [str(v) for v in _list(value)]
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _int(value) -> int:
+    """A whole number (``2`` or ``2.0``), not a string, a fraction or a flag."""
+    if isinstance(value, (bool, str)) or int(value) != value:
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +126,12 @@ def _require(obj: dict, key: str, path: str):
 
 def _build_factor(spec: dict, path: str) -> tuple[pg.FactorManifold, list]:
     _check_keys(spec, {"name", "dim", "coords", "metric", "signature", "box"}, path)
-    name = str(_require(spec, "name", path))
-    dim = int(_require(spec, "dim", path))
-    coords = list(_require(spec, "coords", path))
-    if len(coords) != dim:
+    name = _require(spec, "name", path, str)
+    dim = _require(spec, "dim", path, _int)
+    coords = _require(spec, "coords", path, _texts)
+    if dim < 1 or len(coords) != dim:
         raise ScenarioError(f"{path}: {dim} coordinates expected, got {coords}")
-    box = np.asarray(_require(spec, "box", path), dtype=float)
+    box = _require(spec, "box", path, _floats)
     if box.shape != (dim, 2):
         raise ScenarioError(f"{path}: box must be {dim} [lo, hi] pairs")
     metric_spec = _require(spec, "metric", path)
@@ -101,21 +141,20 @@ def _build_factor(spec: dict, path: str) -> tuple[pg.FactorManifold, list]:
                                 f"(available: {sorted(_PRESET_METRICS)})")
         metric = _PRESET_METRICS[metric_spec](dim, box)
     else:
-        rows = metric_spec
+        rows = _require(spec, "metric", path, lambda m: [_texts(r) for r in _list(m)])
         if len(rows) != dim or any(len(r) != dim for r in rows):
             raise ScenarioError(f"{path}: metric formula matrix must be {dim}x{dim}")
-        entries = [[compile_expr(str(rows[i][j]), coords) for j in range(dim)]
-                   for i in range(dim)]
-        sig = spec.get("signature")
-        if sig is None:
-            raise ScenarioError(f"{path}: formula metrics need an explicit signature")
+        entries = [[compile_expr(rows[i][j], coords) for j in range(dim)] for i in range(dim)]
+        sig = _require(spec, "signature", path, Signature)  # a formula metric declares it
+        if sig.n != dim:
+            raise ScenarioError(f"{path}.signature: {dim} entries expected, got {sig.n}")
 
         def ev(x, _e=entries, _n=dim):
             # each compiled entry has the shape of one coordinate, so this is
             # (dim, dim) for a point and (dim, dim, P) for a batch
             return np.array([[_e[i][j](x) for j in range(_n)] for i in range(_n)])
 
-        metric = MetricField(dim, ev, Signature(sig), domain_box=box, name=name)
+        metric = MetricField(dim, ev, sig, domain_box=box, name=name)
     return pg.FactorManifold(name, dim, metric, box), coords
 
 
@@ -158,8 +197,8 @@ def _build_factor_map(fwd: list, inv: list, coords: list, path: str) -> qt.Facto
     inv_record = _affine_record(inv, coords) if record is not None else None
     if inv_record is not None:
         return qt.FactorMap.from_record((record, inv_record))
-    fs = [compile_expr(str(s), coords) for s in fwd]
-    gs = [compile_expr(str(s), coords) for s in inv]
+    fs = [compile_expr(s, coords) for s in fwd]
+    gs = [compile_expr(s, coords) for s in inv]
     return qt.FactorMap(
         apply=lambda x, _fs=fs: np.array([f(x) for f in _fs]),
         inverse=lambda x, _gs=gs: np.array([g(x) for g in _gs]),
@@ -168,19 +207,37 @@ def _build_factor_map(fwd: list, inv: list, coords: list, path: str) -> qt.Facto
 
 def _build_curve(spec: dict, n: int, path: str) -> tp.PiecewiseCurve:
     _check_keys(spec, {"formula", "polyline", "breaks"}, path)
-    if "formula" in spec:
-        comps = [compile_expr(str(s), ["t"]) for s in spec["formula"]]
-        if len(comps) != n:
-            raise ScenarioError(f"{path}: curve formula needs {n} components")
-        return tp.PiecewiseCurve.from_function(
-            lambda t, _c=comps: np.stack([f(t[None]) for f in _c], axis=1),
-            breaks=spec.get("breaks", ()))
-    if "polyline" in spec:
-        pts = [np.asarray(p, dtype=float) for p in spec["polyline"]]
-        if any(p.shape != (n,) for p in pts):
-            raise ScenarioError(f"{path}: polyline points must have {n} coordinates")
-        return tp.PiecewiseCurve.catmull_rom(pts)
+    try:  # the constructors refuse too few points and breaks outside (0, 1)
+        if "formula" in spec:
+            comps = [compile_expr(s, ["t"]) for s in _require(spec, "formula", path, _texts)]
+            if len(comps) != n:
+                raise ScenarioError(f"{path}: curve formula needs {n} components")
+            return tp.PiecewiseCurve.from_function(
+                lambda t, _c=comps: np.stack([f(t[None]) for f in _c], axis=1),
+                breaks=_require(spec, "breaks", path, lambda b: [float(t) for t in _list(b)], ()))
+        if "polyline" in spec:
+            pts = _require(spec, "polyline", path, lambda v: [_floats(p) for p in _list(v)])
+            if any(p.shape != (n,) for p in pts):
+                raise ScenarioError(f"{path}: polyline points must have {n} coordinates")
+            return tp.PiecewiseCurve.catmull_rom(pts)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
     raise ScenarioError(f"{path}: curve needs 'formula' or 'polyline'")
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {type(value).__name__}")
+    return value
+
+
+def _loop_words(words, moves: set) -> list:
+    """Declared loop words as tuples of (generator name, +1 or -1) letters."""
+    out = [[tuple(_list(letter)) for letter in _list(word)] for word in _list(words)]
+    bad = [letter for word in out for letter in word if letter not in moves]
+    if bad:
+        raise ValueError(f"letter {list(bad[0])} is not a declared generator with sign 1 or -1")
+    return [tuple((g, int(s)) for g, s in word) for word in out]
 
 
 # factors whose slots a warp declared with each dependency must not vary along
@@ -191,14 +248,20 @@ _TOP_KEYS = {"name", "factors", "warps", "generators", "fundamental_box", "ident
              "word_bound", "curves", "holonomy_loops", "basepoint", "expect"}
 _WARP_KEYS = {"lam1", "lam2", "lam1_dependency", "lam2_dependency"}
 _GEN_KEYS = {"name", "phi", "phi_inv", "psi", "psi_inv", "c1", "c2", "homothety"}
+# each expectation a file may declare, as the commands read it; the checks
+# of example1's seam and leaves and of the Lorentzian product's lightlike
+# frame are built for those built-ins' geometry alone
+_EXPECT = {"classification": str, "verdict": str, "verdict_reason": str, "intersections": _int,
+           "mixed_K": float, "K_tol": float, "teodg_holds": _flag,
+           "holonomy": lambda v: {k: [_floats(m) for m in _list(ms)] for k, ms in dict(v).items()}}
 
 
 def parse_scenario(data: dict, name_hint: str = "") -> ScenarioContext:
     if not isinstance(data, dict):
         raise ScenarioError("scenario root must be a JSON object")
     _check_keys(data, _TOP_KEYS, "scenario")
-    name = str(data.get("name", name_hint or "scenario"))
-    factors = _require(data, "factors", "scenario")
+    name = _require(data, "name", "scenario", str, name_hint or "scenario")
+    factors = _require(data, "factors", "scenario", _list)
     if len(factors) != 2:
         raise ScenarioError("scenario: exactly two factors required")
     f1, coords1 = _build_factor(factors[0], "factors[0]")
@@ -209,54 +272,60 @@ def parse_scenario(data: dict, name_hint: str = "") -> ScenarioContext:
 
     warps = _require(data, "warps", "scenario")
     _check_keys(warps, _WARP_KEYS, "warps")
-    deps = [warps.get(f"lam{i}_dependency", "on-product") for i in (1, 2)]
+    deps = [_require(warps, f"lam{i}_dependency", "warps", str, "on-product") for i in (1, 2)]
     if any(dep not in _DEPENDENCIES for dep in deps):
         raise ScenarioError(f"warps: dependency must be one of {sorted(_DEPENDENCIES)}")
-    formulas = [str(_require(warps, f"lam{i}", "warps")) for i in (1, 2)]
+    formulas = [_require(warps, f"lam{i}", "warps", str) for i in (1, 2)]
     dtp = pg.assemble(f1, f2, *(ScalarField(compile_expr(f, coords), name=f) for f in formulas))
     for i, dep in zip((1, 2), deps):
         _check_dependency(dtp, i, dep, coords)
 
     model = None
-    if data.get("generators"):
-        gens = []
-        for k, gspec in enumerate(data["generators"]):
-            path = f"generators[{k}]"
-            _check_keys(gspec, _GEN_KEYS, path)
-            gens.append(qt.DeckGenerator(
-                name=str(_require(gspec, "name", path)),
-                phi=_build_factor_map(_require(gspec, "phi", path),
-                                      _require(gspec, "phi_inv", path), coords1, path),
-                psi=_build_factor_map(_require(gspec, "psi", path),
-                                      _require(gspec, "psi_inv", path), coords2, path),
-                c1=float(gspec.get("c1", 1.0)),
-                c2=float(gspec.get("c2", 1.0)),
-                homothety=bool(gspec.get("homothety", True)),
-            ))
-        box = _require(data, "fundamental_box", "scenario")
-        model = qt.QuotientModel(dtp, gens, box,
-                                 ident_tol=float(data.get("ident_tol", qt.DEFAULT_IDENT_TOL)),
-                                 word_bound=int(data.get("word_bound", qt.DEFAULT_WORD_BOUND)))
+    gens = []
+    for k, gspec in enumerate(_require(data, "generators", "scenario", _list, [])):
+        path = f"generators[{k}]"
+        _check_keys(gspec, _GEN_KEYS, path)
+        gens.append(qt.DeckGenerator(
+            name=_require(gspec, "name", path, str),
+            phi=_build_factor_map(_require(gspec, "phi", path, _texts),
+                                  _require(gspec, "phi_inv", path, _texts), coords1, path),
+            psi=_build_factor_map(_require(gspec, "psi", path, _texts),
+                                  _require(gspec, "psi_inv", path, _texts), coords2, path),
+            c1=_require(gspec, "c1", path, float, 1.0),
+            c2=_require(gspec, "c2", path, float, 1.0),
+            homothety=_require(gspec, "homothety", path, _flag, True),
+        ))
+    if gens:
+        try:
+            model = qt.QuotientModel(
+                dtp, gens, _require(data, "fundamental_box", "scenario", _floats),
+                ident_tol=_require(data, "ident_tol", "scenario", float, qt.DEFAULT_IDENT_TOL),
+                word_bound=_require(data, "word_bound", "scenario", _int, qt.DEFAULT_WORD_BOUND))
+        except ValueError as exc:  # the message names the parameter, which is the key
+            raise ScenarioError(f"scenario: {exc}") from exc
 
     curves = {}
-    for cname, cspec in (data.get("curves") or {}).items():
+    for cname, cspec in _require(data, "curves", "scenario", dict, {}).items():
         curves[cname] = _build_curve(cspec, dtp.n, f"curves.{cname}")
 
+    moves = {(gen.name, sign) for gen in gens for sign in (1, -1)}
     loops = {}
-    for key, words in (data.get("holonomy_loops") or {}).items():
+    for key, words in _require(data, "holonomy_loops", "scenario", dict, {}).items():
         if key not in ("1", "2", 1, 2):
             raise ScenarioError("holonomy_loops: keys must be foliation indices 1 or 2")
-        loops[int(key)] = [tuple((str(g), int(s)) for g, s in word) for word in words]
+        loops[int(key)] = _require(data["holonomy_loops"], key, "holonomy_loops",
+                                   lambda w: _loop_words(w, moves))
 
-    basepoint = None
-    if data.get("basepoint") is not None:
-        basepoint = np.asarray(data["basepoint"], dtype=float)
-        if basepoint.shape != (dtp.n,):
-            raise ScenarioError(f"basepoint must have {dtp.n} coordinates")
+    basepoint = _require(data, "basepoint", "scenario", _floats, None)
+    if basepoint is not None and basepoint.shape != (dtp.n,):
+        raise ScenarioError(f"basepoint must have {dtp.n} coordinates")
 
+    expect = _require(data, "expect", "scenario", dict, {})
+    _check_keys(expect, set(_EXPECT), "expect")
     return ScenarioContext(name=name, dtp=dtp, model=model, curves=curves,
                            holonomy_loops=loops, basepoint=basepoint,
-                           expect=dict(data.get("expect") or {}), coords=tuple(coords))
+                           expect={k: _require(expect, k, "expect", _EXPECT[k]) for k in expect},
+                           coords=tuple(coords))
 
 
 def load_scenario_file(path) -> ScenarioContext:

@@ -1,8 +1,11 @@
 """Quotient-model tests: validation, leaf tracing, intersections, verdicts."""
 
+import json
+
 import numpy as np
 import pytest
 
+from warpquot import cli
 from warpquot import fixtures as fx
 from warpquot import productgeo as pg
 from warpquot import quotient as qt
@@ -10,6 +13,8 @@ from warpquot import transport as tp
 from warpquot.chartkit import CoordPoint, MetricField, ScalarField, Signature, TangentVector
 from warpquot.errors import InvalidAction, InvalidH, NotALoop, WordBoundExceeded
 from warpquot.scenario import resolve_scenario
+
+from test_holonomy_closed_form import warped_torus_dict
 
 
 def tv(x, comps):
@@ -439,3 +444,23 @@ def test_decomposition_refuses_uncertified_global_claim():
                              fundamental_box=[[0.0, 1.0], [-1e9, 1e9]], word_bound=8)
     with pytest.raises(InvalidAction, match="lower bound"):
         qt.decomposition_check(model, [0.0, 0.0], {})
+
+
+@pytest.mark.parametrize("kw", [{"ident_tol": -1.0}, {"ident_tol": 0.0},
+                                {"ident_tol": float("nan")}, {"ident_tol": float("inf")},
+                                {"word_bound": -1}], ids=str)
+def test_model_refuses_a_tolerance_or_bound_that_cannot_work(kw):
+    # with ident_tol = -1 no point is the same point as itself, and the
+    # intersection count's dedup loop would never shrink
+    model = fx.flat_torus_model()
+    with pytest.raises(ValueError, match=next(iter(kw))):
+        qt.QuotientModel(model.dtp, model.generators, model.fundamental_box, **kw)
+
+
+@pytest.mark.parametrize("text", ['"ident_tol": -1', '"ident_tol": NaN', '"word_bound": -2'])
+def test_scenario_tolerance_or_bound_refused_with_exit_2(capsys, tmp_path, text):
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps(warped_torus_dict())[:-1] + ", " + text + "}")
+    # classify: at a model that accepts the value, intersections would hang
+    assert cli.main(["run", str(path), "classify"]) == 2
+    assert capsys.readouterr().err.startswith("input error: scenario: " + text[1:10])

@@ -53,6 +53,54 @@ def test_expr_syntax_error_has_position():
         expr.compile_expr("1 +", ["x"])
 
 
+def test_expr_checks_argument_counts():
+    for ok in ("min(x)", "max(x, t, 1)", "atan2(t, x)", "pow(x, 2)", "smoothstep(x)"):
+        expr.compile_expr(ok, ["x", "t"])
+    for bad, want in (("sin(x, t)", "sin takes 1"), ("atan2(x)", "atan2 takes 2"),
+                      ("pow(2)", "pow takes 2"), ("min()", "min takes one or more"),
+                      ("smoothstep(x, 1)", "smoothstep takes 1")):
+        with pytest.raises(ScenarioError, match=rf"{want} argument\(s\), got \d at column 0"):
+            expr.compile_expr(bad, ["x", "t"])
+
+
+def test_expr_folds_constants_by_the_operations_they_ran():
+    # a subtree without a variable is computed once, as its closure computed it
+    f = expr.compile_expr("x * (2*pi) + exp(1) - 1/3 + 2**0.5", ["x"])
+    xs = np.array([[-1.5, 0.0, 0.25, 3.0]])
+    want = xs[0] * (2 * np.pi) + np.exp(1.0) - 1 / 3 + np.power(2.0, 0.5)
+    assert f(xs).tolist() == want.tolist()
+    assert expr.compile_expr("sqrt(2) * 3", ["x"])(xs).tolist() == [np.sqrt(2.0) * 3.0] * 4
+
+
+@pytest.mark.parametrize("terms", [201, 980, 5000])
+def test_expr_nesting_is_bounded_where_evaluation_could_not_recurse(terms):
+    # a left-deep sum nests one level per term; at 980 levels the closures
+    # would overflow Python's recursion limit when evaluated, and at 5000 the
+    # parser itself raises RecursionError
+    with pytest.raises(ScenarioError, match="nested deeper than 200 levels"):
+        expr.compile_expr("1" + " + x" * terms, ["x"])
+    f = expr.compile_expr("1" + " + x" * 199, ["x"])
+    assert f(np.array([[0.5]])).tolist() == [100.5]
+
+
+# each refused as a warp term when the file is read, not at its first evaluation
+NOT_FINITE_OR_MISCALLED = ["1 + 1/(2*0)", "sin(x, y)", "atan2(x)", "min()", "pow(2)",
+                           "smoothstep(x, 1)", "log(-1)", "9" * 400, "1e400"]
+
+
+@pytest.mark.parametrize("term", NOT_FINITE_OR_MISCALLED, ids=lambda t: t[:16])
+def test_bad_constant_or_call_exits_2_naming_the_column(capsys, tmp_path, term):
+    with pytest.raises(ScenarioError, match=r"^expression .* at column \d+$"):
+        expr.compile_expr(term, ["x", "y"])
+    data = flat_torus_dict()
+    data["warps"]["lam2"] = f"2 + 0*({term})"
+    path = tmp_path / "bad-term.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["run", str(path), "classify"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: expression '2 + 0*(") and " at column " in err
+
+
 # ---------------------------------------------------------------------------
 # scenario parsing
 
@@ -116,6 +164,85 @@ def test_parse_rejects_unknown_keys():
     data["factors"][0]["extra"] = True
     with pytest.raises(ScenarioError, match=r"factors\[0\]"):
         sc.parse_scenario(data)
+
+
+def flat_torus_dict():
+    """The flat square torus as a scenario file, with one polyline curve."""
+    line = {"dim": 1, "metric": "euclidean", "box": [[0.0, 1.0]]}
+    return {
+        "name": "flat-torus-file",
+        "factors": [{"name": "line-x", "coords": ["x"], **line},
+                    {"name": "line-y", "coords": ["y"], **line}],
+        "warps": {"lam1": "1", "lam2": "1"},
+        "generators": [
+            {"name": "a", "phi": ["x + 1"], "phi_inv": ["x - 1"], "psi": ["y"], "psi_inv": ["y"]},
+            {"name": "b", "phi": ["x"], "phi_inv": ["x"], "psi": ["y + 1"], "psi_inv": ["y - 1"]},
+        ],
+        "fundamental_box": [[0.0, 1.0], [0.0, 1.0]],
+        "holonomy_loops": {"1": [[["a", 1]]], "2": [[["b", 1]]]},
+        "curves": {"c": {"polyline": [[0.1, 0.2], [0.8, 0.2]]}},
+        "basepoint": [0.3, 0.6],
+    }
+
+
+def _set(*keys):
+    """A mutation setting data[k0][k1]...[kn-1] = value."""
+    def mutate(data, value):
+        for key in keys[:-1]:
+            data = data[key]
+        data[keys[-1]] = value
+    return mutate
+
+
+# (the key the refusal names, where, the mistyped value)
+MALFORMED = [
+    ("factors[0].dim", _set("factors", 0, "dim"), "a"),
+    ("factors[0].box", _set("factors", 0, "box"), "zz"),
+    ("factors[0]", _set("factors", 0), 5),
+    ("factors[0].coords", _set("factors", 0, "coords"), 5),
+    ("scenario.word_bound", _set("word_bound"), "x"),
+    ("scenario.word_bound: expected a whole number, got 2.5", _set("word_bound"), 2.5),
+    ("factors[0].dim: expected a whole number, got True", _set("factors", 0, "dim"), True),
+    ("scenario.basepoint", _set("basepoint"), ["a", "b"]),
+    ("holonomy_loops.1", _set("holonomy_loops", "1"), [[["a"]]]),
+    ("fundamental_box", _set("fundamental_box"), [[0, 1]]),
+    ("curves.c", _set("curves", "c", "polyline"), [[0.5, 0.5]]),
+    ("factors[1].signature", _set("factors", 1), {"name": "line-y", "dim": 1, "coords": ["y"],
+                                                  "metric": [["1"]], "signature": [2],
+                                                  "box": [[0.0, 1.0]]}),
+    ("expect.intersections", _set("expect"), {"intersections": "x"}),
+    ("expect.holonomy.1: each matrix must be 1x1", _set("expect"),
+     {"holonomy": {"1": [[[1.0, 0.0], [0.0, 1.0]]]}}),
+    # checks built for one built-in's geometry (example1's seam) are not file keys
+    ("expect: unknown keys ['seam_residual_max']", _set("expect"), {"seam_residual_max": 1e-8}),
+]
+
+
+@pytest.mark.parametrize("key,mutate,value", MALFORMED, ids=[m[0] for m in MALFORMED])
+def test_malformed_field_exits_2_and_names_its_key(capsys, tmp_path, key, mutate, value):
+    data = flat_torus_dict()
+    path = tmp_path / "flat-torus.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["run", str(path), "classify"]) == 0
+    mutate(data, value)
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert cli.main(["run", str(path), "classify"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and key in err, err
+
+
+@pytest.mark.parametrize("letter", [["zz", 1], ["a", 2], ["a", "1"], ["a", 1, 1], "a", ["b"]])
+def test_loop_letters_are_checked_when_the_file_is_read(capsys, tmp_path, letter):
+    data = flat_torus_dict()
+    data["holonomy_loops"] = {"1": [[["a", 1], letter]]}
+    with pytest.raises(ScenarioError, match=r"^holonomy_loops\.1: "):
+        sc.parse_scenario(data)
+    path = tmp_path / "loops.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["run", str(path), "holonomy"]) == 2
+    assert sc.parse_scenario({**data, "holonomy_loops": {"1": [[["a", -1], ["b", 1.0]]]}}) \
+        .holonomy_loops == {1: [(("a", -1), ("b", 1))]}
 
 
 def test_parse_rejects_wrong_shapes():
