@@ -33,6 +33,13 @@ moves points only through the tree; a single word moves a point by
 callbacks a row of a batch sees the same arithmetic as the point alone, so
 batched and one-point results agree bit for bit.
 
+A leaf trace of F_i reads only factor i: its speeds are lam_i^2 g_i read
+from the warp and factor metric kernels (``_leaf_speeds``), and a box exit
+turns its direction by the Jacobians of F_i's own maps along the reducing
+word (``_trace``).  The traced factor is one-dimensional and the direction
+is zero off its slot, so every term of the assembled metric and of
+``word_jacobian`` left out is an exact zero and the values keep their bits.
+
 Affine records
 --------------
 A model is affine when every phi and psi carries an affine record
@@ -681,10 +688,23 @@ class LeafTrace:
         return self.status == "closed"
 
 
-def _leaf_speeds(dtp: pg.DoublyTwistedProduct, xs: np.ndarray, direction) -> np.ndarray:
-    """|direction| in the assembled metric at each row of xs."""
-    quad = (direction @ dtp.assembled.mat(xs)) @ direction
-    return np.sqrt(np.abs(quad))
+def _leaf_speeds(dtp: pg.DoublyTwistedProduct, foliation: int, xs: np.ndarray,
+                 direction) -> np.ndarray:
+    """|direction| in the assembled metric at each row of xs, read from the
+    traced factor alone (see the module notes): d_i (lam_i^2 g_i) d_i, the
+    block as ``assemble``'s ``ev`` forms it from the warp at the whole point
+    and the factor metric at the factor's coordinates."""
+    s = dtp.slot(foliation)
+    d = direction[s][0]
+
+    def quad(cols):
+        lam, g = dtp.warp(foliation)._value(cols), dtp.factor(foliation).metric._mat(cols[s])
+        block = (np.square(lam) * g)[0, 0]
+        if not np.isfinite(block).all():  # the assembled metric's check, on the block read
+            ck._fail_at(cols.T, ~np.isfinite(block), "non-finite metric entries at")
+        return (d * block) * d
+
+    return np.sqrt(np.abs(ck._call_batch(quad, ck._points(xs, dtp.n))))
 
 
 def leaf_trace(model: QuotientModel, x0, foliation: int, arc_budget: float = 8.0) -> LeafTrace:
@@ -698,9 +718,10 @@ def leaf_trace(model: QuotientModel, x0, foliation: int, arc_budget: float = 8.0
     An open leaf is then traced backward from x0 with the same budget, and
     those points, reversed and with negative arc lengths, come first; the
     status and length stay the forward trace's.  Requires the traced factor
-    to be one-dimensional.  No count or verdict calls it: it is the oracle
-    for "a leaf closes iff ``leaf_loops`` finds a closing word", for
-    verify-all's leaf rows and the tests.
+    to be one-dimensional, and reads only that factor: its warp, its metric
+    and its deck maps (see ``_trace``).  No count or verdict calls it: it is
+    the oracle for "a leaf closes iff ``leaf_loops`` finds a closing word",
+    for verify-all's leaf rows and the tests.
     """
     dtp = model.dtp
     if dtp.factor(foliation).dim != 1:
@@ -709,15 +730,17 @@ def leaf_trace(model: QuotientModel, x0, foliation: int, arc_budget: float = 8.0
     if not model.in_box(x0):
         raise ValueError(f"basepoint {x0} is not in the fundamental box")
     direction = dtp.embed(foliation, np.ones(1))
-    status, length, pts = _trace(model, x0, direction, arc_budget)
+    status, length, pts = _trace(model, x0, foliation, direction, arc_budget)
     if status != "closed":
-        back = _trace(model, x0, -direction, arc_budget)[2]
+        back = _trace(model, x0, foliation, -direction, arc_budget)[2]
         pts = [(-arc, p) for arc, p in reversed(back[1:])] + pts
     return LeafTrace(foliation, x0, status, length, pts)
 
 
-def _trace(model: QuotientModel, x0: np.ndarray, direction: np.ndarray, arc_budget: float):
-    """(status, length, points) of the trace from x0 along direction.
+def _trace(model: QuotientModel, x0: np.ndarray, foliation: int, direction: np.ndarray,
+           arc_budget: float):
+    """(status, length, points) of the trace from x0 along direction, a
+    vector of F_foliation's slot.
 
     Steps are taken _TRACE_CHUNK at a time: a running sum of step*direction
     (the same additions as one step after another) up to the first point
@@ -727,8 +750,14 @@ def _trace(model: QuotientModel, x0: np.ndarray, direction: np.ndarray, arc_budg
     budget, so it may evaluate the metric a little past the end.  Its steps
     inside the box are checked for closure (``_closing_step``) before the
     step that leaves the box is reduced, which is then checked on its own,
-    and the next chunk starts from its representative.
+    and the next chunk starts from its representative.  The trace reads only
+    the traced factor: the speeds come from its warp and metric
+    (``_leaf_speeds``), and the reducing word turns the direction by the
+    Jacobians of the factor's own maps (phi for F1, psi for F2), composed
+    along the word as ``word_jacobian`` composes its block.
     """
+    dtp = model.dtp
+    s = dtp.slot(foliation)
     step = _TRACE_STEP
     cur = x0.copy()
     arc = 0.0
@@ -739,7 +768,7 @@ def _trace(model: QuotientModel, x0: np.ndarray, direction: np.ndarray, arc_budg
         ahead = np.cumsum(np.vstack([cur, np.tile(step * direction, (_TRACE_CHUNK, 1))]), axis=0)
         inside = model.in_box(ahead[1:])
         n_in = int(np.argmin(inside)) if not inside.all() else _TRACE_CHUNK
-        speeds = _leaf_speeds(model.dtp, ahead[:min(n_in + 1, _TRACE_CHUNK)], direction)
+        speeds = _leaf_speeds(dtp, foliation, ahead[:min(n_in + 1, _TRACE_CHUNK)], direction)
         arcs = np.cumsum(np.concatenate([[arc], step * speeds]))  # arcs[k + 1]: after step k
         over = np.flatnonzero(arcs[:-1] >= arc_budget)
         n = int(over[0]) if over.size else len(speeds)  # the steps this chunk takes
@@ -749,7 +778,14 @@ def _trace(model: QuotientModel, x0: np.ndarray, direction: np.ndarray, arc_budg
         if hit is None and stays < n:  # reduce the step that left the box, then check it
             reps[-1], word = model.canonical_rep(ahead[n])
             if word:
-                direction = model.word_jacobian(word, ahead[n]) @ direction
+                y, J = ahead[n][s], np.eye(1)
+                for j, (name, sign) in enumerate(word, 1):
+                    gen = model.by_name[name]
+                    fm = gen.phi if foliation == 1 else gen.psi
+                    J = fm.jac(y, sign) @ J
+                    if j < len(word):  # the point where the next letter's differential is taken
+                        y = fm(y, sign)
+                direction = dtp.embed(foliation, J @ direction[s])
             armed, hit = _closing_step(model, x0, reps, speeds, arcs, direction, armed, stays)
         if hit is not None:
             k, length = hit

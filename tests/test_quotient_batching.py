@@ -528,6 +528,13 @@ EDGE_TRACES = {
 }
 TRACES += [(name, list(x0), foliation, budget)
            for name, x0, foliation, budget in EDGE_TRACES]
+# box exits that turn the direction by the traced factor's maps alone: FD
+# Jacobians on the level twins, h's on example1's F1 leaves
+TRACES += [
+    ("file-mobius-level", [0.7, -0.3], 1, 8.0), ("file-skewed-q3-level", [0.1, 0.2], 1, 8.0),
+    ("file-skewed-q3-level", [0.1, 0.2], 2, 8.0), ("file-warped-torus-level", [0.37, 0.21], 2, 8.0),
+    ("example1", [0.5, 1.5], 1, 8.0), ("example1", [0.2, -0.4], 1, 8.0),
+]
 
 
 @pytest.mark.parametrize("name,x0,foliation,budget", TRACES)
@@ -552,13 +559,37 @@ def test_leaf_trace_calls_per_chunk(name, x0, foliation, budget, monkeypatch):
     speeds, reps = [], []
     leaf_speeds, canonical_rep = qt._leaf_speeds, qt.QuotientModel.canonical_rep
     monkeypatch.setattr(qt, "_leaf_speeds",
-                        lambda dtp, xs, d: speeds.append(len(xs)) or leaf_speeds(dtp, xs, d))
+                        lambda dtp, foliation, xs, d: speeds.append(len(xs))
+                        or leaf_speeds(dtp, foliation, xs, d))
     monkeypatch.setattr(qt.QuotientModel, "canonical_rep",
                         lambda self, x: reps.append(x) or canonical_rep(self, x))
     qt.leaf_trace(model, x0, foliation, arc_budget=budget)
     assert len(speeds) == sum(len(ref_chunks(log)) for log in logs)
     assert max(speeds) <= qt._TRACE_CHUNK
     assert len(reps) == sum(exited + tried for log in logs for exited, tried in log)
+
+
+def _counting(obj, attr, counts, key):
+    """Wrap the callback obj.attr to add the points of each batch it gets to counts[key]."""
+    fn = getattr(obj, attr)
+    setattr(obj, attr, lambda c: counts.update({key: counts[key] + c.shape[-1]}) or fn(c))
+
+
+def test_leaf_trace_reads_only_the_traced_factor():
+    # an F1 trace of example1 evaluates neither lam2 (its costly warp) nor
+    # psi's Jacobian (an h^-1 solve), and an F2 trace no lam1
+    model = MAKERS["example1"]()
+    counts = {"lam2": 0, "psi jacobian": 0}
+    _counting(model.dtp.lam2, "eval", counts, "lam2")
+    _counting(model.generators[0].psi, "jacobian", counts, "psi jacobian")
+    qt.leaf_trace(model, [0.0, 0.0], 1)
+    qt.leaf_trace(model, [0.0, 1.0], 1, arc_budget=6.0)
+    assert counts == {"lam2": 0, "psi jacobian": 0}
+    model = MAKERS["file-twisted-torus"]()
+    counts = {"lam1": 0}
+    _counting(model.dtp.lam1, "eval", counts, "lam1")
+    qt.leaf_trace(model, [0.81, 0.64], 2)
+    assert counts == {"lam1": 0}
 
 
 @pytest.mark.parametrize("case", sorted(EDGE_TRACES), ids=str)
