@@ -257,24 +257,25 @@ def cmd_curvature(ctx, args, rng):
 
 def cmd_transport(ctx, args, rng):
     tol = args.tol if args.tol is not None else 1e-6
-    curves = dict(ctx.curves) or {"default-horizontal": _horizontal_curve(ctx)}
+    curves = sorted((ctx.curves or {"default-horizontal": _horizontal_curve(ctx)}).items())
+    results = [tp.adapted_translation_closed_form(ctx.dtp, curve, _ones_normal(ctx.dtp, curve))
+               for _, curve in curves]
     out = {}
     ok = True
-    for name, curve in sorted(curves.items()):
-        res = tp.adapted_translation_closed_form(ctx.dtp, curve, _ones_normal(ctx.dtp, curve))
-        checks = [Check("transport-equation",
-                        tp.transport_equation_residual(ctx.dtp, curve, res), tol)]
+    for (name, _), res, resid in zip(curves, results,
+                                     tp.transport_equation_residual(ctx.dtp, results)):
+        check = Check("transport-equation", resid, tol)
         out[name] = {"integral_omega": res.integral_omega,
                      "end_components": res.end.components,
-                     "checks": [c.row() for c in checks]}
-        ok = ok and all(c.ok for c in checks)
+                     "checks": [check.row()]}
+        ok = ok and check.ok
     return {"curves": out}, ok
 
 
 def _run_holonomy(ctx, tol):
     """Closed-form holonomy of every declared loop at the basepoint's
-    representative, compared with the expected matrices; also returns the
-    (foliation, word, HolonomyMap) triples."""
+    representative, one batch per foliation, compared with the expected
+    matrices; also returns the (foliation, word, HolonomyMap) triples."""
     model = ctx.model
     if model is None or not ctx.holonomy_loops:
         raise ScenarioError("scenario declares no quotient generators / holonomy loops")
@@ -283,8 +284,11 @@ def _run_holonomy(ctx, tol):
     expected = ctx.expect.get("holonomy", {})
     ok = True
     for i in (1, 2):
-        for j, word in enumerate(ctx.holonomy_loops.get(i, [])):
-            hol = qt.loop_holonomy(model, rep0, i, word)
+        words = [tuple(word) for word in ctx.holonomy_loops.get(i, [])]
+        if not words:
+            continue
+        qt._check_inverses(model)
+        for j, (word, hol) in enumerate(zip(words, qt._loop_holonomies(model, rep0, i, words))):
             maps.append((i, word, hol))
             entry = {"foliation": i, "word": [list(w) for w in word],
                      "matrix": hol.matrix}

@@ -594,37 +594,37 @@ def validate(model: QuotientModel) -> ValidationReport:
     def pullback(J, metric, image):
         return np.swapaxes(J, -1, -2) @ metric.mat(image) @ J
 
+    # the fields at the grids, which no generator moves, evaluated once for all
+    f1, f2, g, lam1, lam2 = dtp.f1.metric, dtp.f2.metric, dtp.assembled, dtp.lam1, dtp.lam2
+    if any(gen.homothety for gen in model.generators):
+        g1, g2 = f1.mat(pts1), f2.mat(pts2)
+        lam1_pts, lam2_pts = lam1.value(pts), lam2.value(pts)
+    g_pts = g.mat(pts)
+    padded = model.fundamental_box + model.ident_tol * np.array([-1.0, 1.0])
+    boxpts = pg.grid_points(padded, VALIDATE_PER_AXIS, inset=0.0)
+
     for gen in model.generators:
         if gen.homothety:
-            f1, f2 = dtp.f1.metric, dtp.f2.metric
-            pull1 = _row_max(pullback(gen.phi.jac(pts1), f1, gen.phi(pts1))
-                             - gen.c1**2 * f1.mat(pts1))
+            pull1 = _row_max(pullback(gen.phi.jac(pts1), f1, gen.phi(pts1)) - gen.c1**2 * g1)
             res[f"{gen.name}:pullback-g1"] = float(pull1.max())
             fail_first(pull1, pts1, f"generator {gen.name}: phi is not a homothety of factor 1")
-            pull2 = _row_max(pullback(gen.psi.jac(pts2), f2, gen.psi(pts2))
-                             - gen.c2**2 * f2.mat(pts2))
+            pull2 = _row_max(pullback(gen.psi.jac(pts2), f2, gen.psi(pts2)) - gen.c2**2 * g2)
             res[f"{gen.name}:pullback-g2"] = float(pull2.max())
             fail_first(pull2, pts2, f"generator {gen.name}: psi is not a homothety of factor 2")
-            lam1, lam2 = dtp.lam1, dtp.lam2
-            r1 = np.abs(lam1.value(np.concatenate([a, gen.psi(b)], axis=1))
-                        - lam1.value(pts) / gen.c1)
-            r2 = np.abs(lam2.value(np.concatenate([gen.phi(a), b], axis=1))
-                        - lam2.value(pts) / gen.c2)
+            r1 = np.abs(lam1.value(np.concatenate([a, gen.psi(b)], axis=1)) - lam1_pts / gen.c1)
+            r2 = np.abs(lam2.value(np.concatenate([gen.phi(a), b], axis=1)) - lam2_pts / gen.c2)
             res[f"{gen.name}:warp1-compat"] = float(r1.max())
             res[f"{gen.name}:warp2-compat"] = float(r2.max())
             fail_first(r1, pts, f"generator {gen.name}: lam1 o psi != lam1 / c1")
             fail_first(r2, pts, f"generator {gen.name}: lam2 o phi != lam2 / c2")
 
         # assembled-metric isometry (the condition that lets the metric descend)
-        g = dtp.assembled
         iso = _row_max(pullback(model.gen_jacobian(gen, 1, pts), g, model.apply_gen(gen, 1, pts))
-                       - g.mat(pts))
+                       - g_pts)
         res[f"{gen.name}:isometry"] = float(iso.max())
         fail_first(iso, pts, f"generator {gen.name}: not an isometry of the product metric")
 
         # free action on the padded fundamental box (point by point, +1 before -1)
-        padded = model.fundamental_box + model.ident_tol * np.array([-1.0, 1.0])
-        boxpts = pg.grid_points(padded, VALIDATE_PER_AXIS, inset=0.0)
         fixed = np.stack([model.same_point(model.apply_gen(gen, sign, boxpts), boxpts)
                           for sign in (1, -1)], axis=1)
         if fixed.any():

@@ -1,12 +1,19 @@
 """Transport along curves: parallel and adapted translation; holonomy; broken geodesics.
 
+A curve (``PiecewiseCurve``) is its knots and one evaluator pair for all its
+segments, so a batch of times is one evaluator call however many segments
+it spans; Catmull-Rom splines and broken geodesics keep their segments'
+coefficients in one table.
+
 Adapted translation along a leaf has a closed form
 (``adapted_translation_closed_form``): a normal vector keeps its
-product-coordinate components.  The ``transport`` command runs it; the
-integrating ``adapted_translation`` is the oracle tests and verify-all
-compare it against.  Leaf holonomy in quotients is likewise computed in
-closed form (``quotient.loop_holonomy``), with ``holonomy_map`` as its
-integrating oracle.
+product-coordinate components.  The ``transport`` command runs it, and
+checks every curve of a scenario against the transport equation in one
+batch (``transport_equation_residual``); the integrating
+``adapted_translation`` is the oracle tests and verify-all compare it
+against.  Leaf holonomy in quotients is likewise computed in closed form
+(``quotient.loop_holonomy``), with ``holonomy_map`` as its integrating
+oracle.
 
 Every other transport, and the velocity profile, integrates the linear
 equation Ydot = -Gamma(gamma') Y along a known curve in one place
@@ -63,82 +70,65 @@ SAMPLES_PER_SEGMENT = 17  # transport sample times per curve segment, breaks sha
 # ---------------------------------------------------------------------------
 # curves
 
-@dataclass
-class CurveSegment:
-    """One smooth piece on [t0, t1]; ``point``/``velocity`` map times (T,) to (T, n)."""
-
-    t0: float
-    t1: float
-    point: Callable[[np.ndarray], np.ndarray]
-    velocity: Callable[[np.ndarray], np.ndarray]
-
-
 class PiecewiseCurve:
-    """Piecewise-smooth curve on [0, 1] with velocities attached per segment.
+    """Piecewise-smooth curve on [0, 1]: knots 0 = k_0 < ... < k_m = 1 and one
+    evaluator pair for all m segments.
 
     ``point(t)`` and ``velocity(t)`` take one time and return (n,), or an
     array of times (T,) and return (T, n).  A time belongs to the first
-    segment that ends no more than 1e-12 before it, and each segment is
-    called once, on all its times.  Construction checks continuity at the
-    breaks and (by finite differences) that each segment's velocity really
-    is the derivative of its point map.
+    segment that ends no more than 1e-12 before it, and one evaluator call
+    serves the whole batch: ``point_fn(t, seg)`` and ``velocity_fn(t, seg)``
+    map times (T,) and their segment indices (T,) to (T, n).  Construction
+    checks continuity at the breaks and (by finite differences) that the
+    velocity really is the derivative of the point map on every segment.
     """
 
-    def __init__(self, segments: Sequence[CurveSegment], check: bool = True):
-        if not segments:
+    def __init__(self, knots: Sequence[float], point_fn: Callable, velocity_fn: Callable,
+                 check: bool = True):
+        self.knots = np.asarray(knots, dtype=float)
+        if len(self.knots) < 2:
             raise ValueError("curve needs at least one segment")
-        self.segments = list(segments)
-        if abs(self.segments[0].t0) > 1e-12 or abs(self.segments[-1].t1 - 1.0) > 1e-12:
+        if abs(self.knots[0]) > 1e-12 or abs(self.knots[-1] - 1.0) > 1e-12:
             raise ValueError("curve segments must cover [0, 1]")
-        for a, b in zip(self.segments, self.segments[1:]):
-            if abs(a.t1 - b.t0) > 1e-12:
-                raise ValueError("curve segments must be contiguous")
-        self._ends = np.array([seg.t1 for seg in self.segments]) + 1e-12
+        self._point, self._velocity = point_fn, velocity_fn
+        self._ends = self.knots[1:] + 1e-12
         if check:
             self._check()
 
     def _check(self):
-        t0, t1 = np.array([[seg.t0, seg.t1] for seg in self.segments]).T
+        t0, t1 = self.knots[:-1], self.knots[1:]
         k = np.arange(len(t0))
         tm, dt = 0.5 * (t0 + t1), np.minimum(1e-6, 0.25 * (t1 - t0))
-        pts = self._at("point", np.concatenate([t1, t0, tm + dt, tm - dt]), np.tile(k, 4))
+        pts = self._at(self._point, np.concatenate([t1, t0, tm + dt, tm - dt]), np.tile(k, 4))
         ends, starts, ahead, behind = pts.reshape(4, len(k), -1)
         for t, gap in zip(t1, np.max(np.abs(ends[:-1] - starts[1:]), axis=1, initial=0.0)):
             if gap > _CONTINUITY_TOL:
                 raise NumericsError(f"curve discontinuous at t = {t}: gap {gap:.2e}")
         fd = (ahead - behind) / (2 * dt[:, None])
-        v = self._at("velocity", tm, k)
+        v = self._at(self._velocity, tm, k)
         if np.any(np.max(np.abs(fd - v), axis=1)
                   > _VELOCITY_CHECK_TOL * (1.0 + np.max(np.abs(v), axis=1))):
             raise NumericsError("segment velocity is not the derivative of its point map")
 
     @property
     def breaks(self) -> list[float]:
-        return [seg.t1 for seg in self.segments[:-1]]
+        return self.knots[1:-1].tolist()
 
-    def _at(self, attr: str, t, seg: Optional[np.ndarray] = None) -> np.ndarray:
-        """The segments' ``attr`` callable at the times t, each time in
-        segment ``seg`` (by default the one the class docstring names)."""
+    def _at(self, fn: Callable, t, seg: Optional[np.ndarray] = None) -> np.ndarray:
+        """The evaluator fn at the times t, each time in segment ``seg`` (by
+        default the one the class docstring names), in one call."""
         ts = np.asarray(t, dtype=float)
         flat = ts.reshape(-1)
         if seg is None:
-            seg = np.minimum(np.searchsorted(self._ends, flat), len(self.segments) - 1)
-        out = None
-        for k, segment in enumerate(self.segments):
-            rows = seg == k
-            if rows.all():
-                out = np.asarray(getattr(segment, attr)(flat), dtype=float)
-            elif rows.any():
-                val = getattr(segment, attr)(flat[rows])
-                out = np.empty((len(flat), np.shape(val)[-1])) if out is None else out
-                out[rows] = val
+            seg = np.minimum(np.searchsorted(self._ends, flat), len(self._ends) - 1)
+        out = np.asarray(fn(flat, seg), dtype=float)
         return out.reshape(ts.shape + out.shape[-1:])
 
     def point(self, t) -> np.ndarray:
-        return self._at("point", t)
+        return self._at(self._point, t)
 
     def velocity(self, t) -> np.ndarray:
-        return self._at("velocity", t)
+        return self._at(self._velocity, t)
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -158,41 +148,40 @@ class PiecewiseCurve:
                 p0, p1, p2 = np.reshape(_p((t[:, None] + steps).T.reshape(-1)), (3, len(t), -1))
                 return np.where(lo, -3 * p0 + 4 * p1 - p2,
                                 np.where(hi, 3 * p0 - 4 * p1 + p2, p0 - p1)) / (2 * dt)
-        ts = [0.0, *sorted(breaks), 1.0]
-        segs = [CurveSegment(a, b, point_fn, velocity_fn) for a, b in zip(ts, ts[1:])]
-        return PiecewiseCurve(segs)
+        return PiecewiseCurve([0.0, *sorted(breaks), 1.0], lambda t, seg: point_fn(t),
+                              lambda t, seg: velocity_fn(t))
 
     @staticmethod
     def line(p0, p1) -> "PiecewiseCurve":
         a, b = np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)
-        return PiecewiseCurve([CurveSegment(0.0, 1.0, lambda t: a + t[:, None] * (b - a),
-                                            lambda t: np.tile(b - a, (len(t), 1)))], check=False)
+        return PiecewiseCurve([0.0, 1.0], lambda t, seg: a + t[:, None] * (b - a),
+                              lambda t, seg: np.tile(b - a, (len(t), 1)), check=False)
 
     @staticmethod
     def catmull_rom(points: Sequence[np.ndarray]) -> "PiecewiseCurve":
-        """Uniform Catmull-Rom spline through the control points."""
-        pts = [np.asarray(p, dtype=float) for p in points]
+        """Uniform Catmull-Rom spline through the control points: one row of
+        cubic coefficients per segment, gathered once per batch."""
+        pts = np.asarray(points, dtype=float)
         if len(pts) < 2:
             raise ValueError("need at least two control points")
-        ext = [2 * pts[0] - pts[1], *pts, 2 * pts[-1] - pts[-2]]
+        ext = np.vstack([2 * pts[0] - pts[1], pts, 2 * pts[-1] - pts[-2]])
+        p0, p1, p2, p3 = ext[:-3], ext[1:-2], ext[2:-1], ext[3:]
+        coef = np.stack([2 * p1, -p0 + p2, 2 * p0 - 5 * p1 + 4 * p2 - p3,
+                         -p0 + 3 * p1 - 3 * p2 + p3])  # (4, m, n): a..d in s, per segment
         m = len(pts) - 1
 
-        def make(k):
-            p0, p1, p2, p3 = ext[k], ext[k + 1], ext[k + 2], ext[k + 3]
-            # the cubic's coefficients in s, once per segment
-            a, b = 2 * p1, -p0 + p2
-            c, d = 2 * p0 - 5 * p1 + 4 * p2 - p3, -p0 + 3 * p1 - 3 * p2 + p3
+        def local(t, seg):
+            return (t * m - seg)[:, None], coef[:, seg]
 
-            def local(s):
-                return 0.5 * (a + b * s + c * (s * s) + d * (s * s * s))
+        def point(t, seg):
+            s, (a, b, c, d) = local(t, seg)
+            return 0.5 * (a + b * s + c * (s * s) + d * (s * s * s))
 
-            def dlocal(s):
-                return 0.5 * (b + 2 * c * s + 3 * d * s * s)
+        def velocity(t, seg):
+            s, (_, b, c, d) = local(t, seg)
+            return 0.5 * (b + 2 * c * s + 3 * d * s * s) * m
 
-            return ((lambda t: local((t * m - k)[:, None])),
-                    (lambda t: dlocal((t * m - k)[:, None]) * m))
-
-        return PiecewiseCurve([CurveSegment(k / m, (k + 1) / m, *make(k)) for k in range(m)])
+        return PiecewiseCurve([k / m for k in range(m + 1)], point, velocity)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +195,7 @@ class TransportResult:
     integral_omega: float
     tol_achieved: float
     integrals: Optional[np.ndarray] = None  # adapted translation: I(t) at each sample
+    velocities: Optional[np.ndarray] = None  # closed form: the curve velocity at the samples
 
     @property
     def samples(self) -> list:  # (t, TangentVector) pairs, built on demand
@@ -374,8 +364,8 @@ def _transport_grid(curve: PiecewiseCurve, frame: Sequence[TangentVector],
                             f"at t = {probe[np.argmax(drift > LEAF_VELOCITY_TOL)]}")
         if any(np.max(np.abs(v.components[dtp.slot(foliation)])) > 1e-12 for v in frame):
             raise ValueError("v0 must lie in the normal (other-factor) slots")
-    ts = np.unique(np.concatenate([np.linspace(seg.t0, seg.t1, SAMPLES_PER_SEGMENT)
-                                   for seg in curve.segments]))
+    ts = np.unique(np.concatenate([np.linspace(t0, t1, SAMPLES_PER_SEGMENT)
+                                   for t0, t1 in zip(curve.knots[:-1], curve.knots[1:])]))
     pts = curve.point(ts)
     if any(np.max(np.abs(v.base.coords - pts[0])) > 1e-9 for v in frame):
         raise BaseMismatch("v0 must be based at curve(0)")
@@ -472,41 +462,54 @@ def adapted_translation_closed_form(dtp: pg.DoublyTwistedProduct, curve: Piecewi
 
     F_2 is the mirror case with lam1.  Same input guards and sample times as
     the integrating route; lam is evaluated once, on the batch of sample
-    points.  Nothing is integrated, so ``tol_achieved`` is 0.
+    points, and the curve velocity there is kept for
+    ``transport_equation_residual``.  Nothing is integrated, so
+    ``tol_achieved`` is 0.
     """
     ts, pts = _transport_grid(curve, [v0], leaf=(dtp, foliation))
-    Is = _leaf_integral(dtp, foliation, pts[0], pts)
-    return TransportResult(ts, pts, np.tile(v0.components, (len(ts), 1)), float(Is[-1]), 0.0, Is)
+    Is = _leaf_integral(dtp, foliation, pts[:1], pts, 0)
+    return TransportResult(ts, pts, np.tile(v0.components, (len(ts), 1)), float(Is[-1]), 0.0, Is,
+                           curve.velocity(ts))
 
 
-def _leaf_integral(dtp: pg.DoublyTwistedProduct, foliation: int, start: np.ndarray,
-                   pts: np.ndarray) -> np.ndarray:
-    """The closed-form I = ln lam(start) - ln lam(x) at each row x of ``pts``,
-    lam the warp of the normal factor (one batched evaluation)."""
-    log_lam = np.log(np.asarray(dtp.warp(3 - foliation).value(np.vstack([start, pts]))))
-    return log_lam[0] - log_lam[1:]
+def _leaf_integral(dtp: pg.DoublyTwistedProduct, foliation: int, starts: np.ndarray,
+                   pts: np.ndarray, owner) -> np.ndarray:
+    """The closed-form I = ln lam(start) - ln lam(x) at each row x of
+    ``pts``, start the row ``owner`` of ``starts`` (one index, or one per
+    row) and lam the warp of the normal factor (one batched evaluation)."""
+    log_lam = np.log(np.asarray(dtp.warp(3 - foliation).value(np.concatenate([starts, pts]))))
+    return log_lam[owner] - log_lam[len(starts):]
 
 
-def transport_equation_residual(dtp: pg.DoublyTwistedProduct, curve: PiecewiseCurve,
-                                res: TransportResult, foliation: int = 1) -> float:
+def transport_equation_residual(dtp: pg.DoublyTwistedProduct, results: Sequence[TransportResult],
+                                foliation: int = 1) -> list[float]:
     """Worst normal component of dW/dt + Gamma(gamma', W) over the samples of
-    ``adapted_translation_closed_form``, W = exp(I) A its normal translation.
+    each result of ``adapted_translation_closed_form``, W = exp(I) A its
+    normal translation; one residual per result.
 
     dW/dt = (grad exp(I) . gamma') v0 differentiates the closed form afresh
     (central differences of ``_leaf_integral`` at the sample points), so a
     wrong sample A(t) or I(t) shows as well as a wrong formula; Gamma comes
-    from one batched ``christoffel_numeric`` on the assembled metric, which
-    shares no code with the closed form.
+    from ``christoffel_numeric`` on the assembled metric, which shares no
+    code with the closed form.  The samples of all results share one
+    difference stencil and one ``christoffel_numeric`` batch.
     """
-    pts, A = res.points, res.components
-    grad_scale = ck.central_diff(lambda x: np.exp(_leaf_integral(dtp, foliation, pts[0], x)),
-                                 pts, ck.fd_step(pts))
-    vel = curve.velocity(res.ts)
-    dW = np.outer(np.einsum("pi,pi->p", grad_scale, vel), A[0])
-    W = np.exp(res.integrals)[:, None] * A
+    sizes = [len(res.ts) for res in results]
+    owner = np.repeat(np.arange(len(results)), sizes)
+    first = np.cumsum([0, *sizes[:-1]])
+    pts = np.concatenate([res.points for res in results])
+    A = np.concatenate([res.components for res in results])
+    vel = np.concatenate([res.velocities for res in results])
+    grad_scale = ck.central_diff(
+        lambda x: np.exp(_leaf_integral(dtp, foliation, pts[first], x,
+                                        np.repeat(owner, len(x) // len(pts)))),
+        pts, ck.fd_step(pts))
+    dW = np.einsum("pi,pi->p", grad_scale, vel)[:, None] * A[first][owner]
+    W = np.exp(np.concatenate([res.integrals for res in results]))[:, None] * A
     gamma = ck.christoffel_numeric(dtp.assembled, pts)
     resid = dW + np.einsum("pkij,pi,pj->pk", gamma, vel, W)
-    return float(np.max(np.abs(resid[:, dtp.slot(3 - foliation)])))
+    return np.maximum.reduceat(np.abs(resid[:, dtp.slot(3 - foliation)]).max(axis=1),
+                               first).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -626,27 +629,39 @@ _QUINTIC = np.array([
 _QUINTIC_D = np.arange(1, 6)[:, None] * _QUINTIC[1:]  # the same for the derivative in s
 
 
-def _hermite_segment(g: MetricField, t0: float, t1: float, states: np.ndarray) -> CurveSegment:
-    """The segment through the step-end states (S, N) of a pass over
-    [t0, t1]: on each step the quintic Hermite interpolant of x from x, v and
-    the acceleration -Gamma(v, v) at both ends (one ``_geodesic_field``
-    batch), and its derivative as the velocity.  Both are sums in a fixed
-    order, so a time's value does not depend on the batch it comes in."""
+def _hermite_curve(g: MetricField, knots: Sequence[float], passes: list) -> PiecewiseCurve:
+    """The curve through the step-end states (S_j, N) of each segment's kept
+    pass: on each step the quintic Hermite interpolant of x from x, v and the
+    acceleration -Gamma(v, v) at both ends (one ``_geodesic_field`` batch over
+    every state), and its derivative as the velocity.  The steps of all
+    segments form one table (start time, step h, the six weighted end data)
+    read by one gather; a time's step is the last one of its segment that
+    starts at or before it.  Both sums run in a fixed order, so a time's
+    value does not depend on the batch it comes in."""
     n = g.dim
+    states = np.vstack(passes)
     x, v = states[:, :n], states[:, n:2 * n]
     acc = _geodesic_field(g, states)[:, n:2 * n]
-    ts = np.linspace(t0, t1, len(states))
-    h = ts[1] - ts[0]
+    grids = [np.linspace(t0, t1, len(p)) for t0, t1, p in zip(knots, knots[1:], passes)]
+    steps = np.array([len(p) - 1 for p in passes])
+    last = np.cumsum(steps) - 1  # each segment's last step
+    first = last - steps + 1
+    lo = np.delete(np.arange(len(states)), np.cumsum(steps + 1) - 1)  # each step's first state
+    starts = np.concatenate([ts[:-1] for ts in grids])
+    h = np.repeat([ts[1] - ts[0] for ts in grids], steps)[:, None]
+    table = np.stack([x[lo], h * v[lo], h * h * acc[lo],
+                      x[lo + 1], h * v[lo + 1], h * h * acc[lo + 1]], axis=1)
 
-    def interpolate(t, basis, scale):
-        k = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
-        s = ((t - ts[k]) / h)[:, None]
+    def interpolate(t, seg, basis, scaled):
+        k = np.clip(np.searchsorted(starts, t, side="right") - 1, first[seg], last[seg])
+        s = ((t - starts[k]) / h[k, 0])[:, None]
         w = sum(s ** p * row for p, row in enumerate(basis))
-        data = (x[k], h * v[k], h * h * acc[k], x[k + 1], h * v[k + 1], h * h * acc[k + 1])
-        return sum(w[:, j, None] * d for j, d in enumerate(data)) / scale
+        data = table[k]
+        out = sum(w[:, j, None] * data[:, j] for j in range(6))
+        return out / h[k] if scaled else out
 
-    return CurveSegment(t0, t1, lambda t: interpolate(t, _QUINTIC, 1.0),
-                        lambda t: interpolate(t, _QUINTIC_D, h))
+    return PiecewiseCurve(knots, lambda t, seg: interpolate(t, seg, _QUINTIC, False),
+                          lambda t, seg: interpolate(t, seg, _QUINTIC_D, True))
 
 
 def _check_domain(g: MetricField, positions: np.ndarray):
@@ -670,15 +685,15 @@ def broken_geodesic(g: MetricField, spec: BrokenGeodesicSpec) -> PiecewiseCurve:
     the coarser pass's step ends, and the finer is kept; a pass whose stage
     equations do not converge is unsettled.  IntegrationError when
     MAX_DOUBLINGS doublings do not settle, or when a step end leaves the
-    metric's domain box (padded by 10%).  The segment's curve is the quintic
-    Hermite interpolant of the kept pass (``_hermite_segment``).
+    metric's domain box (padded by 10%).  The curve is the quintic Hermite
+    interpolant of the kept passes (``_hermite_curve``).
     """
     n = spec.basepoint.n
     ts = [0.0, *spec.breaks, 1.0]
     state = np.concatenate([spec.basepoint.coords,
                             spec.velocities[0].components,
                             np.eye(n).reshape(-1)])
-    segs = []
+    passes = []
     for j, (t0, t1) in enumerate(zip(ts, ts[1:])):
         if j > 0:
             state = state.copy()
@@ -695,9 +710,9 @@ def broken_geodesic(g: MetricField, spec: BrokenGeodesicSpec) -> PiecewiseCurve:
                 f"geodesic collocation did not settle within MAX_DOUBLINGS = {MAX_DOUBLINGS} "
                 f"step doublings ({2 ** MAX_DOUBLINGS} steps per segment)")
         _check_domain(g, cur[:, :n])
-        segs.append(_hermite_segment(g, t0, t1, cur))
+        passes.append(cur)
         state = cur[-1]
-    return PiecewiseCurve(segs)
+    return _hermite_curve(g, ts, passes)
 
 
 def velocity_profile(g: MetricField, curve: PiecewiseCurve,
@@ -709,7 +724,7 @@ def velocity_profile(g: MetricField, curve: PiecewiseCurve,
     """
     base = CoordPoint(curve.point(0.0))
     if ts is None:
-        ts = [0.5 * (seg.t0 + seg.t1) for seg in curve.segments]
+        ts = 0.5 * (curve.knots[:-1] + curve.knots[1:])
     # transport the full coordinate frame and invert at the requested times
     times, at = np.unique(np.asarray(ts, dtype=float), return_inverse=True)
     frames, _ = _integrate_transport(g, curve, np.eye(base.n), times)

@@ -37,8 +37,10 @@ def _curves():
 
 
 def _segment_at(curve, t):
-    """The segment rule, one time at a time."""
-    return next((seg for seg in curve.segments if t <= seg.t1 + 1e-12), curve.segments[-1])
+    """The segment rule, one time at a time: the index of the first segment
+    whose end knot t1 has t <= t1 + 1e-12, else the last one."""
+    ends = curve.knots[1:]
+    return next((k for k, t1 in enumerate(ends) if t <= t1 + 1e-12), len(ends) - 1)
 
 
 def _special_times(curve):
@@ -59,7 +61,8 @@ def test_batch_equals_stacked_one_time_calls(name, data):
     for attr in ("point", "velocity"):
         batch = getattr(curve, attr)(ts)
         single = np.stack([getattr(curve, attr)(t) for t in ts])
-        by_rule = np.stack([getattr(_segment_at(curve, t), attr)(np.array([t]))[0] for t in ts])
+        fn = curve._point if attr == "point" else curve._velocity
+        by_rule = np.stack([fn(np.array([t]), np.array([_segment_at(curve, t)]))[0] for t in ts])
         assert batch.shape == single.shape == (len(ts), curve.point(0.0).shape[0])
         np.testing.assert_array_equal(batch, single)
         np.testing.assert_array_equal(batch, by_rule)
@@ -92,7 +95,28 @@ def test_one_point_and_one_velocity_batch_per_closed_form_transport():
     v0 = TangentVector(CoordPoint(curve.point(0.0)), dtp.embed(2, [1.0, -0.5]))
     calls = _counting(curve)
     res = tp.adapted_translation_closed_form(dtp, curve, v0)
-    assert calls == {"point": [(len(res.ts),)], "velocity": [(33,)]}
+    # the leaf guard's probe, then the velocity at the samples for the residual
+    assert calls == {"point": [(len(res.ts),)], "velocity": [(33,), (len(res.ts),)]}
+
+
+@pytest.mark.parametrize("name", ["line", "catmull-rom", "formula", "broken-geodesic"])
+def test_one_evaluator_call_per_batch_whatever_the_segment_count(name):
+    curve = _curves()[name]
+    evaluators = {"_point": curve._point, "_velocity": curve._velocity}
+    calls = []
+    for attr, fn in evaluators.items():
+        setattr(curve, attr, lambda t, seg, _fn=fn, _attr=attr: (calls.append((_attr, len(t))),
+                                                                 _fn(t, seg))[1])
+    try:
+        ts = np.linspace(0.0, 1.0, 41)  # times in every segment
+        curve.point(ts)
+        curve.velocity(ts)
+    finally:
+        for attr, fn in evaluators.items():
+            setattr(curve, attr, fn)
+    assert len(curve.knots) - 1 == {"line": 1, "catmull-rom": 3, "formula": 3,
+                                    "broken-geodesic": 3}[name]
+    assert calls == [("_point", 41), ("_velocity", 41)]
 
 
 def test_transport_result_builds_tangent_vectors_from_its_arrays():

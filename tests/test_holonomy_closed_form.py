@@ -168,6 +168,37 @@ def test_closed_form_matches_rk45_holonomy(tmp_path):
                 assert np.max(np.abs(hol.matrix - ref.matrix)) < 1e-9, (name, i, word)
 
 
+@pytest.mark.parametrize("command", ["holonomy", "verify-all"])
+def test_declared_loops_take_one_closed_form_batch_per_foliation(tmp_path, monkeypatch, command):
+    # three F1 loops and two F2 loops: per foliation one declared-inverse
+    # check and one _loop_holonomies batch, and every matrix is the one
+    # loop_holonomy gives that loop alone
+    data = warped_torus_dict()
+    data["holonomy_loops"] = {"1": [[["a", 1]], [["a", -1]], [["a", 1], ["a", 1]]],
+                              "2": [[["b", 1]], [["b", -1], ["b", -1]]]}
+    data["expect"] = {"holonomy": {"1": [[[1.0]]] * 3, "2": [[[1.0]]] * 2}}
+    path = tmp_path / "loops.json"
+    path.write_text(json.dumps(data))
+    calls = []
+    check_inverses, batch = qt._check_inverses, qt._loop_holonomies
+    monkeypatch.setattr(qt, "_check_inverses", lambda model: calls.append("inverses")
+                        or check_inverses(model))
+    monkeypatch.setattr(qt, "_loop_holonomies", lambda model, rep0, i, words: calls.append(
+        (i, len(words))) or batch(model, rep0, i, words))
+    monkeypatch.setattr(qt, "loop_holonomy", None)  # no per-loop call is left
+    code, report = run(tmp_path, str(path), command, "--samples", "8")
+    assert code == 0
+    assert calls[-4:] == ["inverses", (1, 3), "inverses", (2, 2)]
+    if command == "holonomy":
+        monkeypatch.undo()
+        model = load_scenario_file(str(path)).model
+        rep0, _ = model.canonical_rep(data["basepoint"])
+        for entry in report["results"]["loops"]:
+            word = tuple((name, sign) for name, sign in entry["word"])
+            single = qt.loop_holonomy(model, rep0, entry["foliation"], word).matrix
+            assert np.array_equal(np.array(entry["matrix"]), single)
+
+
 def test_loop_holonomy_rejects_a_word_that_opens_the_leaf():
     with pytest.raises(NotALoop):
         qt.loop_holonomy(fx.klein_bottle_model(), np.array([0.1, 0.2]), 1, (("a", 1),))

@@ -867,6 +867,40 @@ def test_validate_control_group_without_a_fundamental_box():
               first)
 
 
+def test_validate_evaluates_the_unmoved_grids_once(monkeypatch):
+    # on a two-generator model, each field at its own grid (g1, g2, lam1,
+    # lam2 and the assembled g) and the padded-box grid are evaluated once,
+    # not once per generator
+    dtp = _flat_dtp(ScalarField.constant(1.0), ScalarField.constant(1.0))
+    one, two = qt.FactorMap.translation([1.0]), qt.FactorMap.translation([2.0])
+    # both factor maps of each generator move, so no moved grid equals a fixed one
+    model = qt.QuotientModel(dtp, [qt.DeckGenerator("a", one, two),
+                                   qt.DeckGenerator("b", two, one)],
+                             [[0.0, 1.0], [0.0, 1.0]], word_bound=4)
+    names = {id(dtp.f1.metric): ("g1", GRID1), id(dtp.f2.metric): ("g2", GRID1),
+             id(dtp.assembled): ("g", GRID), id(dtp.lam1): ("lam1", GRID),
+             id(dtp.lam2): ("lam2", GRID)}
+    counts = dict.fromkeys(["g1", "g2", "g", "lam1", "lam2", "padded box"], 0)
+
+    def log(field, x):
+        name, grid = names[id(field)]
+        if np.shape(x) == grid.shape and np.array_equal(x, grid):
+            counts[name] += 1
+
+    mat, value, grid_points = MetricField.mat, ScalarField.value, pg.grid_points
+    monkeypatch.setattr(MetricField, "mat", lambda self, x: log(self, x) or mat(self, x))
+    monkeypatch.setattr(ScalarField, "value", lambda self, x: log(self, x) or value(self, x))
+    monkeypatch.setattr(pg, "grid_points", lambda box, per_axis, inset=pg.GRID_INSET: (
+        counts.update({"padded box": counts["padded box"] + (inset == 0.0)})
+        or grid_points(box, per_axis, inset)))
+    report = qt.validate(model)
+    assert sorted(report.residuals) == ["a:inverse", "a:isometry", "a:pullback-g1",
+                                        "a:pullback-g2", "a:warp1-compat", "a:warp2-compat",
+                                        "b:inverse", "b:isometry", "b:pullback-g1",
+                                        "b:pullback-g2", "b:warp1-compat", "b:warp2-compat"]
+    assert counts == dict.fromkeys(counts, 1)
+
+
 def test_validate_clean_model_counts_words():
     report = qt.validate(fx.flat_torus_model())
     # reduced words of length <= 8 on Z^2, deduplicated by action: 2*8^2 + 2*8 + 1

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from warpquot import chartkit as ck
 from warpquot import fixtures as fx
@@ -36,14 +37,47 @@ def test_curve_velocity_check_rejects_mismatch():
                                         lambda t: np.tile([5.0, 0.0], (len(t), 1)))
 
 
-def test_curve_continuity_check():
-    def unit(t):
-        return np.tile([1.0, 0.0], (len(t), 1))
+def two_pieces(jump=0.0, slope=1.0):
+    """Evaluators of a curve along x with a knot at t = 1/2: the second segment
+    is moved by ``jump`` and its velocity is ``slope`` times the true one."""
+    def point(t, seg):
+        return np.stack([t + jump * seg, 0.0 * t], axis=1)
 
-    seg1 = tp.CurveSegment(0.0, 0.5, lambda t: np.stack([t, 0.0 * t], axis=1), unit)
-    seg2 = tp.CurveSegment(0.5, 1.0, lambda t: np.stack([t + 1.0, 0.0 * t], axis=1), unit)
-    with pytest.raises(NumericsError):
-        tp.PiecewiseCurve([seg1, seg2])
+    def velocity(t, seg):
+        return np.stack([np.where(seg == 1, slope, 1.0), 0.0 * t], axis=1)
+
+    return point, velocity
+
+
+def test_curve_continuity_check():
+    tp.PiecewiseCurve([0.0, 0.5, 1.0], *two_pieces())
+    with pytest.raises(NumericsError, match="discontinuous at t = 0.5"):
+        tp.PiecewiseCurve([0.0, 0.5, 1.0], *two_pieces(jump=1.0))
+
+
+def test_curve_velocity_check_rejects_a_wrong_segment_velocity():
+    with pytest.raises(NumericsError, match="velocity is not the derivative"):
+        tp.PiecewiseCurve([0.0, 0.5, 1.0], *two_pieces(slope=5.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=st.integers(2, 6).flatmap(lambda k: st.lists(
+           st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3), min_size=k, max_size=k)),
+       u=st.floats(0.01, 0.99))
+def test_catmull_rom_is_continuous_and_its_velocity_is_the_derivative(points, u):
+    curve = tp.PiecewiseCurve.catmull_rom(points)
+    m = len(points) - 1
+    np.testing.assert_allclose(curve.point(curve.knots), points, rtol=0, atol=1e-12)
+    # both segments that meet at an interior knot give the same point and velocity there
+    inner, left, right = curve.knots[1:-1], np.arange(m - 1), np.arange(1, m)
+    for fn in (curve._point, curve._velocity):
+        np.testing.assert_allclose(curve._at(fn, inner, left), curve._at(fn, inner, right),
+                                   rtol=0, atol=1e-11)
+    # a central difference inside every segment
+    ts, h = (np.arange(m) + u) / m, 1e-6
+    fd = (curve.point(ts + h) - curve.point(ts - h)) / (2 * h)
+    v = curve.velocity(ts)
+    assert np.all(np.abs(fd - v) <= 1e-6 * (1.0 + np.abs(v)))
 
 
 def test_catmull_rom_interpolates_controls():
@@ -346,8 +380,8 @@ def test_velocity_profile_piecewise_constant_iff_broken_geodesic():
     g = ck.MetricField.euclidean(2)
     spec = tp.BrokenGeodesicSpec(CoordPoint([0.0, 0.0]), (0.4,), [[1.0, 0.0], [0.3, 1.1]])
     curve = tp.broken_geodesic(g, spec)
-    for seg, want in zip(curve.segments, spec.velocities):
-        for t in np.linspace(seg.t0 + 0.01, seg.t1 - 0.01, 5):
+    for t0, t1, want in zip(curve.knots[:-1], curve.knots[1:], spec.velocities):
+        for t in np.linspace(t0 + 0.01, t1 - 0.01, 5):
             got = tp.velocity_profile(g, curve, ts=[t])[0]
             assert np.allclose(got.components, want.components, atol=1e-6)
     circle = tp.PiecewiseCurve.from_function(

@@ -166,7 +166,7 @@ def test_closed_form_matches_rk45(tmp_path):
         assert closed.integral_omega == closed.integrals[-1]
         assert abs(closed.integral_omega - ref.integral_omega) < 1e-9, label
         assert np.max(np.abs(closed.integrals - ref.integrals)) < 10 * tp.RTOL, label
-        assert tp.transport_equation_residual(dtp, curve, closed, foliation) < 1e-8, label
+        assert tp.transport_equation_residual(dtp, [closed], foliation)[0] < 1e-8, label
 
 
 @pytest.mark.parametrize("name", ["example1-twisted", "sphere-polar", "random-dtp"])
@@ -221,12 +221,68 @@ def test_transport_equation_sees_wrong_samples():
     dtp = fx.random_doubly_twisted(3)
     curve = leaf_line(dtp)
     res = tp.adapted_translation_closed_form(dtp, curve, normal_vector(dtp, curve, 3))
-    assert tp.transport_equation_residual(dtp, curve, res) < 1e-8
+    [exact] = tp.transport_equation_residual(dtp, [res])
+    assert exact < 1e-8
     drifted = dataclasses.replace(res, integrals=res.integrals + 1e-3 * res.ts)
-    assert tp.transport_equation_residual(dtp, curve, drifted) > 1e-5
+    [drift] = tp.transport_equation_residual(dtp, [drifted])
+    assert drift > 1e-5
     turn = res.components + 1e-3 * res.ts[:, None] * dtp.embed(2, [1.0, -1.0])
     rotated = dataclasses.replace(res, components=turn)
-    assert tp.transport_equation_residual(dtp, curve, rotated) > 1e-5
+    [turned] = tp.transport_equation_residual(dtp, [rotated])
+    assert turned > 1e-5
+    # one batch of all three gives each result's residual to the bit
+    assert tp.transport_equation_residual(dtp, [drifted, res, rotated]) == [drift, exact, turned]
+
+
+def test_transport_command_takes_one_christoffel_batch_for_all_curves(tmp_path, monkeypatch):
+    # a four-curve file: one christoffel_numeric batch for the command (one
+    # per curve before), and each curve's entry is the one it gets alone
+    path = Path(generated_files(tmp_path)[0])
+    batches = []
+    christoffel = ck.christoffel_numeric
+    monkeypatch.setattr(ck, "christoffel_numeric",
+                        lambda g, x: batches.append(np.shape(x)) or christoffel(g, x))
+    code, report = run(tmp_path, str(path), "transport")
+    curves = report["results"]["curves"]
+    assert code == 0 and len(curves) == 4
+    assert len(batches) == 1
+    monkeypatch.undo()
+    data = json.loads(path.read_text())
+    for name, entry in curves.items():
+        alone = tmp_path / "alone.json"
+        alone.write_text(json.dumps(dict(data, curves={name: data["curves"][name]})))
+        assert run(tmp_path, str(alone), "transport")[1]["results"]["curves"] == {name: entry}
+
+
+NAN_STRIP = "1 + 0.25*sin(2*pi*x) + 0*sqrt(abs(x - 0.45) - 0.02)"  # not finite on 0.43 < x < 0.47
+
+
+@pytest.mark.parametrize("case, message", [
+    ("leaves-its-leaf",
+     "numeric failure: NotInLeaf: curve velocity has factor-2 components at t = 0.0"),
+    ("non-finite-warp",
+     f"numeric failure: NumericsError: scalar field {NAN_STRIP!r} non-finite at [0.45 0.3 ]"),
+])
+def test_a_bad_curve_among_good_ones_fails_the_command_with_its_own_error(tmp_path, capsys,
+                                                                        case, message):
+    # the bad curve sits between two good ones in sorted order; the command
+    # exits 3 with the bad curve's failure, as it does with that curve alone
+    data = bench_inputs().warped_torus(random.Random(1))[0]
+    if case == "leaves-its-leaf":
+        bad = [[0.2, 0.6], [0.4, 0.65], [0.6, 0.6]]
+    else:
+        data["warps"]["lam2"] = NAN_STRIP
+        bad = [[0.7, 0.3], [0.3, 0.3]]  # the sample at t = 5/8 is x = 0.45
+    good = {"a-good": {"polyline": [[0.6, 0.6], [0.8, 0.6], [0.9, 0.6]]},
+            "c-good": {"polyline": [[0.55, 0.2], [0.95, 0.2]]}}
+    for curves in ({**good, "b-bad": {"polyline": bad}}, {"b-bad": {"polyline": bad}}):
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(dict(data, curves=curves)))
+        capsys.readouterr()
+        with np.errstate(invalid="ignore"):
+            code, report = run(tmp_path, str(path), "transport")
+        assert (code, report) == (3, None)
+        assert capsys.readouterr().err.strip().splitlines()[-1] == message
 
 
 def test_swapped_warp_closed_form_fails_verify_all(tmp_path, monkeypatch):
