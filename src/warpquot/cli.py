@@ -168,20 +168,12 @@ def _ones_normal(dtp, curve):
     return TangentVector(CoordPoint(curve.point(0.0)), dtp.embed(2, np.ones(dtp.n2)))
 
 
-def _adapted_constancy(dtp, curve):
-    """Integrated adapted translation of the all-ones factor-2 vector along a curve
-    in an F1 leaf (its norm-law residual reported, not raised), and the worst
-    drift of its factor-2 components from 1."""
-    res = tp.adapted_translation(dtp, curve, _ones_normal(dtp, curve), tol=np.inf)
-    return res, float(np.max(np.abs(res.components[:, dtp.slot2] - 1.0)))
-
-
 def _closed_form_transport_residual(dtp, curve, ref):
     """Worst |closed form - integrated| adapted translation over the samples
-    of A(t) and I(t); ``ref`` is the result of ``_adapted_constancy``."""
+    of A(t) and I(t); ``ref`` is the integrated one of ``_ones_normal``."""
     closed = tp.adapted_translation_closed_form(dtp, curve, _ones_normal(dtp, curve))
     return max(float(np.max(np.abs(closed.integrals - ref.integrals))),
-               float(np.max(np.abs(closed.components - ref.components))))
+               float(np.max(np.abs(closed.components - ref.components[:, :, 0]))))
 
 
 def _mixed_k_check(expect, k_values):
@@ -301,14 +293,13 @@ def _run_holonomy(ctx, tol):
     return out, ok, rep0, maps
 
 
-def _holonomy_oracle_residual(model, rep0, maps) -> float:
-    """Worst |closed form - integrated adapted translation (``holonomy_map``)|
-    over the loops of ``maps``."""
+def _holonomy_oracle_residual(model, maps, jobs, results) -> float:
+    """Worst |closed form - integrated| holonomy over the loops of ``maps``,
+    each read by ``tp.loop_return_map`` from the result of its adapted
+    translation job."""
     worst = 0.0
-    for i, word, hol in maps:
-        curve = qt.leaf_loop_curve(model, rep0, i, word)
-        ref = tp.holonomy_map(model, curve, hol.frame, foliation=i,
-                              closing_word=qt.word_inverse(word))
+    for (_, word, hol), job, res in zip(maps, jobs, results):
+        ref = tp.loop_return_map(model, job, res, qt.word_inverse(word))
         worst = max(worst, float(np.max(np.abs(hol.matrix - ref.matrix))))
     return worst
 
@@ -434,19 +425,14 @@ def cmd_verify_all(ctx, args, rng):
     if expected is not None:
         checks.append(Check("classification-expected", 0.0, 1.0, ok=cls.tag.value == expected))
 
-    # adapted translation: component constancy + norm law
+    # adapted translation (component constancy, norm law) and parallel transport
+    # (conservation of the metric square) along a leaf line: jobs of the oracle
+    # batch below, which puts their rows here
     curve = _horizontal_curve(ctx)
-    res, const_resid = _adapted_constancy(dtp, curve)
-    checks.append(Check("adapted-translation-norm-law", res.tol_achieved, 1e-6))
-    checks.append(Check("adapted-translation-constancy", const_resid, 1e-6))
-    checks.append(Check("adapted-translation-closed-form",
-                        _closed_form_transport_residual(dtp, curve, res), 1e-6))
-
-    # parallel transport conserves the metric square
-    pres = tp.parallel_transport(dtp.assembled, curve,
-                                 TangentVector(CoordPoint(curve.point(0.0)),
-                                               rng.normal(size=dtp.n)), tol=np.inf)
-    checks.append(Check("parallel-transport-conservation", pres.tol_achieved, 1e-6))
+    jobs = [tp.TransportJob(curve, [_ones_normal(dtp, curve)], 1),
+            tp.TransportJob(curve, [TangentVector(CoordPoint(curve.point(0.0)),
+                                                  rng.normal(size=dtp.n))], None)]
+    transport_rows = len(checks)
 
     # expected constant mixed curvature, on the sectional sweep's mixed planes
     c = _mixed_k_check(ctx.expect, k_values)
@@ -462,7 +448,8 @@ def cmd_verify_all(ctx, args, rng):
         val = abs(pg.lightlike_sectional_curvature(dtp.assembled, xi, u, v))
         checks.append(Check("lightlike-flat-zero", val, 1e-7))
 
-    # quotient-model battery
+    # quotient-model battery, up to the closed-form holonomy of the declared loops
+    maps = []
     if ctx.model is not None:
         report = qt.validate(ctx.model)
         checks.append(Check("quotient-validation", report.worst(), qt.ACTION_TOL))
@@ -471,8 +458,23 @@ def cmd_verify_all(ctx, args, rng):
         if ctx.holonomy_loops:
             _, hol_ok, rep0, maps = _run_holonomy(ctx, 1e-6)
             checks.append(Check("holonomy-expected", 0.0, 1.0, ok=hol_ok))
-            checks.append(Check("holonomy-closed-form",
-                                _holonomy_oracle_residual(ctx.model, rep0, maps), 1e-6))
+            jobs += [tp.TransportJob(qt.leaf_loop_curve(ctx.model, rep0, i, word), hol.frame, i)
+                     for i, word, hol in maps]
+
+    # the integrating oracle: every transport above in one batch
+    adapted, parallel, *around = tp.transport_batch(dtp, jobs)
+    checks[transport_rows:transport_rows] = [
+        Check("adapted-translation-norm-law", adapted.tol_achieved, 1e-6),
+        Check("adapted-translation-constancy",
+              float(np.max(np.abs(adapted.components[:, dtp.slot2] - 1.0))), 1e-6),
+        Check("adapted-translation-closed-form",
+              _closed_form_transport_residual(dtp, curve, adapted), 1e-6),
+        Check("parallel-transport-conservation", parallel.tol_achieved, 1e-6)]
+    if maps:
+        checks.append(Check("holonomy-closed-form",
+                            _holonomy_oracle_residual(ctx.model, maps, jobs[2:], around), 1e-6))
+
+    if ctx.model is not None:
         verdict, count = _verdict_and_count(ctx, cls, min(ctx.model.word_bound, 4))
         if count is not None:
             checks.append(Check("intersections-expected", 0.0, 1.0,

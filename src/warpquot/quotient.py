@@ -979,8 +979,10 @@ def loop_holonomy(model: QuotientModel, rep0, foliation: int, word: Word) -> tp.
     Closed form: adapted translation keeps the normal components constant in
     product coordinates (Ponge & Reckziegel, Geom. Dedicata 48, 1993), so the
     frame comes back as F and the matrix is F^-1 J_nn F, with J_nn the normal
-    block of the differential of word^-1 at word(rep0).  ``holonomy_map`` on
-    ``leaf_loop_curve`` computes the same matrix by collocation and is its oracle.
+    block of the differential of word^-1 at word(rep0).  The adapted translation
+    of F around ``leaf_loop_curve`` (``transport.transport_batch``), read by
+    ``transport.loop_return_map``, computes the same matrix by collocation and
+    is its oracle.
     """
     _check_inverses(model)
     return _loop_holonomies(model, np.asarray(rep0, dtype=float), foliation, [tuple(word)])[0]

@@ -9,28 +9,35 @@ Adapted translation along a leaf has a closed form
 (``adapted_translation_closed_form``): a normal vector keeps its
 product-coordinate components.  The ``transport`` command runs it, and
 checks every curve of a scenario against the transport equation in one
-batch (``transport_equation_residual``); the integrating
-``adapted_translation`` is the oracle tests and verify-all compare it
-against.  Leaf holonomy in quotients is likewise computed in closed form
-(``quotient.loop_holonomy``), with ``holonomy_map`` as its integrating
-oracle.
+batch (``transport_equation_residual``).  Leaf holonomy in quotients is
+likewise computed in closed form (``quotient.loop_holonomy``).
 
-Every other transport, and the velocity profile, integrates the linear
-equation Ydot = -Gamma(gamma') Y along a known curve in one place
-(``_integrate_transport``): composite 3-stage Gauss-Legendre collocation,
+Integration is their oracle, in one place.  ``transport_batch`` carries the
+frames of a list of jobs along their curves; a job is a curve, a frame, and
+a foliation for adapted translation or none for parallel transport.
+verify-all makes one call for all its oracle transports: the adapted
+translation and the parallel transport along its leaf line, and the adapted
+translation around every declared holonomy loop, whose return map
+``loop_return_map`` reads.  The velocity profile runs through the same
+integrator (``_integrate``).  It solves the linear equation
+Ydot = -Gamma(gamma') Y by composite 3-stage Gauss-Legendre collocation,
 order 6 (Butcher, Math. Comp. 18, 1964; Hairer, Norsett & Wanner, Solving
-ODEs I, II.7), on a grid that holds every sample time and every break.
-Each pass evaluates the curve once (one ``point`` and one ``velocity``
-batch over all its nodes) and Gamma there in one batched
-``christoffel_numeric`` call on the metric (the oracle route, sharing
-nothing with ``productgeo.point_geometry`` below ``MetricField.mat``); the
-integral of the mean curvature form is a Gauss quadrature on the same
-nodes.  Step doubling runs until two passes agree within RTOL / ATOL; the
+ODEs I, II.7), on a grid per job that holds its sample times and its
+curve's breaks.  Each pass (``collocation_pass``) runs one step count for
+every job not yet settled: it evaluates each distinct curve once (one
+``point`` and one ``velocity`` batch over all its nodes), Gamma at the
+nodes of all of them in one batched ``christoffel_numeric`` call on the
+metric (the oracle route, sharing nothing with ``productgeo.point_geometry``
+below ``MetricField.mat``) and omega once per foliation, and solves the
+stage systems of all jobs in one stacked solve; the integral of the mean
+curvature form is a Gauss quadrature on the same nodes.  Step doubling runs
+until two passes of a job agree within RTOL / ATOL, and the job leaves the
+batch there, so its result is bit-identical to its batch of one.  The
 conservation and norm-law residuals the callers check are then about 1e-15
 on the smooth analytic built-ins, and up to 4e-10 where Gamma comes from
-finite differences (scenario files) or the warp is piecewise (example1).  Both
-adapted-translation routes pass the same input guards and sample the same
-times (``_transport_grid``).
+finite differences (scenario files) or the warp is piecewise (example1).
+Both adapted-translation routes pass the same input guards and sample the
+same times (``_transport_grid``).
 
 ``broken_geodesic``, whose curve is the unknown, integrates the nonlinear
 geodesic-and-frame equations with the same tableau, step doubling and
@@ -79,8 +86,9 @@ class PiecewiseCurve:
     segment that ends no more than 1e-12 before it, and one evaluator call
     serves the whole batch: ``point_fn(t, seg)`` and ``velocity_fn(t, seg)``
     map times (T,) and their segment indices (T,) to (T, n).  Construction
-    checks continuity at the breaks and (by finite differences) that the
-    velocity really is the derivative of the point map on every segment.
+    refuses knots that do not increase strictly from 0 to 1, checks
+    continuity at the breaks and (by finite differences) that the velocity
+    really is the derivative of the point map on every segment.
     """
 
     def __init__(self, knots: Sequence[float], point_fn: Callable, velocity_fn: Callable,
@@ -90,6 +98,9 @@ class PiecewiseCurve:
             raise ValueError("curve needs at least one segment")
         if abs(self.knots[0]) > 1e-12 or abs(self.knots[-1] - 1.0) > 1e-12:
             raise ValueError("curve segments must cover [0, 1]")
+        if np.any(np.diff(self.knots) <= 0.0):
+            raise ValueError("curve knots must increase strictly from 0 to 1, "
+                             f"got {self.knots.tolist()}")
         self._point, self._velocity = point_fn, velocity_fn
         self._ends = self.knots[1:] + 1e-12
         if check:
@@ -191,14 +202,14 @@ class PiecewiseCurve:
 class TransportResult:
     ts: np.ndarray  # (S,) sample times
     points: np.ndarray  # (S, n) the curve at the samples
-    components: np.ndarray  # (S, n) the transported vector at the samples
+    components: np.ndarray  # (S, n) the transported vector at the samples; (S, n, k) a frame
     integral_omega: float
     tol_achieved: float
     integrals: Optional[np.ndarray] = None  # adapted translation: I(t) at each sample
     velocities: Optional[np.ndarray] = None  # closed form: the curve velocity at the samples
 
     @property
-    def samples(self) -> list:  # (t, TangentVector) pairs, built on demand
+    def samples(self) -> list:  # (t, TangentVector) pairs of one vector, built on demand
         return [(t, TangentVector(CoordPoint(p), c))
                 for t, p, c in zip(self.ts, self.points, self.components)]
 
@@ -238,7 +249,8 @@ class BrokenGeodesicSpec:
         if not isinstance(self.basepoint, CoordPoint):
             self.basepoint = CoordPoint(self.basepoint)
         self.breaks = tuple(float(t) for t in self.breaks)
-        if any(not (0.0 < t < 1.0) for t in self.breaks) or list(self.breaks) != sorted(self.breaks):
+        if (any(not (0.0 < t < 1.0) for t in self.breaks)
+                or any(b <= a for a, b in zip(self.breaks, self.breaks[1:]))):
             raise ValueError("breaks must satisfy 0 < t1 < ... < tm < 1")
         vs = []
         for v in self.velocities:
@@ -264,84 +276,129 @@ _GL_A = np.array([[5 / 36, 2 / 9 - _SQRT15 / 15, 5 / 36 - _SQRT15 / 30],
 MAX_DOUBLINGS = 7  # at most 2**7 steps per grid interval
 
 
-def collocation_pass(g: MetricField, curve: PiecewiseCurve, grid: np.ndarray, steps: int,
-                     omega: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                     rows: Optional[slice] = None) -> tuple[np.ndarray, np.ndarray]:
-    """One pass of composite 3-stage Gauss-Legendre collocation of
-    Ydot = A(t) Y, A = -Gamma(gamma'), with ``steps`` equal steps in every
-    interval of ``grid``.
+@dataclass
+class TransportJob:
+    """One transport of ``transport_batch``: the frame's vectors, all based at
+    curve(0), carried along the curve.  ``foliation`` None is parallel
+    transport; 1 or 2 is adapted translation in a leaf of F_foliation, which
+    the curve must not leave, of vectors normal to that leaf."""
 
-    Gamma comes from one batched ``christoffel_numeric`` over all
-    3 * steps * intervals nodes, and omega (a batched one-form field) from
-    one call.  ``rows`` keeps only those rows of A (normal transport).  The
-    equation is linear, so each step solves its stage system
-    (I - h a_ij A_i) K_j = A_i once for the stage matrices, all steps in one
-    stacked solve, and M = I + h sum_i b_i K_i carries Y across the step.
-    Returns the transfer matrix across each grid interval, (intervals, n, n),
-    and the increment of I = integral of omega(gamma') over each (0 without
-    omega), from the same nodes and weights.
+    curve: PiecewiseCurve
+    frame: Sequence[TangentVector]
+    foliation: Optional[int]
+
+
+def collocation_pass(g: MetricField, dtp, jobs: Sequence[tuple],
+                     steps: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One pass of composite 3-stage Gauss-Legendre collocation of
+    Ydot = A(t) Y, A = -Gamma(gamma'), for every job (curve, grid, foliation)
+    with ``steps`` equal steps in every interval of its grid.
+
+    Each distinct (curve, grid) is evaluated once, one ``point`` and one
+    ``velocity`` batch over its 3 * steps * intervals nodes; Gamma at the
+    nodes of all of them comes from one batched ``christoffel_numeric``, and
+    omega_{3 - i} (``productgeo.mean_curvature_form`` of ``dtp``) from one
+    call per foliation i.  A job with a foliation keeps only the normal rows
+    of A.  The equation is linear, so each step solves its stage system
+    (I - h a_ij A_i) K_j = A_i once for the stage matrices, the steps of all
+    jobs in one stacked solve, and M = I + h sum_i b_i K_i carries Y across
+    the step.  Returns per job the transfer matrix across each grid interval,
+    (intervals, n, n), and the increment of I = integral of omega(gamma')
+    over each (0 without a foliation), from the same nodes and weights.
     """
     n = g.dim
-    intervals = len(grid) - 1
-    h = np.repeat(np.diff(grid) / steps, steps)
-    starts = np.repeat(grid[:-1], steps) + h * np.tile(np.arange(steps), intervals)
-    nodes = (starts[:, None] + h[:, None] * _GL_C).reshape(-1)
-    pos, vel = curve.point(nodes), curve.velocity(nodes)
-    A = -np.einsum("pkij,pi->pkj", ck.christoffel_numeric(g, pos), vel)
-    if rows is not None:
-        keep = np.zeros(n, dtype=bool)
-        keep[rows] = True
-        A[:, ~keep] = 0.0
-    A = A.reshape(-1, 3, n, n)
+    keys = [(id(curve), grid.tobytes()) for curve, grid, _ in jobs]
+    steps_of, pos, vel = {}, {}, {}  # per distinct (curve, grid): h; the curve at the nodes
+    for key, (curve, grid, _) in zip(keys, jobs):
+        if key not in steps_of:
+            h = np.repeat(np.diff(grid) / steps, steps)
+            starts = np.repeat(grid[:-1], steps) + h * np.tile(np.arange(steps), len(grid) - 1)
+            nodes = (starts[:, None] + h[:, None] * _GL_C).reshape(-1)
+            steps_of[key], pos[key], vel[key] = h, curve.point(nodes), curve.velocity(nodes)
+    ends = np.cumsum([len(p) for p in pos.values()])
+    rows = {key: slice(end - len(p), end) for (key, p), end in zip(pos.items(), ends)}
+    gamma = ck.christoffel_numeric(g, np.concatenate(list(pos.values())))
+    rate = {}  # omega_{3 - i}(gamma') at the nodes of each path of foliation i
+    for i in sorted({f for _, _, f in jobs if f is not None}):
+        mine = list(dict.fromkeys(key for key, (_, _, f) in zip(keys, jobs) if f == i))
+        at = np.cumsum([len(pos[key]) for key in mine])
+        omega = pg.mean_curvature_form(dtp, np.concatenate([pos[key] for key in mine]), 3 - i)
+        for key, chunk in zip(mine, np.split(omega, at[:-1])):
+            rate[i, key] = np.einsum("pi,pi->p", chunk, vel[key])
+    A = []
+    for key, (_, _, f) in zip(keys, jobs):
+        a = -np.einsum("pkij,pi->pkj", gamma[rows[key]], vel[key])
+        if f is not None:
+            a[:, dtp.slot(f)] = 0.0  # only the normal rows drive Y
+        A.append(a.reshape(-1, 3, n, n))
+    h = np.concatenate([steps_of[key] for key in keys])
+    A = np.concatenate(A)
     # block (i, j) of the stage matrix: delta_ij I - h a_ij A_i
     coupling = h[:, None, None, None, None] * _GL_A[:, None, :, None] * A[:, :, :, None, :]
     stage = np.eye(3 * n) - coupling.reshape(-1, 3 * n, 3 * n)
     K = np.linalg.solve(stage, A.reshape(-1, 3 * n, n)).reshape(-1, 3, n, n)
     M = (np.eye(n) + h[:, None, None] * np.einsum("i,sikc->skc", _GL_B, K)).reshape(
-        intervals, steps, n, n)
+        -1, steps, n, n)
     transfer = M[:, 0]
     for j in range(1, steps):
         transfer = M[:, j] @ transfer
-    if omega is None:
-        return transfer, np.zeros(intervals)
-    rate = np.einsum("pi,pi->p", omega(pos), vel).reshape(-1, 3)
-    return transfer, (h * (rate @ _GL_B)).reshape(intervals, steps).sum(axis=1)
+    out, first = [], 0
+    for key, (_, _, f) in zip(keys, jobs):
+        hk = steps_of[key]
+        intervals = len(hk) // steps
+        dI = np.zeros(intervals) if f is None else (
+            hk * (rate[f, key].reshape(-1, 3) @ _GL_B)).reshape(intervals, steps).sum(axis=1)
+        out.append((transfer[first:first + intervals], dI))
+        first += intervals
+    return out
 
 
-def _integrate_transport(g: MetricField, curve: PiecewiseCurve, y0: np.ndarray,
-                         ts: np.ndarray,
-                         omega: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                         rows: Optional[slice] = None) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate Ydot = -Gamma(gamma') Y (columnwise) along the curve.
+def _integrate(g: MetricField, dtp,
+               jobs: Sequence[tuple]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Integrate Ydot = -Gamma(gamma') Y (columnwise) along the curve of
+    every job (curve, y0, ts, foliation).
 
-    Y is (n, k); the batched one-form field omega adds I(t) = integral of
-    omega(gamma') dt, and ``rows`` keeps only those components of Ydot
-    (normal transport).  ``ts`` are sorted, distinct times in [0, 1].  The
-    grid is 0, ``ts`` and the curve's breaks before the last time, so no step
-    straddles a break.  Step doubling: passes of ``collocation_pass`` with
-    1, 2, 4, ... steps per grid interval run until two successive passes
-    agree within ATOL + RTOL |value| on Y and I at every time; the finer is
-    returned as (Ys (len(ts), n, k), Is (len(ts),)).  IntegrationError when
-    MAX_DOUBLINGS doublings do not settle.
+    Y is (n, k).  A foliation i keeps only the normal rows of Ydot and adds
+    I(t) = integral of omega_{3 - i}(gamma') dt.  ``ts`` are sorted, distinct
+    times in [0, 1].  A job's grid is 0, its ``ts`` and its curve's breaks
+    before the last time, so no step straddles a break.  Step doubling:
+    passes of ``collocation_pass`` with 1, 2, 4, ... steps per grid interval,
+    each over every job not yet settled, run until two successive passes of a
+    job agree within ATOL + RTOL |value| on Y and I at every time; the job
+    then leaves with the finer, so its result does not depend on the rest of
+    the batch.  Returns (Ys (len(ts), n, k), Is (len(ts),)) per job.
+    IntegrationError when MAX_DOUBLINGS doublings leave a job unsettled.
     """
-    grid = np.union1d([0.0, *(b for b in curve.breaks if b < ts[-1])], ts)
-    at = np.searchsorted(grid, ts)
-    if len(grid) == 1:
-        return np.repeat(y0[None], len(ts), axis=0), np.zeros(len(ts))
-    prev = None
+    out, live, prev = [None] * len(jobs), [], {}
+    for j, (curve, y0, ts, _) in enumerate(jobs):
+        grid = np.union1d([0.0, *(b for b in curve.breaks if b < ts[-1])], ts)
+        if len(grid) == 1:
+            out[j] = np.repeat(y0[None], len(ts), axis=0), np.zeros(len(ts))
+        else:
+            live.append((j, grid, np.searchsorted(grid, ts)))
     for doubling in range(MAX_DOUBLINGS + 1):
-        transfer, dI = collocation_pass(g, curve, grid, 2 ** doubling, omega, rows)
-        Y = [y0]
-        for M in transfer:
-            Y.append(M @ Y[-1])
-        cur = (np.stack(Y)[at], np.concatenate([[0.0], np.cumsum(dI)])[at])
-        if prev is not None and all(np.all(np.abs(a - b) <= ATOL + RTOL * np.abs(a))
-                                    for a, b in zip(cur, prev)):
-            return cur
-        prev = cur
-    raise IntegrationError(
-        f"transport collocation did not settle within MAX_DOUBLINGS = {MAX_DOUBLINGS} "
-        f"step doublings ({2 ** MAX_DOUBLINGS} steps per grid interval)")
+        if not live:
+            break
+        passes = collocation_pass(
+            g, dtp, [(jobs[j][0], grid, jobs[j][3]) for j, grid, _ in live], 2 ** doubling)
+        unsettled = []
+        for (j, grid, at), (transfer, dI) in zip(live, passes):
+            Y = [jobs[j][1]]
+            for M in transfer:
+                Y.append(M @ Y[-1])
+            cur = (np.stack(Y)[at], np.concatenate([[0.0], np.cumsum(dI)])[at])
+            if j in prev and all(np.all(np.abs(a - b) <= ATOL + RTOL * np.abs(a))
+                                 for a, b in zip(cur, prev[j])):
+                out[j] = cur
+            else:
+                prev[j] = cur
+                unsettled.append((j, grid, at))
+        live = unsettled
+    if live:
+        raise IntegrationError(
+            f"transport collocation did not settle within MAX_DOUBLINGS = {MAX_DOUBLINGS} "
+            f"step doublings ({2 ** MAX_DOUBLINGS} steps per grid interval)")
+    return out
 
 
 def _transport_grid(curve: PiecewiseCurve, frame: Sequence[TangentVector],
@@ -372,83 +429,54 @@ def _transport_grid(curve: PiecewiseCurve, frame: Sequence[TangentVector],
     return ts, pts
 
 
-def _transport(g: MetricField, curve: PiecewiseCurve, frame: Sequence[TangentVector],
-               leaf=None):
-    """The frame's vectors carried along the curve, as one (n, k) solve.
+def transport_batch(space, jobs: Sequence[TransportJob]) -> list[TransportResult]:
+    """The frames of all jobs carried along their curves, in one integration.
 
-    Without ``leaf`` this is parallel transport W, with I = 0 and A = W.
-    ``leaf`` = (dtp, foliation) makes it adapted translation in a leaf of
-    F_foliation: the curve must stay in the leaf, the vectors must be
-    normal, only the normal projection of DW/dt is driven to zero, and
-    A(t) = exp(-I(t)) W(t) for I(t) = integral of omega_{3 - foliation}(gamma').
+    ``space`` is the metric, or a ``DoublyTwistedProduct`` (its assembled
+    metric), which jobs with a foliation need.  Each job passes the input
+    guards of ``_transport_grid`` and is sampled at its times; ``_integrate``
+    then solves all jobs together, each bit-identical to its batch of one.
 
-    Returns the sample times, the sample points (S, n), A (S, n, k), I (S,)
-    and the worst residual of the law the transport keeps, from one batched
-    ``g.mat`` over v0's base and the samples: |g(W, W) - g(v0, v0)| without
-    leaf, | |A| - |v0| exp(-I) | with it.
+    A result's components are (S, n, k), one column per frame vector.
+    Parallel transport gives W, with I = 0.  Adapted translation in a leaf
+    of F_foliation drives only the normal projection of DW/dt to zero and
+    gives A(t) = exp(-I(t)) W(t), with ``integrals`` I(t) = integral of
+    omega_{3 - foliation}(gamma') (Ponge & Reckziegel 1993; the oracle of
+    ``adapted_translation_closed_form``).  ``tol_achieved`` is the worst
+    residual of the law the transport keeps, from one batched ``g.mat``
+    over every job's base and samples: |g(W, W) - g(v0, v0)| for parallel
+    transport, | |A| - |v0| exp(-I) | for adapted translation.
     """
-    ts, pts = _transport_grid(curve, frame, leaf)
-    omega = rows = None
-    if leaf is not None:
-        dtp, foliation = leaf
-        rows = dtp.slot(3 - foliation)
-
-        def omega(pts):
-            return pg.mean_curvature_form(dtp, pts, 3 - foliation)
-    y0 = np.stack([v.components for v in frame], axis=1)
-    Ys, Is = _integrate_transport(g, curve, y0, ts, omega=omega, rows=rows)
-    if leaf is not None:
-        Ys = np.exp(-Is)[:, None, None] * Ys
-    gm = g.mat(np.vstack([frame[0].base.coords, pts]))
-    q0 = np.einsum("ic,ij,jc->c", y0, gm[0], y0)
-    q = np.einsum("sic,sij,sjc->sc", Ys, gm[1:], Ys)
-    if leaf is None:
-        worst = np.abs(q - q0)
-    else:
-        worst = np.abs(np.sqrt(np.abs(q)) - np.sqrt(np.abs(q0)) * np.exp(-Is)[:, None])
-    return ts, pts, Ys, Is, float(np.max(worst))
-
-
-def parallel_transport(g: MetricField, curve: PiecewiseCurve, v0: TangentVector,
-                       tol: float = 1e-7) -> TransportResult:
-    """Solve v'^k + Gamma^k_ij gamma'^i v^j = 0; g(v, v) is conserved.
-
-    Raises IntegrationError when the conservation residual exceeds tol.
-    """
-    ts, pts, Ys, _, worst = _transport(g, curve, [v0])
-    if worst > tol:
-        raise IntegrationError(f"metric compatibility residual {worst:.3e} > tol {tol:.3e}")
-    return TransportResult(ts, pts, Ys[:, :, 0], 0.0, worst)
-
-
-def _adapted(dtp: pg.DoublyTwistedProduct, curve: PiecewiseCurve,
-             frame: Sequence[TangentVector], tol: float, foliation: int):
-    """``_transport`` of the frame in a leaf of F_foliation; IntegrationError
-    when the norm law misses tol."""
-    out = _transport(dtp.assembled, curve, frame, leaf=(dtp, foliation))
-    if out[-1] > tol:
-        raise IntegrationError(
-            f"adapted-translation norm law residual {out[-1]:.3e} > tol {tol:.3e}")
+    dtp = space if isinstance(space, pg.DoublyTwistedProduct) else None
+    g = space if dtp is None else dtp.assembled
+    if dtp is None and any(job.foliation is not None for job in jobs):
+        raise ValueError("adapted translation needs a DoublyTwistedProduct")
+    grids = [_transport_grid(job.curve, job.frame,
+                             None if job.foliation is None else (dtp, job.foliation))
+             for job in jobs]
+    y0s = [np.stack([v.components for v in job.frame], axis=1) for job in jobs]
+    solved = _integrate(g, dtp, [(job.curve, y0, ts, job.foliation)
+                                 for job, y0, (ts, _) in zip(jobs, y0s, grids)])
+    gm = g.mat(np.vstack([[job.frame[0].base.coords for job in jobs],
+                          *(pts for _, pts in grids)]))
+    out, first = [], len(jobs)
+    for j, (job, y0, (ts, pts), (Ys, Is)) in enumerate(zip(jobs, y0s, grids, solved)):
+        if job.foliation is not None:
+            Ys = np.exp(-Is)[:, None, None] * Ys
+        q0 = np.einsum("ic,ij,jc->c", y0, gm[j], y0)
+        q = np.einsum("sic,sij,sjc->sc", Ys, gm[first:first + len(ts)], Ys)
+        first += len(ts)
+        if job.foliation is None:
+            out.append(TransportResult(ts, pts, Ys, 0.0, float(np.max(np.abs(q - q0)))))
+        else:
+            worst = np.abs(np.sqrt(np.abs(q)) - np.sqrt(np.abs(q0)) * np.exp(-Is)[:, None])
+            out.append(TransportResult(ts, pts, Ys, float(Is[-1]), float(np.max(worst)), Is))
     return out
-
-
-def adapted_translation(dtp: pg.DoublyTwistedProduct, curve: PiecewiseCurve,
-                        v0: TangentVector, tol: float = 1e-6,
-                        foliation: int = 1) -> TransportResult:
-    """A(t) = exp(-int omega) W(t), W the normal parallel translation of v0
-    (collocation; the oracle of ``adapted_translation_closed_form``).
-
-    For a curve in a leaf of F_1 the form is omega_2 (mean curvature form of
-    the second foliation), and symmetrically for F_2.  The norm law
-    |A(t)| = |v0| exp(-int omega) is checked against tol.
-    """
-    ts, pts, Ys, Is, worst = _adapted(dtp, curve, [v0], tol, foliation)
-    return TransportResult(ts, pts, Ys[:, :, 0], float(Is[-1]), worst, Is)
 
 
 def adapted_translation_closed_form(dtp: pg.DoublyTwistedProduct, curve: PiecewiseCurve,
                                     v0: TangentVector, foliation: int = 1) -> TransportResult:
-    """``adapted_translation`` without integration: A(t) = v0 in product coordinates.
+    """Adapted translation without integration: A(t) = v0 in product coordinates.
 
     Take a curve in a leaf of F_1 and write lam for lam2.  For i in slot 1
     and j, k in slot 2 the product connection has
@@ -461,8 +489,8 @@ def adapted_translation_closed_form(dtp: pg.DoublyTwistedProduct, curve: Piecewi
         A(t) = exp(-I(t)) W(t) = v0          (Ponge & Reckziegel 1993).
 
     F_2 is the mirror case with lam1.  Same input guards and sample times as
-    the integrating route; lam is evaluated once, on the batch of sample
-    points, and the curve velocity there is kept for
+    the integrating route (``transport_batch``); lam is evaluated once, on
+    the batch of sample points, and the curve velocity there is kept for
     ``transport_equation_residual``.  Nothing is integrated, so
     ``tol_achieved`` is 0.
     """
@@ -528,36 +556,36 @@ def normal_frame(dtp: pg.DoublyTwistedProduct, x, foliation: int = 1) -> list[Ta
     return ck.gram_schmidt(dtp.assembled, coords, basis)
 
 
-def holonomy_map(model, loop: PiecewiseCurve, frame: Sequence[TangentVector],
-                 foliation: int = 1, closing_word=None) -> HolonomyMap:
-    """Adapted translation of the frame around the loop, in that frame
-    (collocation, the whole frame in one solve; the oracle of the
-    closed-form ``quotient.loop_holonomy``).
+def loop_return_map(model, job: TransportJob, res: TransportResult,
+                    closing_word) -> HolonomyMap:
+    """The holonomy of the leaf loop ``job.curve`` in the frame ``job.frame``,
+    read from ``res``, the adapted translation of that normal frame around it
+    (``transport_batch``): the integrating oracle of the closed-form
+    ``quotient.loop_holonomy``.
 
-    ``model`` is a plain product (loop must close in chart coordinates) or a
-    quotient model exposing ``dtp``, ``find_closing_word`` and
-    ``word_jacobian``: the loop then closes after a deck word, whose inverse
-    differential pushes the transported vectors back to the basepoint.  The
-    loop closes in chart coordinates when its endpoints agree within
-    LOOP_CLOSURE_TOL.
+    ``model`` is a plain product or a quotient model exposing ``dtp`` and
+    ``word_jacobian``.  The deck word ``closing_word`` closes the loop in a
+    quotient: its differential at the loop's end pushes the transported
+    vectors back to the basepoint.  Without one the loop must close in chart
+    coordinates, its endpoints within LOOP_CLOSURE_TOL (``NotALoop``).
+    IntegrationError when the translation's norm-law residual exceeds 1e-6.
     """
     dtp = model.dtp if hasattr(model, "dtp") else model
-    base, end = loop.point(np.array([0.0, 1.0]))
-    jac = np.eye(dtp.n)
-    if np.max(np.abs(end - base)) > LOOP_CLOSURE_TOL:
-        if not hasattr(model, "find_closing_word"):
-            raise NotALoop(f"loop endpoints differ by {np.max(np.abs(end - base)):.3e}")
-        word = closing_word if closing_word is not None else model.find_closing_word(end, base)
-        jac = model.word_jacobian(word, end)
-    elif closing_word is not None:
+    base, end = res.points[0], res.points[-1]
+    if closing_word is not None:
         jac = model.word_jacobian(closing_word, end)
-
-    normal_slot = dtp.slot(3 - foliation)
-    frame = list(frame)
-    fmat = np.stack([f.components[normal_slot] for f in frame], axis=1)
-    _, _, Ys, _, _ = _adapted(dtp, loop, frame, 1e-6, foliation)
-    return HolonomyMap(CoordPoint(base), np.linalg.solve(fmat, (jac @ Ys[-1])[normal_slot]),
-                       frame)
+    elif np.max(np.abs(end - base)) > LOOP_CLOSURE_TOL:
+        raise NotALoop(f"loop endpoints differ by {np.max(np.abs(end - base)):.3e}")
+    else:
+        jac = np.eye(dtp.n)
+    if res.tol_achieved > 1e-6:
+        raise IntegrationError(
+            f"adapted-translation norm law residual {res.tol_achieved:.3e} > tol {1e-6:.3e}")
+    normal_slot = dtp.slot(3 - job.foliation)
+    fmat = np.stack([f.components[normal_slot] for f in job.frame], axis=1)
+    return HolonomyMap(CoordPoint(base),
+                       np.linalg.solve(fmat, (jac @ res.components[-1])[normal_slot]),
+                       list(job.frame))
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +755,7 @@ def velocity_profile(g: MetricField, curve: PiecewiseCurve,
         ts = 0.5 * (curve.knots[:-1] + curve.knots[1:])
     # transport the full coordinate frame and invert at the requested times
     times, at = np.unique(np.asarray(ts, dtype=float), return_inverse=True)
-    frames, _ = _integrate_transport(g, curve, np.eye(base.n), times)
+    (frames, _), = _integrate(g, None, [(curve, np.eye(base.n), times, None)])
     vel = np.linalg.solve(frames[at], curve.velocity(np.asarray(ts, dtype=float))[:, :, None])
     return [TangentVector(base, v[:, 0]) for v in vel]
 

@@ -18,6 +18,7 @@ from warpquot import transport as tp
 from warpquot.chartkit import CoordPoint, TangentVector
 
 from random_products import random_twisted
+from transport_jobs import carry, holonomy
 # the sign-flipped closed forms of the connection-row negative controls
 from test_closed_form_connection import _flip_metric_term, _flip_mixed, _patch_gamma
 
@@ -158,7 +159,7 @@ def test_criterion_4_adapted_translation(roster):
         end[dtp.slot1] = (0.25 * box[:, 0] + 0.75 * box[:, 1])[dtp.slot1]
         curve = tp.PiecewiseCurve.line(start, end)
         vb = rng.normal(size=dtp.n2)
-        res = tp.adapted_translation(dtp, curve, tv(start, dtp.embed(2, vb)), tol=1e-6)
+        res = carry(dtp, curve, tv(start, dtp.embed(2, vb)), 1, tol=1e-6)
         for _, vec in res.samples:
             worst_const = max(worst_const, float(np.max(np.abs(vec.components[dtp.slot2] - vb))))
         worst_norm = max(worst_norm, res.tol_achieved)
@@ -173,7 +174,7 @@ def test_criterion_5_holonomy():
     rep0 = np.array([0.0, 0.0])
     frame = tp.normal_frame(mob.dtp, rep0, foliation=1)
     loop = qt.leaf_loop_curve(mob, rep0, 1, (("a", 1),))
-    h1 = tp.holonomy_map(mob, loop, frame, foliation=1)
+    h1 = holonomy(mob, loop, frame, 1)
     mob_err = float(np.max(np.abs(h1.matrix - np.array([[-1.0]]))))
 
     torus_err = 0.0
@@ -183,12 +184,11 @@ def test_criterion_5_holonomy():
             for word in loops[i]:
                 curve = qt.leaf_loop_curve(model, rep0, i, word)
                 fr = tp.normal_frame(model.dtp, rep0, foliation=i)
-                h = tp.holonomy_map(model, curve, fr, foliation=i,
-                                    closing_word=qt.word_inverse(word))
+                h = holonomy(model, curve, fr, i, qt.word_inverse(word))
                 torus_err = max(torus_err, float(np.max(np.abs(h.matrix - np.eye(1)))))
 
     double = tp.PiecewiseCurve.from_function(lambda t: np.stack([2.0 * t, 0.0 * t], axis=1))
-    h2 = tp.holonomy_map(mob, double, frame, foliation=1)
+    h2 = holonomy(mob, double, frame, 1)
     comp_err = float(np.max(np.abs(h2.matrix - h1.matrix @ h1.matrix)))
     _report(5, "leaf holonomy via adapted translation",
             f"mobius -1 error {mob_err:.2e}, torus identity error {torus_err:.2e}, "

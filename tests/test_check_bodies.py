@@ -42,18 +42,20 @@ def checks_of(report):
 ])
 def test_verify_all_transport_reports_against_its_budget(tmp_path, monkeypatch, scenario, seed,
                                                           residual):
-    integrate = tp._integrate_transport
+    integrate = tp._integrate
 
-    def drifted(g, curve, y0, ts, omega=None, rows=None):
-        Ys, Is = integrate(g, curve, y0, ts, omega=omega, rows=rows)
-        if omega is None and rows is None:  # the parallel transport
-            end = Ys[-1][:, 0]
-            q = end @ g.mat(curve.point(ts[-1])) @ end
-            Ys = Ys.copy()
-            Ys[-1] *= np.sqrt(1.0 + residual / q)
-        return Ys, Is
+    def drifted(g, dtp, jobs):
+        out = integrate(g, dtp, jobs)
+        for j, ((curve, _, ts, foliation), (Ys, Is)) in enumerate(zip(jobs, out)):
+            if foliation is None:  # the parallel transport
+                end = Ys[-1][:, 0]
+                q = end @ g.mat(curve.point(ts[-1])) @ end
+                Ys = Ys.copy()
+                Ys[-1] *= np.sqrt(1.0 + residual / q)
+                out[j] = Ys, Is
+        return out
 
-    monkeypatch.setattr(tp, "_integrate_transport", drifted)
+    monkeypatch.setattr(tp, "_integrate", drifted)
     code, report = run(tmp_path, scenario, "verify-all", "--seed", str(seed), "--samples", "8")
     assert code == 0
     check = checks_of(report)["parallel-transport-conservation"]

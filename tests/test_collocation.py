@@ -1,14 +1,16 @@
 """The transport oracle: composite Gauss-Legendre collocation with step doubling.
 
-``transport._integrate_transport`` solves Ydot = -Gamma(gamma') Y along a
-known curve by 3-stage Gauss-Legendre collocation (order 6; Butcher 1964,
+``transport.transport_batch`` solves Ydot = -Gamma(gamma') Y along known
+curves by 3-stage Gauss-Legendre collocation (order 6; Butcher 1964,
 Hairer-Norsett-Wanner I, II.7), with Gamma from one batched
-``christoffel_numeric`` per pass.  Here it is held against scipy's RK45 at
+``christoffel_numeric`` per pass over every job.  Here it is held against scipy's RK45 at
 rtol 1e-12 (the oracle of the oracle), its call pattern is counted, and the
 doubling cap must raise.  ``broken_geodesic`` runs the same tableau on the
 nonlinear geodesic equation; it is held against RK45 too, and must raise
 when a geodesic leaves its domain box or its stage equations do not converge.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from warpquot import transport as tp
 from warpquot.chartkit import CoordPoint, TangentVector
 from warpquot.errors import IntegrationError
 from warpquot.scenario import list_scenarios, resolve_scenario
+from transport_jobs import carry
 
 AGREE = 1e-9  # collocation against the tight RK45 reference
 
@@ -97,8 +100,8 @@ def test_collocation_matches_tight_rk45(label, dtp, curve):
     g = dtp.assembled
     v0 = TangentVector(start, rng.normal(size=dtp.n))
     n0 = TangentVector(start, dtp.embed(2, rng.normal(size=dtp.n2)))
-    parallel = tp.parallel_transport(g, curve, v0, tol=1e-6)
-    adapted = tp.adapted_translation(dtp, curve, n0)
+    parallel = carry(g, curve, v0, tol=1e-6)
+    adapted = carry(dtp, curve, n0, 1)
     ts = np.array([t for t, _ in parallel.samples])
 
     # one reference solve: column 0 parallel, column 1 normal transport W,
@@ -143,9 +146,10 @@ def test_one_batched_christoffel_call_per_doubling_pass(monkeypatch):
         batches.append(np.shape(x))
         return christoffel(g, x)
 
-    def counted_pass(g, curve, grid, steps, *args, **kwargs):
+    def counted_pass(g, dtp, jobs, steps):
+        (_, grid, _), = jobs
         passes.append((steps, 3 * steps * (len(grid) - 1)))
-        return collocate(g, curve, grid, steps, *args, **kwargs)
+        return collocate(g, dtp, jobs, steps)
 
     monkeypatch.setattr(ck, "christoffel_numeric", counted_christoffel)
     monkeypatch.setattr(tp, "collocation_pass", counted_pass)
@@ -155,7 +159,7 @@ def test_one_batched_christoffel_call_per_doubling_pass(monkeypatch):
         curve = cli._horizontal_curve(ctx)
         batches.clear()
         passes.clear()
-        tp.adapted_translation(ctx.dtp, curve, cli._ones_normal(ctx.dtp, curve))
+        carry(ctx.dtp, curve, cli._ones_normal(ctx.dtp, curve), 1)
         assert len(passes) >= 2, name  # step doubling compares two passes at least
         assert batches == [(nodes, ctx.dtp.n) for _, nodes in passes], name
         finest[name] = passes[-1][0]
@@ -168,10 +172,104 @@ def test_doubling_cap_raises_integration_error(monkeypatch):
     ctx = resolve_scenario("example1-twisted")
     curve = cli._horizontal_curve(ctx)
     v0 = cli._ones_normal(ctx.dtp, curve)
-    tp.adapted_translation(ctx.dtp, curve, v0)  # settles under the default cap
+    carry(ctx.dtp, curve, v0, 1)  # settles under the default cap
     monkeypatch.setattr(tp, "MAX_DOUBLINGS", 1)
     with pytest.raises(IntegrationError, match="MAX_DOUBLINGS = 1"):
-        tp.adapted_translation(ctx.dtp, curve, v0)
+        carry(ctx.dtp, curve, v0, 1)
+
+
+# ---------------------------------------------------------------------------
+# one batch for many jobs
+
+def _example1_jobs():
+    """Jobs on example1 of both foliations, with a frame of two vectors, that
+    settle at different doublings: the adapted translation along verify-all's
+    leaf line at 8 steps per interval, the parallel transports along it at 4."""
+    ctx = resolve_scenario("example1-twisted")
+    dtp = ctx.dtp
+    curve = cli._horizontal_curve(ctx)
+    start = CoordPoint(curve.point(0.0))
+    rng = np.random.default_rng(3)
+    vertical = tp.PiecewiseCurve.line(start.coords, start.coords + dtp.embed(2, [0.4]))
+    return dtp, [
+        tp.TransportJob(curve, [cli._ones_normal(dtp, curve)], 1),
+        tp.TransportJob(curve, [TangentVector(start, rng.normal(size=dtp.n))], None),
+        tp.TransportJob(curve, [TangentVector(start, e) for e in np.eye(dtp.n)], None),
+        tp.TransportJob(vertical, [TangentVector(start, dtp.embed(1, [0.7]))], 2),
+    ]
+
+
+def _finest_steps(monkeypatch, dtp, jobs):
+    """The step count of the last pass each job of the batch took part in."""
+    collocate = tp.collocation_pass
+    finest = {}
+
+    def counted(g, dtp, pass_jobs, steps):
+        for curve, _, foliation in pass_jobs:
+            for j, job in enumerate(jobs):
+                if job.curve is curve and job.foliation == foliation:
+                    finest[j] = steps
+        return collocate(g, dtp, pass_jobs, steps)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tp, "collocation_pass", counted)
+        tp.transport_batch(dtp, jobs)
+    return [finest[j] for j in range(len(jobs))]
+
+
+def test_each_job_of_a_mixed_batch_equals_its_batch_of_one(monkeypatch):
+    dtp, jobs = _example1_jobs()
+    alone = [tp.transport_batch(dtp, [job])[0] for job in jobs]
+    together = tp.transport_batch(dtp, jobs)
+    for job, one, mixed in zip(jobs, alone, together):
+        assert mixed.components.shape == (len(mixed.ts), dtp.n, len(job.frame))
+        for field in ("ts", "points", "components", "integrals"):
+            assert np.array_equal(getattr(one, field), getattr(mixed, field)), field
+        assert (one.integral_omega, one.tol_achieved) == (mixed.integral_omega,
+                                                          mixed.tol_achieved)
+    # the mix settles at different doublings, the same as each job alone
+    assert [_finest_steps(monkeypatch, dtp, [job])[0] for job in jobs[:2]] == [8, 4]
+    assert _finest_steps(monkeypatch, dtp, jobs)[:2] == [8, 4]
+
+
+def test_verify_all_makes_one_christoffel_batch_per_doubling_level(monkeypatch):
+    christoffel, collocate = ck.christoffel_numeric, tp.collocation_pass
+    passes, inside = [], []
+
+    def counted_christoffel(g, x):
+        if inside:  # count only the batches the transport passes make
+            inside[-1]["batches"] += 1
+        return christoffel(g, x)
+
+    def counted_pass(g, dtp, jobs, steps):
+        passes.append({"steps": steps, "jobs": len(jobs), "batches": 0})
+        inside.append(passes[-1])
+        try:
+            return collocate(g, dtp, jobs, steps)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(ck, "christoffel_numeric", counted_christoffel)
+    monkeypatch.setattr(tp, "collocation_pass", counted_pass)
+    for name in ("mobius", "flat-torus", "example1-twisted"):
+        ctx = resolve_scenario(name)
+        loops = sum(len(words) for words in ctx.holonomy_loops.values())
+        passes.clear()
+        assert cli.main(["run", name, "verify-all", "--out", os.devnull]) == 0
+        # every oracle transport of the run is in the first pass, and each
+        # doubling level is one pass with one Christoffel batch
+        assert passes[0]["jobs"] == 2 + loops, name
+        assert [p["steps"] for p in passes] == [2 ** d for d in range(len(passes))], name
+        assert [p["batches"] for p in passes] == [1] * len(passes), name
+
+
+def test_the_doubling_cap_fails_the_whole_batch(monkeypatch):
+    dtp, jobs = _example1_jobs()
+    monkeypatch.setattr(tp, "MAX_DOUBLINGS", 0)  # one pass: nothing to compare it with
+    with pytest.raises(IntegrationError) as raised:
+        tp.transport_batch(dtp, jobs)
+    assert str(raised.value) == ("transport collocation did not settle within "
+                                 "MAX_DOUBLINGS = 0 step doublings (1 steps per grid interval)")
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from warpquot import fixtures as fx
 from warpquot import scenario
 from warpquot import transport as tp
 from warpquot.chartkit import CoordPoint, TangentVector
+from transport_jobs import carry
 
 
 @functools.cache
@@ -82,7 +83,12 @@ def test_one_point_and_one_velocity_batch_per_collocation_pass():
     curve = tp.PiecewiseCurve.catmull_rom([[1.2, 0.3], [1.4, 0.9], [1.1, 1.6]])
     calls = _counting(curve)
     grid = np.array([0.0, 0.3, 0.5, 1.0])
-    tp.collocation_pass(dtp.assembled, curve, grid, 4)
+    tp.collocation_pass(dtp.assembled, None, [(curve, grid, None)], 4)
+    assert calls == {"point": [(3 * 4 * 3,)], "velocity": [(3 * 4 * 3,)]}
+    # jobs on the same curve and grid share its evaluation
+    calls["point"].clear()
+    calls["velocity"].clear()
+    tp.collocation_pass(dtp.assembled, dtp, [(curve, grid, None), (curve, grid, 1)], 4)
     assert calls == {"point": [(3 * 4 * 3,)], "velocity": [(3 * 4 * 3,)]}
 
 
@@ -122,7 +128,7 @@ def test_one_evaluator_call_per_batch_whatever_the_segment_count(name):
 def test_transport_result_builds_tangent_vectors_from_its_arrays():
     g = ck.MetricField.euclidean(2)
     curve = tp.PiecewiseCurve.line([0.0, 0.0], [1.0, 0.5])
-    res = tp.parallel_transport(g, curve, TangentVector(CoordPoint([0.0, 0.0]), [0.3, -0.7]))
+    res = carry(g, curve, TangentVector(CoordPoint([0.0, 0.0]), [0.3, -0.7]))
     assert res.points.shape == res.components.shape == (len(res.ts), 2)
     ts = [t for t, _ in res.samples]
     assert ts == list(res.ts)

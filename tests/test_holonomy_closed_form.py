@@ -2,11 +2,12 @@
 from the deck group, and the metric evaluations one transport step makes.
 
 The closed form (``quotient.loop_holonomy``) rests on adapted translation
-keeping the normal components constant in product coordinates;
-``transport.holonomy_map`` and ``transport.adapted_translation`` (Gauss-Legendre
-collocation; RK45 in the names of older tests) stay as its oracles here and
-in verify-all.  ``quotient.leaf_trace`` stays as the oracle
-for "a leaf closes iff ``leaf_loops`` finds a closing word".
+keeping the normal components constant in product coordinates; the
+adapted translation of ``transport.transport_batch`` (Gauss-Legendre
+collocation; RK45 in the names of older tests), with the return map
+``transport.loop_return_map``, stays as its oracle here and in verify-all.
+``quotient.leaf_trace`` stays as the oracle for "a leaf closes iff
+``leaf_loops`` finds a closing word".
 """
 
 import json
@@ -23,6 +24,7 @@ from warpquot import transport as tp
 from warpquot.chartkit import CoordPoint, TangentVector
 from warpquot.errors import InvalidAction, NotALoop
 from warpquot.scenario import load_scenario_file
+from transport_jobs import carry, holonomy
 
 
 def warped_torus_dict(eps=0.25, basepoint=(0.3, 0.6)):
@@ -163,8 +165,7 @@ def test_closed_form_matches_rk45_holonomy(tmp_path):
             for word in words:
                 hol = qt.loop_holonomy(model, rep0, i, word)
                 curve = qt.leaf_loop_curve(model, rep0, i, word)
-                ref = tp.holonomy_map(model, curve, hol.frame, foliation=i,
-                                      closing_word=qt.word_inverse(word))
+                ref = holonomy(model, curve, hol.frame, i, qt.word_inverse(word))
                 assert np.max(np.abs(hol.matrix - ref.matrix)) < 1e-9, (name, i, word)
 
 
@@ -216,14 +217,14 @@ def test_rk45_adapted_translation_keeps_normal_components(seed):
     end[dtp.slot1] = (0.25 * box[:, 0] + 0.75 * box[:, 1])[dtp.slot1]
     curve = tp.PiecewiseCurve.line(start, end)
     normal = np.random.default_rng(seed).normal(size=dtp.n2)
-    res = tp.adapted_translation(dtp, curve, TangentVector(CoordPoint(start), dtp.embed(2, normal)))
+    res = carry(dtp, curve, TangentVector(CoordPoint(start), dtp.embed(2, normal)), 1)
     drift = max(float(np.max(np.abs(vec.components - dtp.embed(2, normal))))
                 for _, vec in res.samples)
     assert drift < 10 * tp.RTOL * np.max(np.abs(normal))
 
 
 def test_sign_flipped_normal_block_fails_verify_all(tmp_path, monkeypatch):
-    # flip only what the closed form reads: the oracle (``tp.holonomy_map``)
+    # flip only what the closed form reads: the oracle (``tp.loop_return_map``)
     # also calls ``word_jacobian``, so flipping that would flip both sides
     exact = qt._loop_holonomies
     monkeypatch.setattr(qt, "_loop_holonomies", lambda *a: [
@@ -246,6 +247,52 @@ def test_downstairs_translation_matches_seam_jacobians():
         assert np.array_equal(qt.loop_holonomy(model, rep0, 1, word).matrix, [[sign]])
     with pytest.raises(NotALoop):  # off the central leaf, one seam opens the loop
         qt.loop_holonomy(model, np.array([0.2, 0.3]), 1, (("a", 1),))
+
+
+# ---------------------------------------------------------------------------
+# verify-all's oracle batch: the order in which errors surface
+
+@pytest.mark.parametrize("drift, code", [(1e-5, 3), (1e-7, 0)])
+def test_a_loop_whose_norm_law_misses_1e6_raises(tmp_path, monkeypatch, capsys, drift, code):
+    # the batch integrates every declared loop with the leaf line's two
+    # transports; the return map of a loop whose norm-law residual exceeds
+    # 1e-6 raises, while the leaf line's own residual is reported in its row
+    integrate = tp._integrate
+
+    def drifted(g, dtp, jobs):
+        out = integrate(g, dtp, jobs)
+        return out[:2] + [((1.0 + drift) * Ys, Is) for Ys, Is in out[2:]]
+
+    monkeypatch.setattr(tp, "_integrate", drifted)
+    assert run(tmp_path, "mobius", "verify-all", "--samples", "8")[0] == code
+    if code:
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            "numeric failure: IntegrationError: adapted-translation norm law residual 1.0")
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"generators": [{"name": "a", "phi": ["x + 1"], "phi_inv": ["x - 2"],
+                      "psi": ["y"], "psi_inv": ["y"]}]},
+     "input error: generator a: declared inverse of phi fails at sample [0.05]"),
+    ({"holonomy_loops": {"1": [[["b", 1]]]}, "expect": {}},
+     "numeric failure: NotALoop: word (('b', 1),) does not close a foliation-1 loop at [0.3 0.6]"),
+    ({}, "numeric failure: IntegrationError: transport collocation did not settle within "
+         "MAX_DOUBLINGS = 0 step doublings (1 steps per grid interval)"),
+], ids=["validate", "closed-form-holonomy", "intact"])
+def test_validate_and_the_closed_form_holonomy_raise_before_the_oracle_batch(
+        tmp_path, monkeypatch, capsys, change, message):
+    # with the doubling cap at 0 every oracle transport fails; the quotient
+    # checks before the batch, which holds the leaf line's transports too,
+    # still raise first (the intact file is the negative control)
+    data = warped_torus_dict()
+    data.update(change)
+    if "generators" in change:
+        data["generators"].append(warped_torus_dict()["generators"][1])
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    monkeypatch.setattr(tp, "MAX_DOUBLINGS", 0)
+    assert run(tmp_path, str(path), "verify-all")[0] == (2 if "input" in message else 3)
+    assert capsys.readouterr().err.splitlines()[-1] == message
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,6 @@ SRC = ROOT / "src" / "warpquot"
 
 _SYMMETRIC = "the paper's statement is symmetric in the two foliations"
 ALLOWED = {
-    "transport.adapted_translation.foliation":
-        f"{_SYMMETRIC}; holonomy_map runs the F2 case through the same code",
     "transport.adapted_translation_closed_form.foliation": _SYMMETRIC,
     "transport.transport_equation_residual.foliation": _SYMMETRIC,
     "quotient.build_example1.epsilon":

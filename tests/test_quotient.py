@@ -15,6 +15,7 @@ from warpquot.errors import InvalidAction, InvalidH, NotALoop, WordBoundExceeded
 from warpquot.scenario import resolve_scenario
 
 from test_holonomy_closed_form import warped_torus_dict
+from transport_jobs import holonomy
 
 
 def tv(x, comps):
@@ -175,7 +176,7 @@ def test_mobius_central_leaf_holonomy_is_minus_one():
     rep0 = np.array([0.0, 0.0])
     curve = qt.leaf_loop_curve(model, rep0, 1, (("a", 1),))
     frame = tp.normal_frame(model.dtp, rep0, foliation=1)
-    hol = tp.holonomy_map(model, curve, frame, foliation=1)
+    hol = holonomy(model, curve, frame, 1)
     assert np.allclose(hol.matrix, [[-1.0]], atol=1e-9)
 
 
@@ -186,8 +187,7 @@ def test_loop_holonomy_matches_the_explicit_loop():
     hol = qt.loop_holonomy(model, rep0, 1, word)
     curve = qt.leaf_loop_curve(model, rep0, 1, word)
     frame = tp.normal_frame(model.dtp, rep0, foliation=1)
-    ref = tp.holonomy_map(model, curve, frame, foliation=1,
-                          closing_word=qt.word_inverse(word))
+    ref = holonomy(model, curve, frame, 1, qt.word_inverse(word))
     assert np.array_equal(hol.matrix, ref.matrix)
     assert np.allclose(hol.matrix, [[-1.0]], atol=1e-9)
     with pytest.raises(NotALoop):
@@ -200,7 +200,7 @@ def test_torus_loops_have_identity_holonomy():
     for foliation, word in ((1, (("a", 1),)), (2, (("a", -1), ("b", 1), ("b", 1)))):
         curve = qt.leaf_loop_curve(model, rep0, foliation, word)
         frame = tp.normal_frame(model.dtp, rep0, foliation=foliation)
-        hol = tp.holonomy_map(model, curve, frame, foliation=foliation)
+        hol = holonomy(model, curve, frame, foliation)
         assert hol.is_identity(1e-9)
 
 
@@ -210,9 +210,9 @@ def test_holonomy_composition_law():
     rep0 = np.array([0.0, 0.0])
     loop = qt.leaf_loop_curve(model, rep0, 1, (("a", 1),))
     frame = tp.normal_frame(model.dtp, rep0, foliation=1)
-    h1 = tp.holonomy_map(model, loop, frame, foliation=1)
+    h1 = holonomy(model, loop, frame, 1)
     double = tp.PiecewiseCurve.from_function(lambda t: np.stack([2.0 * t, 0.0 * t], axis=1))
-    h2 = tp.holonomy_map(model, double, frame, foliation=1)
+    h2 = holonomy(model, double, frame, 1)
     assert np.allclose(h2.matrix, h1.after(h1).matrix, atol=1e-9)
     assert h2.is_identity(1e-9)
 
@@ -293,8 +293,8 @@ def test_adapted_translation_equivariance(name, start, length):
     for rep0 in (start, far):
         loop = qt.leaf_loops(model, rep0)[1][0]
         hol = qt.loop_holonomy(model, rep0, 1, loop)
-        ref = tp.holonomy_map(model, qt.leaf_loop_curve(model, rep0, 1, loop), hol.frame,
-                              foliation=1, closing_word=qt.word_inverse(loop))
+        ref = holonomy(model, qt.leaf_loop_curve(model, rep0, 1, loop), hol.frame, 1,
+                       qt.word_inverse(loop))
         assert np.max(np.abs(hol.matrix - ref.matrix)) < 1e-6
         matrices.append(hol.matrix)
     assert np.allclose(matrices[0], matrices[1], rtol=0.0, atol=1e-12)

@@ -232,6 +232,23 @@ def test_malformed_field_exits_2_and_names_its_key(capsys, tmp_path, key, mutate
     assert err.startswith("input error: ") and key in err, err
 
 
+@pytest.mark.parametrize("breaks", [[1.5], [0.0], [-0.2], [1.0], [0.5, 0.5]], ids=str)
+def test_curve_breaks_must_split_the_unit_interval(capsys, tmp_path, breaks):
+    # knots that do not increase strictly from 0 to 1 would give the transport
+    # an unsorted grid: the file is refused and the curve named
+    data = flat_torus_dict()
+    path = tmp_path / "breaks.json"
+    data["curves"] = {"c": {"formula": ["0.1 + 0.7*t", "0.2 + 0*t"], "breaks": [0.25, 0.5]}}
+    path.write_text(json.dumps(data))
+    assert cli.main(["run", str(path), "transport"]) == 0
+    data["curves"]["c"]["breaks"] = breaks
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert cli.main(["run", str(path), "transport"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "input error: curves.c: curve knots must increase strictly from 0 to 1")
+
+
 @pytest.mark.parametrize("letter", [["zz", 1], ["a", 2], ["a", "1"], ["a", 1, 1], "a", ["b"]])
 def test_loop_letters_are_checked_when_the_file_is_read(capsys, tmp_path, letter):
     data = flat_torus_dict()

@@ -9,6 +9,7 @@ from warpquot import fixtures as fx
 from warpquot import transport as tp
 from warpquot.chartkit import CoordPoint, TangentVector
 from warpquot.errors import BaseMismatch, NotALoop, NotInLeaf, NumericsError
+from transport_jobs import carry, holonomy
 
 
 def tv(x, comps):
@@ -96,7 +97,7 @@ def test_parallel_transport_flat_constant():
     curve = tp.PiecewiseCurve.from_function(
         lambda t: np.stack([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)], axis=1))
     v0 = tv(curve.point(0.0), [0.3, -0.7])
-    res = tp.parallel_transport(g, curve, v0)
+    res = carry(g, curve, v0)
     assert np.allclose(res.end.components, v0.components, atol=1e-9)
 
 
@@ -104,7 +105,7 @@ def test_parallel_transport_base_mismatch():
     g = ck.MetricField.euclidean(2)
     curve = tp.PiecewiseCurve.line([0.0, 0.0], [1.0, 0.0])
     with pytest.raises(BaseMismatch):
-        tp.parallel_transport(g, curve, tv([0.5, 0.0], [1.0, 0.0]))
+        carry(g, curve, tv([0.5, 0.0], [1.0, 0.0]))
 
 
 def test_sphere_equator_transport_returns():
@@ -112,7 +113,7 @@ def test_sphere_equator_transport_returns():
     dtp = fx.sphere_polar()
     curve = circle_curve(np.pi / 2)
     v0 = tv(curve.point(0.0), [1.0, 0.0])
-    res = tp.parallel_transport(dtp.assembled, curve, v0)
+    res = carry(dtp.assembled, curve, v0)
     assert np.allclose(res.end.components, v0.components, atol=1e-7)
 
 
@@ -123,7 +124,7 @@ def test_sphere_cap_holonomy_angle():
     r0 = np.pi / 3
     curve = circle_curve(r0)
     v0 = tv(curve.point(0.0), [1.0, 0.0])
-    res = tp.parallel_transport(g, curve, v0)
+    res = carry(g, curve, v0)
     assert np.allclose(res.end.components, -v0.components, atol=1e-7)
     # and the norm is conserved along the way
     assert res.tol_achieved < 1e-9
@@ -142,7 +143,7 @@ def test_parallel_transport_norm_conservation(make):
         lambda t: mid + span * np.sin(np.pi * t[:, None] * np.arange(1, dtp.n + 1)))
     v0 = tv(curve.point(0.0), rng.normal(size=dtp.n))
     tol = 1e-7
-    res = tp.parallel_transport(g, curve, v0, tol=tol)
+    res = carry(g, curve, v0, tol=tol)
     assert res.tol_achieved < 10 * tol
 
 
@@ -152,7 +153,7 @@ def test_parallel_transport_norm_conservation(make):
 def normal_translation(dtp, curve, v0):
     """W(t) = exp(I(t)) A(t), the normal parallel translation of v0, from the
     integrated adapted translation A; returns the result and W (S, n)."""
-    res = tp.adapted_translation(dtp, curve, v0)
+    res = carry(dtp, curve, v0, 1)
     A = np.stack([vec.components for _, vec in res.samples])
     return res, np.exp(res.integrals)[:, None] * A
 
@@ -180,7 +181,7 @@ def test_normal_transport_rejects_leaving_leaf():
     dtp = fx.polar_plane()
     curve = tp.PiecewiseCurve.line([1.0, 0.5], [2.0, 0.7])  # theta drifts
     with pytest.raises(NotInLeaf):
-        tp.adapted_translation(dtp, curve, tv([1.0, 0.5], [0.0, 1.0]))
+        carry(dtp, curve, tv([1.0, 0.5], [0.0, 1.0]), 1)
 
 
 def test_normal_transport_covariant_derivative_stays_tangent():
@@ -207,7 +208,7 @@ def test_normal_transport_covariant_derivative_stays_tangent():
 def test_adapted_translation_direct_product_constant():
     dtp = fx.flat_direct_product()
     curve = tp.PiecewiseCurve.line([0.0, 0.3], [1.0, 0.3])
-    res = tp.adapted_translation(dtp, curve, tv([0.0, 0.3], [0.0, 0.8]))
+    res = carry(dtp, curve, tv([0.0, 0.3], [0.0, 0.8]), 1)
     assert np.allclose(res.end.components, [0.0, 0.8], atol=1e-10)
     assert res.integral_omega == pytest.approx(0.0, abs=1e-12)
 
@@ -220,14 +221,14 @@ def test_adapted_translation_base_mismatch(make, start, end, off):
     # a vector based off curve(0) is an input error, whatever the geometry
     curve = tp.PiecewiseCurve.line(start, end)
     with pytest.raises(BaseMismatch):
-        tp.adapted_translation(make(), curve, tv(off, [0.0, 0.8]))
+        carry(make(), curve, tv(off, [0.0, 0.8]), 1)
 
 
 def test_adapted_translation_polar_lemma_values():
     # components constant, integral of omega_2 = -ln 2, norm law |A| = 2
     dtp = fx.polar_plane()
     curve = tp.PiecewiseCurve.line([1.0, 0.5], [2.0, 0.5])
-    res = tp.adapted_translation(dtp, curve, tv([1.0, 0.5], [0.0, 1.0]))
+    res = carry(dtp, curve, tv([1.0, 0.5], [0.0, 1.0]), 1)
     assert np.allclose(res.end.components, [0.0, 1.0], atol=1e-9)
     assert res.integral_omega == pytest.approx(-np.log(2.0), abs=1e-9)
     assert norm(dtp.assembled, res.end) == pytest.approx(2.0, abs=1e-9)
@@ -252,7 +253,7 @@ def test_adapted_translation_factor2_components_constant(make):
     curve = tp.PiecewiseCurve.line(start, end)
     vb = rng.normal(size=dtp.n2)
     v0 = tv(start, dtp.embed(2, vb))
-    res = tp.adapted_translation(dtp, curve, v0, tol=1e-6)
+    res = carry(dtp, curve, v0, 1, tol=1e-6)
     for t, vec in res.samples:
         assert np.max(np.abs(vec.components[dtp.slot2] - vb)) < 1e-6
         assert np.max(np.abs(vec.components[dtp.slot1])) < 1e-9
@@ -267,7 +268,7 @@ def test_adapted_translation_foliation2_mirror():
     end = np.array([0.1, -0.2, 0.5, 0.4])
     curve = tp.PiecewiseCurve.line(start, end)
     va = np.array([0.7, -0.3])
-    res = tp.adapted_translation(dtp, curve, tv(start, dtp.embed(1, va)), foliation=2)
+    res = carry(dtp, curve, tv(start, dtp.embed(1, va)), 2)
     assert np.max(np.abs(res.end.components[dtp.slot1] - va)) < 1e-6
     norm0 = norm(dtp.assembled, tv(start, dtp.embed(1, va)))
     assert norm(dtp.assembled, res.end) == pytest.approx(
@@ -283,7 +284,7 @@ def test_holonomy_contractible_loop_identity():
         lambda t: np.stack([0.2 * np.sin(2 * np.pi * t), 0.0 * t], axis=1),
         lambda t: np.stack([0.4 * np.pi * np.cos(2 * np.pi * t), 0.0 * t], axis=1))
     frame = tp.normal_frame(dtp, loop.point(0.0), foliation=1)
-    hol = tp.holonomy_map(dtp, loop, frame, foliation=1)
+    hol = holonomy(dtp, loop, frame, 1)
     assert hol.is_identity(1e-9)
 
 
@@ -292,7 +293,7 @@ def test_holonomy_open_curve_rejected():
     curve = tp.PiecewiseCurve.line([0.0, 0.0], [1.0, 0.0])
     frame = tp.normal_frame(dtp, [0.0, 0.0], foliation=1)
     with pytest.raises(NotALoop):
-        tp.holonomy_map(dtp, curve, frame, foliation=1)
+        holonomy(dtp, curve, frame, 1)
 
 
 def test_normal_frame_orthonormal():
@@ -388,6 +389,14 @@ def test_velocity_profile_piecewise_constant_iff_broken_geodesic():
         lambda t: np.stack([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)], axis=1))
     prof = tp.velocity_profile(g, circle, ts=[0.0, 0.25])
     assert np.max(np.abs(prof[0].components - prof[1].components)) > 1.0
+
+
+@pytest.mark.parametrize("breaks", [(0.5, 0.5), (0.6, 0.4), (0.0,), (1.0,)])
+def test_broken_geodesic_spec_refuses_breaks_that_do_not_increase_strictly(breaks):
+    vels = [[1.0, 0.0]] * (len(breaks) + 1)
+    with pytest.raises(ValueError, match="breaks must satisfy"):
+        tp.BrokenGeodesicSpec(CoordPoint([0.0, 0.0]), breaks, vels)
+    tp.BrokenGeodesicSpec(CoordPoint([0.0, 0.0]), (0.4, 0.6)[:len(breaks)], vels)
 
 
 def test_broken_length_examples():

@@ -4,7 +4,7 @@ Along a leaf of F_1 a normal vector keeps its product-coordinate components
 (Ponge & Reckziegel 1993): ``transport.adapted_translation_closed_form``
 returns A(t) = v0 and I(t) = ln lam2(gamma(0)) - ln lam2(gamma(t)) without
 integrating.  The CLI ``transport`` command runs it; the Gauss-Legendre
-collocation ``transport.adapted_translation`` (RK45 in the names of older
+collocation of ``transport.transport_batch`` (RK45 in the names of older
 tests) is the oracle here and in verify-all's
 ``adapted-translation-closed-form`` row.  Both routes share one input guard.
 """
@@ -28,6 +28,7 @@ from warpquot import transport as tp
 from warpquot.chartkit import CoordPoint, TangentVector
 from warpquot.errors import BaseMismatch, NotInLeaf
 from warpquot.scenario import list_scenarios, load_scenario_file, resolve_scenario
+from transport_jobs import carry
 
 BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
 
@@ -155,7 +156,7 @@ def test_closed_form_matches_rk45(tmp_path):
     # quadrature of omega agrees with the closed form to 1e-9: see the next test
     for label, dtp, curve, v0, foliation in oracle_cases(tmp_path):
         closed = tp.adapted_translation_closed_form(dtp, curve, v0, foliation=foliation)
-        ref = tp.adapted_translation(dtp, curve, v0, foliation=foliation)
+        ref = carry(dtp, curve, v0, foliation)
         assert [t for t, _ in closed.samples] == [t for t, _ in ref.samples], label
         worst_a = 0.0
         for (_, a), (_, b) in zip(closed.samples, ref.samples):
@@ -302,7 +303,8 @@ def test_swapped_warp_closed_form_fails_verify_all(tmp_path, monkeypatch):
     assert rows["adapted-translation-norm-law"]["pass"] is True
 
 
-ROUTES = {"closed-form": tp.adapted_translation_closed_form, "rk45": tp.adapted_translation}
+ROUTES = {"closed-form": tp.adapted_translation_closed_form,
+          "rk45": lambda dtp, curve, v0: carry(dtp, curve, v0, 1)}
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
