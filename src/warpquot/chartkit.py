@@ -27,6 +27,15 @@ and their ``_d``: the callback and its output checks); internal evaluations
 output check screens the batch with one test (all entries finite; g bit-equal
 to g^T, skipped at dim 1) and runs its per-point rule only if that trips.
 
+The exact route of the Christoffel and Riemann oracles reads g and its
+partials through one kernel, ``MetricField._jet``.  When ``eval``,
+``analytic_d1`` and ``analytic_d2`` are the parts of one routine
+(``joint_callbacks``; ``productgeo.assemble`` builds the assembled metric
+so), that is one call of the routine per batch, which evaluates each factor
+field once; g still passes ``_mat``'s checks, with its messages.  Other
+callbacks, such as a copy whose ``analytic_d1`` was replaced, are called one
+at a time, ``analytic_d2`` first.
+
 Callbacks (``eval``, ``analytic_grad``, ``analytic_hess``, ``analytic_d1``,
 ``analytic_d2``, and the one-form callback of ``exterior_derivative_numeric``)
 receive one shape only, a *coordinate-major* batch ``x`` of shape ``(n, P)``:
@@ -108,24 +117,31 @@ def _checked_inv(g: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.linalg.inv(g)
 
 
-def _call_batch(kernel: Callable, pts: np.ndarray, *args) -> np.ndarray:
+def _call_batch(kernel: Callable, pts: np.ndarray, *args):
     """``kernel(cols, *args)`` at a point (n,) or each row of a batch (P, n),
     as the read-only batch cols (n, 1) or (n, P) that every callback shares;
-    point axis dropped or first.  The column is a reshape, not ``pts[:, None]``:
-    that view has stride 0 along the point axis, numpy's loops read a stride-0
-    operand as a scalar, and ``np.power`` squares a scalar exponent 2.0 where
-    a batch calls pow."""
+    point axis dropped or first, in each array of a tuple output.  The column
+    is a reshape, not ``pts[:, None]``: that view has stride 0 along the point
+    axis, numpy's loops read a stride-0 operand as a scalar, and ``np.power``
+    squares a scalar exponent 2.0 where a batch calls pow."""
     cols = pts.reshape(-1, 1) if pts.ndim == 1 else np.ascontiguousarray(pts.T)
     cols.flags.writeable = False
+
+    def point_first(out):
+        return out[..., 0] if pts.ndim == 1 else out.transpose((out.ndim - 1, *range(out.ndim - 1)))
+
     out = kernel(cols, *args)
-    if pts.ndim == 1:
-        return out[..., 0]
-    return out.transpose((out.ndim - 1, *range(out.ndim - 1)))  # point axis first
+    return tuple(map(point_first, out)) if isinstance(out, tuple) else point_first(out)
 
 
 def _call(cols: np.ndarray, fn: Callable, shape: tuple, what: str) -> np.ndarray:
     """The callback ``fn`` at the batch cols (n, P), checked to give (*shape, P)."""
-    out = np.asarray(fn(cols), dtype=float)
+    return _shaped(fn(cols), cols, shape, what)
+
+
+def _shaped(out, cols: np.ndarray, shape: tuple, what: str) -> np.ndarray:
+    """A callback's output at the batch cols (n, P), checked to be (*shape, P)."""
+    out = np.asarray(out, dtype=float)
     want = shape + cols.shape[1:]
     if out.shape != want:
         raise NumericsError(f"{what} returned shape {out.shape} for {cols.shape[1]} points, "
@@ -214,6 +230,24 @@ class OneForm:
         object.__setattr__(self, "components", _as_array(components, base.n))
 
 
+class _Part:
+    """The callback ``x -> routine(x, order)[order]`` of ``joint_callbacks``."""
+
+    def __init__(self, routine: Callable, order: int):
+        self.routine, self.order = routine, order
+
+    def __call__(self, x):
+        return self.routine(x, self.order)[self.order]
+
+
+def joint_callbacks(routine: Callable) -> tuple:
+    """``eval``, ``analytic_d1`` and ``analytic_d2`` of a ``MetricField``
+    read from one routine: ``routine(x, order)`` returns ``(g,)``,
+    ``(g, d g)`` or ``(g, d g, d d g)`` under the coordinate-major contract
+    (see the module notes on the exact route)."""
+    return tuple(_Part(routine, order) for order in range(3))
+
+
 @dataclass
 class MetricField:
     """Symmetric-matrix-valued field with signature metadata.
@@ -246,7 +280,10 @@ class MetricField:
 
     def _mat(self, cols: np.ndarray) -> np.ndarray:
         """The kernel: g (dim, dim, P) at checked cols (dim, P), finite and symmetric."""
-        g = _call(cols, self.eval, (self.dim, self.dim), "metric eval")
+        return self._checked(cols, _call(cols, self.eval, (self.dim, self.dim), "metric eval"))
+
+    def _checked(self, cols: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """g (dim, dim, P) at cols, refused where not finite or not symmetric."""
         if not np.isfinite(g).all():  # a screen of the whole batch, then the per-point rule
             _fail_at(cols.T, ~np.isfinite(g).all(axis=(0, 1)), "non-finite metric entries at")
         if self.dim > 1 and g.tobytes() != g.swapaxes(0, 1).tobytes():  # screen: exactly g = g^T
@@ -259,6 +296,21 @@ class MetricField:
         """The kernel of d1 (order 1) or d2 (order 2) at checked cols, point axis last."""
         return _derivs(self._mat, (self.analytic_d1, self.analytic_d2)[order - 1], cols, order,
                        (self.dim, self.dim), f"analytic_d{order}")
+
+    def _jet(self, cols: np.ndarray, order: int) -> tuple:
+        """The exact route's kernel: g with ``_mat``'s checks, then its exact
+        partials up to ``order`` (1 or 2), at checked cols, point axis last;
+        one call of the routine of ``joint_callbacks`` parts, else one call
+        per callback, d2 first."""
+        parts = (self.eval, self.analytic_d1, self.analytic_d2)[:order + 1]
+        if not all(isinstance(p, _Part) and p.routine is parts[0].routine and p.order == k
+                   for k, p in enumerate(parts)):
+            d2 = (self._d(cols, 2),) if order == 2 else ()
+            return (self._mat(cols), self._d(cols, 1), *d2)
+        g, *ds = parts[0].routine(cols, order)
+        g = self._checked(cols, _shaped(g, cols, (self.dim, self.dim), "metric eval"))
+        return (g, *(_shaped(d, cols, (self.dim,) * (k + 2), f"analytic_d{k}")
+                     for k, d in enumerate(ds, 1)))
 
     def mat(self, x) -> np.ndarray:
         """g at one point, (dim, dim), or at each row of a batch, (P, dim, dim)."""
@@ -476,10 +528,10 @@ def _christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
 def christoffel_numeric(g: MetricField, x) -> np.ndarray:
     """Gamma[k, i, j] = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij).
 
-    Uses analytic first derivatives when the field carries them, else
-    central differences (the stencil of ``MetricField.d1``), with g at the
-    centre read from the same batched metric evaluation.  A batch
-    ``(P, n)`` gives ``(P, n, n, n)``.
+    Uses analytic first derivatives when the field carries them, g and dg
+    from one ``MetricField._jet`` call, else central differences (the
+    stencil of ``MetricField.d1``), with g at the centre read from the same
+    batched metric evaluation.  A batch ``(P, n)`` gives ``(P, n, n, n)``.
     """
     return _christoffel_at(g, _points(x, g.dim))
 
@@ -490,7 +542,7 @@ def _christoffel_at(g: MetricField, pts: np.ndarray) -> np.ndarray:
         dg, gm = central_diff(functools.partial(_call_batch, g._mat), pts, fd_step(pts),
                               centre=True)
     else:
-        gm, dg = _call_batch(g._mat, pts), _call_batch(g._d, pts, 1)
+        gm, dg = _call_batch(g._jet, pts, 1)
     return _christoffel(_checked_inv(gm, pts), dg)
 
 
@@ -498,15 +550,15 @@ def _christoffel_and_d1(g: MetricField, pts: np.ndarray) -> tuple[np.ndarray, np
     """(Gamma, dGamma) at checked points, one point (n,) or each row of a
     batch (P, n), from one metric evaluation.
 
-    Exact when the metric has analytic first and second derivatives (g, g^-1
-    and dg shared by both); else central differences of
+    Exact when the metric has analytic first and second derivatives (g, dg
+    and d2g from one ``MetricField._jet`` call; g^-1 and dg shared by both);
+    else central differences of
     ``christoffel_numeric`` with the second-derivative step, all stencil
     points of all rows in one batch, Gamma at the points read from the
     centre rows.
     """
-    d2 = None if g.analytic_d2 is None else _call_batch(g._d, pts, 2)
-    if d2 is not None and g.analytic_d1 is not None:
-        gm, dg = _call_batch(g._mat, pts), _call_batch(g._d, pts, 1)
+    if g.analytic_d1 is not None and g.analytic_d2 is not None:
+        gm, dg, d2 = _call_batch(g._jet, pts, 2)
         ginv = _checked_inv(gm, pts)
         dginv = -np.einsum("...ka,...mab,...bl->...mkl", ginv, dg, ginv)
         bracket = np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg

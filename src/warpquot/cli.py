@@ -394,13 +394,14 @@ def cmd_verify_all(ctx, args, rng):
     checks.append(Check("metric-compatibility", compat, 1e-5))
 
     # closed-form connection vs oracle: the whole tensor, every slot block
-    checks.append(Check("connection-closed-form",
-                        float(np.max(np.abs(pg.christoffel_closed_form(dtp, x) - gamma))), 1e-5))
+    geo = pg.point_geometry(dtp, x)
+    checks.append(Check("connection-closed-form", float(np.max(np.abs(geo.gamma - gamma))), 1e-5))
 
     # mixed-connection identity: nabla_X V = -omega1(V) X - omega2(X) V, that is
-    # Gamma^k_ij = -delta^k_i omega1_j - delta^k_j omega2_i (i in slot 1, j in slot 2)
+    # Gamma^k_ij = -delta^k_i omega1_j - delta^k_j omega2_i (i in slot 1, j in slot 2),
+    # omega_i read from the same record
     s1, s2, eye = dtp.slot1, dtp.slot2, np.eye(dtp.n)
-    w1, w2 = pg.mean_curvature_form(dtp, x, 1), pg.mean_curvature_form(dtp, x, 2)
+    w1, w2 = (pg._omega(dtp, i, geo.dlam[:, i - 1], geo.lam[:, i - 1]) for i in (1, 2))
     rhs = -eye[:, s1, None] * w1[:, None, None, s2] - eye[:, None, s2] * w2[:, None, s1, None]
     checks.append(Check("mixed-connection-identity",
                         float(np.max(np.abs(gamma[:, :, s1, s2] - rhs))), 1e-5))

@@ -201,8 +201,10 @@ def assemble(f1: FactorManifold, f2: FactorManifold, lam1: ScalarField,
     assembled whenever both the factor metrics and the warps carry exact
     derivative callbacks.  The assembled ``eval``, ``analytic_d1`` and
     ``analytic_d2`` follow the coordinate-major batch contract of
-    ``chartkit``: each call evaluates the factor metrics and warps once, on
-    the whole batch.
+    ``chartkit``, and are the parts of one block-assembly routine
+    (``chartkit.joint_callbacks``): one call of it evaluates the factor
+    metrics and warps once, on the whole batch, and assembles g with its
+    partials up to the order asked.
     """
     n1, n2 = f1.dim, f2.dim
     n = n1 + n2
@@ -225,34 +227,32 @@ def assemble(f1: FactorManifold, f2: FactorManifold, lam1: ScalarField,
                 vals += (lam._d(x, k), m._d(x[sl], k))
             yield (sl, *vals)
 
-    def ev(x):
-        out = np.zeros((n, n) + x.shape[1:])
-        for sl, lv, gm in factors(x, 0):
-            out[sl, sl] = np.square(lv) * gm
-        return out
+    def blocks(x, order):
+        """g, then up to ``order`` d_k g and d_k d_l g, at coordinate-major x."""
+        out = [np.zeros((n,) * (k + 2) + x.shape[1:]) for k in range(order + 1)]
+        for sl, lv, gm, *ds in factors(x, order):
+            out[0][sl, sl] = np.square(lv) * gm
+            if order >= 1:
+                dl, dgf = ds[:2]
+                out[1][:, sl, sl] += 2.0 * lv * dl[:, None, None] * gm
+                out[1][sl, sl, sl] += lv**2 * dgf
+            if order == 2:
+                hl, ddgf = ds[2:]
+                d2 = out[2]
+                d2[:, :, sl, sl] += 2.0 * (dl[:, None] * dl[None] + lv * hl)[:, :, None, None] * gm
+                # cross[k, l in sl] = 2 lam d_k lam d_l g_A
+                cross = 2.0 * lv * dl[:, None, None, None] * dgf
+                d2[:, sl, sl, sl] += cross
+                d2[sl, :, sl, sl] += cross.swapaxes(0, 1)
+                d2[sl, sl, sl, sl] += lv**2 * ddgf
+        return tuple(out)
 
     have_d1 = (f1.metric.analytic_d1 is not None and f2.metric.analytic_d1 is not None
                and lam1.analytic_grad is not None and lam2.analytic_grad is not None)
     have_d2 = have_d1 and (f1.metric.analytic_d2 is not None and f2.metric.analytic_d2 is not None
                            and lam1.analytic_hess is not None
                            and lam2.analytic_hess is not None)
-
-    def block_d1(x):
-        out = np.zeros((n, n, n) + x.shape[1:])
-        for sl, lv, gm, dl, dgf in factors(x, 1):
-            out[:, sl, sl] += 2.0 * lv * dl[:, None, None] * gm
-            out[sl, sl, sl] += lv**2 * dgf
-        return out
-
-    def block_d2(x):
-        out = np.zeros((n, n, n, n) + x.shape[1:])
-        for sl, lv, gm, dl, dgf, hl, ddgf in factors(x, 2):
-            out[:, :, sl, sl] += 2.0 * (dl[:, None] * dl[None] + lv * hl)[:, :, None, None] * gm
-            cross = 2.0 * lv * dl[:, None, None, None] * dgf  # [k, l in sl]: 2 lam d_k lam d_l g_A
-            out[:, sl, sl, sl] += cross
-            out[sl, :, sl, sl] += cross.swapaxes(0, 1)
-            out[sl, sl, sl, sl] += lv**2 * ddgf
-        return out
+    ev, block_d1, block_d2 = ck.joint_callbacks(blocks)
 
     assembled = MetricField(
         dim=n,
@@ -278,7 +278,7 @@ class PointGeometry:
     assembled metric (with its finite, symmetric and nondegeneracy checks);
     ``lam[..., i - 1]``, ``dlam[..., i - 1, :]`` and ``hess_lam[..., i - 1, :, :]``
     are lam_i with its coordinate gradient and hessian; ``gamma[..., k, i, j]``
-    is the closed-form Gamma^k_ij of ``christoffel_closed_form``.
+    is the closed-form product connection Gamma^k_ij (see ``point_geometry``).
     """
 
     g: np.ndarray
@@ -334,12 +334,6 @@ def point_geometry(dtp: DoublyTwistedProduct, x) -> PointGeometry:
     grad_phi = dphi @ ginv                        # grad_phi[..., a, k] = (g^-1 d phi_a)^k
     gamma -= g[..., None, :, :] * grad_phi.swapaxes(-1, -2)[..., :, :, None]
     return PointGeometry(g, ginv, lam, dlam, hess_lam, gamma)
-
-
-def christoffel_closed_form(dtp: DoublyTwistedProduct, x) -> np.ndarray:
-    """Closed-form Gamma[k, i, j] of the product (``point_geometry``): (n, n, n)
-    at one point, (P, n, n, n) for a batch (P, n)."""
-    return point_geometry(dtp, x).gamma
 
 
 _CASE_SLOTS = {"HH": (1, 1), "VV": (2, 2), "HV": (1, 2)}  # factor slots of a plane (u, v)

@@ -23,16 +23,20 @@ integrator (``_integrate``).  It solves the linear equation
 Ydot = -Gamma(gamma') Y by composite 3-stage Gauss-Legendre collocation,
 order 6 (Butcher, Math. Comp. 18, 1964; Hairer, Norsett & Wanner, Solving
 ODEs I, II.7), on a grid per job that holds its sample times and its
-curve's breaks.  Each pass (``collocation_pass``) runs one step count for
-every job not yet settled: it evaluates each distinct curve once (one
-``point`` and one ``velocity`` batch over all its nodes), Gamma at the
-nodes of all of them in one batched ``christoffel_numeric`` call on the
-metric (the oracle route, sharing nothing with ``productgeo.point_geometry``
-below ``MetricField.mat``) and omega once per foliation, and solves the
-stage systems of all jobs in one stacked solve; the integral of the mean
-curvature form is a Gauss quadrature on the same nodes.  Step doubling runs
-until two passes of a job agree within RTOL / ATOL, and the job leaves the
-batch there, so its result is bit-identical to its batch of one.  The
+curve's breaks.  Each pass (``collocation_pass``) runs one or more step
+counts for every job not yet settled: it evaluates each distinct curve once
+per step count (one ``point`` and one ``velocity`` batch over its nodes),
+Gamma at the nodes of all of them in one batched ``christoffel_numeric``
+call on the metric (the oracle route, sharing nothing with
+``productgeo.point_geometry`` below ``MetricField.mat``) and omega once per
+foliation, and solves the stage systems of all jobs in one stacked solve;
+the integral of the mean curvature form is a Gauss quadrature on the same
+nodes.  Step doubling runs until two passes of a job agree within RTOL /
+ATOL, and the job leaves the batch there, so its result is bit-identical to
+its batch of one.  Every job takes part in the first comparison, at 1 and 2
+steps per interval, so that comparison is one pass over both step counts,
+bit-identical to the two passes run one after the other; each later
+doubling is one pass.  The
 conservation and norm-law residuals the callers check are then about 1e-15
 on the smooth analytic built-ins, and up to 4e-10 where Gamma comes from
 finite differences (scenario files) or the warp is piecewise (example1).
@@ -59,6 +63,7 @@ from . import productgeo as pg
 from .chartkit import CoordPoint, MetricField, TangentVector
 from .errors import (
     BaseMismatch,
+    GeometryError,
     IntegrationError,
     NotALoop,
     NotInLeaf,
@@ -289,44 +294,48 @@ class TransportJob:
 
 
 def collocation_pass(g: MetricField, dtp, jobs: Sequence[tuple],
-                     steps: int) -> list[tuple[np.ndarray, np.ndarray]]:
+                     steps: Sequence[int]) -> list[list[tuple[np.ndarray, np.ndarray]]]:
     """One pass of composite 3-stage Gauss-Legendre collocation of
     Ydot = A(t) Y, A = -Gamma(gamma'), for every job (curve, grid, foliation)
-    with ``steps`` equal steps in every interval of its grid.
+    at each step count s of ``steps``: s equal steps in every interval of its
+    grid.
 
-    Each distinct (curve, grid) is evaluated once, one ``point`` and one
-    ``velocity`` batch over its 3 * steps * intervals nodes; Gamma at the
-    nodes of all of them comes from one batched ``christoffel_numeric``, and
+    Each distinct (curve, grid, s) is evaluated once, one ``point`` and one
+    ``velocity`` batch over its 3 * s * intervals nodes; Gamma at the nodes
+    of all of them comes from one batched ``christoffel_numeric``, and
     omega_{3 - i} (``productgeo.mean_curvature_form`` of ``dtp``) from one
-    call per foliation i.  A job with a foliation keeps only the normal rows
-    of A.  The equation is linear, so each step solves its stage system
+    call per foliation i, the nodes of the step counts in the order of
+    ``steps``.  A job with a foliation keeps only the normal rows of A.  The
+    equation is linear, so each step solves its stage system
     (I - h a_ij A_i) K_j = A_i once for the stage matrices, the steps of all
-    jobs in one stacked solve, and M = I + h sum_i b_i K_i carries Y across
-    the step.  Returns per job the transfer matrix across each grid interval,
-    (intervals, n, n), and the increment of I = integral of omega(gamma')
-    over each (0 without a foliation), from the same nodes and weights.
+    jobs at all step counts in one stacked solve, and M = I + h sum_i b_i K_i
+    carries Y across the step.  Returns, per step count and per job, the
+    transfer matrix across each grid interval, (intervals, n, n), and the
+    increment of I = integral of omega(gamma') over each (0 without a
+    foliation), from the same nodes and weights.
     """
     n = g.dim
-    keys = [(id(curve), grid.tobytes()) for curve, grid, _ in jobs]
-    steps_of, pos, vel = {}, {}, {}  # per distinct (curve, grid): h; the curve at the nodes
-    for key, (curve, grid, _) in zip(keys, jobs):
+    runs = [(curve, grid, f, s) for s in steps for curve, grid, f in jobs]
+    keys = [(id(curve), grid.tobytes(), s) for curve, grid, _, s in runs]
+    steps_of, pos, vel = {}, {}, {}  # per distinct (curve, grid, s): h; the curve at the nodes
+    for key, (curve, grid, _, s) in zip(keys, runs):
         if key not in steps_of:
-            h = np.repeat(np.diff(grid) / steps, steps)
-            starts = np.repeat(grid[:-1], steps) + h * np.tile(np.arange(steps), len(grid) - 1)
+            h = np.repeat(np.diff(grid) / s, s)
+            starts = np.repeat(grid[:-1], s) + h * np.tile(np.arange(s), len(grid) - 1)
             nodes = (starts[:, None] + h[:, None] * _GL_C).reshape(-1)
             steps_of[key], pos[key], vel[key] = h, curve.point(nodes), curve.velocity(nodes)
     ends = np.cumsum([len(p) for p in pos.values()])
     rows = {key: slice(end - len(p), end) for (key, p), end in zip(pos.items(), ends)}
     gamma = ck.christoffel_numeric(g, np.concatenate(list(pos.values())))
     rate = {}  # omega_{3 - i}(gamma') at the nodes of each path of foliation i
-    for i in sorted({f for _, _, f in jobs if f is not None}):
-        mine = list(dict.fromkeys(key for key, (_, _, f) in zip(keys, jobs) if f == i))
+    for i in sorted({f for _, _, f, _ in runs if f is not None}):
+        mine = list(dict.fromkeys(key for key, (_, _, f, _) in zip(keys, runs) if f == i))
         at = np.cumsum([len(pos[key]) for key in mine])
         omega = pg.mean_curvature_form(dtp, np.concatenate([pos[key] for key in mine]), 3 - i)
         for key, chunk in zip(mine, np.split(omega, at[:-1])):
             rate[i, key] = np.einsum("pi,pi->p", chunk, vel[key])
     A = []
-    for key, (_, _, f) in zip(keys, jobs):
+    for key, (_, _, f, _) in zip(keys, runs):
         a = -np.einsum("pkij,pi->pkj", gamma[rows[key]], vel[key])
         if f is not None:
             a[:, dtp.slot(f)] = 0.0  # only the normal rows drive Y
@@ -337,19 +346,25 @@ def collocation_pass(g: MetricField, dtp, jobs: Sequence[tuple],
     coupling = h[:, None, None, None, None] * _GL_A[:, None, :, None] * A[:, :, :, None, :]
     stage = np.eye(3 * n) - coupling.reshape(-1, 3 * n, 3 * n)
     K = np.linalg.solve(stage, A.reshape(-1, 3 * n, n)).reshape(-1, 3, n, n)
-    M = (np.eye(n) + h[:, None, None] * np.einsum("i,sikc->skc", _GL_B, K)).reshape(
-        -1, steps, n, n)
-    transfer = M[:, 0]
-    for j in range(1, steps):
-        transfer = M[:, j] @ transfer
+    M = np.eye(n) + h[:, None, None] * np.einsum("i,sikc->skc", _GL_B, K)
     out, first = [], 0
-    for key, (_, _, f) in zip(keys, jobs):
-        hk = steps_of[key]
-        intervals = len(hk) // steps
-        dI = np.zeros(intervals) if f is None else (
-            hk * (rate[f, key].reshape(-1, 3) @ _GL_B)).reshape(intervals, steps).sum(axis=1)
-        out.append((transfer[first:first + intervals], dI))
-        first += intervals
+    for s in steps:  # the runs of one step count are consecutive, in job order
+        mine = [(key, f) for key, (_, _, f, run_s) in zip(keys, runs) if run_s == s]
+        count = sum(len(steps_of[key]) for key, _ in mine)
+        Ms = M[first:first + count].reshape(-1, s, n, n)
+        first += count
+        transfer = Ms[:, 0]
+        for j in range(1, s):
+            transfer = Ms[:, j] @ transfer
+        results, lo = [], 0
+        for key, f in mine:
+            hk = steps_of[key]
+            intervals = len(hk) // s
+            dI = np.zeros(intervals) if f is None else (
+                hk * (rate[f, key].reshape(-1, 3) @ _GL_B)).reshape(intervals, s).sum(axis=1)
+            results.append((transfer[lo:lo + intervals], dI))
+            lo += intervals
+        out.append(results)
     return out
 
 
@@ -362,12 +377,17 @@ def _integrate(g: MetricField, dtp,
     I(t) = integral of omega_{3 - i}(gamma') dt.  ``ts`` are sorted, distinct
     times in [0, 1].  A job's grid is 0, its ``ts`` and its curve's breaks
     before the last time, so no step straddles a break.  Step doubling:
-    passes of ``collocation_pass`` with 1, 2, 4, ... steps per grid interval,
+    passes of ``collocation_pass`` at 1, 2, 4, ... steps per grid interval,
     each over every job not yet settled, run until two successive passes of a
     job agree within ATOL + RTOL |value| on Y and I at every time; the job
     then leaves with the finer, so its result does not depend on the rest of
-    the batch.  Returns (Ys (len(ts), n, k), Is (len(ts),)) per job.
-    IntegrationError when MAX_DOUBLINGS doublings leave a job unsettled.
+    the batch.  The first comparison always needs both 1 and 2 steps, so
+    they run as one pass (1 step alone when MAX_DOUBLINGS is 0); each later
+    doubling is one pass.  When that first pass fails, the 1-step pass runs
+    alone first, so an error names the point and field it would name with
+    the passes one at a time.  Returns (Ys (len(ts), n, k), Is (len(ts),)) per
+    job.  IntegrationError when MAX_DOUBLINGS doublings leave a job
+    unsettled.
     """
     out, live, prev = [None] * len(jobs), [], {}
     for j, (curve, y0, ts, _) in enumerate(jobs):
@@ -376,24 +396,32 @@ def _integrate(g: MetricField, dtp,
             out[j] = np.repeat(y0[None], len(ts), axis=0), np.zeros(len(ts))
         else:
             live.append((j, grid, np.searchsorted(grid, ts)))
-    for doubling in range(MAX_DOUBLINGS + 1):
+    # step counts per pass: 1 and 2 together, then 4, 8, ... up to 2 ** MAX_DOUBLINGS
+    levels = [[1, 2][:MAX_DOUBLINGS + 1]] + [[2 ** d] for d in range(2, MAX_DOUBLINGS + 1)]
+    for level in levels:
         if not live:
             break
-        passes = collocation_pass(
-            g, dtp, [(jobs[j][0], grid, jobs[j][3]) for j, grid, _ in live], 2 ** doubling)
-        unsettled = []
-        for (j, grid, at), (transfer, dI) in zip(live, passes):
-            Y = [jobs[j][1]]
-            for M in transfer:
-                Y.append(M @ Y[-1])
-            cur = (np.stack(Y)[at], np.concatenate([[0.0], np.cumsum(dI)])[at])
-            if j in prev and all(np.all(np.abs(a - b) <= ATOL + RTOL * np.abs(a))
-                                 for a, b in zip(cur, prev[j])):
-                out[j] = cur
-            else:
-                prev[j] = cur
-                unsettled.append((j, grid, at))
-        live = unsettled
+        batch = [(jobs[j][0], grid, jobs[j][3]) for j, grid, _ in live]
+        try:
+            passes = collocation_pass(g, dtp, batch, level)
+        except GeometryError:  # name the point and field that the passes one at a time name
+            for steps in level[:-1]:
+                collocation_pass(g, dtp, batch, [steps])
+            raise
+        # coarsest first; a job settles only against an earlier pass, so none
+        # leaves between the two step counts of the first level
+        for results in passes:
+            for (j, grid, at), (transfer, dI) in zip(live, results):
+                Y = [jobs[j][1]]
+                for M in transfer:
+                    Y.append(M @ Y[-1])
+                cur = (np.stack(Y)[at], np.concatenate([[0.0], np.cumsum(dI)])[at])
+                if j in prev and all(np.all(np.abs(a - b) <= ATOL + RTOL * np.abs(a))
+                                     for a, b in zip(cur, prev[j])):
+                    out[j] = cur
+                else:
+                    prev[j] = cur
+        live = [(j, grid, at) for j, grid, at in live if out[j] is None]
     if live:
         raise IntegrationError(
             f"transport collocation did not settle within MAX_DOUBLINGS = {MAX_DOUBLINGS} "

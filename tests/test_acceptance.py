@@ -64,7 +64,7 @@ def _christoffel_gap(roster, rng):
     worst = 0.0
     for name, dtp in roster:
         x = cli._rand_points(rng, dtp.domain_box, 50)
-        gap = pg.christoffel_closed_form(dtp, x) - ck.christoffel_numeric(dtp.assembled, x)
+        gap = pg.point_geometry(dtp, x).gamma - ck.christoffel_numeric(dtp.assembled, x)
         worst = max(worst, float(np.max(np.abs(gap))))
     return worst
 

@@ -16,6 +16,7 @@ from warpquot import cli
 from warpquot import fixtures as fx
 from warpquot import productgeo as pg
 from warpquot import transport as tp
+from test_closed_form_connection import _patch_gamma
 
 
 def run(tmp_path, *argv):
@@ -91,8 +92,7 @@ def test_sectional_closed_form_error_fails_curvature_and_verify_all(tmp_path, mo
 
 
 def test_sign_flipped_connection_fails_verify_all(tmp_path, monkeypatch):
-    exact = pg.christoffel_closed_form
-    monkeypatch.setattr(pg, "christoffel_closed_form", lambda *a, **kw: -exact(*a, **kw))
+    _patch_gamma(monkeypatch, lambda dtp, geo: -geo.gamma)
     code, report = run(tmp_path, "sphere-polar", "verify-all", "--samples", "8")
     assert code == 1
     checks = checks_of(report)

@@ -11,6 +11,7 @@ evaluation of the assembled metric per call.
 
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ def test_closed_form_christoffel_matches_the_oracle(label, dtp):
     # exact derivatives, so its assembled metric takes the FD route
     pts = sample_points(dtp, 6)
     tol = 1e-9 if dtp.assembled.analytic_d1 is not None else 1e-5
-    gap = np.max(np.abs(pg.christoffel_closed_form(dtp, pts)
+    gap = np.max(np.abs(pg.point_geometry(dtp, pts).gamma
                         - ck.christoffel_numeric(dtp.assembled, pts)))
     assert gap < tol, f"{label}: {gap:.2e}"
 
@@ -67,7 +68,7 @@ def test_closed_form_christoffel_matches_the_oracle(label, dtp):
 def test_closed_form_christoffel_matches_the_oracle_on_the_fd_route(label, dtp):
     bare = fx.strip_analytic(dtp)
     pts = sample_points(bare, 6, seed=1)
-    gap = np.max(np.abs(pg.christoffel_closed_form(bare, pts)
+    gap = np.max(np.abs(pg.point_geometry(bare, pts).gamma
                         - ck.christoffel_numeric(bare.assembled, pts)))
     assert gap < 1e-5, f"{label}: {gap:.2e}"
 
@@ -79,9 +80,9 @@ def test_batched_closed_form_equals_the_single_point_one(strip):
     for label, dtp in products():
         dtp = fx.strip_analytic(dtp) if strip else dtp
         pts = sample_points(dtp, 5, seed=2)
-        batch = pg.christoffel_closed_form(dtp, pts)
+        batch = pg.point_geometry(dtp, pts).gamma
         assert batch.shape == (5,) + (dtp.n,) * 3
-        single = np.stack([pg.christoffel_closed_form(dtp, p) for p in pts])
+        single = np.stack([pg.point_geometry(dtp, p).gamma for p in pts])
         assert single.shape == batch.shape
         assert np.allclose(batch, single, rtol=0.0, atol=1e-9 if strip else 1e-13), label
 
@@ -148,22 +149,23 @@ def test_sign_flipped_metric_term_fails_the_mixed_curvature_row(tmp_path, monkey
 # independence from the oracle and one metric evaluation per call
 
 def _count_calls_on(monkeypatch, g):
-    """Count evaluations of g, top-level calls of its kernel
-    ``MetricField._mat`` (which every public metric method and every
-    internal evaluation goes through), and the oracle-side chartkit calls
-    that take g."""
+    """Count evaluations of g, top-level calls of its kernels
+    ``MetricField._mat`` and ``MetricField._jet`` (every public metric method
+    and every internal evaluation goes through one of them; the exact
+    route's ``_jet`` reads g and its partials from one pass over the factor
+    fields, which counts as one evaluation), and the oracle-side chartkit
+    calls that take g."""
     state = {"depth": 0, "mat": 0, "oracle": []}
-    exact_mat = ck.MetricField._mat
+    for kernel in ("_mat", "_jet"):
+        def counted_kernel(self, cols, *args, _exact=getattr(ck.MetricField, kernel)):
+            state["mat"] += state["depth"] == 0 and self is g
+            state["depth"] += 1
+            try:
+                return _exact(self, cols, *args)
+            finally:
+                state["depth"] -= 1
 
-    def mat(self, cols):
-        state["mat"] += state["depth"] == 0 and self is g
-        state["depth"] += 1
-        try:
-            return exact_mat(self, cols)
-        finally:
-            state["depth"] -= 1
-
-    monkeypatch.setattr(ck.MetricField, "_mat", mat)
+        monkeypatch.setattr(ck.MetricField, kernel, counted_kernel)
     for name, arg in (("christoffel_numeric", 0), ("inner_product", 0), ("gradient", 1),
                       ("hessian_matrix", 1)):
         exact = getattr(ck, name)
@@ -243,7 +245,71 @@ def test_analytic_riemann_evaluates_the_metric_once(monkeypatch):
     for pts in (x, sample_points(dtp, 5)):
         state["mat"] = calls["d1"] = 0
         ck.riemann_numeric(g, pts)
-        assert (state["mat"], calls["d1"]) == (1, 1)
+        assert (state["mat"], calls["d1"]) == (1, 0)  # dg from the same factor pass as g
+
+
+def _factor_passes(monkeypatch, dtp):
+    """Count the passes over the factor fields of dtp's assembled metric:
+    each evaluates lam1 once."""
+    calls = {"passes": 0}
+    exact = ck.ScalarField._value
+
+    def value(self, cols):
+        calls["passes"] += self is dtp.lam1
+        return exact(self, cols)
+
+    monkeypatch.setattr(ck.ScalarField, "_value", value)
+    return calls
+
+
+@pytest.mark.parametrize("oracle, one_at_a_time", [("christoffel_numeric", 2),
+                                                   ("riemann_numeric", 3)])
+def test_the_exact_route_makes_one_factor_pass_per_batch(monkeypatch, oracle, one_at_a_time):
+    # a plain field of the same callbacks calls them one at a time, one
+    # factor pass each, and gets the same bits
+    dtp = sc.resolve_scenario("random-dtp", seed=0).dtp
+    g = dtp.assembled
+    plain = ck.MetricField(g.dim, lambda x: g.eval(x), g.signature,
+                           analytic_d1=lambda x: g.analytic_d1(x),
+                           analytic_d2=lambda x: g.analytic_d2(x))
+    calls = _factor_passes(monkeypatch, dtp)
+    for pts in (sample_points(dtp, 1)[0], sample_points(dtp, 5)):
+        calls["passes"] = 0
+        got = getattr(ck, oracle)(g, pts)
+        assert calls["passes"] == 1
+        want = getattr(ck, oracle)(plain, pts)
+        assert calls["passes"] == 1 + one_at_a_time
+        np.testing.assert_array_equal(got, want)
+
+
+def test_verify_all_reads_its_christoffel_points_from_one_record(monkeypatch):
+    residuals = cli._christoffel_residuals
+    geometry, form = pg.point_geometry, pg.mean_curvature_form
+    seen = {"geometry": [], "form": []}
+
+    def christoffel_residuals(dtp, rng, samples):
+        out = residuals(dtp, rng, samples)
+        seen["x"] = out[0]
+        return out
+
+    def point_geometry(dtp, x):
+        seen["geometry"].append(np.array(x, dtype=float))
+        return geometry(dtp, x)
+
+    def mean_curvature_form(dtp, x, i):
+        seen["form"].append(x.coords if isinstance(x, CoordPoint) else np.array(x, dtype=float))
+        return form(dtp, x, i)
+
+    monkeypatch.setattr(cli, "_christoffel_residuals", christoffel_residuals)
+    monkeypatch.setattr(pg, "point_geometry", point_geometry)
+    monkeypatch.setattr(pg, "mean_curvature_form", mean_curvature_form)
+    for name in ("random-dtp", "sphere-polar", "mobius"):
+        seen.update(geometry=[], form=[])
+        assert cli.main(["run", name, "verify-all", "--out", os.devnull]) == 0
+        assert seen["x"].shape == (8, sc.resolve_scenario(name).dtp.n)
+        at_x = {key: sum(np.array_equal(p, seen["x"]) for p in seen[key])
+                for key in ("geometry", "form")}
+        assert at_x == {"geometry": 1, "form": 0}, name
 
 
 @pytest.mark.parametrize("strip", [False, True], ids=["analytic", "fd"])

@@ -3,7 +3,8 @@
 ``transport.transport_batch`` solves Ydot = -Gamma(gamma') Y along known
 curves by 3-stage Gauss-Legendre collocation (order 6; Butcher 1964,
 Hairer-Norsett-Wanner I, II.7), with Gamma from one batched
-``christoffel_numeric`` per pass over every job.  Here it is held against scipy's RK45 at
+``christoffel_numeric`` per pass over every job, the passes at 1 and 2 steps
+per interval as one.  Here it is held against scipy's RK45 at
 rtol 1e-12 (the oracle of the oracle), its call pattern is counted, and the
 doubling cap must raise.  ``broken_geodesic`` runs the same tableau on the
 nonlinear geodesic equation; it is held against RK45 too, and must raise
@@ -22,7 +23,7 @@ from warpquot import fixtures as fx
 from warpquot import productgeo as pg
 from warpquot import transport as tp
 from warpquot.chartkit import CoordPoint, TangentVector
-from warpquot.errors import IntegrationError
+from warpquot.errors import IntegrationError, NumericsError
 from warpquot.scenario import list_scenarios, resolve_scenario
 from transport_jobs import carry
 
@@ -148,24 +149,24 @@ def test_one_batched_christoffel_call_per_doubling_pass(monkeypatch):
 
     def counted_pass(g, dtp, jobs, steps):
         (_, grid, _), = jobs
-        passes.append((steps, 3 * steps * (len(grid) - 1)))
+        passes.append((list(steps), sum(3 * s * (len(grid) - 1) for s in steps)))
         return collocate(g, dtp, jobs, steps)
 
     monkeypatch.setattr(ck, "christoffel_numeric", counted_christoffel)
     monkeypatch.setattr(tp, "collocation_pass", counted_pass)
-    finest = {}
+    levels = {}
     for name in ("sphere-polar", "example1-twisted"):
         ctx = resolve_scenario(name)
         curve = cli._horizontal_curve(ctx)
         batches.clear()
         passes.clear()
         carry(ctx.dtp, curve, cli._ones_normal(ctx.dtp, curve), 1)
-        assert len(passes) >= 2, name  # step doubling compares two passes at least
         assert batches == [(nodes, ctx.dtp.n) for _, nodes in passes], name
-        finest[name] = passes[-1][0]
-    # the smooth warp settles at the first comparison, example1's piecewise one later
-    assert finest["sphere-polar"] == 2
-    assert finest["example1-twisted"] > 2
+        levels[name] = [steps for steps, _ in passes]
+    # step doubling compares two passes at least: the first comparison, 1 and
+    # 2 steps, is one pass.  The smooth warp settles there, example1's
+    # piecewise one at 8 steps
+    assert levels == {"sphere-polar": [[1, 2]], "example1-twisted": [[1, 2], [4], [8]]}
 
 
 def test_doubling_cap_raises_integration_error(monkeypatch):
@@ -208,7 +209,7 @@ def _finest_steps(monkeypatch, dtp, jobs):
         for curve, _, foliation in pass_jobs:
             for j, job in enumerate(jobs):
                 if job.curve is curve and job.foliation == foliation:
-                    finest[j] = steps
+                    finest[j] = max(steps)
         return collocate(g, dtp, pass_jobs, steps)
 
     with monkeypatch.context() as patch:
@@ -251,16 +252,72 @@ def test_verify_all_makes_one_christoffel_batch_per_doubling_level(monkeypatch):
 
     monkeypatch.setattr(ck, "christoffel_numeric", counted_christoffel)
     monkeypatch.setattr(tp, "collocation_pass", counted_pass)
+    levels = {}
     for name in ("mobius", "flat-torus", "example1-twisted"):
         ctx = resolve_scenario(name)
         loops = sum(len(words) for words in ctx.holonomy_loops.values())
         passes.clear()
         assert cli.main(["run", name, "verify-all", "--out", os.devnull]) == 0
-        # every oracle transport of the run is in the first pass, and each
-        # doubling level is one pass with one Christoffel batch
+        # every oracle transport of the run is in the first pass, the first
+        # comparison (1 and 2 steps) is one pass, and so is each later
+        # doubling level, each with one Christoffel batch
         assert passes[0]["jobs"] == 2 + loops, name
-        assert [p["steps"] for p in passes] == [2 ** d for d in range(len(passes))], name
         assert [p["batches"] for p in passes] == [1] * len(passes), name
+        levels[name] = [p["steps"] for p in passes]
+    assert levels == {"mobius": [[1, 2]], "flat-torus": [[1, 2]],
+                      "example1-twisted": [[1, 2], [4], [8]]}
+
+
+def test_the_first_comparison_is_one_pass_equal_to_the_passes_at_1_and_2_steps(monkeypatch):
+    dtp, jobs = _example1_jobs()
+    collocate = tp.collocation_pass
+    calls = []
+
+    def one_count_at_a_time(g, dtp, pass_jobs, steps):
+        calls.append((list(pass_jobs), list(steps)))
+        return [collocate(g, dtp, pass_jobs, [s])[0] for s in steps]
+
+    fused = tp.transport_batch(dtp, jobs)
+    with monkeypatch.context() as patch:
+        patch.setattr(tp, "collocation_pass", one_count_at_a_time)
+        apart = tp.transport_batch(dtp, jobs)
+    assert [steps for _, steps in calls] == [[1, 2], [4], [8]]
+    # the pass over both counts, result by result, and the whole batch, bit for bit
+    first, _ = calls[0]
+    together = collocate(dtp.assembled, dtp, first, [1, 2])
+    for s, results in zip((1, 2), together):
+        for (transfer, dI), (want_transfer, want_dI) in zip(
+                results, collocate(dtp.assembled, dtp, first, [s])[0]):
+            assert np.array_equal(transfer, want_transfer) and np.array_equal(dI, want_dI), s
+    for one, two in zip(fused, apart):
+        for field in ("ts", "points", "components", "integrals"):
+            assert np.array_equal(getattr(one, field), getattr(two, field)), field
+        assert (one.integral_omega, one.tol_achieved) == (two.integral_omega, two.tol_achieved)
+    # the jobs that settle at 8 and 4 steps still do
+    assert _finest_steps(monkeypatch, dtp, jobs)[:2] == [8, 4]
+
+
+def test_a_failing_node_is_named_as_by_the_passes_one_at_a_time():
+    # lam2 fails at the first 1-step node, lam1 only at a 2-step node: the
+    # pass over both step counts names lam2 there, as the 1-step pass alone does
+    box = np.array([[0.0, 1.0]])
+    line = tp.PiecewiseCurve.line([0.2, 0.5], [0.8, 0.5])
+    ts = np.linspace(0.0, 1.0, tp.SAMPLES_PER_SEGMENT)
+    at_1 = line.point(ts[0] + (ts[1] - ts[0]) * tp._GL_C[0])
+    at_2 = line.point(ts[0] + (ts[1] - ts[0]) / 2 * (1 + tp._GL_C[2]))
+
+    def warp(name, bad):
+        return ck.ScalarField(lambda x: np.where(np.abs(x[0] - bad[0]) < 1e-12, np.nan, 1.0),
+                              analytic_grad=lambda x: np.zeros(np.shape(x)),
+                              analytic_hess=lambda x: np.zeros(np.shape(x)[:1] + np.shape(x)),
+                              name=name)
+
+    factor = [pg.FactorManifold(name, 1, ck.MetricField.euclidean(1), box) for name in "xy"]
+    dtp = pg.assemble(*factor, warp("lam1", at_2), warp("lam2", at_1))
+    job = tp.TransportJob(line, [TangentVector(CoordPoint(line.point(0.0)), [0.0, 1.0])], 1)
+    with pytest.raises(NumericsError) as raised:
+        tp.transport_batch(dtp, [job])
+    assert str(raised.value) == f"scalar field 'lam2' non-finite at {at_1}"
 
 
 def test_the_doubling_cap_fails_the_whole_batch(monkeypatch):

@@ -45,7 +45,7 @@ def sample_plane(dtp, rng, x, case, max_tries=50):
 def connection(dtp, x, a, b):
     """nabla_a b = Gamma^k_ij a^i b^j for constant-component fields, from the
     closed-form Gamma."""
-    return np.einsum("kij,i,j->k", pg.christoffel_closed_form(dtp, np.asarray(x, float)), a, b)
+    return np.einsum("kij,i,j->k", pg.point_geometry(dtp, np.asarray(x, float)).gamma, a, b)
 
 
 def mean_curvature(dtp, x, i):
@@ -135,7 +135,7 @@ def test_connection_closed_form_equals_oracle(make):
     dtp = make()
     rng = np.random.default_rng(21)
     x = np.stack([rand_point(rng, dtp.domain_box) * 0.95 for _ in range(15)])
-    gap = pg.christoffel_closed_form(dtp, x) - ck.christoffel_numeric(dtp.assembled, x)
+    gap = pg.point_geometry(dtp, x).gamma - ck.christoffel_numeric(dtp.assembled, x)
     assert np.max(np.abs(gap)) < 1e-5
 
 
@@ -143,7 +143,7 @@ def test_connection_equivalence_survives_fd_route():
     dtp = fx.strip_analytic(fx.random_doubly_twisted(9))
     rng = np.random.default_rng(22)
     x = np.stack([rand_point(rng, dtp.domain_box) * 0.9 for _ in range(5)])
-    gap = pg.christoffel_closed_form(dtp, x) - ck.christoffel_numeric(dtp.assembled, x)
+    gap = pg.point_geometry(dtp, x).gamma - ck.christoffel_numeric(dtp.assembled, x)
     assert np.max(np.abs(gap)) < 1e-5
 
 
