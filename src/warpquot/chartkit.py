@@ -2,8 +2,8 @@
 
 Metric evaluation, finite-difference Christoffel/Riemann oracles, gradients,
 covariant hessians and exterior derivatives.  Everything here is a pure
-function of its inputs; analytic derivative callbacks, when a field carries
-them, always win over finite differences.
+function of its inputs; exact derivatives, up to the order a field declares,
+always win over finite differences.
 
 Index conventions
 -----------------
@@ -14,31 +14,35 @@ Index conventions
 
 Batches and the callback contract
 ---------------------------------
-``MetricField.mat/inv`` and ``ScalarField.value/grad_coords/hess_coords``
+``MetricField.mat/inv/d1/d2`` and ``ScalarField.value/grad_coords/hess_coords``
 take one point, shape ``(dim,)``, or a batch of points, shape ``(P, dim)``
 with one point per row, and return one value or a stack of ``P`` values.
 Every check (finite coordinates and outputs, output shape, symmetry,
 ``|det g| >= DET_TOL``) runs on every point of a batch, vectorised once.
 
 Coordinates are checked once per public call, by ``_points``, and handed
-read-only to the field's kernel (``MetricField._mat``, ``ScalarField._value``
-and their ``_d``: the callback and its output checks); internal evaluations
-(factor fields, FD stencils, Christoffel symbols) call kernels directly.  Each
-output check screens the batch with one test (all entries finite; g bit-equal
-to g^T, skipped at dim 1) and runs its per-point rule only if that trips.
+read-only to the field's one kernel, ``_jet(cols, order)``: the value and
+its partials up to ``order``, with the callback's output checks; internal
+evaluations (factor fields, FD stencils, Christoffel symbols) call kernels
+directly.  Each output check screens the batch with one test (all entries
+finite; g bit-equal to g^T, skipped at dim 1) and runs its per-point rule
+only if that trips.
 
-The exact route of the Christoffel and Riemann oracles reads g and its
-partials through one kernel, ``MetricField._jet``.  When ``eval``,
-``analytic_d1`` and ``analytic_d2`` are the parts of one routine
-(``joint_callbacks``; ``productgeo.assemble`` builds the assembled metric
-so), that is one call of the routine per batch, which evaluates each factor
-field once; g still passes ``_mat``'s checks, with its messages.  Other
-callbacks, such as a copy whose ``analytic_d1`` was replaced, are called one
-at a time, ``analytic_d2`` first.
+A field has one callback, ``eval``.  ``eval(x)`` returns the value.  A field
+that declares ``exact_order`` k >= 1 also answers ``eval(x, order)`` for
+1 <= order <= k with the tuple ``(value, d1, ..., d_order)`` from one
+routine, so the exact route reads a value and its partials from one call;
+``productgeo.assemble``'s metric is such a field, one pass over its factor
+fields per call.  The value of ``eval(x, order)`` must equal ``eval(x)`` bit
+for bit, and so must each shorter prefix of a longer tuple.  Partials above
+``exact_order`` come from central differences of the value, all stencil
+points in one call; with no exact partial the value is read from the centre
+row of the first stencil.  The value always passes the value checks, with
+their messages.
 
-Callbacks (``eval``, ``analytic_grad``, ``analytic_hess``, ``analytic_d1``,
-``analytic_d2``, and the one-form callback of ``exterior_derivative_numeric``)
-receive one shape only, a *coordinate-major* batch ``x`` of shape ``(n, P)``:
+Callbacks (``eval`` and the one-form callback of
+``exterior_derivative_numeric``) receive one shape only, a
+*coordinate-major* batch ``x`` of shape ``(n, P)``:
 ``x[k]`` holds coordinate ``k`` of every point.  One point goes in as a batch
 of one, ``(n, 1)``, and ``_call_batch``, the one place that converts, drops
 the point axis again; so a point alone gets the same bits as in any batch of
@@ -134,9 +138,16 @@ def _call_batch(kernel: Callable, pts: np.ndarray, *args):
     return tuple(map(point_first, out)) if isinstance(out, tuple) else point_first(out)
 
 
-def _call(cols: np.ndarray, fn: Callable, shape: tuple, what: str) -> np.ndarray:
-    """The callback ``fn`` at the batch cols (n, P), checked to give (*shape, P)."""
-    return _shaped(fn(cols), cols, shape, what)
+def _call(cols: np.ndarray, eval: Callable, shape: tuple, what: str, order: int = 0):
+    """The callback ``eval`` at the batch cols (n, P), checked to give (*shape, P);
+    at ``order`` k >= 1 the tuple ``eval(cols, k)`` of that value and k partials."""
+    if not order:
+        return _shaped(eval(cols), cols, shape, what)
+    out = eval(cols, order)
+    if not isinstance(out, tuple) or len(out) != order + 1:
+        raise NumericsError(f"{what} at order {order} returned {type(out).__name__}, "
+                            f"expected a tuple of {order + 1} arrays")
+    return (_shaped(out[0], cols, shape, what), *out[1:])
 
 
 def _shaped(out, cols: np.ndarray, shape: tuple, what: str) -> np.ndarray:
@@ -230,48 +241,30 @@ class OneForm:
         object.__setattr__(self, "components", _as_array(components, base.n))
 
 
-class _Part:
-    """The callback ``x -> routine(x, order)[order]`` of ``joint_callbacks``."""
-
-    def __init__(self, routine: Callable, order: int):
-        self.routine, self.order = routine, order
-
-    def __call__(self, x):
-        return self.routine(x, self.order)[self.order]
-
-
-def joint_callbacks(routine: Callable) -> tuple:
-    """``eval``, ``analytic_d1`` and ``analytic_d2`` of a ``MetricField``
-    read from one routine: ``routine(x, order)`` returns ``(g,)``,
-    ``(g, d g)`` or ``(g, d g, d d g)`` under the coordinate-major contract
-    (see the module notes on the exact route)."""
-    return tuple(_Part(routine, order) for order in range(3))
-
-
 @dataclass
 class MetricField:
     """Symmetric-matrix-valued field with signature metadata.
 
-    ``eval`` maps coordinates to the metric matrix, and the optional
-    exact-derivative callbacks give ``analytic_d1(x)[k] = d_k g`` and
-    ``analytic_d2(x)[k, l] = d_k d_l g``, all under the module's
+    ``eval(x)`` maps coordinates to the metric matrix under the module's
     coordinate-major contract: ``x`` of shape ``(dim, P)`` gives
-    ``(dim, dim, P)``, ``(dim,) * 3 + (P,)`` and ``(dim,) * 4 + (P,)``.
-    ``mat``, ``inv``, ``d1`` and ``d2`` accept one point or a ``(P, dim)``
-    batch.
+    ``(dim, dim, P)``.  A field of ``exact_order`` k >= 1 also answers
+    ``eval(x, order)`` for 1 <= order <= k with the tuple ``(g, d g)`` or
+    ``(g, d g, d d g)``, ``d g[k] = d_k g`` of shape ``(dim,) * 3 + (P,)`` and
+    ``d d g[k, l] = d_k d_l g`` of shape ``(dim,) * 4 + (P,)``.  ``mat``,
+    ``inv``, ``d1`` and ``d2`` accept one point or a ``(P, dim)`` batch.
     """
 
     dim: int
-    eval: Callable[[np.ndarray], np.ndarray]
+    eval: Callable[..., np.ndarray]
     signature: Signature
-    analytic_d1: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    analytic_d2: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    exact_order: int = 0
     domain_box: Optional[np.ndarray] = None  # (dim, 2) coordinate bounds
     name: str = ""
 
     def __post_init__(self):
         if self.signature.n != self.dim:
             raise ValueError("signature length must equal metric dimension")
+        _check_order(self.exact_order)
         if self.domain_box is not None:
             box = np.asarray(self.domain_box, dtype=float)
             if box.shape != (self.dim, 2):
@@ -279,7 +272,7 @@ class MetricField:
             self.domain_box = box
 
     def _mat(self, cols: np.ndarray) -> np.ndarray:
-        """The kernel: g (dim, dim, P) at checked cols (dim, P), finite and symmetric."""
+        """The value kernel: g (dim, dim, P) at checked cols (dim, P), finite and symmetric."""
         return self._checked(cols, _call(cols, self.eval, (self.dim, self.dim), "metric eval"))
 
     def _checked(self, cols: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -292,29 +285,14 @@ class MetricField:
                      "metric not symmetric at")
         return g
 
-    def _d(self, cols: np.ndarray, order: int) -> np.ndarray:
-        """The kernel of d1 (order 1) or d2 (order 2) at checked cols, point axis last."""
-        return _derivs(self._mat, (self.analytic_d1, self.analytic_d2)[order - 1], cols, order,
-                       (self.dim, self.dim), f"analytic_d{order}")
-
     def _jet(self, cols: np.ndarray, order: int) -> tuple:
-        """The exact route's kernel: g with ``_mat``'s checks, then its exact
-        partials up to ``order`` (1 or 2), at checked cols, point axis last;
-        one call of the routine of ``joint_callbacks`` parts, else one call
-        per callback, d2 first."""
-        parts = (self.eval, self.analytic_d1, self.analytic_d2)[:order + 1]
-        if not all(isinstance(p, _Part) and p.routine is parts[0].routine and p.order == k
-                   for k, p in enumerate(parts)):
-            d2 = (self._d(cols, 2),) if order == 2 else ()
-            return (self._mat(cols), self._d(cols, 1), *d2)
-        g, *ds = parts[0].routine(cols, order)
-        g = self._checked(cols, _shaped(g, cols, (self.dim, self.dim), "metric eval"))
-        return (g, *(_shaped(d, cols, (self.dim,) * (k + 2), f"analytic_d{k}")
-                     for k, d in enumerate(ds, 1)))
+        """The kernel: g and its partials up to ``order`` at checked cols, point axis last."""
+        return _jet(self, self._mat, cols, order, (self.dim, self.dim), "metric eval",
+                    "metric d{}")
 
     def mat(self, x) -> np.ndarray:
         """g at one point, (dim, dim), or at each row of a batch, (P, dim, dim)."""
-        return _call_batch(self._mat, _points(x, self.dim))
+        return _call_batch(self._jet, _points(x, self.dim), 0)[0]
 
     def inv(self, x) -> np.ndarray:
         return self.mat_and_inv(x)[1]
@@ -322,18 +300,16 @@ class MetricField:
     def mat_and_inv(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(g, g^-1) from one evaluation; DegenerateMetric where |det g| < DET_TOL."""
         pts = _points(x, self.dim)
-        g = _call_batch(self._mat, pts)
+        g = _call_batch(self._jet, pts, 0)[0]
         return g, _checked_inv(g, pts)
 
     def d1(self, x) -> np.ndarray:
-        """d1[..., k, i, j] = d_k g_ij, analytic when available else central FD."""
-        return _call_batch(self._d, _points(x, self.dim), 1)
+        """d1[..., k, i, j] = d_k g_ij, exact up to ``exact_order``, else central FD."""
+        return _call_batch(self._jet, _points(x, self.dim), 1)[1]
 
-    def d2(self, x) -> Optional[np.ndarray]:
-        """d2[..., k, l, i, j] = d_k d_l g_ij when analytic_d2 is supplied, else None."""
-        if self.analytic_d2 is None:
-            return None
-        return _call_batch(self._d, _points(x, self.dim), 2)
+    def d2(self, x) -> np.ndarray:
+        """d2[..., k, l, i, j] = d_k d_l g_ij, exact at ``exact_order`` 2, else central FD."""
+        return _call_batch(self._jet, _points(x, self.dim), 2)[2]
 
     def check_at(self, x) -> None:
         """Nondegeneracy check at one point or at each row of a batch: the
@@ -358,15 +334,15 @@ class MetricField:
         n = m.shape[0]
         eigs = np.linalg.eigvalsh(m)
         signs = np.where(np.sort(eigs) < 0, -1, 1)
-        return MetricField(
-            dim=n,
-            eval=lambda x, _m=m[..., None]: np.repeat(_m, np.shape(x)[1], axis=-1),
-            signature=Signature(np.sort(signs)),
-            analytic_d1=lambda x: np.zeros((n,) * 3 + np.shape(x)[1:]),
-            analytic_d2=lambda x: np.zeros((n,) * 4 + np.shape(x)[1:]),
-            domain_box=domain_box,
-            name=name,
-        )
+
+        def eval(x, order=0, _m=m[..., None]):
+            g = np.repeat(_m, np.shape(x)[1], axis=-1)
+            if not order:
+                return g
+            return (g, *(np.zeros((n,) * (k + 2) + np.shape(x)[1:]) for k in range(1, order + 1)))
+
+        return MetricField(n, eval, Signature(np.sort(signs)), exact_order=2,
+                           domain_box=domain_box, name=name)
 
     @staticmethod
     def euclidean(n: int, domain_box=None) -> "MetricField":
@@ -375,70 +351,91 @@ class MetricField:
 
 @dataclass
 class ScalarField:
-    """Scalar function of chart coordinates with optional exact derivatives.
+    """Scalar function of chart coordinates.
 
-    ``eval``, ``analytic_grad`` and ``analytic_hess`` follow the module's
-    coordinate-major contract: for ``x`` of shape ``(n, P)`` they return
-    ``(P,)``, ``(n, P)`` and ``(n, n, P)``.  ``value``, ``grad_coords`` and
-    ``hess_coords`` accept one point or a ``(P, n)`` batch.
+    ``eval(x)`` follows the module's coordinate-major contract: for ``x`` of
+    shape ``(n, P)`` it returns ``(P,)``.  A field of ``exact_order`` k >= 1
+    also answers ``eval(x, order)`` for 1 <= order <= k with the tuple
+    ``(f, grad)`` or ``(f, grad, hess)``, of shapes ``(P,)``, ``(n, P)`` and
+    ``(n, n, P)``.  ``value``, ``grad_coords`` and ``hess_coords`` accept one
+    point or a ``(P, n)`` batch.
     """
 
-    eval: Callable[[np.ndarray], float]
-    analytic_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    analytic_hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    eval: Callable[..., np.ndarray]
+    exact_order: int = 0
     name: str = ""
 
+    def __post_init__(self):
+        _check_order(self.exact_order)
+
     def _value(self, cols: np.ndarray) -> np.ndarray:
-        """The kernel: f at the coordinate-major batch cols (n, P), (P,), checked finite."""
-        vals = _call(cols, self.eval, (), f"scalar field {self.name!r}")
+        """The value kernel: f at the coordinate-major batch cols (n, P), (P,), checked finite."""
+        return self._checked(cols, _call(cols, self.eval, (), f"scalar field {self.name!r}"))
+
+    def _checked(self, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
         if not np.isfinite(vals).all():
             _fail_at(cols.T, ~np.isfinite(vals), f"scalar field {self.name!r} non-finite at")
         return vals
 
-    def _d(self, cols: np.ndarray, order: int) -> np.ndarray:
-        """The kernel of the gradient (order 1) or hessian (order 2) at cols, point axis last."""
-        return _derivs(self._value, (self.analytic_grad, self.analytic_hess)[order - 1], cols,
-                       order, (), f"derivative of {self.name!r}")
+    def _jet(self, cols: np.ndarray, order: int) -> tuple:
+        """The kernel: f and its partials up to ``order`` at checked cols, point axis last."""
+        return _jet(self, self._value, cols, order, (), f"scalar field {self.name!r}",
+                    f"derivative of {self.name!r}")
 
     def value(self, x):
         """f at one point (a float) or at each row of a batch, (P,)."""
-        pts = x.coords if isinstance(x, CoordPoint) else np.asarray(x, dtype=float)
-        vals = _call_batch(self._value, pts)
+        pts = _points(x)
+        vals = _call_batch(self._jet, pts, 0)[0]
         return float(vals) if pts.ndim == 1 else vals
 
-    def _derivative(self, x, order: int) -> np.ndarray:
-        pts = x.coords if isinstance(x, CoordPoint) else np.asarray(x, dtype=float)
-        return _call_batch(self._d, pts, order)
-
     def grad_coords(self, x) -> np.ndarray:
-        """Coordinate partials (d_i f), analytic when available; (P, n) for a batch."""
-        return self._derivative(x, 1)
+        """Coordinate partials (d_i f); (P, n) for a batch."""
+        return _call_batch(self._jet, _points(x), 1)[1]
 
     def hess_coords(self, x) -> np.ndarray:
-        """Coordinate second partials (d_i d_j f), analytic when available; (P, n, n) for a batch."""
-        return self._derivative(x, 2)
+        """Coordinate second partials (d_i d_j f); (P, n, n) for a batch."""
+        return _call_batch(self._jet, _points(x), 2)[2]
 
     @staticmethod
     def constant(c: float) -> "ScalarField":
-        return ScalarField(
-            eval=lambda x, _c=float(c): np.full(np.shape(x)[1:], _c),
-            analytic_grad=lambda x: np.zeros(np.shape(x)),
-            analytic_hess=lambda x: np.zeros(np.shape(x)[:1] + np.shape(x)),
-            name=f"const({c})",
-        )
+        def eval(x, order=0, _c=float(c)):
+            f = np.full(np.shape(x)[1:], _c)
+            if not order:
+                return f
+            return (f, np.zeros(np.shape(x)), np.zeros(np.shape(x)[:1] + np.shape(x)))[:order + 1]
+
+        return ScalarField(eval, exact_order=2, name=f"const({c})")
 
 
-def _derivs(kernel: Callable, callback: Optional[Callable], cols: np.ndarray, order: int,
-            shape: tuple, what: str) -> np.ndarray:
-    """Partials of order 1 or 2, ``(n,) * order + shape + (P,)``, of a ``shape``-valued
-    kernel at checked cols (n, P): the exact ``callback`` when there is one, else
-    central differences of ``kernel`` in one call (step ``FD_STEP_1`` or ``FD_STEP_2``)."""
-    if callback is not None:
-        return _call(cols, callback, (len(cols),) * order + shape, what)
+def _check_order(order) -> None:
+    if order not in (0, 1, 2):
+        raise ValueError(f"exact_order must be 0, 1 or 2, got {order!r}")
+
+
+def _jet(field, kernel: Callable, cols: np.ndarray, order: int, shape: tuple, what: str,
+         what_d: str) -> tuple:
+    """The value of a ``shape``-valued field and its partials up to ``order``
+    at checked cols (n, P), point axis last (see the module notes on the
+    exact route): up to k = min(order, ``field.exact_order``) from one call
+    ``field.eval(cols, k)``, the value through ``field._checked``; each order
+    above k by central differences of the value ``kernel`` in one call (step
+    ``FD_STEP_1`` or ``FD_STEP_2``), whose centre row gives the value when
+    k = 0."""
+    if not order:
+        return (kernel(cols),)
+    k, out = min(order, field.exact_order), []
+    if k:
+        val, *ds = _call(cols, field.eval, shape, what, k)
+        out = [field._checked(cols, val)]
+        out += [_shaped(d, cols, (len(cols),) * m + shape, what_d.format(m))
+                for m, d in enumerate(ds, 1)]
     pts = np.ascontiguousarray(cols.T)  # C order: the stencil reshapes without a copy
-    d = central_diff(functools.partial(_call_batch, kernel), pts,
-                     fd_step(pts, (FD_STEP_1, FD_STEP_2)[order - 1]), order=order)
-    return np.moveaxis(d, 0, -1)
+    for m in range(k + 1, order + 1):
+        d, at = central_diff(functools.partial(_call_batch, kernel), pts,
+                             fd_step(pts, (FD_STEP_1, FD_STEP_2)[m - 1]), order=m, centre=True)
+        out = out or [np.moveaxis(at, 0, -1)]
+        out.append(np.moveaxis(d, 0, -1))
+    return tuple(out)
 
 
 def fd_step(xi, base: float = FD_STEP_1):
@@ -528,21 +525,17 @@ def _christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
 def christoffel_numeric(g: MetricField, x) -> np.ndarray:
     """Gamma[k, i, j] = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij).
 
-    Uses analytic first derivatives when the field carries them, g and dg
-    from one ``MetricField._jet`` call, else central differences (the
-    stencil of ``MetricField.d1``), with g at the centre read from the same
-    batched metric evaluation.  A batch ``(P, n)`` gives ``(P, n, n, n)``.
+    g and dg come from one ``MetricField._jet`` call: exact when the field
+    has exact first derivatives, else central differences (the stencil of
+    ``MetricField.d1``), with g at the centre read from the same batched
+    metric evaluation.  A batch ``(P, n)`` gives ``(P, n, n, n)``.
     """
     return _christoffel_at(g, _points(x, g.dim))
 
 
 def _christoffel_at(g: MetricField, pts: np.ndarray) -> np.ndarray:
     """``christoffel_numeric`` at checked points pts, (n,) or (P, n)."""
-    if g.analytic_d1 is None:
-        dg, gm = central_diff(functools.partial(_call_batch, g._mat), pts, fd_step(pts),
-                              centre=True)
-    else:
-        gm, dg = _call_batch(g._jet, pts, 1)
+    gm, dg = _call_batch(g._jet, pts, 1)
     return _christoffel(_checked_inv(gm, pts), dg)
 
 
@@ -550,14 +543,13 @@ def _christoffel_and_d1(g: MetricField, pts: np.ndarray) -> tuple[np.ndarray, np
     """(Gamma, dGamma) at checked points, one point (n,) or each row of a
     batch (P, n), from one metric evaluation.
 
-    Exact when the metric has analytic first and second derivatives (g, dg
-    and d2g from one ``MetricField._jet`` call; g^-1 and dg shared by both);
-    else central differences of
-    ``christoffel_numeric`` with the second-derivative step, all stencil
-    points of all rows in one batch, Gamma at the points read from the
-    centre rows.
+    Exact when the metric has exact second derivatives (g, dg and d2g from
+    one ``MetricField._jet`` call; g^-1 and dg shared by both); else central
+    differences of ``christoffel_numeric`` with the second-derivative step,
+    all stencil points of all rows in one batch, Gamma at the points read
+    from the centre rows.
     """
-    if g.analytic_d1 is not None and g.analytic_d2 is not None:
+    if g.exact_order == 2:
         gm, dg, d2 = _call_batch(g._jet, pts, 2)
         ginv = _checked_inv(gm, pts)
         dginv = -np.einsum("...ka,...mab,...bl->...mkl", ginv, dg, ginv)
@@ -614,14 +606,14 @@ def sectional_curvature_numeric(g: MetricField, x, u: TangentVector, v: TangentV
 def gradient(f: ScalarField, g: MetricField, x) -> TangentVector:
     """Metric gradient: components g^{-1} df."""
     coords = _coords(x, g.dim)
-    df = _call_batch(f._d, coords, 1)
+    df = _call_batch(f._jet, coords, 1)[1]
     return TangentVector(CoordPoint(coords), _checked_inv(_call_batch(g._mat, coords), coords) @ df)
 
 
 def hessian_matrix(f: ScalarField, g: MetricField, x) -> np.ndarray:
     """Covariant hessian Hess_ij = d_i d_j f - Gamma^k_ij d_k f."""
     coords = _coords(x, g.dim)
-    ddf, df = _call_batch(f._d, coords, 2), _call_batch(f._d, coords, 1)
+    _, df, ddf = _call_batch(f._jet, coords, 2)
     gamma = _christoffel_at(g, coords)
     return ddf - np.einsum("kij,k->ij", gamma, df)
 

@@ -129,7 +129,7 @@ def _christoffel_residuals(dtp, rng, samples):
     any, against ``mat``; without them Gamma comes from that same stencil."""
     x = _rand_points(rng, dtp.domain_box, samples)
     dg, g = ck.central_diff(dtp.assembled.mat, x, ck.fd_step(x), centre=True)
-    gm = (ck._christoffel(ck._checked_inv(g, x), dg) if dtp.assembled.analytic_d1 is None
+    gm = (ck._christoffel(ck._checked_inv(g, x), dg) if dtp.assembled.exact_order == 0
           else ck.christoffel_numeric(dtp.assembled, x))
     resid = dg - np.einsum("plki,plj->pkij", gm, g) - np.einsum("plkj,pil->pkij", gm, g)
     return (x, gm, float(np.max(np.abs(gm - np.swapaxes(gm, -1, -2)), initial=0.0)),

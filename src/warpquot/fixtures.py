@@ -1,12 +1,15 @@
 """Shared fixture models: the built-in products and quotients.
 
-Every analytic fixture carries exact metric/warp derivatives so the
-closed-form-vs-oracle comparisons run at tight tolerances; FD-only variants
-can be produced with ``strip_analytic`` to keep both computation routes
-honestly independent.
+Every analytic fixture declares exact order 2: its one callback returns the
+metric or warp with its exact partials, so the closed-form-vs-oracle
+comparisons run at tight tolerances.  ``strip_analytic`` gives FD-only
+variants, copies of exact order 0 that read only the values, to keep both
+computation routes honestly independent.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -18,36 +21,40 @@ from .chartkit import MetricField, ScalarField, Signature, _fold
 # ---------------------------------------------------------------------------
 # scalar-field builders with exact derivatives
 #
-# All callbacks follow the coordinate-major batch contract of ``chartkit``:
-# ``x`` is a batch (n, P), ``x[k]`` holds coordinate k of every point, and
-# outputs carry the point axis last.
+# All callbacks follow the one-callback contract of ``chartkit``: ``x`` is a
+# batch (n, P), ``x[k]`` holds coordinate k of every point, outputs carry the
+# point axis last, and ``eval(x, order)`` returns the value with its partials
+# up to ``order``, each computed only when asked for.
 
 def coordinate_warp(index: int, n: int, name: str = "") -> ScalarField:
     """lam(x) = x[index] (positive on the relevant boxes)."""
 
-    def grad(x):
-        out = np.zeros(np.shape(x))
-        out[index] = 1.0
-        return out
+    def ev(x, order=0):
+        if not order:
+            return x[index]
+        grad = np.zeros(np.shape(x))
+        grad[index] = 1.0
+        return (x[index], grad, np.zeros((n,) + np.shape(x)))[:order + 1]
 
-    return ScalarField(lambda x: x[index], grad,
-                       lambda x: np.zeros((n,) + np.shape(x)), name=name or f"coord{index}")
+    return ScalarField(ev, exact_order=2, name=name or f"coord{index}")
 
 
 def function_of_coordinate_warp(index: int, n: int, f, df, ddf, name: str = "") -> ScalarField:
     """lam(x) = f(x[index]) with exact first/second derivatives (f, df, ddf elementwise)."""
 
-    def grad(x):
-        out = np.zeros(np.shape(x))
-        out[index] = df(x[index])
-        return out
+    def ev(x, order=0):
+        val = f(x[index])
+        if not order:
+            return val
+        grad = np.zeros(np.shape(x))
+        grad[index] = df(x[index])
+        if order == 1:
+            return val, grad
+        hess = np.zeros((n,) + np.shape(x))
+        hess[index, index] = ddf(x[index])
+        return val, grad, hess
 
-    def hess(x):
-        out = np.zeros((n,) + np.shape(x))
-        out[index, index] = ddf(x[index])
-        return out
-
-    return ScalarField(lambda x: f(x[index]), grad, hess, name=name)
+    return ScalarField(ev, exact_order=2, name=name)
 
 
 def trig_warp(n: int, amps, freqs, phases, name: str = "trig-warp") -> ScalarField:
@@ -59,26 +66,18 @@ def trig_warp(n: int, amps, freqs, phases, name: str = "trig-warp") -> ScalarFie
     pairs = freqs[:, :, None] * freqs[:, None]          # b_j b_j^T
     by_coord = freqs.swapaxes(0, 1)                     # [k, j]: b_jk
 
-    def arg(x):
-        return _fold(by_coord * x[:, None]) + phases
-
-    def s(a):
-        return _fold(amps * np.sin(a))
-
-    def ds(a):
-        return _fold(freqs * (amps * np.cos(a))[:, None])
-
-    def grad(x):
-        a = arg(x)
-        return np.exp(s(a)) * ds(a)
-
-    def hess(x):
-        a = arg(x)
-        d = ds(a)
+    def ev(x, order=0):
+        a = _fold(by_coord * x[:, None]) + phases
+        val = np.exp(_fold(amps * np.sin(a)))
+        if not order:
+            return val
+        d = _fold(freqs * (amps * np.cos(a))[:, None])
+        if order == 1:
+            return val, val * d
         dds = -_fold(pairs * (amps * np.sin(a))[:, None, None])
-        return np.exp(s(a)) * (d[:, None] * d[None] + dds)
+        return val, val * d, val * (d[:, None] * d[None] + dds)
 
-    return ScalarField(lambda x: np.exp(s(arg(x))), grad, hess, name=name)
+    return ScalarField(ev, exact_order=2, name=name)
 
 
 def conformal_flat_metric(dim: int, amp: float, freq, phase: float, box,
@@ -88,46 +87,31 @@ def conformal_flat_metric(dim: int, amp: float, freq, phase: float, box,
     pairs = freq[:, None] * freq[None]
     eye = np.eye(dim)[..., None]
 
-    def arg(x):
-        return _fold(freq * x) + phase
+    def ev(x, order=0):
+        a = _fold(freq * x) + phase
+        scale = np.exp(2 * (amp * np.sin(a)))
+        if not order:
+            return eye * scale
+        dp = amp * np.cos(a) * freq
+        d1 = 2 * dp[:, None, None] * scale * eye
+        if order == 1:
+            return eye * scale, d1
+        dd = 4 * dp[:, None] * dp[None] + 2 * (-amp * np.sin(a) * pairs)
+        return eye * scale, d1, dd[:, :, None, None] * scale * eye
 
-    def phi(x):
-        return amp * np.sin(arg(x))
-
-    def dphi(x):
-        return amp * np.cos(arg(x)) * freq
-
-    def ddphi(x):
-        return -amp * np.sin(arg(x)) * pairs
-
-    def ev(x):
-        return eye * np.exp(2 * phi(x))
-
-    def d1(x):
-        return 2 * dphi(x)[:, None, None] * np.exp(2 * phi(x)) * eye
-
-    def d2(x):
-        dp = dphi(x)
-        scale = 4 * dp[:, None] * dp[None] + 2 * ddphi(x)
-        return scale[:, :, None, None] * np.exp(2 * phi(x)) * eye
-
-    return MetricField(dim, ev, Signature.riemannian(dim), d1, d2,
+    return MetricField(dim, ev, Signature.riemannian(dim), exact_order=2,
                        domain_box=np.asarray(box, dtype=float), name=name)
 
 
 def strip_analytic(dtp: pg.DoublyTwistedProduct) -> pg.DoublyTwistedProduct:
-    """Same product, all exact-derivative callbacks removed (pure FD route)."""
+    """Same product, every field a copy of exact order 0 (pure FD route)."""
 
-    def bare_metric(m: MetricField) -> MetricField:
-        return MetricField(m.dim, m.eval, m.signature, domain_box=m.domain_box,
-                           name=m.name + "-fd")
+    def bare(field):
+        return dataclasses.replace(field, exact_order=0, name=field.name + "-fd")
 
-    def bare_scalar(s: ScalarField) -> ScalarField:
-        return ScalarField(s.eval, name=s.name + "-fd")
-
-    f1 = pg.FactorManifold(dtp.f1.name, dtp.f1.dim, bare_metric(dtp.f1.metric), dtp.f1.domain_box)
-    f2 = pg.FactorManifold(dtp.f2.name, dtp.f2.dim, bare_metric(dtp.f2.metric), dtp.f2.domain_box)
-    return pg.assemble(f1, f2, bare_scalar(dtp.lam1), bare_scalar(dtp.lam2))
+    f1 = pg.FactorManifold(dtp.f1.name, dtp.f1.dim, bare(dtp.f1.metric), dtp.f1.domain_box)
+    f2 = pg.FactorManifold(dtp.f2.name, dtp.f2.dim, bare(dtp.f2.metric), dtp.f2.domain_box)
+    return pg.assemble(f1, f2, bare(dtp.lam1), bare(dtp.lam2))
 
 
 # ---------------------------------------------------------------------------

@@ -144,20 +144,19 @@ class DoublyTwistedProduct:
         return self.warp(i).value(x)
 
     def log_warp(self, i: int) -> ScalarField:
+        """ln lam_i, with its partials up to order 2 from lam_i's jet."""
         w = self.warp(i)
 
-        def ev(c, _w=w):
-            return np.log(_w._value(c))
+        def eval(c, order=0, _w=w):
+            val, *ds = _w._jet(c, order)
+            out = (np.log(val),)
+            if order >= 1:
+                out += (ds[0] / val,)
+            if order == 2:
+                out += (ds[1] / val - ds[0][:, None] * ds[0][None] / val**2,)
+            return out if order else out[0]
 
-        def grad(c, _w=w):
-            return _w._d(c, 1) / _w._value(c)
-
-        def hess(c, _w=w):
-            val, gr = _w._value(c), _w._d(c, 1)
-            return _w._d(c, 2) / val - gr[:, None] * gr[None] / val**2
-
-        return ScalarField(ev, analytic_grad=grad, analytic_hess=hess,
-                           name=f"ln lam{i}")
+        return ScalarField(eval, exact_order=2, name=f"ln lam{i}")
 
     def grad_warp(self, i: int, x) -> TangentVector:
         """Product-metric gradient of lam_i."""
@@ -197,14 +196,11 @@ def assemble(f1: FactorManifold, f2: FactorManifold, lam1: ScalarField,
     """Build the block product metric lam1^2 g1 (+) lam2^2 g2.
 
     Warp positivity is sampled on a grid of 4 points per axis over the joint
-    domain box, one batch per warp; analytic metric derivatives are
-    assembled whenever both the factor metrics and the warps carry exact
-    derivative callbacks.  The assembled ``eval``, ``analytic_d1`` and
-    ``analytic_d2`` follow the coordinate-major batch contract of
-    ``chartkit``, and are the parts of one block-assembly routine
-    (``chartkit.joint_callbacks``): one call of it evaluates the factor
-    metrics and warps once, on the whole batch, and assembles g with its
-    partials up to the order asked.
+    domain box, one batch per warp.  The assembled metric's ``exact_order``
+    is the smallest of its four factor fields' orders, and its ``eval``
+    follows the one-callback contract of ``chartkit``: one call reads each
+    factor field's jet once, on the whole batch, and ``_blocks`` assembles g
+    with its partials up to the order asked.
     """
     n1, n2 = f1.dim, f2.dim
     n = n1 + n2
@@ -216,55 +212,45 @@ def assemble(f1: FactorManifold, f2: FactorManifold, lam1: ScalarField,
         p, i = divmod(int(np.argmax(bad)), 2)  # first failure, point by point
         raise InvalidWarp(f"lam{i + 1} = {vals[p, i]} <= 0 at {pts[p]}")
 
-    s1, s2 = slice(0, n1), slice(n1, n)
+    factors = ((lam1, f1.metric, slice(0, n1)), (lam2, f2.metric, slice(n1, n)))
 
-    def factors(x, order):
-        """Per factor at coordinate-major x, point axis last: the slot, lam,
-        g_A, then up to ``order`` their first and second derivatives."""
-        for lam, m, sl in ((lam1, f1.metric, s1), (lam2, f2.metric, s2)):
-            vals = (lam._value(x), m._mat(x[sl]))
-            for k in range(1, order + 1):
-                vals += (lam._d(x, k), m._d(x[sl], k))
-            yield (sl, *vals)
-
-    def blocks(x, order):
-        """g, then up to ``order`` d_k g and d_k d_l g, at coordinate-major x."""
-        out = [np.zeros((n,) * (k + 2) + x.shape[1:]) for k in range(order + 1)]
-        for sl, lv, gm, *ds in factors(x, order):
-            out[0][sl, sl] = np.square(lv) * gm
-            if order >= 1:
-                dl, dgf = ds[:2]
-                out[1][:, sl, sl] += 2.0 * lv * dl[:, None, None] * gm
-                out[1][sl, sl, sl] += lv**2 * dgf
-            if order == 2:
-                hl, ddgf = ds[2:]
-                d2 = out[2]
-                d2[:, :, sl, sl] += 2.0 * (dl[:, None] * dl[None] + lv * hl)[:, :, None, None] * gm
-                # cross[k, l in sl] = 2 lam d_k lam d_l g_A
-                cross = 2.0 * lv * dl[:, None, None, None] * dgf
-                d2[:, sl, sl, sl] += cross
-                d2[sl, :, sl, sl] += cross.swapaxes(0, 1)
-                d2[sl, sl, sl, sl] += lv**2 * ddgf
-        return tuple(out)
-
-    have_d1 = (f1.metric.analytic_d1 is not None and f2.metric.analytic_d1 is not None
-               and lam1.analytic_grad is not None and lam2.analytic_grad is not None)
-    have_d2 = have_d1 and (f1.metric.analytic_d2 is not None and f2.metric.analytic_d2 is not None
-                           and lam1.analytic_hess is not None
-                           and lam2.analytic_hess is not None)
-    ev, block_d1, block_d2 = ck.joint_callbacks(blocks)
+    def eval(x, order=0):
+        out = _blocks(n, [(sl, lam._jet(x, order), m._jet(x[sl], order))
+                          for lam, m, sl in factors], order)
+        return out if order else out[0]
 
     assembled = MetricField(
         dim=n,
-        eval=ev,
+        eval=eval,
         signature=Signature(np.concatenate([f1.metric.signature.signs,
                                             f2.metric.signature.signs])),
-        analytic_d1=block_d1 if have_d1 else None,
-        analytic_d2=block_d2 if have_d2 else None,
+        exact_order=min(f.exact_order for f in (lam1, lam2, f1.metric, f2.metric)),
         domain_box=box,
         name=f"{f1.name} x {f2.name}",
     )
     return DoublyTwistedProduct(f1, f2, lam1, lam2, assembled)
+
+
+def _blocks(n: int, factors, order: int) -> tuple:
+    """g, then up to ``order`` d_k g and d_k d_l g, point axis last, from
+    each factor's slot, lam jet and g_A jet (each up to ``order`` at least)."""
+    out = [np.zeros((n,) * (k + 2) + factors[0][1][0].shape) for k in range(order + 1)]
+    for sl, (lv, *dls), (gm, *dgs) in factors:
+        out[0][sl, sl] = np.square(lv) * gm
+        if order >= 1:
+            dl, dgf = dls[0], dgs[0]
+            out[1][:, sl, sl] += 2.0 * lv * dl[:, None, None] * gm
+            out[1][sl, sl, sl] += lv**2 * dgf
+        if order == 2:
+            hl, ddgf = dls[1], dgs[1]
+            d2 = out[2]
+            d2[:, :, sl, sl] += 2.0 * (dl[:, None] * dl[None] + lv * hl)[:, :, None, None] * gm
+            # cross[k, l in sl] = 2 lam d_k lam d_l g_A
+            cross = 2.0 * lv * dl[:, None, None, None] * dgf
+            d2[:, sl, sl, sl] += cross
+            d2[sl, :, sl, sl] += cross.swapaxes(0, 1)
+            d2[sl, sl, sl, sl] += lv**2 * ddgf
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +260,9 @@ def assemble(f1: FactorManifold, f2: FactorManifold, lam1: ScalarField,
 class PointGeometry:
     """Metric data of a product at one point (n,) or at each row of a batch (P, n).
 
-    ``g`` and ``ginv`` come from one ``MetricField.mat`` call on the
-    assembled metric (with its finite, symmetric and nondegeneracy checks);
+    ``g`` and ``ginv`` are the assembled metric and its inverse, built from
+    the factor jets (with the metric's finite, symmetric and nondegeneracy
+    checks);
     ``lam[..., i - 1]``, ``dlam[..., i - 1, :]`` and ``hess_lam[..., i - 1, :, :]``
     are lam_i with its coordinate gradient and hessian; ``gamma[..., k, i, j]``
     is the closed-form product connection Gamma^k_ij (see ``point_geometry``).
@@ -301,9 +288,12 @@ class PointGeometry:
 def point_geometry(dtp: DoublyTwistedProduct, x) -> PointGeometry:
     """The ``PointGeometry`` of dtp at one point (n,) or a batch (P, n).
 
-    Gamma is built from factor data only: the factor Christoffel symbols
-    Gamma^A (``christoffel_numeric`` on each factor metric, dimension n_A)
-    and phi_A = ln lam_A.  With A the block of i and B the block of j:
+    Every field is read once: one jet per warp (order 2) and one per factor
+    metric (order 1).  g is assembled from them by ``_blocks``, as the
+    assembled metric's ``eval`` does, and gets that metric's checks.  Gamma
+    is built from factor data only: the factor Christoffel symbols Gamma^A
+    (from g_A and its partials, dimension n_A) and phi_A = ln lam_A.  With A
+    the block of i and B the block of j:
 
         A = B:   Gamma^k_ij = Gamma^A,k_ij [k in A] - g_ij (g^-1 d phi_A)^k
                               + delta^k_i d_j phi_A + delta^k_j d_i phi_A
@@ -313,21 +303,27 @@ def point_geometry(dtp: DoublyTwistedProduct, x) -> PointGeometry:
     the same computation holds for twisted warps).  No product-level
     derivative of g is taken, so the finite-difference oracle
     (``christoffel_numeric`` on the assembled metric) shares no code with it
-    below ``MetricField.mat``.
+    below the factor fields.
     """
     pts = ck._points(x, dtp.n)  # the one coordinate check; kernels from here on
-    g = ck._call_batch(dtp.assembled._mat, pts)
+
+    def jets(cols):
+        factors = [(sl, w._jet(cols, 2), f.metric._jet(cols[sl], 1))
+                   for w, f, sl in ((dtp.lam1, dtp.f1, dtp.slot1), (dtp.lam2, dtp.f2, dtp.slot2))]
+        g = dtp.assembled._checked(cols, _blocks(dtp.n, factors, 0)[0])
+        return (g, *(a for _, lam_jet, g_jet in factors for a in (*lam_jet, *g_jet)))
+
+    g, lam1, dlam1, hess1, g1, dg1, lam2, dlam2, hess2, g2, dg2 = ck._call_batch(jets, pts)
     ginv = ck._checked_inv(g, pts)
-    warps = (dtp.lam1, dtp.lam2)
-    lam = np.stack([ck._call_batch(w._value, pts) for w in warps], axis=-1)
-    dlam = np.stack([ck._call_batch(w._d, pts, 1) for w in warps], axis=-2)
-    hess_lam = np.stack([ck._call_batch(w._d, pts, 2) for w in warps], axis=-3)
+    lam = np.stack([lam1, lam2], axis=-1)
+    dlam = np.stack([dlam1, dlam2], axis=-2)
+    hess_lam = np.stack([hess1, hess2], axis=-3)
     n = dtp.n
     # dphi[..., a, m] = d_m phi_{block of a}
     dphi = (dlam / lam[..., None])[..., np.repeat([0, 1], [dtp.n1, dtp.n2]), :]
     gamma = np.zeros(pts.shape[:-1] + (n, n, n))
-    for fac, sl in ((dtp.f1, dtp.slot1), (dtp.f2, dtp.slot2)):
-        gamma[..., sl, sl, sl] = ck._christoffel_at(fac.metric, pts[..., sl])
+    for sl, gm, dg in ((dtp.slot1, g1, dg1), (dtp.slot2, g2, dg2)):
+        gamma[..., sl, sl, sl] = ck._christoffel(ck._checked_inv(gm, pts[..., sl]), dg)
     eye = np.eye(n)
     gamma += eye[:, :, None] * dphi[..., None, :, :]                   # delta^k_i d_j phi
     gamma += eye[:, None, :] * dphi.swapaxes(-1, -2)[..., None, :, :]  # delta^k_j d_i phi
@@ -359,13 +355,14 @@ def mean_curvature_form(dtp: DoublyTwistedProduct, x, i: int):
     components ``(P, n)`` at each row of a batch (one warp evaluation each).
 
     g is block diagonal, so omega_i = -d ln lam_i on the other factor's slots
-    and 0 on its own (as ``classify`` reads it); no metric evaluation.
+    and 0 on its own (as ``classify`` reads it), from one jet of lam_i; no
+    metric evaluation.
     """
     if i not in (1, 2):
         raise ValueError("foliation index must be 1 or 2")
     pts = x.coords if isinstance(x, CoordPoint) else np.asarray(x, dtype=float)
-    w = dtp.warp(i)
-    out = _omega(dtp, i, w.grad_coords(pts), np.asarray(w.value(pts)))
+    val, grad = ck._call_batch(dtp.warp(i)._jet, pts, 1)
+    out = _omega(dtp, i, grad, np.asarray(val))
     return OneForm(CoordPoint(pts), out) if pts.ndim == 1 else out
 
 
@@ -386,20 +383,22 @@ def classify(dtp: DoublyTwistedProduct, per_axis: int = 4) -> StructureClass:
     g is block diagonal, so omega_i = -d ln lam_i on the other factor's
     slots and 0 on its own, and d(omega_i) is (up to sign) the mixed
     factor-1 x factor-2 block of the coordinate hessian of ln lam_i.  On the
-    ``offset_grid_points`` of the box, g^-1 and each warp's gradient and value
-    are read once, for N_i and d(omega_i) alike; a hessian only if N_i != 0.
+    ``offset_grid_points`` of the box, g^-1 and each warp's jet of order 1
+    are read once, for N_i and d(omega_i) alike; a jet of order 2 only if
+    N_i != 0.
     """
     pts = offset_grid_points(dtp.domain_box, per_axis)
     ginv = dtp.assembled.inv(pts)
-    warps = [(w, w.grad_coords(pts), w.value(pts)) for w in (dtp.lam1, dtp.lam2)]
+    warps = [(w, *ck._call_batch(w._jet, pts, 1)) for w in (dtp.lam1, dtp.lam2)]
     max_n = [_max_abs((ginv @ _omega(dtp, i, grad, val)[..., None])[..., 0])
-             for i, (_, grad, val) in enumerate(warps, 1)]
+             for i, (_, val, grad) in enumerate(warps, 1)]
     max_dw = [0.0, 0.0]
-    for i, (w, grad, val) in enumerate(warps, 1):
+    for i, (w, val, grad) in enumerate(warps, 1):
         if max_n[i - 1] < VANISH_TOL:
             continue  # omega_i vanishes with N_i
         val = val[:, None, None]
-        hess_log = w.hess_coords(pts) / val - grad[:, :, None] * grad[:, None, :] / val**2
+        hess = ck._call_batch(w._jet, pts, 2)[2]
+        hess_log = hess / val - grad[:, :, None] * grad[:, None, :] / val**2
         mixed = hess_log[:, dtp.slot1, dtp.slot2]
         bad = ~np.isfinite(mixed).all(axis=(1, 2))
         if bad.any():

@@ -75,6 +75,7 @@ from .errors import (
     InvalidAction,
     InvalidH,
     NotALoop,
+    NumericsError,
     WordBoundExceeded,
 )
 
@@ -85,6 +86,12 @@ DEFAULT_IDENT_TOL = 1e-7
 DEFAULT_WORD_BOUND = 8
 VALIDATE_WORD_CAP = 20_000  # words validate applies to the interior grid at most
 VALIDATE_PER_AXIS = 4   # grid points per axis of validate's samples
+# Levels of floor(x) that example1's warp walks at most: each costs one h (or
+# one Newton solve of h^-1) per point.  The commands read lam on the box, on
+# FD stencils around it and on one generator's images, at most 3 levels out;
+# deck words move points by the generator's maps, not through lam.  At 64
+# levels one point costs 1.5 ms (h) or 8 ms (h^-1) on a 2-vCPU machine.
+GLUING_LEVELS = 64
 # Visited-set grid of enumerate_words.  A word whose probe images round to a
 # visited key moves both probes within 1e-9 of an earlier word; the action is
 # free, so it is that word's group element and moves every point where the
@@ -1165,6 +1172,11 @@ def build_example1(epsilon: float = 0.25, gluing: Optional[TwistedGluing] = None
         # those with k <= -j move y to h^-1(y) and divide by h' there
         x, y = c[0], c[1].copy()
         k = np.floor(x)
+        far = np.abs(k) > GLUING_LEVELS
+        if far.any():
+            p = int(np.argmax(far))
+            raise NumericsError(f"twisted-lam at {c[:, p]}: {abs(k[p]):g} gluing levels from "
+                                f"the strip 0 <= x < 1, beyond GLUING_LEVELS = {GLUING_LEVELS}")
         chain = np.ones_like(y)
         for j in range(1, int(k.max(initial=0.0)) + 1):
             m = k >= j

@@ -63,9 +63,8 @@ def field_results(dtp, pts):
     g = dtp.assembled
     out = {"mat": (g.mat(pts), np.stack([g.mat(p) for p in pts])),
            "inv": (g.inv(pts), np.stack([g.inv(p) for p in pts])),
-           "dg": (g.d1(pts), np.stack([g.d1(p) for p in pts]))}
-    if g.analytic_d2 is not None:
-        out["ddg"] = (g.d2(pts), np.stack([g.d2(p) for p in pts]))
+           "dg": (g.d1(pts), np.stack([g.d1(p) for p in pts])),
+           "ddg": (g.d2(pts), np.stack([g.d2(p) for p in pts]))}
     for i in (1, 2):
         w = dtp.warp(i)
         out[f"lam{i}"] = (w.value(pts), np.array([w.value(p) for p in pts]))
@@ -244,8 +243,11 @@ def test_per_point_only_callbacks_fail_loudly():
     for pts in ([0.1, 0.2], [[0.1, 0.2], [0.3, 0.4]]):
         with pytest.raises(NumericsError):
             reduce_all.value(np.array(pts))
-    flat = MetricField(1, lambda x: np.ones((1, 1) + np.shape(x)[1:]), Signature.riemannian(1),
-                       analytic_d1=lambda x: np.zeros((1, 1, 1)))  # no point axis
+    def ones(x, order=0):
+        g = np.ones((1, 1) + np.shape(x)[1:])
+        return (g, np.zeros((1, 1, 1))) if order else g  # d1 has no point axis
+
+    flat = MetricField(1, ones, Signature.riemannian(1), exact_order=1)
     assert flat.mat([2.0]).shape == (1, 1)
     for pts in ([2.0], [[1.0], [2.0]]):
         with pytest.raises(NumericsError):
@@ -266,13 +268,13 @@ def test_exact_christoffel_calls_d1_once_per_batch():
     g = dtp.assembled
     calls = []
 
-    def d1(x):
-        calls.append(np.shape(x))
-        return g.analytic_d1(x)
+    def ev(x, *order):
+        calls.append((np.shape(x), *order))
+        return g.eval(x, *order)
 
     pts = batch_points(dtp)
-    gamma = ck.christoffel_numeric(dataclasses.replace(g, analytic_d1=d1), pts)
-    assert calls == [(dtp.n, len(pts))]
+    gamma = ck.christoffel_numeric(dataclasses.replace(g, eval=ev), pts)
+    assert calls == [((dtp.n, len(pts)), 1)]
     np.testing.assert_array_equal(gamma, ck.christoffel_numeric(g, pts))
 
 
@@ -479,9 +481,11 @@ def test_classify_rejects_nonfinite_one_form_sample():
             mixed = np.where(np.abs(x[0] - band) < 1e-3, np.inf, 0.1)
             return np.array([[0.0 * x[0], mixed], [mixed, 0.0 * x[0]]])
 
-        lam = ScalarField(lambda x: 1.0 + 0.1 * x[0] * x[1],
-                          analytic_grad=lambda x: 0.1 * np.array([x[1], x[0]]),
-                          analytic_hess=hess)
+        def ev(x, order=0):
+            val = 1.0 + 0.1 * x[0] * x[1]
+            return (val, 0.1 * np.array([x[1], x[0]]), hess(x))[:order + 1] if order else val
+
+        lam = ScalarField(ev, exact_order=2)
         return pg.assemble(f1, f2, one, lam)
 
     # classify's samples; row 8 is the first with its x coordinate

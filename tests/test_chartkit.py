@@ -32,7 +32,10 @@ def _surface_metric(w, dw, ddw, box, name):
         out[0, 0, 1, 1] = 2.0 * (dw(x[0]) ** 2 + w(x[0]) * ddw(x[0]))
         return out
 
-    return ck.MetricField(2, ev, ck.Signature.riemannian(2), d1, d2,
+    def jet(x, order=0):
+        return (ev(x), d1(x), d2(x))[:order + 1] if order else ev(x)
+
+    return ck.MetricField(2, jet, ck.Signature.riemannian(2), exact_order=2,
                           domain_box=np.array(box), name=name)
 
 
@@ -157,6 +160,7 @@ def test_christoffel_fd_matches_analytic():
     # keep analytic fixtures honest: strip callbacks and compare against FD
     exact = polar_flat()
     fd = ck.MetricField(2, exact.eval, exact.signature, domain_box=exact.domain_box)
+    assert fd.exact_order == 0
     for x in ([1.3, 0.2], [2.4, 1.0]):
         assert np.allclose(ck.christoffel_numeric(fd, x),
                            ck.christoffel_numeric(exact, x), atol=1e-7)

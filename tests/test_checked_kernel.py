@@ -2,9 +2,9 @@
 
 A public ``MetricField``/``ScalarField`` call checks its coordinates once
 (``chartkit._points``) and hands the read-only coordinate-major batch to the
-field's kernel (``MetricField._mat``, ``ScalarField._value`` and their
-``_d``), which the assembled product metric calls directly for its factor
-metrics and warps.  The negative controls below feed a broken factor field
+field's kernel (``MetricField._jet``, ``ScalarField._jet`` and their value
+kernels ``_mat`` and ``_value``), which the assembled product metric calls
+directly for its factor metrics and warps.  The negative controls below feed a broken factor field
 through that nested path, at one point and in a batch, and pin the
 exception and its message.  The screen in front of each output check (all
 entries finite, g exactly equal to its transpose) falls back to the
@@ -61,8 +61,14 @@ def _nan_warp():
 
 def _bad_gradient_warp():
     one = ScalarField.constant(1.0)
-    return ScalarField(one.eval, analytic_grad=lambda x: np.zeros(3),
-                       analytic_hess=one.analytic_hess, name="lam2")
+
+    def ev(x, order=0):
+        if not order:
+            return one.eval(x)
+        val, _, hess = one.eval(x, 2)
+        return (val, np.zeros(3), hess)[:order + 1]
+
+    return ScalarField(ev, exact_order=2, name="lam2")
 
 
 # (case, product, method of the assembled metric, message at one point,
@@ -146,12 +152,13 @@ def _counted(monkeypatch, name) -> Counter:
 
 
 def test_classify_reads_each_warp_once(monkeypatch):
-    # g^-1, each warp's gradient and value (read once for N_i and d(omega_i)),
-    # each warp's hessian: 7 batch evaluations
+    # g^-1, each warp's jet of order 1 (value and gradient, read once for N_i
+    # and d(omega_i)), each warp's jet of order 2: 5 batch evaluations (7, one
+    # per value, gradient and hessian, before the one callback per field)
     dtp = fx.random_doubly_twisted(0)
     calls = _counted(monkeypatch, "_call_batch")
     pg.classify(dtp)
-    assert calls["_call_batch"] == 7
+    assert calls["_call_batch"] == 5
 
 
 def test_point_geometry_checks_the_coordinates_once(monkeypatch):

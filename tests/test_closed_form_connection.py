@@ -58,7 +58,7 @@ def test_closed_form_christoffel_matches_the_oracle(label, dtp):
     # analytic route: both sides exact up to rounding; example1's warp has no
     # exact derivatives, so its assembled metric takes the FD route
     pts = sample_points(dtp, 6)
-    tol = 1e-9 if dtp.assembled.analytic_d1 is not None else 1e-5
+    tol = 1e-9 if dtp.assembled.exact_order >= 1 else 1e-5
     gap = np.max(np.abs(pg.point_geometry(dtp, pts).gamma
                         - ck.christoffel_numeric(dtp.assembled, pts)))
     assert gap < tol, f"{label}: {gap:.2e}"
@@ -150,13 +150,15 @@ def test_sign_flipped_metric_term_fails_the_mixed_curvature_row(tmp_path, monkey
 
 def _count_calls_on(monkeypatch, g):
     """Count evaluations of g, top-level calls of its kernels
-    ``MetricField._mat`` and ``MetricField._jet`` (every public metric method
-    and every internal evaluation goes through one of them; the exact
-    route's ``_jet`` reads g and its partials from one pass over the factor
-    fields, which counts as one evaluation), and the oracle-side chartkit
-    calls that take g."""
+    ``MetricField._mat`` and ``MetricField._jet`` and of its output check
+    ``MetricField._checked`` (every public metric method and every internal
+    evaluation goes through one of them; the exact route's ``_jet`` reads g
+    and its partials from one pass over the factor fields, and
+    ``point_geometry`` checks the g it assembles from the factor jets, each
+    of which counts as one evaluation), and the oracle-side chartkit calls
+    that take g."""
     state = {"depth": 0, "mat": 0, "oracle": []}
-    for kernel in ("_mat", "_jet"):
+    for kernel in ("_mat", "_jet", "_checked"):
         def counted_kernel(self, cols, *args, _exact=getattr(ck.MetricField, kernel)):
             state["mat"] += state["depth"] == 0 and self is g
             state["depth"] += 1
@@ -203,7 +205,7 @@ def test_closed_forms_evaluate_the_product_metric_once(monkeypatch, strip):
 def test_fd_riemann_evaluates_the_metric_once(monkeypatch):
     dtp = fx.strip_analytic(fx.random_doubly_twisted(4))
     g = dtp.assembled
-    assert g.analytic_d1 is None
+    assert g.exact_order == 0
     x = 0.5 * (g.domain_box[:, 0] + g.domain_box[:, 1])
     state = _count_calls_on(monkeypatch, g)
     for pts in (x, sample_points(dtp, 5)):
@@ -231,54 +233,59 @@ def test_christoffel_rows_evaluate_one_stencil(monkeypatch, strip):
 def test_analytic_riemann_evaluates_the_metric_once(monkeypatch):
     dtp = fx.random_doubly_twisted(4)
     g = dtp.assembled
-    assert g.analytic_d2 is not None
+    assert g.exact_order == 2
     x = 0.5 * (g.domain_box[:, 0] + g.domain_box[:, 1])
-    calls = {"d1": 0}
-    exact_d = ck.MetricField._d
+    orders = []
+    exact_eval = g.eval
 
-    def d(self, cols, order):
-        calls["d1"] += self is g and order == 1
-        return exact_d(self, cols, order)
+    def ev(x, *order):
+        orders.append(order)
+        return exact_eval(x, *order)
 
+    g.eval = ev
     state = _count_calls_on(monkeypatch, g)
-    monkeypatch.setattr(ck.MetricField, "_d", d)
     for pts in (x, sample_points(dtp, 5)):
-        state["mat"] = calls["d1"] = 0
+        state["mat"] = 0
+        orders.clear()
         ck.riemann_numeric(g, pts)
-        assert (state["mat"], calls["d1"]) == (1, 0)  # dg from the same factor pass as g
+        assert (state["mat"], orders) == (1, [(2,)])  # g, dg and ddg from one factor pass
 
 
 def _factor_passes(monkeypatch, dtp):
     """Count the passes over the factor fields of dtp's assembled metric:
-    each evaluates lam1 once."""
+    each reads lam1's jet once."""
     calls = {"passes": 0}
-    exact = ck.ScalarField._value
+    exact = ck.ScalarField._jet
 
-    def value(self, cols):
+    def jet(self, cols, order):
         calls["passes"] += self is dtp.lam1
-        return exact(self, cols)
+        return exact(self, cols, order)
 
-    monkeypatch.setattr(ck.ScalarField, "_value", value)
+    monkeypatch.setattr(ck.ScalarField, "_jet", jet)
     return calls
 
 
-@pytest.mark.parametrize("oracle, one_at_a_time", [("christoffel_numeric", 2),
-                                                   ("riemann_numeric", 3)])
-def test_the_exact_route_makes_one_factor_pass_per_batch(monkeypatch, oracle, one_at_a_time):
-    # a plain field of the same callbacks calls them one at a time, one
-    # factor pass each, and gets the same bits
+@pytest.mark.parametrize("oracle, order", [("christoffel_numeric", 1), ("riemann_numeric", 2)])
+def test_the_exact_route_makes_one_factor_pass_per_batch(monkeypatch, oracle, order):
+    # one call of the one callback per batch, at the order the oracle reads;
+    # a plain field around the same callback gets the same bits from one pass
     dtp = sc.resolve_scenario("random-dtp", seed=0).dtp
     g = dtp.assembled
-    plain = ck.MetricField(g.dim, lambda x: g.eval(x), g.signature,
-                           analytic_d1=lambda x: g.analytic_d1(x),
-                           analytic_d2=lambda x: g.analytic_d2(x))
+    orders = []
+
+    def ev(x, *k):
+        orders.append(k)
+        return g.eval(x, *k)
+
+    plain = ck.MetricField(g.dim, ev, g.signature, exact_order=g.exact_order)
     calls = _factor_passes(monkeypatch, dtp)
     for pts in (sample_points(dtp, 1)[0], sample_points(dtp, 5)):
         calls["passes"] = 0
         got = getattr(ck, oracle)(g, pts)
         assert calls["passes"] == 1
+        orders.clear()
         want = getattr(ck, oracle)(plain, pts)
-        assert calls["passes"] == 1 + one_at_a_time
+        assert calls["passes"] == 2 and orders == [(order,)]
         np.testing.assert_array_equal(got, want)
 
 

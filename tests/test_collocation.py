@@ -307,10 +307,12 @@ def test_a_failing_node_is_named_as_by_the_passes_one_at_a_time():
     at_2 = line.point(ts[0] + (ts[1] - ts[0]) / 2 * (1 + tp._GL_C[2]))
 
     def warp(name, bad):
-        return ck.ScalarField(lambda x: np.where(np.abs(x[0] - bad[0]) < 1e-12, np.nan, 1.0),
-                              analytic_grad=lambda x: np.zeros(np.shape(x)),
-                              analytic_hess=lambda x: np.zeros(np.shape(x)[:1] + np.shape(x)),
-                              name=name)
+        def ev(x, order=0):
+            val = np.where(np.abs(x[0] - bad[0]) < 1e-12, np.nan, 1.0)
+            return (val, np.zeros(np.shape(x)),
+                    np.zeros(np.shape(x)[:1] + np.shape(x)))[:order + 1] if order else val
+
+        return ck.ScalarField(ev, exact_order=2, name=name)
 
     factor = [pg.FactorManifold(name, 1, ck.MetricField.euclidean(1), box) for name in "xy"]
     dtp = pg.assemble(*factor, warp("lam1", at_2), warp("lam2", at_1))

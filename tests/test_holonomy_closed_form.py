@@ -422,7 +422,7 @@ def test_fd_christoffel_reads_the_centre_from_the_stencil(tmp_path):
     # stencil value; g at the centre equals g.mat at the point to rounding of
     # numpy's functions on a batch against one point
     g = load_scenario_file(warped_torus_file(tmp_path)).dtp.assembled
-    assert g.analytic_d1 is None
+    assert g.exact_order == 0
     x = np.array([0.3, 0.6])
     dg, gm = ck.central_diff(g.mat, x, ck.fd_step(x, ck.FD_STEP_1), centre=True)
     assert np.array_equal(dg, g.d1(x))

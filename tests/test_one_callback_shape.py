@@ -2,10 +2,9 @@
 
 A single point reaches a callback as a batch of one, ``(n, 1)``; the only
 conversion is ``chartkit._call_batch``.  The guard below wraps every
-callback of a scenario (metric ``eval``/``analytic_d1``/``analytic_d2``, warp
-``eval``/``analytic_grad``/``analytic_hess``, factor map ``apply``/
-``inverse``/``jacobian``) with an assertion on the input's rank, and runs
-every command on it.
+callback of a scenario (the one ``eval`` of each metric and warp, at every
+order it is asked for, and factor map ``apply``/``inverse``/``jacobian``)
+with an assertion on the input's rank, and runs every command on it.
 """
 
 import json
@@ -19,17 +18,17 @@ from warpquot.chartkit import MetricField, ScalarField
 from warpquot.quotient import FactorMap
 
 CALLBACKS = {
-    MetricField: ("eval", "analytic_d1", "analytic_d2"),
-    ScalarField: ("eval", "analytic_grad", "analytic_hess"),
+    MetricField: ("eval",),
+    ScalarField: ("eval",),
     FactorMap: ("apply", "inverse", "jacobian"),
 }
 
 
 def _rank_two(fn, what, seen):
-    def guarded(x):
+    def guarded(x, *order):
         assert np.ndim(x) == 2, f"{what} called with shape {np.shape(x)}"
-        seen.add(what)
-        return fn(x)
+        seen.add(what + "".join(f"@{k}" for k in order))
+        return fn(x, *order)
 
     return guarded
 
@@ -72,5 +71,8 @@ def test_every_callback_sees_a_batch(ref, scenario_file, monkeypatch, tmp_path):
                         lambda name, seed=0: _guard(scenario.resolve_scenario(name, seed), seen))
     assert _exit_codes(ref, tmp_path / "report.json") == plain
     assert {"MetricField.eval", "ScalarField.eval"} <= seen
+    if ref == "random-dtp":  # every field of exact order 2: the guard sees each order
+        assert {f"{cls}.eval@{k}" for cls in ("MetricField", "ScalarField")
+                for k in (1, 2)} <= seen
     if scenario.resolve_scenario(ref).model is not None:
         assert "FactorMap.apply" in seen

@@ -373,11 +373,11 @@ def test_teodg_sphere_positive_curvature_witness():
 
 
 def test_teodg_propagates_non_geometry_errors():
-    # a callback bug (here: a factor metric that fails on batches of 5 points,
-    # the size of teodg's sample batch, which classification never makes) must
-    # surface, not read as degenerate samples
+    # a callback bug (here: a factor metric that fails on batches of a multiple
+    # of 5 points: teodg's sample batch and its stencils, which classification
+    # never makes) must surface, not read as degenerate samples
     def broken(x):
-        if np.shape(x)[1] == 5:
+        if np.shape(x)[1] % 5 == 0:
             raise RuntimeError("broken metric callback")
         return np.ones((1, 1) + np.shape(x)[1:])
 
