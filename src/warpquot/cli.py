@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 from typing import Optional
 
@@ -31,59 +32,53 @@ COMMANDS = ("classify", "christoffel", "curvature", "transport", "holonomy",
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
-def _canon(obj):
-    """Normalize to plain JSON-able values (numpy arrays become lists)."""
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_canon(v) for v in obj.tolist()]
-    if isinstance(obj, (list, tuple)):
-        return [_canon(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): _canon(v) for k, v in obj.items()}
-    return obj
+def _items(obj: dict) -> list:
+    """(str(key), value) pairs of a dict, sorted by the key string alone."""
+    return sorted(((str(k), v) for k, v in obj.items()), key=lambda kv: kv[0])
 
 
 def _emit(obj) -> str:
+    """JSON text of plain values, numpy scalars (as floats and ints), arrays
+    (as their ``tolist``) and tuples (as lists)."""
     if obj is None:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        obj = float(obj)
         if not np.isfinite(obj):
             return f'"{obj!r}"'
         return f"{obj:.17g}"
     if isinstance(obj, str):
-        import json
         return json.dumps(obj)
-    if isinstance(obj, list):
+    if isinstance(obj, np.ndarray):
+        return _emit(obj.tolist())
+    if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_emit(v) for v in obj) + "]"
     if isinstance(obj, dict):
-        items = sorted(obj.items())
-        return "{" + ",".join(f"{_emit(str(k))}:{_emit(v)}" for k, v in items) + "}"
+        return "{" + ",".join(f"{_emit(k)}:{_emit(v)}" for k, v in _items(obj)) + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps_report(report: dict) -> str:
-    return _emit(_canon(report))
+    return _emit(report)
 
 
 def _flatten(obj, prefix=""):
     rows = []
-    obj = _canon(obj)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, dict):
-        for k in sorted(obj):
-            rows.extend(_flatten(obj[k], f"{prefix}{k}."))
+        for k, v in _items(obj):
+            rows.extend(_flatten(v, f"{prefix}{k}."))
         return rows
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
             rows.extend(_flatten(v, f"{prefix}{i}."))
         return rows
-    value = _emit(obj) if isinstance(obj, float) else obj
+    value = _emit(obj) if isinstance(obj, (float, np.floating)) else obj
     return [(prefix.rstrip("."), value)]
 
 

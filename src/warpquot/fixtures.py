@@ -26,19 +26,6 @@ from .chartkit import MetricField, ScalarField, Signature, _fold
 # point axis last, and ``eval(x, order)`` returns the value with its partials
 # up to ``order``, each computed only when asked for.
 
-def coordinate_warp(index: int, n: int, name: str = "") -> ScalarField:
-    """lam(x) = x[index] (positive on the relevant boxes)."""
-
-    def ev(x, order=0):
-        if not order:
-            return x[index]
-        grad = np.zeros(np.shape(x))
-        grad[index] = 1.0
-        return (x[index], grad, np.zeros((n,) + np.shape(x)))[:order + 1]
-
-    return ScalarField(ev, exact_order=2, name=name or f"coord{index}")
-
-
 def function_of_coordinate_warp(index: int, n: int, f, df, ddf, name: str = "") -> ScalarField:
     """lam(x) = f(x[index]) with exact first/second derivatives (f, df, ddf elementwise)."""
 
@@ -57,7 +44,7 @@ def function_of_coordinate_warp(index: int, n: int, f, df, ddf, name: str = "") 
     return ScalarField(ev, exact_order=2, name=name)
 
 
-def trig_warp(n: int, amps, freqs, phases, name: str = "trig-warp") -> ScalarField:
+def trig_warp(amps, freqs, phases, name: str = "trig-warp") -> ScalarField:
     """lam(x) = exp(sum_j a_j sin(b_j . x + c_j)): positive, fully analytic;
     every sum is a ``_fold``."""
     amps = np.asarray(amps, dtype=float)[:, None]       # constants get the point axis
@@ -129,7 +116,7 @@ def polar_plane() -> pg.DoublyTwistedProduct:
     """dr^2 + r^2 dtheta^2: warped product of the half-line and the circle."""
     f1 = pg.FactorManifold("halfline-r", 1, MetricField.euclidean(1), [[0.5, 3.0]])
     f2 = pg.FactorManifold("circle", 1, MetricField.euclidean(1), [[0.0, 6.2]])
-    lam2 = coordinate_warp(0, 2, name="r")
+    lam2 = function_of_coordinate_warp(0, 2, lambda r: r, lambda r: 1.0, lambda r: 0.0, name="r")
     return pg.assemble(f1, f2, ScalarField.constant(1.0), lam2)
 
 
@@ -209,7 +196,7 @@ def random_doubly_twisted(seed: int) -> pg.DoublyTwistedProduct:
 
     def rand_warp(tag):
         m = 2
-        return trig_warp(4, rng.uniform(0.1, 0.3, m), rng.uniform(0.2, 1.2, (m, 4)),
+        return trig_warp(rng.uniform(0.1, 0.3, m), rng.uniform(0.2, 1.2, (m, 4)),
                          rng.uniform(0, 2, m), name=f"warp-{tag}")
 
     return pg.assemble(f1, f2, rand_warp("1"), rand_warp("2"))
@@ -222,8 +209,8 @@ def random_doubly_warped(seed: int) -> pg.DoublyTwistedProduct:
     f2 = pg.FactorManifold("f2", 1, MetricField.euclidean(1), [[-1.0, 1.0]])
     a1, b1, c1 = rng.uniform(0.1, 0.3), rng.uniform(0.3, 1.2), rng.uniform(0, 2)
     a2, b2, c2 = rng.uniform(0.1, 0.3), rng.uniform(0.3, 1.2), rng.uniform(0, 2)
-    lam1 = trig_warp(2, [a1], [[0.0, b1]], [c1], name="lam1(y)")
-    lam2 = trig_warp(2, [a2], [[b2, 0.0]], [c2], name="lam2(x)")
+    lam1 = trig_warp([a1], [[0.0, b1]], [c1], name="lam1(y)")
+    lam2 = trig_warp([a2], [[b2, 0.0]], [c2], name="lam2(x)")
     return pg.assemble(f1, f2, lam1, lam2)
 
 

@@ -360,7 +360,7 @@ def mean_curvature_form(dtp: DoublyTwistedProduct, x, i: int):
     """
     if i not in (1, 2):
         raise ValueError("foliation index must be 1 or 2")
-    pts = x.coords if isinstance(x, CoordPoint) else np.asarray(x, dtype=float)
+    pts = ck._points(x, dtp.n)
     val, grad = ck._call_batch(dtp.warp(i)._jet, pts, 1)
     out = _omega(dtp, i, grad, np.asarray(val))
     return OneForm(CoordPoint(pts), out) if pts.ndim == 1 else out

@@ -813,7 +813,7 @@ def _closing_step(model: QuotientModel, x0, reps, speeds, arcs, direction, armed
     None.  Near x0 the closure is projected, not refined: delta =
     (x0 - rep).d / (d.d), clipped to +/-2 steps, is exact because a leaf is a
     coordinate line in product coordinates, and the trace closes when the
-    representative of rep + delta d is within ident_tol of x0.
+    representative of rep + delta d is the same point as x0 (``same_point``).
     """
     step = _TRACE_STEP
     gaps = np.max(np.abs(reps[start:] - x0), axis=1)
@@ -827,7 +827,7 @@ def _closing_step(model: QuotientModel, x0, reps, speeds, arcs, direction, armed
         delta = float(np.clip((x0 - reps[k]) @ direction / (direction @ direction),
                               -2 * step, 2 * step))
         closure, _ = model.canonical_rep(reps[k] + delta * direction)
-        if np.sqrt(np.sum((closure - x0) ** 2)) <= model.ident_tol:
+        if model.same_point(closure, x0):
             return armed, (int(k), float(arcs[k + 1]) + delta * float(speeds[k]))
     return armed, None
 
@@ -934,10 +934,6 @@ class DecompositionVerdict:
     reason: VerdictReason
     holonomy_maps: list = dc_field(default_factory=list)
     intersections: Optional[IntersectionReport] = None
-
-    @property
-    def is_global_product(self) -> bool:
-        return self.tag == "global-doubly-warped-product"
 
 
 def leaf_loop_curve(model: QuotientModel, rep0, foliation: int, word: Word) -> tp.PiecewiseCurve:

@@ -43,7 +43,6 @@ class ScenarioContext:
     holonomy_loops: dict = field(default_factory=dict)
     basepoint: Optional[np.ndarray] = None
     expect: dict = field(default_factory=dict)
-    coords: tuple = ()
 
     def __post_init__(self):
         # an expectation is checked loop by loop, so a missing matrix would
@@ -324,8 +323,7 @@ def parse_scenario(data: dict, name_hint: str = "") -> ScenarioContext:
     _check_keys(expect, set(_EXPECT), "expect")
     return ScenarioContext(name=name, dtp=dtp, model=model, curves=curves,
                            holonomy_loops=loops, basepoint=basepoint,
-                           expect={k: _require(expect, k, "expect", _EXPECT[k]) for k in expect},
-                           coords=tuple(coords))
+                           expect={k: _require(expect, k, "expect", _EXPECT[k]) for k in expect})
 
 
 def load_scenario_file(path) -> ScenarioContext:

@@ -236,10 +236,6 @@ class HolonomyMap:
         if abs(np.linalg.det(self.matrix)) < 1e-12:
             raise NumericsError("holonomy matrix is singular")
 
-    def after(self, first: "HolonomyMap") -> "HolonomyMap":
-        """Map for 'first loop, then this loop': self.matrix @ first.matrix."""
-        return HolonomyMap(first.basepoint, self.matrix @ first.matrix, first.frame)
-
     def is_identity(self, tol: float = 1e-6) -> bool:
         return bool(np.max(np.abs(self.matrix - np.eye(self.matrix.shape[0]))) <= tol)
 

@@ -26,6 +26,6 @@ def random_twisted(seed: int, n1: int, n2: int) -> pg.DoublyTwistedProduct:
         return pg.FactorManifold(name, dim, g, box)
 
     f1, f2 = factor("f1", n1), factor("f2", n2)
-    lam1, lam2 = (fx.trig_warp(n, rng.uniform(0.1, 0.3, 2), rng.uniform(0.2, 1.2, (2, n)),
+    lam1, lam2 = (fx.trig_warp(rng.uniform(0.1, 0.3, 2), rng.uniform(0.2, 1.2, (2, n)),
                                rng.uniform(0, 2, 2), name=f"warp-{tag}") for tag in "12")
     return pg.assemble(f1, f2, lam1, lam2)

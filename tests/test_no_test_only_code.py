@@ -13,8 +13,8 @@ passes when one of these holds, outside its own ``def``:
 * it is on ``ALLOWED`` below, with the reason it stays.
 
 A public method passes when its name is read anywhere in ``src/warpquot``
-(an identifier, an attribute or a string), read under ``bench/``, or its
-class is exported.  A private method (``_name``, not a dunder) passes only
+(an identifier, an attribute or a string) or read under ``bench/``; an
+exported class keeps no method alive.  A private method (``_name``, not a dunder) passes only
 when its name is read in ``src/warpquot`` outside its own ``def``.  An
 attribute of another object, such as ``np.linalg.norm``, keeps no top-level
 function alive.
@@ -129,8 +129,8 @@ def _test_only():
         for qualname, node, cls in _definitions(tree):
             name = node.name
             private_method = cls is not None and name.startswith("_")
-            if not private_method and (name in ALLOWED or name in exported or bench_refs[name]
-                                       or (cls is not None and cls.name in exported)):
+            if not private_method and (name in ALLOWED or bench_refs[name]
+                                       or (cls is None and name in exported)):
                 continue
             if cls is None:
                 own = _function_references(node, path.stem, modules)

@@ -145,7 +145,7 @@ def test_the_assembled_order_is_the_least_factor_order():
 def test_partials_above_the_exact_order_are_central_differences():
     # an order-1 field: its hessian is the FD hessian of its values, as the
     # same values with no exact partials give it
-    exact = fx.trig_warp(2, [0.2], [[0.7, -0.4]], [0.3])
+    exact = fx.trig_warp([0.2], [[0.7, -0.4]], [0.3])
     order1 = dataclasses.replace(exact, exact_order=1)
     bare = dataclasses.replace(exact, exact_order=0)
     x = np.array([[0.1, 0.2], [-0.3, 0.5]])
@@ -170,7 +170,7 @@ def test_a_callback_must_answer_its_declared_order():
 
 
 def test_scalar_field_entry_points_check_their_points():
-    warp = fx.trig_warp(2, [0.2], [[0.7, -0.4]], [0.3])
+    warp = fx.trig_warp([0.2], [[0.7, -0.4]], [0.3])
     for method in (warp.value, warp.grad_coords, warp.hess_coords):
         for pts, bad in (([np.nan, 0.0], [np.nan, 0.0]), ([[0.1, 0.2], [0.0, np.inf]], [0.0, np.inf])):
             with pytest.raises(NumericsError) as raised:
@@ -179,6 +179,21 @@ def test_scalar_field_entry_points_check_their_points():
         with pytest.raises(ValueError, match=r"expected a point"):
             method(np.zeros((2, 2, 2)))
     assert warp.value([0.1, 0.2]) == float(warp.value(np.array([[0.1, 0.2]]))[0])
+
+
+def test_mean_curvature_form_checks_its_points():
+    dtp = _ref("random-dtp", False)
+    x = _points(dtp, 2)
+    for pts in (np.zeros((2, 2, 4)), x[:, :3]):
+        with pytest.raises(ValueError, match=r"^expected a point \(4,\) or a batch \(P, 4\)"):
+            pg.mean_curvature_form(dtp, pts, 1)
+    bad = x.copy()
+    bad[1, 2] = np.nan
+    with pytest.raises(NumericsError) as raised:
+        pg.mean_curvature_form(dtp, bad, 2)
+    assert str(raised.value) == f"non-finite coordinates in {bad[1]}"
+    one = pg.mean_curvature_form(dtp, ck.CoordPoint(x[0]), 1)
+    np.testing.assert_array_equal(one.components, pg.mean_curvature_form(dtp, x[0], 1).components)
 
 
 # ---------------------------------------------------------------------------

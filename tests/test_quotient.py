@@ -118,6 +118,23 @@ def test_leaf_trace_example1_closed_and_open():
     assert all(b > a for a, b in zip(ys, ys[1:]))
 
 
+@pytest.mark.parametrize("delta, closes", [(0.8e-7, True), (1.2e-7, False)])
+def test_leaf_trace_closes_where_leaf_loops_finds_a_closing_word(delta, closes):
+    # R x R^2 / <(x+1, y+delta, z+delta)>: the x-leaf comes back moved by
+    # (delta, delta), which is within ident_tol in the max norm of same_point
+    # at delta = 0.8e-7 (its Euclidean length is 1.13e-7), and not at 1.2e-7
+    f1 = pg.FactorManifold("line-x", 1, MetricField.euclidean(1), [[0.0, 1.0]])
+    f2 = pg.FactorManifold("plane-yz", 2, MetricField.euclidean(2), [[-1e9, 1e9]] * 2)
+    one = ScalarField.constant(1.0)
+    gens = [qt.DeckGenerator("a", qt.FactorMap.translation([1.0]),
+                             qt.FactorMap.translation([delta, delta]))]
+    model = qt.QuotientModel(pg.assemble(f1, f2, one, one), gens,
+                             fundamental_box=[[0.0, 1.0], [-1e9, 1e9], [-1e9, 1e9]])
+    x0 = [0.3, 0.2, 0.1]
+    closed = qt.leaf_trace(model, x0, 1, arc_budget=3.0).closed
+    assert closed == bool(qt.leaf_loops(model, x0)[1]) == closes
+
+
 def test_leaf_trace_requires_basepoint_in_box():
     model = fx.flat_torus_model()
     with pytest.raises(ValueError):
@@ -213,7 +230,7 @@ def test_holonomy_composition_law():
     h1 = holonomy(model, loop, frame, 1)
     double = tp.PiecewiseCurve.from_function(lambda t: np.stack([2.0 * t, 0.0 * t], axis=1))
     h2 = holonomy(model, double, frame, 1)
-    assert np.allclose(h2.matrix, h1.after(h1).matrix, atol=1e-9)
+    assert np.allclose(h2.matrix, h1.matrix @ h1.matrix, atol=1e-9)
     assert h2.is_identity(1e-9)
 
 
@@ -242,7 +259,7 @@ def test_warp_compat_along_no_holonomy_leaf():
 def test_decomposition_flat_torus_global_product():
     model = fx.flat_torus_model(word_bound=4)
     verdict = qt.decomposition_check(model, [0.0, 0.0], fx.HOLONOMY_LOOPS["flat-torus"])
-    assert verdict.is_global_product
+    assert verdict.tag == "global-doubly-warped-product"
     assert verdict.reason.kind == "none"
     # product chart check: traced leaf closures tile the fundamental box
     for foliation in (1, 2):
@@ -254,7 +271,7 @@ def test_decomposition_flat_torus_global_product():
 def test_decomposition_mobius_obstructed_by_holonomy():
     model = fx.mobius_model(word_bound=4)
     verdict = qt.decomposition_check(model, [0.0, 0.0], fx.HOLONOMY_LOOPS["mobius"])
-    assert not verdict.is_global_product
+    assert verdict.tag == "obstructed"
     assert verdict.reason.kind == "nontrivial-holonomy"
     assert verdict.reason.foliation == 1
     # intersection count alone would not have obstructed (the paper's point)
@@ -264,7 +281,7 @@ def test_decomposition_mobius_obstructed_by_holonomy():
 def test_decomposition_skewed_torus_obstructed_by_intersections():
     model = fx.skewed_torus_model(word_bound=4)
     verdict = qt.decomposition_check(model, [0.0, 0.0], fx.HOLONOMY_LOOPS["skewed-torus"])
-    assert not verdict.is_global_product
+    assert verdict.tag == "obstructed"
     assert verdict.reason.kind == "multiple-intersections"
     assert verdict.reason.count == 2
 
@@ -383,7 +400,8 @@ def test_teodg_propagates_non_geometry_errors():
 
     f1 = pg.FactorManifold("r", 1, MetricField(1, broken, Signature.riemannian(1)), [[0.5, 3.0]])
     f2 = pg.FactorManifold("th", 1, MetricField.euclidean(1), [[0.0, 6.2]])
-    dtp = pg.assemble(f1, f2, ScalarField.constant(1.0), fx.coordinate_warp(0, 2))
+    r = fx.function_of_coordinate_warp(0, 2, lambda r: r, lambda r: 1.0, lambda r: 0.0)
+    dtp = pg.assemble(f1, f2, ScalarField.constant(1.0), r)
     assert pg.classify(dtp).tag is pg.StructureTag.WARPED
     with pytest.raises(RuntimeError, match="broken metric callback"):
         qt.teodg_diagnostic(dtp, n_samples=5)

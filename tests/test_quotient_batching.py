@@ -253,7 +253,7 @@ def ref_walk(model, x0, direction, arc_budget, step=0.01, log=None):
             log[-1] = (log[-1][0], True)
             delta = min(max((x0 - cur) @ direction / (direction @ direction), -2 * step), 2 * step)
             closure = ref_canonical_rep(model, cur + delta * direction)[0]
-            if np.sqrt(np.sum((closure - x0) ** 2)) <= model.ident_tol:
+            if model.same_point(closure, x0):
                 return "closed", arc + delta * speed, pts
     return "open-within-budget", arc, pts
 
@@ -729,7 +729,7 @@ def test_bucket_edge_basepoints_count_once(x0):
     flat = fx.flat_torus_model()
     assert qt.leaf_intersection_count(flat, [x0, 0.3]).count == 1
     verdict = qt.decomposition_check(flat, [x0, 0.3], fx.HOLONOMY_LOOPS["flat-torus"])
-    assert verdict.is_global_product and verdict.reason.kind == "none"
+    assert verdict.tag == "global-doubly-warped-product" and verdict.reason.kind == "none"
     skewed = qt.leaf_intersection_count(fx.skewed_torus_model(), [x0, 0.3])
     assert skewed.count == 2
     reps = sorted(float(fx.skewed_torus_model().canonical_rep(w.coords)[0][0])

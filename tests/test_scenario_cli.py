@@ -432,6 +432,45 @@ def test_cli_float_serialization_17_digits():
     assert parsed["x"] == 1.0 / 3.0
 
 
+# numpy scalars, arrays, tuples, int keys and non-finite floats as results
+# carry them; the golden texts pin both report formats byte for byte
+_MIXED_RESULTS = {"f64": np.float64(1.0) / 3.0, "f32": np.float32(0.1), "i64": np.int64(-7),
+                  "grid": np.array([[1.5, -2.0], [np.pi, 4.0]]), "pair": (1, 2.5),
+                  "by_index": {10: "ten", 2: {1: np.float64(0.5)}}, "flag": True, "none": None,
+                  "nan": float("nan"), "inf": np.float64(np.inf), "ninf": -np.inf,
+                  "text": 'a, "quoted" word'}
+
+
+def test_report_walk_json_golden():
+    assert cli.dumps_report({"results": _MIXED_RESULTS}) == (
+        '{"results":{"by_index":{"10":"ten","2":{"1":0.5}},"f32":0.10000000149011612,'
+        '"f64":0.33333333333333331,"flag":true,"grid":[[1.5,-2],[3.1415926535897931,4]],'
+        '"i64":-7,"inf":"inf","nan":"nan","ninf":"-inf","none":null,"pair":[1,2.5],'
+        '"text":"a, \\"quoted\\" word"}}')
+
+
+def test_report_walk_csv_golden():
+    assert cli.dumps_csv({"results": _MIXED_RESULTS}) == (
+        'key,value\n'
+        'results.by_index.10,ten\n'
+        'results.by_index.2.1,0.5\n'
+        'results.f32,0.10000000149011612\n'
+        'results.f64,0.33333333333333331\n'
+        'results.flag,True\n'
+        'results.grid.0.0,1.5\n'
+        'results.grid.0.1,-2\n'
+        'results.grid.1.0,3.1415926535897931\n'
+        'results.grid.1.1,4\n'
+        'results.i64,-7\n'
+        'results.inf,"""inf"""\n'
+        'results.nan,"""nan"""\n'
+        'results.ninf,"""-inf"""\n'
+        'results.none,None\n'
+        'results.pair.0,1\n'
+        'results.pair.1,2.5\n'
+        'results.text,"a, ""quoted"" word"\n')
+
+
 def test_cli_csv_output(capsys):
     code, out = run_cli(capsys, "run", "mobius", "intersections", "--csv")
     assert code == 0
