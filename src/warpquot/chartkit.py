@@ -38,7 +38,11 @@ for bit, and so must each shorter prefix of a longer tuple.  Partials above
 ``exact_order`` come from central differences of the value, all stencil
 points in one call; with no exact partial the value is read from the centre
 row of the first stencil.  The value always passes the value checks, with
-their messages.
+their messages.  A caller that reads only a block of the partials (first
+partials along some axes, second partials on a rows x cols set of axes)
+asks ``_jet`` for that block: the exact route slices its one call, and
+``central_diff`` evaluates only the stencil points of the block's entries,
+each entry bit for bit the one of the full stencil.
 
 Callbacks (``eval`` and the one-form callback of
 ``exterior_derivative_numeric``) receive one shape only, a
@@ -94,10 +98,9 @@ def _as_array(values, n: Optional[int] = None) -> np.ndarray:
 
 
 def _points(x, n: Optional[int] = None) -> np.ndarray:
-    """One point ``(n,)`` or a batch ``(P, n)``, checked finite."""
-    if isinstance(x, CoordPoint):
-        return x.coords
-    arr = np.asarray(x, dtype=float)
+    """One point ``(n,)`` or a batch ``(P, n)`` (a ``CoordPoint`` is its
+    coordinates), checked for its width and finite."""
+    arr = np.asarray(x.coords if isinstance(x, CoordPoint) else x, dtype=float)
     if arr.ndim not in (1, 2) or (n is not None and arr.shape[-1] != n):
         raise ValueError(f"expected a point ({n},) or a batch (P, {n}), got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -377,10 +380,11 @@ class ScalarField:
             _fail_at(cols.T, ~np.isfinite(vals), f"scalar field {self.name!r} non-finite at")
         return vals
 
-    def _jet(self, cols: np.ndarray, order: int) -> tuple:
-        """The kernel: f and its partials up to ``order`` at checked cols, point axis last."""
+    def _jet(self, cols: np.ndarray, order: int, block: Optional[tuple] = None) -> tuple:
+        """The kernel: f and its partials up to ``order`` at checked cols, point
+        axis last; with a ``block``, only the partials of order ``order`` on it."""
         return _jet(self, self._value, cols, order, (), f"scalar field {self.name!r}",
-                    f"derivative of {self.name!r}")
+                    f"derivative of {self.name!r}", block)
 
     def value(self, x):
         """f at one point (a float) or at each row of a batch, (P,)."""
@@ -413,26 +417,42 @@ def _check_order(order) -> None:
 
 
 def _jet(field, kernel: Callable, cols: np.ndarray, order: int, shape: tuple, what: str,
-         what_d: str) -> tuple:
+         what_d: str, block: Optional[tuple] = None) -> tuple:
     """The value of a ``shape``-valued field and its partials up to ``order``
     at checked cols (n, P), point axis last (see the module notes on the
     exact route): up to k = min(order, ``field.exact_order``) from one call
     ``field.eval(cols, k)``, the value through ``field._checked``; each order
     above k by central differences of the value ``kernel`` in one call (step
     ``FD_STEP_1`` or ``FD_STEP_2``), whose centre row gives the value when
-    k = 0."""
+    k = 0.
+
+    With a ``block`` (the ``axes`` of ``central_diff``) only the partials of
+    order ``order`` on it are formed: ``(value, d)`` at order 1, ``(d,)`` at
+    order 2.  The exact route slices its one call; central differences
+    evaluate only the block's stencil points (at order 1 with the centre,
+    which gives the value)."""
     if not order:
         return (kernel(cols),)
     k, out = min(order, field.exact_order), []
+    pts = np.ascontiguousarray(cols.T)  # C order: the stencil reshapes without a copy
+    diff = functools.partial(_call_batch, kernel)
+    if block is not None and k < order:
+        d = central_diff(diff, pts, fd_step(pts, (FD_STEP_1, FD_STEP_2)[order - 1]),
+                         order=order, centre=order == 1, axes=block)
+        d, val = d if order == 1 else (d, None)
+        d = np.moveaxis(d, 0, -1)
+        return (np.moveaxis(val, 0, -1), d) if order == 1 else (d,)
     if k:
         val, *ds = _call(cols, field.eval, shape, what, k)
         out = [field._checked(cols, val)]
         out += [_shaped(d, cols, (len(cols),) * m + shape, what_d.format(m))
                 for m, d in enumerate(ds, 1)]
-    pts = np.ascontiguousarray(cols.T)  # C order: the stencil reshapes without a copy
+        if block is not None:  # k = order: the exact partial, sliced to the block
+            d = out[-1][np.ix_(*block)]
+            return (out[0], d) if order == 1 else (d,)
     for m in range(k + 1, order + 1):
-        d, at = central_diff(functools.partial(_call_batch, kernel), pts,
-                             fd_step(pts, (FD_STEP_1, FD_STEP_2)[m - 1]), order=m, centre=True)
+        d, at = central_diff(diff, pts, fd_step(pts, (FD_STEP_1, FD_STEP_2)[m - 1]),
+                             order=m, centre=True)
         out = out or [np.moveaxis(at, 0, -1)]
         out.append(np.moveaxis(d, 0, -1))
     return tuple(out)
@@ -444,21 +464,43 @@ def fd_step(xi, base: float = FD_STEP_1):
 
 
 @functools.lru_cache(maxsize=None)
-def _stencil(n: int, order: int, centre: bool) -> np.ndarray:
-    """Unit stencil offsets: the centre (always for order 2), +e_k, -e_k, then
-    for order 2 the (++, +-, -+, --) corners of every pair i < j."""
+def _stencil(n: int, order: int, centre: bool, axes: Optional[tuple]) -> tuple:
+    """The unit stencil of the block ``axes`` of ``central_diff`` (None: every
+    axis) and where its entries read it.
+
+    Offsets, in order: the centre (with ``centre`` or for a diagonal entry),
+    +e_k and then -e_k for each k of ``line``, and at order 2 the (++, +-,
+    -+, --) corners of each pair i < j of (iu, ju), pairs in row-major order.
+    ``line`` holds the axes of order 1, or at order 2 those in both rows and
+    cols (the diagonal entries), as an index: a slice where they run
+    consecutively; m is their count.  ``place[r, c]`` picks entry (r, c)
+    from the diagonal entries followed by the pair entries.
+    """
     eye = np.eye(n)
-    rows = [np.zeros((1, n))] if centre or order == 2 else []
-    rows += [eye, -eye]
-    if order == 2:
-        iu, ju = np.triu_indices(n, 1)
-        rows += [eye[iu] * si + eye[ju] * sj for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
-    return np.concatenate(rows)
+    axes = (tuple(range(n)),) * order if axes is None else axes
+    if order == 1:
+        (line,), pairs, place = axes, [], None
+    else:
+        rows, cols = axes
+        line = tuple(k for k in range(n) if k in rows and k in cols)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if (i in rows and j in cols) or (j in rows and i in cols)]
+        place = np.array([[line.index(r) if r == c
+                           else len(line) + pairs.index((min(r, c), max(r, c))) for c in cols]
+                          for r in rows], dtype=int)
+    m = len(line)
+    line = (slice(line[0], line[0] + m) if m and line == tuple(range(line[0], line[0] + m))
+            else np.array(line, dtype=int))
+    iu, ju = np.array(pairs, dtype=int).reshape(-1, 2).T
+    offsets = [np.zeros((1, n))] if centre or (order == 2 and m) else []
+    offsets += [eye[line], -eye[line]]
+    offsets += [eye[iu] * si + eye[ju] * sj for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    return np.concatenate(offsets), line, m, iu, ju, place
 
 
 def central_diff(f: Callable[[np.ndarray], np.ndarray], x, steps, order: int = 1,
-                 centre: bool = False):
-    """Central differences of ``f`` along every coordinate, from one call of ``f``.
+                 centre: bool = False, axes: Optional[Sequence[Sequence[int]]] = None):
+    """Central differences of ``f`` along the coordinates, from one call of ``f``.
 
     ``x`` is one point ``(n,)`` or a batch ``(P, n)``, and ``steps`` holds the
     per-coordinate steps in the same shape.  ``f`` maps a ``(Q, n)`` array of
@@ -466,33 +508,39 @@ def central_diff(f: Callable[[np.ndarray], np.ndarray], x, steps, order: int = 1
     at once.  ``order=1`` gives
     ``d[..., k, ...] = (f(x + h_k e_k) - f(x - h_k e_k)) / 2h_k``; ``order=2``
     gives second partials, ``(f(x + h_i e_i) - 2 f(x) + f(x - h_i e_i)) / h_i^2``
-    on the diagonal and ``(f(++) - f(+-) - f(-+) + f(--)) / 4 h_i h_j`` off it.
-    The result has shape ``x.shape[:-1] + (n,) * order + value shape``.  With
-    ``centre`` the pair ``(result, f(x))`` is returned, f(x) read from the
-    same call of ``f``.
+    on the diagonal and ``(f(++) - f(+-) - f(-+) + f(--)) / 4 h_i h_j`` off it,
+    i < j, for both (i, j) and (j, i).  The result has shape
+    ``x.shape[:-1] + (n,) * order + value shape``.  With ``centre`` the pair
+    ``(result, f(x))`` is returned, f(x) read from the same call of ``f``.
+
+    ``axes`` asks for a block: the axes of each partial index, ``(ks,)`` at
+    order 1 or ``(rows, cols)`` at order 2, in the order given (default: every
+    axis).  Only the stencil points of those entries go to ``f``, and each
+    entry is formed as above, bit for bit the same entry of the full result.
     """
     x = np.asarray(x, dtype=float)
     lead, n = x.shape[:-1], x.shape[-1]
-    offsets = _stencil(n, order, centre)
+    offsets, line, m, iu, ju, place = _stencil(n, order, centre,
+                                               None if axes is None else tuple(map(tuple, axes)))
     stencil = x[..., None, :] + offsets * steps[..., None, :]
     vals = np.asarray(f(stencil.reshape(-1, n)), dtype=float)
     vals = vals.reshape(lead + (len(offsets),) + vals.shape[1:])
     h = steps.reshape(lead + (n,) + (1,) * (vals.ndim - len(lead) - 1))
     at = (slice(None),) * len(lead)  # index the stencil axis, after the batch axis
-    c = int(centre or order == 2)    # rows before +e_1
+    q = len(iu)
+    c = len(offsets) - 2 * m - 4 * q  # rows before +e: the centre, if any
 
-    def part(start, count=n):
+    def part(start, count):
         return vals[at + (slice(start, start + count),)]
 
     if order == 1:
-        out = (part(c) - part(c + n)) / (2.0 * h)
+        out = (part(c, m) - part(c + m, m)) / (2.0 * h[at + (line,)])
     else:
-        iu, ju = np.triu_indices(n, 1)
-        m = len(iu)
-        out = np.empty(lead + (n, n) + vals.shape[len(lead) + 1:])
-        out[at + (np.arange(n), np.arange(n))] = (part(1) - 2.0 * part(0, 1) + part(n + 1)) / h**2
-        pp, pm, mp, mm = (part(2 * n + 1 + k * m, m) for k in range(4))
-        out[at + (iu, ju)] = out[at + (ju, iu)] = (pp - pm - mp + mm) / (4.0 * h[at + (iu,)] * h[at + (ju,)])
+        diag = ((part(1, m) - 2.0 * part(0, 1) + part(1 + m, m)) / h[at + (line,)]**2 if m
+                else part(0, 0))  # no diagonal entry: no centre row either
+        pp, pm, mp, mm = (part(c + 2 * m + k * q, q) for k in range(4))
+        off = (pp - pm - mp + mm) / (4.0 * h[at + (iu,)] * h[at + (ju,)])
+        out = np.concatenate([diag, off], axis=len(lead))[at + (place,)]
     return (out, vals[at + (0,)]) if centre else out
 
 

@@ -119,6 +119,10 @@ class DoublyTwistedProduct:
     def slot(self, i: int) -> slice:
         return self.slot1 if i == 1 else self.slot2
 
+    def axes(self, i: int) -> tuple:
+        """The coordinate indices of factor i's slots (a block of ``chartkit.central_diff``)."""
+        return tuple(range(self.n)[self.slot(i)])
+
     def embed(self, i: int, factor_components) -> np.ndarray:
         out = np.zeros(self.n)
         out[self.slot(i)] = np.asarray(factor_components, dtype=float)
@@ -355,14 +359,17 @@ def mean_curvature_form(dtp: DoublyTwistedProduct, x, i: int):
     components ``(P, n)`` at each row of a batch (one warp evaluation each).
 
     g is block diagonal, so omega_i = -d ln lam_i on the other factor's slots
-    and 0 on its own (as ``classify`` reads it), from one jet of lam_i; no
-    metric evaluation.
+    and 0 on its own (as ``classify`` reads it), from one jet of lam_i
+    differenced along the other factor's slots only: on the FD route, the
+    point and its +-e_k neighbours for k in those slots.  No metric
+    evaluation.
     """
     if i not in (1, 2):
         raise ValueError("foliation index must be 1 or 2")
     pts = ck._points(x, dtp.n)
-    val, grad = ck._call_batch(dtp.warp(i)._jet, pts, 1)
-    out = _omega(dtp, i, grad, np.asarray(val))
+    val, grad = ck._call_batch(dtp.warp(i)._jet, pts, 1, (dtp.axes(3 - i),))
+    out = np.zeros(pts.shape)
+    out[..., dtp.slot(3 - i)] = -(grad / np.asarray(val)[..., None])
     return OneForm(CoordPoint(pts), out) if pts.ndim == 1 else out
 
 
@@ -383,9 +390,12 @@ def classify(dtp: DoublyTwistedProduct, per_axis: int = 4) -> StructureClass:
     g is block diagonal, so omega_i = -d ln lam_i on the other factor's
     slots and 0 on its own, and d(omega_i) is (up to sign) the mixed
     factor-1 x factor-2 block of the coordinate hessian of ln lam_i.  On the
-    ``offset_grid_points`` of the box, g^-1 and each warp's jet of order 1
-    are read once, for N_i and d(omega_i) alike; a jet of order 2 only if
-    N_i != 0.
+    P ``offset_grid_points`` of the box, g^-1 and each warp's jet of order 1
+    are read once, for N_i and d(omega_i) alike (on the FD route, each point
+    and its +-e_k neighbours: P (1 + 2n) warp values).  Only if N_i != 0 is
+    the mixed block of lam_i's hessian read, alone: on the FD route the
+    (++, +-, -+, --) corners of each slot-1 x slot-2 pair, 4 P n1 n2 values,
+    and no diagonal.
     """
     pts = offset_grid_points(dtp.domain_box, per_axis)
     ginv = dtp.assembled.inv(pts)
@@ -397,9 +407,8 @@ def classify(dtp: DoublyTwistedProduct, per_axis: int = 4) -> StructureClass:
         if max_n[i - 1] < VANISH_TOL:
             continue  # omega_i vanishes with N_i
         val = val[:, None, None]
-        hess = ck._call_batch(w._jet, pts, 2)[2]
-        hess_log = hess / val - grad[:, :, None] * grad[:, None, :] / val**2
-        mixed = hess_log[:, dtp.slot1, dtp.slot2]
+        (hess,) = ck._call_batch(w._jet, pts, 2, (dtp.axes(1), dtp.axes(2)))
+        mixed = hess / val - grad[:, dtp.slot1, None] * grad[:, None, dtp.slot2] / val**2
         bad = ~np.isfinite(mixed).all(axis=(1, 2))
         if bad.any():
             raise NumericsError(f"non-finite d(omega_{i}) sample at {pts[np.argmax(bad)]}")

@@ -1254,7 +1254,10 @@ def teodg_diagnostic(dtp: pg.DoublyTwistedProduct, n_samples: int = 60,
     hessian, pseudo-inverted where singular), projected onto the factor-1
     box, run from the 5 grid points of least |grad| for at most
     _NEWTON_STEPS steps; an end point with |grad| < 1e-6 is critical, and
-    one within 1e-4 of a kept point is that point.
+    one within 1e-4 of a kept point is that point.  Only the slot-1 partials
+    of lam2 are read: on the FD route a gradient evaluates each point and its
+    +-e_k neighbours for k in slot 1, and a hessian the point, its +-e_k
+    neighbours and the four corners of each pair of slot-1 axes.
     """
     cls = pg.classify(dtp)
     if cls.tag in (pg.StructureTag.TWISTED, pg.StructureTag.DOUBLY_TWISTED):
@@ -1275,14 +1278,14 @@ def teodg_diagnostic(dtp: pg.DoublyTwistedProduct, n_samples: int = 60,
         if witness is None:
             witness = {"point": point, "K": k}
 
-    lam2, slot1 = dtp.lam2, dtp.slot1
+    lam2, slot1 = dtp.lam2, dtp.axes(1)
     mid2 = 0.5 * (dtp.f2.domain_box[:, 0] + dtp.f2.domain_box[:, 1])
 
     def full(a):
-        return np.hstack([a, np.broadcast_to(mid2, (len(a), dtp.n2))])
+        return ck._points(np.hstack([a, np.broadcast_to(mid2, (len(a), dtp.n2))]))
 
     def grad(a):
-        return lam2.grad_coords(full(a))[:, slot1]
+        return ck._call_batch(lam2._jet, full(a), 1, (slot1,))[1]
 
     grid = pg.grid_points(dtp.f1.domain_box, 9)
     grid_norm2 = np.sum(grad(grid) ** 2, axis=1)
@@ -1292,7 +1295,7 @@ def teodg_diagnostic(dtp: pg.DoublyTwistedProduct, n_samples: int = 60,
         lo, hi = dtp.f1.domain_box[:, 0], dtp.f1.domain_box[:, 1]
         a = grid[np.argsort(grid_norm2, kind="stable")[:5]]
         for _ in range(_NEWTON_STEPS):
-            hess = lam2.hess_coords(full(a))[:, slot1, slot1]
+            (hess,) = ck._call_batch(lam2._jet, full(a), 2, (slot1, slot1))
             nxt = np.clip(a - np.einsum("pij,pj->pi", np.linalg.pinv(hess), grad(a)), lo, hi)
             if np.array_equal(nxt, a):
                 break

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import chartkit as ck
 from . import fixtures as fx
 from . import productgeo as pg
 from . import quotient as qt
@@ -160,15 +161,15 @@ def _build_factor(spec: dict, path: str) -> tuple[pg.FactorManifold, list]:
 def _check_dependency(dtp: pg.DoublyTwistedProduct, i: int, dependency: str, coords: list):
     """The declared dependency of lam_i, checked on a 3-per-axis grid over the
     domain box: each partial along an excluded factor's slots must stay
-    within VANISH_TOL * max(1, |lam_i|)."""
+    within VANISH_TOL * max(1, |lam_i|).  lam_i is differenced along those
+    slots only, its value read from the same jet."""
     excluded = _DEPENDENCIES[dependency]
     if not excluded:
         return
     pts = pg.grid_points(dtp.domain_box, 3)
-    lam = dtp.warp(i)
-    scale = pg.VANISH_TOL * np.maximum(1.0, np.abs(lam.value(pts)))
-    slots = np.concatenate([np.arange(dtp.n)[dtp.slot(f)] for f in excluded])
-    partials = lam.grad_coords(pts)[:, slots]
+    slots = sum((dtp.axes(f) for f in excluded), ())
+    val, partials = ck._call_batch(dtp.warp(i)._jet, pts, 1, (slots,))
+    scale = pg.VANISH_TOL * np.maximum(1.0, np.abs(val))
     bad = np.abs(partials) > scale[:, None]
     if bad.any():
         p, k = divmod(int(np.argmax(bad)), len(slots))

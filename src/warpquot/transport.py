@@ -41,7 +41,7 @@ conservation and norm-law residuals the callers check are then about 1e-15
 on the smooth analytic built-ins, and up to 4e-10 where Gamma comes from
 finite differences (scenario files) or the warp is piecewise (example1).
 Both adapted-translation routes pass the same input guards and sample the
-same times (``_transport_grid``).
+same times (``_transport_grid``), which each curve evaluates once.
 
 ``broken_geodesic``, whose curve is the unknown, integrates the nonlinear
 geodesic-and-frame equations with the same tableau, step doubling and
@@ -53,6 +53,7 @@ alone; scipy's RK45 is the tests' oracle of both integrators.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -145,6 +146,26 @@ class PiecewiseCurve:
 
     def velocity(self, t) -> np.ndarray:
         return self._at(self._velocity, t)
+
+    @functools.cached_property
+    def _samples(self) -> tuple[np.ndarray, np.ndarray]:
+        """Transport sample times, SAMPLES_PER_SEGMENT per segment with the
+        breaks shared, and the curve there: evaluated once per curve,
+        read-only, for every transport along it (``_transport_grid``)."""
+        ts = np.unique(np.concatenate([np.linspace(t0, t1, SAMPLES_PER_SEGMENT)
+                                       for t0, t1 in zip(self.knots[:-1], self.knots[1:])]))
+        pts = self.point(ts)
+        ts.flags.writeable = pts.flags.writeable = False
+        return ts, pts
+
+    @functools.cached_property
+    def _probe(self) -> tuple[np.ndarray, np.ndarray]:
+        """33 probe times on [0, 1] and the velocity there, read-only: the leaf
+        guard of ``_transport_grid``, evaluated once per curve."""
+        ts = np.linspace(0.0, 1.0, 33)
+        vel = self.velocity(ts)
+        ts.flags.writeable = vel.flags.writeable = False
+        return ts, vel
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -434,20 +455,21 @@ def _transport_grid(curve: PiecewiseCurve, frame: Sequence[TangentVector],
     (factor 3 - foliation) components at 33 sample times (``NotInLeaf``)
     and every vector must be normal (``ValueError``).  Every vector must be
     based at curve(0) (``BaseMismatch``).  The times are
-    SAMPLES_PER_SEGMENT per segment, breaks shared.
+    SAMPLES_PER_SEGMENT per segment, breaks shared.  The probe and the
+    samples are the curve's own (``PiecewiseCurve._probe``, ``_samples``):
+    every transport along one curve reads the same two evaluations, and
+    the guards of each run in the order above.
     """
     if leaf is not None:
         dtp, foliation = leaf
-        probe = np.linspace(0.0, 1.0, 33)
-        drift = np.max(np.abs(curve.velocity(probe)[:, dtp.slot(3 - foliation)]), axis=1)
+        probe, vel = curve._probe
+        drift = np.max(np.abs(vel[:, dtp.slot(3 - foliation)]), axis=1)
         if np.any(drift > LEAF_VELOCITY_TOL):
             raise NotInLeaf(f"curve velocity has factor-{3 - foliation} components "
                             f"at t = {probe[np.argmax(drift > LEAF_VELOCITY_TOL)]}")
         if any(np.max(np.abs(v.components[dtp.slot(foliation)])) > 1e-12 for v in frame):
             raise ValueError("v0 must lie in the normal (other-factor) slots")
-    ts = np.unique(np.concatenate([np.linspace(t0, t1, SAMPLES_PER_SEGMENT)
-                                   for t0, t1 in zip(curve.knots[:-1], curve.knots[1:])]))
-    pts = curve.point(ts)
+    ts, pts = curve._samples
     if any(np.max(np.abs(v.base.coords - pts[0])) > 1e-9 for v in frame):
         raise BaseMismatch("v0 must be based at curve(0)")
     return ts, pts

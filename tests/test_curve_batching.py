@@ -8,12 +8,15 @@ rule "the first segment with t <= t1 + 1e-12", also exactly at a break and
 """
 
 import functools
+import os
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from warpquot import chartkit as ck
+from warpquot import cli
 from warpquot import fixtures as fx
 from warpquot import scenario
 from warpquot import transport as tp
@@ -135,3 +138,30 @@ def test_transport_result_builds_tangent_vectors_from_its_arrays():
     np.testing.assert_array_equal(np.stack([v.base.coords for _, v in res.samples]), res.points)
     np.testing.assert_array_equal(res.end.components, res.components[-1])
     np.testing.assert_array_equal(res.end.base.coords, curve.point(1.0))
+
+
+@pytest.mark.parametrize("name", ["random-dtp", "flat-torus"])
+def test_verify_all_builds_each_curves_transport_grid_once(monkeypatch, name):
+    # the leaf line carries the adapted and the parallel job and the closed
+    # form: one velocity batch at the 33 probe times and one point batch at
+    # its sample times serve all three (2 and 3 such batches before); each
+    # holonomy loop is probed and sampled once as well
+    seen = []
+    for method in ("point", "velocity"):
+        exact = getattr(tp.PiecewiseCurve, method)
+
+        def counted(self, t, _exact=exact, _method=method):
+            seen.append((self, _method, np.array(t, dtype=float)))
+            return _exact(self, t)
+
+        monkeypatch.setattr(tp.PiecewiseCurve, method, counted)
+    assert cli.main(["run", name, "verify-all", "--out", os.devnull]) == 0
+    grids = {}
+    for curve, method, t in seen:
+        samples = np.unique(np.concatenate([np.linspace(t0, t1, tp.SAMPLES_PER_SEGMENT) for t0, t1
+                                            in zip(curve.knots[:-1], curve.knots[1:])]))
+        probe = np.array_equal(t, np.linspace(0.0, 1.0, 33)) and method == "velocity"
+        sample = np.array_equal(t, samples) and method == "point"
+        grids.setdefault(id(curve), Counter()).update(probe=probe, samples=sample)
+    assert len(grids) == (1 if name == "random-dtp" else 3)
+    assert all(count == Counter(probe=1, samples=1) for count in grids.values())
