@@ -1,5 +1,9 @@
 """Shared fixture models: the built-in products and quotients.
 
+The line x line products (flat, or warped by lam2 = f(x)) share ``_lines``;
+their flat quotients share ``_flat_quotient``, which takes the factor
+intervals and the fundamental box apart (the Moebius band's differ).
+
 Every analytic fixture declares exact order 2: its one callback returns the
 metric or warp with its exact partials, so the closed-form-vs-oracle
 comparisons run at tight tolerances.  ``strip_analytic`` gives FD-only
@@ -104,36 +108,42 @@ def strip_analytic(dtp: pg.DoublyTwistedProduct) -> pg.DoublyTwistedProduct:
 # ---------------------------------------------------------------------------
 # product fixtures
 
+def _lines(x, y, lam2=None) -> pg.DoublyTwistedProduct:
+    """Euclidean line x line with lam1 = 1 and lam2 (1 when None); ``x`` and
+    ``y`` are each factor's (name, domain interval)."""
+    f1, f2 = (pg.FactorManifold(name, 1, MetricField.euclidean(1), [box]) for name, box in (x, y))
+    one = ScalarField.constant(1.0)
+    return pg.assemble(f1, f2, one, one if lam2 is None else lam2)
+
+
+def _warped_lines(x, y, f, df, ddf, name: str) -> pg.DoublyTwistedProduct:
+    """Line x line warped by lam2 = f(x), exact to second order."""
+    return _lines(x, y, function_of_coordinate_warp(0, 2, f, df, ddf, name=name))
+
+
+_CIRCLE = ("circle", [0.0, 6.2])
+
+
 def flat_direct_product() -> pg.DoublyTwistedProduct:
     """Euclidean R x R as a direct product."""
-    f1 = pg.FactorManifold("line-x", 1, MetricField.euclidean(1), [[-2.0, 2.0]])
-    f2 = pg.FactorManifold("line-y", 1, MetricField.euclidean(1), [[-2.0, 2.0]])
-    one = ScalarField.constant(1.0)
-    return pg.assemble(f1, f2, one, one)
+    return _lines(("line-x", [-2.0, 2.0]), ("line-y", [-2.0, 2.0]))
 
 
 def polar_plane() -> pg.DoublyTwistedProduct:
     """dr^2 + r^2 dtheta^2: warped product of the half-line and the circle."""
-    f1 = pg.FactorManifold("halfline-r", 1, MetricField.euclidean(1), [[0.5, 3.0]])
-    f2 = pg.FactorManifold("circle", 1, MetricField.euclidean(1), [[0.0, 6.2]])
-    lam2 = function_of_coordinate_warp(0, 2, lambda r: r, lambda r: 1.0, lambda r: 0.0, name="r")
-    return pg.assemble(f1, f2, ScalarField.constant(1.0), lam2)
+    return _warped_lines(("halfline-r", [0.5, 3.0]), _CIRCLE,
+                         lambda r: r, lambda r: 1.0, lambda r: 0.0, "r")
 
 
 def sphere_polar() -> pg.DoublyTwistedProduct:
     """dr^2 + sin(r)^2 dtheta^2: the unit round sphere, K = +1."""
-    f1 = pg.FactorManifold("arc-r", 1, MetricField.euclidean(1), [[0.3, 2.8]])
-    f2 = pg.FactorManifold("circle", 1, MetricField.euclidean(1), [[0.0, 6.2]])
-    lam2 = function_of_coordinate_warp(0, 2, np.sin, np.cos, lambda r: -np.sin(r), name="sin r")
-    return pg.assemble(f1, f2, ScalarField.constant(1.0), lam2)
+    return _warped_lines(("arc-r", [0.3, 2.8]), _CIRCLE,
+                         np.sin, np.cos, lambda r: -np.sin(r), "sin r")
 
 
 def hyperbolic_polar() -> pg.DoublyTwistedProduct:
     """dr^2 + sinh(r)^2 dtheta^2: hyperbolic plane, K = -1."""
-    f1 = pg.FactorManifold("ray-r", 1, MetricField.euclidean(1), [[0.3, 2.5]])
-    f2 = pg.FactorManifold("circle", 1, MetricField.euclidean(1), [[0.0, 6.2]])
-    lam2 = function_of_coordinate_warp(0, 2, np.sinh, np.cosh, np.sinh, name="sinh r")
-    return pg.assemble(f1, f2, ScalarField.constant(1.0), lam2)
+    return _warped_lines(("ray-r", [0.3, 2.5]), _CIRCLE, np.sinh, np.cosh, np.sinh, "sinh r")
 
 
 def lorentz_direct() -> pg.DoublyTwistedProduct:
@@ -174,11 +184,8 @@ def expanding_spacetime() -> pg.DoublyTwistedProduct:
 
 def bowl_warped() -> pg.DoublyTwistedProduct:
     """Warped product with lam2 = 1 + x^2: unique critical point at x = 0."""
-    f1 = pg.FactorManifold("line-x", 1, MetricField.euclidean(1), [[-1.5, 1.5]])
-    f2 = pg.FactorManifold("line-y", 1, MetricField.euclidean(1), [[-1.0, 1.0]])
-    lam2 = function_of_coordinate_warp(0, 2, lambda x: 1 + x * x, lambda x: 2 * x,
-                                       lambda x: 2.0, name="1+x^2")
-    return pg.assemble(f1, f2, ScalarField.constant(1.0), lam2)
+    return _warped_lines(("line-x", [-1.5, 1.5]), ("line-y", [-1.0, 1.0]),
+                         lambda x: 1 + x * x, lambda x: 2 * x, lambda x: 2.0, "1+x^2")
 
 
 def random_doubly_twisted(seed: int) -> pg.DoublyTwistedProduct:
@@ -217,37 +224,36 @@ def random_doubly_warped(seed: int) -> pg.DoublyTwistedProduct:
 # ---------------------------------------------------------------------------
 # quotient fixtures
 
+def _deck(name: str, dx: float, dy=None) -> qt.DeckGenerator:
+    """(x, y) -> (x + dx, y + dy), or (x + dx, -y) when dy is None."""
+    psi = qt.FactorMap.affine([[-1.0]], [0.0]) if dy is None else qt.FactorMap.translation([dy])
+    return qt.DeckGenerator(name, qt.FactorMap.translation([dx]), psi)
+
+
+def _flat_quotient(x_box, y_box, gens, word_bound: int,
+                   fundamental_box=None) -> qt.QuotientModel:
+    """Euclidean line-x x line-y over the factor intervals x_box and y_box,
+    quotiented by gens; the fundamental box is the factor boxes unless given."""
+    box = [x_box, y_box] if fundamental_box is None else fundamental_box
+    return qt.QuotientModel(_lines(("line-x", x_box), ("line-y", y_box)), gens,
+                            fundamental_box=box, word_bound=word_bound)
+
+
 def mobius_model(word_bound: int = 8) -> qt.QuotientModel:
     """Flat Moebius band: R^2 / <(x, y) -> (x + 1, -y)>.
 
     The central leaf (y = 0) closes with holonomy -1 on its normal line, so
     the quotient is obstructed even though the leaves meet exactly once.
     """
-    f1 = pg.FactorManifold("line-x", 1, MetricField.euclidean(1), [[0.0, 1.0]])
-    f2 = pg.FactorManifold("line-y", 1, MetricField.euclidean(1), [[-1.0, 1.0]])
-    one = ScalarField.constant(1.0)
-    dtp = pg.assemble(f1, f2, one, one)
-    gen = qt.DeckGenerator("a", qt.FactorMap.translation([1.0]),
-                           qt.FactorMap.affine([[-1.0]], [0.0]))
     big = 1e9  # only x is quotiented; the transversal is unbounded
-    return qt.QuotientModel(dtp, [gen],
-                            fundamental_box=[[0.0, 1.0], [-big, big]],
-                            word_bound=word_bound)
+    return _flat_quotient([0.0, 1.0], [-1.0, 1.0], [_deck("a", 1.0)], word_bound,
+                          fundamental_box=[[0.0, 1.0], [-big, big]])
 
 
 def flat_torus_model(word_bound: int = 8) -> qt.QuotientModel:
     """Axis-aligned flat torus: R^2 / <(x+1, y), (x, y+1)>; splits globally."""
-    f1 = pg.FactorManifold("line-x", 1, MetricField.euclidean(1), [[0.0, 1.0]])
-    f2 = pg.FactorManifold("line-y", 1, MetricField.euclidean(1), [[0.0, 1.0]])
-    one = ScalarField.constant(1.0)
-    dtp = pg.assemble(f1, f2, one, one)
-    gens = [
-        qt.DeckGenerator("a", qt.FactorMap.translation([1.0]), qt.FactorMap.translation([0.0])),
-        qt.DeckGenerator("b", qt.FactorMap.translation([0.0]), qt.FactorMap.translation([1.0])),
-    ]
-    return qt.QuotientModel(dtp, gens,
-                            fundamental_box=[[0.0, 1.0], [0.0, 1.0]],
-                            word_bound=word_bound)
+    return _flat_quotient([0.0, 1.0], [0.0, 1.0],
+                          [_deck("a", 1.0, 0.0), _deck("b", 0.0, 1.0)], word_bound)
 
 
 def skewed_torus_model(word_bound: int = 8) -> qt.QuotientModel:
@@ -256,17 +262,8 @@ def skewed_torus_model(word_bound: int = 8) -> qt.QuotientModel:
     Both foliations have trivial holonomy but the leaves through the origin
     intersect twice, obstructing a global product decomposition.
     """
-    f1 = pg.FactorManifold("line-x", 1, MetricField.euclidean(1), [[0.0, 1.0]])
-    f2 = pg.FactorManifold("line-y", 1, MetricField.euclidean(1), [[0.0, 1.0]])
-    one = ScalarField.constant(1.0)
-    dtp = pg.assemble(f1, f2, one, one)
-    gens = [
-        qt.DeckGenerator("a", qt.FactorMap.translation([1.0]), qt.FactorMap.translation([0.0])),
-        qt.DeckGenerator("b", qt.FactorMap.translation([0.5]), qt.FactorMap.translation([1.0])),
-    ]
-    return qt.QuotientModel(dtp, gens,
-                            fundamental_box=[[0.0, 1.0], [0.0, 1.0]],
-                            word_bound=word_bound)
+    return _flat_quotient([0.0, 1.0], [0.0, 1.0],
+                          [_deck("a", 1.0, 0.0), _deck("b", 0.5, 1.0)], word_bound)
 
 
 def klein_bottle_model(word_bound: int = 6) -> qt.QuotientModel:
@@ -276,17 +273,8 @@ def klein_bottle_model(word_bound: int = 6) -> qt.QuotientModel:
     -1 on their normal line; every other F1 leaf closes after a^2 with
     trivial holonomy and meets its F2 leaf twice.
     """
-    f1 = pg.FactorManifold("line-x", 1, MetricField.euclidean(1), [[0.0, 0.5]])
-    f2 = pg.FactorManifold("line-y", 1, MetricField.euclidean(1), [[-0.5, 0.5]])
-    one = ScalarField.constant(1.0)
-    dtp = pg.assemble(f1, f2, one, one)
-    gens = [
-        qt.DeckGenerator("a", qt.FactorMap.translation([0.5]), qt.FactorMap.affine([[-1.0]], [0.0])),
-        qt.DeckGenerator("b", qt.FactorMap.translation([0.0]), qt.FactorMap.translation([1.0])),
-    ]
-    return qt.QuotientModel(dtp, gens,
-                            fundamental_box=[[0.0, 0.5], [-0.5, 0.5]],
-                            word_bound=word_bound)
+    return _flat_quotient([0.0, 0.5], [-0.5, 0.5],
+                          [_deck("a", 0.5), _deck("b", 0.0, 1.0)], word_bound)
 
 
 def example1_model(word_bound: int = 8) -> qt.QuotientModel:

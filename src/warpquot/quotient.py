@@ -315,7 +315,7 @@ class QuotientModel:
         if self._letters is not None:
             A = self._word_record(word)[0]
             return np.broadcast_to(A, x.shape[:-1] + A.shape).copy()
-        J = np.eye(self.dtp.n)
+        J = np.broadcast_to(np.eye(self.dtp.n), x.shape[:-1] + (self.dtp.n,) * 2).copy()
         for i, (name, sign) in enumerate(word):
             gen = self.by_name[name]
             J = self.gen_jacobian(gen, sign, x) @ J
@@ -901,7 +901,9 @@ def _intersections(model: QuotientModel, rep0: np.ndarray, loops: dict,
     words = model._tree(wb).words
     cands = model._orbit(wb, rep0)
     cands[:, dtp.slot1] = rep0[dtp.slot1]                # on {a0} x M2
-    reduced = model._searches(cands, model.in_box, model.word_bound)
+    # a candidate of a word longer than the model's bound may need as long a
+    # word to reach the box
+    reduced = model._searches(cands, model.in_box, max(model.word_bound, wb))
     # candidates that reach the box, in order; a candidate whose representative
     # is the same point as an earlier kept one is that intersection: the first
     # one left is kept, and every one left that is the same point goes

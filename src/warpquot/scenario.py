@@ -6,10 +6,14 @@ coordinates, optional deck generators (coordinate formulas with declared
 inverses), curves (parametric formulas or Catmull-Rom polylines), holonomy
 loop words and expectations.  Files are JSON; unknown keys are rejected with
 their path, and syntax errors carry line/column positions.
+
+The built-in catalog is the table ``BUILTIN_SCENARIOS``: one row per
+built-in, holding its builder, basepoint, holonomy loops and expectations.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -344,97 +348,48 @@ def load_scenario_file(path) -> ScenarioContext:
 # ---------------------------------------------------------------------------
 # built-in scenarios
 
-def _builtin_mobius(seed: int) -> ScenarioContext:
-    model = fx.mobius_model()
-    return ScenarioContext(
-        name="mobius", dtp=model.dtp, model=model,
-        holonomy_loops=fx.HOLONOMY_LOOPS["mobius"],
-        basepoint=np.array([0.0, 0.0]),
-        expect={"classification": "direct-product",
-                "holonomy": {"1": [[[-1.0]]]},
-                "intersections": 1,
-                "verdict": "obstructed", "verdict_reason": "nontrivial-holonomy"})
-
-
-def _builtin_flat_torus(seed: int) -> ScenarioContext:
-    model = fx.flat_torus_model()
-    return ScenarioContext(
-        name="flat-torus", dtp=model.dtp, model=model,
-        holonomy_loops=fx.HOLONOMY_LOOPS["flat-torus"],
-        basepoint=np.array([0.0, 0.0]),
-        expect={"classification": "direct-product",
-                "holonomy": {"1": [[[1.0]]], "2": [[[1.0]]]},
-                "intersections": 1,
-                "verdict": "global-doubly-warped-product"})
-
-
-def _builtin_skewed_torus(seed: int) -> ScenarioContext:
-    model = fx.skewed_torus_model()
-    return ScenarioContext(
-        name="skewed-torus", dtp=model.dtp, model=model,
-        holonomy_loops=fx.HOLONOMY_LOOPS["skewed-torus"],
-        basepoint=np.array([0.0, 0.0]),
-        expect={"classification": "direct-product",
-                "holonomy": {"1": [[[1.0]]], "2": [[[1.0]]]},
-                "intersections": 2,
-                "verdict": "obstructed", "verdict_reason": "multiple-intersections"})
-
-
-def _builtin_example1(seed: int) -> ScenarioContext:
-    model = fx.example1_model()
-    return ScenarioContext(
-        name="example1-twisted", dtp=model.dtp, model=model,
-        basepoint=np.array([0.0, 0.0]),
-        expect={"classification": "twisted",
-                "seam_residual_max": 1e-8,
-                "leaf_closed_y": 0.0, "leaf_open_y": 1.0})
-
-
-def _builtin_sphere(seed: int) -> ScenarioContext:
-    return ScenarioContext(
-        name="sphere-polar", dtp=fx.sphere_polar(),
-        basepoint=np.array([np.pi / 2, 1.0]),
-        expect={"classification": "warped", "mixed_K": 1.0, "K_tol": 1e-6})
-
-
-def _builtin_hyperbolic(seed: int) -> ScenarioContext:
-    return ScenarioContext(
-        name="hyperbolic-polar", dtp=fx.hyperbolic_polar(),
-        basepoint=np.array([1.0, 1.0]),
-        expect={"classification": "warped", "mixed_K": -1.0, "K_tol": 1e-6})
-
-
-def _builtin_polar_plane(seed: int) -> ScenarioContext:
-    return ScenarioContext(
-        name="polar-plane", dtp=fx.polar_plane(),
-        basepoint=np.array([2.0, 0.5]),
-        expect={"classification": "warped", "mixed_K": 0.0, "K_tol": 1e-7})
-
-
-def _builtin_lorentz(seed: int) -> ScenarioContext:
-    return ScenarioContext(
-        name="lorentz-direct", dtp=fx.lorentz_direct(),
-        basepoint=np.array([0.0, 0.0, 0.0]),
-        expect={"classification": "direct-product", "lightlike_zero": True})
-
-
-def _builtin_random_dtp(seed: int) -> ScenarioContext:
-    return ScenarioContext(
-        name="random-dtp", dtp=fx.random_doubly_twisted(seed),
-        expect={"classification": "doubly-twisted"})
-
-
+# name -> (builder of the product or quotient from the seed, basepoint or
+# None, holonomy loops, expectations); only random-dtp's builder reads the seed
 BUILTIN_SCENARIOS = {
-    "mobius": _builtin_mobius,
-    "flat-torus": _builtin_flat_torus,
-    "skewed-torus": _builtin_skewed_torus,
-    "example1-twisted": _builtin_example1,
-    "sphere-polar": _builtin_sphere,
-    "hyperbolic-polar": _builtin_hyperbolic,
-    "polar-plane": _builtin_polar_plane,
-    "lorentz-direct": _builtin_lorentz,
-    "random-dtp": _builtin_random_dtp,
+    "mobius": (lambda seed: fx.mobius_model(), [0.0, 0.0], fx.HOLONOMY_LOOPS["mobius"],
+               {"classification": "direct-product", "holonomy": {"1": [[[-1.0]]]},
+                "intersections": 1,
+                "verdict": "obstructed", "verdict_reason": "nontrivial-holonomy"}),
+    "flat-torus": (lambda seed: fx.flat_torus_model(), [0.0, 0.0], fx.HOLONOMY_LOOPS["flat-torus"],
+                   {"classification": "direct-product",
+                    "holonomy": {"1": [[[1.0]]], "2": [[[1.0]]]}, "intersections": 1,
+                    "verdict": "global-doubly-warped-product"}),
+    "skewed-torus": (lambda seed: fx.skewed_torus_model(), [0.0, 0.0],
+                     fx.HOLONOMY_LOOPS["skewed-torus"],
+                     {"classification": "direct-product",
+                      "holonomy": {"1": [[[1.0]]], "2": [[[1.0]]]}, "intersections": 2,
+                      "verdict": "obstructed", "verdict_reason": "multiple-intersections"}),
+    "example1-twisted": (lambda seed: fx.example1_model(), [0.0, 0.0], {},
+                         {"classification": "twisted", "seam_residual_max": 1e-8,
+                          "leaf_closed_y": 0.0, "leaf_open_y": 1.0}),
+    "sphere-polar": (lambda seed: fx.sphere_polar(), [np.pi / 2, 1.0], {},
+                     {"classification": "warped", "mixed_K": 1.0, "K_tol": 1e-6}),
+    "hyperbolic-polar": (lambda seed: fx.hyperbolic_polar(), [1.0, 1.0], {},
+                         {"classification": "warped", "mixed_K": -1.0, "K_tol": 1e-6}),
+    "polar-plane": (lambda seed: fx.polar_plane(), [2.0, 0.5], {},
+                    {"classification": "warped", "mixed_K": 0.0, "K_tol": 1e-7}),
+    "lorentz-direct": (lambda seed: fx.lorentz_direct(), [0.0, 0.0, 0.0], {},
+                       {"classification": "direct-product", "lightlike_zero": True}),
+    "random-dtp": (fx.random_doubly_twisted, None, {},
+                   {"classification": "doubly-twisted"}),
 }
+
+
+def _builtin(name: str, seed: int) -> ScenarioContext:
+    """The context of a catalog row, with its own model, basepoint, loops
+    and expectations on every call."""
+    build, basepoint, loops, expect = BUILTIN_SCENARIOS[name]
+    built = build(seed)
+    model = built if isinstance(built, qt.QuotientModel) else None
+    return ScenarioContext(
+        name=name, dtp=built if model is None else model.dtp, model=model,
+        holonomy_loops=copy.deepcopy(loops), expect=copy.deepcopy(expect),
+        basepoint=None if basepoint is None else np.array(basepoint, dtype=float))
 
 
 def list_scenarios() -> list[str]:
@@ -444,7 +399,7 @@ def list_scenarios() -> list[str]:
 def resolve_scenario(ref: str, seed: int = 0) -> ScenarioContext:
     """Look up a built-in by name, else load a scenario file from a path."""
     if ref in BUILTIN_SCENARIOS:
-        return BUILTIN_SCENARIOS[ref](seed)
+        return _builtin(ref, seed)
     if Path(ref).exists():
         return load_scenario_file(ref)
     raise ScenarioError(

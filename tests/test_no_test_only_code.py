@@ -7,17 +7,20 @@ passes when one of these holds, outside its own ``def``:
 * ``src/warpquot`` names it: by bare name in its own module, as
   ``alias.name`` where ``alias`` is an imported warpquot module, in a
   from-import of its module, or as a string (a ``getattr`` target);
-* its name is read in a file under ``bench/`` (as an identifier or a
-  string, such as the tracer's method table);
+* code under ``bench/`` reads it as an attribute of an imported warpquot
+  module (``cli.main``), or ``bench/tracer.py`` names it as the string
+  ``"layer.name"`` (the spans its per-layer metrics read);
 * it is exported from ``warpquot/__init__.py``;
 * it is on ``ALLOWED`` below, with the reason it stays.
 
 A public method passes when its name is read anywhere in ``src/warpquot``
-(an identifier, an attribute or a string) or read under ``bench/``; an
-exported class keeps no method alive.  A private method (``_name``, not a dunder) passes only
-when its name is read in ``src/warpquot`` outside its own ``def``.  An
-attribute of another object, such as ``np.linalg.norm``, keeps no top-level
-function alive.
+(an identifier, an attribute or a string) or ``bench/tracer.py``'s
+``METHODS`` table lists it under its class; an exported class keeps no
+method alive.  A private method (``_name``, not a dunder) passes only when
+its name is read in ``src/warpquot`` outside its own ``def``.  An attribute
+of another object, such as ``np.linalg.norm``, keeps no top-level function
+alive, and a ``bench/`` name that merely equals a method's (the tracer's
+``after`` parameter) keeps no method alive.
 
 A function that only tests call is a second way to compute what the
 library already computes on its command path; delete it, or move its test
@@ -32,6 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "warpquot"
 BENCH = ROOT / "bench"
+TRACER = BENCH / "tracer.py"
 
 ALLOWED = {
     "sectional_curvature_closed_form": "README quick start: one plane's closed-form K",
@@ -109,6 +113,34 @@ def _function_called(refs: Counter, module: str, name: str) -> int:
     return refs[module, name] + refs["*", name]
 
 
+def _bench_keeps(modules):
+    """What ``bench/`` keeps alive: the (module, function) pairs that its code
+    reads as an attribute of an imported warpquot module or that the tracer
+    names as ``"layer.name"``, and the (module, class, method) triples of the
+    tracer's ``METHODS`` table, read from its source."""
+    functions, methods = set(), set()
+    for path, tree in _parse(BENCH.rglob("*.py")).items():
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "warpquot":
+                aliases.update((a.asname or a.name, a.name) for a in node.names if a.name in modules)
+            elif isinstance(node, ast.Import):
+                aliases.update((a.asname, a.name.split(".")[1]) for a in node.names
+                               if a.asname and a.name.startswith("warpquot."))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases):
+                functions.add((aliases[node.value.id], node.attr))
+            elif path == TRACER and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                functions.add(tuple(node.value.split(".", 1)))
+            elif (path == TRACER and isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets] == ["METHODS"]):
+                methods = {(layer, cls, meth)
+                           for layer, classes in ast.literal_eval(node.value).items()
+                           for cls, meths in classes.items() for meth in meths}
+    return functions, methods
+
+
 def _exported(tree):
     return {alias.asname or alias.name for node in tree.body
             if isinstance(node, ast.ImportFrom) for alias in node.names}
@@ -121,16 +153,19 @@ def _test_only():
     src_refs = sum((_references(t) for t in trees.values()), Counter())
     fn_refs = sum((_function_references(t, path.stem, modules) for path, t in trees.items()),
                   Counter())
-    bench_refs = sum((_references(t) for t in _parse(BENCH.rglob("*.py")).values()), Counter())
+    bench_functions, bench_methods = _bench_keeps(modules)
     unused = []
     for path, tree in trees.items():
         if path.name in ("fixtures.py", "__init__.py"):
             continue
         for qualname, node, cls in _definitions(tree):
             name = node.name
-            private_method = cls is not None and name.startswith("_")
-            if not private_method and (name in ALLOWED or bench_refs[name]
-                                       or (cls is None and name in exported)):
+            if cls is None:
+                kept = name in ALLOWED or name in exported or (path.stem, name) in bench_functions
+            else:
+                kept = (not name.startswith("_")
+                        and (name in ALLOWED or (path.stem, cls.name, name) in bench_methods))
+            if kept:
                 continue
             if cls is None:
                 own = _function_references(node, path.stem, modules)

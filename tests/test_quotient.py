@@ -12,7 +12,7 @@ from warpquot import quotient as qt
 from warpquot import transport as tp
 from warpquot.chartkit import CoordPoint, MetricField, ScalarField, Signature, TangentVector
 from warpquot.errors import InvalidAction, InvalidH, NotALoop, WordBoundExceeded
-from warpquot.scenario import resolve_scenario
+from warpquot.scenario import parse_scenario, resolve_scenario
 
 from test_holonomy_closed_form import warped_torus_dict
 from transport_jobs import holonomy
@@ -175,6 +175,47 @@ def test_intersections_inequality_vs_no_holonomy_point():
         x = rng.random(2) * 0.9
         count = qt.leaf_intersection_count(model, x, word_bound=4).count
         assert count <= base
+
+
+def skewed_11_dict(word_bound):
+    """R^2 / <(x + 1, y), (x + 3/11, y + 1)>: the leaves through any point
+    meet 11 times, at x0 + k/11, and the words that reach them are longer
+    than a small model bound."""
+    line = {"dim": 1, "metric": "euclidean", "box": [[0.0, 1.0]]}
+    return {"name": "skewed-11",
+            "factors": [{"name": "line-x", "coords": ["x"], **line},
+                        {"name": "line-y", "coords": ["y"], **line}],
+            "warps": {"lam1": "1", "lam2": "1"},
+            "generators": [
+                {"name": "a", "phi": ["x + 1"], "phi_inv": ["x - 1"], "psi": ["y"], "psi_inv": ["y"]},
+                {"name": "b", "phi": ["x + 3/11"], "phi_inv": ["x - 3/11"],
+                 "psi": ["y + 1"], "psi_inv": ["y - 1"]}],
+            "fundamental_box": [[0.0, 1.0], [0.0, 1.0]], "word_bound": word_bound,
+            "basepoint": [0.31, 0.27]}
+
+
+@pytest.mark.parametrize("model_bound", [1, 2, 8, 14])
+def test_intersections_past_the_model_bound_reduce_at_the_count_bound(model_bound):
+    # a candidate of a word of length up to 14 is reduced into the box at
+    # that length too, not at the model's bound, where it would be dropped
+    model = parse_scenario(skewed_11_dict(model_bound)).model
+    report = qt.leaf_intersection_count(model, [0.31, 0.27], word_bound=14)
+    assert (report.count, report.lower_bound_only) == (11, False)
+
+
+def test_cli_counts_past_the_model_bound(tmp_path, capsys):
+    path = tmp_path / "skewed-11.json"
+    path.write_text(json.dumps(skewed_11_dict(2)))
+
+    def results(command):
+        capsys.readouterr()
+        cli.main(["run", str(path), command, "--word-bound", "14"])
+        return json.loads(capsys.readouterr().out)["results"]
+
+    counted = results("intersections")
+    assert (counted["count"], counted["lower_bound_only"]) == (11, False)
+    verdict = results("decompose")
+    assert (verdict["tag"], verdict["reason"]["count"]) == ("obstructed", 11)
 
 
 def test_homothetic_leaves_equal_length():

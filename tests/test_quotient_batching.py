@@ -314,6 +314,9 @@ def test_group_action_batch_equals_rows(name):
     words = _words(model)
     for w in words:
         assert np.array_equal(model.apply_word(w, X), np.stack([model.apply_word(w, p) for p in X]))
+        # the empty word too: its differential is the identity at every point
+        assert np.array_equal(model.word_jacobian(w, X),
+                              np.stack([model.word_jacobian(w, p) for p in X]))
     if model._letters is not None:
         # an affine model moves a point by the word's record, as composed
         # letter by letter in the reference
