@@ -37,10 +37,11 @@ fields per call.  The value of ``eval(x, order)`` must equal ``eval(x)`` bit
 for bit, and so must each shorter prefix of a longer tuple.  Partials above
 ``exact_order`` come from central differences of the value, all stencil
 points in one call; with no exact partial the value is read from the centre
-row of the first stencil.  The value always passes the value checks, with
-their messages.  A caller that reads only a block of the partials (first
-partials along some axes, second partials on a rows x cols set of axes)
-asks ``_jet`` for that block: the exact route slices its one call, and
+row of the highest order's stencil, and no other stencil holds the centre.
+The value always passes the value checks, with their messages.  A caller
+that reads only a block of the partials (first partials along some axes,
+second partials on a rows x cols set of axes) asks ``_jet`` for that
+block: the exact route slices its one call, and
 ``central_diff`` evaluates only the stencil points of the block's entries,
 each entry bit for bit the one of the full stencil.
 
@@ -423,8 +424,8 @@ def _jet(field, kernel: Callable, cols: np.ndarray, order: int, shape: tuple, wh
     exact route): up to k = min(order, ``field.exact_order``) from one call
     ``field.eval(cols, k)``, the value through ``field._checked``; each order
     above k by central differences of the value ``kernel`` in one call (step
-    ``FD_STEP_1`` or ``FD_STEP_2``), whose centre row gives the value when
-    k = 0.
+    ``FD_STEP_1`` or ``FD_STEP_2``).  When k = 0 the value is the centre row
+    of the highest order's stencil, the only stencil that holds the centre.
 
     With a ``block`` (the ``axes`` of ``central_diff``) only the partials of
     order ``order`` on it are formed: ``(value, d)`` at order 1, ``(d,)`` at
@@ -451,9 +452,12 @@ def _jet(field, kernel: Callable, cols: np.ndarray, order: int, shape: tuple, wh
             d = out[-1][np.ix_(*block)]
             return (out[0], d) if order == 1 else (d,)
     for m in range(k + 1, order + 1):
-        d, at = central_diff(diff, pts, fd_step(pts, (FD_STEP_1, FD_STEP_2)[m - 1]),
-                             order=m, centre=True)
-        out = out or [np.moveaxis(at, 0, -1)]
+        last = not k and m == order  # its centre row gives the value: one row per point
+        d = central_diff(diff, pts, fd_step(pts, (FD_STEP_1, FD_STEP_2)[m - 1]),
+                         order=m, centre=last)
+        if last:
+            d, at = d
+            out.insert(0, np.moveaxis(at, 0, -1))
         out.append(np.moveaxis(d, 0, -1))
     return tuple(out)
 

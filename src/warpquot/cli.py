@@ -100,7 +100,7 @@ def _rand_points(rng, box, count):
     box = np.asarray(box, dtype=float)
     mid = 0.5 * (box[:, 0] + box[:, 1])
     half = 0.5 * (box[:, 1] - box[:, 0]) * 0.95
-    return mid + (2.0 * rng.random((max(count, 0), box.shape[0])) - 1.0) * half
+    return mid + (2.0 * rng.random((count, box.shape[0])) - 1.0) * half
 
 
 def _horizontal_curve(ctx: ScenarioContext):
@@ -135,26 +135,31 @@ def _sectional_residuals(dtp, rng, samples):
     """Worst |closed form - oracle| sectional curvature per plane case over
     ``samples`` random points (cases in sorted order), and the closed-form
     values on the mixed (HV) planes.  The points share one ``point_geometry``
-    and one ``riemann_numeric`` batch; each case draws one plane per point and
-    evaluates both sides on all its planes at once."""
+    and one ``riemann_numeric`` batch.  Each case in turn draws one plane
+    per point; then the closed form, and after it the oracle, runs once on
+    the planes of every case."""
     x = _rand_points(rng, dtp.domain_box, samples)
     geo = pg.point_geometry(dtp, x)
     riem = ck.riemann_numeric(dtp.assembled, x)
-    worst = {}
-    k_values = []
+    cases, rows, U, V = [], [], [], []
     for case, slots in pg._CASE_SLOTS.items():
         if slots[0] == slots[1] and dtp.factor(slots[0]).dim < 2:
             continue  # a factor plane needs a factor of dimension 2 or more
-        U, V, found = pg._sample_planes(dtp, rng, geo.g, slots)
-        if not found.any():
-            continue
-        U, V = U[found], V[found]
-        rows = geo.rows(found)
-        kc = pg._sectional_closed_form(dtp, rows, x[found], U, V)
-        kn = ck._sectional_curvature(rows.g, riem[found], U, V, x[found])
-        worst[case] = float(np.max(np.abs(kc - kn)))
-        if case == "HV":
-            k_values = kc.tolist()
+        u, v, found = pg._sample_planes(dtp, rng, geo.g, slots)
+        if found.any():
+            cases.append(case)
+            rows.append(np.flatnonzero(found))
+            U.append(u[found])
+            V.append(v[found])
+    if not cases:
+        return {}, []
+    idx, U, V = np.concatenate(rows), np.concatenate(U), np.concatenate(V)
+    sub = geo.rows(idx)
+    kc = pg._sectional_closed_form(dtp, sub, x[idx], U, V)
+    kn = ck._sectional_curvature(sub.g, riem[idx], U, V, x[idx])
+    cuts = np.cumsum([len(r) for r in rows])[:-1]
+    worst = {case: float(np.max(np.abs(d))) for case, d in zip(cases, np.split(kc - kn, cuts))}
+    k_values = np.split(kc, cuts)[cases.index("HV")].tolist() if "HV" in cases else []
     return dict(sorted(worst.items())), k_values
 
 
@@ -531,6 +536,18 @@ def run(scenario_ref: str, command: str, args) -> tuple[dict, bool]:
     return report, passed
 
 
+def _int_from(low: int):
+    """An argparse type: an int of at least ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)  # a ValueError is argparse's "invalid ... value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its refusal of a non-integer
+    return parse
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing leaves it
@@ -545,8 +562,10 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("command", choices=COMMANDS)
     runp.add_argument("--tol", type=float, default=None,
                       help="override the assertion budget of the command")
-    runp.add_argument("--samples", type=int, default=20, help="sample count override")
-    runp.add_argument("--word-bound", dest="word_bound", type=int, default=None)
+    runp.add_argument("--samples", type=_int_from(1), default=20,
+                      help="sample count override, at least 1")
+    runp.add_argument("--word-bound", dest="word_bound", type=_int_from(0), default=None,
+                      help="word length bound override, at least 0")
     runp.add_argument("--seed", type=int, default=0)
     fmt = runp.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", default=True, help="JSON output (default)")

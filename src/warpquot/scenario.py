@@ -7,6 +7,13 @@ inverses), curves (parametric formulas or Catmull-Rom polylines), holonomy
 loop words and expectations.  Files are JSON; unknown keys are rejected with
 their path, and syntax errors carry line/column positions.
 
+A curve's input errors (keys, formula syntax, component count, point shapes
+and count, knots) are refused when the file is read, for every command
+(``ScenarioError``, exit 2).  Its probe (continuity, finite values, velocity
+against the point map; ``tp.PiecewiseCurve``) runs at its first evaluation,
+so a probe failure (``NumericsError``, exit 3) shows only in the commands
+that evaluate curves: ``transport``.
+
 The built-in catalog is the table ``BUILTIN_SCENARIOS``: one row per
 built-in, holding its builder, basepoint, holonomy loops and expectations.
 """

@@ -83,6 +83,15 @@ SAMPLES_PER_SEGMENT = 17  # transport sample times per curve segment, breaks sha
 # ---------------------------------------------------------------------------
 # curves
 
+def _finite(vals: np.ndarray, ts: np.ndarray, what: str) -> np.ndarray:
+    """vals (T, n) at the times ts, refused at the first time with a non-finite entry."""
+    bad = ~np.isfinite(vals).all(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise NumericsError(f"curve {what} not finite at t = {ts[k]}: {vals[k]}")
+    return vals
+
+
 class PiecewiseCurve:
     """Piecewise-smooth curve on [0, 1]: knots 0 = k_0 < ... < k_m = 1 and one
     evaluator pair for all m segments.
@@ -91,10 +100,15 @@ class PiecewiseCurve:
     array of times (T,) and return (T, n).  A time belongs to the first
     segment that ends no more than 1e-12 before it, and one evaluator call
     serves the whole batch: ``point_fn(t, seg)`` and ``velocity_fn(t, seg)``
-    map times (T,) and their segment indices (T,) to (T, n).  Construction
-    refuses knots that do not increase strictly from 0 to 1, checks
-    continuity at the breaks and (by finite differences) that the velocity
-    really is the derivative of the point map on every segment.
+    map times (T,) and their segment indices (T,) to (T, n).
+
+    Construction refuses knots that do not increase strictly from 0 to 1
+    (ValueError).  The probe runs before the first evaluation instead, so a
+    curve nothing reads costs no evaluator call: it refuses non-finite points
+    and velocities, a gap at a break, and a velocity that is not (by finite
+    differences) the derivative of the point map on its segment, each with a
+    ``NumericsError``.  A curve whose probe failed raises again on every
+    later evaluation.
     """
 
     def __init__(self, knots: Sequence[float], point_fn: Callable, velocity_fn: Callable,
@@ -109,20 +123,20 @@ class PiecewiseCurve:
                              f"got {self.knots.tolist()}")
         self._point, self._velocity = point_fn, velocity_fn
         self._ends = self.knots[1:] + 1e-12
-        if check:
-            self._check()
+        self._unprobed = check
 
     def _check(self):
         t0, t1 = self.knots[:-1], self.knots[1:]
         k = np.arange(len(t0))
         tm, dt = 0.5 * (t0 + t1), np.minimum(1e-6, 0.25 * (t1 - t0))
-        pts = self._at(self._point, np.concatenate([t1, t0, tm + dt, tm - dt]), np.tile(k, 4))
+        ts = np.concatenate([t1, t0, tm + dt, tm - dt])
+        pts = _finite(self._eval(self._point, ts, np.tile(k, 4)), ts, "point")
         ends, starts, ahead, behind = pts.reshape(4, len(k), -1)
         for t, gap in zip(t1, np.max(np.abs(ends[:-1] - starts[1:]), axis=1, initial=0.0)):
             if gap > _CONTINUITY_TOL:
                 raise NumericsError(f"curve discontinuous at t = {t}: gap {gap:.2e}")
         fd = (ahead - behind) / (2 * dt[:, None])
-        v = self._at(self._velocity, tm, k)
+        v = _finite(self._eval(self._velocity, tm, k), tm, "velocity")
         if np.any(np.max(np.abs(fd - v), axis=1)
                   > _VELOCITY_CHECK_TOL * (1.0 + np.max(np.abs(v), axis=1))):
             raise NumericsError("segment velocity is not the derivative of its point map")
@@ -131,7 +145,14 @@ class PiecewiseCurve:
     def breaks(self) -> list[float]:
         return self.knots[1:-1].tolist()
 
-    def _at(self, fn: Callable, t, seg: Optional[np.ndarray] = None) -> np.ndarray:
+    def _at(self, fn: Callable, t) -> np.ndarray:
+        """``_eval`` once the curve has passed its probe."""
+        if self._unprobed:
+            self._check()  # raises, and the curve stays unprobed, until the probe passes
+            self._unprobed = False
+        return self._eval(fn, t)
+
+    def _eval(self, fn: Callable, t, seg: Optional[np.ndarray] = None) -> np.ndarray:
         """The evaluator fn at the times t, each time in segment ``seg`` (by
         default the one the class docstring names), in one call."""
         ts = np.asarray(t, dtype=float)

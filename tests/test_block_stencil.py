@@ -200,3 +200,33 @@ def test_the_full_order_2_jet_fails_the_count(monkeypatch):
     for tally, full in zip(tallies.values(), full_tallies.values()):
         assert full != tally
         assert full["diagonal"] == 2 * dtp.n * P and full["gradient"] == 4 * dtp.n * P
+
+
+# ---------------------------------------------------------------------------
+# a full order-2 jet on the FD route: each centre point once
+
+
+@pytest.mark.parametrize("source", ["random-dtp", "formula-twisted"])
+def test_a_full_order_2_jet_evaluates_each_centre_once(tmp_path, source):
+    # the value is the hessian stencil's centre row; the gradient stencil holds
+    # only the +-e_k points: P (1 + 4 n + 2 n (n - 1)) warp values, 41 P at n = 4
+    dtp = (fx.strip_analytic(sc.resolve_scenario("random-dtp", seed=0).dtp)
+           if source == "random-dtp" else _formula_product(tmp_path))
+    x = pg.offset_grid_points(dtp.domain_box, 2)
+    P, n = x.shape
+    seen = []
+    lam = _counted(dtp.lam1, seen)
+    assert lam.exact_order == 0
+    val, grad, hess = ck._call_batch(lam._jet, x, 2)
+    pts = np.concatenate(seen)
+    assert len(pts) == P * (1 + 4 * n + 2 * n * (n - 1)) == 41 * P
+    counts = Counter(map(bytes, pts))
+    assert [counts[bytes(p)] for p in x] == [1] * P
+    # the same bits as the value alone and each stencil with its own centre
+    np.testing.assert_array_equal(val, lam.value(x), strict=True)
+    for order, d in ((1, grad), (2, hess)):
+        steps = ck.fd_step(x, (ck.FD_STEP_1, ck.FD_STEP_2)[order - 1])
+        want, at = ck.central_diff(lambda q: ck._call_batch(dtp.lam1._value, q), x, steps,
+                                   order=order, centre=True)
+        np.testing.assert_array_equal(d, want, strict=True)
+        np.testing.assert_array_equal(at, val, strict=True)

@@ -17,6 +17,7 @@ from warpquot import fixtures as fx
 from warpquot import productgeo as pg
 from warpquot import transport as tp
 from test_closed_form_connection import _patch_gamma
+from test_fd_golden import SCENARIOS
 
 
 def run(tmp_path, *argv):
@@ -191,6 +192,36 @@ def test_sectional_sweep_reads_one_geometry_batch(tmp_path, monkeypatch, samples
     code, report = run(tmp_path, "random-dtp", "verify-all", "--samples", samples)
     assert code == 0
     assert in_sweep == [(1, 1)]
+
+
+@pytest.mark.parametrize("source", ["random-dtp", "formula-twisted"])
+def test_sectional_sweep_evaluates_each_side_once_over_every_plane_case(
+        tmp_path, monkeypatch, source):
+    # the closed form and the oracle contraction each take the planes of the
+    # three cases (HH, HV, VV) in one call; inside the closed form the factor
+    # curvatures stay one contraction per factor
+    ref = source
+    if source != "random-dtp":
+        ref = tmp_path / f"{source}.json"
+        ref.write_text(json.dumps(SCENARIOS[source]), encoding="utf-8")
+    calls = {"closed": [], "oracle": [], "factor": []}
+    closed, contract = pg._sectional_closed_form, ck._sectional_curvature
+
+    def counted_closed(dtp, geo, x, U, V):
+        calls["closed"].append(len(x))
+        return closed(dtp, geo, x, U, V)
+
+    def counted_contract(gm, riem, U, V, pts):
+        calls["oracle" if gm.shape[-1] == 4 else "factor"].append(len(pts))
+        return contract(gm, riem, U, V, pts)
+
+    monkeypatch.setattr(pg, "_sectional_closed_form", counted_closed)
+    monkeypatch.setattr(ck, "_sectional_curvature", counted_contract)
+    code, report = run(tmp_path, str(ref), "curvature", "--samples", "8")
+    assert code == 0
+    assert sorted(report["results"]["residuals"]) == ["HH", "HV", "VV"]
+    assert calls["closed"] == calls["oracle"] == [3 * 8]  # one plane per point and case
+    assert calls["factor"] == [8, 8]
 
 
 @pytest.mark.parametrize("seed", range(20))

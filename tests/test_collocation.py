@@ -378,8 +378,8 @@ def test_broken_geodesic_matches_rk45(name, base):
             tol = np.where(np.arange(len(ts)) < 2, 1e-8, 1e-7)
             want = ref(ts).T
             seg = np.full(len(ts), k)  # segment k at both its ends, too
-            for got, cols in ((curve._at(curve._point, ts, seg), slice(0, 2)),
-                              (curve._at(curve._velocity, ts, seg), slice(2, 4))):
+            for got, cols in ((curve._eval(curve._point, ts, seg), slice(0, 2)),
+                              (curve._eval(curve._velocity, ts, seg), slice(2, 4))):
                 err = np.max(np.abs(got - want[:, cols]), axis=1)
                 assert np.all(err < tol), (name, ts[np.argmax(err >= tol)])
 

@@ -249,6 +249,47 @@ def test_curve_breaks_must_split_the_unit_interval(capsys, tmp_path, breaks):
         "input error: curves.c: curve knots must increase strictly from 0 to 1")
 
 
+# a polyline far from the origin, whose point map a central difference cannot
+# differentiate to 1e-4, and a formula that is nan on [0, 1/2)
+PROBE_FAILURES = [
+    ({"polyline": [[1e9, 0.2], [1e9 + 1.0, 0.2]]},
+     "segment velocity is not the derivative of its point map"),
+    ({"formula": ["0.2 + 0.5*sqrt(t - 0.5)", "0.4"]}, "curve point not finite at t = 0.0"),
+]
+
+
+@pytest.mark.parametrize("curve, message", PROBE_FAILURES, ids=["polyline", "nan-formula"])
+def test_a_curve_that_fails_its_probe_fails_only_the_commands_that_read_it(
+        capsys, tmp_path, curve, message):
+    # the file is read for every command; only transport evaluates its curves
+    data = flat_torus_dict()
+    data["curves"] = {"c": curve}
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(data))
+    for command in ("classify", "curvature"):
+        assert cli.main(["run", str(path), command]) == 0
+    capsys.readouterr()
+    with np.errstate(invalid="ignore"):
+        assert cli.main(["run", str(path), "transport"]) == 3
+    assert capsys.readouterr().err.startswith(f"numeric failure: NumericsError: {message}")
+
+
+@pytest.mark.parametrize("flag, value, low", [("--samples", "0", 1), ("--samples", "-3", 1),
+                                              ("--word-bound", "-1", 0)])
+def test_a_count_below_its_range_is_refused_by_the_parser(capsys, flag, value, low):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "skewed-torus", "intersections", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be at least {low}, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, key, value", [("--samples", "samples", "1"),
+                                              ("--word-bound", "word_bound", "0")])
+def test_the_lowest_count_of_each_range_runs(capsys, flag, key, value):
+    assert cli.main(["run", "skewed-torus", "intersections", flag, value]) in (0, 1)
+    assert json.loads(capsys.readouterr().out)["parameters"][key] == int(value)
+
+
 @pytest.mark.parametrize("letter", [["zz", 1], ["a", 2], ["a", "1"], ["a", 1, 1], "a", ["b"]])
 def test_loop_letters_are_checked_when_the_file_is_read(capsys, tmp_path, letter):
     data = flat_torus_dict()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from warpquot import chartkit as ck
+from warpquot import expr
 from warpquot import fixtures as fx
 from warpquot import transport as tp
 from warpquot.chartkit import CoordPoint, TangentVector
@@ -33,9 +34,10 @@ def circle_curve(r0, turns=1.0):
 # curves
 
 def test_curve_velocity_check_rejects_mismatch():
+    curve = tp.PiecewiseCurve.from_function(lambda t: np.stack([t, 0.0 * t], axis=1),
+                                            lambda t: np.tile([5.0, 0.0], (len(t), 1)))
     with pytest.raises(NumericsError):
-        tp.PiecewiseCurve.from_function(lambda t: np.stack([t, 0.0 * t], axis=1),
-                                        lambda t: np.tile([5.0, 0.0], (len(t), 1)))
+        curve.point(0.5)
 
 
 def two_pieces(jump=0.0, slope=1.0):
@@ -51,14 +53,68 @@ def two_pieces(jump=0.0, slope=1.0):
 
 
 def test_curve_continuity_check():
-    tp.PiecewiseCurve([0.0, 0.5, 1.0], *two_pieces())
+    tp.PiecewiseCurve([0.0, 0.5, 1.0], *two_pieces()).point(0.5)
+    curve = tp.PiecewiseCurve([0.0, 0.5, 1.0], *two_pieces(jump=1.0))
     with pytest.raises(NumericsError, match="discontinuous at t = 0.5"):
-        tp.PiecewiseCurve([0.0, 0.5, 1.0], *two_pieces(jump=1.0))
+        curve.point(0.5)
 
 
 def test_curve_velocity_check_rejects_a_wrong_segment_velocity():
+    curve = tp.PiecewiseCurve([0.0, 0.5, 1.0], *two_pieces(slope=5.0))
     with pytest.raises(NumericsError, match="velocity is not the derivative"):
-        tp.PiecewiseCurve([0.0, 0.5, 1.0], *two_pieces(slope=5.0))
+        curve.velocity(0.5)
+
+
+def counted_pieces(**kw):
+    """``two_pieces`` evaluators and the list of evaluator calls they append to."""
+    calls = []
+    point, velocity = two_pieces(**kw)
+    return calls, (lambda t, seg: calls.append("point") or point(t, seg),
+                   lambda t, seg: calls.append("velocity") or velocity(t, seg))
+
+
+def test_a_curve_is_probed_once_before_its_first_evaluation():
+    calls, fns = counted_pieces()
+    curve = tp.PiecewiseCurve([0.0, 0.5, 1.0], *fns)
+    assert calls == []  # construction evaluates nothing
+    curve.velocity(np.array([0.2, 0.7]))
+    assert calls == ["point", "velocity", "velocity"]  # the probe's two calls, then one
+    curve.point(0.3)
+    curve._samples
+    curve._probe
+    assert calls == ["point", "velocity", "velocity", "point", "point", "velocity"]
+
+
+@pytest.mark.parametrize("first", ["point", "velocity", "_samples", "_probe"])
+def test_a_failed_probe_fails_again_on_every_later_evaluation(first):
+    calls, fns = counted_pieces(jump=1.0)
+    curve = tp.PiecewiseCurve([0.0, 0.5, 1.0], *fns)
+    for read in (first, "point", "velocity", "_samples", "_probe"):
+        with pytest.raises(NumericsError, match="discontinuous at t = 0.5"):
+            value = getattr(curve, read)
+            if callable(value):
+                value(0.25)
+    assert calls == ["point"] * 5  # the probe ran each time, and only the probe
+
+
+def test_the_probe_refuses_a_nan_point_and_names_its_time():
+    # sqrt(t - 0.5) is nan on [0, 0.5): no gap or velocity comparison sees a
+    # nan, so only the finiteness check refuses it
+    comps = [expr.compile_expr(s, ["t"]) for s in ("0.2 + 0.5*sqrt(t - 0.5)", "0.4")]
+    curve = tp.PiecewiseCurve.from_function(lambda t: np.stack([f(t[None]) for f in comps],
+                                                               axis=1))
+    with np.errstate(invalid="ignore"), pytest.raises(
+            NumericsError, match=r"curve point not finite at t = 0\.0: \[nan 0\.4\]"):
+        curve.point(0.75)
+
+
+def test_the_probe_refuses_a_nan_velocity_and_names_its_time():
+    def velocity(t, seg):
+        return np.stack([np.where(seg == 1, np.nan, 1.0), 0.0 * t], axis=1)
+
+    curve = tp.PiecewiseCurve([0.0, 0.5, 1.0], two_pieces()[0], velocity)
+    with pytest.raises(NumericsError, match="curve velocity not finite at t = 0.75"):
+        curve.velocity(0.25)
 
 
 @settings(max_examples=60, deadline=None)
@@ -72,7 +128,7 @@ def test_catmull_rom_is_continuous_and_its_velocity_is_the_derivative(points, u)
     # both segments that meet at an interior knot give the same point and velocity there
     inner, left, right = curve.knots[1:-1], np.arange(m - 1), np.arange(1, m)
     for fn in (curve._point, curve._velocity):
-        np.testing.assert_allclose(curve._at(fn, inner, left), curve._at(fn, inner, right),
+        np.testing.assert_allclose(curve._eval(fn, inner, left), curve._eval(fn, inner, right),
                                    rtol=0, atol=1e-11)
     # a central difference inside every segment
     ts, h = (np.arange(m) + u) / m, 1e-6
