@@ -6,8 +6,7 @@ chartkit    coordinate-chart tensor kernel (metrics, FD Christoffel/Riemann
             oracles, gradients, covariant hessians, exterior derivatives)
 productgeo  doubly twisted products: assembly, closed-form connection and
             curvature, mean curvature data, structure classification
-transport   parallel and adapted translation, holonomy maps, broken
-            geodesics and velocity profiles
+transport   curves; parallel and adapted translation, holonomy maps
 quotient    quotient models: deck groups, leaf tracing, intersection counts,
             decomposition verdicts, the explicit twisted construction
 cli         scenario runner emitting deterministic JSON/CSV reports
@@ -33,7 +32,6 @@ from .productgeo import (  # noqa: F401
     classify,
 )
 from .transport import (  # noqa: F401
-    BrokenGeodesicSpec,
     HolonomyMap,
     PiecewiseCurve,
     TransportResult,

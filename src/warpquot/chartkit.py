@@ -224,10 +224,6 @@ class TangentVector:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "components", _as_array(components, base.n))
 
-    @property
-    def n(self) -> int:
-        return self.components.shape[0]
-
     def __repr__(self):
         return (f"TangentVector(at={np.array2string(self.base.coords, precision=4)}, "
                 f"v={np.array2string(self.components, precision=6)})")

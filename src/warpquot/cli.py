@@ -22,7 +22,7 @@ from . import productgeo as pg
 from . import quotient as qt
 from . import transport as tp
 from .chartkit import CoordPoint, TangentVector
-from .errors import GeometryError, InvalidAction, ScenarioError
+from .errors import GeometryError, InvalidAction, NumericsError, ScenarioError
 from .scenario import ScenarioContext, list_scenarios, resolve_scenario
 
 COMMANDS = ("classify", "christoffel", "curvature", "transport", "holonomy",
@@ -250,8 +250,15 @@ def cmd_curvature(ctx, args, rng):
 def cmd_transport(ctx, args, rng):
     tol = args.tol if args.tol is not None else 1e-6
     curves = sorted((ctx.curves or {"default-horizontal": _horizontal_curve(ctx)}).items())
-    results = [tp.adapted_translation_closed_form(ctx.dtp, curve, _ones_normal(ctx.dtp, curve))
-               for _, curve in curves]
+    results = []
+    for name, curve in curves:
+        try:
+            v0 = _ones_normal(ctx.dtp, curve)  # the curve's first evaluation: its probe runs
+        except NumericsError as exc:
+            if not ctx.curves:  # the default leaf line is no key of the file
+                raise
+            raise NumericsError(f"curves.{name}: {exc}") from exc
+        results.append(tp.adapted_translation_closed_form(ctx.dtp, curve, v0))
     out = {}
     ok = True
     for (name, _), res, resid in zip(curves, results,

@@ -14,8 +14,8 @@ variable i, and the result has the shape of one variable (a constant
 expression is broadcast).  Every operation on a variable is a numpy ufunc
 applied elementwise, so a point rounds alike alone and in any batch.  A
 domain error (``log`` of a negative number) gives nan and a division by
-zero inf, which the finiteness checks of the fields that evaluate the
-expression report.
+zero inf, without a numpy warning, and the finiteness checks of the fields
+that evaluate the expression report it.
 
 A subtree without a variable is folded to its value once, by the operation
 its closure would run (Python float arithmetic for + - * /, numpy for ** and
@@ -188,7 +188,8 @@ def _lower(src: str, variables: Sequence[str], affine: bool) -> tuple[Callable, 
         # the copy lays the points out as any batch is
         v = np.asarray(v, dtype=float)
         v = v.copy() if 0 in v.strides else v
-        out = body(v)
+        with np.errstate(all="ignore"):  # a nan or inf goes on to the checks that name it
+            out = body(v)
         return out if np.shape(out) == v.shape[1:] else np.broadcast_to(out, v.shape[1:])
 
     return compiled, form

@@ -125,6 +125,20 @@ def _floats(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+# the largest box bound at which the second-difference denominators h**2 and
+# 4 h_i h_j, h = FD_STEP_2 |bound|, stay finite
+_MAX_BOUND = np.sqrt(np.finfo(float).max / 4.0) / ck.FD_STEP_2
+
+
+def _box(value) -> np.ndarray:
+    box = _floats(value)
+    big = box[np.abs(box) > _MAX_BOUND]
+    if big.size:
+        raise ValueError(f"bound {float(big[0])!r} is past {_MAX_BOUND:.4g}, "
+                         "where the squared finite-difference step overflows")
+    return box
+
+
 def _int(value) -> int:
     """A whole number (``2`` or ``2.0``), not a string, a fraction or a flag."""
     if isinstance(value, (bool, str)) or int(value) != value:
@@ -142,7 +156,7 @@ def _build_factor(spec: dict, path: str) -> tuple[pg.FactorManifold, list]:
     coords = _require(spec, "coords", path, _texts)
     if dim < 1 or len(coords) != dim:
         raise ScenarioError(f"{path}: {dim} coordinates expected, got {coords}")
-    box = _require(spec, "box", path, _floats)
+    box = _require(spec, "box", path, _box)
     if box.shape != (dim, 2):
         raise ScenarioError(f"{path}: box must be {dim} [lo, hi] pairs")
     metric_spec = _require(spec, "metric", path)
@@ -309,7 +323,7 @@ def parse_scenario(data: dict, name_hint: str = "") -> ScenarioContext:
     if gens:
         try:
             model = qt.QuotientModel(
-                dtp, gens, _require(data, "fundamental_box", "scenario", _floats),
+                dtp, gens, _require(data, "fundamental_box", "scenario", _box),
                 ident_tol=_require(data, "ident_tol", "scenario", float, qt.DEFAULT_IDENT_TOL),
                 word_bound=_require(data, "word_bound", "scenario", _int, qt.DEFAULT_WORD_BOUND))
         except ValueError as exc:  # the message names the parameter, which is the key

@@ -1,9 +1,8 @@
-"""Transport along curves: parallel and adapted translation; holonomy; broken geodesics.
+"""Transport along curves: parallel and adapted translation; holonomy.
 
 A curve (``PiecewiseCurve``) is its knots and one evaluator pair for all its
 segments, so a batch of times is one evaluator call however many segments
-it spans; Catmull-Rom splines and broken geodesics keep their segments'
-coefficients in one table.
+it spans; a Catmull-Rom spline keeps its segments' coefficients in one table.
 
 Adapted translation along a leaf has a closed form
 (``adapted_translation_closed_form``): a normal vector keeps its
@@ -18,12 +17,11 @@ a foliation for adapted translation or none for parallel transport.
 verify-all makes one call for all its oracle transports: the adapted
 translation and the parallel transport along its leaf line, and the adapted
 translation around every declared holonomy loop, whose return map
-``loop_return_map`` reads.  The velocity profile runs through the same
-integrator (``_integrate``).  It solves the linear equation
+``loop_return_map`` reads.  ``_integrate`` solves the linear equation
 Ydot = -Gamma(gamma') Y by composite 3-stage Gauss-Legendre collocation,
 order 6 (Butcher, Math. Comp. 18, 1964; Hairer, Norsett & Wanner, Solving
-ODEs I, II.7), on a grid per job that holds its sample times and its
-curve's breaks.  Each pass (``collocation_pass``) runs one or more step
+ODEs I, II.7), on a grid per job: its curve's sample times, which hold 0
+and the curve's breaks.  Each pass (``collocation_pass``) runs one or more step
 counts for every job not yet settled: it evaluates each distinct curve once
 per step count (one ``point`` and one ``velocity`` batch over its nodes),
 Gamma at the nodes of all of them in one batched ``christoffel_numeric``
@@ -41,14 +39,9 @@ conservation and norm-law residuals the callers check are then about 1e-15
 on the smooth analytic built-ins, and up to 4e-10 where Gamma comes from
 finite differences (scenario files) or the warp is piecewise (example1).
 Both adapted-translation routes pass the same input guards and sample the
-same times (``_transport_grid``), which each curve evaluates once.
-
-``broken_geodesic``, whose curve is the unknown, integrates the nonlinear
-geodesic-and-frame equations with the same tableau, step doubling and
-RTOL / ATOL: its stage equations are solved by fixed-point iteration
-(``_geodesic_pass``), and each segment is the quintic Hermite interpolant
-of x, v and the acceleration at the step ends.  The module needs numpy
-alone; scipy's RK45 is the tests' oracle of both integrators.
+same times (``_transport_grid``), which each curve evaluates once.  The
+module needs numpy alone; scipy's RK45 is the tests' oracle of the
+integrator.
 """
 
 from __future__ import annotations
@@ -140,10 +133,6 @@ class PiecewiseCurve:
         if np.any(np.max(np.abs(fd - v), axis=1)
                   > _VELOCITY_CHECK_TOL * (1.0 + np.max(np.abs(v), axis=1))):
             raise NumericsError("segment velocity is not the derivative of its point map")
-
-    @property
-    def breaks(self) -> list[float]:
-        return self.knots[1:-1].tolist()
 
     def _at(self, fn: Callable, t) -> np.ndarray:
         """``_eval`` once the curve has passed its probe."""
@@ -256,11 +245,6 @@ class TransportResult:
     velocities: Optional[np.ndarray] = None  # closed form: the curve velocity at the samples
 
     @property
-    def samples(self) -> list:  # (t, TangentVector) pairs of one vector, built on demand
-        return [(t, TangentVector(CoordPoint(p), c))
-                for t, p, c in zip(self.ts, self.points, self.components)]
-
-    @property
     def end(self) -> TangentVector:
         return TangentVector(CoordPoint(self.points[-1]), self.components[-1])
 
@@ -280,30 +264,6 @@ class HolonomyMap:
 
     def is_identity(self, tol: float = 1e-6) -> bool:
         return bool(np.max(np.abs(self.matrix - np.eye(self.matrix.shape[0]))) <= tol)
-
-
-@dataclass
-class BrokenGeodesicSpec:
-    basepoint: CoordPoint
-    breaks: tuple
-    velocities: list  # m+1 tangent vectors at the basepoint
-
-    def __post_init__(self):
-        if not isinstance(self.basepoint, CoordPoint):
-            self.basepoint = CoordPoint(self.basepoint)
-        self.breaks = tuple(float(t) for t in self.breaks)
-        if (any(not (0.0 < t < 1.0) for t in self.breaks)
-                or any(b <= a for a, b in zip(self.breaks, self.breaks[1:]))):
-            raise ValueError("breaks must satisfy 0 < t1 < ... < tm < 1")
-        vs = []
-        for v in self.velocities:
-            if isinstance(v, TangentVector):
-                vs.append(v)
-            else:
-                vs.append(TangentVector(self.basepoint, v))
-        if len(vs) != len(self.breaks) + 1:
-            raise ValueError("need exactly m+1 velocities for m breaks")
-        self.velocities = vs
 
 
 # ---------------------------------------------------------------------------
@@ -412,34 +372,28 @@ def _integrate(g: MetricField, dtp,
     every job (curve, y0, ts, foliation).
 
     Y is (n, k).  A foliation i keeps only the normal rows of Ydot and adds
-    I(t) = integral of omega_{3 - i}(gamma') dt.  ``ts`` are sorted, distinct
-    times in [0, 1].  A job's grid is 0, its ``ts`` and its curve's breaks
-    before the last time, so no step straddles a break.  Step doubling:
-    passes of ``collocation_pass`` at 1, 2, 4, ... steps per grid interval,
-    each over every job not yet settled, run until two successive passes of a
-    job agree within ATOL + RTOL |value| on Y and I at every time; the job
-    then leaves with the finer, so its result does not depend on the rest of
-    the batch.  The first comparison always needs both 1 and 2 steps, so
-    they run as one pass (1 step alone when MAX_DOUBLINGS is 0); each later
-    doubling is one pass.  When that first pass fails, the 1-step pass runs
-    alone first, so an error names the point and field it would name with
-    the passes one at a time.  Returns (Ys (len(ts), n, k), Is (len(ts),)) per
-    job.  IntegrationError when MAX_DOUBLINGS doublings leave a job
-    unsettled.
+    I(t) = integral of omega_{3 - i}(gamma') dt.  ``ts`` are the curve's
+    sample times (``PiecewiseCurve._samples``): sorted from 0 to 1 with every
+    break among them, so they are the job's grid and no step straddles a
+    break.  Step doubling: passes of ``collocation_pass`` at 1, 2, 4, ...
+    steps per grid interval, each over every job not yet settled, run until
+    two successive passes of a job agree within ATOL + RTOL |value| on Y and
+    I at every time; the job then leaves with the finer, so its result does
+    not depend on the rest of the batch.  The first comparison always needs
+    both 1 and 2 steps, so they run as one pass (1 step alone when
+    MAX_DOUBLINGS is 0); each later doubling is one pass.  When that first
+    pass fails, the 1-step pass runs alone first, so an error names the
+    point and field it would name with the passes one at a time.  Returns
+    (Ys (len(ts), n, k), Is (len(ts),)) per job.  IntegrationError when
+    MAX_DOUBLINGS doublings leave a job unsettled.
     """
-    out, live, prev = [None] * len(jobs), [], {}
-    for j, (curve, y0, ts, _) in enumerate(jobs):
-        grid = np.union1d([0.0, *(b for b in curve.breaks if b < ts[-1])], ts)
-        if len(grid) == 1:
-            out[j] = np.repeat(y0[None], len(ts), axis=0), np.zeros(len(ts))
-        else:
-            live.append((j, grid, np.searchsorted(grid, ts)))
+    out, live, prev = [None] * len(jobs), list(range(len(jobs))), {}
     # step counts per pass: 1 and 2 together, then 4, 8, ... up to 2 ** MAX_DOUBLINGS
     levels = [[1, 2][:MAX_DOUBLINGS + 1]] + [[2 ** d] for d in range(2, MAX_DOUBLINGS + 1)]
     for level in levels:
         if not live:
             break
-        batch = [(jobs[j][0], grid, jobs[j][3]) for j, grid, _ in live]
+        batch = [(jobs[j][0], jobs[j][2], jobs[j][3]) for j in live]
         try:
             passes = collocation_pass(g, dtp, batch, level)
         except GeometryError:  # name the point and field that the passes one at a time name
@@ -449,17 +403,17 @@ def _integrate(g: MetricField, dtp,
         # coarsest first; a job settles only against an earlier pass, so none
         # leaves between the two step counts of the first level
         for results in passes:
-            for (j, grid, at), (transfer, dI) in zip(live, results):
+            for j, (transfer, dI) in zip(live, results):
                 Y = [jobs[j][1]]
                 for M in transfer:
                     Y.append(M @ Y[-1])
-                cur = (np.stack(Y)[at], np.concatenate([[0.0], np.cumsum(dI)])[at])
+                cur = (np.stack(Y), np.concatenate([[0.0], np.cumsum(dI)]))
                 if j in prev and all(np.all(np.abs(a - b) <= ATOL + RTOL * np.abs(a))
                                      for a, b in zip(cur, prev[j])):
                     out[j] = cur
                 else:
                     prev[j] = cur
-        live = [(j, grid, at) for j, grid, at in live if out[j] is None]
+        live = [j for j in live if out[j] is None]
     if live:
         raise IntegrationError(
             f"transport collocation did not settle within MAX_DOUBLINGS = {MAX_DOUBLINGS} "
@@ -653,191 +607,3 @@ def loop_return_map(model, job: TransportJob, res: TransportResult,
     return HolonomyMap(CoordPoint(base),
                        np.linalg.solve(fmat, (jac @ res.components[-1])[normal_slot]),
                        list(job.frame))
-
-
-# ---------------------------------------------------------------------------
-# broken geodesics (velocity resets by parallel transport) and profiles
-
-def _geodesic_field(g: MetricField, Y: np.ndarray) -> np.ndarray:
-    """The right-hand side at each row of Y (P, 2n + n^2), a state
-    (x, v, E) of the geodesic with velocity v and the frame E parallel along
-    it: (v, -Gamma(v, v), -Gamma(v, E)), from one batched
-    ``christoffel_numeric``."""
-    n = g.dim
-    x, v, E = Y[:, :n], Y[:, n:2 * n], Y[:, 2 * n:].reshape(-1, n, n)
-    gamma = ck.christoffel_numeric(g, x)
-    acc = -np.einsum("pkij,pi,pj->pk", gamma, v, v)
-    dE = -np.einsum("pkij,pi,pjc->pkc", gamma, v, E)
-    return np.hstack([v, acc, dE.reshape(len(Y), -1)])
-
-
-_GL_D = np.linalg.solve(_GL_A.T, _GL_B)  # y1 = y0 + _GL_D @ Z, Z the stage increments
-_STAGE_ITERS = 50  # fixed-point sweeps of one step's stage equations at most
-_STAGE_TOL = 1e-2  # sweeps end once one moves Z by at most this share of ATOL + RTOL |Y|
-
-
-def _geodesic_pass(g: MetricField, y0: np.ndarray, t0: float, t1: float,
-                   steps: int) -> Optional[np.ndarray]:
-    """One pass of 3-stage Gauss-Legendre collocation of the geodesic-and-frame
-    system over [t0, t1] in ``steps`` equal steps: the states (steps + 1, N)
-    at the step ends, or None when a step's stage equations do not converge.
-
-    The stage increments Z_i = Y_i - y solve Z = h A F(y + Z); fixed-point
-    sweeps from Z = 0 (the first sweep is the explicit Euler predictor) need
-    no Jacobian of Gamma and contract once h L < 1, which step doubling
-    reaches.  The sweeps end when one moves Z by at most _STAGE_TOL of the
-    ATOL + RTOL |Y| scale of the stage values Y = y + Z, so their error stays
-    well below what step doubling compares; a sweep that moves Z no less
-    than the one before, or _STAGE_ITERS sweeps, leave the step unconverged.
-    """
-    h = (t1 - t0) / steps
-    ys = [y0]
-    for _ in range(steps):
-        y = ys[-1]
-        Z = np.zeros((3, len(y)))
-        last = np.inf
-        for _ in range(_STAGE_ITERS):
-            new = h * (_GL_A @ _geodesic_field(g, y + Z))
-            change = float(np.max(np.abs(new - Z) / (ATOL + RTOL * np.abs(y + new))))
-            Z = new
-            if change <= _STAGE_TOL:
-                break
-            if change >= last:
-                return None
-            last = change
-        else:
-            return None
-        ys.append(y + _GL_D @ Z)
-    return np.stack(ys)
-
-
-# Quintic Hermite basis on [0, 1]: row p holds the s**p coefficients of the
-# weights of x0, h v0, h^2 a0, x1, h v1, h^2 a1.
-_QUINTIC = np.array([
-    [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
-    [0.0, 0.0, 0.5, 0.0, 0.0, 0.0],
-    [-10.0, -6.0, -1.5, 10.0, -4.0, 0.5],
-    [15.0, 8.0, 1.5, -15.0, 7.0, -1.0],
-    [-6.0, -3.0, -0.5, 6.0, -3.0, 0.5],
-])
-_QUINTIC_D = np.arange(1, 6)[:, None] * _QUINTIC[1:]  # the same for the derivative in s
-
-
-def _hermite_curve(g: MetricField, knots: Sequence[float], passes: list) -> PiecewiseCurve:
-    """The curve through the step-end states (S_j, N) of each segment's kept
-    pass: on each step the quintic Hermite interpolant of x from x, v and the
-    acceleration -Gamma(v, v) at both ends (one ``_geodesic_field`` batch over
-    every state), and its derivative as the velocity.  The steps of all
-    segments form one table (start time, step h, the six weighted end data)
-    read by one gather; a time's step is the last one of its segment that
-    starts at or before it.  Both sums run in a fixed order, so a time's
-    value does not depend on the batch it comes in."""
-    n = g.dim
-    states = np.vstack(passes)
-    x, v = states[:, :n], states[:, n:2 * n]
-    acc = _geodesic_field(g, states)[:, n:2 * n]
-    grids = [np.linspace(t0, t1, len(p)) for t0, t1, p in zip(knots, knots[1:], passes)]
-    steps = np.array([len(p) - 1 for p in passes])
-    last = np.cumsum(steps) - 1  # each segment's last step
-    first = last - steps + 1
-    lo = np.delete(np.arange(len(states)), np.cumsum(steps + 1) - 1)  # each step's first state
-    starts = np.concatenate([ts[:-1] for ts in grids])
-    h = np.repeat([ts[1] - ts[0] for ts in grids], steps)[:, None]
-    table = np.stack([x[lo], h * v[lo], h * h * acc[lo],
-                      x[lo + 1], h * v[lo + 1], h * h * acc[lo + 1]], axis=1)
-
-    def interpolate(t, seg, basis, scaled):
-        k = np.clip(np.searchsorted(starts, t, side="right") - 1, first[seg], last[seg])
-        s = ((t - starts[k]) / h[k, 0])[:, None]
-        w = sum(s ** p * row for p, row in enumerate(basis))
-        data = table[k]
-        out = sum(w[:, j, None] * data[:, j] for j in range(6))
-        return out / h[k] if scaled else out
-
-    return PiecewiseCurve(knots, lambda t, seg: interpolate(t, seg, _QUINTIC, False),
-                          lambda t, seg: interpolate(t, seg, _QUINTIC_D, True))
-
-
-def _check_domain(g: MetricField, positions: np.ndarray):
-    if g.domain_box is None:
-        return
-    box = g.domain_box
-    pad = 0.1 * (box[:, 1] - box[:, 0])
-    lo, hi = box[:, 0] - pad, box[:, 1] + pad
-    if np.any(positions < lo) or np.any(positions > hi):
-        raise IntegrationError("geodesic left the declared domain box")
-
-
-def broken_geodesic(g: MetricField, spec: BrokenGeodesicSpec) -> PiecewiseCurve:
-    """Geodesic segments whose break velocities are parallel transports of the
-    spec velocities, so that the velocity profile is the given list.
-
-    Each segment integrates the geodesic with a parallel frame E
-    (``_geodesic_pass``), the velocity at a break being E times the spec
-    velocity.  Step doubling: passes with 1, 2, 4, ... steps run until two
-    successive passes agree within ATOL + RTOL |value| on every state at
-    the coarser pass's step ends, and the finer is kept; a pass whose stage
-    equations do not converge is unsettled.  IntegrationError when
-    MAX_DOUBLINGS doublings do not settle, or when a step end leaves the
-    metric's domain box (padded by 10%).  The curve is the quintic Hermite
-    interpolant of the kept passes (``_hermite_curve``).
-    """
-    n = spec.basepoint.n
-    ts = [0.0, *spec.breaks, 1.0]
-    state = np.concatenate([spec.basepoint.coords,
-                            spec.velocities[0].components,
-                            np.eye(n).reshape(-1)])
-    passes = []
-    for j, (t0, t1) in enumerate(zip(ts, ts[1:])):
-        if j > 0:
-            state = state.copy()
-            state[n:2 * n] = state[2 * n:].reshape(n, n) @ spec.velocities[j].components
-        prev = None
-        for doubling in range(MAX_DOUBLINGS + 1):
-            cur = _geodesic_pass(g, state, t0, t1, 2 ** doubling)
-            if (cur is not None and prev is not None
-                    and np.all(np.abs(cur[::2] - prev) <= ATOL + RTOL * np.abs(cur[::2]))):
-                break
-            prev = cur
-        else:
-            raise IntegrationError(
-                f"geodesic collocation did not settle within MAX_DOUBLINGS = {MAX_DOUBLINGS} "
-                f"step doublings ({2 ** MAX_DOUBLINGS} steps per segment)")
-        _check_domain(g, cur[:, :n])
-        passes.append(cur)
-        state = cur[-1]
-    return _hermite_curve(g, ts, passes)
-
-
-def velocity_profile(g: MetricField, curve: PiecewiseCurve,
-                     ts: Optional[Sequence[float]] = None) -> list[TangentVector]:
-    """v(t) = P^{-1}_{0->t}(gamma'(t)), sampled at segment midpoints by default.
-
-    The profile is piecewise constant exactly when the curve is a broken
-    geodesic.
-    """
-    base = CoordPoint(curve.point(0.0))
-    if ts is None:
-        ts = 0.5 * (curve.knots[:-1] + curve.knots[1:])
-    # transport the full coordinate frame and invert at the requested times
-    times, at = np.unique(np.asarray(ts, dtype=float), return_inverse=True)
-    (frames, _), = _integrate(g, None, [(curve, np.eye(base.n), times, None)])
-    vel = np.linalg.solve(frames[at], curve.velocity(np.asarray(ts, dtype=float))[:, :, None])
-    return [TangentVector(base, v[:, 0]) for v in vel]
-
-
-def broken_length(g: MetricField, basis: Optional[np.ndarray],
-                  spec: BrokenGeodesicSpec) -> float:
-    """Sum of auxiliary norms of the spec velocities.
-
-    The auxiliary norm comes from a declared basis at the basepoint, taken
-    orthonormal for a positive-definite reference metric (identity basis by
-    default).
-    """
-    n = spec.basepoint.n
-    B = np.eye(n) if basis is None else np.asarray(basis, dtype=float)
-    total = 0.0
-    for v in spec.velocities:
-        total += float(np.linalg.norm(np.linalg.solve(B, v.components)))
-    return total

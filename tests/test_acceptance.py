@@ -160,8 +160,7 @@ def test_criterion_4_adapted_translation(roster):
         curve = tp.PiecewiseCurve.line(start, end)
         vb = rng.normal(size=dtp.n2)
         res = carry(dtp, curve, tv(start, dtp.embed(2, vb)), 1, tol=1e-6)
-        for _, vec in res.samples:
-            worst_const = max(worst_const, float(np.max(np.abs(vec.components[dtp.slot2] - vb))))
+        worst_const = max(worst_const, float(np.max(np.abs(res.components[:, dtp.slot2] - vb))))
         worst_norm = max(worst_norm, res.tol_achieved)
     _report(4, "adapted translation (component constancy + norm law)",
             f"factor-2 component drift {worst_const:.2e}, norm-law residual {worst_norm:.2e} (tol 1e-06) "
@@ -242,31 +241,6 @@ def test_criterion_8_twisted_construction():
     _report(8, "explicit twisted quotient construction",
             f"seam residual {resid:.2e} (tol 1e-08); leaf y=0 {closed.status}, "
             f"leaf y=1 {drifting.status}; classified {cls.tag.value}", ok)
-
-
-def test_criterion_9_broken_geodesics():
-    rng = np.random.default_rng(9)
-    worst = 0.0
-    for g, base, scale in ((ck.MetricField.euclidean(2), [0.0, 0.0], 1.0),
-                           (fx.sphere_polar().assembled, [1.4, 2.0], 0.5)):
-        for _ in range(3):
-            breaks = tuple(sorted(rng.uniform(0.2, 0.8, size=2)))
-            vels = [scale * rng.normal(size=2) for _ in range(3)]
-            spec = tp.BrokenGeodesicSpec(CoordPoint(base), breaks, vels)
-            prof = tp.velocity_profile(g, tp.broken_geodesic(g, spec))
-            for got, want in zip(prof, spec.velocities):
-                worst = max(worst, float(np.max(np.abs(got.components - want.components))))
-    base_pt = CoordPoint([0.0, 0.0])
-    euclid = ck.MetricField.euclidean(2)
-    sums_ok = (tp.broken_length(euclid, None,
-                                tp.BrokenGeodesicSpec(base_pt, (), [[1.0, 0.0]])) == 1.0
-               and tp.broken_length(euclid, None, tp.BrokenGeodesicSpec(
-                   base_pt, (0.5,), [[1.0, 0.0], [0.0, 1.0]])) == 2.0
-               and tp.broken_length(euclid, None, tp.BrokenGeodesicSpec(
-                   base_pt, (0.5,), [[3.0, 0.0], [0.0, 4.0]])) == 7.0)
-    _report(9, "broken geodesics and velocity profiles",
-            f"profile round-trip worst residual {worst:.2e} (tol 1e-05); hand length sums exact: {sums_ok}",
-            worst < 1e-5 and sums_ok)
 
 
 def test_criterion_10_submersion_formulas(roster):

@@ -1,8 +1,8 @@
 """The runtime is numpy alone: no command loads scipy.
 
 Leaf closure is a projection (``quotient._trace``), teodg's critical points
-come from Newton steps on lam2's exact derivatives, and broken geodesics and
-every transport integrate by Gauss-Legendre collocation in numpy.  One fresh
+come from Newton steps on lam2's exact derivatives, and every transport
+integrates by Gauss-Legendre collocation in numpy.  One fresh
 interpreter runs every built-in and a generated warped-torus file with
 every command, ``teodg`` and ``verify-all`` included: no ``scipy`` module
 may be loaded after the closed-form commands, after sphere-polar's

@@ -6,9 +6,7 @@ Hairer-Norsett-Wanner I, II.7), with Gamma from one batched
 ``christoffel_numeric`` per pass over every job, the passes at 1 and 2 steps
 per interval as one.  Here it is held against scipy's RK45 at
 rtol 1e-12 (the oracle of the oracle), its call pattern is counted, and the
-doubling cap must raise.  ``broken_geodesic`` runs the same tableau on the
-nonlinear geodesic equation; it is held against RK45 too, and must raise
-when a geodesic leaves its domain box or its stage equations do not converge.
+doubling cap must raise.
 """
 
 import os
@@ -103,7 +101,7 @@ def test_collocation_matches_tight_rk45(label, dtp, curve):
     n0 = TangentVector(start, dtp.embed(2, rng.normal(size=dtp.n2)))
     parallel = carry(g, curve, v0, tol=1e-6)
     adapted = carry(dtp, curve, n0, 1)
-    ts = np.array([t for t, _ in parallel.samples])
+    ts = parallel.ts
 
     # one reference solve: column 0 parallel, column 1 normal transport W,
     # whose adapted translation is A = exp(-I) W (so W = exp(I) A is checked too)
@@ -114,26 +112,9 @@ def test_collocation_matches_tight_rk45(label, dtp, curve):
                       omega=lambda pts: pg.mean_curvature_form(dtp, pts, 2), keep=keep)
     for res, want in ((parallel, ref[:, :, 0]),
                       (adapted, np.exp(-ref_I)[:, None] * ref[:, :, 1])):
-        assert [t for t, _ in res.samples] == list(ts), label
-        got = np.stack([vec.components for _, vec in res.samples])
-        assert np.max(np.abs(got - want)) < AGREE, label
+        assert list(res.ts) == list(ts), label
+        assert np.max(np.abs(res.components - want)) < AGREE, label
     assert np.max(np.abs(adapted.integrals - ref_I)) < AGREE, label
-
-
-def test_velocity_profile_reads_the_frame_between_samples():
-    # arbitrary times (not from a sample grid, no t = 0) on a curve with a break
-    dtp = fx.polar_plane()
-    lo, hi = dtp.domain_box[:, 0], dtp.domain_box[:, 1]
-    curve = tp.PiecewiseCurve.catmull_rom([lo + f * (hi - lo) for f in ((0.3, 0.2), (0.4, 0.3),
-                                                                        (0.5, 0.25))])
-    times = np.array([0.1, 0.5, 0.8])
-    ref, _ = rk45(dtp.assembled, curve, np.eye(dtp.n), times)
-    prof = tp.velocity_profile(dtp.assembled, curve, ts=times)
-    for t, frame, v in zip(times, ref, prof):
-        assert np.max(np.abs(frame @ v.components - curve.velocity(t))) < AGREE
-    # at t = 0 alone there is nothing to integrate
-    start = tp.velocity_profile(dtp.assembled, curve, ts=[0.0])
-    assert np.array_equal(start[0].components, curve.velocity(0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -329,87 +310,3 @@ def test_the_doubling_cap_fails_the_whole_batch(monkeypatch):
         tp.transport_batch(dtp, jobs)
     assert str(raised.value) == ("transport collocation did not settle within "
                                  "MAX_DOUBLINGS = 0 step doublings (1 steps per grid interval)")
-
-
-# ---------------------------------------------------------------------------
-# broken geodesics: the same tableau on the nonlinear geodesic equation
-
-def rk45_broken_geodesic(g, spec):
-    """scipy's RK45 (rtol 1e-12, atol 1e-14) on each segment of the geodesic
-    with a parallel frame, the break velocities reset as the spec says:
-    one dense solution per segment."""
-    n = spec.basepoint.n
-
-    def rhs(t, state):
-        gamma = ck.christoffel_numeric(g, state[:n])
-        v, E = state[n:2 * n], state[2 * n:].reshape(n, n)
-        return np.concatenate([v, -np.einsum("kij,i,j->k", gamma, v, v),
-                               -np.einsum("kij,i,jc->kc", gamma, v, E).reshape(-1)])
-
-    ts = [0.0, *spec.breaks, 1.0]
-    state = np.concatenate([spec.basepoint.coords, spec.velocities[0].components,
-                            np.eye(n).reshape(-1)])
-    sols = []
-    for j, (t0, t1) in enumerate(zip(ts, ts[1:])):
-        if j > 0:
-            state = state.copy()
-            state[n:2 * n] = state[2 * n:].reshape(n, n) @ spec.velocities[j].components
-        sol = solve_ivp(rhs, (t0, t1), state, method="RK45", rtol=1e-12, atol=1e-14,
-                        dense_output=True)
-        assert sol.success
-        sols.append(sol.sol)
-        state = sol.y[:, -1]
-    return sols
-
-
-@pytest.mark.parametrize("name, base", [("sphere-polar", [1.4, 2.0]),
-                                        ("polar-plane", [1.5, 2.0])])
-def test_broken_geodesic_matches_rk45(name, base):
-    g = resolve_scenario(name).dtp.assembled
-    rng = np.random.default_rng(5)
-    for _ in range(3):
-        breaks = tuple(sorted(rng.uniform(0.2, 0.8, size=2)))
-        spec = tp.BrokenGeodesicSpec(CoordPoint(base), breaks,
-                                     [0.5 * rng.normal(size=2) for _ in range(3)])
-        curve = tp.broken_geodesic(g, spec)
-        for k, ref in enumerate(rk45_broken_geodesic(g, spec)):
-            t0, t1 = curve.knots[k], curve.knots[k + 1]
-            ts = np.concatenate([[t0, t1], np.linspace(t0, t1, 35)[1:-1]])
-            tol = np.where(np.arange(len(ts)) < 2, 1e-8, 1e-7)
-            want = ref(ts).T
-            seg = np.full(len(ts), k)  # segment k at both its ends, too
-            for got, cols in ((curve._eval(curve._point, ts, seg), slice(0, 2)),
-                              (curve._eval(curve._velocity, ts, seg), slice(2, 4))):
-                err = np.max(np.abs(got - want[:, cols]), axis=1)
-                assert np.all(err < tol), (name, ts[np.argmax(err >= tol)])
-
-
-def test_broken_geodesic_leaving_the_domain_box_raises():
-    # a radial line of the polar plane from r = 2.5 at speed 3 ends at r = 5.5,
-    # past the padded box r <= 3.25
-    g = resolve_scenario("polar-plane").dtp.assembled
-    inside = tp.BrokenGeodesicSpec(CoordPoint([2.5, 1.0]), (), [[0.5, 0.0]])
-    assert tp.broken_geodesic(g, inside).point(1.0) == pytest.approx([3.0, 1.0], abs=1e-9)
-    with pytest.raises(IntegrationError, match="domain box"):
-        tp.broken_geodesic(g, tp.BrokenGeodesicSpec(CoordPoint([2.5, 1.0]), (), [[3.0, 0.0]]))
-
-
-def test_unconverged_stage_equations_raise_at_the_doubling_cap(monkeypatch):
-    g = resolve_scenario("sphere-polar").dtp.assembled
-    spec = tp.BrokenGeodesicSpec(CoordPoint([1.4, 2.0]), (), [[0.3, 0.2]])
-    geodesic_pass = tp._geodesic_pass
-    passes = []
-
-    def counted(g, y0, t0, t1, steps):
-        out = geodesic_pass(g, y0, t0, t1, steps)
-        passes.append((steps, out is None))
-        return out
-
-    monkeypatch.setattr(tp, "_geodesic_pass", counted)
-    tp.broken_geodesic(g, spec)
-    assert passes and not passes[-1][1]  # settles under the default sweep cap
-    passes.clear()
-    monkeypatch.setattr(tp, "_STAGE_ITERS", 1)  # one sweep never shows convergence
-    with pytest.raises(IntegrationError, match=f"MAX_DOUBLINGS = {tp.MAX_DOUBLINGS}"):
-        tp.broken_geodesic(g, spec)
-    assert passes == [(2 ** d, True) for d in range(tp.MAX_DOUBLINGS + 1)]

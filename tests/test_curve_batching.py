@@ -29,14 +29,11 @@ def _curves():
     formula = scenario._build_curve(
         {"formula": ["cos(2*pi*t) + t**3", "exp(-t) * sin(3*t)", "smoothstep(2*t - 0.5)"],
          "breaks": [0.25, 0.6]}, 3, "curves.wavy")
-    spec = tp.BrokenGeodesicSpec(CoordPoint([1.4, 2.0]), (0.3, 0.7),
-                                 [[0.3, -0.2], [-0.1, 0.4], [0.25, 0.1]])
     return {
         "line": tp.PiecewiseCurve.line([0.3, -1.2, 2.0], [1.1, 0.4, -0.5]),
         "catmull-rom": tp.PiecewiseCurve.catmull_rom(
             [[0.0, 0.0], [1.0, 0.5], [2.0, -0.3], [2.5, 1.0]]),
         "formula": formula,
-        "broken-geodesic": tp.broken_geodesic(fx.sphere_polar().assembled, spec),
     }
 
 
@@ -49,12 +46,12 @@ def _segment_at(curve, t):
 
 def _special_times(curve):
     out = [0.0, 1.0]
-    for b in curve.breaks:
+    for b in curve.knots[1:-1].tolist():
         out += [b, b + 1e-12, np.nextafter(b + 1e-12, 2.0), b - 1e-12]
     return out
 
 
-@pytest.mark.parametrize("name", ["line", "catmull-rom", "formula", "broken-geodesic"])
+@pytest.mark.parametrize("name", ["line", "catmull-rom", "formula"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_batch_equals_stacked_one_time_calls(name, data):
@@ -108,7 +105,7 @@ def test_one_point_and_one_velocity_batch_per_closed_form_transport():
     assert calls == {"point": [(len(res.ts),)], "velocity": [(33,), (len(res.ts),)]}
 
 
-@pytest.mark.parametrize("name", ["line", "catmull-rom", "formula", "broken-geodesic"])
+@pytest.mark.parametrize("name", ["line", "catmull-rom", "formula"])
 def test_one_evaluator_call_per_batch_whatever_the_segment_count(name):
     curve = _curves()[name]
     evaluators = {"_point": curve._point, "_velocity": curve._velocity}
@@ -123,8 +120,7 @@ def test_one_evaluator_call_per_batch_whatever_the_segment_count(name):
     finally:
         for attr, fn in evaluators.items():
             setattr(curve, attr, fn)
-    assert len(curve.knots) - 1 == {"line": 1, "catmull-rom": 3, "formula": 3,
-                                    "broken-geodesic": 3}[name]
+    assert len(curve.knots) - 1 == {"line": 1, "catmull-rom": 3, "formula": 3}[name]
     assert calls == [("_point", 41), ("_velocity", 41)]
 
 
@@ -133,9 +129,6 @@ def test_transport_result_builds_tangent_vectors_from_its_arrays():
     curve = tp.PiecewiseCurve.line([0.0, 0.0], [1.0, 0.5])
     res = carry(g, curve, TangentVector(CoordPoint([0.0, 0.0]), [0.3, -0.7]))
     assert res.points.shape == res.components.shape == (len(res.ts), 2)
-    ts = [t for t, _ in res.samples]
-    assert ts == list(res.ts)
-    np.testing.assert_array_equal(np.stack([v.base.coords for _, v in res.samples]), res.points)
     np.testing.assert_array_equal(res.end.components, res.components[-1])
     np.testing.assert_array_equal(res.end.base.coords, curve.point(1.0))
 

@@ -42,9 +42,6 @@ ALLOWED = {
     "sectional_curvature_numeric": "README: the one-plane oracle of that closed form",
     "hessian_matrix": "the FD oracle of PointGeometry.warp_hessian",
     "exterior_derivative_numeric": "the FD oracle of classify's closedness evidence d(omega_i)",
-    "broken_geodesic": "acceptance criterion 9 specifies it",
-    "broken_length": "acceptance criterion 9 specifies it",
-    "velocity_profile": "acceptance criterion 9 specifies it",
 }
 
 

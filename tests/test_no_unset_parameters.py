@@ -39,7 +39,6 @@ ALLOWED = {
         "a parameter of the construction and an input of the InvalidH negative controls",
     "chartkit.exterior_derivative_numeric.n": "an FD oracle on the function-level ALLOWED table",
     "chartkit.exterior_derivative_numeric.step": "an FD oracle on the function-level ALLOWED table",
-    "transport.velocity_profile.ts": "acceptance criterion 9 specifies it",
     "transport.PiecewiseCurve.from_function.velocity_fn": "documented in the README",
     "cli.main.argv": "the entry point: None reads sys.argv",
 }

@@ -72,6 +72,14 @@ def test_expr_folds_constants_by_the_operations_they_ran():
     assert expr.compile_expr("sqrt(2) * 3", ["x"])(xs).tolist() == [np.sqrt(2.0) * 3.0] * 4
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_expr_gives_nan_and_inf_without_a_numpy_warning():
+    # log(0) + sqrt(0) + 1/0 is -inf + inf, log(-1) nan, exp(1000) inf: the
+    # fields' finiteness checks name them, numpy prints nothing
+    f = expr.compile_expr("log(x) + sqrt(x) + 1/x + exp(x)", ["x"])
+    assert not np.isfinite(f(np.array([[0.0, -1.0, 1000.0]]))).any()
+
+
 @pytest.mark.parametrize("terms", [201, 980, 5000])
 def test_expr_nesting_is_bounded_where_evaluation_could_not_recurse(terms):
     # a left-deep sum nests one level per term; at 980 levels the closures
@@ -258,20 +266,53 @@ PROBE_FAILURES = [
 ]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("curve, message", PROBE_FAILURES, ids=["polyline", "nan-formula"])
 def test_a_curve_that_fails_its_probe_fails_only_the_commands_that_read_it(
         capsys, tmp_path, curve, message):
-    # the file is read for every command; only transport evaluates its curves
+    # the file is read for every command; only transport evaluates its curves,
+    # and names the one that fails, the second in key order
     data = flat_torus_dict()
-    data["curves"] = {"c": curve}
+    data["curves"] = {"a": data["curves"]["c"], "c": curve}
     path = tmp_path / "probe.json"
     path.write_text(json.dumps(data))
     for command in ("classify", "curvature"):
         assert cli.main(["run", str(path), command]) == 0
     capsys.readouterr()
-    with np.errstate(invalid="ignore"):
-        assert cli.main(["run", str(path), "transport"]) == 3
-    assert capsys.readouterr().err.startswith(f"numeric failure: NumericsError: {message}")
+    assert cli.main(["run", str(path), "transport"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numeric failure: NumericsError: curves.c: {message}"), err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, mutate, value", [
+    ("factors[1].box", _set("factors", 1, "box"), [[0.0, 1e300]]),
+    ("factors[0].box", _set("factors", 0, "box"), [[-np.inf, 1.0]]),
+    ("scenario.fundamental_box", _set("fundamental_box"), [[0.0, 1.0], [-1e300, 1.0]]),
+], ids=["factor-box", "infinite-bound", "fundamental-box"])
+def test_a_box_bound_whose_fd_step_overflows_exits_2_naming_its_key(capsys, tmp_path, key,
+                                                                   mutate, value):
+    data = flat_torus_dict()
+    mutate(data, value)
+    path = tmp_path / "big-box.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["run", str(path), "curvature"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {key}: bound ") and "overflows" in err, err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["classify", "curvature"])
+def test_a_box_bound_at_the_limit_runs(capsys, tmp_path, command):
+    # at sc._MAX_BOUND the second-difference denominators h**2 and 4 h_i h_j
+    # are still finite
+    data = flat_torus_dict()
+    big = [-sc._MAX_BOUND, sc._MAX_BOUND]
+    data["factors"][1]["box"] = [big]
+    data["fundamental_box"] = [[0.0, 1.0], big]
+    path = tmp_path / "limit-box.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["run", str(path), command]) == 0
 
 
 @pytest.mark.parametrize("flag, value, low", [("--samples", "0", 1), ("--samples", "-3", 1),

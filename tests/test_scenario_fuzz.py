@@ -7,7 +7,8 @@ wrong declared inverses, boxes, basepoints, curves, loop words,
 expectations, and fields replaced by values of the wrong type.  Each file
 runs one command in-process.  ``cli.main`` must return an exit code (0 to
 3) and never raise, a rerun must print the same bytes, and every report
-must validate against the versioned schema.  A second property runs an
+must validate against the versioned schema.  No run may make numpy warn:
+a nan or inf is for the finiteness checks to name.  A second property runs an
 affine deck group against its non-affine twin (each formula plus
 ``0*sin(v)``, which keeps a variable inside the call, so the twin takes the
 level path) and asks for the same counts, verdicts and tags.
@@ -31,6 +32,8 @@ from warpquot import cli, expr, scenario
 jsonschema = pytest.importorskip("jsonschema")
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "schemas"
                      / "report-v1.schema.json").read_text())
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 PROFILE = settings(max_examples=120, deadline=None, derandomize=True, database=None,
                    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])

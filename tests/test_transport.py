@@ -1,4 +1,4 @@
-"""Transport tests: parallel/normal/adapted translation, broken geodesics."""
+"""Transport tests: curves, parallel/normal/adapted translation, holonomy."""
 
 import numpy as np
 import pytest
@@ -210,8 +210,7 @@ def normal_translation(dtp, curve, v0):
     """W(t) = exp(I(t)) A(t), the normal parallel translation of v0, from the
     integrated adapted translation A; returns the result and W (S, n)."""
     res = carry(dtp, curve, v0, 1)
-    A = np.stack([vec.components for _, vec in res.samples])
-    return res, np.exp(res.integrals)[:, None] * A
+    return res, np.exp(res.integrals)[:, None] * res.components
 
 
 def test_normal_transport_direct_product_constant():
@@ -227,10 +226,9 @@ def test_normal_transport_polar_scales_inversely():
     curve = tp.PiecewiseCurve.line([1.0, 0.5], [2.0, 0.5])
     res, W = normal_translation(dtp, curve, tv([1.0, 0.5], [0.0, 1.0]))
     assert np.allclose(W[-1], [0.0, 0.5], atol=1e-8)
-    for (t, vec), w in zip(res.samples, W):
-        r = vec.base.coords[0]
-        assert w[1] == pytest.approx(1.0 / r, abs=1e-8)
-        assert norm(dtp.assembled, tv(vec.base.coords, w)) == pytest.approx(1.0, abs=1e-7)
+    for x, w in zip(res.points, W):
+        assert w[1] == pytest.approx(1.0 / x[0], abs=1e-8)
+        assert norm(dtp.assembled, tv(x, w)) == pytest.approx(1.0, abs=1e-7)
 
 
 def test_normal_transport_rejects_leaving_leaf():
@@ -250,11 +248,11 @@ def test_normal_transport_covariant_derivative_stays_tangent():
                                             breaks=np.arange(1, 12) / 12)
     res, comps = normal_translation(dtp, curve, tv([1.0, 0.5], [0.0, 1.0]))
     assert len(res.ts) == 12 * (tp.SAMPLES_PER_SEGMENT - 1) + 1
-    ts = [s[0] for s in res.samples]
+    ts = res.ts
     for k in range(1, len(ts) - 1):
         dt = ts[k + 1] - ts[k - 1]
         dW = (comps[k + 1] - comps[k - 1]) / dt
-        pos = res.samples[k][1].base.coords
+        pos = res.points[k]
         vel = curve.velocity(ts[k])
         gamma = ck.christoffel_numeric(g, pos)
         DW = dW + np.einsum("kij,i,j->k", gamma, vel, comps[k])
@@ -310,9 +308,8 @@ def test_adapted_translation_factor2_components_constant(make):
     vb = rng.normal(size=dtp.n2)
     v0 = tv(start, dtp.embed(2, vb))
     res = carry(dtp, curve, v0, 1, tol=1e-6)
-    for t, vec in res.samples:
-        assert np.max(np.abs(vec.components[dtp.slot2] - vb)) < 1e-6
-        assert np.max(np.abs(vec.components[dtp.slot1])) < 1e-9
+    assert np.max(np.abs(res.components[:, dtp.slot2] - vb)) < 1e-6
+    assert np.max(np.abs(res.components[:, dtp.slot1])) < 1e-9
     # norm law residual recorded and small
     assert res.tol_achieved < 1e-6
 
@@ -362,104 +359,3 @@ def test_normal_frame_orthonormal():
         for j, fj in enumerate(frame):
             want = 1.0 if i == j else 0.0
             assert abs(ck.inner_product(g, fi, fj)) == pytest.approx(want, abs=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# broken geodesics and velocity profiles
-
-def test_broken_geodesic_flat_polyline():
-    g = ck.MetricField.euclidean(2)
-    spec = tp.BrokenGeodesicSpec(CoordPoint([0.0, 0.0]), (0.5,),
-                                 [[1.0, 0.0], [0.0, 1.0]])
-    curve = tp.broken_geodesic(g, spec)
-    assert np.allclose(curve.point(0.5), [0.5, 0.0], atol=1e-9)
-    assert np.allclose(curve.point(1.0), [0.5, 0.5], atol=1e-9)
-
-
-def test_broken_geodesic_sphere_unit_speed_arc():
-    dtp = fx.sphere_polar()
-    g = dtp.assembled
-    spec = tp.BrokenGeodesicSpec(CoordPoint([np.pi / 2, 1.0]), (), [[1.0, 0.0]])
-    curve = tp.broken_geodesic(g, spec)
-    # meridian geodesic: unit-speed straight line in r
-    assert np.allclose(curve.point(1.0), [np.pi / 2 + 1.0, 1.0], atol=1e-8)
-    length = 0.0
-    ts = np.linspace(0, 1, 201)
-    for a, b in zip(ts, ts[1:]):
-        mid = 0.5 * (a + b)
-        v = tv(curve.point(mid), curve.velocity(mid))
-        length += norm(g, v) * (b - a)
-    assert length == pytest.approx(1.0, abs=1e-6)
-
-
-def test_velocity_profile_straight_line_constant():
-    g = ck.MetricField.euclidean(2)
-    curve = tp.PiecewiseCurve.line([0.0, 0.0], [1.0, 2.0])
-    prof = tp.velocity_profile(g, curve, ts=[0.1, 0.5, 0.9])
-    for v in prof:
-        assert np.allclose(v.components, [1.0, 2.0], atol=1e-9)
-
-
-def test_velocity_profile_circle_rotates():
-    # flat transport is trivial, so the profile equals gamma'(t): non-constant
-    g = ck.MetricField.euclidean(2)
-    curve = tp.PiecewiseCurve.from_function(
-        lambda t: np.stack([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)], axis=1))
-    prof = tp.velocity_profile(g, curve, ts=[0.0, 0.25, 0.5])
-    assert np.allclose(prof[0].components, [0.0, 2 * np.pi], atol=1e-6)
-    assert np.allclose(prof[1].components, [-2 * np.pi, 0.0], atol=1e-6)
-    assert np.allclose(prof[2].components, [0.0, -2 * np.pi], atol=1e-6)
-
-
-@pytest.mark.parametrize("case", ["flat", "sphere"])
-def test_velocity_profile_roundtrip(case):
-    rng = np.random.default_rng(9)
-    if case == "flat":
-        g = ck.MetricField.euclidean(2)
-        base = [0.0, 0.0]
-        scale = 1.0
-    else:
-        g = fx.sphere_polar().assembled
-        base = [1.4, 2.0]
-        scale = 0.5
-    for trial in range(3):
-        breaks = tuple(sorted(rng.uniform(0.2, 0.8, size=2)))
-        vels = [scale * rng.normal(size=2) for _ in range(3)]
-        spec = tp.BrokenGeodesicSpec(CoordPoint(base), breaks, vels)
-        curve = tp.broken_geodesic(g, spec)
-        prof = tp.velocity_profile(g, curve)
-        assert len(prof) == 3
-        for got, want in zip(prof, spec.velocities):
-            assert np.max(np.abs(got.components - want.components)) < 1e-5
-
-
-def test_velocity_profile_piecewise_constant_iff_broken_geodesic():
-    g = ck.MetricField.euclidean(2)
-    spec = tp.BrokenGeodesicSpec(CoordPoint([0.0, 0.0]), (0.4,), [[1.0, 0.0], [0.3, 1.1]])
-    curve = tp.broken_geodesic(g, spec)
-    for t0, t1, want in zip(curve.knots[:-1], curve.knots[1:], spec.velocities):
-        for t in np.linspace(t0 + 0.01, t1 - 0.01, 5):
-            got = tp.velocity_profile(g, curve, ts=[t])[0]
-            assert np.allclose(got.components, want.components, atol=1e-6)
-    circle = tp.PiecewiseCurve.from_function(
-        lambda t: np.stack([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)], axis=1))
-    prof = tp.velocity_profile(g, circle, ts=[0.0, 0.25])
-    assert np.max(np.abs(prof[0].components - prof[1].components)) > 1.0
-
-
-@pytest.mark.parametrize("breaks", [(0.5, 0.5), (0.6, 0.4), (0.0,), (1.0,)])
-def test_broken_geodesic_spec_refuses_breaks_that_do_not_increase_strictly(breaks):
-    vels = [[1.0, 0.0]] * (len(breaks) + 1)
-    with pytest.raises(ValueError, match="breaks must satisfy"):
-        tp.BrokenGeodesicSpec(CoordPoint([0.0, 0.0]), breaks, vels)
-    tp.BrokenGeodesicSpec(CoordPoint([0.0, 0.0]), (0.4, 0.6)[:len(breaks)], vels)
-
-
-def test_broken_length_examples():
-    g = ck.MetricField.euclidean(2)
-    base = CoordPoint([0.0, 0.0])
-    assert tp.broken_length(g, None, tp.BrokenGeodesicSpec(base, (), [[1.0, 0.0]])) == 1.0
-    assert tp.broken_length(g, None, tp.BrokenGeodesicSpec(
-        base, (0.5,), [[1.0, 0.0], [0.0, 1.0]])) == 2.0
-    assert tp.broken_length(g, None, tp.BrokenGeodesicSpec(
-        base, (0.5,), [[3.0, 0.0], [0.0, 4.0]])) == pytest.approx(7.0)
