@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 from .chartkit import (  # noqa: F401
     CoordPoint,
     MetricField,
-    OneForm,
     ScalarField,
     Signature,
     TangentVector,
@@ -25,7 +24,6 @@ from .chartkit import (  # noqa: F401
 from .productgeo import (  # noqa: F401
     DoublyTwistedProduct,
     FactorManifold,
-    MixedPlane,
     StructureClass,
     StructureTag,
     assemble,

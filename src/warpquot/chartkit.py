@@ -229,18 +229,6 @@ class TangentVector:
                 f"v={np.array2string(self.components, precision=6)})")
 
 
-@dataclass(frozen=True)
-class OneForm:
-    base: CoordPoint
-    components: np.ndarray
-
-    def __init__(self, base: CoordPoint, components):
-        if not isinstance(base, CoordPoint):
-            base = CoordPoint(base)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "components", _as_array(components, base.n))
-
-
 @dataclass
 class MetricField:
     """Symmetric-matrix-valued field with signature metadata.
@@ -259,7 +247,6 @@ class MetricField:
     signature: Signature
     exact_order: int = 0
     domain_box: Optional[np.ndarray] = None  # (dim, 2) coordinate bounds
-    name: str = ""
 
     def __post_init__(self):
         if self.signature.n != self.dim:
@@ -329,7 +316,7 @@ class MetricField:
                                 f"match signature index {self.signature.index}")
 
     @staticmethod
-    def constant(matrix, domain_box=None, name="") -> "MetricField":
+    def constant(matrix, domain_box=None) -> "MetricField":
         m = np.asarray(matrix, dtype=float)
         n = m.shape[0]
         eigs = np.linalg.eigvalsh(m)
@@ -342,11 +329,11 @@ class MetricField:
             return (g, *(np.zeros((n,) * (k + 2) + np.shape(x)[1:]) for k in range(1, order + 1)))
 
         return MetricField(n, eval, Signature(np.sort(signs)), exact_order=2,
-                           domain_box=domain_box, name=name)
+                           domain_box=domain_box)
 
     @staticmethod
     def euclidean(n: int, domain_box=None) -> "MetricField":
-        return MetricField.constant(np.eye(n), domain_box=domain_box, name="euclidean")
+        return MetricField.constant(np.eye(n), domain_box=domain_box)
 
 
 @dataclass

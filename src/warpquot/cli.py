@@ -22,12 +22,8 @@ from . import productgeo as pg
 from . import quotient as qt
 from . import transport as tp
 from .chartkit import CoordPoint, TangentVector
-from .errors import GeometryError, InvalidAction, NumericsError, ScenarioError
+from .errors import GeometryError, InvalidAction, ScenarioError
 from .scenario import ScenarioContext, list_scenarios, resolve_scenario
-
-COMMANDS = ("classify", "christoffel", "curvature", "transport", "holonomy",
-            "intersections", "decompose", "teodg", "verify-all")
-
 
 # ---------------------------------------------------------------------------
 # deterministic serialization
@@ -252,13 +248,13 @@ def cmd_transport(ctx, args, rng):
     curves = sorted((ctx.curves or {"default-horizontal": _horizontal_curve(ctx)}).items())
     results = []
     for name, curve in curves:
-        try:
-            v0 = _ones_normal(ctx.dtp, curve)  # the curve's first evaluation: its probe runs
-        except NumericsError as exc:
+        try:  # any failure of the curve's own run names its key (_ones_normal runs its probe)
+            v0 = _ones_normal(ctx.dtp, curve)
+            results.append(tp.adapted_translation_closed_form(ctx.dtp, curve, v0))
+        except GeometryError as exc:
             if not ctx.curves:  # the default leaf line is no key of the file
                 raise
-            raise NumericsError(f"curves.{name}: {exc}") from exc
-        results.append(tp.adapted_translation_closed_form(ctx.dtp, curve, v0))
+            raise type(exc)(f"curves.{name}: {exc}") from exc
     out = {}
     ok = True
     for (name, _), res, resid in zip(curves, results,
@@ -286,8 +282,7 @@ def _run_holonomy(ctx, tol):
         words = [tuple(word) for word in ctx.holonomy_loops.get(i, [])]
         if not words:
             continue
-        qt._check_inverses(model)
-        for j, (word, hol) in enumerate(zip(words, qt._loop_holonomies(model, rep0, i, words))):
+        for j, (word, hol) in enumerate(zip(words, qt.loop_holonomies(model, rep0, i, words))):
             maps.append((i, word, hol))
             entry = {"foliation": i, "word": [list(w) for w in word],
                      "matrix": hol.matrix}
@@ -518,6 +513,7 @@ _HANDLERS = {
     "teodg": cmd_teodg,
     "verify-all": cmd_verify_all,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 # ---------------------------------------------------------------------------

@@ -71,8 +71,7 @@ def trig_warp(amps, freqs, phases, name: str = "trig-warp") -> ScalarField:
     return ScalarField(ev, exact_order=2, name=name)
 
 
-def conformal_flat_metric(dim: int, amp: float, freq, phase: float, box,
-                          name: str = "conformal") -> MetricField:
+def conformal_flat_metric(dim: int, amp: float, freq, phase: float, box) -> MetricField:
     """g = exp(2 phi) * I, phi = amp sin(freq . x + phase), freq . x a ``_fold``."""
     freq = np.asarray(freq, dtype=float)[:, None]  # constants get the point axis
     pairs = freq[:, None] * freq[None]
@@ -91,17 +90,17 @@ def conformal_flat_metric(dim: int, amp: float, freq, phase: float, box,
         return eye * scale, d1, dd[:, :, None, None] * scale * eye
 
     return MetricField(dim, ev, Signature.riemannian(dim), exact_order=2,
-                       domain_box=np.asarray(box, dtype=float), name=name)
+                       domain_box=np.asarray(box, dtype=float))
 
 
 def strip_analytic(dtp: pg.DoublyTwistedProduct) -> pg.DoublyTwistedProduct:
     """Same product, every field a copy of exact order 0 (pure FD route)."""
 
     def bare(field):
-        return dataclasses.replace(field, exact_order=0, name=field.name + "-fd")
+        return dataclasses.replace(field, exact_order=0)
 
-    f1 = pg.FactorManifold(dtp.f1.name, dtp.f1.dim, bare(dtp.f1.metric), dtp.f1.domain_box)
-    f2 = pg.FactorManifold(dtp.f2.name, dtp.f2.dim, bare(dtp.f2.metric), dtp.f2.domain_box)
+    f1 = pg.FactorManifold(dtp.f1.name, bare(dtp.f1.metric), dtp.f1.domain_box)
+    f2 = pg.FactorManifold(dtp.f2.name, bare(dtp.f2.metric), dtp.f2.domain_box)
     return pg.assemble(f1, f2, bare(dtp.lam1), bare(dtp.lam2))
 
 
@@ -111,7 +110,7 @@ def strip_analytic(dtp: pg.DoublyTwistedProduct) -> pg.DoublyTwistedProduct:
 def _lines(x, y, lam2=None) -> pg.DoublyTwistedProduct:
     """Euclidean line x line with lam1 = 1 and lam2 (1 when None); ``x`` and
     ``y`` are each factor's (name, domain interval)."""
-    f1, f2 = (pg.FactorManifold(name, 1, MetricField.euclidean(1), [box]) for name, box in (x, y))
+    f1, f2 = (pg.FactorManifold(name, MetricField.euclidean(1), [box]) for name, box in (x, y))
     one = ScalarField.constant(1.0)
     return pg.assemble(f1, f2, one, one if lam2 is None else lam2)
 
@@ -148,9 +147,9 @@ def hyperbolic_polar() -> pg.DoublyTwistedProduct:
 
 def lorentz_direct() -> pg.DoublyTwistedProduct:
     """Minkowski R^{1,1} x R: flat Lorentzian direct product."""
-    mink = MetricField.constant(np.diag([-1.0, 1.0]), name="minkowski2")
-    f1 = pg.FactorManifold("minkowski", 2, mink, [[-2.0, 2.0], [-2.0, 2.0]])
-    f2 = pg.FactorManifold("line", 1, MetricField.euclidean(1), [[-2.0, 2.0]])
+    mink = MetricField.constant(np.diag([-1.0, 1.0]))
+    f1 = pg.FactorManifold("minkowski", mink, [[-2.0, 2.0], [-2.0, 2.0]])
+    f2 = pg.FactorManifold("line", MetricField.euclidean(1), [[-2.0, 2.0]])
     one = ScalarField.constant(1.0)
     return pg.assemble(f1, f2, one, one)
 
@@ -162,9 +161,9 @@ def lorentz_warped_fiber() -> pg.DoublyTwistedProduct:
     submersion with umbilic Lorentzian fibers; mixed degenerate planes have
     vanishing lightlike curvature here.
     """
-    f1 = pg.FactorManifold("base-x", 1, MetricField.euclidean(1), [[-1.0, 1.0]])
-    mink = MetricField.constant(np.diag([-1.0, 1.0]), name="minkowski2")
-    f2 = pg.FactorManifold("fiber", 2, mink, [[-1.0, 1.0], [-1.0, 1.0]])
+    f1 = pg.FactorManifold("base-x", MetricField.euclidean(1), [[-1.0, 1.0]])
+    mink = MetricField.constant(np.diag([-1.0, 1.0]))
+    f2 = pg.FactorManifold("fiber", mink, [[-1.0, 1.0], [-1.0, 1.0]])
     lam2 = function_of_coordinate_warp(0, 3, np.cosh, np.sinh, np.cosh, name="cosh x")
     return pg.assemble(f1, f2, ScalarField.constant(1.0), lam2)
 
@@ -175,9 +174,9 @@ def expanding_spacetime() -> pg.DoublyTwistedProduct:
     Mixed degenerate planes here are NOT vertical-null planes of the base
     projection, so the lightlike curvature is generically nonzero.
     """
-    time = MetricField.constant(np.array([[-1.0]]), name="time")
-    f1 = pg.FactorManifold("time", 1, time, [[-1.0, 1.0]])
-    f2 = pg.FactorManifold("plane", 2, MetricField.euclidean(2), [[-1.0, 1.0], [-1.0, 1.0]])
+    time = MetricField.constant(np.array([[-1.0]]))
+    f1 = pg.FactorManifold("time", time, [[-1.0, 1.0]])
+    f2 = pg.FactorManifold("plane", MetricField.euclidean(2), [[-1.0, 1.0], [-1.0, 1.0]])
     lam2 = function_of_coordinate_warp(0, 3, np.cosh, np.sinh, np.cosh, name="cosh t")
     return pg.assemble(f1, f2, ScalarField.constant(1.0), lam2)
 
@@ -196,8 +195,8 @@ def random_doubly_twisted(seed: int) -> pg.DoublyTwistedProduct:
 
     def factor(name):
         g = conformal_flat_metric(2, 0.2 + 0.1 * rng.random(), rng.uniform(0.3, 1.2, 2),
-                                  rng.uniform(0, 2), box, name=name)
-        return pg.FactorManifold(name, 2, g, box)
+                                  rng.uniform(0, 2), box)
+        return pg.FactorManifold(name, g, box)
 
     f1, f2 = factor("f1"), factor("f2")
 
@@ -212,8 +211,8 @@ def random_doubly_twisted(seed: int) -> pg.DoublyTwistedProduct:
 def random_doubly_warped(seed: int) -> pg.DoublyTwistedProduct:
     """Randomized doubly warped product (lam1 on factor 2, lam2 on factor 1)."""
     rng = np.random.default_rng(seed)
-    f1 = pg.FactorManifold("f1", 1, MetricField.euclidean(1), [[-1.0, 1.0]])
-    f2 = pg.FactorManifold("f2", 1, MetricField.euclidean(1), [[-1.0, 1.0]])
+    f1 = pg.FactorManifold("f1", MetricField.euclidean(1), [[-1.0, 1.0]])
+    f2 = pg.FactorManifold("f2", MetricField.euclidean(1), [[-1.0, 1.0]])
     a1, b1, c1 = rng.uniform(0.1, 0.3), rng.uniform(0.3, 1.2), rng.uniform(0, 2)
     a2, b2, c2 = rng.uniform(0.1, 0.3), rng.uniform(0.3, 1.2), rng.uniform(0, 2)
     lam1 = trig_warp([a1], [[0.0, b1]], [c1], name="lam1(y)")

@@ -20,15 +20,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Union
 
 import numpy as np
 
 from . import chartkit as ck
 from .chartkit import (
-    CoordPoint,
     MetricField,
-    OneForm,
     ScalarField,
     Signature,
     TangentVector,
@@ -53,16 +50,17 @@ class StructureTag(Enum):
 @dataclass
 class FactorManifold:
     name: str
-    dim: int
     metric: MetricField
     domain_box: np.ndarray  # (dim, 2)
 
     def __post_init__(self):
-        if self.metric.dim != self.dim:
-            raise ValueError(f"factor {self.name!r}: metric dim {self.metric.dim} != {self.dim}")
         self.domain_box = np.asarray(self.domain_box, dtype=float)
         if self.domain_box.shape != (self.dim, 2):
             raise ValueError(f"factor {self.name!r}: bad domain box shape {self.domain_box.shape}")
+
+    @property
+    def dim(self) -> int:
+        return self.metric.dim
 
 
 @dataclass
@@ -81,15 +79,6 @@ class StructureClass:
             "max_domega1": self.max_domega1,
             "max_domega2": self.max_domega2,
         }
-
-
-@dataclass(frozen=True)
-class MixedPlane:
-    """span(horiz, vert) with horiz tangent to factor 1 and vert to factor 2."""
-
-    x: CoordPoint
-    horiz: TangentVector
-    vert: TangentVector
 
 
 class DoublyTwistedProduct:
@@ -230,7 +219,6 @@ def assemble(f1: FactorManifold, f2: FactorManifold, lam1: ScalarField,
                                             f2.metric.signature.signs])),
         exact_order=min(f.exact_order for f in (lam1, lam2, f1.metric, f2.metric)),
         domain_box=box,
-        name=f"{f1.name} x {f2.name}",
     )
     return DoublyTwistedProduct(f1, f2, lam1, lam2, assembled)
 
@@ -355,8 +343,8 @@ def _max_abs(a: np.ndarray) -> float:
 
 
 def mean_curvature_form(dtp: DoublyTwistedProduct, x, i: int):
-    """omega_i: metric dual of N_i, a OneForm at one point, or its
-    components ``(P, n)`` at each row of a batch (one warp evaluation each).
+    """omega_i: metric dual of N_i, its components ``(n,)`` at one point or
+    ``(P, n)`` at each row of a batch (one warp evaluation each).
 
     g is block diagonal, so omega_i = -d ln lam_i on the other factor's slots
     and 0 on its own (as ``classify`` reads it), from one jet of lam_i
@@ -370,7 +358,7 @@ def mean_curvature_form(dtp: DoublyTwistedProduct, x, i: int):
     val, grad = ck._call_batch(dtp.warp(i)._jet, pts, 1, (dtp.axes(3 - i),))
     out = np.zeros(pts.shape)
     out[..., dtp.slot(3 - i)] = -(grad / np.asarray(val)[..., None])
-    return OneForm(CoordPoint(pts), out) if pts.ndim == 1 else out
+    return out
 
 
 def _omega(dtp: DoublyTwistedProduct, i: int, grad: np.ndarray, val: np.ndarray) -> np.ndarray:
@@ -429,10 +417,7 @@ def classify(dtp: DoublyTwistedProduct, per_axis: int = 4) -> StructureClass:
 # ---------------------------------------------------------------------------
 # sectional curvature (closed form)
 
-PlaneInput = Union[MixedPlane, tuple]
-
-
-def sectional_curvature_closed_form(dtp: DoublyTwistedProduct, plane: PlaneInput) -> float:
+def sectional_curvature_closed_form(dtp: DoublyTwistedProduct, plane: tuple) -> float:
     """Closed-form sectional curvature for factor-1, factor-2 or mixed planes.
 
     Inputs must be unitary and orthogonal (the operation refuses to normalize
@@ -452,10 +437,7 @@ def sectional_curvature_closed_form(dtp: DoublyTwistedProduct, plane: PlaneInput
     from one ``point_geometry`` record.  This is the one-plane call of
     ``_sectional_closed_form``.
     """
-    if isinstance(plane, MixedPlane):
-        u, v = plane.horiz, plane.vert
-    else:
-        u, v = plane
+    u, v = plane
     if not np.array_equal(u.base.coords, v.base.coords):
         raise CaseMismatch("plane vectors must share a base point")
     x = u.base.coords[None]

@@ -557,7 +557,6 @@ class ValidationReport:
     discontinuity.  ``validate`` raises instead of returning a failure."""
 
     residuals: dict
-    word_bound_checked: int
     words_checked: int = 0       # non-empty words applied to the interior grid
     words_truncated: int = 0     # enumerated words left out by VALIDATE_WORD_CAP
 
@@ -652,7 +651,7 @@ def validate(model: QuotientModel) -> ValidationReport:
             w, p = divmod(int(np.argmax(back.ravel())), len(interior))
             fail(f"word {words[w]} moves an interior point into the fundamental box",
                  interior[p])
-    return ValidationReport(residuals=res, word_bound_checked=wb, words_checked=len(words),
+    return ValidationReport(residuals=res, words_checked=len(words),
                             words_truncated=max(0, len(enumerated) - VALIDATE_WORD_CAP))
 
 
@@ -961,25 +960,10 @@ def _loop_ends(model: QuotientModel, rep0: np.ndarray, foliation: int,
     return ends
 
 
-def _loop_holonomies(model: QuotientModel, rep0: np.ndarray, foliation: int,
-                     words: Sequence[Word]) -> list:
-    """``loop_holonomy`` of every word: its end (``_loop_ends``) and the
-    differential of its inverse there (``word_jacobian``)."""
-    dtp = model.dtp
-    ends = _loop_ends(model, rep0, foliation, words)
-    other = dtp.slot(3 - foliation)
-    frame = tp.normal_frame(dtp, rep0, foliation=foliation)
-    fmat = np.stack([f.components[other] for f in frame], axis=1)
-    jac = np.stack([model.word_jacobian(word_inverse(w), end)
-                    for w, end in zip(words, ends)])[:, other, other]
-    return [tp.HolonomyMap(CoordPoint(rep0), m, frame)
-            for m in np.linalg.solve(fmat, jac @ fmat)]
-
-
-def loop_holonomy(model: QuotientModel, rep0, foliation: int, word: Word) -> tp.HolonomyMap:
-    """Holonomy of the F_foliation leaf loop at rep0 that ``word`` closes
-    (``leaf_loop_curve``; NotALoop otherwise), in the g-orthonormal normal
-    frame F at rep0.
+def loop_holonomies(model: QuotientModel, rep0, foliation: int, words: Sequence[Word]) -> list:
+    """Holonomy of each F_foliation leaf loop at rep0 that a word of ``words``
+    closes (``leaf_loop_curve``; NotALoop names the first that does not), in
+    the g-orthonormal normal frame F at rep0, one batch for all words.
 
     Closed form: adapted translation keeps the normal components constant in
     product coordinates (Ponge & Reckziegel, Geom. Dedicata 48, 1993), so the
@@ -990,7 +974,17 @@ def loop_holonomy(model: QuotientModel, rep0, foliation: int, word: Word) -> tp.
     is its oracle.
     """
     _check_inverses(model)
-    return _loop_holonomies(model, np.asarray(rep0, dtype=float), foliation, [tuple(word)])[0]
+    rep0 = np.asarray(rep0, dtype=float)
+    words = [tuple(w) for w in words]
+    dtp = model.dtp
+    ends = _loop_ends(model, rep0, foliation, words)
+    other = dtp.slot(3 - foliation)
+    frame = tp.normal_frame(dtp, rep0, foliation=foliation)
+    fmat = np.stack([f.components[other] for f in frame], axis=1)
+    jac = np.stack([model.word_jacobian(word_inverse(w), end)
+                    for w, end in zip(words, ends)])[:, other, other]
+    return [tp.HolonomyMap(CoordPoint(rep0), m, frame)
+            for m in np.linalg.solve(fmat, jac @ fmat)]
 
 
 def leaf_loops(model: QuotientModel, rep0, max_len: Optional[int] = None) -> dict:
@@ -1044,13 +1038,13 @@ def decomposition_check(model: QuotientModel, x0, loops: dict,
 
     def tested():
         for i, word in declared:
-            yield i, word, loop_holonomy(model, rep0, i, word)
+            yield i, word, loop_holonomies(model, rep0, i, [word])[0]
         derived.update(leaf_loops(model, rep0, wb))
         for i in (1, 2):
             words = [w for w in derived[i] if (i, w) not in declared]
             if words:
-                hols = _loop_holonomies(model, rep0, i, words)
-                yield from ((i, w, hol) for w, hol in zip(words, hols))
+                yield from ((i, w, hol) for w, hol in
+                            zip(words, loop_holonomies(model, rep0, i, words)))
 
     hol_maps = []
     for i, word, hol in tested():
@@ -1187,8 +1181,8 @@ def build_example1(epsilon: float = 0.25, gluing: Optional[TwistedGluing] = None
         return glue.h_prime(y) ** _smooth01((x - k - epsilon) / (1.0 - 2.0 * epsilon)) * chain
 
     lam_field = ScalarField(lam, name="twisted-lam")
-    f1 = pg.FactorManifold("line-x", 1, ck.MetricField.euclidean(1), [[0.0, 1.0]])
-    f2 = pg.FactorManifold("line-y", 1, ck.MetricField.euclidean(1), [[-1.0, 3.0]])
+    f1 = pg.FactorManifold("line-x", ck.MetricField.euclidean(1), [[0.0, 1.0]])
+    f2 = pg.FactorManifold("line-y", ck.MetricField.euclidean(1), [[-1.0, 3.0]])
     dtp = pg.assemble(f1, f2, ScalarField.constant(1.0), lam_field)
 
     gen = DeckGenerator(

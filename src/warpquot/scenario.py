@@ -40,7 +40,7 @@ from .expr import affine_form, compile_expr
 _PRESET_METRICS = {
     "euclidean": lambda dim, box: MetricField.euclidean(dim, domain_box=box),
     "minkowski": lambda dim, box: MetricField.constant(
-        np.diag([-1.0] + [1.0] * (dim - 1)), domain_box=box, name="minkowski"),
+        np.diag([-1.0] + [1.0] * (dim - 1)), domain_box=box),
 }
 
 
@@ -179,8 +179,8 @@ def _build_factor(spec: dict, path: str) -> tuple[pg.FactorManifold, list]:
             # (dim, dim) for a point and (dim, dim, P) for a batch
             return np.array([[_e[i][j](x) for j in range(_n)] for i in range(_n)])
 
-        metric = MetricField(dim, ev, sig, domain_box=box, name=name)
-    return pg.FactorManifold(name, dim, metric, box), coords
+        metric = MetricField(dim, ev, sig, domain_box=box)
+    return pg.FactorManifold(name, metric, box), coords
 
 
 def _check_dependency(dtp: pg.DoublyTwistedProduct, i: int, dependency: str, coords: list):

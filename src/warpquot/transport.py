@@ -9,7 +9,7 @@ Adapted translation along a leaf has a closed form
 product-coordinate components.  The ``transport`` command runs it, and
 checks every curve of a scenario against the transport equation in one
 batch (``transport_equation_residual``).  Leaf holonomy in quotients is
-likewise computed in closed form (``quotient.loop_holonomy``).
+likewise computed in closed form (``quotient.loop_holonomies``).
 
 Integration is their oracle, in one place.  ``transport_batch`` carries the
 frames of a list of jobs along their curves; a job is a curve, a frame, and
@@ -20,8 +20,8 @@ translation around every declared holonomy loop, whose return map
 ``loop_return_map`` reads.  ``_integrate`` solves the linear equation
 Ydot = -Gamma(gamma') Y by composite 3-stage Gauss-Legendre collocation,
 order 6 (Butcher, Math. Comp. 18, 1964; Hairer, Norsett & Wanner, Solving
-ODEs I, II.7), on a grid per job: its curve's sample times, which hold 0
-and the curve's breaks.  Each pass (``collocation_pass``) runs one or more step
+ODEs I, II.7), on the sample times of each job's curve, which hold 0 and
+the curve's breaks.  Each pass (``collocation_pass``) runs one or more step
 counts for every job not yet settled: it evaluates each distinct curve once
 per step count (one ``point`` and one ``velocity`` batch over its nodes),
 Gamma at the nodes of all of them in one batched ``christoffel_numeric``
@@ -294,11 +294,11 @@ class TransportJob:
 def collocation_pass(g: MetricField, dtp, jobs: Sequence[tuple],
                      steps: Sequence[int]) -> list[list[tuple[np.ndarray, np.ndarray]]]:
     """One pass of composite 3-stage Gauss-Legendre collocation of
-    Ydot = A(t) Y, A = -Gamma(gamma'), for every job (curve, grid, foliation)
-    at each step count s of ``steps``: s equal steps in every interval of its
-    grid.
+    Ydot = A(t) Y, A = -Gamma(gamma'), for every job (curve, foliation) at
+    each step count s of ``steps``: s equal steps in every interval of the
+    job's grid, its curve's sample times (``PiecewiseCurve._samples``).
 
-    Each distinct (curve, grid, s) is evaluated once, one ``point`` and one
+    Each distinct (curve, s) is evaluated once, one ``point`` and one
     ``velocity`` batch over its 3 * s * intervals nodes; Gamma at the nodes
     of all of them comes from one batched ``christoffel_numeric``, and
     omega_{3 - i} (``productgeo.mean_curvature_form`` of ``dtp``) from one
@@ -313,11 +313,12 @@ def collocation_pass(g: MetricField, dtp, jobs: Sequence[tuple],
     foliation), from the same nodes and weights.
     """
     n = g.dim
-    runs = [(curve, grid, f, s) for s in steps for curve, grid, f in jobs]
-    keys = [(id(curve), grid.tobytes(), s) for curve, grid, _, s in runs]
-    steps_of, pos, vel = {}, {}, {}  # per distinct (curve, grid, s): h; the curve at the nodes
-    for key, (curve, grid, _, s) in zip(keys, runs):
+    runs = [(curve, f, s) for s in steps for curve, f in jobs]
+    keys = [(id(curve), s) for curve, _, s in runs]
+    steps_of, pos, vel = {}, {}, {}  # per distinct (curve, s): h; the curve at the nodes
+    for key, (curve, _, s) in zip(keys, runs):
         if key not in steps_of:
+            grid = curve._samples[0]
             h = np.repeat(np.diff(grid) / s, s)
             starts = np.repeat(grid[:-1], s) + h * np.tile(np.arange(s), len(grid) - 1)
             nodes = (starts[:, None] + h[:, None] * _GL_C).reshape(-1)
@@ -326,14 +327,14 @@ def collocation_pass(g: MetricField, dtp, jobs: Sequence[tuple],
     rows = {key: slice(end - len(p), end) for (key, p), end in zip(pos.items(), ends)}
     gamma = ck.christoffel_numeric(g, np.concatenate(list(pos.values())))
     rate = {}  # omega_{3 - i}(gamma') at the nodes of each path of foliation i
-    for i in sorted({f for _, _, f, _ in runs if f is not None}):
-        mine = list(dict.fromkeys(key for key, (_, _, f, _) in zip(keys, runs) if f == i))
+    for i in sorted({f for _, f, _ in runs if f is not None}):
+        mine = list(dict.fromkeys(key for key, (_, f, _) in zip(keys, runs) if f == i))
         at = np.cumsum([len(pos[key]) for key in mine])
         omega = pg.mean_curvature_form(dtp, np.concatenate([pos[key] for key in mine]), 3 - i)
         for key, chunk in zip(mine, np.split(omega, at[:-1])):
             rate[i, key] = np.einsum("pi,pi->p", chunk, vel[key])
     A = []
-    for key, (_, _, f, _) in zip(keys, runs):
+    for key, (_, f, _) in zip(keys, runs):
         a = -np.einsum("pkij,pi->pkj", gamma[rows[key]], vel[key])
         if f is not None:
             a[:, dtp.slot(f)] = 0.0  # only the normal rows drive Y
@@ -347,7 +348,7 @@ def collocation_pass(g: MetricField, dtp, jobs: Sequence[tuple],
     M = np.eye(n) + h[:, None, None] * np.einsum("i,sikc->skc", _GL_B, K)
     out, first = [], 0
     for s in steps:  # the runs of one step count are consecutive, in job order
-        mine = [(key, f) for key, (_, _, f, run_s) in zip(keys, runs) if run_s == s]
+        mine = [(key, f) for key, (_, f, run_s) in zip(keys, runs) if run_s == s]
         count = sum(len(steps_of[key]) for key, _ in mine)
         Ms = M[first:first + count].reshape(-1, s, n, n)
         first += count
@@ -369,23 +370,23 @@ def collocation_pass(g: MetricField, dtp, jobs: Sequence[tuple],
 def _integrate(g: MetricField, dtp,
                jobs: Sequence[tuple]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Integrate Ydot = -Gamma(gamma') Y (columnwise) along the curve of
-    every job (curve, y0, ts, foliation).
+    every job (curve, y0, foliation).
 
     Y is (n, k).  A foliation i keeps only the normal rows of Ydot and adds
-    I(t) = integral of omega_{3 - i}(gamma') dt.  ``ts`` are the curve's
-    sample times (``PiecewiseCurve._samples``): sorted from 0 to 1 with every
-    break among them, so they are the job's grid and no step straddles a
-    break.  Step doubling: passes of ``collocation_pass`` at 1, 2, 4, ...
-    steps per grid interval, each over every job not yet settled, run until
-    two successive passes of a job agree within ATOL + RTOL |value| on Y and
-    I at every time; the job then leaves with the finer, so its result does
-    not depend on the rest of the batch.  The first comparison always needs
-    both 1 and 2 steps, so they run as one pass (1 step alone when
-    MAX_DOUBLINGS is 0); each later doubling is one pass.  When that first
-    pass fails, the 1-step pass runs alone first, so an error names the
-    point and field it would name with the passes one at a time.  Returns
-    (Ys (len(ts), n, k), Is (len(ts),)) per job.  IntegrationError when
-    MAX_DOUBLINGS doublings leave a job unsettled.
+    I(t) = integral of omega_{3 - i}(gamma') dt.  A job's grid is its curve's
+    sample times ts (``PiecewiseCurve._samples``): sorted from 0 to 1 with
+    every break among them, so no step straddles a break.  Step doubling:
+    passes of ``collocation_pass`` at 1, 2, 4, ... steps per grid interval,
+    each over every job not yet settled, run until two successive passes of
+    a job agree within ATOL + RTOL |value| on Y and I at every time; the job
+    then leaves with the finer, so its result does not depend on the rest of
+    the batch.  The first comparison always needs both 1 and 2 steps, so they
+    run as one pass (1 step alone when MAX_DOUBLINGS is 0); each later
+    doubling is one pass.  When that first pass fails, the 1-step pass runs
+    alone first, so an error names the point and field it would name with
+    the passes one at a time.  Returns (Ys (len(ts), n, k), Is (len(ts),))
+    per job.  IntegrationError when MAX_DOUBLINGS doublings leave a job
+    unsettled.
     """
     out, live, prev = [None] * len(jobs), list(range(len(jobs))), {}
     # step counts per pass: 1 and 2 together, then 4, 8, ... up to 2 ** MAX_DOUBLINGS
@@ -393,7 +394,7 @@ def _integrate(g: MetricField, dtp,
     for level in levels:
         if not live:
             break
-        batch = [(jobs[j][0], jobs[j][2], jobs[j][3]) for j in live]
+        batch = [(jobs[j][0], jobs[j][2]) for j in live]
         try:
             passes = collocation_pass(g, dtp, batch, level)
         except GeometryError:  # name the point and field that the passes one at a time name
@@ -476,8 +477,7 @@ def transport_batch(space, jobs: Sequence[TransportJob]) -> list[TransportResult
                              None if job.foliation is None else (dtp, job.foliation))
              for job in jobs]
     y0s = [np.stack([v.components for v in job.frame], axis=1) for job in jobs]
-    solved = _integrate(g, dtp, [(job.curve, y0, ts, job.foliation)
-                                 for job, y0, (ts, _) in zip(jobs, y0s, grids)])
+    solved = _integrate(g, dtp, [(job.curve, y0, job.foliation) for job, y0 in zip(jobs, y0s)])
     gm = g.mat(np.vstack([[job.frame[0].base.coords for job in jobs],
                           *(pts for _, pts in grids)]))
     out, first = [], len(jobs)
@@ -582,7 +582,7 @@ def loop_return_map(model, job: TransportJob, res: TransportResult,
     """The holonomy of the leaf loop ``job.curve`` in the frame ``job.frame``,
     read from ``res``, the adapted translation of that normal frame around it
     (``transport_batch``): the integrating oracle of the closed-form
-    ``quotient.loop_holonomy``.
+    ``quotient.loop_holonomies``.
 
     ``model`` is a plain product or a quotient model exposing ``dtp`` and
     ``word_jacobian``.  The deck word ``closing_word`` closes the loop in a

@@ -20,10 +20,10 @@ def random_twisted(seed: int, n1: int, n2: int) -> pg.DoublyTwistedProduct:
         box = [[-1.0, 1.0]] * dim
         if dim > 1:
             g = fx.conformal_flat_metric(dim, 0.2 + 0.1 * rng.random(), rng.uniform(0.3, 1.2, dim),
-                                         rng.uniform(0, 2), box, name=name)
+                                         rng.uniform(0, 2), box)
         else:
             g = MetricField.euclidean(1, domain_box=np.asarray(box))
-        return pg.FactorManifold(name, dim, g, box)
+        return pg.FactorManifold(name, g, box)
 
     f1, f2 = factor("f1", n1), factor("f2", n2)
     lam1, lam2 = (fx.trig_warp(rng.uniform(0.1, 0.3, 2), rng.uniform(0.2, 1.2, (2, n)),

@@ -228,5 +228,5 @@ def test_the_declared_inverse_check_runs_once_per_model(monkeypatch):
     qt.validate(model)
     assert calls.count(-1) == 0  # only the declared inverses' check applies them
     qt.leaf_intersection_count(model, [0.3, 0.6])
-    qt.loop_holonomy(model, np.array([0.3, 0.6]), 1, (("a", 1),))
+    qt.loop_holonomies(model, np.array([0.3, 0.6]), 1, [(("a", 1),)])
     assert calls.count(-1) == 0

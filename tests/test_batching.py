@@ -327,7 +327,7 @@ def exterior_derivative_oracle(dtp, per_axis):
     out = []
     for i in (1, 2):
         def omega(c, i=i):
-            return np.stack([pg.mean_curvature_form(dtp, q, i).components for q in c.T], axis=1)
+            return np.stack([pg.mean_curvature_form(dtp, q, i) for q in c.T], axis=1)
 
         out.append(max(float(np.max(np.abs(
             ck.exterior_derivative_numeric(omega, p, step=ck.FD_STEP_2)))) for p in pts))
@@ -459,8 +459,8 @@ def test_nonfinite_warp_value_in_a_batch():
 
 
 def test_positivity_sweep_rejects_one_bad_point():
-    f1 = pg.FactorManifold("a", 1, MetricField.euclidean(1), [[0.0, 1.0]])
-    f2 = pg.FactorManifold("b", 1, MetricField.euclidean(1), [[0.0, 1.0]])
+    f1 = pg.FactorManifold("a", MetricField.euclidean(1), [[0.0, 1.0]])
+    f2 = pg.FactorManifold("b", MetricField.euclidean(1), [[0.0, 1.0]])
     one = ScalarField.constant(1.0)
     # positive everywhere on the 4 x 4 sweep grid except at its corner (1, 1)
     dip = ScalarField(lambda x: 1.0 - np.isclose(x[0] * x[1], 1.0) * 1.5)
@@ -472,8 +472,8 @@ def test_positivity_sweep_rejects_one_bad_point():
 
 
 def test_classify_rejects_nonfinite_one_form_sample():
-    f1 = pg.FactorManifold("a", 1, MetricField.euclidean(1), [[0.0, 1.0]])
-    f2 = pg.FactorManifold("b", 1, MetricField.euclidean(1), [[0.0, 1.0]])
+    f1 = pg.FactorManifold("a", MetricField.euclidean(1), [[0.0, 1.0]])
+    f2 = pg.FactorManifold("b", MetricField.euclidean(1), [[0.0, 1.0]])
     one = ScalarField.constant(1.0)
 
     def product(band):

@@ -2,13 +2,16 @@
 
 The texts in ``golden/catalog_reports.json`` are the report (or the exit
 code and stderr of a refusal) of every built-in scenario under every command
-at ``--seed 0 --samples 8``, and of ``holonomy``, ``intersections`` and
-``decompose`` on the five quotient files written below, in the shape of the
-benchmark's generated quotient files: the skewed tori with q = 1 and q = 3,
-the Moebius band on and off its central leaf, and a warped torus.  They were
-taken before the catalog became one table row per built-in, so any change to
-a built-in's factors, boxes, generators, loops, basepoint or expectations
-fails here.  Regenerate the texts only with a change meant to move them, and
+at ``--seed 0 --samples 8``; of ``holonomy``, ``intersections``,
+``decompose``, ``transport`` and ``verify-all`` on the five quotient files
+written below, in the shape of the benchmark's generated quotient files: the
+skewed tori with q = 1 and q = 3, the Moebius band on and off its central
+leaf, and a warped torus (the last two commands run the collocation oracle
+on loop jobs); and of every command on ``test_reach.FORMULA_FILE`` (a formula
+factor metric, non-affine deck maps on the level path, a formula and a
+polyline curve).  The catalog texts were taken before the catalog became one
+table row per built-in, so any change to a built-in's factors, boxes,
+generators, loops, basepoint or expectations fails here.  Regenerate the texts only with a change meant to move them, and
 say so where the change is recorded.
 """
 
@@ -19,6 +22,8 @@ import pytest
 
 from warpquot import cli
 from warpquot.scenario import list_scenarios
+
+from test_reach import FORMULA_FILE
 
 GOLDEN = Path(__file__).parent / "golden" / "catalog_reports.json"
 BIG = 1e9  # the Moebius band's unbounded transversal, as in the built-in
@@ -65,18 +70,20 @@ QUOTIENTS = {
         [_gen("a", "x + 1", "x - 1", "y", "y"), _gen("b", "x", "x", "y + 1", "y - 1")],
         [[0.0, 1.0], [0.0, 1.0]], {"1": [[["a", 1]]], "2": [[["b", 1]]]}, [0.4219, 0.0298]),
 }
-QUOTIENT_COMMANDS = ("holonomy", "intersections", "decompose")
+QUOTIENT_COMMANDS = ("holonomy", "intersections", "decompose", "transport", "verify-all")
+FILES = {**QUOTIENTS, FORMULA_FILE["name"]: FORMULA_FILE}
 CASES = ([(name, command) for name in list_scenarios() for command in cli.COMMANDS]
-         + [(name, command) for name in QUOTIENTS for command in QUOTIENT_COMMANDS])
+         + [(name, command) for name in QUOTIENTS for command in QUOTIENT_COMMANDS]
+         + [(FORMULA_FILE["name"], command) for command in cli.COMMANDS])
 
 
 def run_report(tmp_path: Path, name: str, command: str, capsys) -> dict:
     """Exit code, report text and stderr of ``warpquot run <name> <command>``
     at --samples 8 and --seed 0."""
     ref = name
-    if name in QUOTIENTS:
+    if name in FILES:
         ref = tmp_path / f"{name}.json"
-        ref.write_text(json.dumps(QUOTIENTS[name]), encoding="utf-8")
+        ref.write_text(json.dumps(FILES[name]), encoding="utf-8")
     out = tmp_path / f"{name}-{command}.json"
     capsys.readouterr()
     code = cli.main(["run", str(ref), command, "--samples", "8", "--seed", "0", "--out", str(out)])

@@ -15,7 +15,7 @@ from warpquot.errors import (
 # ---------------------------------------------------------------------------
 # local 2d surfaces-of-revolution metrics diag(1, w(r)^2) with exact derivatives
 
-def _surface_metric(w, dw, ddw, box, name):
+def _surface_metric(w, dw, ddw, box):
     def ev(x):  # coordinate-major: x[0] is one r or a batch of them
         out = np.zeros((2, 2) + np.shape(x)[1:])
         out[0, 0] = 1.0
@@ -36,29 +36,29 @@ def _surface_metric(w, dw, ddw, box, name):
         return (ev(x), d1(x), d2(x))[:order + 1] if order else ev(x)
 
     return ck.MetricField(2, jet, ck.Signature.riemannian(2), exact_order=2,
-                          domain_box=np.array(box), name=name)
+                          domain_box=np.array(box))
 
 
 def polar_flat():
     """dr^2 + r^2 dtheta^2 (flat plane in polar coordinates)."""
     return _surface_metric(lambda r: r, lambda r: 1.0, lambda r: 0.0,
-                           [[0.5, 3.0], [0.0, 6.2]], "polar-flat")
+                           [[0.5, 3.0], [0.0, 6.2]])
 
 
 def sphere_polar():
     """dr^2 + sin(r)^2 dtheta^2 (unit round sphere, K = +1)."""
     return _surface_metric(np.sin, np.cos, lambda r: -np.sin(r),
-                           [[0.3, 2.8], [0.0, 6.2]], "sphere-polar")
+                           [[0.3, 2.8], [0.0, 6.2]])
 
 
 def hyperbolic_polar():
     """dr^2 + sinh(r)^2 dtheta^2 (hyperbolic plane, K = -1)."""
     return _surface_metric(np.sinh, np.cosh, np.sinh,
-                           [[0.3, 2.5], [0.0, 6.2]], "hyperbolic-polar")
+                           [[0.3, 2.5], [0.0, 6.2]])
 
 
 def minkowski2():
-    return ck.MetricField.constant(np.diag([-1.0, 1.0]), name="minkowski2")
+    return ck.MetricField.constant(np.diag([-1.0, 1.0]))
 
 
 ALL_SURFACES = [polar_flat, sphere_polar, hyperbolic_polar]

@@ -48,10 +48,10 @@ def test_verify_all_transport_reports_against_its_budget(tmp_path, monkeypatch, 
 
     def drifted(g, dtp, jobs):
         out = integrate(g, dtp, jobs)
-        for j, ((curve, _, ts, foliation), (Ys, Is)) in enumerate(zip(jobs, out)):
+        for j, ((curve, _, foliation), (Ys, Is)) in enumerate(zip(jobs, out)):
             if foliation is None:  # the parallel transport
                 end = Ys[-1][:, 0]
-                q = end @ g.mat(curve.point(ts[-1])) @ end
+                q = end @ g.mat(curve.point(curve._samples[0][-1])) @ end
                 Ys = Ys.copy()
                 Ys[-1] *= np.sqrt(1.0 + residual / q)
                 out[j] = Ys, Is

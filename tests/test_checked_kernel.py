@@ -49,8 +49,8 @@ def _plane_metric(kind):
 
 
 def _product(g2=None, lam2=None, g1=None, lam1=None):
-    line = pg.FactorManifold("line", 1, g1 or MetricField.euclidean(1), [[0.0, 1.0]])
-    plane = pg.FactorManifold("plane", 2, g2 or MetricField.euclidean(2), [[0.0, 1.0]] * 2)
+    line = pg.FactorManifold("line", g1 or MetricField.euclidean(1), [[0.0, 1.0]])
+    plane = pg.FactorManifold("plane", g2 or MetricField.euclidean(2), [[0.0, 1.0]] * 2)
     return pg.assemble(line, plane, lam1 or ScalarField.constant(1.0),
                        lam2 or ScalarField.constant(1.0))
 
@@ -180,8 +180,8 @@ def test_a_callback_that_writes_to_its_input_raises():
     line = MetricField(1, _writes_to_its_input, Signature.riemannian(1))
     top = MetricField(1, _writes_to_its_input, Signature.riemannian(1))
     one = ScalarField.constant(1.0)
-    nested = pg.assemble(pg.FactorManifold("a", 1, line, [[0.0, 1.0]]),
-                         pg.FactorManifold("b", 1, MetricField.euclidean(1), [[0.0, 1.0]]),
+    nested = pg.assemble(pg.FactorManifold("a", line, [[0.0, 1.0]]),
+                         pg.FactorManifold("b", MetricField.euclidean(1), [[0.0, 1.0]]),
                          one, one).assembled
     warp = ScalarField(lambda x: _writes_to_its_input(x)[0, 0])
     before = POINTS.tolist()

@@ -129,7 +129,8 @@ def test_one_batched_christoffel_call_per_doubling_pass(monkeypatch):
         return christoffel(g, x)
 
     def counted_pass(g, dtp, jobs, steps):
-        (_, grid, _), = jobs
+        (curve, _), = jobs
+        grid = curve._samples[0]
         passes.append((list(steps), sum(3 * s * (len(grid) - 1) for s in steps)))
         return collocate(g, dtp, jobs, steps)
 
@@ -187,7 +188,7 @@ def _finest_steps(monkeypatch, dtp, jobs):
     finest = {}
 
     def counted(g, dtp, pass_jobs, steps):
-        for curve, _, foliation in pass_jobs:
+        for curve, foliation in pass_jobs:
             for j, job in enumerate(jobs):
                 if job.curve is curve and job.foliation == foliation:
                     finest[j] = max(steps)
@@ -295,7 +296,7 @@ def test_a_failing_node_is_named_as_by_the_passes_one_at_a_time():
 
         return ck.ScalarField(ev, exact_order=2, name=name)
 
-    factor = [pg.FactorManifold(name, 1, ck.MetricField.euclidean(1), box) for name in "xy"]
+    factor = [pg.FactorManifold(name, ck.MetricField.euclidean(1), box) for name in "xy"]
     dtp = pg.assemble(*factor, warp("lam1", at_2), warp("lam2", at_1))
     job = tp.TransportJob(line, [TangentVector(CoordPoint(line.point(0.0)), [0.0, 1.0])], 1)
     with pytest.raises(NumericsError) as raised:

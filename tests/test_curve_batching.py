@@ -81,15 +81,16 @@ def _counting(curve):
 def test_one_point_and_one_velocity_batch_per_collocation_pass():
     dtp = fx.sphere_polar()
     curve = tp.PiecewiseCurve.catmull_rom([[1.2, 0.3], [1.4, 0.9], [1.1, 1.6]])
+    grid, _ = curve._samples  # the jobs' grid, evaluated once before the count
     calls = _counting(curve)
-    grid = np.array([0.0, 0.3, 0.5, 1.0])
-    tp.collocation_pass(dtp.assembled, None, [(curve, grid, None)], [4])
-    assert calls == {"point": [(3 * 4 * 3,)], "velocity": [(3 * 4 * 3,)]}
-    # jobs on the same curve and grid share its evaluation
+    nodes = 3 * 4 * (len(grid) - 1)
+    tp.collocation_pass(dtp.assembled, None, [(curve, None)], [4])
+    assert calls == {"point": [(nodes,)], "velocity": [(nodes,)]}
+    # jobs on the same curve share its evaluation
     calls["point"].clear()
     calls["velocity"].clear()
-    tp.collocation_pass(dtp.assembled, dtp, [(curve, grid, None), (curve, grid, 1)], [4])
-    assert calls == {"point": [(3 * 4 * 3,)], "velocity": [(3 * 4 * 3,)]}
+    tp.collocation_pass(dtp.assembled, dtp, [(curve, None), (curve, 1)], [4])
+    assert calls == {"point": [(nodes,)], "velocity": [(nodes,)]}
 
 
 def test_one_point_and_one_velocity_batch_per_closed_form_transport():

@@ -1,7 +1,7 @@
 """Leaf holonomy in closed form, leaf loops and intersection counts derived
 from the deck group, and the metric evaluations one transport step makes.
 
-The closed form (``quotient.loop_holonomy``) rests on adapted translation
+The closed form (``quotient.loop_holonomies``) rests on adapted translation
 keeping the normal components constant in product coordinates; the
 adapted translation of ``transport.transport_batch`` (Gauss-Legendre
 collocation; RK45 in the names of older tests), with the return map
@@ -163,7 +163,7 @@ def test_closed_form_matches_rk45_holonomy(tmp_path):
     for name, model, rep0, loops in _quotients(tmp_path):
         for i, words in loops.items():
             for word in words:
-                hol = qt.loop_holonomy(model, rep0, i, word)
+                hol = qt.loop_holonomies(model, rep0, i, [word])[0]
                 curve = qt.leaf_loop_curve(model, rep0, i, word)
                 ref = holonomy(model, curve, hol.frame, i, qt.word_inverse(word))
                 assert np.max(np.abs(hol.matrix - ref.matrix)) < 1e-9, (name, i, word)
@@ -171,9 +171,9 @@ def test_closed_form_matches_rk45_holonomy(tmp_path):
 
 @pytest.mark.parametrize("command", ["holonomy", "verify-all"])
 def test_declared_loops_take_one_closed_form_batch_per_foliation(tmp_path, monkeypatch, command):
-    # three F1 loops and two F2 loops: per foliation one declared-inverse
-    # check and one _loop_holonomies batch, and every matrix is the one
-    # loop_holonomy gives that loop alone
+    # three F1 loops and two F2 loops: per foliation one loop_holonomies
+    # batch, which runs the declared-inverse check first, and every matrix is
+    # the one that loop's batch of one gives
     data = warped_torus_dict()
     data["holonomy_loops"] = {"1": [[["a", 1]], [["a", -1]], [["a", 1], ["a", 1]]],
                               "2": [[["b", 1]], [["b", -1], ["b", -1]]]}
@@ -181,28 +181,27 @@ def test_declared_loops_take_one_closed_form_batch_per_foliation(tmp_path, monke
     path = tmp_path / "loops.json"
     path.write_text(json.dumps(data))
     calls = []
-    check_inverses, batch = qt._check_inverses, qt._loop_holonomies
+    check_inverses, batch = qt._check_inverses, qt.loop_holonomies
     monkeypatch.setattr(qt, "_check_inverses", lambda model: calls.append("inverses")
                         or check_inverses(model))
-    monkeypatch.setattr(qt, "_loop_holonomies", lambda model, rep0, i, words: calls.append(
+    monkeypatch.setattr(qt, "loop_holonomies", lambda model, rep0, i, words: calls.append(
         (i, len(words))) or batch(model, rep0, i, words))
-    monkeypatch.setattr(qt, "loop_holonomy", None)  # no per-loop call is left
     code, report = run(tmp_path, str(path), command, "--samples", "8")
     assert code == 0
-    assert calls[-4:] == ["inverses", (1, 3), "inverses", (2, 2)]
+    assert calls[-4:] == [(1, 3), "inverses", (2, 2), "inverses"]
     if command == "holonomy":
         monkeypatch.undo()
         model = load_scenario_file(str(path)).model
         rep0, _ = model.canonical_rep(data["basepoint"])
         for entry in report["results"]["loops"]:
             word = tuple((name, sign) for name, sign in entry["word"])
-            single = qt.loop_holonomy(model, rep0, entry["foliation"], word).matrix
+            single = qt.loop_holonomies(model, rep0, entry["foliation"], [word])[0].matrix
             assert np.array_equal(np.array(entry["matrix"]), single)
 
 
 def test_loop_holonomy_rejects_a_word_that_opens_the_leaf():
     with pytest.raises(NotALoop):
-        qt.loop_holonomy(fx.klein_bottle_model(), np.array([0.1, 0.2]), 1, (("a", 1),))
+        qt.loop_holonomies(fx.klein_bottle_model(), np.array([0.1, 0.2]), 1, [(("a", 1),)])
 
 
 @pytest.mark.parametrize("seed", [0, 3, 11])
@@ -225,8 +224,8 @@ def test_rk45_adapted_translation_keeps_normal_components(seed):
 def test_sign_flipped_normal_block_fails_verify_all(tmp_path, monkeypatch):
     # flip only what the closed form reads: the oracle (``tp.loop_return_map``)
     # also calls ``word_jacobian``, so flipping that would flip both sides
-    exact = qt._loop_holonomies
-    monkeypatch.setattr(qt, "_loop_holonomies", lambda *a: [
+    exact = qt.loop_holonomies
+    monkeypatch.setattr(qt, "loop_holonomies", lambda *a: [
         tp.HolonomyMap(h.basepoint, -h.matrix, h.frame) for h in exact(*a)])
     code, report = run(tmp_path, "flat-torus", "verify-all", "--samples", "8")
     assert code == 1
@@ -243,9 +242,9 @@ def test_downstairs_translation_matches_seam_jacobians():
     rep0 = np.array([0.2, 0.0])
     for word, sign in (((("a", 1),), -1.0), ((("a", 1), ("a", 1)), 1.0),
                        ((("a", -1),) * 3, -1.0)):
-        assert np.array_equal(qt.loop_holonomy(model, rep0, 1, word).matrix, [[sign]])
+        assert np.array_equal(qt.loop_holonomies(model, rep0, 1, [word])[0].matrix, [[sign]])
     with pytest.raises(NotALoop):  # off the central leaf, one seam opens the loop
-        qt.loop_holonomy(model, np.array([0.2, 0.3]), 1, (("a", 1),))
+        qt.loop_holonomies(model, np.array([0.2, 0.3]), 1, [(("a", 1),)])
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +323,7 @@ def test_downstairs_translation_makes_no_ode_call(monkeypatch):
     _refuse_ode(monkeypatch)
     model = fx.example1_model()
     rep0 = np.zeros(2)
-    qt.loop_holonomy(model, rep0, 1, qt.leaf_loops(model, rep0)[1][0])
+    qt.loop_holonomies(model, rep0, 1, [qt.leaf_loops(model, rep0)[1][0]])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +372,8 @@ def test_leaf_trace_closes_iff_a_closing_word_exists(name):
 
 
 def test_intersection_count_requires_one_dimensional_factors():
-    plane = pg.FactorManifold("plane", 2, ck.MetricField.euclidean(2), [[0.0, 1.0], [0.0, 1.0]])
-    line = pg.FactorManifold("line", 1, ck.MetricField.euclidean(1), [[0.0, 1.0]])
+    plane = pg.FactorManifold("plane", ck.MetricField.euclidean(2), [[0.0, 1.0], [0.0, 1.0]])
+    line = pg.FactorManifold("line", ck.MetricField.euclidean(1), [[0.0, 1.0]])
     one = ck.ScalarField.constant(1.0)
     gen = qt.DeckGenerator("a", qt.FactorMap.translation([1.0, 0.0]),
                            qt.FactorMap.translation([0.0]))
@@ -438,7 +437,7 @@ def test_mean_curvature_form_is_the_dual_of_the_mean_curvature_vector():
         for i in (1, 2):
             g, ginv = dtp.assembled.mat_and_inv(x)
             dual = g @ pg._mean_curvature(dtp, x, i, ginv)
-            assert np.allclose(pg.mean_curvature_form(dtp, x, i).components, dual,
+            assert np.allclose(pg.mean_curvature_form(dtp, x, i), dual,
                                rtol=1e-12, atol=1e-14)
 
 

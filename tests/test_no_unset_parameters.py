@@ -10,8 +10,8 @@ it is on ``ALLOWED`` below with the reason it stays.
 
 A call matches a definition by name: ``name(...)`` or ``obj.name(...)``.
 Where ``obj`` is a class defined in the package, the call matches only that
-class's method, so ``MetricField.constant(..., name=...)`` does not set the
-``name`` of ``ScalarField.constant``.  A bound method call skips ``self``.
+class's method, so ``Other.constant(..., name=...)`` does not set the
+``name`` of ``Field.constant`` (as in the synthetic test below).  A bound method call skips ``self``.
 
 Exempt are dunders (``__init__``, ``__call__``: their callers name the class
 or call the instance) and closure captures, the parameters whose name starts

@@ -196,7 +196,18 @@ def test_mean_curvature_form_checks_its_points():
         pg.mean_curvature_form(dtp, bad, 2)
     assert str(raised.value) == f"non-finite coordinates in {bad[1]}"
     one = pg.mean_curvature_form(dtp, ck.CoordPoint(x[0]), 1)
-    np.testing.assert_array_equal(one.components, pg.mean_curvature_form(dtp, x[0], 1).components)
+    np.testing.assert_array_equal(one, pg.mean_curvature_form(dtp, x[0], 1))
+
+
+@pytest.mark.parametrize("strip", [False, True], ids=["exact", "fd"])
+def test_mean_curvature_form_at_one_point_is_the_first_row_of_its_batch(strip):
+    # one return form: the components (n,) at one point, as (P, n) for a batch
+    dtp = _ref("random-dtp", strip)
+    x = _points(dtp, 3)
+    for i in (1, 2):
+        one = pg.mean_curvature_form(dtp, x[0], i)
+        assert type(one) is np.ndarray and one.shape == (dtp.n,)
+        np.testing.assert_array_equal(one, pg.mean_curvature_form(dtp, x[:1], i)[0])
 
 
 def test_a_coord_point_of_the_wrong_width_is_refused_by_name():

@@ -90,8 +90,8 @@ def test_assemble_signature_concatenation():
 
 
 def test_assemble_rejects_nonpositive_warp():
-    f1 = pg.FactorManifold("a", 1, ck.MetricField.euclidean(1), [[-1, 1]])
-    f2 = pg.FactorManifold("b", 1, ck.MetricField.euclidean(1), [[-1, 1]])
+    f1 = pg.FactorManifold("a", ck.MetricField.euclidean(1), [[-1, 1]])
+    f2 = pg.FactorManifold("b", ck.MetricField.euclidean(1), [[-1, 1]])
     bad = ScalarField(lambda x: x[0], name="x")
     with pytest.raises(InvalidWarp):
         pg.assemble(f1, f2, ScalarField.constant(1.0), bad)
@@ -158,8 +158,8 @@ def test_mixed_connection_identity(make):
         x = rand_point(rng, dtp.domain_box) * 0.95
         X = dtp.embed(1, rng.normal(size=dtp.n1))
         V = dtp.embed(2, rng.normal(size=dtp.n2))
-        w1 = pg.mean_curvature_form(dtp, x, 1).components
-        w2 = pg.mean_curvature_form(dtp, x, 2).components
+        w1 = pg.mean_curvature_form(dtp, x, 1)
+        w2 = pg.mean_curvature_form(dtp, x, 2)
         lhs = np.einsum("kij,i,j->k", ck.christoffel_numeric(dtp.assembled, x), X, V)
         rhs = -(w1 @ V) * X - (w2 @ X) * V
         assert np.max(np.abs(lhs - rhs)) < 1e-5
@@ -229,8 +229,8 @@ def _swap_product(dtp):
             return np.concatenate([c[n2:], c[:n2]])
         return ScalarField(lambda c: s.eval(perm(c)), name=s.name + "-swapped")
 
-    f1 = pg.FactorManifold(dtp.f2.name, dtp.f2.dim, dtp.f2.metric, dtp.f2.domain_box)
-    f2 = pg.FactorManifold(dtp.f1.name, dtp.f1.dim, dtp.f1.metric, dtp.f1.domain_box)
+    f1 = pg.FactorManifold(dtp.f2.name, dtp.f2.metric, dtp.f2.domain_box)
+    f2 = pg.FactorManifold(dtp.f1.name, dtp.f1.metric, dtp.f1.domain_box)
     return pg.assemble(f1, f2, permute_scalar(dtp.lam2), permute_scalar(dtp.lam1))
 
 
@@ -253,7 +253,7 @@ def test_sectional_closed_form_sphere_mixed():
     x = np.array([1.2, 0.5])
     u = tv(x, [1.0, 0.0])
     v = tv(x, [0.0, 1.0 / np.sin(1.2)])
-    k = pg.sectional_curvature_closed_form(dtp, pg.MixedPlane(CoordPoint(x), u, v))
+    k = pg.sectional_curvature_closed_form(dtp, (u, v))
     assert k == pytest.approx(1.0, abs=1e-9)
 
 
@@ -494,7 +494,7 @@ def test_mean_curvature_form_of_twisted_warp_not_closed():
     dtp = fx.example1_model().dtp
 
     def omega2(c):  # coordinate-major batch, evaluated point by point
-        return np.stack([pg.mean_curvature_form(dtp, p, 2).components for p in c.T], axis=1)
+        return np.stack([pg.mean_curvature_form(dtp, p, 2) for p in c.T], axis=1)
 
     dw = ck.exterior_derivative_numeric(omega2, [0.5, 0.8], step=1e-4)
     assert abs(dw[0, 1]) > 1e-3

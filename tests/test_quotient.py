@@ -123,8 +123,8 @@ def test_leaf_trace_closes_where_leaf_loops_finds_a_closing_word(delta, closes):
     # R x R^2 / <(x+1, y+delta, z+delta)>: the x-leaf comes back moved by
     # (delta, delta), which is within ident_tol in the max norm of same_point
     # at delta = 0.8e-7 (its Euclidean length is 1.13e-7), and not at 1.2e-7
-    f1 = pg.FactorManifold("line-x", 1, MetricField.euclidean(1), [[0.0, 1.0]])
-    f2 = pg.FactorManifold("plane-yz", 2, MetricField.euclidean(2), [[-1e9, 1e9]] * 2)
+    f1 = pg.FactorManifold("line-x", MetricField.euclidean(1), [[0.0, 1.0]])
+    f2 = pg.FactorManifold("plane-yz", MetricField.euclidean(2), [[-1e9, 1e9]] * 2)
     one = ScalarField.constant(1.0)
     gens = [qt.DeckGenerator("a", qt.FactorMap.translation([1.0]),
                              qt.FactorMap.translation([delta, delta]))]
@@ -242,14 +242,14 @@ def test_loop_holonomy_matches_the_explicit_loop():
     model = fx.mobius_model()
     rep0 = np.array([0.0, 0.0])
     word = (("a", 1),)
-    hol = qt.loop_holonomy(model, rep0, 1, word)
+    hol = qt.loop_holonomies(model, rep0, 1, [word])[0]
     curve = qt.leaf_loop_curve(model, rep0, 1, word)
     frame = tp.normal_frame(model.dtp, rep0, foliation=1)
     ref = holonomy(model, curve, frame, 1, qt.word_inverse(word))
     assert np.array_equal(hol.matrix, ref.matrix)
     assert np.allclose(hol.matrix, [[-1.0]], atol=1e-9)
     with pytest.raises(NotALoop):
-        qt.loop_holonomy(model, np.array([0.0, 0.3]), 1, word)
+        qt.loop_holonomies(model, np.array([0.0, 0.3]), 1, [word])
 
 
 def test_torus_loops_have_identity_holonomy():
@@ -350,7 +350,7 @@ def test_adapted_translation_equivariance(name, start, length):
     matrices = []
     for rep0 in (start, far):
         loop = qt.leaf_loops(model, rep0)[1][0]
-        hol = qt.loop_holonomy(model, rep0, 1, loop)
+        hol = qt.loop_holonomies(model, rep0, 1, [loop])[0]
         ref = holonomy(model, qt.leaf_loop_curve(model, rep0, 1, loop), hol.frame, 1,
                        qt.word_inverse(loop))
         assert np.max(np.abs(hol.matrix - ref.matrix)) < 1e-6
@@ -439,8 +439,8 @@ def test_teodg_propagates_non_geometry_errors():
             raise RuntimeError("broken metric callback")
         return np.ones((1, 1) + np.shape(x)[1:])
 
-    f1 = pg.FactorManifold("r", 1, MetricField(1, broken, Signature.riemannian(1)), [[0.5, 3.0]])
-    f2 = pg.FactorManifold("th", 1, MetricField.euclidean(1), [[0.0, 6.2]])
+    f1 = pg.FactorManifold("r", MetricField(1, broken, Signature.riemannian(1)), [[0.5, 3.0]])
+    f2 = pg.FactorManifold("th", MetricField.euclidean(1), [[0.0, 6.2]])
     r = fx.function_of_coordinate_warp(0, 2, lambda r: r, lambda r: 1.0, lambda r: 0.0)
     dtp = pg.assemble(f1, f2, ScalarField.constant(1.0), r)
     assert pg.classify(dtp).tag is pg.StructureTag.WARPED
@@ -477,8 +477,8 @@ def test_teodg_reports_a_constant_warp_as_critical_everywhere(name, everywhere):
 def test_teodg_constant_warp_satisfies_the_critical_point_hypothesis():
     # lam1 = 1 + y^2, lam2 = 2: a mixed plane has K = -2 v_y^2 / lam1 < 0, and
     # every point is critical for the constant lam2, so the hypotheses hold
-    f1 = pg.FactorManifold("line-x", 1, MetricField.euclidean(1), [[-1.0, 1.0]])
-    f2 = pg.FactorManifold("line-y", 1, MetricField.euclidean(1), [[-1.0, 1.0]])
+    f1 = pg.FactorManifold("line-x", MetricField.euclidean(1), [[-1.0, 1.0]])
+    f2 = pg.FactorManifold("line-y", MetricField.euclidean(1), [[-1.0, 1.0]])
     lam1 = fx.function_of_coordinate_warp(1, 2, lambda y: 1 + y * y, lambda y: 2 * y,
                                           lambda y: 2.0, name="1+y^2")
     report = qt.teodg_diagnostic(pg.assemble(f1, f2, lam1, ScalarField.constant(2.0)),

@@ -772,8 +772,8 @@ def test_merge_keeps_a_raise_for_a_non_empty_word():
 # validate: whole grids, first failing point named, the word cap reported
 
 def _flat_dtp(lam1=None, lam2=None):
-    f1 = pg.FactorManifold("line-x", 1, MetricField.euclidean(1), [[0.0, 1.0]])
-    f2 = pg.FactorManifold("line-y", 1, MetricField.euclidean(1), [[0.0, 1.0]])
+    f1 = pg.FactorManifold("line-x", MetricField.euclidean(1), [[0.0, 1.0]])
+    f2 = pg.FactorManifold("line-y", MetricField.euclidean(1), [[0.0, 1.0]])
     one = ScalarField.constant(1.0)
     return pg.assemble(f1, f2, lam1 or one, lam2 or one)
 

@@ -178,7 +178,7 @@ def test_closed_form_integral_matches_quadrature(name):
 
     def rate(t):
         form = pg.mean_curvature_form(ctx.dtp, curve.point(t), 2)
-        return float(form.components @ curve.velocity(t))
+        return float(form @ curve.velocity(t))
 
     for t, integ in zip(res.ts, res.integrals):
         ref, _ = quad(rate, 0.0, t, epsabs=1e-13, epsrel=1e-12, limit=200)
@@ -258,14 +258,17 @@ NAN_STRIP = "1 + 0.25*sin(2*pi*x) + 0*sqrt(abs(x - 0.45) - 0.02)"  # not finite 
 
 @pytest.mark.parametrize("case, message", [
     ("leaves-its-leaf",
-     "numeric failure: NotInLeaf: curve velocity has factor-2 components at t = 0.0"),
+     "numeric failure: NotInLeaf: curves.b-bad: curve velocity has factor-2 components "
+     "at t = 0.0"),
     ("non-finite-warp",
-     f"numeric failure: NumericsError: scalar field {NAN_STRIP!r} non-finite at [0.45 0.3 ]"),
+     f"numeric failure: NumericsError: curves.b-bad: scalar field {NAN_STRIP!r} non-finite "
+     "at [0.45 0.3 ]"),
 ])
 def test_a_bad_curve_among_good_ones_fails_the_command_with_its_own_error(tmp_path, capsys,
                                                                         case, message):
     # the bad curve sits between two good ones in sorted order; the command
-    # exits 3 with the bad curve's failure, as it does with that curve alone
+    # exits 3 with the bad curve's failure under its key, as it does with
+    # that curve alone
     data = bench_inputs().warped_torus(random.Random(1))[0]
     if case == "leaves-its-leaf":
         bad = [[0.2, 0.6], [0.4, 0.65], [0.6, 0.6]]

@@ -27,8 +27,8 @@ from warpquot.errors import InvalidAction, NotALoop
 
 def _skewed(q):
     """R^2 / <(x + 1, y), (x + 1/q, y + 1)>, built from affine factor maps."""
-    f1 = pg.FactorManifold("line-x", 1, MetricField.euclidean(1), [[0.0, 1.0]])
-    f2 = pg.FactorManifold("line-y", 1, MetricField.euclidean(1), [[0.0, 1.0]])
+    f1 = pg.FactorManifold("line-x", MetricField.euclidean(1), [[0.0, 1.0]])
+    f2 = pg.FactorManifold("line-y", MetricField.euclidean(1), [[0.0, 1.0]])
     one = ScalarField.constant(1.0)
     shift = qt.FactorMap.translation
     gens = [qt.DeckGenerator("a", shift([1.0]), shift([0.0])),
@@ -204,9 +204,9 @@ def test_smaller_bound_reads_the_prefix_of_the_larger_tree(monkeypatch, name):
 def _boost_model(box):
     """R^{1,1} x R / <(boost 1/2, z), (id, z + 1)>, a Z^2 group."""
     c, s = np.cosh(0.5), np.sinh(0.5)
-    f1 = pg.FactorManifold("minkowski", 2, MetricField.constant(np.diag([-1.0, 1.0])),
+    f1 = pg.FactorManifold("minkowski", MetricField.constant(np.diag([-1.0, 1.0])),
                            [[0.0, 1.0]] * 2)
-    f2 = pg.FactorManifold("line-z", 1, MetricField.euclidean(1), [[0.0, 1.0]])
+    f2 = pg.FactorManifold("line-z", MetricField.euclidean(1), [[0.0, 1.0]])
     one = ScalarField.constant(1.0)
     shift = qt.FactorMap.translation
     gens = [qt.DeckGenerator("a", qt.FactorMap.affine([[c, s], [s, c]], [0.0, 0.0]), shift([0.0])),
