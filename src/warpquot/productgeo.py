@@ -17,7 +17,6 @@ the assembled metric.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -159,29 +158,53 @@ class DoublyTwistedProduct:
         return ck.gradient(self.log_warp(i), self.assembled, x)
 
 
+def _lattice(axes: np.ndarray) -> np.ndarray:
+    """The product of the rows of a (dim, per) axis table as a C-contiguous
+    (per ** dim, dim) point array, last axis fastest, one broadcast per axis."""
+    d, per = axes.shape
+    out = np.empty((per,) * d + (d,))
+    for k, axis in enumerate(axes):
+        out[..., k] = axis.reshape((per,) + (1,) * (d - 1 - k))
+    return out.reshape(per ** d, d)
+
+
 def grid_points(box: np.ndarray, per_axis: int, inset: float = GRID_INSET) -> np.ndarray:
-    """Lattice over the box as a (per_axis ** dim, dim) point array, last axis fastest."""
+    """Lattice over the box as a C-contiguous (per_axis ** dim, dim) point
+    array, last axis fastest; side [lo, hi] holds ``np.linspace(lo + pad,
+    hi - pad, per_axis)``, pad = inset * (hi - lo), from linspace's own
+    arithmetic run on all sides at once (one linspace call over all sides
+    would take its zero-step branch on every side when one side needs it)."""
     box = np.asarray(box, dtype=float)
-    axes = []
-    for lo, hi in box:
-        pad = inset * (hi - lo)
-        axes.append(np.linspace(lo + pad, hi - pad, per_axis))
-    return np.array(list(itertools.product(*axes)))
+    pad = inset * (box[:, 1] - box[:, 0])
+    start = box[:, 0] + pad
+    stop = box[:, 1] - pad
+    div = max(per_axis - 1, 1)
+    delta = stop - start
+    step = delta / div
+    t = np.arange(per_axis, dtype=float)
+    if np.count_nonzero(step) == len(step):
+        axes = np.multiply.outer(step, t)
+    else:
+        axes = np.where(step[:, None] == 0, np.multiply.outer(delta, t / div),
+                        np.multiply.outer(step, t))
+    axes += start[:, None]
+    if per_axis > 1:
+        axes[:, -1] = stop
+    return _lattice(axes)
 
 
 def offset_grid_points(box: np.ndarray, per_axis: int) -> np.ndarray:
-    """Shifted-lattice sample grid, never symmetric about the box center.
+    """Shifted-lattice sample grid, never symmetric about the box center, as
+    a C-contiguous (per_axis ** dim, dim) point array, last axis fastest.
 
     Evidence sampling (classification) uses this to avoid the measure-zero
     traps where a symmetric grid lands exactly on zeros of the sampled field.
     """
     box = np.asarray(box, dtype=float)
     frac = (np.arange(per_axis) + 0.381966) / per_axis
-    axes = []
-    for lo, hi in box:
-        pad = GRID_INSET * (hi - lo)
-        axes.append(lo + pad + frac * (hi - lo - 2 * pad))
-    return np.array(list(itertools.product(*axes)))
+    width = box[:, 1] - box[:, 0]
+    pad = GRID_INSET * width
+    return _lattice((box[:, 0] + pad)[:, None] + frac * (width - 2 * pad)[:, None])
 
 
 def assemble(f1: FactorManifold, f2: FactorManifold, lam1: ScalarField,

@@ -5,7 +5,12 @@ signature, domain box, coordinate names), warp formulas over the product
 coordinates, optional deck generators (coordinate formulas with declared
 inverses), curves (parametric formulas or Catmull-Rom polylines), holonomy
 loop words and expectations.  Files are JSON; unknown keys are rejected with
-their path, and syntax errors carry line/column positions.
+their path, and syntax errors carry line/column positions.  Every [lo, hi]
+row of a factor ``box`` or the ``fundamental_box`` needs lo < hi.
+
+A formula factor metric compiles each distinct entry text once and evaluates
+each closure once per batch, its value standing wherever its text does: a
+conformally flat 2x2 metric runs two closures, not four, at every point.
 
 A curve's input errors (keys, formula syntax, component count, point shapes
 and count, knots) are refused when the file is read, for every command
@@ -131,11 +136,16 @@ _MAX_BOUND = np.sqrt(np.finfo(float).max / 4.0) / ck.FD_STEP_2
 
 
 def _box(value) -> np.ndarray:
+    """[lo, hi] rows with lo < hi and every bound within ``_MAX_BOUND``; the
+    row count is checked where the box is used."""
     box = _floats(value)
     big = box[np.abs(box) > _MAX_BOUND]
     if big.size:
         raise ValueError(f"bound {float(big[0])!r} is past {_MAX_BOUND:.4g}, "
                          "where the squared finite-difference step overflows")
+    if box.ndim == 2 and box.shape[1] == 2 and not (box[:, 0] < box[:, 1]).all():
+        k = int(np.argmin(box[:, 0] < box[:, 1]))
+        raise ValueError(f"each [lo, hi] pair needs lo < hi, got row {k} = {box[k].tolist()}")
     return box
 
 
@@ -169,29 +179,34 @@ def _build_factor(spec: dict, path: str) -> tuple[pg.FactorManifold, list]:
         rows = _require(spec, "metric", path, lambda m: [_texts(r) for r in _list(m)])
         if len(rows) != dim or any(len(r) != dim for r in rows):
             raise ScenarioError(f"{path}: metric formula matrix must be {dim}x{dim}")
-        entries = [[compile_expr(rows[i][j], coords) for j in range(dim)] for i in range(dim)]
+        # each distinct entry text compiles once, in first-occurrence
+        # row-major order, so the refusal names the first bad entry row by row
+        texts = list(dict.fromkeys(t for row in rows for t in row))
+        closures = [compile_expr(t, coords) for t in texts]
+        where = [[texts.index(t) for t in row] for row in rows]
         sig = _require(spec, "signature", path, Signature)  # a formula metric declares it
         if sig.n != dim:
             raise ScenarioError(f"{path}.signature: {dim} entries expected, got {sig.n}")
 
-        def ev(x, _e=entries, _n=dim):
-            # each compiled entry has the shape of one coordinate, so this is
-            # (dim, dim) for a point and (dim, dim, P) for a batch
-            return np.array([[_e[i][j](x) for j in range(_n)] for i in range(_n)])
+        def ev(x, _c=closures, _where=where):
+            # each closure runs once, with the shape of one coordinate, and its
+            # value stands wherever its text does: (dim, dim, P) for a batch
+            vals = [f(x) for f in _c]
+            return np.array([[vals[k] for k in row] for row in _where])
 
         metric = MetricField(dim, ev, sig, domain_box=box)
     return pg.FactorManifold(name, metric, box), coords
 
 
-def _check_dependency(dtp: pg.DoublyTwistedProduct, i: int, dependency: str, coords: list):
-    """The declared dependency of lam_i, checked on a 3-per-axis grid over the
-    domain box: each partial along an excluded factor's slots must stay
-    within VANISH_TOL * max(1, |lam_i|).  lam_i is differenced along those
-    slots only, its value read from the same jet."""
+def _check_dependency(dtp: pg.DoublyTwistedProduct, i: int, dependency: str, coords: list,
+                      pts: np.ndarray):
+    """The declared dependency of lam_i, checked on ``pts``, the file's
+    3-per-axis grid over the domain box: each partial along an excluded
+    factor's slots must stay within VANISH_TOL * max(1, |lam_i|).  lam_i is
+    differenced along those slots only, its value read from the same jet."""
     excluded = _DEPENDENCIES[dependency]
     if not excluded:
         return
-    pts = pg.grid_points(dtp.domain_box, 3)
     slots = sum((dtp.axes(f) for f in excluded), ())
     val, partials = ck._call_batch(dtp.warp(i)._jet, pts, 1, (slots,))
     scale = pg.VANISH_TOL * np.maximum(1.0, np.abs(val))
@@ -302,8 +317,10 @@ def parse_scenario(data: dict, name_hint: str = "") -> ScenarioContext:
         raise ScenarioError(f"warps: dependency must be one of {sorted(_DEPENDENCIES)}")
     formulas = [_require(warps, f"lam{i}", "warps", str) for i in (1, 2)]
     dtp = pg.assemble(f1, f2, *(ScalarField(compile_expr(f, coords), name=f) for f in formulas))
-    for i, dep in zip((1, 2), deps):
-        _check_dependency(dtp, i, dep, coords)
+    if any(_DEPENDENCIES[dep] for dep in deps):  # one grid for both warps' checks
+        pts = pg.grid_points(dtp.domain_box, 3)
+        for i, dep in zip((1, 2), deps):
+            _check_dependency(dtp, i, dep, coords, pts)
 
     model = None
     gens = []

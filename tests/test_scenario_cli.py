@@ -7,6 +7,7 @@ import pytest
 
 from warpquot import cli
 from warpquot import expr
+from warpquot import productgeo as pg
 from warpquot import scenario as sc
 from warpquot.errors import ScenarioError
 
@@ -397,6 +398,72 @@ def test_parse_formula_metric_and_curves():
     ctx = sc.parse_scenario(data)
     assert np.allclose(ctx.curves["arc"].point(0.5), [1.5, 0.5])
     assert np.allclose(ctx.curves["poly"].point(1.0), [2.0, 0.0])
+
+
+def conformal_scenario_dict(metric):
+    """A 2+1 product whose plane factor carries the formula metric ``metric``."""
+    return {
+        "name": "file-conformal",
+        "factors": [
+            {"name": "plane", "dim": 2, "coords": ["x1", "x2"], "metric": metric,
+             "signature": [1, 1], "box": [[-1.0, 1.0], [-1.0, 1.0]]},
+            {"name": "line", "dim": 1, "coords": ["y"], "metric": "euclidean",
+             "box": [[0.0, 1.0]]},
+        ],
+        "warps": {"lam1": "1", "lam2": "exp(0.3*x1)"},
+    }
+
+
+# a conformal factor's diagonal entry
+E = "exp(2*(0.2*sin(0.8*x1 + 0.4*x2 + 1.2)))"
+
+
+@pytest.mark.parametrize("rows, distinct", [
+    ([[E, "0"], ["0", E]], 2),                         # conformally flat
+    ([[E, "0.1*x1*x2"], ["0.1*x1*x2", "1 + x2**2"]], 3),  # symmetric off-diagonal
+], ids=["conformal", "symmetric"])
+def test_a_formula_metric_evaluates_each_distinct_entry_text_once(monkeypatch, rows, distinct):
+    calls = []
+
+    def counted(src, variables):
+        f = expr.compile_expr(src, variables)
+        return lambda v: calls.append(src) or f(v)
+
+    monkeypatch.setattr(sc, "compile_expr", counted)
+    ctx = sc.parse_scenario(conformal_scenario_dict(rows))
+    pts = pg.offset_grid_points(ctx.dtp.f1.domain_box, 3)
+    calls.clear()
+    g = ctx.dtp.f1.metric.mat(pts)
+    assert len(calls) == len(set(calls)) == distinct
+    # each entry holds the bits of its own formula evaluated on the batch
+    want = np.array([[expr.compile_expr(t, ["x1", "x2"])(pts.T) for t in row] for row in rows])
+    assert g.tobytes() == np.moveaxis(want, -1, 0).tobytes()
+
+
+@pytest.mark.parametrize("make, mutate, value, commands, message", [
+    (lambda: conformal_scenario_dict([[E, "0"], ["0", E]]), _set("factors", 0, "box"),
+     [[-1.0, 1.0], [1.0, -1.0]], ("classify", "curvature"),
+     "factors[0].box: each [lo, hi] pair needs lo < hi, got row 1 = [1.0, -1.0]"),
+    (flat_torus_dict, _set("fundamental_box"), [[1.0, 0.0], [0.0, 1.0]],
+     ("intersections", "verify-all"),
+     "scenario.fundamental_box: each [lo, hi] pair needs lo < hi, got row 0 = [1.0, 0.0]"),
+    (flat_torus_dict, _set("fundamental_box"), [[0.0, 0.0], [0.0, 1.0]],
+     ("intersections", "verify-all"),
+     "scenario.fundamental_box: each [lo, hi] pair needs lo < hi, got row 0 = [0.0, 0.0]"),
+], ids=["reversed-factor-box", "reversed-fundamental-box", "empty-fundamental-box"])
+def test_a_box_row_whose_lo_is_not_below_its_hi_exits_2_naming_its_key(
+        capsys, tmp_path, make, mutate, value, commands, message):
+    data = make()
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(data))
+    for command in commands:
+        assert cli.main(["run", str(path), command]) == 0
+    mutate(data, value)
+    path.write_text(json.dumps(data))
+    for command in commands:
+        capsys.readouterr()
+        assert cli.main(["run", str(path), command]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 def test_load_scenario_file_and_syntax_errors(tmp_path):
