@@ -39,6 +39,8 @@ turns its direction by the Jacobians of F_i's own maps along the reducing
 word (``_trace``).  The traced factor is one-dimensional and the direction
 is zero off its slot, so every term of the assembled metric and of
 ``word_jacobian`` left out is an exact zero and the values keep their bits.
+A trace runs forward only, along +e_i from the basepoint: an open leaf's
+points stop where the arc budget runs out, since only its status is read.
 
 Affine records
 --------------
@@ -85,6 +87,7 @@ ACTION_TOL = 1e-7       # deck-generator invariant residual budget
 DEFAULT_IDENT_TOL = 1e-7
 DEFAULT_WORD_BOUND = 8
 VALIDATE_WORD_CAP = 20_000  # words validate applies to the interior grid at most
+WORD_TREE_CAP = 1 << 15     # words enumerate_words keeps at most; a larger tree is refused
 VALIDATE_PER_AXIS = 4   # grid points per axis of validate's samples
 # Levels of floor(x) that example1's warp walks at most: each costs one h (or
 # one Newton solve of h^-1) per point.  The commands read lam on the box, on
@@ -458,7 +461,8 @@ class QuotientModel:
         before it.  Each level moves the probes by every candidate child at
         once: by the children's records, each its parent's composed with its
         last letter's, on an affine model; otherwise by one apply_gen call
-        per (generator, sign) on the parents' probe images.
+        per (generator, sign) on the parents' probe images.  A level that
+        would take the list past WORD_TREE_CAP words raises InvalidAction.
         """
         lo, hi = self.fundamental_box[:, 0], self.fundamental_box[:, 1]
         near = np.clip(0.0, lo, hi)
@@ -496,6 +500,9 @@ class QuotientModel:
                     kept.append(c)
             if not kept:
                 break
+            if len(words) + len(kept) > WORD_TREE_CAP:
+                raise InvalidAction(f"word bound {max_len}: the word tree passes WORD_TREE_CAP"
+                                    f" = {WORD_TREE_CAP} words at length {len(levels) + 1}")
             parent, last = np.divmod(np.array(kept), M)
             start = len(words) - K
             words += [words[start + k] + (letters[m],) for k, m in zip(parent.tolist(), last.tolist())]
@@ -720,14 +727,13 @@ def leaf_trace(model: QuotientModel, x0, foliation: int, arc_budget: float = 8.0
     Terminates with status "closed" when the reduced point returns to the
     start within ident_tol (the closure parameter below step resolution is
     the projection of x0 onto the leaf's coordinate line), or
-    "open-within-budget" when the metric arc budget runs out.
-    An open leaf is then traced backward from x0 with the same budget, and
-    those points, reversed and with negative arc lengths, come first; the
-    status and length stay the forward trace's.  Requires the traced factor
-    to be one-dimensional, and reads only that factor: its warp, its metric
-    and its deck maps (see ``_trace``).  No count or verdict calls it: it is
-    the oracle for "a leaf closes iff ``leaf_loops`` finds a closing word",
-    for verify-all's leaf rows and the tests.
+    "open-within-budget" when the metric arc budget runs out.  The points
+    are the forward trace's alone, closed or open, each with its arc length
+    from x0.  Requires the traced factor to be one-dimensional, and reads
+    only that factor: its warp, its metric and its deck maps (see
+    ``_trace``).  No count or verdict calls it: it is the oracle for "a leaf
+    closes iff ``leaf_loops`` finds a closing word", for verify-all's leaf
+    rows and the tests.
     """
     dtp = model.dtp
     if dtp.factor(foliation).dim != 1:
@@ -737,9 +743,6 @@ def leaf_trace(model: QuotientModel, x0, foliation: int, arc_budget: float = 8.0
         raise ValueError(f"basepoint {x0} is not in the fundamental box")
     direction = dtp.embed(foliation, np.ones(1))
     status, length, pts = _trace(model, x0, foliation, direction, arc_budget)
-    if status != "closed":
-        back = _trace(model, x0, foliation, -direction, arc_budget)[2]
-        pts = [(-arc, p) for arc, p in reversed(back[1:])] + pts
     return LeafTrace(foliation, x0, status, length, pts)
 
 

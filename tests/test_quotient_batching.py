@@ -212,19 +212,13 @@ def ref_enumerate_words(model, max_len):
 
 
 def ref_leaf_trace(model, x0, foliation, arc_budget=8.0, logs=None):
-    """The trace along +e, then, for an open leaf, the reversed trace along -e
-    with negated arc lengths in front (status and length stay the forward ones).
-    ``logs``, when given, receives each walk's step log (see ``ref_walk``)."""
+    """The trace along +e alone, closed or open.  ``logs``, when given,
+    receives the walk's step log (see ``ref_walk``)."""
     x0 = np.asarray(x0, dtype=float)
     direction = model.dtp.embed(foliation, np.ones(1))
     walks = [] if logs is None else logs
     walks.append([])
-    status, length, pts = ref_walk(model, x0, direction, arc_budget, log=walks[-1])
-    if status != "closed":
-        walks.append([])
-        back = ref_walk(model, x0, -direction, arc_budget, log=walks[-1])[2]
-        pts = [(-arc, p) for arc, p in reversed(back[1:])] + pts
-    return status, length, pts
+    return ref_walk(model, x0, direction, arc_budget, log=walks[-1])
 
 
 def ref_walk(model, x0, direction, arc_budget, step=0.01, log=None):
@@ -508,7 +502,7 @@ TRACES = [
     ("skewed-torus", [0.0, 0.0], 1, 8.0), ("skewed-torus", [0.0, 0.0], 2, 8.0),
     ("skewed-torus", [0.3, 0.7], 2, 8.0), ("flat-torus", [5e-7, 0.3], 1, 8.0),
     ("mobius", [0.0, 0.0], 1, 8.0), ("mobius", [0.2, 0.5], 1, 8.0),
-    ("mobius", [0.4, 0.5], 2, 8.0),        # open leaves: traced forward, then backward
+    ("mobius", [0.4, 0.5], 2, 8.0),        # open leaves: traced forward only
     ("mobius", [0.4, -0.5], 2, 8.0),
     ("example1", [0.0, 0.0], 1, 8.0), ("example1", [0.0, 1.0], 1, 6.0),
     ("file-skewed-q3", [0.1, 0.2], 2, 8.0), ("file-mobius", [0.7, -0.3], 1, 8.0),
@@ -570,6 +564,20 @@ def test_leaf_trace_calls_per_chunk(name, x0, foliation, budget, monkeypatch):
     assert len(speeds) == sum(len(ref_chunks(log)) for log in logs)
     assert max(speeds) <= qt._TRACE_CHUNK
     assert len(reps) == sum(exited + tried for log in logs for exited, tried in log)
+
+
+@pytest.mark.parametrize("name,x0,foliation,budget", [("example1", [0.0, 1.0], 1, 6.0),
+                                                       ("mobius", [0.4, 0.5], 2, 8.0)])
+def test_an_open_leaf_is_traced_forward_only(name, x0, foliation, budget, monkeypatch):
+    # one walk from the basepoint, so no point sits at a negative arc length
+    walks = []
+    trace = qt._trace
+    monkeypatch.setattr(qt, "_trace", lambda *args: walks.append(args) or trace(*args))
+    got = qt.leaf_trace(MODELS[name], x0, foliation, arc_budget=budget)
+    assert got.status == "open-within-budget" and len(walks) == 1
+    arcs = [arc for arc, _ in got.points]
+    assert arcs[0] == 0.0 and np.array_equal(got.points[0][1], x0)
+    assert all(b > a for a, b in zip(arcs, arcs[1:]))
 
 
 def _counting(obj, attr, counts, key):

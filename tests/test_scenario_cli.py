@@ -675,6 +675,36 @@ def test_holonomy_expectation_checks_the_last_loop(capsys, tmp_path, third, code
     assert [lp["expected_error"] for lp in loops] == [0.0, 0.0, abs(third + 1.0)]
 
 
+def drifting_cylinder_dict():
+    """R^2 / <(x + 1, y + 0.41421356)> on a tall box: every F1 leaf drifts in y."""
+    data = flat_torus_dict()
+    data.update(name="drifting-cylinder", curves={}, holonomy_loops={},
+                fundamental_box=[[0.0, 1.0], [-1e9, 1e9]])
+    data["factors"][1]["box"] = [[-1e9, 1e9]]
+    data["generators"] = [{"name": "a", "phi": ["x + 1"], "phi_inv": ["x - 1"],
+                           "psi": ["y + 0.41421356"], "psi_inv": ["y - 0.41421356"]}]
+    return data
+
+
+@pytest.mark.parametrize("data, key, y, row", [
+    (flat_torus_dict(), "leaf_open_y", 0.3, "leaf-open-within-budget"),   # the leaf closes
+    (drifting_cylinder_dict(), "leaf_closed_y", 0.2, "leaf-closed"),      # the leaf drifts
+])
+def test_verify_all_leaf_rows_fail_on_the_wrong_leaf(capsys, tmp_path, monkeypatch,
+                                                     data, key, y, row):
+    # a file declares no leaf expectation (they are example1's alone), so the
+    # parsed scenario gets it as the built-in's context carries it
+    path = tmp_path / "leaf.json"
+    path.write_text(json.dumps(data))
+    ctx = sc.load_scenario_file(path)
+    ctx.expect[key] = y
+    monkeypatch.setattr(cli, "resolve_scenario", lambda ref, seed=0: ctx)
+    code, out = run_cli(capsys, "run", str(path), "verify-all")
+    assert code == 1
+    failed = [c["check"] for c in json.loads(out)["results"]["checks"] if not c["pass"]]
+    assert failed == [row]
+
+
 def test_cli_transport_command(capsys):
     code, out = run_cli(capsys, "run", "polar-plane", "transport")
     assert code == 0

@@ -225,6 +225,19 @@ def test_word_count_does_not_depend_on_the_box_size(box):
     assert len(words) == 2 * 8 * 9 + 1  # |i| + |j| <= 8 in Z^2
 
 
+def test_word_tree_is_capped_by_its_size(capsys):
+    # |i| + |j| <= 127 in Z^2 is 32 513 words, under the cap; bound 128 passes
+    # it at its last level and is refused naming the bound, before any count
+    assert qt.VALIDATE_WORD_CAP < qt.WORD_TREE_CAP
+    assert len(fx.flat_torus_model().enumerate_words(127)) == 2 * 127 * 128 + 1
+    msg = "word bound 128: the word tree passes WORD_TREE_CAP = 32768 words at length 128"
+    with pytest.raises(InvalidAction, match=msg):
+        fx.flat_torus_model().enumerate_words(128)
+    assert cli.main(["run", "flat-torus", "intersections", "--word-bound", "128"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"input error: {msg}\n"
+
+
 # ---------------------------------------------------------------------------
 # call-count guards
 
