@@ -346,11 +346,18 @@ class ScalarField:
     ``(f, grad)`` or ``(f, grad, hess)``, of shapes ``(P,)``, ``(n, P)`` and
     ``(n, n, P)``.  ``value``, ``grad_coords`` and ``hess_coords`` accept one
     point or a ``(P, n)`` batch.
+
+    ``reads``, when known, is the sorted tuple of the coordinate axes that
+    ``eval`` reads (a scenario formula's variables, ``expr.compile_expr``):
+    points that differ only along the other axes get the same value, so each
+    partial along one of them is exactly 0 and a caller may supply it without
+    differencing (``productgeo.classify``).  None (the default) is unknown.
     """
 
     eval: Callable[..., np.ndarray]
     exact_order: int = 0
     name: str = ""
+    reads: Optional[tuple] = None
 
     def __post_init__(self):
         _check_order(self.exact_order)

@@ -206,8 +206,14 @@ class Check:
 # ---------------------------------------------------------------------------
 # command implementations
 
+def _structure(ctx, args) -> pg.StructureClass:
+    """The run's one classification, which every command that needs the tag
+    reads: ``max(4, samples // 4)`` offset grid points per axis."""
+    return pg.classify(ctx.dtp, per_axis=max(4, args.samples // 4))
+
+
 def cmd_classify(ctx, args, rng):
-    cls = pg.classify(ctx.dtp, per_axis=max(4, args.samples // 4))
+    cls = _structure(ctx, args)
     ok = True
     expected = ctx.expect.get("classification")
     if expected is not None:
@@ -335,7 +341,7 @@ def cmd_decompose(ctx, args, rng):
     wb = args.word_bound if args.word_bound is not None else model.word_bound
     tol = args.tol if args.tol is not None else 1e-6
     verdict = qt.decomposition_check(model, ctx.base(), ctx.holonomy_loops,
-                                     hol_tol=tol, word_bound=wb)
+                                     hol_tol=tol, word_bound=wb, structure=_structure(ctx, args))
     ok = _verdict_expected(ctx.expect, verdict) if "verdict" in ctx.expect else True
     return {"tag": verdict.tag,
             "reason": {"kind": verdict.reason.kind,
@@ -347,7 +353,8 @@ def cmd_decompose(ctx, args, rng):
 
 
 def cmd_teodg(ctx, args, rng):
-    report = qt.teodg_diagnostic(ctx.dtp, n_samples=args.samples, seed=args.seed)
+    report = qt.teodg_diagnostic(ctx.dtp, n_samples=args.samples, seed=args.seed,
+                                 structure=_structure(ctx, args))
     ok = True
     if "teodg_holds" in ctx.expect:
         ok = report.hypotheses_hold == bool(ctx.expect["teodg_holds"])
@@ -422,7 +429,7 @@ def cmd_verify_all(ctx, args, rng):
                         1e-5))
 
     # classification
-    cls = pg.classify(dtp, per_axis=4)
+    cls = _structure(ctx, args)
     details["classification"] = {"tag": cls.tag.value, "evidence": cls.evidence}
     expected = ctx.expect.get("classification")
     if expected is not None:

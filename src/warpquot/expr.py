@@ -26,6 +26,12 @@ is refused with the expression and column, as is a tree nested deeper than
 ``affine_form`` reads the same walk as ``c . v + k`` when the expression is
 affine in its variables, which gives a deck map in a scenario file its
 closed-form affine record (``quotient.FactorMap.record``).
+
+The walk also records the variables the expression reads: every name it
+lowers to ``v[i]``.  Nothing else reaches the closure, so a variable outside
+that set cannot change its value, and a central difference along it is
+exactly 0; ``scenario`` hands the set to a warp (``ScalarField.reads``).  The
+set is syntactic: ``x - x + y`` reads x.
 """
 
 from __future__ import annotations
@@ -112,14 +118,17 @@ def _fold(src: str, node, op, args, numpy: bool) -> float:
     return value
 
 
-def _lower(src: str, variables: Sequence[str], affine: bool) -> tuple[Callable, Optional[tuple]]:
+def _lower(src: str, variables: Sequence[str], affine: bool,
+           reads: Optional[set] = None) -> tuple[Callable, Optional[tuple]]:
     """Walk ``src``'s AST once: its closure over a coordinate-major batch and,
     when ``affine``, its form ``([c_i], k)`` while it is affine in
-    ``variables`` (else None).  Each node lowers to (closure, form); a folded
-    constant has no closure and the form (zeros, value).  A call's arguments
-    are walked without forms: no affine expression has a variable in one."""
+    ``variables`` (else None); the index of each variable read goes into
+    ``reads``.  Each node lowers to (closure, form); a folded constant has no
+    closure and the form (zeros, value).  A call's arguments are walked
+    without forms: no affine expression has a variable in one."""
     names = {name: i for i, name in enumerate(variables)}
     zero = [0.0] * len(names)
+    reads = set() if reads is None else reads
 
     def walk(node, want, levels):  # levels: how much deeper the tree may still nest
         if not levels:
@@ -132,6 +141,7 @@ def _lower(src: str, variables: Sequence[str], affine: bool) -> tuple[Callable, 
         if kind is ast.Name:
             if node.id in names:
                 i = names[node.id]
+                reads.add(i)
                 form = ([float(j == i) for j in range(len(zero))], -0.0) if want else None
                 return (lambda v, _i=i: v[_i]), form
             if node.id in _CONSTANTS:
@@ -195,12 +205,13 @@ def _lower(src: str, variables: Sequence[str], affine: bool) -> tuple[Callable, 
     return compiled, form
 
 
-def compile_expr(src: str, variables: Sequence[str]) -> Callable:
+def compile_expr(src: str, variables: Sequence[str], reads: Optional[set] = None) -> Callable:
     """Compile ``src`` to a function of a coordinate-major batch ``(n, P)``
-    ordered as ``variables``.  Raises ScenarioError with position info on
+    ordered as ``variables``; the index of each variable it reads is added to
+    the set ``reads``, when given.  Raises ScenarioError with position info on
     anything outside the grammar, a call with the wrong argument count, or a
     constant subexpression that is not finite."""
-    return _lower(src, variables, False)[0]
+    return _lower(src, variables, False, reads)[0]
 
 
 def affine_form(src: str, variables: Sequence[str]) -> Optional[tuple[np.ndarray, float]]:

@@ -391,6 +391,24 @@ def _omega(dtp: DoublyTwistedProduct, i: int, grad: np.ndarray, val: np.ndarray)
     return out
 
 
+def _read_jet(w: ScalarField, pts: np.ndarray, order: int, block) -> tuple:
+    """``w._jet`` at pts (P, n) on ``block`` (None: every axis), point axis
+    first, differenced only along the axes w reads (``ScalarField.reads``;
+    every axis when unknown).  An entry on an axis it does not read is 0,
+    which its central difference is exactly, and takes no stencil point; at
+    order 1 with no axis of the block read, the value alone is evaluated."""
+    full = block or (tuple(range(pts.shape[1])),)
+    kept = None if w.reads is None else [tuple(k for k in a if k in w.reads) for a in full]
+    if kept is None or kept == list(full):
+        return ck._call_batch(w._jet, pts, order, block)
+    d = np.zeros((len(pts),) + tuple(map(len, full)))
+    if not all(kept):
+        return (ck._call_batch(w._jet, pts, 0)[0], d) if order == 1 else (d,)
+    *val, part = ck._call_batch(w._jet, pts, order, tuple(kept))
+    d[(slice(None),) + np.ix_(*[[a.index(k) for k in ks] for a, ks in zip(full, kept)])] = part
+    return (*val, d)
+
+
 def classify(dtp: DoublyTwistedProduct, per_axis: int = 4) -> StructureClass:
     """Structure tag from sampled mean-curvature evidence.
 
@@ -407,10 +425,18 @@ def classify(dtp: DoublyTwistedProduct, per_axis: int = 4) -> StructureClass:
     the mixed block of lam_i's hessian read, alone: on the FD route the
     (++, +-, -+, --) corners of each slot-1 x slot-2 pair, 4 P n1 n2 values,
     and no diagonal.
+
+    A warp that knows the axes it reads (``ScalarField.reads``, a scenario
+    formula) is differenced along those alone (``_read_jet``): its partials
+    along the others are 0, supplied without a stencil point, and the N_i,
+    d(omega_i) and finiteness arithmetic runs on them unchanged.  So it
+    skips the +-e_k neighbours of each axis it does not read (a warp that
+    reads none gives its values alone), and the corners of each pair with
+    such an axis: a warp on one factor's coordinates evaluates no corner.
     """
     pts = offset_grid_points(dtp.domain_box, per_axis)
     ginv = dtp.assembled.inv(pts)
-    warps = [(w, *ck._call_batch(w._jet, pts, 1)) for w in (dtp.lam1, dtp.lam2)]
+    warps = [(w, *_read_jet(w, pts, 1, None)) for w in (dtp.lam1, dtp.lam2)]
     max_n = [_max_abs((ginv @ _omega(dtp, i, grad, val)[..., None])[..., 0])
              for i, (_, val, grad) in enumerate(warps, 1)]
     max_dw = [0.0, 0.0]
@@ -418,7 +444,7 @@ def classify(dtp: DoublyTwistedProduct, per_axis: int = 4) -> StructureClass:
         if max_n[i - 1] < VANISH_TOL:
             continue  # omega_i vanishes with N_i
         val = val[:, None, None]
-        (hess,) = ck._call_batch(w._jet, pts, 2, (dtp.axes(1), dtp.axes(2)))
+        (hess,) = _read_jet(w, pts, 2, (dtp.axes(1), dtp.axes(2)))
         mixed = hess / val - grad[:, dtp.slot1, None] * grad[:, None, dtp.slot2] / val**2
         bad = ~np.isfinite(mixed).all(axis=(1, 2))
         if bad.any():

@@ -1016,8 +1016,8 @@ def decomposition_check(model: QuotientModel, x0, loops: dict,
     The criterion is the paper's for quotients of doubly warped products:
     unless ``pg.classify`` tags the product direct-product, warped or
     doubly-warped, the verdict is refused with InvalidAction naming the tag
-    (``structure``, when given, is that classification of ``model.dtp`` at
-    the default grid, and the check does not classify again).
+    (``structure``, when given, is that classification of ``model.dtp``, the
+    run's one, and the check does not classify again).
     ``loops`` maps foliation index (1, 2) to generator words closing leaf
     loops at x0; they are tested first, in order.  Then every other leaf
     loop of at most word_bound letters (``leaf_loops``) is tested, so the
@@ -1231,13 +1231,17 @@ class TeodgReport:
 
 
 def teodg_diagnostic(dtp: pg.DoublyTwistedProduct, n_samples: int = 60,
-                     seed: int = 0) -> TeodgReport:
+                     seed: int = 0,
+                     structure: Optional[pg.StructureClass] = None) -> TeodgReport:
     """Sample mixed-plane curvature signs and search lam2 for critical points.
 
     The diagnostic reports whether the sampled hypotheses of the global
     decomposition criterion hold: K < 0 on all sampled mixed nondegenerate
     planes (|K| <= 1e-9 counts as zero), and lam2 (a factor-1 function for
-    warped structures) has a critical point inside the factor-1 box.
+    warped structures) has a critical point inside the factor-1 box.  A
+    twisted or doubly twisted ``pg.classify`` tag is refused with
+    InvalidAction (``structure``, when given, is that classification of
+    ``dtp``, the run's one, and the diagnostic does not classify again).
 
     The samples are one batch: n_samples uniform points of the domain box,
     then one mixed plane at each (``pg._sample_planes`` on one
@@ -1258,7 +1262,7 @@ def teodg_diagnostic(dtp: pg.DoublyTwistedProduct, n_samples: int = 60,
     +-e_k neighbours for k in slot 1, and a hessian the point, its +-e_k
     neighbours and the four corners of each pair of slot-1 axes.
     """
-    cls = pg.classify(dtp)
+    cls = structure or pg.classify(dtp)
     if cls.tag in (pg.StructureTag.TWISTED, pg.StructureTag.DOUBLY_TWISTED):
         raise InvalidAction(f"diagnostic requires a (doubly) warped structure, got {cls.tag.value}")
     rng = np.random.default_rng(seed)

@@ -8,6 +8,11 @@ loop words and expectations.  Files are JSON; unknown keys are rejected with
 their path, and syntax errors carry line/column positions.  Every [lo, hi]
 row of a factor ``box`` or the ``fundamental_box`` needs lo < hi.
 
+A declared warp dependency (``lamK_dependency``) is proved from the formula
+when it reads no coordinate of an excluded factor (``ScalarField.reads``);
+only a formula that does, such as ``x1 - x1 + y1`` declared on factor 2
+alone, is differenced on the 3-per-axis lattice.
+
 A formula factor metric compiles each distinct entry text once and evaluates
 each closure once per batch, its value standing wherever its text does: a
 conformally flat 2x2 metric runs two closures, not four, at every point.
@@ -198,16 +203,20 @@ def _build_factor(spec: dict, path: str) -> tuple[pg.FactorManifold, list]:
     return pg.FactorManifold(name, metric, box), coords
 
 
-def _check_dependency(dtp: pg.DoublyTwistedProduct, i: int, dependency: str, coords: list,
-                      pts: np.ndarray):
+def _warp(formula: str, coords: list) -> ScalarField:
+    """A warp formula's field, with the axes its formula reads (``ScalarField.reads``)."""
+    reads = set()
+    lam = compile_expr(formula, coords, reads)
+    return ScalarField(lam, name=formula, reads=tuple(sorted(reads)))
+
+
+def _check_dependency(dtp: pg.DoublyTwistedProduct, i: int, dependency: str, slots: tuple,
+                      coords: list, pts: np.ndarray):
     """The declared dependency of lam_i, checked on ``pts``, the file's
-    3-per-axis grid over the domain box: each partial along an excluded
-    factor's slots must stay within VANISH_TOL * max(1, |lam_i|).  lam_i is
-    differenced along those slots only, its value read from the same jet."""
-    excluded = _DEPENDENCIES[dependency]
-    if not excluded:
-        return
-    slots = sum((dtp.axes(f) for f in excluded), ())
+    3-per-axis grid over the domain box: each partial along ``slots``, the
+    excluded factors' slots, must stay within VANISH_TOL * max(1, |lam_i|).
+    lam_i is differenced along those slots only, its value read from the
+    same jet."""
     val, partials = ck._call_batch(dtp.warp(i)._jet, pts, 1, (slots,))
     scale = pg.VANISH_TOL * np.maximum(1.0, np.abs(val))
     bad = np.abs(partials) > scale[:, None]
@@ -316,11 +325,16 @@ def parse_scenario(data: dict, name_hint: str = "") -> ScenarioContext:
     if any(dep not in _DEPENDENCIES for dep in deps):
         raise ScenarioError(f"warps: dependency must be one of {sorted(_DEPENDENCIES)}")
     formulas = [_require(warps, f"lam{i}", "warps", str) for i in (1, 2)]
-    dtp = pg.assemble(f1, f2, *(ScalarField(compile_expr(f, coords), name=f) for f in formulas))
-    if any(_DEPENDENCIES[dep] for dep in deps):  # one grid for both warps' checks
+    dtp = pg.assemble(f1, f2, *(_warp(f, coords) for f in formulas))
+    # a dependency whose excluded slots the formula never reads is proved;
+    # the others are checked numerically, on one grid for both warps
+    slots = [sum((dtp.axes(f) for f in _DEPENDENCIES[dep]), ()) for dep in deps]
+    unproved = [(i, dep, s) for i, dep, s in zip((1, 2), deps, slots)
+                if set(s) & set(dtp.warp(i).reads)]
+    if unproved:
         pts = pg.grid_points(dtp.domain_box, 3)
-        for i, dep in zip((1, 2), deps):
-            _check_dependency(dtp, i, dep, coords, pts)
+        for i, dep, s in unproved:
+            _check_dependency(dtp, i, dep, s, coords, pts)
 
     model = None
     gens = []

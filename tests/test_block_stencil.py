@@ -6,7 +6,8 @@ points of those entries alone; each entry is the same entry of the full
 stencil, bit for bit.  ``ScalarField._jet`` takes the same block: the exact
 route slices its one call, the FD route differences on the block's stencil.
 ``classify`` reads the mixed slot-1 x slot-2 block of each warp's hessian
-that way, and the count of warp evaluations below pins it.
+that way, and the count of warp evaluations below pins it; a formula warp
+that reads one factor's coordinates is differenced along those alone.
 """
 
 import dataclasses
@@ -163,9 +164,9 @@ def _classify_tally(dtp):
     return evidence, len(grid), tallies
 
 
-def _formula_product(tmp_path):
-    path = tmp_path / "formula-twisted.json"
-    path.write_text(json.dumps(SCENARIOS["formula-twisted"]), encoding="utf-8")
+def _formula_product(tmp_path, name="formula-twisted"):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(SCENARIOS[name]), encoding="utf-8")
     return sc.resolve_scenario(str(path), seed=0).dtp
 
 
@@ -179,6 +180,27 @@ def test_classify_reads_a_gradient_stencil_and_the_mixed_corners_alone(tmp_path,
         assert tally == Counter({"centre": P, "gradient": 2 * dtp.n * P,
                                  "corner": 4 * dtp.n1 * dtp.n2 * P})
         assert sum(tally.values()) == P * (1 + 2 * dtp.n) + 4 * P * dtp.n1 * dtp.n2
+
+
+def test_a_warp_on_one_factor_evaluates_its_read_axes_alone(tmp_path):
+    # each warp of formula-warped reads the other factor's two coordinates:
+    # P centres and the +-e_k neighbours of those two axes, no corner, where
+    # its N_i != 0 would read all 4 P n1 n2 of them
+    dtp = _formula_product(tmp_path, "formula-warped")
+    evidence, P, tallies = _classify_tally(dtp)
+    assert min(evidence["max_N1"], evidence["max_N2"]) >= pg.VANISH_TOL
+    for i, tally in tallies.items():
+        assert dtp.warp(i).reads == dtp.axes(3 - i)
+        assert tally == Counter({"centre": P, "gradient": 2 * 2 * P})
+    # negative control: the same warps with their read sets unknown take
+    # today's numeric route, every stencil, to the same evidence
+    unknown = pg.DoublyTwistedProduct(dtp.f1, dtp.f2, dataclasses.replace(dtp.lam1, reads=None),
+                                      dataclasses.replace(dtp.lam2, reads=None), dtp.assembled)
+    full_evidence, _, full_tallies = _classify_tally(unknown)
+    assert full_evidence == evidence
+    for tally in full_tallies.values():
+        assert tally == Counter({"centre": P, "gradient": 2 * dtp.n * P,
+                                 "corner": 4 * dtp.n1 * dtp.n2 * P})
 
 
 def test_the_full_order_2_jet_fails_the_count(monkeypatch):

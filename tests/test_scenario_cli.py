@@ -425,8 +425,8 @@ E = "exp(2*(0.2*sin(0.8*x1 + 0.4*x2 + 1.2)))"
 def test_a_formula_metric_evaluates_each_distinct_entry_text_once(monkeypatch, rows, distinct):
     calls = []
 
-    def counted(src, variables):
-        f = expr.compile_expr(src, variables)
+    def counted(src, variables, *reads):
+        f = expr.compile_expr(src, variables, *reads)
         return lambda v: calls.append(src) or f(v)
 
     monkeypatch.setattr(sc, "compile_expr", counted)
