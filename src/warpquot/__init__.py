@@ -14,13 +14,7 @@ cli         scenario runner emitting deterministic JSON/CSV reports
 
 __version__ = "0.1.0"
 
-from .chartkit import (  # noqa: F401
-    CoordPoint,
-    MetricField,
-    ScalarField,
-    Signature,
-    TangentVector,
-)
+from .chartkit import MetricField, ScalarField, Signature  # noqa: F401
 from .productgeo import (  # noqa: F401
     DoublyTwistedProduct,
     FactorManifold,

@@ -12,6 +12,18 @@ Index conventions
   ``R(e_i, e_j) e_k`` with ``R(X, Y)Z = [nabla_X, nabla_Y] Z - nabla_[X,Y] Z``.
   The sign is pinned by the acceptance test "unit round sphere has K = +1".
 
+Points, vectors and frames
+--------------------------
+A point is its coordinates, an array ``(n,)``; a tangent vector is its
+components in the coordinate basis, ``(n,)``; a frame is ``(n, k)``, one
+column per vector (the layout of ``transport.TransportResult.components``,
+``(S, n, k)``).  A vector does not carry its base point: a function that
+needs one takes the point once, as its argument ``x``
+(``inner_product(g, x, u, v)``), as the batch kernels do.  Each public
+entry point checks what its caller passes once, for its length or shape
+and finite entries (``_as_array``, ``_points``, ``_frame``: ``ValueError``,
+``NumericsError``); internal callers pass arrays they built, unchecked.
+
 Batches and the callback contract
 ---------------------------------
 ``MetricField.mat/inv/d1/d2`` and ``ScalarField.value/grad_coords/hess_coords``
@@ -70,12 +82,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    BaseMismatch,
-    DegenerateMetric,
-    DegeneratePlane,
-    NumericsError,
-)
+from .errors import DegenerateMetric, DegeneratePlane, NumericsError
 
 # Degeneracy thresholds and finite-difference steps (see module notes: steps
 # balance truncation against cancellation at double precision).
@@ -88,6 +95,7 @@ LIGHTLIKE_TOL = 1e-10  # |g(w, w)| below this: a lightlike direction, no unit ve
 
 
 def _as_array(values, n: Optional[int] = None) -> np.ndarray:
+    """One point or vector (n,), checked for its length and finite."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"expected a flat coordinate/component vector, got shape {arr.shape}")
@@ -98,10 +106,19 @@ def _as_array(values, n: Optional[int] = None) -> np.ndarray:
     return arr
 
 
+def _frame(frame, n: int) -> np.ndarray:
+    """A frame (n, k), one column per vector, checked for its shape and finite."""
+    arr = np.asarray(frame, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != n:
+        raise ValueError(f"expected a frame ({n}, k), got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise NumericsError(f"non-finite entries in frame {arr.tolist()}")
+    return arr
+
+
 def _points(x, n: Optional[int] = None) -> np.ndarray:
-    """One point ``(n,)`` or a batch ``(P, n)`` (a ``CoordPoint`` is its
-    coordinates), checked for its width and finite."""
-    arr = np.asarray(x.coords if isinstance(x, CoordPoint) else x, dtype=float)
+    """One point ``(n,)`` or a batch ``(P, n)``, checked for its width and finite."""
+    arr = np.asarray(x, dtype=float)
     if arr.ndim not in (1, 2) or (n is not None and arr.shape[-1] != n):
         raise ValueError(f"expected a point ({n},) or a batch (P, {n}), got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -172,23 +189,6 @@ def _fold(terms: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CoordPoint:
-    """Point in a coordinate chart."""
-
-    coords: np.ndarray
-
-    def __init__(self, coords):
-        object.__setattr__(self, "coords", _as_array(coords))
-
-    @property
-    def n(self) -> int:
-        return self.coords.shape[0]
-
-    def __repr__(self):
-        return f"CoordPoint({np.array2string(self.coords, precision=6)})"
-
-
-@dataclass(frozen=True)
 class Signature:
     """Metric signature as a vector of +/-1; index = number of -1 entries."""
 
@@ -211,22 +211,6 @@ class Signature:
     @staticmethod
     def riemannian(n: int) -> "Signature":
         return Signature(np.ones(n, dtype=int))
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    base: CoordPoint
-    components: np.ndarray
-
-    def __init__(self, base: CoordPoint, components):
-        if not isinstance(base, CoordPoint):
-            base = CoordPoint(base)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "components", _as_array(components, base.n))
-
-    def __repr__(self):
-        return (f"TangentVector(at={np.array2string(self.base.coords, precision=4)}, "
-                f"v={np.array2string(self.components, precision=6)})")
 
 
 @dataclass
@@ -538,23 +522,21 @@ def central_diff(f: Callable[[np.ndarray], np.ndarray], x, steps, order: int = 1
     return (out, vals[at + (0,)]) if centre else out
 
 
-def _coords(x, n: Optional[int] = None) -> np.ndarray:
-    return x.coords if isinstance(x, CoordPoint) else _as_array(x, n)
+def _bilinear(u: np.ndarray, gm: np.ndarray, v: np.ndarray):
+    """u gm v on C-contiguous operands, a float for vectors: BLAS picks its
+    kernel by memory layout, so a strided view and a copy of the same values
+    could otherwise round differently."""
+    out = np.ascontiguousarray(u) @ np.ascontiguousarray(gm) @ np.ascontiguousarray(v)
+    return float(out) if out.ndim == 0 else out
 
 
-def _bilinear(u: np.ndarray, gm: np.ndarray, v: np.ndarray) -> float:
-    """u^T gm v on C-contiguous operands: BLAS picks its kernel by memory
-    layout, so a strided view and a copy of the same values could otherwise
-    round differently."""
-    return float(np.ascontiguousarray(u) @ np.ascontiguousarray(gm) @ np.ascontiguousarray(v))
-
-
-def inner_product(g: MetricField, u: TangentVector, v: TangentVector) -> float:
-    """g(u, v) at the common base point; depends on the component values only,
-    not on their memory layout."""
-    if not np.array_equal(u.base.coords, v.base.coords):
-        raise BaseMismatch(f"bases differ: {u.base} vs {v.base}")
-    return _bilinear(u.components, g.mat(u.base), v.components)
+def inner_product(g: MetricField, x, u, v):
+    """g(u, v) at the point x (n,), from one evaluation of g: a float for
+    vectors u, v (n,), the matrix of g(u_a, v_b) (k, l) for frames (n, k) and
+    (n, l).  Depends on the component values only, not on their memory layout."""
+    x = _as_array(x, g.dim)
+    u, v = (_frame(w, g.dim) if np.ndim(w) == 2 else _as_array(w, g.dim) for w in (u, v))
+    return _bilinear(u.T, _call_batch(g._mat, x), v)
 
 
 def _christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
@@ -636,27 +618,28 @@ def _sectional_curvature(gm: np.ndarray, riem: np.ndarray, U: np.ndarray, V: np.
     return np.einsum("pl,pl->p", gu, ruvv) / q
 
 
-def sectional_curvature_numeric(g: MetricField, x, u: TangentVector, v: TangentVector) -> float:
-    """K(span(u, v)) = g(R(u, v) v, u) / (g(u,u) g(v,v) - g(u,v)^2)."""
-    if not np.array_equal(u.base.coords, v.base.coords):
-        raise BaseMismatch(f"bases differ: {u.base} vs {v.base}")
-    pts = _coords(x, g.dim)[None]
+def sectional_curvature_numeric(g: MetricField, x, u, v) -> float:
+    """K(span(u, v)) = g(R(u, v) v, u) / (g(u,u) g(v,v) - g(u,v)^2) for the
+    vectors u, v (n,) at the point x (n,)."""
+    pts = _as_array(x, g.dim)[None]
     return float(_sectional_curvature(_call_batch(g._mat, pts), riemann_numeric(g, pts),
-                                      u.components[None], v.components[None], pts)[0])
+                                      _as_array(u, g.dim)[None], _as_array(v, g.dim)[None],
+                                      pts)[0])
 
 
-def gradient(f: ScalarField, g: MetricField, x) -> TangentVector:
-    """Metric gradient: components g^{-1} df."""
-    coords = _coords(x, g.dim)
-    df = _call_batch(f._jet, coords, 1)[1]
-    return TangentVector(CoordPoint(coords), _checked_inv(_call_batch(g._mat, coords), coords) @ df)
+def gradient(f: ScalarField, g: MetricField, x) -> np.ndarray:
+    """Metric gradient at the point x (n,): its components g^{-1} df, (n,)."""
+    x = _as_array(x, g.dim)
+    df = _call_batch(f._jet, x, 1)[1]
+    # an exact partial is not screened on its way in, so the result is
+    return _as_array(_checked_inv(_call_batch(g._mat, x), x) @ df)
 
 
 def hessian_matrix(f: ScalarField, g: MetricField, x) -> np.ndarray:
-    """Covariant hessian Hess_ij = d_i d_j f - Gamma^k_ij d_k f."""
-    coords = _coords(x, g.dim)
-    _, df, ddf = _call_batch(f._jet, coords, 2)
-    gamma = _christoffel_at(g, coords)
+    """Covariant hessian Hess_ij = d_i d_j f - Gamma^k_ij d_k f at the point x (n,)."""
+    x = _as_array(x, g.dim)
+    _, df, ddf = _call_batch(f._jet, x, 2)
+    gamma = _christoffel_at(g, x)
     return ddf - np.einsum("kij,k->ij", gamma, df)
 
 
@@ -682,31 +665,33 @@ def exterior_derivative_numeric(omega_field: Callable[[np.ndarray], np.ndarray],
     ``step`` when the one-form samples are themselves finite-difference
     results.
     """
-    coords = _coords(x, n)
-    n = coords.shape[0]
+    x = _as_array(x, n)
+    n = x.shape[0]
     comps = _component_field(omega_field, n, "one-form")
-    domega = central_diff(comps, coords, fd_step(coords, FD_STEP_1 if step is None else step))
+    domega = central_diff(comps, x, fd_step(x, FD_STEP_1 if step is None else step))
     return domega - domega.T
 
 
-def gram_schmidt(g: MetricField, x, vectors: Sequence[TangentVector]) -> list[TangentVector]:
-    """Orthonormalize w.r.t. g (signs allowed): g(e_i, e_j) = +/- delta_ij.
+def gram_schmidt(g: MetricField, x, frame) -> np.ndarray:
+    """Orthonormalize the columns of a frame (n, k) at the point x (n,)
+    w.r.t. g, in order (signs allowed): the frame (n, k) returned has
+    g(e_i, e_j) = +/- delta_ij.
 
     Raises DegeneratePlane when an intermediate vector is (numerically)
     lightlike, |g(w, w)| < LIGHTLIKE_TOL, since the span then has no
     pseudo-orthonormal basis.
     """
-    coords = _coords(x, g.dim)
-    pt = CoordPoint(coords)
-    gm = _call_batch(g._mat, coords)
-    out: list[TangentVector] = []
-    for v in vectors:
-        w = v.components.astype(float).copy()
-        for e in out:
-            q = _bilinear(e.components, gm, e.components)  # +/-1 after normalization
-            w -= (_bilinear(e.components, gm, w) / q) * e.components
+    x = _as_array(x, g.dim)
+    gm = _call_batch(g._mat, x)
+    frame = _frame(frame, g.dim)
+    out = np.empty(frame.shape)
+    for j in range(frame.shape[1]):
+        w = frame[:, j].copy()
+        for e in out[:, :j].T:
+            q = _bilinear(e, gm, e)  # +/-1 after normalization
+            w -= (_bilinear(e, gm, w) / q) * e
         nrm2 = _bilinear(w, gm, w)
         if abs(nrm2) < LIGHTLIKE_TOL:
             raise DegeneratePlane("lightlike direction encountered in Gram-Schmidt")
-        out.append(TangentVector(pt, w / np.sqrt(abs(nrm2))))
+        out[:, j] = w / np.sqrt(abs(nrm2))
     return out

@@ -21,7 +21,6 @@ from . import chartkit as ck
 from . import productgeo as pg
 from . import quotient as qt
 from . import transport as tp
-from .chartkit import CoordPoint, TangentVector
 from .errors import GeometryError, InvalidAction, ScenarioError
 from .scenario import ScenarioContext, list_scenarios, resolve_scenario
 
@@ -159,15 +158,15 @@ def _sectional_residuals(dtp, rng, samples):
     return dict(sorted(worst.items())), k_values
 
 
-def _ones_normal(dtp, curve):
-    """The all-ones factor-2 vector at the start of a curve in an F1 leaf."""
-    return TangentVector(CoordPoint(curve.point(0.0)), dtp.embed(2, np.ones(dtp.n2)))
+def _ones_normal(dtp):
+    """The all-ones factor-2 vector, (n,): normal to every F1 leaf."""
+    return dtp.embed(2, np.ones(dtp.n2))
 
 
 def _closed_form_transport_residual(dtp, curve, ref):
     """Worst |closed form - integrated| adapted translation over the samples
     of A(t) and I(t); ``ref`` is the integrated one of ``_ones_normal``."""
-    closed = tp.adapted_translation_closed_form(dtp, curve, _ones_normal(dtp, curve))
+    closed = tp.adapted_translation_closed_form(dtp, curve, _ones_normal(dtp))
     return max(float(np.max(np.abs(closed.integrals - ref.integrals))),
                float(np.max(np.abs(closed.components - ref.components[:, :, 0]))))
 
@@ -252,10 +251,9 @@ def cmd_curvature(ctx, args, rng):
 def cmd_transport(ctx, args, rng):
     tol = args.tol if args.tol is not None else 1e-6
     curves = sorted((ctx.curves or {"default-horizontal": _horizontal_curve(ctx)}).items())
-    results = []
+    results, v0 = [], _ones_normal(ctx.dtp)
     for name, curve in curves:
-        try:  # any failure of the curve's own run names its key (_ones_normal runs its probe)
-            v0 = _ones_normal(ctx.dtp, curve)
+        try:  # any failure of the curve's own run, its probe first, names its key
             results.append(tp.adapted_translation_closed_form(ctx.dtp, curve, v0))
         except GeometryError as exc:
             if not ctx.curves:  # the default leaf line is no key of the file
@@ -267,7 +265,7 @@ def cmd_transport(ctx, args, rng):
                                      tp.transport_equation_residual(ctx.dtp, results)):
         check = Check("transport-equation", resid, tol)
         out[name] = {"integral_omega": res.integral_omega,
-                     "end_components": res.end.components,
+                     "end_components": res.components[-1],
                      "checks": [check.row()]}
         ok = ok and check.ok
     return {"curves": out}, ok
@@ -330,7 +328,7 @@ def cmd_intersections(ctx, args, rng):
     return {"count": report.count,
             "word_bound_used": report.word_bound_used,
             "lower_bound_only": report.lower_bound_only,
-            "witnesses": [[w1.coords, w2.coords] for w1, w2 in report.witnesses],
+            "witnesses": report.witnesses,
             "expected": ctx.expect.get("intersections")}, ok
 
 
@@ -439,9 +437,8 @@ def cmd_verify_all(ctx, args, rng):
     # (conservation of the metric square) along a leaf line: jobs of the oracle
     # batch below, which puts their rows here
     curve = _horizontal_curve(ctx)
-    jobs = [tp.TransportJob(curve, [_ones_normal(dtp, curve)], 1),
-            tp.TransportJob(curve, [TangentVector(CoordPoint(curve.point(0.0)),
-                                                  rng.normal(size=dtp.n))], None)]
+    jobs = [tp.TransportJob(curve, _ones_normal(dtp)[:, None], 1),
+            tp.TransportJob(curve, rng.normal(size=(dtp.n, 1)), None)]
     transport_rows = len(checks)
 
     # expected constant mixed curvature, on the sectional sweep's mixed planes
@@ -451,11 +448,8 @@ def cmd_verify_all(ctx, args, rng):
 
     # flat Lorentzian: lightlike curvature vanishes
     if ctx.expect.get("lightlike_zero"):
-        x = ctx.base()
-        xi = TangentVector(CoordPoint(x), dtp.embed(1, [1.0, 0.0]))
-        u = TangentVector(CoordPoint(x), np.array([-1.0, 1.0, 0.0]))
-        v = TangentVector(CoordPoint(x), dtp.embed(2, [1.0]))
-        val = abs(pg.lightlike_sectional_curvature(dtp.assembled, xi, u, v))
+        xi, u, v = dtp.embed(1, [1.0, 0.0]), [-1.0, 1.0, 0.0], dtp.embed(2, [1.0])
+        val = abs(pg.lightlike_sectional_curvature(dtp.assembled, ctx.base(), xi, u, v))
         checks.append(Check("lightlike-flat-zero", val, 1e-7))
 
     # quotient-model battery, up to the closed-form holonomy of the declared loops

@@ -9,10 +9,6 @@ class GeometryError(Exception):
     """Base class for geometric and numeric failures."""
 
 
-class BaseMismatch(GeometryError):
-    """Tangent vectors (or forms) based at different points were combined."""
-
-
 class NumericsError(GeometryError):
     """Non-finite samples, asymmetric metric matrices, or similar data defects."""
 

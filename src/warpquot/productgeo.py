@@ -23,12 +23,7 @@ from enum import Enum
 import numpy as np
 
 from . import chartkit as ck
-from .chartkit import (
-    MetricField,
-    ScalarField,
-    Signature,
-    TangentVector,
-)
+from .chartkit import MetricField, ScalarField, Signature
 from .errors import CaseMismatch, InvalidFrame, InvalidWarp, NormalizationError, NumericsError
 
 UNIT_TOL = 1e-9       # |g(u,u)| must equal 1 this tightly for closed forms
@@ -150,11 +145,11 @@ class DoublyTwistedProduct:
 
         return ScalarField(eval, exact_order=2, name=f"ln lam{i}")
 
-    def grad_warp(self, i: int, x) -> TangentVector:
-        """Product-metric gradient of lam_i."""
+    def grad_warp(self, i: int, x) -> np.ndarray:
+        """Product-metric gradient of lam_i at the point x (n,), (n,)."""
         return ck.gradient(self.warp(i), self.assembled, x)
 
-    def grad_log_warp(self, i: int, x) -> TangentVector:
+    def grad_log_warp(self, i: int, x) -> np.ndarray:
         return ck.gradient(self.log_warp(i), self.assembled, x)
 
 
@@ -466,8 +461,9 @@ def classify(dtp: DoublyTwistedProduct, per_axis: int = 4) -> StructureClass:
 # ---------------------------------------------------------------------------
 # sectional curvature (closed form)
 
-def sectional_curvature_closed_form(dtp: DoublyTwistedProduct, plane: tuple) -> float:
-    """Closed-form sectional curvature for factor-1, factor-2 or mixed planes.
+def sectional_curvature_closed_form(dtp: DoublyTwistedProduct, x, u, v) -> float:
+    """Closed-form sectional curvature of span(u, v), vectors (n,) at the
+    point x (n,), for factor-1, factor-2 or mixed planes.
 
     Inputs must be unitary and orthogonal (the operation refuses to normalize
     silently).  Factor planes:
@@ -486,12 +482,8 @@ def sectional_curvature_closed_form(dtp: DoublyTwistedProduct, plane: tuple) -> 
     from one ``point_geometry`` record.  This is the one-plane call of
     ``_sectional_closed_form``.
     """
-    u, v = plane
-    if not np.array_equal(u.base.coords, v.base.coords):
-        raise CaseMismatch("plane vectors must share a base point")
-    x = u.base.coords[None]
-    return float(_sectional_closed_form(dtp, point_geometry(dtp, x), x,
-                                        u.components[None], v.components[None])[0])
+    x, u, v = (ck._as_array(a, dtp.n)[None] for a in (x, u, v))
+    return float(_sectional_closed_form(dtp, point_geometry(dtp, x), x, u, v)[0])
 
 
 def _sectional_closed_form(dtp: DoublyTwistedProduct, geo: PointGeometry, x: np.ndarray,
@@ -586,32 +578,30 @@ def _sample_planes(dtp: DoublyTwistedProduct, rng, gm: np.ndarray, slots) -> tup
 # ---------------------------------------------------------------------------
 # lightlike sectional curvature
 
-def lightlike_sectional_curvature(g: MetricField, xi: TangentVector,
-                                  u: TangentVector, v: TangentVector) -> float:
-    """K_xi(span(u, v)) = g(R(v, u) u, v) / g(v, v) for a degenerate plane.
+def lightlike_sectional_curvature(g: MetricField, x, xi, u, v) -> float:
+    """K_xi(span(u, v)) = g(R(v, u) u, v) / g(v, v) for a degenerate plane,
+    the vectors xi, u, v (n,) at the point x (n,): every product from one
+    ``inner_product`` of the frame (xi, u, v, R(v, u) u), so g is read once.
 
     Requires g Lorentzian, g(xi,xi) = -1, g(u,u) = 0, g(u,xi) = 1 and
     g(v,v) != 0, each within UNIT_TOL; the value is invariant under rescaling v.
     """
     if g.signature.index != 1:
         raise InvalidFrame(f"metric index {g.signature.index} is not Lorentzian")
-    q_xi = ck.inner_product(g, xi, xi)
-    q_u = ck.inner_product(g, u, u)
-    q_uxi = ck.inner_product(g, u, xi)
+    x, xi, u, v = (ck._as_array(w, g.dim) for w in (x, xi, u, v))
+    frame = np.stack([xi, u, v, np.einsum("lijk,i,j,k->l", ck.riemann_numeric(g, x), v, u, u)],
+                     axis=1)
+    gram = ck.inner_product(g, x, frame, frame)
+    q_xi, q_u, q_uxi, q_v, g_rv = gram[[0, 1, 1, 2, 2], [0, 1, 0, 2, 3]].tolist()
     if abs(q_xi + 1.0) > UNIT_TOL:
         raise InvalidFrame(f"g(xi, xi) = {q_xi!r}, expected -1")
     if abs(q_u) > UNIT_TOL:
         raise InvalidFrame(f"g(u, u) = {q_u!r}, expected 0")
     if abs(q_uxi - 1.0) > UNIT_TOL:
         raise InvalidFrame(f"g(u, xi) = {q_uxi!r}, expected 1")
-    q_v = ck.inner_product(g, v, v)
     if abs(q_v) <= UNIT_TOL:
         raise InvalidFrame("g(v, v) must be nonzero")
-    coords = u.base.coords
-    riem = ck.riemann_numeric(g, coords)
-    rv = np.einsum("lijk,i,j,k->l", riem, v.components, u.components, u.components)
-    gm = g.mat(coords)
-    return float(v.components @ gm @ rv) / q_v
+    return g_rv / q_v
 
 
 # ---------------------------------------------------------------------------

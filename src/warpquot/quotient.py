@@ -72,7 +72,7 @@ import numpy as np
 from . import chartkit as ck
 from . import productgeo as pg
 from . import transport as tp
-from .chartkit import CoordPoint, ScalarField
+from .chartkit import ScalarField
 from .errors import (
     InvalidAction,
     InvalidH,
@@ -110,6 +110,8 @@ _NEWTON_STEPS = 30      # cap on teodg's Newton steps toward a critical point of
 
 
 def word_inverse(word: Word) -> Word:
+    """The inverse word: letters reversed, signs flipped.  Work cap: one pass
+    over the word."""
     return tuple((name, -sign) for name, sign in reversed(word))
 
 
@@ -159,13 +161,17 @@ class FactorMap:
 
     def __call__(self, x, sign: int = 1) -> np.ndarray:
         """The map (sign > 0) or its inverse at one point, (m,), or at each
-        row of a batch, (P, m)."""
+        row of a batch, (P, m).  Work cap: one callback call, whatever the
+        batch (a map's own iteration is its own: ``TwistedGluing.h_inverse``)."""
         fn = self.apply if sign > 0 else self.inverse
         x = np.asarray(x, dtype=float)
         return ck._call_batch(ck._call, x, fn, x.shape[-1:], "factor map")
 
     def jac(self, x, sign: int = 1) -> np.ndarray:
-        """Differential at one point, (m, m), or at each row of a batch, (P, m, m)."""
+        """Differential at one point, (m, m), or at each row of a batch, (P, m, m).
+        Work cap: the record's A, one ``jacobian`` call, or one map call on
+        the 2m central-difference points of every row (one more map call
+        first for the inverse's differential)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if self.record is not None:
             A = self.record[0 if sign > 0 else 1][0]
@@ -183,7 +189,8 @@ class FactorMap:
     def from_record(record) -> "FactorMap":
         """The affine map and declared inverse of ``record``, ((A, b),
         (A_inv, b_inv)); each product with a matrix is a fixed-order sum
-        (``_matmul``), so a point maps alike alone and in any batch."""
+        (``_matmul``), so a point maps alike alone and in any batch.  Work
+        cap: none is evaluated until the map is called."""
         (A, b), (A_inv, b_inv) = record
         return FactorMap(apply=lambda x: _matmul(A, x) + b[:, None],
                          inverse=lambda x: _matmul(A_inv, x) + b_inv[:, None],
@@ -191,7 +198,8 @@ class FactorMap:
 
     @staticmethod
     def affine(A, b) -> "FactorMap":
-        """x -> A x + b, with the inverse x -> A^-1 x - A^-1 b."""
+        """x -> A x + b, with the inverse x -> A^-1 x - A^-1 b.  Work cap: one
+        m x m inverse."""
         A = np.atleast_2d(np.asarray(A, dtype=float))
         b = np.atleast_1d(np.asarray(b, dtype=float))
         A_inv = np.linalg.inv(A)
@@ -199,6 +207,7 @@ class FactorMap:
 
     @staticmethod
     def translation(shift) -> "FactorMap":
+        """x -> x + shift (``affine`` with A = I, and its work cap)."""
         shift = np.atleast_1d(np.asarray(shift, dtype=float))
         return FactorMap.affine(np.eye(shift.shape[0]), shift)
 
@@ -272,7 +281,8 @@ class QuotientModel:
 
     def same_point(self, p, q):
         """Whether p and q are one point: max |p - q| <= ident_tol.  A bool
-        for one pair, a bool array over the broadcast leading axes of batches."""
+        for one pair, a bool array over the broadcast leading axes of batches.
+        Work cap: one comparison per pair."""
         gap = np.max(np.abs(np.asarray(p, dtype=float) - np.asarray(q, dtype=float)), axis=-1)
         return bool(gap <= self.ident_tol) if np.ndim(gap) == 0 else gap <= self.ident_tol
 
@@ -280,13 +290,17 @@ class QuotientModel:
     def in_box(self, x):
         """Half-open box membership, band-shifted by ident_tol so that points a
         roundoff below the lower edge still reduce canonically.  A bool for
-        one point, a bool array over the leading axes of a batch."""
+        one point, a bool array over the leading axes of a batch.  Work cap:
+        one comparison per point."""
         x = np.asarray(x, dtype=float)
         lo, hi = self.fundamental_box[:, 0], self.fundamental_box[:, 1]
         inside = np.all((x >= lo - self.ident_tol) & (x < hi - self.ident_tol), axis=-1)
         return bool(inside) if x.ndim == 1 else inside
 
     def apply_gen(self, gen: DeckGenerator, sign: int, x) -> np.ndarray:
+        """The generator (sign +1) or its inverse at one point or each row of
+        a batch.  Work cap: one record product, or one call of phi and one of
+        psi, whatever the batch."""
         x = np.asarray(x, dtype=float)
         if self._letters is not None:
             return self.apply_word(((gen.name, 1 if sign > 0 else -1),), x)
@@ -294,6 +308,8 @@ class QuotientModel:
         return np.concatenate([gen.phi(x[..., s1], sign), gen.psi(x[..., s2], sign)], axis=-1)
 
     def apply_word(self, word: Word, x) -> np.ndarray:
+        """The word's map at one point or each row of a batch.  Work cap: one
+        record product, or one ``apply_gen`` per letter."""
         x = np.asarray(x, dtype=float)
         if self._letters is not None:
             return _affine_map(*self._word_record(word), x)
@@ -302,6 +318,8 @@ class QuotientModel:
         return x
 
     def gen_jacobian(self, gen: DeckGenerator, sign: int, x) -> np.ndarray:
+        """Differential of the generator (sign +1) or its inverse at x.  Work
+        cap: the record's A, or one ``FactorMap.jac`` of phi and one of psi."""
         x = np.asarray(x, dtype=float)
         if self._letters is not None:
             return self.word_jacobian(((gen.name, 1 if sign > 0 else -1),), x)
@@ -313,7 +331,8 @@ class QuotientModel:
 
     def word_jacobian(self, word: Word, x) -> np.ndarray:
         """Differential of the word map at x (chain rule along the application;
-        the word's A exactly on an affine model)."""
+        the word's A exactly on an affine model).  Work cap: one record, or
+        one ``gen_jacobian`` and one ``apply_gen`` per letter."""
         x = np.asarray(x, dtype=float)
         if self._letters is not None:
             A = self._word_record(word)[0]
@@ -430,7 +449,9 @@ class QuotientModel:
 
         Idempotent: a point already in the box returns itself with the empty
         word.  Raises WordBoundExceeded when no word of length <= word_bound
-        reaches the box.
+        reaches the box.  Work cap: the word tree of the model's word bound,
+        at most WORD_TREE_CAP words (``enumerate_words``), walked level by
+        level (``_searches``, at most _SEARCH_POINTS images per batch).
         """
         hit = self._searches(np.asarray(x, dtype=float)[None], self.in_box, self.word_bound)[0]
         if hit is None:
@@ -440,7 +461,8 @@ class QuotientModel:
         return hit
 
     def find_closing_word(self, end, start) -> Word:
-        """Shortest word (at most word_bound letters) taking end to start."""
+        """Shortest word (at most word_bound letters) taking end to start.
+        Work cap: ``canonical_rep``'s, the word tree of the model's word bound."""
         hit = self._searches(np.asarray(end, dtype=float)[None],
                              lambda q: self.same_point(q, start), self.word_bound)[0]
         if hit is None:
@@ -461,8 +483,10 @@ class QuotientModel:
         before it.  Each level moves the probes by every candidate child at
         once: by the children's records, each its parent's composed with its
         last letter's, on an affine model; otherwise by one apply_gen call
-        per (generator, sign) on the parents' probe images.  A level that
-        would take the list past WORD_TREE_CAP words raises InvalidAction.
+        per (generator, sign) on the parents' probe images.  Work cap:
+        max_len levels, and WORD_TREE_CAP words: a level that would take the
+        list past it raises InvalidAction.  The tree is kept, so a later call
+        at the same or a smaller bound searches nothing.
         """
         lo, hi = self.fundamental_box[:, 0], self.fundamental_box[:, 1]
         near = np.clip(0.0, lo, hi)
@@ -568,6 +592,7 @@ class ValidationReport:
     words_truncated: int = 0     # enumerated words left out by VALIDATE_WORD_CAP
 
     def worst(self) -> float:
+        """The largest residual.  Work cap: one pass over the residuals."""
         return max(self.residuals.values(), default=0.0)
 
 
@@ -588,6 +613,9 @@ def validate(model: QuotientModel) -> ValidationReport:
     VALIDATE_WORD_CAP of them) may move an interior grid point into the box, a
     fundamental domain.  Each check runs on its whole grid at once; a failure
     names the first failing grid point.  A sampled necessary condition only.
+    Work cap: grids of VALIDATE_PER_AXIS points per axis, and the word tree of
+    the model's word bound (at most WORD_TREE_CAP words), of which at most
+    VALIDATE_WORD_CAP move the interior grid.
     """
     dtp = model.dtp
     res: dict[str, float] = _check_inverses(model)
@@ -698,6 +726,7 @@ class LeafTrace:
 
     @property
     def closed(self) -> bool:
+        """Whether the trace closed.  Work cap: it reads ``status``."""
         return self.status == "closed"
 
 
@@ -733,7 +762,10 @@ def leaf_trace(model: QuotientModel, x0, foliation: int, arc_budget: float = 8.0
     only that factor: its warp, its metric and its deck maps (see
     ``_trace``).  No count or verdict calls it: it is the oracle for "a leaf
     closes iff ``leaf_loops`` finds a closing word", for verify-all's leaf
-    rows and the tests.
+    rows and the tests.  Work cap: ``arc_budget``, in metric arc length; the
+    trace takes steps of _TRACE_STEP in the factor coordinate, _TRACE_CHUNK
+    at a time, so its step count is the budget over the step's metric length,
+    and each box exit reduces by ``canonical_rep`` (the model's word bound).
     """
     dtp = model.dtp
     if dtp.factor(foliation).dim != 1:
@@ -840,7 +872,7 @@ def _closing_step(model: QuotientModel, x0, reps, speeds, arcs, direction, armed
 @dataclass
 class IntersectionReport:
     count: int
-    witnesses: list              # ((a, b0) rep on leaf 1, (a0, b') rep on leaf 2) pairs
+    witnesses: list              # ((a, b0) on leaf 1, (a0, b') on leaf 2) pairs of (n,) points
     word_bound_used: int
     # True when a foliation has no closing word within the bound (an open
     # leaf, or one closing only beyond it): the count is then a lower bound
@@ -880,7 +912,11 @@ def leaf_intersection_count(model: QuotientModel, x0,
     that is when each foliation has a closing word within the bound
     (``leaf_loops``); otherwise it carries the lower-bound flag.  Both
     factors must be one-dimensional (InvalidAction otherwise): there a
-    non-trivial stabilizer of a free action is exactly a closed leaf.
+    non-trivial stabilizer of a free action is exactly a closed leaf.  Work
+    cap: the word tree at the word bound (at most WORD_TREE_CAP words), one
+    candidate per word, each reduced by a search of at most the larger of the
+    model's and the given word bound (``_searches``, _SEARCH_POINTS images
+    per batch); the kept witnesses are moved by every word once.
     """
     _check_inverses(model)
     _require_line_factors(model.dtp)
@@ -919,7 +955,7 @@ def _intersections(model: QuotientModel, rep0: np.ndarray, loops: dict,
     for k in (rows[i] for i in kept):
         on_leaf1 = model.apply_word(word_inverse(words[k]), rep0)
         on_leaf1[dtp.slot2] = rep0[dtp.slot2]            # on M1 x {b0}
-        witnesses.append((CoordPoint(on_leaf1), CoordPoint(cands[k].copy())))
+        witnesses.append((on_leaf1, cands[k].copy()))
     _check_distinct(model, [pool[i] for i in kept], wb)
     return IntersectionReport(len(witnesses), witnesses, wb, lower_bound_only)
 
@@ -944,7 +980,8 @@ def leaf_loop_curve(model: QuotientModel, rep0, foliation: int, word: Word) -> t
     """Straight leaf path upstairs from rep0 to word(rep0).
 
     The word must fix the other factor's coordinates of rep0 (it closes a
-    loop of F_foliation downstairs); otherwise NotALoop.
+    loop of F_foliation downstairs); otherwise NotALoop.  Work cap: one
+    ``apply_word``.
     """
     rep0 = np.asarray(rep0, dtype=float)
     return tp.PiecewiseCurve.line(rep0, _loop_ends(model, rep0, foliation, [word])[0])
@@ -974,7 +1011,8 @@ def loop_holonomies(model: QuotientModel, rep0, foliation: int, words: Sequence[
     block of the differential of word^-1 at word(rep0).  The adapted translation
     of F around ``leaf_loop_curve`` (``transport.transport_batch``), read by
     ``transport.loop_return_map``, computes the same matrix by collocation and
-    is its oracle.
+    is its oracle.  Work cap: one ``apply_word`` and one ``word_jacobian`` per
+    word of ``words``; no search.
     """
     _check_inverses(model)
     rep0 = np.asarray(rep0, dtype=float)
@@ -983,18 +1021,18 @@ def loop_holonomies(model: QuotientModel, rep0, foliation: int, words: Sequence[
     ends = _loop_ends(model, rep0, foliation, words)
     other = dtp.slot(3 - foliation)
     frame = tp.normal_frame(dtp, rep0, foliation=foliation)
-    fmat = np.stack([f.components[other] for f in frame], axis=1)
+    fmat = frame[other]
     jac = np.stack([model.word_jacobian(word_inverse(w), end)
                     for w, end in zip(words, ends)])[:, other, other]
-    return [tp.HolonomyMap(CoordPoint(rep0), m, frame)
-            for m in np.linalg.solve(fmat, jac @ fmat)]
+    return [tp.HolonomyMap(m, frame) for m in np.linalg.solve(fmat, jac @ fmat)]
 
 
 def leaf_loops(model: QuotientModel, rep0, max_len: Optional[int] = None) -> dict:
     """Every non-empty word of at most max_len letters (the model's word
     bound by default) that closes a leaf loop at rep0, per foliation:
     {1: words w with psi_w(b0) = b0, 2: words with phi_w(a0) = a0}, in
-    ``enumerate_words`` order, decided by ``same_point``."""
+    ``enumerate_words`` order, decided by ``same_point``.  Work cap: the word
+    tree at max_len (at most WORD_TREE_CAP words), rep0 moved by each once."""
     rep0 = np.asarray(rep0, dtype=float)
     wb = model.word_bound if max_len is None else max_len
     words = model._tree(wb).words[1:]
@@ -1026,7 +1064,11 @@ def decomposition_check(model: QuotientModel, x0, loops: dict,
     the leaves meet exactly once (``leaf_intersection_count``, from the deck
     group alone).  A count of 1 with a leaf that has no closing word within
     word_bound is only a lower bound, and the verdict is refused with
-    InvalidAction.
+    InvalidAction.  Work cap: ``canonical_rep`` at the model's word bound,
+    then ``leaf_loops`` and the intersection count at word_bound (each the
+    word tree, at most WORD_TREE_CAP words), with one ``loop_holonomies``
+    call per declared loop and one per foliation for the derived loops; the
+    first non-identity holonomy ends the check.
     """
     _check_inverses(model)
     tag = (structure or pg.classify(model.dtp)).tag
@@ -1106,9 +1148,11 @@ class TwistedGluing:
     center: float = 1.0
 
     def h(self, y):
+        """h(y) = y + amplitude * bump(y - center).  Work cap: elementwise, no iteration."""
         return self._h_and_prime(y)[0]
 
     def h_prime(self, y):
+        """h'(y).  Work cap: elementwise, no iteration."""
         return self._h_and_prime(y)[1]
 
     def _h_and_prime(self, y):
@@ -1117,7 +1161,7 @@ class TwistedGluing:
 
     def h_inverse(self, z):
         """Newton's method for h(y) = z from y = z, per element: an element
-        stops once its step is below 1e-15, and none takes over 100 steps."""
+        stops once its step is below 1e-15.  Work cap: 100 steps per element."""
         z = np.asarray(z, dtype=float)
         y = z.flatten()
         todo, yt, zt = np.arange(y.size), y.copy(), y.copy()  # the elements still moving
@@ -1135,7 +1179,8 @@ class TwistedGluing:
         return y.reshape(z.shape)[()]
 
     def check_monotone(self):
-        """min h' on 401 points across the bump; raises InvalidH unless positive."""
+        """min h' on 401 points across the bump (its work cap); raises InvalidH
+        unless positive."""
         grid = np.linspace(self.center - 1.5, self.center + 1.5, 401)
         worst = float(np.min(self.h_prime(grid)))
         if worst <= 0.0:
@@ -1154,7 +1199,9 @@ def build_example1(epsilon: float = 0.25, gluing: Optional[TwistedGluing] = None
     lam(x, y) = lam(x - 1, h(y)) h'(y), which makes the generator an isometry.
     The leaf of the first foliation through y = 0 closes; leaves in the bump
     region drift monotonically and never close.  The y factor's box is
-    [-1, 3].
+    [-1, 3].  Work cap: the warp walks at most GLUING_LEVELS levels of
+    floor(x) per point (farther points are refused), each level one h or one
+    ``TwistedGluing.h_inverse``.
     """
     if not (0.0 < epsilon < 0.5):
         raise InvalidH(f"epsilon must lie in (0, 1/2), got {epsilon}")
@@ -1204,7 +1251,8 @@ def build_example1(epsilon: float = 0.25, gluing: Optional[TwistedGluing] = None
 
 
 def example1_seam_residual(model: QuotientModel) -> float:
-    """max |lam(x, y) - lam(x - 1, h(y)) h'(y)| across the x = 1 seam at 25 samples."""
+    """max |lam(x, y) - lam(x - 1, h(y)) h'(y)| across the x = 1 seam at 25
+    samples (its work cap)."""
     glue = model.gluing
     rng = np.random.default_rng(2024)
     # the draws alternate x, y per sample
@@ -1261,6 +1309,9 @@ def teodg_diagnostic(dtp: pg.DoublyTwistedProduct, n_samples: int = 60,
     of lam2 are read: on the FD route a gradient evaluates each point and its
     +-e_k neighbours for k in slot 1, and a hessian the point, its +-e_k
     neighbours and the four corners of each pair of slot-1 axes.
+
+    Work cap: n_samples points with at most 60 plane draws each, the
+    9-per-axis grid, and _NEWTON_STEPS Newton steps from its 5 best points.
     """
     cls = structure or pg.classify(dtp)
     if cls.tag in (pg.StructureTag.TWISTED, pg.StructureTag.DOUBLY_TWISTED):

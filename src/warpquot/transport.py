@@ -54,9 +54,8 @@ import numpy as np
 
 from . import chartkit as ck
 from . import productgeo as pg
-from .chartkit import CoordPoint, MetricField, TangentVector
+from .chartkit import MetricField
 from .errors import (
-    BaseMismatch,
     GeometryError,
     IntegrationError,
     NotALoop,
@@ -244,18 +243,14 @@ class TransportResult:
     integrals: Optional[np.ndarray] = None  # adapted translation: I(t) at each sample
     velocities: Optional[np.ndarray] = None  # closed form: the curve velocity at the samples
 
-    @property
-    def end(self) -> TangentVector:
-        return TangentVector(CoordPoint(self.points[-1]), self.components[-1])
-
 
 @dataclass
 class HolonomyMap:
-    """Linear return map on a leaf's normal space, in a declared frame basis."""
+    """Linear return map on a leaf's normal space, in the basis of ``frame``
+    (n, k), one column per normal vector at the loop's basepoint."""
 
-    basepoint: CoordPoint
     matrix: np.ndarray
-    frame: list
+    frame: np.ndarray
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
@@ -281,13 +276,14 @@ MAX_DOUBLINGS = 7  # at most 2**7 steps per grid interval
 
 @dataclass
 class TransportJob:
-    """One transport of ``transport_batch``: the frame's vectors, all based at
-    curve(0), carried along the curve.  ``foliation`` None is parallel
-    transport; 1 or 2 is adapted translation in a leaf of F_foliation, which
-    the curve must not leave, of vectors normal to that leaf."""
+    """One transport of ``transport_batch``: the frame (n, k), one column
+    per vector at curve(0), carried along the curve.  ``foliation`` None is
+    parallel transport; 1 or 2 is adapted translation in a leaf of
+    F_foliation, which the curve must not leave, of vectors normal to that
+    leaf."""
 
     curve: PiecewiseCurve
-    frame: Sequence[TangentVector]
+    frame: np.ndarray
     foliation: Optional[int]
 
 
@@ -422,15 +418,14 @@ def _integrate(g: MetricField, dtp,
     return out
 
 
-def _transport_grid(curve: PiecewiseCurve, frame: Sequence[TangentVector],
+def _transport_grid(curve: PiecewiseCurve, frame: np.ndarray,
                     leaf=None) -> tuple[np.ndarray, np.ndarray]:
-    """Sample times of a transport of the frame's vectors along the curve and
-    the curve there, after its input guards.
+    """Sample times of a transport of the frame (n, k) at curve(0) along the
+    curve and the curve there, after its input guards.
 
     ``leaf`` = (dtp, foliation): the curve velocity must have no normal
     (factor 3 - foliation) components at 33 sample times (``NotInLeaf``)
-    and every vector must be normal (``ValueError``).  Every vector must be
-    based at curve(0) (``BaseMismatch``).  The times are
+    and every vector must be normal (``ValueError``).  The times are
     SAMPLES_PER_SEGMENT per segment, breaks shared.  The probe and the
     samples are the curve's own (``PiecewiseCurve._probe``, ``_samples``):
     every transport along one curve reads the same two evaluations, and
@@ -443,21 +438,19 @@ def _transport_grid(curve: PiecewiseCurve, frame: Sequence[TangentVector],
         if np.any(drift > LEAF_VELOCITY_TOL):
             raise NotInLeaf(f"curve velocity has factor-{3 - foliation} components "
                             f"at t = {probe[np.argmax(drift > LEAF_VELOCITY_TOL)]}")
-        if any(np.max(np.abs(v.components[dtp.slot(foliation)])) > 1e-12 for v in frame):
+        if np.any(np.abs(frame[dtp.slot(foliation)]) > 1e-12):
             raise ValueError("v0 must lie in the normal (other-factor) slots")
-    ts, pts = curve._samples
-    if any(np.max(np.abs(v.base.coords - pts[0])) > 1e-9 for v in frame):
-        raise BaseMismatch("v0 must be based at curve(0)")
-    return ts, pts
+    return curve._samples
 
 
 def transport_batch(space, jobs: Sequence[TransportJob]) -> list[TransportResult]:
     """The frames of all jobs carried along their curves, in one integration.
 
     ``space`` is the metric, or a ``DoublyTwistedProduct`` (its assembled
-    metric), which jobs with a foliation need.  Each job passes the input
-    guards of ``_transport_grid`` and is sampled at its times; ``_integrate``
-    then solves all jobs together, each bit-identical to its batch of one.
+    metric), which jobs with a foliation need.  Each job's frame is checked
+    (``chartkit._frame``), passes the input guards of ``_transport_grid``
+    and is sampled at its times; ``_integrate`` then solves all jobs
+    together, each bit-identical to its batch of one.
 
     A result's components are (S, n, k), one column per frame vector.
     Parallel transport gives W, with I = 0.  Adapted translation in a leaf
@@ -466,25 +459,23 @@ def transport_batch(space, jobs: Sequence[TransportJob]) -> list[TransportResult
     omega_{3 - foliation}(gamma') (Ponge & Reckziegel 1993; the oracle of
     ``adapted_translation_closed_form``).  ``tol_achieved`` is the worst
     residual of the law the transport keeps, from one batched ``g.mat``
-    over every job's base and samples: |g(W, W) - g(v0, v0)| for parallel
+    over every job's samples: |g(W, W) - g(v0, v0)| for parallel
     transport, | |A| - |v0| exp(-I) | for adapted translation.
     """
     dtp = space if isinstance(space, pg.DoublyTwistedProduct) else None
     g = space if dtp is None else dtp.assembled
     if dtp is None and any(job.foliation is not None for job in jobs):
         raise ValueError("adapted translation needs a DoublyTwistedProduct")
-    grids = [_transport_grid(job.curve, job.frame,
-                             None if job.foliation is None else (dtp, job.foliation))
-             for job in jobs]
-    y0s = [np.stack([v.components for v in job.frame], axis=1) for job in jobs]
+    y0s = [ck._frame(job.frame, g.dim) for job in jobs]
+    grids = [_transport_grid(job.curve, y0, None if job.foliation is None else (dtp, job.foliation))
+             for job, y0 in zip(jobs, y0s)]
     solved = _integrate(g, dtp, [(job.curve, y0, job.foliation) for job, y0 in zip(jobs, y0s)])
-    gm = g.mat(np.vstack([[job.frame[0].base.coords for job in jobs],
-                          *(pts for _, pts in grids)]))
-    out, first = [], len(jobs)
-    for j, (job, y0, (ts, pts), (Ys, Is)) in enumerate(zip(jobs, y0s, grids, solved)):
+    gm = g.mat(np.vstack([pts for _, pts in grids]))
+    out, first = [], 0
+    for job, y0, (ts, pts), (Ys, Is) in zip(jobs, y0s, grids, solved):
         if job.foliation is not None:
             Ys = np.exp(-Is)[:, None, None] * Ys
-        q0 = np.einsum("ic,ij,jc->c", y0, gm[j], y0)
+        q0 = np.einsum("ic,ij,jc->c", y0, gm[first], y0)
         q = np.einsum("sic,sij,sjc->sc", Ys, gm[first:first + len(ts)], Ys)
         first += len(ts)
         if job.foliation is None:
@@ -496,8 +487,9 @@ def transport_batch(space, jobs: Sequence[TransportJob]) -> list[TransportResult
 
 
 def adapted_translation_closed_form(dtp: pg.DoublyTwistedProduct, curve: PiecewiseCurve,
-                                    v0: TangentVector, foliation: int = 1) -> TransportResult:
-    """Adapted translation without integration: A(t) = v0 in product coordinates.
+                                    v0, foliation: int = 1) -> TransportResult:
+    """Adapted translation without integration: A(t) = v0 in product
+    coordinates, v0 (n,) a vector at curve(0).
 
     Take a curve in a leaf of F_1 and write lam for lam2.  For i in slot 1
     and j, k in slot 2 the product connection has
@@ -515,9 +507,10 @@ def adapted_translation_closed_form(dtp: pg.DoublyTwistedProduct, curve: Piecewi
     ``transport_equation_residual``.  Nothing is integrated, so
     ``tol_achieved`` is 0.
     """
-    ts, pts = _transport_grid(curve, [v0], leaf=(dtp, foliation))
+    v0 = ck._as_array(v0, dtp.n)
+    ts, pts = _transport_grid(curve, v0[:, None], leaf=(dtp, foliation))
     Is = _leaf_integral(dtp, foliation, pts[:1], pts, 0)
-    return TransportResult(ts, pts, np.tile(v0.components, (len(ts), 1)), float(Is[-1]), 0.0, Is,
+    return TransportResult(ts, pts, np.tile(v0, (len(ts), 1)), float(Is[-1]), 0.0, Is,
                            curve.velocity(ts))
 
 
@@ -564,17 +557,10 @@ def transport_equation_residual(dtp: pg.DoublyTwistedProduct, results: Sequence[
 # ---------------------------------------------------------------------------
 # holonomy
 
-def normal_frame(dtp: pg.DoublyTwistedProduct, x, foliation: int = 1) -> list[TangentVector]:
-    """g-orthonormal frame of the normal space of the F_foliation leaf at x."""
-    coords = x.coords if isinstance(x, CoordPoint) else np.asarray(x, dtype=float)
-    pt = CoordPoint(coords)
-    other = dtp.slot(3 - foliation)
-    basis = []
-    for j in range(other.start, other.stop):
-        e = np.zeros(dtp.n)
-        e[j] = 1.0
-        basis.append(TangentVector(pt, e))
-    return ck.gram_schmidt(dtp.assembled, coords, basis)
+def normal_frame(dtp: pg.DoublyTwistedProduct, x, foliation: int = 1) -> np.ndarray:
+    """g-orthonormal frame (n, k) of the normal space of the F_foliation leaf
+    at the point x (n,), k the dimension of the other factor."""
+    return ck.gram_schmidt(dtp.assembled, x, np.eye(dtp.n)[:, dtp.slot(3 - foliation)])
 
 
 def loop_return_map(model, job: TransportJob, res: TransportResult,
@@ -602,8 +588,6 @@ def loop_return_map(model, job: TransportJob, res: TransportResult,
     if res.tol_achieved > 1e-6:
         raise IntegrationError(
             f"adapted-translation norm law residual {res.tol_achieved:.3e} > tol {1e-6:.3e}")
-    normal_slot = dtp.slot(3 - job.foliation)
-    fmat = np.stack([f.components[normal_slot] for f in job.frame], axis=1)
-    return HolonomyMap(CoordPoint(base),
-                       np.linalg.solve(fmat, (jac @ res.components[-1])[normal_slot]),
-                       list(job.frame))
+    frame, normal_slot = ck._frame(job.frame, dtp.n), dtp.slot(3 - job.foliation)
+    return HolonomyMap(np.linalg.solve(frame[normal_slot], (jac @ res.components[-1])[normal_slot]),
+                       frame)

@@ -15,16 +15,11 @@ from warpquot import productgeo as pg
 from warpquot import quotient as qt
 from warpquot import scenario as sc
 from warpquot import transport as tp
-from warpquot.chartkit import CoordPoint, TangentVector
 
 from random_products import random_twisted
 from transport_jobs import carry, holonomy
 # the sign-flipped closed forms of the connection-row negative controls
 from test_closed_form_connection import _flip_metric_term, _flip_mixed, _patch_gamma
-
-
-def tv(x, comps):
-    return TangentVector(CoordPoint(x), comps)
 
 
 def _report(num, title, detail, ok):
@@ -159,7 +154,7 @@ def test_criterion_4_adapted_translation(roster):
         end[dtp.slot1] = (0.25 * box[:, 0] + 0.75 * box[:, 1])[dtp.slot1]
         curve = tp.PiecewiseCurve.line(start, end)
         vb = rng.normal(size=dtp.n2)
-        res = carry(dtp, curve, tv(start, dtp.embed(2, vb)), 1, tol=1e-6)
+        res = carry(dtp, curve, dtp.embed(2, vb), 1, tol=1e-6)
         worst_const = max(worst_const, float(np.max(np.abs(res.components[:, dtp.slot2] - vb))))
         worst_norm = max(worst_norm, res.tol_achieved)
     _report(4, "adapted translation (component constancy + norm law)",
@@ -204,7 +199,7 @@ def test_criterion_6_intersection_counts():
     witness_reps = []
     model = fx.skewed_torus_model()
     for w1, _ in skew.witnesses:
-        witness_reps.append(tuple(np.round(model.canonical_rep(w1.coords)[0], 9)))
+        witness_reps.append(tuple(np.round(model.canonical_rep(w1)[0], 9)))
     distinct = len(set(witness_reps)) == 2
     _report(6, "leaf intersection counting (word bound 4)",
             f"skewed-torus {skew.count} (want 2, distinct witnesses {distinct}), "
@@ -256,10 +251,8 @@ def test_criterion_10_submersion_formulas(roster):
     for g in (ck.MetricField.constant(np.diag([-1.0, 1.0, 1.0])),
               fx.lorentz_direct().assembled):
         x = [0.1, -0.2, 0.3]
-        xi = tv(x, [1.0, 0.0, 0.0])
-        u = tv(x, [-1.0, 1.0, 0.0])
-        v = tv(x, [0.0, 0.0, 1.0])
-        flat_vals.append(abs(pg.lightlike_sectional_curvature(g, xi, u, v)))
+        xi, u, v = [1.0, 0.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]
+        flat_vals.append(abs(pg.lightlike_sectional_curvature(g, x, xi, u, v)))
     flat_worst = max(flat_vals)
 
     # curved warped Lorentzian fibers: A = 0, so K_xi of mixed degenerate
@@ -269,11 +262,11 @@ def test_criterion_10_submersion_formulas(roster):
     for xv in (-0.5, 0.2, 0.6):
         x = np.array([xv, 0.1, -0.3])
         lam = dtp.warp_value(2, x)
-        xi = tv(x, [0.0, 1.0 / lam, 0.0])
-        u = tv(x, [0.0, -1.0 / lam, 1.0 / lam])
-        v = tv(x, [1.0, 0.0, 0.0])
+        xi = [0.0, 1.0 / lam, 0.0]
+        u = [0.0, -1.0 / lam, 1.0 / lam]
+        v = [1.0, 0.0, 0.0]
         curved_worst = max(curved_worst,
-                           abs(pg.lightlike_sectional_curvature(dtp.assembled, xi, u, v)))
+                           abs(pg.lightlike_sectional_curvature(dtp.assembled, x, xi, u, v)))
     _report(10, "submersion T tensor and lightlike curvature",
             f"T closed-vs-definitional {worst_t:.2e} (tol 1e-05); flat lightlike {flat_worst:.2e} "
             f"(tol 1e-07); curved mixed degenerate {curved_worst:.2e} (tol 1e-05)",

@@ -139,13 +139,13 @@ def test_each_witness_pair_is_identified_by_a_tree_word(name):
             report = qt.leaf_intersection_count(model, x0)
             assert report.count >= 1
             for p1, p2 in report.witnesses:
-                assert any(model.same_point(model.apply_word(w, p1.coords), p2.coords)
+                assert any(model.same_point(model.apply_word(w, p1), p2)
                            for w in words)
             reports.append(report)
         assert reports[0].count == reports[1].count
         for pair, level_pair in zip(reports[0].witnesses, reports[1].witnesses):
             for p, q in zip(pair, level_pair):
-                np.testing.assert_allclose(p.coords, q.coords, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(p, q, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from warpquot import fixtures as fx
 from warpquot import productgeo as pg
 from warpquot import quotient as qt
 from warpquot import scenario as sc
-from warpquot.chartkit import CoordPoint, TangentVector
 
 BUILTINS = sc.list_scenarios()
 RANDOM_SEEDS = (0, 3, 11)
@@ -186,14 +185,13 @@ def test_closed_forms_evaluate_the_product_metric_once(monkeypatch, strip):
     dtp = fx.random_doubly_twisted(4)
     dtp = fx.strip_analytic(dtp) if strip else dtp
     x = sample_points(dtp, 1, seed=5)[0]
-    pt = CoordPoint(x)
-    planes = [ck.gram_schmidt(dtp.assembled, x, [TangentVector(pt, dtp.embed(i, [1.0, 0.3])),
-                                                 TangentVector(pt, dtp.embed(j, [-0.2, 1.0]))])
+    planes = [ck.gram_schmidt(dtp.assembled, x, np.stack([dtp.embed(i, [1.0, 0.3]),
+                                                          dtp.embed(j, [-0.2, 1.0])], axis=1)).T
               for i, j in ((1, 1), (2, 2), (1, 2))]
     state = _count_calls_on(monkeypatch, dtp.assembled)
     for plane in planes:
         state["mat"] = 0
-        pg.sectional_curvature_closed_form(dtp, plane)
+        pg.sectional_curvature_closed_form(dtp, x, *plane)
         assert state["mat"] <= 1
     for pts in (x, sample_points(dtp, 5, seed=5)):  # one point_geometry, one or many points
         state["mat"] = 0
@@ -304,7 +302,7 @@ def test_verify_all_reads_its_christoffel_points_from_one_record(monkeypatch):
         return geometry(dtp, x)
 
     def mean_curvature_form(dtp, x, i):
-        seen["form"].append(x.coords if isinstance(x, CoordPoint) else np.array(x, dtype=float))
+        seen["form"].append(np.array(x, dtype=float))
         return form(dtp, x, i)
 
     monkeypatch.setattr(cli, "_christoffel_residuals", christoffel_residuals)
@@ -355,8 +353,8 @@ def test_batched_sectional_kernels_equal_the_per_plane_calls():
         kn = ck._sectional_curvature(gm, riem, U, V, pts)
         assert np.max(np.abs(kc - kn)) < 1e-12
         for p, x in enumerate(pts):
-            u, v = TangentVector(CoordPoint(x), U[p]), TangentVector(CoordPoint(x), V[p])
-            assert kc[p] == pytest.approx(pg.sectional_curvature_closed_form(dtp, (u, v)),
+            u, v = U[p], V[p]
+            assert kc[p] == pytest.approx(pg.sectional_curvature_closed_form(dtp, x, u, v),
                                           abs=1e-12)
             assert kn[p] == pytest.approx(ck.sectional_curvature_numeric(dtp.assembled, x, u, v),
                                           abs=1e-12)
@@ -412,8 +410,7 @@ def test_a_case_without_a_plane_gives_no_row_after_60_tries():
 def test_sectional_oracle_reads_the_metric_twice(monkeypatch):
     g = fx.random_doubly_twisted(4).assembled
     x = 0.5 * (g.domain_box[:, 0] + g.domain_box[:, 1])
-    u, v = ck.gram_schmidt(g, x, [TangentVector(CoordPoint(x), [1.0, 0.2, 0.0, 0.3]),
-                                  TangentVector(CoordPoint(x), [0.0, 1.0, 0.5, 0.0])])
+    u, v = ck.gram_schmidt(g, x, np.array([[1.0, 0.2, 0.0, 0.3], [0.0, 1.0, 0.5, 0.0]]).T).T
     state = _count_calls_on(monkeypatch, g)
     ck.sectional_curvature_numeric(g, x, u, v)
     assert state["mat"] == 2  # the plane's products, and the Riemann tensor's own

@@ -20,7 +20,6 @@ from warpquot import cli
 from warpquot import fixtures as fx
 from warpquot import productgeo as pg
 from warpquot import transport as tp
-from warpquot.chartkit import CoordPoint, TangentVector
 from warpquot.errors import IntegrationError, NumericsError
 from warpquot.scenario import list_scenarios, resolve_scenario
 from transport_jobs import carry
@@ -95,10 +94,9 @@ CASES = list(cases())
 @pytest.mark.parametrize("label, dtp, curve", CASES, ids=[c[0] for c in CASES])
 def test_collocation_matches_tight_rk45(label, dtp, curve):
     rng = np.random.default_rng(7)
-    start = CoordPoint(curve.point(0.0))
     g = dtp.assembled
-    v0 = TangentVector(start, rng.normal(size=dtp.n))
-    n0 = TangentVector(start, dtp.embed(2, rng.normal(size=dtp.n2)))
+    v0 = rng.normal(size=dtp.n)
+    n0 = dtp.embed(2, rng.normal(size=dtp.n2))
     parallel = carry(g, curve, v0, tol=1e-6)
     adapted = carry(dtp, curve, n0, 1)
     ts = parallel.ts
@@ -108,7 +106,7 @@ def test_collocation_matches_tight_rk45(label, dtp, curve):
     keep = np.ones((dtp.n, 2), dtype=bool)
     keep[:, 1] = False
     keep[dtp.slot2, 1] = True
-    ref, ref_I = rk45(g, curve, np.stack([v0.components, n0.components], axis=1), ts,
+    ref, ref_I = rk45(g, curve, np.stack([v0, n0], axis=1), ts,
                       omega=lambda pts: pg.mean_curvature_form(dtp, pts, 2), keep=keep)
     for res, want in ((parallel, ref[:, :, 0]),
                       (adapted, np.exp(-ref_I)[:, None] * ref[:, :, 1])):
@@ -142,7 +140,7 @@ def test_one_batched_christoffel_call_per_doubling_pass(monkeypatch):
         curve = cli._horizontal_curve(ctx)
         batches.clear()
         passes.clear()
-        carry(ctx.dtp, curve, cli._ones_normal(ctx.dtp, curve), 1)
+        carry(ctx.dtp, curve, cli._ones_normal(ctx.dtp), 1)
         assert batches == [(nodes, ctx.dtp.n) for _, nodes in passes], name
         levels[name] = [steps for steps, _ in passes]
     # step doubling compares two passes at least: the first comparison, 1 and
@@ -154,7 +152,7 @@ def test_one_batched_christoffel_call_per_doubling_pass(monkeypatch):
 def test_doubling_cap_raises_integration_error(monkeypatch):
     ctx = resolve_scenario("example1-twisted")
     curve = cli._horizontal_curve(ctx)
-    v0 = cli._ones_normal(ctx.dtp, curve)
+    v0 = cli._ones_normal(ctx.dtp)
     carry(ctx.dtp, curve, v0, 1)  # settles under the default cap
     monkeypatch.setattr(tp, "MAX_DOUBLINGS", 1)
     with pytest.raises(IntegrationError, match="MAX_DOUBLINGS = 1"):
@@ -171,14 +169,14 @@ def _example1_jobs():
     ctx = resolve_scenario("example1-twisted")
     dtp = ctx.dtp
     curve = cli._horizontal_curve(ctx)
-    start = CoordPoint(curve.point(0.0))
+    start = curve.point(0.0)
     rng = np.random.default_rng(3)
-    vertical = tp.PiecewiseCurve.line(start.coords, start.coords + dtp.embed(2, [0.4]))
+    vertical = tp.PiecewiseCurve.line(start, start + dtp.embed(2, [0.4]))
     return dtp, [
-        tp.TransportJob(curve, [cli._ones_normal(dtp, curve)], 1),
-        tp.TransportJob(curve, [TangentVector(start, rng.normal(size=dtp.n))], None),
-        tp.TransportJob(curve, [TangentVector(start, e) for e in np.eye(dtp.n)], None),
-        tp.TransportJob(vertical, [TangentVector(start, dtp.embed(1, [0.7]))], 2),
+        tp.TransportJob(curve, cli._ones_normal(dtp)[:, None], 1),
+        tp.TransportJob(curve, rng.normal(size=(dtp.n, 1)), None),
+        tp.TransportJob(curve, np.eye(dtp.n), None),
+        tp.TransportJob(vertical, dtp.embed(1, [0.7])[:, None], 2),
     ]
 
 
@@ -205,7 +203,7 @@ def test_each_job_of_a_mixed_batch_equals_its_batch_of_one(monkeypatch):
     alone = [tp.transport_batch(dtp, [job])[0] for job in jobs]
     together = tp.transport_batch(dtp, jobs)
     for job, one, mixed in zip(jobs, alone, together):
-        assert mixed.components.shape == (len(mixed.ts), dtp.n, len(job.frame))
+        assert mixed.components.shape == (len(mixed.ts),) + job.frame.shape
         for field in ("ts", "points", "components", "integrals"):
             assert np.array_equal(getattr(one, field), getattr(mixed, field)), field
         assert (one.integral_omega, one.tol_achieved) == (mixed.integral_omega,
@@ -298,7 +296,7 @@ def test_a_failing_node_is_named_as_by_the_passes_one_at_a_time():
 
     factor = [pg.FactorManifold(name, ck.MetricField.euclidean(1), box) for name in "xy"]
     dtp = pg.assemble(*factor, warp("lam1", at_2), warp("lam2", at_1))
-    job = tp.TransportJob(line, [TangentVector(CoordPoint(line.point(0.0)), [0.0, 1.0])], 1)
+    job = tp.TransportJob(line, np.array([[0.0], [1.0]]), 1)
     with pytest.raises(NumericsError) as raised:
         tp.transport_batch(dtp, [job])
     assert str(raised.value) == f"scalar field 'lam2' non-finite at {at_1}"

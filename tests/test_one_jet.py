@@ -195,8 +195,6 @@ def test_mean_curvature_form_checks_its_points():
     with pytest.raises(NumericsError) as raised:
         pg.mean_curvature_form(dtp, bad, 2)
     assert str(raised.value) == f"non-finite coordinates in {bad[1]}"
-    one = pg.mean_curvature_form(dtp, ck.CoordPoint(x[0]), 1)
-    np.testing.assert_array_equal(one, pg.mean_curvature_form(dtp, x[0], 1))
 
 
 @pytest.mark.parametrize("strip", [False, True], ids=["exact", "fd"])
@@ -211,10 +209,9 @@ def test_mean_curvature_form_at_one_point_is_the_first_row_of_its_batch(strip):
 
 
 def test_a_coord_point_of_the_wrong_width_is_refused_by_name():
-    # a CoordPoint is checked for its width as an array is, not left to
-    # numpy's broadcast error
+    # a point is checked for its width, not left to numpy's broadcast error
     dtp = _ref("random-dtp", False)
-    short = ck.CoordPoint(np.zeros(3))
+    short = np.zeros(3)
     for call in (lambda: pg.mean_curvature_form(dtp, short, 1), lambda: dtp.assembled.mat(short)):
         with pytest.raises(ValueError, match=r"^expected a point \(4,\) or a batch \(P, 4\), "
                                              r"got shape \(3,\)$"):

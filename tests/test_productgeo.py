@@ -6,12 +6,8 @@ import pytest
 from warpquot import chartkit as ck
 from warpquot import fixtures as fx
 from warpquot import productgeo as pg
-from warpquot.chartkit import CoordPoint, ScalarField, TangentVector
+from warpquot.chartkit import ScalarField
 from warpquot.errors import CaseMismatch, InvalidFrame, InvalidWarp, NormalizationError
-
-
-def tv(x, comps):
-    return TangentVector(CoordPoint(x), comps)
 
 
 def rand_point(rng, box):
@@ -22,21 +18,20 @@ def rand_point(rng, box):
 def sample_plane(dtp, rng, x, case, max_tries=50):
     """Unit orthogonal pair in the requested slots (None if unlucky)."""
     for _ in range(max_tries):
-        pt = CoordPoint(x)
         if case == "HH":
-            raw = [tv(x, dtp.embed(1, rng.normal(size=dtp.n1))) for _ in range(2)]
+            raw = [dtp.embed(1, rng.normal(size=dtp.n1)) for _ in range(2)]
         elif case == "VV":
-            raw = [tv(x, dtp.embed(2, rng.normal(size=dtp.n2))) for _ in range(2)]
+            raw = [dtp.embed(2, rng.normal(size=dtp.n2)) for _ in range(2)]
         else:
-            raw = [tv(x, dtp.embed(1, rng.normal(size=dtp.n1))),
-                   tv(x, dtp.embed(2, rng.normal(size=dtp.n2)))]
+            raw = [dtp.embed(1, rng.normal(size=dtp.n1)),
+                   dtp.embed(2, rng.normal(size=dtp.n2))]
         try:
-            u, v = ck.gram_schmidt(dtp.assembled, x, raw)
+            u, v = ck.gram_schmidt(dtp.assembled, x, np.stack(raw, axis=1)).T
         except Exception:
             continue
         g = dtp.assembled
-        det = (ck.inner_product(g, u, u) * ck.inner_product(g, v, v)
-               - ck.inner_product(g, u, v) ** 2)
+        det = (ck.inner_product(g, x, u, u) * ck.inner_product(g, x, v, v)
+               - ck.inner_product(g, x, u, v) ** 2)
         if abs(det) > 1e-6:
             return u, v
     return None
@@ -251,24 +246,21 @@ def test_classify_invariant_under_factor_swap():
 def test_sectional_closed_form_sphere_mixed():
     dtp = fx.sphere_polar()
     x = np.array([1.2, 0.5])
-    u = tv(x, [1.0, 0.0])
-    v = tv(x, [0.0, 1.0 / np.sin(1.2)])
-    k = pg.sectional_curvature_closed_form(dtp, (u, v))
+    k = pg.sectional_curvature_closed_form(dtp, x, [1.0, 0.0], [0.0, 1.0 / np.sin(1.2)])
     assert k == pytest.approx(1.0, abs=1e-9)
 
 
 def test_sectional_closed_form_hyperbolic_mixed():
     dtp = fx.hyperbolic_polar()
     x = np.array([1.2, 0.5])
-    u = tv(x, [1.0, 0.0])
-    v = tv(x, [0.0, 1.0 / np.sinh(1.2)])
-    assert pg.sectional_curvature_closed_form(dtp, (u, v)) == pytest.approx(-1.0, abs=1e-9)
+    u, v = [1.0, 0.0], [0.0, 1.0 / np.sinh(1.2)]
+    assert pg.sectional_curvature_closed_form(dtp, x, u, v) == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_sectional_closed_form_flat_zero():
     dtp = fx.flat_direct_product()
     x = np.array([0.1, 0.2])
-    k = pg.sectional_curvature_closed_form(dtp, (tv(x, [1, 0]), tv(x, [0, 1])))
+    k = pg.sectional_curvature_closed_form(dtp, x, [1, 0], [0, 1])
     assert k == pytest.approx(0.0, abs=1e-10)
 
 
@@ -276,23 +268,22 @@ def test_sectional_closed_form_requires_normalization():
     dtp = fx.sphere_polar()
     x = np.array([1.2, 0.5])
     with pytest.raises(NormalizationError):
-        pg.sectional_curvature_closed_form(dtp, (tv(x, [2.0, 0.0]), tv(x, [0.0, 1.0])))
+        pg.sectional_curvature_closed_form(dtp, x, [2.0, 0.0], [0.0, 1.0])
     # orthogonality violations need a >= 2 dimensional slot
     big = fx.random_doubly_twisted(97)
     y = np.array([0.1, 0.2, -0.1, 0.3])
-    raw = tv(y, big.embed(1, [1.0, 0.4]))
-    u = ck.gram_schmidt(big.assembled, y, [raw])[0]
+    u = ck.gram_schmidt(big.assembled, y, big.embed(1, [1.0, 0.4])[:, None])[:, 0]
     with pytest.raises(NormalizationError):
-        pg.sectional_curvature_closed_form(big, (u, u))
+        pg.sectional_curvature_closed_form(big, y, u, u)
 
 
 def test_sectional_closed_form_rejects_mixed_slot_vectors():
     dtp = fx.polar_plane()
     x = np.array([2.0, 0.4])
-    u = tv(x, [1.0, 0.0])
-    v = tv(x, [0.6, 0.4])  # unit, with components in both slots
+    u = [1.0, 0.0]
+    v = [0.6, 0.4]  # unit, with components in both slots
     with pytest.raises(CaseMismatch):
-        pg.sectional_curvature_closed_form(dtp, (u, v))
+        pg.sectional_curvature_closed_form(dtp, x, u, v)
 
 
 @pytest.mark.parametrize("seed", [31, 37])
@@ -307,7 +298,7 @@ def test_sectional_closed_form_equals_oracle_all_cases(seed):
             if plane is None:
                 continue
             u, v = plane
-            kc = pg.sectional_curvature_closed_form(dtp, (u, v))
+            kc = pg.sectional_curvature_closed_form(dtp, x, u, v)
             kn = ck.sectional_curvature_numeric(dtp.assembled, x, u, v)
             assert abs(kc - kn) < 1e-5
             checked[case] += 1
@@ -324,7 +315,7 @@ def test_sectional_equivalence_survives_fd_route():
         if plane is None:
             continue
         u, v = plane
-        kc = pg.sectional_curvature_closed_form(dtp, (u, v))
+        kc = pg.sectional_curvature_closed_form(dtp, x, u, v)
         kn = ck.sectional_curvature_numeric(dtp.assembled, x, u, v)
         assert abs(kc - kn) < 1e-5
         done += 1
@@ -334,24 +325,19 @@ def test_sectional_equivalence_survives_fd_route():
 # ---------------------------------------------------------------------------
 # lightlike sectional curvature
 
-def _null_frame_flat(x):
-    # Minkowski R^{1,2}: xi = d_t, u = -d_t + d_x, v = d_y
-    xi = tv(x, [1.0, 0.0, 0.0])
-    u = tv(x, [-1.0, 1.0, 0.0])
-    v = tv(x, [0.0, 0.0, 1.0])
-    return xi, u, v
+# Minkowski R^{1,2}: xi = d_t, u = -d_t + d_x, v = d_y
+NULL_FRAME_FLAT = ([1.0, 0.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0])
 
 
 def test_lightlike_flat_minkowski_zero():
     g = ck.MetricField.constant(np.diag([-1.0, 1.0, 1.0]))
-    xi, u, v = _null_frame_flat([0.0, 0.0, 0.0])
-    assert abs(pg.lightlike_sectional_curvature(g, xi, u, v)) < 1e-12
+    assert abs(pg.lightlike_sectional_curvature(g, [0.0, 0.0, 0.0], *NULL_FRAME_FLAT)) < 1e-12
 
 
 def test_lightlike_lorentz_direct_zero():
     dtp = fx.lorentz_direct()
-    xi, u, v = _null_frame_flat([0.1, 0.2, -0.3])
-    assert abs(pg.lightlike_sectional_curvature(dtp.assembled, xi, u, v)) < 1e-7
+    x = [0.1, 0.2, -0.3]
+    assert abs(pg.lightlike_sectional_curvature(dtp.assembled, x, *NULL_FRAME_FLAT)) < 1e-7
 
 
 def test_lightlike_mixed_plane_vanishes_for_warped_fibers():
@@ -361,10 +347,10 @@ def test_lightlike_mixed_plane_vanishes_for_warped_fibers():
     for xv in (-0.4, 0.0, 0.5):
         x = np.array([xv, 0.2, -0.1])
         lam = dtp.warp_value(2, x)
-        xi = tv(x, [0.0, 1.0 / lam, 0.0])
-        u = tv(x, [0.0, -1.0 / lam, 1.0 / lam])
-        v = tv(x, [1.0, 0.0, 0.0])
-        k = pg.lightlike_sectional_curvature(g, xi, u, v)
+        xi = [0.0, 1.0 / lam, 0.0]
+        u = [0.0, -1.0 / lam, 1.0 / lam]
+        v = [1.0, 0.0, 0.0]
+        k = pg.lightlike_sectional_curvature(g, x, xi, u, v)
         assert abs(k) < 1e-5
         # sanity: the metric itself is curved (mixed nondegenerate K != 0)
         kn = ck.sectional_curvature_numeric(g, x, v, xi)
@@ -376,29 +362,29 @@ def test_lightlike_nonzero_on_expanding_spacetime():
     g = dtp.assembled
     x = np.array([0.3, 0.1, -0.2])
     a = np.cosh(0.3)
-    xi = tv(x, [1.0, 0.0, 0.0])
-    u = tv(x, [-1.0, 1.0 / a, 0.0])
-    v = tv(x, [0.0, 0.0, 1.0])
-    k = pg.lightlike_sectional_curvature(g, xi, u, v)
+    xi = [1.0, 0.0, 0.0]
+    u = [-1.0, 1.0 / a, 0.0]
+    v = [0.0, 0.0, 1.0]
+    k = pg.lightlike_sectional_curvature(g, x, xi, u, v)
     assert abs(k) > 1e-3
     # invariant under rescaling v
-    v2 = tv(x, [0.0, 0.0, -2.3])
-    assert pg.lightlike_sectional_curvature(g, xi, u, v2) == pytest.approx(k, abs=1e-8)
+    v2 = [0.0, 0.0, -2.3]
+    assert pg.lightlike_sectional_curvature(g, x, xi, u, v2) == pytest.approx(k, abs=1e-8)
 
 
 def test_lightlike_frame_validation():
     g = ck.MetricField.constant(np.diag([-1.0, 1.0, 1.0]))
     x = [0.0, 0.0, 0.0]
-    xi, u, v = _null_frame_flat(x)
+    xi, u, v = NULL_FRAME_FLAT
     with pytest.raises(InvalidFrame):
-        pg.lightlike_sectional_curvature(g, tv(x, [2.0, 0, 0]), u, v)
+        pg.lightlike_sectional_curvature(g, x, [2.0, 0, 0], u, v)
     with pytest.raises(InvalidFrame):
-        pg.lightlike_sectional_curvature(g, xi, tv(x, [-1.0, 1.1, 0]), v)
+        pg.lightlike_sectional_curvature(g, x, xi, [-1.0, 1.1, 0], v)
     with pytest.raises(InvalidFrame):
-        pg.lightlike_sectional_curvature(g, xi, u, tv(x, [-1.0, 1.0, 0.0]))
+        pg.lightlike_sectional_curvature(g, x, xi, u, [-1.0, 1.0, 0.0])
     riem = ck.MetricField.euclidean(3)
     with pytest.raises(InvalidFrame):
-        pg.lightlike_sectional_curvature(riem, xi, u, v)
+        pg.lightlike_sectional_curvature(riem, x, xi, u, v)
 
 
 # ---------------------------------------------------------------------------

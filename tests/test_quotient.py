@@ -10,16 +10,12 @@ from warpquot import fixtures as fx
 from warpquot import productgeo as pg
 from warpquot import quotient as qt
 from warpquot import transport as tp
-from warpquot.chartkit import CoordPoint, MetricField, ScalarField, Signature, TangentVector
+from warpquot.chartkit import MetricField, ScalarField, Signature
 from warpquot.errors import InvalidAction, InvalidH, NotALoop, WordBoundExceeded
 from warpquot.scenario import parse_scenario, resolve_scenario
 
 from test_holonomy_closed_form import warped_torus_dict
 from transport_jobs import holonomy
-
-
-def tv(x, comps):
-    return TangentVector(CoordPoint(x), comps)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +145,7 @@ def test_intersections_skewed_torus_two_points():
     report = qt.leaf_intersection_count(model, [0.0, 0.0], word_bound=4)
     assert report.count == 2
     assert not report.lower_bound_only
-    reps = sorted(tuple(np.round(model.canonical_rep(w.coords)[0], 9)) for w, _ in report.witnesses)
+    reps = sorted(tuple(np.round(model.canonical_rep(w)[0], 9)) for w, _ in report.witnesses)
     assert np.allclose(reps[0], [0.0, 0.0], atol=1e-9)
     assert np.allclose(reps[1], [0.5, 0.0], atol=1e-9)
 

@@ -26,7 +26,7 @@ from warpquot import fixtures as fx
 from warpquot import productgeo as pg
 from warpquot import quotient as qt
 from warpquot import scenario
-from warpquot.chartkit import CoordPoint, MetricField, ScalarField, TangentVector
+from warpquot.chartkit import MetricField, ScalarField
 from warpquot.errors import InvalidAction, NumericsError
 
 
@@ -229,8 +229,7 @@ def ref_walk(model, x0, direction, arc_budget, step=0.01, log=None):
     cur, arc, pts, left_start = x0.copy(), 0.0, [(0.0, x0.copy())], False
     log = [] if log is None else log
     while arc < arc_budget:
-        v = TangentVector(CoordPoint(cur), direction)
-        speed = float(np.sqrt(abs(ck.inner_product(g, v, v))))
+        speed = float(np.sqrt(abs(ck.inner_product(g, cur, direction, direction))))
         nxt_up = cur + step * direction
         log.append((not ref_in_box(model, nxt_up), False))
         rep, word = ref_canonical_rep(model, nxt_up)
@@ -729,7 +728,7 @@ def test_intersections_match_the_leaf1_side(name):
         count, lower_bound_only, witnesses = ref_intersections(model, x0, 4)
         assert (report.count, report.lower_bound_only) == (count, lower_bound_only)
         for (p1, p2), (q1, q2) in zip(report.witnesses, witnesses, strict=True):
-            assert np.array_equal(p1.coords, q1) and np.array_equal(p2.coords, q2)
+            assert np.array_equal(p1, q1) and np.array_equal(p2, q2)
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +742,7 @@ def test_bucket_edge_basepoints_count_once(x0):
     assert verdict.tag == "global-doubly-warped-product" and verdict.reason.kind == "none"
     skewed = qt.leaf_intersection_count(fx.skewed_torus_model(), [x0, 0.3])
     assert skewed.count == 2
-    reps = sorted(float(fx.skewed_torus_model().canonical_rep(w.coords)[0][0])
+    reps = sorted(float(fx.skewed_torus_model().canonical_rep(w)[0][0])
                   for w, _ in skewed.witnesses)
     assert reps == pytest.approx([x0, x0 + 0.5], abs=1e-9)
     assert qt.leaf_intersection_count(fx.mobius_model(), [x0, 0.0]).count == 1

@@ -9,11 +9,13 @@ from warpquot import transport as tp
 
 
 def carry(space, curve, v0, foliation=None, tol=None):
-    """``v0`` carried along the curve alone: parallel transport, or adapted
-    translation in a leaf of F_foliation.  The law the transport keeps must
-    hold within ``tol`` (by default 1e-7 for parallel transport and 1e-6 for
-    adapted translation).  Returns the result with components (S, n)."""
-    res, = tp.transport_batch(space, [tp.TransportJob(curve, [v0], foliation)])
+    """``v0`` (n,) at curve(0) carried along the curve alone: parallel
+    transport, or adapted translation in a leaf of F_foliation.  The law the
+    transport keeps must hold within ``tol`` (by default 1e-7 for parallel
+    transport and 1e-6 for adapted translation).  Returns the result with
+    components (S, n)."""
+    job = tp.TransportJob(curve, np.asarray(v0, dtype=float)[:, None], foliation)
+    res, = tp.transport_batch(space, [job])
     if tol is None:
         tol = 1e-7 if foliation is None else 1e-6
     assert res.tol_achieved <= tol, (res.tol_achieved, tol)
