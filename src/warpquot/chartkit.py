@@ -50,12 +50,12 @@ for bit, and so must each shorter prefix of a longer tuple.  Partials above
 ``exact_order`` come from central differences of the value, all stencil
 points in one call; with no exact partial the value is read from the centre
 row of the highest order's stencil, and no other stencil holds the centre.
-The value always passes the value checks, with their messages.  A caller
-that reads only a block of the partials (first partials along some axes,
-second partials on a rows x cols set of axes) asks ``_jet`` for that
-block: the exact route slices its one call, and
-``central_diff`` evaluates only the stencil points of the block's entries,
-each entry bit for bit the one of the full stencil.
+The value always passes the value checks, with their messages, and an exact
+partial is refused where it is not finite.  A caller that reads only a
+block of the partials (first partials along some axes, second partials on
+a rows x cols set of axes) asks ``_jet`` for that block: the exact route
+slices its one call, and ``central_diff`` evaluates only the stencil points
+of the block's entries, each entry bit for bit the one of the full stencil.
 
 Callbacks (``eval`` and the one-form callback of
 ``exterior_derivative_numeric``) receive one shape only, a
@@ -77,6 +77,7 @@ check), at one point as on a batch.  Neither gives a silently wrong result.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -396,10 +397,14 @@ def _jet(field, kernel: Callable, cols: np.ndarray, order: int, shape: tuple, wh
     """The value of a ``shape``-valued field and its partials up to ``order``
     at checked cols (n, P), point axis last (see the module notes on the
     exact route): up to k = min(order, ``field.exact_order``) from one call
-    ``field.eval(cols, k)``, the value through ``field._checked``; each order
-    above k by central differences of the value ``kernel`` in one call (step
-    ``FD_STEP_1`` or ``FD_STEP_2``).  When k = 0 the value is the centre row
-    of the highest order's stencil, the only stencil that holds the centre.
+    ``field.eval(cols, k)``, the value through ``field._checked`` and each
+    partial refused where not finite (``NumericsError`` naming the partial
+    and the point): its screen is the sum of its squares, finite unless an
+    entry is not or is huge (above 1e154, which the per-point rule passes);
+    each order above k by central differences of the value ``kernel`` in one
+    call (step ``FD_STEP_1`` or ``FD_STEP_2``).  When k = 0 the value is the
+    centre row of the highest order's stencil, the only stencil that holds
+    the centre.
 
     With a ``block`` (the ``axes`` of ``central_diff``) only the partials of
     order ``order`` on it are formed: ``(value, d)`` at order 1, ``(d,)`` at
@@ -420,8 +425,12 @@ def _jet(field, kernel: Callable, cols: np.ndarray, order: int, shape: tuple, wh
     if k:
         val, *ds = _call(cols, field.eval, shape, what, k)
         out = [field._checked(cols, val)]
-        out += [_shaped(d, cols, (len(cols),) * m + shape, what_d.format(m))
-                for m, d in enumerate(ds, 1)]
+        for m, d in enumerate(ds, 1):
+            d = _shaped(d, cols, (len(cols),) * m + shape, what_d.format(m))
+            if not math.isfinite(np.vdot(d, d)):  # a batch screen, then the per-point rule
+                _fail_at(cols.T, ~np.isfinite(d.reshape(-1, d.shape[-1])).all(axis=0),
+                         f"{what_d.format(m)} non-finite at")
+            out.append(d)
         if block is not None:  # k = order: the exact partial, sliced to the block
             d = out[-1][np.ix_(*block)]
             return (out[0], d) if order == 1 else (d,)
@@ -539,11 +548,15 @@ def inner_product(g: MetricField, x, u, v):
     return _bilinear(u.T, _call_batch(g._mat, x), v)
 
 
+def _bracket(dg: np.ndarray) -> np.ndarray:
+    """bracket[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij from dg; the
+    ellipsis carries any leading axes, so d2 gives d_m of the bracket."""
+    return np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
+
+
 def _christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """Gamma[..., k, i, j] = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij) from g^-1 and dg."""
-    # bracket[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-    bracket = np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
-    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, bracket)
+    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, _bracket(dg))
 
 
 def christoffel_numeric(g: MetricField, x) -> np.ndarray:
@@ -568,7 +581,7 @@ def _christoffel_and_d1(g: MetricField, pts: np.ndarray) -> tuple[np.ndarray, np
     batch (P, n), from one metric evaluation.
 
     Exact when the metric has exact second derivatives (g, dg and d2g from
-    one ``MetricField._jet`` call; g^-1 and dg shared by both); else central
+    one ``MetricField._jet`` call, g^-1 and dg's bracket shared); else central
     differences of ``christoffel_numeric`` with the second-derivative step,
     all stencil points of all rows in one batch, Gamma at the points read
     from the centre rows.
@@ -577,12 +590,10 @@ def _christoffel_and_d1(g: MetricField, pts: np.ndarray) -> tuple[np.ndarray, np
         gm, dg, d2 = _call_batch(g._jet, pts, 2)
         ginv = _checked_inv(gm, pts)
         dginv = -np.einsum("...ka,...mab,...bl->...mkl", ginv, dg, ginv)
-        bracket = np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
-        dbracket = (np.einsum("...mijl->...mlij", d2) + np.einsum("...mjil->...mlij", d2)
-                    - d2)
-        return (_christoffel(ginv, dg),
+        bracket = _bracket(dg)
+        return (0.5 * np.einsum("...kl,...lij->...kij", ginv, bracket),
                 0.5 * (np.einsum("...mkl,...lij->...mkij", dginv, bracket)
-                       + np.einsum("...kl,...mlij->...mkij", ginv, dbracket)))
+                       + np.einsum("...kl,...mlij->...mkij", ginv, _bracket(d2))))
     dgamma, gamma = central_diff(functools.partial(_christoffel_at, g), pts,
                                  fd_step(pts, FD_STEP_2), centre=True)
     return gamma, dgamma
@@ -631,8 +642,7 @@ def gradient(f: ScalarField, g: MetricField, x) -> np.ndarray:
     """Metric gradient at the point x (n,): its components g^{-1} df, (n,)."""
     x = _as_array(x, g.dim)
     df = _call_batch(f._jet, x, 1)[1]
-    # an exact partial is not screened on its way in, so the result is
-    return _as_array(_checked_inv(_call_batch(g._mat, x), x) @ df)
+    return _checked_inv(_call_batch(g._mat, x), x) @ df
 
 
 def hessian_matrix(f: ScalarField, g: MetricField, x) -> np.ndarray:

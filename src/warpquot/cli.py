@@ -408,7 +408,8 @@ def cmd_verify_all(ctx, args, rng):
     # Gamma^k_ij = -delta^k_i omega1_j - delta^k_j omega2_i (i in slot 1, j in slot 2),
     # omega_i read from the same record
     s1, s2, eye = dtp.slot1, dtp.slot2, np.eye(dtp.n)
-    w1, w2 = (pg._omega(dtp, i, geo.dlam[:, i - 1], geo.lam[:, i - 1]) for i in (1, 2))
+    w1, w2 = (pg._omega(dtp, i, geo.dlam[:, i - 1, dtp.slot(3 - i)], geo.lam[:, i - 1])
+              for i in (1, 2))
     rhs = -eye[:, s1, None] * w1[:, None, None, s2] - eye[:, None, s2] * w2[:, None, s1, None]
     checks.append(Check("mixed-connection-identity",
                         float(np.max(np.abs(gamma[:, :, s1, s2] - rhs))), 1e-5))

@@ -6,14 +6,10 @@ intervals and the fundamental box apart (the Moebius band's differ).
 
 Every analytic fixture declares exact order 2: its one callback returns the
 metric or warp with its exact partials, so the closed-form-vs-oracle
-comparisons run at tight tolerances.  ``strip_analytic`` gives FD-only
-variants, copies of exact order 0 that read only the values, to keep both
-computation routes honestly independent.
+comparisons run at tight tolerances.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 
@@ -33,7 +29,7 @@ from .chartkit import MetricField, ScalarField, Signature, _fold
 def function_of_coordinate_warp(index: int, n: int, f, df, ddf, name: str = "") -> ScalarField:
     """lam(x) = f(x[index]) with exact first/second derivatives (f, df, ddf elementwise)."""
 
-    def ev(x, order=0):
+    def eval(x, order=0):
         val = f(x[index])
         if not order:
             return val
@@ -45,7 +41,7 @@ def function_of_coordinate_warp(index: int, n: int, f, df, ddf, name: str = "") 
         hess[index, index] = ddf(x[index])
         return val, grad, hess
 
-    return ScalarField(ev, exact_order=2, name=name)
+    return ScalarField(eval, exact_order=2, name=name)
 
 
 def trig_warp(amps, freqs, phases, name: str = "trig-warp") -> ScalarField:
@@ -57,7 +53,7 @@ def trig_warp(amps, freqs, phases, name: str = "trig-warp") -> ScalarField:
     pairs = freqs[:, :, None] * freqs[:, None]          # b_j b_j^T
     by_coord = freqs.swapaxes(0, 1)                     # [k, j]: b_jk
 
-    def ev(x, order=0):
+    def eval(x, order=0):
         a = _fold(by_coord * x[:, None]) + phases
         val = np.exp(_fold(amps * np.sin(a)))
         if not order:
@@ -68,7 +64,7 @@ def trig_warp(amps, freqs, phases, name: str = "trig-warp") -> ScalarField:
         dds = -_fold(pairs * (amps * np.sin(a))[:, None, None])
         return val, val * d, val * (d[:, None] * d[None] + dds)
 
-    return ScalarField(ev, exact_order=2, name=name)
+    return ScalarField(eval, exact_order=2, name=name)
 
 
 def conformal_flat_metric(dim: int, amp: float, freq, phase: float, box) -> MetricField:
@@ -77,7 +73,7 @@ def conformal_flat_metric(dim: int, amp: float, freq, phase: float, box) -> Metr
     pairs = freq[:, None] * freq[None]
     eye = np.eye(dim)[..., None]
 
-    def ev(x, order=0):
+    def eval(x, order=0):
         a = _fold(freq * x) + phase
         scale = np.exp(2 * (amp * np.sin(a)))
         if not order:
@@ -89,19 +85,8 @@ def conformal_flat_metric(dim: int, amp: float, freq, phase: float, box) -> Metr
         dd = 4 * dp[:, None] * dp[None] + 2 * (-amp * np.sin(a) * pairs)
         return eye * scale, d1, dd[:, :, None, None] * scale * eye
 
-    return MetricField(dim, ev, Signature.riemannian(dim), exact_order=2,
+    return MetricField(dim, eval, Signature.riemannian(dim), exact_order=2,
                        domain_box=np.asarray(box, dtype=float))
-
-
-def strip_analytic(dtp: pg.DoublyTwistedProduct) -> pg.DoublyTwistedProduct:
-    """Same product, every field a copy of exact order 0 (pure FD route)."""
-
-    def bare(field):
-        return dataclasses.replace(field, exact_order=0)
-
-    f1 = pg.FactorManifold(dtp.f1.name, bare(dtp.f1.metric), dtp.f1.domain_box)
-    f2 = pg.FactorManifold(dtp.f2.name, bare(dtp.f2.metric), dtp.f2.domain_box)
-    return pg.assemble(f1, f2, bare(dtp.lam1), bare(dtp.lam2))
 
 
 # ---------------------------------------------------------------------------
@@ -121,11 +106,6 @@ def _warped_lines(x, y, f, df, ddf, name: str) -> pg.DoublyTwistedProduct:
 
 
 _CIRCLE = ("circle", [0.0, 6.2])
-
-
-def flat_direct_product() -> pg.DoublyTwistedProduct:
-    """Euclidean R x R as a direct product."""
-    return _lines(("line-x", [-2.0, 2.0]), ("line-y", [-2.0, 2.0]))
 
 
 def polar_plane() -> pg.DoublyTwistedProduct:
@@ -154,39 +134,6 @@ def lorentz_direct() -> pg.DoublyTwistedProduct:
     return pg.assemble(f1, f2, one, one)
 
 
-def lorentz_warped_fiber() -> pg.DoublyTwistedProduct:
-    """Riemannian base R, Minkowski fiber R^{1,1}, lam2 = cosh x.
-
-    A warped product whose factor-1 projection is a semi-Riemannian
-    submersion with umbilic Lorentzian fibers; mixed degenerate planes have
-    vanishing lightlike curvature here.
-    """
-    f1 = pg.FactorManifold("base-x", MetricField.euclidean(1), [[-1.0, 1.0]])
-    mink = MetricField.constant(np.diag([-1.0, 1.0]))
-    f2 = pg.FactorManifold("fiber", mink, [[-1.0, 1.0], [-1.0, 1.0]])
-    lam2 = function_of_coordinate_warp(0, 3, np.cosh, np.sinh, np.cosh, name="cosh x")
-    return pg.assemble(f1, f2, ScalarField.constant(1.0), lam2)
-
-
-def expanding_spacetime() -> pg.DoublyTwistedProduct:
-    """-dt^2 + cosh(t)^2 (dx^2 + dy^2): timelike base, expanding spatial fiber.
-
-    Mixed degenerate planes here are NOT vertical-null planes of the base
-    projection, so the lightlike curvature is generically nonzero.
-    """
-    time = MetricField.constant(np.array([[-1.0]]))
-    f1 = pg.FactorManifold("time", time, [[-1.0, 1.0]])
-    f2 = pg.FactorManifold("plane", MetricField.euclidean(2), [[-1.0, 1.0], [-1.0, 1.0]])
-    lam2 = function_of_coordinate_warp(0, 3, np.cosh, np.sinh, np.cosh, name="cosh t")
-    return pg.assemble(f1, f2, ScalarField.constant(1.0), lam2)
-
-
-def bowl_warped() -> pg.DoublyTwistedProduct:
-    """Warped product with lam2 = 1 + x^2: unique critical point at x = 0."""
-    return _warped_lines(("line-x", [-1.5, 1.5]), ("line-y", [-1.0, 1.0]),
-                         lambda x: 1 + x * x, lambda x: 2 * x, lambda x: 2.0, "1+x^2")
-
-
 def random_doubly_twisted(seed: int) -> pg.DoublyTwistedProduct:
     """Randomized doubly twisted product of two conformally flat, curved
     2-dimensional factors (both warps depend on both slots)."""
@@ -208,18 +155,6 @@ def random_doubly_twisted(seed: int) -> pg.DoublyTwistedProduct:
     return pg.assemble(f1, f2, rand_warp("1"), rand_warp("2"))
 
 
-def random_doubly_warped(seed: int) -> pg.DoublyTwistedProduct:
-    """Randomized doubly warped product (lam1 on factor 2, lam2 on factor 1)."""
-    rng = np.random.default_rng(seed)
-    f1 = pg.FactorManifold("f1", MetricField.euclidean(1), [[-1.0, 1.0]])
-    f2 = pg.FactorManifold("f2", MetricField.euclidean(1), [[-1.0, 1.0]])
-    a1, b1, c1 = rng.uniform(0.1, 0.3), rng.uniform(0.3, 1.2), rng.uniform(0, 2)
-    a2, b2, c2 = rng.uniform(0.1, 0.3), rng.uniform(0.3, 1.2), rng.uniform(0, 2)
-    lam1 = trig_warp([a1], [[0.0, b1]], [c1], name="lam1(y)")
-    lam2 = trig_warp([a2], [[b2, 0.0]], [c2], name="lam2(x)")
-    return pg.assemble(f1, f2, lam1, lam2)
-
-
 # ---------------------------------------------------------------------------
 # quotient fixtures
 
@@ -229,55 +164,43 @@ def _deck(name: str, dx: float, dy=None) -> qt.DeckGenerator:
     return qt.DeckGenerator(name, qt.FactorMap.translation([dx]), psi)
 
 
-def _flat_quotient(x_box, y_box, gens, word_bound: int,
-                   fundamental_box=None) -> qt.QuotientModel:
+def _flat_quotient(x_box, y_box, gens, fundamental_box=None) -> qt.QuotientModel:
     """Euclidean line-x x line-y over the factor intervals x_box and y_box,
     quotiented by gens; the fundamental box is the factor boxes unless given."""
     box = [x_box, y_box] if fundamental_box is None else fundamental_box
     return qt.QuotientModel(_lines(("line-x", x_box), ("line-y", y_box)), gens,
-                            fundamental_box=box, word_bound=word_bound)
+                            fundamental_box=box)
 
 
-def mobius_model(word_bound: int = 8) -> qt.QuotientModel:
+def mobius_model() -> qt.QuotientModel:
     """Flat Moebius band: R^2 / <(x, y) -> (x + 1, -y)>.
 
     The central leaf (y = 0) closes with holonomy -1 on its normal line, so
     the quotient is obstructed even though the leaves meet exactly once.
     """
     big = 1e9  # only x is quotiented; the transversal is unbounded
-    return _flat_quotient([0.0, 1.0], [-1.0, 1.0], [_deck("a", 1.0)], word_bound,
+    return _flat_quotient([0.0, 1.0], [-1.0, 1.0], [_deck("a", 1.0)],
                           fundamental_box=[[0.0, 1.0], [-big, big]])
 
 
-def flat_torus_model(word_bound: int = 8) -> qt.QuotientModel:
+def flat_torus_model() -> qt.QuotientModel:
     """Axis-aligned flat torus: R^2 / <(x+1, y), (x, y+1)>; splits globally."""
     return _flat_quotient([0.0, 1.0], [0.0, 1.0],
-                          [_deck("a", 1.0, 0.0), _deck("b", 0.0, 1.0)], word_bound)
+                          [_deck("a", 1.0, 0.0), _deck("b", 0.0, 1.0)])
 
 
-def skewed_torus_model(word_bound: int = 8) -> qt.QuotientModel:
+def skewed_torus_model() -> qt.QuotientModel:
     """Skewed flat torus: R^2 / <(x+1, y), (x+1/2, y+1)>.
 
     Both foliations have trivial holonomy but the leaves through the origin
     intersect twice, obstructing a global product decomposition.
     """
     return _flat_quotient([0.0, 1.0], [0.0, 1.0],
-                          [_deck("a", 1.0, 0.0), _deck("b", 0.5, 1.0)], word_bound)
+                          [_deck("a", 1.0, 0.0), _deck("b", 0.5, 1.0)])
 
 
-def klein_bottle_model(word_bound: int = 6) -> qt.QuotientModel:
-    """Flat Klein bottle: R^2 / <a: (x + 1/2, -y), b: (x, y + 1)>.
-
-    The F1 leaves y = 0 and y = 1/2 close after a and a b^-1 with holonomy
-    -1 on their normal line; every other F1 leaf closes after a^2 with
-    trivial holonomy and meets its F2 leaf twice.
-    """
-    return _flat_quotient([0.0, 0.5], [-0.5, 0.5],
-                          [_deck("a", 0.5), _deck("b", 0.0, 1.0)], word_bound)
-
-
-def example1_model(word_bound: int = 8) -> qt.QuotientModel:
-    return qt.build_example1(word_bound=word_bound)
+def example1_model() -> qt.QuotientModel:
+    return qt.build_example1()
 
 
 # loops (as generator words) documented per quotient fixture

@@ -374,15 +374,14 @@ def mean_curvature_form(dtp: DoublyTwistedProduct, x, i: int):
         raise ValueError("foliation index must be 1 or 2")
     pts = ck._points(x, dtp.n)
     val, grad = ck._call_batch(dtp.warp(i)._jet, pts, 1, (dtp.axes(3 - i),))
-    out = np.zeros(pts.shape)
-    out[..., dtp.slot(3 - i)] = -(grad / np.asarray(val)[..., None])
-    return out
+    return _omega(dtp, i, grad, val)
 
 
-def _omega(dtp: DoublyTwistedProduct, i: int, grad: np.ndarray, val: np.ndarray) -> np.ndarray:
-    """omega_i = -d ln lam_i off factor i's slots, 0 on them, from lam_i's gradient and value."""
-    out = -(grad / val[..., None])
-    out[..., dtp.slot(i)] = 0.0
+def _omega(dtp: DoublyTwistedProduct, i: int, grad_other: np.ndarray, val) -> np.ndarray:
+    """omega_i = -d ln lam_i off factor i's slots, 0 on them, from lam_i's
+    value and its partials along the other factor's axes, (..., n_{3-i})."""
+    out = np.zeros(grad_other.shape[:-1] + (dtp.n,))
+    out[..., dtp.slot(3 - i)] = -(grad_other / np.asarray(val)[..., None])
     return out
 
 
@@ -432,8 +431,9 @@ def classify(dtp: DoublyTwistedProduct, per_axis: int = 4) -> StructureClass:
     pts = offset_grid_points(dtp.domain_box, per_axis)
     ginv = dtp.assembled.inv(pts)
     warps = [(w, *_read_jet(w, pts, 1, None)) for w in (dtp.lam1, dtp.lam2)]
-    max_n = [_max_abs((ginv @ _omega(dtp, i, grad, val)[..., None])[..., 0])
-             for i, (_, val, grad) in enumerate(warps, 1)]
+    omegas = [_omega(dtp, i, grad[:, dtp.slot(3 - i)], val)
+              for i, (_, val, grad) in enumerate(warps, 1)]
+    max_n = [_max_abs((ginv @ omega[..., None])[..., 0]) for omega in omegas]
     max_dw = [0.0, 0.0]
     for i, (w, val, grad) in enumerate(warps, 1):
         if max_n[i - 1] < VANISH_TOL:

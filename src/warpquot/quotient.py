@@ -29,18 +29,24 @@ Orbit lookups read the tree: ``_orbit`` (loops, intersections,
 ``validate``) and ``_searches`` (``canonical_rep``, ``find_closing_word``;
 level by level, each start until a level accepts it).  A batch of words
 moves points only through the tree; a single word moves a point by
-``apply_word`` and differentiates by ``word_jacobian``.  With elementwise
-callbacks a row of a batch sees the same arithmetic as the point alone, so
-batched and one-point results agree bit for bit.
+``apply_word`` and differentiates by ``word_jacobian``.  A generator is a
+one-letter word: ``apply_gen`` and ``gen_jacobian`` are those two at that
+word.  The deck maps are factor-split, so a word's differential is composed
+in one place, ``_factor_jacobian``: factor i's chain rule along the word,
+through factor i's maps alone; ``word_jacobian`` is the block diagonal of
+the two chains.  With elementwise callbacks a row of a batch sees the same
+arithmetic as the point alone, so batched and one-point results agree bit
+for bit.
 
 A leaf trace of F_i reads only factor i: its speeds are lam_i^2 g_i read
 from the warp and factor metric kernels (``_leaf_speeds``), and a box exit
-turns its direction by the Jacobians of F_i's own maps along the reducing
-word (``_trace``).  The traced factor is one-dimensional and the direction
-is zero off its slot, so every term of the assembled metric and of
-``word_jacobian`` left out is an exact zero and the values keep their bits.
-A trace runs forward only, along +e_i from the basepoint: an open leaf's
-points stop where the arc budget runs out, since only its status is read.
+turns its direction by F_i's chain along the reducing word
+(``_factor_jacobian``, ``word_jacobian``'s block).  The traced factor is
+one-dimensional and the direction is zero off its slot, so every term of
+the assembled metric left out is an exact zero and the values keep their
+bits.  A trace runs forward only, along +e_i from the basepoint: an open
+leaf's points stop where the arc budget runs out, since only its status is
+read.
 
 Affine records
 --------------
@@ -56,8 +62,8 @@ batch: the tree's images are one product per level or per orbit,
 ``apply_gen``/``apply_word`` move a point by the same records, and the
 Jacobians are the records' A, exactly.  Any other model takes the level
 path: each image is its parent's moved by one apply_gen call per level and
-move, through the maps of ``apply_word`` in the same order, and Jacobians
-come from the maps (central differences when a map has no ``jacobian``).
+move, the per-letter move of ``apply_word``, and Jacobians come from the
+maps (central differences when a map has no ``jacobian``).
 """
 
 from __future__ import annotations
@@ -298,51 +304,52 @@ class QuotientModel:
         return bool(inside) if x.ndim == 1 else inside
 
     def apply_gen(self, gen: DeckGenerator, sign: int, x) -> np.ndarray:
-        """The generator (sign +1) or its inverse at one point or each row of
-        a batch.  Work cap: one record product, or one call of phi and one of
-        psi, whatever the batch."""
-        x = np.asarray(x, dtype=float)
-        if self._letters is not None:
-            return self.apply_word(((gen.name, 1 if sign > 0 else -1),), x)
-        s1, s2 = self.dtp.slot1, self.dtp.slot2
-        return np.concatenate([gen.phi(x[..., s1], sign), gen.psi(x[..., s2], sign)], axis=-1)
+        """The generator (sign +1) or its inverse: the one-letter ``apply_word``."""
+        return self.apply_word(((gen.name, 1 if sign > 0 else -1),), x)
 
     def apply_word(self, word: Word, x) -> np.ndarray:
         """The word's map at one point or each row of a batch.  Work cap: one
-        record product, or one ``apply_gen`` per letter."""
+        record product, or one call of phi and one of psi per letter."""
         x = np.asarray(x, dtype=float)
         if self._letters is not None:
             return _affine_map(*self._word_record(word), x)
+        s1, s2 = self.dtp.slot1, self.dtp.slot2
         for name, sign in word:
-            x = self.apply_gen(self.by_name[name], sign, x)
+            gen = self.by_name[name]
+            x = np.concatenate([gen.phi(x[..., s1], sign), gen.psi(x[..., s2], sign)], axis=-1)
         return x
 
     def gen_jacobian(self, gen: DeckGenerator, sign: int, x) -> np.ndarray:
-        """Differential of the generator (sign +1) or its inverse at x.  Work
-        cap: the record's A, or one ``FactorMap.jac`` of phi and one of psi."""
-        x = np.asarray(x, dtype=float)
-        if self._letters is not None:
-            return self.word_jacobian(((gen.name, 1 if sign > 0 else -1),), x)
-        s1, s2 = self.dtp.slot1, self.dtp.slot2
-        J = np.zeros(x.shape[:-1] + (self.dtp.n, self.dtp.n))
-        J[..., s1, s1] = gen.phi.jac(x[..., s1], sign)
-        J[..., s2, s2] = gen.psi.jac(x[..., s2], sign)
-        return J
+        """Differential of the generator (sign +1) or its inverse at x: the
+        one-letter ``word_jacobian``."""
+        return self.word_jacobian(((gen.name, 1 if sign > 0 else -1),), x)
 
     def word_jacobian(self, word: Word, x) -> np.ndarray:
-        """Differential of the word map at x (chain rule along the application;
-        the word's A exactly on an affine model).  Work cap: one record, or
-        one ``gen_jacobian`` and one ``apply_gen`` per letter."""
+        """Differential of the word map at x: the word's A exactly on an
+        affine model, else the block diagonal of each factor's chain
+        (``_factor_jacobian``).  Work cap: one record, or one
+        ``FactorMap.jac`` and one map call per letter and factor."""
         x = np.asarray(x, dtype=float)
         if self._letters is not None:
             A = self._word_record(word)[0]
             return np.broadcast_to(A, x.shape[:-1] + A.shape).copy()
-        J = np.broadcast_to(np.eye(self.dtp.n), x.shape[:-1] + (self.dtp.n,) * 2).copy()
-        for i, (name, sign) in enumerate(word):
+        J = np.zeros(x.shape[:-1] + (self.dtp.n, self.dtp.n))
+        for i, s in ((1, self.dtp.slot1), (2, self.dtp.slot2)):
+            J[..., s, s] = self._factor_jacobian(i, word, x[..., s])
+        return J
+
+    def _factor_jacobian(self, i: int, word: Word, y) -> np.ndarray:
+        """Differential along the word of factor i's maps (phi for i = 1, psi
+        for 2) at factor i's coordinates y: the chain rule along the
+        application, each letter's ``FactorMap.jac`` taken where the letters
+        before it moved y.  Evaluates no map of the other factor."""
+        J = np.broadcast_to(np.eye(y.shape[-1]), y.shape[:-1] + (y.shape[-1],) * 2).copy()
+        for j, (name, sign) in enumerate(word, 1):
             gen = self.by_name[name]
-            J = self.gen_jacobian(gen, sign, x) @ J
-            if i + 1 < len(word):  # the point where the next letter's differential is taken
-                x = self.apply_gen(gen, sign, x)
+            fm = gen.phi if i == 1 else gen.psi
+            J = fm.jac(y, sign) @ J
+            if j < len(word):  # the point where the next letter's differential is taken
+                y = fm(y, sign)
         return J
 
     def _moves(self) -> list:
@@ -794,8 +801,8 @@ def _trace(model: QuotientModel, x0: np.ndarray, foliation: int, direction: np.n
     and the next chunk starts from its representative.  The trace reads only
     the traced factor: the speeds come from its warp and metric
     (``_leaf_speeds``), and the reducing word turns the direction by the
-    Jacobians of the factor's own maps (phi for F1, psi for F2), composed
-    along the word as ``word_jacobian`` composes its block.
+    factor's own chain along it (``_factor_jacobian``: phi for F1, psi for
+    F2).
     """
     dtp = model.dtp
     s = dtp.slot(foliation)
@@ -819,13 +826,7 @@ def _trace(model: QuotientModel, x0: np.ndarray, foliation: int, direction: np.n
         if hit is None and stays < n:  # reduce the step that left the box, then check it
             reps[-1], word = model.canonical_rep(ahead[n])
             if word:
-                y, J = ahead[n][s], np.eye(1)
-                for j, (name, sign) in enumerate(word, 1):
-                    gen = model.by_name[name]
-                    fm = gen.phi if foliation == 1 else gen.psi
-                    J = fm.jac(y, sign) @ J
-                    if j < len(word):  # the point where the next letter's differential is taken
-                        y = fm(y, sign)
+                J = model._factor_jacobian(foliation, word, ahead[n][s])
                 direction = dtp.embed(foliation, J @ direction[s])
             armed, hit = _closing_step(model, x0, reps, speeds, arcs, direction, armed, stays)
         if hit is not None:
@@ -1188,8 +1189,7 @@ class TwistedGluing:
         return worst
 
 
-def build_example1(epsilon: float = 0.25, gluing: Optional[TwistedGluing] = None,
-                   word_bound: int = DEFAULT_WORD_BOUND) -> QuotientModel:
+def build_example1(epsilon: float = 0.25, gluing: Optional[TwistedGluing] = None) -> QuotientModel:
     """Twisted metric dx^2 + lam(x, y)^2 dy^2 on R^2, quotiented by
     (x, y) -> (x + 1, h^{-1}(y)).
 
@@ -1243,9 +1243,7 @@ def build_example1(epsilon: float = 0.25, gluing: Optional[TwistedGluing] = None
         homothety=False,
     )
     big = 1e9
-    model = QuotientModel(dtp, [gen],
-                          fundamental_box=[[0.0, 1.0], [-big, big]],
-                          word_bound=word_bound)
+    model = QuotientModel(dtp, [gen], fundamental_box=[[0.0, 1.0], [-big, big]])
     model.gluing = glue
     return model
 

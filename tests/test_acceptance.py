@@ -20,6 +20,7 @@ from random_products import random_twisted
 from transport_jobs import carry, holonomy
 # the sign-flipped closed forms of the connection-row negative controls
 from test_closed_form_connection import _flip_metric_term, _flip_mixed, _patch_gamma
+from fixture_models import flat_direct_product, lorentz_warped_fiber, random_doubly_warped
 
 
 def _report(num, title, detail, ok):
@@ -31,7 +32,7 @@ def _report(num, title, detail, ok):
 def roster():
     """The 8 named fixtures plus 20 randomized doubly twisted products."""
     named = [
-        ("fix-a-flat-direct", fx.flat_direct_product()),
+        ("fix-a-flat-direct", flat_direct_product()),
         ("fix-b-polar", fx.polar_plane()),
         ("fix-c-sphere", fx.sphere_polar()),
         ("fix-d-hyperbolic", fx.hyperbolic_polar()),
@@ -131,7 +132,7 @@ def test_criterion_3_classification(roster):
             mistakes.append((name, cls.tag.value, want.value))
         if name == "fix-g-twisted":
             evidence_g = cls.max_domega2
-    dw = pg.classify(fx.random_doubly_warped(200)).tag
+    dw = pg.classify(random_doubly_warped(200)).tag
     if dw is not pg.StructureTag.DOUBLY_WARPED:
         mistakes.append(("random-doubly-warped", dw.value, "doubly-warped"))
     margin_ok = evidence_g is not None and evidence_g > 10 * pg.CLOSED_TOL
@@ -257,7 +258,7 @@ def test_criterion_10_submersion_formulas(roster):
 
     # curved warped Lorentzian fibers: A = 0, so K_xi of mixed degenerate
     # planes must vanish although the space is curved
-    dtp = fx.lorentz_warped_fiber()
+    dtp = lorentz_warped_fiber()
     curved_worst = 0.0
     for xv in (-0.5, 0.2, 0.6):
         x = np.array([xv, 0.1, -0.3])

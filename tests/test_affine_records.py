@@ -23,6 +23,7 @@ from warpquot.errors import InvalidAction, ScenarioError
 
 from test_holonomy_closed_form import warped_torus_dict
 from test_quotient_batching import ref_record
+from fixture_models import klein_bottle_model
 
 VARS = ["x", "y"]
 
@@ -93,7 +94,7 @@ def test_warped_torus_holonomy_is_exactly_one(tmp_path):
 
 AFFINE_MODELS = {
     "mobius": fx.mobius_model,
-    "klein-bottle": fx.klein_bottle_model,
+    "klein-bottle": klein_bottle_model,
     "skewed-torus": fx.skewed_torus_model,
     "file-warped-torus": lambda: scenario.parse_scenario(warped_torus_dict()).model,
 }

@@ -31,23 +31,25 @@ from warpquot.chartkit import MetricField, ScalarField, Signature
 from warpquot.errors import DegenerateMetric, InvalidWarp, NumericsError
 
 from random_products import random_twisted
+from fixture_models import (bowl_warped, expanding_spacetime, flat_direct_product,
+                            lorentz_warped_fiber, random_doubly_warped, strip_analytic)
 
 BUILTINS = scenario.list_scenarios()
 EXACT_PRODUCTS = {  # elementwise callbacks only
-    "flat-direct": fx.flat_direct_product,
+    "flat-direct": flat_direct_product,
     "polar-plane": fx.polar_plane,
     "sphere-polar": fx.sphere_polar,
     "hyperbolic-polar": fx.hyperbolic_polar,
     "lorentz-direct": fx.lorentz_direct,
-    "lorentz-warped-fiber": fx.lorentz_warped_fiber,
-    "expanding-spacetime": fx.expanding_spacetime,
-    "bowl-warped": fx.bowl_warped,
+    "lorentz-warped-fiber": lorentz_warped_fiber,
+    "expanding-spacetime": expanding_spacetime,
+    "bowl-warped": bowl_warped,
     "example1": lambda: fx.example1_model().dtp,
 }
 RANDOM_PRODUCTS = {
     "random-dtp-4": lambda: fx.random_doubly_twisted(4),
     "random-dtp-11": lambda: fx.random_doubly_twisted(11),
-    "random-dw-2": lambda: fx.random_doubly_warped(2),
+    "random-dw-2": lambda: random_doubly_warped(2),
     "random-dtp-5-3-3": lambda: random_twisted(5, 3, 3),
 }
 
@@ -78,7 +80,7 @@ def field_results(dtp, pts):
 def test_batch_equals_pointwise_exactly(name, route):
     dtp = EXACT_PRODUCTS[name]()
     if route == "fd":
-        dtp = fx.strip_analytic(dtp)
+        dtp = strip_analytic(dtp)
     for key, (batched, looped) in field_results(dtp, batch_points(dtp)).items():
         assert batched.shape == looped.shape, key
         np.testing.assert_array_equal(batched, looped, err_msg=f"{name} {route} {key}")
@@ -91,7 +93,7 @@ def test_batch_matches_pointwise_to_rounding(name, route):
     # contracted with BLAS; they sum term by term now, and the bound is 0
     dtp = RANDOM_PRODUCTS[name]()
     if route == "fd":
-        dtp = fx.strip_analytic(dtp)
+        dtp = strip_analytic(dtp)
     for key, (batched, looped) in field_results(dtp, batch_points(dtp)).items():
         assert batched.shape == looped.shape, key
         np.testing.assert_array_equal(batched, looped, err_msg=f"{name} {route} {key}")
@@ -100,7 +102,7 @@ def test_batch_matches_pointwise_to_rounding(name, route):
 @pytest.mark.parametrize("name", ["random-dtp", "random-dtp-4-fd"])
 def test_random_product_oracles_batch_bit_for_bit(name):
     dtp = (scenario.resolve_scenario("random-dtp").dtp if name == "random-dtp"
-           else fx.strip_analytic(fx.random_doubly_twisted(4)))
+           else strip_analytic(fx.random_doubly_twisted(4)))
     g = dtp.assembled
     pts = batch_points(dtp, 7, seed=5)
     for key, fn in (("mat", g.mat), ("christoffel", lambda x: ck.christoffel_numeric(g, x)),
@@ -284,7 +286,7 @@ def test_log_warp_batch_matches_pointwise(route):
     # every shape right and shows only in the values
     dtp = fx.random_doubly_twisted(3)
     if route == "fd":
-        dtp = fx.strip_analytic(dtp)
+        dtp = strip_analytic(dtp)
     pts = batch_points(dtp, count=dtp.n)
     for i in (1, 2):
         lw = dtp.log_warp(i)
@@ -360,14 +362,14 @@ def test_classify_random_twisted_matches_pointwise(seed):
 
 @pytest.mark.parametrize("seed", [1, 8, 29])
 def test_classify_random_warped_matches_pointwise(seed):
-    cls = assert_classify_matches(fx.random_doubly_warped(seed), 4)
+    cls = assert_classify_matches(random_doubly_warped(seed), 4)
     assert cls.tag is pg.StructureTag.DOUBLY_WARPED
 
 
 ORACLE_PRODUCTS = {**{f"builtin-{n}": (lambda n=n: scenario.resolve_scenario(n).dtp)
                       for n in BUILTINS},
-                   "random-dw-8-fd": lambda: fx.strip_analytic(fx.random_doubly_warped(8)),
-                   "random-dtp-5-fd": lambda: fx.strip_analytic(fx.random_doubly_twisted(5))}
+                   "random-dw-8-fd": lambda: strip_analytic(random_doubly_warped(8)),
+                   "random-dtp-5-fd": lambda: strip_analytic(fx.random_doubly_twisted(5))}
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_PRODUCTS))
@@ -492,8 +494,10 @@ def test_classify_rejects_nonfinite_one_form_sample():
         lam = ScalarField(ev, exact_order=2)
         return pg.assemble(f1, f2, one, lam)
 
-    # classify's samples; row 8 is the first with its x coordinate
+    # classify's samples; row 8 is the first with its x coordinate.  The exact
+    # hessian is refused as it is read, before d(omega_2) is formed from it
     bad = pg.offset_grid_points(np.array([[0.0, 1.0], [0.0, 1.0]]), 4)[8]
-    with pytest.raises(NumericsError, match=r"omega_2.*" + re.escape(str(bad))):
+    with pytest.raises(NumericsError,
+                       match=r"^derivative of '' non-finite at " + re.escape(str(bad))):
         pg.classify(product(bad[0]))
     assert pg.classify(product(0.5)).max_domega2 > 0.0  # no sample has x = 0.5

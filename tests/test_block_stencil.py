@@ -24,6 +24,7 @@ from warpquot import productgeo as pg
 from warpquot import scenario as sc
 
 from test_fd_golden import SCENARIOS
+from fixture_models import strip_analytic
 
 PROFILE = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -172,7 +173,7 @@ def _formula_product(tmp_path, name="formula-twisted"):
 
 @pytest.mark.parametrize("source", ["random-dtp", "formula-twisted"])
 def test_classify_reads_a_gradient_stencil_and_the_mixed_corners_alone(tmp_path, source):
-    dtp = (fx.strip_analytic(sc.resolve_scenario("random-dtp", seed=0).dtp)
+    dtp = (strip_analytic(sc.resolve_scenario("random-dtp", seed=0).dtp)
            if source == "random-dtp" else _formula_product(tmp_path))
     evidence, P, tallies = _classify_tally(dtp)
     assert min(evidence["max_N1"], evidence["max_N2"]) >= pg.VANISH_TOL  # both warps differenced
@@ -207,7 +208,7 @@ def test_the_full_order_2_jet_fails_the_count(monkeypatch):
     # negative control: the mixed block sliced from the full order-2 jet (a
     # second gradient stencil, the whole hessian stencil) gives the same
     # evidence from more points, hessian diagonals among them
-    dtp = fx.strip_analytic(sc.resolve_scenario("random-dtp", seed=0).dtp)
+    dtp = strip_analytic(sc.resolve_scenario("random-dtp", seed=0).dtp)
     evidence, P, tallies = _classify_tally(dtp)
     block_jet = ck.ScalarField._jet
 
@@ -232,7 +233,7 @@ def test_the_full_order_2_jet_fails_the_count(monkeypatch):
 def test_a_full_order_2_jet_evaluates_each_centre_once(tmp_path, source):
     # the value is the hessian stencil's centre row; the gradient stencil holds
     # only the +-e_k points: P (1 + 4 n + 2 n (n - 1)) warp values, 41 P at n = 4
-    dtp = (fx.strip_analytic(sc.resolve_scenario("random-dtp", seed=0).dtp)
+    dtp = (strip_analytic(sc.resolve_scenario("random-dtp", seed=0).dtp)
            if source == "random-dtp" else _formula_product(tmp_path))
     x = pg.offset_grid_points(dtp.domain_box, 2)
     P, n = x.shape

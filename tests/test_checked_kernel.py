@@ -209,6 +209,10 @@ def test_screens_fall_back_to_the_per_point_rule():
     assert np.isfinite(metric([[1e308, 0.0], [0.0, 1e308]]).mat(pts)).all()
     huge = ScalarField(lambda x: np.full(x.shape[1:], 1e308))
     np.testing.assert_array_equal(huge.value(pts), 1e308)
+    # so are huge exact partials, whose squares overflow the partials' screen
+    steep = ScalarField(lambda x, k=0: (np.ones(x.shape[1:]), np.full(x.shape, 1e200))[:k + 1]
+                        if k else np.ones(x.shape[1:]), exact_order=1)
+    np.testing.assert_array_equal(steep.grad_coords(pts), 1e200)
 
 
 def test_the_screens_keep_the_thresholds():
@@ -223,3 +227,80 @@ def test_the_screens_keep_the_thresholds():
     for eps, scale in ((1.1e-12, 1.0), (1.1e-6, 1e6)):
         with pytest.raises(NumericsError, match=r"^metric not symmetric at \[0\.1 0\.2\]$"):
             asym(eps, scale).mat(pts)
+
+
+# ---------------------------------------------------------------------------
+# exact partials: screened where the value is, as ``_jet`` reads them
+
+def _broken_partial_metric(order):
+    """diag(1 + x^2, 1) on the plane, exact to second order, whose partial of
+    ``order`` is nan where x = 0.3; the value and the other partial are exact."""
+
+    def eval(x, k=0):
+        g = np.zeros((2, 2) + x.shape[1:])
+        g[0, 0], g[1, 1] = 1.0 + x[0] ** 2, 1.0
+        dg = np.zeros((2,) + g.shape)
+        dg[0, 0, 0] = 2.0 * x[0]
+        ddg = np.zeros((2,) + dg.shape)
+        ddg[0, 0, 0, 0] = 2.0
+        broken = (dg, ddg)[order - 1]
+        broken[0, 0, 0] = np.where(_hit(x[0]), np.nan, broken[0, 0, 0])
+        return (g, dg, ddg)[:k + 1] if k else g
+
+    return MetricField(2, eval, Signature.riemannian(2), exact_order=order)
+
+
+def _broken_partial_warp(order):
+    """lam = 1 + x^2 y^2 on (x, y, z), exact to second order, whose partial of
+    ``order`` is nan where y = 0.3."""
+
+    def eval(x, k=0):
+        val = 1.0 + x[0] ** 2 * x[1] ** 2
+        grad = np.zeros(x.shape)
+        grad[0], grad[1] = 2.0 * x[0] * x[1] ** 2, 2.0 * x[0] ** 2 * x[1]
+        hess = np.zeros((3,) + x.shape)
+        hess[0, 0], hess[1, 1] = 2.0 * x[1] ** 2, 2.0 * x[0] ** 2
+        hess[0, 1] = hess[1, 0] = 4.0 * x[0] * x[1]
+        broken = (grad, hess)[order - 1]
+        broken[0] = np.where(_hit(x[1]), np.nan, broken[0])
+        return (val, grad, hess)[:k + 1] if k else val
+
+    return ScalarField(eval, exact_order=2, name="lam2")
+
+
+# (case, call, points, message): each partial is refused by the kernel that
+# reads it, at one point and, where the entry point takes one, in a batch,
+# naming the partial and the point
+ONE, BOTH = [POINTS[1]], [POINTS[1], POINTS]
+PARTIAL_CASES = [
+    ("nan-dg-christoffel", lambda x: ck.christoffel_numeric(_broken_partial_metric(1), x[..., 1:]),
+     BOTH, "metric d1 non-finite at [0.3 0.4]"),
+    ("nan-ddg-riemann", lambda x: ck.riemann_numeric(_broken_partial_metric(2), x[..., 1:]),
+     BOTH, "metric d2 non-finite at [0.3 0.4]"),
+    ("nan-gradient-hessian-matrix",
+     lambda x: ck.hessian_matrix(_broken_partial_warp(1), MetricField.euclidean(3), x),
+     ONE, "derivative of 'lam2' non-finite at [0.5 0.3 0.4]"),
+    ("nan-hessian-hessian-matrix",
+     lambda x: ck.hessian_matrix(_broken_partial_warp(2), MetricField.euclidean(3), x),
+     ONE, "derivative of 'lam2' non-finite at [0.5 0.3 0.4]"),
+    ("nan-gradient-point-geometry",
+     lambda x: pg.point_geometry(_product(lam2=_broken_partial_warp(1)), x),
+     BOTH, "derivative of 'lam2' non-finite at [0.5 0.3 0.4]"),
+    ("nan-hessian-point-geometry",
+     lambda x: pg.point_geometry(_product(lam2=_broken_partial_warp(2)), x),
+     BOTH, "derivative of 'lam2' non-finite at [0.5 0.3 0.4]"),
+    # gradient's own screen of its result is gone: the kernel's refuses first
+    ("nan-gradient-gradient",
+     lambda x: ck.gradient(_broken_partial_warp(1), MetricField.euclidean(3), x),
+     ONE, "derivative of 'lam2' non-finite at [0.5 0.3 0.4]"),
+]
+
+
+@pytest.mark.parametrize("case,call,points,message", PARTIAL_CASES,
+                         ids=[c[0] for c in PARTIAL_CASES])
+def test_a_non_finite_exact_partial_is_refused_where_it_is_read(case, call, points, message):
+    for x in points:
+        with pytest.raises(NumericsError) as exc:
+            call(x)
+        assert str(exc.value) == message
+    call(POINTS[0])  # a point where every partial is finite passes

@@ -23,6 +23,8 @@ from warpquot import productgeo as pg
 from warpquot import quotient as qt
 from warpquot import scenario as sc
 
+from fixture_models import klein_bottle_model, random_doubly_warped, strip_analytic
+
 BUILTINS = sc.list_scenarios()
 RANDOM_SEEDS = (0, 3, 11)
 
@@ -65,7 +67,7 @@ def test_closed_form_christoffel_matches_the_oracle(label, dtp):
 
 @pytest.mark.parametrize("label, dtp", products(), ids=lambda v: v if isinstance(v, str) else "")
 def test_closed_form_christoffel_matches_the_oracle_on_the_fd_route(label, dtp):
-    bare = fx.strip_analytic(dtp)
+    bare = strip_analytic(dtp)
     pts = sample_points(bare, 6, seed=1)
     gap = np.max(np.abs(pg.point_geometry(bare, pts).gamma
                         - ck.christoffel_numeric(bare.assembled, pts)))
@@ -77,7 +79,7 @@ def test_batched_closed_form_equals_the_single_point_one(strip):
     # rows of a batch see numpy's array kernels, one point its scalar path:
     # exact derivatives agree to rounding, central differences to rounding / step
     for label, dtp in products():
-        dtp = fx.strip_analytic(dtp) if strip else dtp
+        dtp = strip_analytic(dtp) if strip else dtp
         pts = sample_points(dtp, 5, seed=2)
         batch = pg.point_geometry(dtp, pts).gamma
         assert batch.shape == (5,) + (dtp.n,) * 3
@@ -87,7 +89,7 @@ def test_batched_closed_form_equals_the_single_point_one(strip):
 
 
 def test_warp_hessian_of_the_record_matches_the_oracle():
-    for dtp in (fx.random_doubly_twisted(3), fx.sphere_polar(), fx.strip_analytic(fx.random_doubly_warped(8))):
+    for dtp in (fx.random_doubly_twisted(3), fx.sphere_polar(), strip_analytic(random_doubly_warped(8))):
         x = sample_points(dtp, 1, seed=4)[0]
         for i in (1, 2):
             want = ck.hessian_matrix(dtp.warp(i), dtp.assembled, x)
@@ -183,7 +185,7 @@ def _count_calls_on(monkeypatch, g):
 @pytest.mark.parametrize("strip", [False, True])
 def test_closed_forms_evaluate_the_product_metric_once(monkeypatch, strip):
     dtp = fx.random_doubly_twisted(4)
-    dtp = fx.strip_analytic(dtp) if strip else dtp
+    dtp = strip_analytic(dtp) if strip else dtp
     x = sample_points(dtp, 1, seed=5)[0]
     planes = [ck.gram_schmidt(dtp.assembled, x, np.stack([dtp.embed(i, [1.0, 0.3]),
                                                           dtp.embed(j, [-0.2, 1.0])], axis=1)).T
@@ -201,7 +203,7 @@ def test_closed_forms_evaluate_the_product_metric_once(monkeypatch, strip):
 
 
 def test_fd_riemann_evaluates_the_metric_once(monkeypatch):
-    dtp = fx.strip_analytic(fx.random_doubly_twisted(4))
+    dtp = strip_analytic(fx.random_doubly_twisted(4))
     g = dtp.assembled
     assert g.exact_order == 0
     x = 0.5 * (g.domain_box[:, 0] + g.domain_box[:, 1])
@@ -217,7 +219,7 @@ def test_christoffel_rows_evaluate_one_stencil(monkeypatch, strip):
     # the compatibility stencil is the FD oracle's own: without exact
     # derivatives Gamma comes from it, bit for bit christoffel_numeric's
     dtp = fx.random_doubly_twisted(4)
-    dtp = fx.strip_analytic(dtp) if strip else dtp
+    dtp = strip_analytic(dtp) if strip else dtp
     g = dtp.assembled
     want_x = cli._rand_points(np.random.default_rng(4), dtp.domain_box, 5)
     state = _count_calls_on(monkeypatch, g)
@@ -322,7 +324,7 @@ def test_batched_riemann_equals_the_per_point_tensors(strip):
     # the fixtures sum term by term, so a point's g has the same bits in any
     # batch, and so has everything differentiated from it
     dtp = fx.random_doubly_twisted(4)
-    dtp = fx.strip_analytic(dtp) if strip else dtp
+    dtp = strip_analytic(dtp) if strip else dtp
     pts = sample_points(dtp, 6, seed=2)
     batch = ck.riemann_numeric(dtp.assembled, pts)
     single = np.stack([ck.riemann_numeric(dtp.assembled, x) for x in pts])
@@ -427,21 +429,21 @@ def test_decomposition_check_enumerates_the_words_once(monkeypatch):
         calls.append(max_len)
         return exact(self, max_len)
 
-    model = fx.klein_bottle_model()
+    model = klein_bottle_model()
     want = qt.decomposition_check(model, [0.1, 0.2], {})
     monkeypatch.setattr(qt.QuotientModel, "enumerate_words", counted)
-    model = fx.klein_bottle_model()
+    model = klein_bottle_model()
     got = qt.decomposition_check(model, [0.1, 0.2], {})
     assert (got.tag, got.reason) == (want.tag, want.reason)
     assert got.intersections.count == want.intersections.count == 2
     assert calls == [model.word_bound]
-    assert qt.leaf_loops(model, np.zeros(2)) == qt.leaf_loops(fx.klein_bottle_model(), np.zeros(2))
+    assert qt.leaf_loops(model, np.zeros(2)) == qt.leaf_loops(klein_bottle_model(), np.zeros(2))
     assert calls == [model.word_bound] * 2  # the fresh model enumerates once more
     # every orbit lookup at the model's bound reads the same enumeration: a
     # fresh model enumerates on its first reduction, and never again
     far = model.apply_word((("a", 1), ("a", 1), ("b", -1)), np.array([0.3, 0.4]))
     for fresh in (False, True):
-        model = fx.klein_bottle_model() if fresh else model
+        model = klein_bottle_model() if fresh else model
         rep, word = model.canonical_rep(far)
         assert word and model.in_box(rep)
         assert calls == [model.word_bound] * (3 if fresh else 2)

@@ -15,6 +15,8 @@ from warpquot import productgeo as pg
 from warpquot import transport as tp
 from warpquot.errors import NumericsError
 
+from fixture_models import flat_direct_product
+
 POLAR = fx.polar_plane()                 # dr^2 + r^2 dth^2
 X = np.array([1.0, 0.5])                 # r = 1: u, v below are g-orthonormal
 U, V = np.array([1.0, 0.0]), np.array([0.0, 1.0])
@@ -28,7 +30,7 @@ G = POLAR.assembled
 
 def _loop_return(frame):
     """``loop_return_map`` of a contractible leaf loop, read with ``frame``."""
-    dtp = fx.flat_direct_product()
+    dtp = flat_direct_product()
     loop = tp.PiecewiseCurve.from_function(
         lambda t: np.stack([0.2 * np.sin(2 * np.pi * t), 0.0 * t], axis=1),
         lambda t: np.stack([0.4 * np.pi * np.cos(2 * np.pi * t), 0.0 * t], axis=1))

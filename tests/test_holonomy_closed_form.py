@@ -24,6 +24,7 @@ from warpquot import transport as tp
 from warpquot.errors import InvalidAction, NotALoop
 from warpquot.scenario import load_scenario_file
 from transport_jobs import carry, holonomy
+from fixture_models import klein_bottle_model, random_doubly_warped, strip_analytic
 
 
 def warped_torus_dict(eps=0.25, basepoint=(0.3, 0.6)):
@@ -69,7 +70,7 @@ def run(tmp_path, *argv):
     (0.2, "multiple-intersections", None, 2),
 ])
 def test_klein_bottle_obstructed_without_supplied_loops(y0, kind, word, count):
-    model = fx.klein_bottle_model()
+    model = klein_bottle_model()
     verdict = qt.decomposition_check(model, [0.1, y0], {})
     assert verdict.tag == "obstructed"
     assert (verdict.reason.kind, verdict.reason.word, verdict.reason.count) == (kind, word, count)
@@ -80,7 +81,7 @@ def test_klein_bottle_obstructed_without_supplied_loops(y0, kind, word, count):
 
 def test_klein_bottle_declared_trivial_loops_do_not_hide_the_obstruction():
     # a a closes the central leaf with trivial holonomy; a itself is derived
-    model = fx.klein_bottle_model()
+    model = klein_bottle_model()
     verdict = qt.decomposition_check(model, [0.1, 0.0], {1: [(("a", 1), ("a", 1))],
                                                         2: [(("b", 1),)]})
     assert verdict.reason.kind == "nontrivial-holonomy"
@@ -118,7 +119,7 @@ def test_decomposition_guard_keeps_the_warped_verdicts(tmp_path):
 
 
 def test_klein_bottle_passes_validation():
-    assert qt.validate(fx.klein_bottle_model()).worst() < qt.ACTION_TOL
+    assert qt.validate(klein_bottle_model()).worst() < qt.ACTION_TOL
 
 
 @pytest.mark.parametrize("name, make", [
@@ -152,7 +153,7 @@ def _quotients(tmp_path):
     yield "flat-torus", fx.flat_torus_model(), np.zeros(2), fx.HOLONOMY_LOOPS["flat-torus"]
     yield "skewed-torus", fx.skewed_torus_model(), np.zeros(2), fx.HOLONOMY_LOOPS["skewed-torus"]
     yield "mobius", fx.mobius_model(), np.zeros(2), fx.HOLONOMY_LOOPS["mobius"]
-    yield "klein-bottle", fx.klein_bottle_model(), np.array([0.1, -0.5]), {1: [(("a", 1), ("b", -1))]}
+    yield "klein-bottle", klein_bottle_model(), np.array([0.1, -0.5]), {1: [(("a", 1), ("b", -1))]}
     ctx = load_scenario_file(warped_torus_file(tmp_path))
     rep0, _ = ctx.model.canonical_rep(ctx.base())
     yield "warped-torus", ctx.model, rep0, ctx.holonomy_loops
@@ -200,7 +201,7 @@ def test_declared_loops_take_one_closed_form_batch_per_foliation(tmp_path, monke
 
 def test_loop_holonomy_rejects_a_word_that_opens_the_leaf():
     with pytest.raises(NotALoop):
-        qt.loop_holonomies(fx.klein_bottle_model(), np.array([0.1, 0.2]), 1, [(("a", 1),)])
+        qt.loop_holonomies(klein_bottle_model(), np.array([0.1, 0.2]), 1, [(("a", 1),)])
 
 
 @pytest.mark.parametrize("seed", [0, 3, 11])
@@ -350,7 +351,7 @@ ORACLE_MODELS = {
     "flat-torus": fx.flat_torus_model,
     "skewed-torus": fx.skewed_torus_model,
     "mobius": fx.mobius_model,
-    "klein-bottle": fx.klein_bottle_model,
+    "klein-bottle": klein_bottle_model,
     "example1": fx.example1_model,
 }
 
@@ -401,7 +402,7 @@ def _count_top_level_mat(monkeypatch):
 
 
 def test_one_metric_evaluation_per_christoffel_and_none_per_omega(monkeypatch):
-    dtp = fx.strip_analytic(fx.random_doubly_twisted(4))
+    dtp = strip_analytic(fx.random_doubly_twisted(4))
     x = 0.5 * (dtp.domain_box[:, 0] + dtp.domain_box[:, 1])
     ref = ck.christoffel_numeric(dtp.assembled, x)
     state = _count_top_level_mat(monkeypatch)
@@ -431,7 +432,7 @@ def test_fd_christoffel_reads_the_centre_from_the_stencil(tmp_path):
 
 
 def test_mean_curvature_form_is_the_dual_of_the_mean_curvature_vector():
-    for dtp in (fx.random_doubly_twisted(5), fx.sphere_polar(), fx.strip_analytic(fx.random_doubly_warped(8))):
+    for dtp in (fx.random_doubly_twisted(5), fx.sphere_polar(), strip_analytic(random_doubly_warped(8))):
         x = 0.45 * dtp.domain_box[:, 0] + 0.55 * dtp.domain_box[:, 1]
         for i in (1, 2):
             g, ginv = dtp.assembled.mat_and_inv(x)

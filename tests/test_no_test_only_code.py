@@ -1,8 +1,8 @@
 """Every function in ``src/warpquot`` has a caller outside the tests.
 
-The test AST-scans each module except ``fixtures.py`` (which holds the
-fixtures the tests and the built-in scenarios share).  A top-level function
-passes when one of these holds, outside its own ``def``:
+The test AST-scans each module of the package (``_src_trees``, the loader
+the other guards import).  A top-level function passes when one of these
+holds, outside its own ``def``:
 
 * ``src/warpquot`` names it: by bare name in its own module, as
   ``alias.name`` where ``alias`` is an imported warpquot module, in a
@@ -153,7 +153,7 @@ def _test_only():
     bench_functions, bench_methods = _bench_keeps(modules)
     unused = []
     for path, tree in trees.items():
-        if path.name in ("fixtures.py", "__init__.py"):
+        if path.name == "__init__.py":
             continue
         for qualname, node, cls in _definitions(tree):
             name = node.name

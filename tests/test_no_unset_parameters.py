@@ -1,17 +1,18 @@
 """Every optional parameter in ``src/warpquot`` is set by a call there.
 
-The parameter-level twin of ``test_no_test_only_code.py``.  The test
-AST-scans each module except ``fixtures.py`` (which holds the fixtures the
-tests and the built-in scenarios share) and lists the optional parameters
-(those with a default) of every function, method and nested function.  A
-parameter passes when some call in ``src/warpquot`` passes it, by keyword or
-by position (a ``*args`` or ``**kwargs`` argument passes every one), or when
-it is on ``ALLOWED`` below with the reason it stays.
+The parameter-level twin of ``test_no_test_only_code.py``, whose loader it
+reads.  The test AST-scans each module of the package and lists the optional
+parameters (those with a default) of every function, method and nested
+function.  A parameter passes when some call in ``src/warpquot`` passes it,
+by keyword or by position (a ``*args`` or ``**kwargs`` argument passes every
+one), or when it is on ``ALLOWED`` below with the reason it stays.
 
 A call matches a definition by name: ``name(...)`` or ``obj.name(...)``.
 Where ``obj`` is a class defined in the package, the call matches only that
 class's method, so ``Other.constant(..., name=...)`` does not set the
 ``name`` of ``Field.constant`` (as in the synthetic test below).  A bound method call skips ``self``.
+A field's callback is set through ``chartkit``'s ``field.eval(cols, k)``, so
+a closure passed as one is named ``eval`` to be matched.
 
 Exempt are dunders (``__init__``, ``__call__``: their callers name the class
 or call the instance) and closure captures, the parameters whose name starts
@@ -23,11 +24,9 @@ delete the code that only it kept alive.
 """
 
 import ast
-import functools
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src" / "warpquot"
+from test_no_test_only_code import _src_trees
 
 _SYMMETRIC = "the paper's statement is symmetric in the two foliations"
 ALLOWED = {
@@ -42,15 +41,6 @@ ALLOWED = {
     "transport.PiecewiseCurve.from_function.velocity_fn": "documented in the README",
     "cli.main.argv": "the entry point: None reads sys.argv",
 }
-
-
-def _parse(paths):
-    return {path: ast.parse(path.read_text(), str(path)) for path in sorted(paths)}
-
-
-@functools.cache
-def _src_trees():
-    return _parse(SRC.glob("*.py"))
 
 
 def _walk_defs(node, prefix, cls):
@@ -85,11 +75,9 @@ def _bound(fn, cls) -> bool:
 
 def inventory(trees=None):
     """(module.qualname.param, def node, class, positional index) of every
-    optional parameter outside fixtures.py, closure captures excluded."""
+    optional parameter, closure captures excluded."""
     out = []
     for path, tree in (trees or _src_trees()).items():
-        if path.name == "fixtures.py":
-            continue
         for qualname, fn, cls in _walk_defs(tree, "", None):
             for index, name in _optional(fn):
                 if not name.startswith("_"):
@@ -126,8 +114,8 @@ def _sets(call: ast.Call, name: str, index, skip: int) -> bool:
 
 
 def unset(trees=None):
-    """Optional parameters outside fixtures.py, other than dunders' and
-    closure captures, that no call in the package passes."""
+    """Optional parameters, other than dunders' and closure captures, that
+    no call in the package passes."""
     trees = trees or _src_trees()
     calls = _calls(trees)
     out = []

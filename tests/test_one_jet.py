@@ -22,6 +22,9 @@ from warpquot import scenario as sc
 from warpquot.chartkit import MetricField, ScalarField, Signature
 from warpquot.errors import NumericsError
 
+from fixture_models import (bowl_warped, expanding_spacetime, lorentz_warped_fiber,
+                            random_doubly_warped, strip_analytic)
+
 
 def _counted_calls(monkeypatch) -> Counter:
     calls = Counter()
@@ -43,7 +46,7 @@ def _points(dtp, count, seed=0):
 
 def _ref(name, strip):
     dtp = sc.resolve_scenario(name, seed=0).dtp
-    return fx.strip_analytic(dtp) if strip else dtp
+    return strip_analytic(dtp) if strip else dtp
 
 
 @pytest.mark.parametrize("name", ["random-dtp", "sphere-polar"])
@@ -103,9 +106,9 @@ def _fixture_fields():
     """(label, field) for every fixture field of exact order 1 or 2, and the
     log warps of every built-in product."""
     products = {name: sc.resolve_scenario(name, seed=0).dtp for name in sc.list_scenarios()}
-    products.update({"random-dw-1": fx.random_doubly_warped(1), "bowl": fx.bowl_warped(),
-                     "lorentz-warped-fiber": fx.lorentz_warped_fiber(),
-                     "expanding": fx.expanding_spacetime(),
+    products.update({"random-dw-1": random_doubly_warped(1), "bowl": bowl_warped(),
+                     "lorentz-warped-fiber": lorentz_warped_fiber(),
+                     "expanding": expanding_spacetime(),
                      "random-dtp-7": fx.random_doubly_twisted(7)})
     out = []
     for name, dtp in products.items():
@@ -139,7 +142,7 @@ def test_each_order_of_eval_extends_the_lower_one_bit_for_bit(label, field, dtp)
 def test_the_assembled_order_is_the_least_factor_order():
     dtp = fx.random_doubly_twisted(2)
     assert dtp.assembled.exact_order == 2
-    assert fx.strip_analytic(dtp).assembled.exact_order == 0
+    assert strip_analytic(dtp).assembled.exact_order == 0
     assert fx.example1_model().dtp.assembled.exact_order == 0  # its warp is a value only
     one = dataclasses.replace(dtp.lam1, exact_order=1)
     assert pg.assemble(dtp.f1, dtp.f2, one, dtp.lam2).assembled.exact_order == 1

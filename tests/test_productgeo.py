@@ -9,6 +9,9 @@ from warpquot import productgeo as pg
 from warpquot.chartkit import ScalarField
 from warpquot.errors import CaseMismatch, InvalidFrame, InvalidWarp, NormalizationError
 
+from fixture_models import (bowl_warped, expanding_spacetime, flat_direct_product,
+                            lorentz_warped_fiber, random_doubly_warped, strip_analytic)
+
 
 def rand_point(rng, box):
     box = np.asarray(box, dtype=float)
@@ -53,7 +56,7 @@ def mean_curvature(dtp, x, i):
 # assembly
 
 def test_assemble_direct_product_flat():
-    dtp = fx.flat_direct_product()
+    dtp = flat_direct_product()
     assert np.allclose(dtp.assembled.mat([0.3, -0.7]), np.eye(2))
 
 
@@ -94,7 +97,7 @@ def test_assemble_rejects_nonpositive_warp():
 
 def test_assembled_analytic_derivatives_match_fd():
     dtp = fx.random_doubly_twisted(7)
-    bare = fx.strip_analytic(dtp)
+    bare = strip_analytic(dtp)
     rng = np.random.default_rng(1)
     for _ in range(3):
         x = rand_point(rng, dtp.domain_box) * 0.9
@@ -105,7 +108,7 @@ def test_assembled_analytic_derivatives_match_fd():
 # connection closed form (Levi-Civita of the product, by slot case)
 
 def test_connection_direct_product_reduces_to_factors():
-    dtp = fx.flat_direct_product()
+    dtp = flat_direct_product()
     x = [0.2, -0.3]
     assert np.allclose(connection(dtp, x, [1.0, 0.0], [1.0, 0.0]), 0.0)
 
@@ -135,7 +138,7 @@ def test_connection_closed_form_equals_oracle(make):
 
 
 def test_connection_equivalence_survives_fd_route():
-    dtp = fx.strip_analytic(fx.random_doubly_twisted(9))
+    dtp = strip_analytic(fx.random_doubly_twisted(9))
     rng = np.random.default_rng(22)
     x = np.stack([rand_point(rng, dtp.domain_box) * 0.9 for _ in range(5)])
     gap = pg.point_geometry(dtp, x).gamma - ck.christoffel_numeric(dtp.assembled, x)
@@ -164,7 +167,7 @@ def test_mixed_connection_identity(make):
 # mean curvature vectors
 
 def test_mean_curvature_direct_product_zero():
-    dtp = fx.flat_direct_product()
+    dtp = flat_direct_product()
     assert np.allclose(mean_curvature(dtp, [0.1, 0.2], 1), 0.0)
     assert np.allclose(mean_curvature(dtp, [0.1, 0.2], 2), 0.0)
 
@@ -189,7 +192,7 @@ def test_mean_curvature_slots():
 # classification
 
 def test_classify_direct_product():
-    assert pg.classify(fx.flat_direct_product()).tag is pg.StructureTag.DIRECT_PRODUCT
+    assert pg.classify(flat_direct_product()).tag is pg.StructureTag.DIRECT_PRODUCT
 
 
 def test_classify_warped_polar():
@@ -206,7 +209,7 @@ def test_classify_twisted_example():
 
 
 def test_classify_doubly_warped_random():
-    cls = pg.classify(fx.random_doubly_warped(17))
+    cls = pg.classify(random_doubly_warped(17))
     assert cls.tag is pg.StructureTag.DOUBLY_WARPED
 
 
@@ -230,7 +233,7 @@ def _swap_product(dtp):
 
 
 def test_classify_invariant_under_factor_swap():
-    dw = fx.random_doubly_warped(29)
+    dw = random_doubly_warped(29)
     assert pg.classify(_swap_product(dw)).tag is pg.StructureTag.DOUBLY_WARPED
     warped = fx.polar_plane()
     swapped_cls = pg.classify(_swap_product(warped))
@@ -258,7 +261,7 @@ def test_sectional_closed_form_hyperbolic_mixed():
 
 
 def test_sectional_closed_form_flat_zero():
-    dtp = fx.flat_direct_product()
+    dtp = flat_direct_product()
     x = np.array([0.1, 0.2])
     k = pg.sectional_curvature_closed_form(dtp, x, [1, 0], [0, 1])
     assert k == pytest.approx(0.0, abs=1e-10)
@@ -306,7 +309,7 @@ def test_sectional_closed_form_equals_oracle_all_cases(seed):
 
 
 def test_sectional_equivalence_survives_fd_route():
-    dtp = fx.strip_analytic(fx.random_doubly_twisted(41))
+    dtp = strip_analytic(fx.random_doubly_twisted(41))
     rng = np.random.default_rng(41)
     done = 0
     for _ in range(6):
@@ -342,7 +345,7 @@ def test_lightlike_lorentz_direct_zero():
 
 def test_lightlike_mixed_plane_vanishes_for_warped_fibers():
     # umbilic-fiber projection with integrable horizontal: K_xi(mixed) = 0
-    dtp = fx.lorentz_warped_fiber()
+    dtp = lorentz_warped_fiber()
     g = dtp.assembled
     for xv in (-0.4, 0.0, 0.5):
         x = np.array([xv, 0.2, -0.1])
@@ -358,7 +361,7 @@ def test_lightlike_mixed_plane_vanishes_for_warped_fibers():
 
 
 def test_lightlike_nonzero_on_expanding_spacetime():
-    dtp = fx.expanding_spacetime()
+    dtp = expanding_spacetime()
     g = dtp.assembled
     x = np.array([0.3, 0.1, -0.2])
     a = np.cosh(0.3)
@@ -391,7 +394,7 @@ def test_lightlike_frame_validation():
 # O'Neill T tensor
 
 def test_oneill_t_direct_product_zero():
-    dtp = fx.flat_direct_product()
+    dtp = flat_direct_product()
     x = np.array([0.1, 0.2])
     assert np.allclose(pg.oneill_T(dtp, x, [0.3, 0.7], [-0.2, 0.4]), 0.0)
 
@@ -443,7 +446,7 @@ def covariant_derivative(dtp, x, X, field):
     return X @ dV + np.einsum("kij,i,j->k", gamma, X, field(x[None])[0])
 
 
-@pytest.mark.parametrize("make", [fx.flat_direct_product, fx.polar_plane, fx.sphere_polar])
+@pytest.mark.parametrize("make", [flat_direct_product, fx.polar_plane, fx.sphere_polar])
 def test_oneill_t_covariant_derivative_formula(make):
     # with integrable horizontal distribution (A = 0) only the N terms survive:
     # (nabla_X T)(E,F) = g(E^v, F^v) nabla_X N - g(nabla_X N, F) E^v
@@ -469,7 +472,7 @@ def test_oneill_t_covariant_derivative_formula(make):
 
 def test_hessian_form_predicate_sign():
     # lam2 = 1 + x^2 has positive-definite hessian along factor 1
-    dtp = fx.bowl_warped()
+    dtp = bowl_warped()
     x = np.array([0.3, 0.1])
     v = np.array([1.0, 0.0])
     assert v @ pg.point_geometry(dtp, x).warp_hessian(2) @ v > 0.0

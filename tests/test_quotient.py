@@ -16,6 +16,7 @@ from warpquot.scenario import parse_scenario, resolve_scenario
 
 from test_holonomy_closed_form import warped_torus_dict
 from transport_jobs import holonomy
+from fixture_models import bounded, bowl_warped, flat_direct_product
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +70,7 @@ def test_canonical_rep_mobius_double_flip():
 
 
 def test_canonical_rep_word_bound_exceeded():
-    model = fx.flat_torus_model(word_bound=2)
+    model = bounded(fx.flat_torus_model(), 2)
     with pytest.raises(WordBoundExceeded):
         model.canonical_rep([7.5, 0.2])
 
@@ -141,7 +142,7 @@ def test_leaf_trace_requires_basepoint_in_box():
 # intersection counting (orbit enumeration)
 
 def test_intersections_skewed_torus_two_points():
-    model = fx.skewed_torus_model(word_bound=4)
+    model = bounded(fx.skewed_torus_model(), 4)
     report = qt.leaf_intersection_count(model, [0.0, 0.0], word_bound=4)
     assert report.count == 2
     assert not report.lower_bound_only
@@ -151,20 +152,20 @@ def test_intersections_skewed_torus_two_points():
 
 
 def test_intersections_axis_torus_one_point():
-    model = fx.flat_torus_model(word_bound=4)
+    model = bounded(fx.flat_torus_model(), 4)
     report = qt.leaf_intersection_count(model, [0.0, 0.0], word_bound=4)
     assert report.count == 1
 
 
 def test_intersections_mobius_central_one_point():
-    model = fx.mobius_model(word_bound=4)
+    model = bounded(fx.mobius_model(), 4)
     report = qt.leaf_intersection_count(model, [0.0, 0.0], word_bound=4)
     assert report.count == 1
 
 
 def test_intersections_inequality_vs_no_holonomy_point():
     # card(F1(x) ^ F2(x)) <= card at a no-holonomy basepoint, same word bound
-    model = fx.skewed_torus_model(word_bound=4)
+    model = bounded(fx.skewed_torus_model(), 4)
     base = qt.leaf_intersection_count(model, [0.0, 0.0], word_bound=4).count
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -294,7 +295,7 @@ def test_warp_compat_along_no_holonomy_leaf():
 # decomposition verdicts
 
 def test_decomposition_flat_torus_global_product():
-    model = fx.flat_torus_model(word_bound=4)
+    model = bounded(fx.flat_torus_model(), 4)
     verdict = qt.decomposition_check(model, [0.0, 0.0], fx.HOLONOMY_LOOPS["flat-torus"])
     assert verdict.tag == "global-doubly-warped-product"
     assert verdict.reason.kind == "none"
@@ -306,7 +307,7 @@ def test_decomposition_flat_torus_global_product():
 
 
 def test_decomposition_mobius_obstructed_by_holonomy():
-    model = fx.mobius_model(word_bound=4)
+    model = bounded(fx.mobius_model(), 4)
     verdict = qt.decomposition_check(model, [0.0, 0.0], fx.HOLONOMY_LOOPS["mobius"])
     assert verdict.tag == "obstructed"
     assert verdict.reason.kind == "nontrivial-holonomy"
@@ -316,7 +317,7 @@ def test_decomposition_mobius_obstructed_by_holonomy():
 
 
 def test_decomposition_skewed_torus_obstructed_by_intersections():
-    model = fx.skewed_torus_model(word_bound=4)
+    model = bounded(fx.skewed_torus_model(), 4)
     verdict = qt.decomposition_check(model, [0.0, 0.0], fx.HOLONOMY_LOOPS["skewed-torus"])
     assert verdict.tag == "obstructed"
     assert verdict.reason.kind == "multiple-intersections"
@@ -399,7 +400,7 @@ def test_example1_classified_twisted():
 # curvature-sign + critical-point diagnostic
 
 def test_teodg_bowl_hypotheses_hold():
-    report = qt.teodg_diagnostic(fx.bowl_warped(), n_samples=40)
+    report = qt.teodg_diagnostic(bowl_warped(), n_samples=40)
     assert report.hypotheses_hold
     assert report.histogram["positive"] == 0 and report.histogram["zero"] == 0
     assert any(abs(a[0]) < 1e-6 for a in report.critical_points)
@@ -412,7 +413,7 @@ def test_teodg_polar_no_critical_point():
 
 
 def test_teodg_flat_direct_product_violated():
-    report = qt.teodg_diagnostic(fx.flat_direct_product(), n_samples=30)
+    report = qt.teodg_diagnostic(flat_direct_product(), n_samples=30)
     assert not report.hypotheses_hold
     assert report.histogram["negative"] == 0
     assert report.histogram["zero"] > 0
@@ -450,7 +451,7 @@ def test_teodg_critical_points_from_the_constructions():
     sphere = qt.teodg_diagnostic(fx.sphere_polar(), n_samples=10)
     assert len(sphere.critical_points) == 1 and not sphere.critical_everywhere
     assert abs(sphere.critical_points[0][0] - np.pi / 2) < 1e-12
-    bowl = qt.teodg_diagnostic(fx.bowl_warped(), n_samples=10)
+    bowl = qt.teodg_diagnostic(bowl_warped(), n_samples=10)
     assert len(bowl.critical_points) == 1 and abs(bowl.critical_points[0][0]) < 1e-12
     for make in (fx.hyperbolic_polar, fx.polar_plane):
         report = qt.teodg_diagnostic(make(), n_samples=10)

@@ -29,6 +29,8 @@ from warpquot import scenario
 from warpquot.chartkit import MetricField, ScalarField
 from warpquot.errors import InvalidAction, NumericsError
 
+from fixture_models import bounded
+
 
 # ---------------------------------------------------------------------------
 # models: the quotient fixtures and scenario files with formula generators
@@ -418,7 +420,7 @@ def test_canonical_rep_matches_node_by_node_search(name):
 
 
 def test_searches_report_misses_per_start():
-    model = fx.flat_torus_model(word_bound=2)
+    model = bounded(fx.flat_torus_model(), 2)
     found = model._searches(np.array([[7.5, 0.2], [1.5, 0.2], [0.3, 0.3]]), model.in_box, 2)
     assert found[0] is None and ref_canonical_rep(model, [7.5, 0.2]) is None
     assert found[1][1] == (("a", -1),)
@@ -663,10 +665,10 @@ def test_word_then_inverse_is_identity(name, letters, pts):
 # intersection counts at word bound 4, from any basepoint of the orbit: drawn
 # uniformly in the box or within 1e-6 of its edges, then moved by a deck word
 INVARIANT_COUNTS = {
-    "flat-torus": (fx.flat_torus_model(word_bound=4), 1),
-    "skewed-torus": (fx.skewed_torus_model(word_bound=4), 2),
-    "mobius-central": (fx.mobius_model(word_bound=4), 1),       # y0 = 0
-    "mobius-off-central": (fx.mobius_model(word_bound=4), 2),   # |y0| in [0.1, 0.9]
+    "flat-torus": (bounded(fx.flat_torus_model(), 4), 1),
+    "skewed-torus": (bounded(fx.skewed_torus_model(), 4), 2),
+    "mobius-central": (bounded(fx.mobius_model(), 4), 1),       # y0 = 0
+    "mobius-off-central": (bounded(fx.mobius_model(), 4), 2),   # |y0| in [0.1, 0.9]
 }
 unit = st.one_of(st.floats(0.0, 1.0), st.floats(-1e-6, 1e-6), st.floats(1.0 - 1e-6, 1.0 + 1e-6))
 
@@ -752,7 +754,7 @@ def test_mobius_verdict_does_not_depend_on_the_box_edge():
     # x0 just below 1 reduces to x = -5e-8 with y = +0.66: the open vertical
     # leaf must still reach the second intersection at y = -0.66; a basepoint
     # next to the edge of the y range needs no step beyond it
-    model = fx.mobius_model(word_bound=4)
+    model = bounded(fx.mobius_model(), 4)
     for x0 in ([0.99999995, -0.66], [0.9999998, -0.66], [0.5, -1e9 + 1]):
         verdict = qt.decomposition_check(model, x0, {1: [(("a", 1), ("a", 1))]})
         assert verdict.tag == "obstructed"

@@ -72,7 +72,7 @@ def _public():
     of the modules the guard scans; a property, cached property or static
     method by its function."""
     for path, tree in _src_trees().items():
-        if path.name in ("fixtures.py", "__init__.py"):
+        if path.name == "__init__.py":
             continue
         module = importlib.import_module(f"warpquot.{path.stem}")
         for qualname, node, cls in _definitions(tree):

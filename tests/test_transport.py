@@ -10,6 +10,7 @@ from warpquot import fixtures as fx
 from warpquot import transport as tp
 from warpquot.errors import NotALoop, NotInLeaf, NumericsError
 from transport_jobs import carry, holonomy
+from fixture_models import flat_direct_product
 
 
 def norm(g, x, v):
@@ -202,7 +203,7 @@ def normal_translation(dtp, curve, v0):
 
 
 def test_normal_transport_direct_product_constant():
-    dtp = fx.flat_direct_product()
+    dtp = flat_direct_product()
     curve = tp.PiecewiseCurve.line([0.0, 0.3], [1.0, 0.3])
     _, W = normal_translation(dtp, curve, [0.0, 0.8])
     assert np.allclose(W[-1], [0.0, 0.8], atol=1e-10)
@@ -248,7 +249,7 @@ def test_normal_transport_covariant_derivative_stays_tangent():
 
 
 def test_adapted_translation_direct_product_constant():
-    dtp = fx.flat_direct_product()
+    dtp = flat_direct_product()
     curve = tp.PiecewiseCurve.line([0.0, 0.3], [1.0, 0.3])
     res = carry(dtp, curve, [0.0, 0.8], 1)
     assert np.allclose(res.components[-1], [0.0, 0.8], atol=1e-10)
@@ -309,7 +310,7 @@ def test_adapted_translation_foliation2_mirror():
 # holonomy on plain products
 
 def test_holonomy_contractible_loop_identity():
-    dtp = fx.flat_direct_product()
+    dtp = flat_direct_product()
     loop = tp.PiecewiseCurve.from_function(
         lambda t: np.stack([0.2 * np.sin(2 * np.pi * t), 0.0 * t], axis=1),
         lambda t: np.stack([0.4 * np.pi * np.cos(2 * np.pi * t), 0.0 * t], axis=1))
@@ -319,7 +320,7 @@ def test_holonomy_contractible_loop_identity():
 
 
 def test_holonomy_open_curve_rejected():
-    dtp = fx.flat_direct_product()
+    dtp = flat_direct_product()
     curve = tp.PiecewiseCurve.line([0.0, 0.0], [1.0, 0.0])
     frame = tp.normal_frame(dtp, [0.0, 0.0], foliation=1)
     with pytest.raises(NotALoop):

@@ -28,6 +28,8 @@ from warpquot import transport as tp
 from warpquot.errors import NotInLeaf
 from warpquot.scenario import list_scenarios, load_scenario_file, resolve_scenario
 from transport_jobs import carry
+from fixture_models import (bowl_warped, expanding_spacetime, flat_direct_product,
+                            lorentz_warped_fiber, random_doubly_warped, strip_analytic)
 
 BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
 
@@ -109,16 +111,16 @@ def test_transport_command_makes_no_ode_call(tmp_path, monkeypatch):
 # the integrating adapted translation is the oracle
 
 PRODUCTS = {
-    "flat-direct": fx.flat_direct_product,
+    "flat-direct": flat_direct_product,
     "polar-plane": fx.polar_plane,
     "sphere-polar": fx.sphere_polar,
     "hyperbolic-polar": fx.hyperbolic_polar,
     "lorentz-direct": fx.lorentz_direct,
-    "lorentz-warped-fiber": fx.lorentz_warped_fiber,
-    "expanding-spacetime": fx.expanding_spacetime,
-    "bowl-warped": fx.bowl_warped,
+    "lorentz-warped-fiber": lorentz_warped_fiber,
+    "expanding-spacetime": expanding_spacetime,
+    "bowl-warped": bowl_warped,
     "random-dtp-3": lambda: fx.random_doubly_twisted(3),
-    "random-dw-8": lambda: fx.random_doubly_warped(8),
+    "random-dw-8": lambda: random_doubly_warped(8),
 }
 
 
@@ -136,10 +138,10 @@ def oracle_cases(tmp_path):
         curve = leaf_line(dtp)
         yield f"random-dtp-{seed}", dtp, curve, normal_vector(dtp, seed), 1
     for name, make in PRODUCTS.items():
-        dtp = fx.strip_analytic(make())
+        dtp = strip_analytic(make())
         curve = leaf_line(dtp)
         yield f"{name}-fd", dtp, curve, normal_vector(dtp, 2), 1
-    for dtp in (fx.random_doubly_twisted(71), fx.strip_analytic(fx.random_doubly_twisted(71))):
+    for dtp in (fx.random_doubly_twisted(71), strip_analytic(fx.random_doubly_twisted(71))):
         curve = leaf_line(dtp, foliation=2)
         yield "random-dtp-71-mirror", dtp, curve, normal_vector(dtp, 71, 2), 2
     for path in generated_files(tmp_path):

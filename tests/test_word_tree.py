@@ -24,6 +24,8 @@ from warpquot import scenario
 from warpquot.chartkit import MetricField, ScalarField
 from warpquot.errors import InvalidAction, NotALoop
 
+from fixture_models import klein_bottle_model
+
 
 def _skewed(q):
     """R^2 / <(x + 1, y), (x + 1/q, y + 1)>, built from affine factor maps."""
@@ -70,7 +72,7 @@ WARPED_TORUS = {
 MAKERS = {
     "flat-torus": fx.flat_torus_model,
     "mobius": fx.mobius_model,
-    "klein-bottle": fx.klein_bottle_model,
+    "klein-bottle": klein_bottle_model,
     "skewed-q1": lambda: _skewed(1),
     "skewed-q2": fx.skewed_torus_model,
     "skewed-q3": lambda: scenario.parse_scenario(_skewed_file(3)).model,
