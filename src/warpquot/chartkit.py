@@ -576,27 +576,46 @@ def _christoffel_at(g: MetricField, pts: np.ndarray) -> np.ndarray:
     return _christoffel(_checked_inv(gm, pts), dg)
 
 
-def _christoffel_and_d1(g: MetricField, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Gamma, dGamma) at checked points, one point (n,) or each row of a
-    batch (P, n), from one metric evaluation.
+def _riemann(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
+    """riem[..., l, i, j, k] (see ``riemann_numeric``) from Gamma[..., k, i, j]
+    and dGamma[..., m, k, i, j] = d_m Gamma^k_ij."""
+    term = (np.einsum("...iljk->...lijk", dgamma)
+            + np.einsum("...lim,...mjk->...lijk", gamma, gamma))
+    return term - np.einsum("...lijk->...ljik", term)
 
-    Exact when the metric has exact second derivatives (g, dg and d2g from
-    one ``MetricField._jet`` call, g^-1 and dg's bracket shared); else central
-    differences of ``christoffel_numeric`` with the second-derivative step,
-    all stencil points of all rows in one batch, Gamma at the points read
-    from the centre rows.
+
+def _christoffel_and_riemann(g: MetricField, pts: np.ndarray, m: int) -> tuple:
+    """Gamma at every row of the checked batch pts (P, n), and the Riemann
+    tensor at its first m rows, from one metric evaluation.
+
+    With exact second derivatives, g, dg and d2g come from one order-2
+    ``MetricField._jet`` call at every row, g^-1 and dg's bracket shared by
+    Gamma and dGamma, which is formed at the first m rows only.  Else central
+    differences of ``christoffel_numeric`` with the second-derivative step at
+    the first m rows, Gamma there read from the stencil's centre rows, and
+    the other rows ride in the same ``_christoffel_at`` batch as its stencil
+    points.  Every kernel on the way is batch-invariant, so each row is bit
+    for bit ``christoffel_numeric``'s and ``riemann_numeric``'s at that point
+    alone.
     """
     if g.exact_order == 2:
         gm, dg, d2 = _call_batch(g._jet, pts, 2)
-        ginv = _checked_inv(gm, pts)
+        ginv, bracket = _checked_inv(gm, pts), _bracket(dg)
+        gamma = 0.5 * np.einsum("...kl,...lij->...kij", ginv, bracket)
+        ginv, dg, bracket = ginv[:m], dg[:m], bracket[:m]
         dginv = -np.einsum("...ka,...mab,...bl->...mkl", ginv, dg, ginv)
-        bracket = _bracket(dg)
-        return (0.5 * np.einsum("...kl,...lij->...kij", ginv, bracket),
-                0.5 * (np.einsum("...mkl,...lij->...mkij", dginv, bracket)
-                       + np.einsum("...kl,...mlij->...mkij", ginv, _bracket(d2))))
-    dgamma, gamma = central_diff(functools.partial(_christoffel_at, g), pts,
-                                 fd_step(pts, FD_STEP_2), centre=True)
-    return gamma, dgamma
+        dgamma = 0.5 * (np.einsum("...mkl,...lij->...mkij", dginv, bracket)
+                        + np.einsum("...kl,...mlij->...mkij", ginv, _bracket(d2[:m])))
+        return gamma, _riemann(gamma[:m], dgamma)
+    riders = []
+
+    def batch(stencil):  # the stencil of the first m rows, then the other rows
+        out = _christoffel_at(g, np.concatenate([stencil, pts[m:]]))
+        riders.append(out[len(stencil):])
+        return out[:len(stencil)]
+
+    dgamma, gamma = central_diff(batch, pts[:m], fd_step(pts[:m], FD_STEP_2), centre=True)
+    return np.concatenate([gamma, *riders]), _riemann(gamma, dgamma)
 
 
 def riemann_numeric(g: MetricField, x) -> np.ndarray:
@@ -604,13 +623,13 @@ def riemann_numeric(g: MetricField, x) -> np.ndarray:
 
     R^l_(k;ij) = d_i Gamma^l_jk - d_j Gamma^l_ik
                  + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik,
-    with Gamma and dGamma from one metric evaluation.  A batch ``(P, n)``
-    gives ``(P, n, n, n, n)``, still from one evaluation.
+    with Gamma and dGamma from one metric evaluation
+    (``_christoffel_and_riemann``).  A batch ``(P, n)`` gives
+    ``(P, n, n, n, n)``, still from one evaluation.
     """
-    gamma, dgamma = _christoffel_and_d1(g, _points(x, g.dim))
-    term = (np.einsum("...iljk->...lijk", dgamma)
-            + np.einsum("...lim,...mjk->...lijk", gamma, gamma))
-    return term - np.einsum("...lijk->...ljik", term)
+    pts = _points(x, g.dim)
+    rows = pts.reshape(-1, g.dim)
+    return _christoffel_and_riemann(g, rows, len(rows))[1].reshape(pts.shape[:-1] + (g.dim,) * 4)
 
 
 def _sectional_curvature(gm: np.ndarray, riem: np.ndarray, U: np.ndarray, V: np.ndarray,

@@ -112,40 +112,68 @@ def _horizontal_curve(ctx: ScenarioContext):
     return tp.PiecewiseCurve.line(start, end)
 
 
-def _christoffel_residuals(dtp, rng, samples):
-    """``samples`` random points x (P, n), the oracle Gamma there, its worst
-    lower-index asymmetry, and its worst metric-compatibility residual against
-    central differences of g, which check the exact derivative callbacks, if
-    any, against ``mat``; without them Gamma comes from that same stencil."""
-    x = _rand_points(rng, dtp.domain_box, samples)
+def _compatibility_stencil(dtp, x):
+    """Central differences of g at x (P, n), which check the exact derivative
+    callbacks, if any, against ``mat``: (dg, g, Gamma), Gamma from that same
+    stencil when there are none (the FD route), else None."""
     dg, g = ck.central_diff(dtp.assembled.mat, x, ck.fd_step(x), centre=True)
-    gm = (ck._christoffel(ck._checked_inv(g, x), dg) if dtp.assembled.exact_order == 0
-          else ck.christoffel_numeric(dtp.assembled, x))
+    return dg, g, (ck._christoffel(ck._checked_inv(g, x), dg)
+                   if dtp.assembled.exact_order == 0 else None)
+
+
+def _christoffel_checks(dg, g, gm):
+    """The oracle Gamma gm's worst lower-index asymmetry, and its worst
+    metric-compatibility residual against the stencil's dg and g."""
     resid = dg - np.einsum("plki,plj->pkij", gm, g) - np.einsum("plkj,pil->pkij", gm, g)
-    return (x, gm, float(np.max(np.abs(gm - np.swapaxes(gm, -1, -2)), initial=0.0)),
+    return (float(np.max(np.abs(gm - np.swapaxes(gm, -1, -2)), initial=0.0)),
             float(np.max(np.abs(resid), initial=0.0)))
 
 
-def _sectional_residuals(dtp, rng, samples):
-    """Worst |closed form - oracle| sectional curvature per plane case over
-    ``samples`` random points (cases in sorted order), and the closed-form
-    values on the mixed (HV) planes.  The points share one ``point_geometry``
-    and one ``riemann_numeric`` batch.  Each case in turn draws one plane
-    per point; then the closed form, and after it the oracle, runs once on
-    the planes of every case."""
+def _christoffel_residuals(dtp, rng, samples):
+    """``samples`` random points x (P, n), the oracle Gamma there and its two
+    checks (``_christoffel_checks``)."""
     x = _rand_points(rng, dtp.domain_box, samples)
-    geo = pg.point_geometry(dtp, x)
-    riem = ck.riemann_numeric(dtp.assembled, x)
+    dg, g, gm = _compatibility_stencil(dtp, x)
+    gm = ck.christoffel_numeric(dtp.assembled, x) if gm is None else gm
+    return (x, gm, *_christoffel_checks(dg, g, gm))
+
+
+def _draw_planes(dtp, rng, gm):
+    """One random plane per point and case (``pg._sample_planes``, cases in
+    the order of ``pg._CASE_SLOTS``) at the points whose metric matrices are
+    the rows of gm (P, n, n): the cases that got a plane, and for each its
+    rows, U and V."""
     cases, rows, U, V = [], [], [], []
     for case, slots in pg._CASE_SLOTS.items():
         if slots[0] == slots[1] and dtp.factor(slots[0]).dim < 2:
             continue  # a factor plane needs a factor of dimension 2 or more
-        u, v, found = pg._sample_planes(dtp, rng, geo.g, slots)
+        u, v, found = pg._sample_planes(dtp, rng, gm, slots)
         if found.any():
             cases.append(case)
             rows.append(np.flatnonzero(found))
             U.append(u[found])
             V.append(v[found])
+    return cases, rows, U, V
+
+
+def _sectional_residuals(dtp, rng, samples):
+    """The sectional check (``_sectional_compare``) over ``samples`` random
+    points, which share one ``point_geometry`` and one ``riemann_numeric``
+    batch; the planes are drawn from the record's g."""
+    x = _rand_points(rng, dtp.domain_box, samples)
+    geo = pg.point_geometry(dtp, x)
+    riem = ck.riemann_numeric(dtp.assembled, x)
+    return _sectional_compare(dtp, geo, x, riem, _draw_planes(dtp, rng, geo.g))
+
+
+def _sectional_compare(dtp, geo, x, riem, planes):
+    """Worst |closed form - oracle| sectional curvature per plane case
+    (cases in sorted order), and the closed-form values on the mixed (HV)
+    planes, at the points x (P, n) with their ``point_geometry`` record geo
+    and oracle Riemann tensors riem, on the planes of ``_draw_planes``.  The
+    closed form, and after it the oracle, runs once on the planes of every
+    case."""
+    cases, rows, U, V = planes
     if not cases:
         return {}, []
     idx, U, V = np.concatenate(rows), np.concatenate(U), np.concatenate(V)
@@ -395,36 +423,52 @@ def cmd_verify_all(ctx, args, rng):
     dtp.assembled.check_at(pg.grid_points(dtp.domain_box, 3))
     checks.append(Check("signature-sanity", 0.0, 1.0, ok=True))
 
-    # christoffel symmetry / compatibility, on one oracle batch
-    x, gamma, sym, compat = _christoffel_residuals(dtp, rng, 8)
+    # three random point sets, drawn in this order: x1 (8) for the Christoffel
+    # rows, x2 (6) with one plane per point and case for the sectional rows,
+    # x3 (5) with E and F for O'Neill's T.  The closed forms at x1 and x2 read
+    # one point_geometry record; every oracle row reads one batch on the
+    # assembled metric, Gamma at every row and Riemann at x2's (on the FD
+    # route Gamma at x1 comes from the compatibility stencil instead)
+    x1, x2 = (_rand_points(rng, dtp.domain_box, k) for k in (8, 6))
+    dg, g, gamma1 = _compatibility_stencil(dtp, x1)
+    geo = pg.point_geometry(dtp, np.concatenate([x1, x2]))
+    geo1, geo2 = geo.rows(slice(0, 8)), geo.rows(slice(8, None))
+    planes = _draw_planes(dtp, rng, geo2.g)  # the record's g, as the closed form reads it
+    x3 = _rand_points(rng, dtp.domain_box, 5)
+    E, F = rng.normal(size=(2,) + x3.shape)
+    gamma, riem = ck._christoffel_and_riemann(
+        dtp.assembled, np.concatenate([x2, x3] + ([x1] if gamma1 is None else [])), 6)
+    gamma1 = gamma[11:] if gamma1 is None else gamma1
+
+    # christoffel symmetry / compatibility
+    sym, compat = _christoffel_checks(dg, g, gamma1)
     checks.append(Check("christoffel-symmetry", sym, 1e-9))
     checks.append(Check("metric-compatibility", compat, 1e-5))
 
     # closed-form connection vs oracle: the whole tensor, every slot block
-    geo = pg.point_geometry(dtp, x)
-    checks.append(Check("connection-closed-form", float(np.max(np.abs(geo.gamma - gamma))), 1e-5))
+    checks.append(Check("connection-closed-form",
+                        float(np.max(np.abs(geo1.gamma - gamma1))), 1e-5))
 
     # mixed-connection identity: nabla_X V = -omega1(V) X - omega2(X) V, that is
     # Gamma^k_ij = -delta^k_i omega1_j - delta^k_j omega2_i (i in slot 1, j in slot 2),
     # omega_i read from the same record
     s1, s2, eye = dtp.slot1, dtp.slot2, np.eye(dtp.n)
-    w1, w2 = (pg._omega(dtp, i, geo.dlam[:, i - 1, dtp.slot(3 - i)], geo.lam[:, i - 1])
+    w1, w2 = (pg._omega(dtp, i, geo1.dlam[:, i - 1, dtp.slot(3 - i)], geo1.lam[:, i - 1])
               for i in (1, 2))
     rhs = -eye[:, s1, None] * w1[:, None, None, s2] - eye[:, None, s2] * w2[:, None, s1, None]
     checks.append(Check("mixed-connection-identity",
-                        float(np.max(np.abs(gamma[:, :, s1, s2] - rhs))), 1e-5))
+                        float(np.max(np.abs(gamma1[:, :, s1, s2] - rhs))), 1e-5))
 
     # closed-form sectional curvature vs oracle on available plane types
-    worst_k, k_values = _sectional_residuals(dtp, rng, 6)
+    worst_k, k_values = _sectional_compare(dtp, geo2, x2, riem, planes)
     for case, val in worst_k.items():
         checks.append(Check(f"sectional-closed-form-{case}", val, 1e-5))
 
-    # O'Neill T: closed form vs connection-based definition, on one batch
-    x = _rand_points(rng, dtp.domain_box, 5)
-    E, F = rng.normal(size=(2,) + x.shape)
+    # O'Neill T: closed form vs connection-based definition
     checks.append(Check("oneill-T-definitional",
-                        float(np.max(np.abs(pg.oneill_T(dtp, x, E, F)
-                                            - pg.oneill_T_definitional(dtp, x, E, F)))),
+                        float(np.max(np.abs(pg.oneill_T(dtp, x3, E, F)
+                                            - pg.oneill_T_definitional(dtp, gamma[6:11],
+                                                                       E, F)))),
                         1e-5))
 
     # classification

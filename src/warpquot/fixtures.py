@@ -199,10 +199,6 @@ def skewed_torus_model() -> qt.QuotientModel:
                           [_deck("a", 1.0, 0.0), _deck("b", 0.5, 1.0)])
 
 
-def example1_model() -> qt.QuotientModel:
-    return qt.build_example1()
-
-
 # loops (as generator words) documented per quotient fixture
 HOLONOMY_LOOPS = {
     "mobius": {1: [(("a", 1),)], 2: []},

@@ -619,11 +619,12 @@ def oneill_T(dtp: DoublyTwistedProduct, x, e: np.ndarray, f: np.ndarray) -> np.n
     return g_ef[..., None] * N - g_nf[..., None] * ev
 
 
-def oneill_T_definitional(dtp: DoublyTwistedProduct, x, e: np.ndarray,
+def oneill_T_definitional(dtp: DoublyTwistedProduct, gamma: np.ndarray, e: np.ndarray,
                           f: np.ndarray) -> np.ndarray:
-    """T(E, F) = h nabla_{E^v} F^v + v nabla_{E^v} F^h from the connection, in
-    the shapes of ``oneill_T``, from one batched oracle ``christoffel_numeric``."""
-    gamma = ck.christoffel_numeric(dtp.assembled, x)
+    """T(E, F) = h nabla_{E^v} F^v + v nabla_{E^v} F^h from the connection
+    Gamma (n, n, n) at a point or (P, n, n, n) at each row of a batch (the
+    oracle's, ``christoffel_numeric`` on the assembled metric), in the
+    shapes of ``oneill_T``."""
     ev, fv, fh = dtp.project(2, e), dtp.project(2, f), dtp.project(1, f)
     d_vv = np.einsum("...kij,...i,...j->...k", gamma, ev, fv)
     d_vh = np.einsum("...kij,...i,...j->...k", gamma, ev, fh)

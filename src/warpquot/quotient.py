@@ -262,7 +262,7 @@ class QuotientModel:
         if self.word_bound < 0:
             raise ValueError(f"word_bound must be >= 0, got {word_bound}")
         self._word_memo: dict[int, _WordTree] = {}
-        self._inverse_memo: Optional[list] = None  # _check_inverses residuals, once computed
+        self._inverse_memo: Optional[tuple] = None  # _check_inverses outcome, once computed
         self._code = {(gen.name, sign): m for m, (gen, sign) in enumerate(self._moves())}
 
     @functools.cached_property
@@ -700,24 +700,28 @@ def validate(model: QuotientModel) -> ValidationReport:
 def _check_inverses(model: QuotientModel) -> dict:
     """``validate``'s first check, run first by every count, verdict and holonomy:
     after the singular-record check (``_letters``), each declared inverse must undo
-    its map within ACTION_TOL on validate's factor grid (residuals computed once per model)."""
+    its map within ACTION_TOL on validate's factor grid.  The outcome is computed
+    once per model, the residuals and the first failure alike; each call returns
+    a fresh dict (``validate`` adds its own rows) or raises the same text."""
     model._letters  # a singular affine record is refused first
     if model._inverse_memo is None:
         grids = [pg.grid_points(f.domain_box, VALIDATE_PER_AXIS)
                  for f in (model.dtp.f1, model.dtp.f2)]
-        model._inverse_memo = [
-            [(name, x, _row_max(fm(fm(x, 1), -1) - x))
-             for name, fm, x in (("phi", gen.phi, grids[0]), ("psi", gen.psi, grids[1]))]
-            for gen in model.generators]
-    res = {}
-    for gen, rows in zip(model.generators, model._inverse_memo):
-        res[f"{gen.name}:inverse"] = float(max(resid.max() for _, _, resid in rows))
-        for name, x, resid in rows:
-            bad = resid > ACTION_TOL
-            if bad.any():
-                raise InvalidAction(f"generator {gen.name}: declared inverse of {name} fails "
-                                    f"at sample {x[int(np.argmax(bad))]}")
-    return res
+        res, failure = {}, None
+        for gen in model.generators:
+            rows = [(name, x, _row_max(fm(fm(x, 1), -1) - x))
+                    for name, fm, x in (("phi", gen.phi, grids[0]), ("psi", gen.psi, grids[1]))]
+            res[f"{gen.name}:inverse"] = float(max(resid.max() for _, _, resid in rows))
+            for name, x, resid in rows:
+                bad = resid > ACTION_TOL
+                if failure is None and bad.any():
+                    failure = (f"generator {gen.name}: declared inverse of {name} fails "
+                               f"at sample {x[int(np.argmax(bad))]}")
+        model._inverse_memo = res, failure
+    res, failure = model._inverse_memo
+    if failure is not None:
+        raise InvalidAction(failure)
+    return dict(res)
 
 
 # ---------------------------------------------------------------------------

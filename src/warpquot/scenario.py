@@ -16,6 +16,12 @@ alone, is differenced on the 3-per-axis lattice.
 A formula factor metric compiles each distinct entry text once and evaluates
 each closure once per batch, its value standing wherever its text does: a
 conformally flat 2x2 metric runs two closures, not four, at every point.
+Its declared ``signature`` is checked when the file is read, at one point,
+the centre of the factor's box (``MetricField.check_at``): a sign pattern
+that does not match, a near-zero eigenvalue, or a matrix that is not finite
+and symmetric there is refused as an input error naming
+``factors[k].signature``.  Preset metrics take their signature from their
+matrix and skip the check.
 
 A curve's input errors (keys, formula syntax, component count, point shapes
 and count, knots) are refused when the file is read, for every command
@@ -44,7 +50,7 @@ from . import productgeo as pg
 from . import quotient as qt
 from . import transport as tp
 from .chartkit import MetricField, ScalarField, Signature
-from .errors import ScenarioError
+from .errors import DegenerateMetric, NumericsError, ScenarioError
 from .expr import affine_form, compile_expr
 
 _PRESET_METRICS = {
@@ -200,6 +206,11 @@ def _build_factor(spec: dict, path: str) -> tuple[pg.FactorManifold, list]:
             return np.array([[vals[k] for k in row] for row in _where])
 
         metric = MetricField(dim, ev, sig, domain_box=box)
+        try:  # the declared signature holds at one point: the centre of the box
+            metric.check_at(0.5 * (box[:, 0] + box[:, 1]))
+        except (DegenerateMetric, NumericsError) as exc:
+            raise ScenarioError(f"{path}.signature: {sig.signs.tolist()} does not hold "
+                                f"at the box centre: {exc}") from exc
     return pg.FactorManifold(name, metric, box), coords
 
 
@@ -416,7 +427,7 @@ BUILTIN_SCENARIOS = {
                      {"classification": "direct-product",
                       "holonomy": {"1": [[[1.0]]], "2": [[[1.0]]]}, "intersections": 2,
                       "verdict": "obstructed", "verdict_reason": "multiple-intersections"}),
-    "example1-twisted": (lambda seed: fx.example1_model(), [0.0, 0.0], {},
+    "example1-twisted": (lambda seed: qt.build_example1(), [0.0, 0.0], {},
                          {"classification": "twisted", "seam_residual_max": 1e-8,
                           "leaf_closed_y": 0.0, "leaf_open_y": 1.0}),
     "sphere-polar": (lambda seed: fx.sphere_polar(), [np.pi / 2, 1.0], {},

@@ -38,7 +38,7 @@ def roster():
         ("fix-d-hyperbolic", fx.hyperbolic_polar()),
         ("fix-e-mobius-cover", fx.mobius_model().dtp),
         ("fix-f-skewed-cover", fx.skewed_torus_model().dtp),
-        ("fix-g-twisted", fx.example1_model().dtp),
+        ("fix-g-twisted", qt.build_example1().dtp),
         ("fix-h-lorentz", fx.lorentz_direct()),
     ]
     dims = [(1, 1), (2, 1), (1, 2), (2, 2)]
@@ -227,7 +227,7 @@ def test_criterion_7_decomposition_verdicts():
 
 
 def test_criterion_8_twisted_construction():
-    model = fx.example1_model()
+    model = qt.build_example1()
     resid = qt.example1_seam_residual(model)
     closed = qt.leaf_trace(model, [0.0, 0.0], 1)
     drifting = qt.leaf_trace(model, [0.0, 1.0], 1, arc_budget=6.0)
@@ -245,7 +245,8 @@ def test_criterion_10_submersion_formulas(roster):
     for name, dtp in roster:
         x = cli._rand_points(rng, dtp.domain_box, 5)
         E, F = rng.normal(size=(2,) + x.shape)
-        gap = pg.oneill_T(dtp, x, E, F) - pg.oneill_T_definitional(dtp, x, E, F)
+        gap = pg.oneill_T(dtp, x, E, F) - pg.oneill_T_definitional(
+            dtp, ck.christoffel_numeric(dtp.assembled, x), E, F)
         worst_t = max(worst_t, float(np.max(np.abs(gap))))
 
     flat_vals = []

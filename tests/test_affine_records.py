@@ -231,3 +231,33 @@ def test_the_declared_inverse_check_runs_once_per_model(monkeypatch):
     qt.leaf_intersection_count(model, [0.3, 0.6])
     qt.loop_holonomies(model, np.array([0.3, 0.6]), 1, [(("a", 1),)])
     assert calls.count(-1) == 0
+
+
+@pytest.mark.parametrize("wrong", [False, True], ids=["passes", "fails"])
+def test_the_declared_inverse_outcome_is_kept_whole(monkeypatch, wrong):
+    # the residual rows and the first failure are computed once per model;
+    # every call returns a dict of its own (validate adds keys to it) or
+    # raises the same text, with no residual recomputed
+    data = warped_torus_dict()
+    if wrong:
+        data["generators"][1]["psi_inv"] = ["y - 0.9"]
+        data["generators"][0]["phi_inv"] = ["x - 0.9"]
+    model = scenario.parse_scenario(data).model
+    calls = []
+    row_max = qt._row_max
+    monkeypatch.setattr(qt, "_row_max", lambda diff: calls.append(1) or row_max(diff))
+    outcomes = []
+    for _ in range(3):
+        try:
+            outcomes.append(qt._check_inverses(model))
+        except InvalidAction as exc:
+            outcomes.append(str(exc))
+    assert len(calls) == 2 * len(model.generators)  # phi and psi of each, on the first call
+    if wrong:  # the first failure in generator order, phi before psi
+        assert outcomes == ["generator a: declared inverse of phi fails at sample [0.05]"] * 3
+    else:
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert sorted(outcomes[0]) == ["a:inverse", "b:inverse"]
+        outcomes[0]["extra"] = 1.0
+        assert "extra" not in qt._check_inverses(model)
+        assert outcomes[1] is not outcomes[2]

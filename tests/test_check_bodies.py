@@ -122,76 +122,83 @@ def test_swapped_warps_fail_the_mixed_connection_identity(tmp_path, monkeypatch)
     assert checks["christoffel-symmetry"]["pass"] is True
 
 
-def test_verify_all_christoffel_rows_read_one_oracle_batch(tmp_path, monkeypatch):
-    # the four Christoffel rows share one batched oracle call on the assembled
-    # metric
-    n = fx.random_doubly_twisted(0).n
-    oracle = []
-    christoffel = ck.christoffel_numeric
-
-    def counted_oracle(g, x):
-        oracle.append(g.dim == n)  # factor metrics (closed form) have smaller dim
-        return christoffel(g, x)
-
-    monkeypatch.setattr(ck, "christoffel_numeric", counted_oracle)
-    before_sectional = []
-    sectional = cli._sectional_residuals
-
-    def marked(*a, **kw):
-        before_sectional.append(sum(oracle))
-        return sectional(*a, **kw)
-
-    monkeypatch.setattr(cli, "_sectional_residuals", marked)
-    code, report = run(tmp_path, "random-dtp", "verify-all", "--samples", "8")
-    assert code == 0
-    assert before_sectional == [1]
-
-
-def _count_geometry_batches(monkeypatch):
-    """Record the dim of every ``riemann_numeric`` metric and count the
-    ``point_geometry`` calls."""
-    calls = {"riemann": [], "point_geometry": 0}
-    riemann, geometry = ck.riemann_numeric, pg.point_geometry
-
-    def counted_riemann(g, x):
-        calls["riemann"].append(g.dim)
-        return riemann(g, x)
+def _geometry_reads(monkeypatch):
+    """Record the points of every ``point_geometry`` call, the metric dim of
+    every ``riemann_numeric`` call, and the metric dim, points and Riemann
+    row count of every ``_christoffel_and_riemann`` batch, the product's and
+    those under ``riemann_numeric`` alike (factor metrics, read by the closed
+    form, have a smaller dim than the product's)."""
+    seen = {"geometry": [], "oracle": [], "riemann": []}
+    geometry, oracle, riemann = pg.point_geometry, ck._christoffel_and_riemann, ck.riemann_numeric
 
     def counted_geometry(dtp, x):
-        calls["point_geometry"] += 1
+        seen["geometry"].append(np.array(x, dtype=float))
         return geometry(dtp, x)
 
-    monkeypatch.setattr(ck, "riemann_numeric", counted_riemann)
+    def counted_oracle(g, pts, m):
+        seen["oracle"].append((g.dim, np.array(pts), m))
+        return oracle(g, pts, m)
+
+    def counted_riemann(g, x):
+        seen["riemann"].append(g.dim)
+        return riemann(g, x)
+
     monkeypatch.setattr(pg, "point_geometry", counted_geometry)
-    return calls
+    monkeypatch.setattr(ck, "_christoffel_and_riemann", counted_oracle)
+    monkeypatch.setattr(ck, "riemann_numeric", counted_riemann)
+    return seen
+
+
+# random-dtp takes the exact route, a formula file the FD route, example1 is
+# a quotient on the FD route and the Moebius band one on the exact route
+VERIFY_ALL_SOURCES = (("random-dtp", False), ("formula-twisted", True),
+                      ("example1-twisted", True), ("mobius", False))
+
+
+def test_verify_all_christoffel_rows_read_one_oracle_batch(tmp_path, monkeypatch):
+    # per verify-all: one point_geometry record over the 14 points of x1 and
+    # x2 (the closed forms), and one oracle batch on the assembled metric,
+    # Riemann at x2's 6 rows and Gamma at x2, x3 and, on the exact route, x1
+    # (on the FD route Gamma at x1 comes from the compatibility stencil); no
+    # riemann_numeric call on the assembled metric
+    seen = _geometry_reads(monkeypatch)
+    for source, fd in VERIFY_ALL_SOURCES:
+        ref = source
+        if source in SCENARIOS:
+            ref = tmp_path / f"{source}.json"
+            ref.write_text(json.dumps(SCENARIOS[source]), encoding="utf-8")
+        dtp = cli.resolve_scenario(str(ref), seed=5).dtp
+        rng = np.random.default_rng(5)
+        x1, x2 = (cli._rand_points(rng, dtp.domain_box, k) for k in (8, 6))
+        for key in seen:
+            seen[key].clear()
+        code, report = run(tmp_path, str(ref), "verify-all", "--seed", "5", "--samples", "8")
+        assert code == 0, source
+        assert dtp.assembled.exact_order == (0 if fd else 2), source
+        assert len(seen["geometry"]) == 1, source
+        np.testing.assert_array_equal(seen["geometry"][0], np.concatenate([x1, x2]))
+        batches = [(pts, m) for dim, pts, m in seen["oracle"] if dim == dtp.n]
+        assert len(batches) == 1, source
+        pts, m = batches[0]
+        assert (m, len(pts)) == (6, 11 if fd else 19), source
+        np.testing.assert_array_equal(pts[:6], x2)
+        if not fd:
+            np.testing.assert_array_equal(pts[11:], x1)
+        assert dtp.n not in seen["riemann"], source
 
 
 @pytest.mark.parametrize("samples", ["8", "16"])
 def test_sectional_sweep_reads_one_geometry_batch(tmp_path, monkeypatch, samples):
-    # one product-level Riemann batch and one point_geometry batch per sweep,
-    # whatever the sample count; the factor metrics (smaller dim) take one
-    # Riemann batch per factor-plane case
+    # one product-level Riemann batch and one point_geometry batch per
+    # curvature sweep, whatever the sample count; the factor metrics (smaller
+    # dim) take one Riemann batch per factor-plane case.  verify-all's sweep
+    # reads verify-all's one record and oracle batch (see above)
     dtp = fx.random_doubly_twisted(0)
-    calls = _count_geometry_batches(monkeypatch)
+    seen = _geometry_reads(monkeypatch)
     code, report = run(tmp_path, "random-dtp", "curvature", "--samples", samples)
     assert code == 0
-    assert calls["riemann"].count(dtp.n) == 1 and calls["point_geometry"] == 1
-    assert sorted(d for d in calls["riemann"] if d != dtp.n) == [dtp.n1, dtp.n2]
-
-    in_sweep = []
-    sectional = cli._sectional_residuals
-
-    def marked(*a, **kw):
-        calls["riemann"].clear()
-        calls["point_geometry"] = 0
-        out = sectional(*a, **kw)
-        in_sweep.append((calls["riemann"].count(dtp.n), calls["point_geometry"]))
-        return out
-
-    monkeypatch.setattr(cli, "_sectional_residuals", marked)
-    code, report = run(tmp_path, "random-dtp", "verify-all", "--samples", samples)
-    assert code == 0
-    assert in_sweep == [(1, 1)]
+    assert seen["riemann"].count(dtp.n) == 1 and len(seen["geometry"]) == 1
+    assert sorted(d for d in seen["riemann"] if d != dtp.n) == [dtp.n1, dtp.n2]
 
 
 @pytest.mark.parametrize("source", ["random-dtp", "formula-twisted"])

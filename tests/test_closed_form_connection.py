@@ -24,6 +24,7 @@ from warpquot import quotient as qt
 from warpquot import scenario as sc
 
 from fixture_models import klein_bottle_model, random_doubly_warped, strip_analytic
+from test_fd_golden import SCENARIOS as FD_SCENARIOS
 
 BUILTINS = sc.list_scenarios()
 RANDOM_SEEDS = (0, 3, 11)
@@ -290,14 +291,15 @@ def test_the_exact_route_makes_one_factor_pass_per_batch(monkeypatch, oracle, or
 
 
 def test_verify_all_reads_its_christoffel_points_from_one_record(monkeypatch):
-    residuals = cli._christoffel_residuals
+    # x1's closed-form rows are the first 8 rows of verify-all's one record,
+    # which x2's 6 points follow, and omega_i there is read from it
+    stencil = cli._compatibility_stencil
     geometry, form = pg.point_geometry, pg.mean_curvature_form
     seen = {"geometry": [], "form": []}
 
-    def christoffel_residuals(dtp, rng, samples):
-        out = residuals(dtp, rng, samples)
-        seen["x"] = out[0]
-        return out
+    def compatibility_stencil(dtp, x):
+        seen["x"] = x
+        return stencil(dtp, x)
 
     def point_geometry(dtp, x):
         seen["geometry"].append(np.array(x, dtype=float))
@@ -307,16 +309,81 @@ def test_verify_all_reads_its_christoffel_points_from_one_record(monkeypatch):
         seen["form"].append(np.array(x, dtype=float))
         return form(dtp, x, i)
 
-    monkeypatch.setattr(cli, "_christoffel_residuals", christoffel_residuals)
+    monkeypatch.setattr(cli, "_compatibility_stencil", compatibility_stencil)
     monkeypatch.setattr(pg, "point_geometry", point_geometry)
     monkeypatch.setattr(pg, "mean_curvature_form", mean_curvature_form)
     for name in ("random-dtp", "sphere-polar", "mobius"):
         seen.update(geometry=[], form=[])
         assert cli.main(["run", name, "verify-all", "--out", os.devnull]) == 0
         assert seen["x"].shape == (8, sc.resolve_scenario(name).dtp.n)
-        at_x = {key: sum(np.array_equal(p, seen["x"]) for p in seen[key])
-                for key in ("geometry", "form")}
-        assert at_x == {"geometry": 1, "form": 0}, name
+        assert [p.shape[0] for p in seen["geometry"]] == [14], name
+        np.testing.assert_array_equal(seen["geometry"][0][:8], seen["x"])
+        assert not any(p.shape == seen["x"].shape and np.array_equal(p, seen["x"])
+                       for p in seen["form"]), name
+
+
+def _exact_order_1(g):
+    """g with its exact second derivatives hidden: the FD route of dGamma
+    over exact first derivatives."""
+    return ck.MetricField(g.dim, g.eval, g.signature, exact_order=1, domain_box=g.domain_box)
+
+
+@pytest.mark.parametrize("route", ["exact", "order-1", "fd"])
+def test_oracle_batch_rows_equal_the_per_set_oracles(route):
+    # every row of the one oracle batch, bit for bit the per-set
+    # christoffel_numeric and riemann_numeric: Riemann at the first m rows,
+    # Gamma at all of them, in batches shaped as verify-all's
+    dtp = fx.random_doubly_twisted(4)
+    g = {"exact": dtp.assembled, "order-1": _exact_order_1(dtp.assembled),
+         "fd": strip_analytic(dtp).assembled}[route]
+    x1, x2, x3 = (sample_points(dtp, k, seed=k) for k in (8, 6, 5))
+    for sets in ([x2, x3, x1], [x2, x3], [x2]):
+        gamma, riem = ck._christoffel_and_riemann(g, np.concatenate(sets), 6)
+        assert riem.shape == (6,) + (dtp.n,) * 4
+        np.testing.assert_array_equal(riem, ck.riemann_numeric(g, x2))
+        cuts = np.cumsum([len(x) for x in sets])[:-1]
+        for rows, x in zip(np.split(gamma, cuts), sets):
+            np.testing.assert_array_equal(rows, ck.christoffel_numeric(g, x))
+
+
+@pytest.mark.parametrize("source", ["random-dtp", "formula-twisted"])
+def test_verify_all_oracle_rows_equal_the_per_set_oracles(tmp_path, monkeypatch, source):
+    # verify-all's own batch, on the exact route and the FD route, against
+    # christoffel_numeric and riemann_numeric of each point set alone; on
+    # the FD route x1's Gamma is the compatibility stencil's, bit for bit
+    ref = source
+    if source != "random-dtp":
+        ref = tmp_path / f"{source}.json"
+        ref.write_text(json.dumps(FD_SCENARIOS[source]), encoding="utf-8")
+    batches, stencils = [], []
+    oracle, stencil = ck._christoffel_and_riemann, cli._compatibility_stencil
+
+    def recorded(g, pts, m):
+        out = oracle(g, pts, m)
+        if g.dim == 4:
+            batches.append((g, pts, m, out))
+        return out
+
+    def recorded_stencil(dtp, x):
+        out = stencil(dtp, x)
+        stencils.append((dtp.assembled, x, out[2]))
+        return out
+
+    monkeypatch.setattr(ck, "_christoffel_and_riemann", recorded)
+    monkeypatch.setattr(cli, "_compatibility_stencil", recorded_stencil)
+    assert cli.main(["run", str(ref), "verify-all", "--seed", "2", "--out", os.devnull]) == 0
+    (g, pts, m, (gamma, riem)), = batches
+    (_, x1, gamma1), = stencils
+    x2, x3 = pts[:6], pts[6:11]
+    np.testing.assert_array_equal(riem, ck.riemann_numeric(g, x2))
+    np.testing.assert_array_equal(gamma[:6], ck.christoffel_numeric(g, x2))
+    np.testing.assert_array_equal(gamma[6:11], ck.christoffel_numeric(g, x3))
+    if g.exact_order == 0:
+        assert len(pts) == 11
+        np.testing.assert_array_equal(gamma1, ck.christoffel_numeric(g, x1))
+    else:
+        np.testing.assert_array_equal(pts[11:], x1)
+        np.testing.assert_array_equal(gamma[11:], ck.christoffel_numeric(g, x1))
 
 
 @pytest.mark.parametrize("strip", [False, True], ids=["analytic", "fd"])

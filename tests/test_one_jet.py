@@ -143,7 +143,7 @@ def test_the_assembled_order_is_the_least_factor_order():
     dtp = fx.random_doubly_twisted(2)
     assert dtp.assembled.exact_order == 2
     assert strip_analytic(dtp).assembled.exact_order == 0
-    assert fx.example1_model().dtp.assembled.exact_order == 0  # its warp is a value only
+    assert qt.build_example1().dtp.assembled.exact_order == 0  # its warp is a value only
     one = dataclasses.replace(dtp.lam1, exact_order=1)
     assert pg.assemble(dtp.f1, dtp.f2, one, dtp.lam2).assembled.exact_order == 1
 
@@ -241,7 +241,7 @@ def _counted_gluing(monkeypatch) -> Counter:
 @pytest.mark.parametrize("point, levels", [((1e5, 1e5), "100000"), ((1e200, 1e200), "1e+200"),
                                            ((-1e5, 0.5), "100000")])
 def test_a_point_beyond_the_gluing_levels_is_refused_at_once(monkeypatch, point, levels):
-    lam = fx.example1_model().dtp.lam2
+    lam = qt.build_example1().dtp.lam2
     calls = _counted_gluing(monkeypatch)
     with pytest.raises(NumericsError) as raised:
         lam.value(point)
@@ -251,7 +251,7 @@ def test_a_point_beyond_the_gluing_levels_is_refused_at_once(monkeypatch, point,
 
 
 def test_the_gluing_chain_walks_each_level_once(monkeypatch):
-    lam = fx.example1_model().dtp.lam2
+    lam = qt.build_example1().dtp.lam2
     calls = _counted_gluing(monkeypatch)
     edge = qt.GLUING_LEVELS + 0.5
     lam.value([edge, 0.5])  # the last level within the cap

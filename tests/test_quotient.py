@@ -30,7 +30,7 @@ def test_validate_flat_quotients(make):
 
 
 def test_validate_twisted_construction():
-    report = qt.validate(fx.example1_model())
+    report = qt.validate(qt.build_example1())
     assert report.residuals["a:isometry"] < 1e-7
 
 
@@ -101,7 +101,7 @@ def test_leaf_trace_mobius_central_and_generic():
 
 
 def test_leaf_trace_example1_closed_and_open():
-    model = fx.example1_model()
+    model = qt.build_example1()
     closed = qt.leaf_trace(model, [0.0, 0.0], 1)
     assert closed.closed
     assert closed.length == pytest.approx(1.0, abs=1e-7)
@@ -280,7 +280,7 @@ def test_leaf_loop_curve_rejects_non_loop_word():
 
 def test_warp_compat_along_no_holonomy_leaf():
     # deck maps with trivial leaf-holonomy action preserve lam2 on that leaf
-    model = fx.example1_model()
+    model = qt.build_example1()
     lam = model.dtp.lam2
     for x in np.linspace(-1.0, 2.0, 13):
         assert abs(lam.value([x + 1.0, 0.0]) - lam.value([x, 0.0])) < 1e-7
@@ -340,7 +340,7 @@ def test_adapted_translation_equivariance(name, start, length):
     # across the seams); the integrating oracle agrees at both basepoints
     model = {"mobius": fx.mobius_model, "flat-torus": fx.flat_torus_model,
              "skewed-torus": fx.skewed_torus_model,
-             "example1": fx.example1_model}[name]()
+             "example1": qt.build_example1}[name]()
     start = np.array(start, dtype=float)
     far, word = model.canonical_rep(start + length * model.dtp.embed(1, np.ones(1)))
     assert word  # the path crosses a seam
@@ -359,12 +359,12 @@ def test_adapted_translation_equivariance(name, start, length):
 # the explicit twisted construction
 
 def test_example1_seam_functional_equation():
-    model = fx.example1_model()
+    model = qt.build_example1()
     assert qt.example1_seam_residual(model) < 1e-8
 
 
 def test_example1_warp_positive_and_smooth_sampled():
-    model = fx.example1_model()
+    model = qt.build_example1()
     lam = model.dtp.lam2
     rng = np.random.default_rng(4)
     for _ in range(50):
@@ -374,7 +374,7 @@ def test_example1_warp_positive_and_smooth_sampled():
 
 
 def test_example1_assembled_metric_and_mean_curvature():
-    model = fx.example1_model()
+    model = qt.build_example1()
     dtp = model.dtp
     for x, y in ((0.3, 1.0), (0.8, 0.4), (1.4, 1.7)):
         g = dtp.assembled.mat([x, y])
@@ -392,7 +392,7 @@ def test_example1_rejects_bad_parameters():
 
 
 def test_example1_classified_twisted():
-    model = fx.example1_model()
+    model = qt.build_example1()
     assert pg.classify(model.dtp, per_axis=5).tag is pg.StructureTag.TWISTED
 
 
@@ -487,7 +487,7 @@ def test_teodg_constant_warp_satisfies_the_critical_point_hypothesis():
 
 def test_teodg_rejects_twisted_structures():
     with pytest.raises(InvalidAction):
-        qt.teodg_diagnostic(fx.example1_model().dtp)
+        qt.teodg_diagnostic(qt.build_example1().dtp)
 
 
 def test_decomposition_refuses_uncertified_global_claim():

@@ -9,7 +9,7 @@ must give its bits (``same_bits``):
 * ``apply_gen`` and ``gen_jacobian`` against ``apply_word`` and
   ``word_jacobian`` of the one-letter word, on the affine and the level path;
 * ``chartkit._bracket`` of d2 g against the explicit ``...mijl->...mlij``
-  einsums of the exact ``_christoffel_and_d1``;
+  einsums of the exact route of ``_christoffel_and_riemann``;
 * ``mean_curvature_form`` against -(d lam_i / lam_i) off factor i's slots,
   read from the warp's full gradient.
 """
@@ -76,7 +76,7 @@ def _plane_by_line() -> qt.QuotientModel:
 
 
 LEVEL_MODELS = {
-    "example1": fx.example1_model,
+    "example1": qt.build_example1,
     "reach-file": lambda: parse_scenario(FORMULA_FILE).model,
     "plane-by-line": _plane_by_line,
 }
@@ -137,7 +137,7 @@ def test_one_bracket_serves_gamma_and_its_derivative(seed):
 
 @pytest.mark.parametrize("build", [lambda: fx.random_doubly_twisted(0),
                                    lambda: random_doubly_warped(1), fx.polar_plane,
-                                   lambda: fx.example1_model().dtp],
+                                   lambda: qt.build_example1().dtp],
                          ids=["random-dtp", "doubly-warped", "polar-plane", "example1"])
 def test_mean_curvature_form_is_minus_d_log_lam_off_its_factor(build):
     dtp = build()

@@ -10,6 +10,7 @@ from warpquot import expr
 from warpquot import productgeo as pg
 from warpquot import scenario as sc
 from warpquot.errors import ScenarioError
+from test_fd_golden import SCENARIOS as FD_SCENARIOS
 
 
 # ---------------------------------------------------------------------------
@@ -754,3 +755,42 @@ def test_report_matches_versioned_schema(capsys, tmp_path):
     broken["results"]["checks"][0]["value"] = "0.0"
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(broken, schema)
+
+
+# the formula-warped product of the FD goldens with one factor metric and
+# its declared signature changed
+@pytest.mark.parametrize("metric, signature, refusal", [
+    ([["1", "0"], ["0", "-1"]], [1, 1], "(1 negative) do not match signature index 0"),
+    ([["1", "0"], ["0", "1"]], [1, -1], "(0 negative) do not match signature index 1"),
+    ([["1", "0"], ["0", "0*x1"]], [1, 1], "near-zero eigenvalue"),
+    ([["1", "0"], ["0", "1/x1"]], [1, 1], "non-finite metric entries"),
+], ids=["riemannian-declared", "lorentzian-declared", "degenerate", "non-finite"])
+@pytest.mark.parametrize("command", ["classify", "curvature", "transport", "verify-all"])
+def test_a_formula_metric_is_refused_where_its_signature_does_not_hold(
+        tmp_path, capsys, metric, signature, refusal, command):
+    data = json.loads(json.dumps(FD_SCENARIOS["formula-warped"]))
+    data["factors"][0].update(metric=metric, signature=signature)
+    path = tmp_path / "wrong-signature.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["run", str(path), command]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"input error: factors[0].signature: {signature} does not hold "
+                          "at the box centre: "), err
+    assert refusal in err and "[0. 0.]" in err
+
+
+def test_the_signature_check_reads_the_box_centre_alone(monkeypatch):
+    # one point per formula factor, the centre of its box; the presets skip it
+    seen = []
+    check = sc.MetricField.check_at
+
+    def counted(self, x):
+        seen.append(np.array(x, dtype=float))
+        return check(self, x)
+
+    monkeypatch.setattr(sc.MetricField, "check_at", counted)
+    data = conformal_scenario_dict([[E, "0"], ["0", E]])
+    data["factors"][0]["box"] = [[-1.0, 3.0], [0.5, 1.5]]
+    sc.parse_scenario(data)
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], [1.0, 1.0])

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from warpquot import cli
-from warpquot import fixtures as fx
 from warpquot import quotient as qt
 
 EPSILON = 0.25  # build_example1's default
@@ -67,17 +66,17 @@ def _chain_points():
 def test_lam_batch_equals_the_chain_per_point():
     pts = _chain_points()
     assert set(np.floor(pts[:, 0])) == set(range(-2, 4))
-    got = fx.example1_model().dtp.lam2.value(pts)
+    got = qt.build_example1().dtp.lam2.value(pts)
     want = np.array([ref_lam(x, y) for x, y in pts.tolist()])
     np.testing.assert_array_max_ulp(got, want, maxulp=1)
     # and a batch of one is that point's row
-    lam2 = fx.example1_model().dtp.lam2
+    lam2 = qt.build_example1().dtp.lam2
     assert all(lam2.value(p) == v for p, v in zip(pts[::23], got[::23]))
 
 
 def test_lam_at_integer_x_is_the_chain_alone():
     # sigma is 0 at integer x, so lam is the product of the chain's h' factors
-    lam2 = fx.example1_model().dtp.lam2
+    lam2 = qt.build_example1().dtp.lam2
     assert qt._smooth01(-EPSILON / (1.0 - 2.0 * EPSILON)) == 0.0
     assert qt._smooth01(0.5) == 0.5  # the seed at x = k + 1/2 is h'^(1/2)
     for y in (-0.3, 0.4, 1.3, 2.6):
@@ -143,7 +142,7 @@ def test_check_monotone_is_the_grid_minimum():
 
 
 def test_seam_residual_equals_the_per_sample_loop():
-    model = fx.example1_model()
+    model = qt.build_example1()
     lam = model.dtp.lam2
     rng = np.random.default_rng(2024)
     worst = 0.0

@@ -77,7 +77,7 @@ MAKERS = {
     "skewed-q2": fx.skewed_torus_model,
     "skewed-q3": lambda: scenario.parse_scenario(_skewed_file(3)).model,
     "warped-torus": lambda: scenario.parse_scenario(dict(WARPED_TORUS)).model,
-    "example1": fx.example1_model,
+    "example1": qt.build_example1,
 }
 MODELS = {name: make() for name, make in MAKERS.items()}
 
