@@ -5,10 +5,13 @@ Modules
 chartkit    coordinate-chart tensor kernel (metrics, FD Christoffel/Riemann
             oracles, gradients, covariant hessians, exterior derivatives)
 productgeo  doubly twisted products: assembly, closed-form connection and
-            curvature, mean curvature data, structure classification
+            curvature, mean curvature data, structure classification, the
+            curvature-sign/critical-point diagnostic (teodg)
 transport   curves; parallel and adapted translation, holonomy maps
 quotient    quotient models: deck groups, leaf tracing, intersection counts,
-            decomposition verdicts, the explicit twisted construction
+            decomposition verdicts
+fixtures    the built-in products and quotients, example1's twisted
+            construction among them
 cli         scenario runner emitting deterministic JSON/CSV reports
 """
 
@@ -35,5 +38,5 @@ from .quotient import (  # noqa: F401
     IntersectionReport,
     LeafTrace,
     QuotientModel,
-    build_example1,
 )
+from .fixtures import build_example1  # noqa: F401

@@ -225,6 +225,8 @@ class MetricField:
     ``(g, d g, d d g)``, ``d g[k] = d_k g`` of shape ``(dim,) * 3 + (P,)`` and
     ``d d g[k, l] = d_k d_l g`` of shape ``(dim,) * 4 + (P,)``.  ``mat``,
     ``inv``, ``d1`` and ``d2`` accept one point or a ``(P, dim)`` batch.
+    Refusals name the field by ``_name``: "metric", or the name its product
+    (``productgeo.assemble``) or scenario file gives it.
     """
 
     dim: int
@@ -232,6 +234,7 @@ class MetricField:
     signature: Signature
     exact_order: int = 0
     domain_box: Optional[np.ndarray] = None  # (dim, 2) coordinate bounds
+    _name = "metric"  # not a field: set on the instance by its product or scenario
 
     def __post_init__(self):
         if self.signature.n != self.dim:
@@ -245,22 +248,22 @@ class MetricField:
 
     def _mat(self, cols: np.ndarray) -> np.ndarray:
         """The value kernel: g (dim, dim, P) at checked cols (dim, P), finite and symmetric."""
-        return self._checked(cols, _call(cols, self.eval, (self.dim, self.dim), "metric eval"))
+        return self._checked(cols, _call(cols, self.eval, (self.dim, self.dim), f"{self._name} eval"))
 
     def _checked(self, cols: np.ndarray, g: np.ndarray) -> np.ndarray:
         """g (dim, dim, P) at cols, refused where not finite or not symmetric."""
         if not np.isfinite(g).all():  # a screen of the whole batch, then the per-point rule
-            _fail_at(cols.T, ~np.isfinite(g).all(axis=(0, 1)), "non-finite metric entries at")
+            _fail_at(cols.T, ~np.isfinite(g).all(axis=(0, 1)), f"non-finite {self._name} entries at")
         if self.dim > 1 and g.tobytes() != g.swapaxes(0, 1).tobytes():  # screen: exactly g = g^T
             scale = np.maximum(1.0, np.abs(g).max(axis=(0, 1)))  # relative to each point's scale
             _fail_at(cols.T, np.abs(g - g.swapaxes(0, 1)).max(axis=(0, 1)) > SYMMETRY_TOL * scale,
-                     "metric not symmetric at")
+                     f"{self._name} not symmetric at")
         return g
 
     def _jet(self, cols: np.ndarray, order: int) -> tuple:
         """The kernel: g and its partials up to ``order`` at checked cols, point axis last."""
-        return _jet(self, self._mat, cols, order, (self.dim, self.dim), "metric eval",
-                    "metric d{}")
+        return _jet(self, self._mat, cols, order, (self.dim, self.dim), f"{self._name} eval",
+                    f"{self._name} d{{}}")
 
     def mat(self, x) -> np.ndarray:
         """g at one point, (dim, dim), or at each row of a batch, (P, dim, dim)."""

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from . import chartkit as ck
+from . import fixtures as fx
 from . import productgeo as pg
 from . import quotient as qt
 from . import transport as tp
@@ -379,7 +380,7 @@ def cmd_decompose(ctx, args, rng):
 
 
 def cmd_teodg(ctx, args, rng):
-    report = qt.teodg_diagnostic(ctx.dtp, n_samples=args.samples, seed=args.seed,
+    report = pg.teodg_diagnostic(ctx.dtp, n_samples=args.samples, seed=args.seed,
                                  structure=_structure(ctx, args))
     ok = True
     if "teodg_holds" in ctx.expect:
@@ -533,7 +534,7 @@ def cmd_verify_all(ctx, args, rng):
                                 ok=_verdict_expected(ctx.expect, verdict)))
             details["verdict"] = verdict.tag
         if "seam_residual_max" in ctx.expect:
-            resid = qt.example1_seam_residual(ctx.model)
+            resid = fx.example1_seam_residual(ctx.model)
             checks.append(Check("twisted-seam-functional-equation", resid,
                                 float(ctx.expect["seam_residual_max"])))
         if "leaf_closed_y" in ctx.expect:

@@ -7,15 +7,23 @@ intervals and the fundamental box apart (the Moebius band's differ).
 Every analytic fixture declares exact order 2: its one callback returns the
 metric or warp with its exact partials, so the closed-form-vs-oracle
 comparisons run at tight tolerances.
+
+The example1-twisted row is the paper's explicit twisted construction
+(``build_example1``), a quotient that is not globally a product: its warp
+walks a gluing chain (``TwistedGluing``) and has no exact partials.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from . import productgeo as pg
 from . import quotient as qt
 from .chartkit import MetricField, ScalarField, Signature, _fold
+from .errors import InvalidH, NumericsError
 
 
 # ---------------------------------------------------------------------------
@@ -205,3 +213,155 @@ HOLONOMY_LOOPS = {
     "flat-torus": {1: [(("a", 1),)], 2: [(("b", 1),)]},
     "skewed-torus": {1: [(("a", 1),)], 2: [(("a", -1), ("b", 1), ("b", 1))]},
 }
+
+
+# ---------------------------------------------------------------------------
+# explicit twisted construction (quotient that is not globally a product)
+
+# Levels of floor(x) that example1's warp walks at most: each costs one h (or
+# one Newton solve of h^-1) per point.  The commands read lam on the box, on
+# FD stencils around it and on one generator's images, at most 3 levels out;
+# deck words move points by the generator's maps, not through lam.  At 64
+# levels one point costs 1.5 ms (h) or 8 ms (h^-1) on a 2-vCPU machine.
+GLUING_LEVELS = 64
+
+
+def _bump_and_d1(u):
+    """(b, b') elementwise (a number or an array) for the bump
+    b(u) = exp(-1 / (1 - u^2)) on |u| < 1, 0 elsewhere."""
+    u = np.asarray(u, dtype=float)
+    w = 1.0 - u * u
+    inside = w > 0.0  # |u| < 1: u * u rounds to 1 or more exactly when |u| >= 1
+    w = np.where(inside, w, 1.0)  # 1 outside, so the masked branch stays finite
+    b = np.exp(-1.0 / w) * inside
+    return b[()], (b * (-2.0 * u / w**2))[()]
+
+
+def _smooth01(t):
+    """C-infinity step, elementwise: exactly 0 for t <= 0 and 1 for t >= 1."""
+    t = np.asarray(t, dtype=float)
+    mid = (t > 0.0) & (t < 1.0)
+    tm = np.where(mid, t, 0.5)  # keeps both exponents finite off the transition
+    a = np.exp(-1.0 / tm)
+    b = np.exp(-1.0 / (1.0 - tm))
+    return np.where(mid, a / (a + b), t >= 1.0)[()]  # off it: 1.0 above, 0.0 below
+
+
+@dataclass
+class TwistedGluing:
+    """Gluing data: h = id near 0, h' > 0, with bump amplitude and inverse.
+    Every method is elementwise: it takes a number or an array."""
+
+    amplitude: float = 0.3
+    center: float = 1.0
+
+    def h(self, y):
+        """h(y) = y + amplitude * bump(y - center).  Work cap: elementwise, no iteration."""
+        return self._h_and_prime(y)[0]
+
+    def h_prime(self, y):
+        """h'(y).  Work cap: elementwise, no iteration."""
+        return self._h_and_prime(y)[1]
+
+    def _h_and_prime(self, y):
+        b, d1 = _bump_and_d1(y - self.center)
+        return y + self.amplitude * b, 1.0 + self.amplitude * d1
+
+    def h_inverse(self, z):
+        """Newton's method for h(y) = z from y = z, per element: an element
+        stops once its step is below 1e-15.  Work cap: 100 steps per element."""
+        z = np.asarray(z, dtype=float)
+        y = z.flatten()
+        todo, yt, zt = np.arange(y.size), y.copy(), y.copy()  # the elements still moving
+        for _ in range(100):
+            if not todo.size:
+                break
+            h, h_prime = self._h_and_prime(yt)
+            step = (h - zt) / h_prime
+            yt = yt - step
+            stop = np.abs(step) < 1e-15
+            if np.count_nonzero(stop):
+                y[todo[stop]] = yt[stop]
+                todo, yt, zt = todo[~stop], yt[~stop], zt[~stop]
+        y[todo] = yt
+        return y.reshape(z.shape)[()]
+
+    def check_monotone(self):
+        """min h' on 401 points across the bump (its work cap); raises InvalidH
+        unless positive."""
+        grid = np.linspace(self.center - 1.5, self.center + 1.5, 401)
+        worst = float(np.min(self.h_prime(grid)))
+        if worst <= 0.0:
+            raise InvalidH(f"h' reaches {worst} <= 0; reduce the bump amplitude")
+        return worst
+
+
+def build_example1(epsilon: float = 0.25,
+                   gluing: Optional[TwistedGluing] = None) -> qt.QuotientModel:
+    """Twisted metric dx^2 + lam(x, y)^2 dy^2 on R^2, quotiented by
+    (x, y) -> (x + 1, h^{-1}(y)).
+
+    lam is seeded on the strip 0 <= x < 1 as h'(y)^{sigma(x)} with sigma a
+    smooth step (identically 0 near x = 0 and 1 near x = 1, transition width
+    set by epsilon < 1/2) and extended to all x through the gluing relation
+    lam(x, y) = lam(x - 1, h(y)) h'(y), which makes the generator an isometry.
+    The leaf of the first foliation through y = 0 closes; leaves in the bump
+    region drift monotonically and never close.  The y factor's box is
+    [-1, 3].  Work cap: the warp walks at most GLUING_LEVELS levels of
+    floor(x) per point (farther points are refused), each level one h or one
+    ``TwistedGluing.h_inverse``.
+    """
+    if not (0.0 < epsilon < 0.5):
+        raise InvalidH(f"epsilon must lie in (0, 1/2), got {epsilon}")
+    glue = gluing if gluing is not None else TwistedGluing()
+    glue.check_monotone()
+
+    def lam(c):
+        # the gluing chain, one level of floor(x) at a time: the points with
+        # k = floor(x) >= j take the j-th factor h'(y) and move y to h(y),
+        # those with k <= -j move y to h^-1(y) and divide by h' there
+        x, y = c[0], c[1].copy()
+        k = np.floor(x)
+        far = np.abs(k) > GLUING_LEVELS
+        if far.any():
+            p = int(np.argmax(far))
+            raise NumericsError(f"twisted-lam at {c[:, p]}: {abs(k[p]):g} gluing levels from "
+                                f"the strip 0 <= x < 1, beyond GLUING_LEVELS = {GLUING_LEVELS}")
+        chain = np.ones_like(y)
+        for j in range(1, int(k.max(initial=0.0)) + 1):
+            m = k >= j
+            y[m], h_prime = glue._h_and_prime(y[m])
+            chain[m] *= h_prime
+        for j in range(1, int(-k.min(initial=0.0)) + 1):
+            m = k <= -j
+            y[m] = glue.h_inverse(y[m])
+            chain[m] /= glue.h_prime(y[m])
+        return glue.h_prime(y) ** _smooth01((x - k - epsilon) / (1.0 - 2.0 * epsilon)) * chain
+
+    lam_field = ScalarField(lam, name="twisted-lam")
+    f1 = pg.FactorManifold("line-x", MetricField.euclidean(1), [[0.0, 1.0]])
+    f2 = pg.FactorManifold("line-y", MetricField.euclidean(1), [[-1.0, 3.0]])
+    dtp = pg.assemble(f1, f2, ScalarField.constant(1.0), lam_field)
+
+    psi = qt.FactorMap(apply=glue.h_inverse, inverse=glue.h,
+                       jacobian=lambda y: (1.0 / glue.h_prime(glue.h_inverse(y)))[None])
+    gen = qt.DeckGenerator("a", qt.FactorMap.translation([1.0]), psi, homothety=False)
+    model = qt.QuotientModel(dtp, [gen], fundamental_box=[[0.0, 1.0], [-1e9, 1e9]])
+    model.gluing = glue
+    return model
+
+
+def example1_seam_residual(model: qt.QuotientModel) -> float:
+    """max |lam(x, y) - lam(x - 1, h(y)) h'(y)| across the x = 1 seam at 25
+    samples (its work cap)."""
+    glue = model.gluing
+    rng = np.random.default_rng(2024)
+    # the draws alternate x, y per sample
+    x, y = rng.uniform([-0.2, -0.5], [0.2, 2.5], (25, 2)).T
+    x = 1.0 + x
+    h, h_prime = glue._h_and_prime(y)
+    lhs = model.dtp.lam2.value(np.stack([x, y], axis=1))
+    rhs = model.dtp.lam2.value(np.stack([x - 1.0, h], axis=1)) * h_prime
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))
+
+

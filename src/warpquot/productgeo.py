@@ -17,20 +17,23 @@ the assembled metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from enum import Enum
+from typing import Optional
 
 import numpy as np
 
 from . import chartkit as ck
 from .chartkit import MetricField, ScalarField, Signature
-from .errors import CaseMismatch, InvalidFrame, InvalidWarp, NormalizationError, NumericsError
+from .errors import (CaseMismatch, InvalidAction, InvalidFrame, InvalidWarp,
+                     NormalizationError, NumericsError)
 
 UNIT_TOL = 1e-9       # |g(u,u)| must equal 1 this tightly for closed forms
 SLOT_TOL = 1e-12      # components outside a vector's declared slot
 VANISH_TOL = 1e-7     # classification: "N_i vanishes"
 CLOSED_TOL = 1e-6     # classification: "d omega vanishes"
 GRID_INSET = 0.05     # sample grids keep this fraction of each side clear of the box edge
+_NEWTON_STEPS = 30    # cap on teodg's Newton steps toward a critical point of lam2
 
 
 class StructureTag(Enum):
@@ -211,8 +214,11 @@ def assemble(f1: FactorManifold, f2: FactorManifold, lam1: ScalarField,
     is the smallest of its four factor fields' orders, and its ``eval``
     follows the one-callback contract of ``chartkit``: one call reads each
     factor field's jet once, on the whole batch, and ``_blocks`` assembles g
-    with its partials up to the order asked.
+    with its partials up to the order asked.  The product holds a copy of
+    each factor whose metric's refusals name it "factor i metric".
     """
+    f1, f2 = (replace(f, metric=replace(f.metric)) for f in (f1, f2))
+    f1.metric._name, f2.metric._name = "factor 1 metric", "factor 2 metric"
     n1, n2 = f1.dim, f2.dim
     n = n1 + n2
     box = np.vstack([f1.domain_box, f2.domain_box])
@@ -238,6 +244,7 @@ def assemble(f1: FactorManifold, f2: FactorManifold, lam1: ScalarField,
         exact_order=min(f.exact_order for f in (lam1, lam2, f1.metric, f2.metric)),
         domain_box=box,
     )
+    assembled._name = "assembled metric"
     return DoublyTwistedProduct(f1, f2, lam1, lam2, assembled)
 
 
@@ -573,6 +580,104 @@ def _sample_planes(dtp: DoublyTwistedProduct, rng, gm: np.ndarray, slots) -> tup
     found = np.ones(len(gm), dtype=bool)
     found[todo] = False
     return U, V, found
+
+
+# ---------------------------------------------------------------------------
+# curvature-sign + critical-point diagnostic
+
+@dataclass
+class TeodgReport:
+    tag: StructureTag
+    histogram: dict              # {"negative": int, "zero": int, "positive": int}
+    critical_points: list        # factor-1 coordinate arrays
+    critical_everywhere: bool    # |grad lam2| < 1e-6 on the whole grid: every point is critical
+    hypotheses_hold: bool
+    verdict: str
+    witness: Optional[dict] = None
+
+
+def teodg_diagnostic(dtp: DoublyTwistedProduct, n_samples: int = 60,
+                     seed: int = 0,
+                     structure: Optional[StructureClass] = None) -> TeodgReport:
+    """Sample mixed-plane curvature signs and search lam2 for critical points.
+
+    The diagnostic reports whether the sampled hypotheses of the global
+    decomposition criterion hold: K < 0 on all sampled mixed nondegenerate
+    planes (|K| <= 1e-9 counts as zero), and lam2 (a factor-1 function for
+    warped structures) has a critical point inside the factor-1 box.  A
+    twisted or doubly twisted ``classify`` tag is refused with
+    InvalidAction (``structure``, when given, is that classification of
+    ``dtp``, the run's one, and the diagnostic does not classify again).
+
+    The samples are one batch: n_samples uniform points of the domain box,
+    then one mixed plane at each (``_sample_planes`` on one
+    ``point_geometry`` batch; a degenerate draw is re-drawn, up to 60 times,
+    and a point without a plane is dropped), and K from one
+    ``_sectional_closed_form`` call.
+
+    Critical points are sought on factor 1 with the factor-2 coordinates at
+    the middle of their box.  When |grad lam2| < 1e-6 at every point of a
+    9-per-axis grid, the warp is critical everywhere: ``critical_everywhere``
+    is set and no points are listed.  Otherwise batched Newton steps
+    a <- a - H^+ grad lam2(a) (H the factor-1 block of lam2's coordinate
+    hessian, pseudo-inverted where singular), projected onto the factor-1
+    box, run from the 5 grid points of least |grad| for at most
+    _NEWTON_STEPS steps; an end point with |grad| < 1e-6 is critical, and
+    one within 1e-4 of a kept point is that point.  Only the slot-1 partials
+    of lam2 are read: on the FD route a gradient evaluates each point and its
+    +-e_k neighbours for k in slot 1, and a hessian the point, its +-e_k
+    neighbours and the four corners of each pair of slot-1 axes.
+
+    Work cap: n_samples points with at most 60 plane draws each, the
+    9-per-axis grid, and _NEWTON_STEPS Newton steps from its 5 best points.
+    """
+    cls = structure or classify(dtp)
+    if cls.tag in (StructureTag.TWISTED, StructureTag.DOUBLY_TWISTED):
+        raise InvalidAction(f"diagnostic requires a (doubly) warped structure, got {cls.tag.value}")
+    rng = np.random.default_rng(seed)
+    box = dtp.domain_box
+    x = box[:, 0] + rng.random((max(n_samples, 0), dtp.n)) * (box[:, 1] - box[:, 0])
+    geo = point_geometry(dtp, x)
+    U, V, found = _sample_planes(dtp, rng, geo.g, (1, 2))
+    ks = _sectional_closed_form(dtp, geo.rows(found), x[found], U[found], V[found])
+    signs = np.where(ks < -1e-9, "negative", np.where(ks > 1e-9, "positive", "zero"))
+    hist = {sign: int(np.count_nonzero(signs == sign)) for sign in ("negative", "zero", "positive")}
+    bad = np.flatnonzero(signs != "negative")  # the first one is the witness
+    witness = {"point": x[found][bad[0]].tolist(), "K": float(ks[bad[0]])} if bad.size else None
+
+    lam2, slot1 = dtp.lam2, dtp.axes(1)
+    mid2 = 0.5 * (dtp.f2.domain_box[:, 0] + dtp.f2.domain_box[:, 1])
+
+    def full(a):
+        return ck._points(np.hstack([a, np.broadcast_to(mid2, (len(a), dtp.n2))]))
+
+    def grad(a):
+        return ck._call_batch(lam2._jet, full(a), 1, (slot1,))[1]
+
+    grid = grid_points(dtp.f1.domain_box, 9)
+    grid_norm2 = np.sum(grad(grid) ** 2, axis=1)
+    everywhere = bool(np.all(grid_norm2 < (1e-6) ** 2))
+    found_pts = []
+    if not everywhere:
+        lo, hi = dtp.f1.domain_box[:, 0], dtp.f1.domain_box[:, 1]
+        a = grid[np.argsort(grid_norm2, kind="stable")[:5]]
+        for _ in range(_NEWTON_STEPS):
+            (hess,) = ck._call_batch(lam2._jet, full(a), 2, (slot1, slot1))
+            nxt = np.clip(a - np.einsum("pij,pj->pi", np.linalg.pinv(hess), grad(a)), lo, hi)
+            if np.array_equal(nxt, a):
+                break
+            a = nxt
+        for p in a[np.sum(grad(a) ** 2, axis=1) < (1e-6) ** 2]:
+            if not any(np.max(np.abs(p - b)) < 1e-4 for b in found_pts):
+                found_pts.append(p)
+
+    parts = [f"mixed-plane K sign violated at witness {witness}"] if witness or not ks.size else []
+    parts += [] if found_pts or everywhere else [
+        "no critical point of lam2 found in the factor-1 box"]
+    verdict = ("violated: " + "; ".join(parts) if parts else
+               "hypotheses hold on samples: K < 0 on mixed planes and lam2 has a critical point")
+    return TeodgReport(cls.tag, hist, [p.tolist() for p in found_pts], everywhere, not parts,
+                       verdict, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,9 @@ as factor-split maps phi x psi, a fundamental box, an identification
 tolerance and a word bound.  Operations: sampled validation of the group
 action, leaf loops from the deck group with their holonomy in closed form,
 intersection counts from the deck group alone, holonomy-based
-global-decomposition verdicts, leaf tracing with closure detection (the
-oracle for "a leaf closes iff it has a closing word"), the explicit
-twisted construction whose quotient is not globally a product, and the
-curvature-sign/critical-point diagnostic.
+global-decomposition verdicts, and leaf tracing with closure detection (the
+oracle for "a leaf closes iff it has a closing word").  The built-in models,
+example1's twisted construction among them, live in ``fixtures``.
 
 Group words are tuples of (generator_name, +1 | -1), applied left to right.
 
@@ -20,23 +19,16 @@ with one point per row.  ``FactorMap`` callbacks follow the coordinate-major
 contract of ``chartkit``: they receive a batch ``x`` of shape ``(m, P)``, one
 point as a batch of one, and put the point axis last: ``(m, P)`` from
 ``apply``/``inverse``, ``(m, m, P)`` from ``jacobian``.  A map that is
-piecewise or needs a per-point solve stays elementwise: ``build_example1``'s
-h^-1 runs Newton on the whole batch, each element frozen at its own stop.
-The group is searched once per model (``enumerate_words``) and kept as a
-word tree (``_tree``), each word its parent followed by one letter; a
-smaller word bound reads the first levels of the largest tree searched.
-Orbit lookups read the tree: ``_orbit`` (loops, intersections,
-``validate``) and ``_searches`` (``canonical_rep``, ``find_closing_word``;
-level by level, each start until a level accepts it).  A batch of words
-moves points only through the tree; a single word moves a point by
-``apply_word`` and differentiates by ``word_jacobian``.  A generator is a
-one-letter word: ``apply_gen`` and ``gen_jacobian`` are those two at that
-word.  The deck maps are factor-split, so a word's differential is composed
-in one place, ``_factor_jacobian``: factor i's chain rule along the word,
-through factor i's maps alone; ``word_jacobian`` is the block diagonal of
-the two chains.  With elementwise callbacks a row of a batch sees the same
-arithmetic as the point alone, so batched and one-point results agree bit
-for bit.
+piecewise or needs a per-point solve stays elementwise: example1's h^-1
+runs Newton on the whole batch, each element frozen at its own stop.  A
+single word moves a point by ``apply_word`` and differentiates by
+``word_jacobian``; a generator is a one-letter word (``apply_gen``,
+``gen_jacobian``).  The deck maps are factor-split, so a word's
+differential is composed in one place, ``_factor_jacobian``: factor i's
+chain rule along the word, through factor i's maps alone;
+``word_jacobian`` is the block diagonal of the two chains.  With
+elementwise callbacks a row of a batch sees the same arithmetic as the
+point alone, so batched and one-point results agree bit for bit.
 
 A leaf trace of F_i reads only factor i: its speeds are lam_i^2 g_i read
 from the warp and factor metric kernels (``_leaf_speeds``), and a box exit
@@ -48,22 +40,32 @@ bits.  A trace runs forward only, along +e_i from the basepoint: an open
 leaf's points stop where the arc budget runs out, since only its status is
 read.
 
-Affine records
---------------
+The word tree and its one walk
+------------------------------
+The group is searched once per model (``enumerate_words``) and kept as a
+breadth-first word tree (``_tree``, ``_WordTree``), each word its parent
+followed by one letter; a smaller word bound reads the first levels of the
+largest tree searched.  A batch of words moves points only by the tree's
+one walk, ``_WordTree.images``: the rows from a level's first to any stop.
+``_orbit`` (loops, intersections, ``validate``) walks from the root, and
+``_searches`` (``canonical_rep``, ``find_closing_word``) one level per
+call, each start until a level accepts it.
+
 A model is affine when every phi and psi carries an affine record
 (``FactorMap.record``: ``FactorMap.affine``/``translation``, and scenario
 maps whose formulas are all affine).  Each word w then has the record
 (A_w, b_w) of its map x -> A_w x + b_w, its letters' records composed onto
-(I, 0) left to right: a tree word's once, when the enumeration finds it,
-from its parent's, and any other word's from its prefix's.  Every product
-with a matrix sums in a fixed order (``_matmul``, the order of
-``chartkit._fold``), so a record and an image have the same bits in any
-batch: the tree's images are one product per level or per orbit,
-``apply_gen``/``apply_word`` move a point by the same records, and the
-Jacobians are the records' A, exactly.  Any other model takes the level
-path: each image is its parent's moved by one apply_gen call per level and
-move, the per-letter move of ``apply_word``, and Jacobians come from the
-maps (central differences when a map has no ``jacobian``).
+(I, 0) left to right: a tree word's once, when the search finds it, from
+its parent's, and any other word's from its prefix's.  Every product with a
+matrix sums in a fixed order (``_matmul``, the order of ``chartkit._fold``),
+so a record and an image have the same bits in any batch: the walk is one
+product with the span's records, ``apply_word`` moves a point by the same
+records, and the Jacobians are the records' A, exactly.  On any other model
+the walk goes level by level, each image its parent's moved by its last
+letter: one ``apply_gen`` call per level and move (the per-letter move of
+``apply_word``), with each move's rows found once, when the tree is built.
+Its Jacobians come from the maps (central differences when a map has no
+``jacobian``).
 """
 
 from __future__ import annotations
@@ -78,14 +80,7 @@ import numpy as np
 from . import chartkit as ck
 from . import productgeo as pg
 from . import transport as tp
-from .chartkit import ScalarField
-from .errors import (
-    InvalidAction,
-    InvalidH,
-    NotALoop,
-    NumericsError,
-    WordBoundExceeded,
-)
+from .errors import InvalidAction, NotALoop, WordBoundExceeded
 
 Word = tuple  # of (name, +1 | -1)
 
@@ -95,12 +90,6 @@ DEFAULT_WORD_BOUND = 8
 VALIDATE_WORD_CAP = 20_000  # words validate applies to the interior grid at most
 WORD_TREE_CAP = 1 << 15     # words enumerate_words keeps at most; a larger tree is refused
 VALIDATE_PER_AXIS = 4   # grid points per axis of validate's samples
-# Levels of floor(x) that example1's warp walks at most: each costs one h (or
-# one Newton solve of h^-1) per point.  The commands read lam on the box, on
-# FD stencils around it and on one generator's images, at most 3 levels out;
-# deck words move points by the generator's maps, not through lam.  At 64
-# levels one point costs 1.5 ms (h) or 8 ms (h^-1) on a 2-vCPU machine.
-GLUING_LEVELS = 64
 # Visited-set grid of enumerate_words.  A word whose probe images round to a
 # visited key moves both probes within 1e-9 of an earlier word; the action is
 # free, so it is that word's group element and moves every point where the
@@ -112,7 +101,6 @@ _ROUND = 1e-9
 _SEARCH_POINTS = 1 << 16
 _TRACE_STEP = 0.01      # leaf_trace step in the traced factor coordinate
 _TRACE_CHUNK = 64       # steps leaf_trace takes ahead in one batch
-_NEWTON_STEPS = 30      # cap on teodg's Newton steps toward a critical point of lam2
 
 
 def word_inverse(word: Word) -> Word:
@@ -168,7 +156,7 @@ class FactorMap:
     def __call__(self, x, sign: int = 1) -> np.ndarray:
         """The map (sign > 0) or its inverse at one point, (m,), or at each
         row of a batch, (P, m).  Work cap: one callback call, whatever the
-        batch (a map's own iteration is its own: ``TwistedGluing.h_inverse``)."""
+        batch (a map's own iteration is its own: example1's Newton h^-1)."""
         fn = self.apply if sign > 0 else self.inverse
         x = np.asarray(x, dtype=float)
         return ck._call_batch(ck._call, x, fn, x.shape[-1:], "factor map")
@@ -373,55 +361,27 @@ class QuotientModel:
         m = self._code[word[-1]]
         return _compose(self._letters[0][m], self._letters[1][m], A, b)
 
-    def _level(self, steps: list, prev: np.ndarray, size: int) -> np.ndarray:
-        """Images of the first ``size`` words of a tree level with ``steps``
-        from ``prev`` (K, ..., n), the images of the level before: each is
-        its parent's image moved by its last letter, one apply_gen per move."""
-        out = np.empty((size,) + prev.shape[1:])
-        n = prev.shape[-1]
-        for rows, parents, gen, sign in steps:
-            rows, parents = rows[rows < size], parents[rows < size]
-            if rows.size:
-                sub = prev[parents]
-                out[rows] = self.apply_gen(gen, sign, sub.reshape(-1, n)).reshape(sub.shape)
-        return out
-
-    def _orbit(self, max_len: int, x, count: Optional[int] = None) -> np.ndarray:
-        """x, (n,) or (S, n), moved by each of the first ``count`` words of
-        ``enumerate_words(max_len)`` (all by default): (count,) + x.shape.
-        On an affine model one product with the words' records; otherwise
-        level by level down the word tree, a prefix of the list holding
-        every parent of its words."""
+    def _orbit(self, max_len: int, x, count: Optional[int] = None) -> tuple[list, np.ndarray]:
+        """(words, images): the first ``count`` words of
+        ``enumerate_words(max_len)`` (all by default), and x, (n,) or (S, n),
+        moved by each, (len(words),) + x.shape, in one walk of the word tree
+        from its root (``_WordTree.images``)."""
         tree = self._tree(max_len)
-        count = len(tree.words) if count is None else min(count, len(tree.words))
-        x = np.asarray(x, dtype=float)
-        if tree.records is not None:
-            A, b = tree.records
-            return _apply_records(A[:count], b[:count], x[None])
-        parts = [x[None]]
-        done = 1
-        for size, steps in tree.levels:
-            if done >= count:
-                break
-            parts.append(self._level(steps, parts[-1], min(size, count - done)))
-            done += len(parts[-1])
-        return np.concatenate(parts)
+        stop = len(tree.words) if count is None else min(count, len(tree.words))
+        return tree.words[:stop], tree.images(self, np.asarray(x, dtype=float), 0, None, stop)
 
     def _searches(self, starts, accept, max_len: int) -> list:
         """Per row of ``starts`` (S, n), the first (point, word) of
         ``enumerate_words(max_len)`` whose image ``accept`` takes, or None.
 
         ``accept`` maps a batch (..., n) to one bool per point.  A start it
-        takes as it is gets the empty word; the others walk the word tree
-        level by level, in groups of at most _SEARCH_POINTS points per level,
-        and a start leaves at the first level with an accepted image, taking
-        that level's first such word: the list is breadth-first, so that is
-        the first accepted word of the list.  A level's images are one
-        product with its records on an affine model, its parents' images
-        moved by their last letters otherwise.  The action is free, so a
-        word the enumeration drops moves every point where an earlier word
-        does: the first hit is the one of a breadth-first search from that
-        start.
+        takes as it is gets the empty word; the others walk the word tree one
+        level per ``_WordTree.images`` call, in groups of at most
+        _SEARCH_POINTS points per level, and a start leaves at the first level
+        with an accepted image, taking that level's first such word, the first
+        accepted word of the breadth-first list.  The action is free, so a word
+        the enumeration drops moves every point where an earlier word does:
+        the first hit is the one of a breadth-first search from that start.
         """
         starts = np.asarray(starts, dtype=float)
         taken = accept(starts)
@@ -430,25 +390,20 @@ class QuotientModel:
         if not rest.size:
             return found
         tree = self._tree(max_len)
-        group = max(1, _SEARCH_POINTS // max((size for size, _ in tree.levels), default=1))
+        edges = tree.edges
+        group = max(1, _SEARCH_POINTS // int(max(np.diff(edges))))
         for lo in range(0, rest.size, group):
             todo = rest[lo:lo + group]
-            images, first_word = starts[todo][None], 1
-            for size, steps in tree.levels:
+            images = starts[todo][None]
+            for level in range(1, len(edges) - 1):
                 if not todo.size:
                     break
-                if tree.records is None:
-                    images = self._level(steps, images, size)
-                else:
-                    rows = slice(first_word, first_word + size)
-                    images = _apply_records(tree.records[0][rows], tree.records[1][rows],
-                                            starts[todo][None])
+                images = tree.images(self, starts[todo], level, images, edges[level + 1])
                 hits = accept(images)
                 first, hit = hits.argmax(axis=0), hits.any(axis=0)
                 for r in np.flatnonzero(hit).tolist():
-                    found[todo[r]] = (images[first[r], r].copy(),
-                                      tree.words[first_word + first[r]])
-                images, todo, first_word = images[:, ~hit], todo[~hit], first_word + size
+                    found[todo[r]] = (images[first[r], r].copy(), tree.words[edges[level] + first[r]])
+                images, todo = images[:, ~hit], todo[~hit]
         return found
 
     def canonical_rep(self, x) -> tuple[np.ndarray, Word]:
@@ -479,76 +434,14 @@ class QuotientModel:
     def enumerate_words(self, max_len: int) -> list[Word]:
         """Reduced words up to max_len in breadth-first order (level by level,
         generators in order, +1 before -1), deduplicated by their action on
-        two probe points: the middle of the box clipped to [c - 5, c + 5] per
-        axis, c the point of the box nearest the origin, and that point moved
-        by 0.1, 0.2, ...  Near the origin the doubles are dense enough for
-        the _ROUND grid on any box.
-
-        The only search of the group.  It builds a word tree, kept for the
-        orbit lookups (``_tree``): each word is a kept word of the level
-        before followed by one letter, so every prefix of a word is listed
-        before it.  Each level moves the probes by every candidate child at
-        once: by the children's records, each its parent's composed with its
-        last letter's, on an affine model; otherwise by one apply_gen call
-        per (generator, sign) on the parents' probe images.  Work cap:
-        max_len levels, and WORD_TREE_CAP words: a level that would take the
-        list past it raises InvalidAction.  The tree is kept, so a later call
-        at the same or a smaller bound searches nothing.
+        two probe points (``_WordTree.search``).  The only search of the
+        group: the tree it builds is kept for the orbit lookups (``_tree``),
+        so a later call at the same or a smaller bound searches nothing.
+        Work cap: max_len levels, and WORD_TREE_CAP words: a level that would
+        take the list past it raises InvalidAction.
         """
-        lo, hi = self.fundamental_box[:, 0], self.fundamental_box[:, 1]
-        near = np.clip(0.0, lo, hi)
-        probe = 0.5 * (np.maximum(lo, near - 5.0) + np.minimum(hi, near + 5.0))
-        probes = np.stack([probe, probe + 0.1 * np.arange(1, self.dtp.n + 1)])
-        moves = self._moves()
-        letters = [(gen.name, sign) for gen, sign in moves]
-        M, n = len(moves), self.dtp.n
-        words = [()]
-        images, last = probes[None], np.array([-1])  # the last level's probe images, moves
-        recs = [(np.eye(n)[None], np.zeros((1, n)))] if self._letters is not None else None
-        seen = set(_round_keys(probes.reshape(1, -1)))
-        levels = []
-        for _ in range(max_len):
-            K = len(last)
-            ok = (last[:, None] != np.arange(M) ^ 1).ravel().tolist()  # keep the word reduced
-            if recs is not None:
-                cand = _compose(self._letters[0][None], self._letters[1][None],
-                                recs[-1][0][:, None], recs[-1][1][:, None])
-                cand = (cand[0].reshape(K * M, n, n), cand[1].reshape(K * M, n))
-                img = _apply_records(*cand, probes[None])
-            else:
-                img = np.zeros((K, M) + probes.shape)
-                for m, (gen, sign) in enumerate(moves):
-                    rows = np.flatnonzero(ok[m::M])
-                    if rows.size:
-                        img[rows, m] = self.apply_gen(gen, sign, images[rows].reshape(-1, n)
-                                                      ).reshape(-1, *probes.shape)
-                img = img.reshape(K * M, *probes.shape)
-            keys = _round_keys(img.reshape(K * M, -1))
-            kept = []
-            for c in range(K * M):  # parents in order, then moves in order
-                if ok[c] and keys[c] not in seen:
-                    seen.add(keys[c])
-                    kept.append(c)
-            if not kept:
-                break
-            if len(words) + len(kept) > WORD_TREE_CAP:
-                raise InvalidAction(f"word bound {max_len}: the word tree passes WORD_TREE_CAP"
-                                    f" = {WORD_TREE_CAP} words at length {len(levels) + 1}")
-            parent, last = np.divmod(np.array(kept), M)
-            start = len(words) - K
-            words += [words[start + k] + (letters[m],) for k, m in zip(parent.tolist(), last.tolist())]
-            if recs is None:
-                images = img[kept]
-                levels.append((len(kept), [(rows, parent[rows], gen, sign)
-                                           for m, (gen, sign) in enumerate(moves)
-                                           if (rows := np.flatnonzero(last == m)).size]))
-            else:
-                recs.append((cand[0][kept], cand[1][kept]))
-                levels.append((len(kept), []))
-        records = None if recs is None else tuple(np.concatenate(r) for r in zip(*recs))
-        rows = {w: r for r, w in enumerate(words)}
-        self._word_memo[max_len] = _WordTree(words, levels, records, rows)
-        return list(words)
+        self._word_memo[max_len] = tree = _WordTree.search(self, max_len)
+        return list(tree.words)
 
     def _tree(self, max_len: int) -> "_WordTree":
         """``enumerate_words(max_len)`` as a word tree; callers must not modify
@@ -565,24 +458,119 @@ class QuotientModel:
 
 
 class _WordTree(NamedTuple):
-    """A breadth-first word list; per level 1, 2, ... (the words of that
-    length), its size and, for the level path, one (rows, parents,
-    generator, sign) step per move: the level's rows whose last letter it
-    is and their parents' rows in the level before; and on an affine model
-    each word's record (A, b), (W, n, n) and (W, n), which replaces the
-    steps (the levels then hold none), else None; and the row of each word
-    (a prefix shares its tree's)."""
+    """A breadth-first word list and the one walk of it (``images``).
+
+    Level L holds the words of L letters, rows edges[L] to edges[L + 1] - 1
+    (level 0 is the empty word, row 0).  An affine model keeps each word's
+    record (A, b), (W, n, n) and (W, n), in ``records`` and no ``steps``;
+    any other keeps, per level, one (rows, parents, generator, sign) step
+    per move in ``steps``: the level's rows whose last letter it is and
+    their parents' rows in the level before, each counted from its level's
+    first row.  ``rows`` is the row of each word (a prefix shares its
+    tree's)."""
 
     words: list
-    levels: list
+    edges: list
+    steps: Optional[list]
     records: Optional[tuple]
     rows: dict
 
+    @classmethod
+    def search(cls, model: QuotientModel, max_len: int) -> "_WordTree":
+        """``model.enumerate_words(max_len)``'s tree.  The probes are the
+        middle of the box clipped to [c - 5, c + 5] per axis, c the point of
+        the box nearest the origin, and that point moved by 0.1, 0.2, ...:
+        near the origin the doubles are dense enough for the _ROUND grid on
+        any box.  Each word is a kept word of the level before followed by
+        one letter, so every prefix of a word is listed before it.  Each
+        level moves the probes by every candidate child at once: by the
+        children's records, each its parent's composed with its last
+        letter's, on an affine model; otherwise by one apply_gen call per
+        move on the parents' probe images.  A child is kept unless its
+        probe images round to a visited key."""
+        lo, hi = model.fundamental_box[:, 0], model.fundamental_box[:, 1]
+        near = np.clip(0.0, lo, hi)
+        probe = 0.5 * (np.maximum(lo, near - 5.0) + np.minimum(hi, near + 5.0))
+        probes = np.stack([probe, probe + 0.1 * np.arange(1, model.dtp.n + 1)])
+        moves = model._moves()
+        letters = [(gen.name, sign) for gen, sign in moves]
+        M, n = len(moves), model.dtp.n
+        words, edges = [()], [0, 1]
+        images, last = probes[None], np.array([-1])  # the last level's probe images, moves
+        recs = [(np.eye(n)[None], np.zeros((1, n)))] if model._letters is not None else None
+        steps = [[]] if recs is None else None
+        seen = set(_round_keys(probes.reshape(1, -1)))
+        for _ in range(max_len):
+            K = len(last)
+            ok = (last[:, None] != np.arange(M) ^ 1).ravel().tolist()  # keep the word reduced
+            if recs is not None:
+                cand = _compose(model._letters[0][None], model._letters[1][None],
+                                recs[-1][0][:, None], recs[-1][1][:, None])
+                cand = (cand[0].reshape(K * M, n, n), cand[1].reshape(K * M, n))
+                img = _apply_records(*cand, probes[None])
+            else:
+                img = np.zeros((K, M) + probes.shape)
+                for m, (gen, sign) in enumerate(moves):
+                    rows = np.flatnonzero(ok[m::M])
+                    if rows.size:
+                        img[rows, m] = model.apply_gen(gen, sign, images[rows].reshape(-1, n)
+                                                       ).reshape(-1, *probes.shape)
+                img = img.reshape(K * M, *probes.shape)
+            keys = _round_keys(img.reshape(K * M, -1))
+            kept = []
+            for c in range(K * M):  # parents in order, then moves in order
+                if ok[c] and keys[c] not in seen:
+                    seen.add(keys[c])
+                    kept.append(c)
+            if not kept:
+                break
+            if len(words) + len(kept) > WORD_TREE_CAP:
+                raise InvalidAction(f"word bound {max_len}: the word tree passes WORD_TREE_CAP"
+                                    f" = {WORD_TREE_CAP} words at length {len(edges) - 1}")
+            parent, last = np.divmod(np.array(kept), M)
+            start = len(words) - K
+            words += [words[start + k] + (letters[m],) for k, m in zip(parent.tolist(), last.tolist())]
+            edges.append(len(words))
+            if recs is None:
+                images = img[kept]
+                steps.append([(rows, parent[rows], gen, sign) for m, (gen, sign) in enumerate(moves)
+                              if (rows := np.flatnonzero(last == m)).size])
+            else:
+                recs.append((cand[0][kept], cand[1][kept]))
+        records = None if recs is None else tuple(np.concatenate(r) for r in zip(*recs))
+        return cls(words, edges, steps, records, {w: r for r, w in enumerate(words)})
+
     def prefix(self, max_len: int) -> "_WordTree":
         """The tree of the words of at most max_len letters."""
-        size = 1 + sum(size for size, _ in self.levels[:max_len])
+        edges = self.edges[:max_len + 2]
+        size = edges[-1]
         records = None if self.records is None else tuple(r[:size] for r in self.records)
-        return _WordTree(self.words[:size], self.levels[:max_len], records, self.rows)
+        steps = None if self.steps is None else self.steps[:max_len + 1]
+        return _WordTree(self.words[:size], edges, steps, records, self.rows)
+
+    def images(self, model: QuotientModel, x: np.ndarray, level: int, prev, stop: int) -> np.ndarray:
+        """x, (n,) or (S, n), moved by the words of rows edges[level] to
+        stop - 1, in order: (stop - edges[level],) + x.shape.  On an affine
+        model one product with those rows' records; otherwise level by level
+        from ``prev``, the images of level - 1 (unread at level 0), each image
+        its parent's moved by its last letter, one ``apply_gen`` per move."""
+        if self.records is not None:
+            span = slice(self.edges[level], stop)
+            return _apply_records(self.records[0][span], self.records[1][span], x[None])
+        parts, prev = ([x[None][:stop]], x[None]) if level == 0 else ([prev[:0]], prev)
+        n = x.shape[-1]
+        for lv in range(max(level, 1), len(self.edges) - 1):
+            size = min(self.edges[lv + 1], stop) - self.edges[lv]
+            if size <= 0:
+                break
+            out = np.empty((size,) + prev.shape[1:])
+            for rows, parents, gen, sign in self.steps[lv]:
+                keep = rows < size
+                if keep.any():
+                    sub = prev[parents[keep]]
+                    out[rows[keep]] = model.apply_gen(gen, sign, sub.reshape(-1, n)).reshape(sub.shape)
+            parts.append(prev := out)
+        return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -682,19 +670,16 @@ def validate(model: QuotientModel) -> ValidationReport:
     # no non-empty word moves an interior point into the box (action-deduplicated
     # enumeration keeps this polynomial for the lattice-like groups in scope;
     # the cap guards pathological generator sets and is reported)
-    wb = model.word_bound
-    enumerated = model._tree(wb).words
-    words = enumerated[1:VALIDATE_WORD_CAP]
     interior = pg.grid_points(model.fundamental_box, VALIDATE_PER_AXIS, inset=0.1)
-    if words:
-        moved = model._orbit(wb, interior, VALIDATE_WORD_CAP)[1:]
-        back = model.in_box(moved)
-        if back.any():
-            w, p = divmod(int(np.argmax(back.ravel())), len(interior))
-            fail(f"word {words[w]} moves an interior point into the fundamental box",
-                 interior[p])
-    return ValidationReport(residuals=res, words_checked=len(words),
-                            words_truncated=max(0, len(enumerated) - VALIDATE_WORD_CAP))
+    words, moved = model._orbit(model.word_bound, interior, VALIDATE_WORD_CAP)
+    back = model.in_box(moved[1:])
+    if back.any():
+        w, p = divmod(int(np.argmax(back.ravel())), len(interior))
+        fail(f"word {words[w + 1]} moves an interior point into the fundamental box",
+             interior[p])
+    enumerated = len(model._tree(model.word_bound).words)
+    return ValidationReport(residuals=res, words_checked=len(words) - 1,
+                            words_truncated=max(0, enumerated - VALIDATE_WORD_CAP))
 
 
 def _check_inverses(model: QuotientModel) -> dict:
@@ -754,7 +739,7 @@ def _leaf_speeds(dtp: pg.DoublyTwistedProduct, foliation: int, xs: np.ndarray,
         lam, g = dtp.warp(foliation)._value(cols), dtp.factor(foliation).metric._mat(cols[s])
         block = (np.square(lam) * g)[0, 0]
         if not np.isfinite(block).all():  # the assembled metric's check, on the block read
-            ck._fail_at(cols.T, ~np.isfinite(block), "non-finite metric entries at")
+            ck._fail_at(cols.T, ~np.isfinite(block), f"non-finite {dtp.assembled._name} entries at")
         return (d * block) * d
 
     return np.sqrt(np.abs(ck._call_batch(quad, ck._points(xs, dtp.n))))
@@ -894,8 +879,7 @@ def _check_distinct(model: QuotientModel, reps: list, word_bound: int) -> None:
     if len(reps) < 2:
         return
     reps = np.array(reps)
-    words = model._tree(word_bound).words
-    moved = model._orbit(word_bound, reps)
+    words, moved = model._orbit(word_bound, reps)
     hits = model.same_point(moved[:, :, None], reps) & np.triu(np.ones((len(reps),) * 2, bool), 1)
     if hits.any():
         j, i, w = np.unravel_index(np.argmax(hits.transpose(2, 1, 0)), hits.shape[::-1])
@@ -941,8 +925,7 @@ def _intersections(model: QuotientModel, rep0: np.ndarray, loops: dict,
     ``leaf_loops`` at the word bound wb are ``loops``."""
     dtp = model.dtp
     lower_bound_only = not (loops[1] and loops[2])
-    words = model._tree(wb).words
-    cands = model._orbit(wb, rep0)
+    words, cands = model._orbit(wb, rep0)
     cands[:, dtp.slot1] = rep0[dtp.slot1]                # on {a0} x M2
     # a candidate of a word longer than the model's bound may need as long a
     # word to reach the box
@@ -1040,13 +1023,12 @@ def leaf_loops(model: QuotientModel, rep0, max_len: Optional[int] = None) -> dic
     tree at max_len (at most WORD_TREE_CAP words), rep0 moved by each once."""
     rep0 = np.asarray(rep0, dtype=float)
     wb = model.word_bound if max_len is None else max_len
-    words = model._tree(wb).words[1:]
-    moved = model._orbit(wb, rep0)[1:]
+    words, moved = model._orbit(wb, rep0)
     loops = {}
     for i in (1, 2):
         other = model.dtp.slot(3 - i)
-        closes = model.same_point(moved[:, other], rep0[other])
-        loops[i] = [w for w, hit in zip(words, closes.tolist()) if hit]
+        closes = model.same_point(moved[1:, other], rep0[other])
+        loops[i] = [w for w, hit in zip(words[1:], closes.tolist()) if hit]
     return loops
 
 
@@ -1118,259 +1100,3 @@ def decomposition_check(model: QuotientModel, x0, loops: dict,
             "within the word bound); cannot certify a global product")
     return DecompositionVerdict("global-doubly-warped-product", VerdictReason("none"),
                                 holonomy_maps=hol_maps, intersections=report)
-
-
-# ---------------------------------------------------------------------------
-# explicit twisted construction (quotient that is not globally a product)
-
-def _bump_and_d1(u):
-    """(b, b') elementwise (a number or an array) for the bump
-    b(u) = exp(-1 / (1 - u^2)) on |u| < 1, 0 elsewhere."""
-    u = np.asarray(u, dtype=float)
-    w = 1.0 - u * u
-    inside = w > 0.0  # |u| < 1: u * u rounds to 1 or more exactly when |u| >= 1
-    w = np.where(inside, w, 1.0)  # 1 outside, so the masked branch stays finite
-    b = np.exp(-1.0 / w) * inside
-    return b[()], (b * (-2.0 * u / w**2))[()]
-
-
-def _smooth01(t):
-    """C-infinity step, elementwise: exactly 0 for t <= 0 and 1 for t >= 1."""
-    t = np.asarray(t, dtype=float)
-    mid = (t > 0.0) & (t < 1.0)
-    tm = np.where(mid, t, 0.5)  # keeps both exponents finite off the transition
-    a = np.exp(-1.0 / tm)
-    b = np.exp(-1.0 / (1.0 - tm))
-    return np.where(mid, a / (a + b), t >= 1.0)[()]  # off it: 1.0 above, 0.0 below
-
-
-@dataclass
-class TwistedGluing:
-    """Gluing data: h = id near 0, h' > 0, with bump amplitude and inverse.
-    Every method is elementwise: it takes a number or an array."""
-
-    amplitude: float = 0.3
-    center: float = 1.0
-
-    def h(self, y):
-        """h(y) = y + amplitude * bump(y - center).  Work cap: elementwise, no iteration."""
-        return self._h_and_prime(y)[0]
-
-    def h_prime(self, y):
-        """h'(y).  Work cap: elementwise, no iteration."""
-        return self._h_and_prime(y)[1]
-
-    def _h_and_prime(self, y):
-        b, d1 = _bump_and_d1(y - self.center)
-        return y + self.amplitude * b, 1.0 + self.amplitude * d1
-
-    def h_inverse(self, z):
-        """Newton's method for h(y) = z from y = z, per element: an element
-        stops once its step is below 1e-15.  Work cap: 100 steps per element."""
-        z = np.asarray(z, dtype=float)
-        y = z.flatten()
-        todo, yt, zt = np.arange(y.size), y.copy(), y.copy()  # the elements still moving
-        for _ in range(100):
-            if not todo.size:
-                break
-            h, h_prime = self._h_and_prime(yt)
-            step = (h - zt) / h_prime
-            yt = yt - step
-            stop = np.abs(step) < 1e-15
-            if np.count_nonzero(stop):
-                y[todo[stop]] = yt[stop]
-                todo, yt, zt = todo[~stop], yt[~stop], zt[~stop]
-        y[todo] = yt
-        return y.reshape(z.shape)[()]
-
-    def check_monotone(self):
-        """min h' on 401 points across the bump (its work cap); raises InvalidH
-        unless positive."""
-        grid = np.linspace(self.center - 1.5, self.center + 1.5, 401)
-        worst = float(np.min(self.h_prime(grid)))
-        if worst <= 0.0:
-            raise InvalidH(f"h' reaches {worst} <= 0; reduce the bump amplitude")
-        return worst
-
-
-def build_example1(epsilon: float = 0.25, gluing: Optional[TwistedGluing] = None) -> QuotientModel:
-    """Twisted metric dx^2 + lam(x, y)^2 dy^2 on R^2, quotiented by
-    (x, y) -> (x + 1, h^{-1}(y)).
-
-    lam is seeded on the strip 0 <= x < 1 as h'(y)^{sigma(x)} with sigma a
-    smooth step (identically 0 near x = 0 and 1 near x = 1, transition width
-    set by epsilon < 1/2) and extended to all x through the gluing relation
-    lam(x, y) = lam(x - 1, h(y)) h'(y), which makes the generator an isometry.
-    The leaf of the first foliation through y = 0 closes; leaves in the bump
-    region drift monotonically and never close.  The y factor's box is
-    [-1, 3].  Work cap: the warp walks at most GLUING_LEVELS levels of
-    floor(x) per point (farther points are refused), each level one h or one
-    ``TwistedGluing.h_inverse``.
-    """
-    if not (0.0 < epsilon < 0.5):
-        raise InvalidH(f"epsilon must lie in (0, 1/2), got {epsilon}")
-    glue = gluing if gluing is not None else TwistedGluing()
-    glue.check_monotone()
-
-    def lam(c):
-        # the gluing chain, one level of floor(x) at a time: the points with
-        # k = floor(x) >= j take the j-th factor h'(y) and move y to h(y),
-        # those with k <= -j move y to h^-1(y) and divide by h' there
-        x, y = c[0], c[1].copy()
-        k = np.floor(x)
-        far = np.abs(k) > GLUING_LEVELS
-        if far.any():
-            p = int(np.argmax(far))
-            raise NumericsError(f"twisted-lam at {c[:, p]}: {abs(k[p]):g} gluing levels from "
-                                f"the strip 0 <= x < 1, beyond GLUING_LEVELS = {GLUING_LEVELS}")
-        chain = np.ones_like(y)
-        for j in range(1, int(k.max(initial=0.0)) + 1):
-            m = k >= j
-            y[m], h_prime = glue._h_and_prime(y[m])
-            chain[m] *= h_prime
-        for j in range(1, int(-k.min(initial=0.0)) + 1):
-            m = k <= -j
-            y[m] = glue.h_inverse(y[m])
-            chain[m] /= glue.h_prime(y[m])
-        return glue.h_prime(y) ** _smooth01((x - k - epsilon) / (1.0 - 2.0 * epsilon)) * chain
-
-    lam_field = ScalarField(lam, name="twisted-lam")
-    f1 = pg.FactorManifold("line-x", ck.MetricField.euclidean(1), [[0.0, 1.0]])
-    f2 = pg.FactorManifold("line-y", ck.MetricField.euclidean(1), [[-1.0, 3.0]])
-    dtp = pg.assemble(f1, f2, ScalarField.constant(1.0), lam_field)
-
-    gen = DeckGenerator(
-        name="a",
-        phi=FactorMap.translation([1.0]),
-        psi=FactorMap(apply=glue.h_inverse, inverse=glue.h,
-                      jacobian=lambda y: (1.0 / glue.h_prime(glue.h_inverse(y)))[None]),
-        homothety=False,
-    )
-    big = 1e9
-    model = QuotientModel(dtp, [gen], fundamental_box=[[0.0, 1.0], [-big, big]])
-    model.gluing = glue
-    return model
-
-
-def example1_seam_residual(model: QuotientModel) -> float:
-    """max |lam(x, y) - lam(x - 1, h(y)) h'(y)| across the x = 1 seam at 25
-    samples (its work cap)."""
-    glue = model.gluing
-    rng = np.random.default_rng(2024)
-    # the draws alternate x, y per sample
-    x, y = rng.uniform([-0.2, -0.5], [0.2, 2.5], (25, 2)).T
-    x = 1.0 + x
-    h, h_prime = glue._h_and_prime(y)
-    lhs = model.dtp.lam2.value(np.stack([x, y], axis=1))
-    rhs = model.dtp.lam2.value(np.stack([x - 1.0, h], axis=1)) * h_prime
-    return float(np.max(np.abs(lhs - rhs), initial=0.0))
-
-
-# ---------------------------------------------------------------------------
-# curvature-sign + critical-point diagnostic
-
-@dataclass
-class TeodgReport:
-    tag: pg.StructureTag
-    histogram: dict              # {"negative": int, "zero": int, "positive": int}
-    critical_points: list        # factor-1 coordinate arrays
-    critical_everywhere: bool    # |grad lam2| < 1e-6 on the whole grid: every point is critical
-    hypotheses_hold: bool
-    verdict: str
-    witness: Optional[dict] = None
-
-
-def teodg_diagnostic(dtp: pg.DoublyTwistedProduct, n_samples: int = 60,
-                     seed: int = 0,
-                     structure: Optional[pg.StructureClass] = None) -> TeodgReport:
-    """Sample mixed-plane curvature signs and search lam2 for critical points.
-
-    The diagnostic reports whether the sampled hypotheses of the global
-    decomposition criterion hold: K < 0 on all sampled mixed nondegenerate
-    planes (|K| <= 1e-9 counts as zero), and lam2 (a factor-1 function for
-    warped structures) has a critical point inside the factor-1 box.  A
-    twisted or doubly twisted ``pg.classify`` tag is refused with
-    InvalidAction (``structure``, when given, is that classification of
-    ``dtp``, the run's one, and the diagnostic does not classify again).
-
-    The samples are one batch: n_samples uniform points of the domain box,
-    then one mixed plane at each (``pg._sample_planes`` on one
-    ``point_geometry`` batch; a degenerate draw is re-drawn, up to 60 times,
-    and a point without a plane is dropped), and K from one
-    ``pg._sectional_closed_form`` call.
-
-    Critical points are sought on factor 1 with the factor-2 coordinates at
-    the middle of their box.  When |grad lam2| < 1e-6 at every point of a
-    9-per-axis grid, the warp is critical everywhere: ``critical_everywhere``
-    is set and no points are listed.  Otherwise batched Newton steps
-    a <- a - H^+ grad lam2(a) (H the factor-1 block of lam2's coordinate
-    hessian, pseudo-inverted where singular), projected onto the factor-1
-    box, run from the 5 grid points of least |grad| for at most
-    _NEWTON_STEPS steps; an end point with |grad| < 1e-6 is critical, and
-    one within 1e-4 of a kept point is that point.  Only the slot-1 partials
-    of lam2 are read: on the FD route a gradient evaluates each point and its
-    +-e_k neighbours for k in slot 1, and a hessian the point, its +-e_k
-    neighbours and the four corners of each pair of slot-1 axes.
-
-    Work cap: n_samples points with at most 60 plane draws each, the
-    9-per-axis grid, and _NEWTON_STEPS Newton steps from its 5 best points.
-    """
-    cls = structure or pg.classify(dtp)
-    if cls.tag in (pg.StructureTag.TWISTED, pg.StructureTag.DOUBLY_TWISTED):
-        raise InvalidAction(f"diagnostic requires a (doubly) warped structure, got {cls.tag.value}")
-    rng = np.random.default_rng(seed)
-    box = dtp.domain_box
-    x = box[:, 0] + rng.random((max(n_samples, 0), dtp.n)) * (box[:, 1] - box[:, 0])
-    geo = pg.point_geometry(dtp, x)
-    U, V, found = pg._sample_planes(dtp, rng, geo.g, (1, 2))
-    ks = pg._sectional_closed_form(dtp, geo.rows(found), x[found], U[found], V[found])
-    hist = {"negative": 0, "zero": 0, "positive": 0}
-    witness = None
-    for point, k in zip(x[found].tolist(), ks.tolist()):
-        if k < -1e-9:
-            hist["negative"] += 1
-            continue
-        hist["positive" if k > 1e-9 else "zero"] += 1
-        if witness is None:
-            witness = {"point": point, "K": k}
-
-    lam2, slot1 = dtp.lam2, dtp.axes(1)
-    mid2 = 0.5 * (dtp.f2.domain_box[:, 0] + dtp.f2.domain_box[:, 1])
-
-    def full(a):
-        return ck._points(np.hstack([a, np.broadcast_to(mid2, (len(a), dtp.n2))]))
-
-    def grad(a):
-        return ck._call_batch(lam2._jet, full(a), 1, (slot1,))[1]
-
-    grid = pg.grid_points(dtp.f1.domain_box, 9)
-    grid_norm2 = np.sum(grad(grid) ** 2, axis=1)
-    everywhere = bool(np.all(grid_norm2 < (1e-6) ** 2))
-    found_pts = []
-    if not everywhere:
-        lo, hi = dtp.f1.domain_box[:, 0], dtp.f1.domain_box[:, 1]
-        a = grid[np.argsort(grid_norm2, kind="stable")[:5]]
-        for _ in range(_NEWTON_STEPS):
-            (hess,) = ck._call_batch(lam2._jet, full(a), 2, (slot1, slot1))
-            nxt = np.clip(a - np.einsum("pij,pj->pi", np.linalg.pinv(hess), grad(a)), lo, hi)
-            if np.array_equal(nxt, a):
-                break
-            a = nxt
-        for p in a[np.sum(grad(a) ** 2, axis=1) < (1e-6) ** 2]:
-            if not any(np.max(np.abs(p - b)) < 1e-4 for b in found_pts):
-                found_pts.append(p)
-
-    all_negative = hist["positive"] == 0 and hist["zero"] == 0 and hist["negative"] > 0
-    critical = bool(found_pts) or everywhere
-    holds = all_negative and critical
-    if holds:
-        verdict = "hypotheses hold on samples: K < 0 on mixed planes and lam2 has a critical point"
-    else:
-        parts = []
-        if not all_negative:
-            parts.append(f"mixed-plane K sign violated at witness {witness}")
-        if not critical:
-            parts.append("no critical point of lam2 found in the factor-1 box")
-        verdict = "violated: " + "; ".join(parts)
-    return TeodgReport(cls.tag, hist, [p.tolist() for p in found_pts], everywhere, holds,
-                       verdict, witness)

@@ -337,6 +337,7 @@ def parse_scenario(data: dict, name_hint: str = "") -> ScenarioContext:
         raise ScenarioError(f"warps: dependency must be one of {sorted(_DEPENDENCIES)}")
     formulas = [_require(warps, f"lam{i}", "warps", str) for i in (1, 2)]
     dtp = pg.assemble(f1, f2, *(_warp(f, coords) for f in formulas))
+    dtp.f1.metric._name, dtp.f2.metric._name = "factors[0].metric", "factors[1].metric"
     # a dependency whose excluded slots the formula never reads is proved;
     # the others are checked numerically, on one grid for both warps
     slots = [sum((dtp.axes(f) for f in _DEPENDENCIES[dep]), ()) for dep in deps]
@@ -427,7 +428,7 @@ BUILTIN_SCENARIOS = {
                      {"classification": "direct-product",
                       "holonomy": {"1": [[[1.0]]], "2": [[[1.0]]]}, "intersections": 2,
                       "verdict": "obstructed", "verdict_reason": "multiple-intersections"}),
-    "example1-twisted": (lambda seed: qt.build_example1(), [0.0, 0.0], {},
+    "example1-twisted": (lambda seed: fx.build_example1(), [0.0, 0.0], {},
                          {"classification": "twisted", "seam_residual_max": 1e-8,
                           "leaf_closed_y": 0.0, "leaf_open_y": 1.0}),
     "sphere-polar": (lambda seed: fx.sphere_polar(), [np.pi / 2, 1.0], {},

@@ -38,7 +38,7 @@ def roster():
         ("fix-d-hyperbolic", fx.hyperbolic_polar()),
         ("fix-e-mobius-cover", fx.mobius_model().dtp),
         ("fix-f-skewed-cover", fx.skewed_torus_model().dtp),
-        ("fix-g-twisted", qt.build_example1().dtp),
+        ("fix-g-twisted", fx.build_example1().dtp),
         ("fix-h-lorentz", fx.lorentz_direct()),
     ]
     dims = [(1, 1), (2, 1), (1, 2), (2, 2)]
@@ -227,8 +227,8 @@ def test_criterion_7_decomposition_verdicts():
 
 
 def test_criterion_8_twisted_construction():
-    model = qt.build_example1()
-    resid = qt.example1_seam_residual(model)
+    model = fx.build_example1()
+    resid = fx.example1_seam_residual(model)
     closed = qt.leaf_trace(model, [0.0, 0.0], 1)
     drifting = qt.leaf_trace(model, [0.0, 1.0], 1, arc_budget=6.0)
     cls = pg.classify(model.dtp, per_axis=5)

@@ -103,15 +103,12 @@ AFFINE_MODELS = {
 @pytest.mark.parametrize("name", sorted(AFFINE_MODELS))
 def test_tree_records_equal_the_letters_composed_one_at_a_time(name):
     model = AFFINE_MODELS[name]()
-    tree = model._tree(model.word_bound)
-    assert tree.records is not None and all(not steps for _, steps in tree.levels)
-    for w, A, b in zip(tree.words, *tree.records):
-        ref_A, ref_b = ref_record(model, w)
-        assert np.array_equal(A, ref_A) and np.array_equal(b, ref_b)
-    # a word outside the tree composes onto its prefix's record alike
-    word = tree.words[-1] + tree.words[-1]
-    assert all(np.array_equal(r, ref) for r, ref in zip(model._word_record(word),
-                                                        ref_record(model, word)))
+    words = model.enumerate_words(model.word_bound)  # each tree word reads its row
+    assert model._letters is not None
+    # ... and a word outside the tree composes onto its prefix's record alike
+    for w in words + [words[-1] + words[-1]]:
+        for got, ref in zip(model._word_record(w), ref_record(model, w)):
+            assert got.tobytes() == ref.tobytes()
 
 
 def _without_records(model):
@@ -173,7 +170,7 @@ def test_one_non_affine_generator_takes_the_level_path():
     assert tree.records is None and tree.words == affine._tree(affine.word_bound).words
     # every orbit row is the start moved letter by letter through the maps' closures
     X = np.random.default_rng(3).uniform(-2.0, 2.0, size=(4, 2))
-    for w, img in zip(tree.words, model._orbit(model.word_bound, X)):
+    for w, img in zip(*model._orbit(model.word_bound, X)):
         ref = X
         for name, sign in w:
             gen = model.by_name[name]

@@ -26,7 +26,6 @@ from warpquot import chartkit as ck
 from warpquot import expr
 from warpquot import fixtures as fx
 from warpquot import productgeo as pg
-from warpquot import quotient as qt
 from warpquot import scenario
 from warpquot.chartkit import MetricField, ScalarField, Signature
 from warpquot.errors import DegenerateMetric, InvalidWarp, NumericsError
@@ -45,7 +44,7 @@ EXACT_PRODUCTS = {  # elementwise callbacks only
     "lorentz-warped-fiber": lorentz_warped_fiber,
     "expanding-spacetime": expanding_spacetime,
     "bowl-warped": bowl_warped,
-    "example1": lambda: qt.build_example1().dtp,
+    "example1": lambda: fx.build_example1().dtp,
 }
 RANDOM_PRODUCTS = {
     "random-dtp-4": lambda: fx.random_doubly_twisted(4),

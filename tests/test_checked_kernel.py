@@ -11,12 +11,14 @@ entries finite, g exactly equal to its transpose) falls back to the
 per-point rule, which raises only on a real violation.
 """
 
+import json
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from warpquot import chartkit as ck
+from warpquot import cli
 from warpquot import fixtures as fx
 from warpquot import productgeo as pg
 from warpquot.chartkit import MetricField, ScalarField, Signature
@@ -73,15 +75,20 @@ def _bad_gradient_warp():
 
 # (case, product, method of the assembled metric, message at one point,
 # message for POINTS); each is the message the nested factor check gave
-# before the kernel, when every factor field went through its public method
+# before the kernel, when every factor field went through its public method,
+# with the factor's metric named by its slot
 CASES = [
     ("nan-in-g2", lambda: _product(_plane_metric("nan")), "mat",
-     "non-finite metric entries at [0.3 0.4]", "non-finite metric entries at [0.3 0.4]"),
+     "non-finite factor 2 metric entries at [0.3 0.4]",
+     "non-finite factor 2 metric entries at [0.3 0.4]"),
     ("inf-in-g2", lambda: _product(_plane_metric("inf")), "mat",
-     "non-finite metric entries at [0.3 0.4]", "non-finite metric entries at [0.3 0.4]"),
+     "non-finite factor 2 metric entries at [0.3 0.4]",
+     "non-finite factor 2 metric entries at [0.3 0.4]"),
     ("g2-shape", lambda: _product(_plane_metric("shape")), "mat",
-     "metric eval returned shape (2, 2) for 1 points, expected (2, 2, 1) (point axis last)",
-     "metric eval returned shape (2, 2) for 3 points, expected (2, 2, 3) (point axis last)"),
+     "factor 2 metric eval returned shape (2, 2) for 1 points, expected (2, 2, 1) "
+     "(point axis last)",
+     "factor 2 metric eval returned shape (2, 2) for 3 points, expected (2, 2, 3) "
+     "(point axis last)"),
     ("nan-warp", lambda: _product(lam2=_nan_warp()), "mat",
      "scalar field 'lam2' non-finite at [0.5 0.3 0.4]",
      "scalar field 'lam2' non-finite at [0.5 0.3 0.4]"),
@@ -91,7 +98,8 @@ CASES = [
     # 1e-9 in g2 is 1e-15 in lam2^2 g2: only the factor's own check sees it
     ("g2-asymmetry-under-small-lam2",
      lambda: _product(_plane_metric("asymmetric"), ScalarField.constant(1e-3)),
-     "mat", "metric not symmetric at [0.3 0.4]", "metric not symmetric at [0.3 0.4]"),
+     "mat", "factor 2 metric not symmetric at [0.3 0.4]",
+     "factor 2 metric not symmetric at [0.3 0.4]"),
 ]
 
 
@@ -112,7 +120,8 @@ def test_a_broken_factor_field_fails_through_the_product(case, build, method, on
 def test_christoffel_runs_the_factor_checks():
     g = _product(_plane_metric("asymmetric"), ScalarField.constant(1e-3)).assembled
     for x in (POINTS[1], POINTS):
-        with pytest.raises(NumericsError, match=r"^metric not symmetric at \[0\.3 0\.4\]$"):
+        with pytest.raises(NumericsError,
+                           match=r"^factor 2 metric not symmetric at \[0\.3 0\.4\]$"):
             ck.christoffel_numeric(g, x)
 
 
@@ -304,3 +313,84 @@ def test_a_non_finite_exact_partial_is_refused_where_it_is_read(case, call, poin
             call(x)
         assert str(exc.value) == message
     call(POINTS[0])  # a point where every partial is finite passes
+
+
+# ---------------------------------------------------------------------------
+# a refusal names the metric: its slot in the product, or its scenario key
+
+def _plane_first(g1):
+    """``_product`` with the factors swapped: the (y, z) plane ``g1`` is factor 1."""
+    plane = pg.FactorManifold("plane", g1, [[0.0, 1.0]] * 2)
+    line = pg.FactorManifold("line", MetricField.euclidean(1), [[0.0, 1.0]])
+    one = ScalarField.constant(1.0)
+    return pg.assemble(plane, line, one, one)
+
+
+def _overflowing_warp(order):
+    """lam2 = 1 on (x, y, z) but where y = 0.3: there the value 1e200, whose
+    square overflows g (order 0), or 1e100 with the exact partial d_y lam2 =
+    1e250, whose product with it overflows d g (order 1)."""
+
+    def eval(x, k=0):
+        val = np.where(_hit(x[1]), 1e100 if order else 1e200, 1.0)
+        grad = np.zeros(x.shape)
+        grad[1] = np.where(_hit(x[1]), 1e250, 0.0)
+        return (val, grad) if k else val
+
+    return ScalarField(eval, exact_order=1, name="lam2")
+
+
+SWAPPED = POINTS[:, [1, 2, 0]]  # the same points with the plane first
+NAMED_CASES = [
+    ("factor-1-value", lambda: _plane_first(_plane_metric("nan")), "mat", SWAPPED,
+     "non-finite factor 1 metric entries at [0.3 0.4]"),
+    ("factor-2-value", lambda: _product(_plane_metric("nan")), "mat", POINTS,
+     "non-finite factor 2 metric entries at [0.3 0.4]"),
+    ("assembled-value", lambda: _product(lam2=_overflowing_warp(0)), "mat", POINTS,
+     "non-finite assembled metric entries at [0.5 0.3 0.4]"),
+    ("factor-1-d1", lambda: _plane_first(_broken_partial_metric(1)), "d1", SWAPPED,
+     "factor 1 metric d1 non-finite at [0.3 0.4]"),
+    ("factor-2-d1", lambda: _product(_broken_partial_metric(1)), "d1", POINTS,
+     "factor 2 metric d1 non-finite at [0.3 0.4]"),
+    ("assembled-d1", lambda: _product(lam2=_overflowing_warp(1)), "d1", POINTS,
+     "assembled metric d1 non-finite at [0.5 0.3 0.4]"),
+]
+
+
+@pytest.mark.parametrize("case,build,method,points,message", NAMED_CASES,
+                         ids=[c[0] for c in NAMED_CASES])
+def test_a_refusal_names_the_metric_by_its_slot(case, build, method, points, message):
+    call = getattr(build().assembled, method)
+    # the assembled cases' fault is an overflow, and inf times a zero entry is nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in (points[1], points):
+            with pytest.raises(NumericsError) as exc:
+                call(x)
+            assert str(exc.value) == message
+    call(points[[0, 2]])  # the same batch without the broken point passes
+
+
+def _broken_file(key):
+    """A line x line scenario file broken at x < 0 or y < 0 in factor 1's or
+    factor 2's formula metric (the box centre, x = y = 1, is fine), or whose
+    warp's square overflows the assembled metric everywhere."""
+    def factor(coord, metric):
+        return {"name": coord, "dim": 1, "coords": [coord], "box": [[-1.0, 3.0]],
+                "metric": metric, **({} if metric == "euclidean" else {"signature": [1]})}
+
+    metrics = {"factors[0]": ([["sqrt(x)"]], "euclidean"),
+               "factors[1]": ("euclidean", [["sqrt(y)"]])}.get(key, ("euclidean",) * 2)
+    return {"name": "broken", "factors": [factor("x", metrics[0]), factor("y", metrics[1])],
+            "warps": {"lam1": "1", "lam2": "1e200" if key == "assembled" else "1"}}
+
+
+@pytest.mark.parametrize("key", ["factors[0]", "factors[1]", "assembled"])
+@pytest.mark.parametrize("command", ["classify", "verify-all"])
+def test_a_scenario_file_refusal_names_the_metric_by_its_key(tmp_path, capsys, key, command):
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(_broken_file(key)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["run", str(path), command]) == 3
+    err = capsys.readouterr().err
+    name = "assembled metric" if key == "assembled" else f"{key}.metric"
+    assert err.startswith(f"numeric failure: NumericsError: non-finite {name} entries at "), err

@@ -96,7 +96,7 @@ def test_klein_bottle_declared_trivial_loops_do_not_hide_the_obstruction():
 def test_decomposition_refuses_example1_as_twisted(y0):
     # h is the identity for y <= 0 and y >= 2, so example1's closing word a
     # has trivial holonomy there: only the structure tag can refuse a verdict
-    model = qt.build_example1()
+    model = fx.build_example1()
     assert pg.classify(model.dtp).tag is pg.StructureTag.TWISTED
     with pytest.raises(InvalidAction, match="got twisted"):
         qt.decomposition_check(model, [0.0, y0], {})
@@ -321,7 +321,7 @@ def test_holonomy_and_decompose_make_no_ode_call(tmp_path, monkeypatch, ref, cod
 
 def test_downstairs_translation_makes_no_ode_call(monkeypatch):
     _refuse_ode(monkeypatch)
-    model = qt.build_example1()
+    model = fx.build_example1()
     rep0 = np.zeros(2)
     qt.loop_holonomies(model, rep0, 1, [qt.leaf_loops(model, rep0)[1][0]])[0]
 
@@ -352,7 +352,7 @@ ORACLE_MODELS = {
     "skewed-torus": fx.skewed_torus_model,
     "mobius": fx.mobius_model,
     "klein-bottle": klein_bottle_model,
-    "example1": qt.build_example1,
+    "example1": fx.build_example1,
 }
 
 

@@ -32,9 +32,9 @@ _SYMMETRIC = "the paper's statement is symmetric in the two foliations"
 ALLOWED = {
     "transport.adapted_translation_closed_form.foliation": _SYMMETRIC,
     "transport.transport_equation_residual.foliation": _SYMMETRIC,
-    "quotient.build_example1.epsilon":
+    "fixtures.build_example1.epsilon":
         "a parameter of the construction and an input of the InvalidH negative controls",
-    "quotient.build_example1.gluing":
+    "fixtures.build_example1.gluing":
         "a parameter of the construction and an input of the InvalidH negative controls",
     "chartkit.exterior_derivative_numeric.n": "an FD oracle on the function-level ALLOWED table",
     "chartkit.exterior_derivative_numeric.step": "an FD oracle on the function-level ALLOWED table",

@@ -17,7 +17,6 @@ import pytest
 from warpquot import chartkit as ck
 from warpquot import fixtures as fx
 from warpquot import productgeo as pg
-from warpquot import quotient as qt
 from warpquot import scenario as sc
 from warpquot.chartkit import MetricField, ScalarField, Signature
 from warpquot.errors import NumericsError
@@ -143,7 +142,7 @@ def test_the_assembled_order_is_the_least_factor_order():
     dtp = fx.random_doubly_twisted(2)
     assert dtp.assembled.exact_order == 2
     assert strip_analytic(dtp).assembled.exact_order == 0
-    assert qt.build_example1().dtp.assembled.exact_order == 0  # its warp is a value only
+    assert fx.build_example1().dtp.assembled.exact_order == 0  # its warp is a value only
     one = dataclasses.replace(dtp.lam1, exact_order=1)
     assert pg.assemble(dtp.f1, dtp.f2, one, dtp.lam2).assembled.exact_order == 1
 
@@ -228,20 +227,20 @@ def test_a_coord_point_of_the_wrong_width_is_refused_by_name():
 def _counted_gluing(monkeypatch) -> Counter:
     calls = Counter()
     for name in ("_h_and_prime", "h_inverse"):
-        exact = getattr(qt.TwistedGluing, name)
+        exact = getattr(fx.TwistedGluing, name)
 
         def counted(self, y, _exact=exact, _name=name):
             calls[_name] += 1
             return _exact(self, y)
 
-        monkeypatch.setattr(qt.TwistedGluing, name, counted)
+        monkeypatch.setattr(fx.TwistedGluing, name, counted)
     return calls
 
 
 @pytest.mark.parametrize("point, levels", [((1e5, 1e5), "100000"), ((1e200, 1e200), "1e+200"),
                                            ((-1e5, 0.5), "100000")])
 def test_a_point_beyond_the_gluing_levels_is_refused_at_once(monkeypatch, point, levels):
-    lam = qt.build_example1().dtp.lam2
+    lam = fx.build_example1().dtp.lam2
     calls = _counted_gluing(monkeypatch)
     with pytest.raises(NumericsError) as raised:
         lam.value(point)
@@ -251,13 +250,13 @@ def test_a_point_beyond_the_gluing_levels_is_refused_at_once(monkeypatch, point,
 
 
 def test_the_gluing_chain_walks_each_level_once(monkeypatch):
-    lam = qt.build_example1().dtp.lam2
+    lam = fx.build_example1().dtp.lam2
     calls = _counted_gluing(monkeypatch)
-    edge = qt.GLUING_LEVELS + 0.5
+    edge = fx.GLUING_LEVELS + 0.5
     lam.value([edge, 0.5])  # the last level within the cap
-    assert calls == Counter({"_h_and_prime": qt.GLUING_LEVELS + 1})  # the levels, then h'(y)
+    assert calls == Counter({"_h_and_prime": fx.GLUING_LEVELS + 1})  # the levels, then h'(y)
     calls.clear()
     lam.value([1.0 - edge, 0.5])
-    assert calls["h_inverse"] == qt.GLUING_LEVELS
+    assert calls["h_inverse"] == fx.GLUING_LEVELS
     with pytest.raises(NumericsError, match="65 gluing levels"):
         lam.value([edge + 1.0, 0.5])

@@ -1,4 +1,5 @@
-"""Product-geometry tests: assembly, closed forms vs FD oracles, classification."""
+"""Product-geometry tests: assembly, closed forms vs FD oracles, classification,
+and the curvature-sign/critical-point diagnostic (teodg)."""
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ import pytest
 from warpquot import chartkit as ck
 from warpquot import fixtures as fx
 from warpquot import productgeo as pg
-from warpquot import quotient as qt
-from warpquot.chartkit import ScalarField
-from warpquot.errors import CaseMismatch, InvalidFrame, InvalidWarp, NormalizationError
+from warpquot.chartkit import MetricField, ScalarField, Signature
+from warpquot.errors import (CaseMismatch, InvalidAction, InvalidFrame, InvalidWarp,
+                             NormalizationError)
+from warpquot.scenario import resolve_scenario
 
 from fixture_models import (bowl_warped, expanding_spacetime, flat_direct_product,
                             lorentz_warped_fiber, random_doubly_warped, strip_analytic)
@@ -128,7 +130,7 @@ def test_connection_vv_polar_matches_christoffel():
 
 @pytest.mark.parametrize("make", [fx.polar_plane, fx.sphere_polar, fx.lorentz_direct,
                                   lambda: fx.random_doubly_twisted(3),
-                                  lambda: qt.build_example1().dtp])
+                                  lambda: fx.build_example1().dtp])
 def test_connection_closed_form_equals_oracle(make):
     # the whole tensor: every HH, VV and HV block at once
     dtp = make()
@@ -148,7 +150,7 @@ def test_connection_equivalence_survives_fd_route():
 
 @pytest.mark.parametrize("make", [fx.polar_plane, fx.sphere_polar,
                                   lambda: fx.random_doubly_twisted(11),
-                                  lambda: qt.build_example1().dtp])
+                                  lambda: fx.build_example1().dtp])
 def test_mixed_connection_identity(make):
     # nabla_X V = -omega1(V) X - omega2(X) V
     dtp = make()
@@ -204,7 +206,7 @@ def test_classify_warped_polar():
 
 
 def test_classify_twisted_example():
-    cls = pg.classify(qt.build_example1().dtp, per_axis=5)
+    cls = pg.classify(fx.build_example1().dtp, per_axis=5)
     assert cls.tag is pg.StructureTag.TWISTED
     assert cls.max_domega2 > 10 * pg.CLOSED_TOL
 
@@ -482,7 +484,7 @@ def test_hessian_form_predicate_sign():
 
 def test_mean_curvature_form_of_twisted_warp_not_closed():
     # omega_2 of the twisted construction has a nonzero exterior derivative
-    dtp = qt.build_example1().dtp
+    dtp = fx.build_example1().dtp
 
     def omega2(c):  # coordinate-major batch, evaluated point by point
         return np.stack([pg.mean_curvature_form(dtp, p, 2) for p in c.T], axis=1)
@@ -490,3 +492,97 @@ def test_mean_curvature_form_of_twisted_warp_not_closed():
     dw = ck.exterior_derivative_numeric(omega2, [0.5, 0.8], step=1e-4)
     assert abs(dw[0, 1]) > 1e-3
     assert np.allclose(dw, -dw.T)
+
+
+# ---------------------------------------------------------------------------
+# curvature-sign + critical-point diagnostic
+
+def test_teodg_bowl_hypotheses_hold():
+    report = pg.teodg_diagnostic(bowl_warped(), n_samples=40)
+    assert report.hypotheses_hold
+    assert report.histogram["positive"] == 0 and report.histogram["zero"] == 0
+    assert any(abs(a[0]) < 1e-6 for a in report.critical_points)
+
+
+def test_teodg_polar_no_critical_point():
+    report = pg.teodg_diagnostic(fx.polar_plane(), n_samples=30)
+    assert not report.hypotheses_hold
+    assert report.critical_points == []
+
+
+def test_teodg_flat_direct_product_violated():
+    report = pg.teodg_diagnostic(flat_direct_product(), n_samples=30)
+    assert not report.hypotheses_hold
+    assert report.histogram["negative"] == 0
+    assert report.histogram["zero"] > 0
+    assert "violated" in report.verdict
+
+
+def test_teodg_sphere_positive_curvature_witness():
+    report = pg.teodg_diagnostic(fx.sphere_polar(), n_samples=30)
+    assert not report.hypotheses_hold
+    assert report.histogram["positive"] > 0
+    assert report.witness is not None
+
+
+def test_teodg_propagates_non_geometry_errors():
+    # a callback bug (here: a factor metric that fails on batches of a multiple
+    # of 5 points: teodg's sample batch and its stencils, which classification
+    # never makes) must surface, not read as degenerate samples
+    def broken(x):
+        if np.shape(x)[1] % 5 == 0:
+            raise RuntimeError("broken metric callback")
+        return np.ones((1, 1) + np.shape(x)[1:])
+
+    f1 = pg.FactorManifold("r", MetricField(1, broken, Signature.riemannian(1)), [[0.5, 3.0]])
+    f2 = pg.FactorManifold("th", MetricField.euclidean(1), [[0.0, 6.2]])
+    r = fx.function_of_coordinate_warp(0, 2, lambda r: r, lambda r: 1.0, lambda r: 0.0)
+    dtp = pg.assemble(f1, f2, ScalarField.constant(1.0), r)
+    assert pg.classify(dtp).tag is pg.StructureTag.WARPED
+    with pytest.raises(RuntimeError, match="broken metric callback"):
+        pg.teodg_diagnostic(dtp, n_samples=5)
+
+
+def test_teodg_critical_points_from_the_constructions():
+    # lam2 = sin r on [0.3, 2.8] has its one critical point at pi/2; sinh r and
+    # r have none in their boxes; 1 + x^2 has its minimum at 0
+    sphere = pg.teodg_diagnostic(fx.sphere_polar(), n_samples=10)
+    assert len(sphere.critical_points) == 1 and not sphere.critical_everywhere
+    assert abs(sphere.critical_points[0][0] - np.pi / 2) < 1e-12
+    bowl = pg.teodg_diagnostic(bowl_warped(), n_samples=10)
+    assert len(bowl.critical_points) == 1 and abs(bowl.critical_points[0][0]) < 1e-12
+    for make in (fx.hyperbolic_polar, fx.polar_plane):
+        report = pg.teodg_diagnostic(make(), n_samples=10)
+        assert report.critical_points == [] and not report.critical_everywhere
+        assert "no critical point" in report.verdict
+
+
+@pytest.mark.parametrize("name, everywhere", [
+    ("flat-torus", True), ("mobius", True), ("skewed-torus", True), ("lorentz-direct", True),
+    ("sphere-polar", False),
+])
+def test_teodg_reports_a_constant_warp_as_critical_everywhere(name, everywhere):
+    report = pg.teodg_diagnostic(resolve_scenario(name).dtp, n_samples=10)
+    assert report.critical_everywhere is everywhere
+    if everywhere:  # every point is critical: no grid start is listed as one
+        assert report.critical_points == []
+        assert "no critical point" not in report.verdict
+
+
+def test_teodg_constant_warp_satisfies_the_critical_point_hypothesis():
+    # lam1 = 1 + y^2, lam2 = 2: a mixed plane has K = -2 v_y^2 / lam1 < 0, and
+    # every point is critical for the constant lam2, so the hypotheses hold
+    f1 = pg.FactorManifold("line-x", MetricField.euclidean(1), [[-1.0, 1.0]])
+    f2 = pg.FactorManifold("line-y", MetricField.euclidean(1), [[-1.0, 1.0]])
+    lam1 = fx.function_of_coordinate_warp(1, 2, lambda y: 1 + y * y, lambda y: 2 * y,
+                                          lambda y: 2.0, name="1+y^2")
+    report = pg.teodg_diagnostic(pg.assemble(f1, f2, lam1, ScalarField.constant(2.0)),
+                                 n_samples=10)
+    assert report.histogram == {"negative": 10, "zero": 0, "positive": 0}
+    assert report.critical_everywhere and report.critical_points == []
+    assert report.hypotheses_hold
+
+
+def test_teodg_rejects_twisted_structures():
+    with pytest.raises(InvalidAction):
+        pg.teodg_diagnostic(fx.build_example1().dtp)

@@ -10,13 +10,13 @@ from warpquot import fixtures as fx
 from warpquot import productgeo as pg
 from warpquot import quotient as qt
 from warpquot import transport as tp
-from warpquot.chartkit import MetricField, ScalarField, Signature
+from warpquot.chartkit import MetricField, ScalarField
 from warpquot.errors import InvalidAction, InvalidH, NotALoop, WordBoundExceeded
-from warpquot.scenario import parse_scenario, resolve_scenario
+from warpquot.scenario import parse_scenario
 
 from test_holonomy_closed_form import warped_torus_dict
 from transport_jobs import holonomy
-from fixture_models import bounded, bowl_warped, flat_direct_product
+from fixture_models import bounded
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +30,7 @@ def test_validate_flat_quotients(make):
 
 
 def test_validate_twisted_construction():
-    report = qt.validate(qt.build_example1())
+    report = qt.validate(fx.build_example1())
     assert report.residuals["a:isometry"] < 1e-7
 
 
@@ -101,7 +101,7 @@ def test_leaf_trace_mobius_central_and_generic():
 
 
 def test_leaf_trace_example1_closed_and_open():
-    model = qt.build_example1()
+    model = fx.build_example1()
     closed = qt.leaf_trace(model, [0.0, 0.0], 1)
     assert closed.closed
     assert closed.length == pytest.approx(1.0, abs=1e-7)
@@ -280,7 +280,7 @@ def test_leaf_loop_curve_rejects_non_loop_word():
 
 def test_warp_compat_along_no_holonomy_leaf():
     # deck maps with trivial leaf-holonomy action preserve lam2 on that leaf
-    model = qt.build_example1()
+    model = fx.build_example1()
     lam = model.dtp.lam2
     for x in np.linspace(-1.0, 2.0, 13):
         assert abs(lam.value([x + 1.0, 0.0]) - lam.value([x, 0.0])) < 1e-7
@@ -340,7 +340,7 @@ def test_adapted_translation_equivariance(name, start, length):
     # across the seams); the integrating oracle agrees at both basepoints
     model = {"mobius": fx.mobius_model, "flat-torus": fx.flat_torus_model,
              "skewed-torus": fx.skewed_torus_model,
-             "example1": qt.build_example1}[name]()
+             "example1": fx.build_example1}[name]()
     start = np.array(start, dtype=float)
     far, word = model.canonical_rep(start + length * model.dtp.embed(1, np.ones(1)))
     assert word  # the path crosses a seam
@@ -359,12 +359,12 @@ def test_adapted_translation_equivariance(name, start, length):
 # the explicit twisted construction
 
 def test_example1_seam_functional_equation():
-    model = qt.build_example1()
-    assert qt.example1_seam_residual(model) < 1e-8
+    model = fx.build_example1()
+    assert fx.example1_seam_residual(model) < 1e-8
 
 
 def test_example1_warp_positive_and_smooth_sampled():
-    model = qt.build_example1()
+    model = fx.build_example1()
     lam = model.dtp.lam2
     rng = np.random.default_rng(4)
     for _ in range(50):
@@ -374,7 +374,7 @@ def test_example1_warp_positive_and_smooth_sampled():
 
 
 def test_example1_assembled_metric_and_mean_curvature():
-    model = qt.build_example1()
+    model = fx.build_example1()
     dtp = model.dtp
     for x, y in ((0.3, 1.0), (0.8, 0.4), (1.4, 1.7)):
         g = dtp.assembled.mat([x, y])
@@ -386,108 +386,14 @@ def test_example1_assembled_metric_and_mean_curvature():
 
 def test_example1_rejects_bad_parameters():
     with pytest.raises(InvalidH):
-        qt.build_example1(epsilon=0.6)
+        fx.build_example1(epsilon=0.6)
     with pytest.raises(InvalidH):
-        qt.build_example1(gluing=qt.TwistedGluing(amplitude=5.0))
+        fx.build_example1(gluing=fx.TwistedGluing(amplitude=5.0))
 
 
 def test_example1_classified_twisted():
-    model = qt.build_example1()
+    model = fx.build_example1()
     assert pg.classify(model.dtp, per_axis=5).tag is pg.StructureTag.TWISTED
-
-
-# ---------------------------------------------------------------------------
-# curvature-sign + critical-point diagnostic
-
-def test_teodg_bowl_hypotheses_hold():
-    report = qt.teodg_diagnostic(bowl_warped(), n_samples=40)
-    assert report.hypotheses_hold
-    assert report.histogram["positive"] == 0 and report.histogram["zero"] == 0
-    assert any(abs(a[0]) < 1e-6 for a in report.critical_points)
-
-
-def test_teodg_polar_no_critical_point():
-    report = qt.teodg_diagnostic(fx.polar_plane(), n_samples=30)
-    assert not report.hypotheses_hold
-    assert report.critical_points == []
-
-
-def test_teodg_flat_direct_product_violated():
-    report = qt.teodg_diagnostic(flat_direct_product(), n_samples=30)
-    assert not report.hypotheses_hold
-    assert report.histogram["negative"] == 0
-    assert report.histogram["zero"] > 0
-    assert "violated" in report.verdict
-
-
-def test_teodg_sphere_positive_curvature_witness():
-    report = qt.teodg_diagnostic(fx.sphere_polar(), n_samples=30)
-    assert not report.hypotheses_hold
-    assert report.histogram["positive"] > 0
-    assert report.witness is not None
-
-
-def test_teodg_propagates_non_geometry_errors():
-    # a callback bug (here: a factor metric that fails on batches of a multiple
-    # of 5 points: teodg's sample batch and its stencils, which classification
-    # never makes) must surface, not read as degenerate samples
-    def broken(x):
-        if np.shape(x)[1] % 5 == 0:
-            raise RuntimeError("broken metric callback")
-        return np.ones((1, 1) + np.shape(x)[1:])
-
-    f1 = pg.FactorManifold("r", MetricField(1, broken, Signature.riemannian(1)), [[0.5, 3.0]])
-    f2 = pg.FactorManifold("th", MetricField.euclidean(1), [[0.0, 6.2]])
-    r = fx.function_of_coordinate_warp(0, 2, lambda r: r, lambda r: 1.0, lambda r: 0.0)
-    dtp = pg.assemble(f1, f2, ScalarField.constant(1.0), r)
-    assert pg.classify(dtp).tag is pg.StructureTag.WARPED
-    with pytest.raises(RuntimeError, match="broken metric callback"):
-        qt.teodg_diagnostic(dtp, n_samples=5)
-
-
-def test_teodg_critical_points_from_the_constructions():
-    # lam2 = sin r on [0.3, 2.8] has its one critical point at pi/2; sinh r and
-    # r have none in their boxes; 1 + x^2 has its minimum at 0
-    sphere = qt.teodg_diagnostic(fx.sphere_polar(), n_samples=10)
-    assert len(sphere.critical_points) == 1 and not sphere.critical_everywhere
-    assert abs(sphere.critical_points[0][0] - np.pi / 2) < 1e-12
-    bowl = qt.teodg_diagnostic(bowl_warped(), n_samples=10)
-    assert len(bowl.critical_points) == 1 and abs(bowl.critical_points[0][0]) < 1e-12
-    for make in (fx.hyperbolic_polar, fx.polar_plane):
-        report = qt.teodg_diagnostic(make(), n_samples=10)
-        assert report.critical_points == [] and not report.critical_everywhere
-        assert "no critical point" in report.verdict
-
-
-@pytest.mark.parametrize("name, everywhere", [
-    ("flat-torus", True), ("mobius", True), ("skewed-torus", True), ("lorentz-direct", True),
-    ("sphere-polar", False),
-])
-def test_teodg_reports_a_constant_warp_as_critical_everywhere(name, everywhere):
-    report = qt.teodg_diagnostic(resolve_scenario(name).dtp, n_samples=10)
-    assert report.critical_everywhere is everywhere
-    if everywhere:  # every point is critical: no grid start is listed as one
-        assert report.critical_points == []
-        assert "no critical point" not in report.verdict
-
-
-def test_teodg_constant_warp_satisfies_the_critical_point_hypothesis():
-    # lam1 = 1 + y^2, lam2 = 2: a mixed plane has K = -2 v_y^2 / lam1 < 0, and
-    # every point is critical for the constant lam2, so the hypotheses hold
-    f1 = pg.FactorManifold("line-x", MetricField.euclidean(1), [[-1.0, 1.0]])
-    f2 = pg.FactorManifold("line-y", MetricField.euclidean(1), [[-1.0, 1.0]])
-    lam1 = fx.function_of_coordinate_warp(1, 2, lambda y: 1 + y * y, lambda y: 2 * y,
-                                          lambda y: 2.0, name="1+y^2")
-    report = qt.teodg_diagnostic(pg.assemble(f1, f2, lam1, ScalarField.constant(2.0)),
-                                 n_samples=10)
-    assert report.histogram == {"negative": 10, "zero": 0, "positive": 0}
-    assert report.critical_everywhere and report.critical_points == []
-    assert report.hypotheses_hold
-
-
-def test_teodg_rejects_twisted_structures():
-    with pytest.raises(InvalidAction):
-        qt.teodg_diagnostic(qt.build_example1().dtp)
 
 
 def test_decomposition_refuses_uncertified_global_claim():

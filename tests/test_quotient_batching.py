@@ -96,7 +96,7 @@ MAKERS = {
     "mobius": fx.mobius_model,
     "flat-torus": fx.flat_torus_model,
     "skewed-torus": fx.skewed_torus_model,
-    "example1": qt.build_example1,
+    "example1": fx.build_example1,
     **{name: (lambda data=data: scenario.parse_scenario(dict(data)).model)
        for name, data in SCENARIO_FILES.items()},
 }

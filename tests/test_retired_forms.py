@@ -76,7 +76,7 @@ def _plane_by_line() -> qt.QuotientModel:
 
 
 LEVEL_MODELS = {
-    "example1": qt.build_example1,
+    "example1": fx.build_example1,
     "reach-file": lambda: parse_scenario(FORMULA_FILE).model,
     "plane-by-line": _plane_by_line,
 }
@@ -137,7 +137,7 @@ def test_one_bracket_serves_gamma_and_its_derivative(seed):
 
 @pytest.mark.parametrize("build", [lambda: fx.random_doubly_twisted(0),
                                    lambda: random_doubly_warped(1), fx.polar_plane,
-                                   lambda: qt.build_example1().dtp],
+                                   lambda: fx.build_example1().dtp],
                          ids=["random-dtp", "doubly-warped", "polar-plane", "example1"])
 def test_mean_curvature_form_is_minus_d_log_lam_off_its_factor(build):
     dtp = build()

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from warpquot import chartkit as ck
 from warpquot import expr
 from warpquot import fixtures as fx
-from warpquot import quotient as qt
 from warpquot import transport as tp
 from warpquot.errors import NotALoop, NotInLeaf, NumericsError
 from transport_jobs import carry, holonomy
@@ -269,7 +268,7 @@ def test_adapted_translation_polar_lemma_values():
 
 @pytest.mark.parametrize("make", [
     fx.polar_plane,
-    lambda: qt.build_example1().dtp,
+    lambda: fx.build_example1().dtp,
     *[(lambda s=s: fx.random_doubly_twisted(s)) for s in range(50, 70)],
 ])
 def test_adapted_translation_factor2_components_constant(make):

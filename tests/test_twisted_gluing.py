@@ -17,10 +17,10 @@ import numpy as np
 import pytest
 
 from warpquot import cli
-from warpquot import quotient as qt
+from warpquot import fixtures as fx
 
 EPSILON = 0.25  # build_example1's default
-GLUE = qt.TwistedGluing()
+GLUE = fx.TwistedGluing()
 
 
 def ref_h_inverse(z):
@@ -47,7 +47,7 @@ def ref_lam(x, y):
     for _ in range(max(-k, 0)):
         y = ref_h_inverse(y)
         chain /= GLUE.h_prime(y)
-    sigma = qt._smooth01(((x - k) - EPSILON) / (1.0 - 2.0 * EPSILON))
+    sigma = fx._smooth01(((x - k) - EPSILON) / (1.0 - 2.0 * EPSILON))
     return np.power(np.array([GLUE.h_prime(y)]), np.array([sigma]))[0] * chain
 
 
@@ -66,19 +66,19 @@ def _chain_points():
 def test_lam_batch_equals_the_chain_per_point():
     pts = _chain_points()
     assert set(np.floor(pts[:, 0])) == set(range(-2, 4))
-    got = qt.build_example1().dtp.lam2.value(pts)
+    got = fx.build_example1().dtp.lam2.value(pts)
     want = np.array([ref_lam(x, y) for x, y in pts.tolist()])
     np.testing.assert_array_max_ulp(got, want, maxulp=1)
     # and a batch of one is that point's row
-    lam2 = qt.build_example1().dtp.lam2
+    lam2 = fx.build_example1().dtp.lam2
     assert all(lam2.value(p) == v for p, v in zip(pts[::23], got[::23]))
 
 
 def test_lam_at_integer_x_is_the_chain_alone():
     # sigma is 0 at integer x, so lam is the product of the chain's h' factors
-    lam2 = qt.build_example1().dtp.lam2
-    assert qt._smooth01(-EPSILON / (1.0 - 2.0 * EPSILON)) == 0.0
-    assert qt._smooth01(0.5) == 0.5  # the seed at x = k + 1/2 is h'^(1/2)
+    lam2 = fx.build_example1().dtp.lam2
+    assert fx._smooth01(-EPSILON / (1.0 - 2.0 * EPSILON)) == 0.0
+    assert fx._smooth01(0.5) == 0.5  # the seed at x = k + 1/2 is h'^(1/2)
     for y in (-0.3, 0.4, 1.3, 2.6):
         hy = GLUE.h(y)
         assert lam2.value([0.0, y]) == 1.0
@@ -123,9 +123,9 @@ def _math_smooth01(t):
 # bounds: one ulp per exp (numpy's and libm's differ by one on some points),
 # and one more where a quotient of two rounded terms enters
 @pytest.mark.parametrize("fn,ref,maxulp", [
-    (lambda u: qt._bump_and_d1(u)[0], _math_bump, 1),
-    (lambda u: qt._bump_and_d1(u)[1], _math_bump_d1, 2),
-    (qt._smooth01, _math_smooth01, 2)], ids=["bump", "bump_d1", "smooth01"])
+    (lambda u: fx._bump_and_d1(u)[0], _math_bump, 1),
+    (lambda u: fx._bump_and_d1(u)[1], _math_bump_d1, 2),
+    (fx._smooth01, _math_smooth01, 2)], ids=["bump", "bump_d1", "smooth01"])
 def test_bump_functions_elementwise(fn, ref, maxulp):
     us = np.concatenate([[-1.0, -1.0 + 1e-12, 0.0, 1e-300, 0.5, 1.0 - 1e-12, 1.0, 2.0, -3.0],
                          np.random.default_rng(7).uniform(-1.2, 1.2, 500)])
@@ -133,7 +133,7 @@ def test_bump_functions_elementwise(fn, ref, maxulp):
     want = np.array([ref(u) for u in us.tolist()])
     np.testing.assert_array_max_ulp(got, want, maxulp=maxulp)
     assert all(fn(u) == g for u, g in zip(us.tolist(), got))  # a number alone: its row
-    assert fn(-1.0) == 0.0 and fn(2.0) == (1.0 if fn is qt._smooth01 else 0.0)
+    assert fn(-1.0) == 0.0 and fn(2.0) == (1.0 if fn is fx._smooth01 else 0.0)
 
 
 def test_check_monotone_is_the_grid_minimum():
@@ -142,7 +142,7 @@ def test_check_monotone_is_the_grid_minimum():
 
 
 def test_seam_residual_equals_the_per_sample_loop():
-    model = qt.build_example1()
+    model = fx.build_example1()
     lam = model.dtp.lam2
     rng = np.random.default_rng(2024)
     worst = 0.0
@@ -151,7 +151,7 @@ def test_seam_residual_equals_the_per_sample_loop():
         y = rng.uniform(-0.5, 2.5)
         rhs = lam.value([x - 1.0, GLUE.h(y)]) * GLUE.h_prime(y)
         worst = max(worst, abs(lam.value([x, y]) - rhs))
-    assert qt.example1_seam_residual(model) == worst
+    assert fx.example1_seam_residual(model) == worst
 
 
 @pytest.mark.parametrize("command", cli.COMMANDS)

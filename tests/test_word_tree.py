@@ -25,6 +25,7 @@ from warpquot.chartkit import MetricField, ScalarField
 from warpquot.errors import InvalidAction, NotALoop
 
 from fixture_models import klein_bottle_model
+from test_affine_records import _without_records
 
 
 def _skewed(q):
@@ -77,9 +78,10 @@ MAKERS = {
     "skewed-q2": fx.skewed_torus_model,
     "skewed-q3": lambda: scenario.parse_scenario(_skewed_file(3)).model,
     "warped-torus": lambda: scenario.parse_scenario(dict(WARPED_TORUS)).model,
-    "example1": qt.build_example1,
+    "example1": fx.build_example1,
 }
 MODELS = {name: make() for name, make in MAKERS.items()}
+LEVEL_MODELS = {name: _without_records(model) for name, model in MODELS.items()}
 
 coords = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
 starts = st.lists(st.tuples(coords, coords), min_size=1, max_size=5)
@@ -134,16 +136,17 @@ def _same_hits(got, want):
 def test_tree_images_equal_apply_word_bit_for_bit(name, pts):
     model = MODELS[name]
     X = np.array(pts, dtype=float)
-    words = model._tree(model.word_bound).words
-    images = model._orbit(model.word_bound, X)
+    words, images = model._orbit(model.word_bound, X)
+    assert words == model._tree(model.word_bound).words
     assert images.shape == (len(words),) + X.shape
     for w, img in zip(words, images):
         assert np.array_equal(img, model.apply_word(w, X))
-    one = model._orbit(model.word_bound, X[0])
+    one = model._orbit(model.word_bound, X[0])[1]
     assert np.array_equal(one, images[:, 0])
     # a prefix of the breadth-first list holds its own parents
     for count in (1, 2, len(words) // 2, len(words) + 5):
-        assert np.array_equal(model._orbit(model.word_bound, X, count), images[:count])
+        got = model._orbit(model.word_bound, X, count)
+        assert got[0] == words[:count] and np.array_equal(got[1], images[:count])
 
 
 @settings(max_examples=40, deadline=None)
@@ -176,14 +179,11 @@ def test_searches_under_a_small_point_cap_give_the_same_hits(name, pts, cap):
         _same_hits(g, w)
 
 
-def _level_view(levels):
-    return [(size, [(rows.tolist(), parents.tolist(), gen.name, sign)
-                    for rows, parents, gen, sign in steps]) for size, steps in levels]
-
-
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_smaller_bound_reads_the_prefix_of_the_larger_tree(monkeypatch, name):
-    searched = MAKERS[name]()._tree(4)
+    X = np.random.default_rng(5).uniform(-2.0, 2.0, size=(3, 2))
+    searched = MAKERS[name]()
+    alone = searched._orbit(4, X)[1]
     model = MAKERS[name]()
     calls = []
     enumerate_words = qt.QuotientModel.enumerate_words
@@ -193,14 +193,30 @@ def test_smaller_bound_reads_the_prefix_of_the_larger_tree(monkeypatch, name):
         return enumerate_words(self, max_len)
 
     monkeypatch.setattr(qt.QuotientModel, "enumerate_words", counted)
-    big, cut = model._tree(8), model._tree(4)
+    big, cut = model._orbit(8, X)[1], model._orbit(4, X)[1]
     assert calls == [8]
-    assert cut.words == searched.words == big.words[:len(searched.words)]
-    assert _level_view(cut.levels) == _level_view(searched.levels) == _level_view(big.levels[:4])
-    assert (cut.records is None) == (searched.records is None) == (model._letters is None)
-    if cut.records is not None:
-        for got, want in zip(cut.records, searched.records):
-            assert np.array_equal(got, want)
+    words = model._tree(4).words
+    assert words == searched._tree(4).words == model._tree(8).words[:len(words)]
+    assert cut.shape == (len(words),) + X.shape
+    assert cut.tobytes() == big[:len(words)].tobytes() == alone.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(MODELS)), records=st.booleans(), pts=starts, data=st.data())
+def test_a_span_of_rows_moves_each_point_as_apply_word_does(name, records, pts, data):
+    # any level and any stop, on the record path and on the level path
+    model = MODELS[name] if records else LEVEL_MODELS[name]
+    X = np.array(pts, dtype=float)
+    tree = model._tree(model.word_bound)
+    edges = tree.edges
+    level = data.draw(st.integers(0, len(edges) - 2))
+    stop = data.draw(st.integers(edges[level], len(tree.words)))
+    prev = None if not level else np.stack([model.apply_word(w, X)
+                                            for w in tree.words[edges[level - 1]:edges[level]]])
+    got = tree.images(model, X, level, prev, stop)
+    assert got.shape == (stop - edges[level],) + X.shape
+    for w, img in zip(tree.words[edges[level]:stop], got):
+        assert img.tobytes() == model.apply_word(w, X).tobytes()
 
 
 def _boost_model(box):
@@ -263,6 +279,18 @@ def test_reduction_one_letter_out_reads_one_level(monkeypatch, name):
     rep, word = model.canonical_rep(x)
     assert len(word) == 1 and model.in_box(rep)
     assert len(calls) <= 2 * len(model.generators)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, m in MODELS.items() if m._letters is not None))
+def test_an_affine_orbit_is_one_record_product(monkeypatch, name):
+    model = MODELS[name]
+    X = np.random.default_rng(6).uniform(-2.0, 2.0, size=(4, 2))
+    model._tree(model.word_bound)  # the search composes its own records, level by level
+    calls = []
+    exact = qt._apply_records
+    monkeypatch.setattr(qt, "_apply_records", lambda *args: calls.append(1) or exact(*args))
+    model._orbit(model.word_bound, X)
+    assert len(calls) == 1
 
 
 def test_verify_all_computes_the_orbit_quantities_once(monkeypatch, tmp_path):
