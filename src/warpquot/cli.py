@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from typing import Optional
 
 import numpy as np
 
@@ -130,13 +129,14 @@ def _christoffel_checks(dg, g, gm):
             float(np.max(np.abs(resid), initial=0.0)))
 
 
-def _christoffel_residuals(dtp, rng, samples):
-    """``samples`` random points x (P, n), the oracle Gamma there and its two
-    checks (``_christoffel_checks``)."""
-    x = _rand_points(rng, dtp.domain_box, samples)
+def _christoffel_residuals(dtp, base, rng, samples):
+    """The points x (1 + samples, n), the basepoint base (n,) and then
+    ``samples`` random points, the oracle Gamma at x from one batch, and its
+    two checks (``_christoffel_checks``) at the random points alone."""
+    x = np.concatenate([base[None], _rand_points(rng, dtp.domain_box, samples)])
     dg, g, gm = _compatibility_stencil(dtp, x)
     gm = ck.christoffel_numeric(dtp.assembled, x) if gm is None else gm
-    return (x, gm, *_christoffel_checks(dg, g, gm))
+    return (x, gm, *_christoffel_checks(dg[1:], g[1:], gm[1:]))
 
 
 def _draw_planes(dtp, rng, gm):
@@ -201,13 +201,14 @@ def _closed_form_transport_residual(dtp, curve, ref):
 
 
 def _mixed_k_check(expect, k_values):
-    """Worst |K - expected| over the mixed-plane values, when the scenario
-    expects a constant mixed curvature and there are values; else None."""
+    """The mixed-K-expected row, the worst |K - expected| over the mixed-plane
+    values, when the scenario expects a constant mixed curvature and there
+    are values; else None."""
     if "mixed_K" not in expect or not k_values:
         return None
     want = float(expect["mixed_K"])
-    return Check("mixed-K-expected", max(abs(k - want) for k in k_values),
-                 float(expect.get("K_tol", 1e-6)))
+    return _check("mixed-K-expected", max(abs(k - want) for k in k_values),
+                  expect.get("K_tol", 1e-6))
 
 
 def _verdict_expected(expect, verdict) -> bool:
@@ -217,18 +218,11 @@ def _verdict_expected(expect, verdict) -> bool:
     return "verdict_reason" not in expect or verdict.reason.kind == expect["verdict_reason"]
 
 
-class Check:
-    """One named assertion with a measured value and a budget."""
-
-    def __init__(self, name: str, value: float, budget: float, ok: Optional[bool] = None):
-        self.name = name
-        self.value = float(value)
-        self.budget = float(budget)
-        self.ok = bool(value <= budget) if ok is None else bool(ok)
-
-    def row(self) -> dict:
-        return {"check": self.name, "value": self.value, "budget": self.budget,
-                "pass": self.ok}
+def _check(name: str, value: float, budget: float) -> dict:
+    """One check row: a measured value against its budget, passing iff
+    value <= budget.  An expectation row reads its mismatch against 0."""
+    value, budget = float(value), float(budget)
+    return {"check": name, "value": value, "budget": budget, "pass": value <= budget}
 
 
 # ---------------------------------------------------------------------------
@@ -251,30 +245,26 @@ def cmd_classify(ctx, args, rng):
 
 
 def cmd_christoffel(ctx, args, rng):
-    dtp = ctx.dtp
     base = ctx.base()
-    gamma = ck.christoffel_numeric(dtp.assembled, base)
-    _, _, sym, compat = _christoffel_residuals(dtp, rng, args.samples)
-    checks = [Check("lower-index-symmetry", sym, 1e-9),
-              Check("metric-compatibility", compat, 1e-5)]
-    return {"basepoint": base, "christoffel": gamma,
-            "checks": [c.row() for c in checks]}, all(c.ok for c in checks)
+    _, gamma, sym, compat = _christoffel_residuals(ctx.dtp, base, rng, args.samples)
+    checks = [_check("christoffel-symmetry", sym, 1e-9),
+              _check("metric-compatibility", compat, 1e-5)]
+    return {"basepoint": base, "christoffel": gamma[0],
+            "checks": checks}, all(c["pass"] for c in checks)
 
 
 def cmd_curvature(ctx, args, rng):
     tol = args.tol if args.tol is not None else 1e-5
     worst, k_values = _sectional_residuals(ctx.dtp, rng, args.samples)
-    checks = [Check(f"closed-vs-oracle-{case}", val, tol) for case, val in worst.items()]
+    checks = [_check(f"sectional-closed-form-{case}", val, tol) for case, val in worst.items()]
     results = {"residuals": worst,
                "mixed_K_samples": k_values[:10],
-               "checks": [c.row() for c in checks]}
-    ok = all(c.ok for c in checks) and bool(worst)
-    c = _mixed_k_check(ctx.expect, k_values)
-    if c is not None:
-        results["mixed_K_error"] = c.value
-        results["checks"].append(c.row())
-        ok = ok and c.ok
-    return results, ok
+               "checks": checks}
+    row = _mixed_k_check(ctx.expect, k_values)
+    if row is not None:
+        results["mixed_K_error"] = row["value"]
+        checks.append(row)
+    return results, bool(worst) and all(c["pass"] for c in checks)
 
 
 def cmd_transport(ctx, args, rng):
@@ -289,28 +279,27 @@ def cmd_transport(ctx, args, rng):
                 raise
             raise type(exc)(f"curves.{name}: {exc}") from exc
     out = {}
-    ok = True
     for (name, _), res, resid in zip(curves, results,
                                      tp.transport_equation_residual(ctx.dtp, results)):
-        check = Check("transport-equation", resid, tol)
         out[name] = {"integral_omega": res.integral_omega,
                      "end_components": res.components[-1],
-                     "checks": [check.row()]}
-        ok = ok and check.ok
-    return {"curves": out}, ok
+                     "checks": [_check("transport-equation", resid, tol)]}
+    return {"curves": out}, all(entry["checks"][0]["pass"] for entry in out.values())
 
 
-def _run_holonomy(ctx, tol):
+def _run_holonomy(ctx):
     """Closed-form holonomy of every declared loop at the basepoint's
     representative, one batch per foliation, compared with the expected
-    matrices; also returns the (foliation, word, HolonomyMap) triples."""
+    matrices: the loop entries, the worst ``expected_error`` (None when no
+    loop declares a matrix), the representative and the (foliation, word,
+    HolonomyMap) triples."""
     model = ctx.model
     if model is None or not ctx.holonomy_loops:
         raise ScenarioError("scenario declares no quotient generators / holonomy loops")
     rep0, _ = model.canonical_rep(ctx.base())
     out, maps = [], []
     expected = ctx.expect.get("holonomy", {})
-    ok = True
+    errors = []
     for i in (1, 2):
         words = [tuple(word) for word in ctx.holonomy_loops.get(i, [])]
         if not words:
@@ -323,9 +312,9 @@ def _run_holonomy(ctx, tol):
             if want is not None:  # one matrix per declared loop (ScenarioContext)
                 err = float(np.max(np.abs(hol.matrix - np.asarray(want[j], dtype=float))))
                 entry["expected_error"] = err
-                ok = ok and err <= tol
+                errors.append(err)
             out.append(entry)
-    return out, ok, rep0, maps
+    return out, float(np.max(errors)) if errors else None, rep0, maps  # np.max keeps a nan
 
 
 def _holonomy_oracle_residual(model, maps, jobs, results) -> float:
@@ -341,8 +330,8 @@ def _holonomy_oracle_residual(model, maps, jobs, results) -> float:
 
 def cmd_holonomy(ctx, args, rng):
     tol = args.tol if args.tol is not None else 1e-6
-    out, ok, rep0, _ = _run_holonomy(ctx, tol)
-    return {"basepoint": rep0, "loops": out}, ok
+    out, worst, rep0, _ = _run_holonomy(ctx)
+    return {"basepoint": rep0, "loops": out}, worst is None or worst <= tol
 
 
 def cmd_intersections(ctx, args, rng):
@@ -417,12 +406,11 @@ def _verdict_and_count(ctx, cls, wb):
 
 def cmd_verify_all(ctx, args, rng):
     dtp = ctx.dtp
-    checks: list[Check] = []
+    checks: list[dict] = []
     details: dict = {}
 
-    # metric sanity: signature at sampled points
+    # metric sanity: signature at sampled points, refused (exit 3) on failure
     dtp.assembled.check_at(pg.grid_points(dtp.domain_box, 3))
-    checks.append(Check("signature-sanity", 0.0, 1.0, ok=True))
 
     # three random point sets, drawn in this order: x1 (8) for the Christoffel
     # rows, x2 (6) with one plane per point and case for the sectional rows,
@@ -443,12 +431,11 @@ def cmd_verify_all(ctx, args, rng):
 
     # christoffel symmetry / compatibility
     sym, compat = _christoffel_checks(dg, g, gamma1)
-    checks.append(Check("christoffel-symmetry", sym, 1e-9))
-    checks.append(Check("metric-compatibility", compat, 1e-5))
+    checks.append(_check("christoffel-symmetry", sym, 1e-9))
+    checks.append(_check("metric-compatibility", compat, 1e-5))
 
     # closed-form connection vs oracle: the whole tensor, every slot block
-    checks.append(Check("connection-closed-form",
-                        float(np.max(np.abs(geo1.gamma - gamma1))), 1e-5))
+    checks.append(_check("connection-closed-form", np.max(np.abs(geo1.gamma - gamma1)), 1e-5))
 
     # mixed-connection identity: nabla_X V = -omega1(V) X - omega2(X) V, that is
     # Gamma^k_ij = -delta^k_i omega1_j - delta^k_j omega2_i (i in slot 1, j in slot 2),
@@ -457,27 +444,26 @@ def cmd_verify_all(ctx, args, rng):
     w1, w2 = (pg._omega(dtp, i, geo1.dlam[:, i - 1, dtp.slot(3 - i)], geo1.lam[:, i - 1])
               for i in (1, 2))
     rhs = -eye[:, s1, None] * w1[:, None, None, s2] - eye[:, None, s2] * w2[:, None, s1, None]
-    checks.append(Check("mixed-connection-identity",
-                        float(np.max(np.abs(gamma1[:, :, s1, s2] - rhs))), 1e-5))
+    checks.append(_check("mixed-connection-identity",
+                         np.max(np.abs(gamma1[:, :, s1, s2] - rhs)), 1e-5))
 
     # closed-form sectional curvature vs oracle on available plane types
     worst_k, k_values = _sectional_compare(dtp, geo2, x2, riem, planes)
     for case, val in worst_k.items():
-        checks.append(Check(f"sectional-closed-form-{case}", val, 1e-5))
+        checks.append(_check(f"sectional-closed-form-{case}", val, 1e-5))
 
     # O'Neill T: closed form vs connection-based definition
-    checks.append(Check("oneill-T-definitional",
-                        float(np.max(np.abs(pg.oneill_T(dtp, x3, E, F)
-                                            - pg.oneill_T_definitional(dtp, gamma[6:11],
-                                                                       E, F)))),
-                        1e-5))
+    checks.append(_check("oneill-T-definitional",
+                         np.max(np.abs(pg.oneill_T(dtp, x3, E, F)
+                                       - pg.oneill_T_definitional(dtp, gamma[6:11], E, F))),
+                         1e-5))
 
     # classification
     cls = _structure(ctx, args)
     details["classification"] = {"tag": cls.tag.value, "evidence": cls.evidence}
     expected = ctx.expect.get("classification")
     if expected is not None:
-        checks.append(Check("classification-expected", 0.0, 1.0, ok=cls.tag.value == expected))
+        checks.append(_check("classification-expected", cls.tag.value != expected, 0.0))
 
     # adapted translation (component constancy, norm law) and parallel transport
     # (conservation of the metric square) along a leaf line: jobs of the oracle
@@ -488,65 +474,66 @@ def cmd_verify_all(ctx, args, rng):
     transport_rows = len(checks)
 
     # expected constant mixed curvature, on the sectional sweep's mixed planes
-    c = _mixed_k_check(ctx.expect, k_values)
-    if c is not None:
-        checks.append(c)
+    row = _mixed_k_check(ctx.expect, k_values)
+    if row is not None:
+        checks.append(row)
 
     # flat Lorentzian: lightlike curvature vanishes
     if ctx.expect.get("lightlike_zero"):
         xi, u, v = dtp.embed(1, [1.0, 0.0]), [-1.0, 1.0, 0.0], dtp.embed(2, [1.0])
         val = abs(pg.lightlike_sectional_curvature(dtp.assembled, ctx.base(), xi, u, v))
-        checks.append(Check("lightlike-flat-zero", val, 1e-7))
+        checks.append(_check("lightlike-flat-zero", val, 1e-7))
 
-    # quotient-model battery, up to the closed-form holonomy of the declared loops
+    # quotient-model battery, up to the closed-form holonomy of the declared
+    # loops; a failed quotient condition is refused (exit 2)
     maps = []
     if ctx.model is not None:
         report = qt.validate(ctx.model)
-        checks.append(Check("quotient-validation", report.worst(), qt.ACTION_TOL))
         details["quotient_validation"] = {"words_checked": report.words_checked,
                                           "words_truncated": report.words_truncated}
         if ctx.holonomy_loops:
-            _, hol_ok, rep0, maps = _run_holonomy(ctx, 1e-6)
-            checks.append(Check("holonomy-expected", 0.0, 1.0, ok=hol_ok))
+            _, worst, rep0, maps = _run_holonomy(ctx)
+            if worst is not None:
+                checks.append(_check("holonomy-expected", worst, 1e-6))
             jobs += [tp.TransportJob(qt.leaf_loop_curve(ctx.model, rep0, i, word), hol.frame, i)
                      for i, word, hol in maps]
 
     # the integrating oracle: every transport above in one batch
     adapted, parallel, *around = tp.transport_batch(dtp, jobs)
     checks[transport_rows:transport_rows] = [
-        Check("adapted-translation-norm-law", adapted.tol_achieved, 1e-6),
-        Check("adapted-translation-constancy",
-              float(np.max(np.abs(adapted.components[:, dtp.slot2] - 1.0))), 1e-6),
-        Check("adapted-translation-closed-form",
-              _closed_form_transport_residual(dtp, curve, adapted), 1e-6),
-        Check("parallel-transport-conservation", parallel.tol_achieved, 1e-6)]
+        _check("adapted-translation-norm-law", adapted.tol_achieved, 1e-6),
+        _check("adapted-translation-constancy",
+               np.max(np.abs(adapted.components[:, dtp.slot2] - 1.0)), 1e-6),
+        _check("adapted-translation-closed-form",
+               _closed_form_transport_residual(dtp, curve, adapted), 1e-6),
+        _check("parallel-transport-conservation", parallel.tol_achieved, 1e-6)]
     if maps:
-        checks.append(Check("holonomy-closed-form",
-                            _holonomy_oracle_residual(ctx.model, maps, jobs[2:], around), 1e-6))
+        checks.append(_check("holonomy-closed-form",
+                             _holonomy_oracle_residual(ctx.model, maps, jobs[2:], around), 1e-6))
 
     if ctx.model is not None:
         verdict, count = _verdict_and_count(ctx, cls, min(ctx.model.word_bound, 4))
         if count is not None:
-            checks.append(Check("intersections-expected", 0.0, 1.0,
-                                ok=count == int(ctx.expect["intersections"])))
+            checks.append(_check("intersections-expected",
+                                 abs(count - int(ctx.expect["intersections"])), 0.0))
         if verdict is not None:
-            checks.append(Check("decomposition-verdict", 0.0, 1.0,
-                                ok=_verdict_expected(ctx.expect, verdict)))
+            checks.append(_check("decomposition-verdict",
+                                 not _verdict_expected(ctx.expect, verdict), 0.0))
             details["verdict"] = verdict.tag
         if "seam_residual_max" in ctx.expect:
             resid = fx.example1_seam_residual(ctx.model)
-            checks.append(Check("twisted-seam-functional-equation", resid,
-                                float(ctx.expect["seam_residual_max"])))
+            checks.append(_check("twisted-seam-functional-equation", resid,
+                                 ctx.expect["seam_residual_max"]))
         if "leaf_closed_y" in ctx.expect:
             t = qt.leaf_trace(ctx.model, [0.0, float(ctx.expect["leaf_closed_y"])], 1)
-            checks.append(Check("leaf-closed", 0.0, 1.0, ok=t.closed))
+            checks.append(_check("leaf-closed", not t.closed, 0.0))
         if "leaf_open_y" in ctx.expect:
             t = qt.leaf_trace(ctx.model, [0.0, float(ctx.expect["leaf_open_y"])], 1,
                               arc_budget=6.0)
-            checks.append(Check("leaf-open-within-budget", 0.0, 1.0, ok=not t.closed))
+            checks.append(_check("leaf-open-within-budget", t.closed, 0.0))
 
-    details["checks"] = [c.row() for c in checks]
-    return details, all(c.ok for c in checks)
+    details["checks"] = checks
+    return details, all(c["pass"] for c in checks)
 
 
 _HANDLERS = {

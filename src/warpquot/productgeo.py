@@ -248,9 +248,12 @@ def assemble(f1: FactorManifold, f2: FactorManifold, lam1: ScalarField,
     return DoublyTwistedProduct(f1, f2, lam1, lam2, assembled)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _blocks(n: int, factors, order: int) -> tuple:
     """g, then up to ``order`` d_k g and d_k d_l g, point axis last, from
-    each factor's slot, lam jet and g_A jet (each up to ``order`` at least)."""
+    each factor's slot, lam jet and g_A jet (each up to ``order`` at least).
+    An overflow stays silent here: ``MetricField._checked`` refuses the
+    non-finite entry by name."""
     out = [np.zeros((n,) * (k + 2) + factors[0][1][0].shape) for k in range(order + 1)]
     for sl, (lv, *dls), (gm, *dgs) in factors:
         out[0][sl, sl] = np.square(lv) * gm

@@ -586,10 +586,6 @@ class ValidationReport:
     words_checked: int = 0       # non-empty words applied to the interior grid
     words_truncated: int = 0     # enumerated words left out by VALIDATE_WORD_CAP
 
-    def worst(self) -> float:
-        """The largest residual.  Work cap: one pass over the residuals."""
-        return max(self.residuals.values(), default=0.0)
-
 
 def _row_max(diff: np.ndarray) -> np.ndarray:
     """max |entry| per point of a (P, ...) stack."""
@@ -623,7 +619,7 @@ def validate(model: QuotientModel) -> ValidationReport:
         raise InvalidAction(f"{msg} at sample {np.asarray(sample)}")
 
     def fail_first(resid, samples, msg):
-        bad = resid > ACTION_TOL
+        bad = ~(resid <= ACTION_TOL)  # a nan residual fails
         if bad.any():
             fail(msg, samples[int(np.argmax(bad))])
 
@@ -698,7 +694,7 @@ def _check_inverses(model: QuotientModel) -> dict:
                     for name, fm, x in (("phi", gen.phi, grids[0]), ("psi", gen.psi, grids[1]))]
             res[f"{gen.name}:inverse"] = float(max(resid.max() for _, _, resid in rows))
             for name, x, resid in rows:
-                bad = resid > ACTION_TOL
+                bad = ~(resid <= ACTION_TOL)  # a nan residual fails
                 if failure is None and bad.any():
                     failure = (f"generator {gen.name}: declared inverse of {name} fails "
                                f"at sample {x[int(np.argmax(bad))]}")

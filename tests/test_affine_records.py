@@ -195,12 +195,14 @@ def test_singular_affine_map_is_an_input_error(tmp_path, capsys):
 @pytest.mark.parametrize("generator", [
     {"phi": ["0*x + 0*sin(x)"]},   # not invertible, and not affine: the level path
     {"phi_inv": ["x - 2"]},        # affine, with a wrong declared inverse
-], ids=["non-affine", "affine"])
-@pytest.mark.parametrize("command", ["intersections", "decompose", "holonomy"])
+    {"phi": ["x + 1 + 0*sqrt(x - 0.5)"]},  # nan left of x = 0.5, and so its residual
+], ids=["non-affine", "affine", "nan-residual"])
+@pytest.mark.parametrize("command", ["intersections", "decompose", "holonomy", "verify-all"])
 def test_a_wrong_declared_inverse_refuses_counts_verdicts_and_holonomy(tmp_path, capsys,
                                                                         generator, command):
     # the count, the verdict and the holonomy read the deck maps through their
-    # declared inverses, so each runs validate's declared-inverse check first
+    # declared inverses, so each runs validate's declared-inverse check first;
+    # a nan residual fails it as one above ACTION_TOL does
     data = warped_torus_dict()
     data["generators"][0].update(generator)
     path = tmp_path / "wrong-inverse.json"

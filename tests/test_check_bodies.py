@@ -75,7 +75,7 @@ SECTIONAL_ROWS = (("sphere-polar", ("HV",)), ("random-dtp", ("HH", "HV", "VV")),
 def test_sectional_closed_form_error_fails_curvature_and_verify_all(tmp_path, monkeypatch):
     # an error in the closed form on the planes of one case fails that case's
     # row, and only it, in both commands
-    exact = pg._sectional_closed_form
+    exact, prefix = pg._sectional_closed_form, "sectional-closed-form-"
     for scenario, cases in SECTIONAL_ROWS:
         for case in cases:
             def broken(dtp, geo, x, U, V, _slots=pg._CASE_SLOTS[case]):
@@ -83,8 +83,7 @@ def test_sectional_closed_form_error_fails_curvature_and_verify_all(tmp_path, mo
                 return exact(dtp, geo, x, U, V) + 1e-3 * hit
 
             monkeypatch.setattr(pg, "_sectional_closed_form", broken)
-            for command, prefix in (("curvature", "closed-vs-oracle-"),
-                                    ("verify-all", "sectional-closed-form-")):
+            for command in ("curvature", "verify-all"):
                 code, report = run(tmp_path, scenario, command, "--samples", "8")
                 assert code == 1, (scenario, case, command)
                 rows = {name[len(prefix):]: c["pass"] for name, c in checks_of(report).items()
@@ -185,6 +184,43 @@ def test_verify_all_christoffel_rows_read_one_oracle_batch(tmp_path, monkeypatch
         if not fd:
             np.testing.assert_array_equal(pts[11:], x1)
         assert dtp.n not in seen["riemann"], source
+
+
+@pytest.mark.parametrize("source, fd", [("random-dtp", False), ("sphere-polar", False),
+                                        ("formula-twisted", True)])
+def test_christoffel_reads_one_oracle_batch(tmp_path, monkeypatch, source, fd):
+    # the basepoint rides as row 0 of the samples' one compatibility stencil
+    # and, on the exact route, of the one christoffel_numeric batch (on the
+    # FD route Gamma comes from the stencil); the reported Gamma at the
+    # basepoint is bit for bit christoffel_numeric's there
+    ref = source
+    if source in SCENARIOS:
+        ref = tmp_path / f"{source}.json"
+        ref.write_text(json.dumps(SCENARIOS[source]), encoding="utf-8")
+    ctx = cli.resolve_scenario(str(ref), seed=5)
+    dtp, base = ctx.dtp, ctx.base()
+    want = np.concatenate([base[None], cli._rand_points(np.random.default_rng(5),
+                                                        dtp.domain_box, 8)])
+    seen = {"stencil": [], "oracle": []}
+    stencil, oracle = cli._compatibility_stencil, ck.christoffel_numeric
+
+    def counted_stencil(space, x):
+        seen["stencil"].append(np.array(x))
+        return stencil(space, x)
+
+    def counted_oracle(g, x):
+        seen["oracle"].append(np.array(x))
+        return oracle(g, x)
+
+    monkeypatch.setattr(cli, "_compatibility_stencil", counted_stencil)
+    monkeypatch.setattr(ck, "christoffel_numeric", counted_oracle)
+    code, report = run(tmp_path, str(ref), "christoffel", "--seed", "5", "--samples", "8")
+    assert code == 0
+    assert len(seen["stencil"]) == 1 and len(seen["oracle"]) == (0 if fd else 1)
+    for x in seen["stencil"] + seen["oracle"]:
+        np.testing.assert_array_equal(x, want)
+    np.testing.assert_array_equal(np.array(report["results"]["christoffel"]),
+                                  oracle(dtp.assembled, base))
 
 
 @pytest.mark.parametrize("samples", ["8", "16"])

@@ -140,11 +140,11 @@ def test_sign_flipped_mixed_term_fails_the_connection_row(tmp_path, monkeypatch)
 
 def test_sign_flipped_metric_term_fails_the_mixed_curvature_row(tmp_path, monkeypatch):
     code, report = run(tmp_path, "random-dtp", "curvature", "--samples", "8")
-    assert code == 0 and checks_of(report)["closed-vs-oracle-HV"]["pass"] is True
+    assert code == 0 and checks_of(report)["sectional-closed-form-HV"]["pass"] is True
     _patch_gamma(monkeypatch, _flip_metric_term)
     code, report = run(tmp_path, "random-dtp", "curvature", "--samples", "8")
     assert code == 1
-    assert checks_of(report)["closed-vs-oracle-HV"]["pass"] is False
+    assert checks_of(report)["sectional-closed-form-HV"]["pass"] is False
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +218,20 @@ def test_fd_riemann_evaluates_the_metric_once(monkeypatch):
 @pytest.mark.parametrize("strip", [False, True], ids=["analytic", "fd"])
 def test_christoffel_rows_evaluate_one_stencil(monkeypatch, strip):
     # the compatibility stencil is the FD oracle's own: without exact
-    # derivatives Gamma comes from it, bit for bit christoffel_numeric's
+    # derivatives Gamma comes from it, bit for bit christoffel_numeric's;
+    # the basepoint rides as row 0 of the same batch
     dtp = fx.random_doubly_twisted(4)
     dtp = strip_analytic(dtp) if strip else dtp
     g = dtp.assembled
+    base = 0.5 * (g.domain_box[:, 0] + g.domain_box[:, 1])
     want_x = cli._rand_points(np.random.default_rng(4), dtp.domain_box, 5)
     state = _count_calls_on(monkeypatch, g)
-    x, gamma, _, _ = cli._christoffel_residuals(dtp, np.random.default_rng(4), 5)
-    assert np.array_equal(x, want_x)
+    x, gamma, _, _ = cli._christoffel_residuals(dtp, base, np.random.default_rng(4), 5)
+    assert np.array_equal(x, np.concatenate([base[None], want_x]))
     assert state["mat"] == (1 if strip else 2)
     assert state["oracle"] == ([] if strip else ["christoffel_numeric"])
     assert np.array_equal(gamma, ck.christoffel_numeric(g, x))
+    assert np.array_equal(gamma[0], ck.christoffel_numeric(g, base))
 
 
 def test_analytic_riemann_evaluates_the_metric_once(monkeypatch):

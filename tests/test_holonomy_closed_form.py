@@ -119,7 +119,7 @@ def test_decomposition_guard_keeps_the_warped_verdicts(tmp_path):
 
 
 def test_klein_bottle_passes_validation():
-    assert qt.validate(klein_bottle_model()).worst() < qt.ACTION_TOL
+    assert max(qt.validate(klein_bottle_model()).residuals.values()) < qt.ACTION_TOL
 
 
 @pytest.mark.parametrize("name, make", [
